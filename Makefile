@@ -1,8 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet test race stress soak bench bench-kernel fuzz bench-json obs-gate trace-smoke omcheck asm-check algtable-check
+.PHONY: check build vet test race determinism stress soak bench bench-kernel fuzz obs-gate trace-smoke omcheck asm-check algtable-check
 
-check: build vet race stress soak obs-gate trace-smoke omcheck asm-check algtable-check
+check: build vet race determinism stress soak obs-gate trace-smoke omcheck asm-check algtable-check
+
+# The determinism gate: the result of a GEMM is a pure function of
+# (operands, shape, algorithm, kernel). BFS-, DFS- and hybrid-scheduled
+# table algorithms, 1 to 16 workers, the per-call and the prepacked
+# entry point on split shapes, and a batch against its single calls must
+# all agree bit for bit, at every GOMAXPROCS.
+determinism:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Determinism|BatchMatches' ./internal/core
 
 # The algorithm-table gate: every registered bilinear <m,k,n>
 # coefficient table must satisfy the Brent equations in exact integer
@@ -82,28 +90,14 @@ omcheck:
 	$(GO) test -run 'TestOpenMetricsRoundTrip|TestLintOpenMetricsRejects' -count=1 -v ./internal/obs
 	$(GO) test -run 'TestMetriczOpenMetrics' -count=1 -v ./internal/serve
 
-# The perf-regression gate: re-measure the standard algorithm and
-# compare against the committed BENCH_9.json record. Individual points
-# on a shared/bursty host swing ±30% between identical-code runs, so
-# the gate aggregates rather than failing per point: it fails when the
-# geometric-mean GFLOPS ratio regresses >10%, any single point
-# collapses >40% (the catastrophic floor), a point's conversion share
-# of end-to-end time grows >10 points (the amortized-conversion
-# guard), the serve-prepacked/serve-percall speedup — measured
-# within one window, so host drift cancels — drops below 1.15x, or
-# the batched/looped GEMM speedup (same-window, schema 7) drops
-# below 1.2x.
-# n=512 keeps the gate fast; reps are high because a cold process
-# needs several reps per point before page faults and heap growth stop
-# dominating. -noscale: the host yardstick is a single sample with the
-# same burst variance as any point, and rescaling by it injects a
-# coherent scale error into all points at once — exactly what the
-# geomean cannot average out. Same-host same-binary comparisons are
-# better off raw; keep rescaling for cross-host diffs. A failure still
-# warrants one re-run before treating it as a real regression.
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): six
+# workloads, end-to-end metrics with tracing off, results appended to
+# /tmp/bench_head.json. There is no committed baseline: a claim is a
+# paired comparison of two such files from the same host and session,
+#   go run ./benchmark -compare /tmp/bench_parent.json /tmp/bench_head.json
+# which applies each metric's own bound.
 bench:
-	$(GO) run ./cmd/benchjson -o /tmp/bench_head.json -sizes 512 -reps 6 -algs standard -shapes ''
-	$(GO) run ./cmd/benchdiff -baseline BENCH_10.json -candidate /tmp/bench_head.json -alg standard -noscale -tol 0.10 -pointtol 0.40 -convtol 0.10 -servemin 1.15 -batchmin 1.2
+	$(GO) run ./benchmark -o /tmp/bench_head.json
 
 # The kernel acceptance benchmark: every registered kernel — packed
 # pure-Go tiers and whatever assembly kernels the host unlocked —
@@ -114,7 +108,3 @@ bench-kernel:
 
 fuzz:
 	$(GO) test -fuzz FuzzKernelsVsNaive -fuzztime 30s ./internal/leaf
-
-# Regenerate the committed benchmark record.
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_10.json -reps 4

@@ -53,41 +53,58 @@ func ladderFor(a Alg) []rung {
 	}
 }
 
-// estimateBytes predicts the footprint of one block multiplication:
-// the three packed operands, the scratch-arena reservation for the
-// algorithm's temporaries, and the per-worker leaf packing scratch.
-// The temporary term is no longer an estimate: it is exactly the
-// workspace the driver reserves up front — arenaStackElems (one
-// depth-first path's geometric series) times the number of arena
-// stacks (one per worker, or one when serial). Admission therefore
-// accounts the arena with one reservation, and a configuration that
-// admits will not heap-allocate temporaries in steady state.
-//
-// A buffer recycled from the pool is exactly as resident as a fresh
-// one, so pool hits are charged at full size. Only operands owned by a
-// *Prepacked* plan are exempt (resident=true): the plan allocated them
-// once, outside this call, and they stay live regardless of admission's
-// verdict — charging them again would double-count and make a budget
-// that admitted the prepack reject the multiplications it was built for.
-func estimateBytes(alg Alg, workers, mp, kp, np, tm, tk, tn, fastCutoff int, serial, resident bool) int64 {
-	ab := int64(mp) * int64(kp)
-	bb := int64(kp) * int64(np)
-	cb := int64(mp) * int64(np)
-	packed := ab + bb + cb
-	if resident {
-		packed = cb
+// charge is what a call holds live, in elements — the terms of the
+// admission estimate. A buffer recycled from the pool is exactly as
+// resident as a fresh one, so pool hits are charged at full size. Only
+// operands owned by a *Prepacked* plan are exempt (shared and perRow
+// zero): the plan allocated them once, outside the call, and they stay
+// live whatever admission decides — charging them again would make a
+// budget that admitted the prepack reject the multiplications it was
+// built for.
+type charge struct {
+	// shared is packed once and held for the whole call: the B segments
+	// of a transient plan (plus A's, for operands the caller brings
+	// already tiled).
+	shared int64
+	// perRow is one row panel of a transient plan's packed A segments,
+	// and rows the number of panels. When all of them do not fit the
+	// budget the block wave walks them in groups that do.
+	perRow int64
+	rows   int
+	// perBlock is one in-flight product tile (for a batched wave, one
+	// member's buffers); inflight counts the tiles a parallel rung holds
+	// at once — a serial rung holds one.
+	perBlock int64
+	inflight int
+	// scratch is the per-worker leaf packing scratch, arena the
+	// per-stack reservation for an algorithm's temporaries: exactly the
+	// workspace the driver reserves up front (arenaStackElems, one
+	// depth-first path's geometric series), so a configuration that
+	// admits will not heap-allocate temporaries in steady state.
+	scratch int
+	arena   func(Alg) int64
+	// what names the call in the rejection error.
+	what func() string
+}
+
+// estimate returns the footprint in bytes of the charge on rung r —
+// one arena stack and one scratch per worker, or one of each when
+// serial — and the number of row panels per group: all of them, or as
+// many (at least one) as keep the estimate inside a positive budget.
+func (ch *charge) estimate(r rung, workers int, budget int64) (est int64, rowsPer int) {
+	inf, stacks := int64(ch.inflight), int64(workers)
+	if r.serial {
+		inf, stacks = 1, 1
 	}
-	stacks := int64(workers)
-	if serial {
-		stacks = 1
+	base := ch.shared + ch.perBlock*inf + (ch.arena(r.alg)+int64(ch.scratch))*stacks
+	rowsPer = ch.rows
+	if budget > 0 && ch.perRow > 0 && 8*(base+ch.perRow*int64(rowsPer)) > budget {
+		rowsPer = int((budget/8 - base) / ch.perRow)
+		if rowsPer < 1 {
+			rowsPer = 1
+		}
 	}
-	temps := arenaStackElems(alg, mp/tm, kp/tk, np/tn, tm, tk, tn, fastCutoff) * stacks
-	w := int64(workers)
-	if serial {
-		w = 1
-	}
-	scratch := w * int64(tm*tk+tk*tn)
-	return 8 * (packed + temps + scratch)
+	return 8 * (base + ch.perRow*int64(rowsPer)), rowsPer
 }
 
 func fmtBytes(b int64) string {
@@ -102,79 +119,48 @@ func fmtBytes(b int64) string {
 	return fmt.Sprintf("%dB", b)
 }
 
-// admit applies the memory budget: it returns the first rung of the
-// requested algorithm's ladder whose estimated footprint fits
-// o.MemBudget (the requested configuration when no budget is set),
-// along with the estimate and a human-readable note per degradation.
-// When no rung fits, it returns ErrMemBudget — admission control
-// rejects the call before any allocation.
-func admit(o Options, workers, mp, kp, np, tm, tk, tn int, resident bool) (Alg, bool, int64, []string, error) {
-	ladder := ladderFor(o.Alg)
-	requested := ladder[0]
-	est := estimateBytes(requested.alg, workers, mp, kp, np, tm, tk, tn, o.FastCutoff, requested.serial, resident)
-	if o.MemBudget <= 0 || est <= o.MemBudget {
-		return requested.alg, requested.serial, est, nil, nil
-	}
-	var notes []string
-	prev, prevEst := requested, est
-	for _, r := range ladder[1:] {
-		e := estimateBytes(r.alg, workers, mp, kp, np, tm, tk, tn, o.FastCutoff, r.serial, resident)
-		notes = append(notes, fmt.Sprintf("mem-budget: %v%s estimated %s > budget %s; degraded to %v%s (estimated %s)",
-			prev.alg, serialTag(prev.serial), fmtBytes(prevEst), fmtBytes(o.MemBudget),
-			r.alg, serialTag(r.serial), fmtBytes(e)))
-		if e <= o.MemBudget {
-			return r.alg, r.serial, e, notes, nil
-		}
-		prev, prevEst = r, e
-	}
-	return 0, false, est, nil, fmt.Errorf("%w: smallest ladder rung (%v%s) estimated %s for %dx%dx%d still exceeds budget %s",
-		ErrMemBudget, prev.alg, serialTag(prev.serial), fmtBytes(prevEst), mp, kp, np, fmtBytes(o.MemBudget))
+// admission is admit's verdict: the rung that runs, its estimate, how
+// many row panels the wave packs per group, and a human-readable note
+// per degradation.
+type admission struct {
+	alg     Alg
+	serial  bool
+	est     int64
+	rowsPer int
+	notes   []string
 }
 
-// estimateWaveBytes is estimateBytes for a batched wave: the packed
-// term is the largest member's wave-owned buffers multiplied by the
-// number of members that can execute concurrently (min(items, workers);
-// one when serial — a serial wave runs its members strictly in turn).
-// The arena term is supplied per algorithm because the wave's
-// reservation is the maximum single-item depth-first path over possibly
-// heterogeneous member geometries, which only the caller can compute.
-func estimateWaveBytes(alg Alg, workers, inflight int, perPacked int64, scratchPer int, arenaPer func(Alg) int64, serial bool) int64 {
-	inf := int64(minInt(inflight, workers))
-	stacks := int64(workers)
-	w := int64(workers)
-	if serial {
-		inf, stacks, w = 1, 1, 1
-	}
-	return 8 * (perPacked*inf + arenaPer(alg)*stacks + w*int64(scratchPer))
-}
-
-// admitWave is admission control for a batched wave: one MemBudget
-// charge for the whole batch, walking the same degradation ladder as
-// admit — the entire wave degrades together (mixed-algorithm waves
-// would defeat the shared arena sizing). When no rung fits even with
-// members serialized, the wave is rejected with ErrMemBudget before any
-// allocation, leaving every member's C untouched.
-func admitWave(o Options, workers, inflight int, perPacked int64, scratchPer int, arenaPer func(Alg) int64) (Alg, bool, int64, []string, error) {
-	ladder := ladderFor(o.Alg)
-	requested := ladder[0]
-	est := estimateWaveBytes(requested.alg, workers, inflight, perPacked, scratchPer, arenaPer, requested.serial)
-	if o.MemBudget <= 0 || est <= o.MemBudget {
-		return requested.alg, requested.serial, est, nil, nil
-	}
-	var notes []string
-	prev, prevEst := requested, est
-	for _, r := range ladder[1:] {
-		e := estimateWaveBytes(r.alg, workers, inflight, perPacked, scratchPer, arenaPer, r.serial)
-		notes = append(notes, fmt.Sprintf("mem-budget: wave of %d: %v%s estimated %s > budget %s; degraded to %v%s (estimated %s)",
-			inflight, prev.alg, serialTag(prev.serial), fmtBytes(prevEst), fmtBytes(o.MemBudget),
-			r.alg, serialTag(r.serial), fmtBytes(e)))
-		if e <= o.MemBudget {
-			return r.alg, r.serial, e, notes, nil
+// admit applies the memory budget, once per call: it returns the first
+// rung of the requested algorithm's ladder whose estimated footprint
+// fits o.MemBudget (the requested configuration when no budget is
+// set). Walking a transient plan's row panels in groups costs no flops
+// and re-packs nothing, so a rung shrinks its groups before the ladder
+// gives up an algorithm. A batched wave degrades together — mixed
+// algorithms would defeat the shared arena sizing. When no rung fits,
+// the call is rejected with ErrMemBudget before any allocation.
+func admit(o Options, workers int, ch charge) (admission, error) {
+	var ad admission
+	var prev rung
+	var prevEst int64
+	for i, r := range ladderFor(o.Alg) {
+		est, rowsPer := ch.estimate(r, workers, o.MemBudget)
+		if i > 0 {
+			ad.notes = append(ad.notes, fmt.Sprintf("mem-budget: %v%s estimated %s > budget %s; degraded to %v%s (estimated %s)",
+				prev.alg, serialTag(prev.serial), fmtBytes(prevEst), fmtBytes(o.MemBudget),
+				r.alg, serialTag(r.serial), fmtBytes(est)))
 		}
-		prev, prevEst = r, e
+		if o.MemBudget <= 0 || est <= o.MemBudget {
+			if rowsPer < ch.rows {
+				ad.notes = append(ad.notes, fmt.Sprintf("mem-budget: %d packed row panels exceed budget %s; walking them %d at a time (estimated %s)",
+					ch.rows, fmtBytes(o.MemBudget), rowsPer, fmtBytes(est)))
+			}
+			ad.alg, ad.serial, ad.est, ad.rowsPer = r.alg, r.serial, est, rowsPer
+			return ad, nil
+		}
+		prev, prevEst = r, est
 	}
-	return 0, false, est, nil, fmt.Errorf("%w: smallest ladder rung (%v%s) estimated %s for a wave of %d items still exceeds budget %s",
-		ErrMemBudget, prev.alg, serialTag(prev.serial), fmtBytes(prevEst), inflight, fmtBytes(o.MemBudget))
+	return admission{}, fmt.Errorf("%w: smallest ladder rung (%v%s) estimated %s for %s still exceeds budget %s",
+		ErrMemBudget, prev.alg, serialTag(prev.serial), fmtBytes(prevEst), ch.what(), fmtBytes(o.MemBudget))
 }
 
 func serialTag(serial bool) string {

@@ -125,6 +125,9 @@ type exec struct {
 	// used only by the driver-phase spans, never by the recursion.
 	tr   *obs.Tracer
 	lane int32
+	// policy pins the table engine's per-level BFS/DFS choice; zero —
+	// the only value outside tests — decides from the pool's idle gauge.
+	policy tablePolicy
 }
 
 // ewParMin is the default exec.ewMin: below half a megabyte the

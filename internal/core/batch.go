@@ -115,12 +115,28 @@ func (g itemGeom) packedElems() int64 {
 // are acquired on first use, regrown only when an item needs a larger
 // size class, and returned to the pool once when the runner drains.
 // Steady-state waves therefore perform zero allocations per item. bs
-// is the prepacked wave's per-k-segment packed-B set.
+// is the prepacked wave's per-k-segment packed-B set and pb the
+// transient plan header over it; the split block wave uses tc alone.
 type waveWS struct {
 	e          exec
 	ta, tb, tc Tiled
 	bs         []Tiled
+	pb         Prepacked
 	stats      Stats
+}
+
+// release returns the runner's buffers to the recycling pool, once,
+// when the runner drains (panic paths included, via the runner's
+// defer).
+func (ws *waveWS) release() {
+	for _, t := range []*Tiled{&ws.tc, &ws.tb, &ws.ta} {
+		putBuf(t.Data)
+		t.Data = nil
+	}
+	for j := range ws.bs {
+		putBuf(ws.bs[j].Data)
+		ws.bs[j].Data = nil
+	}
 }
 
 // waveExec carries one wave through its runner tasks.
@@ -144,7 +160,7 @@ type waveExec struct {
 func (wx *waveExec) run(c *sched.Ctx, r int) {
 	ws := &wx.ws[r]
 	ws.e = *wx.e
-	defer wx.releaseWS(ws)
+	defer ws.release()
 	for {
 		if c.Cancelled() {
 			return
@@ -173,21 +189,6 @@ func (wx *waveExec) runOne(c *sched.Ctx, i int, ws *waveWS) {
 	wx.runItem(c, i, ws)
 }
 
-// releaseWS returns the runner's buffers to the recycling pool, once,
-// when the runner drains (panic paths included via run's defer).
-func (wx *waveExec) releaseWS(ws *waveWS) {
-	putBuf(ws.tc.Data)
-	ws.tc.Data = nil
-	putBuf(ws.tb.Data)
-	ws.tb.Data = nil
-	putBuf(ws.ta.Data)
-	ws.ta.Data = nil
-	for j := range ws.bs {
-		putBuf(ws.bs[j].Data)
-		ws.bs[j].Data = nil
-	}
-}
-
 // itemCtx resolves an item's cancellation scope.
 func (wx *waveExec) itemCtx(ictx context.Context) context.Context {
 	if ictx == nil {
@@ -212,6 +213,15 @@ func notStartedErr(i int, cause error) error {
 
 func cancelledErr(i int, cause error) error {
 	return fmt.Errorf("core: batch item %d cancelled: %w", i, cause)
+}
+
+// blockErr types a planMul.block failure for item i: a cancelled run
+// names the wave's cause, an expired member its own.
+func (wx *waveExec) blockErr(i int, err error) error {
+	if err == errRunCancelled {
+		err = wx.waveCause()
+	}
+	return cancelledErr(i, err)
 }
 
 // reshape rewrites a workspace Tiled's header for the next item while
@@ -295,18 +305,8 @@ func batchItemGeom(o Options, it *BatchItem) (itemGeom, error) {
 // nested spawns makes steady-state waves allocation-free per item);
 // smaller waves of larger items keep nested parallelism.
 func GEMMBatch(ctx context.Context, pool *sched.Pool, opts Options, items []BatchItem) (bs *BatchStats, errs []error, err error) {
-	t0 := time.Now()
-	tr := obs.Cur()
-	var lane int32
-	if tr != nil {
-		lane = tr.NewLane()
-	}
-	defer func() {
-		if tr != nil {
-			tr.LaneSpan(lane, obs.KindGEMM, t0, time.Since(t0), 0)
-		}
-		recordBatchMetrics(opts.Metrics, bs, errs, err, time.Since(t0))
-	}()
+	co := beginCall(0)
+	defer func() { co.endBatch(opts.Metrics, bs, errs, err) }()
 	defer func() {
 		if r := recover(); r != nil {
 			bs, errs, err = nil, nil, recoveredError(r)
@@ -402,39 +402,13 @@ func GEMMBatch(ctx context.Context, pool *sched.Pool, opts Options, items []Batc
 		// arena sizing); resolve from the largest member's padded shape.
 		o.Alg = selectAlg(o, maxG.tm<<maxG.d, maxG.tk<<maxG.d, maxG.tn<<maxG.d)
 	}
-	alg, serial, est, notes, err := admitWave(o, pool.Workers(), live, perPacked, scratchPer, arenaPer)
+	ad, e, ar, runners, err := admitWave(pool, o, co, live, perPacked, scratchPer, arenaPer, maxG.kern, maxG.skern)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	e := &exec{kern: maxG.kern, skern: maxG.skern, serialCutoff: o.SerialCutoff, fastCutoff: o.FastCutoff, ewMin: ewParMin,
-		tr: tr, lane: lane}
-	runners := live
-	if w := pool.Workers(); runners > w {
-		runners = w
-	}
-	stacks := pool.Workers()
-	if serial {
-		runners, stacks = 1, 1
-		e.serialCutoff = 1 << 30
-	} else if live >= pool.Workers() {
-		// The wave saturates the pool by itself; nested spawns inside
-		// items would only add task overhead and per-spawn closures.
-		e.serialCutoff = 1 << 30
-	}
-	ar := acquireArenaElems(arenaPer(alg), stacks)
 	defer releaseArena(ar)
-	e.ar = ar
-	if tr != nil {
-		for range notes {
-			tr.LaneInstant(lane, obs.KindDegrade, 0)
-		}
-		if ar != nil {
-			tr.LaneInstant(lane, obs.KindArena, ar.bytes())
-		}
-	}
 
-	wx := &waveExec{e: e, alg: alg, curve: o.Curve, wctx: ctx, errs: errs,
+	wx := &waveExec{e: e, alg: ad.alg, curve: o.Curve, wctx: ctx, errs: errs,
 		done: make([]bool, len(items)), ws: make([]waveWS, runners)}
 	wx.runItem = func(c *sched.Ctx, i int, ws *waveWS) {
 		wx.runBatchItem(c, &items[i], geoms[i], i, ws)
@@ -443,9 +417,9 @@ func GEMMBatch(ctx context.Context, pool *sched.Pool, opts Options, items []Batc
 	bs = &BatchStats{Items: live}
 	bs.Stats = Stats{Depth: maxG.d, TileM: maxG.tm, TileK: maxG.tk, TileN: maxG.tn,
 		PaddedM: maxG.tm << maxG.d, PaddedK: maxG.tk << maxG.d, PaddedN: maxG.tn << maxG.d,
-		Kernel: maxG.kname, Alg: alg, Serial: serial, Degraded: notes,
-		EstimatedBytes: est, ArenaBytes: ar.bytes()}
-	c0 := startCall(pool, t0)
+		Kernel: maxG.kname, Alg: ad.alg, Serial: ad.serial, Degraded: ad.notes,
+		EstimatedBytes: ad.est, ArenaBytes: ar.bytes()}
+	c0 := startCall(pool, co.t0)
 	runWave(ctx, pool, wx, runners, bs)
 	if ar != nil {
 		bs.AllocBytes = 8 * ar.fallbackElems.Load()
@@ -555,12 +529,7 @@ func runWave(ctx context.Context, pool *sched.Pool, wx *waveExec, runners int, b
 		}
 	}
 	for r := range wx.ws {
-		s := &wx.ws[r].stats
-		bs.ConvertBytes += s.ConvertBytes
-		bs.Blocks += s.Blocks
-		bs.PoolHits += s.PoolHits
-		bs.PoolMisses += s.PoolMisses
-		bs.PackReused += s.PackReused
+		bs.Stats.merge(&wx.ws[r].stats)
 	}
 }
 
@@ -579,18 +548,8 @@ func runWave(ctx context.Context, pool *sched.Pool, wx *waveExec, runners int, b
 // Error semantics match GEMMBatch: errs per item, err only for
 // wave-level scheduling failures.
 func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa *Prepacked, items []PrepackedBatchItem) (bs *BatchStats, errs []error, err error) {
-	t0 := time.Now()
-	tr := obs.Cur()
-	var lane int32
-	if tr != nil {
-		lane = tr.NewLane()
-	}
-	defer func() {
-		if tr != nil {
-			tr.LaneSpan(lane, obs.KindGEMM, t0, time.Since(t0), 0)
-		}
-		recordBatchMetrics(opts.Metrics, bs, errs, err, time.Since(t0))
-	}()
+	co := beginCall(0)
+	defer func() { co.endBatch(opts.Metrics, bs, errs, err) }()
 	defer func() {
 		if r := recover(); r != nil {
 			bs, errs, err = nil, nil, recoveredError(r)
@@ -648,16 +607,8 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 			continue
 		}
 		// The conforming free-dimension tile, chosen exactly as
-		// PrepackConforming does for an unsplit free dimension: ceil
-		// division by the grid side, micro-rounded when the extra
-		// padding stays within the configured slack.
-		tn := (n + (1 << d) - 1) >> d
-		if mu := o.Tile.MicroN; mu > 0 && tn%mu != 0 {
-			rounded := tn + mu - tn%mu
-			if float64(rounded<<d) <= float64(n)*(1+o.Tile.PadSlack) {
-				tn = rounded
-			}
-		}
+		// PrepackConforming does for an unsplit free dimension.
+		tn := conformTile(o.Tile, n, d)
 		if _, _, _, derr := paddedDims(d, tm, tk, tn); derr != nil {
 			errs[i] = derr
 			continue
@@ -704,40 +655,24 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 		sel.Curve = pa.Curve
 		o.Alg = selectAlg(sel, pa.Rows, pa.Cols, maxTn<<d)
 	}
-	alg, serial, est, notes, err := admitWave(o, pool.Workers(), live, perPacked, tm*tk+tk*maxTn, arenaPer)
+	ad, e, ar, runners, err := admitWave(pool, o, co, live, perPacked, tm*tk+tk*maxTn, arenaPer, kern, skern)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	e := &exec{kern: kern, skern: skern, serialCutoff: o.SerialCutoff, fastCutoff: o.FastCutoff, ewMin: ewParMin,
-		tr: tr, lane: lane}
-	runners := live
-	if w := pool.Workers(); runners > w {
-		runners = w
-	}
-	stacks := pool.Workers()
-	if serial {
-		runners, stacks = 1, 1
-		e.serialCutoff = 1 << 30
-	} else if live >= pool.Workers() {
-		e.serialCutoff = 1 << 30
-	}
-	ar := acquireArenaElems(arenaPer(alg), stacks)
 	defer releaseArena(ar)
-	e.ar = ar
-	if tr != nil {
-		for range notes {
-			tr.LaneInstant(lane, obs.KindDegrade, 0)
-		}
-		if ar != nil {
-			tr.LaneInstant(lane, obs.KindArena, ar.bytes())
-		}
-	}
 
-	wx := &waveExec{e: e, alg: alg, curve: pa.Curve, wctx: ctx, errs: errs,
+	wx := &waveExec{e: e, alg: ad.alg, curve: pa.Curve, wctx: ctx, errs: errs,
 		done: make([]bool, len(items)), ws: make([]waveWS, runners)}
 	for r := range wx.ws {
-		wx.ws[r].bs = make([]Tiled, nks)
+		// Each runner's packed-B set, and the transient plan over it that
+		// the shared block loop multiplies the resident A plan against.
+		ws := &wx.ws[r]
+		ws.bs = make([]Tiled, nks)
+		ws.pb = Prepacked{Curve: pa.Curve, D: d, TR: tk, RSegs: pa.CSegs,
+			CSegs: make([]tile.Seg, 1), blocks: make([]*Tiled, nks)}
+		for s := range ws.bs {
+			ws.pb.blocks[s] = &ws.bs[s]
+		}
 	}
 	wx.runItem = func(c *sched.Ctx, i int, ws *waveWS) {
 		wx.runPrepackedItem(c, pa, &items[i], geoms[i], i, ws)
@@ -746,9 +681,9 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 	bs = &BatchStats{Items: live}
 	bs.Stats = Stats{Depth: d, TileM: tm, TileK: tk, TileN: maxTn,
 		PaddedM: tm << d, PaddedK: tk << d, PaddedN: maxTn << d,
-		Kernel: kname, Alg: alg, Serial: serial, Degraded: notes,
-		EstimatedBytes: est, ArenaBytes: ar.bytes()}
-	c0 := startCall(pool, t0)
+		Kernel: kname, Alg: ad.alg, Serial: ad.serial, Degraded: ad.notes,
+		EstimatedBytes: ad.est, ArenaBytes: ar.bytes()}
+	c0 := startCall(pool, co.t0)
 	runWave(ctx, pool, wx, runners, bs)
 	if ar != nil {
 		bs.AllocBytes = 8 * ar.fallbackElems.Load()
@@ -759,9 +694,9 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 
 // runPrepackedItem executes one GEMMPrepackedBatch member: β-scale,
 // serial pack of the conforming right-hand side (one tile set per plan
-// k-segment), one pooled product tile per plan row-segment accumulated
-// over the k-segments, serial fused epilogue per output block — the
-// wave-task form of GEMMPrepacked's prepackedBlock loop.
+// k-segment) into the runner's transient plan, then the member's C
+// blocks through the shared block loop (planMul.block), serial on this
+// worker.
 func (wx *waveExec) runPrepackedItem(c *sched.Ctx, pa *Prepacked, it *PrepackedBatchItem, g itemGeom, i int, ws *waveWS) {
 	if tr := ws.e.tr; tr != nil {
 		its := time.Now()
@@ -796,40 +731,13 @@ func (wx *waveExec) runPrepackedItem(c *sched.Ctx, pa *Prepacked, it *PrepackedB
 		}
 		ws.stats.ConvertBytes += 8 * int64(len(ws.bs[s].Data))
 	}
-	ws.tc.reshape(pa.Curve, g.d, g.tm, g.tn, 0, 0)
-	acquireInto(&ws.tc, &ws.stats, ss*g.tm*g.tn)
-	for bi, sm := range pa.RSegs {
-		if ierr := ictx.Err(); ierr != nil {
-			wx.errs[i] = cancelledErr(i, context.Cause(ictx))
+	ws.pb.TC, ws.pb.Cols, ws.pb.CSegs[0].Len = g.tn, g.n, g.n
+	pm := planMul{alg: wx.alg, alpha: it.Alpha, pa: pa, pb: &ws.pb, C: it.C, reused: 1}
+	for bi := range pa.RSegs {
+		if err := pm.block(ictx, nil, c, bi, 0, ws); err != nil {
+			wx.errs[i] = wx.blockErr(i, err)
 			return
 		}
-		if c.Cancelled() {
-			wx.errs[i] = cancelledErr(i, wx.waveCause())
-			return
-		}
-		ws.tc.Rows, ws.tc.Cols = sm.Len, g.n
-		vZero(ws.tc.Data)
-		cm := ws.tc.Mat()
-		for ki := range pa.CSegs {
-			if c.Cancelled() {
-				wx.errs[i] = cancelledErr(i, wx.waveCause())
-				return
-			}
-			ws.e.mul(c, wx.alg, cm, pa.Block(bi, ki).Mat(), ws.bs[ki].Mat())
-			ws.stats.PackReused++
-			ws.stats.Blocks++
-		}
-		if c.Cancelled() {
-			wx.errs[i] = cancelledErr(i, wx.waveCause())
-			return
-		}
-		if ierr := ictx.Err(); ierr != nil {
-			wx.errs[i] = cancelledErr(i, context.Cause(ictx))
-			return
-		}
-		Cv := it.C.View(sm.Off, 0, sm.Len, g.n)
-		ws.tc.unpackAccumulateSerial(Cv, it.Alpha)
-		ws.stats.ConvertBytes += 8 * int64(len(ws.tc.Data))
 	}
 	wx.done[i] = true
 }
@@ -898,6 +806,43 @@ func checkStrided(name string, buf []float64, rows, cols, ld, stride, count int)
 			ErrDimension, name, len(buf), count, stride, need)
 	}
 	return nil
+}
+
+// admitWave is the once-per-wave decision of the batched drivers: one
+// MemBudget charge (a member's buffers times the members in flight),
+// the execution parameters, the arena sized by the largest member's
+// depth-first path, and the runner count. A wave of at least as many
+// members as workers saturates the pool by itself, so nested spawns
+// inside members are turned off — they would only add task overhead
+// and per-spawn closures; smaller waves keep nested parallelism.
+func admitWave(pool *sched.Pool, o Options, co callObs, live int, perPacked int64, scratchPer int,
+	arenaPer func(Alg) int64, kern leaf.Kernel, skern leaf.ScratchKernel) (ad admission, e *exec, ar *arena, runners int, err error) {
+
+	w := pool.Workers()
+	runners = minInt(live, w)
+	ad, err = admit(o, w, charge{perBlock: perPacked, inflight: runners, scratch: scratchPer,
+		arena: arenaPer, what: func() string { return fmt.Sprintf("a wave of %d items", live) }})
+	if err != nil {
+		return ad, nil, nil, 0, err
+	}
+	stacks := w
+	if ad.serial {
+		runners, stacks = 1, 1
+	}
+	e = newExec(o, co, kern, skern, ad.serial || live >= w)
+	ar = acquireArenaElems(arenaPer(ad.alg), stacks)
+	e.ar = ar
+	co.admitted(ad.notes, ar)
+	return ad, e, ar, runners, nil
+}
+
+// endBatch is callObs.end for a wave: the whole-call span, then the
+// batch metrics.
+func (co callObs) endBatch(m *obs.Registry, bs *BatchStats, errs []error, err error) {
+	if co.tr != nil {
+		co.tr.LaneSpan(co.lane, obs.KindGEMM, co.t0, time.Since(co.t0), 0)
+	}
+	recordBatchMetrics(m, bs, errs, err, time.Since(co.t0))
 }
 
 // recordBatchMetrics aggregates one finished wave into the registry:

@@ -22,9 +22,12 @@ func TestGEMMBatchMatchesSingleCalls(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(81))
-	// Shapes stay below the wide/lean split threshold (short·α with the
-	// test tile's α=4): the batch path multiplies each item as a single
-	// block, so only unsplit shapes are bit-exact against GEMMCtx.
+	// Shapes stay at or below the split bound of tile.SplitDims (α·short
+	// biased down to TSweet·2^j: 64 here). GEMMBatch multiplies each item
+	// as a single block, GEMMCtx takes the plan geometry once it splits,
+	// so the two are bit-exact on unsplit shapes; on split shapes the
+	// twin of GEMMCtx is the prepacked path
+	// (TestDeterminismSplitEntryPoints).
 	shapes := [][3]int{{40, 24, 56}, {64, 64, 64}, {64, 48, 17}}
 	algs := []Alg{Standard, TableWinograd222}
 	for _, cv := range layout.RecursiveCurves {

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"repro/internal/layout"
-	"repro/internal/matrix"
-)
+import "sync"
 
 // This file implements the size-classed recycling pool for the packed
 // operand buffers — the tiled (and padded canonical) copies a block
@@ -91,14 +86,17 @@ func notePool(stats *Stats, hit bool) {
 	}
 }
 
-// acquireTiled builds a tiled matrix over a recycled buffer. The
-// contents are dirty; Pack overwrites every element (padding included),
-// and the fused epilogue zero-fills, so no caller observes stale data.
-func acquireTiled(stats *Stats, curve layout.Curve, d uint, tr, tc, rows, cols int) *Tiled {
-	side := 1 << d
-	b, hit := getBuf(side * side * tr * tc)
+// acquireLike builds a packed operand with hdr's geometry over a
+// recycled buffer, covering a logical rows×cols. The contents are
+// dirty; Pack overwrites every element (padding included), and the
+// fused epilogue zero-fills, so no caller observes stale data.
+func acquireLike(stats *Stats, hdr Tiled, rows, cols int) *Tiled {
+	t := hdr
+	t.Rows, t.Cols = rows, cols
+	b, hit := getBuf(t.elems())
 	notePool(stats, hit)
-	return &Tiled{Curve: curve, D: d, TR: tr, TC: tc, Rows: rows, Cols: cols, Data: b}
+	t.Data = b
+	return &t
 }
 
 // releaseTiled returns a tiled matrix's buffer to the pool. The Tiled
@@ -107,26 +105,5 @@ func releaseTiled(t *Tiled) {
 	if t != nil {
 		putBuf(t.Data)
 		t.Data = nil
-	}
-}
-
-// acquirePadded builds a contiguous rows×cols column-major matrix over
-// a recycled (dirty) buffer — the canonical-layout counterpart of
-// acquireTiled, used for the padded L_C operands.
-func acquirePadded(stats *Stats, rows, cols int) *matrix.Dense {
-	b, hit := getBuf(rows * cols)
-	notePool(stats, hit)
-	s := rows
-	if s == 0 {
-		s = 1
-	}
-	return &matrix.Dense{Rows: rows, Cols: cols, Stride: s, Data: b}
-}
-
-// releasePadded returns a padded canonical buffer to the pool.
-func releasePadded(m *matrix.Dense) {
-	if m != nil {
-		putBuf(m.Data)
-		m.Data = nil
 	}
 }

@@ -66,13 +66,15 @@ type Options struct {
 	// Ignored outside Prepack.
 	PartnerDim int
 	// MemBudget, when positive, is an admission-control cap in bytes on
-	// the estimated footprint of each block multiplication (packed
-	// operands + algorithm temporaries + per-worker kernel scratch).
-	// When the requested configuration exceeds it, the driver degrades
-	// along a ladder — Strassen/Winograd → StrassenLowMem (serial) →
-	// Standard → Standard (serial) — and records each decision in
-	// Stats.Degraded; if even the smallest rung exceeds the budget the
-	// call fails with ErrMemBudget before allocating anything.
+	// the estimated footprint of the call (packed operand segments +
+	// in-flight product tiles + algorithm temporaries + per-worker
+	// kernel scratch). When the requested configuration exceeds it, the
+	// driver first walks a split call's row panels in groups that fit,
+	// then degrades along a ladder — Strassen/Winograd → StrassenLowMem
+	// (serial) → Standard → Standard (serial) — and records each
+	// decision in Stats.Degraded; if even the smallest rung exceeds the
+	// budget the call fails with ErrMemBudget before allocating
+	// anything.
 	MemBudget int64
 	// MaxResidualGrowth, when positive, bounds the numerical error
 	// growth tolerated from a fast (Strassen-like) algorithm, in units
@@ -125,9 +127,11 @@ type Stats struct {
 	ConvertOut time.Duration
 	// Work and Span are the accounted flop totals of the task DAG;
 	// Work/Span estimates available parallelism as Cilk's critical-path
-	// instrumentation did.
+	// instrumentation did. A split call's block wave is one scheduler
+	// run, so its span is the longest runner's chain of blocks.
 	Work, Span float64
-	// Depth and tile sizes of the (first) block multiplication.
+	// Depth, tile sizes and padded extents of one block multiplication:
+	// the plan geometry every block of the call shares.
 	Depth                     uint
 	TileM, TileK, TileN       int
 	PaddedM, PaddedK, PaddedN int
@@ -135,7 +139,8 @@ type Stats struct {
 	// caller-supplied bare function); under the autotuned default it is
 	// the calibration winner for the chosen tile shape.
 	Kernel string
-	// Blocks counts the sub-multiplications after wide/lean splitting.
+	// Blocks counts the sub-multiplications (one per C block and k
+	// segment) after wide/lean splitting.
 	Blocks int
 	// Alg is the algorithm that actually ran — it differs from the
 	// requested one when graceful degradation stepped in.
@@ -143,19 +148,20 @@ type Stats struct {
 	// Serial reports that degradation disabled parallel spawning.
 	Serial bool
 	// Degraded lists the degradation decisions (memory budget,
-	// residual-growth probe) taken for the first block, in order; empty
-	// means the requested configuration ran unchanged.
+	// residual-growth probe) taken for the call, in order; empty means
+	// the requested configuration ran unchanged.
 	Degraded []string
 	// EstimatedBytes is the admission-control footprint estimate of the
-	// configuration that ran (first block).
+	// configuration that ran: the whole call's packed segments, in-flight
+	// product tiles, arena and kernel scratch.
 	EstimatedBytes int64
-	// ArenaBytes is the scratch-arena workspace reserved up front for
-	// the (first) block multiplication — the recursion's temporaries are
-	// carved from it instead of the heap. 0 means the algorithm needs no
-	// temporaries (Standard) or the reservation was declined.
+	// ArenaBytes is the scratch-arena workspace reserved up front, once
+	// per call — the recursion's temporaries are carved from it instead
+	// of the heap. 0 means the algorithm needs no temporaries (Standard)
+	// or the reservation was declined.
 	ArenaBytes int64
 	// AllocBytes counts temporary bytes that missed the arena and fell
-	// back to the heap (summed over blocks). 0 in steady state; non-zero
+	// back to the heap. 0 in steady state; non-zero
 	// indicates transient over-subscription of a worker's arena stack
 	// under work stealing, or a declined reservation.
 	AllocBytes int64
@@ -232,26 +238,8 @@ func GEMM(pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 	A, B *matrix.Dense, beta float64, C *matrix.Dense) (stats *Stats, err error) {
 
-	// The tracer and lane are captured once per call so a tracer swap
-	// mid-call cannot split the call's spans across two tracers. The
-	// metrics defer is declared before the recover boundary: deferred
-	// calls run LIFO, so the recover sets the final (stats, err) pair
-	// before the metrics and the whole-call span read them.
-	t0 := time.Now()
-	tr := obs.Cur()
-	var lane int32
-	if tr != nil {
-		lane = tr.NewLane()
-		if opts.TraceID != 0 {
-			tr.LaneInstant(lane, obs.KindWaveItem, opts.TraceID)
-		}
-	}
-	defer func() {
-		if tr != nil {
-			tr.LaneSpan(lane, obs.KindGEMM, t0, time.Since(t0), gemmSpanArg(stats))
-		}
-		recordCallMetrics(opts.Metrics, stats, err, time.Since(t0))
-	}()
+	co := beginCall(opts.TraceID)
+	defer func() { co.end(opts.Metrics, stats, err) }()
 	defer func() {
 		if r := recover(); r != nil {
 			stats, err = nil, recoveredError(r)
@@ -264,14 +252,8 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 	if !isFinite(alpha) || !isFinite(beta) {
 		return nil, fmt.Errorf("%w: alpha=%v, beta=%v", ErrNonFinite, alpha, beta)
 	}
-	m, k := A.Rows, A.Cols
-	if transA {
-		m, k = k, m
-	}
-	kb, n := B.Rows, B.Cols
-	if transB {
-		kb, n = n, kb
-	}
+	m, k := opShape(A, transA)
+	kb, n := opShape(B, transB)
 	if kb != k {
 		return nil, fmt.Errorf("core: inner dimensions disagree: op(A) is %dx%d, op(B) is %dx%d", m, k, kb, n)
 	}
@@ -290,57 +272,75 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 		// server drain) that plain ctx.Err() would flatten to Canceled.
 		return nil, fmt.Errorf("core: GEMM not started: %w", context.Cause(ctx))
 	}
-	c0 := startCall(pool, t0)
-
-	// β scaling happens once, up front, on the logical C; every block
-	// product then accumulates α·A_ij·B_jl into it. Large matrices are
-	// scaled in parallel column chunks across the pool instead of a
-	// serial full-matrix pass on the caller's goroutine.
-	if C.Rows*C.Cols >= ewParMin && pool.Workers() > 1 {
-		if serr := scaleCols(pool, C, beta); serr != nil {
-			return nil, fmt.Errorf("core: GEMM beta scale: %w", serr)
+	c0 := startCall(pool, co.t0)
+	if alpha == 0 || m == 0 || n == 0 || k == 0 {
+		if err := scaleC(pool, C, beta); err != nil {
+			return nil, fmt.Errorf("core: GEMM beta scale: %w", err)
 		}
-	} else {
-		C.Scale(beta)
-	}
-	if alpha == 0 || m == 0 || n == 0 {
 		return &Stats{}, nil
 	}
-	if k == 0 {
-		return &Stats{}, nil
-	}
-	// Per-shape auto-selection happens once per call, before splitting:
-	// the wide/lean segments share near-identical shapes, and the daemon
-	// keys its plan cache on the resolved algorithm.
-	o.Alg = selectAlg(o, m, k, n)
 
-	stats = &Stats{}
-	ms := []tile.Seg{{Off: 0, Len: m}}
-	ks := []tile.Seg{{Off: 0, Len: k}}
-	ns := []tile.Seg{{Off: 0, Len: n}}
+	// Plan: one algorithm, one split, one geometry, one admission
+	// decision for the whole call — all before C is touched. Per-shape
+	// auto-selection runs before splitting; the daemon keys its plan
+	// cache on the resolved algorithm.
+	o.Alg = selectAlg(o, m, k, n)
+	ms, ks, ns := []tile.Seg{{Len: m}}, []tile.Seg{{Len: k}}, []tile.Seg{{Len: n}}
 	if !o.DisableSplit && o.ForceTile == 0 {
 		ms, ks, ns = o.Tile.SplitDims(m, k, n)
 	}
-	total := len(ms) * len(ks) * len(ns)
-	first := true
-	for _, sm := range ms {
-		for _, sn := range ns {
-			for _, sk := range ks {
-				if ctx.Err() != nil {
-					return nil, fmt.Errorf("core: GEMM cancelled after %d of %d blocks: %w", stats.Blocks, total, context.Cause(ctx))
-				}
-				av := opView(A, transA, sm, sk)
-				bv := opView(B, transB, sk, sn)
-				cv := C.View(sm.Off, sn.Off, sm.Len, sn.Len)
-				if err := blockGEMM(ctx, pool, o, stats, first, tr, lane, transA, transB, alpha, av, bv, cv); err != nil {
-					return nil, fmt.Errorf("core: GEMM failed in block %d of %d: %w", stats.Blocks+1, total, err)
-				}
-				first = false
-				stats.Blocks++
+	stats = &Stats{}
+	pc, err := planGEMM(pool, o, co, stats, ms, ks, ns, transA, transB, A, B)
+	if err != nil {
+		return nil, err
+	}
+	defer releaseArena(pc.ar)
+	if err := scaleC(pool, C, beta); err != nil {
+		return nil, fmt.Errorf("core: GEMM beta scale: %w", err)
+	}
+
+	// Pack once, then the block wave. Operands are packed UNSCALED (α
+	// rides in the fused epilogue) into a transient plan of pooled
+	// buffers; B's segments are packed with the first group of row
+	// panels and held, A's row panels come in groups that fit the
+	// budget — all of them, without one. Buffers return to the pool even
+	// on failure: every parallel pass drains its tasks before returning.
+	// When op(B) is exactly op(A)ᵀ (SYRK's GEMM over one matrix in both
+	// slots) and the blocks run nested, B's plan is derived from A's
+	// inside the recursive layout instead of re-reading the strided
+	// column-major source.
+	fold := o.Curve != layout.ColMajor && sameView(A, B) && transA != transB &&
+		pc.g.tm == pc.g.tn && pc.rowsPer == len(ms) && pc.runners == 0
+	pm := planMul{alg: pc.alg, alpha: alpha, C: C}
+	defer func() { pm.pb.Release() }()
+	total, done := len(ms)*len(ns), 0
+	for lo := 0; lo < len(ms); lo += pc.rowsPer {
+		rows := ms[lo:min(lo+pc.rowsPer, len(ms))]
+		t0 := time.Now()
+		err := pc.e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() (err error) {
+			if pm.pa, err = packPlan(ctx, pool, stats, pc.g.hdrA(), rows, ks, A, transA); err != nil || pm.pb != nil {
+				return err
 			}
+			if fold {
+				stats.PackReused += len(ks) * len(ns)
+				pm.pb, err = pm.pa.transposed(ctx, pool, stats)
+				return err
+			}
+			pm.pb, err = packPlan(ctx, pool, stats, pc.g.hdrB(), ks, ns, B, transB)
+			return err
+		})
+		stats.ConvertIn += time.Since(t0)
+		if err == nil {
+			var nd int
+			nd, err = pm.run(ctx, pool, pc, stats, o.TraceID)
+			done += nd
+		}
+		pm.pa.Release()
+		if err != nil {
+			return nil, fmt.Errorf("core: GEMM failed after %d of %d blocks: %w", done, total, err)
 		}
 	}
-	finishStats(stats, pool, c0)
+	pc.finish(stats, pool, c0)
 	return stats, nil
 }
 
@@ -407,141 +407,55 @@ func resolveKernel(o Options, tm, tk, tn int) (leaf.Kernel, leaf.ScratchKernel, 
 	return impl.Kern, impl.Scratch, impl.Name, nil
 }
 
-// blockGEMM multiplies one squat block: Cv += alpha·op(Av)·op(Bv), with
-// beta already applied to C by the caller. Admission control and the
-// degradation ladder run here, before any allocation: the algorithm
-// that actually executes may be a cheaper rung than the requested one,
-// with every decision recorded in stats.Degraded (first block only —
-// the wide/lean segments share near-identical shapes, so the decisions
-// coincide across blocks).
-func blockGEMM(ctx context.Context, pool *sched.Pool, o Options, stats *Stats, record bool,
-	tr *obs.Tracer, lane int32, transA, transB bool, alpha float64, Av, Bv, Cv *matrix.Dense) error {
+// planGEMM settles a per-call GEMM's once-per-call decisions. Geometry
+// and admission run as one small fixed point: a rectangular table
+// algorithm starts on its mixed-radix grid (when one fits the tile
+// range), but any degradation off that algorithm — memory budget or
+// residual probe — invalidates the grid, so the loop reverts to the
+// square power-of-two geometry and re-admits there. At most three
+// iterations: the table geometry can be given up once, and a fast
+// algorithm can degrade to Standard once. The algorithm that executes
+// may therefore be a cheaper rung than the requested one, with every
+// decision recorded in stats.Degraded.
+func planGEMM(pool *sched.Pool, o Options, co callObs, stats *Stats, ms, ks, ns []tile.Seg,
+	transA, transB bool, A, B *matrix.Dense) (*prepared, error) {
 
-	m, n := Cv.Rows, Cv.Cols
-	k := Av.Cols
-	if transA {
-		k = Av.Rows
-	}
-	// Geometry and admission run as one small fixed point: a rectangular
-	// table algorithm starts on its mixed-radix grid (when one fits the
-	// tile range), but any degradation off that algorithm — memory
-	// budget or residual probe — invalidates the grid, so the loop
-	// reverts to the square power-of-two geometry and re-admits there.
-	// At most three iterations: the table geometry can be given up once,
-	// and a fast algorithm can degrade to Standard once.
 	oa := o
-	useTG, tg := false, tableGeom{}
-	if tb := tableOf(oa.Alg); tb != nil && !(tb.M == 2 && tb.K == 2 && tb.N == 2) &&
-		o.Curve == layout.ColMajor && o.ForceTile == 0 {
-		tg, useTG = chooseTableGeom(tb, o.Tile, m, k, n)
-	}
-	var d uint
-	var gm, gk, gn, tm, tk, tn, mp, kp, np int
-	var alg Alg
-	var serial bool
-	var est int64
+	tb := tableOf(o.Alg)
+	table := tb != nil && !(tb.M == 2 && tb.K == 2 && tb.N == 2) &&
+		o.Curve == layout.ColMajor && o.ForceTile == 0
 	var notes []string
-	var kern leaf.Kernel
-	var skern leaf.ScratchKernel
-	var kname string
-	var e *exec
 	for {
-		if useTG {
-			d, gm, gk, gn, tm, tk, tn = tg.d, tg.gm, tg.gk, tg.gn, tg.tm, tg.tk, tg.tn
-			mp, kp, np = gm*tm, gk*tk, gn*tn
-		} else {
-			var err error
-			d, tm, tk, tn, err = choose(o, m, k, n)
-			if err != nil {
-				return err
-			}
-			gm, gk, gn = 1<<d, 1<<d, 1<<d
-			mp, kp, np, err = paddedDims(d, tm, tk, tn)
-			if err != nil {
-				return err
-			}
-		}
-		var err error
-		kern, skern, kname, err = resolveKernel(o, tm, tk, tn)
+		g, err := chooseGeom(oa, ms, ks, ns, table)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		var anotes []string
-		alg, serial, est, anotes, err = admit(oa, pool.Workers(), mp, kp, np, tm, tk, tn, false)
-		notes = append(notes, anotes...)
+		pc, err := prepare(pool, oa, co, g, ms, ks, ns, false)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if useTG && alg != oa.Alg {
+		notes = append(notes, pc.notes...)
+		if g.table && pc.alg != oa.Alg {
 			// The budget pushed the ladder below the table algorithm; its
 			// mixed-radix grid can run nothing else. Retry the whole
 			// ladder on the square geometry, where every rung is valid.
-			notes = append(notes, fmt.Sprintf("table-geometry: %v does not fit on its %dx%dx%d grid; reverting to square geometry", oa.Alg, gm, gk, gn))
-			useTG = false
+			notes = append(notes, fmt.Sprintf("table-geometry: %v does not fit on its %dx%dx%d grid; reverting to square geometry", oa.Alg, g.gm, g.gk, g.gn))
+			table = false
 			continue
 		}
-		e = &exec{kern: kern, skern: skern, serialCutoff: o.SerialCutoff, fastCutoff: o.FastCutoff, ewMin: ewParMin,
-			tr: tr, lane: lane}
-		if o.MaxResidualGrowth > 0 && isFastAlg(alg) && oa.Alg != Standard {
-			if growth := probeResidualGrowth(e, alg, transA, transB, Av, Bv); growth > o.MaxResidualGrowth {
+		if o.MaxResidualGrowth > 0 && isFastAlg(pc.alg) && oa.Alg != Standard {
+			if growth := probeResidualGrowth(pc.e, pc.alg, transA, transB, A, B); growth > o.MaxResidualGrowth {
 				notes = append(notes, fmt.Sprintf("residual-probe: %v growth %.1f > bound %.1f; degraded to %v",
-					alg, growth, o.MaxResidualGrowth, Standard))
+					pc.alg, growth, o.MaxResidualGrowth, Standard))
 				oa.Alg = Standard
-				useTG = false
+				table = false
 				continue
 			}
 		}
-		break
+		pc.notes = notes
+		pc.start(pool, co, stats)
+		return pc, nil
 	}
-	if serial {
-		// Degraded-to-serial: stop all spawning so only one depth-first
-		// path of temporaries (and one worker's kernel scratch) is live.
-		e.serialCutoff = 1 << 30
-	}
-	// Reserve the block's scratch arena — the one up-front allocation
-	// the admission estimate already charged. Every temporary of the
-	// recursion is carved from it; release returns the buffer to the
-	// recycling pool once the block's tasks have drained (RunCtx returns
-	// only after that, even on cancellation).
-	stacks := pool.Workers()
-	if serial {
-		stacks = 1
-	}
-	ar := acquireArena(alg, gm, gk, gn, tm, tk, tn, e.fastCutoff, stacks)
-	defer releaseArena(ar)
-	e.ar = ar
-	if tr != nil {
-		// One instant per degradation decision, plus the arena
-		// reservation (arg = reserved bytes), on the call's lane.
-		for range notes {
-			tr.LaneInstant(lane, obs.KindDegrade, 0)
-		}
-		if ar != nil {
-			tr.LaneInstant(lane, obs.KindArena, ar.bytes())
-		}
-	}
-	if record {
-		stats.Depth = d
-		stats.TileM, stats.TileK, stats.TileN = tm, tk, tn
-		stats.PaddedM, stats.PaddedK, stats.PaddedN = mp, kp, np
-		stats.Kernel = kname
-		stats.Alg = alg
-		stats.Serial = serial
-		stats.Degraded = notes
-		stats.EstimatedBytes = est
-		stats.ArenaBytes = ar.bytes()
-	}
-
-	var err error
-	if o.Curve == layout.ColMajor {
-		err = blockCanonical(ctx, pool, alg, e, stats, gm, gk, gn, tm, tk, tn, transA, transB, alpha, Av, Bv, Cv)
-	} else {
-		err = blockRecursive(ctx, pool, o, alg, e, stats, d, tm, tk, tn, transA, transB, alpha, Av, Bv, Cv)
-	}
-	if ar != nil {
-		stats.AllocBytes += 8 * ar.fallbackElems.Load()
-	}
-	return err
 }
 
 // sameView reports whether two operand views alias the same storage
@@ -551,169 +465,6 @@ func blockGEMM(ctx context.Context, pool *sched.Pool, o Options, stats *Stats, r
 func sameView(a, b *matrix.Dense) bool {
 	return a.Rows == b.Rows && a.Cols == b.Cols && a.Stride == b.Stride &&
 		len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
-}
-
-func blockRecursive(ctx context.Context, pool *sched.Pool, o Options, alg Alg, e *exec, stats *Stats,
-	d uint, tm, tk, tn int, transA, transB bool, alpha float64, Av, Bv, Cv *matrix.Dense) error {
-
-	opDims := func(x *matrix.Dense, trans bool) (int, int) {
-		if trans {
-			return x.Cols, x.Rows
-		}
-		return x.Rows, x.Cols
-	}
-	// Operands are packed UNSCALED (alpha rides in the fused epilogue)
-	// into recycled buffers; C is not packed at all — the product
-	// accumulates into a zero-filled tiled buffer and folds back with
-	// UnpackAccumulate, so C is read and written once instead of
-	// read+pack+unpack. Buffers return to the pool even on failure:
-	// every parallel pass below drains its tasks before returning.
-	// Each phase runs under e.phase, which closes its runtime/trace
-	// region and tracer span on error paths too.
-	var ta, tb, tc *Tiled
-	defer func() {
-		releaseTiled(tc)
-		releaseTiled(tb)
-		releaseTiled(ta)
-	}()
-	t0 := time.Now()
-	err := e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() error {
-		ar, ac := opDims(Av, transA)
-		ta = acquireTiled(stats, o.Curve, d, tm, tk, ar, ac)
-		if err := ta.Pack(ctx, pool, Av, transA, 1); err != nil {
-			return err
-		}
-		br, bc := opDims(Bv, transB)
-		tb = acquireTiled(stats, o.Curve, d, tk, tn, br, bc)
-		if sameView(Av, Bv) && transA != transB && tm == tn {
-			// op(B) is exactly op(A)ᵀ: derive the second packed operand from
-			// the first inside the recursive layout instead of re-reading the
-			// strided column-major source (the SYRK double-pack fold).
-			if err := tb.PackTransposeOf(ctx, pool, ta); err != nil {
-				return err
-			}
-			stats.PackReused++
-			stats.ConvertBytes += 8 * int64(len(ta.Data))
-		} else {
-			if err := tb.Pack(ctx, pool, Bv, transB, 1); err != nil {
-				return err
-			}
-			stats.ConvertBytes += 8 * int64(len(ta.Data)+len(tb.Data))
-		}
-		tc = acquireTiled(stats, o.Curve, d, tm, tn, Cv.Rows, Cv.Cols)
-		return zeroFill(ctx, pool, tc.Data)
-	})
-	stats.ConvertIn += time.Since(t0)
-	if err != nil {
-		return err
-	}
-
-	t1 := time.Now()
-	var work, span float64
-	err = e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
-		cm, am, bm := tc.Mat(), ta.Mat(), tb.Mat()
-		var rerr error
-		work, span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { e.mul(c, alg, cm, am, bm) })
-		return rerr
-	})
-	stats.Compute += time.Since(t1)
-	stats.Work += work
-	if span > stats.Span {
-		stats.Span = span
-	}
-	if err != nil {
-		// The packed product is incomplete; Cv is untouched — still
-		// exactly the β-scaled input for this block.
-		return err
-	}
-
-	t2 := time.Now()
-	err = e.phase(ctx, obs.KindConvertOut, "recmat.convert-out", func() error {
-		// The epilogue accumulates under a background context: once it
-		// starts, a cancellation must not leave the block half-applied (the
-		// β-scaled-or-complete contract); the pass is one bounded sweep.
-		return tc.UnpackAccumulate(context.Background(), pool, Cv, alpha)
-	})
-	stats.ConvertOut += time.Since(t2)
-	if err != nil {
-		return err
-	}
-	stats.ConvertBytes += 8 * int64(len(tc.Data))
-	return nil
-}
-
-func blockCanonical(ctx context.Context, pool *sched.Pool, alg Alg, e *exec, stats *Stats,
-	gm, gk, gn, tm, tk, tn int, transA, transB bool, alpha float64, Av, Bv, Cv *matrix.Dense) error {
-
-	// Same fused-epilogue discipline as blockRecursive: recycled padded
-	// buffers, unscaled operand packs (packPadded overwrites every
-	// element, padding included, so dirty buffers are safe), a zero-filled
-	// C, and the α·accumulate folded into the unpack. The tile grid is
-	// square (gm = gk = gn = 2^d) for the quadrant algorithms and
-	// mixed-radix rectangular for the table-driven ⟨m,k,n⟩ family.
-	mp, kp, np := gm*tm, gk*tk, gn*tn
-	var ap, bp, cp *matrix.Dense
-	defer func() {
-		releasePadded(cp)
-		releasePadded(bp)
-		releasePadded(ap)
-	}()
-	t0 := time.Now()
-	err := e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() error {
-		ap = acquirePadded(stats, mp, kp)
-		if err := packPadded(ctx, pool, ap, Av, transA, 1); err != nil {
-			return err
-		}
-		bp = acquirePadded(stats, kp, np)
-		if err := packPadded(ctx, pool, bp, Bv, transB, 1); err != nil {
-			return err
-		}
-		cp = acquirePadded(stats, mp, np)
-		return zeroFill(ctx, pool, cp.Data)
-	})
-	stats.ConvertIn += time.Since(t0)
-	if err != nil {
-		return err
-	}
-	stats.ConvertBytes += 8 * int64(len(ap.Data)+len(bp.Data))
-
-	mk := func(x *matrix.Dense, gr, gc, tr, tc int) Mat {
-		mt := Mat{data: x.Data, tiles: gr, tr: tr, tc: tc, ld: x.Stride, curve: layout.ColMajor}
-		if gc != gr {
-			mt.tilesc = gc
-		}
-		return mt
-	}
-	cm, am, bm := mk(cp, gm, gn, tm, tn), mk(ap, gm, gk, tm, tk), mk(bp, gk, gn, tk, tn)
-	t1 := time.Now()
-	var work, span float64
-	err = e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
-		var rerr error
-		work, span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { e.mul(c, alg, cm, am, bm) })
-		return rerr
-	})
-	stats.Compute += time.Since(t1)
-	stats.Work += work
-	if span > stats.Span {
-		stats.Span = span
-	}
-	if err != nil {
-		// The padded product is incomplete; Cv is untouched — still
-		// exactly the β-scaled input for this block.
-		return err
-	}
-
-	t2 := time.Now()
-	err = e.phase(ctx, obs.KindConvertOut, "recmat.convert-out", func() error {
-		// Background context for the same atomicity reason as blockRecursive.
-		return unpackPaddedAccumulate(context.Background(), pool, Cv, cp, alpha)
-	})
-	stats.ConvertOut += time.Since(t2)
-	if err != nil {
-		return err
-	}
-	stats.ConvertBytes += 8 * int64(len(cp.Data))
-	return nil
 }
 
 // MulTiled runs C += A·B directly on pre-converted tiled operands,
@@ -731,21 +482,8 @@ func MulTiled(pool *sched.Pool, opts Options, C, A, B *Tiled) (*Stats, error) {
 // private packed copy, so partial quadrant products may already have
 // accumulated into it.
 func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *Tiled) (stats *Stats, err error) {
-	// Same observability prologue as GEMMCtx: capture the tracer once,
-	// record the metrics and whole-call span after the recover boundary
-	// has settled the (stats, err) pair.
-	tCall := time.Now()
-	tr := obs.Cur()
-	var lane int32
-	if tr != nil {
-		lane = tr.NewLane()
-	}
-	defer func() {
-		if tr != nil {
-			tr.LaneSpan(lane, obs.KindGEMM, tCall, time.Since(tCall), gemmSpanArg(stats))
-		}
-		recordCallMetrics(opts.Metrics, stats, err, time.Since(tCall))
-	}()
+	co := beginCall(0)
+	defer func() { co.end(opts.Metrics, stats, err) }()
 	defer func() {
 		if r := recover(); r != nil {
 			stats, err = nil, recoveredError(r)
@@ -769,57 +507,34 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 	} else if pool.Closed() {
 		return nil, sched.ErrPoolClosed
 	}
-	kern, skern, kname, err := resolveKernel(o, C.TR, A.TC, C.TC)
-	if err != nil {
-		return nil, err
-	}
 	if o.Alg == AlgAuto {
 		sel := o
 		sel.Curve = C.Curve
 		o.Alg = selectAlg(sel, C.PaddedRows(), A.PaddedCols(), C.PaddedCols())
 	}
-	alg, serial, est, notes, err := admit(o, pool.Workers(),
-		C.PaddedRows(), A.PaddedCols(), C.PaddedCols(), C.TR, A.TC, C.TC, false)
+	// One block whose three operands the caller already holds tiled;
+	// they are charged like a transient plan's.
+	one := []tile.Seg{{}}
+	pc, err := prepare(pool, o, co, squareGeom(C.Curve, C.D, C.TR, A.TC, C.TC), one, one, one, false)
 	if err != nil {
 		return nil, err
 	}
-	e := &exec{kern: kern, skern: skern, serialCutoff: o.SerialCutoff, fastCutoff: o.FastCutoff, ewMin: ewParMin,
-		tr: tr, lane: lane}
-	if serial {
-		e.serialCutoff = 1 << 30
-	}
-	stacks := pool.Workers()
-	if serial {
-		stacks = 1
-	}
-	ar := acquireArena(alg, 1<<C.D, 1<<C.D, 1<<C.D, C.TR, A.TC, C.TC, e.fastCutoff, stacks)
-	defer releaseArena(ar)
-	e.ar = ar
-	if tr != nil && ar != nil {
-		tr.LaneInstant(lane, obs.KindArena, ar.bytes())
-	}
-	stats = &Stats{Depth: C.D, TileM: C.TR, TileK: A.TC, TileN: C.TC,
-		PaddedM: C.PaddedRows(), PaddedK: A.PaddedCols(), PaddedN: C.PaddedCols(),
-		Kernel: kname, Blocks: 1, Alg: alg, Serial: serial, Degraded: notes,
-		EstimatedBytes: est, ArenaBytes: ar.bytes()}
-	c0 := startCall(pool, tCall)
+	stats = &Stats{Blocks: 1}
+	pc.start(pool, co, stats)
+	defer releaseArena(pc.ar)
+	c0 := startCall(pool, co.t0)
 	t0 := time.Now()
-	var work, span float64
-	err = e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
+	err = pc.e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
 		cm, am, bm := C.Mat(), A.Mat(), B.Mat()
 		var rerr error
-		work, span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { e.mul(c, alg, cm, am, bm) })
+		stats.Work, stats.Span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { pc.e.mul(c, pc.alg, cm, am, bm) })
 		return rerr
 	})
 	stats.Compute = time.Since(t0)
-	stats.Work, stats.Span = work, span
-	if ar != nil {
-		stats.AllocBytes = 8 * ar.fallbackElems.Load()
-	}
 	if err != nil {
 		return nil, err
 	}
-	finishStats(stats, pool, c0)
+	pc.finish(stats, pool, c0)
 	return stats, nil
 }
 

@@ -1,0 +1,468 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/layout"
+	"repro/internal/leaf"
+	"repro/internal/matrix"
+	"repro/internal/obs"
+	"repro/internal/sched"
+	"repro/internal/tile"
+)
+
+// This file is the one execution pipeline behind GEMMCtx and
+// GEMMPrepacked: plan → pack once → block wave → fused epilogue.
+//
+// A multiplication is cut by one rule (tile.Config.SplitDims, Figure 3)
+// into squat blocks that share one geometry, one kernel, one admission
+// decision and one arena. Every A and B segment is packed exactly once
+// into a plan — a transient one for a per-call GEMM, released when the
+// call returns; a *Prepacked* operand simply arrives with that step
+// done. The C blocks (i, j) then run through one loop (planMul.run):
+// each block owns a zero-filled tile, accumulates its products over the
+// k segments in ascending order in the packed domain, and folds α·tile
+// into C in one fused epilogue.
+//
+// The nesting rule is GEMMBatch's. A call with at least as many C
+// blocks as workers runs them as tasks of one pool.RunCtx, each task
+// serial inside (a task already executes on a pool worker and must
+// never re-enter RunCtx): the blocks are the parallelism, as
+// Benson–Ballard schedule small independent sub-products breadth-first.
+// A call with fewer blocks — in particular the single block of a squat
+// multiplication — walks them from the caller's goroutine with each
+// step pool-parallel: parallel pack, nested recursion, parallel
+// epilogue. Either way the k chain of a block is fixed and blocks own
+// disjoint regions of C, so the result is a pure function of
+// (operands, shape, algorithm, kernel) at any worker count and through
+// either entry point.
+
+// callObs is the observability prologue the driver entry points share.
+// The tracer and lane are captured once per call so a tracer swap
+// mid-call cannot split the call's spans across two tracers.
+type callObs struct {
+	t0   time.Time
+	tr   *obs.Tracer
+	lane int32
+}
+
+func beginCall(traceID int64) callObs {
+	co := callObs{t0: time.Now(), tr: obs.Cur()}
+	if co.tr != nil {
+		co.lane = co.tr.NewLane()
+		if traceID != 0 {
+			co.tr.LaneInstant(co.lane, obs.KindWaveItem, traceID)
+		}
+	}
+	return co
+}
+
+// end closes the whole-call span and records the call's metrics. Defer
+// it before the recover boundary: deferred calls run LIFO, so the
+// recover settles the final (stats, err) pair before end reads it.
+func (co callObs) end(m *obs.Registry, stats *Stats, err error) {
+	if co.tr != nil {
+		co.tr.LaneSpan(co.lane, obs.KindGEMM, co.t0, time.Since(co.t0), gemmSpanArg(stats))
+	}
+	recordCallMetrics(m, stats, err, time.Since(co.t0))
+}
+
+// admitted marks admission's outcome on the call's lane: one instant
+// per degradation decision, plus the arena reservation (arg = bytes).
+func (co callObs) admitted(notes []string, ar *arena) {
+	if co.tr == nil {
+		return
+	}
+	for range notes {
+		co.tr.LaneInstant(co.lane, obs.KindDegrade, 0)
+	}
+	if ar != nil {
+		co.tr.LaneInstant(co.lane, obs.KindArena, ar.bytes())
+	}
+}
+
+// newExec builds a call's execution parameters; serial stops all
+// spawning, so only one depth-first path of temporaries (and one
+// worker's kernel scratch) is live.
+func newExec(o Options, co callObs, kern leaf.Kernel, skern leaf.ScratchKernel, serial bool) *exec {
+	e := &exec{kern: kern, skern: skern, serialCutoff: o.SerialCutoff, fastCutoff: o.FastCutoff,
+		ewMin: ewParMin, tr: co.tr, lane: co.lane, policy: tablePolicyHook}
+	if serial {
+		e.serialCutoff = 1 << 30
+	}
+	return e
+}
+
+// geom is the geometry every block of a call shares: a gm×gk×gn grid
+// of tm×tk×tn tiles — 2^d per side on the recursive curves and for the
+// quadrant algorithms, mixed-radix rectangular (table) for a
+// table-driven ⟨m,k,n⟩ algorithm on canonical storage.
+type geom struct {
+	curve      layout.Curve
+	d          uint
+	gm, gk, gn int
+	tm, tk, tn int
+	table      bool
+}
+
+func squareGeom(curve layout.Curve, d uint, tm, tk, tn int) geom {
+	return geom{curve: curve, d: d, gm: 1 << d, gk: 1 << d, gn: 1 << d, tm: tm, tk: tk, tn: tn}
+}
+
+// hdr is the packed-operand header for a gr×gc grid of tr×tc tiles.
+func (g geom) hdr(gr, gc, tr, tc int) Tiled {
+	h := Tiled{Curve: g.curve, D: g.d, TR: tr, TC: tc}
+	if g.curve == layout.ColMajor {
+		h.gr, h.gc = gr, gc
+	}
+	return h
+}
+
+func (g geom) hdrA() Tiled { return g.hdr(g.gm, g.gk, g.tm, g.tk) }
+func (g geom) hdrB() Tiled { return g.hdr(g.gk, g.gn, g.tk, g.tn) }
+
+// charge prices a call of ms×ks×ns segments on this geometry. Resident
+// plans keep their packed operands off the bill; inflight is how many
+// product tiles a parallel rung holds at once.
+func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resident bool, inflight int) charge {
+	mp, kp, np := int64(g.gm*g.tm), int64(g.gk*g.tk), int64(g.gn*g.tn)
+	ch := charge{perBlock: mp * np, inflight: inflight, scratch: g.tm*g.tk + g.tk*g.tn,
+		arena: func(alg Alg) int64 {
+			return arenaStackElems(alg, g.gm, g.gk, g.gn, g.tm, g.tk, g.tn, fastCutoff)
+		},
+		what: func() string {
+			return fmt.Sprintf("%dx%dx%d", mp*int64(len(ms)), kp*int64(len(ks)), np*int64(len(ns)))
+		}}
+	if !resident {
+		ch.shared = kp * np * int64(len(ks)*len(ns))
+		ch.perRow, ch.rows = mp*kp*int64(len(ks)), len(ms)
+	}
+	return ch
+}
+
+// conformTile is the tile width of a free dimension of extent n on an
+// inherited depth-d grid: ceil division by the grid side. The inherited
+// depth can leave a skinny dimension with tiles too narrow for the
+// register-blocked kernels; rounding up to the micro-kernel's column
+// block trades zero padding for full-speed leaves — but only when the
+// extra padding stays within the configured slack, since a deep grid
+// multiplies the rounding by 2^d and would swamp the kernel win with
+// padded flops.
+func conformTile(cfg tile.Config, n int, d uint) int {
+	tn := (n + 1<<d - 1) >> d
+	if mu := cfg.MicroN; mu > 0 && tn%mu != 0 {
+		if rounded := tn + mu - tn%mu; float64(rounded<<d) <= float64(n)*(1+cfg.PadSlack) {
+			tn = rounded
+		}
+	}
+	return tn
+}
+
+// chooseGeom picks the geometry of a call cut into ms×ks×ns segments;
+// the segments of a dimension differ by at most one element, so tiling
+// the longest covers them all. A single block tiles by the
+// three-dimensional Pick (choose), or — table set — on the algorithm's
+// mixed-radix grid when one fits the tile range. A split call takes
+// the plan geometry: Pick over A's segment shape, the free dimension's
+// tile derived from that depth. That is what Prepack(PartnerDim: n)
+// and PrepackConforming arrive at in two steps, so the same operands
+// run the same tiles per call and through resident plans.
+func chooseGeom(o Options, ms, ks, ns []tile.Seg, table bool) (geom, error) {
+	m, k, n := maxSegLen(ms), maxSegLen(ks), maxSegLen(ns)
+	if table {
+		if tg, ok := chooseTableGeom(tableOf(o.Alg), o.Tile, m, k, n); ok {
+			return geom{curve: o.Curve, d: tg.d, gm: tg.gm, gk: tg.gk, gn: tg.gn,
+				tm: tg.tm, tk: tg.tk, tn: tg.tn, table: true}, nil
+		}
+	}
+	if len(ms)*len(ks)*len(ns) == 1 {
+		d, tm, tk, tn, err := choose(o, m, k, n)
+		return squareGeom(o.Curve, d, tm, tk, tn), err
+	}
+	d, tm, tk, err := choosePlan(o, m, k)
+	if err != nil {
+		return geom{}, err
+	}
+	tn := conformTile(o.Tile, n, d)
+	_, _, _, err = paddedDims(d, tm, tk, tn)
+	return squareGeom(o.Curve, d, tm, tk, tn), err
+}
+
+// prepared is a call past its once-per-call decisions: geometry, leaf
+// kernel, admission rung, execution parameters and (after start) arena.
+type prepared struct {
+	g     geom
+	kname string
+	admission
+	e  *exec
+	ar *arena
+	// runners is the number of block-wave runner tasks; zero walks the
+	// blocks from the caller's goroutine with nested parallelism.
+	runners int
+}
+
+// prepare resolves the kernel and runs admission for a call of
+// ms×ks×ns segments on geometry g. Nothing is allocated yet: a caller
+// may still reject the verdict and prepare another geometry.
+func prepare(pool *sched.Pool, o Options, co callObs, g geom, ms, ks, ns []tile.Seg, resident bool) (*prepared, error) {
+	kern, skern, kname, err := resolveKernel(o, g.tm, g.tk, g.tn)
+	if err != nil {
+		return nil, err
+	}
+	pc := &prepared{g: g, kname: kname}
+	if nb := len(ms) * len(ns); nb > 1 && nb >= pool.Workers() {
+		pc.runners = pool.Workers()
+	}
+	inflight := pc.runners
+	if inflight == 0 {
+		inflight = 1
+	}
+	if pc.admission, err = admit(o, pool.Workers(), g.charge(o.FastCutoff, ms, ks, ns, resident, inflight)); err != nil {
+		return nil, err
+	}
+	if pc.serial {
+		pc.runners = 0
+	}
+	pc.e = newExec(o, co, kern, skern, pc.serial)
+	return pc, nil
+}
+
+// start reserves the call's scratch arena — the one up-front allocation
+// the admission estimate already charged; every temporary of the
+// recursion is carved from it — and describes the plan in stats. The
+// caller releases pc.ar once the call's tasks have drained (RunCtx
+// returns only after that, even on cancellation).
+func (pc *prepared) start(pool *sched.Pool, co callObs, stats *Stats) {
+	stacks := pool.Workers()
+	if pc.serial {
+		stacks = 1
+	}
+	g := pc.g
+	pc.ar = acquireArena(pc.alg, g.gm, g.gk, g.gn, g.tm, g.tk, g.tn, pc.e.fastCutoff, stacks)
+	pc.e.ar = pc.ar
+	co.admitted(pc.notes, pc.ar)
+	stats.Depth = g.d
+	stats.TileM, stats.TileK, stats.TileN = g.tm, g.tk, g.tn
+	stats.PaddedM, stats.PaddedK, stats.PaddedN = g.gm*g.tm, g.gk*g.tk, g.gn*g.tn
+	stats.Kernel, stats.Alg, stats.Serial = pc.kname, pc.alg, pc.serial
+	stats.Degraded, stats.EstimatedBytes, stats.ArenaBytes = pc.notes, pc.est, pc.ar.bytes()
+}
+
+// finish closes the call's accounting once its tasks have drained.
+func (pc *prepared) finish(stats *Stats, pool *sched.Pool, c0 callStart) {
+	if pc.ar != nil {
+		stats.AllocBytes = 8 * pc.ar.fallbackElems.Load()
+	}
+	finishStats(stats, pool, c0)
+}
+
+// scaleC applies β to the logical C, once, up front: the atomicity
+// anchor of the failure contract. Large matrices are scaled in parallel
+// column chunks across the pool.
+func scaleC(pool *sched.Pool, C *matrix.Dense, beta float64) error {
+	if C.Rows*C.Cols >= ewParMin && pool.Workers() > 1 {
+		return scaleCols(pool, C, beta)
+	}
+	C.Scale(beta)
+	return nil
+}
+
+// errRunCancelled reports that the scheduler run a block was executing
+// in was cancelled: the block's product may be partial and is dropped.
+// The run's own error carries the cause.
+var errRunCancelled = errors.New("core: run cancelled")
+
+// planMul is one plan product C += α·A·B: both operands packed into
+// conforming plans, C β-scaled already.
+type planMul struct {
+	alg    Alg
+	alpha  float64
+	pa, pb *Prepacked
+	C      *matrix.Dense
+	// reused counts the operand packs a resident plan serves per
+	// product (Stats.PackReused).
+	reused int
+}
+
+// block computes C block (i, j): the products over the k segments
+// accumulate, in ascending order, into a zero-filled pooled tile in the
+// packed domain, and one fused epilogue folds α·tile into the block's
+// region of C — which therefore holds its β-scaled input until the
+// whole chain has succeeded. On a pool worker (c != nil: a wave task)
+// every step runs serially in place; from the caller's goroutine
+// (c == nil) each step is its own pool-parallel pass, and the epilogue
+// runs under a background context: once it starts, a cancellation must
+// not leave the block half-applied.
+func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i, j int, ws *waveWS) error {
+	pa, pb, e := pm.pa, pm.pb, &ws.e
+	sm, sn := pa.RSegs[i], pb.CSegs[j]
+	tc := &ws.tc
+	data := tc.Data
+	*tc = *pa.blocks[0]
+	tc.TC, tc.gc = pb.TC, pb.blocks[0].gc
+	tc.Data, tc.Rows, tc.Cols = data, sm.Len, sn.Len
+	acquireInto(tc, &ws.stats, tc.elems())
+	t0 := time.Now()
+	if c != nil {
+		if c.Cancelled() {
+			return errRunCancelled
+		}
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
+		}
+		vZero(tc.Data)
+	} else if err := e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() error {
+		return zeroFill(ctx, pool, tc.Data)
+	}); err != nil {
+		return err
+	}
+	t1 := time.Now()
+	ws.stats.ConvertIn += t1.Sub(t0)
+
+	cm := tc.Mat()
+	for kk := range pa.CSegs {
+		am, bm := pa.Block(i, kk).Mat(), pb.Block(kk, j).Mat()
+		if c != nil {
+			e.mul(c, pm.alg, cm, am, bm)
+			if c.Cancelled() {
+				return errRunCancelled
+			}
+		} else {
+			var work, span float64
+			err := e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
+				var rerr error
+				work, span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { e.mul(c, pm.alg, cm, am, bm) })
+				return rerr
+			})
+			ws.stats.Work += work
+			ws.stats.Span += span
+			if err != nil {
+				return err
+			}
+		}
+		ws.stats.Blocks++
+		ws.stats.PackReused += pm.reused
+	}
+	t2 := time.Now()
+	ws.stats.Compute += t2.Sub(t1)
+
+	Cv := pm.C.View(sm.Off, sn.Off, sm.Len, sn.Len)
+	var err error
+	if c != nil {
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
+		}
+		err = tc.unpackAccumulateSerial(Cv, pm.alpha)
+	} else {
+		err = e.phase(ctx, obs.KindConvertOut, "recmat.convert-out", func() error {
+			return tc.UnpackAccumulate(context.Background(), pool, Cv, pm.alpha)
+		})
+	}
+	ws.stats.ConvertOut += time.Since(t2)
+	ws.stats.ConvertBytes += 8 * int64(len(tc.Data))
+	return err
+}
+
+// run is the one block loop: every C block of the plan product, as one
+// wave of pc.runners tasks pulling block indices off a shared counter,
+// or — no runners — in order from the caller's goroutine. It returns
+// how many blocks completed; on failure or cancellation the others
+// still hold their β-scaled input. Work and span come from the wave's
+// single RunCtx (nested: the blocks' runs in sequence, so spans add),
+// and the wave's wall time is apportioned to the three phase timers by
+// the share of task time each phase took.
+func (pm *planMul) run(ctx context.Context, pool *sched.Pool, pc *prepared, stats *Stats, traceID int64) (int, error) {
+	nn := len(pm.pb.CSegs)
+	nb := len(pm.pa.RSegs) * nn
+	n := pc.runners
+	if n == 0 {
+		n = 1
+	}
+	wss, errs := make([]waveWS, n), make([]error, n)
+	var next, done atomic.Int64
+	var stop atomic.Bool
+	runner := func(c *sched.Ctx, r int) {
+		ws := &wss[r]
+		ws.e = *pc.e
+		if c != nil {
+			// The wave saturates the pool by itself; a task's
+			// parallelism is its siblings.
+			ws.e.serialCutoff = 1 << 30
+		}
+		ok := false
+		defer func() {
+			ws.release()
+			if !ok {
+				stop.Store(true)
+			}
+		}()
+		for !stop.Load() {
+			b := int(next.Add(1)) - 1
+			if b >= nb {
+				break
+			}
+			t0 := time.Now()
+			errs[r] = pm.block(ctx, pool, c, b/nn, b%nn, ws)
+			if c != nil && ws.e.tr != nil {
+				ws.e.tr.Span(c.WorkerID(), obs.KindWaveItem, t0, time.Since(t0), traceID)
+			}
+			if errs[r] != nil {
+				return
+			}
+			done.Add(1)
+		}
+		ok = true
+	}
+
+	t0 := time.Now()
+	var err error
+	if pc.runners == 0 {
+		runner(nil, 0)
+	} else {
+		fns := make([]func(*sched.Ctx), n)
+		for r := range fns {
+			r := r
+			fns[r] = func(c *sched.Ctx) { runner(c, r) }
+		}
+		var work, span float64
+		err = pc.e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
+			var rerr error
+			work, span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { c.Parallel(fns...) })
+			return rerr
+		})
+		stats.Work += work
+		stats.Span += span
+	}
+	wall := time.Since(t0)
+
+	var in, comp, out time.Duration
+	for r := range wss {
+		s := &wss[r].stats
+		in, comp, out = in+s.ConvertIn, comp+s.Compute, out+s.ConvertOut
+		stats.merge(s)
+		if err == nil {
+			err = errs[r]
+		}
+	}
+	if tot := float64(in + comp + out); tot > 0 {
+		stats.ConvertIn += time.Duration(float64(wall) * float64(in) / tot)
+		stats.Compute += time.Duration(float64(wall) * float64(comp) / tot)
+		stats.ConvertOut += time.Duration(float64(wall) * float64(out) / tot)
+	}
+	return int(done.Load()), err
+}
+
+// merge folds one runner workspace's counters into the call's stats.
+func (s *Stats) merge(ws *Stats) {
+	s.Work += ws.Work
+	s.Span += ws.Span
+	s.ConvertBytes += ws.ConvertBytes
+	s.Blocks += ws.Blocks
+	s.PoolHits += ws.PoolHits
+	s.PoolMisses += ws.PoolMisses
+	s.PackReused += ws.PackReused
+}

@@ -102,45 +102,22 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 	rs := []tile.Seg{{Off: 0, Len: r}}
 	cs := []tile.Seg{{Off: 0, Len: c}}
 	if !o.DisableSplit && o.ForceTile == 0 {
-		if o.PartnerDim > 0 {
-			// Serving plans know their partners' free dimension: split
-			// exactly as a direct GEMM of that shape would, then bias
-			// the segment length down to a power-of-two multiple of
-			// TSweet so every block tiles at the sweet size with a
-			// power-of-two grid — the grid granularity is what a skinny
-			// conforming partner must pad its free dimension to.
-			short := r
-			if c < short {
-				short = c
-			}
-			if o.PartnerDim < short {
-				short = o.PartnerDim
-			}
-			if short < o.Tile.TMin {
-				short = o.Tile.TMin
-			}
-			maxLen := int(float64(short) * o.Tile.Alpha())
-			if ts := o.Tile.TSweet; ts > 0 && maxLen >= ts {
-				g := ts
-				for g*2 <= maxLen {
-					g *= 2
-				}
-				maxLen = g
-			}
-			rs, cs = tile.SplitDim(r, maxLen), tile.SplitDim(c, maxLen)
-		} else {
-			// The operand's own decomposition, with the unknown third
-			// GEMM dimension taken as the row extent (a squat peer);
-			// conformance with the partner plan is validated at multiply
-			// time.
-			rs, cs, _ = o.Tile.SplitDims(r, c, r)
+		// The same split a direct GEMM of this operand against its
+		// partners would make: serving plans name the partners' free
+		// dimension (PartnerDim); without it the unknown third dimension
+		// is taken as the row extent (a squat peer). Conformance with the
+		// partner plan is validated at multiply time.
+		partner := o.PartnerDim
+		if partner <= 0 {
+			partner = r
 		}
+		rs, cs, _ = o.Tile.SplitDims(r, c, partner)
 	}
 	d, tr, tc, err := choosePlan(o, maxSegLen(rs), maxSegLen(cs))
 	if err != nil {
 		return nil, err
 	}
-	return packPlan(ctx, pool, o.Curve, d, tr, tc, rs, cs, src, trans)
+	return packPlan(ctx, pool, nil, Tiled{Curve: o.Curve, D: d, TR: tr, TC: tc}, rs, cs, src, trans)
 }
 
 // PrepackConforming packs op(src) as the right-hand operand of a plan
@@ -170,37 +147,18 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 	}
 	rs := like.CSegs
 	cs := []tile.Seg{{Off: 0, Len: c}}
-	// The free (column) dimension splits independently of conformance;
-	// keep lean operands whole, cut genuinely wide ones like SplitDim
-	// would.
+	// The free (column) dimension splits exactly as a direct GEMM of
+	// like's operand against this one would split it; the inner
+	// dimension's segments are like's, whatever partners it was cut for.
 	if !o.DisableSplit && o.ForceTile == 0 {
-		short := maxSegLen(rs)
-		if c < short {
-			short = c
-		}
-		if short < o.Tile.TMin {
-			short = o.Tile.TMin
-		}
-		cs = tile.SplitDim(c, int(float64(short)*o.Tile.Alpha()))
+		_, _, cs = o.Tile.SplitDims(like.Rows, like.Cols, c)
 	}
 	d, tr := like.D, like.TC
-	tc := (maxSegLen(cs) + (1 << d) - 1) >> d
-	// The inherited depth can leave a skinny free dimension with tiles
-	// too narrow for the register-blocked kernels. Rounding the tile
-	// width up to the micro-kernel's column block trades zero padding
-	// for full-speed leaves — but only when the extra padding stays
-	// within the configured slack; a deep grid would otherwise multiply
-	// the rounding by 2^d and swamp the kernel win with padded flops.
-	if mu := o.Tile.MicroN; mu > 0 && tc%mu != 0 {
-		rounded := tc + mu - tc%mu
-		if float64(rounded<<d) <= float64(maxSegLen(cs))*(1+o.Tile.PadSlack) {
-			tc = rounded
-		}
-	}
+	tc := conformTile(o.Tile, maxSegLen(cs), d)
 	if _, _, _, err := paddedDims(d, tr, tc, tc); err != nil {
 		return nil, err
 	}
-	return packPlan(ctx, pool, o.Curve, d, tr, tc, rs, cs, src, trans)
+	return packPlan(ctx, pool, nil, Tiled{Curve: o.Curve, D: d, TR: tr, TC: tc}, rs, cs, src, trans)
 }
 
 // prepackShape validates the common Prepack preconditions and returns
@@ -229,8 +187,14 @@ func maxSegLen(segs []tile.Seg) int {
 	return m
 }
 
-// packPlan builds and fills a plan over fixed geometry and segments.
-func packPlan(ctx context.Context, pool *sched.Pool, cv layout.Curve, d uint, tr, tc int,
+// packPlan builds and fills a plan over fixed geometry (hdr) and
+// segments: every segment pair packed exactly once, unscaled, into a
+// pooled buffer. The nesting rule is the block wave's: a plan of at
+// least as many segments as workers packs them as tasks of one
+// pool.RunCtx, each serial inside; fewer (in particular a single one)
+// pack in turn, each pool-parallel over its tiles. stats, when non-nil,
+// is charged the conversion (a transient per-call plan).
+func packPlan(ctx context.Context, pool *sched.Pool, stats *Stats, hdr Tiled,
 	rs, cs []tile.Seg, src *matrix.Dense, trans bool) (p *Prepacked, err error) {
 
 	if pool == nil {
@@ -240,7 +204,7 @@ func packPlan(ctx context.Context, pool *sched.Pool, cv layout.Curve, d uint, tr
 	} else if pool.Closed() {
 		return nil, sched.ErrPoolClosed
 	}
-	p = &Prepacked{Curve: cv, D: d, TR: tr, TC: tc, Rows: segsLen(rs), Cols: segsLen(cs),
+	p = &Prepacked{Curve: hdr.Curve, D: hdr.D, TR: hdr.TR, TC: hdr.TC, Rows: segsLen(rs), Cols: segsLen(cs),
 		RSegs: rs, CSegs: cs, blocks: make([]*Tiled, len(rs)*len(cs))}
 	defer func() {
 		if err != nil {
@@ -248,17 +212,36 @@ func packPlan(ctx context.Context, pool *sched.Pool, cv layout.Curve, d uint, tr
 			p = nil
 		}
 	}()
-	for i, sr := range rs {
-		for j, sc := range cs {
-			t := acquireTiled(nil, cv, d, tr, tc, sr.Len, sc.Len)
-			p.blocks[i*len(cs)+j] = t
-			sv := opView(src, trans, sr, sc)
-			if err = t.Pack(ctx, pool, sv, trans, 1); err != nil {
-				return nil, err
+	view := func(b int) *matrix.Dense { return opView(src, trans, rs[b/len(cs)], cs[b%len(cs)]) }
+	for b := range p.blocks {
+		p.blocks[b] = acquireLike(stats, hdr, rs[b/len(cs)].Len, cs[b%len(cs)].Len)
+	}
+	if n := len(p.blocks); n > 1 && n >= pool.Workers() {
+		fns := make([]func(*sched.Ctx), n)
+		for b, t := range p.blocks {
+			sv := view(b)
+			fns[b] = func(c *sched.Ctx) {
+				t0 := time.Now()
+				if err := t.packSerial(sv, trans, 1); err != nil {
+					panic(err) // geometry bug: the header was built to cover the segment
+				}
+				if tr := obs.Cur(); tr != nil {
+					tr.Span(c.WorkerID(), obs.KindPack, t0, time.Since(t0), int64(t.tiles()))
+				}
+			}
+		}
+		_, _, err = pool.RunCtx(ctx, func(c *sched.Ctx) { c.Parallel(fns...) })
+	} else {
+		for b, t := range p.blocks {
+			if err = t.Pack(ctx, pool, view(b), trans, 1); err != nil {
+				break
 			}
 		}
 	}
-	return p, nil
+	if err == nil && stats != nil {
+		stats.ConvertBytes += p.Bytes()
+	}
+	return p, err
 }
 
 // segsLen returns the total extent a segment decomposition covers.
@@ -320,6 +303,12 @@ func (p *Prepacked) Transposed(ctx context.Context, pool *sched.Pool) (q *Prepac
 	} else if pool.Closed() {
 		return nil, sched.ErrPoolClosed
 	}
+	return p.transposed(ctx, pool, nil)
+}
+
+// transposed is Transposed past validation; stats, when non-nil, is the
+// per-call driver's (it derives a transient B plan from A's this way).
+func (p *Prepacked) transposed(ctx context.Context, pool *sched.Pool, stats *Stats) (q *Prepacked, err error) {
 	q = &Prepacked{Curve: p.Curve, D: p.D, TR: p.TC, TC: p.TR, Rows: p.Cols, Cols: p.Rows,
 		RSegs: p.CSegs, CSegs: p.RSegs, blocks: make([]*Tiled, len(p.blocks))}
 	defer func() {
@@ -328,9 +317,10 @@ func (p *Prepacked) Transposed(ctx context.Context, pool *sched.Pool) (q *Prepac
 			q = nil
 		}
 	}()
+	hdr := Tiled{Curve: q.Curve, D: q.D, TR: q.TR, TC: q.TC}
 	for i, sr := range q.RSegs {
 		for j, sc := range q.CSegs {
-			t := acquireTiled(nil, q.Curve, q.D, q.TR, q.TC, sr.Len, sc.Len)
+			t := acquireLike(stats, hdr, sr.Len, sc.Len)
 			q.blocks[i*len(q.CSegs)+j] = t
 			if err = t.PackTransposeOf(ctx, pool, p.Block(j, i)); err != nil {
 				return nil, err
@@ -378,24 +368,8 @@ func segsEqual(a, b []tile.Seg) bool {
 func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha float64,
 	pa, pb *Prepacked, beta float64, C *matrix.Dense) (stats *Stats, err error) {
 
-	// Same observability prologue as GEMMCtx: the tracer is captured
-	// once per call, and the metrics defer is declared before the
-	// recover boundary so it sees the final (stats, err) pair.
-	t0 := time.Now()
-	tr := obs.Cur()
-	var lane int32
-	if tr != nil {
-		lane = tr.NewLane()
-		if opts.TraceID != 0 {
-			tr.LaneInstant(lane, obs.KindWaveItem, opts.TraceID)
-		}
-	}
-	defer func() {
-		if tr != nil {
-			tr.LaneSpan(lane, obs.KindGEMM, t0, time.Since(t0), gemmSpanArg(stats))
-		}
-		recordCallMetrics(opts.Metrics, stats, err, time.Since(t0))
-	}()
+	co := beginCall(opts.TraceID)
+	defer func() { co.end(opts.Metrics, stats, err) }()
 	defer func() {
 		if r := recover(); r != nil {
 			stats, err = nil, recoveredError(r)
@@ -443,13 +417,8 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 		return nil, fmt.Errorf("core: GEMMPrepacked not started: %w", context.Cause(ctx))
 	}
 
-	d, tm, tk, tn := pa.D, pa.TR, pa.TC, pb.TC
-	mp, kp, np, err := paddedDims(d, tm, tk, tn)
-	if err != nil {
-		return nil, err
-	}
-	kern, skern, kname, err := resolveKernel(o, tm, tk, tn)
-	if err != nil {
+	g := squareGeom(pa.Curve, pa.D, pa.TR, pa.TC, pb.TC)
+	if _, _, _, err := paddedDims(g.d, g.tm, g.tk, g.tn); err != nil {
 		return nil, err
 	}
 	if o.Alg == AlgAuto {
@@ -460,123 +429,28 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 		sel.Curve = pa.Curve
 		o.Alg = selectAlg(sel, pa.Rows, pa.Cols, pb.Cols)
 	}
-	// Admission with resident=true: the plans' packed operands were
+	// The plans arrive with the pack step done: their operands were
 	// allocated once, outside this call, and are charged to the plan —
-	// only the pooled C tile and the arena count against the budget.
-	alg, serial, est, notes, err := admit(o, pool.Workers(), mp, kp, np, tm, tk, tn, true)
+	// only the in-flight C tiles and the arena count against the budget.
+	pc, err := prepare(pool, o, co, g, pa.RSegs, pa.CSegs, pb.CSegs, true)
 	if err != nil {
 		return nil, err
 	}
-	e := &exec{kern: kern, skern: skern, serialCutoff: o.SerialCutoff, fastCutoff: o.FastCutoff, ewMin: ewParMin,
-		tr: tr, lane: lane}
-	if serial {
-		e.serialCutoff = 1 << 30
-	}
-	stacks := pool.Workers()
-	if serial {
-		stacks = 1
-	}
-	ar := acquireArena(alg, 1<<d, 1<<d, 1<<d, tm, tk, tn, e.fastCutoff, stacks)
-	defer releaseArena(ar)
-	e.ar = ar
-	if tr != nil {
-		for range notes {
-			tr.LaneInstant(lane, obs.KindDegrade, 0)
-		}
-		if ar != nil {
-			tr.LaneInstant(lane, obs.KindArena, ar.bytes())
-		}
-	}
-	c0 := startCall(pool, t0)
-
-	stats = &Stats{Depth: d, TileM: tm, TileK: tk, TileN: tn,
-		PaddedM: mp, PaddedK: kp, PaddedN: np,
-		Kernel: kname, Alg: alg, Serial: serial, Degraded: notes,
-		EstimatedBytes: est, ArenaBytes: ar.bytes()}
-
-	if C.Rows*C.Cols >= ewParMin && pool.Workers() > 1 {
-		if serr := scaleCols(pool, C, beta); serr != nil {
-			return nil, fmt.Errorf("core: GEMMPrepacked beta scale: %w", serr)
-		}
-	} else {
-		C.Scale(beta)
+	stats = &Stats{}
+	pc.start(pool, co, stats)
+	defer releaseArena(pc.ar)
+	c0 := startCall(pool, co.t0)
+	if err := scaleC(pool, C, beta); err != nil {
+		return nil, fmt.Errorf("core: GEMMPrepacked beta scale: %w", err)
 	}
 	if alpha == 0 {
 		return stats, nil
 	}
-
-	total := len(pa.RSegs) * len(pb.CSegs) * len(pa.CSegs)
-	for i, sm := range pa.RSegs {
-		for j, sn := range pb.CSegs {
-			if err := prepackedBlock(ctx, pool, e, stats, alg, alpha, pa, pb, i, j, sm, sn, C); err != nil {
-				return nil, fmt.Errorf("core: GEMMPrepacked failed after %d of %d products: %w", stats.Blocks, total, err)
-			}
-		}
+	pm := planMul{alg: pc.alg, alpha: alpha, pa: pa, pb: pb, C: C, reused: 2}
+	if done, err := pm.run(ctx, pool, pc, stats, o.TraceID); err != nil {
+		return nil, fmt.Errorf("core: GEMMPrepacked failed after %d of %d blocks: %w",
+			done, len(pa.RSegs)*len(pb.CSegs), err)
 	}
-	if ar != nil {
-		stats.AllocBytes = 8 * ar.fallbackElems.Load()
-	}
-	finishStats(stats, pool, c0)
+	pc.finish(stats, pool, c0)
 	return stats, nil
-}
-
-// prepackedBlock accumulates the (i, j) output block: a pooled tiled C
-// is zero-filled, every k-segment product of the plans accumulates into
-// it in the packed domain, and one fused epilogue folds α·result into
-// Cv. Deferred release is safe: RunCtx and runChunks drain their tasks
-// before returning, even on cancellation.
-func prepackedBlock(ctx context.Context, pool *sched.Pool, e *exec, stats *Stats, alg Alg, alpha float64,
-	pa, pb *Prepacked, i, j int, sm, sn tile.Seg, C *matrix.Dense) error {
-
-	Cv := C.View(sm.Off, sn.Off, sm.Len, sn.Len)
-	var tc *Tiled
-	defer func() { releaseTiled(tc) }()
-	t0 := time.Now()
-	err := e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() error {
-		tc = acquireTiled(stats, pa.Curve, pa.D, pa.TR, pb.TC, sm.Len, sn.Len)
-		return zeroFill(ctx, pool, tc.Data)
-	})
-	stats.ConvertIn += time.Since(t0)
-	if err != nil {
-		return err
-	}
-
-	cm := tc.Mat()
-	for ki := range pa.CSegs {
-		if ctx.Err() != nil {
-			return fmt.Errorf("core: cancelled: %w", context.Cause(ctx))
-		}
-		am, bm := pa.Block(i, ki).Mat(), pb.Block(ki, j).Mat()
-		t1 := time.Now()
-		var work, span float64
-		err := e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
-			var rerr error
-			work, span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { e.mul(c, alg, cm, am, bm) })
-			return rerr
-		})
-		stats.Compute += time.Since(t1)
-		stats.Work += work
-		if span > stats.Span {
-			stats.Span = span
-		}
-		if err != nil {
-			// Cv untouched: still exactly the β-scaled input.
-			return err
-		}
-		stats.PackReused += 2
-		stats.Blocks++
-	}
-
-	t2 := time.Now()
-	err = e.phase(ctx, obs.KindConvertOut, "recmat.convert-out", func() error {
-		// Background context: the epilogue must complete once started (the
-		// β-scaled-or-complete atomicity contract).
-		return tc.UnpackAccumulate(context.Background(), pool, Cv, alpha)
-	})
-	stats.ConvertOut += time.Since(t2)
-	if err != nil {
-		return err
-	}
-	stats.ConvertBytes += 8 * int64(len(tc.Data))
-	return nil
 }

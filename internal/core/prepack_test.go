@@ -213,8 +213,8 @@ func TestPrepackValidation(t *testing.T) {
 	opts := Options{Curve: layout.ZMorton, Alg: Standard}
 	// A wide operand's split inner tiling cannot conform with an
 	// independently prepacked squat operand.
-	wide := matrix.Random(400, 50, rng)
-	squat := matrix.Random(50, 50, rng)
+	wide := matrix.Random(400, 70, rng)
+	squat := matrix.Random(70, 70, rng)
 	pw, err := Prepack(context.Background(), pool, opts, wide, false)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestPrepackValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	C := matrix.New(400, 50)
+	C := matrix.New(400, 70)
 	if _, err := GEMMPrepacked(context.Background(), pool, opts, 1, pw, ps, 0, C); err == nil {
 		t.Error("non-conforming plans not rejected")
 	}
@@ -233,24 +233,24 @@ func TestPrepackValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	C2 := matrix.New(50, 50)
+	C2 := matrix.New(70, 70)
 	if _, err := GEMMPrepacked(context.Background(), pool, opts, 1, ps, ph, 0, C2); err == nil {
 		t.Error("curve mismatch not rejected")
 	}
 
 	// Wrong C shape.
 	pa, _ := Prepack(context.Background(), pool, opts, squat, false)
-	if _, err := GEMMPrepacked(context.Background(), pool, opts, 1, pa, ps, 0, matrix.New(50, 49)); err == nil {
+	if _, err := GEMMPrepacked(context.Background(), pool, opts, 1, pa, ps, 0, matrix.New(70, 69)); err == nil {
 		t.Error("C shape mismatch not rejected")
 	}
 
 	// PrepackConforming: inner-dimension mismatch and released target.
-	if _, err := PrepackConforming(context.Background(), pool, opts, matrix.Random(49, 10, rng), false, ps); err == nil {
+	if _, err := PrepackConforming(context.Background(), pool, opts, matrix.Random(69, 10, rng), false, ps); err == nil {
 		t.Error("PrepackConforming with wrong inner dimension not rejected")
 	}
 	// The wide plan splits k into several row segments; a conforming
 	// operand adopts them and multiplies cleanly despite the split.
-	pc, err := PrepackConforming(context.Background(), pool, opts, matrix.Random(50, 12, rng), false, pw)
+	pc, err := PrepackConforming(context.Background(), pool, opts, matrix.Random(70, 12, rng), false, pw)
 	if err != nil {
 		t.Errorf("PrepackConforming against split plan: %v", err)
 	} else {
@@ -269,7 +269,7 @@ func TestPrepackValidation(t *testing.T) {
 		t.Error("Transposed of released plan not rejected")
 	}
 	pw.Release()
-	if _, err := PrepackConforming(context.Background(), pool, opts, matrix.Random(50, 10, rng), false, pw); err == nil {
+	if _, err := PrepackConforming(context.Background(), pool, opts, matrix.Random(70, 10, rng), false, pw); err == nil {
 		t.Error("PrepackConforming against released plan not rejected")
 	}
 	ps.Release()
@@ -288,6 +288,10 @@ func TestPrepackedSteadyStateAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts by design; steady state unreachable")
 	}
+	// One P: sync.Pool keeps a Put in the putting P's private slot, where
+	// a Get from another P cannot reach it, so a caller goroutine that
+	// migrates between calls would see a spurious miss.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(35))
@@ -345,6 +349,7 @@ func TestGEMMSteadyStatePoolHits(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts by design; steady state unreachable")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // see TestPrepackedSteadyStateAllocBytes
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(36))

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // This file defines the coefficient-table representation of bilinear
 // ⟨m,k,n⟩ fast multiplication algorithms (Benson–Ballard, "A Framework
@@ -148,6 +151,18 @@ func register(tb *Table) Alg {
 	check(tb.U, tb.M*tb.K+len(tb.AuxU))
 	check(tb.V, tb.K*tb.N+len(tb.AuxV))
 	check(tb.W, tb.R+len(tb.AuxW))
+	// One canonical post-addition order: every W and AuxW row lists its
+	// product terms by ascending r, then its aux terms by ascending
+	// definition index (aux ids sit above the product ids, so one sort
+	// by id does both). That is the order the depth-first scatter
+	// (WT, auxWScatter) delivers them in, so the breadth-first chains
+	// associate identically and the bits of C do not depend on which
+	// policy a level happened to run under.
+	for _, rows := range [][][]tableTerm{tb.W, tb.AuxW} {
+		for _, row := range rows {
+			sort.SliceStable(row, func(a, b int) bool { return row[a].idx < row[b].idx })
+		}
+	}
 	tb.WT = make([][]tableTerm, tb.R)
 	tb.auxWScatter = make([][]tableTerm, len(tb.AuxW))
 	scatter := func(src tableTerm, target int) {

@@ -27,6 +27,21 @@ import (
 // reappears as soon as workers go hungry. Arena reservations assume
 // BFS at every level (the maximum); DFS uses strictly less.
 
+// tablePolicy is the per-level parallel policy of the table engine.
+// BFS and DFS are schedules of one computation: register fixes the
+// order every C block and W aux receives its terms in, so all three
+// policies produce the same bits (the determinism test pins it).
+type tablePolicy uint8
+
+const (
+	policyHybrid tablePolicy = iota // per level, from IdleWorkers
+	policyBFS
+	policyDFS
+)
+
+// tablePolicyHook is a test hook: the policy newExec gives every call.
+var tablePolicyHook tablePolicy
+
 // tableGrid extracts the three grid extents of a conforming block trio:
 // A is gm×gk tiles, B is gk×gn, C is gm×gn.
 func tableGrid(C, A Mat) (gm, gk, gn int) {
@@ -75,7 +90,11 @@ func (e *exec) tableMul(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	if gn > t {
 		t = gn
 	}
-	if e.par(t) && c.IdleWorkers() > 0 {
+	bfs := e.par(t) && c.IdleWorkers() > 0
+	if e.policy != policyHybrid {
+		bfs = e.policy == policyBFS
+	}
+	if bfs {
 		e.tableBFS(c, tb, C, A, B)
 		return
 	}

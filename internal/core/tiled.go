@@ -58,6 +58,13 @@ type Tiled struct {
 	TR, TC     int
 	Rows, Cols int
 	Data       []float64
+	// gr and gc, when non-zero, mark canonical storage (the L_C baseline
+	// of Section 5): Data is one padded column-major panel of gr × gc
+	// tiles with leading dimension gr·TR — a 2^D square grid for the
+	// quadrant algorithms, mixed-radix rectangular for the table-driven
+	// ⟨m,k,n⟩ family. The driver packs and unpacks it through the same
+	// tile walk as the curves, so one block loop serves both storages.
+	gr, gc int
 }
 
 // NewTiled allocates a zeroed tiled matrix covering rows × cols.
@@ -72,20 +79,61 @@ func NewTiled(curve layout.Curve, d uint, tr, tc, rows, cols int) *Tiled {
 	}
 }
 
+// grid returns the tile-grid extents.
+func (t *Tiled) grid() (gr, gc int) {
+	if t.gr != 0 {
+		return t.gr, t.gc
+	}
+	return 1 << t.D, 1 << t.D
+}
+
+// tiles and elems return the tile count and the padded element count.
+func (t *Tiled) tiles() int { gr, gc := t.grid(); return gr * gc }
+func (t *Tiled) elems() int { return t.tiles() * t.TR * t.TC }
+
 // PaddedRows and PaddedCols return the padded extents.
-func (t *Tiled) PaddedRows() int { return t.TR << t.D }
-func (t *Tiled) PaddedCols() int { return t.TC << t.D }
+func (t *Tiled) PaddedRows() int { gr, _ := t.grid(); return t.TR * gr }
+func (t *Tiled) PaddedCols() int { _, gc := t.grid(); return t.TC * gc }
 
 // Mat returns the whole-matrix quadrant descriptor in the reference
 // orientation.
 func (t *Tiled) Mat() Mat {
-	return Mat{
-		data:  t.Data,
-		tiles: 1 << t.D,
-		tr:    t.TR,
-		tc:    t.TC,
-		curve: t.Curve,
+	m := Mat{data: t.Data, tiles: 1 << t.D, tr: t.TR, tc: t.TC, curve: t.Curve}
+	if t.gr != 0 {
+		m.tiles, m.ld = t.gr, t.gr*t.TR
+		if t.gc != t.gr {
+			m.tilesc = t.gc
+		}
 	}
+	return m
+}
+
+// coords returns the memoized curve walk of the grid (nil on canonical
+// storage and out-of-cache depths, where tileAt computes directly).
+func (t *Tiled) coords() []uint32 {
+	if t.gr != 0 {
+		return nil
+	}
+	return tileCoords(t.Curve, t.D)
+}
+
+// tileAt locates tile s of the storage walk: the logical offsets
+// (i0, j0) of its first element, and the base and leading dimension of
+// its column-major storage inside Data.
+func (t *Tiled) tileAt(s int, coords []uint32) (i0, j0, base, ld int) {
+	if t.gr != 0 {
+		ti, tj := s%t.gr, s/t.gr
+		ld = t.gr * t.TR
+		return ti * t.TR, tj * t.TC, tj*t.TC*ld + ti*t.TR, ld
+	}
+	var ti, tj uint32
+	if coords != nil {
+		pc := coords[s]
+		ti, tj = pc>>16, pc&0xffff
+	} else {
+		ti, tj = t.Curve.SInverse(uint64(s), t.D)
+	}
+	return int(ti) * t.TR, int(tj) * t.TC, s * t.TR * t.TC, t.TR
 }
 
 // At returns logical element (i, j), evaluating the layout function of
@@ -183,31 +231,21 @@ func (t *Tiled) Pack(ctx context.Context, pool *sched.Pool, src *matrix.Dense, t
 	if srows != t.Rows || scols != t.Cols {
 		return fmt.Errorf("core: pack %dx%d into tiled %dx%d", srows, scols, t.Rows, t.Cols)
 	}
-	side := 1 << t.D
-	coords := tileCoords(t.Curve, t.D)
-	return runChunks(ctx, pool, side*side, obs.KindPack, func(lo, hi int) {
+	coords := t.coords()
+	return runChunks(ctx, pool, t.tiles(), obs.KindPack, func(lo, hi int) {
 		t.packTiles(src, trans, alpha, coords, lo, hi)
 	})
 }
 
-// packTiles packs tiles [lo, hi) of the curve walk — the serial body
+// packTiles packs tiles [lo, hi) of the storage walk — the serial body
 // Pack parallelizes over the pool. It is also the conversion primitive
-// of the batched wave driver, whose item tasks already execute on pool
-// workers and therefore must not re-enter pool.RunCtx.
+// of the wave drivers, whose tasks already execute on pool workers and
+// therefore must not re-enter pool.RunCtx.
 func (t *Tiled) packTiles(src *matrix.Dense, trans bool, alpha float64, coords []uint32, lo, hi int) {
-	ts := t.TR * t.TC
 	for s := lo; s < hi; s++ {
-		var ti, tj uint32
-		if coords != nil {
-			pc := coords[s]
-			ti, tj = pc>>16, pc&0xffff
-		} else {
-			ti, tj = t.Curve.SInverse(uint64(s), t.D)
-		}
-		base := s * ts
-		i0, j0 := int(ti)*t.TR, int(tj)*t.TC
+		i0, j0, base, ld := t.tileAt(s, coords)
 		for jj := 0; jj < t.TC; jj++ {
-			dcol := t.Data[base+jj*t.TR : base+jj*t.TR+t.TR]
+			dcol := t.Data[base+jj*ld : base+jj*ld+t.TR]
 			gj := j0 + jj
 			if gj >= t.Cols {
 				vZero(dcol)
@@ -256,8 +294,7 @@ func (t *Tiled) packSerial(src *matrix.Dense, trans bool, alpha float64) error {
 	if srows != t.Rows || scols != t.Cols {
 		return fmt.Errorf("core: pack %dx%d into tiled %dx%d", srows, scols, t.Rows, t.Cols)
 	}
-	side := 1 << t.D
-	t.packTiles(src, trans, alpha, tileCoords(t.Curve, t.D), 0, side*side)
+	t.packTiles(src, trans, alpha, t.coords(), 0, t.tiles())
 	return nil
 }
 
@@ -267,20 +304,10 @@ func (t *Tiled) Unpack(ctx context.Context, pool *sched.Pool, dst *matrix.Dense)
 	if dst.Rows != t.Rows || dst.Cols != t.Cols {
 		return fmt.Errorf("core: unpack tiled %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols)
 	}
-	side := 1 << t.D
-	ts := t.TR * t.TC
-	coords := tileCoords(t.Curve, t.D)
-	return runChunks(ctx, pool, side*side, obs.KindUnpack, func(lo, hi int) {
+	coords := t.coords()
+	return runChunks(ctx, pool, t.tiles(), obs.KindUnpack, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			var ti, tj uint32
-			if coords != nil {
-				pc := coords[s]
-				ti, tj = pc>>16, pc&0xffff
-			} else {
-				ti, tj = t.Curve.SInverse(uint64(s), t.D)
-			}
-			base := s * ts
-			i0, j0 := int(ti)*t.TR, int(tj)*t.TC
+			i0, j0, base, ld := t.tileAt(s, coords)
 			if i0 >= t.Rows || j0 >= t.Cols {
 				continue
 			}
@@ -294,7 +321,7 @@ func (t *Tiled) Unpack(ctx context.Context, pool *sched.Pool, dst *matrix.Dense)
 			}
 			for jj := 0; jj < vc; jj++ {
 				copy(dst.Data[(j0+jj)*dst.Stride+i0:(j0+jj)*dst.Stride+i0+vr],
-					t.Data[base+jj*t.TR:base+jj*t.TR+vr])
+					t.Data[base+jj*ld:base+jj*ld+vr])
 			}
 		}
 	})
@@ -311,9 +338,8 @@ func (t *Tiled) UnpackAccumulate(ctx context.Context, pool *sched.Pool, dst *mat
 	if dst.Rows != t.Rows || dst.Cols != t.Cols {
 		return fmt.Errorf("core: unpack tiled %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols)
 	}
-	side := 1 << t.D
-	coords := tileCoords(t.Curve, t.D)
-	return runChunks(ctx, pool, side*side, obs.KindUnpack, func(lo, hi int) {
+	coords := t.coords()
+	return runChunks(ctx, pool, t.tiles(), obs.KindUnpack, func(lo, hi int) {
 		t.unpackAccumulateTiles(dst, alpha, coords, lo, hi)
 	})
 }
@@ -322,17 +348,8 @@ func (t *Tiled) UnpackAccumulate(ctx context.Context, pool *sched.Pool, dst *mat
 // into dst — the serial body UnpackAccumulate parallelizes over the
 // pool, shared with the batched wave driver (see packTiles).
 func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha float64, coords []uint32, lo, hi int) {
-	ts := t.TR * t.TC
 	for s := lo; s < hi; s++ {
-		var ti, tj uint32
-		if coords != nil {
-			pc := coords[s]
-			ti, tj = pc>>16, pc&0xffff
-		} else {
-			ti, tj = t.Curve.SInverse(uint64(s), t.D)
-		}
-		base := s * ts
-		i0, j0 := int(ti)*t.TR, int(tj)*t.TC
+		i0, j0, base, ld := t.tileAt(s, coords)
 		if i0 >= t.Rows || j0 >= t.Cols {
 			continue
 		}
@@ -346,7 +363,7 @@ func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha float64, coords [
 		}
 		for jj := 0; jj < vc; jj++ {
 			dcol := dst.Data[(j0+jj)*dst.Stride+i0 : (j0+jj)*dst.Stride+i0+vr]
-			scol := t.Data[base+jj*t.TR : base+jj*t.TR+vr]
+			scol := t.Data[base+jj*ld : base+jj*ld+vr]
 			if alpha == 1 {
 				for ii := range dcol {
 					dcol[ii] += scol[ii]
@@ -366,8 +383,7 @@ func (t *Tiled) unpackAccumulateSerial(dst *matrix.Dense, alpha float64) error {
 	if dst.Rows != t.Rows || dst.Cols != t.Cols {
 		return fmt.Errorf("core: unpack tiled %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols)
 	}
-	side := 1 << t.D
-	t.unpackAccumulateTiles(dst, alpha, tileCoords(t.Curve, t.D), 0, side*side)
+	t.unpackAccumulateTiles(dst, alpha, t.coords(), 0, t.tiles())
 	return nil
 }
 
@@ -388,20 +404,16 @@ func (t *Tiled) PackTransposeOf(ctx context.Context, pool *sched.Pool, src *Tile
 		return fmt.Errorf("core: transpose pack %dx%d (%dx%d tiles) from %dx%d (%dx%d tiles)",
 			t.Rows, t.Cols, t.TR, t.TC, src.Rows, src.Cols, src.TR, src.TC)
 	}
-	side := 1 << t.D
-	dts, sts := t.TR*t.TC, src.TR*src.TC
-	coords := tileCoords(t.Curve, t.D)
-	return runChunks(ctx, pool, side*side, obs.KindPack, func(lo, hi int) {
+	if t.gr != 0 || src.gr != 0 {
+		return fmt.Errorf("core: transpose pack on canonical storage")
+	}
+	sts := src.TR * src.TC
+	coords := t.coords()
+	return runChunks(ctx, pool, t.tiles(), obs.KindPack, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			var ti, tj uint32
-			if coords != nil {
-				pc := coords[s]
-				ti, tj = pc>>16, pc&0xffff
-			} else {
-				ti, tj = t.Curve.SInverse(uint64(s), t.D)
-			}
-			dst := t.Data[s*dts : s*dts+dts]
-			sbase := int(t.Curve.S(tj, ti, t.D)) * sts
+			i0, j0, base, _ := t.tileAt(s, coords)
+			dst := t.Data[base : base+sts]
+			sbase := int(t.Curve.S(uint32(j0/t.TC), uint32(i0/t.TR), t.D)) * sts
 			// dst tile is TR×TC column-major; its (r, c) element is the
 			// source tile's (c, r) element, src leading dimension src.TR.
 			for c := 0; c < t.TC; c++ {
@@ -435,64 +447,5 @@ func scaleCols(pool *sched.Pool, dst *matrix.Dense, alpha float64) error {
 	}
 	return runChunks(context.Background(), pool, dst.Cols, obs.KindScale, func(lo, hi int) {
 		dst.ScaleCols(alpha, lo, hi)
-	})
-}
-
-// packPadded copies op(src)·alpha into a zeroed padded column-major
-// matrix — the conversion step for the canonical-layout (L_C) runs,
-// which still need padding so that the identical recursive control
-// structure applies. Parallelized over destination columns.
-func packPadded(ctx context.Context, pool *sched.Pool, dst, src *matrix.Dense, trans bool, alpha float64) error {
-	srows, scols := src.Rows, src.Cols
-	if trans {
-		srows, scols = scols, srows
-	}
-	if srows > dst.Rows || scols > dst.Cols {
-		return fmt.Errorf("core: packPadded destination %dx%d too small for %dx%d", dst.Rows, dst.Cols, srows, scols)
-	}
-	return runChunks(ctx, pool, dst.Cols, obs.KindPack, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dcol := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-			if j >= scols {
-				vZero(dcol)
-				continue
-			}
-			switch {
-			case trans:
-				for i := 0; i < srows; i++ {
-					dcol[i] = alpha * src.Data[i*src.Stride+j]
-				}
-			case alpha == 1:
-				copy(dcol[:srows], src.Data[j*src.Stride:j*src.Stride+srows])
-			default:
-				scol := src.Data[j*src.Stride:]
-				for i := 0; i < srows; i++ {
-					dcol[i] = alpha * scol[i]
-				}
-			}
-			for i := srows; i < dst.Rows; i++ {
-				dcol[i] = 0
-			}
-		}
-	})
-}
-
-// unpackPaddedAccumulate is UnpackAccumulate's canonical-layout twin:
-// dst += alpha · (logical region of the padded matrix src).
-func unpackPaddedAccumulate(ctx context.Context, pool *sched.Pool, dst, src *matrix.Dense, alpha float64) error {
-	return runChunks(ctx, pool, dst.Cols, obs.KindUnpack, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dcol := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-			scol := src.Data[j*src.Stride : j*src.Stride+dst.Rows]
-			if alpha == 1 {
-				for i := range dcol {
-					dcol[i] += scol[i]
-				}
-			} else {
-				for i := range dcol {
-					dcol[i] += alpha * scol[i]
-				}
-			}
-		}
 	})
 }

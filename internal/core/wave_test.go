@@ -1,0 +1,313 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/layout"
+	"repro/internal/matrix"
+	"repro/internal/obs"
+	"repro/internal/sched"
+	"repro/internal/tile"
+)
+
+// The contracts of the split block wave: admission charges the
+// transient plan once and walks row panels under a budget, every C
+// block ends β-scaled or complete under cancellation and injected
+// panics, and Stats and the trace describe the wave that ran.
+
+// waveShape cuts into 5×1 C blocks of 60×20 under testTile: a wave on a
+// 2-worker pool.
+const waveM, waveK, waveN = 300, 20, 20
+
+// blocksScaledOrComplete checks the per-block atomicity contract:
+// every C block of the m×n result holds exactly its β-scaled input or
+// exactly the finished product. It returns how many were complete.
+func blocksScaledOrComplete(t *testing.T, what string, cfg tile.Config, k int, C, scaled, want *matrix.Dense) int {
+	t.Helper()
+	ms, _, ns := cfg.SplitDims(C.Rows, k, C.Cols)
+	complete := 0
+	for _, sm := range ms {
+		for _, sn := range ns {
+			got := C.View(sm.Off, sn.Off, sm.Len, sn.Len)
+			switch {
+			case matrix.Equal(got, want.View(sm.Off, sn.Off, sm.Len, sn.Len), 0):
+				complete++
+			case !matrix.Equal(got, scaled.View(sm.Off, sn.Off, sm.Len, sn.Len), 0):
+				t.Fatalf("%s: C block at (%d,%d) is neither β-scaled nor complete", what, sm.Off, sn.Off)
+			}
+		}
+	}
+	return complete
+}
+
+// TestWaveMemBudgetRowPanels: the transient plan is charged once per
+// call; a budget it exceeds makes the wave walk its row panels in
+// groups that fit — same blocks, same bits — and only a budget below
+// one panel rejects the call, before C is touched.
+func TestWaveMemBudgetRowPanels(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(161))
+	for _, cv := range []layout.Curve{layout.ZMorton, layout.ColMajor} {
+		A, B := matrix.Random(waveM, waveK, rng), matrix.Random(waveK, waveN, rng)
+		C := matrix.Random(waveM, waveN, rng)
+		opts := Options{Curve: cv, Alg: Standard, Tile: testTile}
+		want := C.Clone()
+		full, err := GEMM(pool, opts, false, false, 1.5, A, B, 0.5, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Degraded) != 0 || full.Blocks != 5 {
+			t.Fatalf("%v: unbudgeted run: blocks=%d notes=%v", cv, full.Blocks, full.Degraded)
+		}
+		// The whole plan: 5 row panels of A, B, one product tile per worker.
+		panel := 8 * int64(full.PaddedM*full.PaddedK)
+		if lo := 5*panel + 8*int64(full.PaddedK*full.PaddedN+2*full.PaddedM*full.PaddedN); full.EstimatedBytes < lo {
+			t.Fatalf("%v: EstimatedBytes = %d, want at least the plan's %d", cv, full.EstimatedBytes, lo)
+		}
+
+		opts.MemBudget = full.EstimatedBytes - 2*panel // room for three panels
+		got := C.Clone()
+		st, err := GEMM(pool, opts, false, false, 1.5, A, B, 0.5, got)
+		if err != nil {
+			t.Fatalf("%v: budgeted run: %v", cv, err)
+		}
+		if !matrix.Equal(got, want, 0) {
+			t.Errorf("%v: grouped row panels changed the bits, max diff %g", cv, matrix.MaxAbsDiff(got, want))
+		}
+		if st.Alg != Standard || st.Serial || st.Blocks != 5 || st.EstimatedBytes > opts.MemBudget {
+			t.Errorf("%v: alg=%v serial=%v blocks=%d est=%d budget=%d", cv, st.Alg, st.Serial, st.Blocks, st.EstimatedBytes, opts.MemBudget)
+		}
+		if len(st.Degraded) != 1 || !strings.Contains(st.Degraded[0], "walking them 3 at a time") {
+			t.Errorf("%v: Degraded = %q, want one row-panel note", cv, st.Degraded)
+		}
+		if st.ConvertBytes != full.ConvertBytes {
+			t.Errorf("%v: ConvertBytes = %d grouped, %d whole: a segment was packed twice", cv, st.ConvertBytes, full.ConvertBytes)
+		}
+
+		opts.MemBudget = panel / 2
+		untouched := C.Clone()
+		if _, err := GEMM(pool, opts, false, false, 1.5, A, B, 0.5, untouched); !errors.Is(err, ErrMemBudget) {
+			t.Fatalf("%v: err = %v, want ErrMemBudget", cv, err)
+		}
+		if !matrix.Equal(untouched, C, 0) {
+			t.Errorf("%v: admission rejected the call after touching C", cv)
+		}
+	}
+}
+
+// TestWaveCancelLeavesBlocksScaledOrComplete: cancelling a block wave
+// at any point leaves every C block β-scaled or complete, reports how
+// far it got with a typed error, and leaks neither goroutines nor
+// pooled buffers.
+func TestWaveCancelLeavesBlocksScaledOrComplete(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(162))
+	m, k, n := 1200, 40, 40 // 10 C blocks
+	A, B := matrix.Random(m, k, rng), matrix.Random(k, n, rng)
+	C := matrix.Random(m, n, rng)
+	opts := Options{Curve: layout.Hilbert, Alg: TableWinograd222, Tile: testTile}
+	want, scaled := C.Clone(), C.Clone()
+	if _, err := GEMM(pool, opts, false, false, 1, A, B, 0.5, want); err != nil {
+		t.Fatal(err)
+	}
+	scaled.Scale(0.5)
+	before := runtime.NumGoroutine()
+	cancelled := 0
+	for _, delay := range []time.Duration{0, 50 * time.Microsecond, 200 * time.Microsecond, 500 * time.Microsecond, time.Millisecond, 2 * time.Millisecond} {
+		got := C.Clone()
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(delay)
+			cancel()
+		}()
+		_, err := GEMMCtx(ctx, pool, opts, false, false, 1, A, B, 0.5, got)
+		cancel()
+		if err == nil {
+			if !matrix.Equal(got, want, 0) {
+				t.Fatalf("delay %v: uncancelled run differs", delay)
+			}
+			continue
+		}
+		cancelled++
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("delay %v: err = %v, want context.Canceled", delay, err)
+		}
+		if matrix.Equal(got, C, 0) {
+			continue // refused before β was applied
+		}
+		done := blocksScaledOrComplete(t, delay.String(), opts.Tile, k, got, scaled, want)
+		if !strings.Contains(err.Error(), "of 10 blocks") {
+			t.Errorf("delay %v: error %q does not say how far it got (%d blocks complete)", delay, err, done)
+		}
+	}
+	t.Logf("%d of 6 runs cancelled", cancelled)
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Errorf("goroutines leaked: %d -> %d", before, g)
+	}
+}
+
+// TestWaveReturnsPooledBuffers: a wave that fails mid-run returns every
+// buffer it took — after it, a warm call of the same shape still misses
+// the recycling pool not once.
+func TestWaveReturnsPooledBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts by design; steady state unreachable")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // see TestPrepackedSteadyStateAllocBytes
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(163))
+	A, B := matrix.Random(waveM, waveK, rng), matrix.Random(waveK, waveN, rng)
+	C := matrix.New(waveM, waveN)
+	opts := Options{Curve: layout.ZMorton, Alg: Strassen, Tile: testTile}
+	for i := 0; i < 3; i++ {
+		if _, err := GEMM(pool, opts, false, false, 1, A, B, 0, C); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faultinject.Configure(faultinject.Config{PanicProb: 0.05, Seed: 3})
+	failed := 0
+	for i := 0; i < 20; i++ {
+		if _, err := GEMM(pool, opts, false, false, 1, A, B, 0, C); err != nil {
+			failed++
+		}
+	}
+	faultinject.Disable()
+	if failed == 0 {
+		t.Fatal("no run failed under injected panics (test premise)")
+	}
+	st, err := GEMM(pool, opts, false, false, 1, A, B, 0, C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PoolMisses != 0 {
+		t.Errorf("%d pool misses after %d failed waves (%d hits): a failed wave kept its buffers",
+			st.PoolMisses, failed, st.PoolHits)
+	}
+}
+
+// TestStressWaveFaultInjection: under injected panics, allocation
+// failures and delays a block wave never lets a panic escape; a failed
+// call's error unwraps to the injected fault and names its progress,
+// and every C block is β-scaled or complete.
+func TestStressWaveFaultInjection(t *testing.T) {
+	defer stressFaults()()
+	pool := sched.NewPool(4)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(164))
+	m, k, n := 600, 24, 40 // 10×1 C blocks... a wave on 4 workers
+	A, B := matrix.Random(m, k, rng), matrix.Random(k, n, rng)
+	C := matrix.Random(m, n, rng)
+	scaled := C.Clone()
+	scaled.Scale(0.5)
+	algs := []Alg{Standard, Strassen, TableWinograd222}
+	curves := []layout.Curve{layout.ZMorton, layout.ColMajor, layout.Hilbert}
+	want := make(map[int]*matrix.Dense)
+	failures := 0
+	for i := 0; i < 40; i++ {
+		opts := Options{Curve: curves[i%len(curves)], Alg: algs[i%len(algs)], Tile: testTile}
+		got := C.Clone()
+		_, err := GEMM(pool, opts, false, false, 1, A, B, 0.5, got)
+		key := i % (len(curves) * len(algs))
+		if err == nil {
+			// The first clean run of a configuration is its reference;
+			// RefGEMM bounds it, later runs must reproduce it bit for bit.
+			if want[key] == nil {
+				ref := C.Clone()
+				matrix.RefGEMM(false, false, 1, A, B, 0.5, ref)
+				if !matrix.Equal(got, ref, tol(m, k, n)) {
+					t.Fatalf("iter %d: successful run under faults is wrong (max diff %g)", i, matrix.MaxAbsDiff(got, ref))
+				}
+				want[key] = got
+			} else if !matrix.Equal(got, want[key], 0) {
+				t.Fatalf("iter %d: bits differ between two clean runs", i)
+			}
+			continue
+		}
+		failures++
+		var fault *faultinject.Fault
+		if !errors.As(err, &fault) {
+			t.Fatalf("iter %d: error %v does not unwrap to *faultinject.Fault", i, err)
+		}
+		if !strings.Contains(err.Error(), "blocks") {
+			t.Fatalf("iter %d: error %q does not name its progress", i, err)
+		}
+		if w := want[key]; w != nil {
+			blocksScaledOrComplete(t, err.Error(), opts.Tile, k, got, scaled, w)
+		}
+	}
+	t.Logf("wave fault stress: %d/40 runs failed (injected)", failures)
+}
+
+// TestWaveStatsAndTrace: Stats of a split call describe the shared plan
+// and the wave's single scheduler run, and the trace shows pack → wave
+// with one wave-item span per C block instead of per-block phases.
+func TestWaveStatsAndTrace(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(165))
+	A, B := matrix.Random(waveM, waveK, rng), matrix.Random(waveK, waveN, rng)
+	C := matrix.New(waveM, waveN)
+	opts := Options{Curve: layout.ZMorton, Alg: Standard, Tile: testTile, TraceID: 77}
+
+	tr := obs.NewTracer(pool.Workers(), 0)
+	if err := obs.Install(tr); err != nil {
+		t.Fatal(err)
+	}
+	st, err := GEMM(pool, opts, false, false, 1, A, B, 0, C)
+	obs.Uninstall(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 5 row segments of 60 on a depth-2 grid of 15×5×5 tiles.
+	if st.Blocks != 5 || st.Depth != 2 || st.TileM != 15 || st.TileK != 5 || st.TileN != 5 || st.PaddedM != 60 {
+		t.Errorf("plan geometry: blocks=%d depth=%d tiles %dx%dx%d padded m %d", st.Blocks, st.Depth, st.TileM, st.TileK, st.TileN, st.PaddedM)
+	}
+	block := 2.0 * 60 * 20 * 20
+	if st.Work != 5*block {
+		t.Errorf("Work = %g, want %g", st.Work, 5*block)
+	}
+	// One run of two runners: the span is the longer runner's chain.
+	if st.Span < 3*block || st.Span > st.Work {
+		t.Errorf("Span = %g, want within [%g, %g]", st.Span, 3*block, st.Work)
+	}
+	if want := int64(8 * (5*60*20 + 20*20 + 5*60*20)); st.ConvertBytes != want {
+		t.Errorf("ConvertBytes = %d, want %d (every segment packed once, five C tiles)", st.ConvertBytes, want)
+	}
+	if st.PackReused != 0 || st.PoolHits+st.PoolMisses < 7 || st.PoolHits+st.PoolMisses > 8 {
+		t.Errorf("PackReused=%d, %d buffers acquired, want 0 and 6 segments + one tile per runner", st.PackReused, st.PoolHits+st.PoolMisses)
+	}
+	if st.Total() <= 0 || st.ConvertIn <= 0 || st.Compute <= 0 || st.ConvertOut <= 0 {
+		t.Errorf("phase timers: in=%v compute=%v out=%v", st.ConvertIn, st.Compute, st.ConvertOut)
+	}
+
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := obs.ValidateChromeTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The call's own wave-item instant (its TraceID) plus one span per block.
+	for name, want := range map[string]int{"wave-item": 6, "convert-in": 1, "compute": 1, "convert-out": 0} {
+		if sum.ByName[name] != want {
+			t.Errorf("trace has %d %q events, want %d (%v)", sum.ByName[name], name, want, sum.ByName)
+		}
+	}
+}

@@ -245,6 +245,15 @@ func SplitDim(length, maxLen int) []Seg {
 // enough for Pick to satisfy the strict tile constraint (Figure 3 of the
 // paper). The products over the k segments accumulate into the same C
 // blocks; the (m, n) block grid is embarrassingly parallel.
+//
+// The segment bound α·short is biased down to a power-of-two multiple
+// of TSweet, so every block tiles at the sweet size on a power-of-two
+// grid: a block of 171 cuts into 22- or 43-element tiles that a
+// register-blocked kernel runs in its scalar fringe, a block of 128
+// into 32s. It is the one split rule of the tree — a direct GEMM, a
+// plan prepacked for partners of width n, and the operand packed to
+// conform with it all call it with the same (m, k, n) and so agree on
+// the blocks.
 func (c Config) SplitDims(m, k, n int) (ms, ks, ns []Seg) {
 	short := m
 	if k < short {
@@ -257,5 +266,11 @@ func (c Config) SplitDims(m, k, n int) (ms, ks, ns []Seg) {
 		short = c.TMin
 	}
 	maxLen := int(float64(short) * c.Alpha())
+	if g := c.TSweet; g > 0 && maxLen >= g {
+		for g*2 <= maxLen {
+			g *= 2
+		}
+		maxLen = g
+	}
 	return SplitDim(m, maxLen), SplitDim(k, maxLen), SplitDim(n, maxLen)
 }
