@@ -56,21 +56,18 @@ func ladderFor(a Alg) []rung {
 // charge is what a call holds live, in elements — the terms of the
 // admission estimate. A buffer recycled from the pool is exactly as
 // resident as a fresh one, so pool hits are charged at full size. Only
-// operands owned by a *Prepacked* plan are exempt (shared and perRow
-// zero): the plan allocated them once, outside the call, and they stay
-// live whatever admission decides — charging them again would make a
-// budget that admitted the prepack reject the multiplications it was
-// built for.
+// operands owned by a *Prepacked* plan are exempt (segA and segB zero):
+// the plan allocated them once, outside the call, and they stay live
+// whatever admission decides — charging them again would make a budget
+// that admitted the prepack reject the multiplications it was built
+// for.
 type charge struct {
-	// shared is packed once and held for the whole call: the B segments
-	// of a transient plan (plus A's, for operands the caller brings
-	// already tiled).
-	shared int64
-	// perRow is one row panel of a transient plan's packed A segments,
-	// and rows the number of panels. When all of them do not fit the
-	// budget the block wave walks them in groups that do.
-	perRow int64
-	rows   int
+	// segA and segB are one packed A and one packed B segment of a
+	// transient plan (or of operands the caller brings already tiled);
+	// plan counts them. When all of them do not fit the budget the block
+	// wave walks them in groups that do.
+	segA, segB int64
+	plan       groups
 	// perBlock is one in-flight product tile (for a batched wave, one
 	// member's buffers); inflight counts the tiles a parallel rung holds
 	// at once — a serial rung holds one.
@@ -87,24 +84,53 @@ type charge struct {
 	what func() string
 }
 
+// groups is how many row panels, k segments and column panels of a
+// transient plan are packed — and so live — at once: rows×ks segments
+// of A, ks×cols of B.
+type groups struct{ rows, ks, cols int }
+
+// held is the packed footprint of one group, in elements.
+func (ch *charge) held(g groups) int64 {
+	return int64(g.ks) * (ch.segA*int64(g.rows) + ch.segB*int64(g.cols))
+}
+
+// fit shrinks the plan's groups, each dimension to no less than one,
+// until a group's packed segments fit room elements. The free dimension
+// of the larger operand goes first: its panels then stream past the
+// smaller operand, which stays packed whole, and no segment is packed
+// twice. The other free dimension is next (its operand is re-packed for
+// every group of the first), the k chain last: cutting it lands a C
+// block's product in several epilogues instead of one.
+func (ch *charge) fit(room int64) groups {
+	g := ch.plan
+	most := func(n int, per, room int64) int { return int(max(1, min(int64(n), room/per))) }
+	a, b := int64(g.ks)*ch.segA, int64(g.ks)*ch.segB // one row panel, one column panel
+	if a*int64(g.rows) >= b*int64(g.cols) {
+		g.rows = most(g.rows, a, room-b*int64(g.cols))
+		g.cols = most(g.cols, b, room-a*int64(g.rows))
+	} else {
+		g.cols = most(g.cols, b, room-a*int64(g.rows))
+		g.rows = most(g.rows, a, room-b*int64(g.cols))
+	}
+	g.ks = most(g.ks, ch.held(groups{g.rows, 1, g.cols}), room)
+	return g
+}
+
 // estimate returns the footprint in bytes of the charge on rung r —
 // one arena stack and one scratch per worker, or one of each when
-// serial — and the number of row panels per group: all of them, or as
-// many (at least one) as keep the estimate inside a positive budget.
-func (ch *charge) estimate(r rung, workers int, budget int64) (est int64, rowsPer int) {
+// serial — and the groups the plan is walked in: the whole plan, or the
+// largest groups that keep the estimate inside a positive budget.
+func (ch *charge) estimate(r rung, workers int, budget int64) (int64, groups) {
 	inf, stacks := int64(ch.inflight), int64(workers)
 	if r.serial {
 		inf, stacks = 1, 1
 	}
-	base := ch.shared + ch.perBlock*inf + (ch.arena(r.alg)+int64(ch.scratch))*stacks
-	rowsPer = ch.rows
-	if budget > 0 && ch.perRow > 0 && 8*(base+ch.perRow*int64(rowsPer)) > budget {
-		rowsPer = int((budget/8 - base) / ch.perRow)
-		if rowsPer < 1 {
-			rowsPer = 1
-		}
+	base := ch.perBlock*inf + (ch.arena(r.alg)+int64(ch.scratch))*stacks
+	g := ch.plan
+	if held := ch.held(g); budget > 0 && held > 0 && 8*(base+held) > budget {
+		g = ch.fit(budget/8 - base)
 	}
-	return 8 * (base + ch.perRow*int64(rowsPer)), rowsPer
+	return 8 * (base + ch.held(g)), g
 }
 
 func fmtBytes(b int64) string {
@@ -119,23 +145,22 @@ func fmtBytes(b int64) string {
 	return fmt.Sprintf("%dB", b)
 }
 
-// admission is admit's verdict: the rung that runs, its estimate, how
-// many row panels the wave packs per group, and a human-readable note
-// per degradation.
+// admission is admit's verdict: the rung that runs, its estimate, the
+// groups the wave packs the plan in, and a human-readable note per
+// degradation.
 type admission struct {
-	alg     Alg
-	serial  bool
-	est     int64
-	rowsPer int
-	notes   []string
+	alg    Alg
+	serial bool
+	est    int64
+	groups
+	notes []string
 }
 
 // admit applies the memory budget, once per call: it returns the first
 // rung of the requested algorithm's ladder whose estimated footprint
 // fits o.MemBudget (the requested configuration when no budget is
-// set). Walking a transient plan's row panels in groups costs no flops
-// and re-packs nothing, so a rung shrinks its groups before the ladder
-// gives up an algorithm. A batched wave degrades together — mixed
+// set). Walking a transient plan in groups costs no flops, so a rung
+// shrinks its groups before the ladder gives up an algorithm. A batched wave degrades together — mixed
 // algorithms would defeat the shared arena sizing. When no rung fits,
 // the call is rejected with ErrMemBudget before any allocation.
 func admit(o Options, workers int, ch charge) (admission, error) {
@@ -143,18 +168,18 @@ func admit(o Options, workers int, ch charge) (admission, error) {
 	var prev rung
 	var prevEst int64
 	for i, r := range ladderFor(o.Alg) {
-		est, rowsPer := ch.estimate(r, workers, o.MemBudget)
+		est, g := ch.estimate(r, workers, o.MemBudget)
 		if i > 0 {
 			ad.notes = append(ad.notes, fmt.Sprintf("mem-budget: %v%s estimated %s > budget %s; degraded to %v%s (estimated %s)",
 				prev.alg, serialTag(prev.serial), fmtBytes(prevEst), fmtBytes(o.MemBudget),
 				r.alg, serialTag(r.serial), fmtBytes(est)))
 		}
 		if o.MemBudget <= 0 || est <= o.MemBudget {
-			if rowsPer < ch.rows {
-				ad.notes = append(ad.notes, fmt.Sprintf("mem-budget: %d packed row panels exceed budget %s; walking them %d at a time (estimated %s)",
-					ch.rows, fmtBytes(o.MemBudget), rowsPer, fmtBytes(est)))
+			if g != ch.plan {
+				ad.notes = append(ad.notes, fmt.Sprintf("mem-budget: the plan's %dx%dx%d packed segments exceed budget %s; walking them %dx%dx%d at a time (estimated %s)",
+					ch.plan.rows, ch.plan.ks, ch.plan.cols, fmtBytes(o.MemBudget), g.rows, g.ks, g.cols, fmtBytes(est)))
 			}
-			ad.alg, ad.serial, ad.est, ad.rowsPer = r.alg, r.serial, est, rowsPer
+			ad.alg, ad.serial, ad.est, ad.groups = r.alg, r.serial, est, g
 			return ad, nil
 		}
 		prev, prevEst = r, est
@@ -213,7 +238,7 @@ func probeResidualGrowth(e *exec, alg Alg, transA, transB bool, Av, Bv *matrix.D
 	if pk2 < pk {
 		pk = pk2
 	}
-	pm, pk, pn = minInt(pm, gm*tm), minInt(pk, gk*tk), minInt(pn, gn*tn)
+	pm, pk, pn = min(pm, gm*tm), min(pk, gk*tk), min(pn, gn*tn)
 	pa, amax := sampleProbe(Av, transA, pm, pk)
 	pb, bmax := sampleProbe(Bv, transB, pk, pn)
 	scale := 2.220446049250313e-16 * float64(pk) * amax * bmax
@@ -244,13 +269,6 @@ func opShape(x *matrix.Dense, trans bool) (rows, cols int) {
 		return x.Cols, x.Rows
 	}
 	return x.Rows, x.Cols
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // sampleProbe copies the top-left rows×cols corner of op(src) into a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -216,12 +217,16 @@ func cancelledErr(i int, cause error) error {
 }
 
 // blockErr types a planMul.block failure for item i: a cancelled run
-// names the wave's cause, an expired member its own.
-func (wx *waveExec) blockErr(i int, err error) error {
+// names the wave's cause, an expired member (context ictx) its own;
+// anything else is the item's failure as it stands.
+func (wx *waveExec) blockErr(i int, ictx context.Context, err error) error {
 	if err == errRunCancelled {
-		err = wx.waveCause()
+		return cancelledErr(i, wx.waveCause())
 	}
-	return cancelledErr(i, err)
+	if cause := context.Cause(ictx); cause != nil && errors.Is(err, cause) {
+		return cancelledErr(i, err)
+	}
+	return err
 }
 
 // reshape rewrites a workspace Tiled's header for the next item while
@@ -735,7 +740,7 @@ func (wx *waveExec) runPrepackedItem(c *sched.Ctx, pa *Prepacked, it *PrepackedB
 	pm := planMul{alg: wx.alg, alpha: it.Alpha, pa: pa, pb: &ws.pb, C: it.C, reused: 1}
 	for bi := range pa.RSegs {
 		if err := pm.block(ictx, nil, c, bi, 0, ws); err != nil {
-			wx.errs[i] = wx.blockErr(i, err)
+			wx.errs[i] = wx.blockErr(i, ictx, err)
 			return
 		}
 	}
@@ -819,7 +824,7 @@ func admitWave(pool *sched.Pool, o Options, co callObs, live int, perPacked int6
 	arenaPer func(Alg) int64, kern leaf.Kernel, skern leaf.ScratchKernel) (ad admission, e *exec, ar *arena, runners int, err error) {
 
 	w := pool.Workers()
-	runners = minInt(live, w)
+	runners = min(live, w)
 	ad, err = admit(o, w, charge{perBlock: perPacked, inflight: runners, scratch: scratchPer,
 		arena: arenaPer, what: func() string { return fmt.Sprintf("a wave of %d items", live) }})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bits"
 	"repro/internal/layout"
 	"repro/internal/leaf"
 	"repro/internal/matrix"
@@ -69,7 +68,8 @@ type Options struct {
 	// the estimated footprint of the call (packed operand segments +
 	// in-flight product tiles + algorithm temporaries + per-worker
 	// kernel scratch). When the requested configuration exceeds it, the
-	// driver first walks a split call's row panels in groups that fit,
+	// driver first walks a split call's packed segments in groups that
+	// fit (the larger operand's panels, then both, then the k chain),
 	// then degrades along a ladder — Strassen/Winograd → StrassenLowMem
 	// (serial) → Standard → Standard (serial) — and records each
 	// decision in Stats.Degraded; if even the smallest rung exceeds the
@@ -152,8 +152,8 @@ type Stats struct {
 	// the requested configuration ran unchanged.
 	Degraded []string
 	// EstimatedBytes is the admission-control footprint estimate of the
-	// configuration that ran: the whole call's packed segments, in-flight
-	// product tiles, arena and kernel scratch.
+	// configuration that ran: the packed segments the call holds at once,
+	// in-flight product tiles, arena and kernel scratch.
 	EstimatedBytes int64
 	// ArenaBytes is the scratch-arena workspace reserved up front, once
 	// per call — the recursion's temporaries are carved from it instead
@@ -234,7 +234,9 @@ func GEMM(pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 // plus the fully-unpacked products of any *completed* blocks — never a
 // partially-written block product, since results are unpacked into C
 // only after a block's compute finishes. The error reports how many
-// blocks had completed.
+// blocks had completed. (Only under a MemBudget too small for a block's
+// whole k chain does a C block take its product in several such steps,
+// one per group of k segments, each of them all or nothing.)
 func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 	A, B *matrix.Dense, beta float64, C *matrix.Dense) (stats *Stats, err error) {
 
@@ -301,43 +303,58 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 
 	// Pack once, then the block wave. Operands are packed UNSCALED (α
 	// rides in the fused epilogue) into a transient plan of pooled
-	// buffers; B's segments are packed with the first group of row
-	// panels and held, A's row panels come in groups that fit the
-	// budget — all of them, without one. Buffers return to the pool even
-	// on failure: every parallel pass drains its tasks before returning.
-	// When op(B) is exactly op(A)ᵀ (SYRK's GEMM over one matrix in both
-	// slots) and the blocks run nested, B's plan is derived from A's
-	// inside the recursive layout instead of re-reading the strided
-	// column-major source.
+	// buffers: one group, every segment packed once and held for the
+	// call, or — over budget — the groups admission sized (charge.fit),
+	// row panels outermost, the k chain innermost, an operand's packed
+	// group kept for as long as the walk stays on it. Buffers return to
+	// the pool even on failure: every parallel pass drains its tasks
+	// before returning. When op(B) is exactly op(A)ᵀ (SYRK's GEMM over one
+	// matrix in both slots) and the blocks run nested, B's plan is
+	// derived from A's inside the recursive layout instead of re-reading
+	// the strided column-major source.
+	gr := pc.groups
 	fold := o.Curve != layout.ColMajor && sameView(A, B) && transA != transB &&
-		pc.g.tm == pc.g.tn && pc.rowsPer == len(ms) && pc.runners == 0
+		pc.g.tm == pc.g.tn && gr == (groups{len(ms), len(ks), len(ns)}) && pc.runners == 0
 	pm := planMul{alg: pc.alg, alpha: alpha, C: C}
-	defer func() { pm.pb.Release() }()
-	total, done := len(ms)*len(ns), 0
-	for lo := 0; lo < len(ms); lo += pc.rowsPer {
-		rows := ms[lo:min(lo+pc.rowsPer, len(ms))]
-		t0 := time.Now()
-		err := pc.e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() (err error) {
-			if pm.pa, err = packPlan(ctx, pool, stats, pc.g.hdrA(), rows, ks, A, transA); err != nil || pm.pb != nil {
-				return err
+	defer func() { pm.pa.Release(); pm.pb.Release() }()
+	type corner struct{ r, c int } // a packed group, by its first segments
+	heldA, heldB := corner{-1, -1}, corner{-1, -1}
+	total, done := len(ms)*len(ns)*((len(ks)+gr.ks-1)/gr.ks), 0
+	for i := 0; i < len(ms); i += gr.rows {
+		for j := 0; j < len(ns); j += gr.cols {
+			for q := 0; q < len(ks); q += gr.ks {
+				rows, cols, inner := ms[i:min(i+gr.rows, len(ms))], ns[j:min(j+gr.cols, len(ns))], ks[q:min(q+gr.ks, len(ks))]
+				t0 := time.Now()
+				err := pc.e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() (err error) {
+					if at := (corner{i, q}); heldA != at {
+						pm.pa.Release()
+						heldA = at
+						if pm.pa, err = packPlan(ctx, pool, co.tr, stats, pc.g.hdrA(), rows, inner, A, transA); err != nil {
+							return err
+						}
+					}
+					if at := (corner{q, j}); heldB != at {
+						pm.pb.Release()
+						heldB = at
+						if fold {
+							stats.PackReused += len(ks) * len(ns)
+							pm.pb, err = pm.pa.transposed(ctx, pool, stats)
+						} else {
+							pm.pb, err = packPlan(ctx, pool, co.tr, stats, pc.g.hdrB(), inner, cols, B, transB)
+						}
+					}
+					return err
+				})
+				stats.ConvertIn += time.Since(t0)
+				if err == nil {
+					var nd int
+					nd, err = pm.run(ctx, pool, pc, stats, o.TraceID)
+					done += nd
+				}
+				if err != nil {
+					return nil, fmt.Errorf("core: GEMM failed after %d of %d blocks: %w", done, total, err)
+				}
 			}
-			if fold {
-				stats.PackReused += len(ks) * len(ns)
-				pm.pb, err = pm.pa.transposed(ctx, pool, stats)
-				return err
-			}
-			pm.pb, err = packPlan(ctx, pool, stats, pc.g.hdrB(), ks, ns, B, transB)
-			return err
-		})
-		stats.ConvertIn += time.Since(t0)
-		if err == nil {
-			var nd int
-			nd, err = pm.run(ctx, pool, pc, stats, o.TraceID)
-			done += nd
-		}
-		pm.pa.Release()
-		if err != nil {
-			return nil, fmt.Errorf("core: GEMM failed after %d of %d blocks: %w", done, total, err)
 		}
 	}
 	pc.finish(stats, pool, c0)
@@ -657,9 +674,6 @@ func WorkSpan(alg Alg, d uint, t int) (work, span float64) {
 			a := addFlops(tiles / 2)
 			return float64(tb.R)*w + float64(passes)*a, s + float64(preDepth+postDepth)*a
 		}
-	}
-	if !bits.IsPow2(1 << d) {
-		panic("unreachable")
 	}
 	return rec(1 << d)
 }

@@ -138,8 +138,7 @@ func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resident bool, infli
 			return fmt.Sprintf("%dx%dx%d", mp*int64(len(ms)), kp*int64(len(ks)), np*int64(len(ns)))
 		}}
 	if !resident {
-		ch.shared = kp * np * int64(len(ks)*len(ns))
-		ch.perRow, ch.rows = mp*kp*int64(len(ks)), len(ms)
+		ch.segA, ch.segB, ch.plan = mp*kp, kp*np, groups{len(ms), len(ks), len(ns)}
 	}
 	return ch
 }
@@ -192,6 +191,12 @@ func chooseGeom(o Options, ms, ks, ns []tile.Seg, table bool) (geom, error) {
 	return squareGeom(o.Curve, d, tm, tk, tn), err
 }
 
+// asWave is the nesting rule, GEMMBatch's: n independent pieces of a
+// call run as tasks of one pool.RunCtx, each serial inside, when there
+// are at least as many as workers; fewer (in particular one) run in
+// turn, each pool-parallel inside.
+func asWave(n, workers int) bool { return n > 1 && n >= workers }
+
 // prepared is a call past its once-per-call decisions: geometry, leaf
 // kernel, admission rung, execution parameters and (after start) arena.
 type prepared struct {
@@ -214,7 +219,7 @@ func prepare(pool *sched.Pool, o Options, co callObs, g geom, ms, ks, ns []tile.
 		return nil, err
 	}
 	pc := &prepared{g: g, kname: kname}
-	if nb := len(ms) * len(ns); nb > 1 && nb >= pool.Workers() {
+	if asWave(len(ms)*len(ns), pool.Workers()) {
 		pc.runners = pool.Workers()
 	}
 	inflight := pc.runners
@@ -369,7 +374,7 @@ func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i,
 
 // run is the one block loop: every C block of the plan product, as one
 // wave of pc.runners tasks pulling block indices off a shared counter,
-// or — no runners — in order from the caller's goroutine. It returns
+// or — nested — in order from the caller's goroutine. It returns
 // how many blocks completed; on failure or cancellation the others
 // still hold their β-scaled input. Work and span come from the wave's
 // single RunCtx (nested: the blocks' runs in sequence, so spans add),
@@ -378,9 +383,10 @@ func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i,
 func (pm *planMul) run(ctx context.Context, pool *sched.Pool, pc *prepared, stats *Stats, traceID int64) (int, error) {
 	nn := len(pm.pb.CSegs)
 	nb := len(pm.pa.RSegs) * nn
-	n := pc.runners
-	if n == 0 {
-		n = 1
+	// A group cut to fit the budget may hold too few blocks for a wave.
+	wave, n := pc.runners > 0 && asWave(nb, pc.runners), 1
+	if wave {
+		n = pc.runners
 	}
 	wss, errs := make([]waveWS, n), make([]error, n)
 	var next, done atomic.Int64
@@ -420,7 +426,7 @@ func (pm *planMul) run(ctx context.Context, pool *sched.Pool, pc *prepared, stat
 
 	t0 := time.Now()
 	var err error
-	if pc.runners == 0 {
+	if !wave {
 		runner(nil, 0)
 	} else {
 		fns := make([]func(*sched.Ctx), n)

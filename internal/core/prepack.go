@@ -117,7 +117,7 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 	if err != nil {
 		return nil, err
 	}
-	return packPlan(ctx, pool, nil, Tiled{Curve: o.Curve, D: d, TR: tr, TC: tc}, rs, cs, src, trans)
+	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: d, TR: tr, TC: tc}, rs, cs, src, trans)
 }
 
 // PrepackConforming packs op(src) as the right-hand operand of a plan
@@ -158,7 +158,7 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 	if _, _, _, err := paddedDims(d, tr, tc, tc); err != nil {
 		return nil, err
 	}
-	return packPlan(ctx, pool, nil, Tiled{Curve: o.Curve, D: d, TR: tr, TC: tc}, rs, cs, src, trans)
+	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: d, TR: tr, TC: tc}, rs, cs, src, trans)
 }
 
 // prepackShape validates the common Prepack preconditions and returns
@@ -189,12 +189,12 @@ func maxSegLen(segs []tile.Seg) int {
 
 // packPlan builds and fills a plan over fixed geometry (hdr) and
 // segments: every segment pair packed exactly once, unscaled, into a
-// pooled buffer. The nesting rule is the block wave's: a plan of at
-// least as many segments as workers packs them as tasks of one
-// pool.RunCtx, each serial inside; fewer (in particular a single one)
-// pack in turn, each pool-parallel over its tiles. stats, when non-nil,
-// is charged the conversion (a transient per-call plan).
-func packPlan(ctx context.Context, pool *sched.Pool, stats *Stats, hdr Tiled,
+// pooled buffer. The nesting rule is the block wave's (asWave): enough
+// segments pack as tasks of one pool.RunCtx, each serial inside; fewer
+// pack in turn, each pool-parallel over its tiles. tr is the calling
+// entry point's tracer, captured once; stats, when non-nil, is charged
+// the conversion (a transient per-call plan).
+func packPlan(ctx context.Context, pool *sched.Pool, tr *obs.Tracer, stats *Stats, hdr Tiled,
 	rs, cs []tile.Seg, src *matrix.Dense, trans bool) (p *Prepacked, err error) {
 
 	if pool == nil {
@@ -216,8 +216,8 @@ func packPlan(ctx context.Context, pool *sched.Pool, stats *Stats, hdr Tiled,
 	for b := range p.blocks {
 		p.blocks[b] = acquireLike(stats, hdr, rs[b/len(cs)].Len, cs[b%len(cs)].Len)
 	}
-	if n := len(p.blocks); n > 1 && n >= pool.Workers() {
-		fns := make([]func(*sched.Ctx), n)
+	if asWave(len(p.blocks), pool.Workers()) {
+		fns := make([]func(*sched.Ctx), len(p.blocks))
 		for b, t := range p.blocks {
 			sv := view(b)
 			fns[b] = func(c *sched.Ctx) {
@@ -225,7 +225,7 @@ func packPlan(ctx context.Context, pool *sched.Pool, stats *Stats, hdr Tiled,
 				if err := t.packSerial(sv, trans, 1); err != nil {
 					panic(err) // geometry bug: the header was built to cover the segment
 				}
-				if tr := obs.Cur(); tr != nil {
+				if tr != nil {
 					tr.Span(c.WorkerID(), obs.KindPack, t0, time.Since(t0), int64(t.tiles()))
 				}
 			}

@@ -276,6 +276,15 @@ func TestPrepackValidation(t *testing.T) {
 	ph.Release()
 }
 
+// poolSlack is how many buffer-pool misses a warm, leak-free run of
+// calls may still report. sync.Pool keeps a P's latest Put in a private
+// slot no other P can reach, so a goroutine that has moved to a P whose
+// slot is empty allocates once more: at most once per other P and size
+// class, however many calls follow — whereas a buffer the driver fails
+// to recycle misses on every call. Tests make several times as many
+// calls as the slack allows misses.
+func poolSlack(classes int) int { return (runtime.GOMAXPROCS(0) - 1) * classes }
+
 // TestPrepackedSteadyStateAllocBytes pins the recycling acceptance
 // criterion: once warm, a repeated prepacked multiplication allocates a
 // negligible, bounded number of bytes per call — the packed buffers,
@@ -288,10 +297,6 @@ func TestPrepackedSteadyStateAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts by design; steady state unreachable")
 	}
-	// One P: sync.Pool keeps a Put in the putting P's private slot, where
-	// a Get from another P cannot reach it, so a caller goroutine that
-	// migrates between calls would see a spurious miss.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(35))
@@ -325,21 +330,23 @@ func TestPrepackedSteadyStateAllocBytes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	const runs = 5
+	// The one pooled buffer of a call is its C tile, 8·256² = 512 KiB.
+	slack, tileBytes := poolSlack(1), int64(8*n*n)
+	runs := 4 * (slack + 1)
 	var misses int
 	for i := 0; i < runs; i++ {
 		misses += call().PoolMisses
 	}
 	runtime.ReadMemStats(&after)
-	perCall := int64(after.TotalAlloc-before.TotalAlloc) / runs
+	perCall := (int64(after.TotalAlloc-before.TotalAlloc) - int64(misses)*tileBytes) / int64(runs)
 
-	if misses != 0 {
-		t.Errorf("steady state: %d tiled-buffer pool misses, want 0", misses)
+	if misses > slack {
+		t.Errorf("steady state: %d tiled-buffer pool misses in %d calls, want at most %d", misses, runs, slack)
 	}
-	// The C tile alone is 8·256² = 512 KiB; re-allocating any packed
-	// buffer per call would blow far past this bound.
+	// Re-allocating any packed buffer per call would blow far past this
+	// bound.
 	if perCall > 64<<10 {
-		t.Errorf("steady state allocates %d bytes/call, want < 64KiB", perCall)
+		t.Errorf("steady state allocates %d bytes/call beyond its pool misses, want < 64KiB", perCall)
 	}
 }
 
@@ -349,7 +356,6 @@ func TestGEMMSteadyStatePoolHits(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts by design; steady state unreachable")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // see TestPrepackedSteadyStateAllocBytes
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(36))
@@ -359,18 +365,22 @@ func TestGEMMSteadyStatePoolHits(t *testing.T) {
 	C := matrix.New(n, n)
 	opts := Options{Curve: layout.Hilbert, Alg: Standard, KernelName: "packed8x4"}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var stats *Stats
-	var err error
-	for i := 0; i < 3; i++ {
-		if stats, err = GEMM(pool, opts, false, false, 1, A, B, 0, C); err != nil {
+	// Three buffers a call (A, B, the C tile), all of one size class.
+	slack := poolSlack(1)
+	var hits, misses int
+	for i := 0; i < 3+4*(slack+1); i++ {
+		stats, err := GEMM(pool, opts, false, false, 1, A, B, 0, C)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if i >= 3 { // warm
+			hits, misses = hits+stats.PoolHits, misses+stats.PoolMisses
+		}
 	}
-	if stats.PoolMisses != 0 {
-		t.Errorf("steady-state GEMM: %d pool misses (%d hits), want 0 misses",
-			stats.PoolMisses, stats.PoolHits)
+	if misses > slack {
+		t.Errorf("steady-state GEMM: %d pool misses (%d hits), want at most %d", misses, hits, slack)
 	}
-	if stats.PoolHits == 0 {
+	if hits == 0 {
 		t.Error("steady-state GEMM: no pool hits recorded")
 	}
 }

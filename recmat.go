@@ -254,7 +254,7 @@ type Options struct {
 	// algorithm temporaries plus kernel scratch). Before allocating
 	// anything the engine estimates the footprint of the requested
 	// configuration and, if it exceeds the budget, first walks a
-	// wide/lean call's row panels in groups that fit, then degrades
+	// wide/lean call's packed segments in groups that fit, then degrades
 	// along a fixed ladder — fast parallel algorithm → low-memory serial
 	// Strassen → standard parallel → standard serial — taking the first
 	// rung that fits. Each degradation step is recorded in
