@@ -1,16 +1,26 @@
 GO ?= go
 
-.PHONY: check build vet test race determinism stress soak bench bench-kernel fuzz obs-gate trace-smoke omcheck asm-check algtable-check
+.PHONY: check build vet test race determinism parity stress soak bench bench-kernel fuzz obs-gate trace-smoke omcheck asm-check algtable-check
 
-check: build vet race determinism stress soak obs-gate trace-smoke omcheck asm-check algtable-check
+check: build vet race determinism parity stress soak obs-gate trace-smoke omcheck asm-check algtable-check
 
 # The determinism gate: the result of a GEMM is a pure function of
-# (operands, shape, algorithm, kernel). BFS-, DFS- and hybrid-scheduled
-# table algorithms, 1 to 16 workers, the per-call and the prepacked
-# entry point on split shapes, and a batch against its single calls must
-# all agree bit for bit, at every GOMAXPROCS.
+# (operands, shape, algorithm, kernel, fast cutoff). BFS-, DFS- and
+# hybrid-scheduled table algorithms, 1 to 16 workers, the per-call and
+# the prepacked entry point on split shapes, a batch against its single
+# calls, and Algorithm Auto through every entry point must all agree bit
+# for bit, at every GOMAXPROCS.
 determinism:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Determinism|BatchMatches' ./internal/core
+
+# The parity gate: with the library's defaults (autotuned kernel,
+# calibrated fast cutoff) Algorithm Auto must not be more than 5% slower
+# than Standard at 1024³ and 2048³ on Z-Morton and 256³ column-major —
+# interleaved pairs, median of the paired time ratios, ~40 s. It is a
+# timing comparison and so not a tier-1 test; it prints the cutoff and
+# the fast levels Auto resolved to and what the calibration cost.
+parity:
+	$(GO) run ./cmd/experiments -exp autoparity
 
 # The algorithm-table gate: every registered bilinear <m,k,n>
 # coefficient table must satisfy the Brent equations in exact integer

@@ -204,17 +204,20 @@ func BenchmarkAblationSpawnStructure(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFastCutoff varies the point at which Strassen falls
-// back to the standard recursion (the paper recurses fully; later work
-// showed early cutoff wins).
+// BenchmarkAblationFastCutoff varies the point at which Strassen and
+// Winograd fall back to the standard recursion (the paper recurses
+// fully; later work showed early cutoff wins). cutoff=0 is the library
+// default, the crossover calibrated for this host's kernel and tiles.
 func BenchmarkAblationFastCutoff(b *testing.B) {
 	const n = 512
 	eng := NewEngine(2)
 	defer eng.Close()
-	for _, fc := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("cutoff=%d", fc), func(b *testing.B) {
-			benchGEMM(b, eng, n, &Options{Layout: ZMorton, Algorithm: Strassen, FastCutoff: fc})
-		})
+	for _, alg := range []Algorithm{Strassen, Winograd} {
+		for _, fc := range []int{0, 1, 2, 4, 8, 16} {
+			b.Run(fmt.Sprintf("%v/cutoff=%d", alg, fc), func(b *testing.B) {
+				benchGEMM(b, eng, n, &Options{Layout: ZMorton, Algorithm: alg, FastCutoff: fc})
+			})
+		}
 	}
 }
 

@@ -11,6 +11,10 @@
 //
 // The mapping from experiment to paper result is documented in DESIGN.md
 // and the measured outputs are recorded in EXPERIMENTS.md.
+//
+// -exp autoparity is not a paper experiment but a gate on the library's
+// defaults (`make parity`): it runs only when named, and exits non-zero
+// when Algorithm Auto is more than 5% slower than Standard.
 package main
 
 import (
@@ -18,11 +22,13 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"time"
 
 	recmat "repro"
 	"repro/internal/cachesim"
 	"repro/internal/layout"
+	"repro/internal/leaf"
 	"repro/internal/trace"
 )
 
@@ -37,10 +43,19 @@ var (
 	kernel = flag.String("kernel", "unrolled4", "leaf kernel for all experiments (auto = autotuned)")
 )
 
+// paperCutoff is the other half of paper fidelity: Section 5 recurses
+// Strassen and Winograd down to single tiles, which the paper's scalar
+// leaf made a win. The library's default is the calibrated crossover.
+const paperCutoff = 1
+
 func main() {
 	fig := flag.Int("fig", 0, "figure to reproduce (1, 2, 4, 5, 6, 7); 0 = all")
-	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|sched|dilation")
+	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|sched|dilation, or the gate autoparity")
 	flag.Parse()
+	if *exp == "autoparity" {
+		autoparity()
+		return
+	}
 
 	run := func(n int, name string, f func()) {
 		all := *fig == 0 && *exp == ""
@@ -67,10 +82,14 @@ func main() {
 
 // timeMul measures the best-of-reps end-to-end time of one configuration.
 // Configurations that do not pin a kernel get the -kernel flag's choice
-// (the paper's unrolled4 by default).
+// (the paper's unrolled4 by default), and the fast algorithms recurse to
+// single tiles, as the paper's do.
 func timeMul(eng *recmat.Engine, n int, opts *recmat.Options) (time.Duration, *recmat.Report) {
 	if opts.Kernel == nil && opts.KernelName == "" && *kernel != "auto" {
 		opts.KernelName = *kernel
+	}
+	if opts.FastCutoff == 0 {
+		opts.FastCutoff = paperCutoff
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	A := recmat.Random(n, n, rng)
@@ -96,6 +115,7 @@ func timeMul(eng *recmat.Engine, n int, opts *recmat.Options) (time.Duration, *r
 func header(title string) {
 	fmt.Printf("\n================================================================\n")
 	fmt.Printf("%s\n", title)
+	fmt.Printf("kernel=%s fast-cutoff=%d\n", *kernel, paperCutoff)
 	fmt.Printf("================================================================\n")
 }
 
@@ -502,4 +522,82 @@ func dilation() {
 	fmt.Println(" layouts are maximally asymmetric — unit stretch on the favored")
 	fmt.Println(" axis, 2^d on the other — while every recursive layout keeps the")
 	fmt.Println(" two directions within a factor of two.)")
+}
+
+// autoparity is the gate behind `make parity`: with the library's
+// defaults — autotuned kernel, calibrated fast cutoff — Algorithm Auto
+// must not be slower than Standard. The two are interleaved, the order
+// alternating, and compared by the median of the paired time ratios,
+// which a drift of the host's speed during the run cancels out of. It
+// prints what Auto resolved to, so that a wrong calibration is visible
+// and not just slow.
+func autoparity() {
+	const slack = 1.05
+	eng := recmat.NewEngine(*workers)
+	defer eng.Close()
+	fmt.Printf("auto vs standard: autotuned kernel, calibrated cutoff, %d workers\n", eng.Workers())
+	fmt.Printf("%-18s %-9s %-9s %7s %7s %6s %10s %10s %8s\n",
+		"shape", "layout", "auto ran", "cutoff", "levels", "pairs", "auto GF/s", "std GF/s", "t ratio")
+	failed := false
+	for _, c := range []struct {
+		n  int
+		lo recmat.Layout
+	}{{1024, recmat.ZMorton}, {2048, recmat.ZMorton}, {256, recmat.ColMajor}} {
+		rng := rand.New(rand.NewSource(*seed))
+		A, B, C := recmat.Random(c.n, c.n, rng), recmat.Random(c.n, c.n, rng), recmat.NewMatrix(c.n, c.n)
+		auto := &recmat.Options{Layout: c.lo, Algorithm: recmat.Auto}
+		std := &recmat.Options{Layout: c.lo, Algorithm: recmat.Standard}
+		var rep *recmat.Report
+		mul := func(o *recmat.Options) float64 {
+			t0 := time.Now()
+			r, err := eng.Mul(C, A, B, o)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			if o == auto {
+				rep = r
+			}
+			return time.Since(t0).Seconds()
+		}
+		mul(auto) // warm-up: calibration, buffer pools, arena
+		// At least nine pairs, and enough of them to fill three seconds a
+		// side: on a shared host the median over nine 256³ multiplies, a
+		// few milliseconds each, is noise.
+		nreps := max(*reps, 9, int(3/mul(std)))
+		var ta, ts, ratio []float64
+		for r := 0; r < nreps; r++ {
+			var a, s float64
+			if r%2 == 0 {
+				a, s = mul(auto), mul(std)
+			} else {
+				s, a = mul(std), mul(auto)
+			}
+			ta, ts, ratio = append(ta, a), append(ts, s), append(ratio, a/s)
+		}
+		sort.Float64s(ta)
+		sort.Float64s(ts)
+		sort.Float64s(ratio)
+		gf := 2 * float64(c.n) * float64(c.n) * float64(c.n) / 1e9
+		verdict := ""
+		if ratio[nreps/2] > slack {
+			verdict, failed = "  SLOWER", true
+		}
+		fmt.Printf("%-18s %-9v %-9v %7d %7d %6d %10.1f %10.1f %8.3f%s\n", fmt.Sprintf("%d^3", c.n), c.lo,
+			rep.Alg, rep.FastCutoff, rep.FastLevels, nreps, gf/ta[nreps/2], gf/ts[nreps/2], ratio[nreps/2], verdict)
+
+		// What the crossover costs a cold process, apart from the kernel
+		// race that precedes it.
+		leaf.ResetCalibration()
+		leaf.Calibrate(rep.TileM, rep.TileN, rep.TileK)
+		t0 := time.Now()
+		recmat.ResolveAlgorithm(auto, c.n, c.n, c.n)
+		fmt.Printf("%-18s crossover calibration for %s on %dx%dx%d tiles: %.1f ms (budget 15)\n", "",
+			rep.Kernel, rep.TileM, rep.TileK, rep.TileN, time.Since(t0).Seconds()*1e3)
+	}
+	if failed {
+		fmt.Printf("FAIL: auto is more than %.0f%% slower than standard\n", (slack-1)*100)
+		os.Exit(1)
+	}
+	fmt.Println("ok: auto is never more than 5% slower than standard")
 }

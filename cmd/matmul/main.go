@@ -112,6 +112,10 @@ func main() {
 		kernelRan = "auto:" + kernelRan
 	}
 	fmt.Printf("algorithm=%v layout=%v workers=%d kernel=%s\n", alg, lo, eng.Workers(), kernelRan)
+	fmt.Printf("ran: %v fast-cutoff=%d fast-levels=%d\n", best.Alg, best.FastCutoff, best.FastLevels)
+	for _, note := range best.Degraded {
+		fmt.Printf("degraded: %s\n", note)
+	}
 	fmt.Printf("tiling: depth=%d tiles=(%d,%d,%d) padded=(%d,%d,%d) blocks=%d\n",
 		best.Depth, best.TileM, best.TileK, best.TileN,
 		best.PaddedM, best.PaddedK, best.PaddedN, best.Blocks)

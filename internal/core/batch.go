@@ -86,9 +86,9 @@ type BatchStats struct {
 	Items, Completed int
 }
 
-// itemGeom is one item's chosen tiling and leaf kernel plus logical
-// dimensions. The kernel is resolved per geometry, not once per wave:
-// a heterogeneous wave must give each item the same kernel its
+// itemGeom is one item's chosen tiling, leaf kernel and fast cutoff
+// plus logical dimensions. Kernel and cutoff are resolved per geometry,
+// not once per wave: a heterogeneous wave must give each item what its
 // single-call twin would pick, or the differential bit-exactness
 // guarantee breaks on the items whose tile shape differs from the
 // largest member's.
@@ -99,6 +99,17 @@ type itemGeom struct {
 	kern       leaf.Kernel
 	skern      leaf.ScratchKernel
 	kname      string
+	cutoff     int
+}
+
+// resolveFast fills the item's kernel and, for a fast algorithm, its
+// cutoff.
+func (g *itemGeom) resolveFast(o Options) (err error) {
+	if g.kern, g.skern, g.kname, err = resolveKernel(o, g.tm, g.tk, g.tn); err == nil {
+		o.settle(g.kern, 1<<g.d, g.tm, g.tk, g.tn)
+		g.cutoff = o.FastCutoff
+	}
+	return err
 }
 
 // packedElems returns the item's packed-buffer footprint in elements:
@@ -285,7 +296,7 @@ func batchItemGeom(o Options, it *BatchItem) (itemGeom, error) {
 	if g.d, g.tm, g.tk, g.tn, err = choose(o, m, k, n); err != nil {
 		return itemGeom{}, err
 	}
-	if g.kern, g.skern, g.kname, err = resolveKernel(o, g.tm, g.tk, g.tn); err != nil {
+	if err = g.resolveFast(o); err != nil {
 		return itemGeom{}, err
 	}
 	return g, nil
@@ -379,57 +390,19 @@ func GEMMBatch(ctx context.Context, pool *sched.Pool, opts Options, items []Batc
 		return bs, errs, nil
 	}
 
-	scratchPer := 0
-	arenaPer := func(alg Alg) int64 {
-		var per int64
-		for i := range geoms {
-			if errs[i] != nil || geoms[i].tm == 0 {
-				continue
-			}
-			g := geoms[i]
-			if v := arenaStackElems(alg, 1<<g.d, 1<<g.d, 1<<g.d, g.tm, g.tk, g.tn, o.FastCutoff); v > per {
-				per = v
-			}
-		}
-		return per
-	}
-	for i := range geoms {
-		if errs[i] != nil {
-			continue
-		}
-		g := geoms[i]
-		if s := g.tm*g.tk + g.tk*g.tn; s > scratchPer {
-			scratchPer = s
-		}
-	}
-	if o.Alg == AlgAuto {
-		// The wave shares one algorithm (mixed waves would defeat the
-		// arena sizing); resolve from the largest member's padded shape.
-		o.Alg = selectAlg(o, maxG.tm<<maxG.d, maxG.tk<<maxG.d, maxG.tn<<maxG.d)
-	}
-	ad, e, ar, runners, err := admitWave(pool, o, co, live, perPacked, scratchPer, arenaPer, maxG.kern, maxG.skern)
+	bs, e, ar, runners, err := admitWave(pool, o, co, geoms, errs, live, perPacked, maxG)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer releaseArena(ar)
 
-	wx := &waveExec{e: e, alg: ad.alg, curve: o.Curve, wctx: ctx, errs: errs,
+	wx := &waveExec{e: e, alg: bs.Alg, curve: o.Curve, wctx: ctx, errs: errs,
 		done: make([]bool, len(items)), ws: make([]waveWS, runners)}
 	wx.runItem = func(c *sched.Ctx, i int, ws *waveWS) {
 		wx.runBatchItem(c, &items[i], geoms[i], i, ws)
 	}
 
-	bs = &BatchStats{Items: live}
-	bs.Stats = Stats{Depth: maxG.d, TileM: maxG.tm, TileK: maxG.tk, TileN: maxG.tn,
-		PaddedM: maxG.tm << maxG.d, PaddedK: maxG.tk << maxG.d, PaddedN: maxG.tn << maxG.d,
-		Kernel: maxG.kname, Alg: ad.alg, Serial: ad.serial, Degraded: ad.notes,
-		EstimatedBytes: ad.est, ArenaBytes: ar.bytes()}
-	c0 := startCall(pool, co.t0)
-	runWave(ctx, pool, wx, runners, bs)
-	if ar != nil {
-		bs.AllocBytes = 8 * ar.fallbackElems.Load()
-	}
-	finishStats(&bs.Stats, pool, c0)
+	runWave(ctx, pool, co, wx, runners, bs, ar)
 	return bs, errs, nil
 }
 
@@ -484,7 +457,7 @@ func (wx *waveExec) runBatchItem(c *sched.Ctx, it *BatchItem, g itemGeom, i int,
 		wx.errs[i] = cancelledErr(i, wx.waveCause())
 		return
 	}
-	ws.e.kern, ws.e.skern = g.kern, g.skern
+	ws.e.kern, ws.e.skern, ws.e.fastCutoff = g.kern, g.skern, g.cutoff
 	ws.e.mul(c, wx.alg, ws.tc.Mat(), ws.ta.Mat(), ws.tb.Mat())
 	if c.Cancelled() {
 		// The product may be partial — drop it; C stays exactly
@@ -510,7 +483,8 @@ func (wx *waveExec) runBatchItem(c *sched.Ctx, it *BatchItem, g itemGeom, i int,
 // frame outside any item's recover) are attributed only to items with
 // no recorded outcome — completed members keep their results, errored
 // members keep their own causes.
-func runWave(ctx context.Context, pool *sched.Pool, wx *waveExec, runners int, bs *BatchStats) {
+func runWave(ctx context.Context, pool *sched.Pool, co callObs, wx *waveExec, runners int, bs *BatchStats, ar *arena) {
+	c0 := startCall(pool, co.t0)
 	t1 := time.Now()
 	fns := make([]func(*sched.Ctx), runners)
 	for r := 0; r < runners; r++ {
@@ -536,6 +510,10 @@ func runWave(ctx context.Context, pool *sched.Pool, wx *waveExec, runners int, b
 	for r := range wx.ws {
 		bs.Stats.merge(&wx.ws[r].stats)
 	}
+	if ar != nil {
+		bs.AllocBytes = 8 * ar.fallbackElems.Load()
+	}
+	finishStats(&bs.Stats, pool, c0)
 }
 
 // GEMMPrepackedBatch computes C_i ← α_i·(plan A)·op(B_i) + β_i·C_i for
@@ -582,7 +560,8 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 	nks := len(pa.CSegs)
 	errs = make([]error, len(items))
 	geoms := make([]itemGeom, len(items))
-	live, maxTn := 0, 0
+	live := 0
+	var maxG itemGeom // the widest member
 	var perPacked int64
 	for i := range items {
 		it := &items[i]
@@ -619,26 +598,25 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 			continue
 		}
 		g := itemGeom{d: d, tm: tm, tk: tk, tn: tn, m: pa.Rows, k: pa.Cols, n: n}
-		// Per-tile-width kernel, as GEMMPrepacked would resolve for a
-		// conforming plan of this width (bit-exactness vs the looped
+		// Per-tile-width kernel and cutoff, as GEMMPrepacked would resolve
+		// for a conforming plan of this width (bit-exactness vs the looped
 		// form); consecutive same-width items reuse the lookup.
 		if i > 0 && errs[i-1] == nil && geoms[i-1].tn == tn && geoms[i-1].kname != "" {
-			g.kern, g.skern, g.kname = geoms[i-1].kern, geoms[i-1].skern, geoms[i-1].kname
-		} else if g.kern, g.skern, g.kname, err = resolveKernel(o, tm, tk, tn); err != nil {
-			errs[i], err = err, nil
+			g.kern, g.skern, g.kname, g.cutoff = geoms[i-1].kern, geoms[i-1].skern, geoms[i-1].kname, geoms[i-1].cutoff
+		} else if errs[i] = g.resolveFast(o); errs[i] != nil {
 			continue
 		}
 		geoms[i] = g
 		live++
-		if tn > maxTn {
-			maxTn = tn
+		if tn > maxG.tn {
+			maxG = g
 		}
 		ss := int64(1) << (2 * d)
 		if p := ss * int64(tn) * (int64(tk)*int64(nks) + int64(tm)); p > perPacked {
 			perPacked = p
 		}
 	}
-	if live == 0 || maxTn == 0 {
+	if live == 0 || maxG.tn == 0 {
 		bs = &BatchStats{Items: live, Completed: live}
 		for i := range items {
 			if errs[i] == nil {
@@ -648,25 +626,13 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 		return bs, errs, nil
 	}
 
-	kern, skern, kname, err := resolveKernel(o, tm, tk, maxTn)
-	if err != nil {
-		return nil, nil, err
-	}
-	arenaPer := func(alg Alg) int64 {
-		return arenaStackElems(alg, 1<<d, 1<<d, 1<<d, tm, tk, maxTn, o.FastCutoff)
-	}
-	if o.Alg == AlgAuto {
-		sel := o
-		sel.Curve = pa.Curve
-		o.Alg = selectAlg(sel, pa.Rows, pa.Cols, maxTn<<d)
-	}
-	ad, e, ar, runners, err := admitWave(pool, o, co, live, perPacked, tm*tk+tk*maxTn, arenaPer, kern, skern)
+	bs, e, ar, runners, err := admitWave(pool, o, co, geoms, errs, live, perPacked, maxG)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer releaseArena(ar)
 
-	wx := &waveExec{e: e, alg: ad.alg, curve: pa.Curve, wctx: ctx, errs: errs,
+	wx := &waveExec{e: e, alg: bs.Alg, curve: pa.Curve, wctx: ctx, errs: errs,
 		done: make([]bool, len(items)), ws: make([]waveWS, runners)}
 	for r := range wx.ws {
 		// Each runner's packed-B set, and the transient plan over it that
@@ -683,17 +649,7 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 		wx.runPrepackedItem(c, pa, &items[i], geoms[i], i, ws)
 	}
 
-	bs = &BatchStats{Items: live}
-	bs.Stats = Stats{Depth: d, TileM: tm, TileK: tk, TileN: maxTn,
-		PaddedM: tm << d, PaddedK: tk << d, PaddedN: maxTn << d,
-		Kernel: kname, Alg: ad.alg, Serial: ad.serial, Degraded: ad.notes,
-		EstimatedBytes: ad.est, ArenaBytes: ar.bytes()}
-	c0 := startCall(pool, co.t0)
-	runWave(ctx, pool, wx, runners, bs)
-	if ar != nil {
-		bs.AllocBytes = 8 * ar.fallbackElems.Load()
-	}
-	finishStats(&bs.Stats, pool, c0)
+	runWave(ctx, pool, co, wx, runners, bs, ar)
 	return bs, errs, nil
 }
 
@@ -723,7 +679,7 @@ func (wx *waveExec) runPrepackedItem(c *sched.Ctx, pa *Prepacked, it *PrepackedB
 		wx.done[i] = true
 		return
 	}
-	ws.e.kern, ws.e.skern = g.kern, g.skern
+	ws.e.kern, ws.e.skern, ws.e.fastCutoff = g.kern, g.skern, g.cutoff
 	ss := 1 << (2 * g.d)
 	for s := range pa.CSegs {
 		ks := pa.CSegs[s]
@@ -814,31 +770,56 @@ func checkStrided(name string, buf []float64, rows, cols, ld, stride, count int)
 }
 
 // admitWave is the once-per-wave decision of the batched drivers: one
-// MemBudget charge (a member's buffers times the members in flight),
-// the execution parameters, the arena sized by the largest member's
-// depth-first path, and the runner count. A wave of at least as many
-// members as workers saturates the pool by itself, so nested spawns
-// inside members are turned off — they would only add task overhead
-// and per-spawn closures; smaller waves keep nested parallelism.
-func admitWave(pool *sched.Pool, o Options, co callObs, live int, perPacked int64, scratchPer int,
-	arenaPer func(Alg) int64, kern leaf.Kernel, skern leaf.ScratchKernel) (ad admission, e *exec, ar *arena, runners int, err error) {
+// algorithm (mixed waves would defeat the arena sizing; AlgAuto resolves
+// on the largest member maxG), one MemBudget charge (a member's buffers
+// times the members in flight), the execution parameters, the arena
+// sized by the longest depth-first path over the members, each at its
+// own cutoff, the runner count, and the wave's stats, described by
+// maxG. A wave of at least as many members as workers saturates the
+// pool by itself, so nested spawns inside members are turned off — they
+// would only add task overhead and per-spawn closures; smaller waves
+// keep nested parallelism.
+func admitWave(pool *sched.Pool, o Options, co callObs, geoms []itemGeom, errs []error, live int,
+	perPacked int64, maxG itemGeom) (bs *BatchStats, e *exec, ar *arena, runners int, err error) {
 
+	o.FastCutoff = maxG.cutoff
+	o.settle(maxG.kern, 1<<maxG.d, maxG.tm, maxG.tk, maxG.tn)
+	scratch := 0
+	for i, g := range geoms {
+		if errs[i] == nil {
+			scratch = max(scratch, g.tm*g.tk+g.tk*g.tn)
+		}
+	}
+	arenaPer := func(alg Alg) (per int64) {
+		for i, g := range geoms {
+			if errs[i] == nil && g.tm > 0 {
+				per = max(per, arenaStackElems(alg, 1<<g.d, 1<<g.d, 1<<g.d, g.tm, g.tk, g.tn, g.cutoff))
+			}
+		}
+		return per
+	}
 	w := pool.Workers()
 	runners = min(live, w)
-	ad, err = admit(o, w, charge{perBlock: perPacked, inflight: runners, scratch: scratchPer,
+	ad, err := admit(o, w, charge{perBlock: perPacked, inflight: runners, scratch: scratch,
 		arena: arenaPer, what: func() string { return fmt.Sprintf("a wave of %d items", live) }})
 	if err != nil {
-		return ad, nil, nil, 0, err
+		return nil, nil, nil, 0, err
 	}
 	stacks := w
 	if ad.serial {
 		runners, stacks = 1, 1
 	}
-	e = newExec(o, co, kern, skern, ad.serial || live >= w)
+	e = newExec(o, co, maxG.kern, maxG.skern, ad.serial || live >= w)
 	ar = acquireArenaElems(arenaPer(ad.alg), stacks)
 	e.ar = ar
 	co.admitted(ad.notes, ar)
-	return ad, e, ar, runners, nil
+	side := 1 << maxG.d
+	bs = &BatchStats{Items: live, Stats: Stats{Depth: maxG.d, TileM: maxG.tm, TileK: maxG.tk, TileN: maxG.tn,
+		PaddedM: maxG.tm * side, PaddedK: maxG.tk * side, PaddedN: maxG.tn * side,
+		Kernel: maxG.kname, Alg: ad.alg, Serial: ad.serial, Degraded: ad.notes,
+		FastCutoff: o.FastCutoff, FastLevels: fastLevels(ad.alg, side, side, side, o.FastCutoff),
+		EstimatedBytes: ad.est, ArenaBytes: ar.bytes()}}
+	return bs, e, ar, runners, nil
 }
 
 // endBatch is callObs.end for a wave: the whole-call span, then the

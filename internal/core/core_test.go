@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,33 @@ import (
 // testTile uses small tiles so that even modest test matrices exercise
 // several levels of recursion.
 var testTile = tile.Config{TMin: 4, TMax: 16, TSweet: 8, PadSlack: 0.05}
+
+// scalarRates are a scalar leaf's — the paper's few hundred MFLOP/s on
+// a 32³ tile against passes that stream it in a tenth of that — and put
+// the crossover at single tiles, the paper's setting. avx2Rates are an
+// AVX2+FMA leaf's at 20 GFLOP/s against the same scalar passes, a little
+// slower past the cache: the lower levels lose.
+var (
+	scalarRates = leaf.Rates{Leaf: 200e3, Pass: [8]float64{20e3, 20e3, 20e3, 20e3, 22e3, 25e3, 25e3, 25e3}, N: 8}
+	avx2Rates   = leaf.Rates{Leaf: 3.3e3, Pass: [8]float64{20e3, 20e3, 20e3, 20e3, 22e3, 25e3, 25e3, 25e3}, N: 8}
+)
+
+// useRates makes every calibrated cutoff of the test resolve from r.
+func useRates(t *testing.T, r leaf.Rates) {
+	old := fastRates
+	fastRates = func(leaf.Kernel, int, int, int, int) leaf.Rates { return r }
+	t.Cleanup(func() { fastRates = old })
+}
+
+// TestMain is the one shared test default for the fast cutoff: a test
+// that names a fast algorithm means to exercise its recursion (arena
+// sizing, allocation pins, fault injection, MemBudget ladders), so the
+// calibration resolves from scalarRates — FastCutoff 1 on every host —
+// unless the test installs other rates.
+func TestMain(m *testing.M) {
+	fastRates = func(leaf.Kernel, int, int, int, int) leaf.Rates { return scalarRates }
+	os.Exit(m.Run())
+}
 
 // mulCurves are the curves the multiplication driver accepts.
 var mulCurves = []layout.Curve{

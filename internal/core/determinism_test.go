@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/layout"
+	"repro/internal/leaf"
 	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/tile"
 )
 
 // The result of a GEMM is a pure function of (operands, shape,
@@ -147,6 +149,127 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDeterminismAutoEntryPoints: AlgAuto and the calibrated cutoff are
+// resolved once, from the geometry a call runs on, so every entry point
+// that runs a geometry agrees on the algorithm and the cutoff — and so
+// on the bits — whatever the rates resolve to: the paper's cutoff, an
+// AVX2 leaf's, and one in between, where the square call keeps a fast
+// level and the split call's squat blocks keep none. ResolveAlg answers
+// the same before the call. The wide/lean shape splits per call and
+// through plans; GEMMBatch items and pre-tiled operands never split, so
+// their twin there is the per-call GEMM with DisableSplit.
+func TestDeterminismAutoEntryPoints(t *testing.T) {
+	shapes := [][3]int{{512, 512, 512}, {1024, 1024, 48}}
+	if testing.Short() || raceEnabled {
+		shapes = [][3]int{{128, 128, 128}, {256, 256, 12}} // the same grids on quarter-size tiles
+	}
+	midRates := avx2Rates
+	midRates.Leaf = 20e3 // cutoff 8
+	ctx := context.Background()
+	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(161))
+	for ri, rates := range []leaf.Rates{scalarRates, midRates, avx2Rates} {
+		useRates(t, rates)
+		for si, sh := range shapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			A, B, C := matrix.Random(m, k, rng), matrix.Random(k, n, rng), matrix.Random(m, n, rng)
+			opts := Options{Curve: layout.ZMorton, Alg: AlgAuto}
+			if m < 512 {
+				opts.Tile = tile.Config{TMin: 4, TMax: 16, TSweet: 8, PadSlack: 0.15, MicroM: 4, MicroN: 4}
+			}
+			name := fmt.Sprintf("%dx%dx%d, cutoff %d", m, k, n, rates.Cutoff())
+			same := func(what string, st *Stats, got, want *matrix.Dense, ref *Stats) {
+				t.Helper()
+				if st.Alg != ref.Alg || st.FastCutoff != ref.FastCutoff || st.FastLevels != ref.FastLevels {
+					t.Errorf("%s: %s ran %v (cutoff %d, %d levels), per-call %v (cutoff %d, %d levels)", name, what,
+						st.Alg, st.FastCutoff, st.FastLevels, ref.Alg, ref.FastCutoff, ref.FastLevels)
+				}
+				if !matrix.Equal(got, want, 0) {
+					t.Errorf("%s: %s bits differ from per-call, max diff %g", name, what, matrix.MaxAbsDiff(got, want))
+				}
+			}
+
+			want := C.Clone()
+			st, err := GEMMCtx(ctx, pool, opts, false, false, 0.75, A, B, 0.5, want)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := ResolveAlg(opts, m, k, n); got != st.Alg {
+				t.Errorf("%s: ResolveAlg says %v, the call ran %v", name, got, st.Alg)
+			}
+			if (st.Alg == Winograd) != (st.FastLevels > 0) || st.Alg != Winograd && st.Alg != Standard {
+				t.Errorf("%s: auto ran %v with %d fast levels", name, st.Alg, st.FastLevels)
+			}
+			if wantAlg := [][2]Alg{{Winograd, Winograd}, {Winograd, Standard}, {Standard, Standard}}[ri][si]; st.Alg != wantAlg {
+				t.Errorf("%s: auto ran %v on %d blocks of 2^%d tiles a side, want %v", name, st.Alg, st.Blocks, st.Depth, wantAlg)
+			}
+
+			po := opts
+			po.PartnerDim = n
+			pa, err := Prepack(ctx, pool, po, A, false)
+			if err != nil {
+				t.Fatalf("%s: Prepack: %v", name, err)
+			}
+			pb, err := PrepackConforming(ctx, pool, opts, B, false, pa)
+			if err != nil {
+				t.Fatalf("%s: PrepackConforming: %v", name, err)
+			}
+			got := C.Clone()
+			pst, err := GEMMPrepacked(ctx, pool, opts, 0.75, pa, pb, 0.5, got)
+			if err != nil {
+				t.Fatalf("%s: GEMMPrepacked: %v", name, err)
+			}
+			same("GEMMPrepacked", pst, got, want, st)
+			got = C.Clone()
+			bs, errs, err := GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{Alpha: 0.75, B: B, Beta: 0.5, C: got}})
+			if err != nil || errs[0] != nil {
+				t.Fatalf("%s: GEMMPrepackedBatch: %v %v", name, err, errs)
+			}
+			same("GEMMPrepackedBatch", &bs.Stats, got, want, st)
+			pa.Release()
+			pb.Release()
+
+			// The unsplit geometry: one block on the 3-D Pick.
+			whole := opts
+			whole.DisableSplit = true
+			wantW := C.Clone()
+			wst, err := GEMMCtx(ctx, pool, whole, false, false, 0.75, A, B, 0.5, wantW)
+			if err != nil {
+				t.Fatalf("%s: unsplit: %v", name, err)
+			}
+			if st.Blocks == 1 {
+				same("unsplit per-call", wst, wantW, want, st)
+			}
+			got = C.Clone()
+			bs, errs, err = GEMMBatch(ctx, pool, opts, []BatchItem{{Alpha: 0.75, A: A, B: B, Beta: 0.5, C: got}})
+			if err != nil || errs[0] != nil {
+				t.Fatalf("%s: GEMMBatch: %v %v", name, err, errs)
+			}
+			same("GEMMBatch", &bs.Stats, got, wantW, wst)
+			ta := NewTiled(opts.Curve, wst.Depth, wst.TileM, wst.TileK, m, k)
+			tb := NewTiled(opts.Curve, wst.Depth, wst.TileK, wst.TileN, k, n)
+			tc := NewTiled(opts.Curve, wst.Depth, wst.TileM, wst.TileN, m, n)
+			if err := ta.Pack(ctx, pool, A, false, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.Pack(ctx, pool, B, false, 1); err != nil {
+				t.Fatal(err)
+			}
+			tst, err := MulTiledCtx(ctx, pool, opts, tc, ta, tb)
+			if err != nil {
+				t.Fatalf("%s: MulTiledCtx: %v", name, err)
+			}
+			got = C.Clone()
+			got.Scale(0.5)
+			if err := tc.UnpackAccumulate(ctx, pool, got, 0.75); err != nil {
+				t.Fatal(err)
+			}
+			same("MulTiledCtx", tst, got, wantW, wst)
 		}
 	}
 }

@@ -46,10 +46,12 @@ type Options struct {
 	// which the recursion stops spawning parallel tasks; 0 selects the
 	// default of 4. Set 1 to spawn at every level like the Cilk code.
 	SerialCutoff int
-	// FastCutoff is the quadrant size (tiles per side) at or below
-	// which Strassen/Winograd fall back to the standard recursion;
-	// 0 selects 1 (recurse the fast algorithm to single tiles, as the
-	// paper does).
+	// FastCutoff is the grid size (tiles per side) at or below which the
+	// fast algorithms fall back to the standard recursion. 0 selects the
+	// calibrated crossover: the smallest grid at which one fast level
+	// beats eight half-size products for the call's kernel and tiles,
+	// measured once per process (leaf.FastRates). 1 is the paper's
+	// setting — recurse the fast algorithm to single tiles.
 	FastCutoff int
 	// DisableSplit turns off the wide/lean submatrix decomposition of
 	// Figure 3, forcing a single (possibly heavily padded) tiling.
@@ -112,9 +114,6 @@ func (o *Options) withDefaults() Options {
 	if v.SerialCutoff <= 0 {
 		v.SerialCutoff = 4
 	}
-	if v.FastCutoff <= 0 {
-		v.FastCutoff = 1
-	}
 	return v
 }
 
@@ -142,9 +141,16 @@ type Stats struct {
 	// Blocks counts the sub-multiplications (one per C block and k
 	// segment) after wide/lean splitting.
 	Blocks int
-	// Alg is the algorithm that actually ran — it differs from the
-	// requested one when graceful degradation stepped in.
+	// Alg is the algorithm that actually ran — AlgAuto's choice, or a
+	// cheaper rung than the requested one when graceful degradation
+	// stepped in.
 	Alg Alg
+	// FastCutoff is the cutoff a fast algorithm ran with — the option
+	// verbatim, or the calibrated crossover for the call's kernel and
+	// tiles; 0 when a non-fast algorithm was named and none was resolved.
+	// FastLevels counts the levels of Alg's own recursion the grid ran
+	// above it; 0 means the call went straight to the standard one.
+	FastCutoff, FastLevels int
 	// Serial reports that degradation disabled parallel spawning.
 	Serial bool
 	// Degraded lists the degradation decisions (memory budget,
@@ -282,15 +288,9 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 		return &Stats{}, nil
 	}
 
-	// Plan: one algorithm, one split, one geometry, one admission
-	// decision for the whole call — all before C is touched. Per-shape
-	// auto-selection runs before splitting; the daemon keys its plan
-	// cache on the resolved algorithm.
-	o.Alg = selectAlg(o, m, k, n)
-	ms, ks, ns := []tile.Seg{{Len: m}}, []tile.Seg{{Len: k}}, []tile.Seg{{Len: n}}
-	if !o.DisableSplit && o.ForceTile == 0 {
-		ms, ks, ns = o.Tile.SplitDims(m, k, n)
-	}
+	// Plan: one split, one geometry, one algorithm, one admission
+	// decision for the whole call — all before C is touched.
+	ms, ks, ns := splitSegs(o, m, k, n)
 	stats = &Stats{}
 	pc, err := planGEMM(pool, o, co, stats, ms, ks, ns, transA, transB, A, B)
 	if err != nil {
@@ -376,25 +376,10 @@ func opView(X *matrix.Dense, trans bool, r, c tile.Seg) *matrix.Dense {
 // ForceTile or tile range yields ErrDimension instead of garbage
 // allocation sizes).
 func choose(o Options, m, k, n int) (d uint, tm, tk, tn int, err error) {
-	if o.ForceTile > 0 {
-		t := o.ForceTile
-		d = 0
-		for _, dim := range []int{m, k, n} {
-			need := uint(0)
-			// The shift below is safe: dim and t are positive ints, and
-			// need grows only while t<<need < dim ≤ MaxInt, so it stays
-			// far below the width of int.
-			for need < 62 && (t<<need) < dim {
-				need++
-			}
-			if (t << need) < dim {
-				return 0, 0, 0, 0, fmt.Errorf("%w: ForceTile=%d cannot cover %dx%dx%d", ErrDimension, t, m, k, n)
-			}
-			if need > d {
-				d = need
-			}
+	if tm, tk, tn = o.ForceTile, o.ForceTile, o.ForceTile; tm > 0 {
+		if d, err = forcedDepth(tm, m, k, n); err != nil {
+			return 0, 0, 0, 0, err
 		}
-		tm, tk, tn = t, t, t
 	} else {
 		ch := o.Tile.Pick(m, k, n)
 		d, tm, tk, tn = ch.D, ch.Tiles[0], ch.Tiles[1], ch.Tiles[2]
@@ -403,6 +388,25 @@ func choose(o Options, m, k, n int) (d uint, tm, tk, tn int, err error) {
 		return 0, 0, 0, 0, err
 	}
 	return d, tm, tk, tn, nil
+}
+
+// forcedDepth is the depth at which a 2^d grid of forced t×t tiles
+// covers every dim.
+func forcedDepth(t int, dims ...int) (d uint, err error) {
+	for _, dim := range dims {
+		need := uint(0)
+		// The shift below is safe: dim and t are positive ints, and need
+		// grows only while t<<need < dim ≤ MaxInt, so it stays far below
+		// the width of int.
+		for need < 62 && (t<<need) < dim {
+			need++
+		}
+		if (t << need) < dim {
+			return 0, fmt.Errorf("%w: ForceTile=%d cannot cover %v", ErrDimension, t, dims)
+		}
+		d = max(d, need)
+	}
+	return d, nil
 }
 
 // resolveKernel turns the Options kernel selection into the executable
@@ -460,7 +464,7 @@ func planGEMM(pool *sched.Pool, o Options, co callObs, stats *Stats, ms, ks, ns 
 			table = false
 			continue
 		}
-		if o.MaxResidualGrowth > 0 && isFastAlg(pc.alg) && oa.Alg != Standard {
+		if o.MaxResidualGrowth > 0 && pc.levels > 0 {
 			if growth := probeResidualGrowth(pc.e, pc.alg, transA, transB, A, B); growth > o.MaxResidualGrowth {
 				notes = append(notes, fmt.Sprintf("residual-probe: %v growth %.1f > bound %.1f; degraded to %v",
 					pc.alg, growth, o.MaxResidualGrowth, Standard))
@@ -523,11 +527,6 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 		pool = p
 	} else if pool.Closed() {
 		return nil, sched.ErrPoolClosed
-	}
-	if o.Alg == AlgAuto {
-		sel := o
-		sel.Curve = C.Curve
-		o.Alg = selectAlg(sel, C.PaddedRows(), A.PaddedCols(), C.PaddedCols())
 	}
 	// One block whose three operands the caller already holds tiled;
 	// they are charged like a transient plan's.

@@ -1,23 +1,22 @@
 package core
 
 import (
-	"repro/internal/layout"
+	"repro/internal/leaf"
 	"repro/internal/tile"
 )
 
 // This file chooses the recursion geometry for the table-driven
-// ⟨m,k,n⟩ algorithms and resolves the AlgAuto per-shape selection.
+// ⟨m,k,n⟩ algorithms, and resolves the fast-algorithm cutoff and the
+// AlgAuto selection of a call.
 //
 // A rectangular table divides the three tile grids by M, K, N per
 // level, so its natural geometry is mixed-radix: gm = M^l·2^d,
 // gk = K^l·2^d, gn = N^l·2^d — l table levels, then d levels of the
 // square power-of-two base algorithm. The chooser enumerates (l, d)
 // pairs whose tile sizes land in the configured range and scores each
-// by a padded-flop model; the same model prices the ⟨2,2,2⟩ family so
-// AlgAuto can compare candidates on equal footing. The model is the
-// standard fast-algorithm recurrence: the leaves do
-// 2·R^l·7^d·tm·tk·tn flops (R products per table level, 7 per
-// Strassen-family level below), with a mild efficiency penalty for
+// by a padded-flop model, the standard fast-algorithm recurrence: the
+// leaves do 2·R^l·7^d·tm·tk·tn flops (R products per table level, 7
+// per Strassen-family level below), with a mild efficiency penalty for
 // tiles below the sweet spot — exactly the padding-vs-flop-ratio
 // trade the paper's Section 5 measures for the quadrant algorithms.
 
@@ -91,68 +90,90 @@ func chooseTableGeom(tb *Table, cfg tile.Config, m, k, n int) (tableGeom, bool) 
 	return best, ok
 }
 
-// fastSquareCost prices the ⟨2,2,2⟩ family (Winograd on the square
-// power-of-two geometry) on an m×k×n block with the same model
-// chooseTableGeom uses, so AlgAuto compares like against like.
-func fastSquareCost(cfg tile.Config, m, k, n int) float64 {
-	best := -1.0
-	p7 := 1.0
-	for d := uint(0); d <= 24; d++ {
-		g := 1 << d
-		tm, tk, tn := ceilDiv(m, g), ceilDiv(k, g), ceilDiv(n, g)
-		if tm <= cfg.TMax && tk <= cfg.TMax && tn <= cfg.TMax {
-			c := geomCost(p7, tm, tk, tn, cfg.TSweet)
-			if best < 0 || c < best {
-				best = c
-			}
-		}
-		if tm == 1 && tk == 1 && tn == 1 {
-			break
-		}
-		p7 *= 7
+// fastLevel is the element-wise work of one Winograd level (winograd,
+// algorithms.go): the eight S/T pre-additions and the U2/U6 pair as
+// three-operand passes, nine accumulates, seven product zero-fills.
+var fastLevel = leaf.Level{Add3: vAdd, N3: 10, Add2: vAcc, N2: 9, Zero: vZero, NZero: 7}
+
+// fastRates supplies the rates a cutoff is resolved from; tests put
+// fixed ones here.
+var fastRates = func(kern leaf.Kernel, tm, tk, tn, side int) leaf.Rates {
+	return leaf.FastRates(kern, tm, tn, tk, fastLevel, side)
+}
+
+// settle resolves what only the geometry a call runs on can: the
+// fast-algorithm cutoff for its kernel and tiles — o.FastCutoff
+// verbatim when set, the calibrated crossover otherwise — and AlgAuto,
+// which is Standard unless at least one fast level survives the cutoff
+// on a grid side tiles a side, and the hand-coded Winograd otherwise.
+// The rectangular tables are not candidates: they run at 1.37× Standard's
+// time where the flop model preferred them (EXPERIMENTS.md) and stay
+// selectable by name. A call that names a non-fast algorithm returns at
+// the first line and never pays the calibration.
+func (o *Options) settle(kern leaf.Kernel, side, tm, tk, tn int) {
+	if o.Alg != AlgAuto && !isFastAlg(o.Alg) {
+		return
 	}
-	return best
+	if o.FastCutoff <= 0 {
+		o.FastCutoff = fastRates(kern, tm, tk, tn, side).Cutoff()
+	}
+	if o.Alg == AlgAuto {
+		o.Alg = Standard
+		if side > o.FastCutoff {
+			o.Alg = Winograd
+		}
+	}
 }
 
-// selectAlg resolves AlgAuto for an m×k×n multiplication: Standard for
-// small problems (recursion overhead and padding dominate any flop
-// savings), otherwise the cheapest of Winograd and the rectangular
-// table algorithms under the shared cost model. Rectangular tables are
-// candidates only on canonical storage with free tile choice — on the
-// recursive curves the quad-based grids hand them straight to their
-// base, so they can never beat it. A table must undercut Winograd by a
-// clear margin to be chosen: the model ignores constant-factor
-// overheads of the generic engine, so near-ties go to the hand-tuned
-// code.
-// ResolveAlg is the exported form of the AlgAuto resolution for callers
-// that must know the algorithm before the engine runs — the serving
-// layer keys its plan cache and request coalescing on the resolved
-// choice. It applies the same option defaults the driver would, so it
-// answers exactly what a GEMM with these options on this shape will
-// run (before any admission-control degradation).
+// fastLevels counts the levels of alg's own recursion on a gm×gk×gn
+// grid: a rectangular table's divisions, then the ⟨2,2,2⟩ levels above
+// cutoff. Zero means the call goes straight to the standard recursion.
+func fastLevels(alg Alg, gm, gk, gn, cutoff int) (n int) {
+	if tb := tableOf(alg); tb != nil && !(tb.M == 2 && tb.K == 2 && tb.N == 2) {
+		for !(gm == gk && gk == gn && gm&(gm-1) == 0) && gm%tb.M == 0 && gk%tb.K == 0 && gn%tb.N == 0 {
+			gm, gk, gn, n = gm/tb.M, gk/tb.K, gn/tb.N, n+1
+		}
+		alg = tb.Base
+	}
+	for t := gm; isFastAlg(alg) && t > max(cutoff, 1); t /= 2 {
+		n++
+	}
+	return n
+}
+
+// splitSegs cuts an m×k×n call into the segments its blocks multiply
+// (Figure 3), or leaves it whole.
+func splitSegs(o Options, m, k, n int) (ms, ks, ns []tile.Seg) {
+	if !o.DisableSplit && o.ForceTile == 0 {
+		return o.Tile.SplitDims(m, k, n)
+	}
+	return []tile.Seg{{Len: m}}, []tile.Seg{{Len: k}}, []tile.Seg{{Len: n}}
+}
+
+// ResolveAlg is the AlgAuto resolution for callers that must know the
+// algorithm before the engine runs — the serving layer keys its plan
+// cache and request coalescing on the resolved choice. It applies the
+// option defaults, the split, the geometry and the kernel the driver
+// would, so it answers exactly what a GEMM with these options on this
+// shape will run (before any admission-control degradation); a shape
+// the driver would reject resolves to Standard.
 func ResolveAlg(o Options, m, k, n int) Alg {
-	return selectAlg((&o).withDefaults(), m, k, n)
-}
-
-func selectAlg(o Options, m, k, n int) Alg {
 	if o.Alg != AlgAuto {
 		return o.Alg
 	}
-	small := 4 * o.Tile.TSweet
-	if m < small || k < small || n < small {
+	if m <= 0 || k <= 0 || n <= 0 {
 		return Standard
 	}
-	best := Winograd
-	bestCost := fastSquareCost(o.Tile, m, k, n)
-	if o.Curve == layout.ColMajor && o.ForceTile == 0 {
-		for i, tb := range tableRegistry {
-			if tb.M == 2 && tb.K == 2 && tb.N == 2 {
-				continue
-			}
-			if g, ok := chooseTableGeom(tb, o.Tile, m, k, n); ok && g.cost < bestCost*0.97 {
-				best, bestCost = tableAlgBase+Alg(i), g.cost
-			}
-		}
+	o = (&o).withDefaults()
+	ms, ks, ns := splitSegs(o, m, k, n)
+	g, err := chooseGeom(o, ms, ks, ns, false)
+	if err != nil {
+		return Standard
 	}
-	return best
+	kern, _, _, err := resolveKernel(o, g.tm, g.tk, g.tn)
+	if err != nil {
+		return Standard
+	}
+	o.settle(kern, g.gm, g.tm, g.tk, g.tn)
+	return o.Alg
 }

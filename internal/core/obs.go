@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	rtrace "runtime/trace"
 	"time"
 
@@ -18,22 +19,28 @@ import (
 // the driver was already paying for its Stats timers.
 
 // The whole-call gemm span carries the resolved algorithm (offset by
-// one so a failed call's zero arg stays "no metadata"); the formatter
-// turns the id back into the algorithm name in the Chrome export.
+// one so a failed call's zero arg stays "no metadata") and, above it,
+// the fast levels it ran and the cutoff they ran to; the formatter
+// turns the arg back into "winograd cutoff=32 levels=1" in the Chrome
+// export.
 func init() {
 	obs.SetArgFormatter(obs.KindGEMM, func(v int64) string {
-		return Alg(v - 1).String()
+		name := Alg(v&0x1ff - 1).String()
+		if cutoff := v >> 16; cutoff > 0 {
+			return fmt.Sprintf("%s cutoff=%d levels=%d", name, cutoff, v>>9&0x7f)
+		}
+		return name
 	})
 }
 
-// gemmSpanArg encodes the algorithm a finished call actually ran for
-// its trace span; zero (suppressed) when the call failed before one
-// was resolved.
+// gemmSpanArg encodes what a finished call actually ran for its trace
+// span; zero (suppressed) when the call failed before an algorithm was
+// resolved.
 func gemmSpanArg(stats *Stats) int64 {
 	if stats == nil {
 		return 0
 	}
-	return int64(stats.Alg) + 1
+	return int64(stats.Alg) + 1 | int64(stats.FastLevels)<<9 | int64(stats.FastCutoff)<<16
 }
 
 // phase wraps one driver phase (convert-in, compute, convert-out) in a
@@ -71,27 +78,14 @@ func startCall(pool *sched.Pool, t0 time.Time) callStart {
 // clamped into [0, 1].
 func finishStats(s *Stats, pool *sched.Pool, c0 callStart) {
 	c1 := pool.Stats()
-	s.Spawns = max64(0, c1.Spawns-c0.sched.Spawns)
-	s.Steals = max64(0, c1.Steals-c0.sched.Steals)
-	s.Inline = max64(0, c1.Inline-c0.sched.Inline)
+	s.Spawns = max(0, c1.Spawns-c0.sched.Spawns)
+	s.Steals = max(0, c1.Steals-c0.sched.Steals)
+	s.Inline = max(0, c1.Inline-c0.sched.Inline)
 	wall := time.Since(c0.t0).Nanoseconds()
 	if w := pool.Workers(); w > 0 && wall > 0 {
 		u := float64(pool.BusyNanos()-c0.busy) / (float64(w) * float64(wall))
-		if u > 1 {
-			u = 1
-		}
-		if u < 0 {
-			u = 0
-		}
-		s.Utilization = u
+		s.Utilization = max(0, min(u, 1))
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Metric names recorded per driver call when Options.Metrics is set.

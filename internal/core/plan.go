@@ -203,21 +203,26 @@ type prepared struct {
 	g     geom
 	kname string
 	admission
-	e  *exec
-	ar *arena
+	// levels is how many levels of the admitted algorithm's own
+	// recursion the grid runs above the fast cutoff.
+	levels int
+	e      *exec
+	ar     *arena
 	// runners is the number of block-wave runner tasks; zero walks the
 	// blocks from the caller's goroutine with nested parallelism.
 	runners int
 }
 
-// prepare resolves the kernel and runs admission for a call of
-// ms×ks×ns segments on geometry g. Nothing is allocated yet: a caller
-// may still reject the verdict and prepare another geometry.
+// prepare resolves the kernel, the fast cutoff and AlgAuto, and runs
+// admission for a call of ms×ks×ns segments on geometry g. Nothing is
+// allocated yet: a caller may still reject the verdict and prepare
+// another geometry.
 func prepare(pool *sched.Pool, o Options, co callObs, g geom, ms, ks, ns []tile.Seg, resident bool) (*prepared, error) {
 	kern, skern, kname, err := resolveKernel(o, g.tm, g.tk, g.tn)
 	if err != nil {
 		return nil, err
 	}
+	o.settle(kern, g.gm, g.tm, g.tk, g.tn)
 	pc := &prepared{g: g, kname: kname}
 	if asWave(len(ms)*len(ns), pool.Workers()) {
 		pc.runners = pool.Workers()
@@ -232,6 +237,7 @@ func prepare(pool *sched.Pool, o Options, co callObs, g geom, ms, ks, ns []tile.
 	if pc.serial {
 		pc.runners = 0
 	}
+	pc.levels = fastLevels(pc.alg, g.gm, g.gk, g.gn, o.FastCutoff)
 	pc.e = newExec(o, co, kern, skern, pc.serial)
 	return pc, nil
 }
@@ -254,6 +260,7 @@ func (pc *prepared) start(pool *sched.Pool, co callObs, stats *Stats) {
 	stats.TileM, stats.TileK, stats.TileN = g.tm, g.tk, g.tn
 	stats.PaddedM, stats.PaddedK, stats.PaddedN = g.gm*g.tm, g.gk*g.tk, g.gn*g.tn
 	stats.Kernel, stats.Alg, stats.Serial = pc.kname, pc.alg, pc.serial
+	stats.FastCutoff, stats.FastLevels = pc.e.fastCutoff, pc.levels
 	stats.Degraded, stats.EstimatedBytes, stats.ArenaBytes = pc.notes, pc.est, pc.ar.bytes()
 }
 

@@ -52,21 +52,10 @@ type Prepacked struct {
 // every block the same geometry, which is what makes two independently
 // prepacked operands able to conform.
 func choosePlan(o Options, r, c int) (d uint, tr, tc int, err error) {
-	if o.ForceTile > 0 {
-		t := o.ForceTile
-		for _, dim := range []int{r, c} {
-			need := uint(0)
-			for need < 62 && (t<<need) < dim {
-				need++
-			}
-			if (t << need) < dim {
-				return 0, 0, 0, fmt.Errorf("%w: ForceTile=%d cannot cover %dx%d", ErrDimension, t, r, c)
-			}
-			if need > d {
-				d = need
-			}
+	if tr, tc = o.ForceTile, o.ForceTile; tr > 0 {
+		if d, err = forcedDepth(tr, r, c); err != nil {
+			return 0, 0, 0, err
 		}
-		tr, tc = t, t
 	} else {
 		ch := o.Tile.Pick(r, c)
 		d, tr, tc = ch.D, ch.Tiles[0], ch.Tiles[1]
@@ -420,14 +409,6 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 	g := squareGeom(pa.Curve, pa.D, pa.TR, pa.TC, pb.TC)
 	if _, _, _, err := paddedDims(g.d, g.tm, g.tk, g.tn); err != nil {
 		return nil, err
-	}
-	if o.Alg == AlgAuto {
-		// Plans are always curve storage, so the rectangular tables are
-		// never candidates here; the resolution picks Winograd or
-		// Standard from the plan shape.
-		sel := o
-		sel.Curve = pa.Curve
-		o.Alg = selectAlg(sel, pa.Rows, pa.Cols, pb.Cols)
 	}
 	// The plans arrive with the pack step done: their operands were
 	// allocated once, outside this call, and are charged to the plan —

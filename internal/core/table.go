@@ -93,8 +93,8 @@ const (
 const tableAlgBase = numAlgs
 
 // AlgAuto is the per-shape auto-selection sentinel: the driver resolves
-// it to a concrete algorithm from the operand shape before admission
-// (see selectAlg). It is deliberately far from the real ids so the zero
+// it to a concrete algorithm from the call's geometry before admission
+// (see Options.settle). It is deliberately far from the real ids so the zero
 // Options value keeps meaning Standard.
 const AlgAuto Alg = 0xFF
 

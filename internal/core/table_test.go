@@ -154,30 +154,92 @@ func TestChooseTableGeom(t *testing.T) {
 	}
 }
 
-// TestSelectAlg pins the AlgAuto policy: explicit algorithms pass
-// through, small problems stay on Standard, recursive-curve storage
-// never picks a rectangular table, and the rectangular serving shape
-// resolves to a rectangular table on canonical storage.
+// TestSelectAlg pins the AlgAuto policy on injected rates: Standard
+// unless a fast level survives the cutoff, Winograd otherwise, never a
+// rectangular table; explicit choices pass through untouched.
 func TestSelectAlg(t *testing.T) {
-	cfg := tile.DefaultConfig
-	base := Options{Alg: AlgAuto, Tile: cfg, Curve: layout.ColMajor}
+	auto := Options{Alg: AlgAuto, Curve: layout.ZMorton}
+	// side is the grid the driver would run an n³ call on.
+	side := func(o Options, n int) int {
+		o = (&o).withDefaults()
+		ms, ks, ns := splitSegs(o, n, n, n)
+		g, err := chooseGeom(o, ms, ks, ns, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.gm
+	}
 
-	explicit := base
-	explicit.Alg = Strassen
-	if got := selectAlg(explicit, 4096, 4096, 4096); got != Strassen {
-		t.Errorf("explicit alg: got %v, want Strassen", got)
-	}
-	if got := selectAlg(base, 100, 100, 100); got != Standard {
-		t.Errorf("small problem: got %v, want Standard", got)
-	}
-	curved := base
-	curved.Curve = layout.ZMorton
-	if got := selectAlg(curved, 1296, 864, 1296); tableOf(got) != nil && tableOf(got).M != 2 {
-		t.Errorf("curve storage picked rectangular table %v", got)
-	}
-	got := selectAlg(base, 1296, 864, 1296)
-	tb := tableOf(got)
-	if tb == nil || tb.M == 2 && tb.K == 2 && tb.N == 2 {
-		t.Errorf("1296x864x1296: got %v, want a rectangular table algorithm", got)
-	}
+	t.Run("scalar leaf", func(t *testing.T) {
+		useRates(t, scalarRates)
+		if c := scalarRates.Cutoff(); c != 1 {
+			t.Fatalf("cutoff %d, want the paper's 1", c)
+		}
+		for _, n := range []int{64, 256, 1024} {
+			if got := ResolveAlg(auto, n, n, n); got != Winograd {
+				t.Errorf("n=%d: got %v, want Winograd", n, got)
+			}
+		}
+		if l := fastLevels(Winograd, 32, 32, 32, 1); l != 5 {
+			t.Errorf("32-tile grid at cutoff 1 runs %d fast levels, want 5", l)
+		}
+	})
+
+	t.Run("avx2 leaf", func(t *testing.T) {
+		useRates(t, avx2Rates)
+		cut := avx2Rates.Cutoff()
+		if got := ResolveAlg(auto, 1024, 1024, 1024); got != Standard {
+			t.Errorf("1024³: got %v, want Standard (cutoff %d)", got, cut)
+		}
+		if got, s := ResolveAlg(auto, 4096, 4096, 4096), side(auto, 4096); got != Winograd || fastLevels(got, s, s, s, cut) < 1 {
+			t.Errorf("4096³: got %v on a %d-tile grid at cutoff %d, want Winograd with a fast level", got, s, cut)
+		}
+		// Never a fast algorithm with no fast level, on any storage or
+		// shape; once n is large enough for one, every larger n has one.
+		for _, cv := range []layout.Curve{layout.ColMajor, layout.Hilbert} {
+			o, fast := auto, false
+			o.Curve = cv
+			for n := 24; n <= 6000; n += n/7 + 1 {
+				got, s := ResolveAlg(o, n, n, n), side(o, n)
+				if (got == Winograd) != (s > cut) || got != Winograd && got != Standard {
+					t.Errorf("%v n=%d: got %v on a %d-tile grid at cutoff %d", cv, n, got, s, cut)
+				}
+				if fast && got != Winograd {
+					t.Errorf("%v n=%d: back to %v after a smaller n ran Winograd", cv, n, got)
+				}
+				fast = got == Winograd
+			}
+			if got := ResolveAlg(o, 1296, 864, 1296); got != Standard {
+				t.Errorf("%v 1296x864x1296: got %v, want Standard", cv, got)
+			}
+		}
+	})
+
+	t.Run("explicit", func(t *testing.T) {
+		useRates(t, avx2Rates)
+		for _, alg := range Algs {
+			o := auto
+			o.Alg = alg
+			if got := ResolveAlg(o, 4096, 4096, 4096); got != alg {
+				t.Errorf("explicit %v resolved to %v", alg, got)
+			}
+		}
+		for _, fc := range []int{1, 8} {
+			for _, alg := range []Alg{AlgAuto, Strassen, TableWinograd222} {
+				o := Options{Alg: alg, FastCutoff: fc}
+				o.settle(nil, 32, 32, 32, 32)
+				if want := map[bool]Alg{true: Winograd, false: alg}[alg == AlgAuto]; o.FastCutoff != fc || o.Alg != want {
+					t.Errorf("%v FastCutoff=%d settled to %v at %d", alg, fc, o.Alg, o.FastCutoff)
+				}
+			}
+			o := Options{Alg: AlgAuto, FastCutoff: fc}
+			if o.settle(nil, fc, 32, 32, 32); o.Alg != Standard {
+				t.Errorf("auto on a %d-tile grid at FastCutoff=%d: got %v, want Standard", fc, fc, o.Alg)
+			}
+		}
+		o := Options{Alg: Standard}
+		if o.settle(nil, 64, 32, 32, 32); o.FastCutoff != 0 {
+			t.Errorf("Standard resolved a cutoff (%d)", o.FastCutoff)
+		}
+	})
 }

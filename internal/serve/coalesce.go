@@ -408,6 +408,8 @@ func (co *coalescer) executeWave(lay recmat.Layout, members []*cmember, queueWai
 				resp := &Response{
 					Tenant: m.req.Tenant, M: m.req.M, K: m.req.K, N: m.req.N,
 					AlgRan:     bs.Alg.String(),
+					FastCutoff: bs.FastCutoff,
+					FastLevels: bs.FastLevels,
 					Kernel:     bs.Kernel,
 					Degraded:   bs.Degraded,
 					PlanCached: true,

@@ -38,10 +38,10 @@ type Request struct {
 	Alpha *float64 `json:"alpha,omitempty"`
 	Beta  float64  `json:"beta,omitempty"`
 	// Alg and Layout name the algorithm and array layout. An empty or
-	// "auto" Alg resolves per shape (Standard for small problems,
-	// otherwise the cheapest fast algorithm under the engine's cost
-	// model); Response.AlgRan reports the choice. An empty Layout means
-	// column-major.
+	// "auto" Alg resolves per shape (Standard unless the tile grid is
+	// large enough for a fast level to beat it on this host's calibrated
+	// crossover, Winograd otherwise); Response.AlgRan reports the choice.
+	// An empty Layout means column-major.
 	Alg    string `json:"alg,omitempty"`
 	Layout string `json:"layout,omitempty"`
 	// DeadlineMS is the client's latency budget; the server caps it at
@@ -62,7 +62,14 @@ type Response struct {
 	// the requested one when the degradation ladder stepped in under
 	// the tenant's memory budget.
 	AlgRan string `json:"alg_ran"`
-	Kernel string `json:"kernel"`
+	// FastCutoff and FastLevels say how a fast algorithm ran: the grid
+	// side (in tiles) at or below which it handed over to the standard
+	// recursion — the calibrated crossover of this host for the call's
+	// kernel and tiles — and how many levels of its own it ran above
+	// that. Both are zero for a non-fast AlgRan.
+	FastCutoff int    `json:"fast_cutoff,omitempty"`
+	FastLevels int    `json:"fast_levels,omitempty"`
+	Kernel     string `json:"kernel"`
 	// Degraded lists the admission-ladder decisions taken for the call
 	// (empty means the requested configuration ran unchanged) — the
 	// degradation-rung reporting of Stats.Degraded on the wire.

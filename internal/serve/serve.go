@@ -764,6 +764,8 @@ func (s *Server) compute(ctx context.Context, req *Request, budget int64, rs *re
 	resp = &Response{
 		Tenant: req.Tenant, M: req.M, K: req.K, N: req.N,
 		AlgRan:     rep.Alg.String(),
+		FastCutoff: rep.FastCutoff,
+		FastLevels: rep.FastLevels,
 		Kernel:     rep.Kernel,
 		Degraded:   rep.Degraded,
 		PlanCached: cached,

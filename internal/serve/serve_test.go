@@ -488,14 +488,13 @@ func TestBetaAtomicityOnFailure(t *testing.T) {
 }
 
 // TestAutoAlgorithmSelection: a request without an algorithm resolves
-// per shape. The rectangular serving shape must land on one of the
-// table-driven ⟨m,k,n⟩ algorithms (the point of carrying them), a small
-// shape on Standard, and the resolved choice must surface in AlgRan and
-// the alg_selected_* counters behind /metricz.
+// per shape, to Standard or — when this host's calibrated crossover
+// leaves the grid a fast level — Winograd, never to a rectangular
+// table; a small shape resolves to Standard. The choice the daemon keys
+// its plan cache on is the one the engine runs, and it surfaces in
+// AlgRan, fast_cutoff/fast_levels and the alg_selected_* counters
+// behind /metricz.
 func TestAutoAlgorithmSelection(t *testing.T) {
-	// The table algorithms' breadth-first scratch estimate at this shape
-	// needs more headroom than the default 256 MiB tenant quota leaves,
-	// or admission (correctly) degrades the call off the selected table.
 	s, c := newTestServer(t, Config{Workers: 4, TenantQuotaBytes: 1 << 30})
 
 	req := &Request{
@@ -507,14 +506,15 @@ func TestAutoAlgorithmSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := recmat.ResolveAlgorithm(&recmat.Options{Algorithm: recmat.Auto}, req.M, req.K, req.N)
-	switch want {
-	case recmat.TableFast323, recmat.TableFast424, recmat.TableLaderman333:
-	default:
-		t.Fatalf("auto policy picked %v for %dx%dx%d, want a rectangular table algorithm",
+	if want != recmat.Standard && want != recmat.Winograd {
+		t.Fatalf("auto policy picked %v for %dx%dx%d, want Standard or Winograd",
 			want, req.M, req.K, req.N)
 	}
 	if resp.AlgRan != want.String() {
 		t.Fatalf("AlgRan = %q, want %q", resp.AlgRan, want.String())
+	}
+	if fast := want == recmat.Winograd; fast != (resp.FastLevels > 0) || fast != (resp.FastCutoff > 0) {
+		t.Fatalf("%v ran %d fast levels at cutoff %d", want, resp.FastLevels, resp.FastCutoff)
 	}
 	if s.Metrics().Counter("alg_selected_"+want.String()).Value() < 1 {
 		t.Fatalf("alg_selected_%s counter not incremented", want)

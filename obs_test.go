@@ -23,7 +23,7 @@ func TestSchedulerStats(t *testing.T) {
 	n := 128
 	A := Random(n, n, rng)
 	B := Random(n, n, rng)
-	opts := &Options{Layout: ZMorton, Algorithm: Strassen, ForceTile: 16}
+	opts := &Options{Layout: ZMorton, Algorithm: Strassen, FastCutoff: paperCutoff, ForceTile: 16}
 
 	prev := eng.SchedulerStats()
 	if prev.Spawns != 0 || prev.Steals != 0 || prev.Inline != 0 {
@@ -144,7 +144,7 @@ func TestMetricsSnapshotConcurrent(t *testing.T) {
 				C := NewMatrix(n, n)
 				opts := &Options{
 					Layout:    []Layout{ZMorton, Hilbert, ColMajor}[g%3],
-					Algorithm: []Algorithm{Standard, Strassen}[g%2],
+					Algorithm: []Algorithm{Standard, Strassen}[g%2], FastCutoff: paperCutoff,
 					ForceTile: 16,
 				}
 				if _, err := eng.Mul(C, A, B, opts); err != nil {
@@ -243,7 +243,7 @@ func TestStressTracingUnderFaults(t *testing.T) {
 				C := NewMatrix(n, n)
 				opts := &Options{
 					Layout:    []Layout{ZMorton, Hilbert}[g%2],
-					Algorithm: []Algorithm{Standard, Strassen, Winograd}[i%3],
+					Algorithm: []Algorithm{Standard, Strassen, Winograd}[i%3], FastCutoff: paperCutoff,
 					ForceTile: 16,
 				}
 				_, _ = eng.Mul(C, A, B, opts) // injected faults may fail the call; that is the point

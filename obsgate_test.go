@@ -38,7 +38,7 @@ func gateWorkload(t *testing.T, eng *Engine, A, B *Matrix) time.Duration {
 	t.Helper()
 	C := NewMatrix(512, 512)
 	t0 := time.Now()
-	if _, err := eng.Mul(C, A, B, &Options{Layout: ZMorton, Algorithm: Strassen}); err != nil {
+	if _, err := eng.Mul(C, A, B, &Options{Layout: ZMorton, Algorithm: Strassen, FastCutoff: paperCutoff}); err != nil {
 		t.Fatal(err)
 	}
 	return time.Since(t0)

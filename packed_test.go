@@ -16,7 +16,7 @@ func TestPackedMulMatchesMul(t *testing.T) {
 	RefGEMM(false, false, 1, A, B, 0, want)
 
 	for _, lo := range []Layout{UMorton, XMorton, ZMorton, GrayMorton, Hilbert} {
-		opts := &Options{Layout: lo, Algorithm: Winograd, ForceTile: 16}
+		opts := &Options{Layout: lo, Algorithm: Winograd, FastCutoff: paperCutoff, ForceTile: 16}
 		pa, err := eng.Pack(A, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -121,10 +121,12 @@ const (
 	// reproduces the paper's observation that it behaves like the
 	// standard algorithm with respect to layouts.
 	StrassenLowMem = core.StrassenLowMem
-	// Auto resolves the algorithm per problem shape: Standard for small
-	// problems, otherwise the cheapest of Winograd and the rectangular
-	// table algorithms under a shared padded-flop cost model. The
-	// resolved choice is recorded in Report.Alg.
+	// Auto resolves the algorithm from the tile grid the call will run
+	// on: Standard unless the grid is large enough for at least one fast
+	// level to beat it at this host's calibrated crossover (see
+	// Options.FastCutoff), Winograd otherwise. The resolved choice is
+	// recorded in Report.Alg, with Report.FastCutoff and
+	// Report.FastLevels.
 	Auto = core.AlgAuto
 )
 
@@ -236,9 +238,13 @@ type Options struct {
 	// SerialCutoff is the quadrant size in tiles at or below which the
 	// recursion stops spawning parallel tasks (0 = default 4).
 	SerialCutoff int
-	// FastCutoff is the quadrant size in tiles at or below which the
-	// fast algorithms switch to the standard recursion (0 = 1, i.e.
-	// recurse the fast algorithm all the way down, as the paper does).
+	// FastCutoff is the grid size in tiles at or below which the fast
+	// algorithms switch to the standard recursion. 0 = the calibrated
+	// crossover: the smallest grid at which one fast level beats eight
+	// half-size products with this host's kernel on the call's tiles,
+	// measured once per process. 1 = the paper's setting: recurse the
+	// fast algorithm all the way down. Report.FastCutoff and
+	// Report.FastLevels say what a call ran with.
 	FastCutoff int
 	// DisableSplit turns off wide/lean submatrix decomposition.
 	DisableSplit bool

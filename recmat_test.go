@@ -112,6 +112,12 @@ func TestReportContents(t *testing.T) {
 	}
 }
 
+// paperCutoff is FastCutoff for the tests that mean to exercise the fast
+// recursion (arena sizing, MemBudget ladders, the residual probe, trace
+// shape): the paper's setting, not whatever crossover this host
+// calibrates to.
+const paperCutoff = 1
+
 func TestReportArenaBytes(t *testing.T) {
 	eng := NewEngine(2)
 	defer eng.Close()
@@ -119,7 +125,7 @@ func TestReportArenaBytes(t *testing.T) {
 	A := Random(128, 128, rng)
 	B := Random(128, 128, rng)
 	C := NewMatrix(128, 128)
-	rep, err := eng.Mul(C, A, B, &Options{Layout: ZMorton, Algorithm: Strassen, ForceTile: 16})
+	rep, err := eng.Mul(C, A, B, &Options{Layout: ZMorton, Algorithm: Strassen, FastCutoff: paperCutoff, ForceTile: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

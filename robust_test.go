@@ -46,7 +46,7 @@ func TestOptionsMemBudgetPassthrough(t *testing.T) {
 	B := Random(n, n, rng)
 	C := NewMatrix(n, n)
 	rep, err := eng.Mul(C, A, B, &Options{
-		Layout: ZMorton, Algorithm: Strassen, ForceTile: 16, MemBudget: 600_000,
+		Layout: ZMorton, Algorithm: Strassen, FastCutoff: paperCutoff, ForceTile: 16, MemBudget: 600_000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestOptionsMemBudgetPassthrough(t *testing.T) {
 		t.Fatalf("MemBudget not honored through Options: alg=%v notes=%v", rep.Alg, rep.Degraded)
 	}
 	if _, err := eng.Mul(C, A, B, &Options{
-		Layout: ZMorton, Algorithm: Strassen, ForceTile: 16, MemBudget: 100,
+		Layout: ZMorton, Algorithm: Strassen, FastCutoff: paperCutoff, ForceTile: 16, MemBudget: 100,
 	}); !errors.Is(err, ErrMemBudget) {
 		t.Fatalf("err = %v, want ErrMemBudget", err)
 	}
@@ -70,7 +70,7 @@ func TestOptionsResidualGrowthPassthrough(t *testing.T) {
 	B := Random(n, n, rng)
 	C := NewMatrix(n, n)
 	rep, err := eng.Mul(C, A, B, &Options{
-		Layout: ZMorton, Algorithm: Winograd, ForceTile: 16, MaxResidualGrowth: 1e-9,
+		Layout: ZMorton, Algorithm: Winograd, FastCutoff: paperCutoff, ForceTile: 16, MaxResidualGrowth: 1e-9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestGEMMContextCancelLatency(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := eng.MulContext(ctx, C, A, B, &Options{Layout: ZMorton, Algorithm: Strassen})
+		_, err := eng.MulContext(ctx, C, A, B, &Options{Layout: ZMorton, Algorithm: Strassen, FastCutoff: paperCutoff})
 		errc <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // well inside the multi-second compute
@@ -193,7 +193,7 @@ func TestStressPublicAPINoEscapingPanics(t *testing.T) {
 		C := NewMatrix(n, n)
 		opts := &Options{
 			Layout:    []Layout{ColMajor, ZMorton, Hilbert}[i%3],
-			Algorithm: []Algorithm{Standard, Strassen, Winograd}[i%3],
+			Algorithm: []Algorithm{Standard, Strassen, Winograd}[i%3], FastCutoff: paperCutoff,
 			ForceTile: 16,
 		}
 		_, err := eng.Mul(C, A, B, opts)
