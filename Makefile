@@ -9,7 +9,8 @@ check: build vet race determinism parity stress soak obs-gate trace-smoke omchec
 # hybrid-scheduled table algorithms, 1 to 16 workers, the per-call and
 # the prepacked entry point on split shapes, a batch against its single
 # calls, and Algorithm Auto through every entry point must all agree bit
-# for bit, at every GOMAXPROCS.
+# for bit, at every GOMAXPROCS; and the two amd64 assembly families,
+# avx2 and avx512, are one rounding class (TestDeterminismSIMDFamilies).
 determinism:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Determinism|BatchMatches' ./internal/core
 
@@ -112,7 +113,11 @@ bench:
 # The kernel acceptance benchmark: every registered kernel — packed
 # pure-Go tiers and whatever assembly kernels the host unlocked —
 # against the paper's unrolled4, including the 512³ GFLOPS shootout
-# (BenchmarkKernels512) that gates the SIMD step function.
+# (BenchmarkKernels512) that gates the SIMD step function. Both
+# benchmarks report GFLOPS per kernel and print, first, the analytic
+# one-core peaks to read them against: lanes × 2 FMA pipes × 2 × the
+# nominal GHz of /proc/cpuinfo for AVX2 and AVX-512 ("unknown" without
+# one).
 bench-kernel:
 	$(GO) test -bench 'Kernel' -benchmem ./internal/leaf
 

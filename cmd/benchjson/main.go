@@ -34,7 +34,7 @@
 //
 // Schema 5 adds the host's detected SIMD capabilities (cpu_features)
 // and, by default, sweeps the hardware micro-kernels the CPU unlocked
-// ("avx2" on amd64, "neon" on arm64) alongside the pure-Go set — two
+// ("avx2", "avx512" on amd64, "neon" on arm64) alongside the pure-Go set — two
 // records on different machines are only comparable once you know
 // which instruction sets were in play.
 //

@@ -153,6 +153,49 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 	}
 }
 
+// TestDeterminismSIMDFamilies: the two amd64 assembly families are one
+// rounding class (leaf.TestAVX512MatchesAVX2Bits), so which of them a
+// calibration lands on cannot change a result: a split wide/lean call
+// and a square one whose 25-row tiles leave every kind of row fringe,
+// on curve tiles (the whole-panel path) and canonical storage (the
+// packed-panel path), agree bit for bit under either name.
+func TestDeterminismSIMDFamilies(t *testing.T) {
+	for _, name := range []string{"avx2", "avx512"} {
+		if _, err := leaf.Get(name); err != nil {
+			t.Skip("needs both the avx2 and the avx512 kernel")
+		}
+	}
+	shapes := [][3]int{{1024, 1024, 48}, {200, 200, 200}}
+	if testing.Short() || raceEnabled {
+		shapes = [][3]int{{256, 256, 12}, {200, 200, 200}}
+	}
+	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(171))
+	for _, sh := range shapes {
+		m, k, n := sh[0], sh[1], sh[2]
+		A, B, C := matrix.Random(m, k, rng), matrix.Random(k, n, rng), matrix.Random(m, n, rng)
+		for _, cv := range []layout.Curve{layout.ZMorton, layout.ColMajor} {
+			var want *matrix.Dense
+			for _, name := range []string{"avx2", "avx512"} {
+				got := C.Clone()
+				st, err := GEMMCtx(context.Background(), pool, Options{Curve: cv, KernelName: name}, false, false, 0.75, A, B, 0.5, got)
+				if err != nil {
+					t.Fatalf("%dx%dx%d %v %s: %v", m, k, n, cv, name, err)
+				}
+				if st.Kernel != name {
+					t.Errorf("%dx%dx%d %v: asked for %s, ran %s", m, k, n, cv, name, st.Kernel)
+				}
+				if want == nil {
+					want = got
+				} else if !matrix.Equal(got, want, 0) {
+					t.Errorf("%dx%dx%d %v: avx512 bits differ from avx2, max diff %g", m, k, n, cv, matrix.MaxAbsDiff(got, want))
+				}
+			}
+		}
+	}
+}
+
 // TestDeterminismAutoEntryPoints: AlgAuto and the calibrated cutoff are
 // resolved once, from the geometry a call runs on, so every entry point
 // that runs a geometry agrees on the algorithm and the cutoff — and so

@@ -134,9 +134,9 @@ type Stats struct {
 	Depth                     uint
 	TileM, TileK, TileN       int
 	PaddedM, PaddedK, PaddedN int
-	// Kernel names the leaf kernel that actually ran ("custom" for a
-	// caller-supplied bare function); under the autotuned default it is
-	// the calibration winner for the chosen tile shape.
+	// Kernel names the leaf kernel that ran ("custom" for a bare function),
+	// by default the calibration winner for the tile shape. "avx2" and
+	// "avx512" round identically; any other pair may differ in the last bits.
 	Kernel string
 	// Blocks counts the sub-multiplications (one per C block and k
 	// segment) after wide/lean splitting.

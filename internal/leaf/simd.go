@@ -8,7 +8,8 @@ import (
 // Runtime CPU dispatch for the hardware micro-kernels.
 //
 // Each GOARCH with assembly kernels (currently amd64 with AVX2/FMA and
-// arm64 with NEON) provides two hooks behind the `!noasm` build tag:
+// AVX-512F, arm64 with NEON) provides two hooks behind the `!noasm`
+// build tag:
 //
 //   - archFeatures() — the SIMD capabilities the CPU and OS actually
 //     support, probed once at startup (CPUID + XGETBV on amd64, the

@@ -2,16 +2,26 @@
 
 package leaf
 
-// The AVX2/FMA micro-kernel family: an 8×4 block of C held in eight YMM
-// accumulators (two 4-double registers per column) while streaming
-// through k with VFMADD231PD. Both variants load the C block up front,
-// accumulate into registers, and store once at the end — one rounding
-// reordering versus the pure-Go kernels (C joins the sum first instead
-// of last), well inside the differential-fuzz tolerance. The half-height
-// direct fringe reuses the pure-Go 4×4 kernel: fringes are rare by
-// construction (tile selection is biased to multiples of MicroM/MicroN)
-// and not worth a second assembly body.
-var microAVX2 = &microImpl{mr: 8, pp: micro8x4ppAVX2, dd: micro8x4ddAVX2, dd4: micro4x4dd}
+// The amd64 micro-kernel families: an MR×4 block of C held in eight
+// vector accumulators (two per column) while streaming through k with
+// VFMADD231PD — 8 rows in YMM for AVX2/FMA, 16 in ZMM for AVX-512F.
+// Every body loads the C block up front, accumulates into registers,
+// and stores once at the end — one rounding reordering versus the
+// pure-Go kernels (C joins the sum first instead of last), well inside
+// the differential-fuzz tolerance, and the same one in both widths: the
+// two families are one rounding class, bit for bit.
+//
+// Contiguous tiles go through the whole-panel entry, one call for all
+// the full blocks of a tile; the 16-row family hands an 8-row remainder
+// to the 8-row family (rem), so a row runs through assembly in one
+// family exactly when it does in the other. What is left of the rows
+// after that is under 8 and reuses the pure-Go 4×4 kernel and microEdge:
+// fringes are rare by construction (tile selection is biased to
+// multiples of MicroM/MicroN) and not worth another assembly body.
+var (
+	microAVX2   = &microImpl{mr: 8, pp: micro8x4ppAVX2, panel: panel8x4AVX2, dd4: micro4x4dd}
+	microAVX512 = &microImpl{mr: 16, pp: micro16x4ppAVX512, panel: panel16x4AVX512, dd4: micro4x4dd, rem: microAVX2}
+)
 
 // micro8x4ppAVX2 is micro8x4pp in AVX2/FMA assembly: packed panels, so
 // each k step reads 8+4 contiguous doubles (two YMM loads of A, four
@@ -20,9 +30,22 @@ var microAVX2 = &microImpl{mr: 8, pp: micro8x4ppAVX2, dd: micro8x4ddAVX2, dd4: m
 //go:noescape
 func micro8x4ppAVX2(kc int, pa, pb []float64, c []float64, ldc int)
 
-// micro8x4ddAVX2 is micro8x4dd in AVX2/FMA assembly: contiguous tiles
-// read in place, A advancing by lda doubles per k step and the four B
-// columns by one.
+// micro16x4ppAVX512 is the 16-row packed-panel body: two ZMM loads of A
+// per k step, A packed at interleave 16.
 //
 //go:noescape
-func micro8x4ddAVX2(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []float64, ldc int)
+func micro16x4ppAVX512(kc int, pa, pb []float64, c []float64, ldc int)
+
+// panel8x4AVX2 is the whole-panel direct entry in AVX2/FMA assembly:
+// C[0:rows,0:n] += A·B on column-major operands read in place, every
+// 8×4 block of it in registers in turn. rows must be a positive
+// multiple of 8, n of 4, and k ≥ 1.
+//
+//go:noescape
+func panel8x4AVX2(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
+
+// panel16x4AVX512 is the whole-panel direct entry in 16×4 ZMM blocks;
+// rows must be a positive multiple of 16.
+//
+//go:noescape
+func panel16x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)

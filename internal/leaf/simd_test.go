@@ -1,10 +1,12 @@
 package leaf
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"os/exec"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -35,7 +37,7 @@ func TestSIMDRegistration(t *testing.T) {
 			t.Errorf("SIMD kernel %q missing from autotuner candidates %v", name, candidates)
 		}
 	}
-	if (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") &&
+	if (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") && os.Getenv("RECMAT_NOSIMD") == "" &&
 		len(archFeatures()) > 0 && len(SIMDNames()) == 0 {
 		t.Errorf("features %v detected but no SIMD kernel registered", Features())
 	}
@@ -55,6 +57,8 @@ func TestSIMDFringes(t *testing.T) {
 		{8, 4, 8}, {16, 8, 16}, // on-grid
 		{9, 5, 7}, {15, 7, 9}, {23, 9, 31}, // off both grids
 		{12, 4, 8}, {20, 8, 4}, // 4-row direct fringe of the 8-row kernel
+		{24, 8, 8}, {40, 4, 3}, // 8-row remainder of the 16-row kernel
+		{28, 12, 9}, {47, 9, 5}, // 16-row blocks, then 8, then 4, then single rows
 		{1, 1, 1}, {1, 17, 3}, {33, 1, 29}, // degenerate rows/cols
 		{7, 3, 1}, {5, 5, 2}, // tiny k
 	}
@@ -89,6 +93,43 @@ func TestSIMDFringes(t *testing.T) {
 	}
 }
 
+// TestAVX512MatchesAVX2Bits pins that the two amd64 families are one
+// rounding class: every C element sees the same fused operations in the
+// same order whichever runs, so a calibration race that lands on either
+// cannot change a result. Every row count from 4 to 72 — 16-row blocks
+// with and without the 8-row remainder, the 4-row fringe, single rows —
+// against column counts on and off the 4-column grid, k from 0 up, on
+// contiguous tiles (the whole-panel path) and strided views (the
+// packed-panel path).
+func TestAVX512MatchesAVX2Bits(t *testing.T) {
+	k2, err2 := Get("avx2")
+	k5, err5 := Get("avx512")
+	if err2 != nil || err5 != nil {
+		t.Skip("needs both the avx2 and the avx512 kernel")
+	}
+	rng := rand.New(rand.NewSource(17))
+	for m := 4; m <= 72; m++ {
+		for _, n := range []int{4, 5, 8, 11, 32, 72} {
+			for _, k := range []int{0, 1, 7, 32, 72} {
+				for _, pad := range []int{0, 3} { // pad > 0: strided views
+					A := matrix.Random(m+pad, k+pad, rng).View(pad, 0, m, k)
+					B := matrix.Random(k+pad, n, rng).View(pad, 0, k, n)
+					C := matrix.Random(m, n, rng)
+					c2, c5 := C.Clone(), C.Clone()
+					k2(m, n, k, A.Data, A.Stride, B.Data, B.Stride, c2.Data, c2.Stride)
+					k5(m, n, k, A.Data, A.Stride, B.Data, B.Stride, c5.Data, c5.Stride)
+					for i := range c2.Data {
+						if c2.Data[i] != c5.Data[i] {
+							t.Fatalf("%dx%dx%d pad %d: element %d is %v under avx2, %v under avx512",
+								m, n, k, pad, i, c2.Data[i], c5.Data[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestNoSIMDEnv verifies the RECMAT_NOSIMD escape hatch end to end in a
 // child process (registration happens at package init, so the env var
 // must be set before the process starts): with it set, no assembly
@@ -99,7 +140,7 @@ func TestNoSIMDEnv(t *testing.T) {
 		if n := SIMDNames(); len(n) != 0 {
 			t.Fatalf("RECMAT_NOSIMD set but SIMD kernels registered: %v", n)
 		}
-		for _, name := range []string{"avx2", "neon"} {
+		for _, name := range []string{"avx2", "avx512", "neon"} {
 			if _, err := Get(name); err == nil {
 				t.Errorf("RECMAT_NOSIMD set but kernel %q still resolvable", name)
 			}
@@ -142,6 +183,49 @@ func TestFeaturesSorted(t *testing.T) {
 	}
 }
 
+// nominalGHz is the CPU's nominal clock from /proc/cpuinfo: the figure
+// in the model name ("... @ 2.10GHz") or, without one, the cpu MHz line;
+// 0 when neither is there.
+func nominalGHz() float64 {
+	buf, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return 0
+	}
+	var mhz float64
+	for _, line := range strings.Split(string(buf), "\n") {
+		key, val, _ := strings.Cut(line, ":")
+		switch strings.TrimSpace(key) {
+		case "model name":
+			if _, at, ok := strings.Cut(val, "@"); ok {
+				if ghz, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(at), "GHz"), 64); err == nil {
+					return ghz
+				}
+			}
+		case "cpu MHz":
+			if mhz == 0 {
+				mhz, _ = strconv.ParseFloat(strings.TrimSpace(val), 64)
+			}
+		}
+	}
+	return mhz / 1e3
+}
+
+// logPeaks prints the analytic one-core FMA peaks the kernel benchmarks'
+// GFLOPS are read against: lanes × 2 FMA pipes × 2 flops × nominal GHz.
+// (A benchmark that only runs sub-benchmarks has no result line for
+// b.Log to hang from, hence standard output.)
+func logPeaks() {
+	ghz := nominalGHz()
+	peak := func(lanes float64) string {
+		if ghz > 0 {
+			return strconv.FormatFloat(lanes*2*2*ghz, 'f', 1, 64)
+		}
+		return "unknown"
+	}
+	fmt.Printf("analytic peak GFLOPS per core at the nominal clock: avx2 %s, avx512 %s; registered families %v\n",
+		peak(4), peak(8), SIMDNames())
+}
+
 // BenchmarkKernels512 is the acceptance benchmark for the hardware
 // kernels: every registered kernel (naive excluded — it would dominate
 // the run for no information) on a contiguous 512³ leaf multiply, with
@@ -149,6 +233,7 @@ func TestFeaturesSorted(t *testing.T) {
 // kernel clearing ≥ 2× the best pure-Go kernel.
 func BenchmarkKernels512(b *testing.B) {
 	const n = 512
+	logPeaks()
 	for _, name := range Names() {
 		if name == "naive" {
 			continue

@@ -80,7 +80,18 @@ func Auto(m, n, k int) Impl {
 	return impl
 }
 
-// measure times each candidate and returns the winner's name.
+// measure times each candidate and returns the winner's name. The
+// repetitions run round-robin over the candidates, each keeping its
+// minimum: a shared host's speed moves 2× within milliseconds, and a
+// slow stretch that covered all of one candidate's repetitions would
+// hand the process to a slower kernel. Every timed product follows an
+// untimed one by the same kernel, because that is how a leaf runs —
+// thousands of products back to back — and a 512-bit kernel's first
+// product after other code runs at half speed while the core powers
+// its upper lanes up. A candidate four times behind the leader after a
+// round is out of the race: neighbours in a round are microseconds
+// apart, where the host's speed does not move that far, and the slow
+// kernels' products are what a calibration costs.
 func measure(m, n, k int) string {
 	rng := rand.New(rand.NewSource(1))
 	a := make([]float64, m*k)
@@ -92,27 +103,42 @@ func measure(m, n, k int) string {
 	for i := range b {
 		b[i] = rng.Float64()
 	}
-	bestName := candidates[0]
-	bestTime := time.Duration(1<<63 - 1)
+	type entry struct {
+		impl Impl
+		best time.Duration
+	}
+	const never = time.Duration(1<<63 - 1)
+	var live []entry
 	for _, name := range candidates {
-		impl, err := GetImpl(name)
-		if err != nil {
-			continue
-		}
-		impl.Kern(m, n, k, a, m, b, k, c, m) // warm up (and fault in scratch)
-		elapsed := time.Duration(1<<63 - 1)
-		for r := 0; r < calReps; r++ {
-			t0 := time.Now()
-			impl.Kern(m, n, k, a, m, b, k, c, m)
-			if d := time.Since(t0); d < elapsed {
-				elapsed = d
-			}
-		}
-		if elapsed < bestTime {
-			bestTime, bestName = elapsed, name
+		if impl, err := GetImpl(name); err == nil {
+			live = append(live, entry{impl, never})
 		}
 	}
-	return bestName
+	for r := 0; r < calReps; r++ {
+		lead := never
+		for i := range live {
+			e := &live[i]
+			e.impl.Kern(m, n, k, a, m, b, k, c, m) // warm (the first also faults in scratch)
+			t0 := time.Now()
+			e.impl.Kern(m, n, k, a, m, b, k, c, m)
+			e.best = min(e.best, time.Since(t0))
+			lead = min(lead, e.best)
+		}
+		keep := live[:0]
+		for _, e := range live {
+			if e.best/4 <= lead {
+				keep = append(keep, e)
+			}
+		}
+		live = keep
+	}
+	win := live[0]
+	for _, e := range live[1:] {
+		if e.best < win.best {
+			win = e
+		}
+	}
+	return win.impl.Name
 }
 
 // ResetCalibration clears the memoized autotuner selections and

@@ -181,8 +181,9 @@ type Kernel = leaf.Kernel
 // and "packed8x4" (packed-panel register-blocked kernels with a
 // pack-free fast path on contiguous recursive-layout tiles), and
 // "unrolled4" (the paper's kernel), plus whatever hardware kernels the
-// host CPU unlocked — "avx2" (AVX2/FMA 8×4) on amd64, "neon" (NEON 4×4)
-// on arm64; see SIMDKernels. See DESIGN.md for the hierarchy.
+// host CPU unlocked — "avx2" (AVX2/FMA 8×4) and "avx512" (AVX-512F
+// 16×4, bit-identical to "avx2") on amd64, "neon" (NEON 4×4) on arm64;
+// see SIMDKernels. See DESIGN.md for the hierarchy.
 func Kernels() []string { return leaf.Names() }
 
 // KernelByName resolves a built-in kernel.
@@ -190,14 +191,14 @@ func KernelByName(name string) (Kernel, error) { return leaf.Get(name) }
 
 // SIMDKernels returns the names of the assembly leaf kernels registered
 // on this host — the subset of Kernels that dispatches to hardware
-// micro-kernels (AVX2/FMA on amd64, NEON on arm64). Empty when the CPU
+// micro-kernels (AVX2/FMA and AVX-512F on amd64, NEON on arm64). Empty when the CPU
 // lacks the features, under `-tags noasm`, on other GOARCHes, or when
 // the RECMAT_NOSIMD environment variable disabled them at startup.
 func SIMDKernels() []string { return leaf.SIMDNames() }
 
 // CPUFeatures reports the SIMD capabilities detected on the host CPU in
-// sorted order (e.g. "avx2", "fma" on a modern amd64; "asimd" on
-// arm64). It describes the hardware and is unaffected by RECMAT_NOSIMD;
+// sorted order (e.g. "avx2", "fma", and "avx512f" where the OS saves
+// ZMM state, on a modern amd64; "asimd" on arm64). It describes the hardware and is unaffected by RECMAT_NOSIMD;
 // use SIMDKernels to see what is actually runnable.
 func CPUFeatures() []string { return leaf.Features() }
 
