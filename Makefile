@@ -6,11 +6,12 @@ check: build vet race determinism parity stress soak obs-gate trace-smoke omchec
 
 # The determinism gate: the result of a GEMM is a pure function of
 # (operands, shape, algorithm, kernel, fast cutoff). BFS-, DFS- and
-# hybrid-scheduled table algorithms, 1 to 16 workers, the per-call and
-# the prepacked entry point on split shapes, a batch against its single
-# calls, and Algorithm Auto through every entry point must all agree bit
-# for bit, at every GOMAXPROCS; and the two amd64 assembly families,
-# avx2 and avx512, are one rounding class (TestDeterminismSIMDFamilies).
+# hybrid-scheduled table algorithms, 1 to 16 workers, every entry point
+# on split shapes (per-call, batch, strided batch, prepacked, prepacked
+# batch), a mixed batch against its single calls, and Algorithm Auto
+# through every entry point must all agree bit for bit, at every
+# GOMAXPROCS; and the two amd64 assembly families, avx2 and avx512, are
+# one rounding class (TestDeterminismSIMDFamilies).
 determinism:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Determinism|BatchMatches' ./internal/core
 

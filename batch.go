@@ -12,7 +12,11 @@ import (
 // task injection, admission control, and arena reservation per
 // multiplication; at serving shapes (far below the serial cutoff) that
 // per-call overhead, not flops, bounds throughput. The wave pays those
-// costs once for the whole batch.
+// costs once for the whole batch. A batch is a wave of plans: each item
+// is planned and run exactly as a single call of its shape would be —
+// the same wide/lean split (Options.DisableSplit applies), tiles,
+// kernel and block order — so its result is bit for bit the single
+// call's.
 
 // GEMMBatchItem is one member of an Engine.GEMMBatch wave. Items may
 // differ in shape, scalars, and transposition; the C matrices of
@@ -41,8 +45,9 @@ type BatchReport = core.BatchStats
 //
 // The returned slice has one error slot per item (nil = success) with
 // per-item atomicity matching DGEMMContext: a failed or cancelled
-// member's C holds exactly its β-scaled input, and one member's panic
-// or expiry never poisons its wave siblings. The call-level error is
+// member's C holds its β-scaled input plus whole completed C blocks
+// (an item that does not split is one block), never a partial product,
+// and one member's panic or expiry never poisons its wave siblings. The call-level error is
 // non-nil only when the wave itself could not be scheduled — then no
 // item ran and every C is untouched. opts must select a recursive
 // layout (the default does); the canonical layouts have the per-call
@@ -62,7 +67,9 @@ func (e *Engine) GEMMBatch(ctx context.Context, items []GEMMBatchItem, opts *Opt
 // of streaming right-hand sides.
 //
 // Each member's op(B) must have pa.Cols() rows; the free dimension may
-// vary per member. Error semantics match GEMMBatch.
+// vary per member, and splits as PrepackConforming would split it, so
+// a member is bit for bit PrepackConforming + GEMMPrepacked. Error
+// semantics match GEMMBatch.
 func (e *Engine) GEMMPrepackedBatch(ctx context.Context, pa *Plan, items []PrepackedGEMMBatchItem, opts *Options) (*BatchReport, []error, error) {
 	co := opts.coreOptions()
 	co.Metrics = e.metrics

@@ -248,28 +248,24 @@ func tableArenaElems(tb *Table, gm, gk, gn, tm, tk, tn, fastCutoff int) int64 {
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
 // maxArenaElems caps the up-front reservation at 64 GiB of float64s;
-// beyond it acquireArena declines and every temporary heap-allocates
+// beyond it acquireArenaElems declines and every temporary heap-allocates
 // incrementally, which at that scale is the less catastrophic failure
 // mode (and MemBudget admission will normally have refused far
 // earlier).
 const maxArenaElems = int64(1) << 33
 
-// acquireArena reserves the workspace for one block multiplication:
-// stacks × arenaStackElems elements in one contiguous buffer. stacks
-// should be the pool's worker count, or 1 for serial execution (a
-// serial run has exactly one live task, so every frame maps to stack
-// 0). Returns nil when the algorithm needs no temporaries or the
-// reservation would be absurd; the run then heap-allocates as before.
-func acquireArena(alg Alg, gm, gk, gn, tm, tk, tn, fastCutoff, stacks int) *arena {
-	return acquireArenaElems(arenaStackElems(alg, gm, gk, gn, tm, tk, tn, fastCutoff), stacks)
-}
-
-// acquireArenaElems reserves stacks × per elements directly — the form
-// the batched wave driver uses, where per is the maximum single-item
-// depth-first path over the wave's (possibly heterogeneous) geometries.
-// A worker interleaving frames of two items under help-first stealing
-// can transiently exceed its stack, exactly like cross-subtree stealing
-// in a single call; the heap fallback absorbs it.
+// acquireArenaElems reserves the workspace of a call or a batched wave:
+// stacks × per elements in one contiguous buffer, per being what
+// admission charged (charge.arena: arenaStackElems of the geometry, for
+// a wave the maximum over its members' — possibly heterogeneous —
+// geometries). stacks should be the pool's worker count, or 1 for
+// serial execution (a serial run has exactly one live task, so every
+// frame maps to stack 0). Returns nil when the algorithm needs no
+// temporaries or the reservation would be absurd; the run then
+// heap-allocates as before. A worker interleaving frames of two wave
+// members under help-first stealing can transiently exceed its stack,
+// exactly like cross-subtree stealing in a single call; the heap
+// fallback absorbs it.
 func acquireArenaElems(per int64, stacks int) *arena {
 	if per <= 0 {
 		return nil

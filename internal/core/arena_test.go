@@ -12,6 +12,12 @@ import (
 	"repro/internal/sched"
 )
 
+// acquireArena reserves the workspace of one block multiplication on
+// the given geometry, as a call's admission would size it.
+func acquireArena(alg Alg, gm, gk, gn, tm, tk, tn, fastCutoff, stacks int) *arena {
+	return acquireArenaElems(arenaStackElems(alg, gm, gk, gn, tm, tk, tn, fastCutoff), stacks)
+}
+
 func fillRand(dst []float64, rng *rand.Rand) {
 	for i := range dst {
 		dst[i] = rng.Float64() - 0.5

@@ -4,37 +4,41 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/layout"
-	"repro/internal/leaf"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/tile"
 )
 
-// This file implements the batched GEMM path: many small/skinny
-// multiplications scheduled as ONE task wave over the work-stealing
-// pool, instead of N independent driver calls. A per-call driver pays
-// root-task injection, β-scaling, admission, arena reservation, and the
-// pack/compute/unpack phase structure per multiplication; for the
-// serving shape (thousands of items far below the serial cutoff) that
-// overhead, not flops, bounds throughput. The wave pays admission and
-// the arena reservation once, then lets min(items, workers) runner
-// tasks pull items off a shared atomic counter — conversions run
-// serially inside each item (an item task already executes on a pool
-// worker, so it must never re-enter pool.RunCtx), and the items
-// themselves are the parallelism.
+// This file is the batched GEMM path: a batch is a wave of plans. Many
+// multiplications run as ONE task wave over the work-stealing pool
+// instead of N driver calls, which at the serving shape (thousands of
+// items far below the serial cutoff) pay more for root-task injection,
+// admission and the arena reservation than for flops. The wave pays
+// those once: one admission (a member's bill, plan.go's geom.charge,
+// times the members in flight), one arena, and min(items, workers)
+// runner tasks of the one runner loop (pullWave).
 //
-// Per-item contract (identical to GEMMCtx, per member): an item that
-// fails validation leaves its C untouched; once an item starts, its C
-// is β-scaled up front, and on cancellation or panic it holds exactly
-// the β-scaled inputs plus fully-unpacked completed block products —
-// never a partial product. One member's failure never poisons its wave
-// siblings: each item runs under its own recover, with its own error
-// slot, honoring its own context at phase boundaries.
+// A member is a plan product run serially on its runner. It gets the
+// split, the geometry, the kernel and the cutoff its single-call twin
+// would — GEMMCtx's for a GEMMBatch member, PrepackConforming's for a
+// right-hand side of GEMMPrepackedBatch's resident A — the runner packs
+// whichever operands are not resident into its reused transient plans,
+// and every C block goes through planMul.block. So a member's result is
+// bit for bit its twin's, split or not, and the members are the
+// parallelism: a task already executes on a pool worker and must never
+// re-enter pool.RunCtx.
+//
+// Per-member contract (GEMMCtx's): a member that fails validation
+// leaves its C untouched; once it starts, its C is β-scaled up front,
+// and on cancellation or panic it holds exactly the β-scaled input plus
+// whole completed C blocks — never a partial product. One member's
+// failure never poisons its wave siblings: each runs under its own
+// recover, with its own error slot, honoring its own context at block
+// boundaries.
 
 // BatchItem is one member of a GEMMBatch wave. Items may differ in
 // shape, scalars, and transposition; the Cs of distinct items must not
@@ -47,9 +51,10 @@ type BatchItem struct {
 	C              *matrix.Dense
 	// Ctx, when non-nil, cancels this item alone: an expired member is
 	// dropped from the wave (typed error in its slot), not the wave
-	// from the member. It is honored at item phase boundaries — an
-	// item already inside its compute finishes that product first.
-	// nil means the item lives exactly as long as the wave context.
+	// from the member. It is honored when the item starts and at its C
+	// block boundaries — an item already inside a block's product
+	// finishes that product first. nil means the item lives exactly as
+	// long as the wave context.
 	Ctx context.Context
 	// TraceID, when non-zero, attributes this item's execution to a
 	// request: the item's wave-item span carries it as its arg, and the
@@ -76,8 +81,8 @@ type PrepackedBatchItem struct {
 
 // BatchStats extends Stats with wave-level accounting. The embedded
 // Stats fields aggregate over the whole wave (ConvertBytes, Blocks,
-// pool and scheduler counters); geometry fields describe the largest
-// item admitted.
+// pool and scheduler counters); geometry fields describe the dearest
+// member, the one whose buffers set the wave's admission charge.
 type BatchStats struct {
 	Stats
 	// Items counts the members scheduled into the wave (validation
@@ -86,228 +91,71 @@ type BatchStats struct {
 	Items, Completed int
 }
 
-// itemGeom is one item's chosen tiling, leaf kernel and fast cutoff
-// plus logical dimensions. Kernel and cutoff are resolved per geometry,
-// not once per wave: a heterogeneous wave must give each item what its
-// single-call twin would pick, or the differential bit-exactness
-// guarantee breaks on the items whose tile shape differs from the
-// largest member's.
-type itemGeom struct {
-	d          uint
-	tm, tk, tn int
+// waveShape is what the members of one m×k×n share: the plan their
+// single-call twin would make, and what one of them costs.
+type waveShape struct {
 	m, k, n    int
-	kern       leaf.Kernel
-	skern      leaf.ScratchKernel
-	kname      string
-	cutoff     int
+	ms, ks, ns []tile.Seg // nil: an empty product, nothing to plan
+	resolved
+	// ch is one member's bill: the operands its runner packs, one
+	// product tile, its arena path.
+	ch charge
 }
 
-// resolveFast fills the item's kernel and, for a fast algorithm, its
-// cutoff.
-func (g *itemGeom) resolveFast(o Options) (err error) {
-	if g.kern, g.skern, g.kname, err = resolveKernel(o, g.tm, g.tk, g.tn); err == nil {
-		o.settle(g.kern, 1<<g.d, g.tm, g.tk, g.tn)
-		g.cutoff = o.FastCutoff
-	}
-	return err
-}
-
-// packedElems returns the item's packed-buffer footprint in elements:
-// the three wave-owned tiled buffers a concurrently-executing item
-// holds (op(A), op(B), product).
-func (g itemGeom) packedElems() int64 {
-	ss := int64(1) << (2 * g.d)
-	return ss * (int64(g.tm)*int64(g.tk) + int64(g.tk)*int64(g.tn) + int64(g.tm)*int64(g.tn))
-}
-
-// waveWS is one runner task's buffer workspace: value Tiled headers
-// over recycled pool buffers, plus the runner's private exec copy (so
-// the per-item kernel can be swapped in without racing the other
-// runners). Buffers persist across the items a runner executes — they
-// are acquired on first use, regrown only when an item needs a larger
-// size class, and returned to the pool once when the runner drains.
-// Steady-state waves therefore perform zero allocations per item. bs
-// is the prepacked wave's per-k-segment packed-B set and pb the
-// transient plan header over it; the split block wave uses tc alone.
-type waveWS struct {
-	e          exec
-	ta, tb, tc Tiled
-	bs         []Tiled
-	pb         Prepacked
-	stats      Stats
-}
-
-// release returns the runner's buffers to the recycling pool, once,
-// when the runner drains (panic paths included, via the runner's
-// defer).
-func (ws *waveWS) release() {
-	for _, t := range []*Tiled{&ws.tc, &ws.tb, &ws.ta} {
-		putBuf(t.Data)
-		t.Data = nil
-	}
-	for j := range ws.bs {
-		putBuf(ws.bs[j].Data)
-		ws.bs[j].Data = nil
-	}
-}
-
-// waveExec carries one wave through its runner tasks.
-type waveExec struct {
-	e     *exec
-	alg   Alg
-	curve layout.Curve
-	wctx  context.Context
-	next  atomic.Int64
-	errs  []error
-	done  []bool
-	ws    []waveWS
-	// runItem executes one item on the calling runner; it must record
-	// either errs[i] or done[i].
-	runItem func(c *sched.Ctx, i int, ws *waveWS)
-}
-
-// run is the runner-task body: pull item indices off the shared counter
-// until the wave is drained or cancelled. Items are claimed exactly
-// once, so errs/done writes are race-free by construction.
-func (wx *waveExec) run(c *sched.Ctx, r int) {
-	ws := &wx.ws[r]
-	ws.e = *wx.e
-	defer ws.release()
-	for {
-		if c.Cancelled() {
-			return
-		}
-		i := int(wx.next.Add(1)) - 1
-		if i >= len(wx.errs) {
-			return
-		}
-		if wx.errs[i] != nil { // validation reject: never scheduled
-			continue
-		}
-		wx.runOne(c, i, ws)
-	}
-}
-
-// runOne wraps one item in its own recover boundary: a panic anywhere
-// in the item's conversions or compute (including an aggregated
-// *sched.TaskError re-raised from its nested parallel products) lands
-// in the item's error slot and the runner moves on to the next item.
-func (wx *waveExec) runOne(c *sched.Ctx, i int, ws *waveWS) {
-	defer func() {
-		if r := recover(); r != nil {
-			wx.errs[i] = recoveredError(r)
-		}
-	}()
-	wx.runItem(c, i, ws)
-}
-
-// itemCtx resolves an item's cancellation scope.
-func (wx *waveExec) itemCtx(ictx context.Context) context.Context {
-	if ictx == nil {
-		return wx.wctx
-	}
-	return ictx
-}
-
-// waveCause names why the wave's scheduler state is cancelled: the wave
-// context's cause when it fired, otherwise the pool is closing.
-func (wx *waveExec) waveCause() error {
-	if err := context.Cause(wx.wctx); err != nil {
-		return err
-	}
-	return sched.ErrPoolClosed
-}
-
-// notStarted and cancelledItem build the typed per-item errors.
-func notStartedErr(i int, cause error) error {
-	return fmt.Errorf("core: batch item %d not started: %w", i, cause)
-}
-
-func cancelledErr(i int, cause error) error {
-	return fmt.Errorf("core: batch item %d cancelled: %w", i, cause)
-}
-
-// blockErr types a planMul.block failure for item i: a cancelled run
-// names the wave's cause, an expired member (context ictx) its own;
-// anything else is the item's failure as it stands.
-func (wx *waveExec) blockErr(i int, ictx context.Context, err error) error {
-	if err == errRunCancelled {
-		return cancelledErr(i, wx.waveCause())
-	}
-	if cause := context.Cause(ictx); cause != nil && errors.Is(err, cause) {
-		return cancelledErr(i, err)
-	}
-	return err
-}
-
-// reshape rewrites a workspace Tiled's header for the next item while
-// leaving Data alone — assigning a fresh struct literal would clobber
-// the persisted buffer and defeat the cross-item reuse.
-func (t *Tiled) reshape(curve layout.Curve, d uint, tr, tc, rows, cols int) {
-	t.Curve, t.D, t.TR, t.TC, t.Rows, t.Cols = curve, d, tr, tc, rows, cols
-}
-
-// acquireInto sizes a workspace Tiled's buffer to exactly n elements,
-// reusing the runner's existing buffer when its capacity suffices (the
-// steady-state path — no pool traffic, no allocation) and recycling
-// through the buffer pool only on growth.
-func acquireInto(t *Tiled, stats *Stats, n int) {
-	if cap(t.Data) >= n {
-		t.Data = t.Data[:n]
-		return
-	}
-	putBuf(t.Data)
-	b, hit := getBuf(n)
-	notePool(stats, hit)
-	t.Data = b
-}
-
-// batchItemGeom validates one GEMMBatch item and chooses its tiling.
-// Items multiply as single blocks (no Figure-3 wide/lean splitting):
-// the batch path targets small and serving shapes, where splitting
-// never triggers; an extreme-aspect item still computes correctly, it
-// just pads more than a per-call GEMM would.
-func batchItemGeom(o Options, it *BatchItem) (itemGeom, error) {
-	if it.A == nil || it.B == nil || it.C == nil {
-		return itemGeom{}, fmt.Errorf("core: batch item with nil operand")
-	}
-	if !isFinite(it.Alpha) || !isFinite(it.Beta) {
-		return itemGeom{}, fmt.Errorf("%w: alpha=%v, beta=%v", ErrNonFinite, it.Alpha, it.Beta)
-	}
-	m, k := it.A.Rows, it.A.Cols
-	if it.TransA {
-		m, k = k, m
-	}
-	kb, n := it.B.Rows, it.B.Cols
-	if it.TransB {
-		kb, n = n, kb
-	}
-	if kb != k {
-		return itemGeom{}, fmt.Errorf("%w: inner dimensions disagree: op(A) is %dx%d, op(B) is %dx%d", ErrDimension, m, k, kb, n)
-	}
-	if it.C.Rows != m || it.C.Cols != n {
-		return itemGeom{}, fmt.Errorf("%w: C is %dx%d, want %dx%d", ErrDimension, it.C.Rows, it.C.Cols, m, n)
-	}
-	g := itemGeom{m: m, k: k, n: n}
+// shapeOf plans one member shape: GEMMCtx's split and geometry when A
+// is packed per member, PrepackConforming's against a resident plan pa;
+// then the kernel, the cutoff and AlgAuto that geometry settles. Kernel
+// and cutoff are per shape, not per wave: a heterogeneous wave gives
+// each member what its twin would pick. An empty product has no plan.
+func shapeOf(o Options, pa *Prepacked, m, k, n int) (*waveShape, error) {
+	sh := &waveShape{m: m, k: k, n: n}
 	if m == 0 || k == 0 || n == 0 {
-		return g, nil
+		return sh, nil
 	}
+	var g geom
 	var err error
-	if g.d, g.tm, g.tk, g.tn, err = choose(o, m, k, n); err != nil {
-		return itemGeom{}, err
+	if pa != nil {
+		var tn int
+		sh.ms, sh.ks = pa.RSegs, pa.CSegs
+		sh.ns, tn, err = conformSegs(o, pa, n)
+		g = squareGeom(pa.Curve, pa.D, pa.TR, pa.TC, tn)
+	} else {
+		sh.ms, sh.ks, sh.ns = splitSegs(o, m, k, n)
+		g, err = chooseGeom(o, sh.ms, sh.ks, sh.ns, false)
 	}
-	if err = g.resolveFast(o); err != nil {
-		return itemGeom{}, err
+	if err == nil {
+		sh.resolved, err = resolveGeom(o, g)
 	}
-	return g, nil
+	if err != nil {
+		return nil, err
+	}
+	sh.ch = g.charge(sh.cutoff, sh.ms, sh.ks, sh.ns, pa != nil, false, 1)
+	return sh, nil
 }
+
+// wave carries one batch through its runner tasks.
+type wave struct {
+	ctx    context.Context
+	pa     *Prepacked // the resident A plan; nil when every member packs its own
+	alg    Alg
+	items  []BatchItem
+	shapes []*waveShape // by item; nil for a validation reject
+	errs   []error
+}
+
+// errNotRun fills a scheduled member's error slot until the member has
+// run: what is left of it after the wave marks the members a wave-level
+// failure kept from running.
+var errNotRun = errors.New("core: batch item aborted before it ran")
 
 // GEMMBatch computes C_i ← α_i·op(A_i)·op(B_i) + β_i·C_i for every item
 // in one task wave over the pool: one admission/MemBudget charge for
-// the wave (the packed-buffer term multiplied by the number of
-// concurrently-executing items), one arena reservation sized by the
-// largest item's depth-first path, per-item packing fused into the wave
-// tasks, and the degradation ladder applied wave-wide.
+// the wave (a member's bill times the members in flight), one arena
+// reservation sized by the longest depth-first path over the members,
+// per-item packing fused into the wave tasks, and the degradation
+// ladder applied wave-wide. Each item is planned as GEMMCtx would plan
+// it — wide/lean items split (Figure 3; DisableSplit applies) — and is
+// bit for bit what GEMMCtx computes.
 //
 // The returned errs has one slot per item (nil = success); err is
 // non-nil only when the wave itself could not be scheduled (bad
@@ -320,217 +168,33 @@ func batchItemGeom(o Options, it *BatchItem) (itemGeom, error) {
 // serially inside (the wave itself saturates the pool, and suppressing
 // nested spawns makes steady-state waves allocation-free per item);
 // smaller waves of larger items keep nested parallelism.
-func GEMMBatch(ctx context.Context, pool *sched.Pool, opts Options, items []BatchItem) (bs *BatchStats, errs []error, err error) {
-	co := beginCall(0)
-	defer func() { co.endBatch(opts.Metrics, bs, errs, err) }()
-	defer func() {
-		if r := recover(); r != nil {
-			bs, errs, err = nil, nil, recoveredError(r)
-		}
-	}()
-	o := opts.withDefaults()
-	if len(items) == 0 {
-		return nil, nil, fmt.Errorf("core: GEMMBatch of zero items")
-	}
-	if o.Curve == layout.ColMajor || o.Curve == layout.RowMajor {
-		return nil, nil, fmt.Errorf("core: GEMMBatch requires a recursive layout, got %v", o.Curve)
-	}
-	if pool == nil {
-		p := sched.NewPool(0)
-		defer p.Close()
-		pool = p
-	} else if pool.Closed() {
-		return nil, nil, sched.ErrPoolClosed
-	}
-	if ctx.Err() != nil {
-		return nil, nil, fmt.Errorf("core: GEMMBatch not started: %w", context.Cause(ctx))
-	}
-
-	errs = make([]error, len(items))
-	geoms := make([]itemGeom, len(items))
-	live := 0
-	var maxG itemGeom
-	var perPacked int64
-	for i := range items {
-		// Identical consecutive shapes (the common homogeneous batch)
-		// reuse the previous item's tiling without re-running choose.
-		if i > 0 && errs[i-1] == nil && items[i].A != nil && items[i-1].A != nil &&
-			items[i].TransA == items[i-1].TransA && items[i].TransB == items[i-1].TransB &&
-			items[i].A.Rows == items[i-1].A.Rows && items[i].A.Cols == items[i-1].A.Cols &&
-			items[i].B.Rows == items[i-1].B.Rows && items[i].B.Cols == items[i-1].B.Cols &&
-			items[i].C != nil && items[i-1].C != nil &&
-			items[i].C.Rows == items[i-1].C.Rows && items[i].C.Cols == items[i-1].C.Cols &&
-			isFinite(items[i].Alpha) && isFinite(items[i].Beta) {
-			geoms[i] = geoms[i-1]
-		} else {
-			g, gerr := batchItemGeom(o, &items[i])
-			if gerr != nil {
-				errs[i] = gerr
-				continue
-			}
-			geoms[i] = g
-		}
-		g := geoms[i]
-		live++
-		if p := g.packedElems(); p > perPacked {
-			perPacked = p
-		}
-		if int64(g.tm)*int64(g.tn)<<(2*g.d) > int64(maxG.tm)*int64(maxG.tn)<<(2*maxG.d) {
-			maxG = g
-		}
-	}
-	if live == 0 || maxG.tm == 0 {
-		// Nothing to schedule: every item failed validation or is empty.
-		bs = &BatchStats{Items: live, Completed: live}
-		for i := range items {
-			if errs[i] == nil {
-				items[i].C.Scale(items[i].Beta)
-			}
-		}
-		return bs, errs, nil
-	}
-
-	bs, e, ar, runners, err := admitWave(pool, o, co, geoms, errs, live, perPacked, maxG)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer releaseArena(ar)
-
-	wx := &waveExec{e: e, alg: bs.Alg, curve: o.Curve, wctx: ctx, errs: errs,
-		done: make([]bool, len(items)), ws: make([]waveWS, runners)}
-	wx.runItem = func(c *sched.Ctx, i int, ws *waveWS) {
-		wx.runBatchItem(c, &items[i], geoms[i], i, ws)
-	}
-
-	runWave(ctx, pool, co, wx, runners, bs, ar)
-	return bs, errs, nil
-}
-
-// runBatchItem executes one GEMMBatch member: β-scale, serial pack of
-// both operands into recycled buffers, nested-parallel product, serial
-// fused epilogue.
-func (wx *waveExec) runBatchItem(c *sched.Ctx, it *BatchItem, g itemGeom, i int, ws *waveWS) {
-	if tr := ws.e.tr; tr != nil {
-		its := time.Now()
-		defer func() {
-			tr.Span(c.WorkerID(), obs.KindWaveItem, its, time.Since(its), it.TraceID)
-		}()
-	}
-	ictx := wx.itemCtx(it.Ctx)
-	if c.Cancelled() {
-		wx.errs[i] = notStartedErr(i, wx.waveCause())
-		return
-	}
-	if ierr := ictx.Err(); ierr != nil {
-		wx.errs[i] = notStartedErr(i, context.Cause(ictx))
-		return
-	}
-	// β up front: the item's atomicity anchor. Serial is fine — the
-	// wave's parallelism is across items.
-	it.C.Scale(it.Beta)
-	if it.Alpha == 0 || g.m == 0 || g.n == 0 || g.k == 0 {
-		wx.done[i] = true
-		return
-	}
-	ss := 1 << (2 * g.d)
-	ws.ta.reshape(wx.curve, g.d, g.tm, g.tk, g.m, g.k)
-	acquireInto(&ws.ta, &ws.stats, ss*g.tm*g.tk)
-	if err := ws.ta.packSerial(it.A, it.TransA, 1); err != nil {
-		wx.errs[i] = err
-		return
-	}
-	ws.tb.reshape(wx.curve, g.d, g.tk, g.tn, g.k, g.n)
-	acquireInto(&ws.tb, &ws.stats, ss*g.tk*g.tn)
-	if err := ws.tb.packSerial(it.B, it.TransB, 1); err != nil {
-		wx.errs[i] = err
-		return
-	}
-	ws.tc.reshape(wx.curve, g.d, g.tm, g.tn, g.m, g.n)
-	acquireInto(&ws.tc, &ws.stats, ss*g.tm*g.tn)
-	vZero(ws.tc.Data)
-	ws.stats.ConvertBytes += 8 * int64(len(ws.ta.Data)+len(ws.tb.Data))
-	if ierr := ictx.Err(); ierr != nil {
-		wx.errs[i] = cancelledErr(i, context.Cause(ictx))
-		return
-	}
-	if c.Cancelled() {
-		wx.errs[i] = cancelledErr(i, wx.waveCause())
-		return
-	}
-	ws.e.kern, ws.e.skern, ws.e.fastCutoff = g.kern, g.skern, g.cutoff
-	ws.e.mul(c, wx.alg, ws.tc.Mat(), ws.ta.Mat(), ws.tb.Mat())
-	if c.Cancelled() {
-		// The product may be partial — drop it; C stays exactly
-		// β-scaled (the per-item atomicity contract).
-		wx.errs[i] = cancelledErr(i, wx.waveCause())
-		return
-	}
-	if ierr := ictx.Err(); ierr != nil {
-		// Expired member: dropped from the wave before its epilogue,
-		// leaving its C β-scaled; siblings are unaffected.
-		wx.errs[i] = cancelledErr(i, context.Cause(ictx))
-		return
-	}
-	ws.tc.unpackAccumulateSerial(it.C, it.Alpha)
-	ws.stats.ConvertBytes += 8 * int64(len(ws.tc.Data))
-	ws.stats.Blocks++
-	wx.done[i] = true
-}
-
-// runWave submits the wave as one root task: the root spawns the runner
-// tasks, which drain the shared item counter. Wave-level failures
-// (outer-context cancellation, a fault injected into a runner task's
-// frame outside any item's recover) are attributed only to items with
-// no recorded outcome — completed members keep their results, errored
-// members keep their own causes.
-func runWave(ctx context.Context, pool *sched.Pool, co callObs, wx *waveExec, runners int, bs *BatchStats, ar *arena) {
-	c0 := startCall(pool, co.t0)
-	t1 := time.Now()
-	fns := make([]func(*sched.Ctx), runners)
-	for r := 0; r < runners; r++ {
-		r := r
-		fns[r] = func(c *sched.Ctx) { wx.run(c, r) }
-	}
-	work, span, rerr := pool.RunCtx(ctx, func(c *sched.Ctx) { c.Parallel(fns...) })
-	bs.Compute = time.Since(t1)
-	bs.Work, bs.Span = work, span
-	for i := range wx.errs {
-		if wx.done[i] {
-			bs.Completed++
-			continue
-		}
-		if wx.errs[i] == nil {
-			if rerr != nil {
-				wx.errs[i] = fmt.Errorf("core: batch item %d aborted: %w", i, rerr)
-			} else {
-				wx.errs[i] = fmt.Errorf("core: batch item %d aborted before it ran", i)
-			}
-		}
-	}
-	for r := range wx.ws {
-		bs.Stats.merge(&wx.ws[r].stats)
-	}
-	if ar != nil {
-		bs.AllocBytes = 8 * ar.fallbackElems.Load()
-	}
-	finishStats(&bs.Stats, pool, c0)
+func GEMMBatch(ctx context.Context, pool *sched.Pool, opts Options, items []BatchItem) (*BatchStats, []error, error) {
+	return runBatch(ctx, pool, opts, "GEMMBatch", nil, items)
 }
 
 // GEMMPrepackedBatch computes C_i ← α_i·(plan A)·op(B_i) + β_i·C_i for
-// every item in one wave: the shared A plan is packed once (at Prepack
-// time), each item's B is packed into the plan-conforming geometry
-// inside its wave task, and the product accumulates through the same
-// pooled-tile fused epilogue GEMMPrepacked uses. Admission runs once
-// for the wave with resident plan semantics — only the wave-owned
-// per-item buffers (packed B, product tile) are charged, multiplied by
-// the number of concurrently-executing items.
-//
-// Conformance per item: op(B_i) must have pa.Cols rows; the free
-// dimension may vary per item (each gets its own tile width, chosen
-// exactly as PrepackConforming would for an unsplit free dimension).
-// Error semantics match GEMMBatch: errs per item, err only for
-// wave-level scheduling failures.
-func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa *Prepacked, items []PrepackedBatchItem) (bs *BatchStats, errs []error, err error) {
+// every item in one wave: GEMMBatch with A resident. The shared plan
+// was packed once (at Prepack time); each item's B is packed inside its
+// wave task into the geometry PrepackConforming would give it — op(B_i)
+// must have pa.Cols rows, the free dimension may vary per item and
+// splits as a direct call's would — so an item is bit for bit
+// PrepackConforming + GEMMPrepacked. Admission charges only what the
+// wave owns (packed B, product tile), times the items in flight. Error
+// semantics match GEMMBatch.
+func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa *Prepacked, items []PrepackedBatchItem) (*BatchStats, []error, error) {
+	if pa == nil {
+		pa = &Prepacked{released: true} // rejected below, as a released plan is
+	}
+	members := make([]BatchItem, len(items))
+	for i, it := range items {
+		members[i] = BatchItem{TransB: it.TransB, Alpha: it.Alpha, B: it.B, Beta: it.Beta, C: it.C, Ctx: it.Ctx, TraceID: it.TraceID}
+	}
+	return runBatch(ctx, pool, opts, "GEMMPrepackedBatch", pa, members)
+}
+
+// runBatch is the body of both wave entry points: validate and plan
+// every member, admit the wave once, run it.
+func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, pa *Prepacked, items []BatchItem) (bs *BatchStats, errs []error, err error) {
 	co := beginCall(0)
 	defer func() { co.endBatch(opts.Metrics, bs, errs, err) }()
 	defer func() {
@@ -540,10 +204,15 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 	}()
 	o := opts.withDefaults()
 	if len(items) == 0 {
-		return nil, nil, fmt.Errorf("core: GEMMPrepackedBatch of zero items")
+		return nil, nil, fmt.Errorf("core: %s of zero items", name)
 	}
-	if pa == nil || pa.released {
-		return nil, nil, fmt.Errorf("core: GEMMPrepackedBatch with nil or released plan")
+	if pa != nil {
+		if pa.released {
+			return nil, nil, fmt.Errorf("core: %s with nil or released plan", name)
+		}
+		o.Curve = pa.Curve
+	} else if o.Curve == layout.ColMajor || o.Curve == layout.RowMajor {
+		return nil, nil, fmt.Errorf("core: %s requires a recursive layout, got %v", name, o.Curve)
 	}
 	if pool == nil {
 		p := sched.NewPool(0)
@@ -553,154 +222,206 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 		return nil, nil, sched.ErrPoolClosed
 	}
 	if ctx.Err() != nil {
-		return nil, nil, fmt.Errorf("core: GEMMPrepackedBatch not started: %w", context.Cause(ctx))
+		return nil, nil, fmt.Errorf("core: %s not started: %w", name, context.Cause(ctx))
 	}
 
-	d, tm, tk := pa.D, pa.TR, pa.TC
-	nks := len(pa.CSegs)
-	errs = make([]error, len(items))
-	geoms := make([]itemGeom, len(items))
-	live := 0
-	var maxG itemGeom // the widest member
-	var perPacked int64
+	// Plan every member before any C is touched. Consecutive members of
+	// one shape (the common homogeneous batch) share the plan.
+	//
+	// The wave's bill is the dearest member's, times the members in
+	// flight; scratch and arena are the largest any member needs, each at
+	// its own cutoff. One algorithm runs the whole wave — mixed ones would
+	// defeat the one ladder and arena. AlgAuto settles per shape, and the
+	// wave takes the fast algorithm if any member keeps a fast level: a
+	// member that keeps none runs it straight into the standard
+	// recursion, the bits of its Standard twin.
+	w := &wave{ctx: ctx, pa: pa, items: items, errs: make([]error, len(items)), shapes: make([]*waveShape, len(items))}
+	errs = w.errs
+	var last, dearest *waveShape
+	live, alg := 0, o.Alg
+	var ch charge
 	for i := range items {
 		it := &items[i]
-		if it.B == nil || it.C == nil {
+		if it.B == nil || it.C == nil || pa == nil && it.A == nil {
 			errs[i] = fmt.Errorf("core: batch item with nil operand")
 			continue
 		}
-		if !isFinite(it.Alpha) || !isFinite(it.Beta) {
-			errs[i] = fmt.Errorf("%w: alpha=%v, beta=%v", ErrNonFinite, it.Alpha, it.Beta)
+		var m, k int
+		if pa != nil {
+			m, k = pa.Rows, pa.Cols
+		} else {
+			m, k = opShape(it.A, it.TransA)
+		}
+		kb, n := opShape(it.B, it.TransB)
+		if errs[i] = conform(it.Alpha, it.Beta, m, k, kb, n, it.C); errs[i] != nil {
 			continue
 		}
-		kb, n := it.B.Rows, it.B.Cols
-		if it.TransB {
-			kb, n = n, kb
+		if last == nil || last.m != m || last.k != k || last.n != n {
+			sh, serr := shapeOf(o, pa, m, k, n)
+			if serr != nil {
+				errs[i] = serr
+				continue
+			}
+			last = sh
+			if sh.ns != nil {
+				if bill := sh.ch.held(sh.ch.plan) + sh.ch.perBlock; bill > ch.perBlock {
+					ch.perBlock, dearest = bill, sh
+				}
+				ch.scratch = max(ch.scratch, sh.ch.scratch)
+				if alg == AlgAuto || isFastAlg(sh.alg) {
+					alg = sh.alg
+				}
+			}
 		}
-		if kb != pa.Cols {
-			errs[i] = fmt.Errorf("%w: op(B) has %d rows, plan's inner dimension is %d", ErrDimension, kb, pa.Cols)
-			continue
-		}
-		if it.C.Rows != pa.Rows || it.C.Cols != n {
-			errs[i] = fmt.Errorf("core: C is %dx%d, want %dx%d", it.C.Rows, it.C.Cols, pa.Rows, n)
-			continue
-		}
-		if n == 0 {
-			geoms[i] = itemGeom{d: d, tm: tm, tk: tk, m: pa.Rows, k: pa.Cols}
-			live++
-			continue
-		}
-		// The conforming free-dimension tile, chosen exactly as
-		// PrepackConforming does for an unsplit free dimension.
-		tn := conformTile(o.Tile, n, d)
-		if _, _, _, derr := paddedDims(d, tm, tk, tn); derr != nil {
-			errs[i] = derr
-			continue
-		}
-		g := itemGeom{d: d, tm: tm, tk: tk, tn: tn, m: pa.Rows, k: pa.Cols, n: n}
-		// Per-tile-width kernel and cutoff, as GEMMPrepacked would resolve
-		// for a conforming plan of this width (bit-exactness vs the looped
-		// form); consecutive same-width items reuse the lookup.
-		if i > 0 && errs[i-1] == nil && geoms[i-1].tn == tn && geoms[i-1].kname != "" {
-			g.kern, g.skern, g.kname, g.cutoff = geoms[i-1].kern, geoms[i-1].skern, geoms[i-1].kname, geoms[i-1].cutoff
-		} else if errs[i] = g.resolveFast(o); errs[i] != nil {
-			continue
-		}
-		geoms[i] = g
+		w.shapes[i] = last
 		live++
-		if tn > maxG.tn {
-			maxG = g
-		}
-		ss := int64(1) << (2 * d)
-		if p := ss * int64(tn) * (int64(tk)*int64(nks) + int64(tm)); p > perPacked {
-			perPacked = p
-		}
 	}
-	if live == 0 || maxG.tn == 0 {
-		bs = &BatchStats{Items: live, Completed: live}
-		for i := range items {
-			if errs[i] == nil {
+	bs = &BatchStats{Items: live}
+	if dearest == nil {
+		// Nothing to schedule: every item failed validation or is empty.
+		bs.Completed = live
+		for i, sh := range w.shapes {
+			if sh != nil {
 				items[i].C.Scale(items[i].Beta)
 			}
 		}
 		return bs, errs, nil
 	}
+	ch.what = func() string { return fmt.Sprintf("a wave of %d items", live) }
+	ch.arena = func(alg Alg) (per int64) {
+		for i, sh := range w.shapes {
+			if sh != nil && sh.ns != nil && (i == 0 || sh != w.shapes[i-1]) {
+				per = max(per, sh.ch.arena(alg))
+			}
+		}
+		return per
+	}
 
-	bs, e, ar, runners, err := admitWave(pool, o, co, geoms, errs, live, perPacked, maxG)
+	// A wave of at least as many members as workers saturates the pool
+	// by itself, so nested spawns inside members are turned off — they
+	// would only add task overhead and per-spawn closures; smaller waves
+	// keep nested parallelism. Stats describe the dearest member.
+	workers := pool.Workers()
+	ch.inflight = min(live, workers)
+	o.Alg, o.FastCutoff = alg, dearest.cutoff
+	pc, err := admitPlan(pool, o, co, dearest.resolved, ch, ch.inflight)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer releaseArena(ar)
+	if live >= workers {
+		pc.e.serialCutoff = 1 << 30
+	}
+	w.alg = pc.alg
+	pc.start(pool, co, &bs.Stats)
+	defer releaseArena(pc.ar)
 
-	wx := &waveExec{e: e, alg: bs.Alg, curve: pa.Curve, wctx: ctx, errs: errs,
-		done: make([]bool, len(items)), ws: make([]waveWS, runners)}
-	for r := range wx.ws {
-		// Each runner's packed-B set, and the transient plan over it that
-		// the shared block loop multiplies the resident A plan against.
-		ws := &wx.ws[r]
-		ws.bs = make([]Tiled, nks)
-		ws.pb = Prepacked{Curve: pa.Curve, D: d, TR: tk, RSegs: pa.CSegs,
-			CSegs: make([]tile.Seg, 1), blocks: make([]*Tiled, nks)}
-		for s := range ws.bs {
-			ws.pb.blocks[s] = &ws.bs[s]
+	// Wave-level failures (outer-context cancellation, a fault injected
+	// into a runner task's frame outside any member's recover) are
+	// attributed only to members with no recorded outcome — completed
+	// members keep their results, errored members keep their own causes.
+	for i, sh := range w.shapes {
+		if sh != nil {
+			errs[i] = errNotRun
 		}
 	}
-	wx.runItem = func(c *sched.Ctx, i int, ws *waveWS) {
-		wx.runPrepackedItem(c, pa, &items[i], geoms[i], i, ws)
+	c0 := startCall(pool, co.t0)
+	rerr := pullWave(ctx, pool, pc.e, max(pc.runners, 1), len(items), &bs.Stats, w.step)
+	for i := range errs {
+		if errs[i] == nil {
+			bs.Completed++
+		} else if errs[i] == errNotRun && rerr != nil {
+			errs[i] = fmt.Errorf("core: batch item %d aborted: %w", i, rerr)
+		}
 	}
-
-	runWave(ctx, pool, co, wx, runners, bs, ar)
+	pc.finish(&bs.Stats, pool, c0)
 	return bs, errs, nil
 }
 
-// runPrepackedItem executes one GEMMPrepackedBatch member: β-scale,
-// serial pack of the conforming right-hand side (one tile set per plan
-// k-segment) into the runner's transient plan, then the member's C
-// blocks through the shared block loop (planMul.block), serial on this
-// worker.
-func (wx *waveExec) runPrepackedItem(c *sched.Ctx, pa *Prepacked, it *PrepackedBatchItem, g itemGeom, i int, ws *waveWS) {
+// step is the runner loop's body for member i, under the member's own
+// recover boundary: a panic anywhere in its conversions or compute
+// (including an aggregated *sched.TaskError re-raised from its nested
+// parallel products) lands in the member's error slot and the runner
+// moves on to the next. Members are claimed exactly once, so errs
+// writes are race-free by construction.
+func (w *wave) step(c *sched.Ctx, ws *waveWS, i int) error {
+	if w.shapes[i] == nil { // validation reject: never scheduled
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			w.errs[i] = recoveredError(r)
+		}
+	}()
+	w.errs[i] = w.member(c, ws, i)
+	return nil
+}
+
+// member executes one member on the calling runner: β-scale, serial
+// pack of the operands that are not resident into the runner's
+// transient plans, then its C blocks through the shared block loop
+// (planMul.block), serial on this worker.
+func (w *wave) member(c *sched.Ctx, ws *waveWS, i int) error {
+	it, sh := &w.items[i], w.shapes[i]
 	if tr := ws.e.tr; tr != nil {
 		its := time.Now()
 		defer func() {
 			tr.Span(c.WorkerID(), obs.KindWaveItem, its, time.Since(its), it.TraceID)
 		}()
 	}
-	ictx := wx.itemCtx(it.Ctx)
+	// An expired member is dropped from the wave, not the wave from the
+	// member; nil means it lives exactly as long as the wave context.
+	ictx := it.Ctx
+	if ictx == nil {
+		ictx = w.ctx
+	}
 	if c.Cancelled() {
-		wx.errs[i] = notStartedErr(i, wx.waveCause())
-		return
+		return fmt.Errorf("core: batch item %d not started: %w", i, w.cause())
 	}
-	if ierr := ictx.Err(); ierr != nil {
-		wx.errs[i] = notStartedErr(i, context.Cause(ictx))
-		return
+	if ictx.Err() != nil {
+		return fmt.Errorf("core: batch item %d not started: %w", i, context.Cause(ictx))
 	}
+	// β up front: the member's atomicity anchor. Serial is fine — the
+	// wave's parallelism is across members.
 	it.C.Scale(it.Beta)
-	if it.Alpha == 0 || g.n == 0 {
-		wx.done[i] = true
-		return
+	if it.Alpha == 0 || sh.ns == nil {
+		return nil
 	}
-	ws.e.kern, ws.e.skern, ws.e.fastCutoff = g.kern, g.skern, g.cutoff
-	ss := 1 << (2 * g.d)
-	for s := range pa.CSegs {
-		ks := pa.CSegs[s]
-		ws.bs[s].reshape(pa.Curve, g.d, g.tk, g.tn, ks.Len, g.n)
-		acquireInto(&ws.bs[s], &ws.stats, ss*g.tk*g.tn)
-		bv := opView(it.B, it.TransB, ks, tile.Seg{Off: 0, Len: g.n})
-		if err := ws.bs[s].packSerial(bv, it.TransB, 1); err != nil {
-			wx.errs[i] = err
-			return
-		}
-		ws.stats.ConvertBytes += 8 * int64(len(ws.bs[s].Data))
-	}
-	ws.pb.TC, ws.pb.Cols, ws.pb.CSegs[0].Len = g.tn, g.n, g.n
-	pm := planMul{alg: wx.alg, alpha: it.Alpha, pa: pa, pb: &ws.pb, C: it.C, reused: 1}
-	for bi := range pa.RSegs {
-		if err := pm.block(ictx, nil, c, bi, 0, ws); err != nil {
-			wx.errs[i] = wx.blockErr(i, ictx, err)
-			return
+	ws.e.kern, ws.e.skern, ws.e.fastCutoff = sh.kern, sh.skern, sh.cutoff
+	pm := planMul{alg: w.alg, alpha: it.Alpha, pa: w.pa, pb: &ws.pb, C: it.C, reused: 1}
+	t0 := time.Now()
+	if pm.pa == nil {
+		pm.pa, pm.reused = &ws.pa, 0
+		if err := ws.pa.repack(&ws.stats, sh.g.hdrA(), sh.ms, sh.ks, it.A, it.TransA); err != nil {
+			return err
 		}
 	}
-	wx.done[i] = true
+	if err := ws.pb.repack(&ws.stats, sh.g.hdrB(), sh.ks, sh.ns, it.B, it.TransB); err != nil {
+		return err
+	}
+	ws.stats.ConvertIn += time.Since(t0)
+	for b := 0; b < len(sh.ms)*len(sh.ns); b++ {
+		err := pm.block(ictx, nil, c, b/len(sh.ns), b%len(sh.ns), ws)
+		switch {
+		case err == nil:
+		case err == errRunCancelled:
+			// The run's own error carries no cause a member could name.
+			return fmt.Errorf("core: batch item %d cancelled: %w", i, w.cause())
+		case errors.Is(err, context.Cause(ictx)):
+			return fmt.Errorf("core: batch item %d cancelled: %w", i, err)
+		default:
+			return err
+		}
+	}
+	return nil
+}
+
+// cause names why the wave's scheduler run is cancelled: the wave
+// context's cause when it fired, otherwise the pool is closing.
+func (w *wave) cause() error {
+	if err := context.Cause(w.ctx); err != nil {
+		return err
+	}
+	return sched.ErrPoolClosed
 }
 
 // GEMMBatchStrided is the equal-shape form: count items laid out at
@@ -767,59 +488,6 @@ func checkStrided(name string, buf []float64, rows, cols, ld, stride, count int)
 			ErrDimension, name, len(buf), count, stride, need)
 	}
 	return nil
-}
-
-// admitWave is the once-per-wave decision of the batched drivers: one
-// algorithm (mixed waves would defeat the arena sizing; AlgAuto resolves
-// on the largest member maxG), one MemBudget charge (a member's buffers
-// times the members in flight), the execution parameters, the arena
-// sized by the longest depth-first path over the members, each at its
-// own cutoff, the runner count, and the wave's stats, described by
-// maxG. A wave of at least as many members as workers saturates the
-// pool by itself, so nested spawns inside members are turned off — they
-// would only add task overhead and per-spawn closures; smaller waves
-// keep nested parallelism.
-func admitWave(pool *sched.Pool, o Options, co callObs, geoms []itemGeom, errs []error, live int,
-	perPacked int64, maxG itemGeom) (bs *BatchStats, e *exec, ar *arena, runners int, err error) {
-
-	o.FastCutoff = maxG.cutoff
-	o.settle(maxG.kern, 1<<maxG.d, maxG.tm, maxG.tk, maxG.tn)
-	scratch := 0
-	for i, g := range geoms {
-		if errs[i] == nil {
-			scratch = max(scratch, g.tm*g.tk+g.tk*g.tn)
-		}
-	}
-	arenaPer := func(alg Alg) (per int64) {
-		for i, g := range geoms {
-			if errs[i] == nil && g.tm > 0 {
-				per = max(per, arenaStackElems(alg, 1<<g.d, 1<<g.d, 1<<g.d, g.tm, g.tk, g.tn, g.cutoff))
-			}
-		}
-		return per
-	}
-	w := pool.Workers()
-	runners = min(live, w)
-	ad, err := admit(o, w, charge{perBlock: perPacked, inflight: runners, scratch: scratch,
-		arena: arenaPer, what: func() string { return fmt.Sprintf("a wave of %d items", live) }})
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	stacks := w
-	if ad.serial {
-		runners, stacks = 1, 1
-	}
-	e = newExec(o, co, maxG.kern, maxG.skern, ad.serial || live >= w)
-	ar = acquireArenaElems(arenaPer(ad.alg), stacks)
-	e.ar = ar
-	co.admitted(ad.notes, ar)
-	side := 1 << maxG.d
-	bs = &BatchStats{Items: live, Stats: Stats{Depth: maxG.d, TileM: maxG.tm, TileK: maxG.tk, TileN: maxG.tn,
-		PaddedM: maxG.tm * side, PaddedK: maxG.tk * side, PaddedN: maxG.tn * side,
-		Kernel: maxG.kname, Alg: ad.alg, Serial: ad.serial, Degraded: ad.notes,
-		FastCutoff: o.FastCutoff, FastLevels: fastLevels(ad.alg, side, side, side, o.FastCutoff),
-		EstimatedBytes: ad.est, ArenaBytes: ar.bytes()}}
-	return bs, e, ar, runners, nil
 }
 
 // endBatch is callObs.end for a wave: the whole-call span, then the

@@ -3,7 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,20 +19,16 @@ import (
 
 // TestGEMMBatchMatchesSingleCalls: the batched wave must be bit-exact
 // against N independent GEMMCtx calls — not merely within tolerance.
-// The wave reuses the per-call tiling and the per-element pack/compute/
-// unpack arithmetic, so every item's accumulation order is identical to
-// its single-call twin regardless of how the wave schedules items.
+// Every item is planned as its single-call twin is — split, geometry,
+// kernel — and runs the same block loop, so its accumulation order is
+// its twin's regardless of how the wave schedules items. The wave mixes
+// unsplit shapes with wide and lean ones that split (Figure 3) in m, in
+// n, and in k.
 func TestGEMMBatchMatchesSingleCalls(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(81))
-	// Shapes stay at or below the split bound of tile.SplitDims (α·short
-	// biased down to TSweet·2^j: 64 here). GEMMBatch multiplies each item
-	// as a single block, GEMMCtx takes the plan geometry once it splits,
-	// so the two are bit-exact on unsplit shapes; on split shapes the
-	// twin of GEMMCtx is the prepacked path
-	// (TestDeterminismSplitEntryPoints).
-	shapes := [][3]int{{40, 24, 56}, {64, 64, 64}, {64, 48, 17}}
+	shapes := [][3]int{{40, 24, 56}, {300, 20, 20}, {64, 64, 64}, {20, 24, 250}, {64, 48, 17}, {24, 300, 20}}
 	algs := []Alg{Standard, TableWinograd222}
 	for _, cv := range layout.RecursiveCurves {
 		for _, ta := range []bool{false, true} {
@@ -37,22 +37,18 @@ func TestGEMMBatchMatchesSingleCalls(t *testing.T) {
 					opts := Options{Curve: cv, Alg: algs[bi%len(algs)], Tile: testTile}
 					items := make([]BatchItem, len(shapes))
 					want := make([]*matrix.Dense, len(shapes))
+					split := 0
 					for i, s := range shapes {
 						m, k, n := s[0], s[1], s[2]
-						ar, ac := m, k
-						if ta {
-							ar, ac = k, m
-						}
-						br, bc := k, n
-						if tb {
-							br, bc = n, k
-						}
-						A := matrix.Random(ar, ac, rng)
-						B := matrix.Random(br, bc, rng)
+						A, B := opMat(m, k, ta, rng), opMat(k, n, tb, rng)
 						C := matrix.Random(m, n, rng)
 						want[i] = C.Clone()
-						if _, err := GEMMCtx(context.Background(), pool, opts, ta, tb, -1.25, A, B, beta, want[i]); err != nil {
+						st, err := GEMMCtx(context.Background(), pool, opts, ta, tb, -1.25, A, B, beta, want[i])
+						if err != nil {
 							t.Fatalf("%v ta=%v tb=%v beta=%g item %d: single call: %v", cv, ta, tb, beta, i, err)
+						}
+						if st.Blocks > 1 {
+							split++
 						}
 						items[i] = BatchItem{TransA: ta, TransB: tb, Alpha: -1.25, A: A, B: B, Beta: beta, C: C}
 					}
@@ -62,6 +58,9 @@ func TestGEMMBatchMatchesSingleCalls(t *testing.T) {
 					}
 					if bs.Items != len(shapes) || bs.Completed != len(shapes) {
 						t.Fatalf("%v: Items=%d Completed=%d, want %d/%d", cv, bs.Items, bs.Completed, len(shapes), len(shapes))
+					}
+					if split != 3 {
+						t.Fatalf("%v: %d of the single calls split, want 3 (test premise)", cv, split)
 					}
 					for i := range items {
 						if errs[i] != nil {
@@ -257,56 +256,98 @@ func TestGEMMBatchPerItemIsolation(t *testing.T) {
 	}
 }
 
+// expiring is a context that expires after it has been asked a fixed
+// number of times: a member's deadline that fires at a chosen point of
+// its run, whatever the scheduler does.
+type expiring struct {
+	context.Context
+	left atomic.Int64
+}
+
+func expireAfter(asks int64) *expiring {
+	e := &expiring{Context: context.Background()}
+	e.left.Store(asks)
+	return e
+}
+
+func (e *expiring) Err() error {
+	if e.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestGEMMBatchDeadlineMidWave: a member whose context expires while
 // the wave is running is dropped with a typed error and a C that is
-// either untouched or exactly β-scaled — never a partial product —
-// while members with live contexts are unaffected.
+// untouched or holds its β-scaled input plus whole completed C blocks —
+// never a partial product — while members with live contexts are
+// unaffected. A member asks its context when it starts and around each
+// C block's product, so the odd members expire in turn before they
+// start (C untouched), inside their only block (C exactly β-scaled)
+// and, the wide ones that split into five C blocks, part of the way
+// through them.
 func TestGEMMBatchDeadlineMidWave(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(85))
 	opts := Options{Curve: layout.ZMorton, Alg: Standard, Tile: testTile}
-	n := 64
 	const count = 16
-	ictx, cancel := context.WithCancel(context.Background())
 	items := make([]BatchItem, count)
 	before := make([]*matrix.Dense, count)
 	want := make([]*matrix.Dense, count)
 	for i := range items {
+		m, k, n := 64, 64, 64
+		if i%4 >= 2 {
+			m, k, n = waveM, waveK, waveN
+		}
 		items[i] = BatchItem{Alpha: 1, Beta: 0.5,
-			A: matrix.Random(n, n, rng), B: matrix.Random(n, n, rng), C: matrix.Random(n, n, rng)}
+			A: matrix.Random(m, k, rng), B: matrix.Random(k, n, rng), C: matrix.Random(m, n, rng)}
 		before[i] = items[i].C.Clone()
 		want[i] = items[i].C.Clone()
-		matrix.RefGEMM(false, false, 1, items[i].A, items[i].B, 0.5, want[i])
-		if i%2 == 1 {
-			items[i].Ctx = ictx
+		if _, err := GEMMCtx(context.Background(), pool, opts, false, false, 1, items[i].A, items[i].B, 0.5, want[i]); err != nil {
+			t.Fatal(err)
+		}
+		switch i % 8 {
+		case 1:
+			items[i].Ctx = expireAfter(0)
+		case 5:
+			items[i].Ctx = expireAfter(2)
+		case 3, 7:
+			items[i].Ctx = expireAfter(int64(3 + i%8))
 		}
 	}
-	go func() {
-		time.Sleep(200 * time.Microsecond)
-		cancel()
-	}()
 	_, errs, err := GEMMBatch(context.Background(), pool, opts, items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range items {
-		if errs[i] == nil {
-			if !matrix.Equal(items[i].C, want[i], tol(n, n, n)) {
-				t.Errorf("item %d: completed but wrong, max diff %g", i, matrix.MaxAbsDiff(items[i].C, want[i]))
+		if i%2 == 0 {
+			if errs[i] != nil {
+				t.Fatalf("item %d has no deadline but failed: %v", i, errs[i])
+			}
+			if !matrix.Equal(items[i].C, want[i], 0) {
+				t.Errorf("item %d: completed but differs from its single call, max diff %g", i, matrix.MaxAbsDiff(items[i].C, want[i]))
 			}
 			continue
-		}
-		if i%2 == 0 {
-			t.Fatalf("item %d has no deadline but failed: %v", i, errs[i])
 		}
 		if !errors.Is(errs[i], context.Canceled) {
 			t.Fatalf("item %d: err = %v, want context.Canceled", i, errs[i])
 		}
 		scaled := before[i].Clone()
 		scaled.Scale(0.5)
-		if !matrix.Equal(items[i].C, before[i], 0) && !matrix.Equal(items[i].C, scaled, 0) {
-			t.Errorf("item %d: dropped member's C is neither untouched nor exactly β-scaled", i)
+		switch i % 8 {
+		case 1:
+			if !matrix.Equal(items[i].C, before[i], 0) {
+				t.Errorf("item %d: expired before it started, yet its C was modified", i)
+			}
+		case 5:
+			if !matrix.Equal(items[i].C, scaled, 0) {
+				t.Errorf("item %d: dropped inside its only block, C is not exactly β-scaled", i)
+			}
+		default:
+			if done := blocksScaledOrComplete(t, fmt.Sprintf("item %d", i), opts.Tile, waveK, items[i].C, scaled, want[i]); done == 0 || done == 5 {
+				t.Errorf("item %d: %d of 5 C blocks complete, want some but not all", i, done)
+			}
 		}
 	}
 }
@@ -358,36 +399,39 @@ func TestGEMMBatchWaveCancel(t *testing.T) {
 // member must end in exactly one of the contract states — completed and
 // numerically correct, or failed with an error that unwraps to the
 // injected fault (or to the wave-abort wrapper naming it). A failed
-// member's C must be untouched or exactly β-scaled (β=1 here, so:
-// unchanged) — never a partial product.
+// member's C must be untouched or β-scaled (β=1 here, so: unchanged)
+// plus whole completed C blocks — never a partial product. The last two
+// members are wide ones that split into five C blocks; the others are a
+// single block, so a failed one's C is exactly its input.
 func TestStressBatchFaultInjection(t *testing.T) {
-	if !faultinject.Enabled() {
-		faultinject.Configure(faultinject.Config{
-			PanicProb: 0.02, AllocProb: 0.02, DelayProb: 0.01,
-			Delay: 50 * time.Microsecond, Seed: 19,
-		})
-		defer faultinject.Disable()
-	}
+	defer stressFaults()()
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(87))
-	n := 48
 	const count = 6
 	opts := Options{Curve: layout.ZMorton, Alg: Strassen, Tile: testTile, FastCutoff: 1}
-	zero := matrix.New(n, n)
 	A := make([]*matrix.Dense, count)
 	B := make([]*matrix.Dense, count)
 	want := make([]*matrix.Dense, count)
+	zero := make([]*matrix.Dense, count)
 	for i := 0; i < count; i++ {
-		A[i] = matrix.Random(n, n, rng)
-		B[i] = matrix.Random(n, n, rng)
-		want[i] = matrix.New(n, n)
+		m, k, n := 48, 48, 48
+		if i >= count-2 {
+			m, k, n = waveM, waveK, waveN
+		}
+		A[i] = matrix.Random(m, k, rng)
+		B[i] = matrix.Random(k, n, rng)
+		want[i], zero[i] = matrix.New(m, n), matrix.New(m, n)
 		matrix.RefGEMM(false, false, 1, A[i], B[i], 0, want[i])
 	}
+	failed, failedSplit := 0, 0
+	defer func() {
+		t.Logf("batch fault stress: %d members failed (injected), %d of them split ones", failed, failedSplit)
+	}()
 	for iter := 0; iter < 30; iter++ {
 		items := make([]BatchItem, count)
 		for i := range items {
-			items[i] = BatchItem{Alpha: 1, Beta: 1, A: A[i], B: B[i], C: matrix.New(n, n)}
+			items[i] = BatchItem{Alpha: 1, Beta: 1, A: A[i], B: B[i], C: zero[i].Clone()}
 		}
 		_, errs, err := GEMMBatch(context.Background(), pool, opts, items)
 		if err != nil {
@@ -396,15 +440,16 @@ func TestStressBatchFaultInjection(t *testing.T) {
 				t.Fatalf("iter %d: wave error does not unwrap to injected fault: %v", iter, err)
 			}
 			for i := range items {
-				if !matrix.Equal(items[i].C, zero, 0) {
+				if !matrix.Equal(items[i].C, zero[i], 0) {
 					t.Fatalf("iter %d: wave rejected but item %d's C was touched", iter, i)
 				}
 			}
 			continue
 		}
 		for i := range items {
+			m, k, n := A[i].Rows, A[i].Cols, B[i].Cols
 			if errs[i] == nil {
-				if !matrix.Equal(items[i].C, want[i], tol(n, n, n)) {
+				if !matrix.Equal(items[i].C, want[i], tol(m, k, n)) {
 					t.Fatalf("iter %d item %d: successful member under faults is wrong (max diff %g)",
 						iter, i, matrix.MaxAbsDiff(items[i].C, want[i]))
 				}
@@ -414,21 +459,74 @@ func TestStressBatchFaultInjection(t *testing.T) {
 			if !errors.As(errs[i], &fault) {
 				t.Fatalf("iter %d item %d: error does not unwrap to injected fault: %v", iter, i, errs[i])
 			}
-			// β=1: a dropped member's C must be exactly its input (zero).
-			if !matrix.Equal(items[i].C, zero, 0) {
-				t.Fatalf("iter %d item %d: failed member's C holds a partial product", iter, i)
+			// β=1: every C block of a dropped member is exactly its input
+			// (zero) or the whole product.
+			ms, _, ns := opts.Tile.SplitDims(m, k, n)
+			if blocks := len(ms) * len(ns); (blocks == 5) != (i >= count-2) || blocks != 1 && blocks != 5 {
+				t.Fatalf("item %d is cut into %d C blocks (test premise)", i, blocks)
+			}
+			failed++
+			if len(ms) > 1 {
+				failedSplit++
+			}
+			for _, sm := range ms {
+				for _, sn := range ns {
+					got := items[i].C.View(sm.Off, sn.Off, sm.Len, sn.Len)
+					if !matrix.Equal(got, zero[i].View(sm.Off, sn.Off, sm.Len, sn.Len), 0) &&
+						!matrix.Equal(got, want[i].View(sm.Off, sn.Off, sm.Len, sn.Len), tol(m, k, n)) {
+						t.Fatalf("iter %d item %d: failed member's C block at (%d,%d) holds a partial product", iter, i, sm.Off, sn.Off)
+					}
+				}
 			}
 		}
 	}
 }
 
+// TestGEMMBatchPhaseAccounting: a wave's wall time is apportioned to
+// the three phase timers by the share of task time each phase took —
+// the paper's Section 4 accounting: at 64³ about half a member is pack
+// and unpack — so the conversions are not reported as zero and the
+// timers sum to the call. Wall time is judged best of three: under
+// `go test ./...` other packages' tests compete for the CPUs.
+func TestGEMMBatchPhaseAccounting(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(89))
+	items := make([]BatchItem, 400)
+	for i := range items {
+		items[i] = BatchItem{Alpha: 1, A: matrix.Random(64, 64, rng), B: matrix.Random(64, 64, rng), C: matrix.New(64, 64)}
+	}
+	opts := Options{Curve: layout.ZMorton, Alg: Standard}
+	var off float64
+	for attempt := 0; attempt < 3; attempt++ {
+		t0 := time.Now()
+		bs, _, err := GEMMBatch(context.Background(), pool, opts, items)
+		wall := time.Since(t0)
+		if err != nil || bs.Completed != len(items) {
+			t.Fatalf("wave: %v, %d of %d completed", err, bs.Completed, len(items))
+		}
+		if bs.ConvertIn <= 0 || bs.Compute <= 0 || bs.ConvertOut <= 0 {
+			t.Fatalf("phase timers: in=%v compute=%v out=%v, want all positive", bs.ConvertIn, bs.Compute, bs.ConvertOut)
+		}
+		if off = 1 - float64(bs.Total())/float64(wall); off >= 0 && off <= 0.05 {
+			return
+		}
+	}
+	t.Errorf("Total() is %.1f%% short of the call's wall time at best of three, want within 5%%", 100*off)
+}
+
 // TestBatchZeroAllocPerItem: at n=512-class shapes a steady-state wave
 // performs no allocations per item — doubling the wave size must not
-// change the allocation count. The absolute count is wave-level
-// bookkeeping (slices, stats, runner closures) whose number does not
-// depend on the item count; it plateaus by a handful of items (tiny
-// waves land in smaller slice size classes), so the comparison is run
-// past the plateau.
+// change the allocation count. The same holds for a wide item that
+// splits (1024×256×48: 8×2 segments of A a member): a runner's
+// transient-plan headers grow once, on its first member, and nothing
+// after. The absolute count is wave-level bookkeeping (slices, stats,
+// runner closures) whose number does not depend on the item count; it
+// plateaus by a handful of items (tiny waves land in smaller slice size
+// classes), so the comparison is run past the plateau. The split wave
+// runs on one worker: AllocsPerRun pins GOMAXPROCS to 1, and whether a
+// second runner gets the CPU — and grows headers of its own — before a
+// wave of millisecond members has drained depends on the wave's length.
 func TestBatchZeroAllocPerItem(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -436,48 +534,51 @@ func TestBatchZeroAllocPerItem(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-runtime bookkeeping allocations")
 	}
-	pool := sched.NewPool(2)
-	defer pool.Close()
 	rng := rand.New(rand.NewSource(88))
-	n := 512
 	opts := Options{Curve: layout.ZMorton, Alg: Standard}
 	const big = 16
-	A := make([]*matrix.Dense, big)
-	B := make([]*matrix.Dense, big)
-	C := make([]*matrix.Dense, big)
-	for i := 0; i < big; i++ {
-		A[i] = matrix.Random(n, n, rng)
-		B[i] = matrix.Random(n, n, rng)
-		C[i] = matrix.New(n, n)
-	}
-	run := func(count int) float64 {
-		items := make([]BatchItem, count)
-		for i := range items {
-			items[i] = BatchItem{Alpha: 1, Beta: 0, A: A[i], B: B[i], C: C[i]}
+	for _, sh := range [][4]int{{512, 512, 512, 2}, {1024, 256, 48, 1}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		pool := sched.NewPool(sh[3])
+		all := make([]BatchItem, big)
+		for i := range all {
+			all[i] = BatchItem{Alpha: 1, Beta: 0, A: matrix.Random(m, k, rng), B: matrix.Random(k, n, rng), C: matrix.New(m, n)}
 		}
-		// Warm the buffer pool once so the measured runs are steady-state.
-		if _, errs, err := GEMMBatch(context.Background(), pool, opts, items); err != nil {
-			t.Fatal(err)
-		} else {
+		// No collection while measuring: one would empty the buffer
+		// pool under a wave and turn its reuse into fresh allocations.
+		runtime.GC()
+		restore := debug.SetGCPercent(-1)
+		run := func(count int) float64 {
+			items := all[:count]
+			// Warm the buffer pool once so the measured runs are steady-state.
+			bs, errs, err := GEMMBatch(context.Background(), pool, opts, items)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, e := range errs {
 				if e != nil {
 					t.Fatalf("item %d: %v", i, e)
 				}
 			}
-		}
-		return testing.AllocsPerRun(1, func() {
-			if _, _, err := GEMMBatch(context.Background(), pool, opts, items); err != nil {
-				t.Fatal(err)
+			if split := bs.Blocks > count; split != (m != n) {
+				t.Fatalf("%dx%dx%d: %d blocks for %d items (test premise)", m, k, n, bs.Blocks, count)
 			}
-		})
-	}
-	small := run(big / 2)
-	large := run(big)
-	perItem := (large - small) / float64(big/2)
-	t.Logf("allocs: wave of %d = %.0f, wave of %d = %.0f (%.2f per extra item)",
-		big/2, small, big, large, perItem)
-	if perItem != 0 {
-		t.Errorf("per-item allocations = %.2f, want 0 (wave of %d: %.0f allocs, wave of %d: %.0f)",
-			perItem, big/2, small, big, large)
+			return testing.AllocsPerRun(1, func() {
+				if _, _, err := GEMMBatch(context.Background(), pool, opts, items); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small := run(big / 2)
+		large := run(big)
+		debug.SetGCPercent(restore)
+		pool.Close() // now: an open pool's idle workers poll on timers, which allocate
+		perItem := (large - small) / float64(big/2)
+		t.Logf("%dx%dx%d allocs: wave of %d = %.0f, wave of %d = %.0f (%.2f per extra item)",
+			m, k, n, big/2, small, big, large, perItem)
+		if perItem != 0 {
+			t.Errorf("%dx%dx%d: per-item allocations = %.2f, want 0 (wave of %d: %.0f allocs, wave of %d: %.0f)",
+				m, k, n, perItem, big/2, small, big, large)
+		}
 	}
 }

@@ -66,12 +66,14 @@ func putBuf(b []float64) {
 	if b == nil {
 		return
 	}
-	b = b[:cap(b)]
-	c := bufClass(len(b))
-	if c < bufMinClass || c > bufMaxClass || len(b) != 1<<c {
+	c := bufClass(cap(b))
+	if c < bufMinClass || c > bufMaxClass || cap(b) != 1<<c {
 		return
 	}
-	bufPools[c].Put(&b)
+	// A variable of its own: the pooled header is allocated only for a
+	// buffer the pool accepts, not on every call.
+	full := b[:cap(b)]
+	bufPools[c].Put(&full)
 }
 
 // notePool records a pool outcome in the call's Stats (nil-safe).
@@ -90,13 +92,32 @@ func notePool(stats *Stats, hit bool) {
 // recycled buffer, covering a logical rows×cols. The contents are
 // dirty; Pack overwrites every element (padding included), and the
 // fused epilogue zero-fills, so no caller observes stale data.
-func acquireLike(stats *Stats, hdr Tiled, rows, cols int) *Tiled {
+func acquireLike(stats *Stats, hdr Tiled, rows, cols int) Tiled {
 	t := hdr
 	t.Rows, t.Cols = rows, cols
 	b, hit := getBuf(t.elems())
 	notePool(stats, hit)
 	t.Data = b
-	return &t
+	return t
+}
+
+// refit rewrites a runner's workspace Tiled for its next use — hdr's
+// geometry over a logical rows×cols — keeping its buffer when the
+// capacity suffices (the steady-state path: no pool traffic, no
+// allocation) and recycling through the buffer pool only on growth.
+// The contents are dirty, as acquireLike's are.
+func (t *Tiled) refit(stats *Stats, hdr Tiled, rows, cols int) {
+	data := t.Data
+	*t = hdr
+	t.Rows, t.Cols = rows, cols
+	if n := t.elems(); cap(data) >= n {
+		t.Data = data[:n]
+		return
+	}
+	putBuf(data)
+	b, hit := getBuf(t.elems())
+	notePool(stats, hit)
+	t.Data = b
 }
 
 // releaseTiled returns a tiled matrix's buffer to the pool. The Tiled

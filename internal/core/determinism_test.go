@@ -68,11 +68,13 @@ func TestDeterminismPolicies(t *testing.T) {
 	}
 }
 
-// TestDeterminismSplitEntryPoints: on wide/lean shapes a per-call GEMM
-// and the same operands through Prepack(PartnerDim: n) +
-// PrepackConforming + GEMMPrepacked cut the same blocks on the same
-// tiles and chain each block's products in the same order — bit for
-// bit, at 1, 2, 4 and (blocks running nested) 16 workers.
+// TestDeterminismSplitEntryPoints: on wide/lean shapes every entry point
+// — a per-call GEMM, the same operands as a GEMMBatch item, as a
+// GEMMBatchStrided item, through Prepack(PartnerDim: n) +
+// PrepackConforming + GEMMPrepacked, and as a GEMMPrepackedBatch item
+// against that plan — cuts the same blocks on the same tiles and chains
+// each block's products in the same order: bit for bit, at 1, 2, 4 and
+// (blocks running nested) 16 workers.
 func TestDeterminismSplitEntryPoints(t *testing.T) {
 	shapes := [][3]int{{1024, 1024, 48}, {1000, 300, 40}, {40, 300, 1000}}
 	if testing.Short() || raceEnabled {
@@ -112,14 +114,40 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 					}
 
 					for _, pool := range pools {
+						// same checks one entry point's result, and the plan
+						// its stats describe, against the single-worker call.
+						same := func(what string, got *matrix.Dense, gs *Stats) {
+							t.Helper()
+							if gs.Blocks != st.Blocks || gs.Depth != st.Depth || gs.TileM != st.TileM || gs.TileK != st.TileK || gs.TileN != st.TileN {
+								t.Errorf("%s: %s runs %d blocks of %dx%dx%d tiles at depth %d, per-call %d of %dx%dx%d at depth %d", name, what,
+									gs.Blocks, gs.TileM, gs.TileK, gs.TileN, gs.Depth, st.Blocks, st.TileM, st.TileK, st.TileN, st.Depth)
+							}
+							if !matrix.Equal(got, want, 0) {
+								t.Errorf("%s: %s bits differ from per-call at %d workers, max diff %g",
+									name, what, pool.Workers(), matrix.MaxAbsDiff(got, want))
+							}
+						}
 						got := C.Clone()
-						if _, err := GEMMCtx(ctx, pool, opts, ta, tb, 0.75, A, B, beta, got); err != nil {
+						gs, err := GEMMCtx(ctx, pool, opts, ta, tb, 0.75, A, B, beta, got)
+						if err != nil {
 							t.Fatalf("%s, %d workers: %v", name, pool.Workers(), err)
 						}
-						if !matrix.Equal(got, want, 0) {
-							t.Errorf("%s: per-call bits differ at %d workers, max diff %g",
-								name, pool.Workers(), matrix.MaxAbsDiff(got, want))
+						same("GEMMCtx", got, gs)
+
+						got = C.Clone()
+						bs, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{TransA: ta, TransB: tb, Alpha: 0.75, A: A, B: B, Beta: beta, C: got}})
+						if err != nil || errs[0] != nil {
+							t.Fatalf("%s, %d workers: GEMMBatch: %v %v", name, pool.Workers(), err, errs)
 						}
+						same("GEMMBatch", got, &bs.Stats)
+
+						got = C.Clone()
+						bs, errs, err = GEMMBatchStrided(ctx, pool, opts, ta, tb, m, k, n, 0.75, A.Data, A.Stride, len(A.Data),
+							B.Data, B.Stride, len(B.Data), beta, got.Data, got.Stride, len(got.Data), 1)
+						if err != nil || errs[0] != nil {
+							t.Fatalf("%s, %d workers: GEMMBatchStrided: %v %v", name, pool.Workers(), err, errs)
+						}
+						same("GEMMBatchStrided", got, &bs.Stats)
 
 						po := opts
 						po.PartnerDim = n
@@ -133,19 +161,19 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 						}
 						got = C.Clone()
 						pst, err := GEMMPrepacked(ctx, pool, opts, 0.75, pa, pb, beta, got)
-						pa.Release()
 						pb.Release()
 						if err != nil {
 							t.Fatalf("%s, %d workers: GEMMPrepacked: %v", name, pool.Workers(), err)
 						}
-						if pst.Blocks != st.Blocks || pst.TileM != st.TileM || pst.TileK != st.TileK || pst.TileN != st.TileN {
-							t.Errorf("%s: plans run %d blocks of %dx%dx%d tiles, per-call %d of %dx%dx%d",
-								name, pst.Blocks, pst.TileM, pst.TileK, pst.TileN, st.Blocks, st.TileM, st.TileK, st.TileN)
+						same("GEMMPrepacked", got, pst)
+
+						got = C.Clone()
+						bs, errs, err = GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{TransB: tb, Alpha: 0.75, B: B, Beta: beta, C: got}})
+						pa.Release()
+						if err != nil || errs[0] != nil {
+							t.Fatalf("%s, %d workers: GEMMPrepackedBatch: %v %v", name, pool.Workers(), err, errs)
 						}
-						if !matrix.Equal(got, want, 0) {
-							t.Errorf("%s: prepacked bits differ from per-call at %d workers, max diff %g",
-								name, pool.Workers(), matrix.MaxAbsDiff(got, want))
-						}
+						same("GEMMPrepackedBatch", got, &bs.Stats)
 					}
 				}
 			}
@@ -202,9 +230,9 @@ func TestDeterminismSIMDFamilies(t *testing.T) {
 // on the bits — whatever the rates resolve to: the paper's cutoff, an
 // AVX2 leaf's, and one in between, where the square call keeps a fast
 // level and the split call's squat blocks keep none. ResolveAlg answers
-// the same before the call. The wide/lean shape splits per call and
-// through plans; GEMMBatch items and pre-tiled operands never split, so
-// their twin there is the per-call GEMM with DisableSplit.
+// the same before the call. The wide/lean shape splits per call,
+// through plans and as a batch item; pre-tiled operands never split, so
+// MulTiledCtx's twin there is the per-call GEMM with DisableSplit.
 func TestDeterminismAutoEntryPoints(t *testing.T) {
 	shapes := [][3]int{{512, 512, 512}, {1024, 1024, 48}}
 	if testing.Short() || raceEnabled {
@@ -276,6 +304,12 @@ func TestDeterminismAutoEntryPoints(t *testing.T) {
 			same("GEMMPrepackedBatch", &bs.Stats, got, want, st)
 			pa.Release()
 			pb.Release()
+			got = C.Clone()
+			bs, errs, err = GEMMBatch(ctx, pool, opts, []BatchItem{{Alpha: 0.75, A: A, B: B, Beta: 0.5, C: got}})
+			if err != nil || errs[0] != nil {
+				t.Fatalf("%s: GEMMBatch: %v %v", name, err, errs)
+			}
+			same("GEMMBatch", &bs.Stats, got, want, st)
 
 			// The unsplit geometry: one block on the 3-D Pick.
 			whole := opts
@@ -288,12 +322,6 @@ func TestDeterminismAutoEntryPoints(t *testing.T) {
 			if st.Blocks == 1 {
 				same("unsplit per-call", wst, wantW, want, st)
 			}
-			got = C.Clone()
-			bs, errs, err = GEMMBatch(ctx, pool, opts, []BatchItem{{Alpha: 0.75, A: A, B: B, Beta: 0.5, C: got}})
-			if err != nil || errs[0] != nil {
-				t.Fatalf("%s: GEMMBatch: %v %v", name, err, errs)
-			}
-			same("GEMMBatch", &bs.Stats, got, wantW, wst)
 			ta := NewTiled(opts.Curve, wst.Depth, wst.TileM, wst.TileK, m, k)
 			tb := NewTiled(opts.Curve, wst.Depth, wst.TileK, wst.TileN, k, n)
 			tc := NewTiled(opts.Curve, wst.Depth, wst.TileM, wst.TileN, m, n)

@@ -257,16 +257,10 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 	if o.Curve == layout.RowMajor {
 		return nil, fmt.Errorf("core: the row-major layout is not supported by the multiplication driver")
 	}
-	if !isFinite(alpha) || !isFinite(beta) {
-		return nil, fmt.Errorf("%w: alpha=%v, beta=%v", ErrNonFinite, alpha, beta)
-	}
 	m, k := opShape(A, transA)
 	kb, n := opShape(B, transB)
-	if kb != k {
-		return nil, fmt.Errorf("core: inner dimensions disagree: op(A) is %dx%d, op(B) is %dx%d", m, k, kb, n)
-	}
-	if C.Rows != m || C.Cols != n {
-		return nil, fmt.Errorf("core: C is %dx%d, want %dx%d", C.Rows, C.Cols, m, n)
+	if err := conform(alpha, beta, m, k, kb, n, C); err != nil {
+		return nil, err
 	}
 	if pool == nil {
 		p := sched.NewPool(0)
@@ -364,11 +358,13 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 // opView returns the view of X whose op() is the (rows, cols) segment
 // pair: when trans is set the roles of the segments swap because the
 // stored matrix is the transpose of the logical operand.
-func opView(X *matrix.Dense, trans bool, r, c tile.Seg) *matrix.Dense {
+// It is returned by value, so a view its caller packs serially stays
+// off the heap.
+func opView(X *matrix.Dense, trans bool, r, c tile.Seg) matrix.Dense {
 	if trans {
-		return X.View(c.Off, r.Off, c.Len, r.Len)
+		r, c = c, r
 	}
-	return X.View(r.Off, c.Off, r.Len, c.Len)
+	return *X.View(r.Off, c.Off, r.Len, c.Len)
 }
 
 // choose determines depth and tile sizes for one block multiplication,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime/debug"
 
+	"repro/internal/matrix"
 	"repro/internal/sched"
 )
 
@@ -18,14 +19,31 @@ var (
 	// scaling with a non-finite factor would silently poison C, so the
 	// call is rejected up front.
 	ErrNonFinite = errors.New("core: non-finite scalar")
-	// ErrDimension marks a dimension or tiling request whose padded
-	// extent would overflow or is absurdly large — the call is rejected
-	// before any allocation happens.
+	// ErrDimension marks operand shapes that do not conform, and a
+	// dimension or tiling request whose padded extent would overflow or
+	// is absurdly large — the call is rejected before any allocation
+	// happens.
 	ErrDimension = errors.New("core: dimension out of range")
 	// ErrMemBudget is returned when even the smallest-footprint rung of
 	// the degradation ladder exceeds Options.MemBudget.
 	ErrMemBudget = errors.New("core: memory budget exceeded")
 )
+
+// conform is the one scalar-and-shape check behind every entry point,
+// run before C is touched: α and β finite, op(A) m×k against op(B)
+// kb×n, and C the product's m×n.
+func conform(alpha, beta float64, m, k, kb, n int, C *matrix.Dense) error {
+	if !isFinite(alpha) || !isFinite(beta) {
+		return fmt.Errorf("%w: alpha=%v, beta=%v", ErrNonFinite, alpha, beta)
+	}
+	if kb != k {
+		return fmt.Errorf("%w: inner dimensions disagree: op(A) is %dx%d, op(B) is %dx%d", ErrDimension, m, k, kb, n)
+	}
+	if C.Rows != m || C.Cols != n {
+		return fmt.Errorf("%w: C is %dx%d, want %dx%d", ErrDimension, C.Rows, C.Cols, m, n)
+	}
+	return nil
+}
 
 // recoveredError converts a value recovered at a public API boundary
 // into a typed error. Scheduler aggregates pass through unchanged (the

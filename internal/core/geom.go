@@ -125,6 +125,26 @@ func (o *Options) settle(kern leaf.Kernel, side, tm, tk, tn int) {
 	}
 }
 
+// resolved is a geometry with what only it can settle: the leaf kernel
+// for its tiles, and for that kernel the fast cutoff and AlgAuto.
+type resolved struct {
+	g      geom
+	kern   leaf.Kernel
+	skern  leaf.ScratchKernel
+	kname  string
+	alg    Alg
+	cutoff int
+}
+
+func resolveGeom(o Options, g geom) (resolved, error) {
+	kern, skern, kname, err := resolveKernel(o, g.tm, g.tk, g.tn)
+	if err != nil {
+		return resolved{}, err
+	}
+	o.settle(kern, g.gm, g.tm, g.tk, g.tn)
+	return resolved{g: g, kern: kern, skern: skern, kname: kname, alg: o.Alg, cutoff: o.FastCutoff}, nil
+}
+
 // fastLevels counts the levels of alg's own recursion on a gm×gk×gn
 // grid: a rectangular table's divisions, then the ⟨2,2,2⟩ levels above
 // cutoff. Zero means the call goes straight to the standard recursion.
@@ -170,10 +190,9 @@ func ResolveAlg(o Options, m, k, n int) Alg {
 	if err != nil {
 		return Standard
 	}
-	kern, _, _, err := resolveKernel(o, g.tm, g.tk, g.tn)
+	r, err := resolveGeom(o, g)
 	if err != nil {
 		return Standard
 	}
-	o.settle(kern, g.gm, g.tm, g.tk, g.tn)
-	return o.Alg
+	return r.alg
 }

@@ -15,8 +15,9 @@ import (
 	"repro/internal/tile"
 )
 
-// This file is the one execution pipeline behind GEMMCtx and
-// GEMMPrepacked: plan → pack once → block wave → fused epilogue.
+// This file is the one execution pipeline behind GEMMCtx, GEMMPrepacked
+// and the members of a GEMMBatch* wave (batch.go): plan → pack once →
+// block wave → fused epilogue.
 //
 // A multiplication is cut by one rule (tile.Config.SplitDims, Figure 3)
 // into squat blocks that share one geometry, one kernel, one admission
@@ -125,20 +126,22 @@ func (g geom) hdr(gr, gc, tr, tc int) Tiled {
 func (g geom) hdrA() Tiled { return g.hdr(g.gm, g.gk, g.tm, g.tk) }
 func (g geom) hdrB() Tiled { return g.hdr(g.gk, g.gn, g.tk, g.tn) }
 
-// charge prices a call of ms×ks×ns segments on this geometry. Resident
-// plans keep their packed operands off the bill; inflight is how many
-// product tiles a parallel rung holds at once.
-func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resident bool, inflight int) charge {
+// charge prices a call of ms×ks×ns segments on this geometry. An operand
+// of a resident plan (resA, resB) stays off the bill; inflight is how
+// many product tiles a parallel rung holds at once. Who presents the
+// bill names it (charge.what).
+func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, inflight int) charge {
 	mp, kp, np := int64(g.gm*g.tm), int64(g.gk*g.tk), int64(g.gn*g.tn)
 	ch := charge{perBlock: mp * np, inflight: inflight, scratch: g.tm*g.tk + g.tk*g.tn,
+		plan: groups{len(ms), len(ks), len(ns)},
 		arena: func(alg Alg) int64 {
 			return arenaStackElems(alg, g.gm, g.gk, g.gn, g.tm, g.tk, g.tn, fastCutoff)
-		},
-		what: func() string {
-			return fmt.Sprintf("%dx%dx%d", mp*int64(len(ms)), kp*int64(len(ks)), np*int64(len(ns)))
 		}}
-	if !resident {
-		ch.segA, ch.segB, ch.plan = mp*kp, kp*np, groups{len(ms), len(ks), len(ns)}
+	if !resA {
+		ch.segA = mp * kp
+	}
+	if !resB {
+		ch.segB = kp * np
 	}
 	return ch
 }
@@ -202,6 +205,7 @@ func asWave(n, workers int) bool { return n > 1 && n >= workers }
 type prepared struct {
 	g     geom
 	kname string
+	ch    charge
 	admission
 	// levels is how many levels of the admitted algorithm's own
 	// recursion the grid runs above the fast cutoff.
@@ -218,27 +222,36 @@ type prepared struct {
 // allocated yet: a caller may still reject the verdict and prepare
 // another geometry.
 func prepare(pool *sched.Pool, o Options, co callObs, g geom, ms, ks, ns []tile.Seg, resident bool) (*prepared, error) {
-	kern, skern, kname, err := resolveKernel(o, g.tm, g.tk, g.tn)
+	r, err := resolveGeom(o, g)
 	if err != nil {
 		return nil, err
 	}
-	o.settle(kern, g.gm, g.tm, g.tk, g.tn)
-	pc := &prepared{g: g, kname: kname}
+	o.Alg, o.FastCutoff = r.alg, r.cutoff
+	runners := 0
 	if asWave(len(ms)*len(ns), pool.Workers()) {
-		pc.runners = pool.Workers()
+		runners = pool.Workers()
 	}
-	inflight := pc.runners
-	if inflight == 0 {
-		inflight = 1
+	ch := g.charge(r.cutoff, ms, ks, ns, resident, resident, max(runners, 1))
+	ch.what = func() string {
+		return fmt.Sprintf("%dx%dx%d", int64(g.gm*g.tm)*int64(len(ms)), int64(g.gk*g.tk)*int64(len(ks)), int64(g.gn*g.tn)*int64(len(ns)))
 	}
-	if pc.admission, err = admit(o, pool.Workers(), g.charge(o.FastCutoff, ms, ks, ns, resident, inflight)); err != nil {
+	return admitPlan(pool, o, co, r, ch, runners)
+}
+
+// admitPlan runs admission for what r's geometry describes — a call, or
+// a batched wave by its largest member — priced by ch and settled on
+// o.Alg at o.FastCutoff, as a wave of runners tasks.
+func admitPlan(pool *sched.Pool, o Options, co callObs, r resolved, ch charge, runners int) (*prepared, error) {
+	pc := &prepared{g: r.g, kname: r.kname, ch: ch, runners: runners}
+	var err error
+	if pc.admission, err = admit(o, pool.Workers(), ch); err != nil {
 		return nil, err
 	}
 	if pc.serial {
 		pc.runners = 0
 	}
-	pc.levels = fastLevels(pc.alg, g.gm, g.gk, g.gn, o.FastCutoff)
-	pc.e = newExec(o, co, kern, skern, pc.serial)
+	pc.levels = fastLevels(pc.alg, r.g.gm, r.g.gk, r.g.gn, o.FastCutoff)
+	pc.e = newExec(o, co, r.kern, r.skern, pc.serial)
 	return pc, nil
 }
 
@@ -253,7 +266,7 @@ func (pc *prepared) start(pool *sched.Pool, co callObs, stats *Stats) {
 		stacks = 1
 	}
 	g := pc.g
-	pc.ar = acquireArena(pc.alg, g.gm, g.gk, g.gn, g.tm, g.tk, g.tn, pc.e.fastCutoff, stacks)
+	pc.ar = acquireArenaElems(pc.ch.arena(pc.alg), stacks)
 	pc.e.ar = pc.ar
 	co.admitted(pc.notes, pc.ar)
 	stats.Depth = g.d
@@ -310,14 +323,11 @@ type planMul struct {
 // runs under a background context: once it starts, a cancellation must
 // not leave the block half-applied.
 func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i, j int, ws *waveWS) error {
-	pa, pb, e := pm.pa, pm.pb, &ws.e
+	pa, pb, e, alg := pm.pa, pm.pb, &ws.e, pm.alg
 	sm, sn := pa.RSegs[i], pb.CSegs[j]
-	tc := &ws.tc
-	data := tc.Data
-	*tc = *pa.blocks[0]
-	tc.TC, tc.gc = pb.TC, pb.blocks[0].gc
-	tc.Data, tc.Rows, tc.Cols = data, sm.Len, sn.Len
-	acquireInto(tc, &ws.stats, tc.elems())
+	tc, hdr := &ws.tc, pa.blocks[0]
+	hdr.TC, hdr.gc = pb.TC, pb.blocks[0].gc
+	tc.refit(&ws.stats, hdr, sm.Len, sn.Len)
 	t0 := time.Now()
 	if c != nil {
 		if c.Cancelled() {
@@ -339,7 +349,7 @@ func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i,
 	for kk := range pa.CSegs {
 		am, bm := pa.Block(i, kk).Mat(), pb.Block(kk, j).Mat()
 		if c != nil {
-			e.mul(c, pm.alg, cm, am, bm)
+			e.mul(c, alg, cm, am, bm)
 			if c.Cancelled() {
 				return errRunCancelled
 			}
@@ -347,7 +357,7 @@ func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i,
 			var work, span float64
 			err := e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
 				var rerr error
-				work, span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { e.mul(c, pm.alg, cm, am, bm) })
+				work, span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { e.mul(c, alg, cm, am, bm) })
 				return rerr
 			})
 			ws.stats.Work += work
@@ -362,14 +372,16 @@ func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i,
 	t2 := time.Now()
 	ws.stats.Compute += t2.Sub(t1)
 
-	Cv := pm.C.View(sm.Off, sn.Off, sm.Len, sn.Len)
+	// A view per branch: the serial one never leaves this frame, so a
+	// wave task's block allocates nothing.
 	var err error
 	if c != nil {
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
-		err = tc.unpackAccumulateSerial(Cv, pm.alpha)
+		err = tc.unpackAccumulateSerial(pm.C.View(sm.Off, sn.Off, sm.Len, sn.Len), pm.alpha)
 	} else {
+		Cv := pm.C.View(sm.Off, sn.Off, sm.Len, sn.Len)
 		err = e.phase(ctx, obs.KindConvertOut, "recmat.convert-out", func() error {
 			return tc.UnpackAccumulate(context.Background(), pool, Cv, pm.alpha)
 		})
@@ -380,69 +392,109 @@ func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i,
 }
 
 // run is the one block loop: every C block of the plan product, as one
-// wave of pc.runners tasks pulling block indices off a shared counter,
-// or — nested — in order from the caller's goroutine. It returns
-// how many blocks completed; on failure or cancellation the others
-// still hold their β-scaled input. Work and span come from the wave's
-// single RunCtx (nested: the blocks' runs in sequence, so spans add),
-// and the wave's wall time is apportioned to the three phase timers by
-// the share of task time each phase took.
+// wave of pc.runners tasks, or — nested — in order from the caller's
+// goroutine. It returns how many blocks completed; on failure or
+// cancellation the others still hold their β-scaled input.
 func (pm *planMul) run(ctx context.Context, pool *sched.Pool, pc *prepared, stats *Stats, traceID int64) (int, error) {
 	nn := len(pm.pb.CSegs)
 	nb := len(pm.pa.RSegs) * nn
 	// A group cut to fit the budget may hold too few blocks for a wave.
-	wave, n := pc.runners > 0 && asWave(nb, pc.runners), 1
-	if wave {
-		n = pc.runners
+	n, e := 0, *pc.e
+	if pc.runners > 0 && asWave(nb, pc.runners) {
+		// The wave saturates the pool by itself; a task's parallelism is
+		// its siblings.
+		n, e.serialCutoff = pc.runners, 1<<30
 	}
-	wss, errs := make([]waveWS, n), make([]error, n)
-	var next, done atomic.Int64
-	var stop atomic.Bool
-	runner := func(c *sched.Ctx, r int) {
-		ws := &wss[r]
-		ws.e = *pc.e
-		if c != nil {
-			// The wave saturates the pool by itself; a task's
-			// parallelism is its siblings.
-			ws.e.serialCutoff = 1 << 30
+	var done atomic.Int64
+	err := pullWave(ctx, pool, &e, n, nb, stats, func(c *sched.Ctx, ws *waveWS, b int) error {
+		t0 := time.Now()
+		err := pm.block(ctx, pool, c, b/nn, b%nn, ws)
+		if c != nil && ws.e.tr != nil {
+			ws.e.tr.Span(c.WorkerID(), obs.KindWaveItem, t0, time.Since(t0), traceID)
 		}
-		ok := false
-		defer func() {
-			ws.release()
-			if !ok {
-				stop.Store(true)
-			}
-		}()
-		for !stop.Load() {
-			b := int(next.Add(1)) - 1
-			if b >= nb {
-				break
-			}
-			t0 := time.Now()
-			errs[r] = pm.block(ctx, pool, c, b/nn, b%nn, ws)
-			if c != nil && ws.e.tr != nil {
-				ws.e.tr.Span(c.WorkerID(), obs.KindWaveItem, t0, time.Since(t0), traceID)
-			}
-			if errs[r] != nil {
-				return
-			}
+		if err == nil {
 			done.Add(1)
 		}
-		ok = true
+		return err
+	})
+	return int(done.Load()), err
+}
+
+// waveWS is one runner's workspace: its private copy of the execution
+// parameters (a batched wave swaps each member's kernel and cutoff in
+// without racing the other runners), the product tile, and — for a
+// batch member — the transient plans its operands are packed into.
+// Buffers persist across the steps a runner executes: acquired on first
+// use, regrown only for a larger size class, and returned to the pool
+// once, when the runner drains.
+type waveWS struct {
+	e      exec
+	err    error // the step error that stopped the runner
+	tc     Tiled
+	pa, pb Prepacked
+	one    [2]Tiled // pa's and pb's first block: an unsplit member allocates no headers
+	stats  Stats
+}
+
+func (ws *waveWS) release() {
+	releaseTiled(&ws.tc)
+	ws.pa.Release()
+	ws.pb.Release()
+}
+
+// pullWave is the one runner loop: the indices below count are pulled
+// off a shared counter by n runner tasks of one pool.RunCtx — or, n
+// zero, in order from the caller's goroutine, step seeing a nil c —
+// each runner with its own workspace and copy of e. A step that returns
+// an error or panics stops every runner; the first error by runner is
+// returned when the run itself reports none. Work and span come from
+// the wave's single RunCtx (nested: the steps' own runs in sequence, so
+// spans add), the runners' counters are merged into stats, and the
+// wave's wall time is apportioned to the three phase timers by the
+// share of task time each phase took.
+func pullWave(ctx context.Context, pool *sched.Pool, e *exec, n, count int, stats *Stats,
+	step func(c *sched.Ctx, ws *waveWS, i int) error) error {
+
+	wss := make([]waveWS, max(n, 1))
+	var st struct {
+		runner, next atomic.Int64
+		stop         atomic.Bool
+	}
+	runner := func(c *sched.Ctx) {
+		ws := &wss[st.runner.Add(1)-1]
+		ws.e = *e
+		ws.pa.blocks, ws.pb.blocks = ws.one[0:0:1], ws.one[1:1:2]
+		clean := false
+		defer func() {
+			ws.release()
+			if !clean {
+				st.stop.Store(true)
+			}
+		}()
+		for !st.stop.Load() && (c == nil || !c.Cancelled()) {
+			i := int(st.next.Add(1)) - 1
+			if i >= count {
+				break
+			}
+			if err := step(c, ws, i); err != nil {
+				ws.err = err
+				return
+			}
+		}
+		clean = true
 	}
 
 	t0 := time.Now()
 	var err error
-	if !wave {
-		runner(nil, 0)
+	if n == 0 {
+		runner(nil)
 	} else {
 		fns := make([]func(*sched.Ctx), n)
 		for r := range fns {
-			r := r
-			fns[r] = func(c *sched.Ctx) { runner(c, r) }
+			fns[r] = runner
 		}
 		var work, span float64
-		err = pc.e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
+		err = e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
 			var rerr error
 			work, span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { c.Parallel(fns...) })
 			return rerr
@@ -458,7 +510,7 @@ func (pm *planMul) run(ctx context.Context, pool *sched.Pool, pc *prepared, stat
 		in, comp, out = in+s.ConvertIn, comp+s.Compute, out+s.ConvertOut
 		stats.merge(s)
 		if err == nil {
-			err = errs[r]
+			err = wss[r].err
 		}
 	}
 	if tot := float64(in + comp + out); tot > 0 {
@@ -466,7 +518,7 @@ func (pm *planMul) run(ctx context.Context, pool *sched.Pool, pc *prepared, stat
 		stats.Compute += time.Duration(float64(wall) * float64(comp) / tot)
 		stats.ConvertOut += time.Duration(float64(wall) * float64(out) / tot)
 	}
-	return int(done.Load()), err
+	return err
 }
 
 // merge folds one runner workspace's counters into the call's stats.

@@ -42,7 +42,7 @@ type Prepacked struct {
 	// row and column dimensions; blocks[i*len(CSegs)+j] covers
 	// (RSegs[i], CSegs[j]).
 	RSegs, CSegs []tile.Seg
-	blocks       []*Tiled
+	blocks       []Tiled
 	released     bool
 }
 
@@ -134,20 +134,25 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 	if r != like.Cols {
 		return nil, fmt.Errorf("%w: operand has %d rows, plan's inner dimension is %d", ErrDimension, r, like.Cols)
 	}
-	rs := like.CSegs
-	cs := []tile.Seg{{Off: 0, Len: c}}
-	// The free (column) dimension splits exactly as a direct GEMM of
-	// like's operand against this one would split it; the inner
-	// dimension's segments are like's, whatever partners it was cut for.
+	cs, tc, err := conformSegs(o, like, c)
+	if err != nil {
+		return nil, err
+	}
+	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: like.D, TR: like.TC, TC: tc}, like.CSegs, cs, src, trans)
+}
+
+// conformSegs cuts the free dimension, of extent c, of a right-hand
+// side for like — exactly as a direct GEMM of like's operand against it
+// would split it; the inner dimension's segments are like's, whatever
+// partners it was cut for — and picks the tile width on like's depth.
+func conformSegs(o Options, like *Prepacked, c int) (cs []tile.Seg, tc int, err error) {
+	cs = []tile.Seg{{Off: 0, Len: c}}
 	if !o.DisableSplit && o.ForceTile == 0 {
 		_, _, cs = o.Tile.SplitDims(like.Rows, like.Cols, c)
 	}
-	d, tr := like.D, like.TC
-	tc := conformTile(o.Tile, maxSegLen(cs), d)
-	if _, _, _, err := paddedDims(d, tr, tc, tc); err != nil {
-		return nil, err
-	}
-	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: d, TR: tr, TC: tc}, rs, cs, src, trans)
+	tc = conformTile(o.Tile, maxSegLen(cs), like.D)
+	_, _, _, err = paddedDims(like.D, like.TR, like.TC, tc)
+	return cs, tc, err
 }
 
 // prepackShape validates the common Prepack preconditions and returns
@@ -194,21 +199,24 @@ func packPlan(ctx context.Context, pool *sched.Pool, tr *obs.Tracer, stats *Stat
 		return nil, sched.ErrPoolClosed
 	}
 	p = &Prepacked{Curve: hdr.Curve, D: hdr.D, TR: hdr.TR, TC: hdr.TC, Rows: segsLen(rs), Cols: segsLen(cs),
-		RSegs: rs, CSegs: cs, blocks: make([]*Tiled, len(rs)*len(cs))}
+		RSegs: rs, CSegs: cs, blocks: make([]Tiled, len(rs)*len(cs))}
 	defer func() {
 		if err != nil {
 			p.Release()
 			p = nil
 		}
 	}()
-	view := func(b int) *matrix.Dense { return opView(src, trans, rs[b/len(cs)], cs[b%len(cs)]) }
+	view := func(b int) *matrix.Dense {
+		v := opView(src, trans, rs[b/len(cs)], cs[b%len(cs)])
+		return &v
+	}
 	for b := range p.blocks {
 		p.blocks[b] = acquireLike(stats, hdr, rs[b/len(cs)].Len, cs[b%len(cs)].Len)
 	}
 	if asWave(len(p.blocks), pool.Workers()) {
 		fns := make([]func(*sched.Ctx), len(p.blocks))
-		for b, t := range p.blocks {
-			sv := view(b)
+		for b := range p.blocks {
+			t, sv := &p.blocks[b], view(b)
 			fns[b] = func(c *sched.Ctx) {
 				t0 := time.Now()
 				if err := t.packSerial(sv, trans, 1); err != nil {
@@ -221,8 +229,8 @@ func packPlan(ctx context.Context, pool *sched.Pool, tr *obs.Tracer, stats *Stat
 		}
 		_, _, err = pool.RunCtx(ctx, func(c *sched.Ctx) { c.Parallel(fns...) })
 	} else {
-		for b, t := range p.blocks {
-			if err = t.Pack(ctx, pool, view(b), trans, 1); err != nil {
+		for b := range p.blocks {
+			if err = p.blocks[b].Pack(ctx, pool, view(b), trans, 1); err != nil {
 				break
 			}
 		}
@@ -243,15 +251,13 @@ func segsLen(segs []tile.Seg) int {
 }
 
 // Block returns the packed Tiled covering (RSegs[i], CSegs[j]).
-func (p *Prepacked) Block(i, j int) *Tiled { return p.blocks[i*len(p.CSegs)+j] }
+func (p *Prepacked) Block(i, j int) *Tiled { return &p.blocks[i*len(p.CSegs)+j] }
 
 // Bytes returns the total packed storage the plan holds.
 func (p *Prepacked) Bytes() int64 {
 	var n int64
-	for _, b := range p.blocks {
-		if b != nil {
-			n += 8 * int64(len(b.Data))
-		}
+	for b := range p.blocks {
+		n += 8 * int64(len(p.blocks[b].Data))
 	}
 	return n
 }
@@ -264,10 +270,36 @@ func (p *Prepacked) Release() {
 		return
 	}
 	p.released = true
-	for i, b := range p.blocks {
-		releaseTiled(b)
-		p.blocks[i] = nil
+	// Up to the capacity: a runner's transient plan (repack) may hold
+	// buffers past the blocks its last member used.
+	blocks := p.blocks[:cap(p.blocks)]
+	for b := range blocks {
+		releaseTiled(&blocks[b])
 	}
+}
+
+// repack refills a wave runner's transient plan with op(src) cut into
+// rs×cs segments on hdr's geometry, every segment packed serially,
+// unscaled. The block headers grow when a member has more segments than
+// any before it and keep their buffers across members, so a
+// steady-state wave allocates nothing per member.
+func (p *Prepacked) repack(stats *Stats, hdr Tiled, rs, cs []tile.Seg, src *matrix.Dense, trans bool) error {
+	blocks := p.blocks[:cap(p.blocks)]
+	if n := len(rs) * len(cs); n > len(blocks) {
+		blocks = append(blocks, make([]Tiled, n-len(blocks))...)
+	}
+	*p = Prepacked{Curve: hdr.Curve, D: hdr.D, TR: hdr.TR, TC: hdr.TC, Rows: segsLen(rs), Cols: segsLen(cs),
+		RSegs: rs, CSegs: cs, blocks: blocks[:len(rs)*len(cs)]}
+	for b := range p.blocks {
+		t, r, c := &p.blocks[b], rs[b/len(cs)], cs[b%len(cs)]
+		t.refit(stats, hdr, r.Len, c.Len)
+		v := opView(src, trans, r, c)
+		if err := t.packSerial(&v, trans, 1); err != nil {
+			return err
+		}
+		stats.ConvertBytes += 8 * int64(len(t.Data))
+	}
+	return nil
 }
 
 // Transposed derives the plan of op(src)ᵀ entirely inside the recursive
@@ -299,7 +331,7 @@ func (p *Prepacked) Transposed(ctx context.Context, pool *sched.Pool) (q *Prepac
 // per-call driver's (it derives a transient B plan from A's this way).
 func (p *Prepacked) transposed(ctx context.Context, pool *sched.Pool, stats *Stats) (q *Prepacked, err error) {
 	q = &Prepacked{Curve: p.Curve, D: p.D, TR: p.TC, TC: p.TR, Rows: p.Cols, Cols: p.Rows,
-		RSegs: p.CSegs, CSegs: p.RSegs, blocks: make([]*Tiled, len(p.blocks))}
+		RSegs: p.CSegs, CSegs: p.RSegs, blocks: make([]Tiled, len(p.blocks))}
 	defer func() {
 		if err != nil {
 			q.Release()
@@ -309,8 +341,8 @@ func (p *Prepacked) transposed(ctx context.Context, pool *sched.Pool, stats *Sta
 	hdr := Tiled{Curve: q.Curve, D: q.D, TR: q.TR, TC: q.TC}
 	for i, sr := range q.RSegs {
 		for j, sc := range q.CSegs {
-			t := acquireLike(stats, hdr, sr.Len, sc.Len)
-			q.blocks[i*len(q.CSegs)+j] = t
+			t := q.Block(i, j)
+			*t = acquireLike(stats, hdr, sr.Len, sc.Len)
 			if err = t.PackTransposeOf(ctx, pool, p.Block(j, i)); err != nil {
 				return nil, err
 			}
@@ -371,15 +403,11 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 	if pa.released || pb.released {
 		return nil, fmt.Errorf("core: GEMMPrepacked with released plan")
 	}
-	if !isFinite(alpha) || !isFinite(beta) {
-		return nil, fmt.Errorf("%w: alpha=%v, beta=%v", ErrNonFinite, alpha, beta)
+	if err := conform(alpha, beta, pa.Rows, pa.Cols, pb.Rows, pb.Cols, C); err != nil {
+		return nil, err
 	}
 	if pa.Curve != pb.Curve {
 		return nil, fmt.Errorf("core: plans disagree on layout: %v vs %v", pa.Curve, pb.Curve)
-	}
-	if pa.Cols != pb.Rows {
-		return nil, fmt.Errorf("core: inner dimensions disagree: A plan is %dx%d, B plan is %dx%d",
-			pa.Rows, pa.Cols, pb.Rows, pb.Cols)
 	}
 	if pa.D != pb.D || pa.TC != pb.TR {
 		return nil, fmt.Errorf("core: plans do not conform on the inner dimension: "+
@@ -391,9 +419,6 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 		return nil, fmt.Errorf("core: plans split the inner dimension differently (%d vs %d segments); "+
 			"prepack the lean operand with DisableSplit so the shared dimension stays in one segment",
 			len(pa.CSegs), len(pb.RSegs))
-	}
-	if C.Rows != pa.Rows || C.Cols != pb.Cols {
-		return nil, fmt.Errorf("core: C is %dx%d, want %dx%d", C.Rows, C.Cols, pa.Rows, pb.Cols)
 	}
 	if pool == nil {
 		tp := sched.NewPool(0)

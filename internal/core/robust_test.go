@@ -431,3 +431,87 @@ func TestStressMulTiledFaultInjection(t *testing.T) {
 		}
 	}
 }
+
+// TestShapeMismatchIsErrDimension: every entry point answers operand
+// shapes that do not conform — inner dimensions that disagree, a C that
+// is not the product's shape — with ErrDimension (a caller's mistake:
+// the daemon's 400, not its 500), and leaves C untouched. 8×5 · 6×7 is
+// the inner mismatch; 8×6 · 6×7 into an 8×8 C the other.
+func TestShapeMismatchIsErrDimension(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(16))
+	opts := Options{Curve: layout.ZMorton, Alg: Standard}
+	A, badA, B := matrix.Random(8, 6, rng), matrix.Random(8, 5, rng), matrix.Random(6, 7, rng)
+	pa, err := Prepack(ctx, pool, opts, A, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pa.Release()
+	badPA, err := Prepack(ctx, pool, opts, badA, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer badPA.Release()
+	pb, err := Prepack(ctx, pool, opts, B, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pb.Release()
+
+	// item reports a wave's verdict on its only member.
+	item := func(_ *BatchStats, errs []error, err error) error {
+		if err != nil {
+			t.Errorf("the wave itself failed: %v", err)
+		}
+		return errs[0]
+	}
+	for _, ep := range []struct {
+		name string
+		call func(A *matrix.Dense, pa *Prepacked, C *matrix.Dense) error
+	}{
+		{"GEMMCtx", func(A *matrix.Dense, _ *Prepacked, C *matrix.Dense) error {
+			_, err := GEMMCtx(ctx, pool, opts, false, false, 1, A, B, 0.5, C)
+			return err
+		}},
+		{"GEMMPrepacked", func(_ *matrix.Dense, pa *Prepacked, C *matrix.Dense) error {
+			_, err := GEMMPrepacked(ctx, pool, opts, 1, pa, pb, 0.5, C)
+			return err
+		}},
+		{"GEMMBatch", func(A *matrix.Dense, _ *Prepacked, C *matrix.Dense) error {
+			return item(GEMMBatch(ctx, pool, opts, []BatchItem{{Alpha: 1, A: A, B: B, Beta: 0.5, C: C}}))
+		}},
+		{"GEMMPrepackedBatch", func(_ *matrix.Dense, pa *Prepacked, C *matrix.Dense) error {
+			return item(GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{Alpha: 1, B: B, Beta: 0.5, C: C}}))
+		}},
+		{"GEMMBatchStrided", func(A *matrix.Dense, _ *Prepacked, C *matrix.Dense) error {
+			// The strided form states m, k, n once; its mismatch is a buffer
+			// that cannot hold the operand it describes.
+			_, _, err := GEMMBatchStrided(ctx, pool, opts, false, false, 8, 6, 7, 1, A.Data, 8, len(A.Data),
+				B.Data, 6, len(B.Data), 0.5, C.Data, 8, len(C.Data), 1)
+			return err
+		}},
+	} {
+		for _, tc := range []struct {
+			what string
+			A    *matrix.Dense
+			pa   *Prepacked
+			C    *matrix.Dense
+		}{
+			{"inner dimensions disagree", badA, badPA, matrix.Random(8, 7, rng)},
+			{"C is not the product's shape", A, pa, matrix.Random(8, 8, rng)},
+		} {
+			if ep.name == "GEMMBatchStrided" && tc.A == A {
+				tc.C = matrix.Random(8, 6, rng) // too short for the 8×7 it is said to hold
+			}
+			before := tc.C.Clone()
+			if err := ep.call(tc.A, tc.pa, tc.C); !errors.Is(err, ErrDimension) {
+				t.Errorf("%s, %s: err = %v, want ErrDimension", ep.name, tc.what, err)
+			}
+			if !matrix.Equal(tc.C, before, 0) {
+				t.Errorf("%s, %s: C was modified by a rejected call", ep.name, tc.what)
+			}
+		}
+	}
+}

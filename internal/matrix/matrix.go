@@ -58,12 +58,19 @@ func (a *Dense) Set(i, j int, v float64) {
 }
 
 // View returns an m×n view of a starting at (i0, j0). The view shares
-// storage with a; mutations are visible through both.
+// storage with a; mutations are visible through both. It is a thin
+// inlinable wrapper, so a view that does not outlive its caller stays
+// off the heap.
 func (a *Dense) View(i0, j0, m, n int) *Dense {
+	v := a.view(i0, j0, m, n)
+	return &v
+}
+
+func (a *Dense) view(i0, j0, m, n int) Dense {
 	if i0 < 0 || j0 < 0 || i0+m > a.Rows || j0+n > a.Cols {
 		panic(fmt.Sprintf("matrix: view (%d,%d)+%dx%d exceeds %dx%d", i0, j0, m, n, a.Rows, a.Cols))
 	}
-	return &Dense{Rows: m, Cols: n, Stride: a.Stride, Data: a.Data[j0*a.Stride+i0:]}
+	return Dense{Rows: m, Cols: n, Stride: a.Stride, Data: a.Data[j0*a.Stride+i0:]}
 }
 
 // Clone returns a newly allocated contiguous copy of a.

@@ -11,8 +11,9 @@ import (
 )
 
 // BenchmarkDaemonSaturation drives an in-process server to saturation
-// with the mixed loadgen workload — the same setup as benchjson's
-// serve-daemon record — for profiling the request path: each b.N
+// with the mixed loadgen workload — in process, where `go run
+// ./benchmark --workload serve-stream` measures the daemon over
+// loopback — for profiling the request path: each b.N
 // iteration is one 2-second closed-loop window and reports QPS. Run
 // with -cpuprofile to see where a saturated daemon's CPU goes.
 func BenchmarkDaemonSaturation(b *testing.B) {

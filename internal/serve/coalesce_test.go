@@ -64,9 +64,10 @@ func batchReq(i int) *Request {
 // TestCoalescingUnderConcurrency: with the single execution slot held,
 // concurrent requests hashing to the same plan-cache entry pile into
 // coalescing groups; releasing the slot runs them as batched engine
-// calls. Every response must be bit-correct against a brute-force
-// reference, carry the coalescing markers, and move the coalescing
-// metrics.
+// calls. Every response must be correct against a brute-force
+// reference, equal bit for bit what a server that coalesces nothing
+// answers the same request with, carry the coalescing markers, and move
+// the coalescing metrics.
 func TestCoalescingUnderConcurrency(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 2, MaxInflight: 1, QueueDepth: 64, MaxQueueWait: 5 * time.Second})
 
@@ -116,12 +117,28 @@ func TestCoalescingUnderConcurrency(t *testing.T) {
 	release()
 	wg.Wait()
 
+	// Whether a request was coalesced must not show in its result: the
+	// same requests, one engine call each.
+	_, solo := newTestServer(t, Config{Workers: 2, MaxBatch: 1})
+
 	coalesced := 0
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("request %d failed: %v", i, errs[i])
 		}
 		resp := resps[i]
+		alone, err := solo.Do(context.Background(), reqs[i])
+		if err != nil || alone.Coalesced {
+			t.Fatalf("request %d served alone: err %v, coalesced %v", i, err, alone != nil && alone.Coalesced)
+		}
+		if len(alone.Data) != len(resp.Data) {
+			t.Fatalf("request %d: data length %d coalesced, %d alone", i, len(resp.Data), len(alone.Data))
+		}
+		for idx := range alone.Data {
+			if resp.Data[idx] != alone.Data[idx] {
+				t.Fatalf("request %d: C[%d] = %v coalesced, %v served alone", i, idx, resp.Data[idx], alone.Data[idx])
+			}
+		}
 		if !resp.PlanCached {
 			t.Errorf("request %d: not plan-cached", i)
 		}
