@@ -1,13 +1,18 @@
 GO ?= go
 
-.PHONY: check build vet test race determinism parity stress soak bench bench-kernel fuzz obs-gate trace-smoke omcheck asm-check algtable-check
+.PHONY: check build vet test race loc determinism parity stress soak bench bench-kernel fuzz obs-gate trace-smoke omcheck asm-check algtable-check
 
 check: build vet race determinism parity stress soak obs-gate trace-smoke omcheck asm-check algtable-check
 
+# The size every simplicity change quotes: non-test lines of the core.
+loc:
+	@ls internal/core/*.go | grep -v _test | xargs cat | wc -l
+
 # The determinism gate: the result of a GEMM is a pure function of
-# (operands, shape, algorithm, kernel, fast cutoff). BFS-, DFS- and
-# hybrid-scheduled table algorithms, 1 to 16 workers, every entry point
-# on split shapes (per-call, batch, strided batch, prepacked, prepacked
+# (operands, shape, algorithm, kernel, fast cutoff). Table algorithms
+# with every level breadth-first, depth-first and in between (and a fast
+# call's span and arena beside a busy pool), 1 to 16 workers, every
+# entry point on split shapes (per-call, batch, strided batch, prepacked, prepacked
 # batch), a mixed batch against its single calls, and Algorithm Auto
 # through every entry point must all agree bit for bit, at every
 # GOMAXPROCS; and the two amd64 assembly families, avx2 and avx512, are

@@ -25,32 +25,26 @@ type rung struct {
 	serial bool
 }
 
-// ladderFor returns the degradation ladder for a requested algorithm,
-// most-capable rung first. The fast algorithms degrade through the
+// ladder returns the degradation ladder for a requested algorithm,
+// most-capable rung first. A fast algorithm degrades through the
 // paper's space-conserving sequential Strassen variant (three reused
-// scratch quadrants per level) before giving up their sub-cubic flop
-// count; the final rung is always the standard accumulate recursion,
-// which needs no temporaries at all, run serially.
-func ladderFor(a Alg) []rung {
-	switch a {
-	case Strassen, Winograd:
+// scratch quadrants per level) before giving up its sub-cubic flop
+// count. (On a mixed-radix table grid only the first rung can run; the
+// driver reverts to the square geometry before accepting a lower one.)
+// The final rung is always the standard accumulate recursion, which
+// needs no temporaries at all, run serially.
+func ladder(a Alg) []rung {
+	tb := tableOf(a)
+	switch {
+	case tb != nil && tb.depthFirst:
+		// Already serial and space-conserving.
+		return []rung{{a, true}, {Standard, true}}
+	case tb != nil:
 		return []rung{{a, false}, {StrassenLowMem, true}, {Standard, false}, {Standard, true}}
-	case Standard8:
-		return []rung{{Standard8, false}, {Standard, false}, {Standard, true}}
-	case StrassenLowMem:
-		// Already serial and space-conserving; the only cheaper rung is
-		// the temporary-free standard recursion.
-		return []rung{{StrassenLowMem, true}, {Standard, true}}
-	default:
-		if tableOf(a) != nil {
-			// Table-driven algorithms degrade like the hand-coded fast
-			// pair. (On a mixed-radix table grid only the first rung can
-			// run; the driver reverts to the square geometry before
-			// accepting a lower one.)
-			return []rung{{a, false}, {StrassenLowMem, true}, {Standard, false}, {Standard, true}}
-		}
-		return []rung{{Standard, false}, {Standard, true}}
+	case a == Standard8:
+		return []rung{{a, false}, {Standard, false}, {Standard, true}}
 	}
+	return []rung{{Standard, false}, {Standard, true}}
 }
 
 // charge is what a call holds live, in elements — the terms of the
@@ -167,7 +161,7 @@ func admit(o Options, workers int, ch charge) (admission, error) {
 	var ad admission
 	var prev rung
 	var prevEst int64
-	for i, r := range ladderFor(o.Alg) {
+	for i, r := range ladder(o.Alg) {
 		est, g := ch.estimate(r, workers, o.MemBudget)
 		if i > 0 {
 			ad.notes = append(ad.notes, fmt.Sprintf("mem-budget: %v%s estimated %s > budget %s; degraded to %v%s (estimated %s)",
@@ -195,17 +189,6 @@ func serialTag(serial bool) string {
 	return ""
 }
 
-// isFastAlg reports whether alg trades numerical stability for flops
-// (the Strassen-like algorithms Benson & Ballard analyze): the
-// hand-coded fast pair, their low-memory variant, and every table with
-// rank below its partition volume.
-func isFastAlg(a Alg) bool {
-	if tb := tableOf(a); tb != nil {
-		return tb.R < tb.M*tb.K*tb.N
-	}
-	return a == Strassen || a == Winograd || a == StrassenLowMem
-}
-
 // probeSize is the edge of the probe block used by the residual-growth
 // check: big enough for three levels of fast recursion to manifest
 // their error growth, small enough (2·32³ ≈ 65K flops per run) to be
@@ -229,7 +212,7 @@ func probeResidualGrowth(e *exec, alg Alg, transA, transB bool, Av, Bv *matrix.D
 	// and the rest of the probeSize square stays zero on both sides of
 	// the comparison.
 	gm, gk, gn := 4, 4, 4
-	if tb := tableOf(alg); tb != nil && !(tb.M == 2 && tb.K == 2 && tb.N == 2) {
+	if tb := tableOf(alg); tb != nil && !tb.quad() {
 		gm, gk, gn = 2*tb.M, 2*tb.K, 2*tb.N
 	}
 	tm, tk, tn := probeSize/gm, probeSize/gk, probeSize/gn

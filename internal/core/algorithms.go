@@ -28,7 +28,9 @@ const (
 	// It trades temporary storage for a shorter critical path.
 	Standard8
 	// Strassen is Strassen's algorithm (Figure 1(b)): 7 recursive
-	// products, 18 additions/subtractions.
+	// products, 18 additions/subtractions. It and the two ids below are
+	// the first entries of the table registry (table.go): the engine in
+	// tablemul.go runs them from their ⟨2,2,2⟩ coefficient tables.
 	Strassen
 	// Winograd is Winograd's variant (Figure 1(c)): 7 recursive
 	// products, 15 additions/subtractions — the minimum possible for
@@ -40,10 +42,19 @@ const (
 	// recursive calls, reusing three scratch quadrants per level. It
 	// exposes no parallelism.
 	StrassenLowMem
-	numAlgs
 )
 
-var algNames = [numAlgs]string{"standard", "standard8", "strassen", "winograd", "strassen-lowmem"}
+// TableWinograd222 and TableStrassen222 are second names of Winograd
+// and Strassen, kept so that callers which use them compile.
+const (
+	TableWinograd222 = Winograd
+	TableStrassen222 = Strassen
+)
+
+var algNames = [...]string{"standard", "standard8"}
+
+// algAliases are the accepted spellings that AlgNames does not list.
+var algAliases = map[string]Alg{"winograd-2x2x2": Winograd, "strassen-2x2x2": Strassen}
 
 func (a Alg) String() string {
 	if int(a) < len(algNames) {
@@ -62,7 +73,7 @@ func (a Alg) String() string {
 // table-driven ⟨m,k,n⟩ family in registration order. Command-line
 // tools derive their -alg help text from it (via AlgNames), so a newly
 // registered table shows up everywhere without touching the tools.
-var Algs = append([]Alg{Standard, Standard8, Strassen, Winograd, StrassenLowMem}, tableAlgs...)
+var Algs = append([]Alg{Standard, Standard8}, tableAlgs...)
 
 // AlgNames returns the accepted algorithm names in Algs order plus
 // "auto" — the single source for every CLI's -alg enumeration.
@@ -79,6 +90,9 @@ func AlgNames() []string {
 func ParseAlg(s string) (Alg, error) {
 	if s == "auto" {
 		return AlgAuto, nil
+	}
+	if a, ok := algAliases[s]; ok {
+		return a, nil
 	}
 	for _, a := range Algs {
 		if s == a.String() {
@@ -125,9 +139,6 @@ type exec struct {
 	// used only by the driver-phase spans, never by the recursion.
 	tr   *obs.Tracer
 	lane int32
-	// policy pins the table engine's per-level BFS/DFS choice; zero —
-	// the only value outside tests — decides from the pool's idle gauge.
-	policy tablePolicy
 }
 
 // ewParMin is the default exec.ewMin: below half a megabyte the
@@ -154,16 +165,12 @@ func ewChunks(workers, n int) int {
 // Accounting stays with the caller (accountAdd), identical to the
 // serial form.
 func (e *exec) ew2(c *sched.Ctx, dst, a Mat, f func(dst, a []float64)) {
-	checkEW(dst, a)
 	if !e.par(dst.tiles*2) || e.ewMin <= 0 || dst.elems() < e.ewMin ||
 		c.Workers() < 2 || c.WorkerID() < 0 {
-		if dst.tiledStore() {
-			ew2Tiles(dst, a, resolveTileMap(dst, a), 0, dst.tiles*dst.tiles, f)
-		} else {
-			ew2Cols(dst, a, 0, dst.cols(), f)
-		}
+		matEW2(dst, a, f)
 		return
 	}
+	checkEW(dst, a)
 	if dst.tiledStore() {
 		m := resolveTileMap(dst, a)
 		nt := dst.tiles * dst.tiles
@@ -188,17 +195,12 @@ func (e *exec) ew2(c *sched.Ctx, dst, a Mat, f func(dst, a []float64)) {
 
 // ew3 is the three-operand counterpart of ew2.
 func (e *exec) ew3(c *sched.Ctx, dst, a, b Mat, f func(dst, a, b []float64)) {
-	checkEW(dst, a, b)
 	if !e.par(dst.tiles*2) || e.ewMin <= 0 || dst.elems() < e.ewMin ||
 		c.Workers() < 2 || c.WorkerID() < 0 {
-		if dst.tiledStore() {
-			ew3Tiles(dst, a, b, resolveTileMap(dst, a), resolveTileMap(dst, b),
-				0, dst.tiles*dst.tiles, f)
-		} else {
-			ew3Cols(dst, a, b, 0, dst.cols(), f)
-		}
+		matEW3(dst, a, b, f)
 		return
 	}
+	checkEW(dst, a, b)
 	if dst.tiledStore() {
 		ma, mb := resolveTileMap(dst, a), resolveTileMap(dst, b)
 		nt := dst.tiles * dst.tiles
@@ -260,12 +262,6 @@ func (e *exec) mul(c *sched.Ctx, alg Alg, C, A, B Mat) {
 		e.std(c, C, A, B)
 	case Standard8:
 		e.std8(c, C, A, B)
-	case Strassen:
-		e.strassen(c, C, A, B)
-	case Winograd:
-		e.winograd(c, C, A, B)
-	case StrassenLowMem:
-		e.strassenLowMem(c, C, A, B)
 	default:
 		if tb := tableOf(alg); tb != nil {
 			e.tableMul(c, tb, C, A, B)
@@ -476,445 +472,6 @@ func (e *exec) std8Serial(c *sched.Ctx, C, A, B Mat) {
 	matEW2(c22, p[6], vAcc)
 	matEW2(c22, p[7], vAcc)
 	for i := 0; i < 8; i++ {
-		accountAdd(c, c11)
-	}
-}
-
-// strassen implements Figure 1(b). Note: the classical identities
-// require S3 = A11 + A12 with C11 = P1 + P4 − P5 + P7 (the transcription
-// of the paper we reproduce from prints S3 with a minus sign, which is
-// inconsistent with its own post-additions; the algebra and the tests
-// pin the classical form).
-func (e *exec) strassen(c *sched.Ctx, C, A, B Mat) {
-	if c.Cancelled() {
-		return
-	}
-	if C.tiles == 1 {
-		e.leafMul(c, C, A, B)
-		return
-	}
-	if C.tiles <= e.fastCutoff {
-		e.std(c, C, A, B)
-		return
-	}
-	if !e.par(C.tiles) {
-		// See std8: the serial region lives in a closure-free function so
-		// that escape analysis does not heap-allocate the temp descriptors
-		// of every frame; par is monotone down the recursion.
-		e.strassenSerial(c, C, A, B)
-		return
-	}
-	c11, c12, c21, c22 := C.quad(layout.QuadNW), C.quad(layout.QuadNE), C.quad(layout.QuadSW), C.quad(layout.QuadSE)
-	a11, a12, a21, a22 := A.quad(layout.QuadNW), A.quad(layout.QuadNE), A.quad(layout.QuadSW), A.quad(layout.QuadSE)
-	b11, b12, b21, b22 := B.quad(layout.QuadNW), B.quad(layout.QuadNE), B.quad(layout.QuadSW), B.quad(layout.QuadSE)
-
-	st, top := e.ar.mark(c)
-	defer e.ar.release(st, top)
-	// The S/T pre-addition operands are fully overwritten by their matEW3
-	// pass, so dirty arena memory is fine; the P products accumulate and
-	// are zeroed just before their recursion.
-	s1, s2, s3, s4, s5 := e.newTemp(c, a11), e.newTemp(c, a11), e.newTemp(c, a11), e.newTemp(c, a11), e.newTemp(c, a11)
-	if c.Cancelled() {
-		return
-	}
-	t1, t2, t3, t4, t5 := e.newTemp(c, b11), e.newTemp(c, b11), e.newTemp(c, b11), e.newTemp(c, b11), e.newTemp(c, b11)
-	var p [7]Mat
-	for i := range p {
-		p[i] = e.newTemp(c, c11)
-	}
-	if c.Cancelled() {
-		return
-	}
-	c.Parallel(
-		func(c *sched.Ctx) { e.ew3(c, s1, a11, a22, vAdd); accountAdd(c, s1) },
-		func(c *sched.Ctx) { e.ew3(c, s2, a21, a22, vAdd); accountAdd(c, s2) },
-		func(c *sched.Ctx) { e.ew3(c, s3, a11, a12, vAdd); accountAdd(c, s3) },
-		func(c *sched.Ctx) { e.ew3(c, s4, a21, a11, vSub); accountAdd(c, s4) },
-		func(c *sched.Ctx) { e.ew3(c, s5, a12, a22, vSub); accountAdd(c, s5) },
-		func(c *sched.Ctx) { e.ew3(c, t1, b11, b22, vAdd); accountAdd(c, t1) },
-		func(c *sched.Ctx) { e.ew3(c, t2, b12, b22, vSub); accountAdd(c, t2) },
-		func(c *sched.Ctx) { e.ew3(c, t3, b21, b11, vSub); accountAdd(c, t3) },
-		func(c *sched.Ctx) { e.ew3(c, t4, b11, b12, vAdd); accountAdd(c, t4) },
-		func(c *sched.Ctx) { e.ew3(c, t5, b21, b22, vAdd); accountAdd(c, t5) },
-	)
-	c.Parallel(
-		func(c *sched.Ctx) { matZero(p[0]); e.strassen(c, p[0], s1, t1) },
-		func(c *sched.Ctx) { matZero(p[1]); e.strassen(c, p[1], s2, b11) },
-		func(c *sched.Ctx) { matZero(p[2]); e.strassen(c, p[2], a11, t2) },
-		func(c *sched.Ctx) { matZero(p[3]); e.strassen(c, p[3], a22, t3) },
-		func(c *sched.Ctx) { matZero(p[4]); e.strassen(c, p[4], s3, b22) },
-		func(c *sched.Ctx) { matZero(p[5]); e.strassen(c, p[5], s4, t4) },
-		func(c *sched.Ctx) { matZero(p[6]); e.strassen(c, p[6], s5, t5) },
-	)
-	c.Parallel(
-		func(c *sched.Ctx) { // C11 += P1 + P4 − P5 + P7
-			e.ew2(c, c11, p[0], vAcc)
-			accountAdd(c, c11)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c11, p[3], vAcc)
-			accountAdd(c, c11)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c11, p[4], vDec)
-			accountAdd(c, c11)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c11, p[6], vAcc)
-			accountAdd(c, c11)
-		},
-		func(c *sched.Ctx) { // C21 += P2 + P4
-			e.ew2(c, c21, p[1], vAcc)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c21, p[3], vAcc)
-			accountAdd(c, c21)
-			accountAdd(c, c21)
-		},
-		func(c *sched.Ctx) { // C12 += P3 + P5
-			e.ew2(c, c12, p[2], vAcc)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c12, p[4], vAcc)
-			accountAdd(c, c12)
-			accountAdd(c, c12)
-		},
-		func(c *sched.Ctx) { // C22 += P1 + P3 − P2 + P6
-			e.ew2(c, c22, p[0], vAcc)
-			accountAdd(c, c22)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c22, p[2], vAcc)
-			accountAdd(c, c22)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c22, p[1], vDec)
-			accountAdd(c, c22)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c22, p[5], vAcc)
-			accountAdd(c, c22)
-		},
-	)
-}
-
-// strassenSerial is the closure-free serial region of strassen:
-// straight-line single-stream passes and zero heap allocations below the
-// serial cutoff.
-func (e *exec) strassenSerial(c *sched.Ctx, C, A, B Mat) {
-	if c.Cancelled() {
-		return
-	}
-	if C.tiles == 1 {
-		e.leafMul(c, C, A, B)
-		return
-	}
-	if C.tiles <= e.fastCutoff {
-		e.std(c, C, A, B)
-		return
-	}
-	c11, c12, c21, c22 := C.quad(layout.QuadNW), C.quad(layout.QuadNE), C.quad(layout.QuadSW), C.quad(layout.QuadSE)
-	a11, a12, a21, a22 := A.quad(layout.QuadNW), A.quad(layout.QuadNE), A.quad(layout.QuadSW), A.quad(layout.QuadSE)
-	b11, b12, b21, b22 := B.quad(layout.QuadNW), B.quad(layout.QuadNE), B.quad(layout.QuadSW), B.quad(layout.QuadSE)
-
-	st, top := e.ar.mark(c)
-	defer e.ar.release(st, top)
-	s1, s2, s3, s4, s5 := e.newTemp(c, a11), e.newTemp(c, a11), e.newTemp(c, a11), e.newTemp(c, a11), e.newTemp(c, a11)
-	if c.Cancelled() {
-		return
-	}
-	t1, t2, t3, t4, t5 := e.newTemp(c, b11), e.newTemp(c, b11), e.newTemp(c, b11), e.newTemp(c, b11), e.newTemp(c, b11)
-	var p [7]Mat
-	for i := range p {
-		p[i] = e.newTemp(c, c11)
-	}
-	if c.Cancelled() {
-		return
-	}
-	matEW3(s1, a11, a22, vAdd)
-	matEW3(s2, a21, a22, vAdd)
-	matEW3(s3, a11, a12, vAdd)
-	matEW3(s4, a21, a11, vSub)
-	matEW3(s5, a12, a22, vSub)
-	if ewCancelled(c) {
-		return
-	}
-	matEW3(t1, b11, b22, vAdd)
-	matEW3(t2, b12, b22, vSub)
-	matEW3(t3, b21, b11, vSub)
-	matEW3(t4, b11, b12, vAdd)
-	matEW3(t5, b21, b22, vAdd)
-	for i := 0; i < 10; i++ {
-		accountAdd(c, s1)
-	}
-	if c.Cancelled() {
-		return
-	}
-	matZero(p[0])
-	e.strassenSerial(c, p[0], s1, t1)
-	matZero(p[1])
-	e.strassenSerial(c, p[1], s2, b11)
-	matZero(p[2])
-	e.strassenSerial(c, p[2], a11, t2)
-	matZero(p[3])
-	e.strassenSerial(c, p[3], a22, t3)
-	matZero(p[4])
-	e.strassenSerial(c, p[4], s3, b22)
-	matZero(p[5])
-	e.strassenSerial(c, p[5], s4, t4)
-	matZero(p[6])
-	e.strassenSerial(c, p[6], s5, t5)
-	if ewCancelled(c) {
-		return
-	}
-	matEW2(c11, p[0], vAcc) // C11 += P1 + P4 − P5 + P7
-	matEW2(c11, p[3], vAcc)
-	matEW2(c11, p[4], vDec)
-	matEW2(c11, p[6], vAcc)
-	matEW2(c21, p[1], vAcc) // C21 += P2 + P4
-	matEW2(c21, p[3], vAcc)
-	if ewCancelled(c) {
-		return
-	}
-	matEW2(c12, p[2], vAcc) // C12 += P3 + P5
-	matEW2(c12, p[4], vAcc)
-	matEW2(c22, p[0], vAcc) // C22 += P1 + P3 − P2 + P6
-	matEW2(c22, p[2], vAcc)
-	matEW2(c22, p[1], vDec)
-	matEW2(c22, p[5], vAcc)
-	for i := 0; i < 12; i++ {
-		accountAdd(c, c11)
-	}
-}
-
-// winograd implements Figure 1(c): seven products with common
-// subexpressions S2 = S1 − A11, S4 = A12 − S2, T2 = B22 − T1,
-// T4 = B21 − T2, and the U-chain of post-additions. The shared chains
-// force dependencies among the pre-additions (grouped into four
-// independent chains) and among the post-additions.
-func (e *exec) winograd(c *sched.Ctx, C, A, B Mat) {
-	if c.Cancelled() {
-		return
-	}
-	if C.tiles == 1 {
-		e.leafMul(c, C, A, B)
-		return
-	}
-	if C.tiles <= e.fastCutoff {
-		e.std(c, C, A, B)
-		return
-	}
-	if !e.par(C.tiles) {
-		// See std8: the serial region lives in a closure-free function so
-		// that escape analysis does not heap-allocate the temp descriptors
-		// of every frame; par is monotone down the recursion.
-		e.winogradSerial(c, C, A, B)
-		return
-	}
-	c11, c12, c21, c22 := C.quad(layout.QuadNW), C.quad(layout.QuadNE), C.quad(layout.QuadSW), C.quad(layout.QuadSE)
-	a11, a12, a21, a22 := A.quad(layout.QuadNW), A.quad(layout.QuadNE), A.quad(layout.QuadSW), A.quad(layout.QuadSE)
-	b11, b12, b21, b22 := B.quad(layout.QuadNW), B.quad(layout.QuadNE), B.quad(layout.QuadSW), B.quad(layout.QuadSE)
-
-	st, top := e.ar.mark(c)
-	defer e.ar.release(st, top)
-	s1, s2, s3, s4 := e.newTemp(c, a11), e.newTemp(c, a11), e.newTemp(c, a11), e.newTemp(c, a11)
-	if c.Cancelled() {
-		return
-	}
-	t1, t2, t3, t4 := e.newTemp(c, b11), e.newTemp(c, b11), e.newTemp(c, b11), e.newTemp(c, b11)
-	var p [7]Mat
-	for i := range p {
-		if c.Cancelled() {
-			return
-		}
-		p[i] = e.newTemp(c, c11)
-	}
-	c.Parallel(
-		func(c *sched.Ctx) { // chain S1 → S2 → S4
-			e.ew3(c, s1, a21, a22, vAdd)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew3(c, s2, s1, a11, vSub)
-			e.ew3(c, s4, a12, s2, vSub)
-			for i := 0; i < 3; i++ {
-				accountAdd(c, s1)
-			}
-		},
-		func(c *sched.Ctx) { e.ew3(c, s3, a11, a21, vSub); accountAdd(c, s3) },
-		func(c *sched.Ctx) { // chain T1 → T2 → T4
-			e.ew3(c, t1, b12, b11, vSub)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew3(c, t2, b22, t1, vSub)
-			e.ew3(c, t4, b21, t2, vSub)
-			for i := 0; i < 3; i++ {
-				accountAdd(c, t1)
-			}
-		},
-		func(c *sched.Ctx) { e.ew3(c, t3, b22, b12, vSub); accountAdd(c, t3) },
-	)
-	c.Parallel(
-		func(c *sched.Ctx) { matZero(p[0]); e.winograd(c, p[0], a11, b11) },
-		func(c *sched.Ctx) { matZero(p[1]); e.winograd(c, p[1], a12, b21) },
-		func(c *sched.Ctx) { matZero(p[2]); e.winograd(c, p[2], s1, t1) },
-		func(c *sched.Ctx) { matZero(p[3]); e.winograd(c, p[3], s2, t2) },
-		func(c *sched.Ctx) { matZero(p[4]); e.winograd(c, p[4], s3, t3) },
-		func(c *sched.Ctx) { matZero(p[5]); e.winograd(c, p[5], s4, b22) },
-		func(c *sched.Ctx) { matZero(p[6]); e.winograd(c, p[6], a22, t4) },
-	)
-	// Post-additions (U-chain). U2 and U3 are genuinely shared, so this
-	// stage is sequential apart from the independent C11 pair — the
-	// worse algorithmic locality the paper attributes to Winograd. The
-	// individual passes still spread across the pool through ew2/ew3 when
-	// large enough. Near the root each pass touches O(n²) elements, so
-	// poll for cancellation between passes. U2 is fully overwritten by
-	// its first pass, so dirty arena memory is fine.
-	u2 := e.newTemp(c, c11)
-	if ewCancelled(c) {
-		return
-	}
-	e.ew3(c, u2, p[0], p[3], vAdd) // U2 = P1 + P4
-	accountAdd(c, c11)
-	if ewCancelled(c) {
-		return
-	}
-	u6 := p[3]                   // reuse P4's storage
-	e.ew3(c, u6, u2, p[2], vAdd) // U6 = U2 + P3
-	accountAdd(c, c11)
-	if ewCancelled(c) {
-		return
-	}
-	e.ew2(c, u2, p[4], vAcc) // U3 = U2 + P5 (in place)
-	accountAdd(c, c11)
-	if ewCancelled(c) {
-		return
-	}
-	e.ew2(c, c11, p[0], vAcc) // C11 += P1 + P2
-	e.ew2(c, c11, p[1], vAcc)
-	accountAdd(c, c11)
-	accountAdd(c, c11)
-	if ewCancelled(c) {
-		return
-	}
-	e.ew2(c, c21, u2, vAcc) // C21 += U3 + P7
-	e.ew2(c, c21, p[6], vAcc)
-	accountAdd(c, c11)
-	accountAdd(c, c11)
-	if ewCancelled(c) {
-		return
-	}
-	e.ew2(c, c22, u2, vAcc) // C22 += U3 + P3
-	e.ew2(c, c22, p[2], vAcc)
-	accountAdd(c, c11)
-	accountAdd(c, c11)
-	if ewCancelled(c) {
-		return
-	}
-	e.ew2(c, c12, u6, vAcc) // C12 += U6 + P6
-	e.ew2(c, c12, p[5], vAcc)
-	accountAdd(c, c11)
-	accountAdd(c, c11)
-}
-
-// winogradSerial is the closure-free serial region of winograd:
-// straight-line single-stream passes and zero heap allocations below the
-// serial cutoff.
-func (e *exec) winogradSerial(c *sched.Ctx, C, A, B Mat) {
-	if c.Cancelled() {
-		return
-	}
-	if C.tiles == 1 {
-		e.leafMul(c, C, A, B)
-		return
-	}
-	if C.tiles <= e.fastCutoff {
-		e.std(c, C, A, B)
-		return
-	}
-	c11, c12, c21, c22 := C.quad(layout.QuadNW), C.quad(layout.QuadNE), C.quad(layout.QuadSW), C.quad(layout.QuadSE)
-	a11, a12, a21, a22 := A.quad(layout.QuadNW), A.quad(layout.QuadNE), A.quad(layout.QuadSW), A.quad(layout.QuadSE)
-	b11, b12, b21, b22 := B.quad(layout.QuadNW), B.quad(layout.QuadNE), B.quad(layout.QuadSW), B.quad(layout.QuadSE)
-
-	st, top := e.ar.mark(c)
-	defer e.ar.release(st, top)
-	s1, s2, s3, s4 := e.newTemp(c, a11), e.newTemp(c, a11), e.newTemp(c, a11), e.newTemp(c, a11)
-	if c.Cancelled() {
-		return
-	}
-	t1, t2, t3, t4 := e.newTemp(c, b11), e.newTemp(c, b11), e.newTemp(c, b11), e.newTemp(c, b11)
-	var p [7]Mat
-	for i := range p {
-		p[i] = e.newTemp(c, c11)
-	}
-	if c.Cancelled() {
-		return
-	}
-	matEW3(s1, a21, a22, vAdd) // chain S1 → S2 → S4
-	matEW3(s2, s1, a11, vSub)
-	matEW3(s4, a12, s2, vSub)
-	matEW3(s3, a11, a21, vSub)
-	if ewCancelled(c) {
-		return
-	}
-	matEW3(t1, b12, b11, vSub) // chain T1 → T2 → T4
-	matEW3(t2, b22, t1, vSub)
-	matEW3(t4, b21, t2, vSub)
-	matEW3(t3, b22, b12, vSub)
-	for i := 0; i < 8; i++ {
-		accountAdd(c, s1)
-	}
-	if c.Cancelled() {
-		return
-	}
-	matZero(p[0])
-	e.winogradSerial(c, p[0], a11, b11)
-	matZero(p[1])
-	e.winogradSerial(c, p[1], a12, b21)
-	matZero(p[2])
-	e.winogradSerial(c, p[2], s1, t1)
-	matZero(p[3])
-	e.winogradSerial(c, p[3], s2, t2)
-	matZero(p[4])
-	e.winogradSerial(c, p[4], s3, t3)
-	matZero(p[5])
-	e.winogradSerial(c, p[5], s4, b22)
-	matZero(p[6])
-	e.winogradSerial(c, p[6], a22, t4)
-	if ewCancelled(c) {
-		return
-	}
-	// U-chain, straight line. U2 is fully overwritten by its first pass,
-	// so dirty arena memory is fine.
-	u2 := e.newTemp(c, c11)
-	matEW3(u2, p[0], p[3], vAdd) // U2 = P1 + P4
-	u6 := p[3]                   // reuse P4's storage
-	matEW3(u6, u2, p[2], vAdd)   // U6 = U2 + P3
-	matEW2(u2, p[4], vAcc)       // U3 = U2 + P5 (in place)
-	if ewCancelled(c) {
-		return
-	}
-	matEW2(c11, p[0], vAcc) // C11 += P1 + P2
-	matEW2(c11, p[1], vAcc)
-	matEW2(c21, u2, vAcc) // C21 += U3 + P7
-	matEW2(c21, p[6], vAcc)
-	if ewCancelled(c) {
-		return
-	}
-	matEW2(c22, u2, vAcc) // C22 += U3 + P3
-	matEW2(c22, p[2], vAcc)
-	matEW2(c12, u6, vAcc) // C12 += U6 + P6
-	matEW2(c12, p[5], vAcc)
-	for i := 0; i < 11; i++ {
 		accountAdd(c, c11)
 	}
 }

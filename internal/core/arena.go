@@ -149,97 +149,59 @@ func (e *exec) newTemp(c *sched.Ctx, proto Mat) Mat {
 // depth-first path through alg needs, descending from a gm×gk×gn tile
 // grid (equal extents for the quadrant-based algorithms) down to the
 // leaves: Σ_levels own(level), where own is the storage the algorithm
-// allocates at that level (quadrant operands are (t/2)² tiles). The
-// per-algorithm terms:
+// allocates at that level:
 //
 //   - Standard: no temporaries.
-//   - Standard8: 8 quadrant products.
-//   - Strassen: 5 A-shaped + 5 B-shaped pre-addition operands and
-//     7 C-shaped products.
-//   - Winograd: 4+4 pre-addition operands, 7 products plus the shared
-//     U2 accumulator (U6 reuses P4's storage).
-//   - StrassenLowMem: one reused S-, T-, and P-shaped scratch.
-//   - Table-driven ⟨m,k,n⟩: the BFS bound per table level — preA
-//     A-shaped + preB B-shaped operands, R products, and the
-//     evaluation schedule's aux blocks (the DFS levels use strictly
-//     fewer per-product temps) — then the base algorithm's series
-//     below the square power-of-two handoff.
+//   - Standard8: 8 quadrant products ((t/2)² tiles each).
+//   - A table: the level structure tableMul executes — table divisions
+//     while the grid divides by ⟨M,K,N⟩ (a ⟨2,2,2⟩ table stops at
+//     fastCutoff, where it hands off to the temporary-free standard
+//     recursion), then the base algorithm's series on the remaining
+//     square power-of-two grid. A level is charged the evaluation
+//     schedule's aux blocks plus its BFS bound — preA A-shaped + preB
+//     B-shaped operands and R products: 5+5+7 for Strassen, 4+4 aux
+//     and 7+2 for Winograd — whose DFS levels below the serial cutoff
+//     use strictly less; a depthFirst table is charged the DFS bound,
+//     one S-, T- and P-shaped scratch (StrassenLowMem's signature
+//     qa+qb+qc).
 //
-// The fast algorithms stop allocating below fastCutoff, where they
-// hand off to the temporary-free standard recursion. This function is
-// the single source of truth for both the admission estimate and the
-// arena reservation, so the MemBudget ladder accounts the arena up
-// front — one reservation, not per-level guesses.
-func arenaStackElems(alg Alg, gm, gk, gn, tm, tk, tn, fastCutoff int) int64 {
-	if fastCutoff < 1 {
-		fastCutoff = 1
-	}
-	if tb := tableOf(alg); tb != nil {
-		return tableArenaElems(tb, gm, gk, gn, tm, tk, tn, fastCutoff)
-	}
-	var need int64
-	for t := gm; t > 1; t /= 2 {
-		q := int64(t/2) * int64(t/2)
-		qa := q * int64(tm) * int64(tk)
-		qb := q * int64(tk) * int64(tn)
-		qc := q * int64(tm) * int64(tn)
-		switch alg {
-		case Standard8:
-			need += 8 * qc
-		case Strassen:
-			if t <= fastCutoff {
-				return need
+// This function is the single source of truth for both the admission
+// estimate and the arena reservation, so the MemBudget ladder accounts
+// the arena up front — one reservation, not per-level guesses.
+func arenaStackElems(alg Alg, gm, gk, gn, tm, tk, tn, fastCutoff int) (need int64) {
+	tb := tableOf(alg)
+	if tb == nil {
+		if alg == Standard8 {
+			for t := gm / 2; t >= 1; t /= 2 {
+				need += 8 * int64(t) * int64(t) * int64(tm) * int64(tn)
 			}
-			need += 5*qa + 5*qb + 7*qc
-		case Winograd:
-			if t <= fastCutoff {
-				return need
-			}
-			need += 4*qa + 4*qb + 8*qc
-		case StrassenLowMem:
-			if t <= fastCutoff {
-				return need
-			}
-			need += qa + qb + qc
-		default: // Standard, and anything unknown: no temporaries.
-			return 0
 		}
+		return need
 	}
-	return need
-}
-
-// tableArenaElems walks the same level structure tableMul executes —
-// table divisions while the grid divides by ⟨M,K,N⟩, then the base
-// algorithm on the remaining square power-of-two grid — charging each
-// table level its BFS maximum.
-func tableArenaElems(tb *Table, gm, gk, gn, tm, tk, tn, fastCutoff int) int64 {
-	var need int64
-	for {
-		if gm == 1 && gk == 1 && gn == 1 {
-			return need
-		}
-		if tb.M == 2 && tb.K == 2 && tb.N == 2 {
-			if gm <= fastCutoff {
-				return need
+	for gm > 1 || gk > 1 || gn > 1 {
+		if tb.quad() {
+			if gm <= max(fastCutoff, 1) {
+				break
 			}
 		} else {
 			if gm == gk && gk == gn && gm&(gm-1) == 0 {
 				return need + arenaStackElems(tb.Base, gm, gk, gn, tm, tk, tn, fastCutoff)
 			}
 			if gm%tb.M != 0 || gk%tb.K != 0 || gn%tb.N != 0 {
-				return need // tableMul panics here; nothing more allocates
+				break // tableMul panics here; nothing more allocates
 			}
 		}
 		gm, gk, gn = gm/tb.M, gk/tb.K, gn/tb.N
 		qa := int64(gm) * int64(gk) * int64(tm) * int64(tk)
 		qb := int64(gk) * int64(gn) * int64(tk) * int64(tn)
 		qc := int64(gm) * int64(gn) * int64(tm) * int64(tn)
-		// Schedule aux blocks live for the whole level on both the BFS
-		// and DFS paths, on top of the per-product operands/products.
-		need += int64(tb.preA+len(tb.AuxU))*qa +
-			int64(tb.preB+len(tb.AuxV))*qb +
-			int64(tb.R+len(tb.AuxW))*qc
+		na, nb, nc := tb.preA, tb.preB, tb.R
+		if tb.depthFirst {
+			na, nb, nc = min(na, 1), min(nb, 1), 1
+		}
+		need += int64(na+len(tb.AuxU))*qa + int64(nb+len(tb.AuxV))*qb + int64(nc+len(tb.AuxW))*qc
 	}
+	return need
 }
 
 // arenaPool recycles arena buffers across runs. Checked-out arenas keep

@@ -268,7 +268,7 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 					ch.perBlock, dearest = bill, sh
 				}
 				ch.scratch = max(ch.scratch, sh.ch.scratch)
-				if alg == AlgAuto || isFastAlg(sh.alg) {
+				if alg == AlgAuto || tableOf(sh.alg) != nil {
 					alg = sh.alg
 				}
 			}

@@ -29,7 +29,7 @@ func TestGEMMBatchMatchesSingleCalls(t *testing.T) {
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(81))
 	shapes := [][3]int{{40, 24, 56}, {300, 20, 20}, {64, 64, 64}, {20, 24, 250}, {64, 48, 17}, {24, 300, 20}}
-	algs := []Alg{Standard, TableWinograd222}
+	algs := []Alg{Standard, Winograd}
 	for _, cv := range layout.RecursiveCurves {
 		for _, ta := range []bool{false, true} {
 			for _, tb := range []bool{false, true} {

@@ -382,36 +382,34 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestWorkSpanAnalyticMatchesAccounted(t *testing.T) {
 	// With full spawning (SerialCutoff=1) the runtime accounting must
-	// match the analytic recurrences exactly for the no-add algorithm.
-	pool := sched.NewPool(2)
-	defer pool.Close()
+	// match the analytic recurrences exactly, for every algorithm and
+	// however many workers run the DAG: a level's shape is a function of
+	// the plan.
 	rng := rand.New(rand.NewSource(37))
 	n := 32
 	A := matrix.Random(n, n, rng)
 	B := matrix.Random(n, n, rng)
-	for _, alg := range Algs {
-		C := matrix.New(n, n)
-		opts := Options{Curve: layout.ZMorton, Alg: alg, ForceTile: 4, SerialCutoff: 1}
-		st, err := GEMM(pool, opts, false, false, 1, A, B, 0, C)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, s := WorkSpan(alg, 3, 4)
-		if math.Abs(st.Work-w) > 1e-6*w {
-			t.Errorf("%v: accounted work %g, analytic %g", alg, st.Work, w)
-		}
-		if tableOf(alg) != nil {
-			// The table engine chooses BFS or DFS per level from live
-			// worker occupancy, so the accounted span is only bounded
-			// by the fully-parallel analytic span below and the serial
-			// work above.
-			if st.Span < s*(1-1e-6) || st.Span > st.Work*(1+1e-6) {
-				t.Errorf("%v: accounted span %g outside [analytic %g, work %g]",
-					alg, st.Span, s, st.Work)
+	for _, workers := range []int{1, 2, 4} {
+		pool := sched.NewPool(workers)
+		for _, alg := range Algs {
+			C := matrix.New(n, n)
+			opts := Options{Curve: layout.ZMorton, Alg: alg, ForceTile: 4, SerialCutoff: 1}
+			st, err := GEMM(pool, opts, false, false, 1, A, B, 0, C)
+			if err != nil {
+				t.Fatal(err)
 			}
-		} else if math.Abs(st.Span-s) > 1e-6*s {
-			t.Errorf("%v: accounted span %g, analytic %g", alg, st.Span, s)
+			w, s := WorkSpan(alg, 3, 4)
+			if math.Abs(st.Work-w) > 1e-6 {
+				t.Errorf("%v, %d workers: accounted work %g, analytic %g", alg, workers, st.Work, w)
+			}
+			if math.Abs(st.Span-s) > 1e-6 {
+				t.Errorf("%v, %d workers: accounted span %g, analytic %g", alg, workers, st.Span, s)
+			}
+			if alg == StrassenLowMem && s != w {
+				t.Errorf("%v: analytic span %g, want its work %g", alg, s, w)
+			}
 		}
+		pool.Close()
 	}
 }
 

@@ -27,43 +27,102 @@ func opMat(rows, cols int, trans bool, rng *rand.Rand) *matrix.Dense {
 	return matrix.Random(rows, cols, rng)
 }
 
-// TestDeterminismPolicies: BFS, DFS and the idle-driven hybrid are
-// schedules of one computation — with the engine forced to each in
-// turn, every registered algorithm on every storage produces the same
-// bits, for every transpose pair and β.
+// TestDeterminismPolicies: BFS and DFS are schedules of one
+// computation — with the serial cutoff putting every table level
+// breadth-first (1), the top ones only (4) and none (above the grid),
+// every registered algorithm on every storage produces the same bits,
+// for every transpose pair and β; and StrassenLowMem, Strassen's table
+// run depth-first, produces Strassen's.
 func TestDeterminismPolicies(t *testing.T) {
-	defer func() { tablePolicyHook = policyHybrid }()
 	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(151))
 	// 72×48×72 divides by every registered base partition, so on
 	// canonical storage the rectangular tables run their own levels.
 	m, k, n := 72, 48, 72
-	for _, alg := range Algs {
-		for _, cv := range mulCurves {
-			for _, ta := range []bool{false, true} {
-				for _, tb := range []bool{false, true} {
-					for _, beta := range []float64{0, 1, 0.5} {
-						A, B := opMat(m, k, ta, rng), opMat(k, n, tb, rng)
-						C := matrix.Random(m, n, rng)
-						opts := Options{Curve: cv, Alg: alg, Tile: testTile, SerialCutoff: 1}
+	for _, cv := range mulCurves {
+		for _, ta := range []bool{false, true} {
+			for _, tb := range []bool{false, true} {
+				for _, beta := range []float64{0, 1, 0.5} {
+					A, B := opMat(m, k, ta, rng), opMat(k, n, tb, rng)
+					C := matrix.Random(m, n, rng)
+					var strassen *matrix.Dense
+					for _, alg := range Algs {
 						var want *matrix.Dense
-						for _, pol := range []tablePolicy{policyHybrid, policyBFS, policyDFS} {
-							tablePolicyHook = pol
+						for _, cut := range []int{1, 4, 1 << 20} {
+							opts := Options{Curve: cv, Alg: alg, Tile: testTile, SerialCutoff: cut, FastCutoff: 1}
 							got := C.Clone()
 							if _, err := GEMMCtx(context.Background(), pool, opts, ta, tb, -1.25, A, B, beta, got); err != nil {
-								t.Fatalf("%v/%v ta=%v tb=%v beta=%g policy %d: %v", alg, cv, ta, tb, beta, pol, err)
+								t.Fatalf("%v/%v ta=%v tb=%v beta=%g serial cutoff %d: %v", alg, cv, ta, tb, beta, cut, err)
 							}
 							if want == nil {
 								want = got
 							} else if !matrix.Equal(got, want, 0) {
-								t.Errorf("%v/%v ta=%v tb=%v beta=%g: policy %d differs from hybrid, max diff %g",
-									alg, cv, ta, tb, beta, pol, matrix.MaxAbsDiff(got, want))
+								t.Errorf("%v/%v ta=%v tb=%v beta=%g: serial cutoff %d differs from 1, max diff %g",
+									alg, cv, ta, tb, beta, cut, matrix.MaxAbsDiff(got, want))
+							}
+						}
+						switch alg {
+						case Strassen:
+							strassen = want
+						case StrassenLowMem:
+							if !matrix.Equal(want, strassen, 0) {
+								t.Errorf("%v/%v ta=%v tb=%v beta=%g: differs from %v, max diff %g",
+									alg, cv, ta, tb, beta, Strassen, matrix.MaxAbsDiff(want, strassen))
 							}
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDeterminismCostBusyPool: what a fast call costs is a function of
+// its plan too. Its accounted span, its arena reservation and its zero
+// heap fallbacks repeat exactly whether it has the pool to itself or
+// shares it with a saturating background GEMM.
+func TestDeterminismCostBusyPool(t *testing.T) {
+	pool := sched.NewPool(0)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(153))
+	n := 256
+	A, B := matrix.Random(n, n, rng), matrix.Random(n, n, rng)
+	for _, alg := range []Alg{Strassen, Winograd, StrassenLowMem} {
+		opts := Options{Curve: layout.ZMorton, Alg: alg, ForceTile: 16, FastCutoff: 2}
+		var want *Stats
+		for _, busy := range []bool{false, true} {
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				bg := matrix.New(n, n)
+				for busy {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := GEMM(pool, Options{Curve: layout.ZMorton, ForceTile: 16}, false, false, 1, A, B, 0, bg); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			for rep := 0; rep < 5; rep++ {
+				st, err := GEMM(pool, opts, false, false, 1, A, B, 0, matrix.New(n, n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = st
+				}
+				if st.Span != want.Span || st.ArenaBytes != want.ArenaBytes || st.AllocBytes != 0 {
+					t.Errorf("%v busy=%v rep %d: span %g arena %d heap %d, first call span %g arena %d heap 0",
+						alg, busy, rep, st.Span, st.ArenaBytes, st.AllocBytes, want.Span, want.ArenaBytes)
+				}
+			}
+			close(stop)
+			<-done
 		}
 	}
 }
@@ -88,7 +147,7 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 	}
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(152))
-	algs := []Alg{Standard, TableWinograd222}
+	algs := []Alg{Standard, Winograd}
 	for si, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		for _, ta := range []bool{false, true} {

@@ -439,7 +439,7 @@ func planGEMM(pool *sched.Pool, o Options, co callObs, stats *Stats, ms, ks, ns 
 
 	oa := o
 	tb := tableOf(o.Alg)
-	table := tb != nil && !(tb.M == 2 && tb.K == 2 && tb.N == 2) &&
+	table := tb != nil && !tb.quad() &&
 		o.Curve == layout.ColMajor && o.ForceTile == 0
 	var notes []string
 	for {
@@ -579,95 +579,37 @@ func WorkSpan(alg Alg, d uint, t int) (work, span float64) {
 			a := addFlops(tiles / 2)
 			return 8*w + 8*a, s + 2*a // eight parallel products, then parallel post-add pairs
 		}
-	case Strassen:
-		rec = func(tiles int) (float64, float64) {
-			if tiles == 1 {
-				return leafFlops, leafFlops
-			}
-			w, s := rec(tiles / 2)
-			a := addFlops(tiles / 2)
-			// 10 pre-additions plus 12 accumulate passes in the
-			// post-additions (the paper's 18-addition count is for the
-			// assignment form; the accumulate form C += Σ±P costs one
-			// pass per term).
-			return 7*w + 22*a, s + 5*a // parallel pre (1 deep), mults, post (4 deep)
-		}
-	case Winograd:
-		rec = func(tiles int) (float64, float64) {
-			if tiles == 1 {
-				return leafFlops, leafFlops
-			}
-			w, s := rec(tiles / 2)
-			a := addFlops(tiles / 2)
-			// 8 pre-addition passes (two 3-deep chains plus two single
-			// subtractions) and 11 post passes in the accumulate form;
-			// the paper's 15-addition count is for the assignment form.
-			return 7*w + 19*a, s + 14*a // 3-deep pre chain, mults, 11 sequential post adds
-		}
-	case StrassenLowMem:
-		rec = func(tiles int) (float64, float64) {
-			if tiles == 1 {
-				return leafFlops, leafFlops
-			}
-			w, _ := rec(tiles / 2)
-			a := addFlops(tiles / 2)
-			// Entirely sequential: span equals work.
-			total := 7*w + 29*a
-			return total, total
-		}
 	default:
 		tb := tableOf(alg)
 		if tb == nil {
 			panic("core: invalid algorithm")
 		}
-		if tb.M != 2 || tb.K != 2 || tb.N != 2 {
+		if !tb.quad() {
 			// On the square power-of-two grid this function models, a
 			// rectangular table hands the whole recursion to its base.
 			return WorkSpan(tb.Base, d, t)
 		}
-		// Generic ⟨2,2,2⟩ table: R products; one element-wise pass per
-		// term beyond the first of each multi-term U/V row (the fused
-		// first pair costs one pass), one accumulate pass per W term.
-		// Schedule aux rows cost one fused pass per term beyond the
-		// first, materialized once per level; scheduled U/V/W rows then
-		// reference them like any block. The engine accounts the DFS
-		// first-touch copy of a W aux as a move, not an add, so the
-		// count below is exact on both parallel policies.
-		var passes, preDepth, postDepth int
-		for _, aux := range [][][]tableTerm{tb.AuxU, tb.AuxV} {
-			for _, row := range aux {
-				// Aux chains are dependent; their passes serialize.
-				passes += len(row) - 1
-				preDepth += len(row) - 1
-			}
-		}
-		for r := 0; r < tb.R; r++ {
-			for _, row := range [][]tableTerm{tb.U[r], tb.V[r]} {
-				if p := len(row) - 1; p > 0 {
-					passes += p
-					if p > preDepth {
-						preDepth = p
-					}
-				}
-			}
-		}
-		for _, row := range tb.AuxW {
-			passes += len(row) - 1
-			postDepth += len(row) - 1
-		}
-		for _, row := range tb.W {
-			passes += len(row)
-			if len(row) > postDepth {
-				postDepth = len(row)
-			}
-		}
+		// A ⟨2,2,2⟩ table: R products and Table.passes' additions per
+		// level (the paper's 18- and 15-addition counts are for the
+		// assignment form; the accumulate form C += Σ±P costs one pass
+		// per term: 22 for Strassen, 19 for Winograd), Table.depth of
+		// them on the breadth-first critical path. The engine accounts
+		// the DFS first-touch copy of a W aux as a move, not an add, so
+		// the work is exact for both level shapes; a depthFirst table
+		// is entirely sequential.
+		n3, n2, _ := tb.passes()
+		depth := tb.depth()
 		rec = func(tiles int) (float64, float64) {
 			if tiles == 1 {
 				return leafFlops, leafFlops
 			}
 			w, s := rec(tiles / 2)
 			a := addFlops(tiles / 2)
-			return float64(tb.R)*w + float64(passes)*a, s + float64(preDepth+postDepth)*a
+			w = float64(tb.R)*w + float64(n3+n2)*a
+			if tb.depthFirst {
+				return w, w
+			}
+			return w, s + float64(depth)*a
 		}
 	}
 	return rec(1 << d)

@@ -90,10 +90,12 @@ func chooseTableGeom(tb *Table, cfg tile.Config, m, k, n int) (tableGeom, bool) 
 	return best, ok
 }
 
-// fastLevel is the element-wise work of one Winograd level (winograd,
-// algorithms.go): the eight S/T pre-additions and the U2/U6 pair as
-// three-operand passes, nine accumulates, seven product zero-fills.
-var fastLevel = leaf.Level{Add3: vAdd, N3: 10, Add2: vAcc, N2: 9, Zero: vZero, NZero: 7}
+// fastLevel is the element-wise work of one Winograd level, counted
+// from the table the engine runs.
+var fastLevel = func() leaf.Level {
+	n3, n2, zero := winograd222Table().passes()
+	return leaf.Level{Add3: vAdd, N3: n3, Add2: vAcc, N2: n2, Zero: vZero, NZero: zero}
+}()
 
 // fastRates supplies the rates a cutoff is resolved from; tests put
 // fixed ones here.
@@ -105,13 +107,13 @@ var fastRates = func(kern leaf.Kernel, tm, tk, tn, side int) leaf.Rates {
 // fast-algorithm cutoff for its kernel and tiles — o.FastCutoff
 // verbatim when set, the calibrated crossover otherwise — and AlgAuto,
 // which is Standard unless at least one fast level survives the cutoff
-// on a grid side tiles a side, and the hand-coded Winograd otherwise.
+// on a grid side tiles a side, and Winograd otherwise.
 // The rectangular tables are not candidates: they run at 1.37× Standard's
 // time where the flop model preferred them (EXPERIMENTS.md) and stay
-// selectable by name. A call that names a non-fast algorithm returns at
-// the first line and never pays the calibration.
+// selectable by name. A call that names a non-fast algorithm (one with
+// no table) returns at the first line and never pays the calibration.
 func (o *Options) settle(kern leaf.Kernel, side, tm, tk, tn int) {
-	if o.Alg != AlgAuto && !isFastAlg(o.Alg) {
+	if o.Alg != AlgAuto && tableOf(o.Alg) == nil {
 		return
 	}
 	if o.FastCutoff <= 0 {
@@ -149,13 +151,13 @@ func resolveGeom(o Options, g geom) (resolved, error) {
 // grid: a rectangular table's divisions, then the ⟨2,2,2⟩ levels above
 // cutoff. Zero means the call goes straight to the standard recursion.
 func fastLevels(alg Alg, gm, gk, gn, cutoff int) (n int) {
-	if tb := tableOf(alg); tb != nil && !(tb.M == 2 && tb.K == 2 && tb.N == 2) {
+	if tb := tableOf(alg); tb != nil && !tb.quad() {
 		for !(gm == gk && gk == gn && gm&(gm-1) == 0) && gm%tb.M == 0 && gk%tb.K == 0 && gn%tb.N == 0 {
 			gm, gk, gn, n = gm/tb.M, gk/tb.K, gn/tb.N, n+1
 		}
 		alg = tb.Base
 	}
-	for t := gm; isFastAlg(alg) && t > max(cutoff, 1); t /= 2 {
+	for t := gm; tableOf(alg) != nil && t > max(cutoff, 1); t /= 2 {
 		n++
 	}
 	return n

@@ -91,7 +91,7 @@ func (co callObs) admitted(notes []string, ar *arena) {
 // worker's kernel scratch) is live.
 func newExec(o Options, co callObs, kern leaf.Kernel, skern leaf.ScratchKernel, serial bool) *exec {
 	e := &exec{kern: kern, skern: skern, serialCutoff: o.SerialCutoff, fastCutoff: o.FastCutoff,
-		ewMin: ewParMin, tr: co.tr, lane: co.lane, policy: tablePolicyHook}
+		ewMin: ewParMin, tr: co.tr, lane: co.lane}
 	if serial {
 		e.serialCutoff = 1 << 30
 	}

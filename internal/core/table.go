@@ -13,8 +13,9 @@ import (
 // products is P_r = (Σ_ij U[r][ij]·A_ij)·(Σ_jl V[r][jl]·B_jl), and each
 // C block is C_il += Σ_r W[il][r]·P_r. Strassen and Winograd are the
 // two classical ⟨2,2,2⟩ rank-7 points of this family; the table form
-// lets one generic engine (tablemul.go) run every member, so adding an
-// algorithm is adding data, not code.
+// lets one generic engine (tablemul.go) run every member — the paper's
+// Figure 1(b), 1(c) and Section 5's space-conserving variant included —
+// so adding an algorithm is adding data, not code.
 //
 // Correctness of a table is equivalent to the Brent equations — the
 // triple-product identity
@@ -70,14 +71,103 @@ type Table struct {
 
 	// Base is the algorithm the engine hands the recursion to once the
 	// table levels are exhausted (the remaining grid is a square power
-	// of two by construction). ⟨2,2,2⟩ tables use Standard, mirroring
-	// the hand-coded fast algorithms' FastCutoff switch; rectangular
-	// tables use Winograd so the power-of-two region stays fast.
+	// of two by construction). ⟨2,2,2⟩ tables switch to Standard at
+	// FastCutoff; rectangular tables use Winograd so the power-of-two
+	// region stays fast.
 	Base Alg
+
+	// depthFirst runs every level of the table depth-first whatever the
+	// serial cutoff says: Section 5's space-conserving variant.
+	depthFirst bool
 
 	// preA/preB count the products whose A/B operand needs a scratch
 	// block (multi-term or negated rows); arena sizing uses them.
 	preA, preB int
+}
+
+// quad reports a ⟨2,2,2⟩ table: self-similar on the power-of-two grid,
+// so it descends to FastCutoff on every storage.
+func (tb *Table) quad() bool { return tb.M == 2 && tb.K == 2 && tb.N == 2 }
+
+// needsTemp reports whether a U/V row requires a materialized scratch
+// block; a bare +1 singleton aliases the operand block directly.
+func needsTemp(row []tableTerm) bool {
+	return len(row) > 1 || row[0].c != 1
+}
+
+// fusesPair reports whether a row's first two terms fold into one
+// three-operand pass: any pair of signs but (−,−). Every registered
+// table's multi-term rows do.
+func fusesPair(row []tableTerm) bool {
+	return len(row) >= 2 && (row[0].c == 1 || row[1].c == 1)
+}
+
+// rowPasses counts the passes exec.materialize makes to evaluate row:
+// one three-operand pass over a fused leading pair, or else a copy or
+// negation of the first term, then one accumulate per remaining term.
+// Each pass is accounted as one addition.
+func rowPasses(row []tableTerm) (n3, n2 int) {
+	if fusesPair(row) {
+		return 1, len(row) - 2
+	}
+	return 0, len(row)
+}
+
+// passes counts the element-wise passes of one breadth-first level:
+// three-operand, two-operand (the W rows accumulate each term into C)
+// and the R products' zero-fills. The fast-cutoff calibration prices a
+// level with these counts and WorkSpan charges n3+n2 additions; the
+// zero-fills are data movement and are not accounted.
+func (tb *Table) passes() (n3, n2, zero int) {
+	add := func(row []tableTerm) {
+		a, b := rowPasses(row)
+		n3, n2 = n3+a, n2+b
+	}
+	for _, aux := range [][][]tableTerm{tb.AuxU, tb.AuxV, tb.AuxW} {
+		for _, row := range aux {
+			add(row)
+		}
+	}
+	for r := 0; r < tb.R; r++ {
+		if needsTemp(tb.U[r]) {
+			add(tb.U[r])
+		}
+		if needsTemp(tb.V[r]) {
+			add(tb.V[r])
+		}
+	}
+	for _, row := range tb.W {
+		n2 += len(row)
+	}
+	return n3, n2, tb.R
+}
+
+// depth is the number of those additions on the critical path of one
+// breadth-first level (tableBFS): the A, B and — after the products —
+// W aux chains run in definition order, the operand rows one task
+// each, the C blocks one chain each.
+func (tb *Table) depth() (d int) {
+	adds := func(row []tableTerm) int {
+		n3, n2 := rowPasses(row)
+		return n3 + n2
+	}
+	for _, aux := range [][][]tableTerm{tb.AuxU, tb.AuxV, tb.AuxW} {
+		for _, row := range aux {
+			d += adds(row)
+		}
+	}
+	pre, post := 0, 0
+	for r := 0; r < tb.R; r++ {
+		for _, row := range [][]tableTerm{tb.U[r], tb.V[r]} {
+			if needsTemp(row) {
+				pre = max(pre, adds(row))
+			}
+		}
+	}
+	for _, row := range tb.W {
+		post = max(post, len(row))
+	}
+	return d + pre + post
 }
 
 // tableMaxBlocks and tableMaxWAux bound the per-side operand counts
@@ -88,9 +178,10 @@ const (
 	tableMaxWAux   = 8
 )
 
-// tableAlgBase is the Alg id of the first table-driven algorithm; the
-// hand-coded algorithms keep their historical ids below it.
-const tableAlgBase = numAlgs
+// tableAlgBase is the Alg id of the first table-driven algorithm: the
+// registry opens with Strassen, Winograd and StrassenLowMem, in the
+// order of their ids.
+const tableAlgBase = Strassen
 
 // AlgAuto is the per-shape auto-selection sentinel: the driver resolves
 // it to a concrete algorithm from the call's geometry before admission
@@ -183,10 +274,10 @@ func register(tb *Table) Alg {
 		}
 	}
 	for r := 0; r < tb.R; r++ {
-		if len(tb.U[r]) > 1 || tb.U[r][0].c != 1 {
+		if needsTemp(tb.U[r]) {
 			tb.preA++
 		}
-		if len(tb.V[r]) > 1 || tb.V[r][0].c != 1 {
+		if needsTemp(tb.V[r]) {
 			tb.preB++
 		}
 	}
@@ -278,12 +369,15 @@ func Tables() []*Table {
 
 // --- table constructors ---------------------------------------------
 
-// strassen222Table is Strassen's rank-7 ⟨2,2,2⟩ in its classical form
-// (the same identities algorithms.go's hand-coded strassen pins).
+// strassen222Table is Strassen's rank-7 ⟨2,2,2⟩ (Figure 1(b)) in its
+// classical form: P5 = (A11+A12)·B22 with C11 = P1+P4−P5+P7. The
+// transcription of the paper we reproduce from prints that sum with a
+// minus sign, which is inconsistent with its own post-additions; Verify
+// pins the classical identities.
 // Block ids: A/B/C (i,j) -> i*2+j, so 0=11, 1=12, 2=21, 3=22.
 func strassen222Table() *Table {
 	return &Table{
-		Name: "strassen-2x2x2", M: 2, K: 2, N: 2, R: 7, Base: Standard,
+		Name: "strassen", M: 2, K: 2, N: 2, R: 7, Base: Standard,
 		U: [][]tableTerm{
 			{{0, 1}, {3, 1}},  // P1: A11+A22
 			{{2, 1}, {3, 1}},  // P2: A21+A22
@@ -311,19 +405,20 @@ func strassen222Table() *Table {
 	}
 }
 
-// winograd222Table is Winograd's rank-7 variant — the same products
-// the hand-coded winograd computes — carrying its defining evaluation
-// schedule: the S/T pre-addition chains and the shared U-chain of
-// post-additions. The schedule is what distinguishes Winograd from
-// Strassen in practice (both are rank 7; Winograd's 15-addition
-// schedule beats Strassen's 18), so the table keeps it rather than
-// expanding every row back to the raw block sums.
+// winograd222Table is Winograd's rank-7 variant (Figure 1(c)) carrying
+// its defining evaluation schedule: the S/T pre-addition chains and the
+// shared U-chain of post-additions — the dependencies behind the worse
+// algorithmic locality the paper attributes to Winograd. The schedule
+// is what distinguishes Winograd from Strassen in practice (both are
+// rank 7; Winograd's 15-addition schedule beats Strassen's 18), so the
+// table keeps it rather than expanding every row back to the raw block
+// sums.
 // Aux A ids: 4=S1=A21+A22, 5=S2=S1−A11, 6=S3=A11−A21, 7=S4=A12−S2.
 // Aux B ids: 4=T1=B12−B11, 5=T2=B22−T1, 6=T3=B22−B12, 7=T4=B21−T2.
 // Aux products: 7=U2=P1+P4, 8=U3=U2+P5.
 func winograd222Table() *Table {
 	return &Table{
-		Name: "winograd-2x2x2", M: 2, K: 2, N: 2, R: 7, Base: Standard,
+		Name: "winograd", M: 2, K: 2, N: 2, R: 7, Base: Standard,
 		AuxU: [][]tableTerm{
 			{{2, 1}, {3, 1}},  // S1 = A21+A22
 			{{4, 1}, {0, -1}}, // S2 = S1−A11
@@ -446,7 +541,7 @@ func classical212Table() *Table {
 // tensorTable is the Kronecker product of two bilinear algorithms: a
 // ⟨m1,k1,n1⟩ rank-R1 and ⟨m2,k2,n2⟩ rank-R2 compose into a
 // ⟨m1m2,k1k2,n1n2⟩ rank-R1·R2 algorithm. fast-4x2x4 is
-// winograd-2x2x2 ⊗ classical-2x1x2: rank 28 < 32.
+// winograd ⊗ classical-2x1x2: rank 28 < 32.
 // expandSchedule returns an aux-free table over the same bilinear
 // form, with every schedule reference substituted back into base-block
 // rows — the input to constructions (like tensorTable) whose index
@@ -595,27 +690,43 @@ func laderman333Table() *Table {
 	}
 }
 
+// strassenLowMemTable is Section 5's space-conserving variant: "If we
+// were interested only in sequential computation, and wished to
+// conserve space, we would intersperse recursive calls with pre- and
+// post-additions." It is Strassen's table run depth-first at every
+// level — one S-, one T- and one P-shaped scratch per level, the seven
+// products one after another, each scattered into C as soon as it is
+// ready — and admission runs it serially ("of course, there is no
+// parallelism in such a code"). Its leaf products read scratch that is
+// reused immediately, which is why the paper sees it behave like the
+// standard algorithm with respect to layouts.
+func strassenLowMemTable() *Table {
+	tb := strassen222Table()
+	tb.Name, tb.depthFirst = "strassen-lowmem", true
+	return tb
+}
+
 // tableAlgs registers the built-in table family in one initializer so
 // every other package-level var (Algs, the named ids below) depends on
 // it explicitly — Go's init-order analysis then guarantees the registry
-// is populated before anyone reads it.
+// is populated before anyone reads it. The first three land on the ids
+// Strassen, Winograd and StrassenLowMem (tableAlgBase).
 var tableAlgs = func() []Alg {
 	return []Alg{
-		register(winograd222Table()),
 		register(strassen222Table()),
+		register(winograd222Table()),
+		register(strassenLowMemTable()),
 		register(glue323Table()),
 		register(tensorTable("fast-4x2x4", winograd222Table(), classical212Table(), Winograd)),
 		register(laderman333Table()),
 	}
 }()
 
-// The table-driven algorithm ids, in registration order. The names
-// follow the ⟨m,k,n⟩ convention so the -alg help text reads as the
-// algorithm family.
+// The rectangular tables' ids, registered after the three ⟨2,2,2⟩
+// entries. Their names follow the ⟨m,k,n⟩ convention so the -alg help
+// text reads as the algorithm family.
 var (
-	TableWinograd222 = tableAlgs[0]
-	TableStrassen222 = tableAlgs[1]
-	TableFast323     = tableAlgs[2]
-	TableFast424     = tableAlgs[3]
-	TableLaderman333 = tableAlgs[4]
+	TableFast323     = tableAlgs[3]
+	TableFast424     = tableAlgs[4]
+	TableLaderman333 = tableAlgs[5]
 )

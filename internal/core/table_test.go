@@ -30,11 +30,63 @@ func TestAlgTables(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"winograd-2x2x2", "strassen-2x2x2", "fast-3x2x3", "fast-4x2x4", "laderman-3x3x3",
+		"strassen", "winograd", "strassen-lowmem", "fast-3x2x3", "fast-4x2x4", "laderman-3x3x3",
 	} {
 		if !seen[want] {
 			t.Errorf("registry missing %s", want)
 		}
+	}
+}
+
+// TestAlgNames: the paper's three fast algorithms are registry entries
+// under their historical ids and names, each listed once; the
+// ⟨2,2,2⟩ spellings they had as separate tables parse to the same ids.
+func TestAlgNames(t *testing.T) {
+	for alg, name := range map[Alg]string{Strassen: "strassen", Winograd: "winograd", StrassenLowMem: "strassen-lowmem"} {
+		if tb := tableOf(alg); tb == nil || alg.String() != name {
+			t.Errorf("Alg %d: table %v, name %q, want a table named %q", alg, tb, alg.String(), name)
+		}
+	}
+	if tb := tableOf(StrassenLowMem); !tb.depthFirst || tableOf(Strassen).depthFirst {
+		t.Error("StrassenLowMem, and only it, runs Strassen's table depth-first")
+	}
+	seen := map[string]bool{}
+	for _, name := range AlgNames() {
+		if seen[name] {
+			t.Errorf("AlgNames lists %q twice", name)
+		}
+		seen[name] = true
+		if a, err := ParseAlg(name); err != nil || a.String() != name {
+			t.Errorf("ParseAlg(%q) = %v, %v", name, a, err)
+		}
+	}
+	if len(seen) != len(Algs)+1 {
+		t.Errorf("AlgNames lists %d names for %d algorithms and auto", len(seen), len(Algs))
+	}
+	for name, want := range map[string]Alg{"winograd-2x2x2": Winograd, "strassen-2x2x2": Strassen} {
+		if a, err := ParseAlg(name); err != nil || a != want || seen[name] {
+			t.Errorf("ParseAlg(%q) = %v, %v (listed: %v), want an unlisted spelling of %v", name, a, err, seen[name], want)
+		}
+	}
+	if TableWinograd222 != Winograd || TableStrassen222 != Strassen {
+		t.Error("the Table*222 aliases moved off Winograd and Strassen")
+	}
+}
+
+// TestTablePasses pins the pass counts the cutoff calibration and
+// WorkSpan price a level with, against the paper's two schedules: 8
+// pre-additions and the U2/U3 pair fused, 9 accumulates into C for
+// Winograd; 10 pre-additions and 12 accumulates for Strassen; 7
+// product zero-fills each.
+func TestTablePasses(t *testing.T) {
+	for alg, want := range map[Alg][3]int{Winograd: {10, 9, 7}, Strassen: {10, 12, 7}, StrassenLowMem: {10, 12, 7}} {
+		n3, n2, zero := tableOf(alg).passes()
+		if got := [3]int{n3, n2, zero}; got != want {
+			t.Errorf("%v: passes %v, want %v", alg, got, want)
+		}
+	}
+	if fastLevel.N3 != 10 || fastLevel.N2 != 9 || fastLevel.NZero != 7 {
+		t.Errorf("fastLevel prices %d/%d/%d passes, want Winograd's 10/9/7", fastLevel.N3, fastLevel.N2, fastLevel.NZero)
 	}
 }
 
@@ -225,7 +277,7 @@ func TestSelectAlg(t *testing.T) {
 			}
 		}
 		for _, fc := range []int{1, 8} {
-			for _, alg := range []Alg{AlgAuto, Strassen, TableWinograd222} {
+			for _, alg := range []Alg{AlgAuto, Strassen, Winograd} {
 				o := Options{Alg: alg, FastCutoff: fc}
 				o.settle(nil, 32, 32, 32, 32)
 				if want := map[bool]Alg{true: Winograd, false: alg}[alg == AlgAuto]; o.FastCutoff != fc || o.Alg != want {

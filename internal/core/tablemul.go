@@ -4,43 +4,31 @@ import (
 	"repro/internal/sched"
 )
 
-// This file is the generic recursive engine behind every table-driven
-// ⟨m,k,n⟩ algorithm (table.go). One level of recursion is: split the
-// three operands' tile grids M×K / K×N / M×N ways, materialize the U/V
-// block combinations (through the same pool-parallel element-wise
-// streams the hand-coded algorithms use), recurse into the R products,
-// and scatter them into C along W.
+// This file is the recursive engine behind every fast algorithm: the
+// paper's Strassen, Winograd and space-conserving Strassen and the
+// rectangular ⟨m,k,n⟩ family are all coefficient tables (table.go) run
+// here. One level of recursion is: split the three operands' tile grids
+// M×K / K×N / M×N ways, materialize the U/V block combinations (through
+// the pool-parallel element-wise streams exec.ew2/ew3), recurse into
+// the R products, and scatter them into C along W.
 //
-// Parallelism follows Benson–Ballard's BFS/DFS hybrid as a per-level
-// policy decided at run time from the pool's starvation gauge
-// (sched.Ctx.IdleWorkers):
+// A level runs in one of two shapes, Benson–Ballard's BFS and DFS,
+// chosen from the plan alone — the grid side against the serial cutoff,
+// and the table — never from how busy the pool is, so the time, the
+// footprint and the span of a call are functions of its plan:
 //
-//   - BFS: allocate scratch for all R products and spawn them together
-//     (the shape of the hand-coded strassen/winograd) — maximum breadth
-//     to feed idle workers, at R·|C|/(M·N) + … scratch per level.
-//   - DFS: run the products one after another through a single reused
-//     S/T/P scratch trio with the post-additions interspersed (the
-//     shape of strassenLowMem) — minimum footprint when the pool is
-//     already saturated and more breadth would feed no one.
+//   - BFS, where the level spawns (exec.par): scratch for all R
+//     products, the pre-additions spawned together, the products
+//     spawned together, then the C blocks' post-addition chains.
+//   - DFS, below the serial cutoff and at every level of a depthFirst
+//     table: the products run one after another through a single
+//     reused S/T/P scratch trio with the post-additions interspersed.
+//     The frame is closure-free, so the serial region allocates nothing.
 //
-// The policy re-decides at every level and every DFS child, so breadth
-// reappears as soon as workers go hungry. Arena reservations assume
-// BFS at every level (the maximum); DFS uses strictly less.
-
-// tablePolicy is the per-level parallel policy of the table engine.
-// BFS and DFS are schedules of one computation: register fixes the
-// order every C block and W aux receives its terms in, so all three
-// policies produce the same bits (the determinism test pins it).
-type tablePolicy uint8
-
-const (
-	policyHybrid tablePolicy = iota // per level, from IdleWorkers
-	policyBFS
-	policyDFS
-)
-
-// tablePolicyHook is a test hook: the policy newExec gives every call.
-var tablePolicyHook tablePolicy
+// register fixes the order every C block and W aux receives its terms
+// in, so the two shapes produce the same bits (the determinism test
+// pins it). Arena reservations charge BFS at every level of a table
+// that is not depthFirst (the maximum); its DFS levels use less.
 
 // tableGrid extracts the three grid extents of a conforming block trio:
 // A is gm×gk tiles, B is gk×gn, C is gm×gn.
@@ -48,14 +36,13 @@ func tableGrid(C, A Mat) (gm, gk, gn int) {
 	return C.tiles, A.gridC(), C.gridC()
 }
 
-// tableMul computes C += A·B by tb, choosing the per-level parallel
-// policy. The recursion descends the table while the grid divides
-// by ⟨M,K,N⟩; the driver's geometry (mixed-radix M^l·2^d grids on
-// canonical storage, plain 2^d on the recursive layouts) guarantees
-// that when it stops the remaining grid is a square power of two, which
-// is handed to tb.Base. ⟨2,2,2⟩ tables are self-similar on the
-// power-of-two grid and keep descending to FastCutoff, mirroring the
-// hand-coded fast algorithms.
+// tableMul computes C += A·B by tb. The recursion descends the table
+// while the grid divides by ⟨M,K,N⟩; the driver's geometry (mixed-radix
+// M^l·2^d grids on canonical storage, plain 2^d on the recursive
+// layouts) guarantees that when it stops the remaining grid is a square
+// power of two, which is handed to tb.Base. ⟨2,2,2⟩ tables are
+// self-similar on the power-of-two grid and keep descending to
+// FastCutoff.
 func (e *exec) tableMul(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	if c.Cancelled() {
 		return
@@ -65,7 +52,7 @@ func (e *exec) tableMul(c *sched.Ctx, tb *Table, C, A, B Mat) {
 		e.leafMul(c, C, A, B)
 		return
 	}
-	if tb.M == 2 && tb.K == 2 && tb.N == 2 {
+	if tb.quad() {
 		if gm <= e.fastCutoff {
 			e.mul(c, tb.Base, C, A, B)
 			return
@@ -83,56 +70,33 @@ func (e *exec) tableMul(c *sched.Ctx, tb *Table, C, A, B Mat) {
 			panic("core: table recursion on non-divisible grid")
 		}
 	}
-	t := gm
-	if gk > t {
-		t = gk
-	}
-	if gn > t {
-		t = gn
-	}
-	bfs := e.par(t) && c.IdleWorkers() > 0
-	if e.policy != policyHybrid {
-		bfs = e.policy == policyBFS
-	}
-	if bfs {
+	if e.par(max(gm, gk, gn)) && !tb.depthFirst {
 		e.tableBFS(c, tb, C, A, B)
 		return
 	}
 	e.tableDFS(c, tb, C, A, B)
 }
 
-// needsTemp reports whether a U/V row requires a materialized scratch
-// block; a bare +1 singleton aliases the operand block directly.
-func needsTemp(row []tableTerm) bool {
-	return len(row) > 1 || row[0].c != 1
-}
-
-// materialize computes dst = Σ row over blocks. The first pair of
-// terms fuses into one three-operand pass when the signs allow (every
-// registered table's rows do); remaining terms accumulate.
+// materialize computes dst = Σ row over blocks in rowPasses' passes:
+// the first pair of terms fuses into one three-operand pass when the
+// signs allow; remaining terms accumulate.
 func (e *exec) materialize(c *sched.Ctx, dst Mat, row []tableTerm, blocks []Mat) {
-	i := 0
-	if len(row) >= 2 {
+	i := 1
+	if fusesPair(row) {
 		a, b := blocks[row[0].idx], blocks[row[1].idx]
 		switch {
-		case row[0].c == 1 && row[1].c == 1:
-			e.ew3(c, dst, a, b, vAdd)
-			i = 2
-		case row[0].c == 1 && row[1].c == -1:
-			e.ew3(c, dst, a, b, vSub)
-			i = 2
-		case row[0].c == -1 && row[1].c == 1:
+		case row[0].c == -1:
 			e.ew3(c, dst, b, a, vSub)
-			i = 2
+		case row[1].c == -1:
+			e.ew3(c, dst, a, b, vSub)
+		default:
+			e.ew3(c, dst, a, b, vAdd)
 		}
-	}
-	if i == 0 {
-		if row[0].c == 1 {
-			e.ew2(c, dst, blocks[row[0].idx], vCopy)
-		} else {
-			e.ew2(c, dst, blocks[row[0].idx], vNeg)
-		}
-		i = 1
+		i = 2
+	} else if row[0].c == 1 {
+		e.ew2(c, dst, blocks[row[0].idx], vCopy)
+	} else {
+		e.ew2(c, dst, blocks[row[0].idx], vNeg)
 	}
 	accountAdd(c, dst)
 	for ; i < len(row); i++ {
@@ -182,10 +146,12 @@ func (e *exec) materializeAux(c *sched.Ctx, aux [][]tableTerm, base int, blocks 
 }
 
 // tableBFS is the breadth-first level: scratch for every product, the
-// pre-additions spawned together, all R recursive products spawned
-// together, then the per-C-block post-addition chains (disjoint
-// destinations) spawned together. Schedule aux blocks are materialized
-// once per level, before the per-product rows that reference them.
+// pre-additions spawned together (one task per operand row), all R
+// recursive products spawned together, then the per-C-block
+// post-addition chains (disjoint destinations) spawned together.
+// Schedule aux blocks are materialized once per level, before the
+// per-product rows that reference them; Table.depth is this shape's
+// critical path.
 func (e *exec) tableBFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	ab := make([]Mat, tb.M*tb.K+len(tb.AuxU))
 	bb := make([]Mat, tb.K*tb.N+len(tb.AuxV))
@@ -208,34 +174,25 @@ func (e *exec) tableBFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	aop := make([]Mat, tb.R)
 	bop := make([]Mat, tb.R)
 	p := make([]Mat, tb.R)
-	pre := make([]func(*sched.Ctx), 0, tb.R)
+	pre := make([]func(*sched.Ctx), 0, tb.preA+tb.preB)
 	for r := 0; r < tb.R; r++ {
 		if c.Cancelled() {
 			return
 		}
 		r := r
-		na, nb := needsTemp(tb.U[r]), needsTemp(tb.V[r])
-		if na {
+		if needsTemp(tb.U[r]) {
 			aop[r] = e.newTemp(c, ab[0])
+			pre = append(pre, func(c *sched.Ctx) { e.materialize(c, aop[r], tb.U[r], ab) })
 		} else {
 			aop[r] = ab[tb.U[r][0].idx]
 		}
-		if nb {
+		if needsTemp(tb.V[r]) {
 			bop[r] = e.newTemp(c, bb[0])
+			pre = append(pre, func(c *sched.Ctx) { e.materialize(c, bop[r], tb.V[r], bb) })
 		} else {
 			bop[r] = bb[tb.V[r][0].idx]
 		}
 		p[r] = e.newTemp(c, cb[0])
-		if na || nb {
-			pre = append(pre, func(c *sched.Ctx) {
-				if na {
-					e.materialize(c, aop[r], tb.U[r], ab)
-				}
-				if nb {
-					e.materialize(c, bop[r], tb.V[r], bb)
-				}
-			})
-		}
 	}
 	c.Parallel(pre...)
 	if c.Cancelled() {
@@ -294,13 +251,10 @@ func (e *exec) tableBFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 }
 
 // tableDFS is the depth-first level: one reused S/T/P scratch trio, the
-// R products run in order with their post-additions interspersed — the
-// table generalization of strassenLowMem. Unlike that algorithm it is
-// not irrevocably serial: each child re-enters tableMul, which flips
-// back to BFS the moment the pool reports hungry workers, and the
-// element-wise passes still spread through ew2/ew3 when large enough.
-// The frame itself is closure-free so escape analysis keeps the block
-// descriptors on the stack below the serial cutoff.
+// R products run in order with their post-additions interspersed —
+// Section 5's space-conserving shape, for any table. The frame is
+// closure-free so escape analysis keeps the block descriptors on the
+// stack: the serial region allocates nothing.
 func (e *exec) tableDFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	var abuf, bbuf, cbuf [tableMaxBlocks]Mat // base blocks + schedule aux; register enforces the bound
 	ab := abuf[:tb.M*tb.K+len(tb.AuxU)]

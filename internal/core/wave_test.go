@@ -178,7 +178,7 @@ func TestWaveCancelLeavesBlocksScaledOrComplete(t *testing.T) {
 	m, k, n := 1200, 40, 40 // 10 C blocks
 	A, B := matrix.Random(m, k, rng), matrix.Random(k, n, rng)
 	C := matrix.Random(m, n, rng)
-	opts := Options{Curve: layout.Hilbert, Alg: TableWinograd222, Tile: testTile}
+	opts := Options{Curve: layout.Hilbert, Alg: Winograd, Tile: testTile}
 	want, scaled := C.Clone(), C.Clone()
 	if _, err := GEMM(pool, opts, false, false, 1, A, B, 0.5, want); err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestStressWaveFaultInjection(t *testing.T) {
 	C := matrix.Random(m, n, rng)
 	scaled := C.Clone()
 	scaled.Scale(0.5)
-	algs := []Alg{Standard, Strassen, TableWinograd222}
+	algs := []Alg{Standard, Strassen, Winograd}
 	curves := []layout.Curve{layout.ZMorton, layout.ColMajor, layout.Hilbert}
 	want := make(map[int]*matrix.Dense)
 	failures := 0

@@ -56,18 +56,7 @@ type Pool struct {
 	spawns atomic.Int64 // tasks pushed to a deque
 	steals atomic.Int64 // tasks taken from another worker's deque
 	inline atomic.Int64 // first-child frames run inline at the spawn site
-
-	// idle counts workers that have spun through a full backoff round
-	// without finding work — in the main loop's deep-idle select or a
-	// help-first sync loop's sleep phase. It is a saturation signal, not
-	// an exact census: the table engine's BFS/DFS policy reads it to
-	// decide whether spawning more breadth would feed anyone.
-	idle atomic.Int32
 }
-
-// IdleWorkers reports how many workers are currently starved for work
-// (see the idle counter). Zero means the pool looks saturated.
-func (p *Pool) IdleWorkers() int { return int(p.idle.Load()) }
 
 // PoolStats is a snapshot of the pool's scheduling counters.
 type PoolStats struct {
@@ -539,13 +528,6 @@ func (w *worker) run(t *task) {
 func (w *worker) loop() {
 	defer w.pool.wg.Done()
 	idle := 0
-	// markIdle tracks the threshold crossing into (and back out of) the
-	// deep-idle state so the pool's starvation counter stays balanced.
-	defer func() {
-		if idle >= idleThreshold {
-			w.pool.idle.Add(-1)
-		}
-	}()
 	for {
 		select {
 		case <-w.pool.done:
@@ -555,9 +537,6 @@ func (w *worker) loop() {
 		default:
 		}
 		if t := w.findTask(); t != nil {
-			if idle >= idleThreshold {
-				w.pool.idle.Add(-1)
-			}
 			idle = 0
 			w.run(t)
 			continue
@@ -566,16 +545,12 @@ func (w *worker) loop() {
 		if idle < idleThreshold {
 			runtime.Gosched()
 		} else {
-			if idle == idleThreshold {
-				w.pool.idle.Add(1)
-			}
 			select {
 			case <-w.pool.done:
 				w.drainOwn()
 				w.pool.drainInject()
 				return
 			case t := <-w.pool.inject:
-				w.pool.idle.Add(-1)
 				idle = 0
 				w.run(t)
 			case <-time.After(200 * time.Microsecond):
@@ -584,9 +559,9 @@ func (w *worker) loop() {
 	}
 }
 
-// idleThreshold is how many empty findTask rounds move a worker into
-// the deep-idle state (and onto the pool's starvation counter);
-// syncIdleThreshold is the same crossing for a help-first sync loop.
+// idleThreshold is how many empty findTask rounds move a worker from
+// yielding to the deep-idle select; syncIdleThreshold is the same
+// crossing, to short sleeps, for a help-first sync loop.
 const (
 	idleThreshold     = 64
 	syncIdleThreshold = 256
@@ -646,15 +621,6 @@ func (c *Ctx) Workers() int {
 	return len(c.pool.workers)
 }
 
-// IdleWorkers returns the pool's starvation gauge (Pool.IdleWorkers),
-// or 0 for a Ctx not bound to a pool.
-func (c *Ctx) IdleWorkers() int {
-	if c.pool == nil {
-		return 0
-	}
-	return c.pool.IdleWorkers()
-}
-
 // Account adds w units of serial work to the frame: both the work and
 // the span grow, since work inside a frame is sequential.
 func (c *Ctx) Account(w float64) {
@@ -700,15 +666,9 @@ func (c *Ctx) Parallel(fns ...func(*Ctx)) {
 	c.w.run(inline)
 
 	// Help-first sync: execute anything runnable until children finish.
-	// A worker that reaches the sleep phase is starved — it counts on
-	// the pool's idle gauge like a deep-idle main loop, so the table
-	// engine's BFS/DFS policy sees saturation loss inside syncs too.
 	idle := 0
 	for j.pending.Load() != 0 {
 		if t := c.w.findTask(); t != nil {
-			if idle >= syncIdleThreshold {
-				c.pool.idle.Add(-1)
-			}
 			idle = 0
 			c.w.run(t)
 			continue
@@ -717,14 +677,8 @@ func (c *Ctx) Parallel(fns ...func(*Ctx)) {
 		if idle < syncIdleThreshold {
 			runtime.Gosched()
 		} else {
-			if idle == syncIdleThreshold {
-				c.pool.idle.Add(1)
-			}
 			time.Sleep(20 * time.Microsecond)
 		}
-	}
-	if idle >= syncIdleThreshold {
-		c.pool.idle.Add(-1)
 	}
 
 	var maxSpan float64

@@ -109,7 +109,9 @@ type Algorithm = core.Alg
 
 // The supported algorithms. Standard is the O(n³) recursion in
 // accumulate form; Standard8 is the eight-spawn variant of Figure 1(a);
-// Strassen and Winograd are the O(n^lg7) fast algorithms.
+// Strassen and Winograd are the O(n^lg7) fast algorithms of Figure 1(b)
+// and 1(c), run from their ⟨2,2,2⟩ coefficient tables by the engine that
+// runs the rectangular family below.
 const (
 	Standard  = core.Standard
 	Standard8 = core.Standard8
@@ -117,10 +119,16 @@ const (
 	Winograd  = core.Winograd
 	// StrassenLowMem is the space-conserving sequential Strassen variant
 	// of Section 5 (pre/post-additions interspersed with the recursive
-	// calls); it exposes no parallelism and exists for the ablation that
+	// calls): Strassen's table run depth-first, so it returns Strassen's
+	// bits. It exposes no parallelism and exists for the ablation that
 	// reproduces the paper's observation that it behaves like the
-	// standard algorithm with respect to layouts.
+	// standard algorithm with respect to layouts, and as the MemBudget
+	// ladder's rung below a fast algorithm.
 	StrassenLowMem = core.StrassenLowMem
+	// TableWinograd222 and TableStrassen222 are second names of Winograd
+	// and Strassen, kept so that callers which use them compile.
+	TableWinograd222 = core.TableWinograd222
+	TableStrassen222 = core.TableStrassen222
 	// Auto resolves the algorithm from the tile grid the call will run
 	// on: Standard unless the grid is large enough for at least one fast
 	// level to beat it at this host's calibrated crossover (see
@@ -130,14 +138,11 @@ const (
 	Auto = core.AlgAuto
 )
 
-// The table-driven bilinear ⟨m,k,n⟩ algorithms: each is a sparse
-// coefficient table (Benson–Ballard style) run by one generic recursive
-// engine. The ⟨2,2,2⟩ entries are the classic algorithms in table form;
-// the rectangular tables divide the three dimensions at different rates
-// and win on correspondingly rectangular problems.
+// The rectangular bilinear ⟨m,k,n⟩ algorithms: each is a sparse
+// coefficient table (Benson–Ballard style) run by the same recursive
+// engine as Strassen and Winograd. They divide the three dimensions at
+// different rates and win on correspondingly rectangular problems.
 var (
-	TableWinograd222 = core.TableWinograd222 // ⟨2,2,2⟩ rank 7, Winograd's addition count
-	TableStrassen222 = core.TableStrassen222 // ⟨2,2,2⟩ rank 7, Strassen's original
 	TableFast323     = core.TableFast323     // ⟨3,2,3⟩ rank 17
 	TableFast424     = core.TableFast424     // ⟨4,2,4⟩ rank 28
 	TableLaderman333 = core.TableLaderman333 // ⟨3,3,3⟩ rank 23, Laderman
