@@ -4,9 +4,11 @@ GO ?= go
 
 check: build vet race determinism parity stress soak obs-gate trace-smoke omcheck asm-check algtable-check
 
-# The size every simplicity change quotes: non-test lines of the core.
+# The sizes every simplicity change quotes: non-test lines of the core
+# and of the leaf kernels.
 loc:
-	@ls internal/core/*.go | grep -v _test | xargs cat | wc -l
+	@for d in internal/core internal/leaf; do \
+		echo "$$d $$(ls $$d/*.go | grep -v _test | xargs cat | wc -l)"; done
 
 # The determinism gate: the result of a GEMM is a pure function of
 # (operands, shape, algorithm, kernel, fast cutoff). Table algorithms
@@ -15,17 +17,20 @@ loc:
 # entry point on split shapes (per-call, batch, strided batch, prepacked, prepacked
 # batch), a mixed batch against its single calls, and Algorithm Auto
 # through every entry point must all agree bit for bit, at every
-# GOMAXPROCS; and the two amd64 assembly families, avx2 and avx512, are
-# one rounding class (TestDeterminismSIMDFamilies).
+# GOMAXPROCS; the two amd64 assembly families, avx2 and avx512, are one
+# rounding class (TestDeterminismSIMDFamilies); and a call that names no
+# kernel is the call that names the one it reports, because the default
+# kernel is a rule over CPU features and tile shape, not a measurement
+# (TestDeterminismDefaultKernel).
 determinism:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Determinism|BatchMatches' ./internal/core
 
-# The parity gate: with the library's defaults (autotuned kernel,
-# calibrated fast cutoff) Algorithm Auto must not be more than 5% slower
+# The parity gate: with the library's defaults (the host's default
+# kernel, calibrated fast cutoff) Algorithm Auto must not be more than 5% slower
 # than Standard at 1024³ and 2048³ on Z-Morton and 256³ column-major —
 # interleaved pairs, median of the paired time ratios, ~40 s. It is a
 # timing comparison and so not a tier-1 test; it prints the cutoff and
-# the fast levels Auto resolved to and what the calibration cost.
+# the fast levels Auto resolved to and what the cutoff calibration cost.
 parity:
 	$(GO) run ./cmd/experiments -exp autoparity
 
@@ -116,14 +121,17 @@ omcheck:
 bench:
 	$(GO) run ./benchmark -o /tmp/bench_head.json
 
-# The kernel acceptance benchmark: every registered kernel — packed
-# pure-Go tiers and whatever assembly kernels the host unlocked —
-# against the paper's unrolled4, including the 512³ GFLOPS shootout
-# (BenchmarkKernels512) that gates the SIMD step function. Both
-# benchmarks report GFLOPS per kernel and print, first, the analytic
-# one-core peaks to read them against: lanes × 2 FMA pipes × 2 × the
-# nominal GHz of /proc/cpuinfo for AVX2 and AVX-512 ("unknown" without
-# one).
+# The kernel acceptance benchmark, and the one place kernels are timed
+# against each other: every registered kernel — packed pure-Go tiers and
+# whatever assembly kernels the host unlocked — against the paper's
+# unrolled4, including the 512³ GFLOPS shootout (BenchmarkKernels512)
+# that gates the SIMD step function. Both benchmarks report GFLOPS per
+# kernel and print, first, the analytic one-core peaks to read them
+# against: lanes × 2 FMA pipes × 2 × the nominal GHz of /proc/cpuinfo for
+# AVX2 and AVX-512 ("unknown" without one). BenchmarkKernelTile prints,
+# after 8³, 32³ and 64³, the measured ranking with the default rule's
+# pick (leaf.Auto), flagged BEHIND when it is more than 10% under the
+# fastest — the check that the rule is still right on this host.
 bench-kernel:
 	$(GO) test -bench 'Kernel' -benchmem ./internal/leaf
 

@@ -73,11 +73,7 @@ func (e *Engine) GEMMBatch(ctx context.Context, items []GEMMBatchItem, opts *Opt
 func (e *Engine) GEMMPrepackedBatch(ctx context.Context, pa *Plan, items []PrepackedGEMMBatchItem, opts *Options) (*BatchReport, []error, error) {
 	co := opts.coreOptions()
 	co.Metrics = e.metrics
-	var p *core.Prepacked
-	if pa != nil {
-		p = pa.p
-	}
-	return core.GEMMPrepackedBatch(ctx, e.pool, co, p, items)
+	return core.GEMMPrepackedBatch(ctx, e.pool, co, pa.plan(), items)
 }
 
 // GEMMBatchStrided is the equal-shape batched form: count items laid

@@ -113,9 +113,8 @@ func BenchmarkFig7Kernels(b *testing.B) {
 	defer eng.Close()
 	for _, alg := range []Algorithm{Standard, Strassen} {
 		for _, kn := range Kernels() {
-			k, _ := KernelByName(kn)
 			b.Run(fmt.Sprintf("%v/%s/n=%d", alg, kn, n), func(b *testing.B) {
-				benchGEMM(b, eng, n, &Options{Layout: ZMorton, Algorithm: alg, Kernel: k})
+				benchGEMM(b, eng, n, &Options{Layout: ZMorton, Algorithm: alg, KernelName: kn})
 			})
 		}
 	}
@@ -130,11 +129,10 @@ func BenchmarkSlowdown(b *testing.B) {
 	const n = 256
 	eng := NewEngine(1)
 	defer eng.Close()
-	blocked, _ := KernelByName("blocked")
 	b.Run("native-stand-in", func(b *testing.B) {
 		// One huge "tile": the blocked kernel over the whole matrix.
 		benchGEMM(b, eng, n, &Options{Layout: ColMajor, Algorithm: Standard,
-			Kernel: blocked, ForceTile: n})
+			KernelName: "blocked", ForceTile: n})
 	})
 	b.Run("recursive-t16", func(b *testing.B) {
 		benchGEMM(b, eng, n, &Options{Layout: ZMorton, Algorithm: Standard, ForceTile: 16})

@@ -38,9 +38,9 @@ var (
 	reps    = flag.Int("reps", 3, "repetitions per data point (best is reported)")
 	seed    = flag.Int64("seed", 1, "random seed")
 	// The paper's experiments fix the four-way-unrolled C kernel, so that
-	// is the default here — NOT the library's autotuned default. Pass
-	// -kernel=auto to let the engine pick per tile shape.
-	kernel = flag.String("kernel", "unrolled4", "leaf kernel for all experiments (auto = autotuned)")
+	// is the default here — NOT the library's default. Pass -kernel=auto
+	// for that: the widest kernel family the CPU has, per tile shape.
+	kernel = flag.String("kernel", "unrolled4", "leaf kernel for all experiments (auto = the library's default for this CPU and the tile shape)")
 )
 
 // paperCutoff is the other half of paper fidelity: Section 5 recurses
@@ -85,7 +85,7 @@ func main() {
 // (the paper's unrolled4 by default), and the fast algorithms recurse to
 // single tiles, as the paper's do.
 func timeMul(eng *recmat.Engine, n int, opts *recmat.Options) (time.Duration, *recmat.Report) {
-	if opts.Kernel == nil && opts.KernelName == "" && *kernel != "auto" {
+	if opts.KernelName == "" && *kernel != "auto" {
 		opts.KernelName = *kernel
 	}
 	if opts.FastCutoff == 0 {
@@ -525,8 +525,8 @@ func dilation() {
 }
 
 // autoparity is the gate behind `make parity`: with the library's
-// defaults — autotuned kernel, calibrated fast cutoff — Algorithm Auto
-// must not be slower than Standard. The two are interleaved, the order
+// defaults — the host's default kernel, calibrated fast cutoff —
+// Algorithm Auto must not be slower than Standard. The two are interleaved, the order
 // alternating, and compared by the median of the paired time ratios,
 // which a drift of the host's speed during the run cancels out of. It
 // prints what Auto resolved to, so that a wrong calibration is visible
@@ -535,7 +535,7 @@ func autoparity() {
 	const slack = 1.05
 	eng := recmat.NewEngine(*workers)
 	defer eng.Close()
-	fmt.Printf("auto vs standard: autotuned kernel, calibrated cutoff, %d workers\n", eng.Workers())
+	fmt.Printf("auto vs standard: default kernel, calibrated cutoff, %d workers\n", eng.Workers())
 	fmt.Printf("%-18s %-9s %-9s %7s %7s %6s %10s %10s %8s\n",
 		"shape", "layout", "auto ran", "cutoff", "levels", "pairs", "auto GF/s", "std GF/s", "t ratio")
 	failed := false
@@ -586,10 +586,9 @@ func autoparity() {
 		fmt.Printf("%-18s %-9v %-9v %7d %7d %6d %10.1f %10.1f %8.3f%s\n", fmt.Sprintf("%d^3", c.n), c.lo,
 			rep.Alg, rep.FastCutoff, rep.FastLevels, nreps, gf/ta[nreps/2], gf/ts[nreps/2], ratio[nreps/2], verdict)
 
-		// What the crossover costs a cold process, apart from the kernel
-		// race that precedes it.
+		// What the crossover — the one thing a process still measures —
+		// costs a cold one.
 		leaf.ResetCalibration()
-		leaf.Calibrate(rep.TileM, rep.TileN, rep.TileK)
 		t0 := time.Now()
 		recmat.ResolveAlgorithm(auto, c.n, c.n, c.n)
 		fmt.Printf("%-18s crossover calibration for %s on %dx%dx%d tiles: %.1f ms (budget 15)\n", "",

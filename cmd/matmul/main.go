@@ -34,7 +34,7 @@ func main() {
 	layoutName := flag.String("layout", "z", "layout: c|u|x|z|g|h")
 	workers := flag.Int("workers", 0, "worker count (0 = one per CPU)")
 	kernelName := flag.String("kernel", "auto",
-		"leaf kernel: auto|"+strings.Join(recmat.Kernels(), "|")+" (auto = benchmark at first use and pick)")
+		"leaf kernel: auto|"+strings.Join(recmat.Kernels(), "|")+" (auto = the default: the widest family this CPU has, by tile shape)")
 	forceTile := flag.Int("tile", 0, "force exact tile size (0 = auto-select)")
 	verify := flag.Bool("verify", false, "check against the naive reference (slow for large n)")
 	alpha := flag.Float64("alpha", 1, "alpha scalar")

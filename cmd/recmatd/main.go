@@ -23,7 +23,6 @@
 //	GET  /metricz       metrics: JSON by default, OpenMetrics text under a
 //	                    Prometheus Accept header or ?format=openmetrics
 //	GET  /debug/flightz SLO flight recorder: state, bundles, POST to dump
-//	GET  /debug/vars    expvar, including the registry published as "recmat"
 //
 // Fault injection for chaos drills is inherited from the library:
 // RECMAT_FAULTS="panic=0.01,delay=0.02/1ms,seed=7" recmatd ...
@@ -88,9 +87,6 @@ func main() {
 		SLOFastWindow:     *sloFast,
 		SLOSlowWindow:     *sloSlow,
 	})
-	if err := s.PublishExpvar("recmat"); err != nil {
-		logger.Printf("recmatd: expvar publish: %v", err)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

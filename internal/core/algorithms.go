@@ -44,17 +44,7 @@ const (
 	StrassenLowMem
 )
 
-// TableWinograd222 and TableStrassen222 are second names of Winograd
-// and Strassen, kept so that callers which use them compile.
-const (
-	TableWinograd222 = Winograd
-	TableStrassen222 = Strassen
-)
-
 var algNames = [...]string{"standard", "standard8"}
-
-// algAliases are the accepted spellings that AlgNames does not list.
-var algAliases = map[string]Alg{"winograd-2x2x2": Winograd, "strassen-2x2x2": Strassen}
 
 func (a Alg) String() string {
 	if int(a) < len(algNames) {
@@ -91,9 +81,6 @@ func ParseAlg(s string) (Alg, error) {
 	if s == "auto" {
 		return AlgAuto, nil
 	}
-	if a, ok := algAliases[s]; ok {
-		return a, nil
-	}
 	for _, a := range Algs {
 		if s == a.String() {
 			return a, nil
@@ -115,11 +102,11 @@ func joinNames() string {
 
 // exec carries the per-call execution parameters through the recursion.
 type exec struct {
-	kern leaf.Kernel
-	// skern, when non-nil, is the same kernel in scratch-aware form; the
-	// leaf call then routes its packing buffers through the executing
-	// worker's local slot, so steady-state leaves allocate nothing.
-	skern leaf.ScratchKernel
+	// kernel is the leaf kernel, a registry entry. When it has a
+	// scratch-aware form the leaf call routes its packing buffers through
+	// the executing worker's local slot, so steady-state leaves allocate
+	// nothing.
+	kernel leaf.Impl
 	// serialCutoff: at or below this many tiles per side the recursion
 	// stops spawning tasks and runs in-frame. 1 disables all spawning.
 	serialCutoff int
@@ -237,11 +224,11 @@ func (e *exec) leafMul(c *sched.Ctx, C, A, B Mat) {
 	if tr != nil {
 		t0 = time.Now()
 	}
-	if e.skern != nil {
-		e.skern(leaf.ScratchAt(c.WorkerSlot()), m, n, k,
+	if skern := e.kernel.Scratch; skern != nil {
+		skern(leaf.ScratchAt(c.WorkerSlot()), m, n, k,
 			A.data, A.leafLD(), B.data, B.leafLD(), C.data, C.leafLD())
 	} else {
-		e.kern(m, n, k, A.data, A.leafLD(), B.data, B.leafLD(), C.data, C.leafLD())
+		e.kernel.Kern(m, n, k, A.data, A.leafLD(), B.data, B.leafLD(), C.data, C.leafLD())
 	}
 	c.Account(2 * float64(m) * float64(n) * float64(k))
 	if tr != nil {

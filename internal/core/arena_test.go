@@ -32,8 +32,7 @@ func serialExec(t *testing.T, kernel string, ar *arena) *exec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &exec{kern: impl.Kern, skern: impl.Scratch,
-		serialCutoff: 1 << 30, fastCutoff: 1, ar: ar, ewMin: ewParMin}
+	return &exec{kernel: impl, serialCutoff: 1 << 30, fastCutoff: 1, ar: ar, ewMin: ewParMin}
 }
 
 func TestArenaStackElemsSanity(t *testing.T) {
@@ -251,8 +250,7 @@ func TestEWParallelStreamsMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ep := &exec{kern: impl.Kern, skern: impl.Scratch,
-				serialCutoff: 1, fastCutoff: 1, ar: ar, ewMin: 1}
+			ep := &exec{kernel: impl, serialCutoff: 1, fastCutoff: 1, ar: ar, ewMin: 1}
 			cm, am, bm := got.Mat(), ta.Mat(), tb.Mat()
 			if _, _, err := pool.Run(func(c *sched.Ctx) { ep.mul(c, alg, cm, am, bm) }); err != nil {
 				t.Fatalf("%v/%v: %v", alg, cv, err)

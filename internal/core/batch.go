@@ -386,7 +386,7 @@ func (w *wave) member(c *sched.Ctx, ws *waveWS, i int) error {
 	if it.Alpha == 0 || sh.ns == nil {
 		return nil
 	}
-	ws.e.kern, ws.e.skern, ws.e.fastCutoff = sh.kern, sh.skern, sh.cutoff
+	ws.e.kernel, ws.e.fastCutoff = sh.kernel, sh.cutoff
 	pm := planMul{alg: w.alg, alpha: it.Alpha, pa: w.pa, pb: &ws.pb, C: it.C, reused: 1}
 	t0 := time.Now()
 	if pm.pa == nil {

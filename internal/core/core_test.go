@@ -31,7 +31,7 @@ var (
 // useRates makes every calibrated cutoff of the test resolve from r.
 func useRates(t *testing.T, r leaf.Rates) {
 	old := fastRates
-	fastRates = func(leaf.Kernel, int, int, int, int) leaf.Rates { return r }
+	fastRates = func(leaf.Impl, int, int, int, int) leaf.Rates { return r }
 	t.Cleanup(func() { fastRates = old })
 }
 
@@ -41,7 +41,7 @@ func useRates(t *testing.T, r leaf.Rates) {
 // calibration resolves from scalarRates — FastCutoff 1 on every host —
 // unless the test installs other rates.
 func TestMain(m *testing.M) {
-	fastRates = func(leaf.Kernel, int, int, int, int) leaf.Rates { return scalarRates }
+	fastRates = func(leaf.Impl, int, int, int, int) leaf.Rates { return scalarRates }
 	os.Exit(m.Run())
 }
 
@@ -299,9 +299,8 @@ func TestGEMMKernelIndependence(t *testing.T) {
 	want := matrix.New(40, 40)
 	matrix.RefGEMM(false, false, 1, A, B, 0, want)
 	for _, name := range leaf.Names() {
-		k, _ := leaf.Get(name)
 		C := matrix.New(40, 40)
-		opts := Options{Curve: layout.ZMorton, Alg: Strassen, Tile: testTile, Kernel: k}
+		opts := Options{Curve: layout.ZMorton, Alg: Strassen, Tile: testTile, KernelName: name}
 		if _, err := GEMM(pool, opts, false, false, 1, A, B, 0, C); err != nil {
 			t.Fatal(err)
 		}

@@ -403,3 +403,87 @@ func TestDeterminismAutoEntryPoints(t *testing.T) {
 		}
 	}
 }
+
+// TestDeterminismDefaultKernel: the default kernel is read off the plan
+// — CPU features and tile shape (leaf.Auto) — so a call that names no
+// kernel is, bit for bit, the call that names the one Stats reports, and
+// stays so across leaf.ResetCalibration: there is no measurement behind
+// it to redo. A split per-call GEMM, one on forced 4×4 tiles (below a
+// micro-block: the small-tile side of the rule) and a batch wave. The
+// named twin carries the defaulted options, because naming a kernel
+// turns off tile selection's micro-tile bias.
+func TestDeterminismDefaultKernel(t *testing.T) {
+	ctx := context.Background()
+	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(181))
+	split := [3]int{1024, 1024, 48}
+	if testing.Short() || raceEnabled {
+		split = [3]int{256, 256, 12}
+	}
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		m, k, n int
+		items   int // > 0: a GEMMBatch wave of this many members
+	}{
+		{"split", Options{Curve: layout.ZMorton}, split[0], split[1], split[2], 0},
+		{"ForceTile 4", Options{Curve: layout.Hilbert, ForceTile: 4}, 40, 24, 36, 0},
+		{"batch wave", Options{Curve: layout.ZMorton}, 64, 64, 64, 6},
+	} {
+		var As, Bs, Cs []*matrix.Dense
+		for i := 0; i < max(tc.items, 1); i++ {
+			As, Bs, Cs = append(As, matrix.Random(tc.m, tc.k, rng)), append(Bs, matrix.Random(tc.k, tc.n, rng)), append(Cs, matrix.Random(tc.m, tc.n, rng))
+		}
+		run := func(o Options) ([]*matrix.Dense, *Stats) {
+			t.Helper()
+			out := make([]*matrix.Dense, len(Cs))
+			for i := range out {
+				out[i] = Cs[i].Clone()
+			}
+			if tc.items == 0 {
+				st, err := GEMMCtx(ctx, pool, o, false, false, 0.75, As[0], Bs[0], 0.5, out[0])
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				return out, st
+			}
+			items := make([]BatchItem, tc.items)
+			for i := range items {
+				items[i] = BatchItem{Alpha: 0.75, A: As[i], B: Bs[i], Beta: 0.5, C: out[i]}
+			}
+			bs, errs, err := GEMMBatch(ctx, pool, o, items)
+			if err != nil || bs.Completed != tc.items {
+				t.Fatalf("%s: %v %v", tc.name, err, errs)
+			}
+			return out, &bs.Stats
+		}
+		want, st := run(tc.opts)
+		if rule := leaf.Auto(st.TileM, st.TileN, st.TileK).Name; st.Kernel != rule || (tc.opts.ForceTile == 4) != (rule == "blocked") {
+			t.Errorf("%s: ran %q on %dx%dx%d tiles, leaf.Auto says %q", tc.name, st.Kernel, st.TileM, st.TileK, st.TileN, rule)
+		}
+		if tc.name == "split" && st.Blocks < 2 {
+			t.Errorf("%dx%dx%d ran as %d block, want a split call", tc.m, tc.k, tc.n, st.Blocks)
+		}
+		named := tc.opts.withDefaults()
+		named.KernelName = st.Kernel
+		for _, v := range []struct {
+			what string
+			opts Options
+		}{{"naming " + st.Kernel, named}, {"the default after ResetCalibration", tc.opts}} {
+			if v.opts.KernelName == "" {
+				leaf.ResetCalibration()
+			}
+			got, gst := run(v.opts)
+			if gst.Kernel != st.Kernel || gst.TileM != st.TileM || gst.TileK != st.TileK || gst.TileN != st.TileN {
+				t.Errorf("%s, %s: ran %q on %dx%dx%d tiles, the default %q on %dx%dx%d", tc.name, v.what,
+					gst.Kernel, gst.TileM, gst.TileK, gst.TileN, st.Kernel, st.TileM, st.TileK, st.TileN)
+			}
+			for i := range got {
+				if !matrix.Equal(got[i], want[i], 0) {
+					t.Errorf("%s, %s: bits differ from the default call, max diff %g", tc.name, v.what, matrix.MaxAbsDiff(got[i], want[i]))
+				}
+			}
+		}
+	}
+}

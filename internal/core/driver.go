@@ -24,15 +24,9 @@ type Options struct {
 	Curve layout.Curve
 	// Alg is the multiplication algorithm.
 	Alg Alg
-	// Kernel is the leaf kernel as a bare function. Most callers should
-	// prefer KernelName, which also unlocks the kernel's scratch-aware
-	// form; when both are unset the driver autotunes: it benchmarks the
-	// registered kernels on the chosen tile shape at first use and runs
-	// the winner (leaf.Calibrate).
-	Kernel leaf.Kernel
-	// KernelName selects a registered kernel by name (leaf.Names). It
-	// takes precedence over Kernel. The empty string (with Kernel nil)
-	// selects the autotuned default.
+	// KernelName selects a registered kernel by name (leaf.Names). The
+	// empty string selects the default: leaf.Auto's pick for the call's
+	// tile shape on this CPU, the same in every call and process.
 	KernelName string
 	// Tile is the tile-size configuration; the zero value selects
 	// tile.DefaultConfig.
@@ -104,10 +98,10 @@ func (o *Options) withDefaults() Options {
 	v := *o
 	if v.Tile == (tile.Config{}) {
 		v.Tile = tile.DefaultConfig
-		if v.Kernel == nil && v.KernelName == "" {
-			// Autotuned kernel selection may land on a packed
-			// register-blocked kernel, so bias tile selection toward
-			// sizes its micro-tiles divide evenly (fringe-free leaves).
+		if v.KernelName == "" {
+			// The default kernel is a packed register-blocked one, so
+			// bias tile selection toward sizes its micro-tiles divide
+			// evenly (fringe-free leaves).
 			v.Tile.MicroM, v.Tile.MicroN = leaf.MicroM, leaf.MicroN
 		}
 	}
@@ -134,9 +128,10 @@ type Stats struct {
 	Depth                     uint
 	TileM, TileK, TileN       int
 	PaddedM, PaddedK, PaddedN int
-	// Kernel names the leaf kernel that ran ("custom" for a bare function),
-	// by default the calibration winner for the tile shape. "avx2" and
-	// "avx512" round identically; any other pair may differ in the last bits.
+	// Kernel names the leaf kernel that ran: Options.KernelName, or the
+	// default for the host's CPU features and the tile shape (leaf.Auto).
+	// "avx2" and "avx512" round identically; any other pair may differ
+	// in the last bits.
 	Kernel string
 	// Blocks counts the sub-multiplications (one per C block and k
 	// segment) after wide/lean splitting.
@@ -367,23 +362,25 @@ func opView(X *matrix.Dense, trans bool, r, c tile.Seg) matrix.Dense {
 	return *X.View(r.Off, c.Off, r.Len, c.Len)
 }
 
-// choose determines depth and tile sizes for one block multiplication,
-// validating that the padded extents cannot overflow (an absurd
-// ForceTile or tile range yields ErrDimension instead of garbage
-// allocation sizes).
-func choose(o Options, m, k, n int) (d uint, tm, tk, tn int, err error) {
-	if tm, tk, tn = o.ForceTile, o.ForceTile, o.ForceTile; tm > 0 {
-		if d, err = forcedDepth(tm, m, k, n); err != nil {
-			return 0, 0, 0, 0, err
-		}
+// choose determines the depth and the tile sizes t that cover dims:
+// (m, k, n) for one block multiplication, or the (rows, columns) of an
+// operand — a plan's maximum segment lengths, so that one Pick gives
+// every block the same geometry and two independently prepacked operands
+// can conform; t[2] then repeats t[1]. The padded extents are validated
+// (an absurd ForceTile or tile range yields ErrDimension instead of
+// garbage allocation sizes).
+func choose(o Options, dims ...int) (d uint, t [3]int, err error) {
+	if f := o.ForceTile; f > 0 {
+		t = [3]int{f, f, f}
+		d, err = forcedDepth(f, dims...)
 	} else {
-		ch := o.Tile.Pick(m, k, n)
-		d, tm, tk, tn = ch.D, ch.Tiles[0], ch.Tiles[1], ch.Tiles[2]
+		ch := o.Tile.Pick(dims...)
+		d, t = ch.D, [3]int{ch.Tiles[0], ch.Tiles[1], ch.Tiles[len(dims)-1]}
 	}
-	if _, _, _, err := paddedDims(d, tm, tk, tn); err != nil {
-		return 0, 0, 0, 0, err
+	if err == nil {
+		_, _, _, err = paddedDims(d, t[0], t[1], t[2])
 	}
-	return d, tm, tk, tn, nil
+	return d, t, err
 }
 
 // forcedDepth is the depth at which a 2^d grid of forced t×t tiles
@@ -398,30 +395,21 @@ func forcedDepth(t int, dims ...int) (d uint, err error) {
 			need++
 		}
 		if (t << need) < dim {
-			return 0, fmt.Errorf("%w: ForceTile=%d cannot cover %v", ErrDimension, t, dims)
+			return 0, fmt.Errorf("%w: ForceTile=%d cannot cover %d", ErrDimension, t, dim)
 		}
 		d = max(d, need)
 	}
 	return d, nil
 }
 
-// resolveKernel turns the Options kernel selection into the executable
-// forms for tm×tn leaf tiles with inner dimension tk. Precedence:
-// KernelName (registry lookup, including the scratch-aware form), then a
-// caller-supplied bare Kernel, then the autotuned winner for the shape.
-func resolveKernel(o Options, tm, tk, tn int) (leaf.Kernel, leaf.ScratchKernel, string, error) {
+// resolveKernel is the registry entry that multiplies tm×tn leaf tiles
+// with inner dimension tk: the one KernelName names, or the default for
+// the shape.
+func resolveKernel(o Options, tm, tk, tn int) (leaf.Impl, error) {
 	if o.KernelName != "" {
-		impl, err := leaf.GetImpl(o.KernelName)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return impl.Kern, impl.Scratch, impl.Name, nil
+		return leaf.GetImpl(o.KernelName)
 	}
-	if o.Kernel != nil {
-		return o.Kernel, nil, "custom", nil
-	}
-	impl := leaf.Auto(tm, tn, tk)
-	return impl.Kern, impl.Scratch, impl.Name, nil
+	return leaf.Auto(tm, tn, tk), nil
 }
 
 // planGEMM settles a per-call GEMM's once-per-call decisions. Geometry
@@ -484,11 +472,30 @@ func sameView(a, b *matrix.Dense) bool {
 		len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
+// ConformTiled checks that pre-tiled operands multiply as A·B: one
+// curve, one depth, conforming tile shapes and logical extents. Tiled
+// operands are the one input that never passes conform, which sees
+// column-major shapes only.
+func ConformTiled(A, B *Tiled) error {
+	switch {
+	case A == nil || B == nil:
+		return fmt.Errorf("%w: nil tiled operand", ErrDimension)
+	case A.Curve != B.Curve:
+		return fmt.Errorf("%w: tiled layouts differ: %v vs %v", ErrDimension, A.Curve, B.Curve)
+	case A.D != B.D:
+		return fmt.Errorf("%w: tiled depths differ: %d vs %d", ErrDimension, A.D, B.D)
+	case A.TC != B.TR || A.Cols != B.Rows:
+		return fmt.Errorf("%w: tiled operands do not conform: %dx%d in %dx%d tiles · %dx%d in %dx%d tiles",
+			ErrDimension, A.Rows, A.Cols, A.TR, A.TC, B.Rows, B.Cols, B.TR, B.TC)
+	}
+	return nil
+}
+
 // MulTiled runs C += A·B directly on pre-converted tiled operands,
 // bypassing conversion — the entry point benchmarks use to time the
 // multiplication alone. The three operands must share curve and depth,
-// with conforming tile shapes. MulTiled is MulTiledCtx with a
-// background context.
+// with conforming tile shapes and logical extents (ErrDimension
+// otherwise). MulTiled is MulTiledCtx with a background context.
 func MulTiled(pool *sched.Pool, opts Options, C, A, B *Tiled) (*Stats, error) {
 	return MulTiledCtx(context.Background(), pool, opts, C, A, B)
 }
@@ -507,15 +514,15 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 		}
 	}()
 	o := opts.withDefaults()
-	if A.Curve != C.Curve || B.Curve != C.Curve {
-		return nil, fmt.Errorf("core: curve mismatch")
+	if err := ConformTiled(A, B); err != nil {
+		return nil, err
 	}
-	if A.D != C.D || B.D != C.D {
-		return nil, fmt.Errorf("core: depth mismatch")
+	if C == nil {
+		return nil, fmt.Errorf("%w: nil tiled operand", ErrDimension)
 	}
-	if C.TR != A.TR || A.TC != B.TR || B.TC != C.TC {
-		return nil, fmt.Errorf("core: tile shapes do not conform: C %dx%d, A %dx%d, B %dx%d",
-			C.TR, C.TC, A.TR, A.TC, B.TR, B.TC)
+	if C.Curve != A.Curve || C.D != A.D || C.TR != A.TR || C.TC != B.TC || C.Rows != A.Rows || C.Cols != B.Cols {
+		return nil, fmt.Errorf("%w: tiled C is %dx%d in %dx%d tiles (%v, depth %d), the product is %dx%d in %dx%d tiles (%v, depth %d)",
+			ErrDimension, C.Rows, C.Cols, C.TR, C.TC, C.Curve, C.D, A.Rows, B.Cols, A.TR, B.TC, A.Curve, A.D)
 	}
 	if pool == nil {
 		p := sched.NewPool(0)

@@ -99,8 +99,8 @@ var fastLevel = func() leaf.Level {
 
 // fastRates supplies the rates a cutoff is resolved from; tests put
 // fixed ones here.
-var fastRates = func(kern leaf.Kernel, tm, tk, tn, side int) leaf.Rates {
-	return leaf.FastRates(kern, tm, tn, tk, fastLevel, side)
+var fastRates = func(kernel leaf.Impl, tm, tk, tn, side int) leaf.Rates {
+	return leaf.FastRates(kernel, tm, tn, tk, fastLevel, side)
 }
 
 // settle resolves what only the geometry a call runs on can: the
@@ -112,12 +112,12 @@ var fastRates = func(kern leaf.Kernel, tm, tk, tn, side int) leaf.Rates {
 // time where the flop model preferred them (EXPERIMENTS.md) and stay
 // selectable by name. A call that names a non-fast algorithm (one with
 // no table) returns at the first line and never pays the calibration.
-func (o *Options) settle(kern leaf.Kernel, side, tm, tk, tn int) {
+func (o *Options) settle(kernel leaf.Impl, side, tm, tk, tn int) {
 	if o.Alg != AlgAuto && tableOf(o.Alg) == nil {
 		return
 	}
 	if o.FastCutoff <= 0 {
-		o.FastCutoff = fastRates(kern, tm, tk, tn, side).Cutoff()
+		o.FastCutoff = fastRates(kernel, tm, tk, tn, side).Cutoff()
 	}
 	if o.Alg == AlgAuto {
 		o.Alg = Standard
@@ -131,20 +131,18 @@ func (o *Options) settle(kern leaf.Kernel, side, tm, tk, tn int) {
 // for its tiles, and for that kernel the fast cutoff and AlgAuto.
 type resolved struct {
 	g      geom
-	kern   leaf.Kernel
-	skern  leaf.ScratchKernel
-	kname  string
+	kernel leaf.Impl
 	alg    Alg
 	cutoff int
 }
 
 func resolveGeom(o Options, g geom) (resolved, error) {
-	kern, skern, kname, err := resolveKernel(o, g.tm, g.tk, g.tn)
+	kernel, err := resolveKernel(o, g.tm, g.tk, g.tn)
 	if err != nil {
 		return resolved{}, err
 	}
-	o.settle(kern, g.gm, g.tm, g.tk, g.tn)
-	return resolved{g: g, kern: kern, skern: skern, kname: kname, alg: o.Alg, cutoff: o.FastCutoff}, nil
+	o.settle(kernel, g.gm, g.tm, g.tk, g.tn)
+	return resolved{g: g, kernel: kernel, alg: o.Alg, cutoff: o.FastCutoff}, nil
 }
 
 // fastLevels counts the levels of alg's own recursion on a gm×gk×gn

@@ -119,8 +119,8 @@ const (
 	metricBatchErrors = "gemm_batch_item_errors"
 	// metricKernelCallsPrefix labels calls by the leaf kernel that
 	// actually ran (e.g. kernel_calls_avx2) — with runtime CPU dispatch
-	// and autotuning in front of the kernels, traces and scrapes must
-	// show which implementation executed, not which was requested.
+	// in front of the kernels, traces and scrapes must show which
+	// implementation executed, not which was requested.
 	metricKernelCallsPrefix = "kernel_calls_"
 	// metricAlgSelectedPrefix labels calls by the algorithm that
 	// actually ran (e.g. alg_selected_laderman-3x3x3). With AlgAuto and

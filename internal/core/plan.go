@@ -89,8 +89,8 @@ func (co callObs) admitted(notes []string, ar *arena) {
 // newExec builds a call's execution parameters; serial stops all
 // spawning, so only one depth-first path of temporaries (and one
 // worker's kernel scratch) is live.
-func newExec(o Options, co callObs, kern leaf.Kernel, skern leaf.ScratchKernel, serial bool) *exec {
-	e := &exec{kern: kern, skern: skern, serialCutoff: o.SerialCutoff, fastCutoff: o.FastCutoff,
+func newExec(o Options, co callObs, kernel leaf.Impl, serial bool) *exec {
+	e := &exec{kernel: kernel, serialCutoff: o.SerialCutoff, fastCutoff: o.FastCutoff,
 		ewMin: ewParMin, tr: co.tr, lane: co.lane}
 	if serial {
 		e.serialCutoff = 1 << 30
@@ -182,16 +182,16 @@ func chooseGeom(o Options, ms, ks, ns []tile.Seg, table bool) (geom, error) {
 		}
 	}
 	if len(ms)*len(ks)*len(ns) == 1 {
-		d, tm, tk, tn, err := choose(o, m, k, n)
-		return squareGeom(o.Curve, d, tm, tk, tn), err
+		d, t, err := choose(o, m, k, n)
+		return squareGeom(o.Curve, d, t[0], t[1], t[2]), err
 	}
-	d, tm, tk, err := choosePlan(o, m, k)
+	d, t, err := choose(o, m, k)
 	if err != nil {
 		return geom{}, err
 	}
 	tn := conformTile(o.Tile, n, d)
-	_, _, _, err = paddedDims(d, tm, tk, tn)
-	return squareGeom(o.Curve, d, tm, tk, tn), err
+	_, _, _, err = paddedDims(d, t[0], t[1], tn)
+	return squareGeom(o.Curve, d, t[0], t[1], tn), err
 }
 
 // asWave is the nesting rule, GEMMBatch's: n independent pieces of a
@@ -203,9 +203,8 @@ func asWave(n, workers int) bool { return n > 1 && n >= workers }
 // prepared is a call past its once-per-call decisions: geometry, leaf
 // kernel, admission rung, execution parameters and (after start) arena.
 type prepared struct {
-	g     geom
-	kname string
-	ch    charge
+	g  geom
+	ch charge
 	admission
 	// levels is how many levels of the admitted algorithm's own
 	// recursion the grid runs above the fast cutoff.
@@ -242,7 +241,7 @@ func prepare(pool *sched.Pool, o Options, co callObs, g geom, ms, ks, ns []tile.
 // a batched wave by its largest member — priced by ch and settled on
 // o.Alg at o.FastCutoff, as a wave of runners tasks.
 func admitPlan(pool *sched.Pool, o Options, co callObs, r resolved, ch charge, runners int) (*prepared, error) {
-	pc := &prepared{g: r.g, kname: r.kname, ch: ch, runners: runners}
+	pc := &prepared{g: r.g, ch: ch, runners: runners}
 	var err error
 	if pc.admission, err = admit(o, pool.Workers(), ch); err != nil {
 		return nil, err
@@ -251,7 +250,7 @@ func admitPlan(pool *sched.Pool, o Options, co callObs, r resolved, ch charge, r
 		pc.runners = 0
 	}
 	pc.levels = fastLevels(pc.alg, r.g.gm, r.g.gk, r.g.gn, o.FastCutoff)
-	pc.e = newExec(o, co, r.kern, r.skern, pc.serial)
+	pc.e = newExec(o, co, r.kernel, pc.serial)
 	return pc, nil
 }
 
@@ -272,7 +271,7 @@ func (pc *prepared) start(pool *sched.Pool, co callObs, stats *Stats) {
 	stats.Depth = g.d
 	stats.TileM, stats.TileK, stats.TileN = g.tm, g.tk, g.tn
 	stats.PaddedM, stats.PaddedK, stats.PaddedN = g.gm*g.tm, g.gk*g.tk, g.gn*g.tn
-	stats.Kernel, stats.Alg, stats.Serial = pc.kname, pc.alg, pc.serial
+	stats.Kernel, stats.Alg, stats.Serial = pc.e.kernel.Name, pc.alg, pc.serial
 	stats.FastCutoff, stats.FastLevels = pc.e.fastCutoff, pc.levels
 	stats.Degraded, stats.EstimatedBytes, stats.ArenaBytes = pc.notes, pc.est, pc.ar.bytes()
 }

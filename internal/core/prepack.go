@@ -46,26 +46,6 @@ type Prepacked struct {
 	released     bool
 }
 
-// choosePlan determines the shared (depth, tile-shape) geometry of a
-// plan covering row/column segments of at most r×c — the two-dimensional
-// analogue of choose. One Pick over the maximum segment lengths gives
-// every block the same geometry, which is what makes two independently
-// prepacked operands able to conform.
-func choosePlan(o Options, r, c int) (d uint, tr, tc int, err error) {
-	if tr, tc = o.ForceTile, o.ForceTile; tr > 0 {
-		if d, err = forcedDepth(tr, r, c); err != nil {
-			return 0, 0, 0, err
-		}
-	} else {
-		ch := o.Tile.Pick(r, c)
-		d, tr, tc = ch.D, ch.Tiles[0], ch.Tiles[1]
-	}
-	if _, _, _, err := paddedDims(d, tr, tc, tc); err != nil {
-		return 0, 0, 0, err
-	}
-	return d, tr, tc, nil
-}
-
 // Prepack converts op(src) into a recursive-layout plan: segments from
 // the same wide/lean decomposition GEMM would apply, one packed Tiled
 // per segment pair, the requested transposition folded into the pack.
@@ -102,11 +82,31 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 		}
 		rs, cs, _ = o.Tile.SplitDims(r, c, partner)
 	}
-	d, tr, tc, err := choosePlan(o, maxSegLen(rs), maxSegLen(cs))
+	d, t, err := choose(o, maxSegLen(rs), maxSegLen(cs))
 	if err != nil {
 		return nil, err
 	}
-	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: d, TR: tr, TC: tc}, rs, cs, src, trans)
+	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs, src, trans)
+}
+
+// PackTiled converts src into one tiled matrix on opts.Curve, the
+// operand form MulTiledCtx multiplies, on the depth and tiles a plan of
+// its shape gets.
+func PackTiled(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense) (*Tiled, error) {
+	o := opts.withDefaults()
+	r, c, err := prepackShape(o, src, false)
+	if err != nil {
+		return nil, err
+	}
+	d, tiles, err := choose(o, r, c)
+	if err != nil {
+		return nil, err
+	}
+	t := NewTiled(o.Curve, d, tiles[0], tiles[1], r, c)
+	if err := t.Pack(ctx, pool, src, false, 1); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // PrepackConforming packs op(src) as the right-hand operand of a plan
@@ -160,6 +160,9 @@ func conformSegs(o Options, like *Prepacked, c int) (cs []tile.Seg, tc int, err 
 func prepackShape(o Options, src *matrix.Dense, trans bool) (r, c int, err error) {
 	if o.Curve == layout.ColMajor || o.Curve == layout.RowMajor {
 		return 0, 0, fmt.Errorf("core: Prepack requires a recursive layout, got %v", o.Curve)
+	}
+	if src == nil {
+		return 0, 0, fmt.Errorf("%w: Prepack of a nil operand", ErrDimension)
 	}
 	r, c = src.Rows, src.Cols
 	if trans {
@@ -398,7 +401,7 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 	}()
 	o := opts.withDefaults()
 	if pa == nil || pb == nil {
-		return nil, fmt.Errorf("core: GEMMPrepacked with nil plan")
+		return nil, fmt.Errorf("%w: GEMMPrepacked with nil plan", ErrDimension)
 	}
 	if pa.released || pb.released {
 		return nil, fmt.Errorf("core: GEMMPrepacked with released plan")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/layout"
+	"repro/internal/leaf"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/tile"
@@ -39,8 +40,7 @@ func TestAlgTables(t *testing.T) {
 }
 
 // TestAlgNames: the paper's three fast algorithms are registry entries
-// under their historical ids and names, each listed once; the
-// ⟨2,2,2⟩ spellings they had as separate tables parse to the same ids.
+// under their historical ids and names, each listed once.
 func TestAlgNames(t *testing.T) {
 	for alg, name := range map[Alg]string{Strassen: "strassen", Winograd: "winograd", StrassenLowMem: "strassen-lowmem"} {
 		if tb := tableOf(alg); tb == nil || alg.String() != name {
@@ -62,14 +62,6 @@ func TestAlgNames(t *testing.T) {
 	}
 	if len(seen) != len(Algs)+1 {
 		t.Errorf("AlgNames lists %d names for %d algorithms and auto", len(seen), len(Algs))
-	}
-	for name, want := range map[string]Alg{"winograd-2x2x2": Winograd, "strassen-2x2x2": Strassen} {
-		if a, err := ParseAlg(name); err != nil || a != want || seen[name] {
-			t.Errorf("ParseAlg(%q) = %v, %v (listed: %v), want an unlisted spelling of %v", name, a, err, seen[name], want)
-		}
-	}
-	if TableWinograd222 != Winograd || TableStrassen222 != Strassen {
-		t.Error("the Table*222 aliases moved off Winograd and Strassen")
 	}
 }
 
@@ -279,18 +271,18 @@ func TestSelectAlg(t *testing.T) {
 		for _, fc := range []int{1, 8} {
 			for _, alg := range []Alg{AlgAuto, Strassen, Winograd} {
 				o := Options{Alg: alg, FastCutoff: fc}
-				o.settle(nil, 32, 32, 32, 32)
+				o.settle(leaf.Impl{}, 32, 32, 32, 32)
 				if want := map[bool]Alg{true: Winograd, false: alg}[alg == AlgAuto]; o.FastCutoff != fc || o.Alg != want {
 					t.Errorf("%v FastCutoff=%d settled to %v at %d", alg, fc, o.Alg, o.FastCutoff)
 				}
 			}
 			o := Options{Alg: AlgAuto, FastCutoff: fc}
-			if o.settle(nil, fc, 32, 32, 32); o.Alg != Standard {
+			if o.settle(leaf.Impl{}, fc, 32, 32, 32); o.Alg != Standard {
 				t.Errorf("auto on a %d-tile grid at FastCutoff=%d: got %v, want Standard", fc, fc, o.Alg)
 			}
 		}
 		o := Options{Alg: Standard}
-		if o.settle(nil, 64, 32, 32, 32); o.FastCutoff != 0 {
+		if o.settle(leaf.Impl{}, 64, 32, 32, 32); o.FastCutoff != 0 {
 			t.Errorf("Standard resolved a cutoff (%d)", o.FastCutoff)
 		}
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -239,22 +240,30 @@ func TestMulTiledMatchesGEMM(t *testing.T) {
 	}
 }
 
+// TestMulTiledValidation: pre-tiled operands never pass conform, so
+// MulTiled checks them itself — layout, depth, tile shapes and the
+// logical extents under the padding — and answers ErrDimension.
 func TestMulTiledValidation(t *testing.T) {
 	pool := sched.NewPool(1)
 	defer pool.Close()
-	a := NewTiled(layout.ZMorton, 2, 4, 4, 16, 16)
-	b := NewTiled(layout.Hilbert, 2, 4, 4, 16, 16)
-	c := NewTiled(layout.ZMorton, 2, 4, 4, 16, 16)
-	if _, err := MulTiled(pool, Options{}, c, a, b); err == nil {
-		t.Error("curve mismatch not rejected")
-	}
-	b2 := NewTiled(layout.ZMorton, 3, 4, 4, 32, 32)
-	if _, err := MulTiled(pool, Options{}, c, a, b2); err == nil {
-		t.Error("depth mismatch not rejected")
-	}
-	b3 := NewTiled(layout.ZMorton, 2, 5, 4, 20, 16)
-	if _, err := MulTiled(pool, Options{}, c, a, b3); err == nil {
-		t.Error("tile conformance not checked")
+	z := func(d uint, tr, tc, rows, cols int) *Tiled { return NewTiled(layout.ZMorton, d, tr, tc, rows, cols) }
+	a, c := z(2, 4, 4, 16, 16), z(2, 4, 4, 16, 16)
+	for _, tc := range []struct {
+		what    string
+		c, a, b *Tiled
+	}{
+		{"curve mismatch", c, a, NewTiled(layout.Hilbert, 2, 4, 4, 16, 16)},
+		{"depth mismatch", c, a, z(3, 4, 4, 32, 32)},
+		{"tile shapes that do not conform", c, a, z(2, 5, 4, 20, 16)},
+		{"A with 16 columns against B with 10 rows on the same tiles", c, a, z(2, 4, 4, 10, 16)},
+		{"C with 12 rows for a 16-row product", z(2, 4, 4, 12, 16), a, z(2, 4, 4, 16, 16)},
+		{"C on other tiles", z(2, 4, 8, 16, 16), a, z(2, 4, 4, 16, 16)},
+		{"nil A", c, nil, a},
+		{"nil C", nil, a, a},
+	} {
+		if _, err := MulTiled(pool, Options{}, tc.c, tc.a, tc.b); !errors.Is(err, ErrDimension) {
+			t.Errorf("%s: err = %v, want ErrDimension", tc.what, err)
+		}
 	}
 }
 

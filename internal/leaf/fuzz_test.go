@@ -21,7 +21,7 @@ func FuzzKernelsVsNaive(f *testing.F) {
 	f.Add(int64(6), uint8(7), uint8(9), uint8(5), true) // off both micro grids
 	f.Add(int64(7), uint8(12), uint8(11), uint8(10), false)
 	f.Add(int64(8), uint8(33), uint8(31), uint8(29), true)
-	f.Add(int64(9), uint8(1), uint8(40), uint8(2), true) // lean
+	f.Add(int64(9), uint8(1), uint8(40), uint8(2), true)    // lean
 	f.Add(int64(10), uint8(40), uint8(1), uint8(47), false) // wide
 	// Regression: k=0 with m%4 != 0 made Blocked4x4 slice an empty A at
 	// a nonzero offset (found by this fuzzer).
@@ -98,27 +98,5 @@ func TestNamesSorted(t *testing.T) {
 	}
 	for n := range want {
 		t.Errorf("Names() missing %q", n)
-	}
-}
-
-// TestCalibrateMemoizes pins the autotuner contract: a legal kernel
-// name, stable across calls for the same shape, and consistent with
-// Auto.
-func TestCalibrateMemoizes(t *testing.T) {
-	ResetCalibration()
-	n1 := Calibrate(32, 32, 32)
-	if _, err := Get(n1); err != nil {
-		t.Fatalf("Calibrate returned unknown kernel %q", n1)
-	}
-	if n2 := Calibrate(32, 32, 32); n2 != n1 {
-		t.Errorf("Calibrate not memoized: %q then %q", n1, n2)
-	}
-	if impl := Auto(32, 32, 32); impl.Name != n1 {
-		t.Errorf("Auto = %q, Calibrate = %q", impl.Name, n1)
-	}
-	// Shapes beyond the calibration cap share the capped entry.
-	big := Calibrate(1<<20, 1<<20, 1<<20)
-	if capd := Calibrate(128, 128, 128); big != capd {
-		t.Errorf("capped shape %q differs from cap %q", big, capd)
 	}
 }

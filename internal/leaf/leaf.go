@@ -171,7 +171,7 @@ type Impl struct {
 }
 
 // kernels is the registry of named kernels used by the command-line
-// tools, the autotuner, and the Figure 7 experiment. The pure-Go
+// tools, the default selection (Auto), and the Figure 7 experiment. The pure-Go
 // kernels below are always present; the architecture-specific assembly
 // kernels ("avx2", "avx512" on amd64, "neon" on arm64) are added at init by
 // simd.go when the CPU supports them and RECMAT_NOSIMD is unset.
@@ -214,10 +214,7 @@ func GetImpl(name string) (Impl, error) {
 }
 
 // Default is the kernel the paper's experiments use unless overridden:
-// the four-way-unrolled routine. The driver's default is the autotuned
-// selection (see Auto); Default remains the fixed-kernel baseline.
-// There is deliberately no fixed "best" kernel any more (the old
-// `Best = Blocked4x4` predated the packed and assembly kernels and had
-// gone stale): callers that want the fastest kernel for a shape resolve
-// it through Auto/Calibrate, which measures on the actual host.
+// the four-way-unrolled routine. The driver's default is Auto's pick
+// for the host and tile shape; Default remains the fixed-kernel
+// baseline.
 var Default Kernel = Unrolled4

@@ -190,10 +190,10 @@ func TestFastRatesMemoizes(t *testing.T) {
 		}
 	}
 	var leaves, passes int
-	kern := func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	kern := Impl{Name: "stub", Kern: func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 		leaves++
 		spin(2 * time.Microsecond)
-	}
+	}}
 	// Three 20 µs passes, whatever the quadrant, against a 2 µs leaf: per
 	// tile a level costs 60, 15, 3.75 µs on quadrants of 1, 2, 4 tiles a
 	// side, and all three lose.
@@ -226,9 +226,9 @@ func TestFastRatesMemoizes(t *testing.T) {
 	}
 
 	// A slow leaf wins at the first level, and nothing above is measured.
-	slow := func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	slow := Impl{Name: "slow", Kern: func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 		spin(400 * time.Microsecond)
-	}
+	}}
 	if r := FastRates(slow, 32, 32, 32, lv, 64); r.N != 1 || r.Cutoff() != 1 {
 		t.Errorf("a slow leaf measured %d levels, cutoff %d; want 1 and 1", r.N, r.Cutoff())
 	}

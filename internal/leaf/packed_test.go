@@ -1,7 +1,9 @@
 package leaf
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/matrix"
@@ -13,8 +15,8 @@ import (
 // exactly what strided operands (the canonical-view path that packs both
 // panels) produce, for shapes on and off the MR/NR grid — for the
 // pure-Go families and every assembly family by name, so the AVX2
-// whole-panel body stays exercised on hosts where Calibrate never
-// picks it.
+// whole-panel body stays exercised on hosts where Auto picks the
+// wider family.
 func TestPackedFastPathMatchesPackedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
@@ -111,45 +113,75 @@ func TestScratchAt(t *testing.T) {
 }
 
 // benchLeaf times kernel k on contiguous square leaves of side n — the
-// exact call the recursive algorithms make on recursive-layout tiles.
-func benchLeaf(b *testing.B, kern Kernel, n int, strided bool) {
+// exact call the recursive algorithms make on recursive-layout tiles —
+// and returns the GFLOPS it reports.
+func benchLeaf(b *testing.B, kern Kernel, n int, strided bool) float64 {
 	rng := rand.New(rand.NewSource(1))
-	lda := n
 	var A, B, C *matrix.Dense
 	if strided {
 		// Leaves of a canonical-layout run: views into a larger array.
 		big := matrix.Random(4*n, 4*n, rng)
 		A, B, C = big.View(0, 0, n, n), big.View(n, n, n, n), big.View(2*n, 2*n, n, n)
-		lda = big.Stride
 	} else {
 		A, B, C = matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
 	}
-	_ = lda
 	b.SetBytes(int64(8 * n * n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kern(n, n, n, A.Data, A.Stride, B.Data, B.Stride, C.Data, C.Stride)
 	}
-	b.ReportMetric(2*float64(n*n*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+	gflops := 2 * float64(n*n*n) * float64(b.N) / b.Elapsed().Seconds() / 1e9
+	b.ReportMetric(gflops, "GFLOPS")
+	return gflops
 }
 
 // BenchmarkKernelTile benchmarks every registered kernel at the default
-// tile sizes on contiguous leaves (the recursive-layout case, lda == m)
-// and strided leaves (the canonical case, lda >> m). The acceptance bar
-// for this PR: packed ≥ 1.5× unrolled4 on contiguous square leaves.
+// tile sizes, and at 8³ on the small side of Auto's rule, on contiguous
+// leaves (the recursive-layout case, lda == m) and strided leaves (the
+// canonical case, lda >> m). This is where kernels are timed against
+// each other now that the default is a rule and not a race: after each
+// size it prints the contiguous ranking with Auto's pick, flagged when
+// the pick measured more than 10% behind the fastest.
 func BenchmarkKernelTile(b *testing.B) {
 	logPeaks()
-	for _, n := range []int{32, 64} {
+	for _, n := range []int{8, 32, 64} {
+		contig := map[string]float64{} // the last, longest run of each
 		for _, name := range Names() {
 			if name == "naive" {
 				continue
 			}
 			kern, _ := Get(name)
-			b.Run(benchName(name, n, "contig"), func(b *testing.B) { benchLeaf(b, kern, n, false) })
+			b.Run(benchName(name, n, "contig"), func(b *testing.B) { contig[name] = benchLeaf(b, kern, n, false) })
 			b.Run(benchName(name, n, "strided"), func(b *testing.B) { benchLeaf(b, kern, n, true) })
 		}
+		logAutoPick(n, contig)
 	}
+}
+
+// logAutoPick prints kernels by measured GFLOPS on n³ tiles, fastest
+// first, and where Auto's pick stands among them.
+func logAutoPick(n int, gflops map[string]float64) {
+	names := make([]string, 0, len(gflops))
+	for name := range gflops {
+		names = append(names, name)
+	}
+	if len(names) == 0 {
+		return
+	}
+	sort.Slice(names, func(i, j int) bool { return gflops[names[i]] > gflops[names[j]] })
+	line := fmt.Sprintf("n=%d contiguous, GFLOPS:", n)
+	for _, name := range names {
+		line += fmt.Sprintf(" %s %.1f", name, gflops[name])
+	}
+	pick := Auto(n, n, n).Name
+	line += fmt.Sprintf("; Auto picks %s", pick)
+	if got, ok := gflops[pick]; !ok {
+		line += " (not run)"
+	} else if best := gflops[names[0]]; got < 0.9*best {
+		line += fmt.Sprintf(", %.0f%% BEHIND %s", 100*(1-got/best), names[0])
+	}
+	fmt.Println(line)
 }
 
 func benchName(kernel string, n int, variant string) string {

@@ -25,13 +25,14 @@ import (
 // Other GOARCHes, and any build with `-tags noasm`, compile the stub
 // hooks in simd_noasm.go instead: no features, no kernels, pure Go
 // everywhere. Setting RECMAT_NOSIMD (to any non-empty value) is the
-// runtime equivalent: the assembly kernels are left out of the registry
-// and the autotuner candidates, so every selection path — explicit
-// KernelName, Calibrate, Auto — resolves to pure Go.
+// runtime equivalent: the assembly kernels are left out of the
+// registry, so both selection paths — explicit KernelName and the
+// default, Auto — resolve to pure Go.
 
 // simdImpl is one architecture-specific kernel implementation surfaced
 // by archSIMD: the registry name, the micro-kernel family, and the CPU
 // features it requires (informational, shown in docs and benches).
+// archSIMD lists the families narrowest first.
 type simdImpl struct {
 	name     string
 	mk       *microImpl
@@ -43,18 +44,44 @@ type simdImpl struct {
 // GOARCHes, or with RECMAT_NOSIMD set.
 var simdNames []string
 
+// wide is the default kernel of a tile that holds a full micro-block:
+// the widest assembly family registered ("avx512" over "avx2"; "neon"),
+// the pure-Go "packed8x4" when there is none.
+var wide = kernels["packed8x4"]
+
 func init() {
 	if os.Getenv("RECMAT_NOSIMD") != "" {
 		return
 	}
 	for _, si := range archSIMD() {
 		kern, skern := kernelPair(si.mk)
-		kernels[si.name] = Impl{Name: si.name, Kern: kern, Scratch: skern}
+		wide = Impl{Name: si.name, Kern: kern, Scratch: skern}
+		kernels[si.name] = wide
 		simdNames = append(simdNames, si.name)
-		candidates = append(candidates, si.name)
 	}
 	sort.Strings(simdNames)
 }
+
+// Auto returns the default implementation for an m×n×k leaf shape: a
+// function of the tile shape and of what the CPU probe registered, and
+// of nothing else — no clock, no memo — so the same request runs the
+// same kernel in every call, process and restart on a host. The paper
+// ran one fixed leaf kernel; this is one fixed kernel per host and
+// shape class. A tile that holds a full MicroM×MicroN block takes the
+// widest register-blocked family; a smaller one would run none of that
+// family's blocked body, only its fringe code, and takes "blocked".
+// `make bench-kernel` times the rule's picks against every other kernel.
+func Auto(m, n, k int) Impl {
+	if m >= MicroM && n >= MicroN {
+		return wide
+	}
+	return kernels["blocked"]
+}
+
+// Calibrate returns the name of the default kernel for an m×n×k leaf.
+// It measures nothing; the name is the one the repository benchmark's
+// probe calls.
+func Calibrate(m, n, k int) string { return Auto(m, n, k).Name }
 
 // Features reports the SIMD capabilities detected on the host CPU, in
 // sorted order. It describes the hardware, not the configuration: the

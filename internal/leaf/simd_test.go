@@ -14,9 +14,8 @@ import (
 )
 
 // TestSIMDRegistration pins the dispatch wiring: every assembly kernel
-// the probe unlocked is resolvable through the registry, distinct from
-// the pure-Go set, and present among the autotuner candidates (so
-// Calibrate actually races it).
+// the probe unlocked is resolvable through the registry and distinct
+// from the pure-Go set.
 func TestSIMDRegistration(t *testing.T) {
 	pure := map[string]bool{"naive": true, "unrolled4": true, "axpy": true,
 		"blocked": true, "packed4x4": true, "packed8x4": true}
@@ -27,19 +26,45 @@ func TestSIMDRegistration(t *testing.T) {
 		if _, err := GetImpl(name); err != nil {
 			t.Errorf("SIMD kernel %q not resolvable: %v", name, err)
 		}
-		found := false
-		for _, c := range candidates {
-			if c == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("SIMD kernel %q missing from autotuner candidates %v", name, candidates)
-		}
 	}
 	if (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") && os.Getenv("RECMAT_NOSIMD") == "" &&
 		len(archFeatures()) > 0 && len(SIMDNames()) == 0 {
 		t.Errorf("features %v detected but no SIMD kernel registered", Features())
+	}
+}
+
+// TestAutoRule pins the default kernel as a function of the registered
+// assembly families and the tile shape, and of nothing else: the widest
+// family SIMDNames lists (packed8x4 without one — `-tags noasm`,
+// RECMAT_NOSIMD) when the tile holds a full MicroM×MicroN block,
+// "blocked" otherwise; one answer however often it is asked and whatever
+// was reset in between; never the reference kernel.
+func TestAutoRule(t *testing.T) {
+	wideName := "packed8x4"
+	for _, fam := range []string{"neon", "avx2", "avx512"} { // widest last
+		for _, name := range SIMDNames() {
+			if name == fam {
+				wideName = fam
+			}
+		}
+	}
+	for _, sh := range [][3]int{{1, 1, 1}, {3, 3, 3}, {4, 4, 4}, {7, 7, 7}, {8, 4, 8}, {8, 8, 8},
+		{16, 16, 16}, {32, 6, 32}, {32, 2, 32}, {4, 32, 32}, {64, 64, 64}, {1 << 20, 1 << 20, 1 << 20}} {
+		m, n, k := sh[0], sh[1], sh[2]
+		want := "blocked"
+		if m >= MicroM && n >= MicroN {
+			want = wideName
+		}
+		for i := 0; i < 1000; i++ {
+			if i%100 == 50 {
+				ResetCalibration()
+			}
+			got := Auto(m, n, k)
+			if got.Name != want || got.Name == "naive" || got.Kern == nil || Calibrate(m, n, k) != want {
+				t.Fatalf("call %d: Auto(%d, %d, %d) = %q (Calibrate %q), want %q with SIMD kernels %v",
+					i, m, n, k, got.Name, Calibrate(m, n, k), want, SIMDNames())
+			}
+		}
 	}
 }
 
@@ -133,8 +158,8 @@ func TestAVX512MatchesAVX2Bits(t *testing.T) {
 // TestNoSIMDEnv verifies the RECMAT_NOSIMD escape hatch end to end in a
 // child process (registration happens at package init, so the env var
 // must be set before the process starts): with it set, no assembly
-// kernel is registered, lookup of the asm names fails, and Calibrate
-// resolves to a pure-Go kernel.
+// kernel is registered, lookup of the asm names fails, and the default
+// kernel follows the pure-Go rule (TestAutoRule, run in the child too).
 func TestNoSIMDEnv(t *testing.T) {
 	if os.Getenv("RECMAT_LEAF_NOSIMD_CHILD") == "1" {
 		if n := SIMDNames(); len(n) != 0 {
@@ -145,11 +170,7 @@ func TestNoSIMDEnv(t *testing.T) {
 				t.Errorf("RECMAT_NOSIMD set but kernel %q still resolvable", name)
 			}
 		}
-		pure := map[string]bool{"naive": true, "unrolled4": true, "axpy": true,
-			"blocked": true, "packed4x4": true, "packed8x4": true}
-		if got := Calibrate(64, 64, 64); !pure[got] {
-			t.Errorf("Calibrate under RECMAT_NOSIMD selected %q, want a pure-Go kernel", got)
-		}
+		TestAutoRule(t)
 		return
 	}
 	if len(SIMDNames()) == 0 {

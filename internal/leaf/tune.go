@@ -1,154 +1,10 @@
 package leaf
 
 import (
-	"math/rand"
-	"reflect"
 	"sort"
 	"sync"
 	"time"
 )
-
-// The runtime autotuner. The paper ran a single fixed leaf kernel (the
-// four-way-unrolled C routine); which kernel is fastest here depends on
-// the host CPU and the leaf shape, so the driver instead benchmarks the
-// candidate kernels once per leaf shape at first use and remembers the
-// winner. The measurement multiplies contiguous tiles — the case the
-// recursive layouts produce — so the selection favors the configuration
-// the layouts are designed to create.
-
-// candidates are the kernels the autotuner measures, cheapest-to-probe
-// subset of the registry: Naive is excluded (never competitive, and
-// probing it at large tiles is pure waste). The assembly kernels the
-// CPU supports are appended at init (simd.go), so the autotuner always
-// races pure Go against whatever the hardware offers.
-var candidates = []string{"unrolled4", "axpy", "blocked", "packed4x4", "packed8x4"}
-
-// calReps is the number of timed repetitions per candidate; the minimum
-// is kept, which rejects scheduler noise.
-const calReps = 3
-
-// calCap bounds the probed dimensions so that calibration stays in the
-// millisecond range even when a caller forces degenerate whole-matrix
-// tiles; relative kernel speed is stable above the cap.
-const calCap = 128
-
-type tuneKey struct{ m, n, k int }
-
-var (
-	tuneMu    sync.Mutex
-	tuneCache = map[tuneKey]string{}
-	rateCache = map[rateKey]Rates{}
-)
-
-// Calibrate benchmarks the candidate kernels on an m×n×k leaf
-// multiplication over contiguous operands and returns the name of the
-// fastest. Results are memoized per shape; the first call for a shape
-// costs a few milliseconds, subsequent calls are a map lookup.
-func Calibrate(m, n, k int) string {
-	if m > calCap {
-		m = calCap
-	}
-	if n > calCap {
-		n = calCap
-	}
-	if k > calCap {
-		k = calCap
-	}
-	if m < 1 {
-		m = 1
-	}
-	if n < 1 {
-		n = 1
-	}
-	if k < 1 {
-		k = 1
-	}
-	key := tuneKey{m, n, k}
-	tuneMu.Lock()
-	defer tuneMu.Unlock()
-	if name, ok := tuneCache[key]; ok {
-		return name
-	}
-	name := measure(m, n, k)
-	tuneCache[key] = name
-	return name
-}
-
-// Auto returns the autotuned implementation for an m×n×k leaf shape.
-func Auto(m, n, k int) Impl {
-	impl, _ := GetImpl(Calibrate(m, n, k))
-	return impl
-}
-
-// measure times each candidate and returns the winner's name. The
-// repetitions run round-robin over the candidates, each keeping its
-// minimum: a shared host's speed moves 2× within milliseconds, and a
-// slow stretch that covered all of one candidate's repetitions would
-// hand the process to a slower kernel. Every timed product follows an
-// untimed one by the same kernel, because that is how a leaf runs —
-// thousands of products back to back — and a 512-bit kernel's first
-// product after other code runs at half speed while the core powers
-// its upper lanes up. A candidate four times behind the leader after a
-// round is out of the race: neighbours in a round are microseconds
-// apart, where the host's speed does not move that far, and the slow
-// kernels' products are what a calibration costs.
-func measure(m, n, k int) string {
-	rng := rand.New(rand.NewSource(1))
-	a := make([]float64, m*k)
-	b := make([]float64, k*n)
-	c := make([]float64, m*n)
-	for i := range a {
-		a[i] = rng.Float64()
-	}
-	for i := range b {
-		b[i] = rng.Float64()
-	}
-	type entry struct {
-		impl Impl
-		best time.Duration
-	}
-	const never = time.Duration(1<<63 - 1)
-	var live []entry
-	for _, name := range candidates {
-		if impl, err := GetImpl(name); err == nil {
-			live = append(live, entry{impl, never})
-		}
-	}
-	for r := 0; r < calReps; r++ {
-		lead := never
-		for i := range live {
-			e := &live[i]
-			e.impl.Kern(m, n, k, a, m, b, k, c, m) // warm (the first also faults in scratch)
-			t0 := time.Now()
-			e.impl.Kern(m, n, k, a, m, b, k, c, m)
-			e.best = min(e.best, time.Since(t0))
-			lead = min(lead, e.best)
-		}
-		keep := live[:0]
-		for _, e := range live {
-			if e.best/4 <= lead {
-				keep = append(keep, e)
-			}
-		}
-		live = keep
-	}
-	win := live[0]
-	for _, e := range live[1:] {
-		if e.best < win.best {
-			win = e
-		}
-	}
-	return win.impl.Name
-}
-
-// ResetCalibration clears the memoized autotuner selections and
-// fast-algorithm rates (tests).
-func ResetCalibration() {
-	tuneMu.Lock()
-	tuneCache = map[tuneKey]string{}
-	rateCache = map[rateKey]Rates{}
-	tuneMu.Unlock()
-}
 
 // The fast-algorithm crossover. One level of a Strassen-like recursion
 // trades an eighth half-size product for element-wise passes over the
@@ -214,18 +70,32 @@ func (r Rates) Cutoff() int {
 }
 
 type rateKey struct {
-	kern    uintptr
+	kernel  string
 	m, n, k int
+}
+
+var (
+	tuneMu    sync.Mutex
+	rateCache = map[rateKey]Rates{}
+)
+
+// ResetCalibration drops the memoized fast-algorithm rates, the only
+// measurement a process remembers: the default kernel (Auto) is not
+// measured and has nothing to reset.
+func ResetCalibration() {
+	tuneMu.Lock()
+	rateCache = map[rateKey]Rates{}
+	tuneMu.Unlock()
 }
 
 // passCap bounds the quadrants the passes are timed on, in elements;
 // larger ones take the rate measured at the cap.
 const passCap = 1 << 16
 
-// FastRates times kern on m×n×k tiles and lv's passes far enough up to
-// decide every level of a grid side tiles a side, and no further: a
-// process that multiplies small matrices never streams large
-// quadrants. The rates are memoized per kernel and tile shape and
+// FastRates times the kernel impl on m×n×k tiles and lv's passes far
+// enough up to decide every level of a grid side tiles a side, and no
+// further: a process that multiplies small matrices never streams large
+// quadrants. The rates are memoized per kernel name and tile shape and
 // extended when a larger grid asks.
 //
 // Only the ratio of the two timings decides, and a shared host's speed
@@ -234,8 +104,8 @@ const passCap = 1 << 16
 // and keeps the median ratio — which cold processes agree on where
 // best-of timings taken apart do not — scaled to the leaf time on
 // record.
-func FastRates(kern Kernel, m, n, k int, lv Level, side int) Rates {
-	key := rateKey{reflect.ValueOf(kern).Pointer(), m, n, k}
+func FastRates(impl Impl, m, n, k int, lv Level, side int) Rates {
+	key := rateKey{impl.Name, m, n, k}
 	tuneMu.Lock()
 	defer tuneMu.Unlock()
 	r := rateCache[key]
@@ -245,7 +115,7 @@ func FastRates(kern Kernel, m, n, k int, lv Level, side int) Rates {
 	var buf []float64
 	for i := r.N; i < len(r.Pass) && 2<<i <= side && (i == 0 || !r.wins(i-1)); i++ {
 		if leaf == nil {
-			leaf = leafTimer(kern, m, n, k)
+			leaf = leafTimer(impl.Kern, m, n, k)
 			top := i
 			for top+1 < len(r.Pass) && 4<<top <= side {
 				top++
@@ -274,9 +144,15 @@ func FastRates(kern Kernel, m, n, k int, lv Level, side int) Rates {
 // rateReps is the number of timed repetitions behind each rate.
 const rateReps = 7
 
+// calCap bounds the dimensions a leaf product is timed at, so that
+// pricing a kernel stays in the millisecond range even when a caller
+// forces degenerate whole-matrix tiles; kernel speed is stable above
+// the cap.
+const calCap = 128
+
 // leafTimer returns a function timing one m×n×k tile product on
 // contiguous operands, in nanoseconds. Shapes past calCap are timed at
-// the cap and scaled by volume, as Calibrate caps them; small tiles are
+// the cap and scaled by volume; small tiles are
 // timed several products at a time, above the clock's resolution.
 func leafTimer(kern Kernel, m, n, k int) func() float64 {
 	cm, cn, ck := min(m, calCap), min(n, calCap), min(k, calCap)

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"expvar"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -12,9 +10,7 @@ import (
 // This file is the metrics leg of the observability layer: cumulative
 // counters and fixed-bucket histograms aggregated across Engine calls.
 // Everything is updated with atomics and read with Snapshot, so a
-// serving process can scrape a live engine without stopping it, and
-// Publish exposes the whole registry through expvar (i.e. over HTTP
-// via /debug/vars) for free.
+// serving process can scrape a live engine without stopping it.
 
 // Counter is a cumulative, race-safe int64 metric.
 type Counter struct {
@@ -270,18 +266,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = hs
 	}
 	return s
-}
-
-// Publish exposes the registry under the given expvar name (visible at
-// /debug/vars when the process serves HTTP). expvar names are global
-// and permanent, so publishing an already-used name returns an error
-// instead of panicking the process.
-func (r *Registry) Publish(name string) (err error) {
-	defer func() {
-		if recover() != nil {
-			err = fmt.Errorf("obs: expvar name %q is already published", name)
-		}
-	}()
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-	return nil
 }

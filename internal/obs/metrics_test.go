@@ -110,17 +110,6 @@ func TestStressMetricsConcurrent(t *testing.T) {
 	}
 }
 
-func TestPublishDuplicateName(t *testing.T) {
-	r := NewRegistry()
-	const name = "recmat_test_metrics_publish"
-	if err := r.Publish(name); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewRegistry().Publish(name); err == nil {
-		t.Fatal("publishing a taken expvar name did not error")
-	}
-}
-
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("depth")

@@ -219,14 +219,7 @@ func (co *coalescer) solo(m *cmember, queueWait time.Duration) {
 	defer cancel(nil)
 	stopLink := context.AfterFunc(s.drainCtx, func() { cancel(ErrDraining) })
 	defer stopLink()
-	deadline := s.cfg.DefaultDeadline
-	if m.req.DeadlineMS > 0 {
-		deadline = time.Duration(m.req.DeadlineMS) * time.Millisecond
-	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
-	tctx, tcancel := context.WithTimeout(ctx, deadline)
+	tctx, tcancel := context.WithTimeout(ctx, s.deadline(m.req))
 	defer tcancel()
 	m.rs.phaseAt(obs.PhaseQueue, obs.KindQueueWait, time.Now().Add(-queueWait), queueWait)
 	resp, err := s.compute(tctx, m.req, m.budget, m.rs)
@@ -291,16 +284,7 @@ func (co *coalescer) executeWave(lay recmat.Layout, members []*cmember, queueWai
 	}
 	opts := &recmat.Options{Layout: lay, Algorithm: alg, MemBudget: budget}
 
-	ent, err := co.s.plans.acquire(planKey(req0, lay, alg), func() (*recmat.Plan, error) {
-		pa := seededMat(req0.M, req0.K, req0.ASeed)
-		popts := *opts
-		popts.PartnerDim = partnerBucket(req0.N)
-		p, perr := co.s.eng.Prepack(pa, false, &popts)
-		if perr == nil {
-			freeMat(pa) // the plan holds its own packed copy
-		}
-		return p, perr
-	})
+	ent, err := co.s.acquirePlan(req0, lay, alg, opts)
 	if err != nil {
 		co.settleAll(members, err)
 		return
@@ -349,14 +333,7 @@ func (co *coalescer) executeWave(lay recmat.Layout, members []*cmember, queueWai
 			} else {
 				C = zeroMat(m.req.M, m.req.N)
 			}
-			deadline := co.s.cfg.DefaultDeadline
-			if m.req.DeadlineMS > 0 {
-				deadline = time.Duration(m.req.DeadlineMS) * time.Millisecond
-			}
-			if deadline > co.s.cfg.MaxDeadline {
-				deadline = co.s.cfg.MaxDeadline
-			}
-			ictx, icancel := context.WithTimeout(m.rctx, deadline)
+			ictx, icancel := context.WithTimeout(m.rctx, co.s.deadline(m.req))
 			cancels = append(cancels, icancel)
 			Cs[i] = C
 			items = append(items, recmat.PrepackedGEMMBatchItem{
@@ -405,28 +382,10 @@ func (co *coalescer) executeWave(lay recmat.Layout, members []*cmember, queueWai
 				if m.rs != nil && m.rs.tr != nil {
 					m.rs.tr.LaneSpan(m.rs.lane, obs.KindCompute, tCall, wall, 0)
 				}
-				resp := &Response{
-					Tenant: m.req.Tenant, M: m.req.M, K: m.req.K, N: m.req.N,
-					AlgRan:     bs.Alg.String(),
-					FastCutoff: bs.FastCutoff,
-					FastLevels: bs.FastLevels,
-					Kernel:     bs.Kernel,
-					Degraded:   bs.Degraded,
-					PlanCached: true,
-					Coalesced:  size > 1,
-					BatchSize:  size,
-					QueueNS:    queueWait.Nanoseconds(),
-					ComputeNS:  bs.Compute.Nanoseconds() / per,
-					TotalNS:    bs.Total().Nanoseconds() / per,
-					CNorm:      norm1(Cs[i]),
-				}
-				if m.req.ReturnData && m.req.M*m.req.N <= co.s.cfg.MaxReturnElems {
-					C := Cs[i]
-					resp.Data = make([]float64, 0, m.req.M*m.req.N)
-					for c := 0; c < C.Cols; c++ {
-						resp.Data = append(resp.Data, C.Data[c*C.Stride:c*C.Stride+C.Rows]...)
-					}
-				}
+				resp := co.s.respond(m.req, &bs.Stats, Cs[i])
+				resp.PlanCached, resp.Coalesced, resp.BatchSize = true, size > 1, size
+				resp.QueueNS = queueWait.Nanoseconds()
+				resp.ComputeNS, resp.TotalNS = resp.ComputeNS/per, resp.TotalNS/per
 				co.settle(m, resp, nil)
 			}
 		}

@@ -67,9 +67,13 @@ type Response struct {
 	// recursion — the calibrated crossover of this host for the call's
 	// kernel and tiles — and how many levels of its own it ran above
 	// that. Both are zero for a non-fast AlgRan.
-	FastCutoff int    `json:"fast_cutoff,omitempty"`
-	FastLevels int    `json:"fast_levels,omitempty"`
-	Kernel     string `json:"kernel"`
+	FastCutoff int `json:"fast_cutoff,omitempty"`
+	FastLevels int `json:"fast_levels,omitempty"`
+	// Kernel is the leaf kernel that ran: a function of this host's CPU
+	// features and the call's tile shape, so it cannot differ between two
+	// requests of one shape, or between two starts of the daemon on one
+	// host — which is why no plan-cache or coalesce key carries it.
+	Kernel string `json:"kernel"`
 	// Degraded lists the admission-ladder decisions taken for the call
 	// (empty means the requested configuration ran unchanged) — the
 	// degradation-rung reporting of Stats.Degraded on the wire.

@@ -16,7 +16,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"math"
 	"net/http"
@@ -262,7 +261,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metricz", s.handleMetricz)
 	s.mux.HandleFunc("/debug/flightz", s.handleFlightz)
-	s.mux.Handle("/debug/vars", expvar.Handler())
 	return s
 }
 
@@ -274,11 +272,6 @@ func (s *Server) Engine() *recmat.Engine { return s.eng }
 
 // Metrics returns the shared engine+daemon metrics registry.
 func (s *Server) Metrics() *recmat.Metrics { return s.reg }
-
-// PublishExpvar publishes the metrics registry under the given expvar
-// name (visible at /debug/vars). expvar names are process-global and
-// permanent, so this can fail when the name is taken.
-func (s *Server) PublishExpvar(name string) error { return s.reg.Publish(name) }
 
 // FlightDumps reports how many flight bundles the SLO recorder has
 // written (0 when no spool directory is configured). Benchmarks record
@@ -596,14 +589,7 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	defer cancel(nil)
 	stopLink := context.AfterFunc(s.drainCtx, func() { cancel(ErrDraining) })
 	defer stopLink()
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
-	ctx, tcancel := context.WithTimeout(ctx, deadline)
+	ctx, tcancel := context.WithTimeout(ctx, s.deadline(&req))
 	defer tcancel()
 
 	resp, err := s.compute(ctx, &req, budget, rs)
@@ -613,6 +599,56 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.QueueNS = queueWait.Nanoseconds()
 	s.okReq(w, rs, resp)
+}
+
+// deadline is a request's latency budget: its own, or the server's
+// default when it states none, capped at MaxDeadline.
+func (s *Server) deadline(req *Request) time.Duration {
+	d := s.cfg.DefaultDeadline
+	if req.DeadlineMS > 0 {
+		d = time.Duration(req.DeadlineMS) * time.Millisecond
+	}
+	return min(d, s.cfg.MaxDeadline)
+}
+
+// acquirePlan returns the plan-cache entry of a request's named A
+// operand under the resolved algorithm, seeding and prepacking it — split
+// for the request's partner-width bucket — on a miss. The caller
+// releases the entry.
+func (s *Server) acquirePlan(req *Request, lay recmat.Layout, alg recmat.Algorithm, opts *recmat.Options) (*planEntry, error) {
+	return s.plans.acquire(planKey(req, lay, alg), func() (*recmat.Plan, error) {
+		pa := seededMat(req.M, req.K, req.ASeed)
+		popts := *opts
+		popts.PartnerDim = partnerBucket(req.N)
+		p, err := s.eng.Prepack(pa, false, &popts)
+		if err == nil {
+			freeMat(pa) // the plan holds its own packed copy
+		}
+		return p, err
+	})
+}
+
+// respond builds a request's success response from the report of the
+// engine call — its own, or the wave it rode in — that produced C.
+func (s *Server) respond(req *Request, rep *recmat.Report, C *recmat.Matrix) *Response {
+	resp := &Response{
+		Tenant: req.Tenant, M: req.M, K: req.K, N: req.N,
+		AlgRan:     rep.Alg.String(),
+		FastCutoff: rep.FastCutoff,
+		FastLevels: rep.FastLevels,
+		Kernel:     rep.Kernel,
+		Degraded:   rep.Degraded,
+		ComputeNS:  rep.Compute.Nanoseconds(),
+		TotalNS:    rep.Total().Nanoseconds(),
+		CNorm:      norm1(C),
+	}
+	if req.ReturnData && req.M*req.N <= s.cfg.MaxReturnElems {
+		resp.Data = make([]float64, 0, req.M*req.N)
+		for j := 0; j < C.Cols; j++ {
+			resp.Data = append(resp.Data, C.Data[j*C.Stride:j*C.Stride+C.Rows]...)
+		}
+	}
+	return resp
 }
 
 // planKey is the operand-identity key of the plan cache: tenant, name,
@@ -721,16 +757,7 @@ func (s *Server) compute(ctx context.Context, req *Request, budget int64, rs *re
 	tCall := time.Now()
 	if req.AName != "" && lay != recmat.ColMajor && s.cfg.PlanCacheBytes > 0 {
 		var ent *planEntry
-		ent, err = s.plans.acquire(planKey(req, lay, alg), func() (*recmat.Plan, error) {
-			pa := seededMat(req.M, req.K, req.ASeed)
-			popts := *opts
-			popts.PartnerDim = partnerBucket(req.N)
-			p, perr := s.eng.Prepack(pa, false, &popts)
-			if perr == nil {
-				freeMat(pa) // the plan holds its own packed copy
-			}
-			return p, perr
-		})
+		ent, err = s.acquirePlan(req, lay, alg, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -761,24 +788,8 @@ func (s *Server) compute(ctx context.Context, req *Request, budget int64, rs *re
 		rs.tr.LaneSpan(rs.lane, obs.KindCompute, tCall, time.Since(tCall), 0)
 	}
 
-	resp = &Response{
-		Tenant: req.Tenant, M: req.M, K: req.K, N: req.N,
-		AlgRan:     rep.Alg.String(),
-		FastCutoff: rep.FastCutoff,
-		FastLevels: rep.FastLevels,
-		Kernel:     rep.Kernel,
-		Degraded:   rep.Degraded,
-		PlanCached: cached,
-		ComputeNS:  rep.Compute.Nanoseconds(),
-		TotalNS:    rep.Total().Nanoseconds(),
-		CNorm:      norm1(C),
-	}
-	if req.ReturnData && req.M*req.N <= s.cfg.MaxReturnElems {
-		resp.Data = make([]float64, 0, req.M*req.N)
-		for j := 0; j < C.Cols; j++ {
-			resp.Data = append(resp.Data, C.Data[j*C.Stride:j*C.Stride+C.Rows]...)
-		}
-	}
+	resp = s.respond(req, rep, C)
+	resp.PlanCached = cached
 	return resp, nil
 }
 

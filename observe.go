@@ -18,8 +18,8 @@ import (
 // call: call and error counts, per-phase latency and GFLOPS
 // histograms, scheduler spawn/steal counters, buffer-pool hit rates,
 // arena heap-fallback bytes, and degradation decisions. Reading is
-// race-free via Snapshot; Publish exposes the registry over expvar
-// (/debug/vars) for scraping.
+// race-free via Snapshot; a serving process exposes it at /metricz, as
+// JSON and as OpenMetrics text (internal/serve).
 type Metrics = obs.Registry
 
 // MetricsSnapshot is a point-in-time copy of a Metrics registry.

@@ -2,10 +2,8 @@ package recmat
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/tile"
 )
 
 // Packed is a matrix kept resident in a recursive layout across calls —
@@ -22,33 +20,25 @@ type Packed struct {
 	opts core.Options
 }
 
-// PackOptions controls packing. Layout must be one of the recursive
-// layouts; tile selection follows the same rules as Mul.
+// Pack converts A to opts.Layout, which must be one of the recursive
+// layouts; tile selection follows the same rules as Prepack. An empty or
+// nil matrix, or a ForceTile that cannot cover it, is ErrDimension.
 func (e *Engine) Pack(A *Matrix, opts *Options) (*Packed, error) {
 	o := opts.coreOptions()
-	if !o.Curve.Recursive() {
-		return nil, fmt.Errorf("recmat: Pack requires a recursive layout, got %v", o.Curve)
-	}
-	cfg := o.Tile
-	if cfg == (tile.Config{}) {
-		cfg = tile.DefaultConfig
-	}
-	var d uint
-	var tr, tc int
-	if o.ForceTile > 0 {
-		tr, tc = o.ForceTile, o.ForceTile
-		for (tr<<d) < A.Rows || (tc<<d) < A.Cols {
-			d++
-		}
-	} else {
-		ch := cfg.Pick(A.Rows, A.Cols)
-		d, tr, tc = ch.D, ch.Tiles[0], ch.Tiles[1]
-	}
-	t := core.NewTiled(o.Curve, d, tr, tc, A.Rows, A.Cols)
-	if err := t.Pack(context.Background(), e.pool, A, false, 1); err != nil {
+	t, err := core.PackTiled(context.Background(), e.pool, o, A)
+	if err != nil {
 		return nil, err
 	}
 	return &Packed{t: t, opts: o}, nil
+}
+
+// tiled is the core operand behind p; a nil Packed has none, and core
+// answers that with ErrDimension where a field access would fault.
+func (p *Packed) tiled() *core.Tiled {
+	if p == nil {
+		return nil
+	}
+	return p.t
 }
 
 // Rows and Cols return the logical shape.
@@ -73,34 +63,22 @@ func (p *Packed) Unpack(e *Engine) (*Matrix, error) {
 func (p *Packed) At(i, j int) float64 { return p.t.At(i, j) }
 
 // NewPackedResult allocates a zeroed Packed conformable as the product
-// of a and b (a.Rows × b.Cols, tiles a.TR × b.TC).
+// of a and b (a.Rows × b.Cols, tiles a.TR × b.TC); operands that do not
+// multiply — layout, depth, tiles or a.Cols ≠ b.Rows — are ErrDimension.
 func (e *Engine) NewPackedResult(a, b *Packed) (*Packed, error) {
-	if err := conformable(a, b); err != nil {
+	if err := core.ConformTiled(a.tiled(), b.tiled()); err != nil {
 		return nil, err
 	}
 	t := core.NewTiled(a.t.Curve, a.t.D, a.t.TR, b.t.TC, a.t.Rows, b.t.Cols)
 	return &Packed{t: t, opts: a.opts}, nil
 }
 
-func conformable(a, b *Packed) error {
-	if a.t.Curve != b.t.Curve {
-		return fmt.Errorf("recmat: packed layouts differ: %v vs %v", a.t.Curve, b.t.Curve)
-	}
-	if a.t.D != b.t.D {
-		return fmt.Errorf("recmat: packed depths differ: %d vs %d", a.t.D, b.t.D)
-	}
-	if a.t.TC != b.t.TR {
-		return fmt.Errorf("recmat: packed tiles do not conform: %dx%d · %dx%d",
-			a.t.TR, a.t.TC, b.t.TR, b.t.TC)
-	}
-	return nil
-}
-
 // MulPacked computes C += A·B entirely in the packed layout: no
 // conversion happens, so the Report's conversion fields are zero. The
 // operands must have been packed with the same layout, depth, and
 // conforming tile shapes (pack both inputs with the same ForceTile, or
-// pack square same-size matrices, to guarantee this).
+// pack square same-size matrices, to guarantee this), and their logical
+// shapes must multiply; anything else is ErrDimension.
 func (e *Engine) MulPacked(C, A, B *Packed, opts *Options) (*Report, error) {
 	return e.MulPackedContext(context.Background(), C, A, B, opts)
 }
@@ -110,7 +88,5 @@ func (e *Engine) MulPacked(C, A, B *Packed, opts *Options) (*Report, error) {
 // multiplication accumulates into it in place, so partial quadrant
 // products may already be present.
 func (e *Engine) MulPackedContext(ctx context.Context, C, A, B *Packed, opts *Options) (*Report, error) {
-	o := opts.coreOptions()
-	o.Curve = C.t.Curve
-	return core.MulTiledCtx(ctx, e.pool, o, C.t, A.t, B.t)
+	return core.MulTiledCtx(ctx, e.pool, opts.coreOptions(), C.tiled(), A.tiled(), B.tiled())
 }

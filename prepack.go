@@ -24,6 +24,15 @@ type Plan struct {
 	trans bool
 }
 
+// plan is the core plan behind p; a nil Plan has none, and core answers
+// that with an error where a method call would fault.
+func (p *Plan) plan() *core.Prepacked {
+	if p == nil {
+		return nil
+	}
+	return p.p
+}
+
 // Rows and Cols return the logical extents of the packed operand —
 // op(A), with any transposition requested at Prepack time applied.
 func (p *Plan) Rows() int { return p.p.Rows }
@@ -69,11 +78,7 @@ func (e *Engine) Prepack(A *Matrix, trans bool, opts *Options) (*Plan, error) {
 // against it. The layout is taken from like; opts may still adjust
 // splitting of the free dimension (nil = defaults).
 func (e *Engine) PrepackConforming(B *Matrix, trans bool, opts *Options, like *Plan) (*Plan, error) {
-	var lp *core.Prepacked
-	if like != nil {
-		lp = like.p
-	}
-	p, err := core.PrepackConforming(context.Background(), e.pool, opts.coreOptions(), B, trans, lp)
+	p, err := core.PrepackConforming(context.Background(), e.pool, opts.coreOptions(), B, trans, like.plan())
 	if err != nil {
 		return nil, err
 	}
@@ -114,5 +119,5 @@ func (e *Engine) GEMMPrepacked(ctx context.Context, alpha float64, pa, pb *Plan,
 func (e *Engine) GEMMPrepackedOpts(ctx context.Context, opts *Options, alpha float64, pa, pb *Plan, beta float64, C *Matrix) (*Report, error) {
 	co := opts.coreOptions()
 	co.Metrics = e.metrics
-	return core.GEMMPrepacked(ctx, e.pool, co, alpha, pa.p, pb.p, beta, C)
+	return core.GEMMPrepacked(ctx, e.pool, co, alpha, pa.plan(), pb.plan(), beta, C)
 }

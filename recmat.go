@@ -125,10 +125,6 @@ const (
 	// standard algorithm with respect to layouts, and as the MemBudget
 	// ladder's rung below a fast algorithm.
 	StrassenLowMem = core.StrassenLowMem
-	// TableWinograd222 and TableStrassen222 are second names of Winograd
-	// and Strassen, kept so that callers which use them compile.
-	TableWinograd222 = core.TableWinograd222
-	TableStrassen222 = core.TableStrassen222
 	// Auto resolves the algorithm from the tile grid the call will run
 	// on: Standard unless the grid is large enough for at least one fast
 	// level to beat it at this host's calibrated crossover (see
@@ -207,12 +203,6 @@ func SIMDKernels() []string { return leaf.SIMDNames() }
 // use SIMDKernels to see what is actually runnable.
 func CPUFeatures() []string { return leaf.Features() }
 
-// CalibrateKernel benchmarks the built-in kernels on an m×n×k leaf
-// multiplication over contiguous operands and returns the name of the
-// fastest — the same measurement the autotuned default performs on first
-// use for a tile shape. Results are memoized per shape.
-func CalibrateKernel(m, n, k int) string { return leaf.Calibrate(m, n, k) }
-
 // Options configures a multiplication. The zero value multiplies with
 // the standard algorithm on the column-major layout using default tiles.
 type Options struct {
@@ -231,16 +221,16 @@ type Options struct {
 	// ForceTile forces an exact square tile size, bypassing selection
 	// (ForceTile=1 reproduces element-level quadtree layouts).
 	ForceTile int
-	// KernelName selects a built-in leaf kernel by name (see Kernels);
-	// it takes precedence over Kernel. When both are unset the engine
-	// autotunes: it benchmarks the built-in kernels on the chosen tile
-	// shape at first use and runs the winner. Note this departs from the
-	// paper, whose experiments fix the four-way-unrolled kernel; set
-	// KernelName to "unrolled4" to reproduce the paper's setup exactly
-	// (cmd/experiments does).
+	// KernelName selects a built-in leaf kernel by name (see Kernels).
+	// Unset, the engine runs the default for the host and the call's tile
+	// shape: the widest assembly family the CPU probe registered
+	// (SIMDKernels; "packed8x4" without one) on tiles of at least 8×4,
+	// "blocked" on smaller ones — a fixed rule, so the same call runs the
+	// same kernel in every process on a host; Report.Kernel names it.
+	// Note this departs from the paper, whose experiments fix the
+	// four-way-unrolled kernel; set KernelName to "unrolled4" to
+	// reproduce the paper's setup exactly (cmd/experiments does).
 	KernelName string
-	// Kernel overrides the leaf kernel with an arbitrary function.
-	Kernel Kernel
 	// SerialCutoff is the quadrant size in tiles at or below which the
 	// recursion stops spawning parallel tasks (0 = default 4).
 	SerialCutoff int
@@ -297,7 +287,6 @@ func (o *Options) coreOptions() core.Options {
 	return core.Options{
 		Curve:             o.Layout,
 		Alg:               o.Algorithm,
-		Kernel:            o.Kernel,
 		KernelName:        o.KernelName,
 		Tile:              o.Tile,
 		ForceTile:         o.ForceTile,

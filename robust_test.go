@@ -217,3 +217,67 @@ func TestStressPublicAPINoEscapingPanics(t *testing.T) {
 		}
 	}
 }
+
+// TestPackedAndPlanWrappersNeverPanic: the Packed and Plan wrappers hand
+// nil and empty operands, and pre-tiled operands whose logical shapes do
+// not multiply, to core's checks — every case is ErrDimension, none a
+// nil dereference or a tile-selection panic in the wrapper.
+func TestPackedAndPlanWrappersNeverPanic(t *testing.T) {
+	eng := NewEngine(2)
+	defer eng.Close()
+	ctx := context.Background()
+	z16 := &Options{Layout: ZMorton, ForceTile: 16}
+	pack := func(rows, cols int) *Packed {
+		p, err := eng.Pack(NewMatrix(rows, cols), z16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a, b40 := pack(64, 64), pack(40, 64) // one depth, one tile shape; 64 columns against 40 rows
+	c, err := eng.NewPackedResult(a, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := eng.Prepack(Identity(8), false, &Options{Layout: ZMorton})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plan.Release()
+	for _, tc := range []struct {
+		what string
+		call func() error
+	}{
+		{"Pack of a 0x0 matrix", func() error { _, err := eng.Pack(NewMatrix(0, 0), z16); return err }},
+		{"Pack of a 0xn matrix", func() error { _, err := eng.Pack(NewMatrix(0, 5), &Options{Layout: ZMorton}); return err }},
+		{"Pack of nil", func() error { _, err := eng.Pack(nil, z16); return err }},
+		{"Pack under a ForceTile that cannot cover", func() error {
+			_, err := eng.Pack(NewMatrix(8, 8), &Options{Layout: ZMorton, ForceTile: 1 << 62})
+			return err
+		}},
+		{"NewPackedResult(nil, nil)", func() error { _, err := eng.NewPackedResult(nil, nil); return err }},
+		{"NewPackedResult of 64x64 · 40x64", func() error { _, err := eng.NewPackedResult(a, b40); return err }},
+		{"MulPacked(nil, nil, nil, nil)", func() error { _, err := eng.MulPacked(nil, nil, nil, nil); return err }},
+		{"MulPacked of 64x64 · 40x64", func() error { _, err := eng.MulPacked(c, a, b40, nil); return err }},
+		{"Prepack of nil", func() error { _, err := eng.Prepack(nil, false, &Options{Layout: ZMorton}); return err }},
+		{"GEMMPrepacked with nil plans", func() error {
+			_, err := eng.GEMMPrepacked(ctx, 1, nil, nil, 0, NewMatrix(8, 8))
+			return err
+		}},
+		{"GEMMPrepacked with one nil plan", func() error {
+			_, err := eng.GEMMPrepacked(ctx, 1, plan, nil, 0, NewMatrix(8, 8))
+			return err
+		}},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", tc.what, r)
+				}
+			}()
+			if err := tc.call(); !errors.Is(err, ErrDimension) {
+				t.Errorf("%s: err = %v, want ErrDimension", tc.what, err)
+			}
+		}()
+	}
+}
