@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build vet test race loc determinism parity stress soak bench bench-kernel fuzz obs-gate trace-smoke omcheck asm-check algtable-check
+.PHONY: check build vet test race loc determinism parity streamparity stress soak bench bench-kernel fuzz obs-gate trace-smoke omcheck asm-check algtable-check
 
-check: build vet race determinism parity stress soak obs-gate trace-smoke omcheck asm-check algtable-check
+check: build vet race determinism parity streamparity stress soak obs-gate trace-smoke omcheck asm-check algtable-check
 
 # The sizes every simplicity change quotes: non-test lines of the core
 # and of the leaf kernels.
@@ -33,6 +33,15 @@ determinism:
 # the fast levels Auto resolved to and what the cutoff calibration cost.
 parity:
 	$(GO) run ./cmd/experiments -exp autoparity
+
+# The stream gate: on the serving shape (1024×1024 · 1024×48, library
+# defaults, min(nproc, 4) workers) a per-call DGEMM — A's 64 segments
+# packed by the blocks that multiply them — must stay within 15% of
+# PrepackConforming + GEMMPrepacked on the same operands, which read a
+# plan of A packed once. Interleaved pairs, median of the paired time
+# ratios, ~20 s; a timing comparison like parity, and not a tier-1 test.
+streamparity:
+	$(GO) run ./cmd/experiments -exp streamparity
 
 # The algorithm-table gate: every registered bilinear <m,k,n>
 # coefficient table must satisfy the Brent equations in exact integer

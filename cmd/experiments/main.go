@@ -12,16 +12,20 @@
 // The mapping from experiment to paper result is documented in DESIGN.md
 // and the measured outputs are recorded in EXPERIMENTS.md.
 //
-// -exp autoparity is not a paper experiment but a gate on the library's
-// defaults (`make parity`): it runs only when named, and exits non-zero
-// when Algorithm Auto is more than 5% slower than Standard.
+// -exp autoparity and -exp streamparity are not paper experiments but
+// gates on the library's defaults (`make parity`, `make streamparity`):
+// they run only when named, and exit non-zero when Algorithm Auto is more
+// than 5% slower than Standard, or a per-call DGEMM on the serving shape
+// more than 15% slower than the same product through a prepacked plan.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"time"
 
@@ -50,10 +54,14 @@ const paperCutoff = 1
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to reproduce (1, 2, 4, 5, 6, 7); 0 = all")
-	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|sched|dilation, or the gate autoparity")
+	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|sched|dilation, or a gate: autoparity|streamparity")
 	flag.Parse()
-	if *exp == "autoparity" {
+	switch *exp {
+	case "autoparity":
 		autoparity()
+		return
+	case "streamparity":
+		streamparity()
 		return
 	}
 
@@ -356,7 +364,10 @@ func parallelism() {
 	fmt.Println(" far larger, and the fast algorithms' is lower, in the same ordering.)")
 }
 
-// conversion quantifies the format-conversion overhead of Section 4.
+// conversion quantifies the format-conversion overhead of Section 4:
+// on the square product the paper measures, then where it is largest —
+// the serving shape, a fixed square A against a skinny B, one DGEMM per
+// B — and as a bare pack rate.
 func conversion() {
 	n := 512
 	if *full {
@@ -373,6 +384,157 @@ func conversion() {
 			rep.ConvertIn.Round(time.Microsecond), rep.Compute.Round(time.Microsecond),
 			rep.ConvertOut.Round(time.Microsecond), share)
 	}
+
+	fmt.Printf("\nstream shape %dx%d · %dx%d (Z-Morton, standard, the library's default kernel), medians of %d calls\n",
+		streamM, streamM, streamM, streamN, streamCalls)
+	fmt.Printf("%-8s %11s %11s %11s %11s %9s %11s %9s\n", "workers", "convert-in", "compute", "convert-out", "per call", "deferred", "prepacked", "ratio")
+	var in1 float64
+	wmax := min(runtime.NumCPU(), workerCap())
+	for _, w := range []int{1, wmax} {
+		s := newStream(w)
+		var in, comp, out, call, plan []float64
+		var rep *recmat.Report
+		for r := 0; r < streamCalls; r++ {
+			var t float64
+			t, rep = s.perCall()
+			in, comp, out = append(in, rep.ConvertIn.Seconds()), append(comp, rep.Compute.Seconds()), append(out, rep.ConvertOut.Seconds())
+			call, plan = append(call, t), append(plan, s.prepacked())
+		}
+		ms := func(v []float64) string { return fmt.Sprintf("%.3f ms", 1e3*medianOf(v)) }
+		fmt.Printf("%-8d %11s %11s %11s %11s %9d %11s %9.3f\n", w, ms(in), ms(comp), ms(out), ms(call),
+			rep.PackDeferred, ms(plan), medianOf(call)/medianOf(plan))
+		if w == 1 {
+			in1 = medianOf(in)
+		} else {
+			fmt.Printf("convert-in at 1 worker over convert-in at %d: %.2f\n", w, in1/medianOf(in))
+		}
+		s.close()
+	}
+
+	// The pack alone: a whole streamM² operand, by Engine.Pack — which
+	// allocates the packed matrix it returns — and into buffers the
+	// recycling pool already holds (a Prepack right after a Release).
+	A := recmat.Random(streamM, streamM, rand.New(rand.NewSource(*seed)))
+	z := &recmat.Options{Layout: recmat.ZMorton}
+	peng := recmat.NewEngine(wmax)
+	defer peng.Close()
+	var cold, warm []float64
+	for r := 0; r < 9; r++ {
+		t0 := time.Now()
+		_, err := peng.Pack(A, z)
+		cold = append(cold, time.Since(t0).Seconds())
+		check(err)
+		t0 = time.Now()
+		plan, err := peng.Prepack(A, false, z)
+		warm = append(warm, time.Since(t0).Seconds())
+		check(err)
+		plan.Release()
+	}
+	gb := 8 * float64(streamM) * float64(streamM) / 1e9
+	fmt.Printf("pack of a %d² operand, %d workers: Engine.Pack (fresh allocation) %.1f GB/s, into warm pooled buffers %.1f GB/s\n",
+		streamM, wmax, gb/medianOf(cold), gb/medianOf(warm[1:]))
+}
+
+// The serving shape of the repository benchmark's stream workloads.
+const streamM, streamN, streamCalls = 1024, 48, 301
+
+// stream is that shape's two forms on one engine with the library's
+// defaults: a DGEMM per right-hand side, and the same product through a
+// plan of A built once.
+type stream struct {
+	eng     *recmat.Engine
+	opts    *recmat.Options
+	A, B, C *recmat.Matrix
+	plan    *recmat.Plan
+}
+
+func newStream(workers int) *stream {
+	rng := rand.New(rand.NewSource(*seed))
+	s := &stream{eng: recmat.NewEngine(workers), opts: &recmat.Options{Layout: recmat.ZMorton, Algorithm: recmat.Standard},
+		A: recmat.Random(streamM, streamM, rng), B: recmat.Random(streamM, streamN, rng), C: recmat.NewMatrix(streamM, streamN)}
+	po := *s.opts
+	po.PartnerDim = streamN
+	var err error
+	s.plan, err = s.eng.Prepack(s.A, false, &po)
+	check(err)
+	s.perCall() // warm-up: buffer pools
+	s.prepacked()
+	return s
+}
+
+func (s *stream) close() {
+	s.plan.Release()
+	s.eng.Close()
+}
+
+func (s *stream) perCall() (float64, *recmat.Report) {
+	t0 := time.Now()
+	rep, err := s.eng.DGEMM(false, false, 1, s.A, s.B, 0, s.C, s.opts)
+	check(err)
+	return time.Since(t0).Seconds(), rep
+}
+
+func (s *stream) prepacked() float64 {
+	t0 := time.Now()
+	pb, err := s.eng.PrepackConforming(s.B, false, s.opts, s.plan)
+	check(err)
+	_, err = s.eng.GEMMPrepackedOpts(context.Background(), s.opts, 1, s.plan, pb, 0, s.C)
+	check(err)
+	pb.Release()
+	return time.Since(t0).Seconds()
+}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func medianOf(v []float64) float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	return s[len(s)/2]
+}
+
+// streamparity is the gate behind `make streamparity`: on the serving
+// shape a per-call DGEMM, which packs A inside its block wave, must stay
+// within 15% of PrepackConforming + GEMMPrepacked on the same operands,
+// which reads a plan of A built once. Pairs are interleaved, the order
+// alternating, for about ten seconds a side, and compared by the median
+// of the paired time ratios (see autoparity).
+func streamparity() {
+	const slack = 1.15
+	w := *workers
+	if w <= 0 {
+		w = min(runtime.NumCPU(), 4)
+	}
+	s := newStream(w)
+	defer s.close()
+	t, rep := s.perCall()
+	nreps := max(*reps, 9, int(10/t))
+	var call, plan, ratio []float64
+	for r := 0; r < nreps; r++ {
+		var c, p float64
+		if r%2 == 0 {
+			c, _ = s.perCall()
+			p = s.prepacked()
+		} else {
+			p = s.prepacked()
+			c, _ = s.perCall()
+		}
+		call, plan, ratio = append(call, c), append(plan, p), append(ratio, c/p)
+	}
+	gf := 2 * float64(streamM) * float64(streamM) * float64(streamN) / 1e9
+	fmt.Printf("per-call vs prepacked: %dx%d · %dx%d, %d workers, %d pairs, %d of A's segments packed in the wave\n",
+		streamM, streamM, streamM, streamN, w, nreps, rep.PackDeferred)
+	fmt.Printf("per-call %.3f ms (%.1f GF/s)  prepacked %.3f ms (%.1f GF/s)  t ratio %.3f (limit %.2f)\n",
+		1e3*medianOf(call), gf/medianOf(call), 1e3*medianOf(plan), gf/medianOf(plan), medianOf(ratio), slack)
+	if medianOf(ratio) > slack {
+		fmt.Printf("FAIL: a per-call DGEMM is more than %.0f%% slower than the prepacked product\n", (slack-1)*100)
+		os.Exit(1)
+	}
+	fmt.Println("ok: packing A per call costs no more than 15% over a resident plan")
 }
 
 // leadingDim reproduces the Section 5.1 explanation: leaf products of

@@ -119,6 +119,7 @@ func main() {
 	fmt.Printf("tiling: depth=%d tiles=(%d,%d,%d) padded=(%d,%d,%d) blocks=%d\n",
 		best.Depth, best.TileM, best.TileK, best.TileN,
 		best.PaddedM, best.PaddedK, best.PaddedN, best.Blocks)
+	fmt.Printf("packs: reused=%d deferred=%d converted=%d bytes\n", best.PackReused, best.PackDeferred, best.ConvertBytes)
 	fmt.Printf("convert-in  %12v\n", best.ConvertIn)
 	fmt.Printf("compute     %12v   (%.0f MFLOPS)\n", best.Compute,
 		flops/best.Compute.Seconds()/1e6)

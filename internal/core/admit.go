@@ -62,6 +62,9 @@ type charge struct {
 	// wave walks them in groups that do.
 	segA, segB int64
 	plan       groups
+	// deferA and deferB mark an operand packed by the blocks that multiply
+	// it: no plan, a segment riding in perBlock.
+	deferA, deferB bool
 	// perBlock is one in-flight product tile (for a batched wave, one
 	// member's buffers); inflight counts the tiles a parallel rung holds
 	// at once — a serial rung holds one.
@@ -97,7 +100,12 @@ func (ch *charge) held(g groups) int64 {
 // block's product in several epilogues instead of one.
 func (ch *charge) fit(room int64) groups {
 	g := ch.plan
-	most := func(n int, per, room int64) int { return int(max(1, min(int64(n), room/per))) }
+	most := func(n int, per, room int64) int {
+		if per == 0 { // no plan to cut: resident, or packed by its consumer
+			return n
+		}
+		return int(max(1, min(int64(n), room/per)))
+	}
 	a, b := int64(g.ks)*ch.segA, int64(g.ks)*ch.segB // one row panel, one column panel
 	if a*int64(g.rows) >= b*int64(g.cols) {
 		g.rows = most(g.rows, a, room-b*int64(g.cols))

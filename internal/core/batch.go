@@ -129,7 +129,7 @@ func shapeOf(o Options, pa *Prepacked, m, k, n int) (*waveShape, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh.ch = g.charge(sh.cutoff, sh.ms, sh.ks, sh.ns, pa != nil, false, 1)
+	sh.ch = g.charge(sh.cutoff, sh.ms, sh.ks, sh.ns, pa != nil, false, 0)
 	return sh, nil
 }
 
@@ -387,7 +387,7 @@ func (w *wave) member(c *sched.Ctx, ws *waveWS, i int) error {
 		return nil
 	}
 	ws.e.kernel, ws.e.fastCutoff = sh.kernel, sh.cutoff
-	pm := planMul{alg: w.alg, alpha: it.Alpha, pa: w.pa, pb: &ws.pb, C: it.C, reused: 1}
+	pm := planMul{alg: w.alg, alpha: it.Alpha, beta: it.Beta, pa: w.pa, pb: &ws.pb, C: it.C, reused: 1}
 	t0 := time.Now()
 	if pm.pa == nil {
 		pm.pa, pm.reused = &ws.pa, 0

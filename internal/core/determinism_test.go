@@ -133,11 +133,21 @@ func TestDeterminismCostBusyPool(t *testing.T) {
 // PrepackConforming + GEMMPrepacked, and as a GEMMPrepackedBatch item
 // against that plan — cuts the same blocks on the same tiles and chains
 // each block's products in the same order: bit for bit, at 1, 2, 4 and
-// (blocks running nested) 16 workers.
+// (blocks running nested) 16 workers. The shapes sit on each side of the
+// deferral rule — one column of C blocks (A's segments packed by the
+// blocks of a per-call wave), one row (B's), a grid of them (both packed
+// up front) — so the per-call wave's in-block packs, its nested run's
+// up-front plan and the resident plans must all agree; canonical
+// storage, which has no plans, runs the per-call side of that alone.
 func TestDeterminismSplitEntryPoints(t *testing.T) {
-	shapes := [][3]int{{1024, 1024, 48}, {1000, 300, 40}, {40, 300, 1000}}
+	type shape struct {
+		m, k, n  int
+		deferred byte // the operand a per-call wave's blocks pack: 'A', 'B' or neither
+	}
+	shapes := []shape{{1024, 1024, 48, 'A'}, {1000, 900, 40, 'A'}, {48, 900, 1000, 'B'}, {600, 40, 600, 0}}
 	if testing.Short() || raceEnabled {
-		shapes = [][3]int{{250, 75, 10}, {10, 75, 250}} // the same cuts at a quarter of the size
+		// The same cuts at a quarter of the size.
+		shapes = []shape{{250, 225, 10, 'A'}, {12, 225, 250, 'B'}, {150, 10, 150, 0}}
 	}
 	var pools []*sched.Pool
 	for _, w := range []int{1, 2, 4, 16} {
@@ -149,90 +159,111 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(152))
 	algs := []Alg{Standard, Winograd}
 	for si, sh := range shapes {
-		m, k, n := sh[0], sh[1], sh[2]
+		m, k, n := sh.m, sh.k, sh.n
 		for _, ta := range []bool{false, true} {
 			for _, tb := range []bool{false, true} {
 				for bi, beta := range []float64{0, 1, 0.5} {
-					A, B := opMat(m, k, ta, rng), opMat(k, n, tb, rng)
-					C := matrix.Random(m, n, rng)
-					opts := Options{Curve: layout.RecursiveCurves[(si+bi)%len(layout.RecursiveCurves)], Alg: algs[bi%len(algs)]}
-					name := fmt.Sprintf("%dx%dx%d %v/%v ta=%v tb=%v beta=%g", m, k, n, opts.Alg, opts.Curve, ta, tb, beta)
+					for _, cv := range []layout.Curve{layout.RecursiveCurves[(si+bi)%len(layout.RecursiveCurves)], layout.ColMajor} {
+						A, B := opMat(m, k, ta, rng), opMat(k, n, tb, rng)
+						C := matrix.Random(m, n, rng)
+						opts := Options{Curve: cv, Alg: algs[bi%len(algs)]}
+						name := fmt.Sprintf("%dx%dx%d %v/%v ta=%v tb=%v beta=%g", m, k, n, opts.Alg, opts.Curve, ta, tb, beta)
 
-					want := C.Clone()
-					st, err := GEMMCtx(ctx, pools[0], opts, ta, tb, 0.75, A, B, beta, want)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if st.Blocks < 2 {
-						t.Fatalf("%s: %d block(s), want a split", name, st.Blocks)
-					}
-					ref := C.Clone()
-					matrix.RefGEMM(ta, tb, 0.75, A, B, beta, ref)
-					if !matrix.Equal(want, ref, tol(m, k, n)) {
-						t.Errorf("%s: max diff %g against the reference", name, matrix.MaxAbsDiff(want, ref))
-					}
+						want := C.Clone()
+						st, err := GEMMCtx(ctx, pools[0], opts, ta, tb, 0.75, A, B, beta, want)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if st.Blocks < 2 {
+							t.Fatalf("%s: %d block(s), want a split", name, st.Blocks)
+						}
+						ref := C.Clone()
+						matrix.RefGEMM(ta, tb, 0.75, A, B, beta, ref)
+						if !matrix.Equal(want, ref, tol(m, k, n)) {
+							t.Errorf("%s: max diff %g against the reference", name, matrix.MaxAbsDiff(want, ref))
+						}
+						// One worker runs any split as a wave: the deferred side
+						// of the rule, when the shape has one.
+						ms, ks, ns := opts.withDefaults().Tile.SplitDims(m, k, n)
+						deferred := map[byte]int{'A': len(ms) * len(ks), 'B': len(ks) * len(ns)}[sh.deferred]
+						if st.PackDeferred != deferred {
+							t.Fatalf("%s: PackDeferred = %d, want %d", name, st.PackDeferred, deferred)
+						}
 
-					for _, pool := range pools {
-						// same checks one entry point's result, and the plan
-						// its stats describe, against the single-worker call.
-						same := func(what string, got *matrix.Dense, gs *Stats) {
-							t.Helper()
-							if gs.Blocks != st.Blocks || gs.Depth != st.Depth || gs.TileM != st.TileM || gs.TileK != st.TileK || gs.TileN != st.TileN {
-								t.Errorf("%s: %s runs %d blocks of %dx%dx%d tiles at depth %d, per-call %d of %dx%dx%d at depth %d", name, what,
-									gs.Blocks, gs.TileM, gs.TileK, gs.TileN, gs.Depth, st.Blocks, st.TileM, st.TileK, st.TileN, st.Depth)
+						for _, pool := range pools {
+							// same checks one entry point's result, and the plan
+							// its stats describe, against the single-worker call.
+							// Only a per-call wave defers a pack.
+							same := func(what string, got *matrix.Dense, gs *Stats) {
+								t.Helper()
+								if gs.Blocks != st.Blocks || gs.Depth != st.Depth || gs.TileM != st.TileM || gs.TileK != st.TileK || gs.TileN != st.TileN {
+									t.Errorf("%s: %s runs %d blocks of %dx%dx%d tiles at depth %d, per-call %d of %dx%dx%d at depth %d", name, what,
+										gs.Blocks, gs.TileM, gs.TileK, gs.TileN, gs.Depth, st.Blocks, st.TileM, st.TileK, st.TileN, st.Depth)
+								}
+								if what == "GEMMCtx" {
+									if gs.ConvertBytes != st.ConvertBytes || gs.PackDeferred != 0 && gs.PackDeferred != deferred {
+										t.Errorf("%s: %s at %d workers converts %d bytes, %d segments deferred; at one worker %d and %d",
+											name, what, pool.Workers(), gs.ConvertBytes, gs.PackDeferred, st.ConvertBytes, deferred)
+									}
+								} else if gs.PackDeferred != 0 {
+									t.Errorf("%s: %s defers %d packs", name, what, gs.PackDeferred)
+								}
+								if !matrix.Equal(got, want, 0) {
+									t.Errorf("%s: %s bits differ from per-call at %d workers, max diff %g",
+										name, what, pool.Workers(), matrix.MaxAbsDiff(got, want))
+								}
 							}
-							if !matrix.Equal(got, want, 0) {
-								t.Errorf("%s: %s bits differ from per-call at %d workers, max diff %g",
-									name, what, pool.Workers(), matrix.MaxAbsDiff(got, want))
+							got := C.Clone()
+							gs, err := GEMMCtx(ctx, pool, opts, ta, tb, 0.75, A, B, beta, got)
+							if err != nil {
+								t.Fatalf("%s, %d workers: %v", name, pool.Workers(), err)
 							}
-						}
-						got := C.Clone()
-						gs, err := GEMMCtx(ctx, pool, opts, ta, tb, 0.75, A, B, beta, got)
-						if err != nil {
-							t.Fatalf("%s, %d workers: %v", name, pool.Workers(), err)
-						}
-						same("GEMMCtx", got, gs)
+							same("GEMMCtx", got, gs)
+							if cv == layout.ColMajor {
+								continue // the plan and batch entry points take recursive layouts only
+							}
 
-						got = C.Clone()
-						bs, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{TransA: ta, TransB: tb, Alpha: 0.75, A: A, B: B, Beta: beta, C: got}})
-						if err != nil || errs[0] != nil {
-							t.Fatalf("%s, %d workers: GEMMBatch: %v %v", name, pool.Workers(), err, errs)
-						}
-						same("GEMMBatch", got, &bs.Stats)
+							got = C.Clone()
+							bs, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{TransA: ta, TransB: tb, Alpha: 0.75, A: A, B: B, Beta: beta, C: got}})
+							if err != nil || errs[0] != nil {
+								t.Fatalf("%s, %d workers: GEMMBatch: %v %v", name, pool.Workers(), err, errs)
+							}
+							same("GEMMBatch", got, &bs.Stats)
 
-						got = C.Clone()
-						bs, errs, err = GEMMBatchStrided(ctx, pool, opts, ta, tb, m, k, n, 0.75, A.Data, A.Stride, len(A.Data),
-							B.Data, B.Stride, len(B.Data), beta, got.Data, got.Stride, len(got.Data), 1)
-						if err != nil || errs[0] != nil {
-							t.Fatalf("%s, %d workers: GEMMBatchStrided: %v %v", name, pool.Workers(), err, errs)
-						}
-						same("GEMMBatchStrided", got, &bs.Stats)
+							got = C.Clone()
+							bs, errs, err = GEMMBatchStrided(ctx, pool, opts, ta, tb, m, k, n, 0.75, A.Data, A.Stride, len(A.Data),
+								B.Data, B.Stride, len(B.Data), beta, got.Data, got.Stride, len(got.Data), 1)
+							if err != nil || errs[0] != nil {
+								t.Fatalf("%s, %d workers: GEMMBatchStrided: %v %v", name, pool.Workers(), err, errs)
+							}
+							same("GEMMBatchStrided", got, &bs.Stats)
 
-						po := opts
-						po.PartnerDim = n
-						pa, err := Prepack(ctx, pool, po, A, ta)
-						if err != nil {
-							t.Fatalf("%s: Prepack: %v", name, err)
-						}
-						pb, err := PrepackConforming(ctx, pool, opts, B, tb, pa)
-						if err != nil {
-							t.Fatalf("%s: PrepackConforming: %v", name, err)
-						}
-						got = C.Clone()
-						pst, err := GEMMPrepacked(ctx, pool, opts, 0.75, pa, pb, beta, got)
-						pb.Release()
-						if err != nil {
-							t.Fatalf("%s, %d workers: GEMMPrepacked: %v", name, pool.Workers(), err)
-						}
-						same("GEMMPrepacked", got, pst)
+							po := opts
+							po.PartnerDim = n
+							pa, err := Prepack(ctx, pool, po, A, ta)
+							if err != nil {
+								t.Fatalf("%s: Prepack: %v", name, err)
+							}
+							pb, err := PrepackConforming(ctx, pool, opts, B, tb, pa)
+							if err != nil {
+								t.Fatalf("%s: PrepackConforming: %v", name, err)
+							}
+							got = C.Clone()
+							pst, err := GEMMPrepacked(ctx, pool, opts, 0.75, pa, pb, beta, got)
+							pb.Release()
+							if err != nil {
+								t.Fatalf("%s, %d workers: GEMMPrepacked: %v", name, pool.Workers(), err)
+							}
+							same("GEMMPrepacked", got, pst)
 
-						got = C.Clone()
-						bs, errs, err = GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{TransB: tb, Alpha: 0.75, B: B, Beta: beta, C: got}})
-						pa.Release()
-						if err != nil || errs[0] != nil {
-							t.Fatalf("%s, %d workers: GEMMPrepackedBatch: %v %v", name, pool.Workers(), err, errs)
+							got = C.Clone()
+							bs, errs, err = GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{TransB: tb, Alpha: 0.75, B: B, Beta: beta, C: got}})
+							pa.Release()
+							if err != nil || errs[0] != nil {
+								t.Fatalf("%s, %d workers: GEMMPrepackedBatch: %v %v", name, pool.Workers(), err, errs)
+							}
+							same("GEMMPrepackedBatch", got, &bs.Stats)
 						}
-						same("GEMMPrepackedBatch", got, &bs.Stats)
 					}
 				}
 			}
@@ -396,7 +427,7 @@ func TestDeterminismAutoEntryPoints(t *testing.T) {
 			}
 			got = C.Clone()
 			got.Scale(0.5)
-			if err := tc.UnpackAccumulate(ctx, pool, got, 0.75); err != nil {
+			if err := tc.UnpackAccumulate(ctx, pool, got, 0.75, 0.5); err != nil {
 				t.Fatal(err)
 			}
 			same("MulTiledCtx", tst, got, wantW, wst)

@@ -177,6 +177,10 @@ type Stats struct {
 	// second operands derived in-layout from the first (the transposed
 	// pack a symmetric α·A·Aᵀ product folds).
 	PackReused int
+	// PackDeferred counts operand segments packed, each still once and
+	// counted in ConvertBytes, by the one C block of a wave that
+	// multiplies them, into its runner's buffer and not into a plan.
+	PackDeferred int
 	// PoolHits and PoolMisses count tiled-buffer recycling-pool
 	// outcomes for the buffers this call acquired; in steady state
 	// repeated calls of one shape report PoolMisses == 0.
@@ -295,15 +299,17 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 	// buffers: one group, every segment packed once and held for the
 	// call, or — over budget — the groups admission sized (charge.fit),
 	// row panels outermost, the k chain innermost, an operand's packed
-	// group kept for as long as the walk stays on it. Buffers return to
-	// the pool even on failure: every parallel pass drains its tasks
-	// before returning. When op(B) is exactly op(A)ᵀ (SYRK's GEMM over one
-	// matrix in both slots) and the blocks run nested, B's plan is
-	// derived from A's inside the recursive layout instead of re-reading
-	// the strided column-major source.
+	// group kept for as long as the walk stays on it. An operand whose
+	// segments each have one consuming block (charge.deferA, deferB) gets
+	// a plan of no blocks: the block packs them, into its runner's buffer.
+	// Buffers return to the pool even on failure: every parallel pass
+	// drains its tasks before returning. When op(B) is exactly op(A)ᵀ
+	// (SYRK's GEMM over one matrix in both slots) and the blocks run
+	// nested, B's plan is derived from A's inside the recursive layout
+	// instead of re-reading the strided column-major source.
 	gr := pc.groups
 	fold := o.Curve != layout.ColMajor && sameView(A, B) && transA != transB &&
-		pc.g.tm == pc.g.tn && gr == (groups{len(ms), len(ks), len(ns)}) && pc.runners == 0
+		pc.g.tm == pc.g.tn && gr == (groups{len(ms), len(ks), len(ns)}) && pc.runners == 0 && !pc.ch.deferA
 	pm := planMul{alg: pc.alg, alpha: alpha, C: C}
 	defer func() { pm.pa.Release(); pm.pb.Release() }()
 	type corner struct{ r, c int } // a packed group, by its first segments
@@ -318,7 +324,7 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 					if at := (corner{i, q}); heldA != at {
 						pm.pa.Release()
 						heldA = at
-						if pm.pa, err = packPlan(ctx, pool, co.tr, stats, pc.g.hdrA(), rows, inner, A, transA); err != nil {
+						if pm.pa, err = packPlan(ctx, pool, co.tr, stats, pc.g.hdrA(), rows, inner, A, transA, pc.ch.deferA); err != nil {
 							return err
 						}
 					}
@@ -329,7 +335,7 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 							stats.PackReused += len(ks) * len(ns)
 							pm.pb, err = pm.pa.transposed(ctx, pool, stats)
 						} else {
-							pm.pb, err = packPlan(ctx, pool, co.tr, stats, pc.g.hdrB(), inner, cols, B, transB)
+							pm.pb, err = packPlan(ctx, pool, co.tr, stats, pc.g.hdrB(), inner, cols, B, transB, pc.ch.deferB)
 						}
 					}
 					return err
@@ -337,6 +343,10 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 				stats.ConvertIn += time.Since(t0)
 				if err == nil {
 					var nd int
+					// Only a block's first k group finds C as β left it.
+					if pm.beta = beta; q > 0 {
+						pm.beta = 1
+					}
 					nd, err = pm.run(ctx, pool, pc, stats, o.TraceID)
 					done += nd
 				}

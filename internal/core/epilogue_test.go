@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestUnpackAccumulateDifferential(t *testing.T) {
 				dst0 := matrix.Random(rows, cols, rng)
 
 				got := dst0.Clone()
-				if err := tl.UnpackAccumulate(context.Background(), pool, got, alpha); err != nil {
+				if err := tl.UnpackAccumulate(context.Background(), pool, got, alpha, 1); err != nil {
 					t.Fatal(err)
 				}
 
@@ -58,6 +59,51 @@ func TestUnpackAccumulateDifferential(t *testing.T) {
 				if !matrix.Equal(got, want, 0) {
 					t.Errorf("%v %v alpha=%g: fused epilogue diverges (max diff %g)",
 						cv, dims, alpha, matrix.MaxAbsDiff(got, want))
+				}
+			}
+		}
+	}
+}
+
+// TestUnpackAccumulateBetaZeroStores: told that dst was scaled by
+// β = 0, the epilogue stores 0 + α·t without reading dst. That must be
+// the value the accumulate form leaves in a zeroed dst — across fringes,
+// for the α values the walk specializes, and where the product is
+// exactly zero, which α = −1 turns into the −0 the explicit sum folds
+// back to +0 — and it must not read dst: whatever non-finite garbage a
+// β = 0 caller left there is gone, as BLAS specifies.
+func TestUnpackAccumulateBetaZeroStores(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(23))
+	rows, cols := 33, 17
+	src := matrix.Random(rows, cols, rng)
+	for j := 0; j < cols; j++ { // a block of exact zeros, fringe included
+		for i := 20; i < rows; i++ {
+			src.Set(i, j, 0)
+		}
+	}
+	for _, cv := range []layout.Curve{layout.ZMorton, layout.Hilbert} {
+		tl := NewTiled(cv, 2, 9, 5, rows, cols)
+		if err := tl.Pack(context.Background(), pool, src, false, 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, alpha := range []float64{1, -1, 0.5} {
+			want := matrix.New(rows, cols)
+			if err := tl.UnpackAccumulate(context.Background(), pool, want, alpha, 1); err != nil {
+				t.Fatal(err)
+			}
+			got := matrix.Random(rows, cols, rng)
+			got.Set(3, 3, math.NaN())
+			if err := tl.UnpackAccumulate(context.Background(), pool, got, alpha, 0); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < cols; j++ {
+				for i := 0; i < rows; i++ {
+					if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%v alpha=%g: (%d,%d) stored %v (%#x), accumulated into zeros %v (%#x)",
+							cv, alpha, i, j, g, math.Float64bits(g), w, math.Float64bits(w))
+					}
 				}
 			}
 		}
@@ -91,8 +137,10 @@ func TestGEMMFusedEpilogueBetaSweep(t *testing.T) {
 
 					got := C.Clone()
 					opts := Options{Curve: cv, Alg: Standard, Tile: testTile}
-					if _, err := GEMM(pool, opts, ta, tb, 0.75, A, B, beta, got); err != nil {
+					if st, err := GEMM(pool, opts, ta, tb, 0.75, A, B, beta, got); err != nil {
 						t.Fatalf("%v ta=%v tb=%v beta=%g: %v", cv, ta, tb, beta, err)
+					} else if st.Blocks != 1 || st.PackDeferred != 0 {
+						t.Errorf("%v: %d blocks, %d packs deferred; a single block packs up front", cv, st.Blocks, st.PackDeferred)
 					}
 					if !matrix.Equal(got, want, tol(m, k, n)) {
 						t.Errorf("%v ta=%v tb=%v beta=%g: max diff %g",

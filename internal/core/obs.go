@@ -19,15 +19,19 @@ import (
 // the driver was already paying for its Stats timers.
 
 // The whole-call gemm span carries the resolved algorithm (offset by
-// one so a failed call's zero arg stays "no metadata") and, above it,
-// the fast levels it ran and the cutoff they ran to; the formatter
-// turns the arg back into "winograd cutoff=32 levels=1" in the Chrome
-// export.
+// one so a failed call's zero arg stays "no metadata"), above it the
+// fast levels it ran and the cutoff they ran to (24 bits), and above
+// those the operand segments its blocks packed themselves; the formatter
+// turns the arg back into "winograd cutoff=32 levels=1 deferred=64" in
+// the Chrome export.
 func init() {
 	obs.SetArgFormatter(obs.KindGEMM, func(v int64) string {
 		name := Alg(v&0x1ff - 1).String()
-		if cutoff := v >> 16; cutoff > 0 {
-			return fmt.Sprintf("%s cutoff=%d levels=%d", name, cutoff, v>>9&0x7f)
+		if cutoff := v >> 16 & 0xffffff; cutoff > 0 {
+			name = fmt.Sprintf("%s cutoff=%d levels=%d", name, cutoff, v>>9&0x7f)
+		}
+		if deferred := v >> 40; deferred > 0 {
+			name = fmt.Sprintf("%s deferred=%d", name, deferred)
 		}
 		return name
 	})
@@ -40,7 +44,7 @@ func gemmSpanArg(stats *Stats) int64 {
 	if stats == nil {
 		return 0
 	}
-	return int64(stats.Alg) + 1 | int64(stats.FastLevels)<<9 | int64(stats.FastCutoff)<<16
+	return int64(stats.Alg) + 1 | int64(stats.FastLevels)<<9 | int64(min(stats.FastCutoff, 0xffffff))<<16 | int64(stats.PackDeferred)<<40
 }
 
 // phase wraps one driver phase (convert-in, compute, convert-out) in a
@@ -98,6 +102,7 @@ const (
 	metricPoolHits           = "pool_hits"
 	metricPoolMisses         = "pool_misses"
 	metricPackReused         = "pack_reused"
+	metricPackDeferred       = "pack_deferred"
 	metricConvertBytes       = "convert_bytes"
 	metricArenaFallbackBytes = "arena_fallback_bytes"
 	metricSchedSpawns        = "sched_spawns"
@@ -154,6 +159,7 @@ func recordCallMetrics(m *obs.Registry, stats *Stats, err error, wall time.Durat
 	m.Counter(metricPoolHits).Add(int64(stats.PoolHits))
 	m.Counter(metricPoolMisses).Add(int64(stats.PoolMisses))
 	m.Counter(metricPackReused).Add(int64(stats.PackReused))
+	m.Counter(metricPackDeferred).Add(int64(stats.PackDeferred))
 	m.Counter(metricConvertBytes).Add(stats.ConvertBytes)
 	m.Counter(metricArenaFallbackBytes).Add(stats.AllocBytes)
 	m.Counter(metricSchedSpawns).Add(stats.Spawns)

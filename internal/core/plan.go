@@ -126,21 +126,31 @@ func (g geom) hdr(gr, gc, tr, tc int) Tiled {
 func (g geom) hdrA() Tiled { return g.hdr(g.gm, g.gk, g.tm, g.tk) }
 func (g geom) hdrB() Tiled { return g.hdr(g.gk, g.gn, g.tk, g.tn) }
 
-// charge prices a call of ms×ks×ns segments on this geometry. An operand
-// of a resident plan (resA, resB) stays off the bill; inflight is how
-// many product tiles a parallel rung holds at once. Who presents the
-// bill names it (charge.what).
-func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, inflight int) charge {
+// charge prices a call of ms×ks×ns segments on this geometry, run as a
+// wave of runners tasks (zero: nested). An operand of a resident plan
+// (resA, resB) stays off the bill. One column of C blocks consumes every
+// A segment exactly once, one row every B segment: in a wave such an
+// operand has no plan either — each block packs the segments it
+// multiplies (Prepacked.mat) — and is billed one segment per product
+// tile in flight. Who presents the bill names it (charge.what).
+func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, runners int) charge {
 	mp, kp, np := int64(g.gm*g.tm), int64(g.gk*g.tk), int64(g.gn*g.tn)
-	ch := charge{perBlock: mp * np, inflight: inflight, scratch: g.tm*g.tk + g.tk*g.tn,
-		plan: groups{len(ms), len(ks), len(ns)},
+	ch := charge{perBlock: mp * np, inflight: max(runners, 1), scratch: g.tm*g.tk + g.tk*g.tn,
+		plan:   groups{len(ms), len(ks), len(ns)},
+		deferA: runners > 0 && !resA && len(ns) == 1, deferB: runners > 0 && !resB && len(ms) == 1,
 		arena: func(alg Alg) int64 {
 			return arenaStackElems(alg, g.gm, g.gk, g.gn, g.tm, g.tk, g.tn, fastCutoff)
 		}}
-	if !resA {
+	switch {
+	case ch.deferA:
+		ch.perBlock += mp * kp
+	case !resA:
 		ch.segA = mp * kp
 	}
-	if !resB {
+	switch {
+	case ch.deferB:
+		ch.perBlock += kp * np
+	case !resB:
 		ch.segB = kp * np
 	}
 	return ch
@@ -230,7 +240,7 @@ func prepare(pool *sched.Pool, o Options, co callObs, g geom, ms, ks, ns []tile.
 	if asWave(len(ms)*len(ns), pool.Workers()) {
 		runners = pool.Workers()
 	}
-	ch := g.charge(r.cutoff, ms, ks, ns, resident, resident, max(runners, 1))
+	ch := g.charge(r.cutoff, ms, ks, ns, resident, resident, runners)
 	ch.what = func() string {
 		return fmt.Sprintf("%dx%dx%d", int64(g.gm*g.tm)*int64(len(ms)), int64(g.gk*g.tk)*int64(len(ks)), int64(g.gn*g.tn)*int64(len(ns)))
 	}
@@ -303,8 +313,11 @@ var errRunCancelled = errors.New("core: run cancelled")
 // planMul is one plan product C += α·A·B: both operands packed into
 // conforming plans, C β-scaled already.
 type planMul struct {
-	alg    Alg
-	alpha  float64
+	alg   Alg
+	alpha float64
+	// beta is what C was scaled by before this product; the epilogue
+	// stores into a C that β = 0 left all zeros and accumulates otherwise.
+	beta   float64
 	pa, pb *Prepacked
 	C      *matrix.Dense
 	// reused counts the operand packs a resident plan serves per
@@ -324,8 +337,8 @@ type planMul struct {
 func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i, j int, ws *waveWS) error {
 	pa, pb, e, alg := pm.pa, pm.pb, &ws.e, pm.alg
 	sm, sn := pa.RSegs[i], pb.CSegs[j]
-	tc, hdr := &ws.tc, pa.blocks[0]
-	hdr.TC, hdr.gc = pb.TC, pb.blocks[0].gc
+	tc, hdr := &ws.tc, pa.hdr
+	hdr.TC, hdr.gc = pb.TC, pb.hdr.gc
 	tc.refit(&ws.stats, hdr, sm.Len, sn.Len)
 	t0 := time.Now()
 	if c != nil {
@@ -344,9 +357,11 @@ func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i,
 	t1 := time.Now()
 	ws.stats.ConvertIn += t1.Sub(t0)
 
-	cm := tc.Mat()
+	// A deferred operand's segment is packed here, by its one consumer,
+	// into the runner's buffer; mat bills that to ConvertIn.
+	cm, in0 := tc.Mat(), ws.stats.ConvertIn
 	for kk := range pa.CSegs {
-		am, bm := pa.Block(i, kk).Mat(), pb.Block(kk, j).Mat()
+		am, bm := pa.mat(c, ws, &ws.one[0], i, kk), pb.mat(c, ws, &ws.one[1], kk, j)
 		if c != nil {
 			e.mul(c, alg, cm, am, bm)
 			if c.Cancelled() {
@@ -369,7 +384,7 @@ func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i,
 		ws.stats.PackReused += pm.reused
 	}
 	t2 := time.Now()
-	ws.stats.Compute += t2.Sub(t1)
+	ws.stats.Compute += t2.Sub(t1) - (ws.stats.ConvertIn - in0)
 
 	// A view per branch: the serial one never leaves this frame, so a
 	// wave task's block allocates nothing.
@@ -378,11 +393,11 @@ func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i,
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
-		err = tc.unpackAccumulateSerial(pm.C.View(sm.Off, sn.Off, sm.Len, sn.Len), pm.alpha)
+		err = tc.unpackAccumulateSerial(pm.C.View(sm.Off, sn.Off, sm.Len, sn.Len), pm.alpha, pm.beta)
 	} else {
 		Cv := pm.C.View(sm.Off, sn.Off, sm.Len, sn.Len)
 		err = e.phase(ctx, obs.KindConvertOut, "recmat.convert-out", func() error {
-			return tc.UnpackAccumulate(context.Background(), pool, Cv, pm.alpha)
+			return tc.UnpackAccumulate(context.Background(), pool, Cv, pm.alpha, pm.beta)
 		})
 	}
 	ws.stats.ConvertOut += time.Since(t2)
@@ -422,10 +437,11 @@ func (pm *planMul) run(ctx context.Context, pool *sched.Pool, pc *prepared, stat
 // waveWS is one runner's workspace: its private copy of the execution
 // parameters (a batched wave swaps each member's kernel and cutoff in
 // without racing the other runners), the product tile, and — for a
-// batch member — the transient plans its operands are packed into.
-// Buffers persist across the steps a runner executes: acquired on first
-// use, regrown only for a larger size class, and returned to the pool
-// once, when the runner drains.
+// batch member — the transient plans its operands are packed into; a
+// deferred operand's segments are packed, one at a time, into the same
+// first blocks (one). Buffers persist across the steps a runner
+// executes: acquired on first use, regrown only for a larger size class,
+// and returned to the pool once, when the runner drains.
 type waveWS struct {
 	e      exec
 	err    error // the step error that stopped the runner
@@ -529,4 +545,5 @@ func (s *Stats) merge(ws *Stats) {
 	s.PoolHits += ws.PoolHits
 	s.PoolMisses += ws.PoolMisses
 	s.PackReused += ws.PackReused
+	s.PackDeferred += ws.PackDeferred
 }

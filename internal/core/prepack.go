@@ -44,6 +44,13 @@ type Prepacked struct {
 	RSegs, CSegs []tile.Seg
 	blocks       []Tiled
 	released     bool
+	// hdr is the blocks' full header (canonical storage's grid included).
+	hdr Tiled
+	// src, when non-nil, marks a deferred plan: it holds no blocks, and
+	// segment (i, j) of op(src) is packed at first touch by the one C
+	// block that multiplies it (mat).
+	src   *matrix.Dense
+	trans bool
 }
 
 // Prepack converts op(src) into a recursive-layout plan: segments from
@@ -86,7 +93,7 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 	if err != nil {
 		return nil, err
 	}
-	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs, src, trans)
+	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs, src, trans, false)
 }
 
 // PackTiled converts src into one tiled matrix on opts.Curve, the
@@ -138,7 +145,7 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 	if err != nil {
 		return nil, err
 	}
-	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: like.D, TR: like.TC, TC: tc}, like.CSegs, cs, src, trans)
+	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: like.D, TR: like.TC, TC: tc}, like.CSegs, cs, src, trans, false)
 }
 
 // conformSegs cuts the free dimension, of extent c, of a right-hand
@@ -184,15 +191,23 @@ func maxSegLen(segs []tile.Seg) int {
 	return m
 }
 
+// newPlan is the empty plan of hdr's geometry over rs×cs segments.
+func newPlan(hdr Tiled, rs, cs []tile.Seg) *Prepacked {
+	return &Prepacked{Curve: hdr.Curve, D: hdr.D, TR: hdr.TR, TC: hdr.TC, Rows: segsLen(rs), Cols: segsLen(cs),
+		RSegs: rs, CSegs: cs, hdr: hdr}
+}
+
 // packPlan builds and fills a plan over fixed geometry (hdr) and
 // segments: every segment pair packed exactly once, unscaled, into a
-// pooled buffer. The nesting rule is the block wave's (asWave): enough
+// pooled buffer — up front, here, or (deferred: every segment has a
+// single consuming C block) by that block when it runs, so nothing is
+// packed yet. The nesting rule is the block wave's (asWave): enough
 // segments pack as tasks of one pool.RunCtx, each serial inside; fewer
 // pack in turn, each pool-parallel over its tiles. tr is the calling
 // entry point's tracer, captured once; stats, when non-nil, is charged
 // the conversion (a transient per-call plan).
 func packPlan(ctx context.Context, pool *sched.Pool, tr *obs.Tracer, stats *Stats, hdr Tiled,
-	rs, cs []tile.Seg, src *matrix.Dense, trans bool) (p *Prepacked, err error) {
+	rs, cs []tile.Seg, src *matrix.Dense, trans, deferred bool) (p *Prepacked, err error) {
 
 	if pool == nil {
 		tp := sched.NewPool(0)
@@ -201,8 +216,11 @@ func packPlan(ctx context.Context, pool *sched.Pool, tr *obs.Tracer, stats *Stat
 	} else if pool.Closed() {
 		return nil, sched.ErrPoolClosed
 	}
-	p = &Prepacked{Curve: hdr.Curve, D: hdr.D, TR: hdr.TR, TC: hdr.TC, Rows: segsLen(rs), Cols: segsLen(cs),
-		RSegs: rs, CSegs: cs, blocks: make([]Tiled, len(rs)*len(cs))}
+	if p = newPlan(hdr, rs, cs); deferred {
+		p.src, p.trans = src, trans
+		return p, nil
+	}
+	p.blocks = make([]Tiled, len(rs)*len(cs))
 	defer func() {
 		if err != nil {
 			p.Release()
@@ -256,6 +274,31 @@ func segsLen(segs []tile.Seg) int {
 // Block returns the packed Tiled covering (RSegs[i], CSegs[j]).
 func (p *Prepacked) Block(i, j int) *Tiled { return &p.blocks[i*len(p.CSegs)+j] }
 
+// mat returns segment (i, j) as the recursion reads it: the resident
+// block, or — a deferred plan — op(src)'s segment packed now, unscaled
+// and serially, into buf, the consuming runner's reused workspace, so
+// the recursion finds it in that worker's cache. ws is billed the
+// conversion.
+func (p *Prepacked) mat(c *sched.Ctx, ws *waveWS, buf *Tiled, i, j int) Mat {
+	if p.src == nil {
+		return p.Block(i, j).Mat()
+	}
+	t0 := time.Now()
+	buf.refit(&ws.stats, p.hdr, p.RSegs[i].Len, p.CSegs[j].Len)
+	v := opView(p.src, p.trans, p.RSegs[i], p.CSegs[j])
+	if err := buf.packSerial(&v, p.trans, 1); err != nil {
+		panic(err) // geometry bug: the header was built to cover the segment
+	}
+	d := time.Since(t0)
+	if tr := ws.e.tr; tr != nil && c != nil {
+		tr.Span(c.WorkerID(), obs.KindPack, t0, d, int64(buf.tiles()))
+	}
+	ws.stats.ConvertIn += d
+	ws.stats.ConvertBytes += 8 * int64(len(buf.Data))
+	ws.stats.PackDeferred++
+	return buf.Mat()
+}
+
 // Bytes returns the total packed storage the plan holds.
 func (p *Prepacked) Bytes() int64 {
 	var n int64
@@ -291,8 +334,8 @@ func (p *Prepacked) repack(stats *Stats, hdr Tiled, rs, cs []tile.Seg, src *matr
 	if n := len(rs) * len(cs); n > len(blocks) {
 		blocks = append(blocks, make([]Tiled, n-len(blocks))...)
 	}
-	*p = Prepacked{Curve: hdr.Curve, D: hdr.D, TR: hdr.TR, TC: hdr.TC, Rows: segsLen(rs), Cols: segsLen(cs),
-		RSegs: rs, CSegs: cs, blocks: blocks[:len(rs)*len(cs)]}
+	*p = *newPlan(hdr, rs, cs)
+	p.blocks = blocks[:len(rs)*len(cs)]
 	for b := range p.blocks {
 		t, r, c := &p.blocks[b], rs[b/len(cs)], cs[b%len(cs)]
 		t.refit(stats, hdr, r.Len, c.Len)
@@ -333,15 +376,15 @@ func (p *Prepacked) Transposed(ctx context.Context, pool *sched.Pool) (q *Prepac
 // transposed is Transposed past validation; stats, when non-nil, is the
 // per-call driver's (it derives a transient B plan from A's this way).
 func (p *Prepacked) transposed(ctx context.Context, pool *sched.Pool, stats *Stats) (q *Prepacked, err error) {
-	q = &Prepacked{Curve: p.Curve, D: p.D, TR: p.TC, TC: p.TR, Rows: p.Cols, Cols: p.Rows,
-		RSegs: p.CSegs, CSegs: p.RSegs, blocks: make([]Tiled, len(p.blocks))}
+	hdr := Tiled{Curve: p.Curve, D: p.D, TR: p.TC, TC: p.TR}
+	q = newPlan(hdr, p.CSegs, p.RSegs)
+	q.blocks = make([]Tiled, len(p.blocks))
 	defer func() {
 		if err != nil {
 			q.Release()
 			q = nil
 		}
 	}()
-	hdr := Tiled{Curve: q.Curve, D: q.D, TR: q.TR, TC: q.TC}
 	for i, sr := range q.RSegs {
 		for j, sc := range q.CSegs {
 			t := q.Block(i, j)
@@ -455,7 +498,7 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 	if alpha == 0 {
 		return stats, nil
 	}
-	pm := planMul{alg: pc.alg, alpha: alpha, pa: pa, pb: pb, C: C, reused: 2}
+	pm := planMul{alg: pc.alg, alpha: alpha, beta: beta, pa: pa, pb: pb, C: C, reused: 2}
 	if done, err := pm.run(ctx, pool, pc, stats, o.TraceID); err != nil {
 		return nil, fmt.Errorf("core: GEMMPrepacked failed after %d of %d blocks: %w",
 			done, len(pa.RSegs)*len(pb.CSegs), err)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -242,6 +243,7 @@ func (t *Tiled) Pack(ctx context.Context, pool *sched.Pool, src *matrix.Dense, t
 // of the wave drivers, whose tasks already execute on pool workers and
 // therefore must not re-enter pool.RunCtx.
 func (t *Tiled) packTiles(src *matrix.Dense, trans bool, alpha float64, coords []uint32, lo, hi int) {
+	faultinject.Point("core.pack")
 	for s := lo; s < hi; s++ {
 		i0, j0, base, ld := t.tileAt(s, coords)
 		for jj := 0; jj < t.TC; jj++ {
@@ -333,21 +335,24 @@ func (t *Tiled) Unpack(ctx context.Context, pool *sched.Pool, dst *matrix.Dense)
 // this replaces the old pack-C / compute / unpack-C round-trip — C is
 // read and written exactly once, alpha is applied for free during the
 // stream, and dst stays untouched (β-scaled) until the block's compute
-// has fully succeeded. Parallelized over tiles like Unpack.
-func (t *Tiled) UnpackAccumulate(ctx context.Context, pool *sched.Pool, dst *matrix.Dense, alpha float64) error {
+// has fully succeeded. beta is what dst was scaled by: after β = 0 it
+// holds nothing the result may depend on (BLAS reads no C then), and the
+// walk stores 0 + alpha·t without reading it.
+// Parallelized over tiles like Unpack.
+func (t *Tiled) UnpackAccumulate(ctx context.Context, pool *sched.Pool, dst *matrix.Dense, alpha, beta float64) error {
 	if dst.Rows != t.Rows || dst.Cols != t.Cols {
 		return fmt.Errorf("core: unpack tiled %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols)
 	}
 	coords := t.coords()
 	return runChunks(ctx, pool, t.tiles(), obs.KindUnpack, func(lo, hi int) {
-		t.unpackAccumulateTiles(dst, alpha, coords, lo, hi)
+		t.unpackAccumulateTiles(dst, alpha, beta, coords, lo, hi)
 	})
 }
 
 // unpackAccumulateTiles accumulates tiles [lo, hi) of the curve walk
 // into dst — the serial body UnpackAccumulate parallelizes over the
 // pool, shared with the batched wave driver (see packTiles).
-func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha float64, coords []uint32, lo, hi int) {
+func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha, beta float64, coords []uint32, lo, hi int) {
 	for s := lo; s < hi; s++ {
 		i0, j0, base, ld := t.tileAt(s, coords)
 		if i0 >= t.Rows || j0 >= t.Cols {
@@ -364,11 +369,18 @@ func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha float64, coords [
 		for jj := 0; jj < vc; jj++ {
 			dcol := dst.Data[(j0+jj)*dst.Stride+i0 : (j0+jj)*dst.Stride+i0+vr]
 			scol := t.Data[base+jj*ld : base+jj*ld+vr]
-			if alpha == 1 {
+			switch {
+			case beta == 0:
+				// The sum the accumulate form makes with a zero, so a
+				// product of -0 still lands as +0.
+				for ii := range dcol {
+					dcol[ii] = 0 + alpha*scol[ii]
+				}
+			case alpha == 1:
 				for ii := range dcol {
 					dcol[ii] += scol[ii]
 				}
-			} else {
+			default:
 				for ii := range dcol {
 					dcol[ii] += alpha * scol[ii]
 				}
@@ -379,11 +391,11 @@ func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha float64, coords [
 
 // unpackAccumulateSerial is UnpackAccumulate on the calling goroutine —
 // the epilogue primitive of the batched wave driver (see packSerial).
-func (t *Tiled) unpackAccumulateSerial(dst *matrix.Dense, alpha float64) error {
+func (t *Tiled) unpackAccumulateSerial(dst *matrix.Dense, alpha, beta float64) error {
 	if dst.Rows != t.Rows || dst.Cols != t.Cols {
 		return fmt.Errorf("core: unpack tiled %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols)
 	}
-	t.unpackAccumulateTiles(dst, alpha, t.coords(), 0, t.tiles())
+	t.unpackAccumulateTiles(dst, alpha, beta, t.coords(), 0, t.tiles())
 	return nil
 }
 
