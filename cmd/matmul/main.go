@@ -128,8 +128,8 @@ func main() {
 		100*float64(best.ConvertIn+best.ConvertOut)/float64(best.Total()))
 	fmt.Printf("work=%.3g flops  span=%.3g flops  parallelism=%.1f\n",
 		best.Work, best.Span, best.Parallelism())
-	fmt.Printf("sched: spawns=%d steals=%d inline=%d  utilization=%.1f%%\n",
-		best.Spawns, best.Steals, best.Inline, 100*best.Utilization)
+	fmt.Printf("sched: spawns=%d steals=%d inline=%d parks=%d wakes=%d  utilization=%.1f%%\n",
+		best.Spawns, best.Steals, best.Inline, best.Parks, best.Wakes, 100*best.Utilization)
 
 	if *verify {
 		t0 := time.Now()

@@ -185,12 +185,15 @@ type Stats struct {
 	// outcomes for the buffers this call acquired; in steady state
 	// repeated calls of one shape report PoolMisses == 0.
 	PoolHits, PoolMisses int
-	// Spawns, Steals, and Inline are the scheduler-counter deltas over
-	// the call: tasks pushed to deques, tasks executed by a worker other
-	// than their spawner, and frames run directly at their spawn site.
-	// The counters are pool-global, so with concurrent callers on one
-	// pool the deltas apportion approximately; they are clamped at zero.
-	Spawns, Steals, Inline int64
+	// Spawns, Steals, Inline, Parks and Wakes are the scheduler-counter
+	// deltas over the call: tasks pushed to deques, tasks executed by a
+	// worker other than their spawner, frames run directly at their
+	// spawn site, times a worker out of work blocked until an event, and
+	// spawns that woke one. Parks well above the wave count say workers
+	// sat idle inside the call. The counters are pool-global, so with
+	// concurrent callers on one pool the deltas apportion approximately;
+	// they are clamped at zero.
+	Spawns, Steals, Inline, Parks, Wakes int64
 	// Utilization is the fraction of worker·wall time the pool spent
 	// executing tasks during the call — busy worker-nanoseconds over
 	// workers × call wall time, in (0, 1] for any call that ran work.

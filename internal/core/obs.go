@@ -85,6 +85,8 @@ func finishStats(s *Stats, pool *sched.Pool, c0 callStart) {
 	s.Spawns = max(0, c1.Spawns-c0.sched.Spawns)
 	s.Steals = max(0, c1.Steals-c0.sched.Steals)
 	s.Inline = max(0, c1.Inline-c0.sched.Inline)
+	s.Parks = max(0, c1.Parks-c0.sched.Parks)
+	s.Wakes = max(0, c1.Wakes-c0.sched.Wakes)
 	wall := time.Since(c0.t0).Nanoseconds()
 	if w := pool.Workers(); w > 0 && wall > 0 {
 		u := float64(pool.BusyNanos()-c0.busy) / (float64(w) * float64(wall))
@@ -108,6 +110,8 @@ const (
 	metricSchedSpawns        = "sched_spawns"
 	metricSchedSteals        = "sched_steals"
 	metricSchedInline        = "sched_inline"
+	metricSchedParks         = "sched_parks"
+	metricSchedWakes         = "sched_wakes"
 	metricConvertInSeconds   = "convert_in_seconds"
 	metricComputeSeconds     = "compute_seconds"
 	metricConvertOutSeconds  = "convert_out_seconds"
@@ -165,6 +169,8 @@ func recordCallMetrics(m *obs.Registry, stats *Stats, err error, wall time.Durat
 	m.Counter(metricSchedSpawns).Add(stats.Spawns)
 	m.Counter(metricSchedSteals).Add(stats.Steals)
 	m.Counter(metricSchedInline).Add(stats.Inline)
+	m.Counter(metricSchedParks).Add(stats.Parks)
+	m.Counter(metricSchedWakes).Add(stats.Wakes)
 	m.Histogram(metricConvertInSeconds, obs.SecondsBuckets).Observe(stats.ConvertIn.Seconds())
 	m.Histogram(metricComputeSeconds, obs.SecondsBuckets).Observe(stats.Compute.Seconds())
 	m.Histogram(metricConvertOutSeconds, obs.SecondsBuckets).Observe(stats.ConvertOut.Seconds())

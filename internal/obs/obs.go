@@ -97,6 +97,10 @@ const (
 	// recorded on the worker track that executed it; arg is the
 	// owning request's trace serial (0 for unattributed items).
 	KindWaveItem
+	// KindPark is one interval a worker spent parked — out of work and
+	// blocked until a spawn, a root task or the end of the join it was
+	// syncing on. On a worker track it is the gap before a late task.
+	KindPark
 	numKinds
 )
 
@@ -123,6 +127,7 @@ var kindNames = [numKinds]string{
 	KindGather:        "coalesce-gather",
 	KindSerialize:     "serialize",
 	KindWaveItem:      "wave-item",
+	KindPark:          "park",
 }
 
 // String returns the event name used in the Chrome trace.

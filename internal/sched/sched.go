@@ -22,6 +22,38 @@
 // cancellation — workers check the run's cancellation state between
 // tasks and at every spawn point, so a cancelled run drains within a
 // bounded latency instead of finishing its full task graph.
+//
+// # Parking
+//
+// Nothing here waits on a timer. A worker whose top-level loop or sync
+// loop has found nothing for its spin budget parks (worker.park): it
+// adds itself to Pool.parked, sweeps once more — own deque, every other
+// deque, the injection queue — and blocks on the pool's wake channel
+// and the injection queue; the top-level loop also on Pool.done, a sync
+// loop also on its worker's joined channel, which join.finish signals
+// when the last child retires. worker.push appends under the deque
+// lock, then loads parked, and when it is non-zero hands the wake
+// channel one token without blocking.
+//
+// No wake-up is lost. Atomics are sequentially consistent, so of a
+// parker's parked.Add(1) and a pusher's parked.Load() one is first. If
+// the Load is, then append → Load → Add → sweep: the sweep, which visits
+// every other deque exactly once under the lock the append held, takes
+// the task or leaves it to a worker that is awake. If the Add is, the
+// pusher reads parked != 0 and sends; the channel has a slot per worker,
+// so a send fails only when as many tokens wait as workers could be
+// parked. With join.sleeper for parked and join.pending for the deque
+// the same argument covers a sync loop and its join's last child. A
+// token may outlive its use (the parker found the task itself, or two
+// pushes woke one worker): whoever takes it sweeps, finds nothing and
+// parks again, at most Workers() times, and an idle pool falls silent.
+//
+// A parked sync loop still takes root tasks: a frame waiting for a long
+// child is a worker like any other, and a pool whose syncing workers
+// refused roots would serve concurrent callers with fewer workers than
+// it has. It does not watch Pool.done: the children it waits for are
+// running on other workers and retire through join.finish whatever
+// happens to the pool — on Close, cancellation and panic alike.
 package sched
 
 import (
@@ -49,6 +81,10 @@ type Pool struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 	closed  atomic.Bool
+	// wake carries a token per spawn that found a worker parked (one
+	// slot per worker); parked counts the workers inside park.
+	wake   chan struct{}
+	parked atomic.Int32
 
 	// Runtime counters (the analogue of the Cilk instrumentation the
 	// paper's critique discusses). Updated with atomics; read with
@@ -56,6 +92,8 @@ type Pool struct {
 	spawns atomic.Int64 // tasks pushed to a deque
 	steals atomic.Int64 // tasks taken from another worker's deque
 	inline atomic.Int64 // first-child frames run inline at the spawn site
+	parks  atomic.Int64 // times a worker blocked in park
+	wakes  atomic.Int64 // wake tokens handed over by push
 }
 
 // PoolStats is a snapshot of the pool's scheduling counters.
@@ -69,11 +107,19 @@ type PoolStats struct {
 	Steals int64
 	// Inline counts frames executed directly at their spawn site.
 	Inline int64
+	// Parks counts the times a worker out of work blocked until an
+	// event: a spawn, a root task, the end of its join, or Close.
+	Parks int64
+	// Wakes counts spawns that handed a parked worker a wake token;
+	// the other parks were ended by a root or a join. An idle pool
+	// advances neither.
+	Wakes int64
 }
 
 // Stats returns a snapshot of the scheduling counters.
 func (p *Pool) Stats() PoolStats {
-	return PoolStats{Spawns: p.spawns.Load(), Steals: p.steals.Load(), Inline: p.inline.Load()}
+	return PoolStats{Spawns: p.spawns.Load(), Steals: p.steals.Load(), Inline: p.inline.Load(),
+		Parks: p.parks.Load(), Wakes: p.wakes.Load()}
 }
 
 // ResetStats zeroes the scheduling counters.
@@ -81,6 +127,8 @@ func (p *Pool) ResetStats() {
 	p.spawns.Store(0)
 	p.steals.Store(0)
 	p.inline.Store(0)
+	p.parks.Store(0)
+	p.wakes.Store(0)
 }
 
 // task is one spawned unit of work. ctx is bound to the executing worker
@@ -110,10 +158,12 @@ func newTask(fn func(*Ctx), j *join, ctx *Ctx) *task {
 // worker that retires the last child, so the caller blocks on a channel
 // instead of burning a busy-polling waiter goroutine; Parallel joins
 // leave donec nil and sync through the help-first loop, which is itself
-// a worker.
+// a worker: when that loop parks it names its worker in sleeper, and
+// the last child signals that worker's joined channel.
 type join struct {
 	pending atomic.Int64
 	donec   chan struct{}
+	sleeper atomic.Pointer[worker]
 	panicMu sync.Mutex
 	panics  []*PanicError
 }
@@ -136,10 +186,20 @@ func (j *join) recordPanic(v any, stack []byte) {
 }
 
 // finish retires one child; the last one out closes the completion
-// channel (root joins only).
+// channel (root joins) or wakes the sync loop parked on the join. A
+// full slot is a signal already waiting for that worker, which re-reads
+// pending whenever it wakes.
 func (j *join) finish() {
-	if j.pending.Add(-1) == 0 && j.donec != nil {
+	if j.pending.Add(-1) != 0 {
+		return
+	}
+	if j.donec != nil {
 		close(j.donec)
+	} else if w := j.sleeper.Load(); w != nil {
+		select {
+		case w.joined <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -196,6 +256,8 @@ type worker struct {
 	mu   sync.Mutex
 	dq   []*task // owner pushes/pops at the tail; thieves steal the head
 	seed uint64
+	// joined wakes this worker's parked sync loop (join.finish).
+	joined chan struct{}
 	// slot is worker-local storage handed out through Ctx.WorkerSlot;
 	// only the owning worker touches it, so no locking.
 	slot any
@@ -239,10 +301,12 @@ func NewPool(workers int) *Pool {
 	p := &Pool{
 		inject: make(chan *task, 64),
 		done:   make(chan struct{}),
+		wake:   make(chan struct{}, workers),
 	}
 	p.workers = make([]*worker, workers)
 	for i := range p.workers {
-		p.workers[i] = &worker{pool: p, id: i, seed: uint64(i)*0x9E3779B97F4A7C15 + 1}
+		p.workers[i] = &worker{pool: p, id: i, seed: uint64(i)*0x9E3779B97F4A7C15 + 1,
+			joined: make(chan struct{}, 1)}
 	}
 	p.wg.Add(workers)
 	for _, w := range p.workers {
@@ -393,12 +457,21 @@ func (p *Pool) RunCtx(ctx context.Context, fn func(*Ctx)) (work, span float64, e
 	return work, span, terr
 }
 
-// push adds a task to the owner's end of the deque.
+// push adds a task to the owner's end of the deque and, when a worker
+// is parked, wakes one: a busy pool pays the load of parked and no more.
 func (w *worker) push(t *task) {
 	w.mu.Lock()
 	w.dq = append(w.dq, t)
 	w.mu.Unlock()
-	w.pool.spawns.Add(1)
+	p := w.pool
+	p.spawns.Add(1)
+	if p.parked.Load() != 0 {
+		select {
+		case p.wake <- struct{}{}:
+			p.wakes.Add(1)
+		default:
+		}
+	}
 	if tr := obs.Cur(); tr != nil {
 		tr.Instant(w.id, obs.KindSpawn, 0)
 	}
@@ -433,23 +506,23 @@ func (w *worker) stealFrom(v *worker) *task {
 	return t
 }
 
-// nextVictim is a xorshift step over the worker's private seed.
-func (w *worker) nextVictim() *worker {
-	w.seed ^= w.seed << 13
-	w.seed ^= w.seed >> 7
-	w.seed ^= w.seed << 17
-	return w.pool.workers[w.seed%uint64(len(w.pool.workers))]
-}
-
-// findTask looks for runnable work: own deque first, then a round of
-// random steals, then the injection queue.
+// findTask looks for runnable work: own deque first, then one steal
+// sweep, then the injection queue. The sweep visits every other worker
+// exactly once, from a random start (a xorshift step over the worker's
+// private seed): it is also a parker's last look before it blocks,
+// where a deque left out is a lost wake-up.
 func (w *worker) findTask() *task {
 	if t := w.pop(); t != nil {
 		return t
 	}
-	for try := 0; try < 2*len(w.pool.workers); try++ {
-		v := w.nextVictim()
-		if v != w {
+	w.seed ^= w.seed << 13
+	w.seed ^= w.seed >> 7
+	w.seed ^= w.seed << 17
+	ws := w.pool.workers
+	if others := len(ws) - 1; others > 0 {
+		start := int(w.seed % uint64(others))
+		for i := 0; i < others; i++ {
+			v := ws[(w.id+1+(start+i)%others)%len(ws)]
 			if t := w.stealFrom(v); t != nil {
 				w.pool.steals.Add(1)
 				if tr := obs.Cur(); tr != nil {
@@ -519,7 +592,47 @@ func (w *worker) run(t *task) {
 	j.finish()
 }
 
-// loop is the worker main loop: execute available work, back off when
+// park blocks a worker that has spun out its budget until an event
+// (package comment, "Parking"). j is the join a sync loop waits on, nil
+// for the top-level loop. It returns the task its last sweep found or
+// the root that ended the wait; nil means look again.
+func (w *worker) park(j *join) *task {
+	p := w.pool
+	p.parked.Add(1)
+	defer p.parked.Add(-1)
+	if t := w.findTask(); t != nil {
+		return t
+	}
+	var joined, done <-chan struct{}
+	if j == nil {
+		done = p.done
+	} else {
+		j.sleeper.Store(w)
+		if j.pending.Load() == 0 {
+			return nil
+		}
+		joined = w.joined
+	}
+	p.parks.Add(1)
+	tr := obs.Cur()
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	var t *task
+	select {
+	case <-p.wake:
+	case t = <-p.inject:
+	case <-joined:
+	case <-done:
+	}
+	if tr != nil {
+		tr.Span(w.id, obs.KindPark, t0, time.Since(t0), 0)
+	}
+	return t
+}
+
+// loop is the worker main loop: execute available work, park when
 // idle, exit when the pool closes. On the way out the worker retires
 // whatever is left in its own deque and the injection queue — the pool
 // is closed, so every run is cancelled and w.run skips execution — so
@@ -536,32 +649,24 @@ func (w *worker) loop() {
 			return
 		default:
 		}
-		if t := w.findTask(); t != nil {
+		t := w.findTask()
+		if t == nil {
+			if idle++; idle < idleThreshold {
+				runtime.Gosched()
+				continue
+			}
+			t = w.park(nil)
+		}
+		if t != nil {
 			idle = 0
 			w.run(t)
-			continue
-		}
-		idle++
-		if idle < idleThreshold {
-			runtime.Gosched()
-		} else {
-			select {
-			case <-w.pool.done:
-				w.drainOwn()
-				w.pool.drainInject()
-				return
-			case t := <-w.pool.inject:
-				idle = 0
-				w.run(t)
-			case <-time.After(200 * time.Microsecond):
-			}
 		}
 	}
 }
 
-// idleThreshold is how many empty findTask rounds move a worker from
-// yielding to the deep-idle select; syncIdleThreshold is the same
-// crossing, to short sleeps, for a help-first sync loop.
+// idleThreshold is how many empty findTask rounds move a worker's
+// top-level loop from yielding to park; syncIdleThreshold is the same
+// crossing for a help-first sync loop.
 const (
 	idleThreshold     = 64
 	syncIdleThreshold = 256
@@ -668,16 +773,17 @@ func (c *Ctx) Parallel(fns ...func(*Ctx)) {
 	// Help-first sync: execute anything runnable until children finish.
 	idle := 0
 	for j.pending.Load() != 0 {
-		if t := c.w.findTask(); t != nil {
+		t := c.w.findTask()
+		if t == nil {
+			if idle++; idle < syncIdleThreshold {
+				runtime.Gosched()
+				continue
+			}
+			t = c.w.park(j)
+		}
+		if t != nil {
 			idle = 0
 			c.w.run(t)
-			continue
-		}
-		idle++
-		if idle < syncIdleThreshold {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
 		}
 	}
 

@@ -14,8 +14,10 @@ import (
 
 // TestSchedulerStats pins the counter contract of the public
 // scheduler-stats surface: counters only grow across calls, successful
-// steals never outnumber spawned tasks (a steal takes a task that was
-// spawned), and ResetSchedulerStats restarts the count from zero.
+// steals and wake-ups never outnumber spawned tasks (a steal takes a
+// task that was spawned, a wake-up is sent by a spawn), and
+// ResetSchedulerStats restarts the count from zero. Parks is left out of
+// the zero checks: idle workers park on their own.
 func TestSchedulerStats(t *testing.T) {
 	eng := NewEngine(4)
 	defer eng.Close()
@@ -26,7 +28,7 @@ func TestSchedulerStats(t *testing.T) {
 	opts := &Options{Layout: ZMorton, Algorithm: Strassen, FastCutoff: paperCutoff, ForceTile: 16}
 
 	prev := eng.SchedulerStats()
-	if prev.Spawns != 0 || prev.Steals != 0 || prev.Inline != 0 {
+	if prev.Spawns != 0 || prev.Steals != 0 || prev.Inline != 0 || prev.Wakes != 0 {
 		t.Fatalf("fresh engine has non-zero scheduler stats: %+v", prev)
 	}
 	for i := 0; i < 3; i++ {
@@ -35,19 +37,20 @@ func TestSchedulerStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		cur := eng.SchedulerStats()
-		if cur.Spawns < prev.Spawns || cur.Steals < prev.Steals || cur.Inline < prev.Inline {
+		if cur.Spawns < prev.Spawns || cur.Steals < prev.Steals || cur.Inline < prev.Inline ||
+			cur.Parks < prev.Parks || cur.Wakes < prev.Wakes {
 			t.Fatalf("call %d: counters regressed: %+v -> %+v", i, prev, cur)
 		}
 		if cur.Spawns == prev.Spawns {
 			t.Fatalf("call %d: a 128³ Strassen multiply spawned no tasks", i)
 		}
-		if cur.Steals > cur.Spawns {
-			t.Fatalf("call %d: steals %d exceed spawns %d", i, cur.Steals, cur.Spawns)
+		if cur.Steals > cur.Spawns || cur.Wakes > cur.Spawns {
+			t.Fatalf("call %d: steals %d or wakes %d exceed spawns %d", i, cur.Steals, cur.Wakes, cur.Spawns)
 		}
 		prev = cur
 	}
 	eng.ResetSchedulerStats()
-	if s := eng.SchedulerStats(); s.Spawns != 0 || s.Steals != 0 || s.Inline != 0 {
+	if s := eng.SchedulerStats(); s.Spawns != 0 || s.Steals != 0 || s.Inline != 0 || s.Wakes != 0 {
 		t.Fatalf("stats after reset: %+v, want zeroes", s)
 	}
 }
