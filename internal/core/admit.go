@@ -29,19 +29,21 @@ type rung struct {
 // most-capable rung first. A fast algorithm degrades through the
 // paper's space-conserving sequential Strassen variant (three reused
 // scratch quadrants per level) before giving up its sub-cubic flop
-// count. (On a mixed-radix table grid only the first rung can run; the
-// driver reverts to the square geometry before accepting a lower one.)
-// The final rung is always the standard accumulate recursion, which
-// needs no temporaries at all, run serially.
+// count; a table that is not fast (Standard8) has no flop count to keep
+// and goes straight to the recursion without temporaries. (On a
+// mixed-radix table grid only the first rung can run; the driver reverts
+// to the square geometry before accepting a lower one.) The final rung
+// is always the standard accumulate recursion, which needs no
+// temporaries at all, run serially.
 func ladder(a Alg) []rung {
 	tb := tableOf(a)
 	switch {
-	case tb != nil && tb.depthFirst:
+	case tb.fast() && tb.depthFirst:
 		// Already serial and space-conserving.
 		return []rung{{a, true}, {Standard, true}}
-	case tb != nil:
+	case tb.fast():
 		return []rung{{a, false}, {StrassenLowMem, true}, {Standard, false}, {Standard, true}}
-	case a == Standard8:
+	case tb != nil:
 		return []rung{{a, false}, {Standard, false}, {Standard, true}}
 	}
 	return []rung{{Standard, false}, {Standard, true}}

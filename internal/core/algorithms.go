@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/faultinject"
@@ -25,12 +26,13 @@ const (
 	// Standard8 is the O(n³) algorithm exactly as written in
 	// Figure 1(a): all eight quadrant products spawned at once into
 	// quadrant-sized temporaries P1..P8, followed by post-additions.
-	// It trades temporary storage for a shorter critical path.
+	// It trades temporary storage for a shorter critical path. It and the
+	// three ids below are the first entries of the table registry
+	// (table.go): the engine in tablemul.go runs them from their ⟨2,2,2⟩
+	// coefficient tables, this one from the classical rank-8 table.
 	Standard8
 	// Strassen is Strassen's algorithm (Figure 1(b)): 7 recursive
-	// products, 18 additions/subtractions. It and the two ids below are
-	// the first entries of the table registry (table.go): the engine in
-	// tablemul.go runs them from their ⟨2,2,2⟩ coefficient tables.
+	// products, 18 additions/subtractions.
 	Strassen
 	// Winograd is Winograd's variant (Figure 1(c)): 7 recursive
 	// products, 15 additions/subtractions — the minimum possible for
@@ -44,11 +46,9 @@ const (
 	StrassenLowMem
 )
 
-var algNames = [...]string{"standard", "standard8"}
-
 func (a Alg) String() string {
-	if int(a) < len(algNames) {
-		return algNames[a]
+	if a == Standard {
+		return "standard"
 	}
 	if tb := tableOf(a); tb != nil {
 		return tb.Name
@@ -59,11 +59,11 @@ func (a Alg) String() string {
 	return fmt.Sprintf("Alg(%d)", uint8(a))
 }
 
-// Algs lists the algorithms in paper order, followed by the
-// table-driven ⟨m,k,n⟩ family in registration order. Command-line
+// Algs lists the in-place standard recursion, then the table-driven
+// ⟨m,k,n⟩ family in registration order — the paper's four first. Command-line
 // tools derive their -alg help text from it (via AlgNames), so a newly
 // registered table shows up everywhere without touching the tools.
-var Algs = append([]Alg{Standard, Standard8}, tableAlgs...)
+var Algs = append([]Alg{Standard}, tableAlgs...)
 
 // AlgNames returns the accepted algorithm names in Algs order plus
 // "auto" — the single source for every CLI's -alg enumeration.
@@ -86,18 +86,7 @@ func ParseAlg(s string) (Alg, error) {
 			return a, nil
 		}
 	}
-	return 0, fmt.Errorf("core: unknown algorithm %q (valid: %s)", s, joinNames())
-}
-
-func joinNames() string {
-	out := ""
-	for i, n := range AlgNames() {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
+	return 0, fmt.Errorf("core: unknown algorithm %q (valid: %s)", s, strings.Join(AlgNames(), ", "))
 }
 
 // exec carries the per-call execution parameters through the recursion.
@@ -133,81 +122,59 @@ type exec struct {
 // memory-bound stream's cost.
 const ewParMin = 1 << 16
 
-// ewChunks is the fan-out of one parallelized element-wise pass.
-func ewChunks(workers, n int) int {
-	chunks := workers * 2
-	if chunks > n {
-		chunks = n
-	}
-	return chunks
+// ewPar reports whether an element-wise pass over dst is split across
+// the pool: a large pass at a level whose parent still spawns (tiles·2
+// above the serial cutoff), on a frame bound to a worker of a pool with
+// more than one. Small passes and serial(-degraded) runs take the plain
+// streaming path.
+func (e *exec) ewPar(c *sched.Ctx, dst Mat) bool {
+	return e.par(dst.tiles*2) && e.ewMin > 0 && dst.elems() >= e.ewMin && c.Workers() >= 2 && c.WorkerID() >= 0
 }
 
-// ew2 is matEW2 with pool-parallel chunking: a large pass at a level
-// whose parent still spawns (tiles·2 above the serial cutoff) is split
-// into ranged chunks executed through c.Parallel, so the top-level
-// addition streams — O(n²) work on the critical path — no longer run
-// single-threaded per node. Small passes, serial(-degraded) runs, and
-// frames not bound to a pool worker take the plain streaming path.
-// Chunks honor cancellation through the scheduler's between-task check.
-// Accounting stays with the caller (accountAdd), identical to the
-// serial form.
+// ewChunked runs f over [0, n) in two ranged chunks per worker through
+// c.Parallel; chunks honor cancellation through the scheduler's
+// between-task check.
+func ewChunked(c *sched.Ctx, n int, f func(lo, hi int)) {
+	chunks := min(c.Workers()*2, n)
+	fns := make([]func(*sched.Ctx), chunks)
+	for i := range fns {
+		lo, hi := n*i/chunks, n*(i+1)/chunks
+		fns[i] = func(*sched.Ctx) { f(lo, hi) }
+	}
+	c.Parallel(fns...)
+}
+
+// ew2 is matEW2 with pool-parallel chunking (ewPar), over tiles or
+// columns, so the top-level addition streams — O(n²) work on the
+// critical path — do not run single-threaded per node. Accounting stays
+// with the caller (accountAdd), identical to the serial form.
 func (e *exec) ew2(c *sched.Ctx, dst, a Mat, f func(dst, a []float64)) {
-	if !e.par(dst.tiles*2) || e.ewMin <= 0 || dst.elems() < e.ewMin ||
-		c.Workers() < 2 || c.WorkerID() < 0 {
+	if !e.ewPar(c, dst) {
 		matEW2(dst, a, f)
 		return
 	}
 	checkEW(dst, a)
 	if dst.tiledStore() {
 		m := resolveTileMap(dst, a)
-		nt := dst.tiles * dst.tiles
-		chunks := ewChunks(c.Workers(), nt)
-		fns := make([]func(*sched.Ctx), chunks)
-		for i := 0; i < chunks; i++ {
-			lo, hi := nt*i/chunks, nt*(i+1)/chunks
-			fns[i] = func(*sched.Ctx) { ew2Tiles(dst, a, m, lo, hi, f) }
-		}
-		c.Parallel(fns...)
+		ewChunked(c, dst.tiles*dst.tiles, func(lo, hi int) { ew2Tiles(dst, a, m, lo, hi, f) })
 		return
 	}
-	cols := dst.cols()
-	chunks := ewChunks(c.Workers(), cols)
-	fns := make([]func(*sched.Ctx), chunks)
-	for i := 0; i < chunks; i++ {
-		lo, hi := cols*i/chunks, cols*(i+1)/chunks
-		fns[i] = func(*sched.Ctx) { ew2Cols(dst, a, lo, hi, f) }
-	}
-	c.Parallel(fns...)
+	ewChunked(c, dst.cols(), func(lo, hi int) { ew2Cols(dst, a, lo, hi, f) })
 }
 
 // ew3 is the three-operand counterpart of ew2.
 func (e *exec) ew3(c *sched.Ctx, dst, a, b Mat, f func(dst, a, b []float64)) {
-	if !e.par(dst.tiles*2) || e.ewMin <= 0 || dst.elems() < e.ewMin ||
-		c.Workers() < 2 || c.WorkerID() < 0 {
+	if !e.ewPar(c, dst) {
 		matEW3(dst, a, b, f)
 		return
 	}
 	checkEW(dst, a, b)
 	if dst.tiledStore() {
 		ma, mb := resolveTileMap(dst, a), resolveTileMap(dst, b)
-		nt := dst.tiles * dst.tiles
-		chunks := ewChunks(c.Workers(), nt)
-		fns := make([]func(*sched.Ctx), chunks)
-		for i := 0; i < chunks; i++ {
-			lo, hi := nt*i/chunks, nt*(i+1)/chunks
-			fns[i] = func(*sched.Ctx) { ew3Tiles(dst, a, b, ma, mb, lo, hi, f) }
-		}
-		c.Parallel(fns...)
+		ewChunked(c, dst.tiles*dst.tiles, func(lo, hi int) { ew3Tiles(dst, a, b, ma, mb, lo, hi, f) })
 		return
 	}
-	cols := dst.cols()
-	chunks := ewChunks(c.Workers(), cols)
-	fns := make([]func(*sched.Ctx), chunks)
-	for i := 0; i < chunks; i++ {
-		lo, hi := cols*i/chunks, cols*(i+1)/chunks
-		fns[i] = func(*sched.Ctx) { ew3Cols(dst, a, b, lo, hi, f) }
-	}
-	c.Parallel(fns...)
+	ewChunked(c, dst.cols(), func(lo, hi int) { ew3Cols(dst, a, b, lo, hi, f) })
 }
 
 // leafMul runs the leaf kernel on a single tile trio and accounts its
@@ -242,20 +209,17 @@ func accountAdd(c *sched.Ctx, m Mat) {
 	c.Account(float64(m.elems()))
 }
 
-// mul dispatches C += A·B to the requested algorithm.
+// mul dispatches C += A·B: the in-place recursion, or alg's table.
 func (e *exec) mul(c *sched.Ctx, alg Alg, C, A, B Mat) {
-	switch alg {
-	case Standard:
+	if alg == Standard {
 		e.std(c, C, A, B)
-	case Standard8:
-		e.std8(c, C, A, B)
-	default:
-		if tb := tableOf(alg); tb != nil {
-			e.tableMul(c, tb, C, A, B)
-			return
-		}
+		return
+	}
+	tb := tableOf(alg)
+	if tb == nil {
 		panic("core: invalid algorithm")
 	}
+	e.tableMul(c, tb, C, A, B)
 }
 
 // par reports whether this level should spawn parallel tasks.
@@ -316,149 +280,4 @@ func (e *exec) std(c *sched.Ctx, C, A, B Mat) {
 	e.std(c, c12, a12, b22)
 	e.std(c, c21, a22, b21)
 	e.std(c, c22, a22, b22)
-}
-
-// std8 is the Figure 1(a) form: eight products into temporaries P1..P8
-// spawned together, then four parallel post-addition pairs. The critical
-// path recurrence is T∞(s) = T∞(s/2) + O(adds), which is what gives the
-// standard algorithm its O(lg² n) critical path in the paper.
-func (e *exec) std8(c *sched.Ctx, C, A, B Mat) {
-	if c.Cancelled() {
-		return
-	}
-	if C.tiles == 1 {
-		e.leafMul(c, C, A, B)
-		return
-	}
-	if !e.par(C.tiles) {
-		// The serial region lives in its own closure-free function:
-		// escape analysis would otherwise heap-allocate the temp array
-		// of every frame just because the (untaken) parallel branch
-		// captures it. par is monotone down the recursion, so the
-		// serial variant never needs to spawn.
-		e.std8Serial(c, C, A, B)
-		return
-	}
-	c11, c12, c21, c22 := C.quad(layout.QuadNW), C.quad(layout.QuadNE), C.quad(layout.QuadSW), C.quad(layout.QuadSE)
-	a11, a12, a21, a22 := A.quad(layout.QuadNW), A.quad(layout.QuadNE), A.quad(layout.QuadSW), A.quad(layout.QuadSE)
-	b11, b12, b21, b22 := B.quad(layout.QuadNW), B.quad(layout.QuadNE), B.quad(layout.QuadSW), B.quad(layout.QuadSE)
-	st, top := e.ar.mark(c)
-	defer e.ar.release(st, top)
-	var p [8]Mat
-	for i := range p {
-		// Near the root each temp is a quarter of C; poll so a cancel
-		// arriving mid-allocation doesn't wait out the whole series.
-		if c.Cancelled() {
-			return
-		}
-		p[i] = e.newTemp(c, c11)
-	}
-	// Arena memory is dirty; each product zeroes its destination
-	// inside its own task (a parallel memset for free) before the
-	// accumulate recursion.
-	c.Parallel(
-		func(c *sched.Ctx) { matZero(p[0]); e.std8(c, p[0], a11, b11) },
-		func(c *sched.Ctx) { matZero(p[1]); e.std8(c, p[1], a12, b21) },
-		func(c *sched.Ctx) { matZero(p[2]); e.std8(c, p[2], a21, b11) },
-		func(c *sched.Ctx) { matZero(p[3]); e.std8(c, p[3], a22, b21) },
-		func(c *sched.Ctx) { matZero(p[4]); e.std8(c, p[4], a11, b12) },
-		func(c *sched.Ctx) { matZero(p[5]); e.std8(c, p[5], a12, b22) },
-		func(c *sched.Ctx) { matZero(p[6]); e.std8(c, p[6], a21, b12) },
-		func(c *sched.Ctx) { matZero(p[7]); e.std8(c, p[7], a22, b22) },
-	)
-	c.Parallel(
-		func(c *sched.Ctx) {
-			e.ew2(c, c11, p[0], vAcc)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c11, p[1], vAcc)
-			accountAdd(c, c11)
-			accountAdd(c, c11)
-		},
-		func(c *sched.Ctx) {
-			e.ew2(c, c21, p[2], vAcc)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c21, p[3], vAcc)
-			accountAdd(c, c21)
-			accountAdd(c, c21)
-		},
-		func(c *sched.Ctx) {
-			e.ew2(c, c12, p[4], vAcc)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c12, p[5], vAcc)
-			accountAdd(c, c12)
-			accountAdd(c, c12)
-		},
-		func(c *sched.Ctx) {
-			e.ew2(c, c22, p[6], vAcc)
-			if ewCancelled(c) {
-				return
-			}
-			e.ew2(c, c22, p[7], vAcc)
-			accountAdd(c, c22)
-			accountAdd(c, c22)
-		},
-	)
-}
-
-// std8Serial is std8 below the serial cutoff: straight-line and
-// closure-free, so the in-frame recursion allocates nothing at all.
-func (e *exec) std8Serial(c *sched.Ctx, C, A, B Mat) {
-	if c.Cancelled() {
-		return
-	}
-	if C.tiles == 1 {
-		e.leafMul(c, C, A, B)
-		return
-	}
-	c11, c12, c21, c22 := C.quad(layout.QuadNW), C.quad(layout.QuadNE), C.quad(layout.QuadSW), C.quad(layout.QuadSE)
-	a11, a12, a21, a22 := A.quad(layout.QuadNW), A.quad(layout.QuadNE), A.quad(layout.QuadSW), A.quad(layout.QuadSE)
-	b11, b12, b21, b22 := B.quad(layout.QuadNW), B.quad(layout.QuadNE), B.quad(layout.QuadSW), B.quad(layout.QuadSE)
-	st, top := e.ar.mark(c)
-	defer e.ar.release(st, top)
-	var p [8]Mat
-	for i := range p {
-		if c.Cancelled() {
-			return
-		}
-		p[i] = e.newTemp(c, c11)
-	}
-	matZero(p[0])
-	e.std8Serial(c, p[0], a11, b11)
-	matZero(p[1])
-	e.std8Serial(c, p[1], a12, b21)
-	matZero(p[2])
-	e.std8Serial(c, p[2], a21, b11)
-	matZero(p[3])
-	e.std8Serial(c, p[3], a22, b21)
-	matZero(p[4])
-	e.std8Serial(c, p[4], a11, b12)
-	matZero(p[5])
-	e.std8Serial(c, p[5], a12, b22)
-	matZero(p[6])
-	e.std8Serial(c, p[6], a21, b12)
-	matZero(p[7])
-	e.std8Serial(c, p[7], a22, b22)
-	if ewCancelled(c) {
-		return
-	}
-	matEW2(c11, p[0], vAcc)
-	matEW2(c11, p[1], vAcc)
-	matEW2(c21, p[2], vAcc)
-	matEW2(c21, p[3], vAcc)
-	if ewCancelled(c) {
-		return
-	}
-	matEW2(c12, p[4], vAcc)
-	matEW2(c12, p[5], vAcc)
-	matEW2(c22, p[6], vAcc)
-	matEW2(c22, p[7], vAcc)
-	for i := 0; i < 8; i++ {
-		accountAdd(c, c11)
-	}
 }

@@ -114,13 +114,17 @@ func (a *arena) alloc(c *sched.Ctx, n int) []float64 {
 	return b
 }
 
-// newTemp is the arena-aware form of newTemp: same geometry rules
-// (reference orientation for tiled storage, contiguous leading
-// dimension for canonical), but the backing memory comes from the
-// executing worker's arena stack when it fits. Unlike the heap form the
-// arena memory is NOT zeroed — callers that accumulate into the temp
-// (product temporaries) must matZero it first; temps that are fully
-// overwritten (pre-addition operands) may skip that.
+// newTemp allocates a scratch Mat with the same geometry as proto, from
+// the executing worker's arena stack when it fits and from the heap
+// otherwise (always, with a nil arena). For tiled storage the temp
+// adopts the reference orientation, which is always legal because every
+// element-wise op resolves orientation differences explicitly. For
+// canonical storage the temp is contiguous, so its leading dimension
+// equals its row count — the leading-dimension halving that Section 5.1
+// identifies as the reason the fast algorithms are robust on canonical
+// layouts. Arena memory is NOT zeroed — callers that accumulate into the
+// temp (product temporaries) must matZero it first; temps that are
+// fully overwritten (pre-addition operands) may skip that.
 func (e *exec) newTemp(c *sched.Ctx, proto Mat) Mat {
 	t := proto
 	if proto.tiledStore() {
@@ -152,15 +156,16 @@ func (e *exec) newTemp(c *sched.Ctx, proto Mat) Mat {
 // allocates at that level:
 //
 //   - Standard: no temporaries.
-//   - Standard8: 8 quadrant products ((t/2)² tiles each).
 //   - A table: the level structure tableMul executes — table divisions
 //     while the grid divides by ⟨M,K,N⟩ (a ⟨2,2,2⟩ table stops at
 //     fastCutoff, where it hands off to the temporary-free standard
-//     recursion), then the base algorithm's series on the remaining
-//     square power-of-two grid. A level is charged the evaluation
-//     schedule's aux blocks plus its BFS bound — preA A-shaped + preB
-//     B-shaped operands and R products: 5+5+7 for Strassen, 4+4 aux
-//     and 7+2 for Winograd — whose DFS levels below the serial cutoff
+//     recursion; Standard8, whose plan has no cutoff, at single tiles),
+//     then the base algorithm's series on the remaining square
+//     power-of-two grid. A level is charged the evaluation schedule's
+//     aux blocks plus its BFS bound — preA A-shaped + preB B-shaped
+//     operands and R products: 5+5+7 for Strassen, 4+4 aux and 7+2 for
+//     Winograd, the 8 products alone for Standard8, whose operand rows
+//     alias the blocks — whose DFS levels below the serial cutoff
 //     use strictly less; a depthFirst table is charged the DFS bound,
 //     one S-, T- and P-shaped scratch (StrassenLowMem's signature
 //     qa+qb+qc).
@@ -171,12 +176,7 @@ func (e *exec) newTemp(c *sched.Ctx, proto Mat) Mat {
 func arenaStackElems(alg Alg, gm, gk, gn, tm, tk, tn, fastCutoff int) (need int64) {
 	tb := tableOf(alg)
 	if tb == nil {
-		if alg == Standard8 {
-			for t := gm / 2; t >= 1; t /= 2 {
-				need += 8 * int64(t) * int64(t) * int64(tm) * int64(tn)
-			}
-		}
-		return need
+		return 0
 	}
 	for gm > 1 || gk > 1 || gn > 1 {
 		if tb.quad() {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/tile"
 )
 
 // This file is the batched GEMM path: a batch is a wave of plans. Many
@@ -18,14 +17,15 @@ import (
 // instead of N driver calls, which at the serving shape (thousands of
 // items far below the serial cutoff) pay more for root-task injection,
 // admission and the arena reservation than for flops. The wave pays
-// those once: one admission (a member's bill, plan.go's geom.charge,
-// times the members in flight), one arena, and min(items, workers)
-// runner tasks of the one runner loop (pullWave).
+// those once: one admission (a member's bill, its plan's charge, times
+// the members in flight), one arena, and min(items, workers) runner
+// tasks of the one runner loop (pullWave).
 //
-// A member is a plan product run serially on its runner. It gets the
-// split, the geometry, the kernel and the cutoff its single-call twin
-// would — GEMMCtx's for a GEMMBatch member, PrepackConforming's for a
-// right-hand side of GEMMPrepackedBatch's resident A — the runner packs
+// A member is a plan product run serially on its runner. The planner
+// (planOf) gives it the split, the geometry, the kernel and the cutoff
+// it gives its single-call twin — GEMMCtx's for a GEMMBatch member,
+// PrepackConforming's for a right-hand side of GEMMPrepackedBatch's
+// resident A — the runner packs
 // whichever operands are not resident into its reused transient plans,
 // and every C block goes through planMul.block. So a member's result is
 // bit for bit its twin's, split or not, and the members are the
@@ -91,55 +91,13 @@ type BatchStats struct {
 	Items, Completed int
 }
 
-// waveShape is what the members of one m×k×n share: the plan their
-// single-call twin would make, and what one of them costs.
-type waveShape struct {
-	m, k, n    int
-	ms, ks, ns []tile.Seg // nil: an empty product, nothing to plan
-	resolved
-	// ch is one member's bill: the operands its runner packs, one
-	// product tile, its arena path.
-	ch charge
-}
-
-// shapeOf plans one member shape: GEMMCtx's split and geometry when A
-// is packed per member, PrepackConforming's against a resident plan pa;
-// then the kernel, the cutoff and AlgAuto that geometry settles. Kernel
-// and cutoff are per shape, not per wave: a heterogeneous wave gives
-// each member what its twin would pick. An empty product has no plan.
-func shapeOf(o Options, pa *Prepacked, m, k, n int) (*waveShape, error) {
-	sh := &waveShape{m: m, k: k, n: n}
-	if m == 0 || k == 0 || n == 0 {
-		return sh, nil
-	}
-	var g geom
-	var err error
-	if pa != nil {
-		var tn int
-		sh.ms, sh.ks = pa.RSegs, pa.CSegs
-		sh.ns, tn, err = conformSegs(o, pa, n)
-		g = squareGeom(pa.Curve, pa.D, pa.TR, pa.TC, tn)
-	} else {
-		sh.ms, sh.ks, sh.ns = splitSegs(o, m, k, n)
-		g, err = chooseGeom(o, sh.ms, sh.ks, sh.ns, false)
-	}
-	if err == nil {
-		sh.resolved, err = resolveGeom(o, g)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sh.ch = g.charge(sh.cutoff, sh.ms, sh.ks, sh.ns, pa != nil, false, 0)
-	return sh, nil
-}
-
 // wave carries one batch through its runner tasks.
 type wave struct {
 	ctx    context.Context
 	pa     *Prepacked // the resident A plan; nil when every member packs its own
 	alg    Alg
 	items  []BatchItem
-	shapes []*waveShape // by item; nil for a validation reject
+	shapes []*plan // by item, what its single-call twin would plan; nil for a validation reject
 	errs   []error
 }
 
@@ -195,17 +153,22 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 // runBatch is the body of both wave entry points: validate and plan
 // every member, admit the wave once, run it.
 func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, pa *Prepacked, items []BatchItem) (bs *BatchStats, errs []error, err error) {
-	co := beginCall(0)
-	defer func() { co.endBatch(opts.Metrics, bs, errs, err) }()
+	cl, err := enter(ctx, pool, opts, name, 0)
 	defer func() {
-		if r := recover(); r != nil {
-			bs, errs, err = nil, nil, recoveredError(r)
+		if err != nil {
+			errs = nil // a wave that failed as a whole reports no per-item errors
 		}
+		cl.endBatch(bs, errs, err)
 	}()
-	o := opts.withDefaults()
+	defer leave(cl, &bs, &err)
+	if err != nil {
+		return nil, nil, err
+	}
+	o, pool := cl.o, cl.pool
 	if len(items) == 0 {
 		return nil, nil, fmt.Errorf("core: %s of zero items", name)
 	}
+	gv := given{pa: pa, resident: true}
 	if pa != nil {
 		if pa.released {
 			return nil, nil, fmt.Errorf("core: %s with nil or released plan", name)
@@ -213,16 +176,6 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 		o.Curve = pa.Curve
 	} else if o.Curve == layout.ColMajor || o.Curve == layout.RowMajor {
 		return nil, nil, fmt.Errorf("core: %s requires a recursive layout, got %v", name, o.Curve)
-	}
-	if pool == nil {
-		p := sched.NewPool(0)
-		defer p.Close()
-		pool = p
-	} else if pool.Closed() {
-		return nil, nil, sched.ErrPoolClosed
-	}
-	if ctx.Err() != nil {
-		return nil, nil, fmt.Errorf("core: %s not started: %w", name, context.Cause(ctx))
 	}
 
 	// Plan every member before any C is touched. Consecutive members of
@@ -235,9 +188,9 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 	// wave takes the fast algorithm if any member keeps a fast level: a
 	// member that keeps none runs it straight into the standard
 	// recursion, the bits of its Standard twin.
-	w := &wave{ctx: ctx, pa: pa, items: items, errs: make([]error, len(items)), shapes: make([]*waveShape, len(items))}
+	w := &wave{ctx: ctx, pa: pa, items: items, errs: make([]error, len(items)), shapes: make([]*plan, len(items))}
 	errs = w.errs
-	var last, dearest *waveShape
+	var last, dearest *plan
 	live, alg := 0, o.Alg
 	var ch charge
 	for i := range items {
@@ -257,7 +210,7 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 			continue
 		}
 		if last == nil || last.m != m || last.k != k || last.n != n {
-			sh, serr := shapeOf(o, pa, m, k, n)
+			sh, serr := planOf(o, 0, gv, m, k, n)
 			if serr != nil {
 				errs[i] = serr
 				continue
@@ -268,7 +221,7 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 					ch.perBlock, dearest = bill, sh
 				}
 				ch.scratch = max(ch.scratch, sh.ch.scratch)
-				if alg == AlgAuto || tableOf(sh.alg) != nil {
+				if alg == AlgAuto || tableOf(sh.alg).fast() {
 					alg = sh.alg
 				}
 			}
@@ -303,8 +256,9 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 	// keep nested parallelism. Stats describe the dearest member.
 	workers := pool.Workers()
 	ch.inflight = min(live, workers)
-	o.Alg, o.FastCutoff = alg, dearest.cutoff
-	pc, err := admitPlan(pool, o, co, dearest.resolved, ch, ch.inflight)
+	wp := *dearest
+	wp.alg, wp.ch, wp.runners = alg, ch, ch.inflight
+	pc, err := admitPlan(cl, &wp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -312,7 +266,7 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 		pc.e.serialCutoff = 1 << 30
 	}
 	w.alg = pc.alg
-	pc.start(pool, co, &bs.Stats)
+	pc.start(cl, &bs.Stats)
 	defer releaseArena(pc.ar)
 
 	// Wave-level failures (outer-context cancellation, a fault injected
@@ -324,7 +278,6 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 			errs[i] = errNotRun
 		}
 	}
-	c0 := startCall(pool, co.t0)
 	rerr := pullWave(ctx, pool, pc.e, max(pc.runners, 1), len(items), &bs.Stats, w.step)
 	for i := range errs {
 		if errs[i] == nil {
@@ -333,7 +286,7 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 			errs[i] = fmt.Errorf("core: batch item %d aborted: %w", i, rerr)
 		}
 	}
-	pc.finish(&bs.Stats, pool, c0)
+	pc.finish(cl, &bs.Stats)
 	return bs, errs, nil
 }
 
@@ -490,13 +443,13 @@ func checkStrided(name string, buf []float64, rows, cols, ld, stride, count int)
 	return nil
 }
 
-// endBatch is callObs.end for a wave: the whole-call span, then the
-// batch metrics.
-func (co callObs) endBatch(m *obs.Registry, bs *BatchStats, errs []error, err error) {
-	if co.tr != nil {
-		co.tr.LaneSpan(co.lane, obs.KindGEMM, co.t0, time.Since(co.t0), 0)
+// endBatch is call.end for a wave: the whole-call span, then the batch
+// metrics.
+func (cl *call) endBatch(bs *BatchStats, errs []error, err error) {
+	if cl.tr != nil {
+		cl.tr.LaneSpan(cl.lane, obs.KindGEMM, cl.t0, time.Since(cl.t0), 0)
 	}
-	recordBatchMetrics(m, bs, errs, err, time.Since(co.t0))
+	recordBatchMetrics(cl.o.Metrics, bs, errs, err, time.Since(cl.t0))
 }
 
 // recordBatchMetrics aggregates one finished wave into the registry:

@@ -518,3 +518,95 @@ func TestDeterminismDefaultKernel(t *testing.T) {
 		}
 	}
 }
+
+// TestDeterminismPlanNotRun: the planner's answer is the run's. For
+// square, wide, lean and grid-split shapes (and their unsplit twins) on
+// curve and canonical storage, under a named algorithm and under AlgAuto
+// at a cutoff that keeps a fast level on the square grid and none on the
+// squat blocks, planOf — what ResolveAlg builds and does not run —
+// describes the same algorithm, kernel, depth, tiles, padded extents,
+// cutoff, fast levels and block count as the Stats of the call that ran,
+// through GEMMCtx, GEMMBatch, GEMMPrepacked and GEMMPrepackedBatch.
+func TestDeterminismPlanNotRun(t *testing.T) {
+	midRates := avx2Rates
+	midRates.Leaf = 20e3 // cutoff 8
+	useRates(t, midRates)
+	ctx := context.Background()
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(191))
+	cfg := tile.Config{TMin: 4, TMax: 16, TSweet: 8, PadSlack: 0.15, MicroM: 4, MicroN: 4}
+	fastRan := false
+	for _, sh := range [][3]int{{128, 128, 128}, {256, 256, 12}, {12, 225, 250}, {150, 10, 150}, {72, 48, 72}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		A, B := matrix.Random(m, k, rng), matrix.Random(k, n, rng)
+		for _, cv := range []layout.Curve{layout.ZMorton, layout.Hilbert, layout.ColMajor} {
+			for _, alg := range []Alg{AlgAuto, Standard, Standard8, Winograd, TableLaderman333} {
+				for _, whole := range []bool{false, true} {
+					opts := Options{Curve: cv, Alg: alg, Tile: cfg, DisableSplit: whole}
+					o := opts.withDefaults()
+					name := fmt.Sprintf("%dx%dx%d %v/%v DisableSplit=%v", m, k, n, alg, cv, whole)
+					// same holds one entry point's Stats against the plan
+					// built for it and not run.
+					same := func(what string, st *Stats, workers int, gv given) {
+						t.Helper()
+						pl, err := planOf(o, workers, gv, m, k, n)
+						if err != nil {
+							t.Fatalf("%s: %s: planOf: %v", name, what, err)
+						}
+						want := Stats{Blocks: len(pl.ms) * len(pl.ks) * len(pl.ns)}
+						pl.describe(pl.alg, &want)
+						got := Stats{Alg: st.Alg, Kernel: st.Kernel, Depth: st.Depth, TileM: st.TileM, TileK: st.TileK, TileN: st.TileN,
+							PaddedM: st.PaddedM, PaddedK: st.PaddedK, PaddedN: st.PaddedN,
+							FastCutoff: st.FastCutoff, FastLevels: st.FastLevels, Blocks: st.Blocks}
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Errorf("%s: %s ran\n%+v\nthe plan said\n%+v", name, what, got, want)
+						}
+						if alg == AlgAuto && ResolveAlg(opts, m, k, n) != st.Alg {
+							t.Errorf("%s: %s ran %v, ResolveAlg says %v", name, what, st.Alg, ResolveAlg(opts, m, k, n))
+						}
+						fastRan = fastRan || alg == AlgAuto && st.FastLevels > 0
+					}
+					st, err := GEMMCtx(ctx, pool, opts, false, false, 1, A, B, 0, matrix.New(m, n))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					same("GEMMCtx", st, pool.Workers(), given{})
+					if cv == layout.ColMajor {
+						continue // the plan and batch entry points take recursive layouts only
+					}
+					bs, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{Alpha: 1, A: A, B: B, C: matrix.New(m, n)}})
+					if err != nil || errs[0] != nil {
+						t.Fatalf("%s: GEMMBatch: %v %v", name, err, errs)
+					}
+					same("GEMMBatch", &bs.Stats, 0, given{})
+
+					po := opts
+					po.PartnerDim = n
+					pa, err := Prepack(ctx, pool, po, A, false)
+					if err != nil {
+						t.Fatalf("%s: Prepack: %v", name, err)
+					}
+					pb, err := PrepackConforming(ctx, pool, opts, B, false, pa)
+					if err != nil {
+						t.Fatalf("%s: PrepackConforming: %v", name, err)
+					}
+					if st, err = GEMMPrepacked(ctx, pool, opts, 1, pa, pb, 0, matrix.New(m, n)); err != nil {
+						t.Fatalf("%s: GEMMPrepacked: %v", name, err)
+					}
+					same("GEMMPrepacked", st, pool.Workers(), given{pa: pa, pb: pb, resident: true})
+					bs, errs, err = GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{Alpha: 1, B: B, C: matrix.New(m, n)}})
+					if err != nil || errs[0] != nil {
+						t.Fatalf("%s: GEMMPrepackedBatch: %v %v", name, err, errs)
+					}
+					same("GEMMPrepackedBatch", &bs.Stats, 0, given{pa: pa, resident: true})
+					pa.Release()
+					pb.Release()
+				}
+			}
+		}
+	}
+	if !fastRan {
+		t.Error("AlgAuto never kept a fast level: the grid has no case on that side of the cutoff")
+	}
+}

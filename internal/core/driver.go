@@ -45,7 +45,9 @@ type Options struct {
 	// calibrated crossover: the smallest grid at which one fast level
 	// beats eight half-size products for the call's kernel and tiles,
 	// measured once per process (leaf.FastRates). 1 is the paper's
-	// setting — recurse the fast algorithm to single tiles.
+	// setting — recurse the fast algorithm to single tiles. An algorithm
+	// that is not fast (Standard, Standard8) has nothing to fall back
+	// from and ignores it.
 	FastCutoff int
 	// DisableSplit turns off the wide/lean submatrix decomposition of
 	// Figure 3, forcing a single (possibly heavily padded) tiling.
@@ -142,9 +144,9 @@ type Stats struct {
 	Alg Alg
 	// FastCutoff is the cutoff a fast algorithm ran with — the option
 	// verbatim, or the calibrated crossover for the call's kernel and
-	// tiles; 0 when a non-fast algorithm was named and none was resolved.
-	// FastLevels counts the levels of Alg's own recursion the grid ran
-	// above it; 0 means the call went straight to the standard one.
+	// tiles; 0 when an algorithm that is not fast was named. FastLevels
+	// counts the levels of a fast Alg's own recursion the grid ran above
+	// it; 0 means the call went straight to a classical one.
 	FastCutoff, FastLevels int
 	// Serial reports that degradation disabled parallel spawning.
 	Serial bool
@@ -248,14 +250,13 @@ func GEMM(pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 	A, B *matrix.Dense, beta float64, C *matrix.Dense) (stats *Stats, err error) {
 
-	co := beginCall(opts.TraceID)
-	defer func() { co.end(opts.Metrics, stats, err) }()
-	defer func() {
-		if r := recover(); r != nil {
-			stats, err = nil, recoveredError(r)
-		}
-	}()
-	o := opts.withDefaults()
+	cl, err := enter(ctx, pool, opts, "GEMM", opts.TraceID)
+	defer func() { cl.end(stats, err) }()
+	defer leave(cl, &stats, &err)
+	if err != nil {
+		return nil, err
+	}
+	o, pool := cl.o, cl.pool
 	if o.Curve == layout.RowMajor {
 		return nil, fmt.Errorf("core: the row-major layout is not supported by the multiplication driver")
 	}
@@ -264,19 +265,6 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 	if err := conform(alpha, beta, m, k, kb, n, C); err != nil {
 		return nil, err
 	}
-	if pool == nil {
-		p := sched.NewPool(0)
-		defer p.Close()
-		pool = p
-	} else if pool.Closed() {
-		return nil, sched.ErrPoolClosed
-	}
-	if ctx.Err() != nil {
-		// context.Cause preserves a cause-carrying cancellation (e.g. a
-		// server drain) that plain ctx.Err() would flatten to Canceled.
-		return nil, fmt.Errorf("core: GEMM not started: %w", context.Cause(ctx))
-	}
-	c0 := startCall(pool, co.t0)
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
 		if err := scaleC(pool, C, beta); err != nil {
 			return nil, fmt.Errorf("core: GEMM beta scale: %w", err)
@@ -286,9 +274,8 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 
 	// Plan: one split, one geometry, one algorithm, one admission
 	// decision for the whole call — all before C is touched.
-	ms, ks, ns := splitSegs(o, m, k, n)
 	stats = &Stats{}
-	pc, err := planGEMM(pool, o, co, stats, ms, ks, ns, transA, transB, A, B)
+	pc, err := planGEMM(cl, stats, m, k, n, transA, transB, A, B)
 	if err != nil {
 		return nil, err
 	}
@@ -310,9 +297,9 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 	// (SYRK's GEMM over one matrix in both slots) and the blocks run
 	// nested, B's plan is derived from A's inside the recursive layout
 	// instead of re-reading the strided column-major source.
-	gr := pc.groups
+	g, ch, ms, ks, ns, gr := pc.pl.g, pc.pl.ch, pc.pl.ms, pc.pl.ks, pc.pl.ns, pc.groups
 	fold := o.Curve != layout.ColMajor && sameView(A, B) && transA != transB &&
-		pc.g.tm == pc.g.tn && gr == (groups{len(ms), len(ks), len(ns)}) && pc.runners == 0 && !pc.ch.deferA
+		g.tm == g.tn && gr == ch.plan && pc.runners == 0 && !ch.deferA
 	pm := planMul{alg: pc.alg, alpha: alpha, C: C}
 	defer func() { pm.pa.Release(); pm.pb.Release() }()
 	type corner struct{ r, c int } // a packed group, by its first segments
@@ -327,7 +314,7 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 					if at := (corner{i, q}); heldA != at {
 						pm.pa.Release()
 						heldA = at
-						if pm.pa, err = packPlan(ctx, pool, co.tr, stats, pc.g.hdrA(), rows, inner, A, transA, pc.ch.deferA); err != nil {
+						if pm.pa, err = packPlan(ctx, pool, cl.tr, stats, g.hdrA(), rows, inner, A, transA, ch.deferA); err != nil {
 							return err
 						}
 					}
@@ -338,7 +325,7 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 							stats.PackReused += len(ks) * len(ns)
 							pm.pb, err = pm.pa.transposed(ctx, pool, stats)
 						} else {
-							pm.pb, err = packPlan(ctx, pool, co.tr, stats, pc.g.hdrB(), inner, cols, B, transB, pc.ch.deferB)
+							pm.pb, err = packPlan(ctx, pool, cl.tr, stats, g.hdrB(), inner, cols, B, transB, ch.deferB)
 						}
 					}
 					return err
@@ -359,7 +346,7 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 			}
 		}
 	}
-	pc.finish(stats, pool, c0)
+	pc.finish(cl, stats)
 	return stats, nil
 }
 
@@ -415,16 +402,6 @@ func forcedDepth(t int, dims ...int) (d uint, err error) {
 	return d, nil
 }
 
-// resolveKernel is the registry entry that multiplies tm×tn leaf tiles
-// with inner dimension tk: the one KernelName names, or the default for
-// the shape.
-func resolveKernel(o Options, tm, tk, tn int) (leaf.Impl, error) {
-	if o.KernelName != "" {
-		return leaf.GetImpl(o.KernelName)
-	}
-	return leaf.Auto(tm, tn, tk), nil
-}
-
 // planGEMM settles a per-call GEMM's once-per-call decisions. Geometry
 // and admission run as one small fixed point: a rectangular table
 // algorithm starts on its mixed-radix grid (when one fits the tile
@@ -435,43 +412,38 @@ func resolveKernel(o Options, tm, tk, tn int) (leaf.Impl, error) {
 // algorithm can degrade to Standard once. The algorithm that executes
 // may therefore be a cheaper rung than the requested one, with every
 // decision recorded in stats.Degraded.
-func planGEMM(pool *sched.Pool, o Options, co callObs, stats *Stats, ms, ks, ns []tile.Seg,
-	transA, transB bool, A, B *matrix.Dense) (*prepared, error) {
-
-	oa := o
-	tb := tableOf(o.Alg)
-	table := tb != nil && !tb.quad() &&
-		o.Curve == layout.ColMajor && o.ForceTile == 0
+func planGEMM(cl *call, stats *Stats, m, k, n int, transA, transB bool, A, B *matrix.Dense) (*prepared, error) {
+	o, gv := cl.o, given{}
 	var notes []string
 	for {
-		g, err := chooseGeom(oa, ms, ks, ns, table)
+		pl, err := planOf(o, cl.pool.Workers(), gv, m, k, n)
 		if err != nil {
 			return nil, err
 		}
-		pc, err := prepare(pool, oa, co, g, ms, ks, ns, false)
+		pc, err := admitPlan(cl, pl)
 		if err != nil {
 			return nil, err
 		}
 		notes = append(notes, pc.notes...)
-		if g.table && pc.alg != oa.Alg {
+		g := pl.g
+		if g.table && pc.alg != pl.alg {
 			// The budget pushed the ladder below the table algorithm; its
 			// mixed-radix grid can run nothing else. Retry the whole
 			// ladder on the square geometry, where every rung is valid.
-			notes = append(notes, fmt.Sprintf("table-geometry: %v does not fit on its %dx%dx%d grid; reverting to square geometry", oa.Alg, g.gm, g.gk, g.gn))
-			table = false
+			notes = append(notes, fmt.Sprintf("table-geometry: %v does not fit on its %dx%dx%d grid; reverting to square geometry", pl.alg, g.gm, g.gk, g.gn))
+			gv.square = true
 			continue
 		}
-		if o.MaxResidualGrowth > 0 && pc.levels > 0 {
+		if o.MaxResidualGrowth > 0 && fastLevels(pc.alg, g.gm, g.gk, g.gn, pl.cutoff) > 0 {
 			if growth := probeResidualGrowth(pc.e, pc.alg, transA, transB, A, B); growth > o.MaxResidualGrowth {
 				notes = append(notes, fmt.Sprintf("residual-probe: %v growth %.1f > bound %.1f; degraded to %v",
 					pc.alg, growth, o.MaxResidualGrowth, Standard))
-				oa.Alg = Standard
-				table = false
+				o.Alg = Standard
 				continue
 			}
 		}
 		pc.notes = notes
-		pc.start(pool, co, stats)
+		pc.start(cl, stats)
 		return pc, nil
 	}
 }
@@ -519,14 +491,13 @@ func MulTiled(pool *sched.Pool, opts Options, C, A, B *Tiled) (*Stats, error) {
 // private packed copy, so partial quadrant products may already have
 // accumulated into it.
 func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *Tiled) (stats *Stats, err error) {
-	co := beginCall(0)
-	defer func() { co.end(opts.Metrics, stats, err) }()
-	defer func() {
-		if r := recover(); r != nil {
-			stats, err = nil, recoveredError(r)
-		}
-	}()
-	o := opts.withDefaults()
+	cl, err := enter(ctx, pool, opts, "MulTiled", 0)
+	defer func() { cl.end(stats, err) }()
+	defer leave(cl, &stats, &err)
+	if err != nil {
+		return nil, err
+	}
+	pool = cl.pool
 	if err := ConformTiled(A, B); err != nil {
 		return nil, err
 	}
@@ -537,24 +508,25 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 		return nil, fmt.Errorf("%w: tiled C is %dx%d in %dx%d tiles (%v, depth %d), the product is %dx%d in %dx%d tiles (%v, depth %d)",
 			ErrDimension, C.Rows, C.Cols, C.TR, C.TC, C.Curve, C.D, A.Rows, B.Cols, A.TR, B.TC, A.Curve, A.D)
 	}
-	if pool == nil {
-		p := sched.NewPool(0)
-		defer p.Close()
-		pool = p
-	} else if pool.Closed() {
-		return nil, sched.ErrPoolClosed
+	// One block whose operands the caller already holds tiled: a plan
+	// header of one segment pair each, charged like a transient plan's.
+	hdr := func(t *Tiled) *Prepacked {
+		return newPlan(*t, []tile.Seg{{Len: t.Rows}}, []tile.Seg{{Len: t.Cols}})
 	}
-	// One block whose three operands the caller already holds tiled;
-	// they are charged like a transient plan's.
-	one := []tile.Seg{{}}
-	pc, err := prepare(pool, o, co, squareGeom(C.Curve, C.D, C.TR, A.TC, C.TC), one, one, one, false)
+	pl, err := planOf(cl.o, pool.Workers(), given{pa: hdr(A), pb: hdr(B)}, A.Rows, A.Cols, B.Cols)
+	if err != nil {
+		return nil, err
+	}
+	if pl.ns == nil {
+		return &Stats{}, nil // an empty product: C += nothing
+	}
+	pc, err := admitPlan(cl, pl)
 	if err != nil {
 		return nil, err
 	}
 	stats = &Stats{Blocks: 1}
-	pc.start(pool, co, stats)
+	pc.start(cl, stats)
 	defer releaseArena(pc.ar)
-	c0 := startCall(pool, co.t0)
 	t0 := time.Now()
 	err = pc.e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
 		cm, am, bm := C.Mat(), A.Mat(), B.Mat()
@@ -566,7 +538,7 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 	if err != nil {
 		return nil, err
 	}
-	pc.finish(stats, pool, c0)
+	pc.finish(cl, stats)
 	return stats, nil
 }
 
@@ -575,62 +547,40 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 // given parallel-structure assumptions — the idealized counterpart of
 // the runtime accounting, used by the parallelism experiment.
 func WorkSpan(alg Alg, d uint, t int) (work, span float64) {
-	leafFlops := 2 * float64(t) * float64(t) * float64(t)
-	addFlops := func(tiles int) float64 {
-		e := float64(tiles) * float64(tiles) * float64(t) * float64(t)
-		return e
+	tb := tableOf(alg)
+	switch {
+	case tb == nil && alg != Standard:
+		panic("core: invalid algorithm")
+	case tb != nil && !tb.quad():
+		// On the square power-of-two grid this function models, a
+		// rectangular table hands the whole recursion to its base.
+		return WorkSpan(tb.Base, d, t)
 	}
-	var rec func(tiles int) (w, s float64)
-	switch alg {
-	case Standard:
-		rec = func(tiles int) (float64, float64) {
-			if tiles == 1 {
-				return leafFlops, leafFlops
-			}
-			w, s := rec(tiles / 2)
-			return 8 * w, 2 * s // two parallel rounds of four
-		}
-	case Standard8:
-		rec = func(tiles int) (float64, float64) {
-			if tiles == 1 {
-				return leafFlops, leafFlops
-			}
-			w, s := rec(tiles / 2)
-			a := addFlops(tiles / 2)
-			return 8*w + 8*a, s + 2*a // eight parallel products, then parallel post-add pairs
-		}
-	default:
-		tb := tableOf(alg)
-		if tb == nil {
-			panic("core: invalid algorithm")
-		}
-		if !tb.quad() {
-			// On the square power-of-two grid this function models, a
-			// rectangular table hands the whole recursion to its base.
-			return WorkSpan(tb.Base, d, t)
-		}
-		// A ⟨2,2,2⟩ table: R products and Table.passes' additions per
-		// level (the paper's 18- and 15-addition counts are for the
-		// assignment form; the accumulate form C += Σ±P costs one pass
-		// per term: 22 for Strassen, 19 for Winograd), Table.depth of
-		// them on the breadth-first critical path. The engine accounts
-		// the DFS first-touch copy of a W aux as a move, not an add, so
-		// the work is exact for both level shapes; a depthFirst table
-		// is entirely sequential.
+	// One level of the in-place recursion is two parallel rounds of four
+	// products and adds nothing. One level of a ⟨2,2,2⟩ table is R
+	// products at once and Table.passes' additions (the paper's 18- and
+	// 15-addition counts are for the assignment form; the accumulate form
+	// C += Σ±P costs one pass per term: 22 for Strassen, 19 for Winograd,
+	// Standard8's 8 post-additions), Table.depth of them on the
+	// breadth-first critical path — for Standard8 a C block's two, the
+	// O(lg² n) critical path the paper gives the standard algorithm. The
+	// engine accounts the DFS first-touch copy of a W aux as a move, not
+	// an add, so the work is exact for both level shapes; a depthFirst
+	// table is entirely sequential.
+	products, adds, rounds, depth := 8.0, 0.0, 2.0, 0.0
+	if tb != nil {
 		n3, n2, _ := tb.passes()
-		depth := tb.depth()
-		rec = func(tiles int) (float64, float64) {
-			if tiles == 1 {
-				return leafFlops, leafFlops
-			}
-			w, s := rec(tiles / 2)
-			a := addFlops(tiles / 2)
-			w = float64(tb.R)*w + float64(n3+n2)*a
-			if tb.depthFirst {
-				return w, w
-			}
-			return w, s + float64(depth)*a
+		products, adds, rounds, depth = float64(tb.R), float64(n3+n2), 1, float64(tb.depth())
+	}
+	work = 2 * float64(t) * float64(t) * float64(t)
+	span = work
+	for half := 1; half < 1<<d; half *= 2 {
+		pass := float64(half) * float64(half) * float64(t) * float64(t)
+		work = products*work + adds*pass
+		span = rounds*span + depth*pass
+		if tb != nil && tb.depthFirst {
+			span = work
 		}
 	}
-	return rec(1 << d)
+	return work, span
 }

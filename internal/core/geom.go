@@ -7,7 +7,8 @@ import (
 
 // This file chooses the recursion geometry for the table-driven
 // ⟨m,k,n⟩ algorithms, and resolves the fast-algorithm cutoff and the
-// AlgAuto selection of a call.
+// AlgAuto selection of a call; the planner (planOf, plan.go) is their
+// one caller.
 //
 // A rectangular table divides the three tile grids by M, K, N per
 // level, so its natural geometry is mixed-radix: gm = M^l·2^d,
@@ -110,10 +111,12 @@ var fastRates = func(kernel leaf.Impl, tm, tk, tn, side int) leaf.Rates {
 // on a grid side tiles a side, and Winograd otherwise.
 // The rectangular tables are not candidates: they run at 1.37× Standard's
 // time where the flop model preferred them (EXPERIMENTS.md) and stay
-// selectable by name. A call that names a non-fast algorithm (one with
-// no table) returns at the first line and never pays the calibration.
+// selectable by name. A call that names an algorithm that is not fast
+// (Standard, Standard8) has no cutoff, whatever the option says, and
+// never pays the calibration.
 func (o *Options) settle(kernel leaf.Impl, side, tm, tk, tn int) {
-	if o.Alg != AlgAuto && tableOf(o.Alg) == nil {
+	if o.Alg != AlgAuto && !tableOf(o.Alg).fast() {
+		o.FastCutoff = 0
 		return
 	}
 	if o.FastCutoff <= 0 {
@@ -127,27 +130,10 @@ func (o *Options) settle(kernel leaf.Impl, side, tm, tk, tn int) {
 	}
 }
 
-// resolved is a geometry with what only it can settle: the leaf kernel
-// for its tiles, and for that kernel the fast cutoff and AlgAuto.
-type resolved struct {
-	g      geom
-	kernel leaf.Impl
-	alg    Alg
-	cutoff int
-}
-
-func resolveGeom(o Options, g geom) (resolved, error) {
-	kernel, err := resolveKernel(o, g.tm, g.tk, g.tn)
-	if err != nil {
-		return resolved{}, err
-	}
-	o.settle(kernel, g.gm, g.tm, g.tk, g.tn)
-	return resolved{g: g, kernel: kernel, alg: o.Alg, cutoff: o.FastCutoff}, nil
-}
-
 // fastLevels counts the levels of alg's own recursion on a gm×gk×gn
-// grid: a rectangular table's divisions, then the ⟨2,2,2⟩ levels above
-// cutoff. Zero means the call goes straight to the standard recursion.
+// grid: a rectangular table's divisions, then a fast ⟨2,2,2⟩ table's
+// levels above cutoff. Zero means the call goes straight to a classical
+// recursion.
 func fastLevels(alg Alg, gm, gk, gn, cutoff int) (n int) {
 	if tb := tableOf(alg); tb != nil && !tb.quad() {
 		for !(gm == gk && gk == gn && gm&(gm-1) == 0) && gm%tb.M == 0 && gk%tb.K == 0 && gn%tb.N == 0 {
@@ -155,7 +141,7 @@ func fastLevels(alg Alg, gm, gk, gn, cutoff int) (n int) {
 		}
 		alg = tb.Base
 	}
-	for t := gm; tableOf(alg) != nil && t > max(cutoff, 1); t /= 2 {
+	for t := gm; tableOf(alg).fast() && t > max(cutoff, 1); t /= 2 {
 		n++
 	}
 	return n
@@ -168,31 +154,4 @@ func splitSegs(o Options, m, k, n int) (ms, ks, ns []tile.Seg) {
 		return o.Tile.SplitDims(m, k, n)
 	}
 	return []tile.Seg{{Len: m}}, []tile.Seg{{Len: k}}, []tile.Seg{{Len: n}}
-}
-
-// ResolveAlg is the AlgAuto resolution for callers that must know the
-// algorithm before the engine runs — the serving layer keys its plan
-// cache and request coalescing on the resolved choice. It applies the
-// option defaults, the split, the geometry and the kernel the driver
-// would, so it answers exactly what a GEMM with these options on this
-// shape will run (before any admission-control degradation); a shape
-// the driver would reject resolves to Standard.
-func ResolveAlg(o Options, m, k, n int) Alg {
-	if o.Alg != AlgAuto {
-		return o.Alg
-	}
-	if m <= 0 || k <= 0 || n <= 0 {
-		return Standard
-	}
-	o = (&o).withDefaults()
-	ms, ks, ns := splitSegs(o, m, k, n)
-	g, err := chooseGeom(o, ms, ks, ns, false)
-	if err != nil {
-		return Standard
-	}
-	r, err := resolveGeom(o, g)
-	if err != nil {
-		return Standard
-	}
-	return r.alg
 }

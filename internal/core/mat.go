@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/matrix"
 )
@@ -446,23 +445,4 @@ func matEW3(dst, a, b Mat, f func(dst, a, b []float64)) {
 		return
 	}
 	ew3Cols(dst, a, b, 0, dst.cols(), f)
-}
-
-// newTemp allocates a scratch Mat with the same geometry as proto. For
-// tiled storage the temp adopts the reference orientation, which is
-// always legal because every element-wise op resolves orientation
-// differences explicitly. For canonical storage the temp is contiguous,
-// so its leading dimension equals its row count — the leading-dimension
-// halving that Section 5.1 identifies as the reason the fast algorithms
-// are robust on canonical layouts.
-func newTemp(proto Mat) Mat {
-	faultinject.Alloc("core.newTemp")
-	t := proto
-	t.data = make([]float64, proto.elems())
-	if proto.tiledStore() {
-		t.orient = layout.OrientID
-	} else {
-		t.ld = proto.rows()
-	}
-	return t
 }

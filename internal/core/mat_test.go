@@ -68,7 +68,7 @@ func TestNewTempCanonicalHalvesLD(t *testing.T) {
 	// so their leading dimension equals the quadrant extent, not n.
 	parent := Mat{data: make([]float64, 64*64), tiles: 4, tr: 16, tc: 16, ld: 64, curve: layout.ColMajor}
 	q := parent.quad(layout.QuadNW)
-	tmp := newTemp(q)
+	tmp := (&exec{}).newTemp(&sched.Ctx{}, q)
 	if tmp.ld != 32 {
 		t.Fatalf("temp ld = %d, want 32 (quadrant rows)", tmp.ld)
 	}
@@ -79,7 +79,7 @@ func TestNewTempCanonicalHalvesLD(t *testing.T) {
 
 func TestNewTempTiledReferenceOrientation(t *testing.T) {
 	m := Mat{data: make([]float64, 64), tiles: 4, tr: 1, tc: 1, curve: layout.Hilbert, orient: layout.OrientAT}
-	tmp := newTemp(m)
+	tmp := (&exec{}).newTemp(&sched.Ctx{}, m)
 	if tmp.orient != layout.OrientID {
 		t.Fatalf("temp orientation = %d, want reference", tmp.orient)
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // This file is the driver's side of the observability contract: phase
@@ -62,34 +61,22 @@ func (e *exec) phase(ctx context.Context, k obs.Kind, name string, f func() erro
 	return err
 }
 
-// callStart bundles what finishStats needs from the top of a driver
-// call: the wall clock plus the pool's scheduler and busy counters.
-type callStart struct {
-	t0    time.Time
-	sched sched.PoolStats
-	busy  int64
-}
-
-func startCall(pool *sched.Pool, t0 time.Time) callStart {
-	return callStart{t0: t0, sched: pool.Stats(), busy: pool.BusyNanos()}
-}
-
 // finishStats fills the per-call scheduler fields of Stats from the
-// pool-counter deltas over the call. The counters are pool-global, so
+// pool-counter deltas since enter. The counters are pool-global, so
 // under concurrent callers the deltas apportion approximately (each
 // call sees some of its neighbors' traffic); they are clamped at zero,
 // and Utilization — busy worker-nanoseconds over workers × wall — is
 // clamped into [0, 1].
-func finishStats(s *Stats, pool *sched.Pool, c0 callStart) {
-	c1 := pool.Stats()
-	s.Spawns = max(0, c1.Spawns-c0.sched.Spawns)
-	s.Steals = max(0, c1.Steals-c0.sched.Steals)
-	s.Inline = max(0, c1.Inline-c0.sched.Inline)
-	s.Parks = max(0, c1.Parks-c0.sched.Parks)
-	s.Wakes = max(0, c1.Wakes-c0.sched.Wakes)
-	wall := time.Since(c0.t0).Nanoseconds()
-	if w := pool.Workers(); w > 0 && wall > 0 {
-		u := float64(pool.BusyNanos()-c0.busy) / (float64(w) * float64(wall))
+func (cl *call) finishStats(s *Stats) {
+	c0, c1 := cl.sched, cl.pool.Stats()
+	s.Spawns = max(0, c1.Spawns-c0.Spawns)
+	s.Steals = max(0, c1.Steals-c0.Steals)
+	s.Inline = max(0, c1.Inline-c0.Inline)
+	s.Parks = max(0, c1.Parks-c0.Parks)
+	s.Wakes = max(0, c1.Wakes-c0.Wakes)
+	wall := time.Since(cl.t0).Nanoseconds()
+	if w := cl.pool.Workers(); w > 0 && wall > 0 {
+		u := float64(cl.pool.BusyNanos()-cl.busy) / (float64(w) * float64(wall))
 		s.Utilization = max(0, min(u, 1))
 	}
 }

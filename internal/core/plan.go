@@ -42,60 +42,88 @@ import (
 // (operands, shape, algorithm, kernel) at any worker count and through
 // either entry point.
 
-// callObs is the observability prologue the driver entry points share.
-// The tracer and lane are captured once per call so a tracer swap
-// mid-call cannot split the call's spans across two tracers.
-type callObs struct {
+// call is an entry point past the prologue they all share (enter).
+type call struct {
+	// t0, tr and lane are the observability capture: the tracer and lane
+	// are taken once per call so a tracer swap mid-call cannot split the
+	// call's spans across two tracers.
 	t0   time.Time
 	tr   *obs.Tracer
 	lane int32
+	// o is the caller's options with the defaults applied.
+	o Options
+	// pool is the caller's pool or, when it passed none, a transient one
+	// with one worker per CPU that leave closes; sched and busy are its
+	// scheduler and busy counters at entry (finishStats).
+	pool      *sched.Pool
+	transient bool
+	sched     sched.PoolStats
+	busy      int64
 }
 
-func beginCall(traceID int64) callObs {
-	co := callObs{t0: time.Now(), tr: obs.Cur()}
-	if co.tr != nil {
-		co.lane = co.tr.NewLane()
+// enter is the prologue of every entry point: capture the tracer, apply
+// the option defaults, take the caller's pool or start a transient one,
+// and refuse a closed pool or an already-cancelled context before an
+// argument is read — so C and the operands are untouched and nothing is
+// allocated. context.Cause preserves a cause-carrying cancellation (e.g.
+// a server drain) that plain ctx.Err() would flatten to Canceled. The
+// caller defers leave whether or not enter fails.
+func enter(ctx context.Context, pool *sched.Pool, opts Options, what string, traceID int64) (*call, error) {
+	cl := &call{t0: time.Now(), tr: obs.Cur(), o: opts.withDefaults(), pool: pool}
+	if cl.tr != nil {
+		cl.lane = cl.tr.NewLane()
 		if traceID != 0 {
-			co.tr.LaneInstant(co.lane, obs.KindWaveItem, traceID)
+			cl.tr.LaneInstant(cl.lane, obs.KindWaveItem, traceID)
 		}
 	}
-	return co
+	if pool != nil && pool.Closed() {
+		return cl, sched.ErrPoolClosed
+	}
+	if ctx.Err() != nil {
+		return cl, fmt.Errorf("core: %s not started: %w", what, context.Cause(ctx))
+	}
+	if pool == nil {
+		cl.pool, cl.transient = sched.NewPool(0), true
+	}
+	cl.sched, cl.busy = cl.pool.Stats(), cl.pool.BusyNanos()
+	return cl, nil
+}
+
+// leave is enter's other half, deferred by the entry point: the
+// panic-to-error boundary — a panic anywhere below (the recursion's are
+// aggregated with worker-side stacks) becomes the call's typed error and
+// clears its result — and the end of a transient pool.
+func leave[T any](cl *call, res *T, err *error) {
+	if r := recover(); r != nil {
+		*res, *err = *new(T), recoveredError(r)
+	}
+	if cl.transient {
+		cl.pool.Close()
+	}
 }
 
 // end closes the whole-call span and records the call's metrics. Defer
-// it before the recover boundary: deferred calls run LIFO, so the
-// recover settles the final (stats, err) pair before end reads it.
-func (co callObs) end(m *obs.Registry, stats *Stats, err error) {
-	if co.tr != nil {
-		co.tr.LaneSpan(co.lane, obs.KindGEMM, co.t0, time.Since(co.t0), gemmSpanArg(stats))
+// it before leave: deferred calls run LIFO, so leave settles the final
+// (stats, err) pair before end reads it.
+func (cl *call) end(stats *Stats, err error) {
+	if cl.tr != nil {
+		cl.tr.LaneSpan(cl.lane, obs.KindGEMM, cl.t0, time.Since(cl.t0), gemmSpanArg(stats))
 	}
-	recordCallMetrics(m, stats, err, time.Since(co.t0))
+	recordCallMetrics(cl.o.Metrics, stats, err, time.Since(cl.t0))
 }
 
 // admitted marks admission's outcome on the call's lane: one instant
 // per degradation decision, plus the arena reservation (arg = bytes).
-func (co callObs) admitted(notes []string, ar *arena) {
-	if co.tr == nil {
+func (cl *call) admitted(notes []string, ar *arena) {
+	if cl.tr == nil {
 		return
 	}
 	for range notes {
-		co.tr.LaneInstant(co.lane, obs.KindDegrade, 0)
+		cl.tr.LaneInstant(cl.lane, obs.KindDegrade, 0)
 	}
 	if ar != nil {
-		co.tr.LaneInstant(co.lane, obs.KindArena, ar.bytes())
+		cl.tr.LaneInstant(cl.lane, obs.KindArena, ar.bytes())
 	}
-}
-
-// newExec builds a call's execution parameters; serial stops all
-// spawning, so only one depth-first path of temporaries (and one
-// worker's kernel scratch) is live.
-func newExec(o Options, co callObs, kernel leaf.Impl, serial bool) *exec {
-	e := &exec{kernel: kernel, serialCutoff: o.SerialCutoff, fastCutoff: o.FastCutoff,
-		ewMin: ewParMin, tr: co.tr, lane: co.lane}
-	if serial {
-		e.serialCutoff = 1 << 30
-	}
-	return e
 }
 
 // geom is the geometry every block of a call shares: a gm×gk×gn grid
@@ -132,7 +160,7 @@ func (g geom) hdrB() Tiled { return g.hdr(g.gk, g.gn, g.tk, g.tn) }
 // A segment exactly once, one row every B segment: in a wave such an
 // operand has no plan either — each block packs the segments it
 // multiplies (Prepacked.mat) — and is billed one segment per product
-// tile in flight. Who presents the bill names it (charge.what).
+// tile in flight.
 func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, runners int) charge {
 	mp, kp, np := int64(g.gm*g.tm), int64(g.gk*g.tk), int64(g.gn*g.tn)
 	ch := charge{perBlock: mp * np, inflight: max(runners, 1), scratch: g.tm*g.tk + g.tk*g.tn,
@@ -140,6 +168,9 @@ func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, run
 		deferA: runners > 0 && !resA && len(ns) == 1, deferB: runners > 0 && !resB && len(ms) == 1,
 		arena: func(alg Alg) int64 {
 			return arenaStackElems(alg, g.gm, g.gk, g.gn, g.tm, g.tk, g.tn, fastCutoff)
+		},
+		what: func() string {
+			return fmt.Sprintf("%dx%dx%d", mp*int64(len(ms)), kp*int64(len(ks)), np*int64(len(ns)))
 		}}
 	switch {
 	case ch.deferA:
@@ -210,57 +241,168 @@ func chooseGeom(o Options, ms, ks, ns []tile.Seg, table bool) (geom, error) {
 // turn, each pool-parallel inside.
 func asWave(n, workers int) bool { return n > 1 && n >= workers }
 
-// prepared is a call past its once-per-call decisions: geometry, leaf
-// kernel, admission rung, execution parameters and (after start) arena.
-type prepared struct {
-	g  geom
-	ch charge
-	admission
-	// levels is how many levels of the admitted algorithm's own
-	// recursion the grid runs above the fast cutoff.
-	levels int
-	e      *exec
-	ar     *arena
-	// runners is the number of block-wave runner tasks; zero walks the
-	// blocks from the caller's goroutine with nested parallelism.
-	runners int
+// given says how the operands of a product reach it. The zero value: the
+// call packs both out of column-major storage. pa: A is already tiled,
+// on pa's segments and geometry; pb, with it, B on pb's. resident plans
+// were packed and paid for outside the call and stay off its bill;
+// operands the caller tiled for this one product (MulTiledCtx) are
+// charged like a transient plan's.
+type given struct {
+	pa, pb   *Prepacked
+	resident bool
+	// square gives up a rectangular table's mixed-radix grid: the budget
+	// pushed admission below the table algorithm, and only the square
+	// geometry can run the other rungs.
+	square bool
 }
 
-// prepare resolves the kernel, the fast cutoff and AlgAuto, and runs
-// admission for a call of ms×ks×ns segments on geometry g. Nothing is
-// allocated yet: a caller may still reject the verdict and prepare
-// another geometry.
-func prepare(pool *sched.Pool, o Options, co callObs, g geom, ms, ks, ns []tile.Seg, resident bool) (*prepared, error) {
-	r, err := resolveGeom(o, g)
+// plan is how one m×k×n product runs under a set of options: the one
+// answer to "what will this call do", given before anything is allocated
+// and before C is touched. Every entry point — a per-call GEMM, a
+// product of resident plans, of pre-tiled operands, each member shape of
+// a batched wave, the right-hand side PrepackConforming packs, and
+// ResolveAlg, which builds the plan and does not run it — gets it from
+// planOf, so they agree on it by construction.
+type plan struct {
+	m, k, n    int
+	ms, ks, ns []tile.Seg // the segments its blocks multiply; nil: an empty product, nothing to plan
+	g          geom
+	kernel     leaf.Impl // o.KernelName, or leaf.Auto's pick for g's tiles
+	// alg is o.Alg, or what AlgAuto settles to on g; cutoff the grid side
+	// at which a fast alg hands over to the standard recursion, 0 for an
+	// algorithm that is not fast (Options.settle).
+	alg    Alg
+	cutoff int
+	// runners is the number of block-wave runner tasks; zero walks the
+	// blocks in order, from the caller's goroutine with nested
+	// parallelism or — a wave member — on its runner.
+	runners int
+	// ch is the admission bill: the operands the call packs, the product
+	// tiles in flight, the arena path.
+	ch charge
+}
+
+// describe reports the plan in stats as run with alg — the plan's own,
+// or the rung admission ran: geometry, kernel, cutoff, and the levels of
+// alg's own recursion the grid runs above the cutoff.
+func (pl *plan) describe(alg Alg, stats *Stats) {
+	g := pl.g
+	stats.Depth = g.d
+	stats.TileM, stats.TileK, stats.TileN = g.tm, g.tk, g.tn
+	stats.PaddedM, stats.PaddedK, stats.PaddedN = g.gm*g.tm, g.gk*g.tk, g.gn*g.tn
+	stats.Kernel, stats.Alg = pl.kernel.Name, alg
+	stats.FastCutoff, stats.FastLevels = pl.cutoff, fastLevels(alg, g.gm, g.gk, g.gn, pl.cutoff)
+}
+
+// planOf plans an m×k×n product: the split (GEMM's own, or the one a
+// given plan fixes, its free dimension cut as a direct call would cut
+// it), the geometry (tile selection, or the given operands' tiles), the
+// leaf kernel for those tiles, and what only the kernel and grid settle —
+// the fast cutoff and AlgAuto. workers is the pool's worker count and
+// decides whether the C blocks run as a wave; zero plans a wave member,
+// serial on its runner. Kernel and cutoff are per shape, not per wave: a
+// heterogeneous wave gives each member what its single-call twin gets.
+func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
+	pl := &plan{m: m, k: k, n: n}
+	if m == 0 || k == 0 || n == 0 {
+		return pl, nil
+	}
+	var err error
+	switch pa, pb := gv.pa, gv.pb; {
+	case pb != nil:
+		pl.ms, pl.ks, pl.ns = pa.RSegs, pa.CSegs, pb.CSegs
+		pl.g = squareGeom(pa.Curve, pa.D, pa.TR, pa.TC, pb.TC)
+		_, _, _, err = paddedDims(pa.D, pa.TR, pa.TC, pb.TC)
+	case pa != nil:
+		var tn int
+		pl.ms, pl.ks = pa.RSegs, pa.CSegs
+		pl.ns, tn, err = conformSegs(o, pa, n)
+		pl.g = squareGeom(pa.Curve, pa.D, pa.TR, pa.TC, tn)
+	default:
+		pl.ms, pl.ks, pl.ns = splitSegs(o, m, k, n)
+		tb := tableOf(o.Alg)
+		pl.g, err = chooseGeom(o, pl.ms, pl.ks, pl.ns,
+			!gv.square && tb != nil && !tb.quad() && o.Curve == layout.ColMajor && o.ForceTile == 0)
+	}
+	if err == nil {
+		err = pl.resolveGeom(o)
+	}
 	if err != nil {
 		return nil, err
 	}
-	o.Alg, o.FastCutoff = r.alg, r.cutoff
-	runners := 0
-	if asWave(len(ms)*len(ns), pool.Workers()) {
-		runners = pool.Workers()
+	if asWave(len(pl.ms)*len(pl.ns), workers) {
+		pl.runners = workers
 	}
-	ch := g.charge(r.cutoff, ms, ks, ns, resident, resident, runners)
-	ch.what = func() string {
-		return fmt.Sprintf("%dx%dx%d", int64(g.gm*g.tm)*int64(len(ms)), int64(g.gk*g.tk)*int64(len(ks)), int64(g.gn*g.tn)*int64(len(ns)))
-	}
-	return admitPlan(pool, o, co, r, ch, runners)
+	pl.ch = pl.g.charge(pl.cutoff, pl.ms, pl.ks, pl.ns, gv.resident && gv.pa != nil, gv.resident && gv.pb != nil, pl.runners)
+	return pl, nil
 }
 
-// admitPlan runs admission for what r's geometry describes — a call, or
-// a batched wave by its largest member — priced by ch and settled on
-// o.Alg at o.FastCutoff, as a wave of runners tasks.
-func admitPlan(pool *sched.Pool, o Options, co callObs, r resolved, ch charge, runners int) (*prepared, error) {
-	pc := &prepared{g: r.g, ch: ch, runners: runners}
+// resolveGeom settles what only the geometry can: the registry entry
+// that multiplies its tiles — the one KernelName names, or the default
+// for the shape — and for that kernel the fast cutoff and AlgAuto.
+func (pl *plan) resolveGeom(o Options) (err error) {
+	g := pl.g
+	if o.KernelName == "" {
+		pl.kernel = leaf.Auto(g.tm, g.tn, g.tk)
+	} else if pl.kernel, err = leaf.GetImpl(o.KernelName); err != nil {
+		return err
+	}
+	o.settle(pl.kernel, g.gm, g.tm, g.tk, g.tn)
+	pl.alg, pl.cutoff = o.Alg, o.FastCutoff
+	return nil
+}
+
+// ResolveAlg is the AlgAuto resolution for callers that must know the
+// algorithm before the engine runs — the serving layer keys its plan
+// cache and request coalescing on the resolved choice. It builds the
+// plan a GEMM with these options on this shape would run and does not
+// run it, so it answers exactly what that call will do (before any
+// admission-control degradation); a shape the driver would reject
+// resolves to Standard.
+func ResolveAlg(o Options, m, k, n int) Alg {
+	if o.Alg != AlgAuto {
+		return o.Alg
+	}
+	if m <= 0 || k <= 0 || n <= 0 {
+		return Standard
+	}
+	pl, err := planOf(o.withDefaults(), 0, given{}, m, k, n)
+	if err != nil {
+		return Standard
+	}
+	return pl.alg
+}
+
+// prepared is a plan past admission: the rung that runs, its execution
+// parameters and (after start) arena.
+type prepared struct {
+	pl *plan
+	admission
+	e  *exec
+	ar *arena
+	// runners is the plan's, or zero when admission chose a serial rung.
+	runners int
+}
+
+// admitPlan runs admission for pl — a call, or a batched wave by its
+// dearest member, priced by the wave's bill — and builds the execution
+// parameters of the rung that runs; serial stops all spawning, so only
+// one depth-first path of temporaries (and one worker's kernel scratch)
+// is live. Nothing is allocated yet: a caller may still reject the
+// verdict and plan another geometry.
+func admitPlan(cl *call, pl *plan) (*prepared, error) {
+	o := cl.o
+	o.Alg = pl.alg
+	pc := &prepared{pl: pl, runners: pl.runners}
 	var err error
-	if pc.admission, err = admit(o, pool.Workers(), ch); err != nil {
+	if pc.admission, err = admit(o, cl.pool.Workers(), pl.ch); err != nil {
 		return nil, err
 	}
+	pc.e = &exec{kernel: pl.kernel, serialCutoff: o.SerialCutoff, fastCutoff: pl.cutoff,
+		ewMin: ewParMin, tr: cl.tr, lane: cl.lane}
 	if pc.serial {
-		pc.runners = 0
+		pc.runners, pc.e.serialCutoff = 0, 1<<30
 	}
-	pc.levels = fastLevels(pc.alg, r.g.gm, r.g.gk, r.g.gn, o.FastCutoff)
-	pc.e = newExec(o, co, r.kernel, pc.serial)
 	return pc, nil
 }
 
@@ -269,29 +411,24 @@ func admitPlan(pool *sched.Pool, o Options, co callObs, r resolved, ch charge, r
 // recursion is carved from it — and describes the plan in stats. The
 // caller releases pc.ar once the call's tasks have drained (RunCtx
 // returns only after that, even on cancellation).
-func (pc *prepared) start(pool *sched.Pool, co callObs, stats *Stats) {
-	stacks := pool.Workers()
+func (pc *prepared) start(cl *call, stats *Stats) {
+	stacks := cl.pool.Workers()
 	if pc.serial {
 		stacks = 1
 	}
-	g := pc.g
-	pc.ar = acquireArenaElems(pc.ch.arena(pc.alg), stacks)
+	pc.ar = acquireArenaElems(pc.pl.ch.arena(pc.alg), stacks)
 	pc.e.ar = pc.ar
-	co.admitted(pc.notes, pc.ar)
-	stats.Depth = g.d
-	stats.TileM, stats.TileK, stats.TileN = g.tm, g.tk, g.tn
-	stats.PaddedM, stats.PaddedK, stats.PaddedN = g.gm*g.tm, g.gk*g.tk, g.gn*g.tn
-	stats.Kernel, stats.Alg, stats.Serial = pc.e.kernel.Name, pc.alg, pc.serial
-	stats.FastCutoff, stats.FastLevels = pc.e.fastCutoff, pc.levels
-	stats.Degraded, stats.EstimatedBytes, stats.ArenaBytes = pc.notes, pc.est, pc.ar.bytes()
+	cl.admitted(pc.notes, pc.ar)
+	pc.pl.describe(pc.alg, stats)
+	stats.Serial, stats.Degraded, stats.EstimatedBytes, stats.ArenaBytes = pc.serial, pc.notes, pc.est, pc.ar.bytes()
 }
 
 // finish closes the call's accounting once its tasks have drained.
-func (pc *prepared) finish(stats *Stats, pool *sched.Pool, c0 callStart) {
+func (pc *prepared) finish(cl *call, stats *Stats) {
 	if pc.ar != nil {
 		stats.AllocBytes = 8 * pc.ar.fallbackElems.Load()
 	}
-	finishStats(stats, pool, c0)
+	cl.finishStats(stats)
 }
 
 // scaleC applies β to the logical C, once, up front: the atomicity

@@ -65,12 +65,12 @@ type Prepacked struct {
 // second operand use PrepackConforming, which adopts the first plan's
 // geometry by construction.
 func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense, trans bool) (p *Prepacked, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, err = nil, recoveredError(r)
-		}
-	}()
-	o := opts.withDefaults()
+	cl, err := enter(ctx, pool, opts, "Prepack", 0)
+	defer leave(cl, &p, &err)
+	if err != nil {
+		return nil, err
+	}
+	o := cl.o
 	r, c, err := prepackShape(o, src, trans)
 	if err != nil {
 		return nil, err
@@ -82,7 +82,8 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 		// partners would make: serving plans name the partners' free
 		// dimension (PartnerDim); without it the unknown third dimension
 		// is taken as the row extent (a squat peer). Conformance with the
-		// partner plan is validated at multiply time.
+		// partner plan is validated at multiply time. The pick stays
+		// two-dimensional: a plan does not know its partner's tiles.
 		partner := o.PartnerDim
 		if partner <= 0 {
 			partner = r
@@ -93,7 +94,7 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 	if err != nil {
 		return nil, err
 	}
-	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs, src, trans, false)
+	return packPlan(ctx, cl.pool, cl.tr, nil, Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs, src, trans, false)
 }
 
 // PackTiled converts src into one tiled matrix on opts.Curve, the
@@ -122,17 +123,20 @@ func PackTiled(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.
 // k dimension), so GEMMPrepacked(…, like, result, …) conforms by
 // construction. This is the entry point for the serving pattern — the
 // big fixed operand is Prepacked once, each streaming right-hand side
-// is PrepackConforming'd against it.
+// is PrepackConforming'd against it. The segments and tiles are the
+// planner's for like's operand against this one (planOf), so options
+// that product would be refused for — an unknown KernelName — are
+// refused here.
 func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense, trans bool, like *Prepacked) (p *Prepacked, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, err = nil, recoveredError(r)
-		}
-	}()
+	cl, err := enter(ctx, pool, opts, "PrepackConforming", 0)
+	defer leave(cl, &p, &err)
+	if err != nil {
+		return nil, err
+	}
 	if like == nil || like.released {
 		return nil, fmt.Errorf("core: PrepackConforming against a nil or released plan")
 	}
-	o := opts.withDefaults()
+	o := cl.o
 	o.Curve = like.Curve
 	r, c, err := prepackShape(o, src, trans)
 	if err != nil {
@@ -141,11 +145,13 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 	if r != like.Cols {
 		return nil, fmt.Errorf("%w: operand has %d rows, plan's inner dimension is %d", ErrDimension, r, like.Cols)
 	}
-	cs, tc, err := conformSegs(o, like, c)
+	// The plan of like's operand against this one, of which only B's side
+	// is used: its segments and tiles.
+	pl, err := planOf(o, 0, given{pa: like, resident: true}, like.Rows, like.Cols, c)
 	if err != nil {
 		return nil, err
 	}
-	return packPlan(ctx, pool, obs.Cur(), nil, Tiled{Curve: o.Curve, D: like.D, TR: like.TC, TC: tc}, like.CSegs, cs, src, trans, false)
+	return packPlan(ctx, cl.pool, cl.tr, nil, pl.g.hdrB(), pl.ks, pl.ns, src, trans, false)
 }
 
 // conformSegs cuts the free dimension, of extent c, of a right-hand
@@ -209,13 +215,6 @@ func newPlan(hdr Tiled, rs, cs []tile.Seg) *Prepacked {
 func packPlan(ctx context.Context, pool *sched.Pool, tr *obs.Tracer, stats *Stats, hdr Tiled,
 	rs, cs []tile.Seg, src *matrix.Dense, trans, deferred bool) (p *Prepacked, err error) {
 
-	if pool == nil {
-		tp := sched.NewPool(0)
-		defer tp.Close()
-		pool = tp
-	} else if pool.Closed() {
-		return nil, sched.ErrPoolClosed
-	}
 	if p = newPlan(hdr, rs, cs); deferred {
 		p.src, p.trans = src, trans
 		return p, nil
@@ -355,22 +354,15 @@ func (p *Prepacked) repack(stats *Stats, hdr Tiled, rs, cs []tile.Seg, src *matr
 // product (SYRK's α·A·Aᵀ) serves both operand slots from a single
 // conversion pass.
 func (p *Prepacked) Transposed(ctx context.Context, pool *sched.Pool) (q *Prepacked, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			q, err = nil, recoveredError(r)
-		}
-	}()
+	cl, err := enter(ctx, pool, Options{}, "Transposed", 0)
+	defer leave(cl, &q, &err)
+	if err != nil {
+		return nil, err
+	}
 	if p.released {
 		return nil, fmt.Errorf("core: Transposed of a released plan")
 	}
-	if pool == nil {
-		tp := sched.NewPool(0)
-		defer tp.Close()
-		pool = tp
-	} else if pool.Closed() {
-		return nil, sched.ErrPoolClosed
-	}
-	return p.transposed(ctx, pool, nil)
+	return p.transposed(ctx, cl.pool, nil)
 }
 
 // transposed is Transposed past validation; stats, when non-nil, is the
@@ -435,14 +427,13 @@ func segsEqual(a, b []tile.Seg) bool {
 func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha float64,
 	pa, pb *Prepacked, beta float64, C *matrix.Dense) (stats *Stats, err error) {
 
-	co := beginCall(opts.TraceID)
-	defer func() { co.end(opts.Metrics, stats, err) }()
-	defer func() {
-		if r := recover(); r != nil {
-			stats, err = nil, recoveredError(r)
-		}
-	}()
-	o := opts.withDefaults()
+	cl, err := enter(ctx, pool, opts, "GEMMPrepacked", opts.TraceID)
+	defer func() { cl.end(stats, err) }()
+	defer leave(cl, &stats, &err)
+	if err != nil {
+		return nil, err
+	}
+	pool = cl.pool
 	if pa == nil || pb == nil {
 		return nil, fmt.Errorf("%w: GEMMPrepacked with nil plan", ErrDimension)
 	}
@@ -466,32 +457,21 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 			"prepack the lean operand with DisableSplit so the shared dimension stays in one segment",
 			len(pa.CSegs), len(pb.RSegs))
 	}
-	if pool == nil {
-		tp := sched.NewPool(0)
-		defer tp.Close()
-		pool = tp
-	} else if pool.Closed() {
-		return nil, sched.ErrPoolClosed
-	}
-	if ctx.Err() != nil {
-		return nil, fmt.Errorf("core: GEMMPrepacked not started: %w", context.Cause(ctx))
-	}
 
-	g := squareGeom(pa.Curve, pa.D, pa.TR, pa.TC, pb.TC)
-	if _, _, _, err := paddedDims(g.d, g.tm, g.tk, g.tn); err != nil {
-		return nil, err
-	}
 	// The plans arrive with the pack step done: their operands were
 	// allocated once, outside this call, and are charged to the plan —
 	// only the in-flight C tiles and the arena count against the budget.
-	pc, err := prepare(pool, o, co, g, pa.RSegs, pa.CSegs, pb.CSegs, true)
+	pl, err := planOf(cl.o, pool.Workers(), given{pa: pa, pb: pb, resident: true}, pa.Rows, pa.Cols, pb.Cols)
+	if err != nil {
+		return nil, err
+	}
+	pc, err := admitPlan(cl, pl)
 	if err != nil {
 		return nil, err
 	}
 	stats = &Stats{}
-	pc.start(pool, co, stats)
+	pc.start(cl, stats)
 	defer releaseArena(pc.ar)
-	c0 := startCall(pool, co.t0)
 	if err := scaleC(pool, C, beta); err != nil {
 		return nil, fmt.Errorf("core: GEMMPrepacked beta scale: %w", err)
 	}
@@ -499,10 +479,10 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 		return stats, nil
 	}
 	pm := planMul{alg: pc.alg, alpha: alpha, beta: beta, pa: pa, pb: pb, C: C, reused: 2}
-	if done, err := pm.run(ctx, pool, pc, stats, o.TraceID); err != nil {
+	if done, err := pm.run(ctx, pool, pc, stats, opts.TraceID); err != nil {
 		return nil, fmt.Errorf("core: GEMMPrepacked failed after %d of %d blocks: %w",
 			done, len(pa.RSegs)*len(pb.CSegs), err)
 	}
-	pc.finish(stats, pool, c0)
+	pc.finish(cl, stats)
 	return stats, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -513,6 +514,118 @@ func TestShapeMismatchIsErrDimension(t *testing.T) {
 			}
 			if !matrix.Equal(tc.C, before, 0) {
 				t.Errorf("%s, %s: C was modified by a rejected call", ep.name, tc.what)
+			}
+		}
+	}
+}
+
+// TestEntryPointsRefuseUpFront: every entry point runs the one prologue
+// (enter), so each refuses a closed pool (ErrPoolClosed) and a context
+// cancelled before the call ("core: <entry point> not started", wrapping
+// the cause) before an argument is read: C and the operands are
+// untouched, nothing is returned, and no goroutine is left — a nil
+// pool's transient one is never started.
+func TestEntryPointsRefuseUpFront(t *testing.T) {
+	live := sched.NewPool(2)
+	defer live.Close()
+	closed := sched.NewPool(2)
+	closed.Close()
+	bg := context.Background()
+	drain := errors.New("draining")
+	cancelled, cancel := context.WithCancelCause(bg)
+	cancel(drain)
+
+	rng := rand.New(rand.NewSource(23))
+	opts := Options{Curve: layout.ZMorton, Alg: Winograd, Tile: testTile}
+	A, B, C := matrix.Random(24, 16, rng), matrix.Random(16, 20, rng), matrix.Random(24, 20, rng)
+	pa, err := Prepack(bg, live, opts, A, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pa.Release()
+	pb, err := PrepackConforming(bg, live, opts, B, false, pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pb.Release()
+	ta, tb := pa.Block(0, 0), pb.Block(0, 0)
+	tc := NewTiled(ta.Curve, ta.D, ta.TR, tb.TC, 24, 20)
+	for i := range tc.Data {
+		tc.Data[i] = 3
+	}
+	operands := func() [][]float64 {
+		return [][]float64{A.Data, B.Data, C.Data, ta.Data, tb.Data, tc.Data}
+	}
+	var before [][]float64
+	for _, d := range operands() {
+		before = append(before, append([]float64(nil), d...))
+	}
+
+	plan := func(p *Prepacked, err error) (bool, error) {
+		p.Release()
+		return p != nil, err
+	}
+	wave := func(bs *BatchStats, errs []error, err error) (bool, error) { return bs != nil || errs != nil, err }
+	run := func(st *Stats, err error) (bool, error) { return st != nil, err }
+	for _, ep := range []struct {
+		name string // as the refusal names it
+		call func(ctx context.Context, pool *sched.Pool) (bool, error)
+	}{
+		{"GEMM", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return run(GEMMCtx(ctx, pool, opts, false, false, 1, A, B, 0.5, C))
+		}},
+		{"GEMMPrepacked", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return run(GEMMPrepacked(ctx, pool, opts, 1, pa, pb, 0.5, C))
+		}},
+		{"MulTiled", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return run(MulTiledCtx(ctx, pool, opts, tc, ta, tb))
+		}},
+		{"GEMMBatch", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return wave(GEMMBatch(ctx, pool, opts, []BatchItem{{Alpha: 1, A: A, B: B, Beta: 0.5, C: C}}))
+		}},
+		{"GEMMBatch", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return wave(GEMMBatchStrided(ctx, pool, opts, false, false, 24, 16, 20, 1, A.Data, 24, len(A.Data),
+				B.Data, 16, len(B.Data), 0.5, C.Data, 24, len(C.Data), 1))
+		}},
+		{"GEMMPrepackedBatch", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return wave(GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{Alpha: 1, B: B, Beta: 0.5, C: C}}))
+		}},
+		{"Prepack", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return plan(Prepack(ctx, pool, opts, A, false))
+		}},
+		{"PrepackConforming", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return plan(PrepackConforming(ctx, pool, opts, B, false, pa))
+		}},
+		{"Transposed", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return plan(pa.Transposed(ctx, pool))
+		}},
+	} {
+		for _, rc := range []struct {
+			what string
+			ctx  context.Context
+			pool *sched.Pool
+			want error
+		}{
+			{"closed pool", bg, closed, sched.ErrPoolClosed},
+			{"cancelled context", cancelled, live, drain},
+			{"cancelled context, no pool", cancelled, nil, drain},
+		} {
+			goroutines := runtime.NumGoroutine()
+			got, err := ep.call(rc.ctx, rc.pool)
+			if !errors.Is(err, rc.want) || got {
+				t.Errorf("%s, %s: result %v, err = %v; want none and %v", ep.name, rc.what, got, err, rc.want)
+			} else if says := "core: " + ep.name + " not started: draining"; rc.want == drain && err.Error() != says {
+				t.Errorf("%s, %s: err = %q, want %q", ep.name, rc.what, err, says)
+			}
+			for i, d := range operands() {
+				for j := range d {
+					if d[j] != before[i][j] {
+						t.Fatalf("%s, %s: operand %d modified at %d by a refused call", ep.name, rc.what, i, j)
+					}
+				}
+			}
+			if g := runtime.NumGoroutine(); g != goroutines {
+				t.Errorf("%s, %s: %d goroutines before the refused call, %d after", ep.name, rc.what, goroutines, g)
 			}
 		}
 	}

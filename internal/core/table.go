@@ -12,10 +12,11 @@ import (
 // matrices U (R×mk), V (R×kn), W (mn×R): each of the R recursive
 // products is P_r = (Σ_ij U[r][ij]·A_ij)·(Σ_jl V[r][jl]·B_jl), and each
 // C block is C_il += Σ_r W[il][r]·P_r. Strassen and Winograd are the
-// two classical ⟨2,2,2⟩ rank-7 points of this family; the table form
-// lets one generic engine (tablemul.go) run every member — the paper's
-// Figure 1(b), 1(c) and Section 5's space-conserving variant included —
-// so adding an algorithm is adding data, not code.
+// two classical ⟨2,2,2⟩ rank-7 points of this family, and Figure 1(a)'s
+// eight products into temporaries its rank-8 point; the table form lets
+// one generic engine (tablemul.go) run every member — the paper's
+// Figure 1(a), 1(b), 1(c) and Section 5's space-conserving variant
+// included — so adding an algorithm is adding data, not code.
 //
 // Correctness of a table is equivalent to the Brent equations — the
 // triple-product identity
@@ -88,6 +89,13 @@ type Table struct {
 // quad reports a ⟨2,2,2⟩ table: self-similar on the power-of-two grid,
 // so it descends to FastCutoff on every storage.
 func (tb *Table) quad() bool { return tb.M == 2 && tb.K == 2 && tb.N == 2 }
+
+// fast reports a table that multiplies with fewer products than the
+// classical M·K·N, and false for no table at all (Standard). Only a fast
+// algorithm has a cutoff to hand over at (Options.settle), fast levels,
+// a residual probe and a space-conserving rung on the admission ladder;
+// Standard8, the classical rank-8 table, descends to single tiles.
+func (tb *Table) fast() bool { return tb != nil && tb.R < tb.M*tb.K*tb.N }
 
 // needsTemp reports whether a U/V row requires a materialized scratch
 // block; a bare +1 singleton aliases the operand block directly.
@@ -179,9 +187,9 @@ const (
 )
 
 // tableAlgBase is the Alg id of the first table-driven algorithm: the
-// registry opens with Strassen, Winograd and StrassenLowMem, in the
-// order of their ids.
-const tableAlgBase = Strassen
+// registry opens with the four ⟨2,2,2⟩ tables — Standard8, Strassen,
+// Winograd and StrassenLowMem — in the order of their ids.
+const tableAlgBase = Standard8
 
 // AlgAuto is the per-shape auto-selection sentinel: the driver resolves
 // it to a concrete algorithm from the call's geometry before admission
@@ -519,20 +527,23 @@ func glue323Table() *Table {
 	return tb
 }
 
-// classical212Table is the trivial rank-4 ⟨2,1,2⟩ outer-product
-// partition — the second tensor factor of fast-4x2x4.
-func classical212Table() *Table {
-	tb := &Table{Name: "classical-2x1x2", M: 2, K: 1, N: 2, R: 4, Base: Standard}
-	for i := 0; i < 2; i++ {
-		for l := 0; l < 2; l++ {
-			tb.U = append(tb.U, []tableTerm{{i, 1}})
-			tb.V = append(tb.V, []tableTerm{{l, 1}})
-		}
-	}
-	tb.W = make([][]tableTerm, 4)
-	for i := 0; i < 2; i++ {
-		for l := 0; l < 2; l++ {
-			tb.W[i*2+l] = []tableTerm{{i*2 + l, 1}}
+// classicalTable is the rank-M·K·N algorithm every product of which is
+// one A block times one B block: product (i·N+l)·K+j is A(i,j)·B(j,l), so
+// C block (i,l) takes its K products in ascending j. ⟨2,2,2⟩ is the
+// paper's Figure 1(a), Standard8: eight quadrant products into
+// temporaries, then the post-additions C_il = A_i1·B_1l + A_i2·B_2l. Its
+// U and V rows are single +1 terms, so the engine aliases the operand
+// blocks and runs no pre-addition. ⟨2,1,2⟩ is the outer-product
+// partition, the second tensor factor of fast-4x2x4.
+func classicalTable(name string, M, K, N int) *Table {
+	tb := &Table{Name: name, M: M, K: K, N: N, R: M * K * N, Base: Standard, W: make([][]tableTerm, M*N)}
+	for i := 0; i < M; i++ {
+		for l := 0; l < N; l++ {
+			for j := 0; j < K; j++ {
+				tb.W[i*N+l] = append(tb.W[i*N+l], tableTerm{len(tb.U), 1})
+				tb.U = append(tb.U, []tableTerm{{i*K + j, 1}})
+				tb.V = append(tb.V, []tableTerm{{j*N + l, 1}})
+			}
 		}
 	}
 	return tb
@@ -709,24 +720,25 @@ func strassenLowMemTable() *Table {
 // tableAlgs registers the built-in table family in one initializer so
 // every other package-level var (Algs, the named ids below) depends on
 // it explicitly — Go's init-order analysis then guarantees the registry
-// is populated before anyone reads it. The first three land on the ids
-// Strassen, Winograd and StrassenLowMem (tableAlgBase).
+// is populated before anyone reads it. The first four land on the ids
+// Standard8, Strassen, Winograd and StrassenLowMem (tableAlgBase).
 var tableAlgs = func() []Alg {
 	return []Alg{
+		register(classicalTable("standard8", 2, 2, 2)),
 		register(strassen222Table()),
 		register(winograd222Table()),
 		register(strassenLowMemTable()),
 		register(glue323Table()),
-		register(tensorTable("fast-4x2x4", winograd222Table(), classical212Table(), Winograd)),
+		register(tensorTable("fast-4x2x4", winograd222Table(), classicalTable("classical-2x1x2", 2, 1, 2), Winograd)),
 		register(laderman333Table()),
 	}
 }()
 
-// The rectangular tables' ids, registered after the three ⟨2,2,2⟩
+// The rectangular tables' ids, registered after the four ⟨2,2,2⟩
 // entries. Their names follow the ⟨m,k,n⟩ convention so the -alg help
 // text reads as the algorithm family.
 var (
-	TableFast323     = tableAlgs[3]
-	TableFast424     = tableAlgs[4]
-	TableLaderman333 = tableAlgs[5]
+	TableFast323     = tableAlgs[4]
+	TableFast424     = tableAlgs[5]
+	TableLaderman333 = tableAlgs[6]
 )

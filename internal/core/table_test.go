@@ -1,6 +1,10 @@
 package core
 
 import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,13 +29,18 @@ func TestAlgTables(t *testing.T) {
 			t.Errorf("duplicate table name %q", tb.Name)
 		}
 		seen[tb.Name] = true
-		if tb.R >= tb.M*tb.K*tb.N && tb.Name != "classical-2x1x2" {
-			t.Errorf("table %s: rank %d does not beat classical %d",
-				tb.Name, tb.R, tb.M*tb.K*tb.N)
+		// Fast is a property of the table: fewer products than the
+		// classical M·K·N. Standard8 is the one registered table without it.
+		if tb.fast() == (tb.Name == "standard8") {
+			t.Errorf("table %s: rank %d against classical %d, fast() = %v",
+				tb.Name, tb.R, tb.M*tb.K*tb.N, tb.fast())
 		}
 	}
+	if tableOf(Standard).fast() {
+		t.Error("Standard, which has no table, is fast")
+	}
 	for _, want := range []string{
-		"strassen", "winograd", "strassen-lowmem", "fast-3x2x3", "fast-4x2x4", "laderman-3x3x3",
+		"standard8", "strassen", "winograd", "strassen-lowmem", "fast-3x2x3", "fast-4x2x4", "laderman-3x3x3",
 	} {
 		if !seen[want] {
 			t.Errorf("registry missing %s", want)
@@ -39,13 +48,17 @@ func TestAlgTables(t *testing.T) {
 	}
 }
 
-// TestAlgNames: the paper's three fast algorithms are registry entries
-// under their historical ids and names, each listed once.
+// TestAlgNames: Figure 1(a)'s Standard8 and the paper's three fast
+// algorithms are registry entries — the four ⟨2,2,2⟩ tables — under
+// their historical ids and names, each listed once.
 func TestAlgNames(t *testing.T) {
-	for alg, name := range map[Alg]string{Strassen: "strassen", Winograd: "winograd", StrassenLowMem: "strassen-lowmem"} {
-		if tb := tableOf(alg); tb == nil || alg.String() != name {
-			t.Errorf("Alg %d: table %v, name %q, want a table named %q", alg, tb, alg.String(), name)
+	for alg, name := range map[Alg]string{Standard8: "standard8", Strassen: "strassen", Winograd: "winograd", StrassenLowMem: "strassen-lowmem"} {
+		if tb := tableOf(alg); tb == nil || !tb.quad() || alg.String() != name {
+			t.Errorf("Alg %d: table %v, name %q, want a ⟨2,2,2⟩ table named %q", alg, tb, alg.String(), name)
 		}
+	}
+	if Standard != 0 || Standard8 != 1 || Strassen != 2 || Algs[0] != Standard || Algs[1] != Standard8 {
+		t.Errorf("ids moved: Standard %d, Standard8 %d, Strassen %d; Algs opens %v", Standard, Standard8, Strassen, Algs[:2])
 	}
 	if tb := tableOf(StrassenLowMem); !tb.depthFirst || tableOf(Strassen).depthFirst {
 		t.Error("StrassenLowMem, and only it, runs Strassen's table depth-first")
@@ -205,13 +218,11 @@ func TestSelectAlg(t *testing.T) {
 	auto := Options{Alg: AlgAuto, Curve: layout.ZMorton}
 	// side is the grid the driver would run an n³ call on.
 	side := func(o Options, n int) int {
-		o = (&o).withDefaults()
-		ms, ks, ns := splitSegs(o, n, n, n)
-		g, err := chooseGeom(o, ms, ks, ns, false)
+		pl, err := planOf(o.withDefaults(), 0, given{}, n, n, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g.gm
+		return pl.g.gm
 	}
 
 	t.Run("scalar leaf", func(t *testing.T) {
@@ -281,9 +292,83 @@ func TestSelectAlg(t *testing.T) {
 				t.Errorf("auto on a %d-tile grid at FastCutoff=%d: got %v, want Standard", fc, fc, o.Alg)
 			}
 		}
-		o := Options{Alg: Standard}
-		if o.settle(leaf.Impl{}, 64, 32, 32, 32); o.FastCutoff != 0 {
-			t.Errorf("Standard resolved a cutoff (%d)", o.FastCutoff)
+		// An algorithm that is not fast has no cutoff: none is resolved,
+		// and one the caller set is ignored.
+		for _, alg := range []Alg{Standard, Standard8} {
+			for _, fc := range []int{0, 4} {
+				o := Options{Alg: alg, FastCutoff: fc}
+				if o.settle(leaf.Impl{}, 64, 32, 32, 32); o.FastCutoff != 0 || o.Alg != alg {
+					t.Errorf("%v FastCutoff=%d settled to %v at cutoff %d, want no cutoff", alg, fc, o.Alg, o.FastCutoff)
+				}
+				if l := fastLevels(alg, 64, 64, 64, fc); l != 0 {
+					t.Errorf("%v runs %d fast levels on a 64-tile grid at cutoff %d", alg, l, fc)
+				}
+			}
 		}
 	})
+}
+
+// hashBits is FNV-1a over the bit patterns of m's elements, column by
+// column.
+func hashBits(m *matrix.Dense) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for j := 0; j < m.Cols; j++ {
+		for i := 0; i < m.Rows; i++ {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(m.At(i, j)))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// fmaProbe's sum is zero when the product is rounded before the add and
+// -2⁻⁶⁰ when the compiler fuses the two (arm64, GOAMD64=v3).
+var fmaProbe = [3]float64{1 + 0x1p-30, 1 - 0x1p-30, -1}
+
+// TestStandard8TableBits: the ⟨2,2,2⟩ rank-8 table is the hand-written
+// Figure 1(a) recursion it replaced, bit for bit. The hashes were
+// recorded at the last commit that had exec.std8 (87a010a), with the
+// pure-Go "naive" leaf so they hold on any host whose compiler keeps
+// multiply and add apart: one per shape, because that recursion already
+// gave every layout, worker count and serial cutoff the same bits —
+// each C block receives A_i1·B_1l and then A_i2·B_2l, which is the order
+// of the table's W rows breadth-first and of its products depth-first.
+// A FastCutoff changes nothing: Standard8 has no cutoff to hand over at,
+// and says so in Stats.
+func TestStandard8TableBits(t *testing.T) {
+	if fmaProbe[0]*fmaProbe[1]+fmaProbe[2] != 0 {
+		t.Skip("this build fuses multiply-add; the hashes were recorded without")
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		m, k, n int
+		want    uint64
+	}{{256, 256, 256, 0x9d97c05f46c81730}, {200, 136, 72, 0x58213208965a7a90}} {
+		rng := rand.New(rand.NewSource(int64(tc.m + tc.k + tc.n)))
+		A, B, C := matrix.Random(tc.m, tc.k, rng), matrix.Random(tc.k, tc.n, rng), matrix.Random(tc.m, tc.n, rng)
+		for _, workers := range []int{1, 4} {
+			pool := sched.NewPool(workers)
+			for _, cv := range []layout.Curve{layout.ZMorton, layout.GrayMorton, layout.Hilbert, layout.ColMajor} {
+				for _, cut := range []int{1, 4} {
+					for _, fc := range []int{0, 3} {
+						got := C.Clone()
+						opts := Options{Curve: cv, Alg: Standard8, KernelName: "naive", Tile: testTile, SerialCutoff: cut, FastCutoff: fc}
+						st, err := GEMMCtx(ctx, pool, opts, false, false, 0.75, A, B, 0.5, got)
+						if err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("%dx%dx%d %v, %d workers, SerialCutoff %d, FastCutoff %d", tc.m, tc.k, tc.n, cv, workers, cut, fc)
+						if h := hashBits(got); h != tc.want {
+							t.Errorf("%s: result hash %#x, exec.std8's was %#x", name, h, tc.want)
+						}
+						if st.Alg != Standard8 || st.FastCutoff != 0 || st.FastLevels != 0 {
+							t.Errorf("%s: ran %v with cutoff %d and %d fast levels, want standard8 with neither", name, st.Alg, st.FastCutoff, st.FastLevels)
+						}
+					}
+				}
+			}
+			pool.Close()
+		}
+	}
 }

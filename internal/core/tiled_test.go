@@ -182,7 +182,7 @@ func TestMatEWOrientationAlignment(t *testing.T) {
 		if cv.Orientations() > 1 && nw.orient == ne.orient {
 			t.Fatalf("%v: expected differing quadrant orientations", cv)
 		}
-		tmp := newTemp(nw)
+		tmp := (&exec{}).newTemp(&sched.Ctx{}, nw)
 		matEW3(tmp, nw, ne, vAdd)
 		// Reconstruct: tmp is an 8x8 tiled quadrant in OrientID; read it
 		// back tile by tile via the oriented S function.

@@ -88,7 +88,7 @@ func TestNamesSorted(t *testing.T) {
 	}
 	want := map[string]bool{
 		"naive": true, "unrolled4": true, "axpy": true,
-		"blocked": true, "packed4x4": true, "packed8x4": true,
+		"blocked": true, "packed8x4": true,
 	}
 	for _, n := range SIMDNames() {
 		want[n] = true

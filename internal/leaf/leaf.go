@@ -180,7 +180,6 @@ var kernels = map[string]Impl{
 	"unrolled4": {Name: "unrolled4", Kern: Unrolled4},
 	"axpy":      {Name: "axpy", Kern: Axpy},
 	"blocked":   {Name: "blocked", Kern: Blocked4x4},
-	"packed4x4": {Name: "packed4x4", Kern: Packed4x4, Scratch: PackedScratch4x4},
 	"packed8x4": {Name: "packed8x4", Kern: Packed8x4, Scratch: PackedScratch8x4},
 }
 

@@ -21,60 +21,10 @@ import "math"
 // microEdge handles the m%MR / n%NR fringe for both variants through
 // explicit strides.
 
-// micro4x4pp: C[0:4,0:4] += Apanel·Bpanel, panels packed at interleave 4.
-func micro4x4pp(kc int, pa, pb []float64, c []float64, ldc int) {
-	var c00, c10, c20, c30 float64
-	var c01, c11, c21, c31 float64
-	var c02, c12, c22, c32 float64
-	var c03, c13, c23, c33 float64
-	for p := 0; p < kc; p++ {
-		aa := (*[4]float64)(pa[4*p:])
-		bb := (*[4]float64)(pb[4*p:])
-		a0, a1, a2, a3 := aa[0], aa[1], aa[2], aa[3]
-		b0, b1, b2, b3 := bb[0], bb[1], bb[2], bb[3]
-		c00 = math.FMA(a0, b0, c00)
-		c10 = math.FMA(a1, b0, c10)
-		c20 = math.FMA(a2, b0, c20)
-		c30 = math.FMA(a3, b0, c30)
-		c01 = math.FMA(a0, b1, c01)
-		c11 = math.FMA(a1, b1, c11)
-		c21 = math.FMA(a2, b1, c21)
-		c31 = math.FMA(a3, b1, c31)
-		c02 = math.FMA(a0, b2, c02)
-		c12 = math.FMA(a1, b2, c12)
-		c22 = math.FMA(a2, b2, c22)
-		c32 = math.FMA(a3, b2, c32)
-		c03 = math.FMA(a0, b3, c03)
-		c13 = math.FMA(a1, b3, c13)
-		c23 = math.FMA(a2, b3, c23)
-		c33 = math.FMA(a3, b3, c33)
-	}
-	cc := (*[4]float64)(c[0*ldc:])
-	cc[0] += c00
-	cc[1] += c10
-	cc[2] += c20
-	cc[3] += c30
-	cc = (*[4]float64)(c[1*ldc:])
-	cc[0] += c01
-	cc[1] += c11
-	cc[2] += c21
-	cc[3] += c31
-	cc = (*[4]float64)(c[2*ldc:])
-	cc[0] += c02
-	cc[1] += c12
-	cc[2] += c22
-	cc[3] += c32
-	cc = (*[4]float64)(c[3*ldc:])
-	cc[0] += c03
-	cc[1] += c13
-	cc[2] += c23
-	cc[3] += c33
-}
-
 // micro8x4pp: C[0:8,0:4] += Apanel·Bpanel, A packed at interleave 8.
 // Thirty-two live accumulators exceed the register file on amd64, so this
 // variant trades spills for halved loop overhead per FMA; on the hosts
-// measured (`make bench-kernel`) that trade wins over micro4x4pp.
+// measured (`make bench-kernel`) that trade won over a 4×4 block.
 func micro8x4pp(kc int, pa, pb []float64, c []float64, ldc int) {
 	var c00, c10, c20, c30, c40, c50, c60, c70 float64
 	var c01, c11, c21, c31, c41, c51, c61, c71 float64

@@ -25,8 +25,8 @@ type ScratchKernel func(s *Scratch, m, n, k int, a []float64, lda int, b []float
 
 // microImpl describes one register-blocked micro-kernel family: the
 // MR-row block height plus the storage-variant inner loops the packing
-// driver dispatches to. The pure-Go families (microGo4/microGo8) and
-// the architecture-specific assembly families (simd_*.go) all plug into
+// driver dispatches to. The pure-Go family (microGo8) and the
+// architecture-specific assembly families (simd_*.go) all plug into
 // the same packedMul/directMul driver, so every kernel shares one
 // packing, fringe, and fast-path policy.
 type microImpl struct {
@@ -50,11 +50,8 @@ type microImpl struct {
 	rem *microImpl
 }
 
-// The pure-Go micro-kernel families behind packed4x4 and packed8x4.
-var (
-	microGo4 = &microImpl{mr: 4, pp: micro4x4pp, dd: micro4x4dd}
-	microGo8 = &microImpl{mr: 8, pp: micro8x4pp, dd: micro8x4dd, dd4: micro4x4dd}
-)
+// microGo8 is the pure-Go micro-kernel family behind packed8x4.
+var microGo8 = &microImpl{mr: 8, pp: micro8x4pp, dd: micro8x4dd, dd4: micro4x4dd}
 
 // packedMul is the shared body of the packed kernels: C += A·B through
 // MR×4 register-blocked micro-tiles of the mk family.
@@ -178,22 +175,9 @@ func kernelPair(mk *microImpl) (Kernel, ScratchKernel) {
 	return kern, skern
 }
 
-// PackedScratch4x4 is the 4×4 packed kernel in ScratchKernel form.
-func PackedScratch4x4(s *Scratch, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	packedMul(s, microGo4, m, n, k, a, lda, b, ldb, c, ldc)
-}
-
 // PackedScratch8x4 is the 8×4 packed kernel in ScratchKernel form.
 func PackedScratch8x4(s *Scratch, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	packedMul(s, microGo8, m, n, k, a, lda, b, ldb, c, ldc)
-}
-
-// Packed4x4 is the packed-panel kernel with a 4×4 register block,
-// self-managing its scratch through a pool.
-func Packed4x4(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	s := scratchPool.Get().(*Scratch)
-	packedMul(s, microGo4, m, n, k, a, lda, b, ldb, c, ldc)
-	scratchPool.Put(s)
 }
 
 // Packed8x4 is the packed-panel kernel with an 8×4 register block,

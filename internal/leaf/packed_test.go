@@ -14,7 +14,7 @@ import (
 // ldb==k, the recursive-tile fast path that skips packing) must produce
 // exactly what strided operands (the canonical-view path that packs both
 // panels) produce, for shapes on and off the MR/NR grid — for the
-// pure-Go families and every assembly family by name, so the AVX2
+// pure-Go family and every assembly family by name, so the AVX2
 // whole-panel body stays exercised on hosts where Auto picks the
 // wider family.
 func TestPackedFastPathMatchesPackedPath(t *testing.T) {
@@ -25,7 +25,7 @@ func TestPackedFastPathMatchesPackedPath(t *testing.T) {
 		{1, 1, 1}, {8, 8, 1}, {1, 8, 8}, {33, 29, 31},
 		{24, 8, 8}, {44, 12, 5}, // past the last 16-row block: 8 rows, then 4
 	}
-	for _, name := range append([]string{"packed4x4", "packed8x4"}, SIMDNames()...) {
+	for _, name := range append([]string{"packed8x4"}, SIMDNames()...) {
 		k, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestPackedKernelsAllocFree(t *testing.T) {
 	big := matrix.Random(80, 80, rng)
 	A, B := big.View(0, 0, n, n), big.View(16, 16, n, n)
 	C := matrix.Random(n, n, rng)
-	for _, name := range []string{"packed4x4", "packed8x4"} {
+	for _, name := range []string{"packed8x4"} {
 		kern, _ := Get(name)
 		// The pooled path keeps its scratch in a sync.Pool, which any GC
 		// may legitimately empty between the warm-up call and the

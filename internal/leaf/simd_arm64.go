@@ -11,8 +11,9 @@ package leaf
 // the 8×4 AVX2 kernel needs 256-bit registers for.
 var microNEON = &microImpl{mr: 4, pp: micro4x4ppNEON, dd: micro4x4ddNEON}
 
-// micro4x4ppNEON is micro4x4pp in NEON assembly: packed panels, each k
-// step reading 4+4 contiguous doubles.
+// micro4x4ppNEON is the 4×4 packed-panel block, C[0:4,0:4] +=
+// Apanel·Bpanel, in NEON assembly: each k step reads 4+4 contiguous
+// doubles.
 //
 //go:noescape
 func micro4x4ppNEON(kc int, pa, pb []float64, c []float64, ldc int)

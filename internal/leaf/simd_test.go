@@ -18,7 +18,7 @@ import (
 // from the pure-Go set.
 func TestSIMDRegistration(t *testing.T) {
 	pure := map[string]bool{"naive": true, "unrolled4": true, "axpy": true,
-		"blocked": true, "packed4x4": true, "packed8x4": true}
+		"blocked": true, "packed8x4": true}
 	for _, name := range SIMDNames() {
 		if pure[name] {
 			t.Errorf("SIMD kernel %q collides with a pure-Go kernel name", name)

@@ -110,8 +110,8 @@ type Algorithm = core.Alg
 // The supported algorithms. Standard is the O(n³) recursion in
 // accumulate form; Standard8 is the eight-spawn variant of Figure 1(a);
 // Strassen and Winograd are the O(n^lg7) fast algorithms of Figure 1(b)
-// and 1(c), run from their ⟨2,2,2⟩ coefficient tables by the engine that
-// runs the rectangular family below.
+// and 1(c). All but Standard are run from their ⟨2,2,2⟩ coefficient
+// tables by the engine that runs the rectangular family below.
 const (
 	Standard  = core.Standard
 	Standard8 = core.Standard8
@@ -178,10 +178,10 @@ type TileConfig = tile.Config
 type Kernel = leaf.Kernel
 
 // Kernels returns the names of the built-in leaf kernels in sorted
-// order: "axpy", "blocked" (register-blocked 4×4), "naive", "packed4x4"
-// and "packed8x4" (packed-panel register-blocked kernels with a
-// pack-free fast path on contiguous recursive-layout tiles), and
-// "unrolled4" (the paper's kernel), plus whatever hardware kernels the
+// order: "axpy", "blocked" (register-blocked 4×4), "naive", "packed8x4"
+// (a packed-panel register-blocked kernel with a pack-free fast path on
+// contiguous recursive-layout tiles), and "unrolled4" (the paper's
+// kernel), plus whatever hardware kernels the
 // host CPU unlocked — "avx2" (AVX2/FMA 8×4) and "avx512" (AVX-512F
 // 16×4, bit-identical to "avx2") on amd64, "neon" (NEON 4×4) on arm64;
 // see SIMDKernels. See DESIGN.md for the hierarchy.
@@ -239,8 +239,9 @@ type Options struct {
 	// crossover: the smallest grid at which one fast level beats eight
 	// half-size products with this host's kernel on the call's tiles,
 	// measured once per process. 1 = the paper's setting: recurse the
-	// fast algorithm all the way down. Report.FastCutoff and
-	// Report.FastLevels say what a call ran with.
+	// fast algorithm all the way down. Standard and Standard8 are not
+	// fast and ignore it. Report.FastCutoff and Report.FastLevels say
+	// what a call ran with.
 	FastCutoff int
 	// DisableSplit turns off wide/lean submatrix decomposition.
 	DisableSplit bool
