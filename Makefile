@@ -6,15 +6,16 @@ check: build vet loc-gate race wakegate determinism parity streamparity stress s
 
 # The sizes every simplicity change quotes (and ROADMAP.md tracks):
 # non-test lines of the core, the leaf kernels, the scheduler, the
-# daemon and the observability layer.
+# daemon, the observability layer, the Figure 1 tracer and the BLAS-3
+# layer.
 loc:
-	@for d in internal/core internal/leaf internal/sched internal/serve internal/obs; do \
+	@for d in internal/core internal/leaf internal/sched internal/serve internal/obs internal/trace internal/blas3; do \
 		echo "$$d $$(ls $$d/*.go | grep -v _test | xargs cat | wc -l)"; done
 
 # The size ratchet: internal/core's non-test lines may not exceed what
 # the last change to shrink it landed at (ROADMAP.md's target is 5,000).
 # A change that shrinks the core lowers the figure; none raises it.
-CORE_LOC_MAX = 5664
+CORE_LOC_MAX = 5557
 loc-gate:
 	@n=$$(ls internal/core/*.go | grep -v _test | xargs cat | wc -l); \
 	if [ $$n -gt $(CORE_LOC_MAX) ]; then \
@@ -97,10 +98,11 @@ race:
 # lost wake-up is a hang and not a millisecond. The park/wake tests —
 # the steal sweep that is a parker's last look, spawn and join wake-ups
 # raced against workers on their way into park (TestStressParkWake),
-# Close and cancellation reaching a parked sync, an idle pool's silence —
-# twenty times under the race detector at 1, 2 and 4 Ps (~4 min).
+# Close and cancellation reaching a parked sync, an idle pool's silence,
+# a shielded frame outliving its run's cancellation and not the pool's
+# Close — twenty times under the race detector at 1, 2 and 4 Ps (~4 min).
 wakegate:
-	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Park|Wake|Quiescent|StealSweep' ./internal/sched
+	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Park|Wake|Quiescent|StealSweep|Shield' ./internal/sched
 
 # Fault-injection stress: the TestStress* suites run under the race
 # detector with probabilistic panic/alloc/delay faults enabled at every

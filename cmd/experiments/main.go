@@ -137,14 +137,13 @@ func header(title string) {
 func fig1() {
 	header("Figure 1 — algorithmic locality of reference (8x8, per C element)")
 	fmt.Println("see cmd/localityviz for the dot grids; summary statistics:")
-	fmt.Printf("%-10s %14s %14s %14s\n", "algorithm", "total reads", "max A reads", "max B reads")
-	type row struct {
-		name string
-		alg  recmat.Algorithm
-	}
-	for _, r := range []row{{"standard", recmat.Standard}, {"strassen", recmat.Strassen}, {"winograd", recmat.Winograd}} {
-		total, maxA, maxB := localityStats(r.alg, 8)
-		fmt.Printf("%-10s %14d %14d %14d\n", r.name, total, maxA, maxB)
+	fmt.Printf("%-15s %14s %14s %14s\n", "algorithm", "total reads", "max A reads", "max B reads")
+	for _, alg := range recmat.Algorithms {
+		if trace.Table(alg) == nil {
+			continue // a rectangular table: no quadrant recursion to trace
+		}
+		total, maxA, maxB := localityStats(alg, 8)
+		fmt.Printf("%-15s %14d %14d %14d\n", alg, total, maxA, maxB)
 	}
 	fmt.Println("(standard reads exactly n per element; the fast algorithms read")
 	fmt.Println(" supersets, worst on the diagonal for Strassen and at the (0,7)/(7,0)")

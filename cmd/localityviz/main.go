@@ -4,7 +4,10 @@
 //
 // Usage:
 //
-//	localityviz [-alg standard|strassen|winograd] [-n 8] [-stats]
+//	localityviz [-alg standard|standard8|strassen|winograd|strassen-lowmem] [-n 8] [-stats]
+//
+// -alg takes any algorithm that is the in-place recursion or a ⟨2,2,2⟩
+// coefficient table: the diagram is read off the table the engine runs.
 package main
 
 import (
@@ -27,6 +30,10 @@ func main() {
 		a, err := core.ParseAlg(*algName)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if trace.Table(a) == nil {
+			fmt.Fprintf(os.Stderr, "localityviz: %v has no 2x2x2 table to trace\n", a)
 			os.Exit(2)
 		}
 		algs = []core.Alg{a}

@@ -251,7 +251,7 @@ func probeResidualGrowth(e *exec, alg Alg, transA, transB bool, Av, Bv *matrix.D
 	// Serial execution on an unbound Ctx: the recursion never spawns
 	// (serialCutoff ≥ tiles) so no pool is needed, and the probe runs
 	// with the same leaf kernel the real multiplication will use.
-	pe := &exec{kernel: e.kernel, serialCutoff: 1 << 30, fastCutoff: 1}
+	pe := &exec{kernel: e.kernel, serialCutoff: noSpawn, fastCutoff: 1}
 	pe.mul(&sched.Ctx{}, alg, mk(fast, gm, gn, tm, tn), mk(pa, gm, gk, tm, tk), mk(pb, gk, gn, tk, tn))
 	matrix.RefGEMM(false, false, 1, pa, pb, 0, ref)
 	return matrix.MaxAbsDiff(fast, ref) / scale

@@ -107,14 +107,17 @@ type exec struct {
 	// temporary heap-allocates (the probe path, or an over-budget
 	// reservation).
 	ar *arena
-	// ewMin: element-wise passes over at least this many elements are
-	// split across the pool (exec.ew2/ew3); 0 disables the splitting.
+	// ewMin: data-parallel passes over at least this many elements are
+	// split across the pool (exec.spawns); 0 disables the splitting.
 	ewMin int
 	// tr is the tracer captured at driver-call entry (nil when tracing
 	// is off) and lane is the call's caller-side trace track; both are
-	// used only by the driver-phase spans, never by the recursion.
-	tr   *obs.Tracer
-	lane int32
+	// used only by the runner's phase spans, never by the recursion.
+	// shared marks one of a wave's several runners: the wave is one compute
+	// phase and a block a wave-item span, where a lone runner's are phases.
+	tr     *obs.Tracer
+	lane   int32
+	shared bool
 }
 
 // ewParMin is the default exec.ewMin: below half a megabyte the
@@ -122,59 +125,65 @@ type exec struct {
 // memory-bound stream's cost.
 const ewParMin = 1 << 16
 
-// ewPar reports whether an element-wise pass over dst is split across
-// the pool: a large pass at a level whose parent still spawns (tiles·2
-// above the serial cutoff), on a frame bound to a worker of a pool with
-// more than one. Small passes and serial(-degraded) runs take the plain
-// streaming path.
+// noSpawn is the serial cutoff of a runner that spawns nothing — one of
+// a wave's as-many-as-workers, or any on a serial rung: no grid reaches it.
+const noSpawn = 1 << 30
+
+// spawns is the one rule for spreading a data-parallel pass over the
+// pool (chunked): the runner's products may spawn, the pass covers at
+// least ewMin elements, and the frame is bound to a worker of a pool
+// with more than one. Small passes and serial(-degraded) runs take the
+// plain streaming path.
+func (e *exec) spawns(c *sched.Ctx, elems int) bool {
+	return e.serialCutoff < noSpawn && e.ewMin > 0 && elems >= e.ewMin && c.Workers() >= 2 && c.WorkerID() >= 0
+}
+
+// ewPar is spawns for an element-wise pass of the recursion: at a level
+// whose parent still spawns (tiles·2 above the serial cutoff).
 func (e *exec) ewPar(c *sched.Ctx, dst Mat) bool {
-	return e.par(dst.tiles*2) && e.ewMin > 0 && dst.elems() >= e.ewMin && c.Workers() >= 2 && c.WorkerID() >= 0
+	return e.par(dst.tiles*2) && e.spawns(c, dst.elems())
 }
 
-// ewChunked runs f over [0, n) in two ranged chunks per worker through
-// c.Parallel; chunks honor cancellation through the scheduler's
-// between-task check.
-func ewChunked(c *sched.Ctx, n int, f func(lo, hi int)) {
-	chunks := min(c.Workers()*2, n)
-	fns := make([]func(*sched.Ctx), chunks)
-	for i := range fns {
-		lo, hi := n*i/chunks, n*(i+1)/chunks
-		fns[i] = func(*sched.Ctx) { f(lo, hi) }
-	}
-	c.Parallel(fns...)
-}
-
-// ew2 is matEW2 with pool-parallel chunking (ewPar), over tiles or
-// columns, so the top-level addition streams — O(n²) work on the
-// critical path — do not run single-threaded per node. Accounting stays
-// with the caller (accountAdd), identical to the serial form.
+// ew2 applies a two-operand element-wise kernel (dst, a) over equal
+// geometry, e.g. dst += a. Orientation mismatches between tiled operands
+// are resolved through resolveTileMap; when the orientations coincide
+// the whole region is one contiguous stream and f runs once over it —
+// the "streaming through the memory hierarchy" case Section 4
+// highlights. Canonical operands are walked column by column. A large
+// pass is chunked over the pool (ewPar), so the top-level addition
+// streams — O(n²) work on the critical path — do not run single-threaded
+// per node. Accounting stays with the caller (accountAdd).
 func (e *exec) ew2(c *sched.Ctx, dst, a Mat, f func(dst, a []float64)) {
-	if !e.ewPar(c, dst) {
-		matEW2(dst, a, f)
-		return
-	}
 	checkEW(dst, a)
-	if dst.tiledStore() {
+	par := e.ewPar(c, dst)
+	switch {
+	case !dst.tiledStore() && !par:
+		ew2Cols(dst, a, 0, dst.cols(), f)
+	case !dst.tiledStore():
+		chunked(c, 0, dst.cols(), func(lo, hi int) { ew2Cols(dst, a, lo, hi, f) })
+	case !par:
+		ew2Tiles(dst, a, resolveTileMap(dst, a), 0, dst.tiles*dst.tiles, f)
+	default:
 		m := resolveTileMap(dst, a)
-		ewChunked(c, dst.tiles*dst.tiles, func(lo, hi int) { ew2Tiles(dst, a, m, lo, hi, f) })
-		return
+		chunked(c, 0, dst.tiles*dst.tiles, func(lo, hi int) { ew2Tiles(dst, a, m, lo, hi, f) })
 	}
-	ewChunked(c, dst.cols(), func(lo, hi int) { ew2Cols(dst, a, lo, hi, f) })
 }
 
-// ew3 is the three-operand counterpart of ew2.
+// ew3 is the three-operand counterpart of ew2, e.g. dst = a + b.
 func (e *exec) ew3(c *sched.Ctx, dst, a, b Mat, f func(dst, a, b []float64)) {
-	if !e.ewPar(c, dst) {
-		matEW3(dst, a, b, f)
-		return
-	}
 	checkEW(dst, a, b)
-	if dst.tiledStore() {
+	par := e.ewPar(c, dst)
+	switch {
+	case !dst.tiledStore() && !par:
+		ew3Cols(dst, a, b, 0, dst.cols(), f)
+	case !dst.tiledStore():
+		chunked(c, 0, dst.cols(), func(lo, hi int) { ew3Cols(dst, a, b, lo, hi, f) })
+	case !par:
+		ew3Tiles(dst, a, b, resolveTileMap(dst, a), resolveTileMap(dst, b), 0, dst.tiles*dst.tiles, f)
+	default:
 		ma, mb := resolveTileMap(dst, a), resolveTileMap(dst, b)
-		ewChunked(c, dst.tiles*dst.tiles, func(lo, hi int) { ew3Tiles(dst, a, b, ma, mb, lo, hi, f) })
-		return
+		chunked(c, 0, dst.tiles*dst.tiles, func(lo, hi int) { ew3Tiles(dst, a, b, ma, mb, lo, hi, f) })
 	}
-	ewChunked(c, dst.cols(), func(lo, hi int) { ew3Cols(dst, a, b, lo, hi, f) })
 }
 
 // leafMul runs the leaf kernel on a single tile trio and accounts its

@@ -262,7 +262,7 @@ func acquireArenaElems(per int64, stacks int) *arena {
 
 // releaseArena returns the workspace to the recycling pool. Callers
 // must not release while tasks of the run may still allocate — in the
-// driver this is after pool.RunCtx has returned, which waits out even
+// driver this is after call.run has returned, which waits out even
 // cancelled runs.
 func releaseArena(a *arena) {
 	if a != nil {

@@ -32,7 +32,7 @@ func serialExec(t *testing.T, kernel string, ar *arena) *exec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &exec{kernel: impl, serialCutoff: 1 << 30, fastCutoff: 1, ar: ar, ewMin: ewParMin}
+	return &exec{kernel: impl, serialCutoff: noSpawn, fastCutoff: 1, ar: ar, ewMin: ewParMin}
 }
 
 func TestArenaStackElemsSanity(t *testing.T) {

@@ -18,8 +18,8 @@ import (
 // items far below the serial cutoff) pay more for root-task injection,
 // admission and the arena reservation than for flops. The wave pays
 // those once: one admission (a member's bill, its plan's charge, times
-// the members in flight), one arena, and min(items, workers) runner
-// tasks of the one runner loop (pullWave).
+// the members in flight), one arena, one scheduler run, and
+// min(items, workers) runner tasks of the one runner loop (pullWave).
 //
 // A member is a plan product run serially on its runner. The planner
 // (planOf) gives it the split, the geometry, the kernel and the cutoff
@@ -29,8 +29,7 @@ import (
 // whichever operands are not resident into its reused transient plans,
 // and every C block goes through planMul.block. So a member's result is
 // bit for bit its twin's, split or not, and the members are the
-// parallelism: a task already executes on a pool worker and must never
-// re-enter pool.RunCtx.
+// parallelism.
 //
 // Per-member contract (GEMMCtx's): a member that fails validation
 // leaves its C untouched; once it starts, its C is β-scaled up front,
@@ -164,7 +163,7 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 	if err != nil {
 		return nil, nil, err
 	}
-	o, pool := cl.o, cl.pool
+	o := cl.o
 	if len(items) == 0 {
 		return nil, nil, fmt.Errorf("core: %s of zero items", name)
 	}
@@ -254,7 +253,7 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 	// by itself, so nested spawns inside members are turned off — they
 	// would only add task overhead and per-spawn closures; smaller waves
 	// keep nested parallelism. Stats describe the dearest member.
-	workers := pool.Workers()
+	workers := cl.pool.Workers()
 	ch.inflight = min(live, workers)
 	wp := *dearest
 	wp.alg, wp.ch, wp.runners = alg, ch, ch.inflight
@@ -263,7 +262,7 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 		return nil, nil, err
 	}
 	if live >= workers {
-		pc.e.serialCutoff = 1 << 30
+		pc.e.serialCutoff = noSpawn
 	}
 	w.alg = pc.alg
 	pc.start(cl, &bs.Stats)
@@ -278,7 +277,9 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 			errs[i] = errNotRun
 		}
 	}
-	rerr := pullWave(ctx, pool, pc.e, max(pc.runners, 1), len(items), &bs.Stats, w.step)
+	rerr := cl.run(ctx, &bs.Stats, func(c *sched.Ctx) error {
+		return pullWave(ctx, c, pc.e, max(pc.runners, 1), len(items), &bs.Stats, w.step)
+	})
 	for i := range errs {
 		if errs[i] == nil {
 			bs.Completed++
@@ -309,10 +310,11 @@ func (w *wave) step(c *sched.Ctx, ws *waveWS, i int) error {
 	return nil
 }
 
-// member executes one member on the calling runner: β-scale, serial
-// pack of the operands that are not resident into the runner's
-// transient plans, then its C blocks through the shared block loop
-// (planMul.block), serial on this worker.
+// member executes one member on the calling runner: β-scale, pack of
+// the operands that are not resident into the runner's transient plans,
+// then its C blocks through the shared block loop (planMul.block) — each
+// step serial on this worker when the wave has as many members as
+// workers, spread by the runner's rule (exec.spawns) in a smaller one.
 func (w *wave) member(c *sched.Ctx, ws *waveWS, i int) error {
 	it, sh := &w.items[i], w.shapes[i]
 	if tr := ws.e.tr; tr != nil {
@@ -333,9 +335,8 @@ func (w *wave) member(c *sched.Ctx, ws *waveWS, i int) error {
 	if ictx.Err() != nil {
 		return fmt.Errorf("core: batch item %d not started: %w", i, context.Cause(ictx))
 	}
-	// β up front: the member's atomicity anchor. Serial is fine — the
-	// wave's parallelism is across members.
-	it.C.Scale(it.Beta)
+	// β up front: the member's atomicity anchor.
+	ws.e.scaleC(c, it.C, it.Beta)
 	if it.Alpha == 0 || sh.ns == nil {
 		return nil
 	}
@@ -344,25 +345,17 @@ func (w *wave) member(c *sched.Ctx, ws *waveWS, i int) error {
 	t0 := time.Now()
 	if pm.pa == nil {
 		pm.pa, pm.reused = &ws.pa, 0
-		if err := ws.pa.repack(&ws.stats, sh.g.hdrA(), sh.ms, sh.ks, it.A, it.TransA); err != nil {
-			return err
-		}
+		ws.pa.repack(&ws.e, c, &ws.stats, sh.g.hdrA(), sh.ms, sh.ks, it.A, it.TransA)
 	}
-	if err := ws.pb.repack(&ws.stats, sh.g.hdrB(), sh.ks, sh.ns, it.B, it.TransB); err != nil {
-		return err
-	}
+	ws.pb.repack(&ws.e, c, &ws.stats, sh.g.hdrB(), sh.ks, sh.ns, it.B, it.TransB)
 	ws.stats.ConvertIn += time.Since(t0)
 	for b := 0; b < len(sh.ms)*len(sh.ns); b++ {
-		err := pm.block(ictx, nil, c, b/len(sh.ns), b%len(sh.ns), ws)
-		switch {
-		case err == nil:
-		case err == errRunCancelled:
-			// The run's own error carries no cause a member could name.
+		// A block fails only by cancellation: the run's, whose own error
+		// carries no cause a member could name, or the member's context's.
+		if err := pm.block(ictx, c, b/len(sh.ns), b%len(sh.ns), ws); err == errRunCancelled {
 			return fmt.Errorf("core: batch item %d cancelled: %w", i, w.cause())
-		case errors.Is(err, context.Cause(ictx)):
+		} else if err != nil {
 			return fmt.Errorf("core: batch item %d cancelled: %w", i, err)
-		default:
-			return err
 		}
 	}
 	return nil

@@ -43,7 +43,7 @@ func bufClass(n int) int {
 
 // getBuf returns a dirty []float64 of length n, recycled when a buffer
 // of n's size class is pooled. The second result reports a pool hit.
-// Callers must fully overwrite the contents (Pack does) or zero them
+// Callers must fully overwrite the contents (pack does) or zero them
 // (the fused C epilogue does) before reading.
 func getBuf(n int) ([]float64, bool) {
 	if n == 0 {
@@ -88,24 +88,11 @@ func notePool(stats *Stats, hit bool) {
 	}
 }
 
-// acquireLike builds a packed operand with hdr's geometry over a
-// recycled buffer, covering a logical rows×cols. The contents are
-// dirty; Pack overwrites every element (padding included), and the
-// fused epilogue zero-fills, so no caller observes stale data.
-func acquireLike(stats *Stats, hdr Tiled, rows, cols int) Tiled {
-	t := hdr
-	t.Rows, t.Cols = rows, cols
-	b, hit := getBuf(t.elems())
-	notePool(stats, hit)
-	t.Data = b
-	return t
-}
-
-// refit rewrites a runner's workspace Tiled for its next use — hdr's
-// geometry over a logical rows×cols — keeping its buffer when the
-// capacity suffices (the steady-state path: no pool traffic, no
-// allocation) and recycling through the buffer pool only on growth.
-// The contents are dirty, as acquireLike's are.
+// refit rewrites a Tiled for its next use — hdr's geometry over a
+// logical rows×cols — keeping its buffer when the capacity suffices (a
+// runner's workspace in steady state: no pool traffic, no allocation)
+// and drawing one from the buffer pool otherwise (growth, or a fresh
+// Tiled). The contents are dirty, as getBuf's are.
 func (t *Tiled) refit(stats *Stats, hdr Tiled, rows, cols int) {
 	data := t.Data
 	*t = hdr

@@ -238,15 +238,18 @@ func GEMM(pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 // C, and it honors ctx — a cancelled context makes the call return an
 // error wrapping ctx's cause within a bounded latency.
 //
-// Failure atomicity: before any validation passes, C is untouched.
-// After admission, C is scaled by beta up front; if the call then fails
-// or is cancelled, C holds the β-scaled inputs (for beta == 0, zeros)
-// plus the fully-unpacked products of any *completed* blocks — never a
-// partially-written block product, since results are unpacked into C
-// only after a block's compute finishes. The error reports how many
-// blocks had completed. (Only under a MemBudget too small for a block's
-// whole k chain does a C block take its product in several such steps,
-// one per group of k segments, each of them all or nothing.)
+// Failure atomicity: until validation and admission have passed and the
+// call's scheduler run has begun, C is untouched (a cancellation that
+// lands first says "not started"). The run scales C by beta before
+// anything else; if the call then fails or is cancelled, C holds the
+// β-scaled inputs (for beta == 0, zeros) plus the fully-unpacked
+// products of any *completed* blocks — never a partially-written block
+// product, since results are unpacked into C only after a block's
+// compute finishes, by a pass no cancellation interrupts. The error
+// reports how many blocks had completed. (Only under a MemBudget too
+// small for a block's whole k chain does a C block take its product in
+// several such steps, one per group of k segments, each of them all or
+// nothing.)
 func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 	A, B *matrix.Dense, beta float64, C *matrix.Dense) (stats *Stats, err error) {
 
@@ -256,7 +259,7 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 	if err != nil {
 		return nil, err
 	}
-	o, pool := cl.o, cl.pool
+	o := cl.o
 	if o.Curve == layout.RowMajor {
 		return nil, fmt.Errorf("core: the row-major layout is not supported by the multiplication driver")
 	}
@@ -266,8 +269,8 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 		return nil, err
 	}
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
-		if err := scaleC(pool, C, beta); err != nil {
-			return nil, fmt.Errorf("core: GEMM beta scale: %w", err)
+		if err := cl.pass(ctx, func(e *exec, c *sched.Ctx) { e.scaleC(c, C, beta) }); err != nil {
+			return nil, err
 		}
 		return &Stats{}, nil
 	}
@@ -280,23 +283,20 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 		return nil, err
 	}
 	defer releaseArena(pc.ar)
-	if err := scaleC(pool, C, beta); err != nil {
-		return nil, fmt.Errorf("core: GEMM beta scale: %w", err)
-	}
 
-	// Pack once, then the block wave. Operands are packed UNSCALED (α
-	// rides in the fused epilogue) into a transient plan of pooled
-	// buffers: one group, every segment packed once and held for the
-	// call, or — over budget — the groups admission sized (charge.fit),
-	// row panels outermost, the k chain innermost, an operand's packed
-	// group kept for as long as the walk stays on it. An operand whose
-	// segments each have one consuming block (charge.deferA, deferB) gets
-	// a plan of no blocks: the block packs them, into its runner's buffer.
-	// Buffers return to the pool even on failure: every parallel pass
-	// drains its tasks before returning. When op(B) is exactly op(A)ᵀ
-	// (SYRK's GEMM over one matrix in both slots) and the blocks run
-	// nested, B's plan is derived from A's inside the recursive layout
-	// instead of re-reading the strided column-major source.
+	// One run: β·C, pack once, then the block wave. Operands are packed
+	// UNSCALED (α rides in the fused epilogue) into a transient plan of
+	// pooled buffers: one group, every segment packed once and held for
+	// the call, or — over budget — the groups admission sized (charge.fit),
+	// a run each, row panels outermost, the k chain innermost, an operand's
+	// packed group kept for as long as the walk stays on it. An operand
+	// whose segments each have one consuming block (charge.deferA, deferB)
+	// gets a plan of no blocks: the block packs them, into its runner's
+	// buffer. Buffers return to the pool even on failure: a run drains its
+	// tasks before it returns. When op(B) is exactly op(A)ᵀ (SYRK's GEMM
+	// over one matrix in both slots) and one runner walks the blocks, B's
+	// plan is derived from A's inside the recursive layout instead of
+	// re-reading the strided column-major source.
 	g, ch, ms, ks, ns, gr := pc.pl.g, pc.pl.ch, pc.pl.ms, pc.pl.ks, pc.pl.ns, pc.groups
 	fold := o.Curve != layout.ColMajor && sameView(A, B) && transA != transB &&
 		g.tm == g.tn && gr == ch.plan && pc.runners == 0 && !ch.deferA
@@ -309,57 +309,49 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 		for j := 0; j < len(ns); j += gr.cols {
 			for q := 0; q < len(ks); q += gr.ks {
 				rows, cols, inner := ms[i:min(i+gr.rows, len(ms))], ns[j:min(j+gr.cols, len(ns))], ks[q:min(q+gr.ks, len(ks))]
-				t0 := time.Now()
-				err := pc.e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() (err error) {
-					if at := (corner{i, q}); heldA != at {
-						pm.pa.Release()
-						heldA = at
-						if pm.pa, err = packPlan(ctx, pool, cl.tr, stats, g.hdrA(), rows, inner, A, transA, ch.deferA); err != nil {
-							return err
-						}
+				first := !cl.started
+				err := cl.run(ctx, stats, func(c *sched.Ctx) error {
+					if first {
+						pc.e.scaleC(c, C, beta)
 					}
-					if at := (corner{q, j}); heldB != at {
-						pm.pb.Release()
-						heldB = at
-						if fold {
-							stats.PackReused += len(ks) * len(ns)
-							pm.pb, err = pm.pa.transposed(ctx, pool, stats)
-						} else {
-							pm.pb, err = packPlan(ctx, pool, cl.tr, stats, g.hdrB(), inner, cols, B, transB, ch.deferB)
+					t0 := time.Now()
+					pc.e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() {
+						if at := (corner{i, q}); heldA != at {
+							pm.pa.Release()
+							heldA = at
+							pm.pa = newPlan(g.hdrA(), rows, inner)
+							pm.pa.fill(pc.e, c, stats, A, transA, ch.deferA)
 						}
-					}
-					return err
-				})
-				stats.ConvertIn += time.Since(t0)
-				if err == nil {
-					var nd int
+						if at := (corner{q, j}); heldB != at {
+							pm.pb.Release()
+							heldB = at
+							if fold {
+								stats.PackReused += len(ks) * len(ns)
+								pm.pb = pm.pa.transposedPlan()
+								pm.pb.fillTransposed(pc.e, c, stats, pm.pa)
+							} else {
+								pm.pb = newPlan(g.hdrB(), inner, cols)
+								pm.pb.fill(pc.e, c, stats, B, transB, ch.deferB)
+							}
+						}
+					})
+					stats.ConvertIn += time.Since(t0)
 					// Only a block's first k group finds C as β left it.
 					if pm.beta = beta; q > 0 {
 						pm.beta = 1
 					}
-					nd, err = pm.run(ctx, pool, pc, stats, o.TraceID)
+					nd, err := pm.wave(ctx, c, pc, stats, o.TraceID)
 					done += nd
-				}
+					return err
+				})
 				if err != nil {
-					return nil, fmt.Errorf("core: GEMM failed after %d of %d blocks: %w", done, total, err)
+					return nil, cl.failed(err, done, total)
 				}
 			}
 		}
 	}
 	pc.finish(cl, stats)
 	return stats, nil
-}
-
-// opView returns the view of X whose op() is the (rows, cols) segment
-// pair: when trans is set the roles of the segments swap because the
-// stored matrix is the transpose of the logical operand.
-// It is returned by value, so a view its caller packs serially stays
-// off the heap.
-func opView(X *matrix.Dense, trans bool, r, c tile.Seg) matrix.Dense {
-	if trans {
-		r, c = c, r
-	}
-	return *X.View(r.Off, c.Off, r.Len, c.Len)
 }
 
 // choose determines the depth and the tile sizes t that cover dims:
@@ -497,7 +489,6 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 	if err != nil {
 		return nil, err
 	}
-	pool = cl.pool
 	if err := ConformTiled(A, B); err != nil {
 		return nil, err
 	}
@@ -508,12 +499,16 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 		return nil, fmt.Errorf("%w: tiled C is %dx%d in %dx%d tiles (%v, depth %d), the product is %dx%d in %dx%d tiles (%v, depth %d)",
 			ErrDimension, C.Rows, C.Cols, C.TR, C.TC, C.Curve, C.D, A.Rows, B.Cols, A.TR, B.TC, A.Curve, A.D)
 	}
-	// One block whose operands the caller already holds tiled: a plan
-	// header of one segment pair each, charged like a transient plan's.
-	hdr := func(t *Tiled) *Prepacked {
-		return newPlan(*t, []tile.Seg{{Len: t.Rows}}, []tile.Seg{{Len: t.Cols}})
+	// A plan product of one block whose operands the caller already holds
+	// tiled — plans of one segment pair each, charged like a transient
+	// plan's — into a C it holds tiled too.
+	whole := func(t *Tiled) *Prepacked {
+		p := newPlan(*t, []tile.Seg{{Len: t.Rows}}, []tile.Seg{{Len: t.Cols}})
+		p.blocks = []Tiled{*t}
+		return p
 	}
-	pl, err := planOf(cl.o, pool.Workers(), given{pa: hdr(A), pb: hdr(B)}, A.Rows, A.Cols, B.Cols)
+	pm := planMul{pa: whole(A), pb: whole(B), tc: C}
+	pl, err := planOf(cl.o, cl.pool.Workers(), given{pa: pm.pa, pb: pm.pb}, A.Rows, A.Cols, B.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -524,18 +519,14 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 	if err != nil {
 		return nil, err
 	}
-	stats = &Stats{Blocks: 1}
+	stats = &Stats{}
 	pc.start(cl, stats)
 	defer releaseArena(pc.ar)
-	t0 := time.Now()
-	err = pc.e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
-		cm, am, bm := C.Mat(), A.Mat(), B.Mat()
-		var rerr error
-		stats.Work, stats.Span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { pc.e.mul(c, pc.alg, cm, am, bm) })
-		return rerr
-	})
-	stats.Compute = time.Since(t0)
-	if err != nil {
+	pm.alg = pc.alg
+	if err := cl.run(ctx, stats, func(c *sched.Ctx) error {
+		_, err := pm.wave(ctx, c, pc, stats, 0)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	pc.finish(cl, stats)

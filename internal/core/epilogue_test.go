@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,8 +47,8 @@ func TestUnpackAccumulateDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				scratch := matrix.New(rows, cols)
-				if err := tl.Unpack(context.Background(), pool, scratch); err != nil {
+				scratch, err := tl.Unpack(context.Background(), pool)
+				if err != nil {
 					t.Fatal(err)
 				}
 				want := dst0.Clone()
@@ -255,11 +256,63 @@ func TestScaleColsMatchesScale(t *testing.T) {
 	base := matrix.Random(40, 40, rng)
 	va := base.View(3, 5, 30, 20)
 	vb := base.Clone().View(3, 5, 30, 20)
-	if err := scaleCols(pool, va, 0.375); err != nil {
+	if err := onPool(context.Background(), pool, func(e *exec, c *sched.Ctx) { e.scaleC(c, va, 0.375) }); err != nil {
 		t.Fatal(err)
 	}
 	vb.Scale(0.375)
 	if !matrix.Equal(va, vb, 0) {
-		t.Error("parallel scaleCols diverges from serial Scale")
+		t.Error("the chunked β pass diverges from serial Scale")
+	}
+}
+
+// TestShieldedPassesCompleteOnCancelledRun: the two passes of the failure
+// contract that may not be left half-applied — the β-scale and the fused
+// epilogue — run to completion when they begin on a run that is already
+// cancelled, chunked over the pool as on a live one; a pass that carries
+// no such promise (the zero-fill) spawns nothing there.
+func TestShieldedPassesCompleteOnCancelledRun(t *testing.T) {
+	pool := sched.NewPool(4)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(26))
+	src := matrix.Random(64, 48, rng)
+	tl := NewTiled(layout.Hilbert, 3, 8, 6, 64, 48)
+	if err := tl.Pack(context.Background(), pool, src, false, 1); err != nil {
+		t.Fatal(err)
+	}
+	C0 := matrix.Random(64, 48, rng)
+	scaled, epilogue := C0.Clone(), C0.Clone()
+	dirty := make([]float64, 4096)
+	for i := range dirty {
+		dirty[i] = 1
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	err := onPool(ctx, pool, func(e *exec, c *sched.Ctx) {
+		cancel()
+		if !c.Cancelled() {
+			t.Error("the run does not see its cancellation")
+		}
+		e.scaleC(c, scaled, 0.5)
+		tl.unpackAccumulate(e, c, epilogue, 2, 1)
+		e.zero(c, dirty)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	want := C0.Clone()
+	want.Scale(0.5)
+	if !matrix.Equal(scaled, want, 0) {
+		t.Error("the β pass was cut short by the run's cancellation")
+	}
+	for j := 0; j < 48; j++ {
+		for i := 0; i < 64; i++ {
+			if got, want := epilogue.At(i, j), C0.At(i, j)+2*src.At(i, j); got != want {
+				t.Fatalf("epilogue at (%d,%d) = %g, want %g: cut short by the run's cancellation", i, j, got, want)
+			}
+		}
+	}
+	for i, v := range dirty {
+		if v != 1 {
+			t.Fatalf("the unshielded zero-fill ran on a cancelled run (element %d)", i)
+		}
 	}
 }

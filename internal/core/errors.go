@@ -47,9 +47,10 @@ func conform(alpha, beta float64, m, k, kb, n int, C *matrix.Dense) error {
 
 // recoveredError converts a value recovered at a public API boundary
 // into a typed error. Scheduler aggregates pass through unchanged (the
-// worker-side stacks are already captured); a raw panic — e.g. from a
-// conversion helper running outside the pool — is wrapped with the
-// stack at the boundary.
+// worker-side stacks are already captured); a raw panic — from planning
+// or admission, which run outside the call's scheduler run, or inside a
+// batch member's own boundary — is wrapped with the stack at the
+// boundary.
 func recoveredError(r any) error {
 	switch e := r.(type) {
 	case *sched.TaskError:

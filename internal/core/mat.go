@@ -179,7 +179,7 @@ func log2tiles(tiles int) uint {
 // tileMap describes how a tile position s in the destination's ordering
 // maps to the corresponding position in a source's ordering — the
 // concrete, devirtualized form of the old per-tile closure, so the hot
-// tile loops of matEW2/matEW3 make no indirect calls.
+// tile loops of exec.ew2/ew3 make no indirect calls.
 //
 // For Gray-Morton's two orientations the paper's half-step symmetry
 // applies: the mapping is a rotation by half the tile count, so the pre-
@@ -417,32 +417,4 @@ func checkEW(ms ...Mat) {
 			panic("core: mixed storage in element-wise op")
 		}
 	}
-}
-
-// matEW2 applies a two-operand element-wise kernel (dst, a) over equal
-// geometry, e.g. dst += a, on the calling goroutine. Orientation
-// mismatches between tiled operands are resolved through resolveTileMap;
-// when the orientations coincide the whole region is one contiguous
-// stream and f runs once over it — the "streaming through the memory
-// hierarchy" case Section 4 highlights. Canonical operands are walked
-// column-by-column. The pool-parallel form is exec.ew2.
-func matEW2(dst, a Mat, f func(dst, a []float64)) {
-	checkEW(dst, a)
-	if dst.tiledStore() {
-		ew2Tiles(dst, a, resolveTileMap(dst, a), 0, dst.tiles*dst.tiles, f)
-		return
-	}
-	ew2Cols(dst, a, 0, dst.cols(), f)
-}
-
-// matEW3 applies a three-operand element-wise kernel (dst, a, b) over
-// equal geometry, e.g. dst = a + b.
-func matEW3(dst, a, b Mat, f func(dst, a, b []float64)) {
-	checkEW(dst, a, b)
-	if dst.tiledStore() {
-		ew3Tiles(dst, a, b, resolveTileMap(dst, a), resolveTileMap(dst, b),
-			0, dst.tiles*dst.tiles, f)
-		return
-	}
-	ew3Cols(dst, a, b, 0, dst.cols(), f)
 }

@@ -48,17 +48,22 @@ func gemmSpanArg(stats *Stats) int64 {
 
 // phase wraps one driver phase (convert-in, compute, convert-out) in a
 // runtime/trace region and, when the call captured a tracer at entry, a
-// span on the call's lane. The region and span close on error paths
-// too, so a cancelled phase still leaves a well-formed trace.
-func (e *exec) phase(ctx context.Context, k obs.Kind, name string, f func() error) error {
+// span on the call's lane. It is the run's root or a lone runner that
+// calls it, on its worker; a cancelled phase returns like any other and
+// leaves a well-formed trace.
+func (e *exec) phase(ctx context.Context, k obs.Kind, name string, f func()) {
+	if e.shared {
+		f()
+		return
+	}
 	defer rtrace.StartRegion(ctx, name).End()
 	if e.tr == nil {
-		return f()
+		f()
+		return
 	}
 	t0 := time.Now()
-	err := f()
+	f()
 	e.tr.LaneSpan(e.lane, k, t0, time.Since(t0), 0)
-	return err
 }
 
 // finishStats fills the per-call scheduler fields of Stats from the

@@ -15,32 +15,34 @@ import (
 	"repro/internal/tile"
 )
 
-// This file is the one execution pipeline behind GEMMCtx, GEMMPrepacked
-// and the members of a GEMMBatch* wave (batch.go): plan → pack once →
-// block wave → fused epilogue.
+// This file is the one execution pipeline behind GEMMCtx, GEMMPrepacked,
+// MulTiledCtx and the members of a GEMMBatch* wave (batch.go): plan →
+// pack once → block wave → fused epilogue, all of it inside one
+// scheduler run.
 //
 // A multiplication is cut by one rule (tile.Config.SplitDims, Figure 3)
 // into squat blocks that share one geometry, one kernel, one admission
 // decision and one arena. Every A and B segment is packed exactly once
 // into a plan — a transient one for a per-call GEMM, released when the
 // call returns; a *Prepacked* operand simply arrives with that step
-// done. The C blocks (i, j) then run through one loop (planMul.run):
+// done. The C blocks (i, j) then run through one loop (planMul.wave):
 // each block owns a zero-filled tile, accumulates its products over the
 // k segments in ascending order in the packed domain, and folds α·tile
 // into C in one fused epilogue.
 //
-// The nesting rule is GEMMBatch's. A call with at least as many C
-// blocks as workers runs them as tasks of one pool.RunCtx, each task
-// serial inside (a task already executes on a pool worker and must
-// never re-enter RunCtx): the blocks are the parallelism, as
-// Benson–Ballard schedule small independent sub-products breadth-first.
-// A call with fewer blocks — in particular the single block of a squat
-// multiplication — walks them from the caller's goroutine with each
-// step pool-parallel: parallel pack, nested recursion, parallel
-// epilogue. Either way the k chain of a block is fixed and blocks own
-// disjoint regions of C, so the result is a pure function of
-// (operands, shape, algorithm, kernel) at any worker count and through
-// either entry point.
+// An entry point is enter → plan and admit → one call.run → leave, and
+// everything that touches an operand happens in that run's task tree, as
+// the paper's program is one Cilk computation: below an entry point
+// there is a *sched.Ctx to spawn from and no pool to start a second run
+// on. The nesting rule is GEMMBatch's. A call with at least as many C
+// blocks as workers pulls them with one runner task per worker, each
+// serial inside: the blocks are the parallelism, as Benson–Ballard
+// schedule small independent sub-products breadth-first. A call with
+// fewer — in particular the single block of a squat multiplication — is
+// a wave of one runner whose passes (chunked) and products spawn. Either
+// way the k chain of a block is fixed and blocks own disjoint regions of
+// C, so the result is a pure function of (operands, shape, algorithm,
+// kernel) at any worker count and through either entry point.
 
 // call is an entry point past the prologue they all share (enter).
 type call struct {
@@ -50,8 +52,10 @@ type call struct {
 	t0   time.Time
 	tr   *obs.Tracer
 	lane int32
-	// o is the caller's options with the defaults applied.
-	o Options
+	// o is the caller's options with the defaults applied; what names
+	// the entry point in a refusal.
+	o    Options
+	what string
 	// pool is the caller's pool or, when it passed none, a transient one
 	// with one worker per CPU that leave closes; sched and busy are its
 	// scheduler and busy counters at entry (finishStats).
@@ -59,6 +63,9 @@ type call struct {
 	transient bool
 	sched     sched.PoolStats
 	busy      int64
+	// started: the root task of a run has begun, so the operands may have
+	// been touched.
+	started bool
 }
 
 // enter is the prologue of every entry point: capture the tracer, apply
@@ -69,7 +76,7 @@ type call struct {
 // a server drain) that plain ctx.Err() would flatten to Canceled. The
 // caller defers leave whether or not enter fails.
 func enter(ctx context.Context, pool *sched.Pool, opts Options, what string, traceID int64) (*call, error) {
-	cl := &call{t0: time.Now(), tr: obs.Cur(), o: opts.withDefaults(), pool: pool}
+	cl := &call{t0: time.Now(), tr: obs.Cur(), o: opts.withDefaults(), what: what, pool: pool}
 	if cl.tr != nil {
 		cl.lane = cl.tr.NewLane()
 		if traceID != 0 {
@@ -89,10 +96,57 @@ func enter(ctx context.Context, pool *sched.Pool, opts Options, what string, tra
 	return cl, nil
 }
 
+// run is the call's scheduler run, the package's one RunCtx: root is a
+// task of the pool, and every pass and product below it spawns from its
+// frame. Work and span are the run's (a call's budget groups add up). A
+// panic under root comes back as the run's *sched.TaskError, and the
+// run's own error (cancellation, a closing pool) goes before root's. A
+// first run whose root never began — cancelled or closed before a worker
+// took it — says so: nothing was touched.
+func (cl *call) run(ctx context.Context, stats *Stats, root func(c *sched.Ctx) error) error {
+	var rerr error
+	work, span, err := cl.pool.RunCtx(ctx, func(c *sched.Ctx) {
+		cl.started = true
+		rerr = root(c)
+	})
+	stats.Work += work
+	stats.Span += span
+	switch {
+	case !cl.started:
+		return fmt.Errorf("core: %s not started: %w", cl.what, err)
+	case err != nil:
+		return err
+	}
+	return rerr
+}
+
+// failed words the error of a multiply's run: "not started" stands, any
+// other is told how far the call got.
+func (cl *call) failed(err error, done, total int) error {
+	if !cl.started {
+		return err
+	}
+	return fmt.Errorf("core: %s failed after %d of %d blocks: %w", cl.what, done, total, err)
+}
+
+// exec is the call's execution parameters short of what a plan settles
+// (kernel, fast cutoff): all that a pass needs.
+func (cl *call) exec() *exec {
+	return &exec{serialCutoff: cl.o.SerialCutoff, ewMin: ewParMin, tr: cl.tr, lane: cl.lane}
+}
+
+// pass is the run of an entry point that converts and does not multiply.
+func (cl *call) pass(ctx context.Context, f func(e *exec, c *sched.Ctx)) error {
+	return cl.run(ctx, &Stats{}, func(c *sched.Ctx) error {
+		f(cl.exec(), c)
+		return nil
+	})
+}
+
 // leave is enter's other half, deferred by the entry point: the
-// panic-to-error boundary — a panic anywhere below (the recursion's are
-// aggregated with worker-side stacks) becomes the call's typed error and
-// clears its result — and the end of a transient pool.
+// panic-to-error boundary — a panic outside the run (planning,
+// admission) becomes the call's typed error and clears its result — and
+// the end of a transient pool.
 func leave[T any](cl *call, res *T, err *error) {
 	if r := recover(); r != nil {
 		*res, *err = *new(T), recoveredError(r)
@@ -154,8 +208,8 @@ func (g geom) hdr(gr, gc, tr, tc int) Tiled {
 func (g geom) hdrA() Tiled { return g.hdr(g.gm, g.gk, g.tm, g.tk) }
 func (g geom) hdrB() Tiled { return g.hdr(g.gk, g.gn, g.tk, g.tn) }
 
-// charge prices a call of ms×ks×ns segments on this geometry, run as a
-// wave of runners tasks (zero: nested). An operand of a resident plan
+// charge prices a call of ms×ks×ns segments on this geometry, its blocks
+// pulled by runners tasks (zero: by one that spawns). An operand of a resident plan
 // (resA, resB) stays off the bill. One column of C blocks consumes every
 // A segment exactly once, one row every B segment: in a wave such an
 // operand has no plan either — each block packs the segments it
@@ -236,9 +290,9 @@ func chooseGeom(o Options, ms, ks, ns []tile.Seg, table bool) (geom, error) {
 }
 
 // asWave is the nesting rule, GEMMBatch's: n independent pieces of a
-// call run as tasks of one pool.RunCtx, each serial inside, when there
+// call are pulled by one task per worker, each serial inside, when there
 // are at least as many as workers; fewer (in particular one) run in
-// turn, each pool-parallel inside.
+// turn on one task, each spawning inside.
 func asWave(n, workers int) bool { return n > 1 && n >= workers }
 
 // given says how the operands of a product reach it. The zero value: the
@@ -273,9 +327,10 @@ type plan struct {
 	// algorithm that is not fast (Options.settle).
 	alg    Alg
 	cutoff int
-	// runners is the number of block-wave runner tasks; zero walks the
-	// blocks in order, from the caller's goroutine with nested
-	// parallelism or — a wave member — on its runner.
+	// runners is the width of the block wave when the blocks are the
+	// parallelism (asWave): the pool's workers, each runner serial inside.
+	// Zero is the wave of one runner, which walks the blocks in order and
+	// spawns inside them — or, a wave member, runs them on the member's.
 	runners int
 	// ch is the admission bill: the operands the call packs, the product
 	// tiles in flight, the arena path.
@@ -398,10 +453,10 @@ func admitPlan(cl *call, pl *plan) (*prepared, error) {
 	if pc.admission, err = admit(o, cl.pool.Workers(), pl.ch); err != nil {
 		return nil, err
 	}
-	pc.e = &exec{kernel: pl.kernel, serialCutoff: o.SerialCutoff, fastCutoff: pl.cutoff,
-		ewMin: ewParMin, tr: cl.tr, lane: cl.lane}
+	pc.e = cl.exec()
+	pc.e.kernel, pc.e.fastCutoff = pl.kernel, pl.cutoff
 	if pc.serial {
-		pc.runners, pc.e.serialCutoff = 0, 1<<30
+		pc.runners, pc.e.serialCutoff = 0, noSpawn
 	}
 	return pc, nil
 }
@@ -409,7 +464,7 @@ func admitPlan(cl *call, pl *plan) (*prepared, error) {
 // start reserves the call's scratch arena — the one up-front allocation
 // the admission estimate already charged; every temporary of the
 // recursion is carved from it — and describes the plan in stats. The
-// caller releases pc.ar once the call's tasks have drained (RunCtx
+// caller releases pc.ar once the call's tasks have drained (call.run
 // returns only after that, even on cancellation).
 func (pc *prepared) start(cl *call, stats *Stats) {
 	stacks := cl.pool.Workers()
@@ -431,17 +486,6 @@ func (pc *prepared) finish(cl *call, stats *Stats) {
 	cl.finishStats(stats)
 }
 
-// scaleC applies β to the logical C, once, up front: the atomicity
-// anchor of the failure contract. Large matrices are scaled in parallel
-// column chunks across the pool.
-func scaleC(pool *sched.Pool, C *matrix.Dense, beta float64) error {
-	if C.Rows*C.Cols >= ewParMin && pool.Workers() > 1 {
-		return scaleCols(pool, C, beta)
-	}
-	C.Scale(beta)
-	return nil
-}
-
 // errRunCancelled reports that the scheduler run a block was executing
 // in was cancelled: the block's product may be partial and is dropped.
 // The run's own error carries the cause.
@@ -457,110 +501,86 @@ type planMul struct {
 	beta   float64
 	pa, pb *Prepacked
 	C      *matrix.Dense
+	// tc, when non-nil, is a C the caller holds tiled (MulTiledCtx): the
+	// one block accumulates straight into it — no zero-fill, no epilogue.
+	tc *Tiled
 	// reused counts the operand packs a resident plan serves per
 	// product (Stats.PackReused).
 	reused int
 }
 
-// block computes C block (i, j): the products over the k segments
-// accumulate, in ascending order, into a zero-filled pooled tile in the
-// packed domain, and one fused epilogue folds α·tile into the block's
-// region of C — which therefore holds its β-scaled input until the
-// whole chain has succeeded. On a pool worker (c != nil: a wave task)
-// every step runs serially in place; from the caller's goroutine
-// (c == nil) each step is its own pool-parallel pass, and the epilogue
-// runs under a background context: once it starts, a cancellation must
-// not leave the block half-applied.
-func (pm *planMul) block(ctx context.Context, pool *sched.Pool, c *sched.Ctx, i, j int, ws *waveWS) error {
+// block computes C block (i, j) on its runner: the products over the k
+// segments accumulate, in ascending order, into a zero-filled pooled
+// tile in the packed domain, and one fused epilogue folds α·tile into
+// the block's region of C — which therefore holds its β-scaled input
+// until the whole chain has succeeded. Each step spawns or streams by
+// the runner's rule (exec.spawns, exec.par). On a cancelled run the
+// steps fall through to the check after the product, which drops the
+// tile; the epilogue, once begun, completes (unpackAccumulate's shield).
+func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS) error {
 	pa, pb, e, alg := pm.pa, pm.pb, &ws.e, pm.alg
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
+	}
 	sm, sn := pa.RSegs[i], pb.CSegs[j]
-	tc, hdr := &ws.tc, pa.hdr
-	hdr.TC, hdr.gc = pb.TC, pb.hdr.gc
-	tc.refit(&ws.stats, hdr, sm.Len, sn.Len)
-	t0 := time.Now()
-	if c != nil {
-		if c.Cancelled() {
-			return errRunCancelled
-		}
-		if ctx.Err() != nil {
-			return context.Cause(ctx)
-		}
-		vZero(tc.Data)
-	} else if err := e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() error {
-		return zeroFill(ctx, pool, tc.Data)
-	}); err != nil {
-		return err
+	tc, t0 := pm.tc, time.Now()
+	if tc == nil {
+		tc = &ws.tc
+		hdr := pa.hdr
+		hdr.TC, hdr.gc = pb.TC, pb.hdr.gc
+		tc.refit(&ws.stats, hdr, sm.Len, sn.Len)
+		e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() { e.zero(c, tc.Data) })
+		ws.stats.ConvertIn += time.Since(t0)
 	}
 	t1 := time.Now()
-	ws.stats.ConvertIn += t1.Sub(t0)
 
 	// A deferred operand's segment is packed here, by its one consumer,
 	// into the runner's buffer; mat bills that to ConvertIn.
 	cm, in0 := tc.Mat(), ws.stats.ConvertIn
 	for kk := range pa.CSegs {
 		am, bm := pa.mat(c, ws, &ws.one[0], i, kk), pb.mat(c, ws, &ws.one[1], kk, j)
-		if c != nil {
-			e.mul(c, alg, cm, am, bm)
-			if c.Cancelled() {
-				return errRunCancelled
-			}
-		} else {
-			var work, span float64
-			err := e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
-				var rerr error
-				work, span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { e.mul(c, alg, cm, am, bm) })
-				return rerr
-			})
-			ws.stats.Work += work
-			ws.stats.Span += span
-			if err != nil {
-				return err
-			}
+		e.phase(ctx, obs.KindCompute, "recmat.compute", func() { e.mul(c, alg, cm, am, bm) })
+		if c.Cancelled() {
+			return errRunCancelled
 		}
 		ws.stats.Blocks++
 		ws.stats.PackReused += pm.reused
 	}
 	t2 := time.Now()
 	ws.stats.Compute += t2.Sub(t1) - (ws.stats.ConvertIn - in0)
-
-	// A view per branch: the serial one never leaves this frame, so a
-	// wave task's block allocates nothing.
-	var err error
-	if c != nil {
-		if ctx.Err() != nil {
-			return context.Cause(ctx)
-		}
-		err = tc.unpackAccumulateSerial(pm.C.View(sm.Off, sn.Off, sm.Len, sn.Len), pm.alpha, pm.beta)
-	} else {
-		Cv := pm.C.View(sm.Off, sn.Off, sm.Len, sn.Len)
-		err = e.phase(ctx, obs.KindConvertOut, "recmat.convert-out", func() error {
-			return tc.UnpackAccumulate(context.Background(), pool, Cv, pm.alpha, pm.beta)
-		})
+	if pm.tc != nil {
+		return nil
 	}
+
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
+	}
+	Cv := pm.C.View(sm.Off, sn.Off, sm.Len, sn.Len)
+	e.phase(ctx, obs.KindConvertOut, "recmat.convert-out", func() { tc.unpackAccumulate(e, c, Cv, pm.alpha, pm.beta) })
 	ws.stats.ConvertOut += time.Since(t2)
 	ws.stats.ConvertBytes += 8 * int64(len(tc.Data))
-	return err
+	return nil
 }
 
-// run is the one block loop: every C block of the plan product, as one
-// wave of pc.runners tasks, or — nested — in order from the caller's
-// goroutine. It returns how many blocks completed; on failure or
-// cancellation the others still hold their β-scaled input.
-func (pm *planMul) run(ctx context.Context, pool *sched.Pool, pc *prepared, stats *Stats, traceID int64) (int, error) {
+// wave is the one block loop: every C block of the plan product, pulled
+// by pc.runners tasks or walked by one. It returns how many blocks
+// completed; on failure or cancellation the others still hold their
+// β-scaled input.
+func (pm *planMul) wave(ctx context.Context, c *sched.Ctx, pc *prepared, stats *Stats, traceID int64) (int, error) {
 	nn := len(pm.pb.CSegs)
 	nb := len(pm.pa.RSegs) * nn
 	// A group cut to fit the budget may hold too few blocks for a wave.
-	n, e := 0, *pc.e
+	n, e := 1, *pc.e
 	if pc.runners > 0 && asWave(nb, pc.runners) {
 		// The wave saturates the pool by itself; a task's parallelism is
 		// its siblings.
-		n, e.serialCutoff = pc.runners, 1<<30
+		n, e.serialCutoff = pc.runners, noSpawn
 	}
 	var done atomic.Int64
-	err := pullWave(ctx, pool, &e, n, nb, stats, func(c *sched.Ctx, ws *waveWS, b int) error {
+	err := pullWave(ctx, c, &e, n, nb, stats, func(c *sched.Ctx, ws *waveWS, b int) error {
 		t0 := time.Now()
-		err := pm.block(ctx, pool, c, b/nn, b%nn, ws)
-		if c != nil && ws.e.tr != nil {
+		err := pm.block(ctx, c, b/nn, b%nn, ws)
+		if ws.e.shared && ws.e.tr != nil {
 			ws.e.tr.Span(c.WorkerID(), obs.KindWaveItem, t0, time.Since(t0), traceID)
 		}
 		if err == nil {
@@ -595,19 +615,16 @@ func (ws *waveWS) release() {
 }
 
 // pullWave is the one runner loop: the indices below count are pulled
-// off a shared counter by n runner tasks of one pool.RunCtx — or, n
-// zero, in order from the caller's goroutine, step seeing a nil c —
-// each runner with its own workspace and copy of e. A step that returns
-// an error or panics stops every runner; the first error by runner is
-// returned when the run itself reports none. Work and span come from
-// the wave's single RunCtx (nested: the steps' own runs in sequence, so
-// spans add), the runners' counters are merged into stats, and the
-// wave's wall time is apportioned to the three phase timers by the
+// off a shared counter by n runner tasks spawned from c — one runs on
+// c's own frame — each with its own workspace and copy of e. A step that
+// returns an error or panics stops every runner, and the first error by
+// runner is returned. The runners' counters are merged into stats, and
+// the wave's wall time is apportioned to the three phase timers by the
 // share of task time each phase took.
-func pullWave(ctx context.Context, pool *sched.Pool, e *exec, n, count int, stats *Stats,
+func pullWave(ctx context.Context, c *sched.Ctx, e *exec, n, count int, stats *Stats,
 	step func(c *sched.Ctx, ws *waveWS, i int) error) error {
 
-	wss := make([]waveWS, max(n, 1))
+	wss := make([]waveWS, n)
 	var st struct {
 		runner, next atomic.Int64
 		stop         atomic.Bool
@@ -615,6 +632,7 @@ func pullWave(ctx context.Context, pool *sched.Pool, e *exec, n, count int, stat
 	runner := func(c *sched.Ctx) {
 		ws := &wss[st.runner.Add(1)-1]
 		ws.e = *e
+		ws.e.shared = n > 1
 		ws.pa.blocks, ws.pb.blocks = ws.one[0:0:1], ws.one[1:1:2]
 		clean := false
 		defer func() {
@@ -623,7 +641,7 @@ func pullWave(ctx context.Context, pool *sched.Pool, e *exec, n, count int, stat
 				st.stop.Store(true)
 			}
 		}()
-		for !st.stop.Load() && (c == nil || !c.Cancelled()) {
+		for !st.stop.Load() && !c.Cancelled() {
 			i := int(st.next.Add(1)) - 1
 			if i >= count {
 				break
@@ -637,25 +655,18 @@ func pullWave(ctx context.Context, pool *sched.Pool, e *exec, n, count int, stat
 	}
 
 	t0 := time.Now()
-	var err error
-	if n == 0 {
-		runner(nil)
+	if n == 1 {
+		runner(c)
 	} else {
 		fns := make([]func(*sched.Ctx), n)
 		for r := range fns {
 			fns[r] = runner
 		}
-		var work, span float64
-		err = e.phase(ctx, obs.KindCompute, "recmat.compute", func() error {
-			var rerr error
-			work, span, rerr = pool.RunCtx(ctx, func(c *sched.Ctx) { c.Parallel(fns...) })
-			return rerr
-		})
-		stats.Work += work
-		stats.Span += span
+		e.phase(ctx, obs.KindCompute, "recmat.compute", func() { c.Parallel(fns...) })
 	}
 	wall := time.Since(t0)
 
+	var err error
 	var in, comp, out time.Duration
 	for r := range wss {
 		s := &wss[r].stats
@@ -675,8 +686,6 @@ func pullWave(ctx context.Context, pool *sched.Pool, e *exec, n, count int, stat
 
 // merge folds one runner workspace's counters into the call's stats.
 func (s *Stats) merge(ws *Stats) {
-	s.Work += ws.Work
-	s.Span += ws.Span
 	s.ConvertBytes += ws.ConvertBytes
 	s.Blocks += ws.Blocks
 	s.PoolHits += ws.PoolHits

@@ -94,14 +94,20 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 	if err != nil {
 		return nil, err
 	}
-	return packPlan(ctx, cl.pool, cl.tr, nil, Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs, src, trans, false)
+	p = newPlan(Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs)
+	return cl.resident(ctx, p, func(e *exec, c *sched.Ctx) { p.fill(e, c, nil, src, trans, false) })
 }
 
 // PackTiled converts src into one tiled matrix on opts.Curve, the
 // operand form MulTiledCtx multiplies, on the depth and tiles a plan of
 // its shape gets.
-func PackTiled(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense) (*Tiled, error) {
-	o := opts.withDefaults()
+func PackTiled(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense) (t *Tiled, err error) {
+	cl, err := enter(ctx, pool, opts, "Pack", 0)
+	defer leave(cl, &t, &err)
+	if err != nil {
+		return nil, err
+	}
+	o := cl.o
 	r, c, err := prepackShape(o, src, false)
 	if err != nil {
 		return nil, err
@@ -110,8 +116,8 @@ func PackTiled(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.
 	if err != nil {
 		return nil, err
 	}
-	t := NewTiled(o.Curve, d, tiles[0], tiles[1], r, c)
-	if err := t.Pack(ctx, pool, src, false, 1); err != nil {
+	t = NewTiled(o.Curve, d, tiles[0], tiles[1], r, c)
+	if err := cl.pass(ctx, func(e *exec, c *sched.Ctx) { t.pack(e, c, src, false, 1) }); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -151,7 +157,8 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 	if err != nil {
 		return nil, err
 	}
-	return packPlan(ctx, cl.pool, cl.tr, nil, pl.g.hdrB(), pl.ks, pl.ns, src, trans, false)
+	p = newPlan(pl.g.hdrB(), pl.ks, pl.ns)
+	return cl.resident(ctx, p, func(e *exec, c *sched.Ctx) { p.fill(e, c, nil, src, trans, false) })
 }
 
 // conformSegs cuts the free dimension, of extent c, of a right-hand
@@ -203,62 +210,55 @@ func newPlan(hdr Tiled, rs, cs []tile.Seg) *Prepacked {
 		RSegs: rs, CSegs: cs, hdr: hdr}
 }
 
-// packPlan builds and fills a plan over fixed geometry (hdr) and
-// segments: every segment pair packed exactly once, unscaled, into a
-// pooled buffer — up front, here, or (deferred: every segment has a
-// single consuming C block) by that block when it runs, so nothing is
-// packed yet. The nesting rule is the block wave's (asWave): enough
-// segments pack as tasks of one pool.RunCtx, each serial inside; fewer
-// pack in turn, each pool-parallel over its tiles. tr is the calling
-// entry point's tracer, captured once; stats, when non-nil, is charged
-// the conversion (a transient per-call plan).
-func packPlan(ctx context.Context, pool *sched.Pool, tr *obs.Tracer, stats *Stats, hdr Tiled,
-	rs, cs []tile.Seg, src *matrix.Dense, trans, deferred bool) (p *Prepacked, err error) {
+// resident is the run of an entry point that returns a plan, p, which
+// fill fills. A run that fails gives p's buffers back.
+func (cl *call) resident(ctx context.Context, p *Prepacked, fill func(e *exec, c *sched.Ctx)) (*Prepacked, error) {
+	if err := cl.pass(ctx, fill); err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
+}
 
-	if p = newPlan(hdr, rs, cs); deferred {
+// fill packs op(src) into a new plan: every segment pair exactly once,
+// unscaled, into a pooled buffer — up front, here, or (deferred: every
+// segment has a single consuming C block) by that block when it runs, so
+// nothing is packed yet. The nesting rule is the block wave's (asWave):
+// enough segments pack as one task each, serial inside; fewer pack in
+// turn, each spread over its tiles. stats, when non-nil, is charged the
+// conversion (a transient per-call plan). A cancelled run leaves the
+// plan partly filled; its holder releases it either way.
+func (p *Prepacked) fill(e *exec, c *sched.Ctx, stats *Stats, src *matrix.Dense, trans, deferred bool) {
+	if deferred {
 		p.src, p.trans = src, trans
-		return p, nil
+		return
 	}
-	p.blocks = make([]Tiled, len(rs)*len(cs))
-	defer func() {
-		if err != nil {
-			p.Release()
-			p = nil
-		}
-	}()
-	view := func(b int) *matrix.Dense {
-		v := opView(src, trans, rs[b/len(cs)], cs[b%len(cs)])
-		return &v
+	// A runner's transient plan (repack) brings the headers, and the
+	// buffers, of the members before it.
+	nc, n := len(p.CSegs), len(p.RSegs)*len(p.CSegs)
+	if p.blocks = p.blocks[:cap(p.blocks)]; n > len(p.blocks) {
+		p.blocks = append(p.blocks, make([]Tiled, n-len(p.blocks))...)
 	}
+	p.blocks = p.blocks[:n]
 	for b := range p.blocks {
-		p.blocks[b] = acquireLike(stats, hdr, rs[b/len(cs)].Len, cs[b%len(cs)].Len)
+		p.blocks[b].refit(stats, p.hdr, p.RSegs[b/nc].Len, p.CSegs[b%nc].Len)
 	}
-	if asWave(len(p.blocks), pool.Workers()) {
+	if e.serialCutoff < noSpawn && asWave(len(p.blocks), c.Workers()) {
+		se := *e
+		se.serialCutoff = noSpawn
 		fns := make([]func(*sched.Ctx), len(p.blocks))
 		for b := range p.blocks {
-			t, sv := &p.blocks[b], view(b)
-			fns[b] = func(c *sched.Ctx) {
-				t0 := time.Now()
-				if err := t.packSerial(sv, trans, 1); err != nil {
-					panic(err) // geometry bug: the header was built to cover the segment
-				}
-				if tr != nil {
-					tr.Span(c.WorkerID(), obs.KindPack, t0, time.Since(t0), int64(t.tiles()))
-				}
-			}
+			fns[b] = func(c *sched.Ctx) { p.packSeg(&se, c, &p.blocks[b], src, trans, b/nc, b%nc) }
 		}
-		_, _, err = pool.RunCtx(ctx, func(c *sched.Ctx) { c.Parallel(fns...) })
+		c.Parallel(fns...)
 	} else {
-		for b := range p.blocks {
-			if err = p.blocks[b].Pack(ctx, pool, view(b), trans, 1); err != nil {
-				break
-			}
+		for b := 0; b < len(p.blocks) && !c.Cancelled(); b++ {
+			p.packSeg(e, c, &p.blocks[b], src, trans, b/nc, b%nc)
 		}
 	}
-	if err == nil && stats != nil {
+	if stats != nil {
 		stats.ConvertBytes += p.Bytes()
 	}
-	return p, err
 }
 
 // segsLen returns the total extent a segment decomposition covers.
@@ -273,26 +273,36 @@ func segsLen(segs []tile.Seg) int {
 // Block returns the packed Tiled covering (RSegs[i], CSegs[j]).
 func (p *Prepacked) Block(i, j int) *Tiled { return &p.blocks[i*len(p.CSegs)+j] }
 
+// packSeg packs segment (i, j) of op(src), unscaled, into t, which the
+// caller has fitted to it — the one way a plan's segment is filled: up
+// front (fill), into a wave member's transient plans (repack), or at
+// first touch by the block that multiplies it (mat). The pack is a span
+// on its runner's track.
+func (p *Prepacked) packSeg(e *exec, c *sched.Ctx, t *Tiled, src *matrix.Dense, trans bool, i, j int) {
+	t0 := time.Now()
+	// op(src)'s segment is the stored matrix's with the roles swapped.
+	r, cs := p.RSegs[i], p.CSegs[j]
+	if trans {
+		r, cs = cs, r
+	}
+	t.pack(e, c, src.View(r.Off, cs.Off, r.Len, cs.Len), trans, 1)
+	if e.tr != nil {
+		e.tr.Span(c.WorkerID(), obs.KindPack, t0, time.Since(t0), int64(t.tiles()))
+	}
+}
+
 // mat returns segment (i, j) as the recursion reads it: the resident
-// block, or — a deferred plan — op(src)'s segment packed now, unscaled
-// and serially, into buf, the consuming runner's reused workspace, so
-// the recursion finds it in that worker's cache. ws is billed the
-// conversion.
+// block, or — a deferred plan — op(src)'s segment packed now into buf,
+// the consuming runner's reused workspace, so the recursion finds it in
+// that worker's cache. ws is billed the conversion.
 func (p *Prepacked) mat(c *sched.Ctx, ws *waveWS, buf *Tiled, i, j int) Mat {
 	if p.src == nil {
 		return p.Block(i, j).Mat()
 	}
 	t0 := time.Now()
 	buf.refit(&ws.stats, p.hdr, p.RSegs[i].Len, p.CSegs[j].Len)
-	v := opView(p.src, p.trans, p.RSegs[i], p.CSegs[j])
-	if err := buf.packSerial(&v, p.trans, 1); err != nil {
-		panic(err) // geometry bug: the header was built to cover the segment
-	}
-	d := time.Since(t0)
-	if tr := ws.e.tr; tr != nil && c != nil {
-		tr.Span(c.WorkerID(), obs.KindPack, t0, d, int64(buf.tiles()))
-	}
-	ws.stats.ConvertIn += d
+	p.packSeg(&ws.e, c, buf, p.src, p.trans, i, j)
+	ws.stats.ConvertIn += time.Since(t0)
 	ws.stats.ConvertBytes += 8 * int64(len(buf.Data))
 	ws.stats.PackDeferred++
 	return buf.Mat()
@@ -324,32 +334,19 @@ func (p *Prepacked) Release() {
 }
 
 // repack refills a wave runner's transient plan with op(src) cut into
-// rs×cs segments on hdr's geometry, every segment packed serially,
-// unscaled. The block headers grow when a member has more segments than
-// any before it and keep their buffers across members, so a
-// steady-state wave allocates nothing per member.
-func (p *Prepacked) repack(stats *Stats, hdr Tiled, rs, cs []tile.Seg, src *matrix.Dense, trans bool) error {
-	blocks := p.blocks[:cap(p.blocks)]
-	if n := len(rs) * len(cs); n > len(blocks) {
-		blocks = append(blocks, make([]Tiled, n-len(blocks))...)
-	}
+// rs×cs segments on hdr's geometry. The block headers grow when a member
+// has more segments than any before it and keep their buffers across
+// members, so a steady-state wave allocates nothing per member.
+func (p *Prepacked) repack(e *exec, c *sched.Ctx, stats *Stats, hdr Tiled, rs, cs []tile.Seg, src *matrix.Dense, trans bool) {
+	blocks := p.blocks
 	*p = *newPlan(hdr, rs, cs)
-	p.blocks = blocks[:len(rs)*len(cs)]
-	for b := range p.blocks {
-		t, r, c := &p.blocks[b], rs[b/len(cs)], cs[b%len(cs)]
-		t.refit(stats, hdr, r.Len, c.Len)
-		v := opView(src, trans, r, c)
-		if err := t.packSerial(&v, trans, 1); err != nil {
-			return err
-		}
-		stats.ConvertBytes += 8 * int64(len(t.Data))
-	}
-	return nil
+	p.blocks = blocks
+	p.fill(e, c, stats, src, trans, false)
 }
 
 // Transposed derives the plan of op(src)ᵀ entirely inside the recursive
 // layout: block (i, j) of the result is the in-layout transpose of
-// block (j, i), built with PackTransposeOf — the column-major source is
+// block (j, i), built with packTransposeOf — the column-major source is
 // never re-read. One Prepack plus one Transposed is how a symmetric
 // product (SYRK's α·A·Aᵀ) serves both operand slots from a single
 // conversion pass.
@@ -362,31 +359,27 @@ func (p *Prepacked) Transposed(ctx context.Context, pool *sched.Pool) (q *Prepac
 	if p.released {
 		return nil, fmt.Errorf("core: Transposed of a released plan")
 	}
-	return p.transposed(ctx, cl.pool, nil)
+	q = p.transposedPlan()
+	return cl.resident(ctx, q, func(e *exec, c *sched.Ctx) { q.fillTransposed(e, c, nil, p) })
 }
 
-// transposed is Transposed past validation; stats, when non-nil, is the
-// per-call driver's (it derives a transient B plan from A's this way).
-func (p *Prepacked) transposed(ctx context.Context, pool *sched.Pool, stats *Stats) (q *Prepacked, err error) {
-	hdr := Tiled{Curve: p.Curve, D: p.D, TR: p.TC, TC: p.TR}
-	q = newPlan(hdr, p.CSegs, p.RSegs)
+// transposedPlan is the empty plan of pᵀ: mirrored tiles and segments.
+func (p *Prepacked) transposedPlan() *Prepacked {
+	return newPlan(Tiled{Curve: p.Curve, D: p.D, TR: p.TC, TC: p.TR}, p.CSegs, p.RSegs)
+}
+
+// fillTransposed is fill from p, whose transpose q is, in place of a
+// column-major source; stats, when non-nil, is the per-call driver's (it
+// derives a transient B plan from A's this way).
+func (q *Prepacked) fillTransposed(e *exec, c *sched.Ctx, stats *Stats, p *Prepacked) {
 	q.blocks = make([]Tiled, len(p.blocks))
-	defer func() {
-		if err != nil {
-			q.Release()
-			q = nil
-		}
-	}()
 	for i, sr := range q.RSegs {
 		for j, sc := range q.CSegs {
 			t := q.Block(i, j)
-			*t = acquireLike(stats, hdr, sr.Len, sc.Len)
-			if err = t.PackTransposeOf(ctx, pool, p.Block(j, i)); err != nil {
-				return nil, err
-			}
+			t.refit(stats, q.hdr, sr.Len, sc.Len)
+			t.packTransposeOf(e, c, p.Block(j, i))
 		}
 	}
-	return q, nil
 }
 
 // segsEqual reports whether two segment decompositions coincide.
@@ -433,7 +426,6 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 	if err != nil {
 		return nil, err
 	}
-	pool = cl.pool
 	if pa == nil || pb == nil {
 		return nil, fmt.Errorf("%w: GEMMPrepacked with nil plan", ErrDimension)
 	}
@@ -461,7 +453,7 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 	// The plans arrive with the pack step done: their operands were
 	// allocated once, outside this call, and are charged to the plan —
 	// only the in-flight C tiles and the arena count against the budget.
-	pl, err := planOf(cl.o, pool.Workers(), given{pa: pa, pb: pb, resident: true}, pa.Rows, pa.Cols, pb.Cols)
+	pl, err := planOf(cl.o, cl.pool.Workers(), given{pa: pa, pb: pb, resident: true}, pa.Rows, pa.Cols, pb.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -472,16 +464,17 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 	stats = &Stats{}
 	pc.start(cl, stats)
 	defer releaseArena(pc.ar)
-	if err := scaleC(pool, C, beta); err != nil {
-		return nil, fmt.Errorf("core: GEMMPrepacked beta scale: %w", err)
-	}
-	if alpha == 0 {
-		return stats, nil
-	}
 	pm := planMul{alg: pc.alg, alpha: alpha, beta: beta, pa: pa, pb: pb, C: C, reused: 2}
-	if done, err := pm.run(ctx, pool, pc, stats, opts.TraceID); err != nil {
-		return nil, fmt.Errorf("core: GEMMPrepacked failed after %d of %d blocks: %w",
-			done, len(pa.RSegs)*len(pb.CSegs), err)
+	done := 0
+	err = cl.run(ctx, stats, func(c *sched.Ctx) (err error) {
+		pc.e.scaleC(c, C, beta)
+		if alpha != 0 {
+			done, err = pm.wave(ctx, c, pc, stats, opts.TraceID)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, cl.failed(err, done, len(pa.RSegs)*len(pb.CSegs))
 	}
 	pc.finish(cl, stats)
 	return stats, nil

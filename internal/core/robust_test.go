@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/tile"
 )
 
 func refProduct(n int, A, B *matrix.Dense) *matrix.Dense {
@@ -199,55 +202,84 @@ func TestGEMMCtxPreCancelled(t *testing.T) {
 }
 
 func TestCancelMidRunLeavesCScaledOrComplete(t *testing.T) {
-	// The atomicity contract: after a cancelled run C holds exactly the
-	// beta-scaled input (zeros here) or, if compute won the race, the
-	// complete product — never a partial block.
+	// The atomicity contract, swept: cancellations spread over the whole
+	// uncancelled wall time of a call — and crowded into its last tenth,
+	// where the epilogue is — leave every C block exactly its input (the
+	// run never began), its β-scaled input, or the complete product. On
+	// 4 workers the 512³ call is one block of 16×16 tiles, whose β pass,
+	// zero-fill, pack and epilogue are all chunked over the pool and the
+	// first and last of them shielded; 960×40·40×40 is a wave of eight
+	// blocks on four runners, serial inside.
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(11))
-	n := 256
-	A := matrix.Random(n, n, rng)
-	B := matrix.Random(n, n, rng)
-	want := refProduct(n, A, B)
-	zeros := matrix.New(n, n)
-
-	for _, delay := range []time.Duration{0, 200 * time.Microsecond, 2 * time.Millisecond} {
-		C := matrix.New(n, n)
-		for i := range C.Data {
-			C.Data[i] = 7
+	for _, tc := range []struct {
+		m, k, n int
+		opts    Options
+		blocks  int
+	}{
+		{512, 512, 512, Options{Curve: layout.Hilbert, Alg: Winograd, ForceTile: 32}, 1},
+		{960, 40, 40, Options{Curve: layout.Hilbert, Alg: Winograd, Tile: testTile}, 8},
+	} {
+		A, B := matrix.Random(tc.m, tc.k, rng), matrix.Random(tc.k, tc.n, rng)
+		C := matrix.Random(tc.m, tc.n, rng)
+		want, scaled := C.Clone(), C.Clone()
+		scaled.Scale(0.5)
+		var wall time.Duration
+		for i := 0; i < 3; i++ {
+			want = C.Clone()
+			t0 := time.Now()
+			st, err := GEMM(pool, tc.opts, false, false, 1, A, B, 0.5, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(st.Degraded); got != 0 || st.Blocks != tc.blocks {
+				t.Fatalf("%dx%dx%d: %d blocks, notes %v; want %d blocks (test premise)", tc.m, tc.k, tc.n, st.Blocks, st.Degraded, tc.blocks)
+			}
+			wall = time.Since(t0)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(delay)
+		split := tc.opts.Tile
+		if tc.blocks == 1 {
+			split = tile.Config{TMin: tc.m, TMax: tc.m} // SplitDims leaves the call whole
+		}
+		var delays []time.Duration
+		for i := 0; i < 24; i++ {
+			delays = append(delays, wall*time.Duration(i)/22) // to a little past the end
+		}
+		for i := 0; i < 8; i++ {
+			delays = append(delays, wall*time.Duration(90+i)/100)
+		}
+		untouched, partial, complete := 0, 0, 0
+		for _, delay := range delays {
+			got := C.Clone()
+			ctx, cancel := context.WithCancel(context.Background())
+			timer := time.AfterFunc(delay, cancel)
+			_, err := GEMMCtx(ctx, pool, tc.opts, false, false, 1, A, B, 0.5, got)
+			timer.Stop()
 			cancel()
-		}()
-		// ForceTile keeps this a single block, so the contract reduces
-		// to: C is all zeros (beta-scaled), all sevens (pre-admission),
-		// or the complete product.
-		_, err := GEMMCtx(ctx, pool, Options{Curve: layout.Hilbert, Alg: Winograd, ForceTile: 32}, false, false, 1, A, B, 0, C)
-		cancel()
-		switch {
-		case err == nil:
-			if !matrix.Equal(C, want, 1e-10) {
-				t.Fatalf("delay %v: successful run wrong (max diff %g)", delay, matrix.MaxAbsDiff(C, want))
-			}
-		case errors.Is(err, context.Canceled):
-			if !matrix.Equal(C, zeros, 0) {
-				// Cancelled before beta scaling: C must be untouched.
-				allSeven := true
-				for _, v := range C.Data {
-					if v != 7 {
-						allSeven = false
-						break
-					}
+			switch {
+			case err == nil:
+				complete++
+				if !matrix.Equal(got, want, 0) {
+					t.Fatalf("%dx%dx%d, delay %v: a run that succeeded differs from the uncancelled one", tc.m, tc.k, tc.n, delay)
 				}
-				if !allSeven {
-					t.Fatalf("delay %v: cancelled run left partial state in C", delay)
+			case !errors.Is(err, context.Canceled):
+				t.Fatalf("%dx%dx%d, delay %v: err = %v, want context.Canceled", tc.m, tc.k, tc.n, delay, err)
+			case matrix.Equal(got, C, 0):
+				untouched++
+				if !strings.Contains(err.Error(), "not started") {
+					t.Errorf("%dx%dx%d, delay %v: C is untouched, yet the error is %q", tc.m, tc.k, tc.n, delay, err)
+				}
+			default:
+				partial++
+				blocksScaledOrComplete(t, fmt.Sprintf("%dx%dx%d, delay %v", tc.m, tc.k, tc.n, delay), split, tc.k, got, scaled, want)
+				if !strings.Contains(err.Error(), fmt.Sprintf("of %d blocks", tc.blocks)) {
+					t.Errorf("%dx%dx%d, delay %v: error %q does not say how far the call got", tc.m, tc.k, tc.n, delay, err)
 				}
 			}
-		default:
-			t.Fatalf("delay %v: unexpected error %v", delay, err)
 		}
+		t.Logf("%dx%dx%d (wall %v): %d delays, %d refused untouched, %d cancelled mid-run, %d completed",
+			tc.m, tc.k, tc.n, wall, len(delays), untouched, partial, complete)
 	}
 }
 
@@ -565,6 +597,8 @@ func TestEntryPointsRefuseUpFront(t *testing.T) {
 		p.Release()
 		return p != nil, err
 	}
+	packed := func(t *Tiled, err error) (bool, error) { return t != nil, err }
+	unpacked := func(d *matrix.Dense, err error) (bool, error) { return d != nil, err }
 	wave := func(bs *BatchStats, errs []error, err error) (bool, error) { return bs != nil || errs != nil, err }
 	run := func(st *Stats, err error) (bool, error) { return st != nil, err }
 	for _, ep := range []struct {
@@ -598,6 +632,12 @@ func TestEntryPointsRefuseUpFront(t *testing.T) {
 		}},
 		{"Transposed", func(ctx context.Context, pool *sched.Pool) (bool, error) {
 			return plan(pa.Transposed(ctx, pool))
+		}},
+		{"Pack", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return packed(PackTiled(ctx, pool, opts, A))
+		}},
+		{"Unpack", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return unpacked(tc.Unpack(ctx, pool))
 		}},
 	} {
 		for _, rc := range []struct {

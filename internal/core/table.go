@@ -39,6 +39,10 @@ type tableTerm struct {
 	c   int
 }
 
+// Index is the term's idx, for a reader of a Table outside the package
+// (internal/trace evaluates the tables on dependency sets).
+func (t tableTerm) Index() int { return t.idx }
+
 // Table is one bilinear ⟨M,K,N⟩ rank-R algorithm.
 type Table struct {
 	Name    string

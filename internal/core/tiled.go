@@ -146,102 +146,54 @@ func (t *Tiled) At(i, j int) float64 {
 	return t.Data[int(s)*t.TR*t.TC+(j%t.TC)*t.TR+(i%t.TR)]
 }
 
-// parallelRanges splits [0, n) into roughly equal chunks for pool-wide
-// data-parallel loops.
-func parallelRanges(n, chunks int) [][2]int {
-	if chunks < 1 {
-		chunks = 1
-	}
-	if chunks > n {
-		chunks = n
-	}
-	rs := make([][2]int, 0, chunks)
-	for c := 0; c < chunks; c++ {
-		lo := n * c / chunks
-		hi := n * (c + 1) / chunks
-		if lo < hi {
-			rs = append(rs, [2]int{lo, hi})
-		}
-	}
-	return rs
-}
-
-// runChunks executes f over the ranges in parallel on the pool,
-// honoring ctx: a cancelled context stops chunks that have not started
-// (each chunk is one task, so cancellation latency is bounded by one
-// chunk) and surfaces the context error. Panics inside f on the pool
-// are returned as a *sched.TaskError; the single-chunk fast path runs
-// on the caller's goroutine, where a panic propagates raw to the
-// public-API recover boundary.
-//
-// kind labels each chunk's span on its worker's trace track when a
-// tracer is active. The single-chunk fast path emits nothing — it runs
-// on the caller's goroutine, which has no worker track.
-func runChunks(ctx context.Context, pool *sched.Pool, n int, kind obs.Kind, f func(lo, hi int)) error {
-	// The single-chunk fast path never touches the pool, so check the
-	// closed and cancelled states explicitly to keep the error contract
-	// uniform across problem sizes.
-	if pool.Closed() {
-		return sched.ErrPoolClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: not started: %w", context.Cause(ctx))
-	}
-	// At least 32 chunks regardless of worker count: each chunk is one
-	// task and tasks are the cancellation granularity, so small chunks
-	// bound the abort latency even on a single worker.
-	chunks := pool.Workers() * 4
-	if chunks < 32 {
-		chunks = 32
-	}
-	rs := parallelRanges(n, chunks)
-	if len(rs) == 1 {
-		f(rs[0][0], rs[0][1])
-		return nil
-	}
-	fns := make([]func(*sched.Ctx), len(rs))
-	for i, r := range rs {
-		r := r
+// chunked runs f over [0, n) in ranged chunks, each a child task of c:
+// four per worker and never fewer than 32, so that cancellation — which
+// the scheduler checks between tasks — stays chunk-grained on any pool.
+// It is the one way a data-parallel pass spreads over the pool. Its
+// caller has asked exec.spawns first, and runs a pass too small to split
+// as f(0, n) before it builds a closure: a wave task's passes allocate
+// nothing. kind, when non-zero, labels a chunk's span on its worker's
+// trace track.
+func chunked(c *sched.Ctx, kind obs.Kind, n int, f func(lo, hi int)) {
+	chunks := min(max(32, 4*c.Workers()), n)
+	fns := make([]func(*sched.Ctx), chunks)
+	for i := range fns {
+		lo, hi := n*i/chunks, n*(i+1)/chunks
 		fns[i] = func(c *sched.Ctx) {
 			tr := obs.Cur()
-			if tr == nil {
-				f(r[0], r[1])
+			if tr == nil || kind == 0 {
+				f(lo, hi)
 				return
 			}
 			t0 := time.Now()
-			f(r[0], r[1])
-			tr.Span(c.WorkerID(), kind, t0, time.Since(t0), int64(r[1]-r[0]))
+			f(lo, hi)
+			tr.Span(c.WorkerID(), kind, t0, time.Since(t0), int64(hi-lo))
 		}
 	}
-	_, _, err := pool.RunCtx(ctx, func(c *sched.Ctx) { c.Parallel(fns...) })
-	return err
+	c.Parallel(fns...)
 }
 
-// Pack converts op(src), scaled by alpha, from column-major into the
+// pack converts op(src), scaled by alpha, from column-major into the
 // tiled layout, inserting explicit zero padding. The remapping works
-// tile-by-tile and is parallelized over tiles across the pool, as
-// Section 4 describes ("the remapping of the individual tiles is again
-// amenable to parallel execution"). Any required transposition is folded
-// into this step, so the multiplication core needs no transposed
-// variants.
-func (t *Tiled) Pack(ctx context.Context, pool *sched.Pool, src *matrix.Dense, trans bool, alpha float64) error {
-	srows, scols := src.Rows, src.Cols
-	if trans {
-		srows, scols = scols, srows
-	}
-	if srows != t.Rows || scols != t.Cols {
-		return fmt.Errorf("core: pack %dx%d into tiled %dx%d", srows, scols, t.Rows, t.Cols)
+// tile-by-tile and spreads over the pool when the pass is large enough
+// (exec.spawns), as Section 4 describes ("the remapping of the
+// individual tiles is again amenable to parallel execution"). Any
+// required transposition is folded into this step, so the
+// multiplication core needs no transposed variants.
+func (t *Tiled) pack(e *exec, c *sched.Ctx, src *matrix.Dense, trans bool, alpha float64) {
+	if srows, scols := opShape(src, trans); srows != t.Rows || scols != t.Cols {
+		panic(fmt.Sprintf("core: pack %dx%d into tiled %dx%d", srows, scols, t.Rows, t.Cols))
 	}
 	coords := t.coords()
-	return runChunks(ctx, pool, t.tiles(), obs.KindPack, func(lo, hi int) {
-		t.packTiles(src, trans, alpha, coords, lo, hi)
-	})
+	if !e.spawns(c, t.elems()) {
+		t.packTiles(src, trans, alpha, coords, 0, t.tiles())
+		return
+	}
+	s := *src // the chunks' copy: a caller's view stays on its stack
+	chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.packTiles(&s, trans, alpha, coords, lo, hi) })
 }
 
-// packTiles packs tiles [lo, hi) of the storage walk — the serial body
-// Pack parallelizes over the pool. It is also the conversion primitive
-// of the wave drivers, whose tasks already execute on pool workers and
-// therefore must not re-enter pool.RunCtx.
+// packTiles packs tiles [lo, hi) of the storage walk: pack's ranged body.
 func (t *Tiled) packTiles(src *matrix.Dense, trans bool, alpha float64, coords []uint32, lo, hi int) {
 	faultinject.Point("core.pack")
 	for s := lo; s < hi; s++ {
@@ -284,52 +236,23 @@ func (t *Tiled) packTiles(src *matrix.Dense, trans bool, alpha float64, coords [
 	}
 }
 
-// packSerial is Pack run entirely on the calling goroutine — same
-// validation, same per-element arithmetic, no pool involvement. The
-// per-tile loop body is shared with Pack (packTiles), so the two forms
-// are bit-exact by construction.
-func (t *Tiled) packSerial(src *matrix.Dense, trans bool, alpha float64) error {
-	srows, scols := src.Rows, src.Cols
-	if trans {
-		srows, scols = scols, srows
+// Unpack copies the logical region out to a fresh column-major matrix,
+// discarding padding: the fused epilogue's walk storing 0 + 1·t (a −0
+// lands as +0). An entry point; pool may be nil.
+func (t *Tiled) Unpack(ctx context.Context, pool *sched.Pool) (dst *matrix.Dense, err error) {
+	cl, err := enter(ctx, pool, Options{}, "Unpack", 0)
+	defer leave(cl, &dst, &err)
+	if err != nil {
+		return nil, err
 	}
-	if srows != t.Rows || scols != t.Cols {
-		return fmt.Errorf("core: pack %dx%d into tiled %dx%d", srows, scols, t.Rows, t.Cols)
+	dst = matrix.New(t.Rows, t.Cols)
+	if err := cl.pass(ctx, func(e *exec, c *sched.Ctx) { t.unpackAccumulate(e, c, dst, 1, 0) }); err != nil {
+		return nil, err
 	}
-	t.packTiles(src, trans, alpha, t.coords(), 0, t.tiles())
-	return nil
+	return dst, nil
 }
 
-// Unpack copies the logical region back out to a column-major matrix,
-// discarding padding. Parallelized over tiles like Pack.
-func (t *Tiled) Unpack(ctx context.Context, pool *sched.Pool, dst *matrix.Dense) error {
-	if dst.Rows != t.Rows || dst.Cols != t.Cols {
-		return fmt.Errorf("core: unpack tiled %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols)
-	}
-	coords := t.coords()
-	return runChunks(ctx, pool, t.tiles(), obs.KindUnpack, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			i0, j0, base, ld := t.tileAt(s, coords)
-			if i0 >= t.Rows || j0 >= t.Cols {
-				continue
-			}
-			vr := t.Rows - i0
-			if vr > t.TR {
-				vr = t.TR
-			}
-			vc := t.Cols - j0
-			if vc > t.TC {
-				vc = t.TC
-			}
-			for jj := 0; jj < vc; jj++ {
-				copy(dst.Data[(j0+jj)*dst.Stride+i0:(j0+jj)*dst.Stride+i0+vr],
-					t.Data[base+jj*ld:base+jj*ld+vr])
-			}
-		}
-	})
-}
-
-// UnpackAccumulate folds the C epilogue of a block multiplication into
+// unpackAccumulate folds the C epilogue of a block multiplication into
 // the conversion walk: dst += alpha · (logical region of t), discarding
 // padding. With the product accumulated into a zero-filled tiled buffer,
 // this replaces the old pack-C / compute / unpack-C round-trip — C is
@@ -337,21 +260,26 @@ func (t *Tiled) Unpack(ctx context.Context, pool *sched.Pool, dst *matrix.Dense)
 // stream, and dst stays untouched (β-scaled) until the block's compute
 // has fully succeeded. beta is what dst was scaled by: after β = 0 it
 // holds nothing the result may depend on (BLAS reads no C then), and the
-// walk stores 0 + alpha·t without reading it.
-// Parallelized over tiles like Unpack.
-func (t *Tiled) UnpackAccumulate(ctx context.Context, pool *sched.Pool, dst *matrix.Dense, alpha, beta float64) error {
+// walk stores 0 + alpha·t without reading it. Spread over the pool like
+// pack, but under a shield: once the epilogue starts, a cancellation
+// must not leave the block half-applied.
+func (t *Tiled) unpackAccumulate(e *exec, c *sched.Ctx, dst *matrix.Dense, alpha, beta float64) {
 	if dst.Rows != t.Rows || dst.Cols != t.Cols {
-		return fmt.Errorf("core: unpack tiled %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols)
+		panic(fmt.Sprintf("core: unpack tiled %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols))
 	}
 	coords := t.coords()
-	return runChunks(ctx, pool, t.tiles(), obs.KindUnpack, func(lo, hi int) {
-		t.unpackAccumulateTiles(dst, alpha, beta, coords, lo, hi)
+	if !e.spawns(c, t.elems()) {
+		t.unpackAccumulateTiles(dst, alpha, beta, coords, 0, t.tiles())
+		return
+	}
+	d := *dst // as pack's s
+	c.Shield(func(c *sched.Ctx) {
+		chunked(c, obs.KindUnpack, t.tiles(), func(lo, hi int) { t.unpackAccumulateTiles(&d, alpha, beta, coords, lo, hi) })
 	})
 }
 
 // unpackAccumulateTiles accumulates tiles [lo, hi) of the curve walk
-// into dst — the serial body UnpackAccumulate parallelizes over the
-// pool, shared with the batched wave driver (see packTiles).
+// into dst: unpackAccumulate's ranged body.
 func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha, beta float64, coords []uint32, lo, hi int) {
 	for s := lo; s < hi; s++ {
 		i0, j0, base, ld := t.tileAt(s, coords)
@@ -389,17 +317,7 @@ func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha, beta float64, co
 	}
 }
 
-// unpackAccumulateSerial is UnpackAccumulate on the calling goroutine —
-// the epilogue primitive of the batched wave driver (see packSerial).
-func (t *Tiled) unpackAccumulateSerial(dst *matrix.Dense, alpha, beta float64) error {
-	if dst.Rows != t.Rows || dst.Cols != t.Cols {
-		return fmt.Errorf("core: unpack tiled %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols)
-	}
-	t.unpackAccumulateTiles(dst, alpha, beta, t.coords(), 0, t.tiles())
-	return nil
-}
-
-// PackTransposeOf fills t with the transpose of an already-packed tiled
+// packTransposeOf fills t with the transpose of an already-packed tiled
 // matrix, entirely within the recursive layout: destination tile (i, j)
 // is the element-wise transpose of source tile (j, i), located through
 // the curve's forward S function. This is how one packed operand serves
@@ -407,57 +325,68 @@ func (t *Tiled) unpackAccumulateSerial(dst *matrix.Dense, alpha, beta float64) e
 // never re-reads the strided column-major source. Both matrices must
 // share curve, depth, and mirrored tile shapes (t is TC×TR tiles where
 // src is TR×TC).
-func (t *Tiled) PackTransposeOf(ctx context.Context, pool *sched.Pool, src *Tiled) error {
-	if t.Curve != src.Curve || t.D != src.D {
-		return fmt.Errorf("core: transpose pack across grids (curve %v/%v, depth %d/%d)",
-			t.Curve, src.Curve, t.D, src.D)
+func (t *Tiled) packTransposeOf(e *exec, c *sched.Ctx, src *Tiled) {
+	switch {
+	case t.Curve != src.Curve || t.D != src.D:
+		panic(fmt.Sprintf("core: transpose pack across grids (curve %v/%v, depth %d/%d)", t.Curve, src.Curve, t.D, src.D))
+	case t.TR != src.TC || t.TC != src.TR || t.Rows != src.Cols || t.Cols != src.Rows:
+		panic(fmt.Sprintf("core: transpose pack %dx%d (%dx%d tiles) from %dx%d (%dx%d tiles)",
+			t.Rows, t.Cols, t.TR, t.TC, src.Rows, src.Cols, src.TR, src.TC))
+	case t.gr != 0 || src.gr != 0:
+		panic("core: transpose pack on canonical storage")
 	}
-	if t.TR != src.TC || t.TC != src.TR || t.Rows != src.Cols || t.Cols != src.Rows {
-		return fmt.Errorf("core: transpose pack %dx%d (%dx%d tiles) from %dx%d (%dx%d tiles)",
-			t.Rows, t.Cols, t.TR, t.TC, src.Rows, src.Cols, src.TR, src.TC)
-	}
-	if t.gr != 0 || src.gr != 0 {
-		return fmt.Errorf("core: transpose pack on canonical storage")
-	}
-	sts := src.TR * src.TC
 	coords := t.coords()
-	return runChunks(ctx, pool, t.tiles(), obs.KindPack, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			i0, j0, base, _ := t.tileAt(s, coords)
-			dst := t.Data[base : base+sts]
-			sbase := int(t.Curve.S(uint32(j0/t.TC), uint32(i0/t.TR), t.D)) * sts
-			// dst tile is TR×TC column-major; its (r, c) element is the
-			// source tile's (c, r) element, src leading dimension src.TR.
-			for c := 0; c < t.TC; c++ {
-				scol := src.Data[sbase+c : sbase+sts]
-				for r := 0; r < t.TR; r++ {
-					dst[c*t.TR+r] = scol[r*src.TR]
-				}
+	if !e.spawns(c, t.elems()) {
+		t.transposeTiles(src, coords, 0, t.tiles())
+		return
+	}
+	chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.transposeTiles(src, coords, lo, hi) })
+}
+
+// transposeTiles fills tiles [lo, hi) of the storage walk from their
+// mirror tiles of src: packTransposeOf's ranged body.
+func (t *Tiled) transposeTiles(src *Tiled, coords []uint32, lo, hi int) {
+	sts := src.TR * src.TC
+	for s := lo; s < hi; s++ {
+		i0, j0, base, _ := t.tileAt(s, coords)
+		dst := t.Data[base : base+sts]
+		sbase := int(t.Curve.S(uint32(j0/t.TC), uint32(i0/t.TR), t.D)) * sts
+		// dst tile is TR×TC column-major; its (r, c) element is the
+		// source tile's (c, r) element, src leading dimension src.TR.
+		for c := 0; c < t.TC; c++ {
+			scol := src.Data[sbase+c : sbase+sts]
+			for r := 0; r < t.TR; r++ {
+				dst[c*t.TR+r] = scol[r*src.TR]
 			}
 		}
-	})
-}
-
-// zeroFill clears a contiguous buffer in parallel across the pool — the
-// "zero" half of the fused epilogue's zero+accumulate C discipline, and
-// the scrub for dirty recycled buffers.
-func zeroFill(ctx context.Context, pool *sched.Pool, data []float64) error {
-	return runChunks(ctx, pool, len(data), obs.KindZero, func(lo, hi int) {
-		vZero(data[lo:hi])
-	})
-}
-
-// scaleCols scales dst's columns by alpha in parallel across the pool —
-// the β·C pass of GEMM, previously a serial full-matrix walk on the
-// caller's goroutine. It runs under a background context: β scaling is
-// the atomicity anchor of the failure contract ("C holds the β-scaled
-// inputs"), so a cancellation must not leave it half-applied; the pass
-// is one bounded memory sweep, within the documented abort latency.
-func scaleCols(pool *sched.Pool, dst *matrix.Dense, alpha float64) error {
-	if alpha == 1 {
-		return nil
 	}
-	return runChunks(context.Background(), pool, dst.Cols, obs.KindScale, func(lo, hi int) {
-		dst.ScaleCols(alpha, lo, hi)
+}
+
+// zero clears a contiguous buffer — the "zero" half of the fused
+// epilogue's zero+accumulate C discipline — spread over the pool like
+// pack.
+func (e *exec) zero(c *sched.Ctx, data []float64) {
+	if !e.spawns(c, len(data)) {
+		vZero(data)
+		return
+	}
+	chunked(c, obs.KindZero, len(data), func(lo, hi int) { vZero(data[lo:hi]) })
+}
+
+// scaleC applies β to the logical C, once, before the call's first
+// product: the atomicity anchor of the failure contract ("C holds the
+// β-scaled inputs"). A large C is scaled in column chunks under a shield,
+// so a cancellation cannot leave it half-applied; the pass is one bounded
+// memory sweep, within the documented abort latency.
+func (e *exec) scaleC(c *sched.Ctx, C *matrix.Dense, beta float64) {
+	if beta == 1 {
+		return
+	}
+	if !e.spawns(c, C.Rows*C.Cols) {
+		C.Scale(beta)
+		return
+	}
+	c.Shield(func(c *sched.Ctx) {
+		chunked(c, obs.KindScale, C.Cols, func(lo, hi int) { C.ScaleCols(beta, lo, hi) })
 	})
 }

@@ -32,9 +32,8 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			src := matrix.Random(rows, cols, rng)
 			tl := NewTiled(cv, d, tr, tc, rows, cols)
 			tl.Pack(context.Background(), pool, src, false, 1)
-			dst := matrix.New(rows, cols)
-			tl.Unpack(context.Background(), pool, dst)
-			if !matrix.Equal(dst, src, 0) {
+			dst, err := tl.Unpack(context.Background(), pool)
+			if err != nil || !matrix.Equal(dst, src, 0) {
 				t.Errorf("%v %v: pack/unpack round trip failed", cv, dims)
 			}
 		}
@@ -232,8 +231,10 @@ func TestMulTiledMatchesGEMM(t *testing.T) {
 		if _, err := MulTiled(pool, Options{Alg: Winograd}, tc, ta, tb); err != nil {
 			t.Fatal(err)
 		}
-		got := matrix.New(n, n)
-		tc.Unpack(context.Background(), pool, got)
+		got, err := tc.Unpack(context.Background(), pool)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !matrix.Equal(got, want, 1e-11) {
 			t.Errorf("%v: MulTiled wrong (max diff %g)", cv, matrix.MaxAbsDiff(got, want))
 		}

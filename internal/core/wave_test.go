@@ -473,9 +473,9 @@ func TestWaveStatsAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The call's own wave-item instant (its TraceID) plus one span per
-	// block; B's up-front pack is a chunk per tile of its 4×4 grid, the
-	// five in-wave packs of A are a span each.
-	for name, want := range map[string]int{"wave-item": 6, "convert-in": 1, "compute": 1, "convert-out": 0, "pack": 16 + 5} {
+	// block; a packed segment is a span — B's one up front (too small to
+	// chunk), A's five in the wave.
+	for name, want := range map[string]int{"wave-item": 6, "convert-in": 1, "compute": 1, "convert-out": 0, "pack": 1 + 5} {
 		if sum.ByName[name] != want {
 			t.Errorf("trace has %d %q events, want %d (%v)", sum.ByName[name], name, want, sum.ByName)
 		}

@@ -306,3 +306,76 @@ func TestParkSpansAreTraced(t *testing.T) {
 		t.Fatalf("%d park spans, want at least %d: %v", sum.ByName["park"], 3*runs, sum.ByName)
 	}
 }
+
+func TestShieldOutlivesCancelNotClose(t *testing.T) {
+	// A shielded frame's spawns run after the run's own cancellation —
+	// every one of them, work and span folded back into the frame that
+	// shielded them — where plain Parallel's are dropped; the run still
+	// reports the cancellation. Closing the pool retires them all the
+	// same: a closed pool runs nothing.
+	const n = 16
+	children := func(ran *atomic.Int64) []func(*Ctx) {
+		fns := make([]func(*Ctx), n)
+		for i := range fns {
+			fns[i] = func(c *Ctx) {
+				ran.Add(1)
+				c.Account(1)
+			}
+		}
+		return fns
+	}
+	p := NewPool(2)
+	defer p.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var shielded, plain atomic.Int64
+	var seen bool
+	work, span, err := p.RunCtx(ctx, func(c *Ctx) {
+		cancel()
+		seen = c.Cancelled()
+		c.Shield(func(c *Ctx) {
+			if c.Cancelled() {
+				t.Error("the shielded frame sees the run's cancellation")
+			}
+			c.Parallel(children(&shielded)...)
+		})
+		c.Parallel(children(&plain)...)
+	})
+	if !errors.Is(err, context.Canceled) || !seen {
+		t.Fatalf("run returned %v (root saw cancellation: %v), want context.Canceled", err, seen)
+	}
+	if shielded.Load() != n || plain.Load() != 0 {
+		t.Fatalf("%d shielded and %d plain children ran after the cancel, want %d and 0", shielded.Load(), plain.Load(), n)
+	}
+	if work != n || span != 1 {
+		t.Fatalf("work %g span %g folded back, want %d and 1", work, span, n)
+	}
+
+	// One worker: the inline child closes the pool, its siblings wait on
+	// the deque and are retired, not run.
+	solo := NewPool(1)
+	var ran atomic.Int64
+	closed := make(chan struct{})
+	_, _, err = solo.Run(func(c *Ctx) {
+		c.Shield(func(c *Ctx) {
+			fns := children(&ran)
+			fns[0] = func(*Ctx) {
+				go func() {
+					solo.Close()
+					close(closed)
+				}()
+				for !solo.Closed() {
+					runtime.Gosched()
+				}
+			}
+			c.Parallel(fns...)
+		})
+		if !c.Cancelled() {
+			t.Error("the run does not see the pool close")
+		}
+	})
+	<-closed
+	if !errors.Is(err, ErrPoolClosed) || ran.Load() != 0 {
+		t.Fatalf("closing under a shielded frame: err %v, %d children ran; want ErrPoolClosed and none", err, ran.Load())
+	}
+}

@@ -810,6 +810,20 @@ func (c *Ctx) Serial(fn func(*Ctx)) {
 	c.Span += child.Span
 }
 
+// Shield runs fn as a child frame that the run's cancellation does not
+// reach: the frame gets a cancellation state of its own, so the tasks
+// fn spawns are executed, not retired, after the run's context fires.
+// It is for a pass that must not be left half-applied (a driver's
+// β-scale and epilogue): entered, it completes. Closing the pool still
+// ends it — a closed pool runs nothing. Work and span fold into c as
+// Serial's do.
+func (c *Ctx) Shield(fn func(*Ctx)) {
+	child := &Ctx{pool: c.pool, w: c.w, rs: &runState{pool: c.pool}}
+	fn(child)
+	c.Work += child.Work
+	c.Span += child.Span
+}
+
 // Parallelism returns work/span, guarding against a zero span.
 func Parallelism(work, span float64) float64 {
 	if span <= 0 {

@@ -48,7 +48,7 @@ type Request struct {
 	// its configured maximum and applies its default when omitted.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// ReturnData asks for the full C in the response; honored only up
-	// to the server's MaxReturnElems (tests use it for exact checks).
+	// to 4096 elements (maxReturnElems; tests use it for exact checks).
 	ReturnData bool `json:"return_data,omitempty"`
 }
 

@@ -373,7 +373,7 @@ func TestSLOBurnDumpsOneBundle(t *testing.T) {
 		FlightSpoolDir: spool, FlightMinInterval: time.Hour,
 		SLOObjective: time.Nanosecond, SLOQuantile: 0.5,
 		SLOFastWindow: 50 * time.Millisecond, SLOSlowWindow: 100 * time.Millisecond,
-		SLOPoll: 10 * time.Millisecond, SLOMinSamples: 3,
+		sloPoll: 10 * time.Millisecond, sloMinSamples: 3,
 	})
 	if s.slo == nil {
 		t.Fatal("SLO monitor not started")

@@ -69,8 +69,6 @@ type Config struct {
 	MaxBatch int
 	// MaxDim bounds each of m, k, n (0 = 4096).
 	MaxDim int
-	// MaxReturnElems caps ReturnData echoes (0 = 4096 elements).
-	MaxReturnElems int
 	// Logf, when non-nil, receives operational log lines (startup,
 	// drain progress, the final metrics flush).
 	Logf func(format string, args ...any)
@@ -84,8 +82,6 @@ type Config struct {
 	FlightSpoolDir string
 	// FlightMinInterval rate-limits automatic dumps (0 = 1 minute).
 	FlightMinInterval time.Duration
-	// LedgerRing sizes the recent-request ledger ring (0 = 256).
-	LedgerRing int
 	// SLOObjective, when positive, starts the burn-rate monitor: the
 	// request-latency quantile (SLOQuantile, default p99) is estimated
 	// over a fast and a slow window, and when BOTH exceed the
@@ -95,14 +91,20 @@ type Config struct {
 	// SLOQuantile is the monitored quantile in (0, 1] (0 = 0.99).
 	SLOQuantile float64
 	// SLOFastWindow and SLOSlowWindow are the burn-rate windows
-	// (0 = 10s and 60s); SLOPoll is the sampling period (0 = 1s).
+	// (0 = 10s and 60s).
 	SLOFastWindow time.Duration
 	SLOSlowWindow time.Duration
-	SLOPoll       time.Duration
-	// SLOMinSamples is the per-window sample floor below which no
-	// violation fires (0 = 20) — an idle server's noise is not a burn.
-	SLOMinSamples int64
+	// sloPoll is the monitor's sampling period (0 = 1s) and sloMinSamples
+	// the per-window sample floor below which no violation fires (0 = 20)
+	// — an idle server's noise is not a burn. No deployment has asked for
+	// other values; the monitor's own test shortens both.
+	sloPoll       time.Duration
+	sloMinSamples int64
 }
+
+// maxReturnElems caps ReturnData echoes: a debugging aid for small
+// products, not a transport.
+const maxReturnElems = 4096
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -141,17 +143,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxDim <= 0 {
 		c.MaxDim = 4096
 	}
-	if c.MaxReturnElems <= 0 {
-		c.MaxReturnElems = 4096
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	if c.FlightMinInterval <= 0 {
 		c.FlightMinInterval = time.Minute
-	}
-	if c.LedgerRing <= 0 {
-		c.LedgerRing = obs.DefaultLedgerCap
 	}
 	if c.SLOQuantile <= 0 || c.SLOQuantile > 1 {
 		c.SLOQuantile = 0.99
@@ -165,11 +161,11 @@ func (c Config) withDefaults() Config {
 	if c.SLOSlowWindow < c.SLOFastWindow {
 		c.SLOSlowWindow = c.SLOFastWindow
 	}
-	if c.SLOPoll <= 0 {
-		c.SLOPoll = time.Second
+	if c.sloPoll <= 0 {
+		c.sloPoll = time.Second
 	}
-	if c.SLOMinSamples <= 0 {
-		c.SLOMinSamples = 20
+	if c.sloMinSamples <= 0 {
+		c.sloMinSamples = 20
 	}
 	return c
 }
@@ -225,7 +221,7 @@ func New(cfg Config) *Server {
 		reqTotal:   reg.Counter("requests_total"),
 		reqOK:      reg.Counter("requests_ok"),
 		reqSeconds: reg.Histogram("request_seconds", obs.SecondsBuckets),
-		ledgers:    obs.NewLedgerRing(cfg.LedgerRing),
+		ledgers:    obs.NewLedgerRing(obs.DefaultLedgerCap),
 	}
 	for p := obs.ReqPhase(0); p < obs.NumReqPhases; p++ {
 		s.phaseHist[p] = reg.Histogram("req_phase_"+p.String()+"_seconds", obs.SecondsBuckets)
@@ -642,7 +638,7 @@ func (s *Server) respond(req *Request, rep *recmat.Report, C *recmat.Matrix) *Re
 		TotalNS:    rep.Total().Nanoseconds(),
 		CNorm:      norm1(C),
 	}
-	if req.ReturnData && req.M*req.N <= s.cfg.MaxReturnElems {
+	if req.ReturnData && req.M*req.N <= maxReturnElems {
 		resp.Data = make([]float64, 0, req.M*req.N)
 		for j := 0; j < C.Cols; j++ {
 			resp.Data = append(resp.Data, C.Data[j*C.Stride:j*C.Stride+C.Rows]...)

@@ -48,7 +48,7 @@ func (m *sloMonitor) stop() {
 func (m *sloMonitor) run() {
 	defer close(m.done)
 	cfg := m.s.cfg
-	tick := time.NewTicker(cfg.SLOPoll)
+	tick := time.NewTicker(cfg.sloPoll)
 	defer tick.Stop()
 	burns := m.s.reg.Counter("slo_burn_violations")
 	p99 := m.s.reg.Gauge("slo_fast_quantile_us")
@@ -84,7 +84,7 @@ func (m *sloMonitor) poll(now time.Time, burns *obs.Counter, fastGauge *obs.Gaug
 	if !fastOK || !slowOK {
 		return
 	}
-	if fastN < cfg.SLOMinSamples || slowN < cfg.SLOMinSamples {
+	if fastN < cfg.sloMinSamples || slowN < cfg.sloMinSamples {
 		return
 	}
 	obj := cfg.SLOObjective.Seconds()

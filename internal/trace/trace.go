@@ -1,8 +1,8 @@
 // Package trace reproduces the algorithmic locality-of-reference
 // analysis of Figure 1 of the paper: for each element of C = A·B it
 // computes exactly which elements of A and of B the algorithm reads,
-// under the standard, Strassen, and Winograd recursions carried to the
-// element level.
+// under the standard, Strassen, and Winograd recursions — the engine's
+// own ⟨2,2,2⟩ coefficient tables — carried to the element level.
 //
 // The computation is symbolic: every intermediate quantity carries the
 // set of A-elements and B-elements it transitively depends on. A
@@ -56,13 +56,16 @@ func (m depMat) at(i, j int) *Dep {
 	return &m.d[m.i0+i][m.j0+j]
 }
 
-func (m depMat) quad(qi, qj int) depMat {
+// quads returns the quadrant views in the tables' block order: 11, 12,
+// 21, 22.
+func (m depMat) quads() []depMat {
 	h := m.n / 2
-	return depMat{d: m.d, i0: m.i0 + qi*h, j0: m.j0 + qj*h, n: h}
+	q := func(i, j int) depMat { return depMat{d: m.d, i0: m.i0 + i*h, j0: m.j0 + j*h, n: h} }
+	return []depMat{q(0, 0), q(0, 1), q(1, 0), q(1, 1)}
 }
 
-// acc unions src element-wise into dst (dst += src, dst = a ± b, …; for
-// dependency purposes all additions are unions).
+// acc unions src element-wise into dst (dst += src, dst −= src, …: for
+// dependency purposes every addition is a union).
 func acc(dst, src depMat) {
 	for i := 0; i < dst.n; i++ {
 		for j := 0; j < dst.n; j++ {
@@ -71,131 +74,73 @@ func acc(dst, src depMat) {
 	}
 }
 
-// add3 sets dst = union(a, b) element-wise.
-func add3(dst, a, b depMat) {
-	for i := 0; i < dst.n; i++ {
-		for j := 0; j < dst.n; j++ {
-			*dst.at(i, j) = a.at(i, j).union(*b.at(i, j))
+// sum is the combination a table row makes of blocks, signs dropped.
+func sum[T interface{ Index() int }](row []T, blocks []depMat) depMat {
+	s := newDepMat(blocks[0].n)
+	for _, t := range row {
+		acc(s, blocks[t.Index()])
+	}
+	return s
+}
+
+// extend appends a table's schedule aux to the blocks they combine, in
+// definition order: each may read the base blocks and earlier aux, and
+// is materialised before anything that reads it — what the engine does,
+// so that "reads" stays what the engine reads.
+func extend[T interface{ Index() int }](blocks []depMat, aux [][]T) []depMat {
+	for _, row := range aux {
+		blocks = append(blocks, sum(row, blocks))
+	}
+	return blocks
+}
+
+// mul runs one ⟨2,2,2⟩ coefficient table symbolically, to the element
+// level: C ∪= A·B. It is the engine's evaluation (core's tablemul.go) on
+// dependency sets: the U and V combinations of the operands' quadrants,
+// the R recursive products, the W combinations into C's.
+func mul(tb *core.Table, C, A, B depMat) {
+	if C.n == 1 {
+		*C.at(0, 0) = C.at(0, 0).union(A.at(0, 0).union(*B.at(0, 0)))
+		return
+	}
+	ab, bb := extend(A.quads(), tb.AuxU), extend(B.quads(), tb.AuxV)
+	p := make([]depMat, tb.R)
+	for r := range p {
+		p[r] = newDepMat(C.n / 2)
+		mul(tb, p[r], sum(tb.U[r], ab), sum(tb.V[r], bb))
+	}
+	p = extend(p, tb.AuxW)
+	for t, c := range C.quads() {
+		acc(c, sum(tb.W[t], p))
+	}
+}
+
+// Table returns the registered ⟨2,2,2⟩ coefficient table behind alg —
+// Standard's is Standard8's, the same eight products accumulated in
+// place — or nil for an algorithm that has none.
+func Table(alg core.Alg) *core.Table {
+	name := alg.String()
+	if alg == core.Standard {
+		name = core.Standard8.String()
+	}
+	for _, tb := range core.Tables() {
+		if tb.Name == name && tb.M == 2 && tb.K == 2 && tb.N == 2 {
+			return tb
 		}
 	}
-}
-
-// mulStd runs the standard element-level recursion: C += A·B.
-func mulStd(C, A, B depMat) {
-	if C.n == 1 {
-		*C.at(0, 0) = C.at(0, 0).union(A.at(0, 0).union(*B.at(0, 0)))
-		return
-	}
-	for qi := 0; qi < 2; qi++ {
-		for qj := 0; qj < 2; qj++ {
-			mulStd(C.quad(qi, qj), A.quad(qi, 0), B.quad(0, qj))
-			mulStd(C.quad(qi, qj), A.quad(qi, 1), B.quad(1, qj))
-		}
-	}
-}
-
-// mulStrassen runs Strassen's recursion symbolically (Figure 1(b)).
-func mulStrassen(C, A, B depMat) {
-	if C.n == 1 {
-		*C.at(0, 0) = C.at(0, 0).union(A.at(0, 0).union(*B.at(0, 0)))
-		return
-	}
-	a11, a12, a21, a22 := A.quad(0, 0), A.quad(0, 1), A.quad(1, 0), A.quad(1, 1)
-	b11, b12, b21, b22 := B.quad(0, 0), B.quad(0, 1), B.quad(1, 0), B.quad(1, 1)
-	c11, c12, c21, c22 := C.quad(0, 0), C.quad(0, 1), C.quad(1, 0), C.quad(1, 1)
-	h := C.n / 2
-	tmp := func() depMat { return newDepMat(h) }
-	s1, s2, s3, s4, s5 := tmp(), tmp(), tmp(), tmp(), tmp()
-	t1, t2, t3, t4, t5 := tmp(), tmp(), tmp(), tmp(), tmp()
-	add3(s1, a11, a22)
-	add3(s2, a21, a22)
-	add3(s3, a11, a12)
-	add3(s4, a21, a11)
-	add3(s5, a12, a22)
-	add3(t1, b11, b22)
-	add3(t2, b12, b22)
-	add3(t3, b21, b11)
-	add3(t4, b11, b12)
-	add3(t5, b21, b22)
-	var p [7]depMat
-	for i := range p {
-		p[i] = tmp()
-	}
-	mulStrassen(p[0], s1, t1)
-	mulStrassen(p[1], s2, b11)
-	mulStrassen(p[2], a11, t2)
-	mulStrassen(p[3], a22, t3)
-	mulStrassen(p[4], s3, b22)
-	mulStrassen(p[5], s4, t4)
-	mulStrassen(p[6], s5, t5)
-	acc(c11, p[0])
-	acc(c11, p[3])
-	acc(c11, p[4])
-	acc(c11, p[6])
-	acc(c21, p[1])
-	acc(c21, p[3])
-	acc(c12, p[2])
-	acc(c12, p[4])
-	acc(c22, p[0])
-	acc(c22, p[2])
-	acc(c22, p[1])
-	acc(c22, p[5])
-}
-
-// mulWinograd runs Winograd's recursion symbolically (Figure 1(c)).
-func mulWinograd(C, A, B depMat) {
-	if C.n == 1 {
-		*C.at(0, 0) = C.at(0, 0).union(A.at(0, 0).union(*B.at(0, 0)))
-		return
-	}
-	a11, a12, a21, a22 := A.quad(0, 0), A.quad(0, 1), A.quad(1, 0), A.quad(1, 1)
-	b11, b12, b21, b22 := B.quad(0, 0), B.quad(0, 1), B.quad(1, 0), B.quad(1, 1)
-	c11, c12, c21, c22 := C.quad(0, 0), C.quad(0, 1), C.quad(1, 0), C.quad(1, 1)
-	h := C.n / 2
-	tmp := func() depMat { return newDepMat(h) }
-	s1, s2, s3, s4 := tmp(), tmp(), tmp(), tmp()
-	t1, t2, t3, t4 := tmp(), tmp(), tmp(), tmp()
-	add3(s1, a21, a22)
-	add3(s2, s1, a11)
-	add3(s3, a11, a21)
-	add3(s4, a12, s2)
-	add3(t1, b12, b11)
-	add3(t2, b22, t1)
-	add3(t3, b22, b12)
-	add3(t4, b21, t2)
-	var p [7]depMat
-	for i := range p {
-		p[i] = tmp()
-	}
-	mulWinograd(p[0], a11, b11)
-	mulWinograd(p[1], a12, b21)
-	mulWinograd(p[2], s1, t1)
-	mulWinograd(p[3], s2, t2)
-	mulWinograd(p[4], s3, t3)
-	mulWinograd(p[5], s4, b22)
-	mulWinograd(p[6], a22, t4)
-	u2 := tmp()
-	add3(u2, p[0], p[3]) // U2 = P1 + P4
-	u3 := tmp()
-	add3(u3, u2, p[4]) // U3 = U2 + P5
-	u6 := tmp()
-	add3(u6, u2, p[2]) // U6 = U2 + P3
-	acc(c11, p[0])     // C11 = P1 + P2
-	acc(c11, p[1])
-	acc(c21, u3) // C21 = U3 + P7
-	acc(c21, p[6])
-	acc(c22, u3) // C22 = U3 + P3
-	acc(c22, p[2])
-	acc(c12, u6) // C12 = U6 + P6
-	acc(c12, p[5])
+	return nil
 }
 
 // Reads computes, for every element (i, j) of C, the dependency sets of
-// the chosen algorithm on an n×n problem (n a power of two, n ≤ 8).
-// The returned grid is indexed [i][j].
+// the chosen algorithm — any with a ⟨2,2,2⟩ table — on an n×n problem (n
+// a power of two, n ≤ 8). The returned grid is indexed [i][j].
 func Reads(alg core.Alg, n int) [][]Dep {
 	if n <= 0 || n > 8 || n&(n-1) != 0 {
 		panic("trace: n must be a power of two, at most 8")
+	}
+	tb := Table(alg)
+	if tb == nil {
+		panic("trace: unknown algorithm")
 	}
 	A, B, C := newDepMat(n), newDepMat(n), newDepMat(n)
 	for i := 0; i < n; i++ {
@@ -204,24 +149,8 @@ func Reads(alg core.Alg, n int) [][]Dep {
 			B.at(i, j).B = 1 << uint(i*n+j)
 		}
 	}
-	switch alg {
-	case core.Standard, core.Standard8:
-		mulStd(C, A, B)
-	case core.Strassen:
-		mulStrassen(C, A, B)
-	case core.Winograd:
-		mulWinograd(C, A, B)
-	default:
-		panic("trace: unknown algorithm")
-	}
-	out := make([][]Dep, n)
-	for i := range out {
-		out[i] = make([]Dep, n)
-		for j := range out[i] {
-			out[i][j] = *C.at(i, j)
-		}
-	}
-	return out
+	mul(tb, C, A, B)
+	return C.d
 }
 
 // Count returns the number of elements in a bitmap.

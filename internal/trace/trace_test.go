@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -121,15 +122,66 @@ func TestWinogradReadsNoMoreThanStrassenTotal(t *testing.T) {
 	}
 }
 
-func TestStandard8SameAsStandard(t *testing.T) {
-	a := Reads(core.Standard, 4)
-	b := Reads(core.Standard8, 4)
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatal("Standard8 dependency sets differ from Standard")
+// readsHash is the FNV-1a hash of the A and B dependency bitmaps of
+// Reads(alg, n), C's elements in row order, little-endian.
+func readsHash(alg core.Alg, n int) uint64 {
+	h := fnv.New64a()
+	for _, row := range Reads(alg, n) {
+		for _, d := range row {
+			for _, v := range []uint64{d.A, d.B} {
+				var b [8]byte
+				for i := range b {
+					b[i] = byte(v >> (8 * i))
+				}
+				h.Write(b[:])
 			}
 		}
+	}
+	return h.Sum64()
+}
+
+// TestReadsMatchHandCodedRecursions: the dependency sets read off the
+// engine's coefficient tables are those of the three hand-written
+// symbolic recursions (Figure 1(a), (b), (c)) this package carried until
+// the tables replaced them; the hashes were recorded from that code.
+func TestReadsMatchHandCodedRecursions(t *testing.T) {
+	for _, tc := range []struct {
+		alg  core.Alg
+		n    int
+		want uint64
+	}{
+		{core.Standard, 2, 0xc4a4203e2df2d525}, {core.Standard, 4, 0x169335b028251765}, {core.Standard, 8, 0x486357aa41717be5},
+		{core.Strassen, 2, 0x353db65d45c83805}, {core.Strassen, 4, 0xeb77064cc18a40d1}, {core.Strassen, 8, 0x62027f72a188463d},
+		{core.Winograd, 2, 0x91484ca4ea4bf5e3}, {core.Winograd, 4, 0x940542afe127e955}, {core.Winograd, 8, 0x3792a9a66cd21818},
+	} {
+		if got := readsHash(tc.alg, tc.n); got != tc.want {
+			t.Errorf("%v n=%d: reads hash %#x, the hand-coded recursion's was %#x", tc.alg, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestStandard8SameAsStandard: an algorithm that is another's table under
+// a different evaluation order reads what it reads — Standard8 is
+// Standard's eight products, StrassenLowMem Strassen's table depth-first
+// — and every ⟨2,2,2⟩ name the engine registers can be traced, no other.
+func TestStandard8SameAsStandard(t *testing.T) {
+	for _, n := range []int{2, 4, 8} {
+		if readsHash(core.Standard8, n) != readsHash(core.Standard, n) {
+			t.Errorf("n=%d: Standard8 dependency sets differ from Standard", n)
+		}
+		if readsHash(core.StrassenLowMem, n) != readsHash(core.Strassen, n) {
+			t.Errorf("n=%d: StrassenLowMem dependency sets differ from Strassen", n)
+		}
+	}
+	traced := 0
+	for _, alg := range core.Algs {
+		if Table(alg) != nil {
+			traced++
+			Reads(alg, 4)
+		}
+	}
+	if traced != 5 || Table(core.TableFast323) != nil || Table(core.AlgAuto) != nil {
+		t.Errorf("%d algorithms have a table to trace, want the five ⟨2,2,2⟩ names and no rectangular one", traced)
 	}
 }
 

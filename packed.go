@@ -49,13 +49,10 @@ func (p *Packed) Cols() int { return p.t.Cols }
 func (p *Packed) Layout() Layout { return p.t.Curve }
 
 // Unpack converts back to a column-major matrix. It fails (rather than
-// panicking) when the engine has been closed.
+// panicking) when the engine has been closed, before anything is
+// allocated.
 func (p *Packed) Unpack(e *Engine) (*Matrix, error) {
-	d := NewMatrix(p.t.Rows, p.t.Cols)
-	if err := p.t.Unpack(context.Background(), e.pool, d); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return p.t.Unpack(context.Background(), e.pool)
 }
 
 // At reads one element through the layout function (slow; for spot

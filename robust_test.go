@@ -218,6 +218,50 @@ func TestStressPublicAPINoEscapingPanics(t *testing.T) {
 	}
 }
 
+// TestPackFaultIsTaskError: Engine.Pack and Packed.Unpack are entry
+// points like the multiplies — the conversion runs as a task of the pool
+// even when the operand is one tile, so an injected panic in it (the
+// core.pack fault point; any task's) comes back as a *TaskError that
+// unwraps to the fault, and never escapes raw.
+func TestPackFaultIsTaskError(t *testing.T) {
+	eng := NewEngine(2)
+	defer eng.Close()
+	one := &Options{Layout: ZMorton, ForceTile: 16} // a 16×16 operand is one tile
+	p, err := eng.Pack(Identity(16), one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Configure(faultinject.Config{PanicProb: 1, Seed: 5})
+	defer faultinject.Disable()
+	for _, tc := range []struct {
+		what string
+		call func() (any, error)
+	}{
+		{"Pack", func() (any, error) { q, err := eng.Pack(Identity(16), one); return q, err }},
+		{"Unpack", func() (any, error) { m, err := p.Unpack(eng); return m, err }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: a panic escaped: %v", tc.what, r)
+				}
+			}()
+			got, err := tc.call()
+			var te *TaskError
+			var fault *faultinject.Fault
+			if !errors.As(err, &te) || !errors.As(err, &fault) {
+				t.Errorf("%s: err = %v, want a *TaskError wrapping the injected fault", tc.what, err)
+			}
+			if m, _ := got.(*Matrix); m != nil {
+				t.Errorf("%s returned a matrix beside its error", tc.what)
+			}
+			if q, _ := got.(*Packed); q != nil {
+				t.Errorf("%s returned an operand beside its error", tc.what)
+			}
+		}()
+	}
+}
+
 // TestPackedAndPlanWrappersNeverPanic: the Packed and Plan wrappers hand
 // nil and empty operands, and pre-tiled operands whose logical shapes do
 // not multiply, to core's checks — every case is ErrDimension, none a
