@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build vet test race wakegate loc loc-gate determinism parity streamparity stress soak bench bench-kernel fuzz obs-gate trace-smoke omcheck asm-check algtable-check
+.PHONY: check build vet test race wakegate loc loc-gate determinism parity streamparity fringe stress soak bench bench-kernel fuzz obs-gate trace-smoke omcheck asm-check algtable-check
 
-check: build vet loc-gate race wakegate determinism parity streamparity stress soak obs-gate trace-smoke omcheck asm-check algtable-check
+check: build vet loc-gate race wakegate determinism parity streamparity fringe stress soak obs-gate trace-smoke omcheck asm-check algtable-check
 
 # The sizes every simplicity change quotes (and ROADMAP.md tracks):
 # non-test lines of the core, the leaf kernels, the scheduler, the
@@ -61,6 +61,20 @@ parity:
 # tier-1 test.
 streamparity:
 	$(GO) run ./cmd/experiments -exp streamparity
+
+# The fringe gate: a shape whose tiles are off the micro-kernel grid —
+# 512×512×n through a plan for n = 6…72, n³ per call for n = 100…500 —
+# must run at no less than 0.45 of the rate of the nearest shape whose
+# tiles are whole register blocks (interleaved pairs, median of the
+# paired rate ratios, ~40 s). The rows and columns past a tile's last
+# full block run through the kernel's block body on zero-padded
+# operands and read 0.54–0.77; as one scalar FMA chain per element they
+# read 0.10–0.30 on the width sweep. 0.45 and not more, because a padded
+# block computes lanes nobody reads: 68 columns padded to 80 in 5-wide
+# tiles, each doing an 8-wide one's work, reach 0.53 at best. A timing
+# comparison like parity, and not a tier-1 test.
+fringe:
+	$(GO) run ./cmd/experiments -exp fringe
 
 # The algorithm-table gate: every registered bilinear <m,k,n>
 # coefficient table must satisfy the Brent equations in exact integer

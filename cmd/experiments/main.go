@@ -12,12 +12,14 @@
 // The mapping from experiment to paper result is documented in DESIGN.md
 // and the measured outputs are recorded in EXPERIMENTS.md.
 //
-// -exp autoparity and -exp streamparity are not paper experiments but
-// gates on the library's defaults (`make parity`, `make streamparity`):
-// they run only when named, and exit non-zero when Algorithm Auto is more
-// than 5% slower than Standard, or a per-call DGEMM on the serving shape
-// is faster than the same product through a prepacked plan or more than
-// 45% slower.
+// -exp autoparity, -exp streamparity and -exp fringe are not paper
+// experiments but gates on the library's defaults (`make parity`, `make
+// streamparity`, `make fringe`): they run only when named, and exit
+// non-zero when Algorithm Auto is more than 5% slower than Standard, a
+// per-call DGEMM on the serving shape is faster than the same product
+// through a prepacked plan or more than 45% slower, or a shape whose
+// tiles are off the micro-kernel grid runs under 0.45 of the rate of its
+// nearest neighbour on the grid.
 package main
 
 import (
@@ -59,7 +61,7 @@ const paperCutoff = 1
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to reproduce (1, 2, 4, 5, 6, 7); 0 = all")
-	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|sched|dilation, or a gate: autoparity|streamparity")
+	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|sched|dilation, or a gate: autoparity|streamparity|fringe")
 	flag.Parse()
 	switch *exp {
 	case "autoparity":
@@ -67,6 +69,9 @@ func main() {
 		return
 	case "streamparity":
 		streamparity()
+		return
+	case "fringe":
+		fringe()
 		return
 	}
 
@@ -552,6 +557,157 @@ func streamparity() {
 		os.Exit(1)
 	}
 	fmt.Printf("ok: packing A per call costs between nothing and %.0f%% over a resident plan\n", (hi-1)*100)
+}
+
+// fringeCase is one shape of the fringe gate: a call, its flops, and
+// what the engine cut it into (read off a warm-up call's report).
+type fringeCase struct {
+	name  string
+	n     int
+	flops float64
+	run   func() *recmat.Report
+	rep   *recmat.Report
+}
+
+// onGrid: every tile is whole register blocks and none of it is padding.
+func (c *fringeCase) onGrid() bool {
+	return c.rep.TileM%leaf.MicroM == 0 && c.rep.TileN%leaf.MicroN == 0 && c.rep.PaddedN == c.n
+}
+
+func (c *fringeCase) time() float64 {
+	t0 := time.Now()
+	c.run()
+	return time.Since(t0).Seconds()
+}
+
+// fringe is the gate behind `make fringe`: padding hands the leaf tiles
+// such as 38×38×38 or 32×32×6, whose rows past the last full register
+// block and columns past the last four run as zero-padded blocks of the
+// same kernel body, and a shape that gets such tiles must run at no
+// less than 0.45 of the rate of its nearest neighbour whose tiles are
+// whole blocks and hold no padding (0.10–0.30 of it on the width sweep
+// when the fringe was a scalar loop). No more than that, because a
+// padded block computes lanes nobody reads: a 5-wide tile does the work
+// of an 8-wide one, and 68 columns padded to 80 in 5-wide tiles can
+// reach 0.53 at best and read 0.54–0.58. Two sweeps on the
+// library's defaults, Z-Morton: a 512×512 operand planned for its
+// partners' width bucket (a power of two, as the daemon buckets them)
+// against widths on and off the grid, one PrepackConforming +
+// GEMMPrepacked per call; and n³ per call. A tile under one block runs
+// the "blocked" kernel (leaf.Auto) and is timed but not gated. Pairs
+// are interleaved, the order alternating, and compared by the median of
+// the paired rate ratios (see autoparity).
+func fringe() {
+	const floor = 0.45
+	eng := recmat.NewEngine(*workers)
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(*seed))
+	z := &recmat.Options{Layout: recmat.ZMorton}
+	ctx := context.Background()
+
+	const m = 512
+	A := recmat.Random(m, m, rng)
+	plans := map[int]*recmat.Plan{} // by width bucket
+	defer func() {
+		for _, plan := range plans {
+			plan.Release()
+		}
+	}()
+	planned := func(n int) *fringeCase {
+		bucket := 16
+		for bucket < n {
+			bucket <<= 1
+		}
+		if plans[bucket] == nil {
+			po := *z
+			po.PartnerDim = bucket
+			plan, err := eng.Prepack(A, false, &po)
+			check(err)
+			plans[bucket] = plan
+		}
+		plan, B, C := plans[bucket], recmat.Random(m, n, rng), recmat.NewMatrix(m, n)
+		return &fringeCase{name: fmt.Sprintf("%dx%dx%d plan/%d", m, m, n, bucket), flops: 2 * m * m * float64(n),
+			run: func() *recmat.Report {
+				pb, err := eng.PrepackConforming(B, false, z, plan)
+				check(err)
+				rep, err := eng.GEMMPrepackedOpts(ctx, z, 1, plan, pb, 0, C)
+				check(err)
+				pb.Release()
+				return rep
+			}}
+	}
+	cube := func(n int) *fringeCase {
+		A, B, C := recmat.Random(n, n, rng), recmat.Random(n, n, rng), recmat.NewMatrix(n, n)
+		return &fringeCase{name: fmt.Sprintf("%d^3", n), flops: 2 * float64(n) * float64(n) * float64(n),
+			run: func() *recmat.Report {
+				rep, err := eng.Mul(C, A, B, z)
+				check(err)
+				return rep
+			}}
+	}
+	widths := []int{6, 42, 50}
+	for n := 8; n <= 72; n += 4 {
+		widths = append(widths, n)
+	}
+	sort.Ints(widths)
+
+	fmt.Printf("off-grid tiles against the nearest on-grid shape: default kernel, Z-Morton, %d workers\n", eng.Workers())
+	fmt.Printf("%-22s %-9s %6s %8s %7s   %-22s %7s %6s\n", "shape", "tile", "pairs", "ms", "GF/s", "on-grid neighbour", "GF/s", "ratio")
+	failed := false
+	for _, sweep := range []struct {
+		sizes []int
+		step  int // on-grid sizes are multiples of it
+		shape func(n int) *fringeCase
+	}{{widths, leaf.MicroN, planned}, {[]int{100, 150, 200, 250, 300, 500}, leaf.MicroM, cube}} {
+		cases := map[int]*fringeCase{}
+		at := func(n int) *fringeCase {
+			if cases[n] == nil {
+				c := sweep.shape(n)
+				c.n, c.rep = n, c.run() // the warm-up too: buffer pools, scratch
+				cases[n] = c
+			}
+			return cases[n]
+		}
+		for _, n := range sweep.sizes {
+			c := at(n)
+			if c.onGrid() {
+				continue
+			}
+			// The nearest on-grid size, the larger on a tie.
+			var nb *fringeCase
+			for d := 1; nb == nil; d++ {
+				for _, cand := range []int{n/sweep.step*sweep.step + d*sweep.step, (n+sweep.step-1)/sweep.step*sweep.step - d*sweep.step} {
+					if nb == nil && cand > 0 && at(cand).onGrid() {
+						nb = at(cand)
+					}
+				}
+			}
+			nreps := max(*reps, 15, int(0.4/c.time()))
+			var tc, tn, ratio []float64
+			for r := 0; r < nreps; r++ {
+				var a, b float64
+				if r%2 == 0 {
+					a, b = c.time(), nb.time()
+				} else {
+					b, a = nb.time(), c.time()
+				}
+				tc, tn, ratio = append(tc, a), append(tn, b), append(ratio, (c.flops/a)/(nb.flops/b))
+			}
+			verdict := ""
+			if c.rep.TileM < leaf.MicroM || c.rep.TileN < leaf.MicroN {
+				verdict = "  (under one block: kernel " + c.rep.Kernel + ", not gated)"
+			} else if medianOf(ratio) < floor {
+				verdict, failed = "  SLOW", true
+			}
+			fmt.Printf("%-22s %-9s %6d %8.3f %7.1f   %-22s %7.1f %6.2f%s\n", c.name, fmt.Sprintf("%dx%dx%d", c.rep.TileM, c.rep.TileK, c.rep.TileN),
+				nreps, 1e3*medianOf(tc), c.flops/medianOf(tc)/1e9, nb.name, nb.flops/medianOf(tn)/1e9, medianOf(ratio), verdict)
+		}
+	}
+	if failed {
+		fmt.Printf("FAIL: a shape with off-grid tiles runs under %.2f of its on-grid neighbour's rate\n", floor)
+		os.Exit(1)
+	}
+	fmt.Printf("ok: no shape with off-grid tiles runs under %.2f of its on-grid neighbour's rate\n", floor)
 }
 
 // leadingDim reproduces the Section 5.1 explanation: leaf products of

@@ -139,15 +139,27 @@ func TestDeterminismCostBusyPool(t *testing.T) {
 // up front) — so the per-call wave's in-block packs, its nested run's
 // up-front plan and the resident plans must all agree; canonical
 // storage, which has no plans, runs the per-call side of that alone.
+// Three more shapes put most of a tile in the kernels' padded fringe
+// blocks, which accumulate in per-worker scratch: 1024×1024×40 (10-wide
+// tiles), 300³ (38³ tiles; one block, the entry points still agree) and
+// 512×512×48 against a plan built for 64-wide partners — the serving
+// shape: 32×32×6 tiles, not the per-call cut, so the plan entry points
+// agree with each other there and not with the per-call one.
 func TestDeterminismSplitEntryPoints(t *testing.T) {
 	type shape struct {
 		m, k, n  int
 		deferred byte // the operand a per-call wave's blocks pack: 'A', 'B' or neither
+		whole    bool // one block: nothing to split
+		partner  int  // the plan's PartnerDim when it is not n
 	}
-	shapes := []shape{{1024, 1024, 48, 'A'}, {1000, 900, 40, 'A'}, {48, 900, 1000, 'B'}, {600, 40, 600, 0}}
+	shapes := []shape{{m: 1024, k: 1024, n: 48, deferred: 'A'}, {m: 1000, k: 900, n: 40, deferred: 'A'},
+		{m: 48, k: 900, n: 1000, deferred: 'B'}, {m: 600, k: 40, n: 600},
+		{m: 1024, k: 1024, n: 40, deferred: 'A'}, {m: 300, k: 300, n: 300, whole: true},
+		{m: 512, k: 512, n: 48, deferred: 'A', partner: 64}}
 	if testing.Short() || raceEnabled {
 		// The same cuts at a quarter of the size.
-		shapes = []shape{{250, 225, 10, 'A'}, {12, 225, 250, 'B'}, {150, 10, 150, 0}}
+		shapes = []shape{{m: 250, k: 225, n: 10, deferred: 'A'}, {m: 12, k: 225, n: 250, deferred: 'B'}, {m: 150, k: 10, n: 150},
+			{m: 75, k: 75, n: 75, whole: true}, {m: 128, k: 128, n: 12, deferred: 'A', partner: 16}}
 	}
 	var pools []*sched.Pool
 	for _, w := range []int{1, 2, 4, 16} {
@@ -174,8 +186,8 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						if st.Blocks < 2 {
-							t.Fatalf("%s: %d block(s), want a split", name, st.Blocks)
+						if (st.Blocks < 2) != sh.whole {
+							t.Fatalf("%s: %d block(s), want a split: %v", name, st.Blocks, !sh.whole)
 						}
 						ref := C.Clone()
 						matrix.RefGEMM(ta, tb, 0.75, A, B, beta, ref)
@@ -190,12 +202,28 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							t.Fatalf("%s: PackDeferred = %d, want %d", name, st.PackDeferred, deferred)
 						}
 
+						// A plan built for this n cuts the per-call blocks; one built
+						// for a wider partner has its own, and its first run is
+						// what its later ones must repeat.
+						type result struct {
+							c  *matrix.Dense
+							st *Stats
+						}
+						percall := &result{want, st}
+						plan := percall
+						if sh.partner != 0 {
+							plan = new(result)
+						}
 						for _, pool := range pools {
 							// same checks one entry point's result, and the plan
 							// its stats describe, against the single-worker call.
 							// Only a per-call wave defers a pack.
-							same := func(what string, got *matrix.Dense, gs *Stats) {
+							same := func(what string, got *matrix.Dense, gs *Stats, ref *result) {
 								t.Helper()
+								if ref.c == nil {
+									ref.c, ref.st = got, gs
+								}
+								want, st := ref.c, ref.st
 								if gs.Blocks != st.Blocks || gs.Depth != st.Depth || gs.TileM != st.TileM || gs.TileK != st.TileK || gs.TileN != st.TileN {
 									t.Errorf("%s: %s runs %d blocks of %dx%dx%d tiles at depth %d, per-call %d of %dx%dx%d at depth %d", name, what,
 										gs.Blocks, gs.TileM, gs.TileK, gs.TileN, gs.Depth, st.Blocks, st.TileM, st.TileK, st.TileN, st.Depth)
@@ -218,7 +246,7 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s, %d workers: %v", name, pool.Workers(), err)
 							}
-							same("GEMMCtx", got, gs)
+							same("GEMMCtx", got, gs, percall)
 							if cv == layout.ColMajor {
 								continue // the plan and batch entry points take recursive layouts only
 							}
@@ -228,7 +256,7 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil || errs[0] != nil {
 								t.Fatalf("%s, %d workers: GEMMBatch: %v %v", name, pool.Workers(), err, errs)
 							}
-							same("GEMMBatch", got, &bs.Stats)
+							same("GEMMBatch", got, &bs.Stats, percall)
 
 							got = C.Clone()
 							bs, errs, err = GEMMBatchStrided(ctx, pool, opts, ta, tb, m, k, n, 0.75, A.Data, A.Stride, len(A.Data),
@@ -236,10 +264,13 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil || errs[0] != nil {
 								t.Fatalf("%s, %d workers: GEMMBatchStrided: %v %v", name, pool.Workers(), err, errs)
 							}
-							same("GEMMBatchStrided", got, &bs.Stats)
+							same("GEMMBatchStrided", got, &bs.Stats, percall)
 
 							po := opts
 							po.PartnerDim = n
+							if sh.partner != 0 {
+								po.PartnerDim = sh.partner
+							}
 							pa, err := Prepack(ctx, pool, po, A, ta)
 							if err != nil {
 								t.Fatalf("%s: Prepack: %v", name, err)
@@ -254,7 +285,7 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s, %d workers: GEMMPrepacked: %v", name, pool.Workers(), err)
 							}
-							same("GEMMPrepacked", got, pst)
+							same("GEMMPrepacked", got, pst, plan)
 
 							got = C.Clone()
 							bs, errs, err = GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{TransB: tb, Alpha: 0.75, B: B, Beta: beta, C: got}})
@@ -262,7 +293,7 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil || errs[0] != nil {
 								t.Fatalf("%s, %d workers: GEMMPrepackedBatch: %v %v", name, pool.Workers(), err, errs)
 							}
-							same("GEMMPrepackedBatch", got, &bs.Stats)
+							same("GEMMPrepackedBatch", got, &bs.Stats, plan)
 						}
 					}
 				}
@@ -273,23 +304,52 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 
 // TestDeterminismSIMDFamilies: the two amd64 assembly families are one
 // rounding class (leaf.TestAVX512MatchesAVX2Bits), so which of them a
-// calibration lands on cannot change a result: a split wide/lean call
-// and a square one whose 25-row tiles leave every kind of row fringe,
-// on curve tiles (the whole-panel path) and canonical storage (the
-// packed-panel path), agree bit for bit under either name.
+// calibration lands on cannot change a result: a split wide/lean call,
+// square ones whose 25- and 38-row tiles leave every kind of row
+// fringe, a wide/lean one on 10-wide tiles, on curve tiles (the
+// whole-panel path) and canonical storage (the packed-panel path), and
+// a 48-wide product on a plan built for 64-wide partners (the serving
+// shape: 32×32×6 tiles, a third of each in the padded column block)
+// agree bit for bit under either name.
 func TestDeterminismSIMDFamilies(t *testing.T) {
 	for _, name := range []string{"avx2", "avx512"} {
 		if _, err := leaf.Get(name); err != nil {
 			t.Skip("needs both the avx2 and the avx512 kernel")
 		}
 	}
-	shapes := [][3]int{{1024, 1024, 48}, {200, 200, 200}}
+	shapes := [][3]int{{1024, 1024, 48}, {200, 200, 200}, {300, 300, 300}, {1024, 1024, 40}}
+	planned := [4]int{512, 512, 48, 64} // m, k, n, the plan's PartnerDim
 	if testing.Short() || raceEnabled {
-		shapes = [][3]int{{256, 256, 12}, {200, 200, 200}}
+		shapes = [][3]int{{256, 256, 12}, {200, 200, 200}, {256, 256, 10}}
+		planned = [4]int{128, 128, 12, 16}
 	}
 	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(171))
+	ctx := context.Background()
+	m, k, n := planned[0], planned[1], planned[2]
+	A, B, C := matrix.Random(m, k, rng), matrix.Random(k, n, rng), matrix.Random(m, n, rng)
+	pa, err := Prepack(ctx, pool, Options{Curve: layout.ZMorton, PartnerDim: planned[3]}, A, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pa.Release()
+	pb, err := PrepackConforming(ctx, pool, Options{}, B, false, pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pb.Release()
+	c2, c5 := C.Clone(), C.Clone()
+	for name, got := range map[string]*matrix.Dense{"avx2": c2, "avx512": c5} {
+		st, err := GEMMPrepacked(ctx, pool, Options{KernelName: name}, 0.75, pa, pb, 0.5, got)
+		if err != nil || st.Kernel != name || st.TileN%leaf.MicroN == 0 {
+			t.Fatalf("%dx%dx%d on a plan for %d-wide partners, %s: ran %s on %d-wide tiles, want a column fringe: %v",
+				m, k, n, planned[3], name, st.Kernel, st.TileN, err)
+		}
+	}
+	if !matrix.Equal(c5, c2, 0) {
+		t.Errorf("%dx%dx%d on a plan: avx512 bits differ from avx2, max diff %g", m, k, n, matrix.MaxAbsDiff(c5, c2))
+	}
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		A, B, C := matrix.Random(m, k, rng), matrix.Random(k, n, rng), matrix.Random(m, n, rng)

@@ -248,20 +248,31 @@ func TestGEMMSymmetricFoldsSecondPack(t *testing.T) {
 }
 
 // TestScaleColsMatchesScale: the parallel β pass must agree exactly
-// with the serial Scale, including on strided views.
+// with the serial Scale, including on strided views; and β = 0 stores
+// zeros over whatever the view held, a NaN or an Inf too (which Equal
+// never passes), and nothing outside it.
 func TestScaleColsMatchesScale(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(25))
-	base := matrix.Random(40, 40, rng)
-	va := base.View(3, 5, 30, 20)
-	vb := base.Clone().View(3, 5, 30, 20)
-	if err := onPool(context.Background(), pool, func(e *exec, c *sched.Ctx) { e.scaleC(c, va, 0.375) }); err != nil {
-		t.Fatal(err)
-	}
-	vb.Scale(0.375)
-	if !matrix.Equal(va, vb, 0) {
-		t.Error("the chunked β pass diverges from serial Scale")
+	for _, beta := range []float64{0.375, 0} {
+		base := matrix.Random(40, 40, rng)
+		if beta == 0 {
+			base.Set(4, 6, math.NaN())
+			base.Set(5, 6, math.Inf(-1))
+		}
+		ref := base.Clone()
+		va, vb := base.View(3, 5, 30, 20), ref.View(3, 5, 30, 20)
+		if err := onPool(context.Background(), pool, func(e *exec, c *sched.Ctx) { e.scaleC(c, va, beta) }); err != nil {
+			t.Fatal(err)
+		}
+		vb.Scale(beta)
+		if !matrix.Equal(base, ref, 0) {
+			t.Errorf("β=%v: the chunked β pass diverges from serial Scale", beta)
+		}
+		if beta == 0 && (matrix.MaxAbsDiff(va, matrix.New(30, 20)) != 0 || base.At(2, 5) == 0) {
+			t.Error("β=0 did not leave exactly the view zero")
+		}
 	}
 }
 

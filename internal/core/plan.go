@@ -245,10 +245,12 @@ func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, run
 // inherited depth-d grid: ceil division by the grid side. The inherited
 // depth can leave a skinny dimension with tiles too narrow for the
 // register-blocked kernels; rounding up to the micro-kernel's column
-// block trades zero padding for full-speed leaves — but only when the
-// extra padding stays within the configured slack, since a deep grid
-// multiplies the rounding by 2^d and would swamp the kernel win with
-// padded flops.
+// block trades zero padding in the operand for the zero lanes the
+// kernel would otherwise pad the tile's last block with (both run at
+// vector speed; the rounded tile spares the leaf its copies and adds) —
+// but only when the extra padding stays within the configured slack,
+// since a deep grid multiplies the rounding by 2^d and would swamp
+// that with padded flops.
 func conformTile(cfg tile.Config, n int, d uint) int {
 	tn := (n + 1<<d - 1) >> d
 	if mu := cfg.MicroN; mu > 0 && tn%mu != 0 {

@@ -18,8 +18,8 @@ import "math"
 //     (lda == m, ldb == k) and are read in place with no packing — the
 //     tiles the recursive layouts exist to create.
 //
-// microEdge handles the m%MR / n%NR fringe for both variants through
-// explicit strides.
+// The m%MR / n%NR fringe runs through the same bodies on zero-padded
+// operands (see packedMul).
 
 // micro8x4pp: C[0:8,0:4] += Apanel·Bpanel, A packed at interleave 8.
 // Thirty-two live accumulators exceed the register file on amd64, so this
@@ -113,62 +113,10 @@ func micro8x4pp(kc int, pa, pb []float64, c []float64, ldc int) {
 	cc[7] += c73
 }
 
-// micro4x4dd: C[0:4,0:4] += A·B on contiguous column-major tiles read in
+// micro8x4dd: C[0:8,0:4] += A·B on contiguous column-major tiles read in
 // place: a is positioned at the block's first row with column stride lda,
-// b0..b3 are the four B columns (length ≥ kc).
-func micro4x4dd(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []float64, ldc int) {
-	var c00, c10, c20, c30 float64
-	var c01, c11, c21, c31 float64
-	var c02, c12, c22, c32 float64
-	var c03, c13, c23, c33 float64
-	b0, b1, b2, b3 = b0[:kc], b1[:kc], b2[:kc], b3[:kc]
-	ao := 0
-	for p := 0; p < kc; p++ {
-		aa := (*[4]float64)(a[ao:])
-		a0, a1, a2, a3 := aa[0], aa[1], aa[2], aa[3]
-		v0, v1, v2, v3 := b0[p], b1[p], b2[p], b3[p]
-		c00 = math.FMA(a0, v0, c00)
-		c10 = math.FMA(a1, v0, c10)
-		c20 = math.FMA(a2, v0, c20)
-		c30 = math.FMA(a3, v0, c30)
-		c01 = math.FMA(a0, v1, c01)
-		c11 = math.FMA(a1, v1, c11)
-		c21 = math.FMA(a2, v1, c21)
-		c31 = math.FMA(a3, v1, c31)
-		c02 = math.FMA(a0, v2, c02)
-		c12 = math.FMA(a1, v2, c12)
-		c22 = math.FMA(a2, v2, c22)
-		c32 = math.FMA(a3, v2, c32)
-		c03 = math.FMA(a0, v3, c03)
-		c13 = math.FMA(a1, v3, c13)
-		c23 = math.FMA(a2, v3, c23)
-		c33 = math.FMA(a3, v3, c33)
-		ao += lda
-	}
-	cc := (*[4]float64)(c[0*ldc:])
-	cc[0] += c00
-	cc[1] += c10
-	cc[2] += c20
-	cc[3] += c30
-	cc = (*[4]float64)(c[1*ldc:])
-	cc[0] += c01
-	cc[1] += c11
-	cc[2] += c21
-	cc[3] += c31
-	cc = (*[4]float64)(c[2*ldc:])
-	cc[0] += c02
-	cc[1] += c12
-	cc[2] += c22
-	cc[3] += c32
-	cc = (*[4]float64)(c[3*ldc:])
-	cc[0] += c03
-	cc[1] += c13
-	cc[2] += c23
-	cc[3] += c33
-}
-
-// micro8x4dd is the 8×4 direct variant; see micro8x4pp for the register
-// pressure trade-off.
+// b0..b3 are the four B columns (length ≥ kc). See micro8x4pp for the
+// register pressure trade-off.
 func micro8x4dd(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []float64, ldc int) {
 	var c00, c10, c20, c30, c40, c50, c60, c70 float64
 	var c01, c11, c21, c31, c41, c51, c61, c71 float64
@@ -257,24 +205,4 @@ func micro8x4dd(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []floa
 	cc[5] += c53
 	cc[6] += c63
 	cc[7] += c73
-}
-
-// microEdge computes the mr×nr fringe block C += A·B with explicit
-// strides: A(r,p) = a[p*as+r], B(p,c) = b[p*bs+c*be], C(r,c) =
-// c[c*ldc+r]. It serves every fringe case of both storage variants —
-// packed panels (as=MR, bs=NR, be=1, zero padding makes over-reads
-// harmless) and direct tiles (as=lda, bs=1, be=ldb, bounds exact).
-func microEdge(mr, nr, kc int, a []float64, as int, b []float64, bs, be int, c []float64, ldc int) {
-	for cj := 0; cj < nr; cj++ {
-		for ri := 0; ri < mr; ri++ {
-			var sum float64
-			ao, bo := ri, cj*be
-			for p := 0; p < kc; p++ {
-				sum = math.FMA(a[ao], b[bo], sum)
-				ao += as
-				bo += bs
-			}
-			c[cj*ldc+ri] += sum
-		}
-	}
 }

@@ -25,6 +25,14 @@ package leaf
 type Scratch struct {
 	pa []float64 // A packed into MR row panels
 	pb []float64 // B packed into NR column panels
+	pc []float64 // the zeroed block of C a fringe block accumulates into
+}
+
+// zeroC returns n zeroed elements of s.pc.
+func (s *Scratch) zeroC(n int) []float64 {
+	s.pc = grow(s.pc, n)
+	clear(s.pc)
+	return s.pc
 }
 
 // grow returns buf resized to n elements, reallocating only when the

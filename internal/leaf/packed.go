@@ -4,14 +4,15 @@ import "sync"
 
 // The packed kernels fix NR = 4 B columns per micro-tile; MR is 4, 8 or
 // 16 A rows depending on the family. Tile sizes that are multiples of
-// these avoid the scalar fringe path entirely (tile.Config can be told
-// to prefer such sizes; see Config.MicroM/MicroN).
+// these run no padded fringe block (tile.Config can be told to prefer
+// such sizes; see Config.MicroM/MicroN).
 const (
 	// MicroM is the A-row count tile selection aligns to. It is not the
 	// largest block height any more: the 16-row AVX-512 family runs the
 	// 8-row remainder of a tile through the 8-row body, so a multiple of
-	// 8 still keeps every row in assembly, and the tiles picked — and so
-	// the results — are the same whichever family runs them.
+	// 8 still keeps every lane of every block on a real row, and the
+	// tiles picked — and so the results — are the same whichever family
+	// runs them.
 	MicroM = 8
 	// MicroN is the B-column count of the packed micro-kernels.
 	MicroN = 4
@@ -41,9 +42,6 @@ type microImpl struct {
 	// inside it.
 	dd    func(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []float64, ldc int)
 	panel func(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
-	// dd4, when non-nil, is a half-height (4-row) direct kernel used for
-	// the row fringe that still fits a 4×4 micro-tile (mr ≥ 8 only).
-	dd4 func(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []float64, ldc int)
 	// rem, when non-nil, is the shorter family that takes the rows left
 	// after the last full mr-row block; it has a panel entry when this
 	// family has.
@@ -51,7 +49,7 @@ type microImpl struct {
 }
 
 // microGo8 is the pure-Go micro-kernel family behind packed8x4.
-var microGo8 = &microImpl{mr: 8, pp: micro8x4pp, dd: micro8x4dd, dd4: micro4x4dd}
+var microGo8 = &microImpl{mr: 8, pp: micro8x4pp, dd: micro8x4dd}
 
 // packedMul is the shared body of the packed kernels: C += A·B through
 // MR×4 register-blocked micro-tiles of the mk family.
@@ -62,13 +60,19 @@ var microGo8 = &microImpl{mr: 8, pp: micro8x4pp, dd: micro8x4dd, dd4: micro4x4dd
 // in place. Otherwise (canonical layouts, where a leaf is a strided view
 // into the full matrix) both operands are packed once into s, after which
 // every k step of the inner loop is contiguous.
+//
+// The fringe — rows past the last full block, columns past the last
+// four — has no loop of its own. It runs through the family's block
+// body on zero-padded operands into a zeroed scratch block of C, whose
+// valid part is then added to C: a zero accumulator, the products fused
+// in ascending k, one add into C — per element what a scalar loop does.
 func packedMul(s *Scratch, mk *microImpl, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	const nr = MicroN
 	if m <= 0 || n <= 0 || k <= 0 {
 		return
 	}
 	if lda == m && ldb == k {
-		directMul(mk, m, n, k, a, b, c, ldc)
+		directMul(s, mk, m, n, k, a, b, c, ldc)
 		return
 	}
 	np := (n + nr - 1) / nr * nr
@@ -87,7 +91,8 @@ func packedMul(s *Scratch, mk *microImpl, m, n, k int, a []float64, lda int, b [
 }
 
 // packedRows packs rows rows of A into mk's panels and multiplies them
-// into C against the B panels already in s.pb.
+// into C against the B panels already in s.pb. The panels are zero
+// padded, so an edge block is pp into a scratch block.
 func packedRows(s *Scratch, mk *microImpl, rows, n, k int, a []float64, lda int, c []float64, ldc int) {
 	const nr = MicroN
 	mr := mk.mr
@@ -103,56 +108,88 @@ func packedRows(s *Scratch, mk *microImpl, rows, n, k int, a []float64, lda int,
 			if mcur == mr && ncur == nr {
 				mk.pp(k, pap, pbp, cc, ldc)
 			} else {
-				microEdge(mcur, ncur, k, pap, mr, pbp, nr, 1, cc, ldc)
+				sc := s.zeroC(mr * nr)
+				mk.pp(k, pap, pbp, sc, mr)
+				addBlock(mcur, ncur, sc, mr, cc, ldc)
 			}
 		}
 	}
 }
 
 // directMul runs the micro-kernels in place on contiguous tiles
-// (lda == m, ldb == k) — no packing, no scratch: the full blocks first,
-// then the row fringe beside them and the column fringe past them.
-func directMul(mk *microImpl, m, n, k int, a, b, c []float64, ldc int) {
+// (lda == m, ldb == k), no packing: the full blocks of each family down
+// the rem chain straight into C; the rows left, fewer than the last
+// family's mr, as one zero-padded block of it (s.pa); the n%4 columns
+// left as one zero-padded k×4 block of B (s.pb) against every row.
+func directMul(s *Scratch, mk *microImpl, m, n, k int, a, b, c []float64, ldc int) {
 	const nr = MicroN
-	nf := n - n%nr // columns in full blocks
-	i0 := 0        // rows in full blocks
-	switch {
-	case nf == 0:
-	case mk.panel != nil:
-		for fam := mk; fam != nil; fam = fam.rem {
-			if rows := (m - i0) / fam.mr * fam.mr; rows > 0 {
-				fam.panel(rows, nf, k, a[i0:], m, b, k, c[i0:], ldc)
-				i0 += rows
-			}
-		}
-	default:
-		i0 = m - m%mk.mr
-		for j0 := 0; j0 < nf; j0 += nr {
-			b0, b1, b2, b3 := bcols(b, j0, k)
-			for i := 0; i < i0; i += mk.mr {
-				mk.dd(k, a[i:], m, b0, b1, b2, b3, c[j0*ldc+i:], ldc)
-			}
-		}
+	last, i0 := mk, 0 // the chain's shortest family; rows in full blocks
+	for fam := mk; fam != nil; fam = fam.rem {
+		last, i0 = fam, i0+(m-i0)/fam.mr*fam.mr
 	}
-	for j0 := 0; i0 < m && j0 < nf; j0 += nr {
-		i := i0
-		if mk.dd4 != nil && i+4 <= m { // fringe that still fits a 4×4 micro-tile
-			b0, b1, b2, b3 := bcols(b, j0, k)
-			mk.dd4(k, a[i:], m, b0, b1, b2, b3, c[j0*ldc+i:], ldc)
-			i += 4
-		}
-		if i < m {
-			microEdge(m-i, nr, k, a[i:], m, b[j0*k:], 1, k, c[j0*ldc+i:], ldc)
+	mp := m // rows with the fringe padded to a block
+	if i0 < m {
+		mp = i0 + last.mr
+		s.pa = grow(s.pa, last.mr*k)
+		packA(last.mr, m-i0, k, a[i0:], m, s.pa) // one panel: a last.mr×k tile
+	}
+	nf := n - n%nr // columns in full blocks
+	if nf > 0 {
+		mk.fullBlocks(m, nf, k, a, b, c, ldc)
+		if i0 < m {
+			sc := s.zeroC(last.mr * nf)
+			last.blocks(last.mr, nf, k, s.pa, last.mr, b, sc, last.mr)
+			addBlock(m-i0, nf, sc, last.mr, c[i0:], ldc)
 		}
 	}
 	if nf < n {
-		microEdge(m, n-nf, k, a, m, b[nf*k:], 1, k, c[nf*ldc:], ldc)
+		s.pb = grow(s.pb, nr*k)
+		copy(s.pb, b[nf*k:n*k])
+		clear(s.pb[(n-nf)*k:])
+		sc := s.zeroC(mp * nr)
+		mk.fullBlocks(m, nr, k, a, s.pb, sc, mp)
+		if i0 < m {
+			last.blocks(last.mr, nr, k, s.pa, last.mr, s.pb, sc[i0:], mp)
+		}
+		addBlock(m, n-nf, sc, mp, c[nf*ldc:], ldc)
 	}
 }
 
-// bcols returns columns j0..j0+3 of a contiguous k-row B.
-func bcols(b []float64, j0, k int) (b0, b1, b2, b3 []float64) {
-	return b[j0*k : j0*k+k], b[(j0+1)*k : (j0+1)*k+k], b[(j0+2)*k : (j0+2)*k+k], b[(j0+3)*k : (j0+3)*k+k]
+// fullBlocks is C[0:i0,0:n] += A·B on contiguous tiles (lda == m,
+// ldb == k) for the i0 rows of m that fill whole blocks of mk's chain,
+// each family taking what the one before left; n is a multiple of 4.
+func (mk *microImpl) fullBlocks(m, n, k int, a, b, c []float64, ldc int) {
+	for i0 := 0; mk != nil; mk = mk.rem {
+		if rows := (m - i0) / mk.mr * mk.mr; rows > 0 {
+			mk.blocks(rows, n, k, a[i0:], m, b, c[i0:], ldc)
+			i0 += rows
+		}
+	}
+}
+
+// blocks is the family's contiguous-tile entry: C[0:rows,0:n] += A·B,
+// rows a positive multiple of mr, n of 4, B contiguous (ldb == k).
+func (mk *microImpl) blocks(rows, n, k int, a []float64, lda int, b, c []float64, ldc int) {
+	if mk.panel != nil {
+		mk.panel(rows, n, k, a, lda, b, k, c, ldc)
+		return
+	}
+	for j0 := 0; j0 < n; j0 += MicroN {
+		b0, b1, b2, b3 := b[j0*k:j0*k+k], b[(j0+1)*k:(j0+1)*k+k], b[(j0+2)*k:(j0+2)*k+k], b[(j0+3)*k:(j0+3)*k+k]
+		for i := 0; i < rows; i += mk.mr {
+			mk.dd(k, a[i:], lda, b0, b1, b2, b3, c[j0*ldc+i:], ldc)
+		}
+	}
+}
+
+// addBlock adds the leading rows×cols of the scratch block sc to C.
+func addBlock(rows, cols int, sc []float64, ldsc int, c []float64, ldc int) {
+	for j := 0; j < cols; j++ {
+		dst := c[j*ldc : j*ldc+rows]
+		for i, v := range sc[j*ldsc : j*ldsc+rows] {
+			dst[i] += v
+		}
+	}
 }
 
 // scratchPool backs the plain-Kernel adapters below. sync.Pool keeps one

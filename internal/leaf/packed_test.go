@@ -112,56 +112,61 @@ func TestScratchAt(t *testing.T) {
 	}
 }
 
-// benchLeaf times kernel k on contiguous square leaves of side n — the
-// exact call the recursive algorithms make on recursive-layout tiles —
-// and returns the GFLOPS it reports.
-func benchLeaf(b *testing.B, kern Kernel, n int, strided bool) float64 {
+// benchLeaf times kern on m×n×k leaves — contiguous, the exact call the
+// recursive algorithms make on recursive-layout tiles, or strided — and
+// returns the GFLOPS it reports.
+func benchLeaf(b *testing.B, kern Kernel, m, n, k int, strided bool) float64 {
 	rng := rand.New(rand.NewSource(1))
 	var A, B, C *matrix.Dense
 	if strided {
 		// Leaves of a canonical-layout run: views into a larger array.
-		big := matrix.Random(4*n, 4*n, rng)
-		A, B, C = big.View(0, 0, n, n), big.View(n, n, n, n), big.View(2*n, 2*n, n, n)
+		d := max(m, n, k)
+		big := matrix.Random(4*d, 4*d, rng)
+		A, B, C = big.View(0, 0, m, k), big.View(d, d, k, n), big.View(2*d, 2*d, m, n)
 	} else {
-		A, B, C = matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+		A, B, C = matrix.Random(m, k, rng), matrix.Random(k, n, rng), matrix.New(m, n)
 	}
-	b.SetBytes(int64(8 * n * n))
+	b.SetBytes(int64(8 * m * n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kern(n, n, n, A.Data, A.Stride, B.Data, B.Stride, C.Data, C.Stride)
+		kern(m, n, k, A.Data, A.Stride, B.Data, B.Stride, C.Data, C.Stride)
 	}
-	gflops := 2 * float64(n*n*n) * float64(b.N) / b.Elapsed().Seconds() / 1e9
+	gflops := 2 * float64(m*n*k) * float64(b.N) / b.Elapsed().Seconds() / 1e9
 	b.ReportMetric(gflops, "GFLOPS")
 	return gflops
 }
 
 // BenchmarkKernelTile benchmarks every registered kernel at the default
-// tile sizes, and at 8³ on the small side of Auto's rule, on contiguous
-// leaves (the recursive-layout case, lda == m) and strided leaves (the
-// canonical case, lda >> m). This is where kernels are timed against
-// each other now that the default is a rule and not a race: after each
-// size it prints the contiguous ranking with Auto's pick, flagged when
-// the pick measured more than 10% behind the fastest.
+// tile sizes, at 8³ on the small side of Auto's rule, and at the
+// off-grid tiles padding hands the leaf (25³ and 38³: 200³'s and 300³'s
+// tiles; 32×6×32 as m×n×k: a 48-wide request against a 64-wide plan),
+// whose rate beside 32³'s is what the fringe costs — on contiguous leaves (the
+// recursive-layout case, lda == m) and strided leaves (the canonical
+// case, lda >> m). This is where kernels are timed against each other
+// now that the default is a rule and not a race: after each size it
+// prints the contiguous ranking with Auto's pick, flagged when the pick
+// measured more than 10% behind the fastest.
 func BenchmarkKernelTile(b *testing.B) {
 	logPeaks()
-	for _, n := range []int{8, 32, 64} {
+	for _, sh := range [][3]int{{8, 8, 8}, {32, 32, 32}, {64, 64, 64}, {25, 25, 25}, {38, 38, 38}, {32, 6, 32}} {
+		m, n, k := sh[0], sh[1], sh[2]
 		contig := map[string]float64{} // the last, longest run of each
 		for _, name := range Names() {
 			if name == "naive" {
 				continue
 			}
 			kern, _ := Get(name)
-			b.Run(benchName(name, n, "contig"), func(b *testing.B) { contig[name] = benchLeaf(b, kern, n, false) })
-			b.Run(benchName(name, n, "strided"), func(b *testing.B) { benchLeaf(b, kern, n, true) })
+			b.Run(benchName(name, m, n, k, "contig"), func(b *testing.B) { contig[name] = benchLeaf(b, kern, m, n, k, false) })
+			b.Run(benchName(name, m, n, k, "strided"), func(b *testing.B) { benchLeaf(b, kern, m, n, k, true) })
 		}
-		logAutoPick(n, contig)
+		logAutoPick(m, n, k, contig)
 	}
 }
 
-// logAutoPick prints kernels by measured GFLOPS on n³ tiles, fastest
+// logAutoPick prints kernels by measured GFLOPS on m×n×k tiles, fastest
 // first, and where Auto's pick stands among them.
-func logAutoPick(n int, gflops map[string]float64) {
+func logAutoPick(m, n, k int, gflops map[string]float64) {
 	names := make([]string, 0, len(gflops))
 	for name := range gflops {
 		names = append(names, name)
@@ -170,11 +175,11 @@ func logAutoPick(n int, gflops map[string]float64) {
 		return
 	}
 	sort.Slice(names, func(i, j int) bool { return gflops[names[i]] > gflops[names[j]] })
-	line := fmt.Sprintf("n=%d contiguous, GFLOPS:", n)
+	line := fmt.Sprintf("%s contiguous, GFLOPS:", shapeName(m, n, k))
 	for _, name := range names {
 		line += fmt.Sprintf(" %s %.1f", name, gflops[name])
 	}
-	pick := Auto(n, n, n).Name
+	pick := Auto(m, n, k).Name
 	line += fmt.Sprintf("; Auto picks %s", pick)
 	if got, ok := gflops[pick]; !ok {
 		line += " (not run)"
@@ -184,20 +189,14 @@ func logAutoPick(n int, gflops map[string]float64) {
 	fmt.Println(line)
 }
 
-func benchName(kernel string, n int, variant string) string {
-	return kernel + "/n" + itoa(n) + "/" + variant
+func benchName(kernel string, m, n, k int, variant string) string {
+	return kernel + "/" + shapeName(m, n, k) + "/" + variant
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
+// shapeName is "n32" for a cube and "32x6x32" (m×n×k) otherwise.
+func shapeName(m, n, k int) string {
+	if m == n && n == k {
+		return fmt.Sprintf("n%d", m)
 	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return fmt.Sprintf("%dx%dx%d", m, n, k)
 }

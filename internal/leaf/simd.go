@@ -19,8 +19,8 @@ import (
 //   - archSIMD() — the micro-kernel families the probe unlocked, as
 //     registry entries. A family plugs into the same packedMul driver
 //     as the pure-Go kernels, so it inherits the packed-panel format,
-//     the contiguous-tile fast path, and the scalar fringe handling
-//     for m%MR / n%NR edges.
+//     the contiguous-tile fast path, and the padded-block handling of
+//     the m%MR / n%NR edges.
 //
 // Other GOARCHes, and any build with `-tags noasm`, compile the stub
 // hooks in simd_noasm.go instead: no features, no kernels, pure Go
@@ -68,8 +68,9 @@ func init() {
 // same kernel in every call, process and restart on a host. The paper
 // ran one fixed leaf kernel; this is one fixed kernel per host and
 // shape class. A tile that holds a full MicroM×MicroN block takes the
-// widest register-blocked family; a smaller one would run none of that
-// family's blocked body, only its fringe code, and takes "blocked".
+// widest register-blocked family; a smaller one would be all fringe —
+// one block padded out from under a block's worth of rows or columns —
+// and takes "blocked".
 // `make bench-kernel` times the rule's picks against every other kernel.
 func Auto(m, n, k int) Impl {
 	if m >= MicroM && n >= MicroN {

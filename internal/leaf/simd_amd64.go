@@ -15,12 +15,13 @@ package leaf
 // the full blocks of a tile; the 16-row family hands an 8-row remainder
 // to the 8-row family (rem), so a row runs through assembly in one
 // family exactly when it does in the other. What is left of the rows
-// after that is under 8 and reuses the pure-Go 4×4 kernel and microEdge:
-// fringes are rare by construction (tile selection is biased to
-// multiples of MicroM/MicroN) and not worth another assembly body.
+// after that is under 8 and runs through the 8-row body too, zero-padded
+// to one block, as the n%4 columns left run through either body padded
+// to four (directMul): the fringe needs no assembly body of its own and
+// no scalar loop.
 var (
-	microAVX2   = &microImpl{mr: 8, pp: micro8x4ppAVX2, panel: panel8x4AVX2, dd4: micro4x4dd}
-	microAVX512 = &microImpl{mr: 16, pp: micro16x4ppAVX512, panel: panel16x4AVX512, dd4: micro4x4dd, rem: microAVX2}
+	microAVX2   = &microImpl{mr: 8, pp: micro8x4ppAVX2, panel: panel8x4AVX2}
+	microAVX512 = &microImpl{mr: 16, pp: micro16x4ppAVX512, panel: panel16x4AVX512, rem: microAVX2}
 )
 
 // micro8x4ppAVX2 is micro8x4pp in AVX2/FMA assembly: packed panels, so

@@ -69,10 +69,11 @@ func TestAutoRule(t *testing.T) {
 }
 
 // TestSIMDFringes differentially checks the assembly kernels on shapes
-// chosen to hit every fringe path: m%MR and n%NR remainders, half-height
-// (4-row) direct fringes, single rows/columns, and k values that leave
-// the micro-loop after 0 or 1 iterations — on both contiguous tiles
-// (the direct path) and strided views (the packed-panel path).
+// chosen to hit every fringe path: m%MR and n%NR remainders, row
+// fringes on either side of half a block, single rows/columns, and k
+// values that leave the micro-loop after 0 or 1 iterations — on both
+// contiguous tiles (the direct path) and strided views (the
+// packed-panel path).
 func TestSIMDFringes(t *testing.T) {
 	if len(SIMDNames()) == 0 {
 		t.Skip("no SIMD kernels on this host")
@@ -81,7 +82,7 @@ func TestSIMDFringes(t *testing.T) {
 	shapes := [][3]int{
 		{8, 4, 8}, {16, 8, 16}, // on-grid
 		{9, 5, 7}, {15, 7, 9}, {23, 9, 31}, // off both grids
-		{12, 4, 8}, {20, 8, 4}, // 4-row direct fringe of the 8-row kernel
+		{12, 4, 8}, {20, 8, 4}, // half a block past the 8-row kernel's last
 		{24, 8, 8}, {40, 4, 3}, // 8-row remainder of the 16-row kernel
 		{28, 12, 9}, {47, 9, 5}, // 16-row blocks, then 8, then 4, then single rows
 		{1, 1, 1}, {1, 17, 3}, {33, 1, 29}, // degenerate rows/cols
@@ -121,9 +122,10 @@ func TestSIMDFringes(t *testing.T) {
 // TestAVX512MatchesAVX2Bits pins that the two amd64 families are one
 // rounding class: every C element sees the same fused operations in the
 // same order whichever runs, so a calibration race that lands on either
-// cannot change a result. Every row count from 4 to 72 — 16-row blocks
-// with and without the 8-row remainder, the 4-row fringe, single rows —
-// against column counts on and off the 4-column grid, k from 0 up, on
+// cannot change a result. Every row count from 1 to 72 — 16-row blocks
+// with and without the 8-row remainder, the padded block of what is
+// left, tiles shorter than one block — against column counts on and
+// off the 4-column grid and under it, k from 0 up, on
 // contiguous tiles (the whole-panel path) and strided views (the
 // packed-panel path).
 func TestAVX512MatchesAVX2Bits(t *testing.T) {
@@ -133,8 +135,8 @@ func TestAVX512MatchesAVX2Bits(t *testing.T) {
 		t.Skip("needs both the avx2 and the avx512 kernel")
 	}
 	rng := rand.New(rand.NewSource(17))
-	for m := 4; m <= 72; m++ {
-		for _, n := range []int{4, 5, 8, 11, 32, 72} {
+	for m := 1; m <= 72; m++ {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 11, 32, 72} {
 			for _, k := range []int{0, 1, 7, 32, 72} {
 				for _, pad := range []int{0, 3} { // pad > 0: strided views
 					A := matrix.Random(m+pad, k+pad, rng).View(pad, 0, m, k)

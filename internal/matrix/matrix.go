@@ -121,10 +121,16 @@ func (a *Dense) Scale(alpha float64) {
 // ScaleCols multiplies columns [lo, hi) of a by alpha — the ranged core
 // of Scale, exposed so callers with a worker pool can split the pass
 // into parallel column chunks (a full-matrix β·C scale is a memory-bound
-// sweep worth parallelizing above a size threshold).
+// sweep worth parallelizing above a size threshold). alpha = 0 stores
+// zeros and multiplies nothing, as the reference BLAS does for β = 0: a
+// NaN or Inf in a does not survive it.
 func (a *Dense) ScaleCols(alpha float64, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		col := a.Data[j*a.Stride : j*a.Stride+a.Rows]
+		if alpha == 0 {
+			clear(col)
+			continue
+		}
 		for i := range col {
 			col[i] *= alpha
 		}

@@ -38,7 +38,8 @@ type Config struct {
 	// PadSlack of the minimum padded volume), choices whose first-dim
 	// tile is a multiple of MicroM and last-dim tile a multiple of
 	// MicroN are preferred, before the TSweet distance is compared. A
-	// micro-aligned tile never enters the kernel's scalar fringe path.
+	// micro-aligned tile is whole register blocks; any other pads its
+	// last rows and columns to a block whose spare lanes are wasted.
 	// Zero values (the default) leave selection exactly as before.
 	MicroM, MicroN int
 }
@@ -248,9 +249,9 @@ func SplitDim(length, maxLen int) []Seg {
 //
 // The segment bound α·short is biased down to a power-of-two multiple
 // of TSweet, so every block tiles at the sweet size on a power-of-two
-// grid: a block of 171 cuts into 22- or 43-element tiles that a
-// register-blocked kernel runs in its scalar fringe, a block of 128
-// into 32s. It is the one split rule of the tree — a direct GEMM, a
+// grid: a block of 171 cuts into 22- or 43-element tiles, of whose
+// padded register blocks up to a quarter of the lanes are wasted, a
+// block of 128 into 32s. It is the one split rule of the tree — a direct GEMM, a
 // plan prepacked for partners of width n, and the operand packed to
 // conform with it all call it with the same (m, k, n) and so agree on
 // the blocks.

@@ -37,6 +37,40 @@ func TestDGEMMRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestBetaZeroClearsNonFinite: β = 0 stores and does not multiply, so a
+// NaN or Inf in the incoming C is gone afterwards as under reference
+// BLAS — also when α = 0 and the call is the β pass alone, per call
+// and as a batch item.
+func TestBetaZeroClearsNonFinite(t *testing.T) {
+	eng := NewEngine(2)
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(27))
+	const n = 40
+	A, B := Random(n, n, rng), Random(n, n, rng)
+	dirty := func() *Matrix {
+		C := Random(n, n, rng)
+		C.Data[5], C.Data[n+1], C.Data[2*n+7] = math.NaN(), math.Inf(1), math.Inf(-1)
+		return C
+	}
+	for _, alpha := range []float64{0, 1.5} {
+		want := NewMatrix(n, n)
+		RefGEMM(false, false, alpha, A, B, 0, want)
+		C := dirty()
+		if _, err := eng.DGEMM(false, false, alpha, A, B, 0, C, &Options{Layout: ZMorton}); err != nil {
+			t.Fatal(err)
+		}
+		items := []GEMMBatchItem{{Alpha: alpha, A: A, B: B, C: dirty()}, {Alpha: alpha, A: A, B: B, C: dirty()}}
+		if _, errs, err := eng.GEMMBatch(context.Background(), items, &Options{Layout: ZMorton}); err != nil || errs[0] != nil || errs[1] != nil {
+			t.Fatal(err, errs)
+		}
+		for name, got := range map[string]*Matrix{"DGEMM": C, "GEMMBatch item 0": items[0].C, "GEMMBatch item 1": items[1].C} {
+			if d := MaxAbsDiff(got, want); !(d <= 1e-12) { // a NaN fails this
+				t.Errorf("α=%v β=0 %s: max diff %v from the reference; C[5]=%v", alpha, name, d, got.Data[5])
+			}
+		}
+	}
+}
+
 func TestOptionsMemBudgetPassthrough(t *testing.T) {
 	eng := NewEngine(2)
 	defer eng.Close()
