@@ -205,7 +205,7 @@ func BenchmarkAblationSpawnStructure(b *testing.B) {
 // BenchmarkAblationFastCutoff varies the point at which Strassen and
 // Winograd fall back to the standard recursion (the paper recurses
 // fully; later work showed early cutoff wins). cutoff=0 is the library
-// default, the crossover calibrated for this host's kernel and tiles.
+// default, the crossover rule's for this host's kernel and the tiles.
 func BenchmarkAblationFastCutoff(b *testing.B) {
 	const n = 512
 	eng := NewEngine(2)

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	experiments [-fig 4|5|6|7] [-exp slowdown|parallelism|conversion|ld|falseshare]
+//	experiments [-fig 1|2|4|5|6|7] [-exp slowdown|parallelism|conversion|ld|falseshare]
 //	            [-full] [-workers 0] [-reps 3]
 //
 // The mapping from experiment to paper result is documented in DESIGN.md
@@ -56,7 +56,7 @@ var (
 
 // paperCutoff is the other half of paper fidelity: Section 5 recurses
 // Strassen and Winograd down to single tiles, which the paper's scalar
-// leaf made a win. The library's default is the calibrated crossover.
+// leaf made a win. The library's default is the crossover rule's.
 const paperCutoff = 1
 
 func main() {
@@ -137,11 +137,15 @@ func header(title string) {
 	fmt.Printf("================================================================\n")
 }
 
-// fig1 prints the algorithmic locality summary of Figure 1 (the full dot
-// grids come from cmd/localityviz).
+// fig1 prints Figure 1: for the paper's three algorithms the dot grids
+// of the elements of A and of B read to compute each element of C, then
+// the summary of every algorithm that has a ⟨2,2,2⟩ table to trace.
 func fig1() {
 	header("Figure 1 — algorithmic locality of reference (8x8, per C element)")
-	fmt.Println("see cmd/localityviz for the dot grids; summary statistics:")
+	for _, alg := range []recmat.Algorithm{recmat.Standard, recmat.Strassen, recmat.Winograd} {
+		deps := trace.Reads(alg, 8)
+		fmt.Printf("=== %v ===\n%s%s", alg, trace.Render(deps, 'A'), trace.Render(deps, 'B'))
+	}
 	fmt.Printf("%-15s %14s %14s %14s\n", "algorithm", "total reads", "max A reads", "max B reads")
 	for _, alg := range recmat.Algorithms {
 		if trace.Table(alg) == nil {
@@ -172,11 +176,12 @@ func localityStats(alg recmat.Algorithm, n int) (total, maxA, maxB int) {
 	return
 }
 
-// fig2 prints the layout orderings (Figure 2) at depth 3.
+// fig2 prints the layout orderings (Figure 2) at depth 3: the position
+// along the curve of every tile, and the curve drawn under it.
 func fig2() {
 	header("Figure 2 — layout function orderings (8x8 grid of tiles)")
 	for _, c := range layout.Curves {
-		fmt.Printf("\n%s:\n", c)
+		fmt.Printf("\n%s (orientations: %d):\n", c, c.Orientations())
 		g := c.Grid(3)
 		for i := 0; i < 8; i++ {
 			for j := 0; j < 8; j++ {
@@ -184,7 +189,37 @@ func fig2() {
 			}
 			fmt.Println()
 		}
+		fmt.Println(renderPath(c, 3))
 	}
+}
+
+// renderPath draws the curve on a character grid: cells at even
+// positions, connecting segments between consecutive S positions.
+func renderPath(c layout.Curve, d uint) string {
+	n := 1 << d
+	grid := make([][]byte, 2*n-1)
+	for i := range grid {
+		grid[i] = bytes.Repeat([]byte{' '}, 2*n-1)
+	}
+	pi, pj := c.SInverse(0, d)
+	grid[2*pi][2*pj] = 'o'
+	for s := uint64(1); s < uint64(n)*uint64(n); s++ {
+		i, j := c.SInverse(s, d)
+		grid[2*i][2*j] = 'o'
+		di, dj := int(i)-int(pi), int(j)-int(pj)
+		switch {
+		case di == 0 && (dj == 1 || dj == -1):
+			grid[2*i][2*int(pj)+dj] = '-'
+		case dj == 0 && (di == 1 || di == -1):
+			grid[2*int(pi)+di][2*j] = '|'
+		default:
+			// Non-adjacent jump (the dilation effect): mark both ends.
+			grid[2*pi][2*pj] = '*'
+			grid[2*i][2*j] = '*'
+		}
+		pi, pj = i, j
+	}
+	return string(bytes.Join(grid, []byte{'\n'}))
 }
 
 // fig4 reproduces Figure 4: execution time vs. tile size, standard
@@ -1014,74 +1049,94 @@ func dilation() {
 }
 
 // autoparity is the gate behind `make parity`: with the library's
-// defaults — the host's default kernel, calibrated fast cutoff —
-// Algorithm Auto must not be slower than Standard. The two are interleaved, the order
-// alternating, and compared by the median of the paired time ratios,
-// which a drift of the host's speed during the run cancels out of. It
-// prints what Auto resolved to, so that a wrong calibration is visible
-// and not just slow.
+// defaults — the host's default kernel, the crossover rule's fast cutoff
+// — Algorithm Auto must not be slower than Standard. The variants of a
+// row are interleaved, the order alternating, and compared by the median
+// of the paired time ratios, which a drift of the host's speed during
+// the run cancels out of. It prints what Auto resolved to, so that a
+// wrong rule is visible and not just slow. The rows that name a kernel
+// are ones where the rule admits a fast level at a size this can run,
+// whatever the host's default family; and at the largest size Winograd
+// runs by name at the rule's cutoff and at half of it, which is how a
+// rule that has become a level too cautious shows.
 func autoparity() {
 	const slack = 1.05
 	eng := recmat.NewEngine(*workers)
 	defer eng.Close()
-	fmt.Printf("auto vs standard: default kernel, calibrated cutoff, %d workers\n", eng.Workers())
-	fmt.Printf("%-18s %-9s %-9s %7s %7s %6s %10s %10s %8s\n",
-		"shape", "layout", "auto ran", "cutoff", "levels", "pairs", "auto GF/s", "std GF/s", "t ratio")
+	fmt.Printf("auto vs standard: default kernel unless named, the rule's cutoff, %d workers\n", eng.Workers())
+	fmt.Printf("%-18s %-9s %-9s %-9s %7s %7s %6s %10s %10s %8s\n",
+		"shape", "layout", "kernel", "auto ran", "cutoff", "levels", "pairs", "auto GF/s", "std GF/s", "t ratio")
 	failed := false
 	for _, c := range []struct {
-		n  int
-		lo recmat.Layout
-	}{{1024, recmat.ZMorton}, {2048, recmat.ZMorton}, {256, recmat.ColMajor}} {
+		n      int
+		lo     recmat.Layout
+		kernel string
+	}{{1024, recmat.ZMorton, ""}, {2048, recmat.ZMorton, ""}, {256, recmat.ColMajor, ""},
+		{2048, recmat.ZMorton, "avx2"}, {1024, recmat.ZMorton, "packed8x4"}} {
+		if _, err := leaf.Get(c.kernel); c.kernel != "" && err != nil {
+			continue // a family this host does not register
+		}
 		rng := rand.New(rand.NewSource(*seed))
 		A, B, C := recmat.Random(c.n, c.n, rng), recmat.Random(c.n, c.n, rng), recmat.NewMatrix(c.n, c.n)
-		auto := &recmat.Options{Layout: c.lo, Algorithm: recmat.Auto}
-		std := &recmat.Options{Layout: c.lo, Algorithm: recmat.Standard}
-		var rep *recmat.Report
-		mul := func(o *recmat.Options) float64 {
+		opt := func(alg recmat.Algorithm, cutoff int) *recmat.Options {
+			return &recmat.Options{Layout: c.lo, Algorithm: alg, KernelName: c.kernel, FastCutoff: cutoff}
+		}
+		const std, auto, atRule, atHalf = 0, 1, 2, 3
+		vs := []*recmat.Options{opt(recmat.Standard, 0), opt(recmat.Auto, 0)}
+		rep := make([]*recmat.Report, 4)
+		mul := func(i int) float64 {
 			t0 := time.Now()
-			r, err := eng.Mul(C, A, B, o)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if o == auto {
-				rep = r
-			}
+			r, err := eng.Mul(C, A, B, vs[i])
+			check(err)
+			rep[i] = r
 			return time.Since(t0).Seconds()
 		}
-		mul(auto) // warm-up: calibration, buffer pools, arena
-		// At least nine pairs, and enough of them to fill three seconds a
+		mul(auto) // warm-up: buffer pools, arena
+		if c.n == 2048 {
+			rule := rep[auto].FastCutoff
+			vs = append(vs, opt(recmat.Winograd, rule), opt(recmat.Winograd, max(rule/2, 1)))
+		}
+		// At least nine rounds, and enough of them to fill three seconds a
 		// side: on a shared host the median over nine 256³ multiplies, a
 		// few milliseconds each, is noise.
 		nreps := max(*reps, 9, int(3/mul(std)))
-		var ta, ts, ratio []float64
+		t := make([][]float64, len(vs))
 		for r := 0; r < nreps; r++ {
-			var a, s float64
-			if r%2 == 0 {
-				a, s = mul(auto), mul(std)
-			} else {
-				s, a = mul(std), mul(auto)
+			for j := range vs {
+				i := j
+				if r%2 == 1 {
+					i = len(vs) - 1 - j
+				}
+				t[i] = append(t[i], mul(i))
 			}
-			ta, ts, ratio = append(ta, a), append(ts, s), append(ratio, a/s)
 		}
-		sort.Float64s(ta)
-		sort.Float64s(ts)
-		sort.Float64s(ratio)
+		over := func(i, j int) float64 { // median paired time ratio, variant i over j
+			ratio := make([]float64, nreps)
+			for r := range ratio {
+				ratio[r] = t[i][r] / t[j][r]
+			}
+			return medianOf(ratio)
+		}
 		gf := 2 * float64(c.n) * float64(c.n) * float64(c.n) / 1e9
 		verdict := ""
-		if ratio[nreps/2] > slack {
+		if over(auto, std) > slack {
 			verdict, failed = "  SLOWER", true
 		}
-		fmt.Printf("%-18s %-9v %-9v %7d %7d %6d %10.1f %10.1f %8.3f%s\n", fmt.Sprintf("%d^3", c.n), c.lo,
-			rep.Alg, rep.FastCutoff, rep.FastLevels, nreps, gf/ta[nreps/2], gf/ts[nreps/2], ratio[nreps/2], verdict)
-
-		// What the crossover — the one thing a process still measures —
-		// costs a cold one.
-		leaf.ResetCalibration()
-		t0 := time.Now()
-		recmat.ResolveAlgorithm(auto, c.n, c.n, c.n)
-		fmt.Printf("%-18s crossover calibration for %s on %dx%dx%d tiles: %.1f ms (budget 15)\n", "",
-			rep.Kernel, rep.TileM, rep.TileK, rep.TileN, time.Since(t0).Seconds()*1e3)
+		fmt.Printf("%-18s %-9v %-9s %-9v %7d %7d %6d %10.1f %10.1f %8.3f%s\n", fmt.Sprintf("%d^3", c.n), c.lo, rep[auto].Kernel,
+			rep[auto].Alg, rep[auto].FastCutoff, rep[auto].FastLevels, nreps, gf/medianOf(t[auto]), gf/medianOf(t[std]), over(auto, std), verdict)
+		if len(vs) > atHalf {
+			note := ""
+			if over(atHalf, atRule) < 1/slack && over(atHalf, std) < 1/slack {
+				note = "  rule conservative by a level"
+			}
+			for _, v := range []struct {
+				i    int
+				what string
+			}{{atRule, "rule"}, {atHalf, "rule/2" + note}} {
+				fmt.Printf("%-18s winograd at cutoff %d, %d levels, over standard: %.3f  %s\n", "",
+					rep[v.i].FastCutoff, rep[v.i].FastLevels, over(v.i, std), v.what)
+			}
+		}
 	}
 	if failed {
 		fmt.Printf("FAIL: auto is more than %.0f%% slower than standard\n", (slack-1)*100)

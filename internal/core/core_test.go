@@ -18,30 +18,36 @@ import (
 // several levels of recursion.
 var testTile = tile.Config{TMin: 4, TMax: 16, TSweet: 8, PadSlack: 0.05}
 
-// scalarRates are a scalar leaf's — the paper's few hundred MFLOP/s on
-// a 32³ tile against passes that stream it in a tenth of that — and put
-// the crossover at single tiles, the paper's setting. avx2Rates are an
-// AVX2+FMA leaf's at 20 GFLOP/s against the same scalar passes, a little
-// slower past the cache: the lower levels lose.
-var (
-	scalarRates = leaf.Rates{Leaf: 200e3, Pass: [8]float64{20e3, 20e3, 20e3, 20e3, 22e3, 25e3, 25e3, 25e3}, N: 8}
-	avx2Rates   = leaf.Rates{Leaf: 3.3e3, Pass: [8]float64{20e3, 20e3, 20e3, 20e3, 22e3, 25e3, 25e3, 25e3}, N: 8}
-)
+// avx2Class is an AVX2+FMA leaf's leaf.Impl.Balance: on 32³ tiles the
+// rule puts its crossover at 32 tiles a side, the lower levels lose.
+const avx2Class = 3.4
 
-// useRates makes every calibrated cutoff of the test resolve from r.
-func useRates(t *testing.T, r leaf.Rates) {
-	old := fastRates
-	fastRates = func(leaf.Impl, int, int, int, int) leaf.Rates { return r }
-	t.Cleanup(func() { fastRates = old })
+// useCutoff makes every default fast cutoff of the test resolve to c.
+func useCutoff(t *testing.T, c int) {
+	useRule(t, func(leaf.Impl, int, int, int, int, int, int) int { return c })
+}
+
+// useBalance makes every default fast cutoff of the test the rule's for
+// a kernel family of balance b, whatever kernel the host plans.
+func useBalance(t *testing.T, b float64) {
+	useRule(t, func(_ leaf.Impl, m, n, k, n3, n2, zero int) int {
+		return leaf.FastCutoff(leaf.Impl{Balance: b}, m, n, k, n3, n2, zero)
+	})
+}
+
+func useRule(t *testing.T, rule func(leaf.Impl, int, int, int, int, int, int) int) {
+	old := fastCutoff
+	fastCutoff = rule
+	t.Cleanup(func() { fastCutoff = old })
 }
 
 // TestMain is the one shared test default for the fast cutoff: a test
 // that names a fast algorithm means to exercise its recursion (arena
 // sizing, allocation pins, fault injection, MemBudget ladders), so the
-// calibration resolves from scalarRates — FastCutoff 1 on every host —
-// unless the test installs other rates.
+// default cutoff is the paper's 1 on every host unless the test
+// installs another rule.
 func TestMain(m *testing.M) {
-	fastRates = func(leaf.Impl, int, int, int, int) leaf.Rates { return scalarRates }
+	fastCutoff = func(leaf.Impl, int, int, int, int, int, int) int { return 1 }
 	os.Exit(m.Run())
 }
 

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	osexec "os/exec"
+	"strings"
 	"testing"
 
 	"repro/internal/layout"
@@ -304,7 +307,7 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 
 // TestDeterminismSIMDFamilies: the two amd64 assembly families are one
 // rounding class (leaf.TestAVX512MatchesAVX2Bits), so which of them a
-// calibration lands on cannot change a result: a split wide/lean call,
+// host registers cannot change a result: a split wide/lean call,
 // square ones whose 25- and 38-row tiles leave every kind of row
 // fringe, a wide/lean one on 10-wide tiles, on curve tiles (the
 // whole-panel path) and canonical storage (the packed-panel path), and
@@ -374,10 +377,10 @@ func TestDeterminismSIMDFamilies(t *testing.T) {
 	}
 }
 
-// TestDeterminismAutoEntryPoints: AlgAuto and the calibrated cutoff are
+// TestDeterminismAutoEntryPoints: AlgAuto and the default cutoff are
 // resolved once, from the geometry a call runs on, so every entry point
 // that runs a geometry agrees on the algorithm and the cutoff — and so
-// on the bits — whatever the rates resolve to: the paper's cutoff, an
+// on the bits — whatever the rule resolves to: the paper's cutoff, an
 // AVX2 leaf's, and one in between, where the square call keeps a fast
 // level and the split call's squat blocks keep none. ResolveAlg answers
 // the same before the call. The wide/lean shape splits per call,
@@ -388,14 +391,12 @@ func TestDeterminismAutoEntryPoints(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		shapes = [][3]int{{128, 128, 128}, {256, 256, 12}} // the same grids on quarter-size tiles
 	}
-	midRates := avx2Rates
-	midRates.Leaf = 20e3 // cutoff 8
 	ctx := context.Background()
 	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(161))
-	for ri, rates := range []leaf.Rates{scalarRates, midRates, avx2Rates} {
-		useRates(t, rates)
+	for ri, cutoff := range []int{1, 8, 32} {
+		useCutoff(t, cutoff)
 		for si, sh := range shapes {
 			m, k, n := sh[0], sh[1], sh[2]
 			A, B, C := matrix.Random(m, k, rng), matrix.Random(k, n, rng), matrix.Random(m, n, rng)
@@ -403,7 +404,7 @@ func TestDeterminismAutoEntryPoints(t *testing.T) {
 			if m < 512 {
 				opts.Tile = tile.Config{TMin: 4, TMax: 16, TSweet: 8, PadSlack: 0.15, MicroM: 4, MicroN: 4}
 			}
-			name := fmt.Sprintf("%dx%dx%d, cutoff %d", m, k, n, rates.Cutoff())
+			name := fmt.Sprintf("%dx%dx%d, cutoff %d", m, k, n, cutoff)
 			same := func(what string, st *Stats, got, want *matrix.Dense, ref *Stats) {
 				t.Helper()
 				if st.Alg != ref.Alg || st.FastCutoff != ref.FastCutoff || st.FastLevels != ref.FastLevels {
@@ -495,11 +496,80 @@ func TestDeterminismAutoEntryPoints(t *testing.T) {
 	}
 }
 
+// coldPlanLines plans — and multiplies nothing — the shapes Auto's
+// resolution turns on, under Auto and both named fast algorithms, every
+// kernel name the host registered and the default, at 1, 2 and 4
+// workers, with the crossover rule itself in place of the tests'
+// default: one line each of what the daemon keys on and admission prices.
+func coldPlanLines(t *testing.T) []string {
+	useRule(t, leaf.FastCutoff)
+	var lines []string
+	for _, sh := range []struct {
+		m, k, n int
+		cv      layout.Curve
+	}{{256, 256, 256, layout.ColMajor}, {1024, 1024, 1024, layout.ZMorton}, {2048, 2048, 2048, layout.ZMorton},
+		{4096, 4096, 4096, layout.ZMorton}, {1024, 1024, 48, layout.ZMorton}} {
+		for _, alg := range []Alg{AlgAuto, Strassen, Winograd} {
+			for _, kernel := range append([]string{""}, leaf.Names()...) {
+				for _, workers := range []int{1, 2, 4} {
+					o := Options{Curve: sh.cv, Alg: alg, KernelName: kernel}
+					o = o.withDefaults()
+					pl, err := planOf(o, workers, given{}, sh.m, sh.k, sh.n)
+					if err != nil {
+						t.Fatalf("%dx%dx%d %v %q: planOf: %v", sh.m, sh.k, sh.n, alg, kernel, err)
+					}
+					var st Stats
+					pl.describe(pl.alg, &st)
+					resolved := ResolveAlg(o, sh.m, sh.k, sh.n)
+					o.Alg = pl.alg
+					ad, err := admit(o, workers, pl.ch)
+					if err != nil {
+						t.Fatalf("%dx%dx%d %v %q: admit: %v", sh.m, sh.k, sh.n, alg, kernel, err)
+					}
+					lines = append(lines, fmt.Sprintf("plan: %dx%dx%d %v %v kernel=%q workers=%d: ResolveAlg=%v FastCutoff=%d FastLevels=%d EstimatedBytes=%d",
+						sh.m, sh.k, sh.n, sh.cv, alg, kernel, workers, resolved, st.FastCutoff, st.FastLevels, ad.est))
+				}
+			}
+		}
+	}
+	return lines
+}
+
+// TestDeterminismAutoColdProcesses: the default cutoff is a rule, not a
+// per-process measurement, so nine cold processes — this binary run
+// again, three each at GOMAXPROCS 1, 2 and 4 — and this one print
+// byte-identical plans: Auto's algorithm, the cutoff, the fast levels
+// and the admission estimate do not depend on which process answered.
+func TestDeterminismAutoColdProcesses(t *testing.T) {
+	if os.Getenv("RECMAT_COLD_PLAN_CHILD") == "1" {
+		fmt.Println(strings.Join(coldPlanLines(t), "\n"))
+		return
+	}
+	want := strings.Join(coldPlanLines(t), "\n")
+	for i := 0; i < 9; i++ {
+		procs := []string{"1", "2", "4"}[i%3]
+		cmd := osexec.Command(os.Args[0], "-test.run", "^TestDeterminismAutoColdProcesses$", "-test.cpu", procs)
+		cmd.Env = append(os.Environ(), "RECMAT_COLD_PLAN_CHILD=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("cold process %d (GOMAXPROCS %s): %v\n%s", i, procs, err, out)
+		}
+		var got []string
+		for _, l := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(l, "plan: ") {
+				got = append(got, l)
+			}
+		}
+		if g := strings.Join(got, "\n"); g != want {
+			t.Errorf("cold process %d (GOMAXPROCS %s) plans differently:\n%s\nthis process:\n%s", i, procs, g, want)
+		}
+	}
+}
+
 // TestDeterminismDefaultKernel: the default kernel is read off the plan
 // — CPU features and tile shape (leaf.Auto) — so a call that names no
-// kernel is, bit for bit, the call that names the one Stats reports, and
-// stays so across leaf.ResetCalibration: there is no measurement behind
-// it to redo. A split per-call GEMM, one on forced 4×4 tiles (below a
+// kernel is, bit for bit, the call that names the one Stats reports.
+// A split per-call GEMM, one on forced 4×4 tiles (below a
 // micro-block: the small-tile side of the rule) and a batch wave. The
 // named twin carries the defaulted options, because naming a kernel
 // turns off tile selection's micro-tile bias.
@@ -558,22 +628,14 @@ func TestDeterminismDefaultKernel(t *testing.T) {
 		}
 		named := tc.opts.withDefaults()
 		named.KernelName = st.Kernel
-		for _, v := range []struct {
-			what string
-			opts Options
-		}{{"naming " + st.Kernel, named}, {"the default after ResetCalibration", tc.opts}} {
-			if v.opts.KernelName == "" {
-				leaf.ResetCalibration()
-			}
-			got, gst := run(v.opts)
-			if gst.Kernel != st.Kernel || gst.TileM != st.TileM || gst.TileK != st.TileK || gst.TileN != st.TileN {
-				t.Errorf("%s, %s: ran %q on %dx%dx%d tiles, the default %q on %dx%dx%d", tc.name, v.what,
-					gst.Kernel, gst.TileM, gst.TileK, gst.TileN, st.Kernel, st.TileM, st.TileK, st.TileN)
-			}
-			for i := range got {
-				if !matrix.Equal(got[i], want[i], 0) {
-					t.Errorf("%s, %s: bits differ from the default call, max diff %g", tc.name, v.what, matrix.MaxAbsDiff(got[i], want[i]))
-				}
+		got, gst := run(named)
+		if gst.Kernel != st.Kernel || gst.TileM != st.TileM || gst.TileK != st.TileK || gst.TileN != st.TileN {
+			t.Errorf("%s, naming %s: ran %q on %dx%dx%d tiles, the default %q on %dx%dx%d", tc.name, st.Kernel,
+				gst.Kernel, gst.TileM, gst.TileK, gst.TileN, st.Kernel, st.TileM, st.TileK, st.TileN)
+		}
+		for i := range got {
+			if !matrix.Equal(got[i], want[i], 0) {
+				t.Errorf("%s, naming %s: bits differ from the default call, max diff %g", tc.name, st.Kernel, matrix.MaxAbsDiff(got[i], want[i]))
 			}
 		}
 	}
@@ -588,9 +650,7 @@ func TestDeterminismDefaultKernel(t *testing.T) {
 // cutoff, fast levels and block count as the Stats of the call that ran,
 // through GEMMCtx, GEMMBatch, GEMMPrepacked and GEMMPrepackedBatch.
 func TestDeterminismPlanNotRun(t *testing.T) {
-	midRates := avx2Rates
-	midRates.Leaf = 20e3 // cutoff 8
-	useRates(t, midRates)
+	useCutoff(t, 8)
 	ctx := context.Background()
 	pool := sched.NewPool(2)
 	defer pool.Close()

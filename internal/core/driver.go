@@ -42,9 +42,9 @@ type Options struct {
 	SerialCutoff int
 	// FastCutoff is the grid size (tiles per side) at or below which the
 	// fast algorithms fall back to the standard recursion. 0 selects the
-	// calibrated crossover: the smallest grid at which one fast level
-	// beats eight half-size products for the call's kernel and tiles,
-	// measured once per process (leaf.FastRates). 1 is the paper's
+	// crossover rule's: the smallest grid at which one fast level repays
+	// its passes, a function of the call's kernel family, tiles and
+	// algorithm (leaf.FastCutoff) and of nothing measured. 1 is the paper's
 	// setting — recurse the fast algorithm to single tiles. An algorithm
 	// that is not fast (Standard, Standard8) has nothing to fall back
 	// from and ignores it.
@@ -143,8 +143,8 @@ type Stats struct {
 	// stepped in.
 	Alg Alg
 	// FastCutoff is the cutoff a fast algorithm ran with — the option
-	// verbatim, or the calibrated crossover for the call's kernel and
-	// tiles; 0 when an algorithm that is not fast was named. FastLevels
+	// verbatim, or the crossover rule's for the call's kernel, tiles and
+	// algorithm; 0 when an algorithm that is not fast was named. FastLevels
 	// counts the levels of a fast Alg's own recursion the grid ran above
 	// it; 0 means the call went straight to a classical one.
 	FastCutoff, FastLevels int

@@ -91,36 +91,33 @@ func chooseTableGeom(tb *Table, cfg tile.Config, m, k, n int) (tableGeom, bool) 
 	return best, ok
 }
 
-// fastLevel is the element-wise work of one Winograd level, counted
-// from the table the engine runs.
-var fastLevel = func() leaf.Level {
-	n3, n2, zero := winograd222Table().passes()
-	return leaf.Level{Add3: vAdd, N3: n3, Add2: vAcc, N2: n2, Zero: vZero, NZero: zero}
-}()
-
-// fastRates supplies the rates a cutoff is resolved from; tests put
-// fixed ones here.
-var fastRates = func(kernel leaf.Impl, tm, tk, tn, side int) leaf.Rates {
-	return leaf.FastRates(kernel, tm, tn, tk, fastLevel, side)
-}
+// fastCutoff is the crossover rule; tests put fixed ones here.
+var fastCutoff = leaf.FastCutoff
 
 // settle resolves what only the geometry a call runs on can: the
 // fast-algorithm cutoff for its kernel and tiles — o.FastCutoff
-// verbatim when set, the calibrated crossover otherwise — and AlgAuto,
-// which is Standard unless at least one fast level survives the cutoff
-// on a grid side tiles a side, and Winograd otherwise.
+// verbatim when set, otherwise the rule priced on the passes of the
+// ⟨2,2,2⟩ table that runs the levels it bounds — and AlgAuto, which is
+// Standard unless at least one fast level survives the cutoff on a grid
+// side tiles a side, and Winograd otherwise.
 // The rectangular tables are not candidates: they run at 1.37× Standard's
 // time where the flop model preferred them (EXPERIMENTS.md) and stay
 // selectable by name. A call that names an algorithm that is not fast
-// (Standard, Standard8) has no cutoff, whatever the option says, and
-// never pays the calibration.
+// (Standard, Standard8) has no cutoff, whatever the option says.
 func (o *Options) settle(kernel leaf.Impl, side, tm, tk, tn int) {
-	if o.Alg != AlgAuto && !tableOf(o.Alg).fast() {
+	tb := tableOf(o.Alg)
+	if o.Alg == AlgAuto {
+		tb = tableOf(Winograd)
+	} else if !tb.fast() {
 		o.FastCutoff = 0
 		return
 	}
 	if o.FastCutoff <= 0 {
-		o.FastCutoff = fastRates(kernel, tm, tk, tn, side).Cutoff()
+		if !tb.quad() {
+			tb = tableOf(tb.Base)
+		}
+		n3, n2, zero := tb.passes()
+		o.FastCutoff = fastCutoff(kernel, tm, tn, tk, n3, n2, zero)
 	}
 	if o.Alg == AlgAuto {
 		o.Alg = Standard

@@ -127,7 +127,7 @@ func rowPasses(row []tableTerm) (n3, n2 int) {
 
 // passes counts the element-wise passes of one breadth-first level:
 // three-operand, two-operand (the W rows accumulate each term into C)
-// and the R products' zero-fills. The fast-cutoff calibration prices a
+// and the R products' zero-fills. The fast-cutoff rule prices a
 // level with these counts and WorkSpan charges n3+n2 additions; the
 // zero-fills are data movement and are not accounted.
 func (tb *Table) passes() (n3, n2, zero int) {

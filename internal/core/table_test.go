@@ -78,8 +78,8 @@ func TestAlgNames(t *testing.T) {
 	}
 }
 
-// TestTablePasses pins the pass counts the cutoff calibration and
-// WorkSpan price a level with, against the paper's two schedules: 8
+// TestTablePasses pins the pass counts the cutoff rule and WorkSpan
+// price a level with, against the paper's two schedules: 8
 // pre-additions and the U2/U3 pair fused, 9 accumulates into C for
 // Winograd; 10 pre-additions and 12 accumulates for Strassen; 7
 // product zero-fills each.
@@ -89,9 +89,6 @@ func TestTablePasses(t *testing.T) {
 		if got := [3]int{n3, n2, zero}; got != want {
 			t.Errorf("%v: passes %v, want %v", alg, got, want)
 		}
-	}
-	if fastLevel.N3 != 10 || fastLevel.N2 != 9 || fastLevel.NZero != 7 {
-		t.Errorf("fastLevel prices %d/%d/%d passes, want Winograd's 10/9/7", fastLevel.N3, fastLevel.N2, fastLevel.NZero)
 	}
 }
 
@@ -211,25 +208,22 @@ func TestChooseTableGeom(t *testing.T) {
 	}
 }
 
-// TestSelectAlg pins the AlgAuto policy on injected rates: Standard
+// TestSelectAlg pins the AlgAuto policy on injected rules: Standard
 // unless a fast level survives the cutoff, Winograd otherwise, never a
 // rectangular table; explicit choices pass through untouched.
 func TestSelectAlg(t *testing.T) {
 	auto := Options{Alg: AlgAuto, Curve: layout.ZMorton}
-	// side is the grid the driver would run an n³ call on.
-	side := func(o Options, n int) int {
+	// plan is what the driver would run an n³ call on.
+	plan := func(o Options, n int) *plan {
 		pl, err := planOf(o.withDefaults(), 0, given{}, n, n, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pl.g.gm
+		return pl
 	}
 
 	t.Run("scalar leaf", func(t *testing.T) {
-		useRates(t, scalarRates)
-		if c := scalarRates.Cutoff(); c != 1 {
-			t.Fatalf("cutoff %d, want the paper's 1", c)
-		}
+		useCutoff(t, 1)
 		for _, n := range []int{64, 256, 1024} {
 			if got := ResolveAlg(auto, n, n, n); got != Winograd {
 				t.Errorf("n=%d: got %v, want Winograd", n, got)
@@ -241,13 +235,12 @@ func TestSelectAlg(t *testing.T) {
 	})
 
 	t.Run("avx2 leaf", func(t *testing.T) {
-		useRates(t, avx2Rates)
-		cut := avx2Rates.Cutoff()
-		if got := ResolveAlg(auto, 1024, 1024, 1024); got != Standard {
-			t.Errorf("1024³: got %v, want Standard (cutoff %d)", got, cut)
+		useBalance(t, avx2Class)
+		if pl := plan(auto, 1024); pl.alg != Standard || pl.cutoff != 32 || ResolveAlg(auto, 1024, 1024, 1024) != Standard {
+			t.Errorf("1024³: got %v at cutoff %d, want Standard at 32", pl.alg, pl.cutoff)
 		}
-		if got, s := ResolveAlg(auto, 4096, 4096, 4096), side(auto, 4096); got != Winograd || fastLevels(got, s, s, s, cut) < 1 {
-			t.Errorf("4096³: got %v on a %d-tile grid at cutoff %d, want Winograd with a fast level", got, s, cut)
+		if pl := plan(auto, 4096); pl.alg != Winograd || fastLevels(pl.alg, pl.g.gm, pl.g.gk, pl.g.gn, pl.cutoff) < 1 || ResolveAlg(auto, 4096, 4096, 4096) != Winograd {
+			t.Errorf("4096³: got %v on a %d-tile grid at cutoff %d, want Winograd with a fast level", pl.alg, pl.g.gm, pl.cutoff)
 		}
 		// Never a fast algorithm with no fast level, on any storage or
 		// shape; once n is large enough for one, every larger n has one.
@@ -255,7 +248,8 @@ func TestSelectAlg(t *testing.T) {
 			o, fast := auto, false
 			o.Curve = cv
 			for n := 24; n <= 6000; n += n/7 + 1 {
-				got, s := ResolveAlg(o, n, n, n), side(o, n)
+				pl := plan(o, n)
+				got, s, cut := ResolveAlg(o, n, n, n), pl.g.gm, pl.cutoff
 				if (got == Winograd) != (s > cut) || got != Winograd && got != Standard {
 					t.Errorf("%v n=%d: got %v on a %d-tile grid at cutoff %d", cv, n, got, s, cut)
 				}
@@ -270,8 +264,22 @@ func TestSelectAlg(t *testing.T) {
 		}
 	})
 
+	// The default cutoff is priced on the passes of the table that runs
+	// the levels it bounds: Strassen's 10/12/7 are a tenth more bytes than
+	// Winograd's 10/9/7, which a balance just under a power of two shows;
+	// Auto and the rectangular tables run Winograd's levels.
+	t.Run("own passes", func(t *testing.T) {
+		useBalance(t, 4.4)
+		for alg, want := range map[Alg]int{Winograd: 32, AlgAuto: 32, TableLaderman333: 32, Strassen: 64, StrassenLowMem: 64} {
+			o := Options{Alg: alg}
+			if o.settle(leaf.Impl{}, 128, 32, 32, 32); o.FastCutoff != want {
+				t.Errorf("%v: cutoff %d on 32³ tiles at balance 4.4, want %d", alg, o.FastCutoff, want)
+			}
+		}
+	})
+
 	t.Run("explicit", func(t *testing.T) {
-		useRates(t, avx2Rates)
+		useBalance(t, avx2Class)
 		for _, alg := range Algs {
 			o := auto
 			o.Alg = alg

@@ -78,10 +78,10 @@ func archFeatures() []string {
 func archSIMD() []simdImpl {
 	var impls []simdImpl
 	if cpuAVX2FMA {
-		impls = append(impls, simdImpl{name: "avx2", mk: microAVX2, features: "avx2+fma"})
+		impls = append(impls, simdImpl{name: "avx2", mk: microAVX2, features: "avx2+fma", balance: 3.4})
 	}
 	if cpuAVX512F {
-		impls = append(impls, simdImpl{name: "avx512", mk: microAVX512, features: "avx512f"})
+		impls = append(impls, simdImpl{name: "avx512", mk: microAVX512, features: "avx512f", balance: 6.8})
 	}
 	return impls
 }

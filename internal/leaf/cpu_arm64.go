@@ -48,5 +48,5 @@ func archSIMD() []simdImpl {
 	if !cpuASIMD {
 		return nil
 	}
-	return []simdImpl{{name: "neon", mk: microNEON, features: "asimd"}}
+	return []simdImpl{{name: "neon", mk: microNEON, features: "asimd", balance: 1.7}}
 }

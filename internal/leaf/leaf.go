@@ -163,11 +163,14 @@ func Blocked4x4(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 // Impl is one registered kernel implementation. Kern is always usable
 // through the plain Kernel interface; Scratch, when non-nil, is the same
 // kernel taking caller-provided packing buffers so the recursive driver
-// can hand it per-worker scratch (see ScratchKernel).
+// can hand it per-worker scratch (see ScratchKernel). Balance is the
+// family's constant in the fast-algorithm crossover (FastCutoff), in
+// leaf flops per byte the element-wise passes stream.
 type Impl struct {
 	Name    string
 	Kern    Kernel
 	Scratch ScratchKernel
+	Balance float64
 }
 
 // kernels is the registry of named kernels used by the command-line
@@ -176,11 +179,11 @@ type Impl struct {
 // kernels ("avx2", "avx512" on amd64, "neon" on arm64) are added at init by
 // simd.go when the CPU supports them and RECMAT_NOSIMD is unset.
 var kernels = map[string]Impl{
-	"naive":     {Name: "naive", Kern: Naive},
-	"unrolled4": {Name: "unrolled4", Kern: Unrolled4},
-	"axpy":      {Name: "axpy", Kern: Axpy},
-	"blocked":   {Name: "blocked", Kern: Blocked4x4},
-	"packed8x4": {Name: "packed8x4", Kern: Packed8x4, Scratch: PackedScratch8x4},
+	"naive":     {Name: "naive", Kern: Naive, Balance: 0.125},
+	"unrolled4": {Name: "unrolled4", Kern: Unrolled4, Balance: 0.25},
+	"axpy":      {Name: "axpy", Kern: Axpy, Balance: 0.25},
+	"blocked":   {Name: "blocked", Kern: Blocked4x4, Balance: 0.4},
+	"packed8x4": {Name: "packed8x4", Kern: Packed8x4, Scratch: PackedScratch8x4, Balance: 0.45},
 }
 
 // Names returns the registered kernel names in deterministic (sorted)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/matrix"
 )
@@ -149,87 +148,56 @@ func BenchmarkKernels64(b *testing.B) {
 	}
 }
 
-// TestRatesCutoff pins the crossover rule on fixed rates: a level on
-// quadrants h tiles a side runs fast when fastMargin times its passes
-// cost no more than h leaf products, and the cutoff is the first such h.
-func TestRatesCutoff(t *testing.T) {
-	flat := func(pass float64) (p [8]float64) {
-		for i := range p {
-			p[i] = pass
-		}
-		return p
+// TestFastCutoff pins the crossover rule: per kernel family, the cutoff
+// on 32×32×32 tiles under Winograd's 10/9/7 passes a level — the values
+// the per-process stopwatch it replaces landed on in most processes
+// (EXPERIMENTS.md) — from the balance a registered family carries; a
+// cutoff that never falls as tiles shrink; and each algorithm priced on
+// its own passes, Strassen's 10/12/7 moving a family that sits just
+// under a power of two. TestNoSIMDEnv runs it in a RECMAT_NOSIMD child
+// too: the pure-Go families resolve the same with the assembly ones
+// registered or not.
+func TestFastCutoff(t *testing.T) {
+	winograd, strassen := [3]int{10, 9, 7}, [3]int{10, 12, 7}
+	cut := func(impl Impl, tile int, p [3]int) int {
+		return FastCutoff(impl, tile, tile, tile, p[0], p[1], p[2])
 	}
 	for _, c := range []struct {
-		leaf float64
-		pass [8]float64
-		want int
+		name    string
+		balance float64
+		want    int
 	}{
-		{200e3, flat(20e3), 1},  // a scalar leaf: the paper's setting
-		{100e3, flat(20e3), 1},  // exactly at the margin
-		{99e3, flat(20e3), 2},   // just past it
-		{3.3e3, flat(20e3), 32}, // an AVX2 leaf
-		{1.6e3, flat(20e3), 64}, // twice as fast a leaf: one level higher
-		{3.3e3, [8]float64{20e3, 20e3, 20e3, 20e3, 20e3, 25e3, 25e3, 25e3}, 64}, // passes slower out of cache
-		{1, flat(20e3), 1 << 17}, // levels past the table repeat its last entry
-		{0, flat(20e3), 1 << 30}, // the zero value terminates
+		{"avx512", 6.8, 64}, {"avx2", 3.4, 32}, {"neon", 1.7, 16},
+		{"packed8x4", 0.45, 4}, {"blocked", 0.4, 4},
+		{"unrolled4", 0.25, 2}, {"axpy", 0.25, 2}, {"naive", 0.125, 1},
 	} {
-		if got := (Rates{Leaf: c.leaf, Pass: c.pass, N: 8}).Cutoff(); got != c.want {
-			t.Errorf("leaf %g ns, passes %v ns/tile: cutoff %d, want %d", c.leaf, c.pass, got, c.want)
+		impl, err := GetImpl(c.name)
+		if err != nil {
+			impl = Impl{Name: c.name, Balance: c.balance} // not on this host
+		} else if impl.Balance != c.balance {
+			t.Errorf("%s is registered at balance %g, want %g", c.name, impl.Balance, c.balance)
+		}
+		c16, c32, c64 := cut(impl, 16, winograd), cut(impl, 32, winograd), cut(impl, 64, winograd)
+		if c32 != c.want {
+			t.Errorf("%s: cutoff %d on 32³ tiles, want %d", c.name, c32, c.want)
+		}
+		if c16 < c32 || c32 < c64 {
+			t.Errorf("%s: cutoff %d, %d, %d on 16³, 32³, 64³ tiles falls as tiles shrink", c.name, c16, c32, c64)
+		}
+		if s := cut(impl, 32, strassen); s != c32 {
+			t.Errorf("%s: Strassen's cutoff on 32³ tiles is %d, Winograd's %d", c.name, s, c32)
 		}
 	}
-}
-
-// TestFastRatesMemoizes pins FastRates' bookkeeping with a stub kernel
-// and stub passes that spin for a fixed time: levels are measured only
-// as far up as the grid reaches and only until one wins, a repeated
-// call measures nothing, a larger grid extends the record, and
-// ResetCalibration drops it.
-func TestFastRatesMemoizes(t *testing.T) {
-	spin := func(d time.Duration) {
-		for t0 := time.Now(); time.Since(t0) < d; {
-		}
+	// 61 against 55 streams a level: a tenth more bytes.
+	if w, s := cut(Impl{Balance: 4.4}, 32, winograd), cut(Impl{Balance: 4.4}, 32, strassen); w != 32 || s != 64 {
+		t.Errorf("balance 4.4 on 32³ tiles: Winograd %d, Strassen %d; want 32 and 64", w, s)
 	}
-	var leaves, passes int
-	kern := Impl{Name: "stub", Kern: func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-		leaves++
-		spin(2 * time.Microsecond)
-	}}
-	// Three 20 µs passes, whatever the quadrant, against a 2 µs leaf: per
-	// tile a level costs 60, 15, 3.75 µs on quadrants of 1, 2, 4 tiles a
-	// side, and all three lose.
-	pass := func() { passes++; spin(20 * time.Microsecond) }
-	lv := Level{N3: 1, N2: 1, NZero: 1,
-		Add3: func(dst, a, b []float64) { pass() },
-		Add2: func(dst, a []float64) { pass() },
-		Zero: func(dst []float64) { pass() }}
-	ResetCalibration()
-	defer ResetCalibration()
-
-	r := FastRates(kern, 32, 32, 32, lv, 4)
-	if r.N != 2 || r.Leaf <= 0 || r.Cutoff() < 4 {
-		t.Fatalf("a 4-tile grid measured %d levels (leaf %g ns, cutoff %d), want 2 losing ones", r.N, r.Leaf, r.Cutoff())
+	// Squat tiles stream more bytes per flop; the zero Impl and a
+	// degenerate tile terminate.
+	if got := FastCutoff(Impl{Balance: 6.8}, 32, 12, 32, 10, 9, 7); got != 128 {
+		t.Errorf("avx512 balance on 32×12×32 tiles: cutoff %d, want 128", got)
 	}
-	l0, p0 := leaves, passes
-	if r2 := FastRates(kern, 32, 32, 32, lv, 4); r2 != r || leaves != l0 || passes != p0 {
-		t.Errorf("a repeated call re-measured: %d leaf and %d pass calls more", leaves-l0, passes-p0)
-	}
-	if r3 := FastRates(kern, 32, 32, 32, lv, 8); r3.N != 3 || r3.Leaf != r.Leaf || passes == p0 {
-		t.Errorf("an 8-tile grid left the record at %d levels (leaf %g, was %g)", r3.N, r3.Leaf, r.Leaf)
-	}
-	if other := FastRates(kern, 16, 32, 32, lv, 2); other.N != 1 {
-		t.Errorf("another tile shape shares the record: %d levels", other.N)
-	}
-	ResetCalibration()
-	l0 = leaves
-	if FastRates(kern, 32, 32, 32, lv, 2); leaves == l0 {
-		t.Error("ResetCalibration kept the fast-algorithm rates")
-	}
-
-	// A slow leaf wins at the first level, and nothing above is measured.
-	slow := Impl{Name: "slow", Kern: func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-		spin(400 * time.Microsecond)
-	}}
-	if r := FastRates(slow, 32, 32, 32, lv, 64); r.N != 1 || r.Cutoff() != 1 {
-		t.Errorf("a slow leaf measured %d levels, cutoff %d; want 1 and 1", r.N, r.Cutoff())
+	if a, b := cut(Impl{}, 32, winograd), FastCutoff(Impl{Balance: 1}, 32, 32, 0, 10, 9, 7); a != 1 || b != 1<<30 {
+		t.Errorf("zero Impl %d, zero-depth tile %d; want 1 and 1<<30", a, b)
 	}
 }

@@ -31,12 +31,13 @@ import (
 
 // simdImpl is one architecture-specific kernel implementation surfaced
 // by archSIMD: the registry name, the micro-kernel family, and the CPU
-// features it requires (informational, shown in docs and benches).
-// archSIMD lists the families narrowest first.
+// features it requires (informational, shown in docs and benches), and
+// its Impl.Balance. archSIMD lists the families narrowest first.
 type simdImpl struct {
 	name     string
 	mk       *microImpl
 	features string
+	balance  float64
 }
 
 // simdNames lists the assembly kernels registered on this host, sorted.
@@ -55,7 +56,7 @@ func init() {
 	}
 	for _, si := range archSIMD() {
 		kern, skern := kernelPair(si.mk)
-		wide = Impl{Name: si.name, Kern: kern, Scratch: skern}
+		wide = Impl{Name: si.name, Kern: kern, Scratch: skern, Balance: si.balance}
 		kernels[si.name] = wide
 		simdNames = append(simdNames, si.name)
 	}
@@ -83,6 +84,43 @@ func Auto(m, n, k int) Impl {
 // It measures nothing; the name is the one the repository benchmark's
 // probe calls.
 func Calibrate(m, n, k int) string { return Auto(m, n, k).Name }
+
+// ResetCalibration does nothing: no selection in this package is
+// measured or remembered. The name is the one the repository benchmark's
+// probe calls.
+func ResetCalibration() {}
+
+// FastCutoff returns the grid side, in tiles, at or below which a fast
+// algorithm on impl's m×n×k tiles hands over to the standard recursion.
+// One level of a Strassen-like recursion trades an eighth half-size
+// product for n3 three-operand passes, n2 two-operand passes and zero
+// zero-fills over the quadrants. The paper's scalar leaf made that trade
+// a win down to single tiles; a SIMD leaf multiplies a tile faster than
+// the passes stream it, so the lower levels lose. On quadrants h tiles a
+// side the product saved is h tiles' flops per tile of quadrant and the
+// passes are the same bytes per tile at every h, so the level repays
+// them when
+//
+//	h · tileFlops ≥ Balance · passBytes
+//
+// and the cutoff is the smallest power-of-two h that does. Balance is
+// the flops the family's leaf retires in the time the scalar passes
+// stream one byte, times the margin a level must win by inside a call,
+// where every worker streams at once and the products then read cold
+// temporaries (EXPERIMENTS.md, "The fast-algorithm crossover", has the
+// sweeps each constant is read off). Like Auto it is a function of its
+// arguments and nothing else — no clock, no memo — so every process
+// plans a shape the same way.
+func FastCutoff(impl Impl, m, n, k, n3, n2, zero int) int {
+	tileFlops := 2 * float64(m) * float64(n) * float64(k)
+	elems := float64(m*k+k*n+m*n) / 3 // of a tile, over the three operands
+	passBytes := 8 * elems * float64(3*n3+2*n2+zero)
+	h := 1
+	for h < 1<<30 && float64(h)*tileFlops < impl.Balance*passBytes {
+		h *= 2
+	}
+	return h
+}
 
 // Features reports the SIMD capabilities detected on the host CPU, in
 // sorted order. It describes the hardware, not the configuration: the

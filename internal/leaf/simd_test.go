@@ -37,8 +37,8 @@ func TestSIMDRegistration(t *testing.T) {
 // assembly families and the tile shape, and of nothing else: the widest
 // family SIMDNames lists (packed8x4 without one — `-tags noasm`,
 // RECMAT_NOSIMD) when the tile holds a full MicroM×MicroN block,
-// "blocked" otherwise; one answer however often it is asked and whatever
-// was reset in between; never the reference kernel.
+// "blocked" otherwise; one answer however often it is asked; never the
+// reference kernel.
 func TestAutoRule(t *testing.T) {
 	wideName := "packed8x4"
 	for _, fam := range []string{"neon", "avx2", "avx512"} { // widest last
@@ -56,9 +56,6 @@ func TestAutoRule(t *testing.T) {
 			want = wideName
 		}
 		for i := 0; i < 1000; i++ {
-			if i%100 == 50 {
-				ResetCalibration()
-			}
 			got := Auto(m, n, k)
 			if got.Name != want || got.Name == "naive" || got.Kern == nil || Calibrate(m, n, k) != want {
 				t.Fatalf("call %d: Auto(%d, %d, %d) = %q (Calibrate %q), want %q with SIMD kernels %v",
@@ -121,7 +118,7 @@ func TestSIMDFringes(t *testing.T) {
 
 // TestAVX512MatchesAVX2Bits pins that the two amd64 families are one
 // rounding class: every C element sees the same fused operations in the
-// same order whichever runs, so a calibration race that lands on either
+// same order whichever runs, so which of them a host registers
 // cannot change a result. Every row count from 1 to 72 — 16-row blocks
 // with and without the 8-row remainder, the padded block of what is
 // left, tiles shorter than one block — against column counts on and
@@ -161,7 +158,8 @@ func TestAVX512MatchesAVX2Bits(t *testing.T) {
 // child process (registration happens at package init, so the env var
 // must be set before the process starts): with it set, no assembly
 // kernel is registered, lookup of the asm names fails, and the default
-// kernel follows the pure-Go rule (TestAutoRule, run in the child too).
+// kernel follows the pure-Go rule and the pure-Go families keep their
+// fast cutoffs (TestAutoRule and TestFastCutoff, run in the child too).
 func TestNoSIMDEnv(t *testing.T) {
 	if os.Getenv("RECMAT_LEAF_NOSIMD_CHILD") == "1" {
 		if n := SIMDNames(); len(n) != 0 {
@@ -173,6 +171,7 @@ func TestNoSIMDEnv(t *testing.T) {
 			}
 		}
 		TestAutoRule(t)
+		TestFastCutoff(t)
 		return
 	}
 	if len(SIMDNames()) == 0 {

@@ -39,8 +39,9 @@ type Request struct {
 	Beta  float64  `json:"beta,omitempty"`
 	// Alg and Layout name the algorithm and array layout. An empty or
 	// "auto" Alg resolves per shape (Standard unless the tile grid is
-	// large enough for a fast level to beat it on this host's calibrated
-	// crossover, Winograd otherwise); Response.AlgRan reports the choice.
+	// large enough for a fast level to repay its passes by the crossover
+	// rule — the same in every process on a host — Winograd otherwise);
+	// Response.AlgRan reports the choice.
 	// An empty Layout means column-major.
 	Alg    string `json:"alg,omitempty"`
 	Layout string `json:"layout,omitempty"`
@@ -64,8 +65,8 @@ type Response struct {
 	AlgRan string `json:"alg_ran"`
 	// FastCutoff and FastLevels say how a fast algorithm ran: the grid
 	// side (in tiles) at or below which it handed over to the standard
-	// recursion — the calibrated crossover of this host for the call's
-	// kernel and tiles — and how many levels of its own it ran above
+	// recursion — the crossover rule's for the call's kernel family,
+	// tiles and algorithm — and how many levels of its own it ran above
 	// that. Both are zero for a non-fast AlgRan.
 	FastCutoff int `json:"fast_cutoff,omitempty"`
 	FastLevels int `json:"fast_levels,omitempty"`

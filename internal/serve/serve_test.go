@@ -488,8 +488,8 @@ func TestBetaAtomicityOnFailure(t *testing.T) {
 }
 
 // TestAutoAlgorithmSelection: a request without an algorithm resolves
-// per shape, to Standard or — when this host's calibrated crossover
-// leaves the grid a fast level — Winograd, never to a rectangular
+// per shape, to Standard or — when the crossover rule for this host's
+// kernel leaves the grid a fast level — Winograd, never to a rectangular
 // table; a small shape resolves to Standard. The choice the daemon keys
 // its plan cache on is the one the engine runs, and it surfaces in
 // AlgRan, fast_cutoff/fast_levels and the alg_selected_* counters

@@ -127,8 +127,9 @@ const (
 	StrassenLowMem = core.StrassenLowMem
 	// Auto resolves the algorithm from the tile grid the call will run
 	// on: Standard unless the grid is large enough for at least one fast
-	// level to beat it at this host's calibrated crossover (see
-	// Options.FastCutoff), Winograd otherwise. The resolved choice is
+	// level to repay its passes by the crossover rule (see
+	// Options.FastCutoff), Winograd otherwise: the same answer in every
+	// process on a host. The resolved choice is
 	// recorded in Report.Alg, with Report.FastCutoff and
 	// Report.FastLevels.
 	Auto = core.AlgAuto
@@ -235,10 +236,10 @@ type Options struct {
 	// recursion stops spawning parallel tasks (0 = default 4).
 	SerialCutoff int
 	// FastCutoff is the grid size in tiles at or below which the fast
-	// algorithms switch to the standard recursion. 0 = the calibrated
-	// crossover: the smallest grid at which one fast level beats eight
-	// half-size products with this host's kernel on the call's tiles,
-	// measured once per process. 1 = the paper's setting: recurse the
+	// algorithms switch to the standard recursion. 0 = the crossover
+	// rule's: the smallest grid at which one fast level repays its
+	// passes, a fixed function of the kernel family, the call's tiles
+	// and the algorithm — nothing is timed. 1 = the paper's setting: recurse the
 	// fast algorithm all the way down. Standard and Standard8 are not
 	// fast and ignore it. Report.FastCutoff and Report.FastLevels say
 	// what a call ran with.

@@ -114,8 +114,8 @@ func TestReportContents(t *testing.T) {
 
 // paperCutoff is FastCutoff for the tests that mean to exercise the fast
 // recursion (arena sizing, MemBudget ladders, the residual probe, trace
-// shape): the paper's setting, not whatever crossover this host
-// calibrates to.
+// shape): the paper's setting, not the crossover rule's for this
+// host's kernel.
 const paperCutoff = 1
 
 func TestReportArenaBytes(t *testing.T) {
