@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build vet test race wakegate loc loc-gate determinism parity streamparity fringe stress soak bench bench-kernel fuzz obs-gate trace-smoke omcheck asm-check algtable-check
+.PHONY: check build vet test race wakegate loc loc-gate determinism parity streamparity fringe factor stress soak bench bench-kernel fuzz obs-gate trace-smoke omcheck asm-check algtable-check
 
-check: build vet loc-gate race wakegate determinism parity streamparity fringe stress soak obs-gate trace-smoke omcheck asm-check algtable-check
+check: build vet loc-gate race wakegate determinism parity streamparity fringe factor stress soak obs-gate trace-smoke omcheck asm-check algtable-check
 
 # The sizes every simplicity change quotes (and ROADMAP.md tracks):
 # non-test lines of the core, the leaf kernels, the scheduler, the
@@ -12,14 +12,15 @@ loc:
 	@for d in internal/core internal/leaf internal/sched internal/serve internal/obs internal/trace internal/blas3; do \
 		echo "$$d $$(ls $$d/*.go | grep -v _test | xargs cat | wc -l)"; done
 
-# The size ratchet: the non-test lines of internal/core and internal/leaf
-# may not exceed what the last change to shrink each landed at
-# (ROADMAP.md's target for the core is 5,000). A change that shrinks a
-# package lowers its figure; none raises it.
+# The size ratchet: the non-test lines of internal/core, internal/leaf
+# and internal/blas3 may not exceed what the last change to shrink each
+# landed at (ROADMAP.md's target for the core is 5,000). A change that
+# shrinks a package lowers its figure; none raises it.
 CORE_LOC_MAX = 5556
 LEAF_LOC_MAX = 1133
+BLAS3_LOC_MAX = 460
 loc-gate:
-	@for p in core:$(CORE_LOC_MAX) leaf:$(LEAF_LOC_MAX); do d=internal/$${p%:*}; max=$${p#*:}; \
+	@for p in core:$(CORE_LOC_MAX) leaf:$(LEAF_LOC_MAX) blas3:$(BLAS3_LOC_MAX); do d=internal/$${p%:*}; max=$${p#*:}; \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		if [ $$n -gt $$max ]; then echo "$$d has $$n non-test lines, the ratchet is at $$max"; exit 1; fi; \
 		echo "$$d $$n non-test lines (ratchet $$max)"; done
@@ -38,9 +39,13 @@ loc-gate:
 # (TestDeterminismDefaultKernel); and so is the default fast cutoff, over
 # (kernel family, tile shape, the table's passes): nine cold processes at
 # GOMAXPROCS 1, 2 and 4 plan Auto, Strassen and Winograd byte for byte
-# alike (TestDeterminismAutoColdProcesses).
+# alike (TestDeterminismAutoColdProcesses). What is built on GEMM
+# inherits it: a Cholesky factor, an LU's packed factors and pivots, and
+# a 48-column solve through either are one set of bits over four layouts
+# and 1, 2 and 4 workers (internal/blas3's TestDeterminismCholesky and
+# TestDeterminismLU).
 determinism:
-	$(GO) test -count=1 -cpu 1,2,4 -run 'Determinism|BatchMatches' ./internal/core
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Determinism|BatchMatches' ./internal/core ./internal/blas3
 
 # The parity gate: with the library's defaults (the host's default
 # kernel, the crossover rule's fast cutoff) Algorithm Auto must not be
@@ -84,6 +89,17 @@ streamparity:
 # comparison like parity, and not a tier-1 test.
 fringe:
 	$(GO) run ./cmd/experiments -exp fringe
+
+# The factorization gate, and the tree's measurement of the solver
+# layer: Cholesky and LU at 512², 1024² and 2048² beside the same run's
+# Standard GEMM, Z-Morton and opts == nil, interleaved rounds, median of
+# five (~1 min). Both are the same recursion over the same GEMM, so a
+# 2048² LU under half a Cholesky's rate means a step of it has left the
+# GEMM-backed recursion: 0.11–0.16 while LU's triangular solves and the
+# right half of every panel were scalar loops, 1.0–1.7 since. A timing
+# comparison like parity, and not a tier-1 test.
+factor:
+	$(GO) run ./cmd/experiments -exp factor
 
 # The algorithm-table gate: every registered bilinear <m,k,n>
 # coefficient table must satisfy the Brent equations in exact integer

@@ -1,6 +1,7 @@
 package recmat
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -108,5 +109,44 @@ func TestEngineLUSolveAndDet(t *testing.T) {
 	}
 	if !Equal(X, Y, 1e-10) {
 		t.Fatal("SolveLU disagrees with factor-then-solve")
+	}
+}
+
+// TestEngineBLAS3Refusals: a nil operand or a shape that does not
+// conform is ErrDimension from every BLAS-3 entry point, as from GEMM —
+// never a panic.
+func TestEngineBLAS3Refusals(t *testing.T) {
+	eng := NewEngine(1)
+	defer eng.Close()
+	sq, tall := NewMatrix(4, 4), NewMatrix(5, 2)
+	lu, err := eng.LU(Identity(4), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"SYRK nil A", func() error { return eng.SYRK(false, 1, nil, 0, sq, nil) }},
+		{"SYRK nil C", func() error { return eng.SYRK(false, 1, sq, 0, nil, nil) }},
+		{"SYRK shape", func() error { return eng.SYRK(false, 1, tall, 0, sq, nil) }},
+		{"TRSM nil factor", func() error { return eng.TRSM(false, false, 1, nil, sq, nil) }},
+		{"TRSM nil B", func() error { return eng.TRSM(false, false, 1, sq, nil, nil) }},
+		{"TRSM shape", func() error { return eng.TRSM(false, false, 1, sq, tall, nil) }},
+		{"TRMM nil factor", func() error { return eng.TRMM(false, false, 1, nil, sq, nil) }},
+		{"TRMM shape", func() error { return eng.TRMM(false, false, 1, tall, tall, nil) }},
+		{"Cholesky nil", func() error { _, err := eng.Cholesky(nil, nil); return err }},
+		{"Cholesky shape", func() error { _, err := eng.Cholesky(tall, nil); return err }},
+		{"SolveSPD nil A", func() error { return eng.SolveSPD(nil, sq, nil) }},
+		{"SolveSPD nil B", func() error { return eng.SolveSPD(Identity(4), nil, nil) }},
+		{"LU nil", func() error { _, err := eng.LU(nil, nil); return err }},
+		{"LU shape", func() error { _, err := eng.LU(tall, nil); return err }},
+		{"LU solve nil B", func() error { return lu.Solve(nil) }},
+		{"LU solve shape", func() error { return lu.Solve(tall) }},
+		{"SolveLU nil A", func() error { return eng.SolveLU(nil, sq, nil) }},
+	} {
+		if err := c.call(); !errors.Is(err, ErrDimension) {
+			t.Errorf("%s: got %v, want ErrDimension", c.name, err)
+		}
 	}
 }

@@ -12,14 +12,15 @@
 // The mapping from experiment to paper result is documented in DESIGN.md
 // and the measured outputs are recorded in EXPERIMENTS.md.
 //
-// -exp autoparity, -exp streamparity and -exp fringe are not paper
-// experiments but gates on the library's defaults (`make parity`, `make
-// streamparity`, `make fringe`): they run only when named, and exit
-// non-zero when Algorithm Auto is more than 5% slower than Standard, a
-// per-call DGEMM on the serving shape is faster than the same product
-// through a prepacked plan or more than 45% slower, or a shape whose
-// tiles are off the micro-kernel grid runs under 0.45 of the rate of its
-// nearest neighbour on the grid.
+// -exp autoparity, -exp streamparity, -exp fringe and -exp factor are
+// not paper experiments but gates on the library's defaults (`make
+// parity`, `make streamparity`, `make fringe`, `make factor`): they run
+// only when named, and exit non-zero when Algorithm Auto is more than 5%
+// slower than Standard, a per-call DGEMM on the serving shape is faster
+// than the same product through a prepacked plan or more than 45%
+// slower, a shape whose tiles are off the micro-kernel grid runs under
+// 0.45 of the rate of its nearest neighbour on the grid, or a 2048² LU
+// runs under half the rate of a Cholesky.
 package main
 
 import (
@@ -61,7 +62,7 @@ const paperCutoff = 1
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to reproduce (1, 2, 4, 5, 6, 7); 0 = all")
-	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|sched|dilation, or a gate: autoparity|streamparity|fringe")
+	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|sched|dilation, or a gate: autoparity|streamparity|fringe|factor")
 	flag.Parse()
 	switch *exp {
 	case "autoparity":
@@ -72,6 +73,9 @@ func main() {
 		return
 	case "fringe":
 		fringe()
+		return
+	case "factor":
+		factor()
 		return
 	}
 
@@ -743,6 +747,77 @@ func fringe() {
 		os.Exit(1)
 	}
 	fmt.Printf("ok: no shape with off-grid tiles runs under %.2f of its on-grid neighbour's rate\n", floor)
+}
+
+// factor is the gate behind `make factor`, and the tree's measurement of
+// the solver layer: Cholesky (n³/3 flops) and LU (2n³/3) beside the same
+// run's Standard GEMM, on the library's defaults, Z-Morton and
+// opts == nil (column-major leaves). Both factorizations are the same
+// recursion over the same GEMM and differ in what is left over: LU's
+// pivot search and row swaps against Cholesky's transposes. So an LU
+// under half a Cholesky's rate at 2048² means a step of it has left the
+// GEMM-backed recursion — it read 0.11–0.16 while LU's triangular
+// solves and the right half of every panel were scalar loops on blocks
+// up to n/2, and reads 1.0–1.7 since. Rounds are interleaved, the order
+// alternating, and a row is the median of five.
+func factor() {
+	const floor, rounds = 0.5, 5
+	eng := recmat.NewEngine(*workers)
+	defer eng.Close()
+	fmt.Printf("factorizations against the same run's Standard GEMM: default kernel, %d workers, median of %d\n", eng.Workers(), rounds)
+	fmt.Printf("%-9s %5s %10s %9s %9s %6s %9s %9s %6s %8s\n",
+		"layout", "n", "GEMM GF/s", "chol ms", "GF/s", "/GEMM", "LU ms", "GF/s", "/GEMM", "LU/chol")
+	failed := false
+	for _, o := range []*recmat.Options{{Layout: recmat.ZMorton}, nil} {
+		name := "nil"
+		if o != nil {
+			name = fmt.Sprint(o.Layout)
+		}
+		for _, n := range []int{512, 1024, 2048} {
+			rng := rand.New(rand.NewSource(*seed))
+			G, S, C := recmat.Random(n, n, rng), recmat.NewMatrix(n, n), recmat.NewMatrix(n, n)
+			check(eng.SYRK(true, 1, G, 0, S, o)) // S = GᵀG + n·I is positive definite
+			for i := 0; i < n; i++ {
+				S.Set(i, i, S.At(i, i)+float64(n))
+			}
+			runs := []func() error{
+				func() error { _, err := eng.Mul(C, G, G, o); return err },
+				func() error { _, err := eng.Cholesky(S, o); return err },
+				func() error { _, err := eng.LU(G, o); return err },
+			}
+			flops := []float64{2, 1.0 / 3, 2.0 / 3}
+			t := make([][]float64, len(runs))
+			for r := -1; r < rounds; r++ { // round −1 warms the buffer pools
+				for j := range runs {
+					i := j
+					if r%2 != 0 {
+						i = len(runs) - 1 - j
+					}
+					t0 := time.Now()
+					check(runs[i]())
+					if r >= 0 {
+						t[i] = append(t[i], time.Since(t0).Seconds())
+					}
+				}
+			}
+			var ms, gf [3]float64
+			for i := range runs {
+				ms[i] = 1e3 * medianOf(t[i])
+				gf[i] = flops[i] * float64(n) * float64(n) * float64(n) / ms[i] / 1e6
+			}
+			verdict := ""
+			if n == 2048 && gf[2] < floor*gf[1] {
+				verdict, failed = "  SLOW", true
+			}
+			fmt.Printf("%-9s %5d %10.1f %9.1f %9.1f %6.2f %9.1f %9.1f %6.2f %8.2f%s\n", name, n,
+				gf[0], ms[1], gf[1], gf[1]/gf[0], ms[2], gf[2], gf[2]/gf[0], gf[2]/gf[1], verdict)
+		}
+	}
+	if failed {
+		fmt.Printf("FAIL: a 2048² LU runs under %.2f of a Cholesky's rate\n", floor)
+		os.Exit(1)
+	}
+	fmt.Printf("ok: a 2048² LU runs at no less than %.2f of a Cholesky's rate\n", floor)
 }
 
 // leadingDim reproduces the Section 5.1 explanation: leaf products of

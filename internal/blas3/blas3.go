@@ -1,15 +1,17 @@
 // Package blas3 layers the rest of the Level 3 BLAS — and the recursive
-// Cholesky factorization — on top of the paper's fast parallel matrix
-// multiplication, following the observation the paper cites from the
-// ATLAS project ("all of these routines can be implemented efficiently
-// given a fast matrix multiplication routine") and Gustavson's recursive
-// variable blocking for dense linear algebra.
+// Cholesky and LU factorizations — on top of the paper's fast parallel
+// matrix multiplication, following the observation the paper cites from
+// the ATLAS project ("all of these routines can be implemented
+// efficiently given a fast matrix multiplication routine") and
+// Gustavson's recursive variable blocking for dense linear algebra.
 //
 // Every routine here is a quadrant recursion whose heavy lifting is a
 // GEMM call executed over the configured recursive layout; the recursion
 // bottoms out on a small canonical block solved directly. This is
 // exactly the structure the paper's Section 6 positions as future
-// consumers of recursive layouts.
+// consumers of recursive layouts. There is one triangular recursion
+// (tri) with one base case (triBase): TRSM, TRMM, Cholesky's panel
+// solve, LU's U12 solve and both solves of LU.Solve are calls of it.
 package blas3
 
 import (
@@ -33,6 +35,33 @@ func gemm(pool *sched.Pool, o core.Options, transA, transB bool, alpha float64,
 	return err
 }
 
+// shape is the one refusal behind every entry point: T must be square
+// and op(B) must have as many rows as T (an entry point with a single
+// operand passes it twice). A nil operand or a shape that does not
+// conform is core.ErrDimension, before anything is touched.
+func shape(op string, T, B *matrix.Dense, transB bool) error {
+	if T == nil || B == nil {
+		return fmt.Errorf("%w: blas3: %s of a nil matrix", core.ErrDimension, op)
+	}
+	rows := B.Rows
+	if transB {
+		rows = B.Cols
+	}
+	if T.Rows != T.Cols || rows != T.Rows {
+		return fmt.Errorf("%w: blas3: %s of a %dx%d matrix against %d rows", core.ErrDimension, op, T.Rows, T.Cols, rows)
+	}
+	return nil
+}
+
+// transposeInto stores srcᵀ in dst.
+func transposeInto(dst, src *matrix.Dense) {
+	for j := 0; j < src.Cols; j++ {
+		for i, v := range src.Data[j*src.Stride : j*src.Stride+src.Rows] {
+			dst.Data[i*dst.Stride+j] = v
+		}
+	}
+}
+
 // SYRK computes C ← α·A·Aᵀ + β·C (trans == false) or C ← α·Aᵀ·A + β·C
 // (trans == true), exploiting symmetry: only the products above the
 // block diagonal are computed with GEMM, and the mirror blocks are
@@ -46,12 +75,8 @@ func gemm(pool *sched.Pool, o core.Options, transA, transB bool, alpha float64,
 // packed buffers from the core's recycling pool, as do Cholesky's and
 // LU's — repeated factorizations allocate their tiled buffers once.
 func SYRK(pool *sched.Pool, o core.Options, trans bool, alpha float64, A *matrix.Dense, beta float64, C *matrix.Dense) error {
-	n := A.Rows
-	if trans {
-		n = A.Cols
-	}
-	if C.Rows != n || C.Cols != n {
-		return fmt.Errorf("blas3: SYRK C is %dx%d, want %dx%d", C.Rows, C.Cols, n, n)
+	if err := shape("SYRK", C, A, trans); err != nil {
+		return err
 	}
 	return syrk(pool, o, trans, alpha, A, beta, C)
 }
@@ -72,25 +97,18 @@ func syrk(pool *sched.Pool, o core.Options, trans bool, alpha float64, A *matrix
 		a1 = A.View(0, 0, h, A.Cols)
 		a2 = A.View(h, 0, n-h, A.Cols)
 	}
-	c11 := C.View(0, 0, h, h)
-	c12 := C.View(0, h, h, n-h)
 	c21 := C.View(h, 0, n-h, h)
-	c22 := C.View(h, h, n-h, n-h)
-	if err := syrk(pool, o, trans, alpha, a1, beta, c11); err != nil {
+	if err := syrk(pool, o, trans, alpha, a1, beta, C.View(0, 0, h, h)); err != nil {
 		return err
 	}
-	if err := syrk(pool, o, trans, alpha, a2, beta, c22); err != nil {
+	if err := syrk(pool, o, trans, alpha, a2, beta, C.View(h, h, n-h, n-h)); err != nil {
 		return err
 	}
 	// C21 = α·A2·A1ᵀ + β·C21 (or the trans analogue); C12 mirrors it.
 	if err := gemm(pool, o, trans, !trans, alpha, a2, a1, beta, c21); err != nil {
 		return err
 	}
-	for i := 0; i < c21.Rows; i++ {
-		for j := 0; j < c21.Cols; j++ {
-			c12.Set(j, i, c21.At(i, j))
-		}
-	}
+	transposeInto(C.View(0, h, h, n-h), c21)
 	return nil
 }
 
@@ -98,174 +116,124 @@ func syrk(pool *sched.Pool, o core.Options, trans bool, alpha float64, A *matrix
 // lower triangular when upper == false and upper triangular otherwise.
 // This is the left-side variant (side == 'L' in BLAS terms).
 func TRSM(pool *sched.Pool, o core.Options, upper, transL bool, alpha float64, L, B *matrix.Dense) error {
-	if L.Rows != L.Cols {
-		return fmt.Errorf("blas3: TRSM triangular factor is %dx%d", L.Rows, L.Cols)
-	}
-	if L.Rows != B.Rows {
-		return fmt.Errorf("blas3: TRSM dimensions %d vs %d", L.Rows, B.Rows)
+	if err := shape("TRSM", L, B, false); err != nil {
+		return err
 	}
 	B.Scale(alpha)
-	return trsm(pool, o, upper, transL, L, B)
-}
-
-// trsm solves op(L)·X = B in place. Effective orientation: a lower
-// factor accessed transposed behaves like an upper factor and vice
-// versa.
-func trsm(pool *sched.Pool, o core.Options, upper, transL bool, L, B *matrix.Dense) error {
-	n := L.Rows
-	if n <= baseSize {
-		trsmBase(upper, transL, L, B)
-		return nil
-	}
-	h := n / 2
-	l11 := L.View(0, 0, h, h)
-	l22 := L.View(h, h, n-h, n-h)
-	b1 := B.View(0, 0, h, B.Cols)
-	b2 := B.View(h, 0, n-h, B.Cols)
-	// The off-diagonal block of op(L): for lower L it is L21 (acting
-	// B2 -= L21·X1); for upper L it is L12; transposition swaps roles.
-	effUpper := upper != transL
-	if !effUpper {
-		// Forward substitution: X1 first, eliminate, then X2.
-		if err := trsm(pool, o, upper, transL, l11, b1); err != nil {
-			return err
-		}
-		off := L.View(h, 0, n-h, h) // L21
-		if upper {
-			off = L.View(0, h, h, n-h) // L12, used transposed
-		}
-		if err := gemm(pool, o, transL, false, -1, off, b1, 1, b2); err != nil {
-			return err
-		}
-		return trsm(pool, o, upper, transL, l22, b2)
-	}
-	// Backward substitution: X2 first.
-	if err := trsm(pool, o, upper, transL, l22, b2); err != nil {
-		return err
-	}
-	off := L.View(0, h, h, n-h) // L12
-	if !upper {
-		off = L.View(h, 0, n-h, h) // L21, used transposed
-	}
-	if err := gemm(pool, o, transL, false, -1, off, b2, 1, b1); err != nil {
-		return err
-	}
-	return trsm(pool, o, upper, transL, l11, b1)
-}
-
-// trsmBase is the direct substitution on a small block.
-func trsmBase(upper, transL bool, L, B *matrix.Dense) {
-	n := L.Rows
-	at := func(i, j int) float64 {
-		if transL {
-			return L.At(j, i)
-		}
-		return L.At(i, j)
-	}
-	effUpper := upper != transL
-	for col := 0; col < B.Cols; col++ {
-		if !effUpper {
-			for i := 0; i < n; i++ {
-				s := B.At(i, col)
-				for k := 0; k < i; k++ {
-					s -= at(i, k) * B.At(k, col)
-				}
-				B.Set(i, col, s/at(i, i))
-			}
-		} else {
-			for i := n - 1; i >= 0; i-- {
-				s := B.At(i, col)
-				for k := i + 1; k < n; k++ {
-					s -= at(i, k) * B.At(k, col)
-				}
-				B.Set(i, col, s/at(i, i))
-			}
-		}
-	}
+	return tri(pool, o, triOp{solve: true, upper: upper, trans: transL}, L, B)
 }
 
 // TRMM computes B ← α·op(L)·B in place for a triangular L (left side).
 func TRMM(pool *sched.Pool, o core.Options, upper, transL bool, alpha float64, L, B *matrix.Dense) error {
-	if L.Rows != L.Cols {
-		return fmt.Errorf("blas3: TRMM triangular factor is %dx%d", L.Rows, L.Cols)
+	if err := shape("TRMM", L, B, false); err != nil {
+		return err
 	}
-	if L.Rows != B.Rows {
-		return fmt.Errorf("blas3: TRMM dimensions %d vs %d", L.Rows, B.Rows)
-	}
-	if err := trmm(pool, o, upper, transL, L, B); err != nil {
+	if err := tri(pool, o, triOp{upper: upper, trans: transL}, L, B); err != nil {
 		return err
 	}
 	B.Scale(alpha)
 	return nil
 }
 
-func trmm(pool *sched.Pool, o core.Options, upper, transL bool, L, B *matrix.Dense) error {
-	n := L.Rows
+// triOp names one use of the triangular recursion: B ← op(T)⁻¹·B
+// (solve) or B ← op(T)·B, for T stored upper or lower and read
+// transposed or not. unit, which only a solve honours, takes the
+// diagonal as ones and never reads the stored one — the L of a packed
+// LU factorization, whose diagonal slots hold U's.
+type triOp struct{ solve, upper, trans, unit bool }
+
+// tri is the package's one triangular recursion. Split op(T) at n/2
+// into diagonal blocks 0 and 1 and name them (p, q) = (1, 0) when op(T)
+// is upper triangular and (0, 1) when it is lower: block q of the
+// result depends on block p of B through op(T)'s one off-diagonal block
+// off = op(T)[q, p], which is stored at (q, p), or at (p, q) when T is
+// read transposed. A solve finishes X_p before eliminating it from B_q,
+//
+//	tri(p); B_q −= off·X_p; tri(q)
+//
+// and a multiply, which must read B_p before overwriting it, runs the
+// other way: tri(q); B_q += off·B_p; tri(p).
+func tri(pool *sched.Pool, o core.Options, op triOp, T, B *matrix.Dense) error {
+	n := T.Rows
 	if n <= baseSize {
-		trmmBase(upper, transL, L, B)
+		triBase(op, T, B)
 		return nil
 	}
-	h := n / 2
-	l11 := L.View(0, 0, h, h)
-	l22 := L.View(h, h, n-h, n-h)
-	b1 := B.View(0, 0, h, B.Cols)
-	b2 := B.View(h, 0, n-h, B.Cols)
-	effUpper := upper != transL
-	if !effUpper {
-		// Row block 2 consumes row block 1's ORIGINAL values, so
-		// compute B2 first: B2 = L22·B2 + L21·B1.
-		if err := trmm(pool, o, upper, transL, l22, b2); err != nil {
-			return err
-		}
-		off := L.View(h, 0, n-h, h)
-		if upper {
-			off = L.View(0, h, h, n-h)
-		}
-		if err := gemm(pool, o, transL, false, 1, off, b1, 1, b2); err != nil {
-			return err
-		}
-		return trmm(pool, o, upper, transL, l11, b1)
+	lo, sz := [2]int{0, n / 2}, [2]int{n / 2, n - n/2}
+	t := func(r, c int) *matrix.Dense { return T.View(lo[r], lo[c], sz[r], sz[c]) }
+	b := [2]*matrix.Dense{B.View(0, 0, sz[0], B.Cols), B.View(lo[1], 0, sz[1], B.Cols)}
+	p, q := 0, 1
+	if op.upper != op.trans {
+		p, q = 1, 0
 	}
-	// Effective upper: B1 = L11·B1 + L12·B2, compute B1 first.
-	if err := trmm(pool, o, upper, transL, l11, b1); err != nil {
+	off := t(q, p)
+	if op.trans {
+		off = t(p, q)
+	}
+	first, second, sign := q, p, 1.0
+	if op.solve {
+		first, second, sign = p, q, -1
+	}
+	if err := tri(pool, o, op, t(first, first), b[first]); err != nil {
 		return err
 	}
-	off := L.View(0, h, h, n-h)
-	if !upper {
-		off = L.View(h, 0, n-h, h)
-	}
-	if err := gemm(pool, o, transL, false, 1, off, b2, 1, b1); err != nil {
+	if err := gemm(pool, o, op.trans, false, sign, off, b[p], 1, b[q]); err != nil {
 		return err
 	}
-	return trmm(pool, o, upper, transL, l22, b2)
+	return tri(pool, o, op, t(second, second), b[second])
 }
 
-func trmmBase(upper, transL bool, L, B *matrix.Dense) {
-	n := L.Rows
-	at := func(i, j int) float64 {
-		if transL {
-			return L.At(j, i)
-		}
-		return L.At(i, j)
+// triBase is the recursion's base case: one substitution loop on column
+// slices of B. Row i of op(T) is row[k*sk] over k, and its part off the
+// diagonal is k in [0, i) when op(T) is lower and (i, n) when it is
+// upper; a multiply takes the diagonal term too. A solve walks the rows
+// so that every b[k] it reads is already solved (a lower op(T) from the
+// top, an upper one from the bottom), a multiply the other way so that
+// every b[k] it reads is still the operand's. Each element accumulates
+// its terms in ascending k, whatever the orientation, and that chain of
+// dependent additions is what the loop waits on — so it takes two
+// columns a pass. An odd last column is its own partner: both chains
+// then read and store the same bits.
+func triBase(op triOp, T, B *matrix.Dense) {
+	n, effUpper := T.Rows, op.upper != op.trans
+	si, sk := 1, T.Stride
+	if op.trans {
+		si, sk = sk, si
 	}
-	effUpper := upper != transL
-	for col := 0; col < B.Cols; col++ {
-		if !effUpper {
-			for i := n - 1; i >= 0; i-- {
-				s := 0.0
-				for k := 0; k <= i; k++ {
-					s += at(i, k) * B.At(k, col)
-				}
-				B.Set(i, col, s)
+	sign := 1.0
+	if op.solve {
+		sign = -1
+	}
+	for c := 0; c < B.Cols; c += 2 {
+		b0 := B.Data[c*B.Stride : c*B.Stride+n]
+		b1 := b0
+		if c+1 < B.Cols {
+			b1 = B.Data[(c+1)*B.Stride : (c+1)*B.Stride+n]
+		}
+		for r := 0; r < n; r++ {
+			i := r
+			if op.solve == effUpper {
+				i = n - 1 - r
 			}
-		} else {
-			for i := 0; i < n; i++ {
-				s := 0.0
-				for k := i; k < n; k++ {
-					s += at(i, k) * B.At(k, col)
-				}
-				B.Set(i, col, s)
+			row := T.Data[i*si:]
+			lo, hi := 0, i
+			if effUpper {
+				lo, hi = i+1, n
 			}
+			s0, s1 := b0[i], b1[i]
+			if !op.solve {
+				s0, s1 = 0, 0
+				lo, hi = min(lo, i), max(hi, i+1)
+			}
+			for k := lo; k < hi; k++ {
+				t := sign * row[k*sk]
+				s0 += t * b0[k]
+				s1 += t * b1[k]
+			}
+			if op.solve && !op.unit {
+				s0, s1 = s0/row[i*sk], s1/row[i*sk]
+			}
+			b0[i], b1[i] = s0, s1
 		}
 	}
 }
@@ -276,24 +244,21 @@ func trmmBase(upper, transL bool, L, B *matrix.Dense) {
 // (TRSM); A22 ← A22 − L21·L21ᵀ (SYRK); recurse on A22. Every flop
 // beyond the base case flows through the recursive-layout GEMM.
 func Cholesky(pool *sched.Pool, o core.Options, A *matrix.Dense) (*matrix.Dense, error) {
-	if A.Rows != A.Cols {
-		return nil, fmt.Errorf("blas3: Cholesky needs square input, got %dx%d", A.Rows, A.Cols)
+	if err := shape("Cholesky", A, A, false); err != nil {
+		return nil, err
 	}
-	L := matrix.New(A.Rows, A.Cols)
+	n := A.Rows
+	L := matrix.New(n, n)
 	// Work on a copy of the lower triangle.
-	for j := 0; j < A.Cols; j++ {
-		for i := j; i < A.Rows; i++ {
-			L.Set(i, j, A.At(i, j))
-		}
+	for j := 0; j < n; j++ {
+		copy(L.Data[j*L.Stride+j:j*L.Stride+n], A.Data[j*A.Stride+j:j*A.Stride+n])
 	}
 	if err := chol(pool, o, L); err != nil {
 		return nil, err
 	}
 	// Zero the strict upper triangle (scratch space during recursion).
-	for j := 1; j < L.Cols; j++ {
-		for i := 0; i < j; i++ {
-			L.Set(i, j, 0)
-		}
+	for j := 1; j < n; j++ {
+		clear(L.Data[j*L.Stride : j*L.Stride+j])
 	}
 	return L, nil
 }
@@ -311,17 +276,13 @@ func chol(pool *sched.Pool, o core.Options, A *matrix.Dense) error {
 		return err
 	}
 	// L21 = A21·L11⁻ᵀ: solve X·L11ᵀ = A21, i.e. L11·Xᵀ = A21ᵀ. Using
-	// the left-side TRSM on the transpose costs one transposition each
+	// the left-side solve on the transpose costs one transposition each
 	// way; acceptable at quadrant granularity.
 	a21t := a21.Transpose()
-	if err := trsm(pool, o, false, false, a11, a21t); err != nil {
+	if err := tri(pool, o, triOp{solve: true}, a11, a21t); err != nil {
 		return err
 	}
-	for i := 0; i < a21.Rows; i++ {
-		for j := 0; j < a21.Cols; j++ {
-			a21.Set(i, j, a21t.At(j, i))
-		}
-	}
+	transposeInto(a21, a21t)
 	// A22 ← A22 − L21·L21ᵀ (lower triangle suffices, but SYRK updates
 	// the full block; the upper scratch is zeroed at the end).
 	if err := syrk(pool, o, false, -1, a21, 1, a22); err != nil {
@@ -330,25 +291,28 @@ func chol(pool *sched.Pool, o core.Options, A *matrix.Dense) error {
 	return chol(pool, o, a22)
 }
 
-// cholBase is the direct Cholesky–Crout factorization of a small block.
+// cholBase is the direct left-looking Cholesky of a small block, one
+// column at a time: column j takes its updates from the columns before
+// it in ascending order, then is scaled by the root of its diagonal.
 func cholBase(A *matrix.Dense) error {
-	n := A.Rows
+	n, ld := A.Rows, A.Stride
 	for j := 0; j < n; j++ {
-		d := A.At(j, j)
+		cj := A.Data[j*ld : j*ld+n]
 		for k := 0; k < j; k++ {
-			d -= A.At(j, k) * A.At(j, k)
+			ck := A.Data[k*ld : k*ld+n]
+			l := ck[j]
+			for i := j; i < n; i++ {
+				cj[i] -= ck[i] * l
+			}
 		}
+		d := cj[j]
 		if d <= 0 || math.IsNaN(d) {
 			return fmt.Errorf("blas3: matrix not positive definite (pivot %d: %g)", j, d)
 		}
 		d = math.Sqrt(d)
-		A.Set(j, j, d)
+		cj[j] = d
 		for i := j + 1; i < n; i++ {
-			s := A.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= A.At(i, k) * A.At(j, k)
-			}
-			A.Set(i, j, s/d)
+			cj[i] /= d
 		}
 	}
 	return nil

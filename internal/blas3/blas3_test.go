@@ -1,6 +1,10 @@
 package blas3
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,6 +40,22 @@ func lowerTri(n int, rng *rand.Rand) *matrix.Dense {
 		l.Set(j, j, 2+rng.Float64())
 	}
 	return l
+}
+
+// hashBits is FNV-1a over the bit patterns of the matrices' elements,
+// column by column (the form of internal/core/table_test.go).
+func hashBits(ms ...*matrix.Dense) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, m := range ms {
+		for j := 0; j < m.Cols; j++ {
+			for i := 0; i < m.Rows; i++ {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(m.At(i, j)))
+				h.Write(b[:])
+			}
+		}
+	}
+	return h.Sum64()
 }
 
 func TestSYRKMatchesReference(t *testing.T) {
@@ -84,61 +104,86 @@ func TestSYRKResultSymmetric(t *testing.T) {
 	}
 }
 
-func TestTRSMSolves(t *testing.T) {
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(3))
+// forEachTri runs f on a well-conditioned triangular factor in every
+// orientation of the one recursion — one base block, the sizes either
+// side of it, and two and three levels with odd halves — against 1 and
+// 48 right-hand sides.
+func forEachTri(seed int64, f func(name string, upper, trans bool, T, B *matrix.Dense)) {
+	rng := rand.New(rand.NewSource(seed))
 	for _, upper := range []bool{false, true} {
-		for _, transL := range []bool{false, true} {
-			for _, n := range []int{7, 64, 130, 200} {
-				L := lowerTri(n, rng)
-				if upper {
-					L = L.Transpose()
-				}
-				B := matrix.Random(n, 23, rng)
-				X := B.Clone()
-				if err := TRSM(pool, testOpts, upper, transL, 2, L, X); err != nil {
-					t.Fatal(err)
-				}
-				// Verify op(L)·X == 2·B.
-				check := matrix.New(n, 23)
-				matrix.RefGEMM(transL, false, 1, L, X, 0, check)
-				want := B.Clone()
-				want.Scale(2)
-				if !matrix.Equal(check, want, 1e-9) {
-					t.Errorf("upper=%v trans=%v n=%d: residual %g",
-						upper, transL, n, matrix.MaxAbsDiff(check, want))
+		for _, trans := range []bool{false, true} {
+			for _, n := range []int{1, 63, 64, 65, 130, 300} {
+				for _, cols := range []int{1, 48} {
+					T := lowerTri(n, rng)
+					if upper {
+						T = T.Transpose()
+					}
+					f(fmt.Sprintf("upper=%v trans=%v n=%d cols=%d", upper, trans, n, cols),
+						upper, trans, T, matrix.Random(n, cols, rng))
 				}
 			}
 		}
 	}
 }
 
+func TestTRSMSolves(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	forEachTri(3, func(name string, upper, trans bool, L, B *matrix.Dense) {
+		X := B.Clone()
+		if err := TRSM(pool, testOpts, upper, trans, 2, L, X); err != nil {
+			t.Fatal(err)
+		}
+		// Verify op(L)·X == 2·B.
+		check := matrix.New(B.Rows, B.Cols)
+		matrix.RefGEMM(trans, false, 1, L, X, 0, check)
+		want := B.Clone()
+		want.Scale(2)
+		if !matrix.Equal(check, want, 1e-9) {
+			t.Errorf("%s: residual %g", name, matrix.MaxAbsDiff(check, want))
+		}
+	})
+}
+
+// TestUnitSolveIgnoresDiagonal: a unit solve takes the diagonal as ones
+// and does not read what is stored there — in a packed LU those slots
+// hold U's diagonal.
+func TestUnitSolveIgnoresDiagonal(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	forEachTri(10, func(name string, upper, trans bool, T, B *matrix.Dense) {
+		n := T.Rows
+		ones, garbage := T.Clone(), T
+		for i := 0; i < n; i++ {
+			ones.Set(i, i, 1)
+			garbage.Set(i, i, math.NaN())
+		}
+		X := B.Clone()
+		if err := tri(pool, testOpts, triOp{solve: true, upper: upper, trans: trans, unit: true}, garbage, X); err != nil {
+			t.Fatal(err)
+		}
+		check := matrix.New(n, B.Cols)
+		matrix.RefGEMM(trans, false, 1, ones, X, 0, check)
+		if !matrix.Equal(check, B, 1e-9) { // a NaN that was read compares as +Inf
+			t.Errorf("%s: unit solve residual %g", name, matrix.MaxAbsDiff(check, B))
+		}
+	})
+}
+
 func TestTRMMMatchesReference(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
-	rng := rand.New(rand.NewSource(4))
-	for _, upper := range []bool{false, true} {
-		for _, transL := range []bool{false, true} {
-			for _, n := range []int{9, 64, 140} {
-				full := lowerTri(n, rng)
-				if upper {
-					full = full.Transpose()
-				}
-				B := matrix.Random(n, 17, rng)
-				got := B.Clone()
-				if err := TRMM(pool, testOpts, upper, transL, -1, full, got); err != nil {
-					t.Fatal(err)
-				}
-				want := matrix.New(n, 17)
-				matrix.RefGEMM(transL, false, -1, full, B, 0, want)
-				if !matrix.Equal(got, want, 1e-10) {
-					t.Errorf("upper=%v trans=%v n=%d: TRMM wrong (max diff %g)",
-						upper, transL, n, matrix.MaxAbsDiff(got, want))
-				}
-			}
+	forEachTri(4, func(name string, upper, trans bool, L, B *matrix.Dense) {
+		got := B.Clone()
+		if err := TRMM(pool, testOpts, upper, trans, -1, L, got); err != nil {
+			t.Fatal(err)
 		}
-	}
+		want := matrix.New(B.Rows, B.Cols)
+		matrix.RefGEMM(trans, false, -1, L, B, 0, want)
+		if !matrix.Equal(got, want, 1e-10) {
+			t.Errorf("%s: TRMM wrong (max diff %g)", name, matrix.MaxAbsDiff(got, want))
+		}
+	})
 }
 
 func TestTRMMTRSMInverse(t *testing.T) {
@@ -248,43 +293,81 @@ func TestCholeskySolveSystem(t *testing.T) {
 	}
 }
 
+// TestShapeValidation: every entry point refuses a nil operand and a
+// shape that does not conform with core.ErrDimension, and never panics.
 func TestShapeValidation(t *testing.T) {
 	pool := sched.NewPool(1)
 	defer pool.Close()
-	if err := SYRK(pool, testOpts, false, 1, matrix.New(4, 2), 0, matrix.New(3, 3)); err == nil {
-		t.Error("SYRK shape mismatch accepted")
-	}
-	if err := TRSM(pool, testOpts, false, false, 1, matrix.New(4, 3), matrix.New(4, 2)); err == nil {
-		t.Error("TRSM non-square factor accepted")
-	}
-	if err := TRMM(pool, testOpts, false, false, 1, matrix.New(4, 4), matrix.New(5, 2)); err == nil {
-		t.Error("TRMM dimension mismatch accepted")
-	}
-	if _, err := Cholesky(pool, testOpts, matrix.New(4, 5)); err == nil {
-		t.Error("Cholesky non-square accepted")
+	sq, f := matrix.New(4, 4), &LU{LU: matrix.Identity(4), Piv: []int{0, 1, 2, 3}}
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"SYRK shape mismatch", func() error { return SYRK(pool, testOpts, false, 1, matrix.New(4, 2), 0, matrix.New(3, 3)) }},
+		{"SYRK trans shape mismatch", func() error { return SYRK(pool, testOpts, true, 1, matrix.New(4, 2), 0, sq) }},
+		{"SYRK non-square C", func() error { return SYRK(pool, testOpts, false, 1, matrix.New(4, 2), 0, matrix.New(4, 3)) }},
+		{"SYRK nil A", func() error { return SYRK(pool, testOpts, false, 1, nil, 0, sq) }},
+		{"SYRK nil C", func() error { return SYRK(pool, testOpts, false, 1, sq, 0, nil) }},
+		{"TRSM non-square factor", func() error { return TRSM(pool, testOpts, false, false, 1, matrix.New(4, 3), matrix.New(4, 2)) }},
+		{"TRSM dimension mismatch", func() error { return TRSM(pool, testOpts, false, false, 1, sq, matrix.New(5, 2)) }},
+		{"TRSM nil factor", func() error { return TRSM(pool, testOpts, false, false, 1, nil, sq) }},
+		{"TRSM nil B", func() error { return TRSM(pool, testOpts, false, false, 1, sq, nil) }},
+		{"TRMM dimension mismatch", func() error { return TRMM(pool, testOpts, false, false, 1, sq, matrix.New(5, 2)) }},
+		{"TRMM nil factor", func() error { return TRMM(pool, testOpts, false, false, 1, nil, sq) }},
+		{"TRMM nil B", func() error { return TRMM(pool, testOpts, false, false, 1, sq, nil) }},
+		{"Cholesky non-square", func() error { _, err := Cholesky(pool, testOpts, matrix.New(4, 5)); return err }},
+		{"Cholesky nil", func() error { _, err := Cholesky(pool, testOpts, nil); return err }},
+		{"LU non-square", func() error { _, err := Factor(pool, testOpts, matrix.New(3, 4)); return err }},
+		{"LU nil", func() error { _, err := Factor(pool, testOpts, nil); return err }},
+		{"LU solve dimension mismatch", func() error { return f.Solve(pool, testOpts, matrix.New(5, 2)) }},
+		{"LU solve nil B", func() error { return f.Solve(pool, testOpts, nil) }},
+	} {
+		if err := c.call(); !errors.Is(err, core.ErrDimension) {
+			t.Errorf("%s: got %v, want core.ErrDimension", c.name, err)
+		}
 	}
 }
 
-func TestLayoutIndependence(t *testing.T) {
-	// The BLAS-3 layer must produce identical results over every layout
-	// the multiply supports.
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(9))
-	A := spd(130, rng)
-	var ref *matrix.Dense
-	for _, cv := range []layout.Curve{layout.ColMajor, layout.ZMorton, layout.GrayMorton, layout.Hilbert} {
-		o := core.Options{Curve: cv, Alg: core.Strassen}
+// determinismGrid runs f over every layout the multiply supports and 1,
+// 2 and 4 workers, on sizes of two and three recursion levels with odd
+// halves, and fails when the hash f returns is not the same in all
+// twelve runs of a size. FastCutoff 1 makes Strassen recurse to single
+// tiles; at the default cutoff these sizes would run no fast level.
+func determinismGrid(t *testing.T, f func(pool *sched.Pool, o core.Options, n int) uint64) {
+	for _, n := range []int{130, 300, 513} {
+		ref, seen := uint64(0), false
+		for _, w := range []int{1, 2, 4} {
+			pool := sched.NewPool(w)
+			for _, cv := range []layout.Curve{layout.ColMajor, layout.ZMorton, layout.GrayMorton, layout.Hilbert} {
+				h := f(pool, core.Options{Curve: cv, Alg: core.Strassen, FastCutoff: 1}, n)
+				if !seen {
+					ref, seen = h, true
+				} else if h != ref {
+					t.Errorf("n=%d %v workers=%d: bits %016x differ from ColMajor on one worker (%016x)", n, cv, w, h, ref)
+				}
+			}
+			pool.Close()
+		}
+	}
+}
+
+// TestDeterminismCholesky: the factor and a 48-column SPD solve through
+// it are the same bits over every layout and worker count.
+func TestDeterminismCholesky(t *testing.T) {
+	determinismGrid(t, func(pool *sched.Pool, o core.Options, n int) uint64 {
+		rng := rand.New(rand.NewSource(9))
+		A, X := spd(n, rng), matrix.Random(n, 48, rng)
 		L, err := Cholesky(pool, o, A)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = L
-		} else if !matrix.Equal(L, ref, 1e-9) {
-			t.Errorf("%v: Cholesky differs across layouts by %g", cv, matrix.MaxAbsDiff(L, ref))
+		for _, trans := range []bool{false, true} { // L·Y = B, then Lᵀ·X = Y
+			if err := TRSM(pool, o, false, trans, 1, L, X); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+		return hashBits(L, X)
+	})
 }
 
 func TestTRSMProperty(t *testing.T) {

@@ -18,59 +18,34 @@ type LU struct {
 	Piv []int
 }
 
-// Factor computes the LU factorization of A with partial pivoting using
-// the recursive right-looking algorithm: factor the left block column,
-// apply its pivots, solve the U12 block with TRSM, update the trailing
-// matrix with GEMM (over the configured recursive layout), and recurse.
-// This is the LAPACK getrf structure on top of the paper's multiply —
-// together with Cholesky it demonstrates that recursive layouts carry a
-// full dense solver stack, the direction the paper's related-work
-// section (Gustavson) points to.
+// Factor computes the LU factorization of A with partial pivoting as
+// one recursive panel factorization at full width: factor the left half
+// of the columns, solve the U12 block with the triangular recursion,
+// update the rows below it with GEMM (over the configured recursive
+// layout), and recurse on the right half. This is the recursive getrf
+// (Gustavson; Toledo) on top of the paper's multiply — together with
+// Cholesky it demonstrates that recursive layouts carry a full dense
+// solver stack, the direction the paper's related-work section points
+// to.
 func Factor(pool *sched.Pool, o core.Options, A *matrix.Dense) (*LU, error) {
-	if A.Rows != A.Cols {
-		return nil, fmt.Errorf("blas3: LU needs a square matrix, got %dx%d", A.Rows, A.Cols)
+	if err := shape("LU", A, A, false); err != nil {
+		return nil, err
 	}
 	n := A.Rows
 	f := &LU{LU: A.Clone(), Piv: make([]int, n)}
 	for i := range f.Piv {
 		f.Piv[i] = i
 	}
-	if err := luRec(pool, o, f.LU, f.Piv, 0); err != nil {
+	if err := luPanel(pool, o, f.LU, f.Piv, 0, n); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// luRec factors the square trailing block of a starting at column off,
-// where a is the full working matrix (row swaps must apply to full
-// rows). piv is indexed in full-matrix coordinates.
-func luRec(pool *sched.Pool, o core.Options, a *matrix.Dense, piv []int, off int) error {
-	n := a.Rows - off
-	if n <= baseSize {
-		return luBase(a, piv, off)
-	}
-	h := n / 2
-	// Factor the left block column (the first h columns of the trailing
-	// matrix) with the blocked base-case algorithm applied recursively:
-	// treat columns [off, off+h) over rows [off, a.Rows).
-	if err := luPanel(pool, o, a, piv, off, h); err != nil {
-		return err
-	}
-	// A12 ← L11⁻¹·A12 (unit lower TRSM on the pivoted block).
-	a11 := a.View(off, off, h, h)
-	a12 := a.View(off, off+h, h, a.Cols-off-h)
-	trsmUnitLower(a11, a12)
-	// A22 ← A22 − A21·A12 via the recursive-layout GEMM.
-	a21 := a.View(off+h, off, a.Rows-off-h, h)
-	a22 := a.View(off+h, off+h, a.Rows-off-h, a.Cols-off-h)
-	if err := gemm(pool, o, false, false, -1, a21, a12, 1, a22); err != nil {
-		return err
-	}
-	return luRec(pool, o, a, piv, off+h)
-}
-
-// luPanel factors a tall panel of width w starting at (off, off) with
-// partial pivoting, swapping full rows of a.
+// luPanel factors the tall panel of a whose diagonal starts at
+// (off, off) — rows [off, a.Rows), columns [off, off+w) — with partial
+// pivoting. Row swaps apply to full rows of a, and piv is indexed in
+// full-matrix coordinates.
 func luPanel(pool *sched.Pool, o core.Options, a *matrix.Dense, piv []int, off, w int) error {
 	if w <= baseSize {
 		return luPanelBase(a, piv, off, w)
@@ -79,35 +54,29 @@ func luPanel(pool *sched.Pool, o core.Options, a *matrix.Dense, piv []int, off, 
 	if err := luPanel(pool, o, a, piv, off, h); err != nil {
 		return err
 	}
-	// Right half of the panel: solve the top block, update the bottom.
-	a11 := a.View(off, off, h, h)
+	// A12 ← L11⁻¹·A12 on the pivoted rows, then A22 ← A22 − A21·A12.
 	a12 := a.View(off, off+h, h, w-h)
-	trsmUnitLower(a11, a12)
+	if err := tri(pool, o, triOp{solve: true, unit: true}, a.View(off, off, h, h), a12); err != nil {
+		return err
+	}
 	a21 := a.View(off+h, off, a.Rows-off-h, h)
 	a22 := a.View(off+h, off+h, a.Rows-off-h, w-h)
 	if err := gemm(pool, o, false, false, -1, a21, a12, 1, a22); err != nil {
 		return err
 	}
-	// Factor the bottom-right sub-panel (rows off+h.., cols off+h..off+w).
-	return luPanelShifted(a, piv, off+h, w-h)
-}
-
-// luPanelShifted runs the unblocked panel factorization for the
-// sub-panel whose diagonal starts at (off, off) and has width w.
-func luPanelShifted(a *matrix.Dense, piv []int, off, w int) error {
-	return luPanelBase(a, piv, off, w)
+	return luPanel(pool, o, a, piv, off+h, w-h)
 }
 
 // luPanelBase is the unblocked right-looking panel factorization with
 // partial pivoting over rows [off, a.Rows), columns [off, off+w).
 func luPanelBase(a *matrix.Dense, piv []int, off, w int) error {
-	rows := a.Rows
+	rows, ld := a.Rows, a.Stride
 	for k := off; k < off+w; k++ {
+		ck := a.Data[k*ld : k*ld+rows]
 		// Pivot search in column k.
-		p := k
-		best := math.Abs(a.At(k, k))
+		p, best := k, math.Abs(ck[k])
 		for i := k + 1; i < rows; i++ {
-			if v := math.Abs(a.At(i, k)); v > best {
+			if v := math.Abs(ck[i]); v > best {
 				best, p = v, i
 			}
 		}
@@ -118,42 +87,15 @@ func luPanelBase(a *matrix.Dense, piv []int, off, w int) error {
 			swapRows(a, k, p)
 			piv[k] = p
 		}
-		d := a.At(k, k)
+		d := ck[k]
 		for i := k + 1; i < rows; i++ {
-			l := a.At(i, k) / d
-			a.Set(i, k, l)
-			for j := k + 1; j < off+w; j++ {
-				a.Set(i, j, a.At(i, j)-l*a.At(k, j))
-			}
+			ck[i] /= d
 		}
-	}
-	return nil
-}
-
-// luBase factors the whole trailing matrix unblocked (terminal case).
-func luBase(a *matrix.Dense, piv []int, off int) error {
-	n := a.Rows - off
-	for k := off; k < off+n; k++ {
-		p := k
-		best := math.Abs(a.At(k, k))
-		for i := k + 1; i < a.Rows; i++ {
-			if v := math.Abs(a.At(i, k)); v > best {
-				best, p = v, i
-			}
-		}
-		if best == 0 {
-			return fmt.Errorf("blas3: LU is singular at column %d", k)
-		}
-		if p != k {
-			swapRows(a, k, p)
-			piv[k] = p
-		}
-		d := a.At(k, k)
-		for i := k + 1; i < a.Rows; i++ {
-			l := a.At(i, k) / d
-			a.Set(i, k, l)
-			for j := k + 1; j < a.Cols; j++ {
-				a.Set(i, j, a.At(i, j)-l*a.At(k, j))
+		for j := k + 1; j < off+w; j++ {
+			cj := a.Data[j*ld : j*ld+rows]
+			u := cj[k]
+			for i := k + 1; i < rows; i++ {
+				cj[i] -= ck[i] * u
 			}
 		}
 	}
@@ -163,61 +105,35 @@ func luBase(a *matrix.Dense, piv []int, off int) error {
 // swapRows exchanges two full rows.
 func swapRows(a *matrix.Dense, r1, r2 int) {
 	for j := 0; j < a.Cols; j++ {
-		v := a.At(r1, j)
-		a.Set(r1, j, a.At(r2, j))
-		a.Set(r2, j, v)
-	}
-}
-
-// trsmUnitLower solves L·X = B in place where L is *unit* lower
-// triangular (diagonal implicitly 1, strictly-lower part stored).
-func trsmUnitLower(L, B *matrix.Dense) {
-	n := L.Rows
-	for col := 0; col < B.Cols; col++ {
-		for i := 0; i < n; i++ {
-			s := B.At(i, col)
-			for k := 0; k < i; k++ {
-				s -= L.At(i, k) * B.At(k, col)
-			}
-			B.Set(i, col, s)
-		}
+		col := a.Data[j*a.Stride:]
+		col[r1], col[r2] = col[r2], col[r1]
 	}
 }
 
 // Solve solves A·X = B using the factorization; B is overwritten with X.
 func (f *LU) Solve(pool *sched.Pool, o core.Options, B *matrix.Dense) error {
-	if B.Rows != f.LU.Rows {
-		return fmt.Errorf("blas3: LU solve dimension %d vs %d", B.Rows, f.LU.Rows)
+	if err := shape("LU solve", f.LU, B, false); err != nil {
+		return err
 	}
 	// Apply the pivots: B ← P·B.
-	for i := 0; i < len(f.Piv); i++ {
-		if f.Piv[i] != i {
-			swapRows(B, i, f.Piv[i])
+	for i, p := range f.Piv {
+		if p != i {
+			swapRows(B, i, p)
 		}
 	}
-	// Forward solve with unit L, then backward with U (recursive TRSM
-	// would need the unit-diagonal variant; at solve sizes the direct
-	// substitutions are GEMM-free and fast enough).
-	trsmUnitLower(f.LU, B)
-	n := f.LU.Rows
-	for col := 0; col < B.Cols; col++ {
-		for i := n - 1; i >= 0; i-- {
-			s := B.At(i, col)
-			for k := i + 1; k < n; k++ {
-				s -= f.LU.At(i, k) * B.At(k, col)
-			}
-			B.Set(i, col, s/f.LU.At(i, i))
-		}
+	// Forward solve with unit L, then backward with U.
+	if err := tri(pool, o, triOp{solve: true, unit: true}, f.LU, B); err != nil {
+		return err
 	}
-	return nil
+	return tri(pool, o, triOp{solve: true, upper: true}, f.LU, B)
 }
 
 // Det returns the determinant from the factorization.
 func (f *LU) Det() float64 {
 	d := 1.0
-	for i := 0; i < f.LU.Rows; i++ {
-		d *= f.LU.At(i, i)
-		if f.Piv[i] != i {
+	for i, p := range f.Piv {
+		d *= f.LU.Data[i*f.LU.Stride+i]
+		if p != i {
 			d = -d
 		}
 	}

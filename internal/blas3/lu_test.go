@@ -3,11 +3,11 @@ package blas3
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
-	"repro/internal/layout"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 )
@@ -46,7 +46,7 @@ func TestLUFactorsPA(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{3, 16, 64, 100, 200} {
+	for _, n := range []int{3, 16, 64, 65, 100, 200, 257, 513} { // up to three panel levels
 		A := matrix.Random(n, n, rng)
 		f, err := Factor(pool, testOpts, A)
 		if err != nil {
@@ -128,6 +128,85 @@ func TestLUSingularRejected(t *testing.T) {
 	}
 }
 
+// deepColumn is a column of a 300-wide factorization that the recursion
+// reaches through two right halves: 300 → [150, 300) → [225, 300) →
+// [262, 300).
+const deepN, deepColumn = 300, 270
+
+// TestLUZeroPivotInRightSubPanel: a diagonal entry that is exactly zero
+// when its column comes up, inside a recursed right sub-panel, is
+// pivoted away. The column is zero above the diagonal, so no update
+// touches the rows below.
+func TestLUZeroPivotInRightSubPanel(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(5))
+	A := matrix.Random(deepN, deepN, rng)
+	for i := 0; i <= deepColumn; i++ {
+		A.Set(i, deepColumn, 0)
+	}
+	f, err := Factor(pool, testOpts, A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Piv[deepColumn] == deepColumn {
+		t.Fatalf("column %d kept its zero pivot", deepColumn)
+	}
+	if diff := matrix.MaxAbsDiff(reconstruct(f), applyPiv(f, A)); diff > 1e-10*deepN {
+		t.Fatalf("‖L·U − P·A‖ = %g", diff)
+	}
+}
+
+// TestLUSingularInRightSubPanel: an exactly zero column met inside a
+// recursed right sub-panel is an error that names it, and A — which
+// Factor clones — is untouched.
+func TestLUSingularInRightSubPanel(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(6))
+	A := matrix.Random(deepN, deepN, rng)
+	for i := 0; i < deepN; i++ {
+		A.Set(i, deepColumn, 0)
+	}
+	before := hashBits(A)
+	f, err := Factor(pool, testOpts, A)
+	if f != nil || err == nil || !strings.Contains(err.Error(), "singular at column 270") {
+		t.Fatalf("got (%v, %v), want a singular-column error", f, err)
+	}
+	if hashBits(A) != before {
+		t.Fatal("a failed factorization wrote to A")
+	}
+}
+
+// TestLUDetOfPermutation: a scaled cyclic shift of n rows is n−1
+// interchanges, so its determinant is (−1)ⁿ⁻¹ times the product of the
+// scales — exactly, since every entry is a power of two.
+func TestLUDetOfPermutation(t *testing.T) {
+	pool := sched.NewPool(1)
+	defer pool.Close()
+	for _, n := range []int{130, 131} {
+		A, want := matrix.New(n, n), 1.0
+		for j := 0; j < n; j++ {
+			v := 1.0
+			if j%40 == 7 {
+				v = 2
+			}
+			A.Set((j+1)%n, j, v)
+			want *= v
+		}
+		if n%2 == 0 {
+			want = -want
+		}
+		f, err := Factor(pool, testOpts, A)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Det(); got != want {
+			t.Errorf("n=%d: det = %g, want %g", n, got, want)
+		}
+	}
+}
+
 func TestLUNonSquareRejected(t *testing.T) {
 	pool := sched.NewPool(1)
 	defer pool.Close()
@@ -175,22 +254,24 @@ func TestLUPropertyRandom(t *testing.T) {
 	}
 }
 
-func TestLULayoutIndependence(t *testing.T) {
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(4))
-	A := matrix.Random(130, 130, rng)
-	var ref *matrix.Dense
-	for _, cv := range []layout.Curve{layout.ColMajor, layout.ZMorton, layout.Hilbert} {
-		o := core.Options{Curve: cv, Alg: core.Strassen}
+// TestDeterminismLU: the packed factors, the pivots and a 48-column
+// solve through them are the same bits over every layout and worker
+// count.
+func TestDeterminismLU(t *testing.T) {
+	determinismGrid(t, func(pool *sched.Pool, o core.Options, n int) uint64 {
+		rng := rand.New(rand.NewSource(4))
+		A, X := matrix.Random(n, n, rng), matrix.Random(n, 48, rng)
 		f, err := Factor(pool, o, A)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref == nil {
-			ref = f.LU
-		} else if !matrix.Equal(f.LU, ref, 1e-9) {
-			t.Errorf("%v: LU differs across layouts by %g", cv, matrix.MaxAbsDiff(f.LU, ref))
+		if err := f.Solve(pool, o, X); err != nil {
+			t.Fatal(err)
 		}
-	}
+		piv := matrix.New(n, 1)
+		for i, p := range f.Piv {
+			piv.Data[i] = float64(p)
+		}
+		return hashBits(f.LU, piv, X)
+	})
 }
