@@ -12,15 +12,18 @@ loc:
 	@for d in internal/core internal/leaf internal/sched internal/serve internal/obs internal/trace internal/blas3; do \
 		echo "$$d $$(ls $$d/*.go | grep -v _test | xargs cat | wc -l)"; done
 
-# The size ratchet: the non-test lines of internal/core, internal/leaf
-# and internal/blas3 may not exceed what the last change to shrink each
-# landed at (ROADMAP.md's target for the core is 5,000). A change that
-# shrinks a package lowers its figure; none raises it.
+# The size ratchet: the non-test lines of internal/core, internal/leaf,
+# internal/blas3, internal/serve and internal/obs may not exceed what
+# the last change to shrink each landed at (ROADMAP.md's targets: 5,000
+# for the core, 4,000 for serve + obs). A change that shrinks a package
+# lowers its figure; none raises it.
 CORE_LOC_MAX = 5556
 LEAF_LOC_MAX = 1133
 BLAS3_LOC_MAX = 460
+SERVE_LOC_MAX = 2583
+OBS_LOC_MAX = 1700
 loc-gate:
-	@for p in core:$(CORE_LOC_MAX) leaf:$(LEAF_LOC_MAX) blas3:$(BLAS3_LOC_MAX); do d=internal/$${p%:*}; max=$${p#*:}; \
+	@for p in core:$(CORE_LOC_MAX) leaf:$(LEAF_LOC_MAX) blas3:$(BLAS3_LOC_MAX) serve:$(SERVE_LOC_MAX) obs:$(OBS_LOC_MAX); do d=internal/$${p%:*}; max=$${p#*:}; \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		if [ $$n -gt $$max ]; then echo "$$d has $$n non-test lines, the ratchet is at $$max"; exit 1; fi; \
 		echo "$$d $$n non-test lines (ratchet $$max)"; done
@@ -157,7 +160,8 @@ stress:
 # firing panics, delays, and allocation failures inside the engine the
 # whole time. The test asserts the daemon's robustness contract: it
 # sheds instead of wedging, every failure is a typed error kind,
-# identical request specs agree on their result norm, and drain leaves
+# identical request specs agree on their result norm (and one replayed
+# spec, per algorithm that ran it, on the bits of C), and drain leaves
 # no goroutine and no in-flight request behind. The soak runs twice:
 # once on the broad mixed workload and once on the batch workload
 # (RECMAT_SOAK_WORKLOAD=batch), whose same-key named requests keep the

@@ -13,31 +13,34 @@ import (
 // window — the request-scoped analogue of the driver's Stats.
 
 // ReqPhase indexes a request's phase ledger. Phases are disjoint
-// wall-clock intervals of one request's life; whatever the six named
+// wall-clock intervals of one request's life; whatever the named
 // phases don't cover (handler overhead, response write) shows up as
 // Total minus the phase sum.
 type ReqPhase int
 
 const (
-	// PhaseQueue is admission-queue wait (or, for a coalesced leader,
-	// its admission acquire).
+	// PhaseQueue is the admission-queue wait of a request that ran
+	// alone; a wave's members record that wait as their gather.
 	PhaseQueue ReqPhase = iota
 	// PhaseGather is the coalesce window: joining a group until the
 	// wave's engine call launched.
 	PhaseGather
-	// PhasePack is operand materialization and layout conversion.
-	// Batched waves fuse packing into the engine call, so coalesced
-	// ledgers report it as 0 and account it under PhaseCompute.
+	// PhasePack, PhaseCompute and PhaseUnpack are the engine call's
+	// walls: conversion into the recursive layout, the multiplication,
+	// and conversion of the result back to column-major. A coalesced
+	// member records the *shared wave's* — every member of one wave
+	// reports the same three values.
 	PhasePack
-	// PhaseCompute is the engine's compute phase. For a coalesced
-	// member this is the *shared wave's* compute wall — every member
-	// of one wave reports the same value.
 	PhaseCompute
-	// PhaseUnpack is result conversion back to column-major (0 for
-	// batched waves, fused like PhasePack).
 	PhaseUnpack
 	// PhaseSerialize is response encoding.
 	PhaseSerialize
+	// PhaseDecode (read, decode, validate, parse), PhaseSeed (operand
+	// materialisation) and PhaseRespond (the result's norm and echo)
+	// are appended so that the six indices above keep their meaning.
+	PhaseDecode
+	PhaseSeed
+	PhaseRespond
 	// NumReqPhases sizes per-phase arrays.
 	NumReqPhases
 )
@@ -49,6 +52,9 @@ var reqPhaseNames = [NumReqPhases]string{
 	PhaseCompute:   "compute",
 	PhaseUnpack:    "unpack",
 	PhaseSerialize: "serialize",
+	PhaseDecode:    "decode",
+	PhaseSeed:      "seed",
+	PhaseRespond:   "respond",
 }
 
 // String returns the phase's wire name (used in timing JSON,

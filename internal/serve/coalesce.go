@@ -11,56 +11,54 @@ import (
 	"repro/internal/obs"
 )
 
-// This file implements request coalescing: queued requests that hash to
-// the same plan-cache entry (same tenant, named operand, shape, seed,
-// layout, partner bucket — and the same algorithm) are merged into ONE
-// batched engine call instead of N. The batching window is the
-// admission queue itself: the first request of a group (the leader)
-// waits for an execution slot exactly as a single request would, and
-// every compatible request that arrives while it waits joins the group
-// instead of taking its own slot. Under load — when the queue is
-// non-empty and coalescing pays — windows open naturally; on an idle
-// server the leader's acquire returns immediately and the request runs
-// alone, paying nothing.
+// This file is the request path past admission control: every request
+// is a member of a group, and a group is one admission slot and one
+// engine call. Requests that parse to the same plan-cache key (same
+// tenant, named operand, shape, seed, layout, partner bucket and
+// resolved algorithm) and arrive while a group under that key waits for
+// its slot join it — the batching window is the admission queue itself,
+// so an idle server, whose leader's acquire returns at once, groups
+// nothing and pays nothing. A request without a key is a group of one.
+// What the group's size picks is the engine call and nothing else: the
+// member's context, its operands, its ledger and its response are made
+// in one place each.
 //
-// Deadlines and cancellation stay per-request: each member carries its
-// own context (client disconnect + its own deadline) into its wave
-// item, so an expired member is dropped from the wave, not the wave
-// from the member. Drain cancels the wave itself through the server's
-// drain context.
+// Deadlines and cancellation stay per member: each carries its own
+// context (client disconnect + drain + its deadline) into the call, so
+// an expired member is dropped from the wave, not the wave from the
+// member.
 
-// cmember is one request riding a coalesced wave: its spec, the unused
-// tenant-quota remainder it brought as engine budget, its request
-// context, and the slot its handler blocks on until the wave settles
-// it with a response or a typed error.
-type cmember struct {
-	req    *Request
-	budget int64
+// member is one request on its way through the daemon: what parse read
+// off its spec, what the handler reserved for it, the context and
+// operands run gives it, and the slot its handler blocks on until the
+// group settles it with a response or a typed error.
+type member struct {
+	req *Request
+	lay recmat.Layout
+	alg recmat.Algorithm // resolved against the shape, never Auto
+	// key is the plan-cache key of a named A in a recursive layout with
+	// the cache on — also the key of the group the member may join — and
+	// empty for a request that multiplies its own A.
+	key    string
+	budget int64 // the tenant's unused quota, the engine call's MemBudget
 	rctx   context.Context
-	resp   *Response
-	err    error
-	done   chan struct{}
-	// rs is the member's request-observability state; the wave fills its
-	// ledger (queue, gather, the SHARED compute wall) and stamps its
-	// trace serial on the member's wave item before settling. joined is
-	// when the member entered the coalescer — the start of its gather
-	// phase.
 	rs     *reqState
 	joined time.Time
+
+	ctx     context.Context
+	cancel  func()
+	A, B, C *recmat.Matrix
+
+	resp *Response
+	err  error
+	done chan struct{}
 }
 
-// trace returns the member's trace serial (0 when untraced).
-func (m *cmember) trace() int64 {
-	if m.rs == nil {
-		return 0
-	}
-	return m.rs.trace
-}
-
-// cwave is one open coalescing group: the members accumulated while the
-// leader waits in the admission queue.
-type cwave struct {
-	members []*cmember
+// group is the members gathered under one key while the first of them,
+// the leader, waits for an admission slot.
+type group struct {
+	key     string // empty: a group of one that is in no map
+	members []*member
 }
 
 // coalescer tracks the open groups and the coalescing metrics.
@@ -69,12 +67,11 @@ type coalescer struct {
 	maxBatch int
 
 	mu     sync.Mutex
-	groups map[string]*cwave
+	groups map[string]*group
 
-	// coalesced counts requests that shared their wave with at least
-	// one sibling; attempts counts every request that took the batched
-	// path. rate publishes 100·coalesced/attempts — the share of
-	// batch-path requests that actually amortized a call.
+	// attempts counts every keyed request, coalesced those whose group
+	// had at least two members; rate publishes 100·coalesced/attempts —
+	// the share of plan-cached requests that amortized an engine call.
 	coalesced *obs.Counter
 	attempts  *obs.Counter
 	rate      *obs.Gauge
@@ -85,7 +82,7 @@ func newCoalescer(s *Server, maxBatch int) *coalescer {
 	return &coalescer{
 		s:         s,
 		maxBatch:  maxBatch,
-		groups:    map[string]*cwave{},
+		groups:    map[string]*group{},
 		coalesced: s.reg.Counter("requests_coalesced"),
 		attempts:  s.reg.Counter("coalesce_attempts"),
 		rate:      s.reg.Gauge("coalesce_rate_pct"),
@@ -93,146 +90,81 @@ func newCoalescer(s *Server, maxBatch int) *coalescer {
 	}
 }
 
-// eligible reports whether a request can ride a coalesced wave, and the
-// parsed layout when it can: a named (plan-cacheable) operand in a
-// recursive layout, with the plan cache and coalescing enabled, and an
-// algorithm that parses (so the wave-wide algorithm choice is sound).
-// Ineligible requests fall through to the single-call path, which also
-// owns reporting any parse errors.
-func (co *coalescer) eligible(req *Request) (recmat.Layout, bool) {
-	if co == nil || co.maxBatch < 2 {
-		return 0, false
-	}
-	if req.AName == "" || co.s.cfg.PlanCacheBytes <= 0 || req.Layout == "" {
-		return 0, false
-	}
-	lay, err := recmat.ParseLayout(req.Layout)
-	if err != nil || lay == recmat.ColMajor || lay == recmat.RowMajor {
-		return 0, false
-	}
-	if req.Alg != "" {
-		if _, err := recmat.ParseAlgorithm(req.Alg); err != nil {
-			return 0, false
+// do runs one request and blocks until its group settles it. It joins
+// the open group under its key, or leads a new one. A group that
+// nothing can join — no key, or coalescing off — waits for its slot on
+// its own request's context, so a client that disconnects while queued
+// frees its queue position without ever taking a slot; a group in the
+// map waits on the drain context, because its leader's client must not
+// strand the joiners.
+func (co *coalescer) do(m *member) (*Response, error) {
+	m.joined = time.Now()
+	g, wait := &group{members: []*member{m}}, m.rctx
+	if m.key != "" && co.maxBatch >= 2 {
+		co.mu.Lock()
+		if open := co.groups[m.key]; open != nil && len(open.members) < co.maxBatch {
+			open.members = append(open.members, m)
+			co.mu.Unlock()
+			<-m.done
+			return m.resp, m.err
 		}
-	}
-	return lay, true
-}
-
-// coalesceKey is the wave-compatibility key: the plan-cache key, which
-// already ends in the resolved algorithm — two requests spelling the
-// same choice differently ("auto" resolving to winograd vs explicit
-// "winograd") share a wave. Per-member knobs (n within the partner
-// bucket, B and C seeds, scalars, deadline) stay out of the key.
-func coalesceKey(req *Request, lay recmat.Layout, alg recmat.Algorithm) string {
-	return planKey(req, lay, alg)
-}
-
-// do runs one request through the coalescing path and blocks until its
-// wave settles it. The member's handler keeps its own gate entry and
-// quota reservation; only the leader touches the admission queue.
-func (co *coalescer) do(rctx context.Context, req *Request, budget int64, lay recmat.Layout, rs *reqState) (*Response, error) {
-	m := &cmember{req: req, budget: budget, rctx: rctx, done: make(chan struct{}), rs: rs, joined: time.Now()}
-	alg, err := resolveReqAlg(req, lay)
-	if err != nil {
-		return nil, err
-	}
-	key := coalesceKey(req, lay, alg)
-	co.mu.Lock()
-	if g := co.groups[key]; g != nil && len(g.members) < co.maxBatch {
-		g.members = append(g.members, m)
+		// No open group, or a full one: a full group stays in flight on
+		// its own and the map slot passes to this one, so the old
+		// leader's delete-if-still-mine is a no-op.
+		g.key, wait = m.key, co.s.drainCtx
+		co.groups[g.key] = g
 		co.mu.Unlock()
-		<-m.done
-		return m.resp, m.err
 	}
-	// No open group (or the open one is full): this request leads. A
-	// full group stays in flight on its own; the map slot passes to the
-	// new group, so the old leader's delete-if-still-mine is a no-op.
-	g := &cwave{members: []*cmember{m}}
-	co.groups[key] = g
-	co.mu.Unlock()
-	co.lead(key, g, lay)
+	co.lead(g, wait)
 	<-m.done
 	return m.resp, m.err
 }
 
+// closed takes g out of the map and returns its members; nothing joins
+// it afterwards.
+func (co *coalescer) closed(g *group) []*member {
+	if g.key == "" {
+		return g.members
+	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if co.groups[g.key] == g {
+		delete(co.groups, g.key)
+	}
+	return g.members
+}
+
 // lead is the leader's side: wait for an execution slot (the batching
-// window), close the group, and execute the wave. Every member is
-// settled on every path — including a panic anywhere in the leader's
-// frame, which must not strand joiners on their done channels.
-func (co *coalescer) lead(key string, g *cwave, lay recmat.Layout) {
-	var members []*cmember
+// window), close the group and run it. Every member is settled on every
+// path — a shed or draining group with the one typed cause, and a panic
+// anywhere in the leader's frame (the engine converts its own, but the
+// serving code and its fault hooks can panic too) with a typed internal
+// error, never escaping into net/http or stranding a joiner.
+func (co *coalescer) lead(g *group, wait context.Context) {
 	defer func() {
 		if r := recover(); r != nil {
-			err := fmt.Errorf("serve: coalesced wave panicked: %v", r)
-			co.mu.Lock()
-			if co.groups[key] == g {
-				delete(co.groups, key)
-			}
-			if members == nil {
-				members = g.members
-			}
-			co.mu.Unlock()
-			for _, m := range members {
-				co.settle(m, nil, err)
-			}
+			co.fail(co.closed(g), fmt.Errorf("serve: request group panicked: %v", r))
 		}
 	}()
-	release, wait, err := co.s.adm.acquire(co.s.drainCtx)
-	co.mu.Lock()
-	if co.groups[key] == g {
-		delete(co.groups, key)
-	}
-	members = g.members
-	co.mu.Unlock()
+	release, queued, err := co.s.adm.acquire(wait)
+	members := co.closed(g)
 	if err != nil {
-		// Shed or draining: the whole group was refused admission; every
-		// member reports the same typed cause.
-		for _, m := range members {
-			co.settle(m, nil, err)
-		}
+		co.fail(members, err)
 		return
 	}
 	defer release()
-	if len(members) == 1 {
-		co.solo(members[0], wait)
-		return
-	}
-	co.executeWave(lay, members, wait)
+	co.run(members, queued)
 }
 
-// solo runs a group that stayed a group of one — the idle-server case,
-// where the leader's acquire returned before anyone could join —
-// through the same single-call compute path as a non-coalescable
-// request. A wave of one would pay the batch bookkeeping (wave
-// context, per-item plumbing, workspace setup) for nothing; this keeps
-// the batched path strictly free when there is nothing to batch.
-func (co *coalescer) solo(m *cmember, queueWait time.Duration) {
-	s := co.s
-	co.attempts.Inc()
-	co.waveSize.Observe(1)
-	if t := co.attempts.Value(); t > 0 {
-		co.rate.Set(100 * co.coalesced.Value() / t)
-	}
-	// Same context geometry as the single-call handler: client
-	// disconnect + drain + min(client deadline, server cap).
-	ctx, cancel := context.WithCancelCause(m.rctx)
-	defer cancel(nil)
-	stopLink := context.AfterFunc(s.drainCtx, func() { cancel(ErrDraining) })
-	defer stopLink()
-	tctx, tcancel := context.WithTimeout(ctx, s.deadline(m.req))
-	defer tcancel()
-	m.rs.phaseAt(obs.PhaseQueue, obs.KindQueueWait, time.Now().Add(-queueWait), queueWait)
-	resp, err := s.compute(tctx, m.req, m.budget, m.rs)
-	if err != nil {
+// fail settles every member not yet settled with the one typed cause.
+func (co *coalescer) fail(members []*member, err error) {
+	for _, m := range members {
 		co.settle(m, nil, err)
-		return
 	}
-	resp.QueueNS = queueWait.Nanoseconds()
-	co.settle(m, resp, nil)
 }
 
 // settle delivers one member's outcome exactly once.
-func (co *coalescer) settle(m *cmember, resp *Response, err error) {
+func (co *coalescer) settle(m *member, resp *Response, err error) {
 	select {
 	case <-m.done:
 		return // already settled
@@ -242,162 +174,187 @@ func (co *coalescer) settle(m *cmember, resp *Response, err error) {
 	close(m.done)
 }
 
-// executeWave materializes every member's operands, applies each
-// member's own deadline, and runs ONE batched engine call against the
-// shared cached plan. Wave-level failures (plan build, admission
-// rejection inside the engine, drain) settle every member with the same
-// typed cause; per-member failures (expiry, disconnect, a fault
-// injected into one member's materialization) settle only that member.
-func (co *coalescer) executeWave(lay recmat.Layout, members []*cmember, queueWait time.Duration) {
-	req0 := members[0].req
-
-	// Attribution: each member's gather phase runs from its join to the
-	// wave's start. For a wave member the admission wait IS the batching
-	// window (the leader queued on everyone's behalf), so gather subsumes
-	// it and PhaseQueue stays 0 — phases remain disjoint. Response.QueueNS
-	// still reports the shared admission wait below.
-	waveStart := time.Now()
-	for _, m := range members {
-		m.rs.phaseAt(obs.PhaseGather, obs.KindGather, m.joined, waveStart.Sub(m.joined))
-	}
-
-	// The wave's own lifetime: detached from any single member (a
-	// leader whose client disconnects must not abort its siblings),
-	// cancelled only by drain.
-	wctx, wcancel := context.WithCancelCause(context.Background())
-	defer wcancel(nil)
-	stopLink := context.AfterFunc(co.s.drainCtx, func() { wcancel(ErrDraining) })
-	defer stopLink()
-
-	alg, err := resolveReqAlg(req0, lay)
-	if err != nil {
-		co.settleAll(members, err)
-		return
-	}
-	// One engine call, one MemBudget: the most constrained member's, so
-	// no member's quota is overrun by the wave it happened to join.
-	budget := members[0].budget
-	for _, m := range members[1:] {
-		if m.budget < budget {
-			budget = m.budget
-		}
-	}
-	opts := &recmat.Options{Layout: lay, Algorithm: alg, MemBudget: budget}
-
-	ent, err := co.s.acquirePlan(req0, lay, alg, opts)
-	if err != nil {
-		co.settleAll(members, err)
-		return
-	}
-	defer co.s.plans.release(ent)
-
-	// Per-member materialization under its own recover: one member's
-	// panic (the serve.compute fault hook fires here) settles that
-	// member alone and keeps it out of the wave.
-	items := make([]recmat.PrepackedGEMMBatchItem, 0, len(members))
-	idx := make([]int, 0, len(members))
-	Cs := make([]*recmat.Matrix, len(members))
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
+// materialise gives a member what the engine call needs of it: its
+// context — client disconnect + drain + min(client deadline, server
+// cap), the one context the engine polls — and its operands, seeded
+// into pooled buffers. It runs under its own recover: one member's
+// panic (the serve.compute fault point fires here) settles that member
+// alone and keeps it out of the call.
+func (co *coalescer) materialise(m *member) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			// Poisoned buffers go to the GC, not the pool; the leader's
-			// recover settles the members.
-			panic(r)
-		}
-		// Every member is settled (responses hold copies) before this
-		// runs; the wave's operands can be recycled.
-		for j := range items {
-			freeMat(items[j].B)
-		}
-		for _, C := range Cs {
-			freeMat(C)
+			co.settle(m, nil, fmt.Errorf("serve: compute panicked: %v", r))
 		}
 	}()
-	for i, m := range members {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					co.settle(m, nil, fmt.Errorf("serve: compute panicked: %v", r))
-				}
-			}()
-			faultinject.Point("serve.compute")
-			B := seededMat(m.req.K, m.req.N, m.req.BSeed)
-			var C *recmat.Matrix
-			if m.req.CSeed != 0 {
-				C = seededMat(m.req.M, m.req.N, m.req.CSeed)
-			} else {
-				C = zeroMat(m.req.M, m.req.N)
-			}
-			ictx, icancel := context.WithTimeout(m.rctx, co.s.deadline(m.req))
-			cancels = append(cancels, icancel)
-			Cs[i] = C
-			items = append(items, recmat.PrepackedGEMMBatchItem{
-				Alpha: m.req.alpha(), Beta: m.req.Beta, B: B, C: C, Ctx: ictx,
-				TraceID: m.trace(),
-			})
-			idx = append(idx, i)
-		}()
+	faultinject.Point("serve.compute")
+	t0, req := time.Now(), m.req
+	if m.key == "" {
+		m.A = seededMat(req.M, req.K, req.ASeed)
 	}
-
-	size := len(members)
-	co.attempts.Add(int64(size))
-	if size > 1 {
-		co.coalesced.Add(int64(size))
+	m.B = seededMat(req.K, req.N, req.BSeed)
+	if req.CSeed != 0 {
+		m.C = seededMat(req.M, req.N, req.CSeed)
+	} else {
+		m.C = zeroMat(req.M, req.N)
 	}
-	co.waveSize.Observe(float64(size))
-	if t := co.attempts.Value(); t > 0 {
-		co.rate.Set(100 * co.coalesced.Value() / t)
-	}
-
-	if len(items) > 0 {
-		tCall := time.Now()
-		bs, errs, werr := co.s.eng.GEMMPrepackedBatch(wctx, ent.Plan(), items, opts)
-		wall := time.Since(tCall)
-		if werr != nil {
-			for _, i := range idx {
-				co.settle(members[i], nil, werr)
-			}
-		} else {
-			// Wave times are shared; report each member's share so
-			// summed client-side compute time still means something.
-			per := int64(1)
-			if bs.Completed > 0 {
-				per = int64(bs.Completed)
-			}
-			for j, i := range idx {
-				m := members[i]
-				if errs[j] != nil {
-					co.settle(m, nil, errs[j])
-					continue
-				}
-				// The ledger records the SHARED wave compute wall (every
-				// member the same value — the wave is indivisible evidence),
-				// unlike the response's amortized per-member share below.
-				m.rs.phase(obs.PhaseCompute, bs.Compute)
-				if m.rs != nil && m.rs.tr != nil {
-					m.rs.tr.LaneSpan(m.rs.lane, obs.KindCompute, tCall, wall, 0)
-				}
-				resp := co.s.respond(m.req, &bs.Stats, Cs[i])
-				resp.PlanCached, resp.Coalesced, resp.BatchSize = true, size > 1, size
-				resp.QueueNS = queueWait.Nanoseconds()
-				resp.ComputeNS, resp.TotalNS = resp.ComputeNS/per, resp.TotalNS/per
-				co.settle(m, resp, nil)
-			}
-		}
-	}
-	// Members that never made it into the wave (materialization panic)
-	// were settled in place; this is the backstop for any stragglers.
-	co.settleAll(members, fmt.Errorf("serve: coalesced member never executed"))
+	ctx, cancel := context.WithCancelCause(m.rctx)
+	stopLink := context.AfterFunc(co.s.drainCtx, func() { cancel(ErrDraining) })
+	ctx, tcancel := context.WithTimeout(ctx, co.s.deadline(req))
+	m.ctx, m.cancel = ctx, func() { tcancel(); stopLink(); cancel(nil) }
+	m.rs.phase(obs.PhaseSeed, time.Since(t0))
+	return true
 }
 
-// settleAll settles every not-yet-settled member with err.
-func (co *coalescer) settleAll(members []*cmember, err error) {
+// run executes a closed group inside its admission slot: every member
+// is materialised, the group makes one engine call, and every member is
+// settled from that call's report. Failures of the call as a whole
+// (plan build, admission inside the engine, drain) settle every member
+// with the same typed cause; a member's own (expiry, disconnect, a
+// fault in its materialisation) settle it alone.
+func (co *coalescer) run(members []*member, queued time.Duration) {
+	s, start, size := co.s, time.Now(), len(members)
+	keyed := members[0].key != ""
+
+	// A group of one waited in the admission queue. For the members of a
+	// wave that wait was the batching window — the leader queued on
+	// everyone's behalf — so each one's gather, from its join to here,
+	// subsumes it and the phases stay disjoint.
 	for _, m := range members {
-		co.settle(m, nil, err)
+		p, k, since := obs.PhaseQueue, obs.KindQueueWait, start.Add(-queued)
+		if size > 1 {
+			p, k, since = obs.PhaseGather, obs.KindGather, m.joined
+		}
+		m.rs.phaseAt(p, k, since, start.Sub(since))
+	}
+	if keyed {
+		co.attempts.Add(int64(size))
+		if size > 1 {
+			co.coalesced.Add(int64(size))
+		}
+		co.waveSize.Observe(float64(size))
+		co.rate.Set(100 * co.coalesced.Value() / co.attempts.Value())
+	}
+
+	live := make([]*member, 0, size)
+	defer func() {
+		for _, m := range live {
+			m.cancel()
+		}
+		if r := recover(); r != nil {
+			// A panic may leave operand buffers in an unknown state of
+			// sharing: poisoned buffers go to the GC, not the pool, and
+			// the leader's recover settles the members.
+			panic(r)
+		}
+		// Every member is settled by now and its response holds copies.
+		for _, m := range live {
+			freeMat(m.A)
+			freeMat(m.B)
+			freeMat(m.C)
+		}
+	}()
+	for _, m := range members {
+		if co.materialise(m) {
+			live = append(live, m)
+		}
+	}
+	if len(live) == 0 {
+		return
+	}
+
+	// One engine call, one MemBudget: the most constrained member's, so
+	// no member's quota is overrun by the group it happened to join. The
+	// engine stamps TraceID on a single call's trace lane, joining the
+	// request lane to the driver spans it produced; a wave's items carry
+	// their own.
+	m0 := live[0]
+	opts := &recmat.Options{Layout: m0.lay, Algorithm: m0.alg, MemBudget: m0.budget, TraceID: m0.rs.trace}
+	for _, m := range live[1:] {
+		opts.MemBudget = min(opts.MemBudget, m.budget)
+	}
+
+	// The engine call is read off the group: a wave against the shared
+	// plan, one product against it, or one product that packs its own A
+	// — a group of one pays none of the batch bookkeeping. rep is the
+	// report of the call that produced every live member's C; pack is
+	// the conversion done for it outside that report, building the plan
+	// on a miss and packing a single product's B; per is how many
+	// members the report's times are spread over on the wire.
+	var (
+		ent  *planEntry
+		rep  *recmat.Report
+		pack time.Duration
+		per  = int64(1)
+		errs []error // by live member, of a wave
+		err  error   // of the call as a whole
+	)
+	call := time.Now()
+	if keyed {
+		if ent, err = s.acquirePlan(m0, opts); err != nil {
+			co.fail(live, err)
+			return
+		}
+		defer s.plans.release(ent)
+		pack = time.Since(call)
+	}
+	switch {
+	case len(live) > 1:
+		items := make([]recmat.PrepackedGEMMBatchItem, len(live))
+		for i, m := range live {
+			items[i] = recmat.PrepackedGEMMBatchItem{
+				Alpha: m.req.alpha(), Beta: m.req.Beta, B: m.B, C: m.C, Ctx: m.ctx, TraceID: m.rs.trace,
+			}
+		}
+		// The wave's own lifetime is detached from any one member (a
+		// leader whose client disconnects must not abort its siblings)
+		// and ends only with drain.
+		var bs *recmat.BatchReport
+		if bs, errs, err = s.eng.GEMMPrepackedBatch(s.drainCtx, ent.Plan(), items, opts); err == nil {
+			rep, per = &bs.Stats, int64(max(bs.Completed, 1))
+		}
+	case keyed:
+		var pb *recmat.Plan
+		pb, err = s.eng.PrepackConforming(m0.B, false, opts, ent.Plan())
+		pack = time.Since(call)
+		if err == nil {
+			rep, err = s.eng.GEMMPrepackedOpts(m0.ctx, opts, m0.req.alpha(), ent.Plan(), pb, m0.req.Beta, m0.C)
+			pb.Release()
+		}
+	default:
+		rep, err = s.eng.DGEMMContext(m0.ctx, false, false, m0.req.alpha(), m0.A, m0.B, m0.req.Beta, m0.C, opts)
+	}
+	wall := time.Since(call)
+	if err != nil {
+		co.fail(live, err)
+		return
+	}
+
+	// One place stamps a ledger and settles a member. Pack, compute and
+	// unpack are the call's walls — a wave's are shared by its members,
+	// the wave being indivisible evidence, unlike the response's
+	// per-member share, which keeps summed client-side compute
+	// meaningful — and the lane span covers the whole call, so a trace
+	// shows where the request's wall went even when conversion is free.
+	for i, m := range live {
+		if errs != nil && errs[i] != nil {
+			co.settle(m, nil, errs[i])
+			continue
+		}
+		m.rs.phase(obs.PhasePack, pack+rep.ConvertIn)
+		m.rs.phase(obs.PhaseCompute, rep.Compute)
+		m.rs.phase(obs.PhaseUnpack, rep.ConvertOut)
+		if m.rs.tr != nil {
+			m.rs.tr.LaneSpan(m.rs.lane, obs.KindCompute, call, wall, 0)
+		}
+		t0 := time.Now()
+		resp := s.respond(m.req, rep, m.C)
+		resp.PlanCached, resp.Coalesced = keyed, size > 1
+		if keyed {
+			resp.BatchSize = size
+		}
+		resp.QueueNS = queued.Nanoseconds()
+		resp.ComputeNS, resp.TotalNS = resp.ComputeNS/per, resp.TotalNS/per
+		m.rs.phase(obs.PhaseRespond, time.Since(t0))
+		co.settle(m, resp, nil)
 	}
 }

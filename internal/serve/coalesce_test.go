@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -49,6 +50,29 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// groupOf returns the members of the open group req would join — those
+// gathered under its key while their leader waits for a slot — or nil
+// when none is open.
+func groupOf(t *testing.T, s *Server, req *Request) []*member {
+	t.Helper()
+	m, err := s.parse(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.co.mu.Lock()
+	defer s.co.mu.Unlock()
+	if g := s.co.groups[m.key]; g != nil {
+		return append([]*member(nil), g.members...)
+	}
+	return nil
+}
+
+// waitGroup waits until the open group req would join has n members.
+func waitGroup(t *testing.T, s *Server, req *Request, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("a group of %d to gather", n), func() bool { return len(groupOf(t, s, req)) == n })
 }
 
 // batchReq builds one coalescable request: named operand, recursive
@@ -101,19 +125,8 @@ func TestCoalescingUnderConcurrency(t *testing.T) {
 	// still open, i.e. two leaders in the queue. Wait for that exact end
 	// state — the queue gauge alone hits 2 before the last joiners have
 	// arrived.
-	lay, _ := recmat.ParseLayout("z")
-	alg, _ := resolveReqAlg(reqs[0], lay)
-	key := coalesceKey(reqs[0], lay, alg)
-	waitFor(t, "both waves fully formed", func() bool {
-		s.co.mu.Lock()
-		open := s.co.groups[key]
-		members := 0
-		if open != nil {
-			members = len(open.members)
-		}
-		s.co.mu.Unlock()
-		return members == n-s.co.maxBatch && s.reg.Gauge("queue_depth").Value() == 2
-	})
+	waitGroup(t, s, reqs[0], n-s.co.maxBatch)
+	waitFor(t, "both leaders queued", func() bool { return s.reg.Gauge("queue_depth").Value() == 2 })
 	release()
 	wg.Wait()
 
@@ -212,15 +225,7 @@ func TestCoalesceMemberCancelIsolation(t *testing.T) {
 		}(i, ctx)
 	}
 
-	lay, _ := recmat.ParseLayout("z")
-	alg, _ := resolveReqAlg(reqs[0], lay)
-	key := coalesceKey(reqs[0], lay, alg)
-	waitFor(t, "the wave to gather all members", func() bool {
-		s.co.mu.Lock()
-		defer s.co.mu.Unlock()
-		g := s.co.groups[key]
-		return g != nil && len(g.members) == n
-	})
+	waitGroup(t, s, reqs[0], n)
 	// Disconnect the doomed member's client, then let the wave run.
 	dcancel()
 	waitFor(t, "one wave leader queued", func() bool {
@@ -330,15 +335,7 @@ func TestDrainDuringCoalesce(t *testing.T) {
 			_, errs[i] = c.Do(context.Background(), reqs[i])
 		}(i)
 	}
-	lay, _ := recmat.ParseLayout("z")
-	alg, _ := resolveReqAlg(reqs[0], lay)
-	key := coalesceKey(reqs[0], lay, alg)
-	waitFor(t, "the wave to gather all members", func() bool {
-		s.co.mu.Lock()
-		defer s.co.mu.Unlock()
-		g := s.co.groups[key]
-		return g != nil && len(g.members) == n
-	})
+	waitGroup(t, s, reqs[0], n)
 
 	drained := make(chan error, 1)
 	go func() {
@@ -362,5 +359,79 @@ func TestDrainDuringCoalesce(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("drain wedged with a coalescing group open")
+	}
+}
+
+// TestOneSpecEveryGroup: what group a request rode in picks the engine
+// call and nothing a client can see in C. One spec — unnamed and
+// column-major, named alone, named on a server that coalesces nothing,
+// and named in a held-slot wave of four — is right by brute force every
+// time, one set of bits whenever it is named, and reports the
+// plan_cached / coalesced / batch_size its group had.
+func TestOneSpecEveryGroup(t *testing.T) {
+	alpha := 1.5
+	spec := Request{
+		Tenant: "acme", M: 96, K: 96, N: 24, ASeed: 5, BSeed: 6, CSeed: 7,
+		Alpha: &alpha, Beta: 0.5, DeadlineMS: 5000, ReturnData: true,
+	}
+	named := spec
+	named.AName, named.Layout = "w", "z"
+	want, _ := refGEMM(&spec)
+
+	var bits []float64 // of the first named answer
+	check := func(row string, resp *Response, err error, cached, coalesced bool, size int) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", row, err)
+		}
+		if resp.PlanCached != cached || resp.Coalesced != coalesced || resp.BatchSize != size {
+			t.Errorf("%s: plan_cached %v, coalesced %v, batch_size %d; want %v, %v, %d",
+				row, resp.PlanCached, resp.Coalesced, resp.BatchSize, cached, coalesced, size)
+		}
+		if len(resp.Data) != len(want) {
+			t.Fatalf("%s: %d elements echoed, want %d", row, len(resp.Data), len(want))
+		}
+		if cached && bits == nil {
+			bits = resp.Data
+		}
+		for i, v := range resp.Data {
+			if math.Abs(v-want[i]) > 1e-10 {
+				t.Fatalf("%s: C[%d] = %g, want %g", row, i, v, want[i])
+			}
+			if cached && v != bits[i] {
+				t.Fatalf("%s: C[%d] = %v, the first named answer has %v", row, i, v, bits[i])
+			}
+		}
+	}
+
+	s, c := newTestServer(t, Config{Workers: 2, MaxInflight: 1, QueueDepth: 64, MaxQueueWait: 5 * time.Second})
+	resp, err := c.Do(context.Background(), &spec)
+	check("unnamed", resp, err, false, false, 0)
+	resp, err = c.Do(context.Background(), &named)
+	check("named alone", resp, err, true, false, 1)
+
+	_, off := newTestServer(t, Config{Workers: 2, MaxBatch: -1})
+	resp, err = off.Do(context.Background(), &named)
+	check("named, coalescing off", resp, err, true, false, 1)
+
+	release, _, err := s.adm.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	resps, errs := make([]*Response, n), make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resps[i], errs[i] = c.Do(context.Background(), &named)
+		}(i)
+	}
+	waitGroup(t, s, &named, n)
+	release()
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		check(fmt.Sprintf("named, wave member %d", i), resps[i], errs[i], true, true, n)
 	}
 }

@@ -96,8 +96,8 @@ type PhaseAttribution struct {
 }
 
 // timingPhases flattens a response's timing object into named phases;
-// zero phases are dropped (a non-coalesced request has no gather, a
-// batched wave no pack/unpack).
+// zero phases are dropped (a request that ran alone has no gather, a
+// wave's member no queue).
 func timingPhases(tm *Timing) map[string]int64 {
 	if tm == nil {
 		return nil

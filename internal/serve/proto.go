@@ -82,8 +82,9 @@ type Response struct {
 	// PlanCached reports whether A was served from the plan cache.
 	PlanCached bool `json:"plan_cached"`
 	// Coalesced reports that this request shared a batched engine call
-	// with at least one other queued request; BatchSize is the wave size
-	// it rode in (1 for a batch-path request that ran alone).
+	// with at least one other queued request; BatchSize is the size of
+	// the group a plan-cached request ran in (1 when it ran alone; absent
+	// for a request that multiplied its own A).
 	Coalesced bool `json:"coalesced,omitempty"`
 	BatchSize int  `json:"batch_size,omitempty"`
 	// QueueNS is the time the request waited in the admission queue;
@@ -109,11 +110,13 @@ type Response struct {
 }
 
 // Timing is a response's phase attribution, in nanoseconds. Phases are
-// disjoint: queue wait (admission), gather (the coalesce window),
-// pack/compute/unpack (the engine call; batched waves fuse packing
-// into compute and report pack and unpack as 0). Serialization is
-// measured after the body is encoded, so it appears in the ledger,
-// histograms, and flight dumps rather than here.
+// disjoint: queue wait (admission, a group of one), gather (the
+// coalesce window, a wave's members), pack/compute/unpack (the engine
+// call's conversion-in, compute and conversion-out walls; the members
+// of a wave all report the wave's). Decoding, operand seeding, the
+// response's norm and its serialization — measured after the body is
+// encoded — appear in the ledger, histograms and flight dumps rather
+// than here.
 type Timing struct {
 	QueueNS   int64 `json:"queue_ns,omitempty"`
 	GatherNS  int64 `json:"gather_ns,omitempty"`
@@ -165,6 +168,8 @@ var (
 	// ErrDraining marks requests rejected or cancelled because the
 	// server is shutting down.
 	ErrDraining = errors.New("serve: draining")
+	// errBadRequest marks a body that does not decode or validate.
+	errBadRequest = errors.New("serve: bad request")
 )
 
 func validate(req *Request, maxDim int) error {

@@ -49,10 +49,12 @@ func requestID(r *http.Request, serial int64) string {
 	return fmt.Sprintf("req-%08x", serial)
 }
 
-// startReq mints one request's observability state. The trace serial
-// is allocated unconditionally (it is one atomic add); the lane only
-// when a tracer is active.
-func (s *Server) startReq(r *http.Request, req *Request) *reqState {
+// startReq mints one request's observability state at handler entry,
+// where the request's clock starts; the handler fills in the ledger's
+// spec once the body has decoded. The trace serial is allocated
+// unconditionally (it is one atomic add); the lane only when a tracer
+// is active.
+func (s *Server) startReq(r *http.Request) *reqState {
 	rs := &reqState{
 		trace: obs.NextTraceSerial(),
 		t0:    time.Now(),
@@ -62,14 +64,7 @@ func (s *Server) startReq(r *http.Request, req *Request) *reqState {
 	if rs.tr != nil {
 		rs.lane = rs.tr.NewRequestLane()
 	}
-	rs.led = obs.Ledger{
-		ID:     rs.id,
-		Trace:  rs.trace,
-		Tenant: req.Tenant,
-		Alg:    req.Alg,
-		M:      req.M, K: req.K, N: req.N,
-		Start: rs.t0,
-	}
+	rs.led = obs.Ledger{ID: rs.id, Trace: rs.trace, Start: rs.t0}
 	return rs
 }
 
@@ -77,7 +72,7 @@ func (s *Server) startReq(r *http.Request, req *Request) *reqState {
 // used when the phase's wall interval overlaps another lane child and
 // a span would break the lane's nesting.
 func (rs *reqState) phase(p obs.ReqPhase, d time.Duration) {
-	if rs == nil || d < 0 {
+	if d < 0 {
 		return
 	}
 	rs.led.PhaseNS[p] += d.Nanoseconds()
@@ -87,7 +82,7 @@ func (rs *reqState) phase(p obs.ReqPhase, d time.Duration) {
 // request lane. Callers must keep phaseAt intervals sequential per
 // request (the handler is, naturally).
 func (rs *reqState) phaseAt(p obs.ReqPhase, k obs.Kind, start time.Time, d time.Duration) {
-	if rs == nil || d < 0 {
+	if d < 0 {
 		return
 	}
 	rs.led.PhaseNS[p] += d.Nanoseconds()
@@ -100,9 +95,6 @@ func (rs *reqState) phaseAt(p obs.ReqPhase, k obs.Kind, start time.Time, d time.
 // and the phase histograms, and emits the whole-request span (arg =
 // trace serial, the flow exporter's join key).
 func (s *Server) finishReq(rs *reqState, outcome string) {
-	if rs == nil {
-		return
-	}
 	total := time.Since(rs.t0)
 	rs.led.Outcome = outcome
 	rs.led.TotalNS = total.Nanoseconds()
@@ -135,7 +127,7 @@ func (rs *reqState) timing() *Timing {
 // value (milliseconds, per the header's spec).
 func (rs *reqState) serverTiming() string {
 	var b strings.Builder
-	for p := obs.ReqPhase(0); p < obs.PhaseSerialize; p++ {
+	for p := obs.ReqPhase(0); p < obs.NumReqPhases; p++ { // serialize is still 0 here
 		if ns := rs.led.PhaseNS[p]; ns > 0 {
 			if b.Len() > 0 {
 				b.WriteString(", ")
@@ -185,10 +177,8 @@ func (s *Server) okReq(w http.ResponseWriter, rs *reqState, resp *Response) {
 func (s *Server) failReq(w http.ResponseWriter, rs *reqState, err error) {
 	kind, status, retryAfter := classify(err)
 	s.reg.Counter("requests_failed_" + kind).Inc()
-	if rs != nil {
-		w.Header().Set("X-Request-Id", rs.id)
-		w.Header().Set("Server-Timing", rs.serverTiming())
-	}
+	w.Header().Set("X-Request-Id", rs.id)
+	w.Header().Set("Server-Timing", rs.serverTiming())
 	s.writeError(w, status, kind, err.Error(), retryAfter)
 	s.finishReq(rs, kind)
 }

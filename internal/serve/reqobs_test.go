@@ -8,12 +8,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	recmat "repro"
 	"repro/internal/obs"
 )
 
@@ -179,15 +179,7 @@ func TestCoalescedWaveLedgersAndTrace(t *testing.T) {
 			resps[i], errs[i] = c.Do(context.Background(), reqs[i])
 		}(i)
 	}
-	lay, _ := recmat.ParseLayout("z")
-	alg, _ := resolveReqAlg(reqs[0], lay)
-	key := coalesceKey(reqs[0], lay, alg)
-	waitFor(t, "the wave to gather all members", func() bool {
-		s.co.mu.Lock()
-		defer s.co.mu.Unlock()
-		g := s.co.groups[key]
-		return g != nil && len(g.members) == n
-	})
+	waitGroup(t, s, reqs[0], n)
 	release()
 	wg.Wait()
 
@@ -228,7 +220,16 @@ func TestCoalescedWaveLedgersAndTrace(t *testing.T) {
 		if led.PhaseNS[obs.PhaseGather] <= 0 {
 			t.Fatalf("ledger %s: gather = %d, want > 0", led.ID, led.PhaseNS[obs.PhaseGather])
 		}
+		// The wave's conversion walls are evidence as its compute wall is:
+		// recorded, and one value across the members.
+		for _, p := range []obs.ReqPhase{obs.PhasePack, obs.PhaseUnpack} {
+			if led.PhaseNS[p] <= 0 || led.PhaseNS[p] != leds[0].PhaseNS[p] {
+				t.Fatalf("ledger %s: %v = %d, sibling's %d; want the wave's, > 0 and shared",
+					led.ID, p, led.PhaseNS[p], leds[0].PhaseNS[p])
+			}
+		}
 	}
+	engineNS := leds[0].PhaseNS[obs.PhasePack] + leds[0].PhaseNS[obs.PhaseCompute] + leds[0].PhaseNS[obs.PhaseUnpack]
 
 	// Trace: dump a bundle and validate the request→wave-item linkage.
 	name, err := s.flight.Dump("test", true)
@@ -251,6 +252,36 @@ func TestCoalescedWaveLedgersAndTrace(t *testing.T) {
 	}
 	if sum.ByName["request"] < n || sum.ByName["wave-item"] < n {
 		t.Fatalf("spans by name = %v, want ≥ %d request and wave-item spans", sum.ByName, n)
+	}
+	// A request lane's compute span is the wall of the engine call the
+	// request rode; the three engine phases of its ledger lie inside it.
+	var tr struct {
+		TraceEvents []struct {
+			Name string
+			Tid  int64
+			Dur  float64 // µs
+			Args struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal(data, &tr); err != nil {
+		t.Fatal(err)
+	}
+	lanes, spans := map[int64]bool{}, 0
+	for _, e := range tr.TraceEvents {
+		if e.Name == "thread_name" && strings.HasPrefix(e.Args.Name, "request ") {
+			lanes[e.Tid] = true
+		}
+	}
+	for _, e := range tr.TraceEvents {
+		if e.Name == "compute" && lanes[e.Tid] {
+			spans++
+			if e.Dur*1e3 < float64(engineNS) {
+				t.Errorf("lane %d: compute span %.0f ns is shorter than the ledger's pack+compute+unpack %d ns", e.Tid, e.Dur*1e3, engineNS)
+			}
+		}
+	}
+	if spans != n {
+		t.Fatalf("%d compute spans on request lanes, want %d", spans, n)
 	}
 
 	// /debug/flightz serves the bundle back with the trace embedded.
@@ -301,32 +332,19 @@ func TestCoalescedCancelLedger(t *testing.T) {
 			_, errs[i] = c.Do(ctx, reqs[i])
 		}(i, ctx)
 	}
-	lay, _ := recmat.ParseLayout("z")
-	alg, _ := resolveReqAlg(reqs[0], lay)
-	key := coalesceKey(reqs[0], lay, alg)
-	waitFor(t, "the wave to gather all members", func() bool {
-		s.co.mu.Lock()
-		defer s.co.mu.Unlock()
-		g := s.co.groups[key]
-		return g != nil && len(g.members) == n
-	})
+	waitGroup(t, s, reqs[0], n)
 	dcancel()
 	// The client-side cancel reaches the handler's r.Context()
 	// asynchronously; hold the wave until the server has observed it so
 	// the doomed item enters the wave already expired.
 	waitFor(t, "the cancelled member's server context", func() bool {
-		s.co.mu.Lock()
-		defer s.co.mu.Unlock()
-		g := s.co.groups[key]
-		if g == nil {
-			return true
-		}
-		for _, m := range g.members {
+		g := groupOf(t, s, reqs[0])
+		for _, m := range g {
 			if m.rctx.Err() != nil {
 				return true
 			}
 		}
-		return false
+		return g == nil
 	})
 	release()
 	wg.Wait()
@@ -431,5 +449,46 @@ func TestSLOBurnDumpsOneBundle(t *testing.T) {
 	snap := s.Metrics().Snapshot()
 	if snap.Counters["slo_burn_violations"] == 0 {
 		t.Error("slo_burn_violations counter never moved")
+	}
+}
+
+// TestLedgerCoversRequest: the ledger is closed — a request's clock
+// starts at handler entry and every stretch of the handler that costs
+// anything is a named phase, so the phases of a sequential request sum
+// to most of its wall. What is left is handler glue and the response
+// write.
+func TestLedgerCoversRequest(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 2})
+	for _, req := range []*Request{
+		{Tenant: "t", M: 512, K: 512, N: 48, AName: "w", ASeed: 1, BSeed: 2, Layout: "z"},
+		{Tenant: "t", M: 128, K: 128, N: 128, ASeed: 1, BSeed: 2, CSeed: 3, Beta: 1},
+	} {
+		const reps = 300
+		cover := make([]float64, 0, reps)
+		for i := 0; i < reps; i++ {
+			// The ledger is filed after the body is written.
+			filed := s.ledgers.Total() + 1
+			if _, err := c.Do(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the request's ledger", func() bool { return s.ledgers.Total() == filed })
+			led := s.ledgers.Recent(1)[0]
+			var sum int64
+			for _, ns := range led.PhaseNS {
+				sum += ns
+			}
+			for _, p := range []obs.ReqPhase{obs.PhaseDecode, obs.PhaseSeed, obs.PhaseRespond} {
+				if led.PhaseNS[p] <= 0 {
+					t.Fatalf("%dx%dx%d: ledger phase %v = %d, want > 0", req.M, req.K, req.N, p, led.PhaseNS[p])
+				}
+			}
+			cover = append(cover, float64(sum)/float64(led.TotalNS))
+		}
+		sort.Float64s(cover)
+		if med := cover[reps/2]; med < 0.85 || med > 1 {
+			t.Errorf("%dx%dx%d: the ledger's phases cover %.2f of a request at the median, want 0.85 to 1", req.M, req.K, req.N, med)
+		} else {
+			t.Logf("%dx%dx%d: phases cover %.2f of a request at the median", req.M, req.K, req.N, med)
+		}
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	recmat "repro"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -512,30 +511,39 @@ func (s *Server) serveFlightBundle(w http.ResponseWriter, name string) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// handleGEMM is the request path: decode → validate → drain gate →
-// tenant quota → global admission → deadline assembly → compute →
-// typed response. Every early exit is a typed error with the right
-// status; every reservation is released on every path.
+// handleGEMM is the request path: decode → parse → drain gate → tenant
+// quota → group (admission, materialisation, one engine call) → typed
+// response. A request that can never run is refused before it reserves
+// or queues for anything; every refusal is a typed error through the
+// one finish path, and every reservation is released on every path.
 func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		s.writeError(w, http.StatusMethodNotAllowed, KindBadRequest, "POST required", 0)
 		return
 	}
-	var req Request
+	s.reqTotal.Inc()
+	rs := s.startReq(r)
+	defer func() { s.reqSeconds.Observe(time.Since(rs.t0).Seconds()) }()
+
+	var m *member
+	req := new(Request)
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, KindBadRequest, "bad request body: "+err.Error(), 0)
+	err := dec.Decode(req)
+	if err != nil {
+		err = fmt.Errorf("%w: body: %v", errBadRequest, err)
+	} else {
+		m, err = s.parse(req)
+	}
+	rs.phase(obs.PhaseDecode, time.Since(rs.t0))
+	if err != nil {
+		s.failReq(w, rs, err)
 		return
 	}
-	if err := validate(&req, s.cfg.MaxDim); err != nil {
-		s.writeError(w, http.StatusBadRequest, KindBadRequest, err.Error(), 0)
-		return
-	}
-	s.reqTotal.Inc()
-	rs := s.startReq(r, &req)
-	defer func() { s.reqSeconds.Observe(time.Since(rs.t0).Seconds()) }()
+	rs.led.Tenant, rs.led.Alg = req.Tenant, req.Alg
+	rs.led.M, rs.led.K, rs.led.N = req.M, req.K, req.N
+	m.rctx, m.rs = r.Context(), rs
 
 	if !s.gate.enter() {
 		s.failReq(w, rs, ErrDraining)
@@ -545,56 +553,51 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 
 	// Tenant quota: reserve the operand footprint, carry the unused
 	// remainder of the quota into the engine as this call's MemBudget.
-	budget, unreserve, err := s.quo.reserve(req.Tenant, operandBytes(req.M, req.K, req.N))
-	if err != nil {
+	var unreserve func()
+	if m.budget, unreserve, err = s.quo.reserve(req.Tenant, operandBytes(req.M, req.K, req.N)); err != nil {
 		s.failReq(w, rs, err)
 		return
 	}
 	defer unreserve()
 
-	// Coalescing path: plan-cacheable requests join (or lead) a wave
-	// keyed by their plan-cache entry instead of taking their own
-	// admission slot — the leader's queue wait is the batching window.
-	// Deadlines are applied per member inside the wave. The wave fills
-	// the member's ledger (gather, shared compute) before settling it.
-	if lay, ok := s.co.eligible(&req); ok {
-		resp, cerr := s.co.do(r.Context(), &req, budget, lay, rs)
-		if cerr != nil {
-			s.failReq(w, rs, cerr)
-			return
-		}
-		s.okReq(w, rs, resp)
-		return
-	}
-
-	// Global admission: slot, bounded queue, or shed. The raw request
-	// context is used here so a client that disconnects while queued
-	// frees its queue position without ever taking a slot.
-	release, queueWait, err := s.adm.acquire(r.Context())
+	resp, err := s.co.do(m)
 	if err != nil {
 		s.failReq(w, rs, err)
 		return
 	}
-	defer release()
-	rs.phaseAt(obs.PhaseQueue, obs.KindQueueWait, time.Now().Add(-queueWait), queueWait)
-
-	// Deadline propagation: client disconnect (r.Context) + drain
-	// cancellation + min(client budget, server cap) all flow into one
-	// context the engine polls cooperatively.
-	ctx, cancel := context.WithCancelCause(r.Context())
-	defer cancel(nil)
-	stopLink := context.AfterFunc(s.drainCtx, func() { cancel(ErrDraining) })
-	defer stopLink()
-	ctx, tcancel := context.WithTimeout(ctx, s.deadline(&req))
-	defer tcancel()
-
-	resp, err := s.compute(ctx, &req, budget, rs)
-	if err != nil {
-		s.failReq(w, rs, err)
-		return
-	}
-	resp.QueueNS = queueWait.Nanoseconds()
 	s.okReq(w, rs, resp)
+}
+
+// parse settles, once and before the request reserves or queues for
+// anything, what the rest of the path reads off its spec: that it is
+// valid, its layout ("" is column-major; row-major parses and no driver
+// multiplies on it), its algorithm resolved against the shape ("" and
+// "auto" both mean per-shape selection) — so the plan key and the
+// engine options see one concrete algorithm — and, for a named A in a
+// recursive layout with the plan cache on, the plan-cache key, which is
+// the key of the group it may join.
+func (s *Server) parse(req *Request) (*member, error) {
+	if err := validate(req, s.cfg.MaxDim); err != nil {
+		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
+	}
+	m := &member{req: req, alg: recmat.Auto, done: make(chan struct{})}
+	var err error
+	if req.Layout != "" {
+		if m.lay, err = recmat.ParseLayout(req.Layout); err == nil && m.lay == recmat.RowMajor {
+			err = fmt.Errorf("layout %q is not served", req.Layout)
+		}
+	}
+	if err == nil && req.Alg != "" {
+		m.alg, err = recmat.ParseAlgorithm(req.Alg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", recmat.ErrDimension, err)
+	}
+	m.alg = recmat.ResolveAlgorithm(&recmat.Options{Layout: m.lay, Algorithm: m.alg}, req.M, req.K, req.N)
+	if req.AName != "" && m.lay != recmat.ColMajor && s.cfg.PlanCacheBytes > 0 {
+		m.key = planKey(req, m.lay, m.alg)
+	}
+	return m, nil
 }
 
 // deadline is a request's latency budget: its own, or the server's
@@ -607,15 +610,14 @@ func (s *Server) deadline(req *Request) time.Duration {
 	return min(d, s.cfg.MaxDeadline)
 }
 
-// acquirePlan returns the plan-cache entry of a request's named A
-// operand under the resolved algorithm, seeding and prepacking it — split
-// for the request's partner-width bucket — on a miss. The caller
-// releases the entry.
-func (s *Server) acquirePlan(req *Request, lay recmat.Layout, alg recmat.Algorithm, opts *recmat.Options) (*planEntry, error) {
-	return s.plans.acquire(planKey(req, lay, alg), func() (*recmat.Plan, error) {
-		pa := seededMat(req.M, req.K, req.ASeed)
+// acquirePlan returns the plan-cache entry under a keyed member's key,
+// seeding its named A and prepacking it — split for the request's
+// partner-width bucket — on a miss. The caller releases the entry.
+func (s *Server) acquirePlan(m *member, opts *recmat.Options) (*planEntry, error) {
+	return s.plans.acquire(m.key, func() (*recmat.Plan, error) {
+		pa := seededMat(m.req.M, m.req.K, m.req.ASeed)
 		popts := *opts
-		popts.PartnerDim = partnerBucket(req.N)
+		popts.PartnerDim = partnerBucket(m.req.N)
 		p, err := s.eng.Prepack(pa, false, &popts)
 		if err == nil {
 			freeMat(pa) // the plan holds its own packed copy
@@ -652,7 +654,9 @@ func (s *Server) respond(req *Request, rep *recmat.Report, C *recmat.Matrix) *Re
 // and the RESOLVED algorithm (never the "auto" sentinel — two requests
 // whose auto choices differ must not share a plan, and two spellings of
 // the same choice must). Everything that changes the packed bytes or
-// the recursion that consumes them is in the key.
+// the recursion that consumes them is in the key; what may differ between
+// the members of one group (n within the partner bucket, the B and C
+// seeds, the scalars, the deadline) stays out of it.
 func planKey(req *Request, lay recmat.Layout, alg recmat.Algorithm) string {
 	return req.Tenant + "/" + req.AName +
 		"/" + strconv.Itoa(req.M) + "x" + strconv.Itoa(req.K) +
@@ -660,23 +664,6 @@ func planKey(req *Request, lay recmat.Layout, alg recmat.Algorithm) string {
 		"/" + lay.String() +
 		"/p" + strconv.Itoa(partnerBucket(req.N)) +
 		"/a=" + alg.String()
-}
-
-// resolveReqAlg parses a request's algorithm field ("" and "auto" both
-// mean per-shape auto-selection) and resolves it against the request
-// shape, so every downstream consumer — plan key, coalesce key, engine
-// options — sees one concrete algorithm.
-func resolveReqAlg(req *Request, lay recmat.Layout) (recmat.Algorithm, error) {
-	alg := recmat.Auto
-	if req.Alg != "" {
-		a, err := recmat.ParseAlgorithm(req.Alg)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %v", recmat.ErrDimension, err)
-		}
-		alg = a
-	}
-	opts := &recmat.Options{Layout: lay, Algorithm: alg}
-	return recmat.ResolveAlgorithm(opts, req.M, req.K, req.N), nil
 }
 
 // partnerBucket rounds the streamed right-hand width up to a power of
@@ -688,105 +675,6 @@ func partnerBucket(n int) int {
 		b <<= 1
 	}
 	return b
-}
-
-// compute runs the multiplication: the plan-cache path for named
-// recursive-layout operands (Prepack once, PrepackConforming the
-// streamed B, GEMMPrepacked), the direct path otherwise. The tenant's
-// budget rides Options.MemBudget on both paths. A panic anywhere in
-// the request path (the engine converts its own, but the serving code
-// and its fault hooks can panic too) becomes a typed internal error
-// instead of escaping into net/http, which would tear down the
-// connection untyped.
-func (s *Server) compute(ctx context.Context, req *Request, budget int64, rs *reqState) (resp *Response, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("serve: compute panicked: %w", e)
-			} else {
-				err = fmt.Errorf("serve: compute panicked: %v", r)
-			}
-		}
-	}()
-	faultinject.Point("serve.compute")
-	var lay recmat.Layout
-	if req.Layout != "" {
-		l, err := recmat.ParseLayout(req.Layout)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", recmat.ErrDimension, err)
-		}
-		lay = l
-	}
-	alg, err := resolveReqAlg(req, lay)
-	if err != nil {
-		return nil, err
-	}
-	opts := &recmat.Options{Layout: lay, Algorithm: alg, MemBudget: budget}
-	if rs != nil {
-		// The engine stamps this id on the call's trace lane, joining the
-		// request lane to the driver spans it produced.
-		opts.TraceID = rs.trace
-	}
-
-	B := seededMat(req.K, req.N, req.BSeed)
-	var C *recmat.Matrix
-	if req.CSeed != 0 {
-		C = seededMat(req.M, req.N, req.CSeed)
-	} else {
-		C = zeroMat(req.M, req.N)
-	}
-	var A *recmat.Matrix
-	defer func() {
-		if r := recover(); r != nil {
-			// A panicking engine may leave operand buffers in an unknown
-			// state of sharing — poisoned buffers go to the GC, not the
-			// pool. Re-raise for the outer recover to type the error.
-			panic(r)
-		}
-		freeMat(A)
-		freeMat(B)
-		freeMat(C)
-	}()
-
-	var rep *recmat.Report
-	cached := false
-	tCall := time.Now()
-	if req.AName != "" && lay != recmat.ColMajor && s.cfg.PlanCacheBytes > 0 {
-		var ent *planEntry
-		ent, err = s.acquirePlan(req, lay, alg, opts)
-		if err != nil {
-			return nil, err
-		}
-		defer s.plans.release(ent)
-		cached = true
-		var pb *recmat.Plan
-		pb, err = s.eng.PrepackConforming(B, false, opts, ent.Plan())
-		if err != nil {
-			return nil, err
-		}
-		defer pb.Release()
-		rep, err = s.eng.GEMMPrepackedOpts(ctx, opts, req.alpha(), ent.Plan(), pb, req.Beta, C)
-	} else {
-		A = seededMat(req.M, req.K, req.ASeed)
-		rep, err = s.eng.DGEMMContext(ctx, false, false, req.alpha(), A, B, req.Beta, C, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// Attribution: pack/unpack are the driver's layout-conversion
-	// phases; the lane span covers the whole engine call so a trace
-	// shows where the request's wall went even when conversion is free.
-	rs.phase(obs.PhasePack, rep.ConvertIn)
-	rs.phase(obs.PhaseCompute, rep.Compute)
-	rs.phase(obs.PhaseUnpack, rep.ConvertOut)
-	if rs != nil && rs.tr != nil {
-		rs.tr.LaneSpan(rs.lane, obs.KindCompute, tCall, time.Since(tCall), 0)
-	}
-
-	resp = s.respond(req, rep, C)
-	resp.PlanCached = cached
-	return resp, nil
 }
 
 // norm1 is the entrywise 1-norm of a column-major matrix. Four
@@ -829,7 +717,7 @@ func classify(err error) (kind string, status int, retryAfter time.Duration) {
 		// The degradation ladder found no rung inside the tenant's
 		// remaining quota; in-flight work completing may free budget.
 		return KindQuota, http.StatusTooManyRequests, time.Second
-	case errors.Is(err, recmat.ErrNonFinite), errors.Is(err, recmat.ErrDimension):
+	case errors.Is(err, errBadRequest), errors.Is(err, recmat.ErrNonFinite), errors.Is(err, recmat.ErrDimension):
 		return KindBadRequest, http.StatusBadRequest, 0
 	case errors.Is(err, context.DeadlineExceeded):
 		return KindDeadline, http.StatusGatewayTimeout, 0

@@ -46,12 +46,15 @@ func waitInflight(t *testing.T, s *Server, n int) {
 	}
 }
 
-func postRaw(t *testing.T, c *Client, method, path, body string) (int, ErrorBody) {
+// postRaw sends body as it stands, under the correlation id "raw", and
+// returns the status, the typed error and the id the server echoed.
+func postRaw(t *testing.T, c *Client, method, path, body string) (int, ErrorBody, string) {
 	t.Helper()
 	req, err := http.NewRequest(method, c.BaseURL+path, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.Header.Set("X-Request-Id", "raw")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -59,11 +62,15 @@ func postRaw(t *testing.T, c *Client, method, path, body string) (int, ErrorBody
 	defer resp.Body.Close()
 	var eb ErrorBody
 	json.NewDecoder(resp.Body).Decode(&eb)
-	return resp.StatusCode, eb
+	return resp.StatusCode, eb, resp.Header.Get("X-Request-Id")
 }
 
+// TestValidationErrors: a request that can never run is a typed 400, and
+// every POST among them — a body that does not decode included — goes
+// through the one finish path: counted, filed in the ledger ring under
+// its correlation id, and never an internal error or an engine call.
 func TestValidationErrors(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 2, MaxDim: 64})
+	s, c := newTestServer(t, Config{Workers: 2, MaxDim: 64})
 	cases := []struct {
 		name       string
 		method     string
@@ -78,18 +85,74 @@ func TestValidationErrors(t *testing.T) {
 		{"zero dim", http.MethodPost, `{"tenant":"t","m":0,"k":4,"n":4}`, http.StatusBadRequest, KindBadRequest},
 		{"dim too big", http.MethodPost, `{"tenant":"t","m":65,"k":4,"n":4}`, http.StatusBadRequest, KindBadRequest},
 		{"bad layout", http.MethodPost, `{"tenant":"t","m":4,"k":4,"n":4,"layout":"sideways"}`, http.StatusBadRequest, KindBadRequest},
+		{"bad alg", http.MethodPost, `{"tenant":"t","m":4,"k":4,"n":4,"alg":"nope"}`, http.StatusBadRequest, KindBadRequest},
+		{"row-major", http.MethodPost, `{"tenant":"t","m":4,"k":4,"n":4,"layout":"row"}`, http.StatusBadRequest, KindBadRequest},
+		{"row-major named", http.MethodPost, `{"tenant":"t","m":4,"k":4,"n":4,"a_name":"w","layout":"row"}`, http.StatusBadRequest, KindBadRequest},
 		{"non-finite alpha", http.MethodPost, `{"tenant":"t","m":4,"k":4,"n":4,"alpha":1e999}`, http.StatusBadRequest, KindBadRequest},
 	}
+	posts := int64(0)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, eb := postRaw(t, c, tc.method, "/v1/gemm", tc.body)
+			status, eb, id := postRaw(t, c, tc.method, "/v1/gemm", tc.body)
 			if status != tc.wantStatus {
 				t.Fatalf("status = %d, want %d (%+v)", status, tc.wantStatus, eb)
 			}
 			if eb.Error.Kind != tc.wantKind {
 				t.Fatalf("kind = %q, want %q (%+v)", eb.Error.Kind, tc.wantKind, eb)
 			}
+			if tc.method == http.MethodPost {
+				posts++
+				if id != "raw" {
+					t.Errorf("X-Request-Id echoed as %q, want %q", id, "raw")
+				}
+			}
 		})
+	}
+	waitFor(t, "every refusal's ledger", func() bool { return s.ledgers.Total() >= posts })
+	snap := s.Metrics().Snapshot()
+	for name, want := range map[string]int64{
+		"requests_total": posts, "requests_failed_bad_request": posts,
+		"requests_failed_internal": 0, "gemm_errors": 0,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	for _, led := range s.ledgers.Recent(0) {
+		if led.ID != "raw" || led.Outcome != KindBadRequest {
+			t.Errorf("ledger %q has outcome %q, want raw / %s", led.ID, led.Outcome, KindBadRequest)
+		}
+	}
+	if n := s.ledgers.Total(); n != posts {
+		t.Errorf("%d ledgers filed, want %d", n, posts)
+	}
+}
+
+// TestUnrunnableRefusedBeforeQueue: a layout or an algorithm that does
+// not parse is refused at once, with the only slot held and the queue
+// wait long — it reserves no quota and takes no queue position, where a
+// request that could run waits out MaxQueueWait and is shed.
+func TestUnrunnableRefusedBeforeQueue(t *testing.T) {
+	const queueWait = 2 * time.Second
+	s, c := newTestServer(t, Config{Workers: 2, MaxInflight: 1, MaxQueueWait: queueWait})
+	release, _, err := s.adm.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	for _, field := range []string{`"layout":"sideways"`, `"layout":"z","alg":"nope"`, `"layout":"row"`} {
+		t0 := time.Now()
+		status, eb, _ := postRaw(t, c, http.MethodPost, "/v1/gemm", `{"tenant":"t","m":64,"k":64,"n":32,"a_name":"w",`+field+`}`)
+		if status != http.StatusBadRequest || eb.Error.Kind != KindBadRequest || eb.Error.RetryAfterMS != 0 {
+			t.Errorf("%s: status %d, error %+v; want a 400 bad_request that is not retryable", field, status, eb.Error)
+		}
+		if d := time.Since(t0); d > queueWait/4 {
+			t.Errorf("%s: refused after %v, it queued (MaxQueueWait %v)", field, d, queueWait)
+		}
+	}
+	snap := s.Metrics().Snapshot()
+	if q, shed := snap.Counters["requests_quota_denied"], snap.Counters["requests_shed"]; q != 0 || shed != 0 {
+		t.Errorf("requests_quota_denied = %d, requests_shed = %d, want 0 and 0", q, shed)
 	}
 }
 

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -194,11 +196,24 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
+// hashBits is FNV-1a over the bit patterns of data's elements.
+func hashBits(data []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
 // TestSoakResultConsistency replays one fixed request spec many times
-// concurrently against a chaos-injected server and requires every
-// successful response to agree on CNorm — the wire-level form of the
+// concurrently against a chaos-injected server — alone and in waves,
+// whichever the load makes of it — and requires every successful
+// response that reports the same alg_ran to echo the same bits of C,
+// and all of them to agree on CNorm: the wire-level form of the
 // β-scaled-or-complete atomicity contract (a partially written C, a
-// recycled buffer, or a torn plan would change the norm).
+// sibling's or a recycled buffer, or a torn plan would change them).
 func TestSoakResultConsistency(t *testing.T) {
 	faultinject.Configure(faultinject.Config{
 		PanicProb: 0.01,
@@ -222,11 +237,12 @@ func TestSoakResultConsistency(t *testing.T) {
 	req := &Request{
 		Tenant: "fixed", M: 48, K: 48, N: 48,
 		AName: "w0", ASeed: 5, BSeed: 6, CSeed: 7, Beta: 0.5,
-		Layout: "z",
+		Layout: "z", ReturnData: true, // 48×48 fits the echo cap
 	}
 	var mu sync.Mutex
 	var want float64
 	var got []float64
+	hashes := map[string]uint64{} // by alg_ran
 	var failures []string
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -245,6 +261,13 @@ func TestSoakResultConsistency(t *testing.T) {
 					}
 				} else {
 					got = append(got, resp.CNorm)
+					h := hashBits(resp.Data)
+					if first, seen := hashes[resp.AlgRan]; !seen {
+						hashes[resp.AlgRan] = h
+					} else if h != first || len(resp.Data) != req.M*req.N {
+						failures = append(failures, fmt.Sprintf("%s: C hashes to %016x (%d elements, batch_size %d), an earlier answer to %016x",
+							resp.AlgRan, h, len(resp.Data), resp.BatchSize, first))
+					}
 				}
 				mu.Unlock()
 			}
@@ -252,7 +275,7 @@ func TestSoakResultConsistency(t *testing.T) {
 	}
 	wg.Wait()
 	if len(failures) > 0 {
-		t.Fatalf("untyped failures: %v", failures)
+		t.Fatalf("failures: %v", failures)
 	}
 	if len(got) == 0 {
 		t.Fatal("no successful repeats")
