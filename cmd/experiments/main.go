@@ -16,7 +16,8 @@
 // not paper experiments but gates on the library's defaults (`make
 // parity`, `make streamparity`, `make fringe`, `make factor`): they run
 // only when named, and exit non-zero when Algorithm Auto is more than 5%
-// slower than Standard, a per-call DGEMM on the serving shape is faster
+// slower than Standard or nil options than the same call naming
+// Z-Morton, a per-call DGEMM on the serving shape is faster
 // than the same product through a prepacked plan or more than 45%
 // slower, a shape whose tiles are off the micro-kernel grid runs under
 // 0.45 of the rate of its nearest neighbour on the grid, or a 2048² LU
@@ -751,8 +752,9 @@ func fringe() {
 
 // factor is the gate behind `make factor`, and the tree's measurement of
 // the solver layer: Cholesky (n³/3 flops) and LU (2n³/3) beside the same
-// run's Standard GEMM, on the library's defaults, Z-Morton and
-// opts == nil (column-major leaves). Both factorizations are the same
+// run's Standard GEMM, on the library's defaults, Z-Morton and ColMajor
+// by name (the paper's canonical baseline; nil options run Z-Morton, and
+// -exp autoparity holds them to it). Both factorizations are the same
 // recursion over the same GEMM and differ in what is left over: LU's
 // pivot search and row swaps against Cholesky's transposes. So an LU
 // under half a Cholesky's rate at 2048² means a step of it has left the
@@ -768,18 +770,11 @@ func factor() {
 	fmt.Printf("%-9s %5s %10s %9s %9s %6s %9s %9s %6s %8s\n",
 		"layout", "n", "GEMM GF/s", "chol ms", "GF/s", "/GEMM", "LU ms", "GF/s", "/GEMM", "LU/chol")
 	failed := false
-	for _, o := range []*recmat.Options{{Layout: recmat.ZMorton}, nil} {
-		name := "nil"
-		if o != nil {
-			name = fmt.Sprint(o.Layout)
-		}
+	for _, o := range []*recmat.Options{{Layout: recmat.ZMorton}, {Layout: recmat.ColMajor}} {
 		for _, n := range []int{512, 1024, 2048} {
 			rng := rand.New(rand.NewSource(*seed))
-			G, S, C := recmat.Random(n, n, rng), recmat.NewMatrix(n, n), recmat.NewMatrix(n, n)
-			check(eng.SYRK(true, 1, G, 0, S, o)) // S = GᵀG + n·I is positive definite
-			for i := 0; i < n; i++ {
-				S.Set(i, i, S.At(i, i)+float64(n))
-			}
+			G, C := recmat.Random(n, n, rng), recmat.NewMatrix(n, n)
+			S := spd(eng, G, o)
 			runs := []func() error{
 				func() error { _, err := eng.Mul(C, G, G, o); return err },
 				func() error { _, err := eng.Cholesky(S, o); return err },
@@ -809,7 +804,7 @@ func factor() {
 			if n == 2048 && gf[2] < floor*gf[1] {
 				verdict, failed = "  SLOW", true
 			}
-			fmt.Printf("%-9s %5d %10.1f %9.1f %9.1f %6.2f %9.1f %9.1f %6.2f %8.2f%s\n", name, n,
+			fmt.Printf("%-9v %5d %10.1f %9.1f %9.1f %6.2f %9.1f %9.1f %6.2f %8.2f%s\n", o.Layout, n,
 				gf[0], ms[1], gf[1], gf[1]/gf[0], ms[2], gf[2], gf[2]/gf[0], gf[2]/gf[1], verdict)
 		}
 	}
@@ -1171,34 +1166,19 @@ func autoparity() {
 			rule := rep[auto].FastCutoff
 			vs = append(vs, opt(recmat.Winograd, rule), opt(recmat.Winograd, max(rule/2, 1)))
 		}
-		// At least nine rounds, and enough of them to fill three seconds a
-		// side: on a shared host the median over nine 256³ multiplies, a
-		// few milliseconds each, is noise.
-		nreps := max(*reps, 9, int(3/mul(std)))
-		t := make([][]float64, len(vs))
-		for r := 0; r < nreps; r++ {
-			for j := range vs {
-				i := j
-				if r%2 == 1 {
-					i = len(vs) - 1 - j
-				}
-				t[i] = append(t[i], mul(i))
-			}
+		fs := make([]func(), len(vs))
+		for i := range fs {
+			fs[i] = func() { mul(i) }
 		}
-		over := func(i, j int) float64 { // median paired time ratio, variant i over j
-			ratio := make([]float64, nreps)
-			for r := range ratio {
-				ratio[r] = t[i][r] / t[j][r]
-			}
-			return medianOf(ratio)
-		}
+		t := interleaved(fs...)
+		over := func(i, j int) float64 { return pairedRatio(t[i], t[j]) }
 		gf := 2 * float64(c.n) * float64(c.n) * float64(c.n) / 1e9
 		verdict := ""
 		if over(auto, std) > slack {
 			verdict, failed = "  SLOWER", true
 		}
 		fmt.Printf("%-18s %-9v %-9s %-9v %7d %7d %6d %10.1f %10.1f %8.3f%s\n", fmt.Sprintf("%d^3", c.n), c.lo, rep[auto].Kernel,
-			rep[auto].Alg, rep[auto].FastCutoff, rep[auto].FastLevels, nreps, gf/medianOf(t[auto]), gf/medianOf(t[std]), over(auto, std), verdict)
+			rep[auto].Alg, rep[auto].FastCutoff, rep[auto].FastLevels, len(t[std]), gf/medianOf(t[auto]), gf/medianOf(t[std]), over(auto, std), verdict)
 		if len(vs) > atHalf {
 			note := ""
 			if over(atHalf, atRule) < 1/slack && over(atHalf, std) < 1/slack {
@@ -1213,9 +1193,86 @@ func autoparity() {
 			}
 		}
 	}
+
+	// The library default: nil options against the same call naming
+	// Z-Morton, which an unset layout resolves to — the same code on both
+	// sides, so the ratio is the gate's noise. It read 2.8 on the Mul row
+	// while the unset layout was ColMajor.
+	const n = 1024
+	rng := rand.New(rand.NewSource(*seed))
+	A, B, C := recmat.Random(n, n, rng), recmat.Random(n, n, rng), recmat.NewMatrix(n, n)
+	S := spd(eng, A, nil)
+	z := &recmat.Options{Layout: recmat.ZMorton}
+	fmt.Printf("%-18s %-9s %6s %10s %10s %8s\n", "library default", "nil ran", "pairs", "nil ms", "z ms", "t ratio")
+	for _, row := range []struct {
+		what string
+		run  func(o *recmat.Options) *recmat.Report
+	}{
+		{"recmat.Mul 1024^3", func(o *recmat.Options) *recmat.Report { r, err := recmat.Mul(C, A, B, o); check(err); return r }},
+		{"Cholesky 1024^2", func(o *recmat.Options) *recmat.Report { _, err := eng.Cholesky(S, o); check(err); return nil }},
+	} {
+		ran := "-"
+		if r := row.run(nil); r != nil { // and a warm-up
+			ran = r.Layout.String()
+		}
+		t := interleaved(func() { row.run(nil) }, func() { row.run(z) })
+		verdict := ""
+		if pairedRatio(t[0], t[1]) > slack {
+			verdict, failed = "  SLOWER", true
+		}
+		fmt.Printf("%-18s %-9s %6d %10.1f %10.1f %8.3f%s\n", row.what, ran, len(t[0]),
+			1e3*medianOf(t[0]), 1e3*medianOf(t[1]), pairedRatio(t[0], t[1]), verdict)
+	}
 	if failed {
-		fmt.Printf("FAIL: auto is more than %.0f%% slower than standard\n", (slack-1)*100)
+		fmt.Printf("FAIL: auto is more than %.0f%% slower than standard, or nil options than Z-Morton\n", (slack-1)*100)
 		os.Exit(1)
 	}
-	fmt.Println("ok: auto is never more than 5% slower than standard")
+	fmt.Println("ok: auto is never more than 5% slower than standard, nor nil options than Z-Morton")
+}
+
+// interleaved times each of fs once a round, the order alternating, for
+// at least nine rounds and enough of them to fill three seconds a side
+// (on a shared host the median over nine 256³ multiplies, a few
+// milliseconds each, is noise), and returns the times by f. The first
+// timing of fs[0] sizes the run and is not kept.
+func interleaved(fs ...func()) [][]float64 {
+	timed := func(f func()) float64 {
+		t0 := time.Now()
+		f()
+		return time.Since(t0).Seconds()
+	}
+	nreps := max(*reps, 9, int(3/timed(fs[0])))
+	t := make([][]float64, len(fs))
+	for r := 0; r < nreps; r++ {
+		for j := range fs {
+			i := j
+			if r%2 == 1 {
+				i = len(fs) - 1 - j
+			}
+			t[i] = append(t[i], timed(fs[i]))
+		}
+	}
+	return t
+}
+
+// pairedRatio is the median of the paired time ratios a[r]/b[r], which a
+// drift of the host's speed during the run cancels out of.
+func pairedRatio(a, b []float64) float64 {
+	ratio := make([]float64, len(a))
+	for r := range ratio {
+		ratio[r] = a[r] / b[r]
+	}
+	return medianOf(ratio)
+}
+
+// spd is GᵀG + n·I, symmetric positive definite, for the factorization
+// rows.
+func spd(eng *recmat.Engine, G *recmat.Matrix, o *recmat.Options) *recmat.Matrix {
+	n := G.Cols
+	S := recmat.NewMatrix(n, n)
+	check(eng.SYRK(true, 1, G, 0, S, o))
+	for i := 0; i < n; i++ {
+		S.Set(i, i, S.At(i, i)+float64(n))
+	}
+	return S
 }

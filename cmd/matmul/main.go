@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	matmul [-m 1000] [-k 1000] [-n 1000] [-alg standard] [-layout z]
+//	matmul [-m 1000] [-k 1000] [-n 1000] [-alg standard] [-layout ""]
 //	       [-workers 0] [-kernel unrolled4] [-tile 0] [-verify]
 //	       [-alpha 1] [-beta 0] [-ta] [-tb] [-reps 1] [-trace out.json]
 //
@@ -31,7 +31,7 @@ func main() {
 	n := flag.Int("n", 0, "columns of op(B) and C (default: m)")
 	algName := flag.String("alg", "standard",
 		"algorithm: "+strings.Join(recmat.AlgorithmNames(), "|"))
-	layoutName := flag.String("layout", "z", "layout: c|u|x|z|g|h")
+	layoutName := flag.String("layout", "", "layout: c|u|x|z|g|h; empty = the library's (Z-Morton, ColMajor under a rectangular table)")
 	workers := flag.Int("workers", 0, "worker count (0 = one per CPU)")
 	kernelName := flag.String("kernel", "auto",
 		"leaf kernel: auto|"+strings.Join(recmat.Kernels(), "|")+" (auto = the default: the widest family this CPU has, by tile shape)")
@@ -112,7 +112,7 @@ func main() {
 		kernelRan = "auto:" + kernelRan
 	}
 	fmt.Printf("algorithm=%v layout=%v workers=%d kernel=%s\n", alg, lo, eng.Workers(), kernelRan)
-	fmt.Printf("ran: %v fast-cutoff=%d fast-levels=%d\n", best.Alg, best.FastCutoff, best.FastLevels)
+	fmt.Printf("ran: %v layout=%v fast-cutoff=%d fast-levels=%d\n", best.Alg, best.Layout, best.FastCutoff, best.FastLevels)
 	for _, note := range best.Degraded {
 		fmt.Printf("degraded: %s\n", note)
 	}

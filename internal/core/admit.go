@@ -228,10 +228,7 @@ func probeResidualGrowth(e *exec, alg Alg, transA, transB bool, Av, Bv *matrix.D
 	tm, tk, tn := probeSize/gm, probeSize/gk, probeSize/gn
 	pm, pk := opShape(Av, transA)
 	pk2, pn := opShape(Bv, transB)
-	if pk2 < pk {
-		pk = pk2
-	}
-	pm, pk, pn = min(pm, gm*tm), min(pk, gk*tk), min(pn, gn*tn)
+	pm, pk, pn = min(pm, gm*tm), min(pk, pk2, gk*tk), min(pn, gn*tn)
 	pa, amax := sampleProbe(Av, transA, pm, pk)
 	pb, bmax := sampleProbe(Bv, transB, pk, pn)
 	scale := 2.220446049250313e-16 * float64(pk) * amax * bmax

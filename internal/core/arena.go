@@ -232,9 +232,7 @@ func acquireArenaElems(per int64, stacks int) *arena {
 	if per <= 0 {
 		return nil
 	}
-	if stacks < 1 {
-		stacks = 1
-	}
+	stacks = max(stacks, 1)
 	total := per * int64(stacks)
 	if total > maxArenaElems {
 		return nil

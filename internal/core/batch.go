@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/layout"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -117,9 +116,9 @@ var errNotRun = errors.New("core: batch item aborted before it ran")
 // The returned errs has one slot per item (nil = success); err is
 // non-nil only when the wave itself could not be scheduled (bad
 // arguments, closed pool, admission rejection) — in that case no item
-// ran and every C is untouched. A recursive layout is required; the
-// canonical layouts have per-call conversion the batch path exists to
-// avoid.
+// ran and every C is untouched. A recursive layout is required (the
+// unset one resolves to Z-Morton); the canonical layouts have per-call
+// conversion the batch path exists to avoid.
 //
 // When the wave has at least as many items as workers, items run
 // serially inside (the wave itself saturates the pool, and suppressing
@@ -163,7 +162,6 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 	if err != nil {
 		return nil, nil, err
 	}
-	o := cl.o
 	if len(items) == 0 {
 		return nil, nil, fmt.Errorf("core: %s of zero items", name)
 	}
@@ -172,10 +170,11 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 		if pa.released {
 			return nil, nil, fmt.Errorf("core: %s with nil or released plan", name)
 		}
-		o.Curve = pa.Curve
-	} else if o.Curve == layout.ColMajor || o.Curve == layout.RowMajor {
-		return nil, nil, fmt.Errorf("core: %s requires a recursive layout, got %v", name, o.Curve)
+		cl.o.Curve = pa.Curve
+	} else if err := cl.recursive(); err != nil {
+		return nil, nil, err
 	}
+	o := cl.o
 
 	// Plan every member before any C is touched. Consecutive members of
 	// one shape (the common homogeneous batch) share the plan.
@@ -228,7 +227,7 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 		w.shapes[i] = last
 		live++
 	}
-	bs = &BatchStats{Items: live}
+	bs = &BatchStats{Stats: Stats{Layout: o.Curve}, Items: live}
 	if dearest == nil {
 		// Nothing to schedule: every item failed validation or is empty.
 		bs.Completed = live

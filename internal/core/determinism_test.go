@@ -646,7 +646,7 @@ func TestDeterminismDefaultKernel(t *testing.T) {
 // curve and canonical storage, under a named algorithm and under AlgAuto
 // at a cutoff that keeps a fast level on the square grid and none on the
 // squat blocks, planOf — what ResolveAlg builds and does not run —
-// describes the same algorithm, kernel, depth, tiles, padded extents,
+// describes the same algorithm, layout, kernel, depth, tiles, padded extents,
 // cutoff, fast levels and block count as the Stats of the call that ran,
 // through GEMMCtx, GEMMBatch, GEMMPrepacked and GEMMPrepackedBatch.
 func TestDeterminismPlanNotRun(t *testing.T) {
@@ -676,7 +676,7 @@ func TestDeterminismPlanNotRun(t *testing.T) {
 						}
 						want := Stats{Blocks: len(pl.ms) * len(pl.ks) * len(pl.ns)}
 						pl.describe(pl.alg, &want)
-						got := Stats{Alg: st.Alg, Kernel: st.Kernel, Depth: st.Depth, TileM: st.TileM, TileK: st.TileK, TileN: st.TileN,
+						got := Stats{Alg: st.Alg, Layout: st.Layout, Kernel: st.Kernel, Depth: st.Depth, TileM: st.TileM, TileK: st.TileK, TileN: st.TileN,
 							PaddedM: st.PaddedM, PaddedK: st.PaddedK, PaddedN: st.PaddedN,
 							FastCutoff: st.FastCutoff, FastLevels: st.FastLevels, Blocks: st.Blocks}
 						if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -15,12 +15,12 @@ import (
 
 // Options selects the algorithm, layout, kernel, and tuning knobs for a
 // GEMM call. The zero value requests the standard algorithm on the
-// column-major layout with the paper's default leaf kernel and tile
-// configuration.
+// library's layout with the default leaf kernel and tile configuration.
 type Options struct {
 	// Curve is the array layout. ColMajor runs the baseline; the five
 	// recursive curves run equation (3) layouts. RowMajor is rejected
-	// (the paper's multiplication experiments do not use it).
+	// (the paper's multiplication experiments do not use it). The unset
+	// layout.Default is resolved by withDefaults.
 	Curve layout.Curve
 	// Alg is the multiplication algorithm.
 	Alg Alg
@@ -96,8 +96,19 @@ type Options struct {
 	TraceID int64
 }
 
+// withDefaults is the prologue every entry point and ResolveAlg pass
+// options through. An unset layout becomes Z-Morton, the paper's: on a
+// grid of one tile it is canonical storage's bytes, so it needs no grid
+// test. A named rectangular table takes ColMajor instead, the one
+// storage its mixed-radix grid exists on.
 func (o *Options) withDefaults() Options {
 	v := *o
+	if v.Curve == layout.Default {
+		v.Curve = layout.ZMorton
+		if tb := tableOf(v.Alg); tb != nil && !tb.quad() {
+			v.Curve = layout.ColMajor
+		}
+	}
 	if v.Tile == (tile.Config{}) {
 		v.Tile = tile.DefaultConfig
 		if v.KernelName == "" {
@@ -142,6 +153,9 @@ type Stats struct {
 	// cheaper rung than the requested one when graceful degradation
 	// stepped in.
 	Alg Alg
+	// Layout is the layout the call ran on: Options.Curve, the default's
+	// resolution (withDefaults), or a plan's own.
+	Layout layout.Curve
 	// FastCutoff is the cutoff a fast algorithm ran with — the option
 	// verbatim, or the crossover rule's for the call's kernel, tiles and
 	// algorithm; 0 when an algorithm that is not fast was named. FastLevels
@@ -272,7 +286,7 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 		if err := cl.pass(ctx, func(e *exec, c *sched.Ctx) { e.scaleC(c, C, beta) }); err != nil {
 			return nil, err
 		}
-		return &Stats{}, nil
+		return &Stats{Layout: o.Curve}, nil
 	}
 
 	// Plan: one split, one geometry, one algorithm, one admission
@@ -513,7 +527,7 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 		return nil, err
 	}
 	if pl.ns == nil {
-		return &Stats{}, nil // an empty product: C += nothing
+		return &Stats{Layout: A.Curve}, nil // an empty product: C += nothing
 	}
 	pc, err := admitPlan(cl, pl)
 	if err != nil {

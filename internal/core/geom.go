@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/bits"
 	"repro/internal/leaf"
 	"repro/internal/tile"
 )
@@ -36,21 +37,13 @@ const maxGeomDim = int64(1) << 31
 // efficiency factor that ramps linearly below the sweet tile size.
 func geomCost(products float64, tm, tk, tn, sweet int) float64 {
 	flops := 2 * products * float64(tm) * float64(tk) * float64(tn)
-	t := tm
-	if tk < t {
-		t = tk
-	}
-	if tn < t {
-		t = tn
-	}
+	t := min(tm, tk, tn)
 	eff := 1.0
 	if sweet > 0 && t < sweet {
 		eff = float64(t) / float64(sweet)
 	}
 	return flops / eff
 }
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // chooseTableGeom picks the best mixed-radix geometry (l ≥ 1) for tb on
 // an m×k×n block, or ok=false when no candidate keeps every tile inside
@@ -71,7 +64,7 @@ func chooseTableGeom(tb *Table, cfg tile.Config, m, k, n int) (tableGeom, bool) 
 			if int64(gm) > int64(m)*2 && int64(gk) > int64(k)*2 && int64(gn) > int64(n)*2 {
 				break
 			}
-			tm, tk, tn := ceilDiv(m, gm), ceilDiv(k, gk), ceilDiv(n, gn)
+			tm, tk, tn := bits.CeilDiv(m, gm), bits.CeilDiv(k, gk), bits.CeilDiv(n, gn)
 			inRange := func(t int) bool { return t >= cfg.TMin && t <= cfg.TMax }
 			if inRange(tm) && inRange(tk) && inRange(tn) &&
 				int64(gm)*int64(tm) < maxGeomDim && int64(gk)*int64(tk) < maxGeomDim &&

@@ -347,7 +347,7 @@ func (pl *plan) describe(alg Alg, stats *Stats) {
 	stats.Depth = g.d
 	stats.TileM, stats.TileK, stats.TileN = g.tm, g.tk, g.tn
 	stats.PaddedM, stats.PaddedK, stats.PaddedN = g.gm*g.tm, g.gk*g.tk, g.gn*g.tn
-	stats.Kernel, stats.Alg = pl.kernel.Name, alg
+	stats.Kernel, stats.Alg, stats.Layout = pl.kernel.Name, alg, g.curve
 	stats.FastCutoff, stats.FastLevels = pl.cutoff, fastLevels(alg, g.gm, g.gk, g.gn, pl.cutoff)
 }
 
@@ -429,6 +429,10 @@ func ResolveAlg(o Options, m, k, n int) Alg {
 	}
 	return pl.alg
 }
+
+// ResolveCurve is ResolveAlg's companion for the layout: o.Curve, or what
+// withDefaults resolves the unset one to.
+func ResolveCurve(o Options) layout.Curve { return o.withDefaults().Curve }
 
 // prepared is a plan past admission: the rung that runs, its execution
 // parameters and (after start) arena.

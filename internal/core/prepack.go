@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/layout"
@@ -71,7 +72,7 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 		return nil, err
 	}
 	o := cl.o
-	r, c, err := prepackShape(o, src, trans)
+	r, c, err := cl.prepackShape(src, trans)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +109,7 @@ func PackTiled(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.
 		return nil, err
 	}
 	o := cl.o
-	r, c, err := prepackShape(o, src, false)
+	r, c, err := cl.prepackShape(src, false)
 	if err != nil {
 		return nil, err
 	}
@@ -142,9 +143,9 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 	if like == nil || like.released {
 		return nil, fmt.Errorf("core: PrepackConforming against a nil or released plan")
 	}
+	cl.o.Curve = like.Curve
 	o := cl.o
-	o.Curve = like.Curve
-	r, c, err := prepackShape(o, src, trans)
+	r, c, err := cl.prepackShape(src, trans)
 	if err != nil {
 		return nil, err
 	}
@@ -175,31 +176,38 @@ func conformSegs(o Options, like *Prepacked, c int) (cs []tile.Seg, tc int, err 
 	return cs, tc, err
 }
 
-// prepackShape validates the common Prepack preconditions and returns
-// the logical op(src) extents.
-func prepackShape(o Options, src *matrix.Dense, trans bool) (r, c int, err error) {
-	if o.Curve == layout.ColMajor || o.Curve == layout.RowMajor {
-		return 0, 0, fmt.Errorf("core: Prepack requires a recursive layout, got %v", o.Curve)
+// recursive is the one refusal of the canonical layouts, by the entry
+// points that keep operands packed beyond one product — a plan, a tiled
+// operand, a wave: canonical storage has no conversion to amortize.
+func (cl *call) recursive() error {
+	if !cl.o.Curve.Recursive() {
+		return fmt.Errorf("core: %s requires a recursive layout, got %v", cl.what, cl.o.Curve)
+	}
+	return nil
+}
+
+// prepackShape validates the preconditions of an entry point that packs
+// one operand and returns the logical op(src) extents.
+func (cl *call) prepackShape(src *matrix.Dense, trans bool) (r, c int, err error) {
+	if err := cl.recursive(); err != nil {
+		return 0, 0, err
 	}
 	if src == nil {
-		return 0, 0, fmt.Errorf("%w: Prepack of a nil operand", ErrDimension)
+		return 0, 0, fmt.Errorf("%w: %s of a nil operand", ErrDimension, cl.what)
 	}
 	r, c = src.Rows, src.Cols
 	if trans {
 		r, c = c, r
 	}
 	if r == 0 || c == 0 {
-		return 0, 0, fmt.Errorf("%w: Prepack of empty %dx%d operand", ErrDimension, r, c)
+		return 0, 0, fmt.Errorf("%w: %s of empty %dx%d operand", ErrDimension, cl.what, r, c)
 	}
 	return r, c, nil
 }
 
-func maxSegLen(segs []tile.Seg) int {
-	m := 0
+func maxSegLen(segs []tile.Seg) (m int) {
 	for _, s := range segs {
-		if s.Len > m {
-			m = s.Len
-		}
+		m = max(m, s.Len)
 	}
 	return m
 }
@@ -262,8 +270,7 @@ func (p *Prepacked) fill(e *exec, c *sched.Ctx, stats *Stats, src *matrix.Dense,
 }
 
 // segsLen returns the total extent a segment decomposition covers.
-func segsLen(segs []tile.Seg) int {
-	n := 0
+func segsLen(segs []tile.Seg) (n int) {
 	for _, s := range segs {
 		n += s.Len
 	}
@@ -382,19 +389,6 @@ func (q *Prepacked) fillTransposed(e *exec, c *sched.Ctx, stats *Stats, p *Prepa
 	}
 }
 
-// segsEqual reports whether two segment decompositions coincide.
-func segsEqual(a, b []tile.Seg) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // GEMMPrepacked computes C ← α·A·B + β·C where A and B are prepacked
 // plans (any transposition was folded at Prepack time). The operand
 // conversion is gone from the call: per block, the driver zero-fills a
@@ -444,7 +438,7 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 			"(prepack the lean operand with DisableSplit, or derive one plan from the other with Transposed)",
 			pa.TC, pa.D, pb.TR, pb.D)
 	}
-	if !segsEqual(pa.CSegs, pb.RSegs) {
+	if !slices.Equal(pa.CSegs, pb.RSegs) {
 		return nil, fmt.Errorf("core: plans split the inner dimension differently (%d vs %d segments); "+
 			"prepack the lean operand with DisableSplit so the shared dimension stays in one segment",
 			len(pa.CSegs), len(pb.RSegs))

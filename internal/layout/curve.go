@@ -29,21 +29,26 @@ package layout
 
 import "fmt"
 
-// Curve identifies a layout function. The zero value is ColMajor, the
-// dgemm default.
+// Curve identifies a layout function. The zero value, Default, names
+// none: it is "the library's choice", which the multiplication planner
+// resolves before anything is laid out (Z-Morton, or ColMajor for a
+// rectangular ⟨m,k,n⟩ table), so no stored matrix ever carries it. Only
+// names are persisted (wire, plan keys, flags); the numeric ids are not
+// stable.
 type Curve uint8
 
 // The layout functions evaluated in the paper (Figure 2). ColMajor and
 // RowMajor are the canonical layouts L_C and L_R; the remaining five are
 // the recursive layouts L_U, L_X, L_Z, L_G, L_H.
 const (
-	ColMajor Curve = iota // L_C: column-major (Fortran, BLAS)
-	RowMajor              // L_R: row-major (Pascal, C)
-	UMorton               // L_U: single-orientation, U-shaped quadrant order
-	XMorton               // L_X: single-orientation, X-shaped quadrant order
-	ZMorton               // L_Z: single-orientation, Lebesgue curve
-	GrayMorton            // L_G: two orientations, Gray-code interleaving
-	Hilbert               // L_H: four orientations, Hilbert curve
+	Default    Curve = iota // unset: the planner's choice
+	ColMajor                // L_C: column-major (Fortran, BLAS)
+	RowMajor                // L_R: row-major (Pascal, C)
+	UMorton                 // L_U: single-orientation, U-shaped quadrant order
+	XMorton                 // L_X: single-orientation, X-shaped quadrant order
+	ZMorton                 // L_Z: single-orientation, Lebesgue curve
+	GrayMorton              // L_G: two orientations, Gray-code interleaving
+	Hilbert                 // L_H: four orientations, Hilbert curve
 	numCurves
 )
 
@@ -55,7 +60,7 @@ var Curves = []Curve{ColMajor, RowMajor, UMorton, XMorton, ZMorton, GrayMorton, 
 var RecursiveCurves = []Curve{UMorton, XMorton, ZMorton, GrayMorton, Hilbert}
 
 var curveNames = [numCurves]string{
-	"ColMajor", "RowMajor", "U-Morton", "X-Morton", "Z-Morton", "Gray-Morton", "Hilbert",
+	"default", "ColMajor", "RowMajor", "U-Morton", "X-Morton", "Z-Morton", "Gray-Morton", "Hilbert",
 }
 
 func (c Curve) String() string {
@@ -66,9 +71,12 @@ func (c Curve) String() string {
 }
 
 // ParseCurve maps a user-facing name (case-sensitive, as printed by
-// String, or the short forms "c", "r", "u", "x", "z", "g", "h") to a Curve.
+// String, or the short forms "c", "r", "u", "x", "z", "g", "h") to a Curve;
+// "" and "default" are Default.
 func ParseCurve(s string) (Curve, error) {
 	switch s {
+	case "", "default":
+		return Default, nil
 	case "ColMajor", "c", "col", "colmajor":
 		return ColMajor, nil
 	case "RowMajor", "r", "row", "rowmajor":
@@ -207,7 +215,7 @@ func init() {
 	quadOrder[ColMajor][0] = [4]uint8{QuadNW, QuadSW, QuadNE, QuadSE}
 	quadOrder[RowMajor][0] = [4]uint8{QuadNW, QuadNE, QuadSW, QuadSE}
 
-	for c := Curve(0); c < numCurves; c++ {
+	for _, c := range Curves {
 		for o := 0; o < 4; o++ {
 			for p := 0; p < 4; p++ {
 				posOf[c][o][quadOrder[c][o][p]] = uint8(p)

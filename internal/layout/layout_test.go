@@ -416,22 +416,40 @@ func TestGrayHigherBitDependence(t *testing.T) {
 	}
 }
 
-func TestParseCurve(t *testing.T) {
-	for _, c := range Curves {
-		got, err := ParseCurve(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseCurve(%q) = %v, %v", c.String(), got, err)
-		}
-	}
-	shorts := map[string]Curve{"c": ColMajor, "r": RowMajor, "u": UMorton,
-		"x": XMorton, "z": ZMorton, "g": GrayMorton, "h": Hilbert}
-	for s, want := range shorts {
-		if got, err := ParseCurve(s); err != nil || got != want {
-			t.Errorf("ParseCurve(%q) = %v, %v", s, got, err)
-		}
-	}
+// TestLayoutNames pins every name a layout has been spelled by — flags,
+// the wire and plan keys persist names, never ids — to the layout it
+// parses to, and String's round trip; "" and "default" are the unset
+// layout, which no other name reaches, and an unknown name is an error.
+func TestLayoutNames(t *testing.T) {
 	if _, err := ParseCurve("peano"); err == nil {
 		t.Error("ParseCurve(peano) should fail")
+	}
+	for want, names := range map[Curve][]string{
+		Default:    {"", "default"},
+		ColMajor:   {"ColMajor", "c", "col", "colmajor"},
+		RowMajor:   {"RowMajor", "r", "row", "rowmajor"},
+		UMorton:    {"U-Morton", "u", "umorton"},
+		XMorton:    {"X-Morton", "x", "xmorton"},
+		ZMorton:    {"Z-Morton", "z", "zmorton", "morton"},
+		GrayMorton: {"Gray-Morton", "g", "graymorton", "gray"},
+		Hilbert:    {"Hilbert", "h", "hilbert"},
+	} {
+		for _, s := range names {
+			if got, err := ParseCurve(s); err != nil || got != want {
+				t.Errorf("ParseCurve(%q) = %v, %v; want %v", s, got, err, want)
+			}
+		}
+		if got, err := ParseCurve(want.String()); err != nil || got != want {
+			t.Errorf("ParseCurve(%v.String()) = %v, %v", want, got, err)
+		}
+	}
+	if Curve(0) != Default || len(Curves) != int(numCurves)-1 {
+		t.Errorf("the zero Curve is %v; Curves lists %d of %d ids", Curve(0), len(Curves), numCurves)
+	}
+	for _, c := range Curves {
+		if c == Default {
+			t.Error("Curves lists the unset layout")
+		}
 	}
 }
 

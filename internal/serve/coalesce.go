@@ -34,7 +34,7 @@ import (
 // group settles it with a response or a typed error.
 type member struct {
 	req *Request
-	lay recmat.Layout
+	lay recmat.Layout    // resolved, never the unset layout
 	alg recmat.Algorithm // resolved against the shape, never Auto
 	// key is the plan-cache key of a named A in a recursive layout with
 	// the cache on — also the key of the group the member may join — and

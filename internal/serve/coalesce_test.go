@@ -363,8 +363,8 @@ func TestDrainDuringCoalesce(t *testing.T) {
 }
 
 // TestOneSpecEveryGroup: what group a request rode in picks the engine
-// call and nothing a client can see in C. One spec — unnamed and
-// column-major, named alone, named on a server that coalesces nothing,
+// call and nothing a client can see in C. One spec — unnamed on the
+// library's layout, named alone, named on a server that coalesces nothing,
 // and named in a held-slot wave of four — is right by brute force every
 // time, one set of bits whenever it is named, and reports the
 // plan_cached / coalesced / batch_size its group had.

@@ -41,8 +41,9 @@ type Request struct {
 	// "auto" Alg resolves per shape (Standard unless the tile grid is
 	// large enough for a fast level to repay its passes by the crossover
 	// rule — the same in every process on a host — Winograd otherwise);
-	// Response.AlgRan reports the choice.
-	// An empty Layout means column-major.
+	// An empty Layout is the library's, recmat.ResolveLayout's: Z-Morton,
+	// or ColMajor under a rectangular table. AlgRan and LayoutRan report
+	// the choices.
 	Alg    string `json:"alg,omitempty"`
 	Layout string `json:"layout,omitempty"`
 	// DeadlineMS is the client's latency budget; the server caps it at
@@ -63,6 +64,8 @@ type Response struct {
 	// the requested one when the degradation ladder stepped in under
 	// the tenant's memory budget.
 	AlgRan string `json:"alg_ran"`
+	// LayoutRan is the array layout the call multiplied on.
+	LayoutRan string `json:"layout_ran"`
 	// FastCutoff and FastLevels say how a fast algorithm ran: the grid
 	// side (in tiles) at or below which it handed over to the standard
 	// recursion — the crossover rule's for the call's kernel family,

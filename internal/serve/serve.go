@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -474,14 +475,7 @@ func (s *Server) handleFlightz(w http.ResponseWriter, r *http.Request) {
 // traversal is refused by construction (the name must match a listed
 // bundle).
 func (s *Server) serveFlightBundle(w http.ResponseWriter, name string) {
-	ok := false
-	for _, b := range s.flight.List() {
-		if b == name {
-			ok = true
-			break
-		}
-	}
-	if !ok {
+	if !slices.Contains(s.flight.List(), name) {
 		w.WriteHeader(http.StatusNotFound)
 		json.NewEncoder(w).Encode(map[string]any{"error": "no such bundle"})
 		return
@@ -570,22 +564,21 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 
 // parse settles, once and before the request reserves or queues for
 // anything, what the rest of the path reads off its spec: that it is
-// valid, its layout ("" is column-major; row-major parses and no driver
-// multiplies on it), its algorithm resolved against the shape ("" and
-// "auto" both mean per-shape selection) — so the plan key and the
-// engine options see one concrete algorithm — and, for a named A in a
-// recursive layout with the plan cache on, the plan-cache key, which is
-// the key of the group it may join.
+// valid, its layout and algorithm resolved as the engine resolves them
+// ("" is the library's layout, Z-Morton unless a rectangular table is
+// named; row-major parses and no driver multiplies on it; "" and "auto"
+// both mean per-shape algorithm selection) — so the plan key, the group
+// key and the engine options see one concrete layout and algorithm —
+// and, for a named A in a recursive layout with the plan cache on, the
+// plan-cache key, which is the key of the group it may join.
 func (s *Server) parse(req *Request) (*member, error) {
 	if err := validate(req, s.cfg.MaxDim); err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	m := &member{req: req, alg: recmat.Auto, done: make(chan struct{})}
 	var err error
-	if req.Layout != "" {
-		if m.lay, err = recmat.ParseLayout(req.Layout); err == nil && m.lay == recmat.RowMajor {
-			err = fmt.Errorf("layout %q is not served", req.Layout)
-		}
+	if m.lay, err = recmat.ParseLayout(req.Layout); err == nil && m.lay == recmat.RowMajor {
+		err = fmt.Errorf("layout %q is not served", req.Layout)
 	}
 	if err == nil && req.Alg != "" {
 		m.alg, err = recmat.ParseAlgorithm(req.Alg)
@@ -593,7 +586,8 @@ func (s *Server) parse(req *Request) (*member, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", recmat.ErrDimension, err)
 	}
-	m.alg = recmat.ResolveAlgorithm(&recmat.Options{Layout: m.lay, Algorithm: m.alg}, req.M, req.K, req.N)
+	o := &recmat.Options{Layout: m.lay, Algorithm: m.alg}
+	m.lay, m.alg = recmat.ResolveLayout(o), recmat.ResolveAlgorithm(o, req.M, req.K, req.N)
 	if req.AName != "" && m.lay != recmat.ColMajor && s.cfg.PlanCacheBytes > 0 {
 		m.key = planKey(req, m.lay, m.alg)
 	}
@@ -632,6 +626,7 @@ func (s *Server) respond(req *Request, rep *recmat.Report, C *recmat.Matrix) *Re
 	resp := &Response{
 		Tenant: req.Tenant, M: req.M, K: req.K, N: req.N,
 		AlgRan:     rep.Alg.String(),
+		LayoutRan:  rep.Layout.String(),
 		FastCutoff: rep.FastCutoff,
 		FastLevels: rep.FastLevels,
 		Kernel:     rep.Kernel,

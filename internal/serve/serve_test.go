@@ -235,6 +235,57 @@ func TestPlanCachePath(t *testing.T) {
 	}
 }
 
+// TestOnePlanPerSpelling: a request that names no layout runs on the
+// library's, resolved in parse as the engine resolves it. A named spec
+// spelled "", "z" and "Z-Morton" is one operand: one plan-cache entry,
+// plan_cached and Z-Morton every time, the same bits. An unnamed one
+// reports Z-Morton too; a rectangular table named with no layout runs on
+// ColMajor, where its grid exists, and so is not plan-cached.
+func TestOnePlanPerSpelling(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 2})
+	var bits []float64
+	for _, lay := range []string{"", "z", "Z-Morton", ""} {
+		req := &Request{Tenant: "acme", M: 64, K: 64, N: 24, AName: "w", ASeed: 7, BSeed: 8, Layout: lay, ReturnData: true}
+		resp, err := c.Do(context.Background(), req)
+		if err != nil {
+			t.Fatalf("layout %q: %v", lay, err)
+		}
+		if !resp.PlanCached || resp.LayoutRan != recmat.ZMorton.String() {
+			t.Errorf("layout %q: plan_cached %v, layout_ran %q", lay, resp.PlanCached, resp.LayoutRan)
+		}
+		if bits == nil {
+			bits = resp.Data
+		}
+		for i, v := range resp.Data {
+			if v != bits[i] {
+				t.Fatalf("layout %q: C[%d] = %v, the first spelling's is %v", lay, i, v, bits[i])
+			}
+		}
+	}
+	s.plans.mu.Lock()
+	entries := len(s.plans.entries)
+	s.plans.mu.Unlock()
+	if entries != 1 || s.Metrics().Snapshot().Counters["plan_cache_misses"] != 1 {
+		t.Errorf("%d plan-cache entries, %d misses; want one of each", entries, s.Metrics().Snapshot().Counters["plan_cache_misses"])
+	}
+
+	for _, r := range []struct {
+		req  Request
+		want recmat.Layout
+	}{
+		{Request{Tenant: "acme", M: 64, K: 64, N: 24, ASeed: 7, BSeed: 8}, recmat.ZMorton},
+		{Request{Tenant: "acme", M: 96, K: 64, N: 96, AName: "t", ASeed: 7, BSeed: 8, Alg: recmat.TableFast323.String()}, recmat.ColMajor},
+	} {
+		resp, err := c.Do(context.Background(), &r.req)
+		if err != nil {
+			t.Fatalf("%+v: %v", r.req, err)
+		}
+		if resp.PlanCached || resp.LayoutRan != r.want.String() {
+			t.Errorf("%+v: plan_cached %v, layout_ran %q; want false, %v", r.req, resp.PlanCached, resp.LayoutRan, r.want)
+		}
+	}
+}
+
 func TestTenantQuota(t *testing.T) {
 	// Quota fits one 64×64×64 request (3·64²·8 ≈ 98 KiB) but not much
 	// more: a request that cannot ever fit is too_large, and the tenant

@@ -20,9 +20,11 @@ type Packed struct {
 	opts core.Options
 }
 
-// Pack converts A to opts.Layout, which must be one of the recursive
-// layouts; tile selection follows the same rules as Prepack. An empty or
-// nil matrix, or a ForceTile that cannot cover it, is ErrDimension.
+// Pack converts A to opts.Layout — Z-Morton when unset (nil options
+// included); naming a canonical layout is refused, since it has no
+// conversion to amortize. Tile selection follows the same rules as
+// Prepack. An empty or nil matrix, or a ForceTile that cannot cover it,
+// is ErrDimension.
 func (e *Engine) Pack(A *Matrix, opts *Options) (*Packed, error) {
 	o := opts.coreOptions()
 	t, err := core.PackTiled(context.Background(), e.pool, o, A)

@@ -53,10 +53,10 @@ func (p *Plan) Bytes() int64 { return p.p.Bytes() }
 func (p *Plan) Release() { p.p.Release() }
 
 // Prepack converts op(A) into a reusable Plan in the layout selected by
-// opts (one of the five recursive layouts; ColMajor has no conversion
-// to amortize and is rejected). Only the layout, tile, and splitting
-// options matter here — algorithm and kernel are chosen per
-// GEMMPrepacked call.
+// opts (one of the five recursive layouts, Z-Morton when unset; ColMajor
+// has no conversion to amortize and is rejected). Only the layout, tile,
+// and splitting options matter here — algorithm and kernel are chosen
+// per GEMMPrepacked call.
 //
 // Two independently prepacked plans can multiply when their geometries
 // conform on the shared dimension; GEMMPrepacked validates this and

@@ -87,7 +87,9 @@ func RefGEMM(transA, transB bool, alpha float64, A, B *Matrix, beta float64, C *
 type Layout = layout.Curve
 
 // The supported layouts. ColMajor is the canonical baseline; the five
-// recursive layouts are ordered by increasing addressing complexity.
+// recursive layouts are ordered by increasing addressing complexity. The
+// zero Layout is none of them: it leaves the choice to the library
+// (ResolveLayout).
 const (
 	ColMajor   = layout.ColMajor
 	RowMajor   = layout.RowMajor // visualization only; Mul rejects it
@@ -101,7 +103,8 @@ const (
 // Layouts lists the layouts accepted by Mul and DGEMM, canonical first.
 var Layouts = []Layout{ColMajor, UMorton, XMorton, ZMorton, GrayMorton, Hilbert}
 
-// ParseLayout resolves a layout name ("ColMajor", "Z-Morton", "z", …).
+// ParseLayout resolves a layout name ("ColMajor", "Z-Morton", "z", …);
+// "" and "default" leave the layout unset.
 func ParseLayout(s string) (Layout, error) { return layout.ParseCurve(s) }
 
 // Algorithm selects a multiplication algorithm (Section 2 of the paper).
@@ -164,11 +167,17 @@ func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlg(s) }
 // route work by algorithm (the serving daemon's plan cache) use this to
 // key on the resolved choice rather than the "auto" sentinel.
 func ResolveAlgorithm(opts *Options, m, k, n int) Algorithm {
-	var o core.Options
-	if opts != nil {
-		o = opts.coreOptions()
-	}
-	return core.ResolveAlg(o, m, k, n)
+	return core.ResolveAlg(opts.coreOptions(), m, k, n)
+}
+
+// ResolveLayout reports the layout a multiplication with these options
+// runs on: Options.Layout when set, otherwise the library's choice —
+// Z-Morton, or ColMajor when the algorithm is a rectangular table, whose
+// mixed-radix grid exists only on canonical storage. Report.Layout
+// records it per call; the serving daemon keys plans and request groups
+// on it, so an empty layout and "z" name one plan.
+func ResolveLayout(opts *Options) Layout {
+	return core.ResolveCurve(opts.coreOptions())
 }
 
 // TileConfig controls tile-size selection (Section 4): tiles are chosen
@@ -204,11 +213,15 @@ func SIMDKernels() []string { return leaf.SIMDNames() }
 // use SIMDKernels to see what is actually runnable.
 func CPUFeatures() []string { return leaf.Features() }
 
-// Options configures a multiplication. The zero value multiplies with
-// the standard algorithm on the column-major layout using default tiles.
+// Options configures a multiplication. The zero value (and nil options)
+// multiplies with the standard algorithm on the Z-Morton layout using
+// default tiles.
 type Options struct {
 	// Layout is the array layout; Mul converts operands to it
-	// internally and converts the result back.
+	// internally and converts the result back. Unset, the planner
+	// chooses (ResolveLayout): Z-Morton, the paper's layout, or ColMajor
+	// under a rectangular table algorithm. Name ColMajor to run the
+	// paper's canonical baseline. Report.Layout says what ran.
 	Layout Layout
 	// Algorithm is the recursion to run.
 	Algorithm Algorithm

@@ -1,7 +1,9 @@
 package recmat
 
 import (
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -87,6 +89,109 @@ func TestNilOptionsDefaults(t *testing.T) {
 	}
 	if !Equal(C, A, 1e-12) {
 		t.Fatal("A·I != A with nil options")
+	}
+}
+
+// TestNilOptionsEverywhere: nil options run on Z-Morton through every
+// entry point and every report says so — Pack, Prepack and the batches
+// included, which the parent refused as "ColMajor" — with the
+// reference's result. A rectangular table named with no layout runs on
+// ColMajor, where its mixed-radix grid exists. Naming a canonical layout
+// is still refused by the entry points that keep operands packed, in an
+// error naming the one that refused.
+func TestNilOptionsEverywhere(t *testing.T) {
+	eng := NewEngine(2)
+	defer eng.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(9))
+	A, B := Random(48, 40, rng), Random(40, 56, rng)
+	want := NewMatrix(48, 56)
+	RefGEMM(false, false, 1, A, B, 0, want)
+	// ran checks what a call reported it ran on and, when C is given, the
+	// product it left there.
+	ran := func(what string, rep *Report, err error, C *Matrix, lay Layout) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if rep.Layout != lay {
+			t.Errorf("%s ran on %v, want %v", what, rep.Layout, lay)
+		}
+		if C != nil && !Equal(C, want, 1e-11) {
+			t.Errorf("%s: max diff %g", what, MaxAbsDiff(C, want))
+		}
+	}
+
+	C := NewMatrix(48, 56)
+	rep, err := Mul(C, A, B, nil)
+	ran("Mul(nil)", rep, err, C, ZMorton)
+	C = NewMatrix(48, 56)
+	rep, err = eng.Mul(C, A, B, &Options{Layout: ColMajor})
+	ran("Mul(ColMajor)", rep, err, C, ColMajor)
+	A3, B3 := Random(96, 64, rng), Random(64, 96, rng)
+	rep, err = eng.Mul(NewMatrix(96, 96), A3, B3, &Options{Algorithm: TableFast323})
+	ran("Mul(fast-3x2x3)", rep, err, nil, ColMajor)
+	rep, err = eng.Mul(NewMatrix(96, 96), A3, B3, &Options{Layout: Hilbert, Algorithm: TableFast323})
+	ran("Mul(Hilbert, fast-3x2x3)", rep, err, nil, Hilbert)
+	for _, c := range []struct {
+		opts *Options
+		want Layout
+	}{{nil, ZMorton}, {&Options{Algorithm: Winograd}, ZMorton}, {&Options{Algorithm: TableFast323}, ColMajor},
+		{&Options{Algorithm: TableLaderman333}, ColMajor}, {&Options{Layout: GrayMorton, Algorithm: TableFast424}, GrayMorton}} {
+		if got := ResolveLayout(c.opts); got != c.want {
+			t.Errorf("ResolveLayout(%+v) = %v, want %v", c.opts, got, c.want)
+		}
+	}
+
+	pa, err := eng.Prepack(A, false, nil)
+	if err != nil {
+		t.Fatalf("Prepack(nil): %v", err)
+	}
+	defer pa.Release()
+	pb, err := eng.PrepackConforming(B, false, nil, pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pb.Release()
+	C = NewMatrix(48, 56)
+	rep, err = eng.GEMMPrepacked(ctx, 1, pa, pb, 0, C)
+	ran("GEMMPrepacked", rep, err, C, ZMorton)
+	C = NewMatrix(48, 56)
+	bs, _, err := eng.GEMMPrepackedBatch(ctx, pa, []PrepackedGEMMBatchItem{{Alpha: 1, B: B, C: C}}, nil)
+	ran("GEMMPrepackedBatch", &bs.Stats, err, C, ZMorton)
+	C = NewMatrix(48, 56)
+	bs, errs, err := eng.GEMMBatch(ctx, []GEMMBatchItem{{Alpha: 1, A: A, B: B, C: C}}, nil)
+	if err == nil {
+		err = errs[0]
+	}
+	ran("GEMMBatch", &bs.Stats, err, C, ZMorton)
+
+	S := Random(64, 64, rng)
+	ps, err := eng.Pack(S, nil)
+	if err != nil {
+		t.Fatalf("Pack(nil): %v", err)
+	}
+	if u, err := ps.Unpack(eng); err != nil || !Equal(u, S, 0) || ps.Layout() != ZMorton {
+		t.Errorf("Pack(nil) on %v: unpack %v", ps.Layout(), err)
+	}
+	pc, _ := eng.NewPackedResult(ps, ps)
+	rep, err = eng.MulPacked(pc, ps, ps, nil)
+	ran("MulPacked", rep, err, nil, ZMorton)
+
+	for _, lo := range []Layout{ColMajor, RowMajor} {
+		o := &Options{Layout: lo}
+		for what, err := range map[string]error{
+			"Pack":    func() error { _, err := eng.Pack(A, o); return err }(),
+			"Prepack": func() error { _, err := eng.Prepack(A, false, o); return err }(),
+			"GEMMBatch": func() error {
+				_, _, err := eng.GEMMBatch(ctx, []GEMMBatchItem{{Alpha: 1, A: A, B: B, C: C}}, o)
+				return err
+			}(),
+		} {
+			if msg := what + " requires a recursive layout, got " + lo.String(); err == nil || !strings.Contains(err.Error(), msg) {
+				t.Errorf("%s(%v) = %v, want %q", what, lo, err, msg)
+			}
+		}
 	}
 }
 
