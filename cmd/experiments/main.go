@@ -144,7 +144,7 @@ func header(title string) {
 
 // fig1 prints Figure 1: for the paper's three algorithms the dot grids
 // of the elements of A and of B read to compute each element of C, then
-// the summary of every algorithm that has a ⟨2,2,2⟩ table to trace.
+// the read counts of every algorithm.
 func fig1() {
 	header("Figure 1 — algorithmic locality of reference (8x8, per C element)")
 	for _, alg := range []recmat.Algorithm{recmat.Standard, recmat.Strassen, recmat.Winograd} {
@@ -153,9 +153,6 @@ func fig1() {
 	}
 	fmt.Printf("%-15s %14s %14s %14s\n", "algorithm", "total reads", "max A reads", "max B reads")
 	for _, alg := range recmat.Algorithms {
-		if trace.Table(alg) == nil {
-			continue // a rectangular table: no quadrant recursion to trace
-		}
 		total, maxA, maxB := localityStats(alg, 8)
 		fmt.Printf("%-15s %14d %14d %14d\n", alg, total, maxA, maxB)
 	}

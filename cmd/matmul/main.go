@@ -31,7 +31,7 @@ func main() {
 	n := flag.Int("n", 0, "columns of op(B) and C (default: m)")
 	algName := flag.String("alg", "standard",
 		"algorithm: "+strings.Join(recmat.AlgorithmNames(), "|"))
-	layoutName := flag.String("layout", "", "layout: c|u|x|z|g|h; empty = the library's (Z-Morton, ColMajor under a rectangular table)")
+	layoutName := flag.String("layout", "", "layout: c|u|x|z|g|h; empty = the library's (Z-Morton)")
 	workers := flag.Int("workers", 0, "worker count (0 = one per CPU)")
 	kernelName := flag.String("kernel", "auto",
 		"leaf kernel: auto|"+strings.Join(recmat.Kernels(), "|")+" (auto = the default: the widest family this CPU has, by tile shape)")

@@ -30,9 +30,7 @@ type rung struct {
 // paper's space-conserving sequential Strassen variant (three reused
 // scratch quadrants per level) before giving up its sub-cubic flop
 // count; a table that is not fast (Standard8) has no flop count to keep
-// and goes straight to the recursion without temporaries. (On a
-// mixed-radix table grid only the first rung can run; the driver reverts
-// to the square geometry before accepting a lower one.) The final rung
+// and goes straight to the recursion without temporaries. The final rung
 // is always the standard accumulate recursion, which needs no
 // temporaries at all, run serially.
 func ladder(a Alg) []rung {
@@ -214,21 +212,11 @@ const probeSize = 32
 // growth shows up as values of 10–100+. Returns 0 (never degrade) when
 // the probe is degenerate (zero operands).
 func probeResidualGrowth(e *exec, alg Alg, transA, transB bool, Av, Bv *matrix.Dense) float64 {
-	// Probe grids: 4×4×4 quadrant recursion for the square algorithms,
-	// ⟨2M,2K,2N⟩ for a rectangular table — one table level over the
-	// square handoff, so the table's own products produce part of the
-	// measured error. Tile sizes fill probeSize as far as the grid
-	// divides it; the probe region shrinks to the grid-aligned extent
-	// and the rest of the probeSize square stays zero on both sides of
-	// the comparison.
-	gm, gk, gn := 4, 4, 4
-	if tb := tableOf(alg); tb != nil && !tb.quad() {
-		gm, gk, gn = 2*tb.M, 2*tb.K, 2*tb.N
-	}
-	tm, tk, tn := probeSize/gm, probeSize/gk, probeSize/gn
+	// The probe grid: 4×4 tiles covering probeSize, two fast levels.
+	const grid, t = 4, probeSize / 4
 	pm, pk := opShape(Av, transA)
 	pk2, pn := opShape(Bv, transB)
-	pm, pk, pn = min(pm, gm*tm), min(pk, pk2, gk*tk), min(pn, gn*tn)
+	pm, pk, pn = min(pm, probeSize), min(pk, pk2, probeSize), min(pn, probeSize)
 	pa, amax := sampleProbe(Av, transA, pm, pk)
 	pb, bmax := sampleProbe(Bv, transB, pk, pn)
 	scale := 2.220446049250313e-16 * float64(pk) * amax * bmax
@@ -237,19 +225,14 @@ func probeResidualGrowth(e *exec, alg Alg, transA, transB bool, Av, Bv *matrix.D
 	}
 	fast := matrix.New(probeSize, probeSize)
 	ref := matrix.New(probeSize, probeSize)
-	mk := func(x *matrix.Dense, gr, gc, tr, tc int) Mat {
-		mt := Mat{data: x.Data, tiles: gr, tr: tr, tc: tc,
-			ld: x.Stride, curve: layout.ColMajor}
-		if gc != gr {
-			mt.tilesc = gc
-		}
-		return mt
+	mk := func(x *matrix.Dense) Mat {
+		return Mat{data: x.Data, tiles: grid, tr: t, tc: t, ld: x.Stride, curve: layout.ColMajor}
 	}
 	// Serial execution on an unbound Ctx: the recursion never spawns
 	// (serialCutoff ≥ tiles) so no pool is needed, and the probe runs
 	// with the same leaf kernel the real multiplication will use.
 	pe := &exec{kernel: e.kernel, serialCutoff: noSpawn, fastCutoff: 1}
-	pe.mul(&sched.Ctx{}, alg, mk(fast, gm, gn, tm, tn), mk(pa, gm, gk, tm, tk), mk(pb, gk, gn, tk, tn))
+	pe.mul(&sched.Ctx{}, alg, mk(fast), mk(pa), mk(pb))
 	matrix.RefGEMM(false, false, 1, pa, pb, 0, ref)
 	return matrix.MaxAbsDiff(fast, ref) / scale
 }

@@ -150,51 +150,33 @@ func (e *exec) newTemp(c *sched.Ctx, proto Mat) Mat {
 }
 
 // arenaStackElems returns the number of scratch elements one worker's
-// depth-first path through alg needs, descending from a gm×gk×gn tile
-// grid (equal extents for the quadrant-based algorithms) down to the
-// leaves: Σ_levels own(level), where own is the storage the algorithm
-// allocates at that level:
+// depth-first path through alg needs, descending from a side×side tile
+// grid down to the leaves: Σ_levels own(level), where own is the storage
+// the algorithm allocates at that level:
 //
 //   - Standard: no temporaries.
-//   - A table: the level structure tableMul executes — table divisions
-//     while the grid divides by ⟨M,K,N⟩ (a ⟨2,2,2⟩ table stops at
-//     fastCutoff, where it hands off to the temporary-free standard
-//     recursion; Standard8, whose plan has no cutoff, at single tiles),
-//     then the base algorithm's series on the remaining square
-//     power-of-two grid. A level is charged the evaluation schedule's
-//     aux blocks plus its BFS bound — preA A-shaped + preB B-shaped
-//     operands and R products: 5+5+7 for Strassen, 4+4 aux and 7+2 for
-//     Winograd, the 8 products alone for Standard8, whose operand rows
-//     alias the blocks — whose DFS levels below the serial cutoff
-//     use strictly less; a depthFirst table is charged the DFS bound,
-//     one S-, T- and P-shaped scratch (StrassenLowMem's signature
-//     qa+qb+qc).
+//   - A table: the levels tableMul executes — down to fastCutoff, where
+//     it hands off to the temporary-free standard recursion (Standard8,
+//     whose plan has no cutoff, to single tiles). A level is charged the
+//     evaluation schedule's aux blocks plus its BFS bound — preA
+//     A-shaped and preB B-shaped operands and R products: 5+5+7 for
+//     Strassen, 4+4 aux and 7+2 for Winograd, the 8 products alone for
+//     Standard8, whose operand rows alias the blocks — whose DFS levels
+//     below the serial cutoff use strictly less; a depthFirst table is
+//     charged the DFS bound, one S-, T- and P-shaped scratch
+//     (StrassenLowMem's signature qa+qb+qc).
 //
 // This function is the single source of truth for both the admission
 // estimate and the arena reservation, so the MemBudget ladder accounts
 // the arena up front — one reservation, not per-level guesses.
-func arenaStackElems(alg Alg, gm, gk, gn, tm, tk, tn, fastCutoff int) (need int64) {
+func arenaStackElems(alg Alg, side, tm, tk, tn, fastCutoff int) (need int64) {
 	tb := tableOf(alg)
 	if tb == nil {
 		return 0
 	}
-	for gm > 1 || gk > 1 || gn > 1 {
-		if tb.quad() {
-			if gm <= max(fastCutoff, 1) {
-				break
-			}
-		} else {
-			if gm == gk && gk == gn && gm&(gm-1) == 0 {
-				return need + arenaStackElems(tb.Base, gm, gk, gn, tm, tk, tn, fastCutoff)
-			}
-			if gm%tb.M != 0 || gk%tb.K != 0 || gn%tb.N != 0 {
-				break // tableMul panics here; nothing more allocates
-			}
-		}
-		gm, gk, gn = gm/tb.M, gk/tb.K, gn/tb.N
-		qa := int64(gm) * int64(gk) * int64(tm) * int64(tk)
-		qb := int64(gk) * int64(gn) * int64(tk) * int64(tn)
-		qc := int64(gm) * int64(gn) * int64(tm) * int64(tn)
+	for ; side > max(fastCutoff, 1); side /= 2 {
+		q := int64(side/2) * int64(side/2)
+		qa, qb, qc := q*int64(tm)*int64(tk), q*int64(tk)*int64(tn), q*int64(tm)*int64(tn)
 		na, nb, nc := tb.preA, tb.preB, tb.R
 		if tb.depthFirst {
 			na, nb, nc = min(na, 1), min(nb, 1), 1

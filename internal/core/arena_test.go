@@ -14,8 +14,8 @@ import (
 
 // acquireArena reserves the workspace of one block multiplication on
 // the given geometry, as a call's admission would size it.
-func acquireArena(alg Alg, gm, gk, gn, tm, tk, tn, fastCutoff, stacks int) *arena {
-	return acquireArenaElems(arenaStackElems(alg, gm, gk, gn, tm, tk, tn, fastCutoff), stacks)
+func acquireArena(alg Alg, side, tm, tk, tn, fastCutoff, stacks int) *arena {
+	return acquireArenaElems(arenaStackElems(alg, side, tm, tk, tn, fastCutoff), stacks)
 }
 
 func fillRand(dst []float64, rng *rand.Rand) {
@@ -36,29 +36,29 @@ func serialExec(t *testing.T, kernel string, ar *arena) *exec {
 }
 
 func TestArenaStackElemsSanity(t *testing.T) {
-	if got := arenaStackElems(Standard, 16, 16, 16, 8, 8, 8, 1); got != 0 {
+	if got := arenaStackElems(Standard, 16, 8, 8, 8, 1); got != 0 {
 		t.Fatalf("Standard needs %d temp elems, want 0", got)
 	}
 	// One Strassen level on a 2×2 grid of t×t tiles: 5+5 operand
 	// temporaries and 7 products, each a single tile.
-	if got, want := arenaStackElems(Strassen, 2, 2, 2, 4, 4, 4, 1), int64(17*16); got != want {
+	if got, want := arenaStackElems(Strassen, 2, 4, 4, 4, 1), int64(17*16); got != want {
 		t.Fatalf("Strassen(2): %d, want %d", got, want)
 	}
 	// The per-path need grows with depth and shrinks with fastCutoff.
-	deep := arenaStackElems(Winograd, 16, 16, 16, 8, 8, 8, 1)
-	shallow := arenaStackElems(Winograd, 16, 16, 16, 8, 8, 8, 4)
+	deep := arenaStackElems(Winograd, 16, 8, 8, 8, 1)
+	shallow := arenaStackElems(Winograd, 16, 8, 8, 8, 4)
 	if deep <= shallow || shallow <= 0 {
 		t.Fatalf("Winograd: deep=%d shallow=%d", deep, shallow)
 	}
 	// The low-memory variant is by far the smallest fast-algorithm
 	// footprint — the property its ladder rung exists for.
-	if lm, st := arenaStackElems(StrassenLowMem, 16, 16, 16, 8, 8, 8, 1), arenaStackElems(Strassen, 16, 16, 16, 8, 8, 8, 1); lm*3 >= st {
+	if lm, st := arenaStackElems(StrassenLowMem, 16, 8, 8, 8, 1), arenaStackElems(Strassen, 16, 8, 8, 8, 1); lm*3 >= st {
 		t.Fatalf("lowmem %d not well below strassen %d", lm, st)
 	}
 	// The admission estimate and the reservation share this function;
 	// acquireArena must reserve exactly stacks × per-path.
-	per := arenaStackElems(Strassen, 8, 8, 8, 16, 16, 16, 1)
-	ar := acquireArena(Strassen, 8, 8, 8, 16, 16, 16, 1, 3)
+	per := arenaStackElems(Strassen, 8, 16, 16, 16, 1)
+	ar := acquireArena(Strassen, 8, 16, 16, 16, 1, 3)
 	if ar == nil {
 		t.Fatal("acquireArena declined a modest reservation")
 	}
@@ -84,7 +84,7 @@ func TestArenaZeroSteadyStateAllocs(t *testing.T) {
 			tc := NewTiled(cv, d, ts, ts, n, n)
 			fillRand(ta.Data, rng)
 			fillRand(tb.Data, rng)
-			ar := acquireArena(alg, 1<<d, 1<<d, 1<<d, ts, ts, ts, 1, 1)
+			ar := acquireArena(alg, 1<<d, ts, ts, ts, 1, 1)
 			if ar == nil {
 				t.Fatalf("%v/%v: no arena", alg, cv)
 			}
@@ -245,7 +245,7 @@ func TestEWParallelStreamsMatchSerial(t *testing.T) {
 			es.mul(&sched.Ctx{}, alg, want.Mat(), ta.Mat(), tb.Mat())
 
 			got := NewTiled(cv, d, ts, ts, n, n)
-			ar := acquireArena(alg, 1<<d, 1<<d, 1<<d, ts, ts, ts, 1, pool.Workers())
+			ar := acquireArena(alg, 1<<d, ts, ts, ts, 1, pool.Workers())
 			impl, err := leaf.GetImpl("unrolled4")
 			if err != nil {
 				t.Fatal(err)

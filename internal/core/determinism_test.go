@@ -40,8 +40,6 @@ func TestDeterminismPolicies(t *testing.T) {
 	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(151))
-	// 72×48×72 divides by every registered base partition, so on
-	// canonical storage the rectangular tables run their own levels.
 	m, k, n := 72, 48, 72
 	for _, cv := range mulCurves {
 		for _, ta := range []bool{false, true} {
@@ -661,7 +659,7 @@ func TestDeterminismPlanNotRun(t *testing.T) {
 		m, k, n := sh[0], sh[1], sh[2]
 		A, B := matrix.Random(m, k, rng), matrix.Random(k, n, rng)
 		for _, cv := range []layout.Curve{layout.ZMorton, layout.Hilbert, layout.ColMajor} {
-			for _, alg := range []Alg{AlgAuto, Standard, Standard8, Winograd, TableLaderman333} {
+			for _, alg := range []Alg{AlgAuto, Standard, Standard8, Winograd, Strassen} {
 				for _, whole := range []bool{false, true} {
 					opts := Options{Curve: cv, Alg: alg, Tile: cfg, DisableSplit: whole}
 					o := opts.withDefaults()

@@ -99,15 +99,11 @@ type Options struct {
 // withDefaults is the prologue every entry point and ResolveAlg pass
 // options through. An unset layout becomes Z-Morton, the paper's: on a
 // grid of one tile it is canonical storage's bytes, so it needs no grid
-// test. A named rectangular table takes ColMajor instead, the one
-// storage its mixed-radix grid exists on.
+// test.
 func (o *Options) withDefaults() Options {
 	v := *o
 	if v.Curve == layout.Default {
 		v.Curve = layout.ZMorton
-		if tb := tableOf(v.Alg); tb != nil && !tb.quad() {
-			v.Curve = layout.ColMajor
-		}
 	}
 	if v.Tile == (tile.Config{}) {
 		v.Tile = tile.DefaultConfig
@@ -408,21 +404,17 @@ func forcedDepth(t int, dims ...int) (d uint, err error) {
 	return d, nil
 }
 
-// planGEMM settles a per-call GEMM's once-per-call decisions. Geometry
-// and admission run as one small fixed point: a rectangular table
-// algorithm starts on its mixed-radix grid (when one fits the tile
-// range), but any degradation off that algorithm — memory budget or
-// residual probe — invalidates the grid, so the loop reverts to the
-// square power-of-two geometry and re-admits there. At most three
-// iterations: the table geometry can be given up once, and a fast
-// algorithm can degrade to Standard once. The algorithm that executes
-// may therefore be a cheaper rung than the requested one, with every
-// decision recorded in stats.Degraded.
+// planGEMM settles a per-call GEMM's once-per-call decisions: plan,
+// admit, and — when MaxResidualGrowth is set and the admitted algorithm
+// runs a fast level — the residual probe, whose failure re-plans once
+// with Standard. The algorithm that executes may therefore be a cheaper
+// rung than the requested one, with every decision recorded in
+// stats.Degraded.
 func planGEMM(cl *call, stats *Stats, m, k, n int, transA, transB bool, A, B *matrix.Dense) (*prepared, error) {
-	o, gv := cl.o, given{}
+	o := cl.o
 	var notes []string
 	for {
-		pl, err := planOf(o, cl.pool.Workers(), gv, m, k, n)
+		pl, err := planOf(o, cl.pool.Workers(), given{}, m, k, n)
 		if err != nil {
 			return nil, err
 		}
@@ -431,16 +423,7 @@ func planGEMM(cl *call, stats *Stats, m, k, n int, transA, transB bool, A, B *ma
 			return nil, err
 		}
 		notes = append(notes, pc.notes...)
-		g := pl.g
-		if g.table && pc.alg != pl.alg {
-			// The budget pushed the ladder below the table algorithm; its
-			// mixed-radix grid can run nothing else. Retry the whole
-			// ladder on the square geometry, where every rung is valid.
-			notes = append(notes, fmt.Sprintf("table-geometry: %v does not fit on its %dx%dx%d grid; reverting to square geometry", pl.alg, g.gm, g.gk, g.gn))
-			gv.square = true
-			continue
-		}
-		if o.MaxResidualGrowth > 0 && fastLevels(pc.alg, g.gm, g.gk, g.gn, pl.cutoff) > 0 {
+		if o.MaxResidualGrowth > 0 && fastLevels(pc.alg, pl.g.side(), pl.cutoff) > 0 {
 			if growth := probeResidualGrowth(pc.e, pc.alg, transA, transB, A, B); growth > o.MaxResidualGrowth {
 				notes = append(notes, fmt.Sprintf("residual-probe: %v growth %.1f > bound %.1f; degraded to %v",
 					pc.alg, growth, o.MaxResidualGrowth, Standard))
@@ -553,13 +536,8 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 // the runtime accounting, used by the parallelism experiment.
 func WorkSpan(alg Alg, d uint, t int) (work, span float64) {
 	tb := tableOf(alg)
-	switch {
-	case tb == nil && alg != Standard:
+	if tb == nil && alg != Standard {
 		panic("core: invalid algorithm")
-	case tb != nil && !tb.quad():
-		// On the square power-of-two grid this function models, a
-		// rectangular table hands the whole recursion to its base.
-		return WorkSpan(tb.Base, d, t)
 	}
 	// One level of the in-place recursion is two parallel rounds of four
 	// products and adds nothing. One level of a ⟨2,2,2⟩ table is R

@@ -35,15 +35,9 @@ import (
 // level, so quadrant descent stays in lock step.
 type Mat struct {
 	data  []float64
-	tiles int // grid rows in tiles at this level
-	// tilesc is the grid column count when it differs from tiles — the
-	// rectangular grids of the table-driven ⟨m,k,n⟩ algorithms on
-	// canonical storage. Zero means square (== tiles), so every
-	// pre-existing constructor and literal keeps its meaning; read it
-	// through gridC. Tiled (recursive-curve) storage is always square.
-	tilesc int
-	tr     int // tile rows
-	tc     int // tile columns
+	tiles int // grid side in tiles at this level
+	tr    int // tile rows
+	tc    int // tile columns
 	// ld is the leading dimension for canonical storage; ld == 0 marks
 	// tiled (recursive) storage, where each tile is contiguous with
 	// leading dimension tr.
@@ -55,23 +49,15 @@ type Mat struct {
 // tiledStore reports whether the Mat uses recursive tile storage.
 func (m Mat) tiledStore() bool { return m.ld == 0 }
 
-// gridC is the grid column count (tilesc, defaulting to square).
-func (m Mat) gridC() int {
-	if m.tilesc != 0 {
-		return m.tilesc
-	}
-	return m.tiles
-}
-
 // rows and cols return the (padded) element extent of this sub-matrix.
 func (m Mat) rows() int { return m.tiles * m.tr }
-func (m Mat) cols() int { return m.gridC() * m.tc }
+func (m Mat) cols() int { return m.tiles * m.tc }
 
 // tileElems is the storage footprint of one tile.
 func (m Mat) tileElems() int { return m.tr * m.tc }
 
 // elems is the total number of elements covered by this sub-matrix.
-func (m Mat) elems() int { return m.tiles * m.gridC() * m.tileElems() }
+func (m Mat) elems() int { return m.tiles * m.tiles * m.tileElems() }
 
 // quad returns the descriptor of geometric quadrant q (layout.QuadNW..
 // layout.QuadSE). For tiled storage this is the implicit address
@@ -96,31 +82,6 @@ func (m Mat) quad(q int) Mat {
 	off := (q >> 1 & 1) * half * m.tr
 	off += (q & 1) * half * m.tc * m.ld
 	c.data = m.data[off:]
-	return c
-}
-
-// subGrid returns block (i, j) of the pr×pc partition of this
-// sub-matrix's tile grid — the ⟨m,k,n⟩ generalization of quad. Tiled
-// storage only supports the quadrant split (the curves are quad-based);
-// the table engine hands rectangular partitions to canonical storage,
-// where the split is plain offset arithmetic. Both grid extents must
-// divide evenly (the driver's geometry guarantees it).
-func (m Mat) subGrid(i, j, pr, pc int) Mat {
-	if m.tiledStore() {
-		if pr != 2 || pc != 2 {
-			panic("core: non-quadrant subGrid on tiled storage")
-		}
-		return m.quad(i*2 + j)
-	}
-	rt, ct := m.tiles/pr, m.gridC()/pc
-	c := m
-	c.tiles, c.tilesc = rt, ct
-	if ct == rt {
-		// Normalize square results to the zero (square) encoding so the
-		// quadrant-based algorithms can take over below a table handoff.
-		c.tilesc = 0
-	}
-	c.data = m.data[i*rt*m.tr+j*ct*m.tc*m.ld:]
 	return c
 }
 
@@ -254,11 +215,9 @@ func tileIndexMap(dst, src Mat) func(int) int {
 // checkGeom panics unless the Mats have identical tile geometry.
 func checkGeom(ms ...Mat) {
 	for _, m := range ms[1:] {
-		if m.tiles != ms[0].tiles || m.gridC() != ms[0].gridC() ||
-			m.tr != ms[0].tr || m.tc != ms[0].tc {
-			panic(fmt.Sprintf("core: geometry mismatch %dx%dx(%dx%d) vs %dx%dx(%dx%d)",
-				ms[0].tiles, ms[0].gridC(), ms[0].tr, ms[0].tc,
-				m.tiles, m.gridC(), m.tr, m.tc))
+		if m.tiles != ms[0].tiles || m.tr != ms[0].tr || m.tc != ms[0].tc {
+			panic(fmt.Sprintf("core: geometry mismatch %dx(%dx%d) vs %dx(%dx%d)",
+				ms[0].tiles, ms[0].tr, ms[0].tc, m.tiles, m.tr, m.tc))
 		}
 	}
 }

@@ -124,7 +124,7 @@ const (
 	// implementation executed, not which was requested.
 	metricKernelCallsPrefix = "kernel_calls_"
 	// metricAlgSelectedPrefix labels calls by the algorithm that
-	// actually ran (e.g. alg_selected_laderman-3x3x3). With AlgAuto and
+	// actually ran (e.g. alg_selected_winograd). With AlgAuto and
 	// the admission ladder both able to move a call off the requested
 	// algorithm, scrapes need the resolved choice to see what the
 	// selection policy is doing in production.

@@ -180,33 +180,22 @@ func (cl *call) admitted(notes []string, ar *arena) {
 	}
 }
 
-// geom is the geometry every block of a call shares: a gm×gk×gn grid
-// of tm×tk×tn tiles — 2^d per side on the recursive curves and for the
-// quadrant algorithms, mixed-radix rectangular (table) for a
-// table-driven ⟨m,k,n⟩ algorithm on canonical storage.
+// geom is the geometry every block of a call shares: a 2^d × 2^d grid
+// of tm×tk×tn tiles, on every layout and for every algorithm.
 type geom struct {
 	curve      layout.Curve
 	d          uint
-	gm, gk, gn int
 	tm, tk, tn int
-	table      bool
 }
 
-func squareGeom(curve layout.Curve, d uint, tm, tk, tn int) geom {
-	return geom{curve: curve, d: d, gm: 1 << d, gk: 1 << d, gn: 1 << d, tm: tm, tk: tk, tn: tn}
-}
+// side is the grid's extent in tiles.
+func (g geom) side() int { return 1 << g.d }
 
-// hdr is the packed-operand header for a gr×gc grid of tr×tc tiles.
-func (g geom) hdr(gr, gc, tr, tc int) Tiled {
-	h := Tiled{Curve: g.curve, D: g.d, TR: tr, TC: tc}
-	if g.curve == layout.ColMajor {
-		h.gr, h.gc = gr, gc
-	}
-	return h
-}
+// hdr is the packed-operand header for a grid of tr×tc tiles.
+func (g geom) hdr(tr, tc int) Tiled { return Tiled{Curve: g.curve, D: g.d, TR: tr, TC: tc} }
 
-func (g geom) hdrA() Tiled { return g.hdr(g.gm, g.gk, g.tm, g.tk) }
-func (g geom) hdrB() Tiled { return g.hdr(g.gk, g.gn, g.tk, g.tn) }
+func (g geom) hdrA() Tiled { return g.hdr(g.tm, g.tk) }
+func (g geom) hdrB() Tiled { return g.hdr(g.tk, g.tn) }
 
 // charge prices a call of ms×ks×ns segments on this geometry, its blocks
 // pulled by runners tasks (zero: by one that spawns). An operand of a resident plan
@@ -216,12 +205,12 @@ func (g geom) hdrB() Tiled { return g.hdr(g.gk, g.gn, g.tk, g.tn) }
 // multiplies (Prepacked.mat) — and is billed one segment per product
 // tile in flight.
 func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, runners int) charge {
-	mp, kp, np := int64(g.gm*g.tm), int64(g.gk*g.tk), int64(g.gn*g.tn)
+	mp, kp, np := int64(g.side()*g.tm), int64(g.side()*g.tk), int64(g.side()*g.tn)
 	ch := charge{perBlock: mp * np, inflight: max(runners, 1), scratch: g.tm*g.tk + g.tk*g.tn,
 		plan:   groups{len(ms), len(ks), len(ns)},
 		deferA: runners > 0 && !resA && len(ns) == 1, deferB: runners > 0 && !resB && len(ms) == 1,
 		arena: func(alg Alg) int64 {
-			return arenaStackElems(alg, g.gm, g.gk, g.gn, g.tm, g.tk, g.tn, fastCutoff)
+			return arenaStackElems(alg, g.side(), g.tm, g.tk, g.tn, fastCutoff)
 		},
 		what: func() string {
 			return fmt.Sprintf("%dx%dx%d", mp*int64(len(ms)), kp*int64(len(ks)), np*int64(len(ns)))
@@ -264,23 +253,16 @@ func conformTile(cfg tile.Config, n int, d uint) int {
 // chooseGeom picks the geometry of a call cut into ms×ks×ns segments;
 // the segments of a dimension differ by at most one element, so tiling
 // the longest covers them all. A single block tiles by the
-// three-dimensional Pick (choose), or — table set — on the algorithm's
-// mixed-radix grid when one fits the tile range. A split call takes
-// the plan geometry: Pick over A's segment shape, the free dimension's
-// tile derived from that depth. That is what Prepack(PartnerDim: n)
-// and PrepackConforming arrive at in two steps, so the same operands
-// run the same tiles per call and through resident plans.
-func chooseGeom(o Options, ms, ks, ns []tile.Seg, table bool) (geom, error) {
+// three-dimensional Pick (choose). A split call takes the plan geometry:
+// Pick over A's segment shape, the free dimension's tile derived from
+// that depth. That is what Prepack(PartnerDim: n) and PrepackConforming
+// arrive at in two steps, so the same operands run the same tiles per
+// call and through resident plans.
+func chooseGeom(o Options, ms, ks, ns []tile.Seg) (geom, error) {
 	m, k, n := maxSegLen(ms), maxSegLen(ks), maxSegLen(ns)
-	if table {
-		if tg, ok := chooseTableGeom(tableOf(o.Alg), o.Tile, m, k, n); ok {
-			return geom{curve: o.Curve, d: tg.d, gm: tg.gm, gk: tg.gk, gn: tg.gn,
-				tm: tg.tm, tk: tg.tk, tn: tg.tn, table: true}, nil
-		}
-	}
 	if len(ms)*len(ks)*len(ns) == 1 {
 		d, t, err := choose(o, m, k, n)
-		return squareGeom(o.Curve, d, t[0], t[1], t[2]), err
+		return geom{o.Curve, d, t[0], t[1], t[2]}, err
 	}
 	d, t, err := choose(o, m, k)
 	if err != nil {
@@ -288,7 +270,7 @@ func chooseGeom(o Options, ms, ks, ns []tile.Seg, table bool) (geom, error) {
 	}
 	tn := conformTile(o.Tile, n, d)
 	_, _, _, err = paddedDims(d, t[0], t[1], tn)
-	return squareGeom(o.Curve, d, t[0], t[1], tn), err
+	return geom{o.Curve, d, t[0], t[1], tn}, err
 }
 
 // asWave is the nesting rule, GEMMBatch's: n independent pieces of a
@@ -306,10 +288,6 @@ func asWave(n, workers int) bool { return n > 1 && n >= workers }
 type given struct {
 	pa, pb   *Prepacked
 	resident bool
-	// square gives up a rectangular table's mixed-radix grid: the budget
-	// pushed admission below the table algorithm, and only the square
-	// geometry can run the other rungs.
-	square bool
 }
 
 // plan is how one m×k×n product runs under a set of options: the one
@@ -346,9 +324,9 @@ func (pl *plan) describe(alg Alg, stats *Stats) {
 	g := pl.g
 	stats.Depth = g.d
 	stats.TileM, stats.TileK, stats.TileN = g.tm, g.tk, g.tn
-	stats.PaddedM, stats.PaddedK, stats.PaddedN = g.gm*g.tm, g.gk*g.tk, g.gn*g.tn
+	stats.PaddedM, stats.PaddedK, stats.PaddedN = g.side()*g.tm, g.side()*g.tk, g.side()*g.tn
 	stats.Kernel, stats.Alg, stats.Layout = pl.kernel.Name, alg, g.curve
-	stats.FastCutoff, stats.FastLevels = pl.cutoff, fastLevels(alg, g.gm, g.gk, g.gn, pl.cutoff)
+	stats.FastCutoff, stats.FastLevels = pl.cutoff, fastLevels(alg, g.side(), pl.cutoff)
 }
 
 // planOf plans an m×k×n product: the split (GEMM's own, or the one a
@@ -368,18 +346,16 @@ func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
 	switch pa, pb := gv.pa, gv.pb; {
 	case pb != nil:
 		pl.ms, pl.ks, pl.ns = pa.RSegs, pa.CSegs, pb.CSegs
-		pl.g = squareGeom(pa.Curve, pa.D, pa.TR, pa.TC, pb.TC)
+		pl.g = geom{pa.Curve, pa.D, pa.TR, pa.TC, pb.TC}
 		_, _, _, err = paddedDims(pa.D, pa.TR, pa.TC, pb.TC)
 	case pa != nil:
 		var tn int
 		pl.ms, pl.ks = pa.RSegs, pa.CSegs
 		pl.ns, tn, err = conformSegs(o, pa, n)
-		pl.g = squareGeom(pa.Curve, pa.D, pa.TR, pa.TC, tn)
+		pl.g = geom{pa.Curve, pa.D, pa.TR, pa.TC, tn}
 	default:
 		pl.ms, pl.ks, pl.ns = splitSegs(o, m, k, n)
-		tb := tableOf(o.Alg)
-		pl.g, err = chooseGeom(o, pl.ms, pl.ks, pl.ns,
-			!gv.square && tb != nil && !tb.quad() && o.Curve == layout.ColMajor && o.ForceTile == 0)
+		pl.g, err = chooseGeom(o, pl.ms, pl.ks, pl.ns)
 	}
 	if err == nil {
 		err = pl.resolveGeom(o)
@@ -404,7 +380,7 @@ func (pl *plan) resolveGeom(o Options) (err error) {
 	} else if pl.kernel, err = leaf.GetImpl(o.KernelName); err != nil {
 		return err
 	}
-	o.settle(pl.kernel, g.gm, g.tm, g.tk, g.tn)
+	o.settle(pl.kernel, g.side(), g.tm, g.tk, g.tn)
 	pl.alg, pl.cutoff = o.Alg, o.FastCutoff
 	return nil
 }
@@ -533,7 +509,7 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	if tc == nil {
 		tc = &ws.tc
 		hdr := pa.hdr
-		hdr.TC, hdr.gc = pb.TC, pb.hdr.gc
+		hdr.TC = pb.TC
 		tc.refit(&ws.stats, hdr, sm.Len, sn.Len)
 		e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() { e.zero(c, tc.Data) })
 		ws.stats.ConvertIn += time.Since(t0)

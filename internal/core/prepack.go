@@ -45,7 +45,7 @@ type Prepacked struct {
 	RSegs, CSegs []tile.Seg
 	blocks       []Tiled
 	released     bool
-	// hdr is the blocks' full header (canonical storage's grid included).
+	// hdr is the blocks' full header.
 	hdr Tiled
 	// src, when non-nil, marks a deferred plan: it holds no blocks, and
 	// segment (i, j) of op(src) is packed at first touch by the one C

@@ -393,7 +393,7 @@ func TestStressGEMMFaultInjection(t *testing.T) {
 	failures := 0
 	for i := 0; i < 30; i++ {
 		C := matrix.New(n, n)
-		algs := []Alg{Standard, Strassen, Winograd, TableFast323, TableLaderman333}
+		algs := []Alg{Standard, Strassen, Winograd, StrassenLowMem, Standard8}
 		opts := Options{Curve: layout.ZMorton, Alg: algs[i%len(algs)], ForceTile: 16}
 		stats, err := GEMM(pool, opts, false, false, 1, A, B, 0, C)
 		if err == nil {

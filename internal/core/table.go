@@ -16,7 +16,9 @@ import (
 // eight products into temporaries its rank-8 point; the table form lets
 // one generic engine (tablemul.go) run every member — the paper's
 // Figure 1(a), 1(b), 1(c) and Section 5's space-conserving variant
-// included — so adding an algorithm is adding data, not code.
+// included — so adding an algorithm is adding data, not code. The engine
+// runs the quadrant partition alone: every layout's grid is 2^d tiles a
+// side and splits in quadrants, so register refuses any other ⟨M,K,N⟩.
 //
 // Correctness of a table is equivalent to the Brent equations — the
 // triple-product identity
@@ -74,13 +76,6 @@ type Table struct {
 	WT          [][]tableTerm
 	auxWScatter [][]tableTerm
 
-	// Base is the algorithm the engine hands the recursion to once the
-	// table levels are exhausted (the remaining grid is a square power
-	// of two by construction). ⟨2,2,2⟩ tables switch to Standard at
-	// FastCutoff; rectangular tables use Winograd so the power-of-two
-	// region stays fast.
-	Base Alg
-
 	// depthFirst runs every level of the table depth-first whatever the
 	// serial cutoff says: Section 5's space-conserving variant.
 	depthFirst bool
@@ -89,10 +84,6 @@ type Table struct {
 	// block (multi-term or negated rows); arena sizing uses them.
 	preA, preB int
 }
-
-// quad reports a ⟨2,2,2⟩ table: self-similar on the power-of-two grid,
-// so it descends to FastCutoff on every storage.
-func (tb *Table) quad() bool { return tb.M == 2 && tb.K == 2 && tb.N == 2 }
 
 // fast reports a table that multiplies with fewer products than the
 // classical M·K·N, and false for no table at all (Standard). Only a fast
@@ -214,10 +205,14 @@ func tableOf(a Alg) *Table {
 	return nil
 }
 
-// register validates invariants that the engine relies on (index
-// ranges, unit coefficients), precomputes WT and the scratch counts,
-// and assigns the next Alg id. Algebraic correctness is Verify's job.
+// register validates invariants that the engine relies on (the
+// quadrant partition, index ranges, unit coefficients), precomputes WT
+// and the scratch counts, and assigns the next Alg id. Algebraic
+// correctness is Verify's job.
 func register(tb *Table) Alg {
+	if tb.M != 2 || tb.K != 2 || tb.N != 2 {
+		panic(fmt.Sprintf("core: table %s: partition ⟨%d,%d,%d⟩, the engine runs ⟨2,2,2⟩ only", tb.Name, tb.M, tb.K, tb.N))
+	}
 	if len(tb.U) != tb.R || len(tb.V) != tb.R || len(tb.W) != tb.M*tb.N {
 		panic("core: table " + tb.Name + ": U/V/W shape mismatch")
 	}
@@ -389,7 +384,7 @@ func Tables() []*Table {
 // Block ids: A/B/C (i,j) -> i*2+j, so 0=11, 1=12, 2=21, 3=22.
 func strassen222Table() *Table {
 	return &Table{
-		Name: "strassen", M: 2, K: 2, N: 2, R: 7, Base: Standard,
+		Name: "strassen", M: 2, K: 2, N: 2, R: 7,
 		U: [][]tableTerm{
 			{{0, 1}, {3, 1}},  // P1: A11+A22
 			{{2, 1}, {3, 1}},  // P2: A21+A22
@@ -430,7 +425,7 @@ func strassen222Table() *Table {
 // Aux products: 7=U2=P1+P4, 8=U3=U2+P5.
 func winograd222Table() *Table {
 	return &Table{
-		Name: "winograd", M: 2, K: 2, N: 2, R: 7, Base: Standard,
+		Name: "winograd", M: 2, K: 2, N: 2, R: 7,
 		AuxU: [][]tableTerm{
 			{{2, 1}, {3, 1}},  // S1 = A21+A22
 			{{4, 1}, {0, -1}}, // S2 = S1−A11
@@ -474,73 +469,15 @@ func winograd222Table() *Table {
 	}
 }
 
-// glue323Table builds the rank-17 ⟨3,2,3⟩ algorithm by gluing: the
-// leading 2×2 of C is exactly A[0:2,0:2]·B[0:2,0:2] (K=2 is fully
-// covered), so Strassen's seven products serve it, and the ten border
-// products are classical. 17 < 18 = 3·2·3 keeps it a genuine fast
-// algorithm for once-padded 3-adic rectangular shapes.
-func glue323Table() *Table {
-	const M, K, N = 3, 2, 3
-	s := strassen222Table()
-	tb := &Table{Name: "fast-3x2x3", M: M, K: K, N: N, Base: Winograd}
-	// Embed Strassen: A indices coincide (both grids have K=2 columns);
-	// B (j,l): j*2+l -> j*N+l; C (i,l): i*2+l -> i*N+l.
-	remap := func(rows [][]tableTerm, cols, newCols int) [][]tableTerm {
-		out := make([][]tableTerm, len(rows))
-		for r, row := range rows {
-			nr := make([]tableTerm, len(row))
-			for i, t := range row {
-				nr[i] = tableTerm{(t.idx / cols) * newCols, t.c}
-				nr[i].idx += t.idx % cols
-			}
-			out[r] = nr
-		}
-		return out
-	}
-	tb.U = remap(s.U, 2, K)
-	tb.V = remap(s.V, 2, N)
-	// W terms are product ranks, not block positions — only the row
-	// order changes with the wider C grid.
-	tb.W = make([][]tableTerm, M*N)
-	for i := 0; i < 2; i++ {
-		for l := 0; l < 2; l++ {
-			tb.W[i*N+l] = s.W[i*2+l]
-		}
-	}
-	// Border: C(i,2) for i<2, C(2,l) for l<2, and C(2,2), classical.
-	addProd := func(ai, aj, bj, bl, ci, cl int) {
-		r := len(tb.U)
-		tb.U = append(tb.U, []tableTerm{{ai*K + aj, 1}})
-		tb.V = append(tb.V, []tableTerm{{bj*N + bl, 1}})
-		tb.W[ci*N+cl] = append(tb.W[ci*N+cl], tableTerm{r, 1})
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < K; j++ {
-			addProd(i, j, j, 2, i, 2) // C(i,2) += A(i,j)·B(j,2)
-		}
-	}
-	for l := 0; l < 2; l++ {
-		for j := 0; j < K; j++ {
-			addProd(2, j, j, l, 2, l) // C(2,l) += A(2,j)·B(j,l)
-		}
-	}
-	for j := 0; j < K; j++ {
-		addProd(2, j, j, 2, 2, 2) // C(2,2) += A(2,j)·B(j,2)
-	}
-	tb.R = len(tb.U)
-	return tb
-}
-
 // classicalTable is the rank-M·K·N algorithm every product of which is
 // one A block times one B block: product (i·N+l)·K+j is A(i,j)·B(j,l), so
 // C block (i,l) takes its K products in ascending j. ⟨2,2,2⟩ is the
 // paper's Figure 1(a), Standard8: eight quadrant products into
 // temporaries, then the post-additions C_il = A_i1·B_1l + A_i2·B_2l. Its
 // U and V rows are single +1 terms, so the engine aliases the operand
-// blocks and runs no pre-addition. ⟨2,1,2⟩ is the outer-product
-// partition, the second tensor factor of fast-4x2x4.
+// blocks and runs no pre-addition.
 func classicalTable(name string, M, K, N int) *Table {
-	tb := &Table{Name: name, M: M, K: K, N: N, R: M * K * N, Base: Standard, W: make([][]tableTerm, M*N)}
+	tb := &Table{Name: name, M: M, K: K, N: N, R: M * K * N, W: make([][]tableTerm, M*N)}
 	for i := 0; i < M; i++ {
 		for l := 0; l < N; l++ {
 			for j := 0; j < K; j++ {
@@ -551,158 +488,6 @@ func classicalTable(name string, M, K, N int) *Table {
 		}
 	}
 	return tb
-}
-
-// tensorTable is the Kronecker product of two bilinear algorithms: a
-// ⟨m1,k1,n1⟩ rank-R1 and ⟨m2,k2,n2⟩ rank-R2 compose into a
-// ⟨m1m2,k1k2,n1n2⟩ rank-R1·R2 algorithm. fast-4x2x4 is
-// winograd ⊗ classical-2x1x2: rank 28 < 32.
-// expandSchedule returns an aux-free table over the same bilinear
-// form, with every schedule reference substituted back into base-block
-// rows — the input to constructions (like tensorTable) whose index
-// arithmetic reads base ids. Tables without a schedule pass through.
-func (tb *Table) expandSchedule() *Table {
-	if len(tb.AuxU)+len(tb.AuxV)+len(tb.AuxW) == 0 {
-		return tb
-	}
-	sparsify := func(dense [][]int64) [][]tableTerm {
-		rows := make([][]tableTerm, len(dense))
-		for i, d := range dense {
-			for idx, c := range d {
-				if c != 0 {
-					rows[i] = append(rows[i], tableTerm{idx, int(c)})
-				}
-			}
-		}
-		return rows
-	}
-	return &Table{
-		Name: tb.Name, M: tb.M, K: tb.K, N: tb.N, R: tb.R, Base: tb.Base,
-		U: sparsify(densifyExpanded(tb.U, tb.AuxU, tb.M*tb.K)),
-		V: sparsify(densifyExpanded(tb.V, tb.AuxV, tb.K*tb.N)),
-		W: sparsify(densifyExpanded(tb.W, tb.AuxW, tb.R)),
-	}
-}
-
-func tensorTable(name string, x, y *Table, base Alg) *Table {
-	// The cross-product index arithmetic below reads base-block ids,
-	// so scheduled factors contribute their expanded form.
-	x, y = x.expandSchedule(), y.expandSchedule()
-	tb := &Table{
-		Name: name,
-		M:    x.M * y.M, K: x.K * y.K, N: x.N * y.N,
-		R: x.R * y.R, Base: base,
-	}
-	// cross merges an outer-factor row with an inner-factor row: outer
-	// block (ro,co) and inner block (ri,ci) compose into block
-	// (ro*innerRows+ri, co*innerCols+ci) of the combined grid.
-	cross := func(a, b []tableTerm, aCols, innerRows, innerCols, outCols int) []tableTerm {
-		var out []tableTerm
-		for _, ta := range a {
-			for _, tb2 := range b {
-				row := (ta.idx/aCols)*innerRows + tb2.idx/innerCols
-				col := (ta.idx%aCols)*innerCols + tb2.idx%innerCols
-				out = append(out, tableTerm{row*outCols + col, ta.c * tb2.c})
-			}
-		}
-		return out
-	}
-	for r1 := 0; r1 < x.R; r1++ {
-		for r2 := 0; r2 < y.R; r2++ {
-			tb.U = append(tb.U, cross(x.U[r1], y.U[r2], x.K, y.M, y.K, tb.K))
-			tb.V = append(tb.V, cross(x.V[r1], y.V[r2], x.N, y.K, y.N, tb.N))
-		}
-	}
-	tb.W = make([][]tableTerm, tb.M*tb.N)
-	for t1 := 0; t1 < x.M*x.N; t1++ {
-		for t2 := 0; t2 < y.M*y.N; t2++ {
-			i := (t1/x.N)*y.M + t2/y.N
-			l := (t1%x.N)*y.N + t2%y.N
-			var row []tableTerm
-			for _, wa := range x.W[t1] {
-				for _, wb := range y.W[t2] {
-					row = append(row, tableTerm{wa.idx*y.R + wb.idx, wa.c * wb.c})
-				}
-			}
-			tb.W[i*tb.N+l] = row
-		}
-	}
-	return tb
-}
-
-// laderman333Table is a rank-23 ⟨3,3,3⟩ algorithm in the Laderman
-// (1976) family: the 23 A-side factors are Laderman's, and the two
-// B-side factors of the a22/a32 products plus the full W matrix were
-// re-derived from the Brent equations by exact rational elimination
-// (every coefficient lands in {−1,+1}; Verify proves the identity).
-// 23 < 27 makes it the repo's fastest algorithm on 3-adic-friendly
-// shapes, where Winograd must pad to the next power of two.
-// Block ids: (i,j) -> i*3+j, zero-based.
-func laderman333Table() *Table {
-	return &Table{
-		Name: "laderman-3x3x3", M: 3, K: 3, N: 3, R: 23, Base: Winograd,
-		U: [][]tableTerm{
-			{{0, 1}, {1, 1}, {2, 1}, {3, -1}, {4, -1}, {7, -1}, {8, -1}}, // m1
-			{{0, 1}, {3, -1}},         // m2: a11−a21
-			{{4, 1}},                  // m3: a22
-			{{0, -1}, {3, 1}, {4, 1}}, // m4: −a11+a21+a22
-			{{3, 1}, {4, 1}},          // m5: a21+a22
-			{{0, 1}},                  // m6: a11
-			{{0, -1}, {6, 1}, {7, 1}}, // m7: −a11+a31+a32
-			{{0, -1}, {6, 1}},         // m8: −a11+a31
-			{{6, 1}, {7, 1}},          // m9: a31+a32
-			{{0, 1}, {1, 1}, {2, 1}, {4, -1}, {5, -1}, {6, -1}, {7, -1}}, // m10
-			{{7, 1}},                  // m11: a32
-			{{2, -1}, {7, 1}, {8, 1}}, // m12: −a13+a32+a33
-			{{2, 1}, {8, -1}},         // m13: a13−a33
-			{{2, 1}},                  // m14: a13
-			{{7, 1}, {8, 1}},          // m15: a32+a33
-			{{2, -1}, {4, 1}, {5, 1}}, // m16: −a13+a22+a23
-			{{2, 1}, {5, -1}},         // m17: a13−a23
-			{{4, 1}, {5, 1}},          // m18: a22+a23
-			{{1, 1}},                  // m19: a12
-			{{5, 1}},                  // m20: a23
-			{{3, 1}},                  // m21: a21
-			{{6, 1}},                  // m22: a31
-			{{8, 1}},                  // m23: a33
-		},
-		V: [][]tableTerm{
-			{{4, 1}},          // m1: b22
-			{{1, -1}, {4, 1}}, // m2: −b12+b22
-			{{0, -1}, {1, 1}, {3, 1}, {4, -1}, {5, -1}, {6, -1}, {8, 1}}, // m3
-			{{0, 1}, {1, -1}, {4, 1}},                                    // m4: b11−b12+b22
-			{{0, -1}, {1, 1}},                                            // m5: −b11+b12
-			{{0, 1}},                                                     // m6: b11
-			{{0, 1}, {2, -1}, {5, 1}},                                    // m7: b11−b13+b23
-			{{2, 1}, {5, -1}},                                            // m8: b13−b23
-			{{0, -1}, {2, 1}},                                            // m9: −b11+b13
-			{{5, 1}},                                                     // m10: b23
-			{{0, -1}, {2, 1}, {3, 1}, {4, -1}, {5, -1}, {6, -1}, {7, 1}}, // m11
-			{{4, 1}, {6, 1}, {7, -1}},                                    // m12: b22+b31−b32
-			{{4, 1}, {7, -1}},                                            // m13: b22−b32
-			{{6, 1}},                                                     // m14: b31
-			{{6, -1}, {7, 1}},                                            // m15: −b31+b32
-			{{5, 1}, {6, 1}, {8, -1}},                                    // m16: b23+b31−b33
-			{{5, 1}, {8, -1}},                                            // m17: b23−b33
-			{{6, -1}, {8, 1}},                                            // m18: −b31+b33
-			{{3, 1}},                                                     // m19: b21
-			{{7, 1}},                                                     // m20: b32
-			{{2, 1}},                                                     // m21: b13
-			{{1, 1}},                                                     // m22: b12
-			{{8, 1}},                                                     // m23: b33
-		},
-		W: [][]tableTerm{
-			{{5, 1}, {13, 1}, {18, 1}},                                   // c11 = m6+m14+m19
-			{{0, 1}, {3, 1}, {4, 1}, {5, 1}, {11, 1}, {13, 1}, {14, 1}},  // c12
-			{{5, 1}, {6, 1}, {8, 1}, {9, 1}, {13, 1}, {15, 1}, {17, 1}},  // c13
-			{{1, 1}, {2, 1}, {3, 1}, {5, 1}, {13, 1}, {15, 1}, {16, 1}},  // c21
-			{{1, 1}, {3, 1}, {4, 1}, {5, 1}, {19, 1}},                    // c22
-			{{13, 1}, {15, 1}, {16, 1}, {17, 1}, {20, 1}},                // c23
-			{{5, 1}, {6, 1}, {7, 1}, {10, 1}, {11, 1}, {12, 1}, {13, 1}}, // c31
-			{{11, 1}, {12, 1}, {13, 1}, {14, 1}, {21, 1}},                // c32
-			{{5, 1}, {6, 1}, {7, 1}, {8, 1}, {22, 1}},                    // c33
-		},
-	}
 }
 
 // strassenLowMemTable is Section 5's space-conserving variant: "If we
@@ -722,27 +507,13 @@ func strassenLowMemTable() *Table {
 }
 
 // tableAlgs registers the built-in table family in one initializer so
-// every other package-level var (Algs, the named ids below) depends on
-// it explicitly — Go's init-order analysis then guarantees the registry
-// is populated before anyone reads it. The first four land on the ids
-// Standard8, Strassen, Winograd and StrassenLowMem (tableAlgBase).
-var tableAlgs = func() []Alg {
-	return []Alg{
-		register(classicalTable("standard8", 2, 2, 2)),
-		register(strassen222Table()),
-		register(winograd222Table()),
-		register(strassenLowMemTable()),
-		register(glue323Table()),
-		register(tensorTable("fast-4x2x4", winograd222Table(), classicalTable("classical-2x1x2", 2, 1, 2), Winograd)),
-		register(laderman333Table()),
-	}
-}()
-
-// The rectangular tables' ids, registered after the four ⟨2,2,2⟩
-// entries. Their names follow the ⟨m,k,n⟩ convention so the -alg help
-// text reads as the algorithm family.
-var (
-	TableFast323     = tableAlgs[4]
-	TableFast424     = tableAlgs[5]
-	TableLaderman333 = tableAlgs[6]
-)
+// every other package-level var (Algs) depends on it explicitly — Go's
+// init-order analysis then guarantees the registry is populated before
+// anyone reads it. The four land on the ids Standard8, Strassen, Winograd
+// and StrassenLowMem (tableAlgBase).
+var tableAlgs = []Alg{
+	register(classicalTable("standard8", 2, 2, 2)),
+	register(strassen222Table()),
+	register(winograd222Table()),
+	register(strassenLowMemTable()),
+}

@@ -7,18 +7,18 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/layout"
 	"repro/internal/leaf"
 	"repro/internal/matrix"
 	"repro/internal/sched"
-	"repro/internal/tile"
 )
 
 // TestAlgTables is the Brent-equation gate: every registered coefficient
-// table must be an exact bilinear algorithm for its ⟨M,K,N⟩ shape. The
-// `make algtable-check` target runs exactly this test.
+// table — the four ⟨2,2,2⟩ ones — must be an exact bilinear algorithm.
+// The `make algtable-check` target runs exactly this test.
 func TestAlgTables(t *testing.T) {
 	if err := VerifyTables(); err != nil {
 		t.Fatal(err)
@@ -39,26 +39,60 @@ func TestAlgTables(t *testing.T) {
 	if tableOf(Standard).fast() {
 		t.Error("Standard, which has no table, is fast")
 	}
-	for _, want := range []string{
-		"standard8", "strassen", "winograd", "strassen-lowmem", "fast-3x2x3", "fast-4x2x4", "laderman-3x3x3",
-	} {
+	for _, want := range []string{"standard8", "strassen", "winograd", "strassen-lowmem"} {
 		if !seen[want] {
 			t.Errorf("registry missing %s", want)
 		}
 	}
+	if len(seen) != 4 {
+		t.Errorf("%d tables registered, want the four ⟨2,2,2⟩ ones", len(seen))
+	}
+}
+
+// TestRegisterRefusesNonQuadrant: the engine splits grids in quadrants
+// only, so registering any other partition — here the classical ⟨3,2,3⟩
+// table, a correct bilinear algorithm — panics before the registry
+// changes.
+func TestRegisterRefusesNonQuadrant(t *testing.T) {
+	tb := classicalTable("classical-3x2x3", 3, 2, 3)
+	if err := tb.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	before := len(Tables())
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "⟨2,2,2⟩ only") {
+			t.Errorf("register(⟨3,2,3⟩) recovered %v, want a refusal naming ⟨2,2,2⟩", r)
+		}
+		if n := len(Tables()); n != before {
+			t.Errorf("the refused table changed the registry: %d tables, want %d", n, before)
+		}
+	}()
+	register(tb)
 }
 
 // TestAlgNames: Figure 1(a)'s Standard8 and the paper's three fast
 // algorithms are registry entries — the four ⟨2,2,2⟩ tables — under
-// their historical ids and names, each listed once.
+// their historical ids 1–4 and names, each listed once, after Standard
+// at 0; nothing else parses but "auto", and a name that does not parse
+// (a removed table's included) is refused with the six valid ones.
 func TestAlgNames(t *testing.T) {
-	for alg, name := range map[Alg]string{Standard8: "standard8", Strassen: "strassen", Winograd: "winograd", StrassenLowMem: "strassen-lowmem"} {
-		if tb := tableOf(alg); tb == nil || !tb.quad() || alg.String() != name {
-			t.Errorf("Alg %d: table %v, name %q, want a ⟨2,2,2⟩ table named %q", alg, tb, alg.String(), name)
+	want := []string{"standard", "standard8", "strassen", "winograd", "strassen-lowmem"}
+	for id, name := range want {
+		alg := Alg(id)
+		if tb := tableOf(alg); (tb == nil) != (alg == Standard) || alg.String() != name {
+			t.Errorf("Alg %d: table %v, name %q, want %q", alg, tb, alg.String(), name)
 		}
 	}
-	if Standard != 0 || Standard8 != 1 || Strassen != 2 || Algs[0] != Standard || Algs[1] != Standard8 {
-		t.Errorf("ids moved: Standard %d, Standard8 %d, Strassen %d; Algs opens %v", Standard, Standard8, Strassen, Algs[:2])
+	if Standard != 0 || Standard8 != 1 || Strassen != 2 || Winograd != 3 || StrassenLowMem != 4 ||
+		fmt.Sprint(Algs) != fmt.Sprint([]Alg{0, 1, 2, 3, 4}) {
+		t.Errorf("ids moved: Standard %d, Standard8 %d, Strassen %d, Winograd %d, StrassenLowMem %d; Algs %v",
+			Standard, Standard8, Strassen, Winograd, StrassenLowMem, Algs)
+	}
+	for _, gone := range []string{"laderman-3x3x3", "fast-3x2x3", "fast-4x2x4"} {
+		_, err := ParseAlg(gone)
+		if err == nil || !strings.Contains(err.Error(), strings.Join(append(want, "auto"), ", ")) {
+			t.Errorf("ParseAlg(%q) = %v, want an error listing the six valid names", gone, err)
+		}
 	}
 	if tb := tableOf(StrassenLowMem); !tb.depthFirst || tableOf(Strassen).depthFirst {
 		t.Error("StrassenLowMem, and only it, runs Strassen's table depth-first")
@@ -99,17 +133,16 @@ func tableAlgList() []Alg {
 
 // TestTableGEMMDifferential drives every table algorithm against the
 // naive reference over rectangular shapes, fringe sizes, and β values
-// on every layout. The shapes include dimensions aligned to the table
-// grids (so the mixed-radix geometry engages on canonical storage) and
-// deliberately misaligned fringes that force padding.
+// on every layout, deliberately misaligned fringes that force padding
+// included.
 func TestTableGEMMDifferential(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(99))
 	shapes := [][3]int{
-		{48, 32, 48},  // 3·2·3-aligned with testTile
-		{96, 64, 96},  // two table levels
-		{108, 72, 96}, // laderman-friendly m, rectangular
+		{48, 32, 48},  // wide
+		{96, 64, 96},  // two fast levels
+		{108, 72, 96}, // rectangular
 		{61, 35, 77},  // fringe everywhere
 		{128, 16, 90}, // flat: small k
 		{24, 120, 24}, // deep: large k
@@ -177,40 +210,9 @@ func TestTableResidualGrowth(t *testing.T) {
 	}
 }
 
-// TestChooseTableGeom checks the mixed-radix geometry chooser: grids
-// must be M^l·2^d with every tile inside [TMin, TMax], and the serving
-// shape the daemon auto-selects for must admit a laderman geometry.
-func TestChooseTableGeom(t *testing.T) {
-	cfg := tile.DefaultConfig
-	lad := tableOf(TableLaderman333)
-	g, ok := chooseTableGeom(lad, cfg, 1296, 864, 1296)
-	if !ok {
-		t.Fatal("no laderman geometry for 1296x864x1296")
-	}
-	pm, pk, pn := 1, 1, 1
-	for i := 0; i < g.l; i++ {
-		pm, pk, pn = pm*lad.M, pk*lad.K, pn*lad.N
-	}
-	pm, pk, pn = pm<<g.d, pk<<g.d, pn<<g.d
-	if g.gm != pm || g.gk != pk || g.gn != pn {
-		t.Fatalf("grid %dx%dx%d is not M^l·2^d = %dx%dx%d (l=%d d=%d)",
-			g.gm, g.gk, g.gn, pm, pk, pn, g.l, g.d)
-	}
-	for _, tl := range []int{g.tm, g.tk, g.tn} {
-		if tl < cfg.TMin || tl > cfg.TMax {
-			t.Fatalf("tile %d outside [%d, %d]", tl, cfg.TMin, cfg.TMax)
-		}
-	}
-	// A shape no table level fits (tiles would land outside the range
-	// for every l ≥ 1) must report ok=false.
-	if _, ok := chooseTableGeom(lad, cfg, 20, 20, 20); ok {
-		t.Error("expected no geometry for a 20x20x20 problem at default tiles")
-	}
-}
-
 // TestSelectAlg pins the AlgAuto policy on injected rules: Standard
-// unless a fast level survives the cutoff, Winograd otherwise, never a
-// rectangular table; explicit choices pass through untouched.
+// unless a fast level survives the cutoff, Winograd otherwise; explicit
+// choices pass through untouched.
 func TestSelectAlg(t *testing.T) {
 	auto := Options{Alg: AlgAuto, Curve: layout.ZMorton}
 	// plan is what the driver would run an n³ call on.
@@ -229,7 +231,7 @@ func TestSelectAlg(t *testing.T) {
 				t.Errorf("n=%d: got %v, want Winograd", n, got)
 			}
 		}
-		if l := fastLevels(Winograd, 32, 32, 32, 1); l != 5 {
+		if l := fastLevels(Winograd, 32, 1); l != 5 {
 			t.Errorf("32-tile grid at cutoff 1 runs %d fast levels, want 5", l)
 		}
 	})
@@ -239,8 +241,8 @@ func TestSelectAlg(t *testing.T) {
 		if pl := plan(auto, 1024); pl.alg != Standard || pl.cutoff != 32 || ResolveAlg(auto, 1024, 1024, 1024) != Standard {
 			t.Errorf("1024³: got %v at cutoff %d, want Standard at 32", pl.alg, pl.cutoff)
 		}
-		if pl := plan(auto, 4096); pl.alg != Winograd || fastLevels(pl.alg, pl.g.gm, pl.g.gk, pl.g.gn, pl.cutoff) < 1 || ResolveAlg(auto, 4096, 4096, 4096) != Winograd {
-			t.Errorf("4096³: got %v on a %d-tile grid at cutoff %d, want Winograd with a fast level", pl.alg, pl.g.gm, pl.cutoff)
+		if pl := plan(auto, 4096); pl.alg != Winograd || fastLevels(pl.alg, pl.g.side(), pl.cutoff) < 1 || ResolveAlg(auto, 4096, 4096, 4096) != Winograd {
+			t.Errorf("4096³: got %v on a %d-tile grid at cutoff %d, want Winograd with a fast level", pl.alg, pl.g.side(), pl.cutoff)
 		}
 		// Never a fast algorithm with no fast level, on any storage or
 		// shape; once n is large enough for one, every larger n has one.
@@ -249,7 +251,7 @@ func TestSelectAlg(t *testing.T) {
 			o.Curve = cv
 			for n := 24; n <= 6000; n += n/7 + 1 {
 				pl := plan(o, n)
-				got, s, cut := ResolveAlg(o, n, n, n), pl.g.gm, pl.cutoff
+				got, s, cut := ResolveAlg(o, n, n, n), pl.g.side(), pl.cutoff
 				if (got == Winograd) != (s > cut) || got != Winograd && got != Standard {
 					t.Errorf("%v n=%d: got %v on a %d-tile grid at cutoff %d", cv, n, got, s, cut)
 				}
@@ -267,10 +269,10 @@ func TestSelectAlg(t *testing.T) {
 	// The default cutoff is priced on the passes of the table that runs
 	// the levels it bounds: Strassen's 10/12/7 are a tenth more bytes than
 	// Winograd's 10/9/7, which a balance just under a power of two shows;
-	// Auto and the rectangular tables run Winograd's levels.
+	// Auto runs Winograd's levels.
 	t.Run("own passes", func(t *testing.T) {
 		useBalance(t, 4.4)
-		for alg, want := range map[Alg]int{Winograd: 32, AlgAuto: 32, TableLaderman333: 32, Strassen: 64, StrassenLowMem: 64} {
+		for alg, want := range map[Alg]int{Winograd: 32, AlgAuto: 32, Strassen: 64, StrassenLowMem: 64} {
 			o := Options{Alg: alg}
 			if o.settle(leaf.Impl{}, 128, 32, 32, 32); o.FastCutoff != want {
 				t.Errorf("%v: cutoff %d on 32³ tiles at balance 4.4, want %d", alg, o.FastCutoff, want)
@@ -308,7 +310,7 @@ func TestSelectAlg(t *testing.T) {
 				if o.settle(leaf.Impl{}, 64, 32, 32, 32); o.FastCutoff != 0 || o.Alg != alg {
 					t.Errorf("%v FastCutoff=%d settled to %v at cutoff %d, want no cutoff", alg, fc, o.Alg, o.FastCutoff)
 				}
-				if l := fastLevels(alg, 64, 64, 64, fc); l != 0 {
+				if l := fastLevels(alg, 64, fc); l != 0 {
 					t.Errorf("%v runs %d fast levels on a 64-tile grid at cutoff %d", alg, l, fc)
 				}
 			}

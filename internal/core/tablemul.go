@@ -5,10 +5,10 @@ import (
 )
 
 // This file is the recursive engine behind every fast algorithm: the
-// paper's Strassen, Winograd and space-conserving Strassen and the
-// rectangular ⟨m,k,n⟩ family are all coefficient tables (table.go) run
-// here. One level of recursion is: split the three operands' tile grids
-// M×K / K×N / M×N ways, materialize the U/V block combinations (through
+// paper's Strassen, Winograd and space-conserving Strassen, and Figure
+// 1(a)'s eight products, are all ⟨2,2,2⟩ coefficient tables (table.go)
+// run here. One level of recursion is: split the three operands' tile
+// grids in quadrants, materialize the U/V block combinations (through
 // the pool-parallel element-wise streams exec.ew2/ew3), recurse into
 // the R products, and scatter them into C along W.
 //
@@ -30,47 +30,23 @@ import (
 // pins it). Arena reservations charge BFS at every level of a table
 // that is not depthFirst (the maximum); its DFS levels use less.
 
-// tableGrid extracts the three grid extents of a conforming block trio:
-// A is gm×gk tiles, B is gk×gn, C is gm×gn.
-func tableGrid(C, A Mat) (gm, gk, gn int) {
-	return C.tiles, A.gridC(), C.gridC()
-}
-
-// tableMul computes C += A·B by tb. The recursion descends the table
-// while the grid divides by ⟨M,K,N⟩; the driver's geometry (mixed-radix
-// M^l·2^d grids on canonical storage, plain 2^d on the recursive
-// layouts) guarantees that when it stops the remaining grid is a square
-// power of two, which is handed to tb.Base. ⟨2,2,2⟩ tables are
-// self-similar on the power-of-two grid and keep descending to
-// FastCutoff.
+// tableMul computes C += A·B by tb, descending the table's levels while
+// the grid is above FastCutoff and handing the rest to the standard
+// recursion (Standard8, whose plan has no cutoff, descends to single
+// tiles).
 func (e *exec) tableMul(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	if c.Cancelled() {
 		return
 	}
-	gm, gk, gn := tableGrid(C, A)
-	if gm == 1 && gk == 1 && gn == 1 {
+	if C.tiles == 1 {
 		e.leafMul(c, C, A, B)
 		return
 	}
-	if tb.quad() {
-		if gm <= e.fastCutoff {
-			e.mul(c, tb.Base, C, A, B)
-			return
-		}
-	} else {
-		// A rectangular table never descends on tiled storage (the
-		// curves' 2^d grids don't divide by odd factors), and on
-		// canonical storage it stops when the table levels are exhausted
-		// and the grid has collapsed to a square power of two.
-		if C.tiledStore() || (gm == gk && gk == gn && gm&(gm-1) == 0) {
-			e.mul(c, tb.Base, C, A, B)
-			return
-		}
-		if gm%tb.M != 0 || gk%tb.K != 0 || gn%tb.N != 0 {
-			panic("core: table recursion on non-divisible grid")
-		}
+	if C.tiles <= e.fastCutoff {
+		e.std(c, C, A, B)
+		return
 	}
-	if e.par(max(gm, gk, gn)) && !tb.depthFirst {
+	if e.par(C.tiles) && !tb.depthFirst {
 		e.tableBFS(c, tb, C, A, B)
 		return
 	}
@@ -112,22 +88,11 @@ func (e *exec) materialize(c *sched.Ctx, dst Mat, row []tableTerm, blocks []Mat)
 	}
 }
 
-// splitBlocks fills the three operand block arrays for one table level.
-func splitBlocks(tb *Table, C, A, B Mat, ab, bb, cb []Mat) {
-	for i := 0; i < tb.M; i++ {
-		for j := 0; j < tb.K; j++ {
-			ab[i*tb.K+j] = A.subGrid(i, j, tb.M, tb.K)
-		}
-	}
-	for j := 0; j < tb.K; j++ {
-		for l := 0; l < tb.N; l++ {
-			bb[j*tb.N+l] = B.subGrid(j, l, tb.K, tb.N)
-		}
-	}
-	for i := 0; i < tb.M; i++ {
-		for l := 0; l < tb.N; l++ {
-			cb[i*tb.N+l] = C.subGrid(i, l, tb.M, tb.N)
-		}
+// splitBlocks fills the three operand block arrays for one table level:
+// block (i, j) of each is its quadrant i·2+j.
+func splitBlocks(C, A, B Mat, ab, bb, cb []Mat) {
+	for q := 0; q < 4; q++ {
+		ab[q], bb[q], cb[q] = A.quad(q), B.quad(q), C.quad(q)
 	}
 }
 
@@ -156,7 +121,7 @@ func (e *exec) tableBFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	ab := make([]Mat, tb.M*tb.K+len(tb.AuxU))
 	bb := make([]Mat, tb.K*tb.N+len(tb.AuxV))
 	cb := make([]Mat, tb.M*tb.N)
-	splitBlocks(tb, C, A, B, ab, bb, cb)
+	splitBlocks(C, A, B, ab, bb, cb)
 
 	st, top := e.ar.mark(c)
 	defer e.ar.release(st, top)
@@ -260,7 +225,7 @@ func (e *exec) tableDFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	ab := abuf[:tb.M*tb.K+len(tb.AuxU)]
 	bb := bbuf[:tb.K*tb.N+len(tb.AuxV)]
 	cb := cbuf[:tb.M*tb.N]
-	splitBlocks(tb, C, A, B, ab, bb, cb)
+	splitBlocks(C, A, B, ab, bb, cb)
 
 	st, top := e.ar.mark(c)
 	defer e.ar.release(st, top)

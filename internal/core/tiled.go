@@ -59,14 +59,14 @@ type Tiled struct {
 	TR, TC     int
 	Rows, Cols int
 	Data       []float64
-	// gr and gc, when non-zero, mark canonical storage (the L_C baseline
-	// of Section 5): Data is one padded column-major panel of gr × gc
-	// tiles with leading dimension gr·TR — a 2^D square grid for the
-	// quadrant algorithms, mixed-radix rectangular for the table-driven
-	// ⟨m,k,n⟩ family. The driver packs and unpacks it through the same
-	// tile walk as the curves, so one block loop serves both storages.
-	gr, gc int
 }
+
+// canon reports canonical storage (the L_C baseline of Section 5), the
+// one a ColMajor Tiled has: Data is one padded column-major panel of
+// 2^D × 2^D tiles with leading dimension 2^D·TR. The driver packs and
+// unpacks it through the same tile walk as the curves, so one block loop
+// serves both storages.
+func (t *Tiled) canon() bool { return t.Curve == layout.ColMajor }
 
 // NewTiled allocates a zeroed tiled matrix covering rows × cols.
 func NewTiled(curve layout.Curve, d uint, tr, tc, rows, cols int) *Tiled {
@@ -80,31 +80,20 @@ func NewTiled(curve layout.Curve, d uint, tr, tc, rows, cols int) *Tiled {
 	}
 }
 
-// grid returns the tile-grid extents.
-func (t *Tiled) grid() (gr, gc int) {
-	if t.gr != 0 {
-		return t.gr, t.gc
-	}
-	return 1 << t.D, 1 << t.D
-}
-
 // tiles and elems return the tile count and the padded element count.
-func (t *Tiled) tiles() int { gr, gc := t.grid(); return gr * gc }
+func (t *Tiled) tiles() int { return 1 << (2 * t.D) }
 func (t *Tiled) elems() int { return t.tiles() * t.TR * t.TC }
 
 // PaddedRows and PaddedCols return the padded extents.
-func (t *Tiled) PaddedRows() int { gr, _ := t.grid(); return t.TR * gr }
-func (t *Tiled) PaddedCols() int { _, gc := t.grid(); return t.TC * gc }
+func (t *Tiled) PaddedRows() int { return t.TR << t.D }
+func (t *Tiled) PaddedCols() int { return t.TC << t.D }
 
 // Mat returns the whole-matrix quadrant descriptor in the reference
 // orientation.
 func (t *Tiled) Mat() Mat {
 	m := Mat{data: t.Data, tiles: 1 << t.D, tr: t.TR, tc: t.TC, curve: t.Curve}
-	if t.gr != 0 {
-		m.tiles, m.ld = t.gr, t.gr*t.TR
-		if t.gc != t.gr {
-			m.tilesc = t.gc
-		}
+	if t.canon() {
+		m.ld = t.PaddedRows()
 	}
 	return m
 }
@@ -112,7 +101,7 @@ func (t *Tiled) Mat() Mat {
 // coords returns the memoized curve walk of the grid (nil on canonical
 // storage and out-of-cache depths, where tileAt computes directly).
 func (t *Tiled) coords() []uint32 {
-	if t.gr != 0 {
+	if t.canon() {
 		return nil
 	}
 	return tileCoords(t.Curve, t.D)
@@ -122,9 +111,9 @@ func (t *Tiled) coords() []uint32 {
 // (i0, j0) of its first element, and the base and leading dimension of
 // its column-major storage inside Data.
 func (t *Tiled) tileAt(s int, coords []uint32) (i0, j0, base, ld int) {
-	if t.gr != 0 {
-		ti, tj := s%t.gr, s/t.gr
-		ld = t.gr * t.TR
+	if t.canon() {
+		ti, tj := s&(1<<t.D-1), s>>t.D
+		ld = t.PaddedRows()
 		return ti * t.TR, tj * t.TC, tj*t.TC*ld + ti*t.TR, ld
 	}
 	var ti, tj uint32
@@ -332,7 +321,7 @@ func (t *Tiled) packTransposeOf(e *exec, c *sched.Ctx, src *Tiled) {
 	case t.TR != src.TC || t.TC != src.TR || t.Rows != src.Cols || t.Cols != src.Rows:
 		panic(fmt.Sprintf("core: transpose pack %dx%d (%dx%d tiles) from %dx%d (%dx%d tiles)",
 			t.Rows, t.Cols, t.TR, t.TC, src.Rows, src.Cols, src.TR, src.TC))
-	case t.gr != 0 || src.gr != 0:
+	case t.canon():
 		panic("core: transpose pack on canonical storage")
 	}
 	coords := t.coords()

@@ -31,8 +31,8 @@ import "fmt"
 
 // Curve identifies a layout function. The zero value, Default, names
 // none: it is "the library's choice", which the multiplication planner
-// resolves before anything is laid out (Z-Morton, or ColMajor for a
-// rectangular ⟨m,k,n⟩ table), so no stored matrix ever carries it. Only
+// resolves before anything is laid out (to Z-Morton), so no stored
+// matrix ever carries it. Only
 // names are persisted (wire, plan keys, flags); the numeric ids are not
 // stable.
 type Curve uint8

@@ -41,9 +41,8 @@ type Request struct {
 	// "auto" Alg resolves per shape (Standard unless the tile grid is
 	// large enough for a fast level to repay its passes by the crossover
 	// rule — the same in every process on a host — Winograd otherwise);
-	// An empty Layout is the library's, recmat.ResolveLayout's: Z-Morton,
-	// or ColMajor under a rectangular table. AlgRan and LayoutRan report
-	// the choices.
+	// An empty Layout is the library's, recmat.ResolveLayout's: Z-Morton.
+	// AlgRan and LayoutRan report the choices.
 	Alg    string `json:"alg,omitempty"`
 	Layout string `json:"layout,omitempty"`
 	// DeadlineMS is the client's latency budget; the server caps it at

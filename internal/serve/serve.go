@@ -565,9 +565,9 @@ func (s *Server) handleGEMM(w http.ResponseWriter, r *http.Request) {
 // parse settles, once and before the request reserves or queues for
 // anything, what the rest of the path reads off its spec: that it is
 // valid, its layout and algorithm resolved as the engine resolves them
-// ("" is the library's layout, Z-Morton unless a rectangular table is
-// named; row-major parses and no driver multiplies on it; "" and "auto"
-// both mean per-shape algorithm selection) — so the plan key, the group
+// ("" is the library's layout, Z-Morton; row-major parses and no
+// driver multiplies on it; "" and "auto" both mean per-shape algorithm
+// selection) — so the plan key, the group
 // key and the engine options see one concrete layout and algorithm —
 // and, for a named A in a recursive layout with the plan cache on, the
 // plan-cache key, which is the key of the group it may join.

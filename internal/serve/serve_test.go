@@ -129,7 +129,8 @@ func TestValidationErrors(t *testing.T) {
 }
 
 // TestUnrunnableRefusedBeforeQueue: a layout or an algorithm that does
-// not parse is refused at once, with the only slot held and the queue
+// not parse — a removed table's name included — is refused at once, with
+// the only slot held and the queue
 // wait long — it reserves no quota and takes no queue position, where a
 // request that could run waits out MaxQueueWait and is shed.
 func TestUnrunnableRefusedBeforeQueue(t *testing.T) {
@@ -140,7 +141,7 @@ func TestUnrunnableRefusedBeforeQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release()
-	for _, field := range []string{`"layout":"sideways"`, `"layout":"z","alg":"nope"`, `"layout":"row"`} {
+	for _, field := range []string{`"layout":"sideways"`, `"layout":"z","alg":"nope"`, `"alg":"fast-3x2x3"`, `"layout":"row"`} {
 		t0 := time.Now()
 		status, eb, _ := postRaw(t, c, http.MethodPost, "/v1/gemm", `{"tenant":"t","m":64,"k":64,"n":32,"a_name":"w",`+field+`}`)
 		if status != http.StatusBadRequest || eb.Error.Kind != KindBadRequest || eb.Error.RetryAfterMS != 0 {
@@ -239,8 +240,7 @@ func TestPlanCachePath(t *testing.T) {
 // library's, resolved in parse as the engine resolves it. A named spec
 // spelled "", "z" and "Z-Morton" is one operand: one plan-cache entry,
 // plan_cached and Z-Morton every time, the same bits. An unnamed one
-// reports Z-Morton too; a rectangular table named with no layout runs on
-// ColMajor, where its grid exists, and so is not plan-cached.
+// reports Z-Morton too, and is not plan-cached.
 func TestOnePlanPerSpelling(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 2})
 	var bits []float64
@@ -269,20 +269,13 @@ func TestOnePlanPerSpelling(t *testing.T) {
 		t.Errorf("%d plan-cache entries, %d misses; want one of each", entries, s.Metrics().Snapshot().Counters["plan_cache_misses"])
 	}
 
-	for _, r := range []struct {
-		req  Request
-		want recmat.Layout
-	}{
-		{Request{Tenant: "acme", M: 64, K: 64, N: 24, ASeed: 7, BSeed: 8}, recmat.ZMorton},
-		{Request{Tenant: "acme", M: 96, K: 64, N: 96, AName: "t", ASeed: 7, BSeed: 8, Alg: recmat.TableFast323.String()}, recmat.ColMajor},
-	} {
-		resp, err := c.Do(context.Background(), &r.req)
-		if err != nil {
-			t.Fatalf("%+v: %v", r.req, err)
-		}
-		if resp.PlanCached || resp.LayoutRan != r.want.String() {
-			t.Errorf("%+v: plan_cached %v, layout_ran %q; want false, %v", r.req, resp.PlanCached, resp.LayoutRan, r.want)
-		}
+	req := Request{Tenant: "acme", M: 64, K: 64, N: 24, ASeed: 7, BSeed: 8}
+	resp, err := c.Do(context.Background(), &req)
+	if err != nil {
+		t.Fatalf("%+v: %v", req, err)
+	}
+	if resp.PlanCached || resp.LayoutRan != recmat.ZMorton.String() {
+		t.Errorf("%+v: plan_cached %v, layout_ran %q; want false, %v", req, resp.PlanCached, resp.LayoutRan, recmat.ZMorton)
 	}
 }
 

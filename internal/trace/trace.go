@@ -124,7 +124,7 @@ func Table(alg core.Alg) *core.Table {
 		name = core.Standard8.String()
 	}
 	for _, tb := range core.Tables() {
-		if tb.Name == name && tb.M == 2 && tb.K == 2 && tb.N == 2 {
+		if tb.Name == name {
 			return tb
 		}
 	}

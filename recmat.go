@@ -114,7 +114,7 @@ type Algorithm = core.Alg
 // accumulate form; Standard8 is the eight-spawn variant of Figure 1(a);
 // Strassen and Winograd are the O(n^lg7) fast algorithms of Figure 1(b)
 // and 1(c). All but Standard are run from their ⟨2,2,2⟩ coefficient
-// tables by the engine that runs the rectangular family below.
+// tables by one engine.
 const (
 	Standard  = core.Standard
 	Standard8 = core.Standard8
@@ -136,16 +136,6 @@ const (
 	// recorded in Report.Alg, with Report.FastCutoff and
 	// Report.FastLevels.
 	Auto = core.AlgAuto
-)
-
-// The rectangular bilinear ⟨m,k,n⟩ algorithms: each is a sparse
-// coefficient table (Benson–Ballard style) run by the same recursive
-// engine as Strassen and Winograd. They divide the three dimensions at
-// different rates and win on correspondingly rectangular problems.
-var (
-	TableFast323     = core.TableFast323     // ⟨3,2,3⟩ rank 17
-	TableFast424     = core.TableFast424     // ⟨4,2,4⟩ rank 28
-	TableLaderman333 = core.TableLaderman333 // ⟨3,3,3⟩ rank 23, Laderman
 )
 
 // Algorithms lists all supported algorithms, enumerated from the core
@@ -171,11 +161,10 @@ func ResolveAlgorithm(opts *Options, m, k, n int) Algorithm {
 }
 
 // ResolveLayout reports the layout a multiplication with these options
-// runs on: Options.Layout when set, otherwise the library's choice —
-// Z-Morton, or ColMajor when the algorithm is a rectangular table, whose
-// mixed-radix grid exists only on canonical storage. Report.Layout
-// records it per call; the serving daemon keys plans and request groups
-// on it, so an empty layout and "z" name one plan.
+// runs on: Options.Layout when set, otherwise the library's choice,
+// Z-Morton. Report.Layout records it per call; the serving daemon keys
+// plans and request groups on it, so an empty layout and "z" name one
+// plan.
 func ResolveLayout(opts *Options) Layout {
 	return core.ResolveCurve(opts.coreOptions())
 }
@@ -219,9 +208,9 @@ func CPUFeatures() []string { return leaf.Features() }
 type Options struct {
 	// Layout is the array layout; Mul converts operands to it
 	// internally and converts the result back. Unset, the planner
-	// chooses (ResolveLayout): Z-Morton, the paper's layout, or ColMajor
-	// under a rectangular table algorithm. Name ColMajor to run the
-	// paper's canonical baseline. Report.Layout says what ran.
+	// chooses (ResolveLayout): Z-Morton, the paper's layout. Name
+	// ColMajor to run the paper's canonical baseline. Report.Layout says
+	// what ran.
 	Layout Layout
 	// Algorithm is the recursion to run.
 	Algorithm Algorithm

@@ -95,10 +95,9 @@ func TestNilOptionsDefaults(t *testing.T) {
 // TestNilOptionsEverywhere: nil options run on Z-Morton through every
 // entry point and every report says so — Pack, Prepack and the batches
 // included, which the parent refused as "ColMajor" — with the
-// reference's result. A rectangular table named with no layout runs on
-// ColMajor, where its mixed-radix grid exists. Naming a canonical layout
-// is still refused by the entry points that keep operands packed, in an
-// error naming the one that refused.
+// reference's result. Naming a canonical layout is still refused by the
+// entry points that keep operands packed, in an error naming the one
+// that refused.
 func TestNilOptionsEverywhere(t *testing.T) {
 	eng := NewEngine(2)
 	defer eng.Close()
@@ -128,16 +127,11 @@ func TestNilOptionsEverywhere(t *testing.T) {
 	C = NewMatrix(48, 56)
 	rep, err = eng.Mul(C, A, B, &Options{Layout: ColMajor})
 	ran("Mul(ColMajor)", rep, err, C, ColMajor)
-	A3, B3 := Random(96, 64, rng), Random(64, 96, rng)
-	rep, err = eng.Mul(NewMatrix(96, 96), A3, B3, &Options{Algorithm: TableFast323})
-	ran("Mul(fast-3x2x3)", rep, err, nil, ColMajor)
-	rep, err = eng.Mul(NewMatrix(96, 96), A3, B3, &Options{Layout: Hilbert, Algorithm: TableFast323})
-	ran("Mul(Hilbert, fast-3x2x3)", rep, err, nil, Hilbert)
 	for _, c := range []struct {
 		opts *Options
 		want Layout
-	}{{nil, ZMorton}, {&Options{Algorithm: Winograd}, ZMorton}, {&Options{Algorithm: TableFast323}, ColMajor},
-		{&Options{Algorithm: TableLaderman333}, ColMajor}, {&Options{Layout: GrayMorton, Algorithm: TableFast424}, GrayMorton}} {
+	}{{nil, ZMorton}, {&Options{Algorithm: Winograd}, ZMorton}, {&Options{Algorithm: Standard8}, ZMorton},
+		{&Options{Layout: GrayMorton, Algorithm: Winograd}, GrayMorton}} {
 		if got := ResolveLayout(c.opts); got != c.want {
 			t.Errorf("ResolveLayout(%+v) = %v, want %v", c.opts, got, c.want)
 		}
