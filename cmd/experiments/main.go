@@ -41,6 +41,7 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/layout"
 	"repro/internal/leaf"
+	"repro/internal/quadtree"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -63,7 +64,7 @@ const paperCutoff = 1
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to reproduce (1, 2, 4, 5, 6, 7); 0 = all")
-	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|sched|dilation, or a gate: autoparity|streamparity|fringe|factor")
+	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|quadtree|sched|dilation, or a gate: autoparity|streamparity|fringe|factor")
 	flag.Parse()
 	switch *exp {
 	case "autoparity":
@@ -99,6 +100,7 @@ func main() {
 	run(-1, "falseshare", falseShare)
 	run(-1, "tlb", tlb)
 	run(-1, "lowmem", lowmem)
+	run(-1, "quadtree", quadtreeBaseline)
 	run(-1, "sched", schedStats)
 	run(-1, "dilation", dilation)
 }
@@ -325,7 +327,11 @@ func fig6() {
 
 // fig7 reproduces Figure 7's overhead factors with the kernel
 // substitution of DESIGN.md: blocked≈native BLAS, unrolled4 = the
-// paper's C kernel, naive = unoptimized compilation.
+// paper's C kernel, naive = unoptimized compilation. Below it, the fast
+// cutoff swept on the -kernel flag's kernel: where the fast algorithms
+// hand over to the standard recursion is what kernel quality decides
+// (the paper recurses to single tiles; a faster leaf moves the
+// crossover up).
 func fig7() {
 	n := 256
 	if *full {
@@ -353,6 +359,14 @@ func fig7() {
 		}
 	}
 	fmt.Println("(paper: no native BLAS costs 1.2-1.4x; gcc instead of cc costs 1.5-1.9x)")
+
+	fmt.Printf("\nfast cutoff (Z-Morton, 1 proc, n=%d)\n%-10s %8s %8s %14s\n", n, "algorithm", "cutoff", "levels", "time")
+	for _, alg := range []recmat.Algorithm{recmat.Strassen, recmat.Winograd} {
+		for _, fc := range []int{1, 2, 4, 8, 16} {
+			el, rep := timeMul(eng, n, &recmat.Options{Layout: recmat.ZMorton, Algorithm: alg, FastCutoff: fc})
+			fmt.Printf("%-10v %8d %8d %14v\n", alg, fc, rep.FastLevels, el.Round(time.Microsecond))
+		}
+	}
 }
 
 // slowdown reproduces the Section 5 text: slowdown of the recursive code
@@ -388,7 +402,10 @@ func slowdown() {
 }
 
 // parallelism reproduces the critical-path discussion: analytic and
-// measured work/span for the algorithms at n=1000-equivalent tiling.
+// measured work/span for the algorithms at n=1000-equivalent tiling. The
+// measured rows' times are also the spawn-structure ablation: standard's
+// accumulate form (two rounds of four, no temporaries) against
+// standard8's eight products at once into temporaries.
 func parallelism() {
 	header("Section 5 text — available parallelism (work/span)")
 	fmt.Printf("%-10s %8s %6s %14s %14s %12s\n", "algorithm", "n", "tile", "work(flops)", "span(flops)", "parallelism")
@@ -400,10 +417,10 @@ func parallelism() {
 	fmt.Println("\nmeasured (runtime accounting, SerialCutoff=1, n=256, t=16):")
 	eng := recmat.NewEngine(workerCap())
 	defer eng.Close()
-	fmt.Printf("%-10s %14s %14s %12s\n", "algorithm", "work", "span", "parallelism")
+	fmt.Printf("%-10s %14s %14s %12s %12s\n", "algorithm", "work", "span", "parallelism", "time")
 	for _, alg := range recmat.Algorithms {
-		_, rep := timeMul(eng, 256, &recmat.Options{Layout: recmat.ZMorton, Algorithm: alg, ForceTile: 16, SerialCutoff: 1})
-		fmt.Printf("%-10v %14.3g %14.3g %12.1f\n", alg, rep.Work, rep.Span, rep.Parallelism())
+		el, rep := timeMul(eng, 256, &recmat.Options{Layout: recmat.ZMorton, Algorithm: alg, ForceTile: 16, SerialCutoff: 1})
+		fmt.Printf("%-10v %14.3g %14.3g %12.1f %12v\n", alg, rep.Work, rep.Span, rep.Parallelism(), el.Round(time.Microsecond))
 	}
 	fmt.Println("(the paper's Cilk-measured values, ~40 standard / ~23 fast at n=1000,")
 	fmt.Println(" are burdened by runtime overheads; the unburdened DAG parallelism is")
@@ -888,7 +905,10 @@ func tlb() {
 
 // lowmem reproduces the Section 5 curiosity about the space-conserving
 // serial Strassen variant: it behaves like the standard algorithm, with
-// recursive layouts reducing its time by 10-20%.
+// recursive layouts reducing its time by 10-20%. The variant is Strassen
+// with SerialCutoff at the grid side (read off the parallel run's
+// report): no level spawns, so every level runs depth-first through one
+// reused scratch trio.
 func lowmem() {
 	n := 360
 	if *full {
@@ -898,15 +918,55 @@ func lowmem() {
 	eng := recmat.NewEngine(1)
 	defer eng.Close()
 	fmt.Printf("%-18s %12s %12s %10s\n", "algorithm", "ColMajor", "Z-Morton", "LZ gain")
-	for _, alg := range []recmat.Algorithm{recmat.Strassen, recmat.StrassenLowMem} {
-		lc, _ := timeMul(eng, n, &recmat.Options{Layout: recmat.ColMajor, Algorithm: alg})
-		lz, _ := timeMul(eng, n, &recmat.Options{Layout: recmat.ZMorton, Algorithm: alg})
-		fmt.Printf("%-18v %12v %12v %9.1f%%\n", alg,
-			lc.Round(time.Microsecond), lz.Round(time.Microsecond),
-			100*(1-float64(lz)/float64(lc)))
+	var par, ser [2]time.Duration
+	for i, lo := range []recmat.Layout{recmat.ColMajor, recmat.ZMorton} {
+		var rep *recmat.Report
+		par[i], rep = timeMul(eng, n, &recmat.Options{Layout: lo, Algorithm: recmat.Strassen})
+		ser[i], _ = timeMul(eng, n, &recmat.Options{Layout: lo, Algorithm: recmat.Strassen, SerialCutoff: 1 << rep.Depth})
+	}
+	for _, r := range []struct {
+		name string
+		t    [2]time.Duration
+	}{{"strassen", par}, {"strassen (serial)", ser}} {
+		fmt.Printf("%-18s %12v %12v %9.1f%%\n", r.name,
+			r.t[0].Round(time.Microsecond), r.t[1].Round(time.Microsecond),
+			100*(1-float64(r.t[1])/float64(r.t[0])))
 	}
 	fmt.Println("(paper: the interspersed variant 'behaves more like the standard")
 	fmt.Println(" algorithm: L_Z reduces execution times by 10-20%'.)")
+}
+
+// quadtreeBaseline compares the Frens–Wise element-level quadtree
+// (physically represented internal nodes, zero subtrees elided) against
+// the tiled recursive layout forced down to single elements and at
+// 16×16 tiles. The ordering — tiled ≫ forced element level ≈ quadtree —
+// is the paper's argument for stopping the layout recursion at tiles.
+func quadtreeBaseline() {
+	const n = 128
+	header(fmt.Sprintf("Section 6 — Frens–Wise quadtree baseline vs. tiled layout (standard, n=%d, 1 proc)", n))
+	rng := rand.New(rand.NewSource(*seed))
+	qa, qb := quadtree.FromDense(recmat.Random(n, n, rng)), quadtree.FromDense(recmat.Random(n, n, rng))
+	var quad time.Duration
+	for r := 0; r < *reps; r++ {
+		t0 := time.Now()
+		quadtree.Mul(qa, qb)
+		if el := time.Since(t0); r == 0 || el < quad {
+			quad = el
+		}
+	}
+	eng := recmat.NewEngine(1)
+	defer eng.Close()
+	elem, _ := timeMul(eng, n, &recmat.Options{Layout: recmat.ZMorton, Algorithm: recmat.Standard, ForceTile: 1})
+	t16, _ := timeMul(eng, n, &recmat.Options{Layout: recmat.ZMorton, Algorithm: recmat.Standard, ForceTile: 16})
+	fmt.Printf("%-18s %14s %10s %12s\n", "representation", "time", "MFLOPS", "vs t16")
+	for _, r := range []struct {
+		name string
+		el   time.Duration
+	}{{"quadtree-element", quad}, {"tiled-element", elem}, {"tiled-t16", t16}} {
+		fmt.Printf("%-18s %14v %10.0f %11.1fx\n", r.name, r.el.Round(time.Microsecond), mflops(n, r.el), float64(r.el)/float64(t16))
+	}
+	fmt.Println("(paper: element-level recursion is ~8x slower than a tuned kernel;")
+	fmt.Println(" tiles of 16-64 elements recover most of that.)")
 }
 
 // schedStats prints the scheduler counters for one run — the analogue of
@@ -933,6 +993,18 @@ func schedStats() {
 			eng.Close()
 		}
 	}
+	// The spawning grain: the serial cutoff (tiles per side at or below
+	// which a quadrant runs in-frame) swept on the standard algorithm.
+	w := workerCap()
+	eng := recmat.NewEngine(w)
+	fmt.Printf("\nserial cutoff (standard, Z-Morton, %d workers)\n%-10s %12s %10s %10s\n", w, "cutoff", "time", "spawned", "stolen")
+	for _, sc := range []int{1, 2, 4, 8, 32} {
+		eng.ResetSchedulerStats()
+		el, _ := timeMul(eng, n, &recmat.Options{Layout: recmat.ZMorton, Algorithm: recmat.Standard, SerialCutoff: sc})
+		st := eng.SchedulerStats()
+		fmt.Printf("%-10d %12v %10d %10d\n", sc, el.Round(time.Microsecond), st.Spawns, st.Steals)
+	}
+	eng.Close()
 	fmt.Println("(the recursion stops spawning below the serial cutoff, so tasks are")
 	fmt.Println(" few and coarse — the Cilk work-first discipline. On one worker no")
 	fmt.Println(" steals occur, by construction; with more workers the steal count")

@@ -26,21 +26,18 @@ type rung struct {
 }
 
 // ladder returns the degradation ladder for a requested algorithm,
-// most-capable rung first. A fast algorithm degrades through the
-// paper's space-conserving sequential Strassen variant (three reused
-// scratch quadrants per level) before giving up its sub-cubic flop
-// count; a table that is not fast (Standard8) has no flop count to keep
-// and goes straight to the recursion without temporaries. The final rung
-// is always the standard accumulate recursion, which needs no
-// temporaries at all, run serially.
+// most-capable rung first. A fast algorithm degrades through serial
+// Strassen — every level depth-first, the paper's space-conserving
+// sequential variant (three reused scratch quadrants per level) —
+// before giving up its sub-cubic flop count; a table that is not fast
+// (Standard8) has no flop count to keep and goes straight to the
+// recursion without temporaries. The final rung is always the standard
+// accumulate recursion, which needs no temporaries at all, run serially.
 func ladder(a Alg) []rung {
 	tb := tableOf(a)
 	switch {
-	case tb.fast() && tb.depthFirst:
-		// Already serial and space-conserving.
-		return []rung{{a, true}, {Standard, true}}
 	case tb.fast():
-		return []rung{{a, false}, {StrassenLowMem, true}, {Standard, false}, {Standard, true}}
+		return []rung{{a, false}, {Strassen, true}, {Standard, false}, {Standard, true}}
 	case tb != nil:
 		return []rung{{a, false}, {Standard, false}, {Standard, true}}
 	}
@@ -71,12 +68,13 @@ type charge struct {
 	perBlock int64
 	inflight int
 	// scratch is the per-worker leaf packing scratch, arena the
-	// per-stack reservation for an algorithm's temporaries: exactly the
-	// workspace the driver reserves up front (arenaStackElems, one
-	// depth-first path's geometric series), so a configuration that
-	// admits will not heap-allocate temporaries in steady state.
+	// per-stack reservation for an algorithm's temporaries on a
+	// parallel or a serial rung: exactly the workspace the driver
+	// reserves up front (arenaStackElems, one depth-first path's
+	// geometric series), so a configuration that admits will not
+	// heap-allocate temporaries in steady state.
 	scratch int
-	arena   func(Alg) int64
+	arena   func(alg Alg, serial bool) int64
 	// what names the call in the rejection error.
 	what func() string
 }
@@ -127,7 +125,7 @@ func (ch *charge) estimate(r rung, workers int, budget int64) (int64, groups) {
 	if r.serial {
 		inf, stacks = 1, 1
 	}
-	base := ch.perBlock*inf + (ch.arena(r.alg)+int64(ch.scratch))*stacks
+	base := ch.perBlock*inf + (ch.arena(r.alg, r.serial)+int64(ch.scratch))*stacks
 	g := ch.plan
 	if held := ch.held(g); budget > 0 && held > 0 && 8*(base+held) > budget {
 		g = ch.fit(budget/8 - base)

@@ -27,7 +27,7 @@ const (
 	// Figure 1(a): all eight quadrant products spawned at once into
 	// quadrant-sized temporaries P1..P8, followed by post-additions.
 	// It trades temporary storage for a shorter critical path. It and the
-	// three ids below are the first entries of the table registry
+	// two ids below are the entries of the table registry
 	// (table.go): the engine in tablemul.go runs them from their ⟨2,2,2⟩
 	// coefficient tables, this one from the classical rank-8 table.
 	Standard8
@@ -39,11 +39,6 @@ const (
 	// quadrant-based recursion — at the cost of common-subexpression
 	// chains with worse algorithmic locality.
 	Winograd
-	// StrassenLowMem is the space-conserving sequential Strassen variant
-	// Section 5 mentions: pre- and post-additions interspersed with the
-	// recursive calls, reusing three scratch quadrants per level. It
-	// exposes no parallelism.
-	StrassenLowMem
 )
 
 func (a Alg) String() string {
@@ -60,7 +55,7 @@ func (a Alg) String() string {
 }
 
 // Algs lists the in-place standard recursion, then the table-driven
-// ⟨m,k,n⟩ family in registration order — the paper's four first. Command-line
+// ⟨2,2,2⟩ tables in registration order. Command-line
 // tools derive their -alg help text from it (via AlgNames), so a newly
 // registered table shows up everywhere without touching the tools.
 var Algs = append([]Alg{Standard}, tableAlgs...)
@@ -76,10 +71,16 @@ func AlgNames() []string {
 }
 
 // ParseAlg resolves an algorithm name; "auto" selects per-shape
-// auto-selection (AlgAuto).
+// auto-selection (AlgAuto). "strassen-lowmem", Section 5's
+// space-conserving variant, is accepted as Strassen: that variant is
+// Strassen's table run depth-first, which is what any serial run of it
+// does (a MemBudget rung, or SerialCutoff at or above the grid side).
 func ParseAlg(s string) (Alg, error) {
-	if s == "auto" {
+	switch s {
+	case "auto":
 		return AlgAuto, nil
+	case "strassen-lowmem":
+		return Strassen, nil
 	}
 	for _, a := range Algs {
 		if s == a.String() {

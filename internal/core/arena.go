@@ -162,14 +162,14 @@ func (e *exec) newTemp(c *sched.Ctx, proto Mat) Mat {
 //     A-shaped and preB B-shaped operands and R products: 5+5+7 for
 //     Strassen, 4+4 aux and 7+2 for Winograd, the 8 products alone for
 //     Standard8, whose operand rows alias the blocks — whose DFS levels
-//     below the serial cutoff use strictly less; a depthFirst table is
-//     charged the DFS bound, one S-, T- and P-shaped scratch
-//     (StrassenLowMem's signature qa+qb+qc).
+//     below the serial cutoff use strictly less. A serial rung runs every
+//     level DFS and is charged that bound: one S-, T- and P-shaped
+//     scratch (for Strassen, the space-conserving signature qa+qb+qc).
 //
 // This function is the single source of truth for both the admission
 // estimate and the arena reservation, so the MemBudget ladder accounts
 // the arena up front — one reservation, not per-level guesses.
-func arenaStackElems(alg Alg, side, tm, tk, tn, fastCutoff int) (need int64) {
+func arenaStackElems(alg Alg, serial bool, side, tm, tk, tn, fastCutoff int) (need int64) {
 	tb := tableOf(alg)
 	if tb == nil {
 		return 0
@@ -178,7 +178,7 @@ func arenaStackElems(alg Alg, side, tm, tk, tn, fastCutoff int) (need int64) {
 		q := int64(side/2) * int64(side/2)
 		qa, qb, qc := q*int64(tm)*int64(tk), q*int64(tk)*int64(tn), q*int64(tm)*int64(tn)
 		na, nb, nc := tb.preA, tb.preB, tb.R
-		if tb.depthFirst {
+		if serial {
 			na, nb, nc = min(na, 1), min(nb, 1), 1
 		}
 		need += int64(na+len(tb.AuxU))*qa + int64(nb+len(tb.AuxV))*qb + int64(nc+len(tb.AuxW))*qc

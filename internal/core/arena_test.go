@@ -13,9 +13,10 @@ import (
 )
 
 // acquireArena reserves the workspace of one block multiplication on
-// the given geometry, as a call's admission would size it.
-func acquireArena(alg Alg, side, tm, tk, tn, fastCutoff, stacks int) *arena {
-	return acquireArenaElems(arenaStackElems(alg, side, tm, tk, tn, fastCutoff), stacks)
+// the given geometry, as a call's admission would size it on a parallel
+// or a serial rung.
+func acquireArena(alg Alg, serial bool, side, tm, tk, tn, fastCutoff, stacks int) *arena {
+	return acquireArenaElems(arenaStackElems(alg, serial, side, tm, tk, tn, fastCutoff), stacks)
 }
 
 func fillRand(dst []float64, rng *rand.Rand) {
@@ -36,29 +37,30 @@ func serialExec(t *testing.T, kernel string, ar *arena) *exec {
 }
 
 func TestArenaStackElemsSanity(t *testing.T) {
-	if got := arenaStackElems(Standard, 16, 8, 8, 8, 1); got != 0 {
+	if got := arenaStackElems(Standard, false, 16, 8, 8, 8, 1); got != 0 {
 		t.Fatalf("Standard needs %d temp elems, want 0", got)
 	}
 	// One Strassen level on a 2×2 grid of t×t tiles: 5+5 operand
 	// temporaries and 7 products, each a single tile.
-	if got, want := arenaStackElems(Strassen, 2, 4, 4, 4, 1), int64(17*16); got != want {
+	if got, want := arenaStackElems(Strassen, false, 2, 4, 4, 4, 1), int64(17*16); got != want {
 		t.Fatalf("Strassen(2): %d, want %d", got, want)
 	}
 	// The per-path need grows with depth and shrinks with fastCutoff.
-	deep := arenaStackElems(Winograd, 16, 8, 8, 8, 1)
-	shallow := arenaStackElems(Winograd, 16, 8, 8, 8, 4)
+	deep := arenaStackElems(Winograd, false, 16, 8, 8, 8, 1)
+	shallow := arenaStackElems(Winograd, false, 16, 8, 8, 8, 4)
 	if deep <= shallow || shallow <= 0 {
 		t.Fatalf("Winograd: deep=%d shallow=%d", deep, shallow)
 	}
-	// The low-memory variant is by far the smallest fast-algorithm
-	// footprint — the property its ladder rung exists for.
-	if lm, st := arenaStackElems(StrassenLowMem, 16, 8, 8, 8, 1), arenaStackElems(Strassen, 16, 8, 8, 8, 1); lm*3 >= st {
-		t.Fatalf("lowmem %d not well below strassen %d", lm, st)
+	// Serial Strassen — every level depth-first, one S, T and P scratch
+	// per level — is by far the smallest fast-algorithm footprint: the
+	// property its ladder rung exists for.
+	if ser, par := arenaStackElems(Strassen, true, 16, 8, 8, 8, 1), arenaStackElems(Strassen, false, 16, 8, 8, 8, 1); ser*3 >= par {
+		t.Fatalf("serial strassen %d not well below parallel %d", ser, par)
 	}
 	// The admission estimate and the reservation share this function;
 	// acquireArena must reserve exactly stacks × per-path.
-	per := arenaStackElems(Strassen, 8, 16, 16, 16, 1)
-	ar := acquireArena(Strassen, 8, 16, 16, 16, 1, 3)
+	per := arenaStackElems(Strassen, false, 8, 16, 16, 16, 1)
+	ar := acquireArena(Strassen, false, 8, 16, 16, 16, 1, 3)
 	if ar == nil {
 		t.Fatal("acquireArena declined a modest reservation")
 	}
@@ -72,7 +74,8 @@ func TestArenaStackElemsSanity(t *testing.T) {
 // warm-up call (testing.AllocsPerRun's built-in first call populates
 // the permutation caches and the worker-slot kernel scratch), a serial
 // Strassen or Winograd multiplication at n=512 performs zero heap
-// allocations — every temporary is served by the arena.
+// allocations — every temporary is served by an arena sized as a serial
+// rung's (the depth-first bound).
 func TestArenaZeroSteadyStateAllocs(t *testing.T) {
 	const n, ts = 512, 64
 	const d = 3
@@ -84,7 +87,7 @@ func TestArenaZeroSteadyStateAllocs(t *testing.T) {
 			tc := NewTiled(cv, d, ts, ts, n, n)
 			fillRand(ta.Data, rng)
 			fillRand(tb.Data, rng)
-			ar := acquireArena(alg, 1<<d, ts, ts, ts, 1, 1)
+			ar := acquireArena(alg, true, 1<<d, ts, ts, ts, 1, 1)
 			if ar == nil {
 				t.Fatalf("%v/%v: no arena", alg, cv)
 			}
@@ -117,7 +120,7 @@ func TestArenaFallbackHeapAndCorrect(t *testing.T) {
 	tb := NewTiled(layout.ZMorton, d, ts, ts, n, n)
 	fillRand(ta.Data, rng)
 	fillRand(tb.Data, rng)
-	for _, alg := range []Alg{Standard8, Strassen, Winograd, StrassenLowMem} {
+	for _, alg := range []Alg{Standard8, Strassen, Winograd} {
 		want := NewTiled(layout.ZMorton, d, ts, ts, n, n)
 		e1 := serialExec(t, "unrolled4", nil)
 		e1.mul(&sched.Ctx{}, alg, want.Mat(), ta.Mat(), tb.Mat())
@@ -141,8 +144,8 @@ func TestArenaFallbackHeapAndCorrect(t *testing.T) {
 
 // TestRangedEWMatchesSpec pins the devirtualized ranged element-wise
 // cores — including the Gray-Morton two-segment rotation split and the
-// Hilbert permutation loop — against the closure specification
-// (tileIndexMap), across awkward chunk boundaries that straddle the
+// Hilbert permutation loop — against the tile map applied one tile at a
+// time (tileMap.at), across awkward chunk boundaries that straddle the
 // rotation wrap point.
 func TestRangedEWMatchesSpec(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -161,23 +164,16 @@ func TestRangedEWMatchesSpec(t *testing.T) {
 					nt := tiles * tiles
 					tsz := dst.tileElems()
 
-					// Reference: the closure spec, tile by tile.
+					// Reference: the tile map, tile by tile.
 					want2 := append([]float64(nil), dst.data...)
-					fa := tileIndexMap(dst, a)
-					at := func(f func(int) int, s int) int {
-						if f == nil {
-							return s
-						}
-						return f(s)
-					}
+					ma, mb := resolveTileMap(dst, a), resolveTileMap(dst, b)
 					for s := 0; s < nt; s++ {
-						sa := at(fa, s)
+						sa := ma.at(s, nt)
 						vAcc(want2[s*tsz:(s+1)*tsz], a.data[sa*tsz:(sa+1)*tsz])
 					}
 					// Candidate: ranged core over uneven chunks.
 					got := Mat{data: append([]float64(nil), dst.data...),
 						tiles: tiles, tr: 4, tc: 4, curve: cv, orient: layout.Orient(from)}
-					ma := resolveTileMap(dst, a)
 					for lo := 0; lo < nt; {
 						hi := lo + 1 + rng.Intn(3)
 						if hi > nt {
@@ -194,14 +190,12 @@ func TestRangedEWMatchesSpec(t *testing.T) {
 
 					// Same for the three-operand core.
 					want3 := append([]float64(nil), dst.data...)
-					fb := tileIndexMap(dst, b)
 					for s := 0; s < nt; s++ {
-						sa, sb := at(fa, s), at(fb, s)
+						sa, sb := ma.at(s, nt), mb.at(s, nt)
 						vAdd(want3[s*tsz:(s+1)*tsz], a.data[sa*tsz:(sa+1)*tsz], b.data[sb*tsz:(sb+1)*tsz])
 					}
 					got3 := Mat{data: append([]float64(nil), dst.data...),
 						tiles: tiles, tr: 4, tc: 4, curve: cv, orient: layout.Orient(from)}
-					mb := resolveTileMap(dst, b)
 					for lo := 0; lo < nt; {
 						hi := lo + 1 + rng.Intn(3)
 						if hi > nt {
@@ -245,7 +239,7 @@ func TestEWParallelStreamsMatchSerial(t *testing.T) {
 			es.mul(&sched.Ctx{}, alg, want.Mat(), ta.Mat(), tb.Mat())
 
 			got := NewTiled(cv, d, ts, ts, n, n)
-			ar := acquireArena(alg, 1<<d, ts, ts, ts, 1, pool.Workers())
+			ar := acquireArena(alg, false, 1<<d, ts, ts, ts, 1, pool.Workers())
 			impl, err := leaf.GetImpl("unrolled4")
 			if err != nil {
 				t.Fatal(err)

@@ -239,10 +239,10 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 		return bs, errs, nil
 	}
 	ch.what = func() string { return fmt.Sprintf("a wave of %d items", live) }
-	ch.arena = func(alg Alg) (per int64) {
+	ch.arena = func(alg Alg, serial bool) (per int64) {
 		for i, sh := range w.shapes {
 			if sh != nil && sh.ns != nil && (i == 0 || sh != w.shapes[i-1]) {
-				per = max(per, sh.ch.arena(alg))
+				per = max(per, sh.ch.arena(alg, serial))
 			}
 		}
 		return per

@@ -389,7 +389,8 @@ func TestWorkSpanAnalyticMatchesAccounted(t *testing.T) {
 	// With full spawning (SerialCutoff=1) the runtime accounting must
 	// match the analytic recurrences exactly, for every algorithm and
 	// however many workers run the DAG: a level's shape is a function of
-	// the plan.
+	// the plan. Serial Strassen (the cutoff at the grid side, no level
+	// spawns) does the same work with a span equal to it.
 	rng := rand.New(rand.NewSource(37))
 	n := 32
 	A := matrix.Random(n, n, rng)
@@ -410,9 +411,14 @@ func TestWorkSpanAnalyticMatchesAccounted(t *testing.T) {
 			if math.Abs(st.Span-s) > 1e-6 {
 				t.Errorf("%v, %d workers: accounted span %g, analytic %g", alg, workers, st.Span, s)
 			}
-			if alg == StrassenLowMem && s != w {
-				t.Errorf("%v: analytic span %g, want its work %g", alg, s, w)
-			}
+		}
+		opts := Options{Curve: layout.ZMorton, Alg: Strassen, ForceTile: 4, SerialCutoff: 8}
+		st, err := GEMM(pool, opts, false, false, 1, A, B, 0, matrix.New(n, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := WorkSpan(Strassen, 3, 4); math.Abs(st.Work-w) > 1e-6 || st.Span != st.Work {
+			t.Errorf("serial strassen, %d workers: accounted work %g span %g, want both %g", workers, st.Work, st.Span, w)
 		}
 		pool.Close()
 	}

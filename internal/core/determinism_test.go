@@ -34,8 +34,9 @@ func opMat(rows, cols int, trans bool, rng *rand.Rand) *matrix.Dense {
 // computation — with the serial cutoff putting every table level
 // breadth-first (1), the top ones only (4) and none (above the grid),
 // every registered algorithm on every storage produces the same bits,
-// for every transpose pair and β; and StrassenLowMem, Strassen's table
-// run depth-first, produces Strassen's.
+// for every transpose pair and β. Strassen with the cutoff above the
+// grid is Section 5's space-conserving variant, every level depth-first
+// through one reused scratch trio: it produces parallel Strassen's bits.
 func TestDeterminismPolicies(t *testing.T) {
 	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
 	defer pool.Close()
@@ -47,7 +48,6 @@ func TestDeterminismPolicies(t *testing.T) {
 				for _, beta := range []float64{0, 1, 0.5} {
 					A, B := opMat(m, k, ta, rng), opMat(k, n, tb, rng)
 					C := matrix.Random(m, n, rng)
-					var strassen *matrix.Dense
 					for _, alg := range Algs {
 						var want *matrix.Dense
 						for _, cut := range []int{1, 4, 1 << 20} {
@@ -61,15 +61,6 @@ func TestDeterminismPolicies(t *testing.T) {
 							} else if !matrix.Equal(got, want, 0) {
 								t.Errorf("%v/%v ta=%v tb=%v beta=%g: serial cutoff %d differs from 1, max diff %g",
 									alg, cv, ta, tb, beta, cut, matrix.MaxAbsDiff(got, want))
-							}
-						}
-						switch alg {
-						case Strassen:
-							strassen = want
-						case StrassenLowMem:
-							if !matrix.Equal(want, strassen, 0) {
-								t.Errorf("%v/%v ta=%v tb=%v beta=%g: differs from %v, max diff %g",
-									alg, cv, ta, tb, beta, Strassen, matrix.MaxAbsDiff(want, strassen))
 							}
 						}
 					}
@@ -89,8 +80,13 @@ func TestDeterminismCostBusyPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(153))
 	n := 256
 	A, B := matrix.Random(n, n, rng), matrix.Random(n, n, rng)
-	for _, alg := range []Alg{Strassen, Winograd, StrassenLowMem} {
-		opts := Options{Curve: layout.ZMorton, Alg: alg, ForceTile: 16, FastCutoff: 2}
+	// A serial cutoff of n is serial Strassen: no level spawns.
+	for _, c := range []struct {
+		alg       Alg
+		serialCut int
+	}{{Strassen, 0}, {Winograd, 0}, {Strassen, n}} {
+		alg := c.alg
+		opts := Options{Curve: layout.ZMorton, Alg: alg, ForceTile: 16, FastCutoff: 2, SerialCutoff: c.serialCut}
 		var want *Stats
 		for _, busy := range []bool{false, true} {
 			stop, done := make(chan struct{}), make(chan struct{})

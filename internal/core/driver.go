@@ -68,8 +68,9 @@ type Options struct {
 	// kernel scratch). When the requested configuration exceeds it, the
 	// driver first walks a split call's packed segments in groups that
 	// fit (the larger operand's panels, then both, then the k chain),
-	// then degrades along a ladder — Strassen/Winograd → StrassenLowMem
-	// (serial) → Standard → Standard (serial) — and records each
+	// then degrades along a ladder — Strassen/Winograd → Strassen
+	// (serial: every level depth-first, the paper's space-conserving
+	// variant) → Standard → Standard (serial) — and records each
 	// decision in Stats.Degraded; if even the smallest rung exceeds the
 	// budget the call fails with ErrMemBudget before allocating
 	// anything.
@@ -548,8 +549,7 @@ func WorkSpan(alg Alg, d uint, t int) (work, span float64) {
 	// breadth-first critical path — for Standard8 a C block's two, the
 	// O(lg² n) critical path the paper gives the standard algorithm. The
 	// engine accounts the DFS first-touch copy of a W aux as a move, not
-	// an add, so the work is exact for both level shapes; a depthFirst
-	// table is entirely sequential.
+	// an add, so the work is exact for both level shapes.
 	products, adds, rounds, depth := 8.0, 0.0, 2.0, 0.0
 	if tb != nil {
 		n3, n2, _ := tb.passes()
@@ -561,9 +561,6 @@ func WorkSpan(alg Alg, d uint, t int) (work, span float64) {
 		pass := float64(half) * float64(half) * float64(t) * float64(t)
 		work = products*work + adds*pass
 		span = rounds*span + depth*pass
-		if tb != nil && tb.depthFirst {
-			span = work
-		}
 	}
 	return work, span
 }

@@ -199,19 +199,6 @@ func (m tileMap) at(s, total int) int {
 	}
 }
 
-// tileIndexMap is the closure form of resolveTileMap, retained as the
-// executable specification the inlined loops are tested against (nil
-// when the orderings coincide). Hot paths use resolveTileMap and the
-// ranged cores instead.
-func tileIndexMap(dst, src Mat) func(int) int {
-	m := resolveTileMap(dst, src)
-	if m.mode == tmIdent {
-		return nil
-	}
-	total := dst.tiles * dst.tiles
-	return func(s int) int { return m.at(s, total) }
-}
-
 // checkGeom panics unless the Mats have identical tile geometry.
 func checkGeom(ms ...Mat) {
 	for _, m := range ms[1:] {

@@ -60,7 +60,7 @@ func TestTileIndexMapCrossCurvePanics(t *testing.T) {
 			t.Fatal("cross-curve tile map should panic")
 		}
 	}()
-	tileIndexMap(a, b)
+	resolveTileMap(a, b)
 }
 
 func TestNewTempCanonicalHalvesLD(t *testing.T) {
@@ -229,6 +229,11 @@ func TestParseAlg(t *testing.T) {
 	}
 	if _, err := ParseAlg("coppersmith"); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+	// Section 5's space-conserving variant is Strassen run serially; its
+	// old name is an alias.
+	if got, err := ParseAlg("strassen-lowmem"); err != nil || got != Strassen {
+		t.Errorf(`ParseAlg("strassen-lowmem") = %v, %v, want strassen`, got, err)
 	}
 }
 

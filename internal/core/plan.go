@@ -209,8 +209,8 @@ func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, run
 	ch := charge{perBlock: mp * np, inflight: max(runners, 1), scratch: g.tm*g.tk + g.tk*g.tn,
 		plan:   groups{len(ms), len(ks), len(ns)},
 		deferA: runners > 0 && !resA && len(ns) == 1, deferB: runners > 0 && !resB && len(ms) == 1,
-		arena: func(alg Alg) int64 {
-			return arenaStackElems(alg, g.side(), g.tm, g.tk, g.tn, fastCutoff)
+		arena: func(alg Alg, serial bool) int64 {
+			return arenaStackElems(alg, serial, g.side(), g.tm, g.tk, g.tn, fastCutoff)
 		},
 		what: func() string {
 			return fmt.Sprintf("%dx%dx%d", mp*int64(len(ms)), kp*int64(len(ks)), np*int64(len(ns)))
@@ -453,7 +453,7 @@ func (pc *prepared) start(cl *call, stats *Stats) {
 	if pc.serial {
 		stacks = 1
 	}
-	pc.ar = acquireArenaElems(pc.pl.ch.arena(pc.alg), stacks)
+	pc.ar = acquireArenaElems(pc.pl.ch.arena(pc.alg, pc.serial), stacks)
 	pc.e.ar = pc.ar
 	cl.admitted(pc.notes, pc.ar)
 	pc.pl.describe(pc.alg, stats)

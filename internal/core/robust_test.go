@@ -71,16 +71,16 @@ func TestMemBudgetDegradesAndStaysCorrect(t *testing.T) {
 	want := refProduct(n, A, B)
 
 	// With this budget the parallel Strassen footprint (~1.9 MiB at
-	// 128³, ForceTile 16, 2 workers) exceeds the budget but the serial
-	// low-memory rung (~0.5 MiB) fits.
+	// 128³, ForceTile 16, 2 workers) exceeds the budget but serial
+	// Strassen, every level depth-first (~0.5 MiB), fits.
 	opts := Options{Curve: layout.ZMorton, Alg: Strassen, ForceTile: 16, MemBudget: 600_000}
 	C := matrix.New(n, n)
 	stats, err := GEMM(pool, opts, false, false, 1, A, B, 0, C)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Alg != StrassenLowMem || !stats.Serial {
-		t.Fatalf("degraded to %v (serial=%v), want StrassenLowMem (serial)", stats.Alg, stats.Serial)
+	if stats.Alg != Strassen || !stats.Serial {
+		t.Fatalf("degraded to %v (serial=%v), want Strassen (serial)", stats.Alg, stats.Serial)
 	}
 	if len(stats.Degraded) == 0 {
 		t.Fatal("degradation not recorded in Stats.Degraded")
@@ -393,7 +393,7 @@ func TestStressGEMMFaultInjection(t *testing.T) {
 	failures := 0
 	for i := 0; i < 30; i++ {
 		C := matrix.New(n, n)
-		algs := []Alg{Standard, Strassen, Winograd, StrassenLowMem, Standard8}
+		algs := []Alg{Standard, Strassen, Winograd, Standard8}
 		opts := Options{Curve: layout.ZMorton, Alg: algs[i%len(algs)], ForceTile: 16}
 		stats, err := GEMM(pool, opts, false, false, 1, A, B, 0, C)
 		if err == nil {

@@ -15,8 +15,9 @@ import (
 // two classical ⟨2,2,2⟩ rank-7 points of this family, and Figure 1(a)'s
 // eight products into temporaries its rank-8 point; the table form lets
 // one generic engine (tablemul.go) run every member — the paper's
-// Figure 1(a), 1(b), 1(c) and Section 5's space-conserving variant
-// included — so adding an algorithm is adding data, not code. The engine
+// Figure 1(a), 1(b) and 1(c) — so adding an algorithm is adding data, not
+// code; Section 5's space-conserving variant is Strassen's table run
+// depth-first, the engine's serial shape, not a table of its own. The engine
 // runs the quadrant partition alone: every layout's grid is 2^d tiles a
 // side and splits in quadrants, so register refuses any other ⟨M,K,N⟩.
 //
@@ -76,10 +77,6 @@ type Table struct {
 	WT          [][]tableTerm
 	auxWScatter [][]tableTerm
 
-	// depthFirst runs every level of the table depth-first whatever the
-	// serial cutoff says: Section 5's space-conserving variant.
-	depthFirst bool
-
 	// preA/preB count the products whose A/B operand needs a scratch
 	// block (multi-term or negated rows); arena sizing uses them.
 	preA, preB int
@@ -88,7 +85,7 @@ type Table struct {
 // fast reports a table that multiplies with fewer products than the
 // classical M·K·N, and false for no table at all (Standard). Only a fast
 // algorithm has a cutoff to hand over at (Options.settle), fast levels,
-// a residual probe and a space-conserving rung on the admission ladder;
+// a residual probe and a serial Strassen rung on the admission ladder;
 // Standard8, the classical rank-8 table, descends to single tiles.
 func (tb *Table) fast() bool { return tb != nil && tb.R < tb.M*tb.K*tb.N }
 
@@ -182,8 +179,8 @@ const (
 )
 
 // tableAlgBase is the Alg id of the first table-driven algorithm: the
-// registry opens with the four ⟨2,2,2⟩ tables — Standard8, Strassen,
-// Winograd and StrassenLowMem — in the order of their ids.
+// registry holds the three ⟨2,2,2⟩ tables — Standard8, Strassen and
+// Winograd — in the order of their ids.
 const tableAlgBase = Standard8
 
 // AlgAuto is the per-shape auto-selection sentinel: the driver resolves
@@ -490,30 +487,13 @@ func classicalTable(name string, M, K, N int) *Table {
 	return tb
 }
 
-// strassenLowMemTable is Section 5's space-conserving variant: "If we
-// were interested only in sequential computation, and wished to
-// conserve space, we would intersperse recursive calls with pre- and
-// post-additions." It is Strassen's table run depth-first at every
-// level — one S-, one T- and one P-shaped scratch per level, the seven
-// products one after another, each scattered into C as soon as it is
-// ready — and admission runs it serially ("of course, there is no
-// parallelism in such a code"). Its leaf products read scratch that is
-// reused immediately, which is why the paper sees it behave like the
-// standard algorithm with respect to layouts.
-func strassenLowMemTable() *Table {
-	tb := strassen222Table()
-	tb.Name, tb.depthFirst = "strassen-lowmem", true
-	return tb
-}
-
 // tableAlgs registers the built-in table family in one initializer so
 // every other package-level var (Algs) depends on it explicitly — Go's
 // init-order analysis then guarantees the registry is populated before
-// anyone reads it. The four land on the ids Standard8, Strassen, Winograd
-// and StrassenLowMem (tableAlgBase).
+// anyone reads it. The three land on the ids Standard8, Strassen and
+// Winograd (tableAlgBase).
 var tableAlgs = []Alg{
 	register(classicalTable("standard8", 2, 2, 2)),
 	register(strassen222Table()),
 	register(winograd222Table()),
-	register(strassenLowMemTable()),
 }

@@ -39,13 +39,13 @@ func TestAlgTables(t *testing.T) {
 	if tableOf(Standard).fast() {
 		t.Error("Standard, which has no table, is fast")
 	}
-	for _, want := range []string{"standard8", "strassen", "winograd", "strassen-lowmem"} {
+	for _, want := range []string{"standard8", "strassen", "winograd"} {
 		if !seen[want] {
 			t.Errorf("registry missing %s", want)
 		}
 	}
-	if len(seen) != 4 {
-		t.Errorf("%d tables registered, want the four ⟨2,2,2⟩ ones", len(seen))
+	if len(seen) != 3 {
+		t.Errorf("%d tables registered, want the three ⟨2,2,2⟩ ones", len(seen))
 	}
 }
 
@@ -70,32 +70,30 @@ func TestRegisterRefusesNonQuadrant(t *testing.T) {
 	register(tb)
 }
 
-// TestAlgNames: Figure 1(a)'s Standard8 and the paper's three fast
-// algorithms are registry entries — the four ⟨2,2,2⟩ tables — under
-// their historical ids 1–4 and names, each listed once, after Standard
-// at 0; nothing else parses but "auto", and a name that does not parse
-// (a removed table's included) is refused with the six valid ones.
+// TestAlgNames: Figure 1(a)'s Standard8 and the paper's two fast
+// algorithms are registry entries — the three ⟨2,2,2⟩ tables — under
+// their historical ids 1–3 and names, each listed once, after Standard
+// at 0; nothing else parses but "auto" and the "strassen-lowmem" alias,
+// and a name that does not parse (a removed table's included) is
+// refused with the five valid ones.
 func TestAlgNames(t *testing.T) {
-	want := []string{"standard", "standard8", "strassen", "winograd", "strassen-lowmem"}
+	want := []string{"standard", "standard8", "strassen", "winograd"}
 	for id, name := range want {
 		alg := Alg(id)
 		if tb := tableOf(alg); (tb == nil) != (alg == Standard) || alg.String() != name {
 			t.Errorf("Alg %d: table %v, name %q, want %q", alg, tb, alg.String(), name)
 		}
 	}
-	if Standard != 0 || Standard8 != 1 || Strassen != 2 || Winograd != 3 || StrassenLowMem != 4 ||
-		fmt.Sprint(Algs) != fmt.Sprint([]Alg{0, 1, 2, 3, 4}) {
-		t.Errorf("ids moved: Standard %d, Standard8 %d, Strassen %d, Winograd %d, StrassenLowMem %d; Algs %v",
-			Standard, Standard8, Strassen, Winograd, StrassenLowMem, Algs)
+	if Standard != 0 || Standard8 != 1 || Strassen != 2 || Winograd != 3 ||
+		fmt.Sprint(Algs) != fmt.Sprint([]Alg{0, 1, 2, 3}) {
+		t.Errorf("ids moved: Standard %d, Standard8 %d, Strassen %d, Winograd %d; Algs %v",
+			Standard, Standard8, Strassen, Winograd, Algs)
 	}
 	for _, gone := range []string{"laderman-3x3x3", "fast-3x2x3", "fast-4x2x4"} {
 		_, err := ParseAlg(gone)
 		if err == nil || !strings.Contains(err.Error(), strings.Join(append(want, "auto"), ", ")) {
-			t.Errorf("ParseAlg(%q) = %v, want an error listing the six valid names", gone, err)
+			t.Errorf("ParseAlg(%q) = %v, want an error listing the five valid names", gone, err)
 		}
-	}
-	if tb := tableOf(StrassenLowMem); !tb.depthFirst || tableOf(Strassen).depthFirst {
-		t.Error("StrassenLowMem, and only it, runs Strassen's table depth-first")
 	}
 	seen := map[string]bool{}
 	for _, name := range AlgNames() {
@@ -118,7 +116,7 @@ func TestAlgNames(t *testing.T) {
 // Winograd; 10 pre-additions and 12 accumulates for Strassen; 7
 // product zero-fills each.
 func TestTablePasses(t *testing.T) {
-	for alg, want := range map[Alg][3]int{Winograd: {10, 9, 7}, Strassen: {10, 12, 7}, StrassenLowMem: {10, 12, 7}} {
+	for alg, want := range map[Alg][3]int{Winograd: {10, 9, 7}, Strassen: {10, 12, 7}} {
 		n3, n2, zero := tableOf(alg).passes()
 		if got := [3]int{n3, n2, zero}; got != want {
 			t.Errorf("%v: passes %v, want %v", alg, got, want)
@@ -272,7 +270,7 @@ func TestSelectAlg(t *testing.T) {
 	// Auto runs Winograd's levels.
 	t.Run("own passes", func(t *testing.T) {
 		useBalance(t, 4.4)
-		for alg, want := range map[Alg]int{Winograd: 32, AlgAuto: 32, Strassen: 64, StrassenLowMem: 64} {
+		for alg, want := range map[Alg]int{Winograd: 32, AlgAuto: 32, Strassen: 64} {
 			o := Options{Alg: alg}
 			if o.settle(leaf.Impl{}, 128, 32, 32, 32); o.FastCutoff != want {
 				t.Errorf("%v: cutoff %d on 32³ tiles at balance 4.4, want %d", alg, o.FastCutoff, want)

@@ -5,7 +5,7 @@ import (
 )
 
 // This file is the recursive engine behind every fast algorithm: the
-// paper's Strassen, Winograd and space-conserving Strassen, and Figure
+// paper's Strassen and Winograd, and Figure
 // 1(a)'s eight products, are all ⟨2,2,2⟩ coefficient tables (table.go)
 // run here. One level of recursion is: split the three operands' tile
 // grids in quadrants, materialize the U/V block combinations (through
@@ -20,15 +20,18 @@ import (
 //   - BFS, where the level spawns (exec.par): scratch for all R
 //     products, the pre-additions spawned together, the products
 //     spawned together, then the C blocks' post-addition chains.
-//   - DFS, below the serial cutoff and at every level of a depthFirst
-//     table: the products run one after another through a single
-//     reused S/T/P scratch trio with the post-additions interspersed.
-//     The frame is closure-free, so the serial region allocates nothing.
+//   - DFS, below the serial cutoff: the products run one after another
+//     through a single reused S/T/P scratch trio with the post-additions
+//     interspersed. The frame is closure-free, so the serial region
+//     allocates nothing. A serial run (a serial admission rung, or a
+//     serial cutoff at or above the grid side) is DFS at every level:
+//     for Strassen, Section 5's space-conserving sequential variant.
 //
 // register fixes the order every C block and W aux receives its terms
 // in, so the two shapes produce the same bits (the determinism test
-// pins it). Arena reservations charge BFS at every level of a table
-// that is not depthFirst (the maximum); its DFS levels use less.
+// pins it). Arena reservations charge BFS at every level of a parallel
+// rung (the maximum; its DFS levels use less) and DFS at every level of
+// a serial one.
 
 // tableMul computes C += A·B by tb, descending the table's levels while
 // the grid is above FastCutoff and handing the rest to the standard
@@ -46,7 +49,7 @@ func (e *exec) tableMul(c *sched.Ctx, tb *Table, C, A, B Mat) {
 		e.std(c, C, A, B)
 		return
 	}
-	if e.par(C.tiles) && !tb.depthFirst {
+	if e.par(C.tiles) {
 		e.tableBFS(c, tb, C, A, B)
 		return
 	}

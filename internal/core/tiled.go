@@ -84,9 +84,8 @@ func NewTiled(curve layout.Curve, d uint, tr, tc, rows, cols int) *Tiled {
 func (t *Tiled) tiles() int { return 1 << (2 * t.D) }
 func (t *Tiled) elems() int { return t.tiles() * t.TR * t.TC }
 
-// PaddedRows and PaddedCols return the padded extents.
+// PaddedRows returns the padded row extent.
 func (t *Tiled) PaddedRows() int { return t.TR << t.D }
-func (t *Tiled) PaddedCols() int { return t.TC << t.D }
 
 // Mat returns the whole-matrix quadrant descriptor in the reference
 // orientation.

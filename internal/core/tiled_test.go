@@ -203,11 +203,11 @@ func TestTileIndexMapGrayMatchesPerm(t *testing.T) {
 	a := Mat{tiles: 8, tr: 2, tc: 2, curve: layout.GrayMorton, orient: 0}
 	b := a
 	b.orient = 1
-	idx := tileIndexMap(a, b)
+	m := resolveTileMap(a, b)
 	perm := layout.GrayMorton.Perm(0, 1, 3)
 	for s := 0; s < 64; s++ {
-		if idx(s) != int(perm[s]) {
-			t.Fatalf("gray shortcut disagrees with Perm at %d: %d vs %d", s, idx(s), perm[s])
+		if m.at(s, 64) != int(perm[s]) {
+			t.Fatalf("gray shortcut disagrees with Perm at %d: %d vs %d", s, m.at(s, 64), perm[s])
 		}
 	}
 }

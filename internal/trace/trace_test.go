@@ -162,15 +162,12 @@ func TestReadsMatchHandCodedRecursions(t *testing.T) {
 
 // TestStandard8SameAsStandard: an algorithm that is another's table under
 // a different evaluation order reads what it reads — Standard8 is
-// Standard's eight products, StrassenLowMem Strassen's table depth-first
-// — and every algorithm the engine registers can be traced, auto not.
+// Standard's eight products — and every algorithm the engine registers
+// can be traced, auto not.
 func TestStandard8SameAsStandard(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
 		if readsHash(core.Standard8, n) != readsHash(core.Standard, n) {
 			t.Errorf("n=%d: Standard8 dependency sets differ from Standard", n)
-		}
-		if readsHash(core.StrassenLowMem, n) != readsHash(core.Strassen, n) {
-			t.Errorf("n=%d: StrassenLowMem dependency sets differ from Strassen", n)
 		}
 	}
 	traced := 0
@@ -180,8 +177,8 @@ func TestStandard8SameAsStandard(t *testing.T) {
 			Reads(alg, 4)
 		}
 	}
-	if traced != 5 || traced != len(core.Algs) || Table(core.AlgAuto) != nil {
-		t.Errorf("%d of %d algorithms have a table to trace, want all five and not auto", traced, len(core.Algs))
+	if traced != 4 || traced != len(core.Algs) || Table(core.AlgAuto) != nil {
+		t.Errorf("%d of %d algorithms have a table to trace, want all four and not auto", traced, len(core.Algs))
 	}
 }
 

@@ -114,20 +114,15 @@ type Algorithm = core.Alg
 // accumulate form; Standard8 is the eight-spawn variant of Figure 1(a);
 // Strassen and Winograd are the O(n^lg7) fast algorithms of Figure 1(b)
 // and 1(c). All but Standard are run from their ⟨2,2,2⟩ coefficient
-// tables by one engine.
+// tables by one engine. Section 5's space-conserving sequential Strassen
+// is Strassen run serially — every level depth-first — which a MemBudget
+// rung or a SerialCutoff at or above the grid side selects;
+// ParseAlgorithm accepts its old name, "strassen-lowmem", as Strassen.
 const (
 	Standard  = core.Standard
 	Standard8 = core.Standard8
 	Strassen  = core.Strassen
 	Winograd  = core.Winograd
-	// StrassenLowMem is the space-conserving sequential Strassen variant
-	// of Section 5 (pre/post-additions interspersed with the recursive
-	// calls): Strassen's table run depth-first, so it returns Strassen's
-	// bits. It exposes no parallelism and exists for the ablation that
-	// reproduces the paper's observation that it behaves like the
-	// standard algorithm with respect to layouts, and as the MemBudget
-	// ladder's rung below a fast algorithm.
-	StrassenLowMem = core.StrassenLowMem
 	// Auto resolves the algorithm from the tile grid the call will run
 	// on: Standard unless the grid is large enough for at least one fast
 	// level to repay its passes by the crossover rule (see

@@ -85,8 +85,8 @@ func TestOptionsMemBudgetPassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Degraded) == 0 || rep.Alg == Strassen {
-		t.Fatalf("MemBudget not honored through Options: alg=%v notes=%v", rep.Alg, rep.Degraded)
+	if len(rep.Degraded) == 0 || !rep.Serial {
+		t.Fatalf("MemBudget not honored through Options: alg=%v serial=%v notes=%v", rep.Alg, rep.Serial, rep.Degraded)
 	}
 	if _, err := eng.Mul(C, A, B, &Options{
 		Layout: ZMorton, Algorithm: Strassen, FastCutoff: paperCutoff, ForceTile: 16, MemBudget: 100,
