@@ -1011,7 +1011,60 @@ func schedStats() {
 	fmt.Println(" grows with the worker count while remaining bounded by the spawn")
 	fmt.Println(" count, which is how the paper's code kept scheduling overhead")
 	fmt.Println(" negligible relative to quadrant-sized work.)")
+	serialBase()
 	wakeTable()
+}
+
+// serialBase times, on one worker and the library's defaults, products
+// that run wholly in the serial base — a quadrant at or below the serial
+// cutoff, multiplied as one loop over its leaves: a 512-square plan
+// against 512×n right-hand sides (the daemon's plan-cached shape; each
+// block is a wave runner, which never spawns) and one 64³ item of a
+// GEMMBatch wave. Leaves come off the report, so the time per leaf is
+// the base's overhead with the kernel in it. Cutoff 1 in the sweep above
+// is the recursion to single tiles.
+func serialBase() {
+	eng := recmat.NewEngine(1)
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(*seed))
+	fmt.Printf("\nserial base (library defaults, Z-Morton, 1 worker, medians)\n%-18s %12s %10s %8s %10s\n",
+		"product", "per product", "GFLOP/s", "leaves", "per leaf")
+	row := func(name string, flops float64, call func() (*recmat.Report, int)) {
+		rep, items := call() // warm-up: buffer pools, position tables
+		var t []float64
+		for r := 0; r < max(*reps, 101); r++ {
+			t0 := time.Now()
+			call()
+			t = append(t, time.Since(t0).Seconds()/float64(items))
+		}
+		el, leaves := medianOf(t), rep.Blocks<<(3*rep.Depth)/items
+		fmt.Printf("%-18s %9.3f ms %10.1f %8d %7.0f ns\n", name, 1e3*el, flops/el/1e9, leaves, 1e9*el/float64(leaves))
+	}
+	A := recmat.Random(512, 512, rng)
+	for _, n := range []int{16, 32, 48, 64} {
+		o := &recmat.Options{Layout: recmat.ZMorton, PartnerDim: n}
+		pa, err := eng.Prepack(A, false, o)
+		check(err)
+		pb, err := eng.PrepackConforming(recmat.Random(512, n, rng), false, o, pa)
+		check(err)
+		C := recmat.NewMatrix(512, n)
+		row(fmt.Sprintf("plan 512x512x%d", n), 2*512*512*float64(n), func() (*recmat.Report, int) {
+			rep, err := eng.GEMMPrepackedOpts(context.Background(), o, 1, pa, pb, 0, C)
+			check(err)
+			return rep, 1
+		})
+		pa.Release()
+		pb.Release()
+	}
+	items := make([]recmat.GEMMBatchItem, 100)
+	for i := range items {
+		items[i] = recmat.GEMMBatchItem{Alpha: 1, A: recmat.Random(64, 64, rng), B: recmat.Random(64, 64, rng), C: recmat.NewMatrix(64, 64)}
+	}
+	row("batch item 64^3", 2*64*64*64, func() (*recmat.Report, int) {
+		rep, _, err := eng.GEMMBatch(context.Background(), items, &recmat.Options{Layout: recmat.ZMorton})
+		check(err)
+		return &rep.Stats, len(items)
+	})
 }
 
 // wakeTable prints what it costs this runtime to start an idle worker:

@@ -112,8 +112,9 @@ type exec struct {
 	// split across the pool (exec.spawns); 0 disables the splitting.
 	ewMin int
 	// tr is the tracer captured at driver-call entry (nil when tracing
-	// is off) and lane is the call's caller-side trace track; both are
-	// used only by the runner's phase spans, never by the recursion.
+	// is off): every span and instant of the call — phases, chunks,
+	// leaves, arena fallbacks — goes to it, so a tracer swapped in
+	// mid-call sees none of them. lane is the call's caller-side track.
 	// shared marks one of a wave's several runners: the wave is one compute
 	// phase and a block a wave-item span, where a lone runner's are phases.
 	tr     *obs.Tracer
@@ -161,12 +162,12 @@ func (e *exec) ew2(c *sched.Ctx, dst, a Mat, f func(dst, a []float64)) {
 	case !dst.tiledStore() && !par:
 		ew2Cols(dst, a, 0, dst.cols(), f)
 	case !dst.tiledStore():
-		chunked(c, 0, dst.cols(), func(lo, hi int) { ew2Cols(dst, a, lo, hi, f) })
+		e.chunked(c, 0, dst.cols(), func(lo, hi int) { ew2Cols(dst, a, lo, hi, f) })
 	case !par:
 		ew2Tiles(dst, a, resolveTileMap(dst, a), 0, dst.tiles*dst.tiles, f)
 	default:
 		m := resolveTileMap(dst, a)
-		chunked(c, 0, dst.tiles*dst.tiles, func(lo, hi int) { ew2Tiles(dst, a, m, lo, hi, f) })
+		e.chunked(c, 0, dst.tiles*dst.tiles, func(lo, hi int) { ew2Tiles(dst, a, m, lo, hi, f) })
 	}
 }
 
@@ -178,39 +179,12 @@ func (e *exec) ew3(c *sched.Ctx, dst, a, b Mat, f func(dst, a, b []float64)) {
 	case !dst.tiledStore() && !par:
 		ew3Cols(dst, a, b, 0, dst.cols(), f)
 	case !dst.tiledStore():
-		chunked(c, 0, dst.cols(), func(lo, hi int) { ew3Cols(dst, a, b, lo, hi, f) })
+		e.chunked(c, 0, dst.cols(), func(lo, hi int) { ew3Cols(dst, a, b, lo, hi, f) })
 	case !par:
 		ew3Tiles(dst, a, b, resolveTileMap(dst, a), resolveTileMap(dst, b), 0, dst.tiles*dst.tiles, f)
 	default:
 		ma, mb := resolveTileMap(dst, a), resolveTileMap(dst, b)
-		chunked(c, 0, dst.tiles*dst.tiles, func(lo, hi int) { ew3Tiles(dst, a, b, ma, mb, lo, hi, f) })
-	}
-}
-
-// leafMul runs the leaf kernel on a single tile trio and accounts its
-// flops toward the work/span instrumentation. The fault-injection point
-// costs one atomic load when injection is off — negligible against the
-// 2mnk flops of the kernel.
-func (e *exec) leafMul(c *sched.Ctx, C, A, B Mat) {
-	faultinject.Point("core.leaf")
-	m, n, k := C.tr, C.tc, A.tc
-	// The tracepoint costs one atomic load when tracing is off; the
-	// span's arg carries the leaf's flop count.
-	tr := obs.Cur()
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	if skern := e.kernel.Scratch; skern != nil {
-		skern(leaf.ScratchAt(c.WorkerSlot()), m, n, k,
-			A.data, A.leafLD(), B.data, B.leafLD(), C.data, C.leafLD())
-	} else {
-		e.kernel.Kern(m, n, k, A.data, A.leafLD(), B.data, B.leafLD(), C.data, C.leafLD())
-	}
-	c.Account(2 * float64(m) * float64(n) * float64(k))
-	if tr != nil {
-		tr.Span(c.WorkerID(), obs.KindLeaf, t0, time.Since(t0),
-			2*int64(m)*int64(n)*int64(k))
+		e.chunked(c, 0, dst.tiles*dst.tiles, func(lo, hi int) { ew3Tiles(dst, a, b, ma, mb, lo, hi, f) })
 	}
 }
 
@@ -237,57 +211,87 @@ func (e *exec) par(tiles int) bool {
 	return tiles > e.serialCutoff
 }
 
-// The recursive algorithms poll c.Cancelled() at every level (one
-// atomic load), so a cancelled run abandons its subtree within roughly
-// one leaf multiplication — the per-level check is what bounds the
-// cancellation latency inside the serial-cutoff region, where the
-// scheduler's between-task and spawn-point checks never fire. The
-// multi-pass addition stages poll between passes (ewCancelled) for the
-// same reason: near the root a single quadrant pass touches O(n²)
-// elements, which would otherwise dominate the abort latency.
-
-// ewCancelled is the between-passes poll of the addition stages. The
-// partially accumulated state it can leave behind is safe: on a
-// cancelled run the driver never unpacks the working copy into the
-// caller's C (GEMMCtx), or documents C as corrupt (MulTiled).
-func ewCancelled(c *sched.Ctx) bool { return c.Cancelled() }
+// The recursive algorithms poll c.Cancelled() at every level and the
+// serial base at every leaf (one atomic load), so a cancelled run
+// abandons its subtree within roughly one leaf multiplication, inside
+// the serial-cutoff region too, where the scheduler's between-task and
+// spawn-point checks never fire. The multi-pass addition stages poll
+// between passes for the same reason: near the root a single quadrant
+// pass touches O(n²) elements. What a cancelled run leaves partially
+// accumulated is never unpacked into the caller's C (GEMMCtx), or C is
+// documented as corrupt (MulTiled).
 
 // std is the accumulate form of the standard algorithm: two rounds of
 // four independent quadrant products. Within a round the four products
 // write disjoint quadrants of C, so they run in parallel; the rounds are
-// separated by a sync because both rounds write every C quadrant.
+// separated by a sync because both rounds write every C quadrant. At or
+// below the serial cutoff the quadrant is one loop (base).
 func (e *exec) std(c *sched.Ctx, C, A, B Mat) {
 	if c.Cancelled() {
 		return
 	}
-	if C.tiles == 1 {
-		e.leafMul(c, C, A, B)
+	if !e.par(C.tiles) {
+		e.base(c, C, A, B)
 		return
 	}
 	c11, c12, c21, c22 := C.quad(layout.QuadNW), C.quad(layout.QuadNE), C.quad(layout.QuadSW), C.quad(layout.QuadSE)
 	a11, a12, a21, a22 := A.quad(layout.QuadNW), A.quad(layout.QuadNE), A.quad(layout.QuadSW), A.quad(layout.QuadSE)
 	b11, b12, b21, b22 := B.quad(layout.QuadNW), B.quad(layout.QuadNE), B.quad(layout.QuadSW), B.quad(layout.QuadSE)
-	if e.par(C.tiles) {
-		c.Parallel(
-			func(c *sched.Ctx) { e.std(c, c11, a11, b11) },
-			func(c *sched.Ctx) { e.std(c, c12, a11, b12) },
-			func(c *sched.Ctx) { e.std(c, c21, a21, b11) },
-			func(c *sched.Ctx) { e.std(c, c22, a21, b12) },
-		)
-		c.Parallel(
-			func(c *sched.Ctx) { e.std(c, c11, a12, b21) },
-			func(c *sched.Ctx) { e.std(c, c12, a12, b22) },
-			func(c *sched.Ctx) { e.std(c, c21, a22, b21) },
-			func(c *sched.Ctx) { e.std(c, c22, a22, b22) },
-		)
-		return
+	c.Parallel(
+		func(c *sched.Ctx) { e.std(c, c11, a11, b11) },
+		func(c *sched.Ctx) { e.std(c, c12, a11, b12) },
+		func(c *sched.Ctx) { e.std(c, c21, a21, b11) },
+		func(c *sched.Ctx) { e.std(c, c22, a21, b12) },
+	)
+	c.Parallel(
+		func(c *sched.Ctx) { e.std(c, c11, a12, b21) },
+		func(c *sched.Ctx) { e.std(c, c12, a12, b22) },
+		func(c *sched.Ctx) { e.std(c, c21, a22, b21) },
+		func(c *sched.Ctx) { e.std(c, c22, a22, b22) },
+	)
+}
+
+// base is the serial base of the standard recursion: the s³ leaf
+// products of an s×s-tile quadrant, in the recursion's order. Leaf t
+// holds one (k, i, j) bit triple per level, k most significant — a
+// level's two rounds of four — so every C tile receives its products in
+// ascending k: the bits of the recursion to single tiles. Each operand
+// finds its tiles through its own storage (tileAddr), with no quadrant
+// descent. The kernel, its scratch and the tracer are resolved once and
+// the work is accounted once; the fault point and the cancellation poll
+// stay per leaf.
+func (e *exec) base(c *sched.Ctx, C, A, B Mat) {
+	d := log2tiles(C.tiles)
+	ac, aa, ab := addrOf(C, d), addrOf(A, d), addrOf(B, d)
+	m, n, k := C.tr, C.tc, A.tc
+	ldc, lda, ldb := C.leafLD(), A.leafLD(), B.leafLD()
+	kern, skern := e.kernel.Kern, e.kernel.Scratch
+	var sc *leaf.Scratch
+	if skern != nil {
+		sc = leaf.ScratchAt(c.WorkerSlot())
 	}
-	e.std(c, c11, a11, b11)
-	e.std(c, c12, a11, b12)
-	e.std(c, c21, a21, b11)
-	e.std(c, c22, a21, b12)
-	e.std(c, c11, a12, b21)
-	e.std(c, c12, a12, b22)
-	e.std(c, c21, a22, b21)
-	e.std(c, c22, a22, b22)
+	tr, wid, flops := e.tr, c.WorkerID(), 2*int64(m)*int64(n)*int64(k)
+	t := 0
+	for ; t < 1<<(3*d) && !c.Cancelled(); t++ {
+		faultinject.Point("core.leaf")
+		var i, j, kk int
+		for l := range d {
+			x := t >> (3 * l)
+			i, j, kk = i|x>>1&1<<l, j|x&1<<l, kk|x>>2&1<<l
+		}
+		cd, ad, bd := C.data[ac.at(i, j):], A.data[aa.at(i, kk):], B.data[ab.at(kk, j):]
+		var t0 time.Time
+		if tr != nil {
+			t0 = time.Now()
+		}
+		if sc != nil {
+			skern(sc, m, n, k, ad, lda, bd, ldb, cd, ldc)
+		} else {
+			kern(m, n, k, ad, lda, bd, ldb, cd, ldc)
+		}
+		if tr != nil {
+			tr.Span(wid, obs.KindLeaf, t0, time.Since(t0), flops)
+		}
+	}
+	c.Account(float64(t) * float64(flops))
 }

@@ -141,7 +141,7 @@ func (e *exec) newTemp(c *sched.Ctx, proto Mat) Mat {
 	if e.ar != nil {
 		e.ar.fallbackAllocs.Add(1)
 		e.ar.fallbackElems.Add(int64(n))
-		if tr := obs.Cur(); tr != nil {
+		if tr := e.tr; tr != nil {
 			tr.Instant(c.WorkerID(), obs.KindArenaFallback, 8*int64(n))
 		}
 	}

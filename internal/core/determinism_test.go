@@ -37,6 +37,9 @@ func opMat(rows, cols int, trans bool, rng *rand.Rand) *matrix.Dense {
 // for every transpose pair and β. Strassen with the cutoff above the
 // grid is Section 5's space-conserving variant, every level depth-first
 // through one reused scratch trio: it produces parallel Strassen's bits.
+// At or below the cutoff a standard quadrant is one loop over its leaves
+// (exec.base), so cutoff 1, the recursion to single tiles, is the
+// oracle the loop must reproduce.
 func TestDeterminismPolicies(t *testing.T) {
 	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
 	defer pool.Close()
@@ -63,6 +66,32 @@ func TestDeterminismPolicies(t *testing.T) {
 									alg, cv, ta, tb, beta, cut, matrix.MaxAbsDiff(got, want))
 							}
 						}
+					}
+				}
+			}
+		}
+	}
+	// The default tile config: the serial base on deep grids (192³) and
+	// on tiles off the kernels' register blocks (300³, and the split
+	// blocks of the 512×512×48 plan shape), against the recursion to
+	// single tiles. A fast algorithm hands 2×2-tile quadrants to it.
+	for _, sh := range [][3]int{{512, 512, 48}, {192, 192, 192}, {300, 300, 300}} {
+		A, B := matrix.Random(sh[0], sh[1], rng), matrix.Random(sh[1], sh[2], rng)
+		C := matrix.Random(sh[0], sh[2], rng)
+		for _, cv := range []layout.Curve{layout.ZMorton, layout.Hilbert, layout.ColMajor} {
+			for _, alg := range Algs {
+				var want *matrix.Dense
+				for _, cut := range []int{1, 4, 1 << 20} {
+					opts := Options{Curve: cv, Alg: alg, SerialCutoff: cut, FastCutoff: 2}
+					got := C.Clone()
+					if _, err := GEMMCtx(context.Background(), pool, opts, false, false, 1.5, A, B, 0.5, got); err != nil {
+						t.Fatalf("%v/%v %v serial cutoff %d: %v", alg, cv, sh, cut, err)
+					}
+					if want == nil {
+						want = got
+					} else if !matrix.Equal(got, want, 0) {
+						t.Errorf("%v/%v %v: serial cutoff %d differs from 1, max diff %g",
+							alg, cv, sh, cut, matrix.MaxAbsDiff(got, want))
 					}
 				}
 			}

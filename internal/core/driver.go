@@ -37,8 +37,10 @@ type Options struct {
 	// reproduces Frens and Wise's element-level layout).
 	ForceTile int
 	// SerialCutoff is the quadrant size (tiles per side) at or below
-	// which the recursion stops spawning parallel tasks; 0 selects the
-	// default of 4. Set 1 to spawn at every level like the Cilk code.
+	// which the recursion stops spawning and runs one loop over the
+	// quadrant's leaves (exec.base), with the bits of spawning down to
+	// single tiles; 0 selects the default of 4, 1 spawns at every level
+	// like the Cilk code.
 	SerialCutoff int
 	// FastCutoff is the grid size (tiles per side) at or below which the
 	// fast algorithms fall back to the standard recursion. 0 selects the

@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/layout"
@@ -113,29 +114,73 @@ const maxPermDepth = 12
 var permCache [8][4][4][maxPermDepth + 1]atomic.Pointer[[]int32]
 
 func permFor(c layout.Curve, from, to layout.Orient, d uint) []int32 {
+	build := func() []int32 { return c.Perm(from, to, d) }
 	if int(c) >= len(permCache) || from > 3 || to > 3 || d > maxPermDepth {
 		// Off the cacheable grid (absurd depth): compute directly.
-		return c.Perm(from, to, d)
+		return build()
 	}
-	slot := &permCache[c][from][to][d]
+	return memo(&permCache[c][from][to][d], build)
+}
+
+// posCache memoizes tile-position tables per (curve, orientation,
+// depth), keyed like permCache: posFor(c, o, d)[i<<d|j] is the curve
+// position of tile (i, j) in a 2^d × 2^d grid laid out in orientation o:
+// where quad's descent (PosOf, then ChildOrient, level by level) finds
+// it. They are Section 4's "global mapping arrays" for the serial base.
+var posCache [8][4][maxPermDepth + 1]atomic.Pointer[[]int32]
+
+func posFor(c layout.Curve, o layout.Orient, d uint) []int32 {
+	build := func() []int32 {
+		pos := make([]int32, 1<<(2*d))
+		for s := range pos {
+			i, j := c.SInverseOriented(o, uint64(s), d)
+			pos[int(i)<<d|int(j)] = int32(s)
+		}
+		return pos
+	}
+	if int(c) >= len(posCache) || o > 3 || d > maxPermDepth {
+		return build()
+	}
+	return memo(&posCache[c][o][d], build)
+}
+
+// memo returns the table in slot, building and publishing it on first
+// use; concurrent first users agree on whichever table landed first.
+func memo[T any](slot *atomic.Pointer[[]T], build func() []T) []T {
 	if p := slot.Load(); p != nil {
 		return *p
 	}
-	p := c.Perm(from, to, d)
-	if slot.CompareAndSwap(nil, &p) {
-		return p
+	t := build()
+	if slot.CompareAndSwap(nil, &t) {
+		return t
 	}
 	return *slot.Load()
 }
 
-// log2tiles returns lg(tiles) for a power-of-two tile count.
-func log2tiles(tiles int) uint {
-	var d uint
-	for t := tiles; t > 1; t >>= 1 {
-		d++
-	}
-	return d
+// tileAddr finds tile (i, j) of one operand of the serial base, as an
+// element offset into its data: tile pos[i·side+j] of tiled storage,
+// i·tr + j·tc·ld of canonical storage.
+type tileAddr struct {
+	pos        []int32
+	rs, cs, ts int
 }
+
+func addrOf(m Mat, d uint) tileAddr {
+	if m.tiledStore() {
+		return tileAddr{pos: posFor(m.curve, m.orient, d), rs: m.tiles, ts: m.tileElems()}
+	}
+	return tileAddr{rs: m.tr, cs: m.tc * m.ld}
+}
+
+func (a *tileAddr) at(i, j int) int {
+	if a.pos != nil {
+		return int(a.pos[i*a.rs+j]) * a.ts
+	}
+	return i*a.rs + j*a.cs
+}
+
+// log2tiles returns lg(tiles) for a power-of-two tile count.
+func log2tiles(tiles int) uint { return uint(bits.TrailingZeros(uint(tiles))) }
 
 // tileMap describes how a tile position s in the destination's ordering
 // maps to the corresponding position in a source's ordering — the

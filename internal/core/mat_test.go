@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/layout"
+	"repro/internal/leaf"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 )
@@ -207,6 +208,64 @@ func TestPermCacheStability(t *testing.T) {
 	for i := range a {
 		if a[i] != want[i] {
 			t.Fatal("cached perm differs from fresh computation")
+		}
+	}
+}
+
+// TestTileScheduleIsRecursionOrder: the serial base visits a quadrant's
+// leaves in the order the recursion to single tiles does, and finds
+// every tile where quad's descent finds it — on every curve the driver
+// accepts, in every orientation the curve has, at depths 0–6. A, B and
+// C have distinct tile shapes, so a swapped coordinate shows.
+func TestTileScheduleIsRecursionOrder(t *testing.T) {
+	type trio [3]int
+	var C, A, B Mat
+	var got, want []trio
+	off := func(m Mat, sub []float64) int { return cap(m.data) - cap(sub) }
+	e := &exec{kernel: leaf.Impl{Kern: func(_, _, _ int, a []float64, _ int, b []float64, _ int, c []float64, _ int) {
+		got = append(got, trio{off(C, c), off(A, a), off(B, b)})
+	}}}
+	// std's two rounds: (C, A, B) quadrants of each product in turn.
+	rounds := [8][3]int{
+		{layout.QuadNW, layout.QuadNW, layout.QuadNW}, {layout.QuadNE, layout.QuadNW, layout.QuadNE},
+		{layout.QuadSW, layout.QuadSW, layout.QuadNW}, {layout.QuadSE, layout.QuadSW, layout.QuadNE},
+		{layout.QuadNW, layout.QuadNE, layout.QuadSW}, {layout.QuadNE, layout.QuadNE, layout.QuadSE},
+		{layout.QuadSW, layout.QuadSE, layout.QuadSW}, {layout.QuadSE, layout.QuadSE, layout.QuadSE},
+	}
+	var walk func(c, a, b Mat)
+	walk = func(c, a, b Mat) {
+		if c.tiles == 1 {
+			want = append(want, trio{off(C, c.data), off(A, a.data), off(B, b.data)})
+			return
+		}
+		for _, r := range rounds {
+			walk(c.quad(r[0]), a.quad(r[1]), b.quad(r[2]))
+		}
+	}
+	for _, cv := range mulCurves {
+		for o := 0; o < cv.Orientations(); o++ {
+			for d := uint(0); d <= 6; d++ {
+				s := 1 << d
+				mk := func(tr, tc int) Mat {
+					m := Mat{data: make([]float64, s*s*tr*tc), tiles: s, tr: tr, tc: tc, curve: cv, orient: layout.Orient(o)}
+					if cv == layout.ColMajor {
+						m.ld = s * tr
+					}
+					return m
+				}
+				C, A, B = mk(2, 3), mk(2, 5), mk(5, 3)
+				got, want = got[:0], want[:0]
+				walk(C, A, B)
+				e.base(&sched.Ctx{}, C, A, B)
+				if len(got) != len(want) {
+					t.Fatalf("%v orientation %d depth %d: %d leaves, recursion visits %d", cv, o, d, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%v orientation %d depth %d: leaf %d at (C, A, B) offsets %v, recursion at %v", cv, o, d, i, got[i], want[i])
+					}
+				}
+			}
 		}
 	}
 }

@@ -41,11 +41,7 @@ func (e *exec) tableMul(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	if c.Cancelled() {
 		return
 	}
-	if C.tiles == 1 {
-		e.leafMul(c, C, A, B)
-		return
-	}
-	if C.tiles <= e.fastCutoff {
+	if C.tiles == 1 || C.tiles <= e.fastCutoff {
 		e.std(c, C, A, B)
 		return
 	}
@@ -79,7 +75,7 @@ func (e *exec) materialize(c *sched.Ctx, dst Mat, row []tableTerm, blocks []Mat)
 	}
 	accountAdd(c, dst)
 	for ; i < len(row); i++ {
-		if ewCancelled(c) {
+		if c.Cancelled() {
 			return
 		}
 		if row[i].c == 1 {
@@ -106,7 +102,7 @@ func splitBlocks(C, A, B Mat, ab, bb, cb []Mat) {
 // the pool through ew2/ew3.
 func (e *exec) materializeAux(c *sched.Ctx, aux [][]tableTerm, base int, blocks []Mat) {
 	for j, row := range aux {
-		if ewCancelled(c) {
+		if c.Cancelled() {
 			return
 		}
 		e.materialize(c, blocks[base+j], row, blocks)
@@ -147,7 +143,6 @@ func (e *exec) tableBFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 		if c.Cancelled() {
 			return
 		}
-		r := r
 		if needsTemp(tb.U[r]) {
 			aop[r] = e.newTemp(c, ab[0])
 			pre = append(pre, func(c *sched.Ctx) { e.materialize(c, aop[r], tb.U[r], ab) })
@@ -168,7 +163,6 @@ func (e *exec) tableBFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	}
 	prod := make([]func(*sched.Ctx), tb.R)
 	for r := 0; r < tb.R; r++ {
-		r := r
 		// Arena memory is dirty; each product zeroes its destination
 		// inside its own task (a parallel memset for free).
 		prod[r] = func(c *sched.Ctx) {
@@ -199,11 +193,10 @@ func (e *exec) tableBFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 		if len(tb.W[t]) == 0 {
 			continue
 		}
-		t := t
 		post = append(post, func(c *sched.Ctx) {
 			dst := cb[t]
 			for _, term := range tb.W[t] {
-				if ewCancelled(c) {
+				if c.Cancelled() {
 					return
 				}
 				if term.c == 1 {
@@ -277,7 +270,7 @@ func (e *exec) tableDFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 		} else {
 			bop = bb[tb.V[r][0].idx]
 		}
-		if ewCancelled(c) {
+		if c.Cancelled() {
 			return
 		}
 		matZero(p)
@@ -285,7 +278,7 @@ func (e *exec) tableDFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 		// Scatter the product into its destinations immediately (W
 		// transposed), so the one P buffer is free for the next product.
 		for _, term := range tb.WT[r] {
-			if ewCancelled(c) {
+			if c.Cancelled() {
 				return
 			}
 			e.tableScatter(c, p, term, cb, waux, touched, tb.M*tb.N)
@@ -297,7 +290,7 @@ func (e *exec) tableDFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	// rows and downstream aux.
 	for j := range tb.AuxW {
 		for _, term := range tb.auxWScatter[j] {
-			if ewCancelled(c) {
+			if c.Cancelled() {
 				return
 			}
 			e.tableScatter(c, waux[j], term, cb, waux, touched, tb.M*tb.N)

@@ -32,20 +32,15 @@ func tileCoords(cv layout.Curve, d uint) []uint32 {
 	if int(cv) >= len(tileCoordCache) || d > maxCoordDepth {
 		return nil
 	}
-	slot := &tileCoordCache[cv][d]
-	if p := slot.Load(); p != nil {
-		return *p
-	}
-	side := 1 << d
-	t := make([]uint32, side*side)
-	for s := range t {
-		ti, tj := cv.SInverse(uint64(s), d)
-		t[s] = ti<<16 | tj
-	}
-	if slot.CompareAndSwap(nil, &t) {
+	return memo(&tileCoordCache[cv][d], func() []uint32 {
+		side := 1 << d
+		t := make([]uint32, side*side)
+		for s := range t {
+			ti, tj := cv.SInverse(uint64(s), d)
+			t[s] = ti<<16 | tj
+		}
 		return t
-	}
-	return *slot.Load()
+	})
 }
 
 // Tiled is a matrix stored in a recursive layout: a 2^D × 2^D grid of
@@ -141,14 +136,14 @@ func (t *Tiled) At(i, j int) float64 {
 // caller has asked exec.spawns first, and runs a pass too small to split
 // as f(0, n) before it builds a closure: a wave task's passes allocate
 // nothing. kind, when non-zero, labels a chunk's span on its worker's
-// trace track.
-func chunked(c *sched.Ctx, kind obs.Kind, n int, f func(lo, hi int)) {
+// track of the call's tracer.
+func (e *exec) chunked(c *sched.Ctx, kind obs.Kind, n int, f func(lo, hi int)) {
 	chunks := min(max(32, 4*c.Workers()), n)
 	fns := make([]func(*sched.Ctx), chunks)
 	for i := range fns {
 		lo, hi := n*i/chunks, n*(i+1)/chunks
 		fns[i] = func(c *sched.Ctx) {
-			tr := obs.Cur()
+			tr := e.tr
 			if tr == nil || kind == 0 {
 				f(lo, hi)
 				return
@@ -178,7 +173,7 @@ func (t *Tiled) pack(e *exec, c *sched.Ctx, src *matrix.Dense, trans bool, alpha
 		return
 	}
 	s := *src // the chunks' copy: a caller's view stays on its stack
-	chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.packTiles(&s, trans, alpha, coords, lo, hi) })
+	e.chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.packTiles(&s, trans, alpha, coords, lo, hi) })
 }
 
 // packTiles packs tiles [lo, hi) of the storage walk: pack's ranged body.
@@ -262,7 +257,7 @@ func (t *Tiled) unpackAccumulate(e *exec, c *sched.Ctx, dst *matrix.Dense, alpha
 	}
 	d := *dst // as pack's s
 	c.Shield(func(c *sched.Ctx) {
-		chunked(c, obs.KindUnpack, t.tiles(), func(lo, hi int) { t.unpackAccumulateTiles(&d, alpha, beta, coords, lo, hi) })
+		e.chunked(c, obs.KindUnpack, t.tiles(), func(lo, hi int) { t.unpackAccumulateTiles(&d, alpha, beta, coords, lo, hi) })
 	})
 }
 
@@ -328,7 +323,7 @@ func (t *Tiled) packTransposeOf(e *exec, c *sched.Ctx, src *Tiled) {
 		t.transposeTiles(src, coords, 0, t.tiles())
 		return
 	}
-	chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.transposeTiles(src, coords, lo, hi) })
+	e.chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.transposeTiles(src, coords, lo, hi) })
 }
 
 // transposeTiles fills tiles [lo, hi) of the storage walk from their
@@ -358,7 +353,7 @@ func (e *exec) zero(c *sched.Ctx, data []float64) {
 		vZero(data)
 		return
 	}
-	chunked(c, obs.KindZero, len(data), func(lo, hi int) { vZero(data[lo:hi]) })
+	e.chunked(c, obs.KindZero, len(data), func(lo, hi int) { vZero(data[lo:hi]) })
 }
 
 // scaleC applies β to the logical C, once, before the call's first
@@ -375,6 +370,6 @@ func (e *exec) scaleC(c *sched.Ctx, C *matrix.Dense, beta float64) {
 		return
 	}
 	c.Shield(func(c *sched.Ctx) {
-		chunked(c, obs.KindScale, C.Cols, func(lo, hi int) { C.ScaleCols(beta, lo, hi) })
+		e.chunked(c, obs.KindScale, C.Cols, func(lo, hi int) { C.ScaleCols(beta, lo, hi) })
 	})
 }

@@ -481,3 +481,60 @@ func TestWaveStatsAndTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceOneTracerPerCall: every span of a call goes to the tracer
+// installed when the call entered. Swapping tracers while a 1-worker
+// 1024³ call multiplies leaves the second tracer without a leaf span of
+// that call.
+func TestTraceOneTracerPerCall(t *testing.T) {
+	pool := sched.NewPool(1)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(167))
+	n := 1024
+	A, B, C := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+	leaves := func(tr *obs.Tracer) int {
+		var buf bytes.Buffer
+		if err := tr.Export(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := obs.ValidateChromeTrace(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum.ByName["leaf"]
+	}
+	first, second := obs.NewTracer(1, 0), obs.NewTracer(1, 0)
+	if err := obs.Install(first); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := GEMM(pool, Options{}, false, false, 1, A, B, 0, C)
+		done <- err
+	}()
+	// The recursion's first fork: the call is past its packs and has
+	// most of its 32³ leaves ahead of it.
+	for st := pool.Stats(); st.Spawns+st.Inline == 0; st = pool.Stats() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	obs.Uninstall(first)
+	if err := obs.Install(second); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+		t.Fatal("the call ended before the tracers were swapped")
+	default:
+	}
+	err := <-done
+	obs.Uninstall(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := leaves(second); got != 0 {
+		t.Errorf("%d leaf spans of the call landed in the tracer installed after it entered", got)
+	}
+	if leaves(first) == 0 {
+		t.Error("no leaf span in the call's own tracer")
+	}
+}

@@ -230,7 +230,10 @@ type Options struct {
 	// reproduce the paper's setup exactly (cmd/experiments does).
 	KernelName string
 	// SerialCutoff is the quadrant size in tiles at or below which the
-	// recursion stops spawning parallel tasks (0 = default 4).
+	// recursion stops spawning parallel tasks (0 = default 4). There the
+	// standard algorithm multiplies the quadrant as one loop over its
+	// leaf tiles, in the recursion's order and with its bits; 1 spawns
+	// at every level down to single tiles.
 	SerialCutoff int
 	// FastCutoff is the grid size in tiles at or below which the fast
 	// algorithms switch to the standard recursion. 0 = the crossover
