@@ -147,44 +147,44 @@ func (e *exec) ewPar(c *sched.Ctx, dst Mat) bool {
 }
 
 // ew2 applies a two-operand element-wise kernel (dst, a) over equal
-// geometry, e.g. dst += a. Orientation mismatches between tiled operands
-// are resolved through resolveTileMap; when the orientations coincide
-// the whole region is one contiguous stream and f runs once over it —
-// the "streaming through the memory hierarchy" case Section 4
-// highlights. Canonical operands are walked column by column. A large
-// pass is chunked over the pool (ewPar), so the top-level addition
-// streams — O(n²) work on the critical path — do not run single-threaded
-// per node. Accounting stays with the caller (accountAdd).
+// geometry, e.g. dst += a. When tiled operands share an orientation the
+// whole region is one contiguous stream and f runs once over it — the
+// "streaming through the memory hierarchy" case Section 4 highlights;
+// when they differ, each operand finds a tile in its own position table
+// (addrOf). Canonical operands are walked column by column. A large pass
+// is chunked over the pool (ewPar), so the top-level addition streams —
+// O(n²) work on the critical path — do not run single-threaded per node.
+// Accounting stays with the caller (accountAdd).
 func (e *exec) ew2(c *sched.Ctx, dst, a Mat, f func(dst, a []float64)) {
 	checkEW(dst, a)
-	par := e.ewPar(c, dst)
-	switch {
+	d, n := log2tiles(dst.tiles), dst.tiles*dst.tiles
+	ad, aa := addrOf(dst, d), addrOf(a, d)
+	switch par := e.ewPar(c, dst); {
 	case !dst.tiledStore() && !par:
 		ew2Cols(dst, a, 0, dst.cols(), f)
 	case !dst.tiledStore():
 		e.chunked(c, 0, dst.cols(), func(lo, hi int) { ew2Cols(dst, a, lo, hi, f) })
 	case !par:
-		ew2Tiles(dst, a, resolveTileMap(dst, a), 0, dst.tiles*dst.tiles, f)
+		ew2Tiles(dst, a, ad, aa, 0, n, f)
 	default:
-		m := resolveTileMap(dst, a)
-		e.chunked(c, 0, dst.tiles*dst.tiles, func(lo, hi int) { ew2Tiles(dst, a, m, lo, hi, f) })
+		e.chunked(c, 0, n, func(lo, hi int) { ew2Tiles(dst, a, ad, aa, lo, hi, f) })
 	}
 }
 
 // ew3 is the three-operand counterpart of ew2, e.g. dst = a + b.
 func (e *exec) ew3(c *sched.Ctx, dst, a, b Mat, f func(dst, a, b []float64)) {
 	checkEW(dst, a, b)
-	par := e.ewPar(c, dst)
-	switch {
+	d, n := log2tiles(dst.tiles), dst.tiles*dst.tiles
+	ad, aa, ab := addrOf(dst, d), addrOf(a, d), addrOf(b, d)
+	switch par := e.ewPar(c, dst); {
 	case !dst.tiledStore() && !par:
 		ew3Cols(dst, a, b, 0, dst.cols(), f)
 	case !dst.tiledStore():
 		e.chunked(c, 0, dst.cols(), func(lo, hi int) { ew3Cols(dst, a, b, lo, hi, f) })
 	case !par:
-		ew3Tiles(dst, a, b, resolveTileMap(dst, a), resolveTileMap(dst, b), 0, dst.tiles*dst.tiles, f)
+		ew3Tiles(dst, a, b, ad, aa, ab, 0, n, f)
 	default:
-		ma, mb := resolveTileMap(dst, a), resolveTileMap(dst, b)
-		e.chunked(c, 0, dst.tiles*dst.tiles, func(lo, hi int) { ew3Tiles(dst, a, b, ma, mb, lo, hi, f) })
+		e.chunked(c, 0, n, func(lo, hi int) { ew3Tiles(dst, a, b, ad, aa, ab, lo, hi, f) })
 	}
 }
 

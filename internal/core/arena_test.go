@@ -72,7 +72,7 @@ func TestArenaStackElemsSanity(t *testing.T) {
 
 // TestArenaZeroSteadyStateAllocs pins the tentpole property: after one
 // warm-up call (testing.AllocsPerRun's built-in first call populates
-// the permutation caches and the worker-slot kernel scratch), a serial
+// the position tables and the worker-slot kernel scratch), a serial
 // Strassen or Winograd multiplication at n=512 performs zero heap
 // allocations — every temporary is served by an arena sized as a serial
 // rung's (the depth-first bound).
@@ -142,16 +142,17 @@ func TestArenaFallbackHeapAndCorrect(t *testing.T) {
 	}
 }
 
-// TestRangedEWMatchesSpec pins the devirtualized ranged element-wise
-// cores — including the Gray-Morton two-segment rotation split and the
-// Hilbert permutation loop — against the tile map applied one tile at a
-// time (tileMap.at), across awkward chunk boundaries that straddle the
-// rotation wrap point.
+// TestRangedEWMatchesSpec pins the ranged element-wise cores — the one
+// stream when orientations agree, the per-operand position tables when
+// they differ — against layout.Curve.Perm applied one tile at a time,
+// over every orientation pair of Gray-Morton and Hilbert, in uneven
+// chunks. Perm derives from the S functions and not from posFor, so the
+// reference shares no code with the engine's tables.
 func TestRangedEWMatchesSpec(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, cv := range []layout.Curve{layout.ZMorton, layout.GrayMorton, layout.Hilbert} {
 		for _, tiles := range []int{1, 2, 8} {
-			no := cv.Orientations()
+			no, d := cv.Orientations(), log2tiles(tiles)
 			for from := 0; from < no; from++ {
 				for to := 0; to < no; to++ {
 					mk := func(o int) Mat {
@@ -160,28 +161,31 @@ func TestRangedEWMatchesSpec(t *testing.T) {
 						fillRand(m.data, rng)
 						return m
 					}
-					dst, a, b := mk(from), mk(to), mk((from+to)%no)
+					bo := (from + to) % no
+					dst, a, b := mk(from), mk(to), mk(bo)
 					nt := tiles * tiles
 					tsz := dst.tileElems()
+					pa := cv.Perm(layout.Orient(from), layout.Orient(to), d)
+					pb := cv.Perm(layout.Orient(from), layout.Orient(bo), d)
+					ad, aa, ab := addrOf(dst, d), addrOf(a, d), addrOf(b, d)
+					chunks := func(body func(lo, hi int)) {
+						for lo := 0; lo < nt; {
+							hi := min(lo+1+rng.Intn(3), nt)
+							body(lo, hi)
+							lo = hi
+						}
+					}
 
-					// Reference: the tile map, tile by tile.
+					// Reference: dst tile s meets the source tile Perm
+					// puts at its place, tile by tile.
 					want2 := append([]float64(nil), dst.data...)
-					ma, mb := resolveTileMap(dst, a), resolveTileMap(dst, b)
 					for s := 0; s < nt; s++ {
-						sa := ma.at(s, nt)
+						sa := int(pa[s])
 						vAcc(want2[s*tsz:(s+1)*tsz], a.data[sa*tsz:(sa+1)*tsz])
 					}
-					// Candidate: ranged core over uneven chunks.
-					got := Mat{data: append([]float64(nil), dst.data...),
-						tiles: tiles, tr: 4, tc: 4, curve: cv, orient: layout.Orient(from)}
-					for lo := 0; lo < nt; {
-						hi := lo + 1 + rng.Intn(3)
-						if hi > nt {
-							hi = nt
-						}
-						ew2Tiles(got, a, ma, lo, hi, vAcc)
-						lo = hi
-					}
+					got := dst
+					got.data = append([]float64(nil), dst.data...)
+					chunks(func(lo, hi int) { ew2Tiles(got, a, ad, aa, lo, hi, vAcc) })
 					for i := range want2 {
 						if got.data[i] != want2[i] {
 							t.Fatalf("%v tiles=%d %d→%d: ew2Tiles diverges at %d", cv, tiles, from, to, i)
@@ -191,19 +195,12 @@ func TestRangedEWMatchesSpec(t *testing.T) {
 					// Same for the three-operand core.
 					want3 := append([]float64(nil), dst.data...)
 					for s := 0; s < nt; s++ {
-						sa, sb := ma.at(s, nt), mb.at(s, nt)
+						sa, sb := int(pa[s]), int(pb[s])
 						vAdd(want3[s*tsz:(s+1)*tsz], a.data[sa*tsz:(sa+1)*tsz], b.data[sb*tsz:(sb+1)*tsz])
 					}
-					got3 := Mat{data: append([]float64(nil), dst.data...),
-						tiles: tiles, tr: 4, tc: 4, curve: cv, orient: layout.Orient(from)}
-					for lo := 0; lo < nt; {
-						hi := lo + 1 + rng.Intn(3)
-						if hi > nt {
-							hi = nt
-						}
-						ew3Tiles(got3, a, b, ma, mb, lo, hi, vAdd)
-						lo = hi
-					}
+					got3 := dst
+					got3.data = append([]float64(nil), dst.data...)
+					chunks(func(lo, hi int) { ew3Tiles(got3, a, b, ad, aa, ab, lo, hi, vAdd) })
 					for i := range want3 {
 						if got3.data[i] != want3[i] {
 							t.Fatalf("%v tiles=%d %d→%d: ew3Tiles diverges at %d", cv, tiles, from, to, i)
@@ -257,38 +254,6 @@ func TestEWParallelStreamsMatchSerial(t *testing.T) {
 					alg, cv, matrix.MaxAbsDiff(da, db))
 			}
 		}
-	}
-}
-
-// TestTileCoordsMatchesSInverse pins the memoized Pack/Unpack
-// coordinate table against the direct curve walk.
-func TestTileCoordsMatchesSInverse(t *testing.T) {
-	for _, cv := range []layout.Curve{layout.UMorton, layout.XMorton, layout.ZMorton, layout.GrayMorton, layout.Hilbert} {
-		for _, d := range []uint{0, 1, 3, 5} {
-			coords := tileCoords(cv, d)
-			if coords == nil {
-				t.Fatalf("%v d=%d: no table", cv, d)
-			}
-			side := 1 << d
-			if len(coords) != side*side {
-				t.Fatalf("%v d=%d: table has %d entries", cv, d, len(coords))
-			}
-			for s := range coords {
-				ti, tj := cv.SInverse(uint64(s), d)
-				if got := coords[s]; got != ti<<16|tj {
-					t.Fatalf("%v d=%d s=%d: table (%d,%d), SInverse (%d,%d)",
-						cv, d, s, got>>16, got&0xffff, ti, tj)
-				}
-			}
-			// Memoized: the second lookup returns the identical table.
-			again := tileCoords(cv, d)
-			if &again[0] != &coords[0] {
-				t.Fatalf("%v d=%d: table not memoized", cv, d)
-			}
-		}
-	}
-	if tileCoords(layout.ZMorton, maxCoordDepth+1) != nil {
-		t.Fatal("out-of-range depth should decline the cache")
 	}
 }
 

@@ -104,30 +104,20 @@ func (m Mat) dense() *matrix.Dense {
 	return matrix.FromSlice(m.data, m.rows(), m.cols(), m.ld)
 }
 
-// permCache memoizes orientation permutations per (curve, from, to,
-// depth); see layout.Perm. Depth here is lg(tiles). A flat array of
-// atomic pointers rather than a sync.Map: map lookups box the struct
-// key into an interface, which allocates on every hot-path query —
-// unacceptable now that the steady state is pinned at zero allocations.
-const maxPermDepth = 12
-
-var permCache [8][4][4][maxPermDepth + 1]atomic.Pointer[[]int32]
-
-func permFor(c layout.Curve, from, to layout.Orient, d uint) []int32 {
-	build := func() []int32 { return c.Perm(from, to, d) }
-	if int(c) >= len(permCache) || from > 3 || to > 3 || d > maxPermDepth {
-		// Off the cacheable grid (absurd depth): compute directly.
-		return build()
-	}
-	return memo(&permCache[c][from][to][d], build)
-}
+// maxPosDepth bounds the memoized position tables: a 4096×4096 tile
+// grid, beyond any tile choice. A deeper grid builds its table per call.
+const maxPosDepth = 12
 
 // posCache memoizes tile-position tables per (curve, orientation,
-// depth), keyed like permCache: posFor(c, o, d)[i<<d|j] is the curve
-// position of tile (i, j) in a 2^d × 2^d grid laid out in orientation o:
-// where quad's descent (PosOf, then ChildOrient, level by level) finds
-// it. They are Section 4's "global mapping arrays" for the serial base.
-var posCache [8][4][maxPermDepth + 1]atomic.Pointer[[]int32]
+// depth): posFor(c, o, d)[i<<d|j] is the curve position of tile (i, j)
+// in a 2^d × 2^d grid laid out in orientation o — where quad's descent
+// (PosOf, then ChildOrient, level by level) finds it. They are Section
+// 4's "global mapping arrays", and the one way the engine finds a tile
+// below the recursion: the serial base, the conversion walks and the
+// additions between quadrants of different orientations. A flat array
+// of atomic pointers rather than a sync.Map, whose boxed keys would
+// allocate on every lookup.
+var posCache [8][4][maxPosDepth + 1]atomic.Pointer[[]int32]
 
 func posFor(c layout.Curve, o layout.Orient, d uint) []int32 {
 	build := func() []int32 {
@@ -138,28 +128,25 @@ func posFor(c layout.Curve, o layout.Orient, d uint) []int32 {
 		}
 		return pos
 	}
-	if int(c) >= len(posCache) || o > 3 || d > maxPermDepth {
+	if int(c) >= len(posCache) || o > 3 || d > maxPosDepth {
 		return build()
 	}
-	return memo(&posCache[c][o][d], build)
-}
-
-// memo returns the table in slot, building and publishing it on first
-// use; concurrent first users agree on whichever table landed first.
-func memo[T any](slot *atomic.Pointer[[]T], build func() []T) []T {
+	// Concurrent first users agree on whichever table landed first.
+	slot := &posCache[c][o][d]
 	if p := slot.Load(); p != nil {
 		return *p
 	}
-	t := build()
-	if slot.CompareAndSwap(nil, &t) {
-		return t
+	pos := build()
+	if slot.CompareAndSwap(nil, &pos) {
+		return pos
 	}
 	return *slot.Load()
 }
 
-// tileAddr finds tile (i, j) of one operand of the serial base, as an
-// element offset into its data: tile pos[i·side+j] of tiled storage,
-// i·tr + j·tc·ld of canonical storage.
+// tileAddr finds tile (i, j) of a Mat's 2^d × 2^d grid, as an element
+// offset into its data: tile pos[i·side+j] of tiled storage, i·tr +
+// j·tc·ld of canonical storage. Its tile's leading dimension is the
+// Mat's leafLD.
 type tileAddr struct {
 	pos        []int32
 	rs, cs, ts int
@@ -181,68 +168,6 @@ func (a *tileAddr) at(i, j int) int {
 
 // log2tiles returns lg(tiles) for a power-of-two tile count.
 func log2tiles(tiles int) uint { return uint(bits.TrailingZeros(uint(tiles))) }
-
-// tileMap describes how a tile position s in the destination's ordering
-// maps to the corresponding position in a source's ordering — the
-// concrete, devirtualized form of the old per-tile closure, so the hot
-// tile loops of exec.ew2/ew3 make no indirect calls.
-//
-// For Gray-Morton's two orientations the paper's half-step symmetry
-// applies: the mapping is a rotation by half the tile count, so the pre-
-// and post-additions run as two contiguous half-streams (tmRotate). For
-// Hilbert the mapping is a memoized permutation array ("global mapping
-// arrays" in Section 4, tmPerm); the loop-control cost is one indexed
-// load per tile.
-type tileMap struct {
-	mode uint8
-	half int     // tmRotate: rotation distance (= tiles²/2)
-	perm []int32 // tmPerm: memoized permutation
-}
-
-const (
-	tmIdent uint8 = iota
-	tmRotate
-	tmPerm
-)
-
-// resolveTileMap computes the dst→src tile mapping for two tiled Mats
-// of equal geometry on the same curve.
-func resolveTileMap(dst, src Mat) tileMap {
-	if dst.curve != src.curve {
-		panic("core: tile map across curves")
-	}
-	if dst.orient == src.orient {
-		return tileMap{mode: tmIdent}
-	}
-	if dst.curve == layout.GrayMorton {
-		half := dst.tiles * dst.tiles / 2
-		if half == 0 {
-			// A single tile: the half-rotation is the identity.
-			return tileMap{mode: tmIdent}
-		}
-		return tileMap{mode: tmRotate, half: half}
-	}
-	return tileMap{mode: tmPerm,
-		perm: permFor(dst.curve, dst.orient, src.orient, log2tiles(dst.tiles))}
-}
-
-// at maps one destination tile position to its source position. This is
-// a direct (devirtualized) call; the streaming cores below avoid even
-// this per-tile switch on the common paths.
-func (m tileMap) at(s, total int) int {
-	switch m.mode {
-	case tmIdent:
-		return s
-	case tmRotate:
-		s += m.half
-		if s >= total {
-			s -= total
-		}
-		return s
-	default:
-		return int(m.perm[s])
-	}
-}
 
 // checkGeom panics unless the Mats have identical tile geometry.
 func checkGeom(ms ...Mat) {
@@ -304,80 +229,39 @@ func matZero(dst Mat) {
 	dst.dense().Zero()
 }
 
-// ew2Tiles applies a two-operand kernel over destination tiles [lo, hi)
-// of two tiled Mats, with the source resolved through m. The ranged
-// form is what the pool-parallel element-wise passes chunk over. The
-// identity case is one contiguous stream; the Gray-Morton rotation is
-// at most two contiguous segments (the half-step symmetry inlined as
-// direct arithmetic); only the Hilbert permutation pays a per-tile
-// indexed load — and none of them makes an indirect call in the loop.
-func ew2Tiles(dst, a Mat, m tileMap, lo, hi int, f func(dst, a []float64)) {
+// ew2Tiles applies a two-operand kernel over tiles [lo, hi) of two tiled
+// Mats: the ranged form is what the pool-parallel element-wise passes
+// chunk over. When the orientations agree the tiles are curve positions
+// and the range is one contiguous stream; when they differ they are grid
+// tiles g = i·side + j, each operand's found through its own position
+// table (ad, aa).
+func ew2Tiles(dst, a Mat, ad, aa tileAddr, lo, hi int, f func(dst, a []float64)) {
 	ts := dst.tileElems()
-	switch m.mode {
-	case tmIdent:
+	if dst.orient == a.orient {
 		f(dst.data[lo*ts:hi*ts], a.data[lo*ts:hi*ts])
-	case tmRotate:
-		total := dst.tiles * dst.tiles
-		mid := total - m.half // where s+half wraps
-		if cut := min(hi, mid); lo < cut {
-			f(dst.data[lo*ts:cut*ts], a.data[(lo+m.half)*ts:(cut+m.half)*ts])
-		}
-		if cut := max(lo, mid); cut < hi {
-			off := m.half - total
-			f(dst.data[cut*ts:hi*ts], a.data[(cut+off)*ts:(hi+off)*ts])
-		}
-	default:
-		for s := lo; s < hi; s++ {
-			sa := int(m.perm[s])
-			f(dst.data[s*ts:s*ts+ts], a.data[sa*ts:sa*ts+ts])
-		}
+		return
+	}
+	d := log2tiles(dst.tiles)
+	for g := lo; g < hi; g++ {
+		i, j := g>>d, g&(dst.tiles-1)
+		od, oa := ad.at(i, j), aa.at(i, j)
+		f(dst.data[od:od+ts], a.data[oa:oa+ts])
 	}
 }
 
-// ew3Tiles is the three-operand counterpart of ew2Tiles, with each
-// source resolved through its own map.
-func ew3Tiles(dst, a, b Mat, ma, mb tileMap, lo, hi int, f func(dst, a, b []float64)) {
+// ew3Tiles is the three-operand counterpart of ew2Tiles: one stream when
+// all three share an orientation, each operand's own table otherwise.
+func ew3Tiles(dst, a, b Mat, ad, aa, ab tileAddr, lo, hi int, f func(dst, a, b []float64)) {
 	ts := dst.tileElems()
-	if ma.mode == tmIdent && mb.mode == tmIdent {
+	if dst.orient == a.orient && dst.orient == b.orient {
 		f(dst.data[lo*ts:hi*ts], a.data[lo*ts:hi*ts], b.data[lo*ts:hi*ts])
 		return
 	}
-	total := dst.tiles * dst.tiles
-	if ma.mode != tmPerm && mb.mode != tmPerm {
-		// Rotations (and identities) only. Both rotations are by the
-		// same half (same curve, same tile count), so a single split at
-		// the wrap point leaves pieces where every operand is one
-		// contiguous stream at a constant offset.
-		mid := total / 2
-		seg := func(lo, hi int) {
-			if lo >= hi {
-				return
-			}
-			offA, offB := 0, 0
-			if ma.mode == tmRotate {
-				offA = ma.half
-				if lo >= mid {
-					offA -= total
-				}
-			}
-			if mb.mode == tmRotate {
-				offB = mb.half
-				if lo >= mid {
-					offB -= total
-				}
-			}
-			f(dst.data[lo*ts:hi*ts],
-				a.data[(lo+offA)*ts:(hi+offA)*ts],
-				b.data[(lo+offB)*ts:(hi+offB)*ts])
-		}
-		seg(lo, min(hi, mid))
-		seg(max(lo, mid), hi)
-		return
-	}
-	for s := lo; s < hi; s++ {
-		sa := ma.at(s, total)
-		sb := mb.at(s, total)
-		f(dst.data[s*ts:s*ts+ts], a.data[sa*ts:sa*ts+ts], b.data[sb*ts:sb*ts+ts])
+	d := log2tiles(dst.tiles)
+	for g := lo; g < hi; g++ {
+		i, j := g>>d, g&(dst.tiles-1)
+		od, oa, ob := ad.at(i, j), aa.at(i, j), ab.at(i, j)
+		f(dst.data[od:od+ts], a.data[oa:oa+ts], b.data[ob:ob+ts])
 	}
 }
 
@@ -400,12 +284,15 @@ func ew3Cols(dst, a, b Mat, lo, hi int, f func(dst, a, b []float64)) {
 }
 
 // checkEW validates an element-wise operand set: equal geometry, no
-// mixed storage.
+// mixed storage, and tiled operands on one curve.
 func checkEW(ms ...Mat) {
 	checkGeom(ms...)
 	for _, m := range ms[1:] {
 		if m.tiledStore() != ms[0].tiledStore() {
 			panic("core: mixed storage in element-wise op")
+		}
+		if m.tiledStore() && m.curve != ms[0].curve {
+			panic("core: element-wise op across curves")
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,15 +54,15 @@ func TestMatMixedStoragePanics(t *testing.T) {
 	matEW2(tiled, canon, vAcc)
 }
 
-func TestTileIndexMapCrossCurvePanics(t *testing.T) {
-	a := Mat{tiles: 2, tr: 2, tc: 2, curve: layout.ZMorton}
-	b := Mat{tiles: 2, tr: 2, tc: 2, curve: layout.Hilbert}
+func TestMatCrossCurvePanics(t *testing.T) {
+	a := Mat{data: make([]float64, 16), tiles: 2, tr: 2, tc: 2, curve: layout.ZMorton}
+	b := Mat{data: make([]float64, 16), tiles: 2, tr: 2, tc: 2, curve: layout.Hilbert}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("cross-curve tile map should panic")
+			t.Fatal("an element-wise op across curves should panic")
 		}
 	}()
-	resolveTileMap(a, b)
+	matEW2(a, b, vAcc)
 }
 
 func TestNewTempCanonicalHalvesLD(t *testing.T) {
@@ -196,18 +197,29 @@ func TestStrassenWinogradAgree(t *testing.T) {
 	}
 }
 
-func TestPermCacheStability(t *testing.T) {
-	// Memoized permutations must be identical across lookups (and safe
-	// to share); mutating a cached slice would corrupt later additions.
-	a := permFor(layout.Hilbert, 0, 2, 3)
-	b := permFor(layout.Hilbert, 0, 2, 3)
-	if &a[0] != &b[0] {
-		t.Fatal("perm cache did not memoize")
-	}
-	want := layout.Hilbert.Perm(0, 2, 3)
-	for i := range a {
-		if a[i] != want[i] {
-			t.Fatal("cached perm differs from fresh computation")
+// TestPosForMatchesSInverse pins the memoized position tables — the one
+// way the engine finds a tile below the recursion — against the oriented
+// curve walk, on every recursive curve, in every orientation, at depths
+// 0–5, and checks that a second lookup shares the first's table: a
+// caller that wrote into one would corrupt every later walk.
+func TestPosForMatchesSInverse(t *testing.T) {
+	for _, cv := range layout.RecursiveCurves {
+		for o := layout.Orient(0); int(o) < cv.Orientations(); o++ {
+			for d := uint(0); d <= 5; d++ {
+				pos := posFor(cv, o, d)
+				if len(pos) != 1<<(2*d) {
+					t.Fatalf("%v orientation %d depth %d: %d entries", cv, o, d, len(pos))
+				}
+				for s := range pos {
+					i, j := cv.SInverseOriented(o, uint64(s), d)
+					if got := pos[int(i)<<d|int(j)]; got != int32(s) {
+						t.Fatalf("%v orientation %d depth %d: tile (%d,%d) at %d, the curve puts it at %d", cv, o, d, i, j, got, s)
+					}
+				}
+				if again := posFor(cv, o, d); &again[0] != &pos[0] {
+					t.Fatalf("%v orientation %d depth %d: table not memoized", cv, o, d)
+				}
+			}
 		}
 	}
 }
@@ -323,5 +335,41 @@ func TestVectorKernels(t *testing.T) {
 	vZero(dst)
 	if dst[0] != 0 || dst[2] != 0 {
 		t.Fatal("vZero wrong")
+	}
+}
+
+// BenchmarkEWOrientations times the additions that cross orientations —
+// a reference-orientation temporary from two quadrants laid out in other
+// orientations, as the fast algorithms' pre-additions under Gray-Morton
+// and Hilbert make them — on 4×4, 8×8 and 16×16 grids of 2×2, 16×16 and
+// 32×32 tiles. No workload of the repository benchmark crosses
+// orientations (they run Z-Morton), so this is the passes' only timing:
+//
+//	go test -run '^$' -bench EWOrientations ./internal/core
+func BenchmarkEWOrientations(b *testing.B) {
+	rng := rand.New(rand.NewSource(23))
+	for _, cv := range []layout.Curve{layout.GrayMorton, layout.Hilbert} {
+		oa, ob := layout.Orient(1), layout.Orient(1) // Gray-Morton's rotated orientation
+		if cv == layout.Hilbert {
+			oa, ob = layout.OrientT, layout.OrientAT
+		}
+		for _, tiles := range []int{4, 8, 16} {
+			for _, ts := range []int{2, 16, 32} {
+				mk := func(o layout.Orient) Mat {
+					m := Mat{tiles: tiles, tr: ts, tc: ts, curve: cv, orient: o}
+					m.data = make([]float64, m.elems())
+					fillRand(m.data, rng)
+					return m
+				}
+				dst, x, y := mk(layout.OrientID), mk(oa), mk(ob)
+				e, c := new(exec), &sched.Ctx{}
+				b.Run(fmt.Sprintf("%v/%dx%d/tile%d", cv, tiles, tiles, ts), func(b *testing.B) {
+					b.SetBytes(int64(3 * 8 * dst.elems()))
+					for range b.N {
+						e.ew3(c, dst, x, y, vAdd)
+					}
+				})
+			}
+		}
 	}
 }

@@ -27,9 +27,10 @@ import (
 //	Σ_r U[r][(i1,j1)]·V[r][(j2,l1)]·W[(i2,l2)][r]
 //	  = δ(i1=i2)·δ(j1=j2)·δ(l1=l2)
 //
-// checked in exact integer arithmetic by Verify (TestAlgTables and
-// `make algtable-check` run it over every registered table, so a
-// typo'd coefficient fails CI loudly instead of corrupting results).
+// checked in exact integer arithmetic by Verify (table_test.go:
+// TestAlgTables and `make algtable-check` run it over every registered
+// table, so a typo'd coefficient fails CI loudly instead of corrupting
+// results).
 
 // tableTerm is one nonzero coefficient of a U/V/W row. For U rows idx
 // addresses A block (i,j) as i*K+j, for V rows B block (j,l) as j*N+l,
@@ -287,82 +288,6 @@ func register(tb *Table) Alg {
 	}
 	tableRegistry = append(tableRegistry, tb)
 	return tableAlgBase + Alg(len(tableRegistry)-1)
-}
-
-// densifyExpanded turns sparse rows over an extended operand set
-// (base blocks plus schedule aux) into dense coefficient vectors over
-// the base blocks alone, substituting each aux definition — register
-// guarantees aux rows reference only strictly earlier aux, so one
-// in-order pass resolves every chain.
-func densifyExpanded(rows, aux [][]tableTerm, base int) [][]int64 {
-	auxD := make([][]int64, len(aux))
-	expand := func(row []tableTerm) []int64 {
-		d := make([]int64, base)
-		for _, t := range row {
-			if t.idx < base {
-				d[t.idx] += int64(t.c)
-				continue
-			}
-			for i, c := range auxD[t.idx-base] {
-				d[i] += int64(t.c) * c
-			}
-		}
-		return d
-	}
-	for j, row := range aux {
-		auxD[j] = expand(row)
-	}
-	out := make([][]int64, len(rows))
-	for i, row := range rows {
-		out[i] = expand(row)
-	}
-	return out
-}
-
-// Verify checks the Brent equations for tb in exact integer
-// arithmetic; a nil error proves the table computes C = A·B. Any
-// evaluation schedule is expanded first, so Verify proves the form the
-// engine actually evaluates, CSE and all.
-func (tb *Table) Verify() error {
-	u := densifyExpanded(tb.U, tb.AuxU, tb.M*tb.K)
-	v := densifyExpanded(tb.V, tb.AuxV, tb.K*tb.N)
-	w := densifyExpanded(tb.W, tb.AuxW, tb.R)
-	for i1 := 0; i1 < tb.M; i1++ {
-		for j1 := 0; j1 < tb.K; j1++ {
-			for j2 := 0; j2 < tb.K; j2++ {
-				for l1 := 0; l1 < tb.N; l1++ {
-					for i2 := 0; i2 < tb.M; i2++ {
-						for l2 := 0; l2 < tb.N; l2++ {
-							var sum int64
-							for r := 0; r < tb.R; r++ {
-								sum += u[r][i1*tb.K+j1] * v[r][j2*tb.N+l1] * w[i2*tb.N+l2][r]
-							}
-							var want int64
-							if i1 == i2 && j1 == j2 && l1 == l2 {
-								want = 1
-							}
-							if sum != want {
-								return fmt.Errorf("core: table %s: Brent equation (i1=%d j1=%d j2=%d l1=%d i2=%d l2=%d) = %d, want %d",
-									tb.Name, i1, j1, j2, l1, i2, l2, sum, want)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// VerifyTables checks every registered table; `make algtable-check`
-// and TestAlgTables gate on it.
-func VerifyTables() error {
-	for _, tb := range tableRegistry {
-		if err := tb.Verify(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Tables lists the registered table algorithms in id order (for the

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -12,36 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
-
-// tileCoordCache memoizes the inverse curve walk SInverse(s, d) for
-// every tile of a (curve, depth) grid: Pack and Unpack previously
-// re-evaluated the bit-interleaving per tile inside their chunk loops,
-// three times per GEMM call (A, B, C operand packs) plus once per
-// unpack. The table is computed once per (curve, depth) for the life of
-// the process and shared lock-free; each entry packs (ti, tj) as
-// ti<<16 | tj (tile coordinates fit 16 bits for any depth ≤ 16).
-// Depths beyond maxCoordDepth (a 1024×1024 tile grid, beyond any
-// realistic tiling choice) fall back to the direct per-tile walk.
-const maxCoordDepth = 10
-
-var tileCoordCache [8][maxCoordDepth + 1]atomic.Pointer[[]uint32]
-
-// tileCoords returns the memoized coordinate table for a (curve, depth)
-// grid, or nil when the grid is out of cache range.
-func tileCoords(cv layout.Curve, d uint) []uint32 {
-	if int(cv) >= len(tileCoordCache) || d > maxCoordDepth {
-		return nil
-	}
-	return memo(&tileCoordCache[cv][d], func() []uint32 {
-		side := 1 << d
-		t := make([]uint32, side*side)
-		for s := range t {
-			ti, tj := cv.SInverse(uint64(s), d)
-			t[s] = ti<<16 | tj
-		}
-		return t
-	})
-}
 
 // Tiled is a matrix stored in a recursive layout: a 2^D × 2^D grid of
 // TR × TC column-major tiles, tiles ordered along Curve (equation (3) of
@@ -92,39 +61,16 @@ func (t *Tiled) Mat() Mat {
 	return m
 }
 
-// coords returns the memoized curve walk of the grid (nil on canonical
-// storage and out-of-cache depths, where tileAt computes directly).
-func (t *Tiled) coords() []uint32 {
-	if t.canon() {
-		return nil
-	}
-	return tileCoords(t.Curve, t.D)
-}
-
-// tileAt locates tile s of the storage walk: the logical offsets
-// (i0, j0) of its first element, and the base and leading dimension of
-// its column-major storage inside Data.
-func (t *Tiled) tileAt(s int, coords []uint32) (i0, j0, base, ld int) {
-	if t.canon() {
-		ti, tj := s&(1<<t.D-1), s>>t.D
-		ld = t.PaddedRows()
-		return ti * t.TR, tj * t.TC, tj*t.TC*ld + ti*t.TR, ld
-	}
-	var ti, tj uint32
-	if coords != nil {
-		pc := coords[s]
-		ti, tj = pc>>16, pc&0xffff
-	} else {
-		ti, tj = t.Curve.SInverse(uint64(s), t.D)
-	}
-	return int(ti) * t.TR, int(tj) * t.TC, s * t.TR * t.TC, t.TR
-}
-
 // At returns logical element (i, j), evaluating the layout function of
 // equation (3): tile coordinates through the curve's S function, tile
-// offset through the canonical column-major layout. It is intended for
-// tests and spot checks, not hot paths — the recursion never calls it.
+// offset through the canonical column-major layout — or, on canonical
+// storage, the padded panel's column-major offset. It is the reference
+// the conversion walks are tested against, not a hot path: the engine
+// never calls it.
 func (t *Tiled) At(i, j int) float64 {
+	if t.canon() {
+		return t.Data[j*t.PaddedRows()+i]
+	}
 	s := t.Curve.S(uint32(i/t.TR), uint32(j/t.TC), t.D)
 	return t.Data[int(s)*t.TR*t.TC+(j%t.TC)*t.TR+(i%t.TR)]
 }
@@ -167,20 +113,23 @@ func (t *Tiled) pack(e *exec, c *sched.Ctx, src *matrix.Dense, trans bool, alpha
 	if srows, scols := opShape(src, trans); srows != t.Rows || scols != t.Cols {
 		panic(fmt.Sprintf("core: pack %dx%d into tiled %dx%d", srows, scols, t.Rows, t.Cols))
 	}
-	coords := t.coords()
+	a := addrOf(t.Mat(), t.D)
 	if !e.spawns(c, t.elems()) {
-		t.packTiles(src, trans, alpha, coords, 0, t.tiles())
+		t.packTiles(src, trans, alpha, a, 0, t.tiles())
 		return
 	}
 	s := *src // the chunks' copy: a caller's view stays on its stack
-	e.chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.packTiles(&s, trans, alpha, coords, lo, hi) })
+	e.chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.packTiles(&s, trans, alpha, a, lo, hi) })
 }
 
-// packTiles packs tiles [lo, hi) of the storage walk: pack's ranged body.
-func (t *Tiled) packTiles(src *matrix.Dense, trans bool, alpha float64, coords []uint32, lo, hi int) {
+// packTiles packs grid tiles [lo, hi), column by column, each found
+// through a: pack's ranged body.
+func (t *Tiled) packTiles(src *matrix.Dense, trans bool, alpha float64, a tileAddr, lo, hi int) {
 	faultinject.Point("core.pack")
-	for s := lo; s < hi; s++ {
-		i0, j0, base, ld := t.tileAt(s, coords)
+	ld := t.Mat().leafLD()
+	for g := lo; g < hi; g++ {
+		ti, tj := g&(1<<t.D-1), g>>t.D
+		i0, j0, base := ti*t.TR, tj*t.TC, a.at(ti, tj)
 		for jj := 0; jj < t.TC; jj++ {
 			dcol := t.Data[base+jj*ld : base+jj*ld+t.TR]
 			gj := j0 + jj
@@ -250,22 +199,24 @@ func (t *Tiled) unpackAccumulate(e *exec, c *sched.Ctx, dst *matrix.Dense, alpha
 	if dst.Rows != t.Rows || dst.Cols != t.Cols {
 		panic(fmt.Sprintf("core: unpack tiled %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols))
 	}
-	coords := t.coords()
+	a := addrOf(t.Mat(), t.D)
 	if !e.spawns(c, t.elems()) {
-		t.unpackAccumulateTiles(dst, alpha, beta, coords, 0, t.tiles())
+		t.unpackAccumulateTiles(dst, alpha, beta, a, 0, t.tiles())
 		return
 	}
 	d := *dst // as pack's s
 	c.Shield(func(c *sched.Ctx) {
-		e.chunked(c, obs.KindUnpack, t.tiles(), func(lo, hi int) { t.unpackAccumulateTiles(&d, alpha, beta, coords, lo, hi) })
+		e.chunked(c, obs.KindUnpack, t.tiles(), func(lo, hi int) { t.unpackAccumulateTiles(&d, alpha, beta, a, lo, hi) })
 	})
 }
 
-// unpackAccumulateTiles accumulates tiles [lo, hi) of the curve walk
-// into dst: unpackAccumulate's ranged body.
-func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha, beta float64, coords []uint32, lo, hi int) {
-	for s := lo; s < hi; s++ {
-		i0, j0, base, ld := t.tileAt(s, coords)
+// unpackAccumulateTiles accumulates grid tiles [lo, hi), column by
+// column, into dst: unpackAccumulate's ranged body.
+func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha, beta float64, a tileAddr, lo, hi int) {
+	ld := t.Mat().leafLD()
+	for g := lo; g < hi; g++ {
+		ti, tj := g&(1<<t.D-1), g>>t.D
+		i0, j0, base := ti*t.TR, tj*t.TC, a.at(ti, tj)
 		if i0 >= t.Rows || j0 >= t.Cols {
 			continue
 		}
@@ -303,7 +254,7 @@ func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha, beta float64, co
 // packTransposeOf fills t with the transpose of an already-packed tiled
 // matrix, entirely within the recursive layout: destination tile (i, j)
 // is the element-wise transpose of source tile (j, i), located through
-// the curve's forward S function. This is how one packed operand serves
+// the curve's position table. This is how one packed operand serves
 // both slots of a symmetric product (SYRK's α·A·Aᵀ): the second pack
 // never re-reads the strided column-major source. Both matrices must
 // share curve, depth, and mirrored tile shapes (t is TC×TR tiles where
@@ -318,22 +269,23 @@ func (t *Tiled) packTransposeOf(e *exec, c *sched.Ctx, src *Tiled) {
 	case t.canon():
 		panic("core: transpose pack on canonical storage")
 	}
-	coords := t.coords()
+	a := addrOf(t.Mat(), t.D)
 	if !e.spawns(c, t.elems()) {
-		t.transposeTiles(src, coords, 0, t.tiles())
+		t.transposeTiles(src, a, 0, t.tiles())
 		return
 	}
-	e.chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.transposeTiles(src, coords, lo, hi) })
+	e.chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.transposeTiles(src, a, lo, hi) })
 }
 
-// transposeTiles fills tiles [lo, hi) of the storage walk from their
-// mirror tiles of src: packTransposeOf's ranged body.
-func (t *Tiled) transposeTiles(src *Tiled, coords []uint32, lo, hi int) {
+// transposeTiles fills grid tiles [lo, hi), column by column, from their
+// mirror tiles of src: packTransposeOf's ranged body. One address serves
+// both grids: they share curve and depth, and their tiles hold as many
+// elements.
+func (t *Tiled) transposeTiles(src *Tiled, a tileAddr, lo, hi int) {
 	sts := src.TR * src.TC
-	for s := lo; s < hi; s++ {
-		i0, j0, base, _ := t.tileAt(s, coords)
-		dst := t.Data[base : base+sts]
-		sbase := int(t.Curve.S(uint32(j0/t.TC), uint32(i0/t.TR), t.D)) * sts
+	for g := lo; g < hi; g++ {
+		ti, tj := g&(1<<t.D-1), g>>t.D
+		dst, sbase := t.Data[a.at(ti, tj):][:sts], a.at(tj, ti)
 		// dst tile is TR×TC column-major; its (r, c) element is the
 		// source tile's (c, r) element, src leading dimension src.TR.
 		for c := 0; c < t.TC; c++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -41,11 +42,12 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 }
 
 func TestPackAtMatchesLayoutFunction(t *testing.T) {
-	// Tiled.At must agree with direct evaluation of equation (3), and
-	// Pack must place every element where At expects it.
+	// Tiled.At must agree with direct evaluation of equation (3) — or,
+	// on canonical storage, with the padded column-major panel — and Pack
+	// must place every element where At expects it.
 	pool := sched.NewPool(1)
 	defer pool.Close()
-	for _, cv := range layout.RecursiveCurves {
+	for _, cv := range mulCurves {
 		rows, cols, tr, tc := 12, 10, 3, 4
 		d := uint(2)
 		src := matrix.Sequential(rows, cols)
@@ -55,6 +57,100 @@ func TestPackAtMatchesLayoutFunction(t *testing.T) {
 			for j := 0; j < cols; j++ {
 				if tl.At(i, j) != src.At(i, j) {
 					t.Fatalf("%v: At(%d,%d) = %g, want %g", cv, i, j, tl.At(i, j), src.At(i, j))
+				}
+			}
+		}
+	}
+}
+
+// TestTileWalksMatchLayoutFunction pins every conversion walk to the
+// layout function (Tiled.At): pack of a transposed source scaled by
+// α ≠ 1, unpackAccumulate at β = 0 and β = 1, and the in-layout
+// transpose, on all six curves (the transpose on the five recursive
+// ones: it refuses canonical storage), at depths 0–5, on shapes whose
+// last tile row and column are fringes. Every grid holds at least
+// ewParMin elements and runs on two workers with the library's ewMin,
+// so the walks run in chunks over the pool.
+func TestTileWalksMatchLayoutFunction(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	run := func(f func(e *exec, c *sched.Ctx)) {
+		e := &exec{serialCutoff: 4, ewMin: ewParMin}
+		if _, _, err := pool.Run(func(c *sched.Ctx) { f(e, c) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(21))
+	const alpha = -1.5
+	for _, cv := range mulCurves {
+		for d := uint(0); d <= 5; d++ {
+			side := 1 << d
+			tr, tc := 256>>d+1, 256>>d+3
+			rows, cols := side*tr-tr/2, side*tc-1
+			tl := NewTiled(cv, d, tr, tc, rows, cols)
+			if tl.elems() < ewParMin {
+				t.Fatalf("%v depth %d: %d elements, under ewParMin", cv, d, tl.elems())
+			}
+			src := matrix.New(cols, rows) // holds the transpose of the logical matrix
+			for i := range src.Data {
+				src.Data[i] = 1 + rng.Float64()
+			}
+			for i := range tl.Data {
+				tl.Data[i] = math.NaN() // padding pack leaves unwritten shows
+			}
+			run(func(e *exec, c *sched.Ctx) { tl.pack(e, c, src, true, alpha) })
+			nonzero := 0
+			for _, v := range tl.Data {
+				if v != 0 {
+					nonzero++
+				}
+			}
+			if nonzero != rows*cols {
+				t.Fatalf("%v depth %d: pack left %d nonzero elements for %d logical ones", cv, d, nonzero, rows*cols)
+			}
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					if got, want := tl.At(i, j), alpha*src.At(j, i); got != want {
+						t.Fatalf("%v depth %d: pack put %g at (%d,%d), want %g", cv, d, got, i, j, want)
+					}
+				}
+			}
+
+			for _, beta := range []float64{0, 1} {
+				dst := matrix.New(rows, cols)
+				for i := range dst.Data {
+					dst.Data[i] = rng.Float64()
+				}
+				prior := dst.Clone()
+				if beta == 0 {
+					for i := range dst.Data {
+						dst.Data[i] = math.NaN() // β = 0 reads no C
+					}
+				}
+				run(func(e *exec, c *sched.Ctx) { tl.unpackAccumulate(e, c, dst, alpha, beta) })
+				for i := 0; i < rows; i++ {
+					for j := 0; j < cols; j++ {
+						want := 0 + alpha*tl.At(i, j)
+						if beta == 1 {
+							want = prior.At(i, j) + alpha*tl.At(i, j)
+						}
+						if got := dst.At(i, j); got != want {
+							t.Fatalf("%v depth %d β=%g: unpack put %g at (%d,%d), want %g", cv, d, beta, got, i, j, want)
+						}
+					}
+				}
+			}
+
+			if cv == layout.ColMajor {
+				continue
+			}
+			tt := NewTiled(cv, d, tc, tr, cols, rows)
+			run(func(e *exec, c *sched.Ctx) { tt.packTransposeOf(e, c, tl) })
+			for i := 0; i < cols; i++ {
+				for j := 0; j < rows; j++ {
+					if got, want := tt.At(i, j), tl.At(j, i); got != want {
+						t.Fatalf("%v depth %d: transpose put %g at (%d,%d), want %g", cv, d, got, i, j, want)
+					}
 				}
 			}
 		}
@@ -194,20 +290,6 @@ func TestMatEWOrientationAlignment(t *testing.T) {
 					t.Fatalf("%v: (%d,%d) = %g, want %g", cv, i, j, got, want)
 				}
 			}
-		}
-	}
-}
-
-func TestTileIndexMapGrayMatchesPerm(t *testing.T) {
-	// The half-step shortcut must agree with the generic permutation.
-	a := Mat{tiles: 8, tr: 2, tc: 2, curve: layout.GrayMorton, orient: 0}
-	b := a
-	b.orient = 1
-	m := resolveTileMap(a, b)
-	perm := layout.GrayMorton.Perm(0, 1, 3)
-	for s := 0; s < 64; s++ {
-		if m.at(s, 64) != int(perm[s]) {
-			t.Fatalf("gray shortcut disagrees with Perm at %d: %d vs %d", s, m.at(s, 64), perm[s])
 		}
 	}
 }

@@ -22,9 +22,9 @@
 //     quadrants implicitly, without ever evaluating S in the hot path
 //     (Section 4, "Integration of address computation into control
 //     structure");
-//   - orientation permutation arrays used by the pre-/post-additions of
-//     the fast algorithms under the multi-orientation layouts (Section 4,
-//     "Issues with pre- and post-additions").
+//   - orientation permutation arrays relating tiles of differently
+//     oriented quadrants (Section 4, "Issues with pre- and
+//     post-additions"), the reference the engine's additions are tested on.
 package layout
 
 import "fmt"

@@ -293,9 +293,11 @@ func TestSelfSimilarity(t *testing.T) {
 	}
 }
 
-// TestGrayHalfStepSymmetry verifies the symmetry of Section 3.4 that the
-// Gray-Morton pre-/post-additions exploit: if one orientation orders the
-// tiles T_1..T_2k, the other orders them T_{k+1}..T_2k, T_1..T_k.
+// TestGrayHalfStepSymmetry verifies the symmetry of Section 3.4 that
+// Gray-Morton pre-/post-additions can exploit: if one orientation orders
+// the tiles T_1..T_2k, the other orders them T_{k+1}..T_2k, T_1..T_k.
+// The engine finds those tiles through its position tables, so this is
+// a theorem about the layout, not a property a code path relies on.
 func TestGrayHalfStepSymmetry(t *testing.T) {
 	for d := uint(1); d <= 6; d++ {
 		n := 1 << d

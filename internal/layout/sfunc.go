@@ -78,9 +78,9 @@ func (c Curve) SInverse(s uint64, d uint) (i, j uint32) {
 
 // SOriented is S evaluated for a sub-curve that starts in orientation o
 // instead of the reference orientation. The recursive layouts assign
-// non-reference orientations to interior quadrants; pre-/post-addition
-// code uses SOriented to reason about tile positions inside such
-// quadrants. For single-orientation curves it coincides with S.
+// non-reference orientations to interior quadrants; tests use SOriented
+// to check tile positions inside such quadrants, independently of the
+// engine's position tables. For single-orientation curves it is S.
 func (c Curve) SOriented(o Orient, i, j uint32, d uint) uint64 {
 	if c.Orientations() == 1 || o == OrientID {
 		return c.S(i, j, d)
@@ -141,12 +141,12 @@ func (c Curve) Grid(d uint) []uint64 {
 // Perm returns the tile permutation that relates two orientations of the
 // same curve over a 2^d × 2^d block of tiles: element t of the result is
 // the position, in orientation `to`, of the tile stored at position t in
-// orientation `from`. The fast algorithms use these arrays to walk
-// corresponding tiles of differently-oriented quadrants during pre- and
-// post-additions under the Hilbert layout (Section 4); for Gray-Morton
-// the two-half-step symmetry makes the explicit array unnecessary, but
-// Perm still yields the correct mapping and is used by tests to verify
-// that symmetry.
+// orientation `from` — the correspondence the fast algorithms' pre- and
+// post-additions between differently oriented quadrants must respect
+// (Section 4). The engine finds each operand's tile in its own position
+// table instead; Perm, derived from the S functions alone, is the
+// reference its addition tests compare against, and pins Gray-Morton's
+// half-step symmetry (Perm(0, 1) is a rotation by half the tiles).
 func (c Curve) Perm(from, to Orient, d uint) []int32 {
 	n := 1 << d
 	perm := make([]int32, n*n)
