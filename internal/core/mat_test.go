@@ -197,12 +197,13 @@ func TestStrassenWinogradAgree(t *testing.T) {
 	}
 }
 
-// TestPosForMatchesSInverse pins the memoized position tables — the one
-// way the engine finds a tile below the recursion — against the oriented
-// curve walk, on every recursive curve, in every orientation, at depths
-// 0–5, and checks that a second lookup shares the first's table: a
-// caller that wrote into one would corrupt every later walk.
-func TestPosForMatchesSInverse(t *testing.T) {
+// TestTileCoordsMatchesSInverse pins the memoized position tables — the
+// one way the engine finds a tile's coordinates below the recursion —
+// against the oriented curve walk, on every recursive curve, in every
+// orientation, at depths 0–5, and checks that a second lookup shares the
+// first's table: a caller that wrote into one would corrupt every later
+// walk.
+func TestTileCoordsMatchesSInverse(t *testing.T) {
 	for _, cv := range layout.RecursiveCurves {
 		for o := layout.Orient(0); int(o) < cv.Orientations(); o++ {
 			for d := uint(0); d <= 5; d++ {
@@ -219,6 +220,36 @@ func TestPosForMatchesSInverse(t *testing.T) {
 				if again := posFor(cv, o, d); &again[0] != &pos[0] {
 					t.Fatalf("%v orientation %d depth %d: table not memoized", cv, o, d)
 				}
+			}
+		}
+	}
+}
+
+// TestPermCacheStability: the memoized tables of two orientations of one
+// curve relate as layout.Curve.Perm says — the tile at position s in
+// orientation 0 sits at Perm(0, o)[s] in orientation o — and repeated
+// lookups, in any order, keep returning the same unaltered tables.
+func TestPermCacheStability(t *testing.T) {
+	const d = 3
+	for _, cv := range []layout.Curve{layout.GrayMorton, layout.Hilbert} {
+		base := posFor(cv, 0, d)
+		fresh := append([]int32(nil), base...)
+		for o := layout.Orient(1); int(o) < cv.Orientations(); o++ {
+			pos := posFor(cv, o, d)
+			perm := cv.Perm(0, o, d)
+			for g := range pos {
+				if pos[g] != perm[base[g]] {
+					t.Fatalf("%v orientation %d: tile %d at %d, Perm puts it at %d", cv, o, g, pos[g], perm[base[g]])
+				}
+			}
+		}
+		again := posFor(cv, 0, d)
+		if &again[0] != &base[0] {
+			t.Fatalf("%v: table not memoized", cv)
+		}
+		for g := range again {
+			if again[g] != fresh[g] {
+				t.Fatalf("%v: cached table changed at %d", cv, g)
 			}
 		}
 	}

@@ -294,6 +294,27 @@ func TestMatEWOrientationAlignment(t *testing.T) {
 	}
 }
 
+func TestTileIndexMapGrayMatchesPerm(t *testing.T) {
+	// The additions between Gray-Morton operands of orientations 0 and 1
+	// find each grid tile through its operand's own address table; the
+	// tile they pair with position s of the first must be the one Perm
+	// puts there.
+	a := Mat{tiles: 8, tr: 2, tc: 2, curve: layout.GrayMorton, orient: 0}
+	b := a
+	b.orient = 1
+	aa, ab := addrOf(a, 3), addrOf(b, 3)
+	perm := layout.GrayMorton.Perm(0, 1, 3)
+	ts := a.tileElems()
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 8; j++ {
+			s, sb := aa.at(i, j)/ts, ab.at(i, j)/ts
+			if sb != int(perm[s]) {
+				t.Fatalf("tile (%d,%d): address tables pair %d with %d, Perm with %d", i, j, s, sb, perm[s])
+			}
+		}
+	}
+}
+
 func TestMulTiledMatchesGEMM(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
