@@ -24,10 +24,13 @@ loc:
 # in-layout transpose and the additions across orientations find tiles
 # through them, and the permutation, tile-map and coordinate tables went
 # — and to 4,839 when the table verifier, reached only by its tests,
-# moved into table_test.go. The layout package's S functions, Perm and
+# moved into table_test.go; then to 4,799 when GEMMCtx, GEMMPrepacked and
+# MulTiledCtx became one multiply run (call.multiply) with one check of
+# packed operands (conformPlans), and the <2,2,2> partition every table
+# has became constants. The layout package's S functions, Perm and
 # SOriented are what the core's tests check its tables against. Test
 # files are the ones named *_test.go.
-CORE_LOC_MAX = 4839
+CORE_LOC_MAX = 4799
 LAYOUT_LOC_MAX = 506
 LEAF_LOC_MAX = 1133
 SCHED_LOC_MAX = 908
@@ -127,10 +130,10 @@ factor:
 # tables (standard8, strassen, winograd) must satisfy
 # the Brent equations in exact integer arithmetic — the proof that each
 # computes matrix product, run against all 64 equations per table (see
-# internal/core/table.go) — and registration must refuse any other
-# partition, since the engine splits grids in quadrants only.
+# internal/core/table.go). A Table states no other partition: the engine
+# splits grids in quadrants only.
 algtable-check:
-	$(GO) test -run 'TestAlgTables|TestRegisterRefusesNonQuadrant' -count=1 -v ./internal/core
+	$(GO) test -run 'TestAlgTables' -count=1 -v ./internal/core
 
 # The assembly hygiene gate. vet's asmdecl checker cross-validates every
 # .s frame layout against its Go declaration; the noasm build and test

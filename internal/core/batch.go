@@ -163,12 +163,12 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 		return nil, nil, err
 	}
 	if len(items) == 0 {
-		return nil, nil, fmt.Errorf("core: %s of zero items", name)
+		return nil, nil, fmt.Errorf("%w: %s of zero items", ErrDimension, name)
 	}
 	gv := given{pa: pa, resident: true}
 	if pa != nil {
 		if pa.released {
-			return nil, nil, fmt.Errorf("core: %s with nil or released plan", name)
+			return nil, nil, fmt.Errorf("%w: %s with nil or released plan", ErrDimension, name)
 		}
 		cl.o.Curve = pa.Curve
 	} else if err := cl.recursive(); err != nil {
@@ -194,7 +194,7 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 	for i := range items {
 		it := &items[i]
 		if it.B == nil || it.C == nil || pa == nil && it.A == nil {
-			errs[i] = fmt.Errorf("core: batch item with nil operand")
+			errs[i] = fmt.Errorf("%w: batch item with nil operand", ErrDimension)
 			continue
 		}
 		var m, k int

@@ -256,6 +256,36 @@ func TestGEMMBatchPerItemIsolation(t *testing.T) {
 	}
 }
 
+// TestBatchRefusalsAreErrDimension: a wave's caller mistakes are
+// ErrDimension like every other shape refusal — a wave of no items, a
+// member with a nil operand, a resident plan that is nil or released —
+// so the daemon answers them with 400 and not 500.
+func TestBatchRefusalsAreErrDimension(t *testing.T) {
+	pool := sched.NewPool(1)
+	defer pool.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(86))
+	opts := Options{Curve: layout.ZMorton}
+	if _, _, err := GEMMBatch(ctx, pool, opts, nil); !errors.Is(err, ErrDimension) {
+		t.Errorf("a wave of no items: err = %v, want ErrDimension", err)
+	}
+	_, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{Alpha: 1, A: matrix.Random(8, 8, rng), C: matrix.New(8, 8)}})
+	if err != nil || !errors.Is(errs[0], ErrDimension) {
+		t.Errorf("a member with a nil operand: wave err = %v, member errs = %v, want ErrDimension on the member", err, errs)
+	}
+	pa, err := Prepack(ctx, pool, opts, matrix.Random(8, 8, rng), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa.Release()
+	items := []PrepackedBatchItem{{Alpha: 1, B: matrix.Random(8, 8, rng), C: matrix.New(8, 8)}}
+	for what, p := range map[string]*Prepacked{"nil": nil, "released": pa} {
+		if _, _, err := GEMMPrepackedBatch(ctx, pool, opts, p, items); !errors.Is(err, ErrDimension) {
+			t.Errorf("a %s plan: err = %v, want ErrDimension", what, err)
+		}
+	}
+}
+
 // expiring is a context that expires after it has been asked a fixed
 // number of times: a member's deadline that fires at a chosen point of
 // its run, whatever the scheduler does.

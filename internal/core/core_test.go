@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -233,6 +235,40 @@ func TestGEMMAlphaZeroShortCircuit(t *testing.T) {
 	if !matrix.Equal(C, want, 0) {
 		t.Fatal("alpha=0 should reduce to C *= beta without touching A")
 	}
+
+	// Through resident plans α = 0 is the same trivial product, C ← β·C
+	// with nothing planned, admitted or run: a budget no 256² product fits
+	// in does not refuse it, and Stats say only what layout it was on.
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(18))
+	opts := Options{Curve: layout.ZMorton}
+	pa, err := Prepack(ctx, pool, opts, matrix.Random(256, 256, rng), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pa.Release()
+	pb, err := PrepackConforming(ctx, pool, opts, matrix.Random(256, 256, rng), false, pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pb.Release()
+	for _, budget := range []int64{0, 1024} {
+		o := opts
+		o.MemBudget = budget
+		C := matrix.Random(256, 256, rng)
+		want := C.Clone()
+		want.Scale(0.5)
+		st, err := GEMMPrepacked(ctx, pool, o, 0, pa, pb, 0.5, C)
+		if err != nil {
+			t.Fatalf("GEMMPrepacked, α = 0, MemBudget %d: %v", budget, err)
+		}
+		if !matrix.Equal(C, want, 0) {
+			t.Errorf("GEMMPrepacked, α = 0, MemBudget %d: C is not β·C", budget)
+		}
+		if got, trivial := fmt.Sprintf("%+v", *st), fmt.Sprintf("%+v", Stats{Layout: layout.ZMorton}); got != trivial {
+			t.Errorf("GEMMPrepacked, α = 0, MemBudget %d: Stats\n%s\nwant the trivial product's\n%s", budget, got, trivial)
+		}
+	}
 }
 
 func TestGEMMDimensionErrors(t *testing.T) {
@@ -251,6 +287,9 @@ func TestGEMMDimensionErrors(t *testing.T) {
 	}
 	if _, err := GEMM(pool, Options{Curve: layout.RowMajor}, false, false, 1, A, B2, 0, matrix.New(4, 3)); err == nil {
 		t.Error("row-major layout not rejected")
+	}
+	if _, err := GEMM(pool, Options{Curve: layout.RowMajor}, false, false, 0, A, B2, 1, matrix.New(4, 3)); err == nil {
+		t.Error("row-major layout not rejected on the α = 0 path")
 	}
 }
 

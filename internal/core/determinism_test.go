@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -671,7 +672,8 @@ func TestDeterminismDefaultKernel(t *testing.T) {
 // squat blocks, planOf — what ResolveAlg builds and does not run —
 // describes the same algorithm, layout, kernel, depth, tiles, padded extents,
 // cutoff, fast levels and block count as the Stats of the call that ran,
-// through GEMMCtx, GEMMBatch, GEMMPrepacked and GEMMPrepackedBatch.
+// through GEMMCtx, GEMMBatch, GEMMPrepacked, GEMMPrepackedBatch and — on
+// the unsplit call's tiles — MulTiledCtx.
 func TestDeterminismPlanNotRun(t *testing.T) {
 	useCutoff(t, 8)
 	ctx := context.Background()
@@ -685,10 +687,10 @@ func TestDeterminismPlanNotRun(t *testing.T) {
 		A, B := matrix.Random(m, k, rng), matrix.Random(k, n, rng)
 		for _, cv := range []layout.Curve{layout.ZMorton, layout.Hilbert, layout.ColMajor} {
 			for _, alg := range []Alg{AlgAuto, Standard, Standard8, Winograd, Strassen} {
-				for _, whole := range []bool{false, true} {
-					opts := Options{Curve: cv, Alg: alg, Tile: cfg, DisableSplit: whole}
+				for _, unsplit := range []bool{false, true} {
+					opts := Options{Curve: cv, Alg: alg, Tile: cfg, DisableSplit: unsplit}
 					o := opts.withDefaults()
-					name := fmt.Sprintf("%dx%dx%d %v/%v DisableSplit=%v", m, k, n, alg, cv, whole)
+					name := fmt.Sprintf("%dx%dx%d %v/%v DisableSplit=%v", m, k, n, alg, cv, unsplit)
 					// same holds one entry point's Stats against the plan
 					// built for it and not run.
 					same := func(what string, st *Stats, workers int, gv given) {
@@ -745,6 +747,23 @@ func TestDeterminismPlanNotRun(t *testing.T) {
 					same("GEMMPrepackedBatch", &bs.Stats, 0, given{pa: pa, resident: true})
 					pa.Release()
 					pb.Release()
+					if !unsplit {
+						continue
+					}
+					// MulTiledCtx's operands, tiled as the unsplit call tiles them.
+					pl, err := planOf(o, pool.Workers(), given{}, m, k, n)
+					if err != nil {
+						t.Fatalf("%s: planOf: %v", name, err)
+					}
+					g := pl.g
+					ta, tb := NewTiled(cv, g.d, g.tm, g.tk, m, k), NewTiled(cv, g.d, g.tk, g.tn, k, n)
+					if err := errors.Join(ta.Pack(ctx, pool, A, false, 1), tb.Pack(ctx, pool, B, false, 1)); err != nil {
+						t.Fatalf("%s: Pack: %v", name, err)
+					}
+					if st, err = MulTiledCtx(ctx, pool, opts, NewTiled(cv, g.d, g.tm, g.tn, m, n), ta, tb); err != nil {
+						t.Fatalf("%s: MulTiledCtx: %v", name, err)
+					}
+					same("MulTiledCtx", st, pool.Workers(), given{pa: whole(ta), pb: whole(tb)})
 				}
 			}
 		}

@@ -272,49 +272,63 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 	if err != nil {
 		return nil, err
 	}
-	o := cl.o
-	if o.Curve == layout.RowMajor {
-		return nil, fmt.Errorf("core: the row-major layout is not supported by the multiplication driver")
+	if err := multipliable(cl.o.Curve); err != nil {
+		return nil, err
 	}
 	m, k := opShape(A, transA)
 	kb, n := opShape(B, transB)
 	if err := conform(alpha, beta, m, k, kb, n, C); err != nil {
 		return nil, err
 	}
-	if alpha == 0 || m == 0 || n == 0 || k == 0 {
-		if err := cl.pass(ctx, func(e *exec, c *sched.Ctx) { e.scaleC(c, C, beta) }); err != nil {
+	return cl.multiply(ctx, planMul{alpha: alpha, beta: beta, C: C}, given{}, m, k, n, A, B, transA, transB)
+}
+
+// multipliable is the one refusal of the row-major layout, which the
+// paper's multiplication experiments do not use: GEMMCtx asks it before
+// anything else, planOf (and so ResolveAlg) before it plans.
+func multipliable(c layout.Curve) error {
+	if c == layout.RowMajor {
+		return fmt.Errorf("core: the row-major layout is not supported by the multiplication driver")
+	}
+	return nil
+}
+
+// multiply is the one body that runs a product C ← α·op(A)·op(B) + β·C,
+// behind GEMMCtx, GEMMPrepacked and MulTiledCtx once each has validated
+// its arguments: pm brings α, β and C (or a tiled C), gv the operands
+// that arrive packed, A and B the column-major ones. A trivial product
+// (α = 0, or an empty dimension) β-scales C and returns. Any other is
+// planned once, before C is touched, and runs one scheduler run per
+// budget group: β·C before the first product, then the group's packs —
+// only of what gv holds no plan of, UNSCALED (α rides in the fused
+// epilogue), deferred to the consuming blocks (charge.deferA, deferB),
+// walked in the groups admission sized (charge.fit: row panels
+// outermost, the k chain innermost), or folded from A's plan when op(B)
+// is op(A)ᵀ (SYRK's GEMM over one matrix in both slots) — then the block
+// wave. It releases only the plans it packed, once the runs have drained.
+func (cl *call) multiply(ctx context.Context, pm planMul, gv given, m, k, n int,
+	A, B *matrix.Dense, transA, transB bool) (*Stats, error) {
+
+	beta := pm.beta
+	if pm.alpha == 0 || m == 0 || k == 0 || n == 0 {
+		if err := cl.pass(ctx, func(e *exec, c *sched.Ctx) { e.scaleC(c, pm.C, beta) }); err != nil {
 			return nil, err
 		}
-		return &Stats{Layout: o.Curve}, nil
+		return &Stats{Layout: cl.o.Curve}, nil
 	}
-
-	// Plan: one split, one geometry, one algorithm, one admission
-	// decision for the whole call — all before C is touched.
-	stats = &Stats{}
-	pc, err := planGEMM(cl, stats, m, k, n, transA, transB, A, B)
+	stats := &Stats{}
+	pc, err := planGEMM(cl, stats, gv, m, k, n, transA, transB, A, B)
 	if err != nil {
 		return nil, err
 	}
 	defer releaseArena(pc.ar)
 
-	// One run: β·C, pack once, then the block wave. Operands are packed
-	// UNSCALED (α rides in the fused epilogue) into a transient plan of
-	// pooled buffers: one group, every segment packed once and held for
-	// the call, or — over budget — the groups admission sized (charge.fit),
-	// a run each, row panels outermost, the k chain innermost, an operand's
-	// packed group kept for as long as the walk stays on it. An operand
-	// whose segments each have one consuming block (charge.deferA, deferB)
-	// gets a plan of no blocks: the block packs them, into its runner's
-	// buffer. Buffers return to the pool even on failure: a run drains its
-	// tasks before it returns. When op(B) is exactly op(A)ᵀ (SYRK's GEMM
-	// over one matrix in both slots) and one runner walks the blocks, B's
-	// plan is derived from A's inside the recursive layout instead of
-	// re-reading the strided column-major source.
 	g, ch, ms, ks, ns, gr := pc.pl.g, pc.pl.ch, pc.pl.ms, pc.pl.ks, pc.pl.ns, pc.groups
-	fold := o.Curve != layout.ColMajor && sameView(A, B) && transA != transB &&
+	fold := gv.pa == nil && cl.o.Curve != layout.ColMajor && sameView(A, B) && transA != transB &&
 		g.tm == g.tn && gr == ch.plan && pc.runners == 0 && !ch.deferA
-	pm := planMul{alg: pc.alg, alpha: alpha, C: C}
-	defer func() { pm.pa.Release(); pm.pb.Release() }()
+	pm.alg, pm.pa, pm.pb = pc.alg, gv.pa, gv.pb
+	var ta, tb *Prepacked // the plans this call packs, and so releases
+	defer func() { ta.Release(); tb.Release() }()
 	type corner struct{ r, c int } // a packed group, by its first segments
 	heldA, heldB := corner{-1, -1}, corner{-1, -1}
 	total, done := len(ms)*len(ns)*((len(ks)+gr.ks-1)/gr.ks), 0
@@ -323,42 +337,50 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 			for q := 0; q < len(ks); q += gr.ks {
 				rows, cols, inner := ms[i:min(i+gr.rows, len(ms))], ns[j:min(j+gr.cols, len(ns))], ks[q:min(q+gr.ks, len(ks))]
 				first := !cl.started
+				packA, packB := gv.pa == nil && heldA != (corner{i, q}), gv.pb == nil && heldB != (corner{q, j})
 				err := cl.run(ctx, stats, func(c *sched.Ctx) error {
 					if first {
-						pc.e.scaleC(c, C, beta)
+						pc.e.scaleC(c, pm.C, beta)
 					}
-					t0 := time.Now()
-					pc.e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() {
-						if at := (corner{i, q}); heldA != at {
-							pm.pa.Release()
-							heldA = at
-							pm.pa = newPlan(g.hdrA(), rows, inner)
-							pm.pa.fill(pc.e, c, stats, A, transA, ch.deferA)
-						}
-						if at := (corner{q, j}); heldB != at {
-							pm.pb.Release()
-							heldB = at
-							if fold {
-								stats.PackReused += len(ks) * len(ns)
-								pm.pb = pm.pa.transposedPlan()
-								pm.pb.fillTransposed(pc.e, c, stats, pm.pa)
-							} else {
-								pm.pb = newPlan(g.hdrB(), inner, cols)
-								pm.pb.fill(pc.e, c, stats, B, transB, ch.deferB)
+					if packA || packB {
+						t0 := time.Now()
+						pc.e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() {
+							if packA {
+								ta.Release()
+								heldA = corner{i, q}
+								ta = newPlan(g.hdrA(), rows, inner)
+								ta.fill(pc.e, c, stats, A, transA, ch.deferA)
+								pm.pa = ta
 							}
-						}
-					})
-					stats.ConvertIn += time.Since(t0)
+							if packB {
+								tb.Release()
+								heldB = corner{q, j}
+								if fold {
+									stats.PackReused += len(ks) * len(ns)
+									tb = ta.transposedPlan()
+									tb.fillTransposed(pc.e, c, stats, ta)
+								} else {
+									tb = newPlan(g.hdrB(), inner, cols)
+									tb.fill(pc.e, c, stats, B, transB, ch.deferB)
+								}
+								pm.pb = tb
+							}
+						})
+						stats.ConvertIn += time.Since(t0)
+					}
 					// Only a block's first k group finds C as β left it.
 					if pm.beta = beta; q > 0 {
 						pm.beta = 1
 					}
-					nd, err := pm.wave(ctx, c, pc, stats, o.TraceID)
+					nd, err := pm.wave(ctx, c, pc, stats, cl.o.TraceID)
 					done += nd
 					return err
 				})
+				if err != nil && cl.started { // "not started" stands; any other says how far the call got
+					err = fmt.Errorf("core: %s failed after %d of %d blocks: %w", cl.what, done, total, err)
+				}
 				if err != nil {
-					return nil, cl.failed(err, done, total)
+					return nil, err
 				}
 			}
 		}
@@ -407,17 +429,17 @@ func forcedDepth(t int, dims ...int) (d uint, err error) {
 	return d, nil
 }
 
-// planGEMM settles a per-call GEMM's once-per-call decisions: plan,
-// admit, and — when MaxResidualGrowth is set and the admitted algorithm
-// runs a fast level — the residual probe, whose failure re-plans once
-// with Standard. The algorithm that executes may therefore be a cheaper
-// rung than the requested one, with every decision recorded in
-// stats.Degraded.
-func planGEMM(cl *call, stats *Stats, m, k, n int, transA, transB bool, A, B *matrix.Dense) (*prepared, error) {
+// planGEMM settles a product's once-per-call decisions: plan, admit,
+// and — when MaxResidualGrowth is set, both operands are column-major
+// and the admitted algorithm runs a fast level — the residual probe,
+// whose failure re-plans once with Standard. The algorithm that executes
+// may therefore be a cheaper rung than the requested one, with every
+// decision recorded in stats.Degraded.
+func planGEMM(cl *call, stats *Stats, gv given, m, k, n int, transA, transB bool, A, B *matrix.Dense) (*prepared, error) {
 	o := cl.o
 	var notes []string
 	for {
-		pl, err := planOf(o, cl.pool.Workers(), given{}, m, k, n)
+		pl, err := planOf(o, cl.pool.Workers(), gv, m, k, n)
 		if err != nil {
 			return nil, err
 		}
@@ -426,7 +448,7 @@ func planGEMM(cl *call, stats *Stats, m, k, n int, transA, transB bool, A, B *ma
 			return nil, err
 		}
 		notes = append(notes, pc.notes...)
-		if o.MaxResidualGrowth > 0 && fastLevels(pc.alg, pl.g.side(), pl.cutoff) > 0 {
+		if o.MaxResidualGrowth > 0 && gv.pa == nil && gv.pb == nil && fastLevels(pc.alg, pl.g.side(), pl.cutoff) > 0 {
 			if growth := probeResidualGrowth(pc.e, pc.alg, transA, transB, A, B); growth > o.MaxResidualGrowth {
 				notes = append(notes, fmt.Sprintf("residual-probe: %v growth %.1f > bound %.1f; degraded to %v",
 					pc.alg, growth, o.MaxResidualGrowth, Standard))
@@ -449,23 +471,22 @@ func sameView(a, b *matrix.Dense) bool {
 		len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
-// ConformTiled checks that pre-tiled operands multiply as A·B: one
-// curve, one depth, conforming tile shapes and logical extents. Tiled
-// operands are the one input that never passes conform, which sees
+// ConformTiled checks that pre-tiled operands multiply as A·B: the one
+// check of packed operands (conformPlans) on one-block plans of them.
+// Tiled operands are the one input that never passes conform, which sees
 // column-major shapes only.
 func ConformTiled(A, B *Tiled) error {
-	switch {
-	case A == nil || B == nil:
+	if A == nil || B == nil {
 		return fmt.Errorf("%w: nil tiled operand", ErrDimension)
-	case A.Curve != B.Curve:
-		return fmt.Errorf("%w: tiled layouts differ: %v vs %v", ErrDimension, A.Curve, B.Curve)
-	case A.D != B.D:
-		return fmt.Errorf("%w: tiled depths differ: %d vs %d", ErrDimension, A.D, B.D)
-	case A.TC != B.TR || A.Cols != B.Rows:
-		return fmt.Errorf("%w: tiled operands do not conform: %dx%d in %dx%d tiles · %dx%d in %dx%d tiles",
-			ErrDimension, A.Rows, A.Cols, A.TR, A.TC, B.Rows, B.Cols, B.TR, B.TC)
 	}
-	return nil
+	return conformPlans(whole(A), whole(B))
+}
+
+// whole is a tiled operand as a plan of one segment pair, t its block.
+func whole(t *Tiled) *Prepacked {
+	p := newPlan(*t, []tile.Seg{{Len: t.Rows}}, []tile.Seg{{Len: t.Cols}})
+	p.blocks = []Tiled{*t}
+	return p
 }
 
 // MulTiled runs C += A·B directly on pre-converted tiled operands,
@@ -478,12 +499,14 @@ func MulTiled(pool *sched.Pool, opts Options, C, A, B *Tiled) (*Stats, error) {
 }
 
 // MulTiledCtx is MulTiled with cooperative cancellation and the same
-// panic-to-error boundary as GEMMCtx. On cancellation or failure the
-// tiled C must be considered corrupt: unlike GEMMCtx there is no
-// private packed copy, so partial quadrant products may already have
-// accumulated into it.
+// panic-to-error boundary as GEMMCtx: the one multiply run on a product
+// of one block whose operands (plans of one segment pair, charged like a
+// transient plan's) and C the caller holds tiled. On cancellation or
+// failure the tiled C must be considered corrupt: unlike GEMMCtx there
+// is no private packed copy, so partial quadrant products may already
+// have accumulated into it.
 func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *Tiled) (stats *Stats, err error) {
-	cl, err := enter(ctx, pool, opts, "MulTiled", 0)
+	cl, err := enter(ctx, pool, opts, "MulTiled", opts.TraceID)
 	defer func() { cl.end(stats, err) }()
 	defer leave(cl, &stats, &err)
 	if err != nil {
@@ -499,38 +522,9 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 		return nil, fmt.Errorf("%w: tiled C is %dx%d in %dx%d tiles (%v, depth %d), the product is %dx%d in %dx%d tiles (%v, depth %d)",
 			ErrDimension, C.Rows, C.Cols, C.TR, C.TC, C.Curve, C.D, A.Rows, B.Cols, A.TR, B.TC, A.Curve, A.D)
 	}
-	// A plan product of one block whose operands the caller already holds
-	// tiled — plans of one segment pair each, charged like a transient
-	// plan's — into a C it holds tiled too.
-	whole := func(t *Tiled) *Prepacked {
-		p := newPlan(*t, []tile.Seg{{Len: t.Rows}}, []tile.Seg{{Len: t.Cols}})
-		p.blocks = []Tiled{*t}
-		return p
-	}
-	pm := planMul{pa: whole(A), pb: whole(B), tc: C}
-	pl, err := planOf(cl.o, cl.pool.Workers(), given{pa: pm.pa, pb: pm.pb}, A.Rows, A.Cols, B.Cols)
-	if err != nil {
-		return nil, err
-	}
-	if pl.ns == nil {
-		return &Stats{Layout: A.Curve}, nil // an empty product: C += nothing
-	}
-	pc, err := admitPlan(cl, pl)
-	if err != nil {
-		return nil, err
-	}
-	stats = &Stats{}
-	pc.start(cl, stats)
-	defer releaseArena(pc.ar)
-	pm.alg = pc.alg
-	if err := cl.run(ctx, stats, func(c *sched.Ctx) error {
-		_, err := pm.wave(ctx, c, pc, stats, 0)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	pc.finish(cl, stats)
-	return stats, nil
+	cl.o.Curve = A.Curve
+	return cl.multiply(ctx, planMul{alpha: 1, beta: 1, tc: C}, given{pa: whole(A), pb: whole(B)},
+		A.Rows, A.Cols, B.Cols, nil, nil, false, false)
 }
 
 // WorkSpan computes, without executing anything, the analytic work and

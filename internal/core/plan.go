@@ -16,9 +16,9 @@ import (
 )
 
 // This file is the one execution pipeline behind GEMMCtx, GEMMPrepacked,
-// MulTiledCtx and the members of a GEMMBatch* wave (batch.go): plan →
-// pack once → block wave → fused epilogue, all of it inside one
-// scheduler run.
+// MulTiledCtx (one body, call.multiply in driver.go) and the members of
+// a GEMMBatch* wave (batch.go): plan → pack once → block wave → fused
+// epilogue, all of it inside one scheduler run.
 //
 // A multiplication is cut by one rule (tile.Config.SplitDims, Figure 3)
 // into squat blocks that share one geometry, one kernel, one admission
@@ -30,7 +30,7 @@ import (
 // k segments in ascending order in the packed domain, and folds α·tile
 // into C in one fused epilogue.
 //
-// An entry point is enter → plan and admit → one call.run → leave, and
+// An entry point is enter → plan and admit → call.run → leave, and
 // everything that touches an operand happens in that run's task tree, as
 // the paper's program is one Cilk computation: below an entry point
 // there is a *sched.Ctx to spawn from and no pool to start a second run
@@ -118,15 +118,6 @@ func (cl *call) run(ctx context.Context, stats *Stats, root func(c *sched.Ctx) e
 		return err
 	}
 	return rerr
-}
-
-// failed words the error of a multiply's run: "not started" stands, any
-// other is told how far the call got.
-func (cl *call) failed(err error, done, total int) error {
-	if !cl.started {
-		return err
-	}
-	return fmt.Errorf("core: %s failed after %d of %d blocks: %w", cl.what, done, total, err)
 }
 
 // exec is the call's execution parameters short of what a plan settles
@@ -338,6 +329,9 @@ func (pl *plan) describe(alg Alg, stats *Stats) {
 // serial on its runner. Kernel and cutoff are per shape, not per wave: a
 // heterogeneous wave gives each member what its single-call twin gets.
 func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
+	if err := multipliable(o.Curve); err != nil {
+		return nil, err
+	}
 	pl := &plan{m: m, k: k, n: n}
 	if m == 0 || k == 0 || n == 0 {
 		return pl, nil

@@ -141,7 +141,7 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 		return nil, err
 	}
 	if like == nil || like.released {
-		return nil, fmt.Errorf("core: PrepackConforming against a nil or released plan")
+		return nil, fmt.Errorf("%w: PrepackConforming against a nil or released plan", ErrDimension)
 	}
 	cl.o.Curve = like.Curve
 	o := cl.o
@@ -364,7 +364,7 @@ func (p *Prepacked) Transposed(ctx context.Context, pool *sched.Pool) (q *Prepac
 		return nil, err
 	}
 	if p.released {
-		return nil, fmt.Errorf("core: Transposed of a released plan")
+		return nil, fmt.Errorf("%w: Transposed of a released plan", ErrDimension)
 	}
 	q = p.transposedPlan()
 	return cl.resident(ctx, q, func(e *exec, c *sched.Ctx) { q.fillTransposed(e, c, nil, p) })
@@ -390,24 +390,25 @@ func (q *Prepacked) fillTransposed(e *exec, c *sched.Ctx, stats *Stats, p *Prepa
 }
 
 // GEMMPrepacked computes C ← α·A·B + β·C where A and B are prepacked
-// plans (any transposition was folded at Prepack time). The operand
-// conversion is gone from the call: per block, the driver zero-fills a
-// pooled tiled C, accumulates the plan blocks' products into it, and
-// folds α plus the accumulate into the unpack — so a steady-state call
-// reports Stats.ConvertIn ≈ 0 (only the C zero-fill), ConvertBytes
-// counting only the C epilogue, and PackReused counting every operand
-// the plans served.
+// plans (any transposition was folded at Prepack time). It is GEMMCtx's
+// run (call.multiply) with the pack step already done: per block, the
+// driver zero-fills a pooled tiled C, accumulates the plan blocks'
+// products into it, and folds α plus the accumulate into the unpack — so
+// a steady-state call reports Stats.ConvertIn ≈ 0 (only the C
+// zero-fill), ConvertBytes counting only the C epilogue, and PackReused
+// counting every operand the plans served. α = 0 β-scales C and plans,
+// admits and packs nothing, as GEMMCtx does.
 //
-// The plans must conform: same curve and depth, pa's column tiling and
-// segments equal to pb's row tiling and segments. Plans created by one
-// Prepack call and its Transposed always conform; independently
-// prepacked operands conform when tile selection lands on the same
-// depth for the shared dimension (the default configuration's preferred
-// tile size makes this the common case), and the call validates before
-// touching C. Options select algorithm, kernel, and cutoffs; layout and
-// tile options are ignored in favor of the plans' geometry, and
-// MaxResidualGrowth is not applied (the probe needs column-major
-// operands).
+// The plans must conform (conformPlans; ErrDimension otherwise): same
+// curve and depth, pa's column tiling and segments equal to pb's row
+// tiling and segments. Plans created by one Prepack call and its
+// Transposed always conform; independently prepacked operands conform
+// when tile selection lands on the same depth for the shared dimension
+// (the default configuration's preferred tile size makes this the common
+// case), and the call validates before touching C. Options select
+// algorithm, kernel, and cutoffs; layout and tile options are ignored in
+// favor of the plans' geometry, and MaxResidualGrowth is not applied
+// (the probe needs column-major operands).
 //
 // The failure contract matches GEMMCtx: on error or cancellation C
 // holds the β-scaled input plus fully completed block products only.
@@ -420,56 +421,39 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 	if err != nil {
 		return nil, err
 	}
-	if pa == nil || pb == nil {
-		return nil, fmt.Errorf("%w: GEMMPrepacked with nil plan", ErrDimension)
-	}
-	if pa.released || pb.released {
-		return nil, fmt.Errorf("core: GEMMPrepacked with released plan")
+	if pa == nil || pb == nil || pa.released || pb.released {
+		return nil, fmt.Errorf("%w: GEMMPrepacked with a nil or released plan", ErrDimension)
 	}
 	if err := conform(alpha, beta, pa.Rows, pa.Cols, pb.Rows, pb.Cols, C); err != nil {
 		return nil, err
 	}
-	if pa.Curve != pb.Curve {
-		return nil, fmt.Errorf("core: plans disagree on layout: %v vs %v", pa.Curve, pb.Curve)
+	if err := conformPlans(pa, pb); err != nil {
+		return nil, err
 	}
-	if pa.D != pb.D || pa.TC != pb.TR {
-		return nil, fmt.Errorf("core: plans do not conform on the inner dimension: "+
-			"A packs k with %d-wide tiles at depth %d, B with %d-tall tiles at depth %d "+
-			"(prepack the lean operand with DisableSplit, or derive one plan from the other with Transposed)",
-			pa.TC, pa.D, pb.TR, pb.D)
-	}
-	if !slices.Equal(pa.CSegs, pb.RSegs) {
-		return nil, fmt.Errorf("core: plans split the inner dimension differently (%d vs %d segments); "+
-			"prepack the lean operand with DisableSplit so the shared dimension stays in one segment",
-			len(pa.CSegs), len(pb.RSegs))
-	}
-
 	// The plans arrive with the pack step done: their operands were
 	// allocated once, outside this call, and are charged to the plan —
 	// only the in-flight C tiles and the arena count against the budget.
-	pl, err := planOf(cl.o, cl.pool.Workers(), given{pa: pa, pb: pb, resident: true}, pa.Rows, pa.Cols, pb.Cols)
-	if err != nil {
-		return nil, err
+	cl.o.Curve = pa.Curve
+	return cl.multiply(ctx, planMul{alpha: alpha, beta: beta, C: C, reused: 2}, given{pa: pa, pb: pb, resident: true},
+		pa.Rows, pa.Cols, pb.Cols, nil, nil, false, false)
+}
+
+// conformPlans is the one check that packed operands multiply as A·B —
+// plans, or tiled operands as plans of one block (ConformTiled): one
+// curve, one depth, and pa's column tiles and segments pb's row ones.
+func conformPlans(pa, pb *Prepacked) error {
+	switch {
+	case pa.Curve != pb.Curve:
+		return fmt.Errorf("%w: packed operands disagree on layout: %v vs %v", ErrDimension, pa.Curve, pb.Curve)
+	case pa.D != pb.D || pa.TC != pb.TR:
+		return fmt.Errorf("%w: packed operands do not conform on the inner dimension: "+
+			"A packs k with %d-wide tiles at depth %d, B with %d-tall tiles at depth %d "+
+			"(prepack the lean operand with DisableSplit, or derive one plan from the other with Transposed)",
+			ErrDimension, pa.TC, pa.D, pb.TR, pb.D)
+	case !slices.Equal(pa.CSegs, pb.RSegs):
+		return fmt.Errorf("%w: packed operands split the inner dimension differently, %v against %v; "+
+			"prepack the lean operand with DisableSplit so the shared dimension stays in one segment",
+			ErrDimension, pa.CSegs, pb.RSegs)
 	}
-	pc, err := admitPlan(cl, pl)
-	if err != nil {
-		return nil, err
-	}
-	stats = &Stats{}
-	pc.start(cl, stats)
-	defer releaseArena(pc.ar)
-	pm := planMul{alg: pc.alg, alpha: alpha, beta: beta, pa: pa, pb: pb, C: C, reused: 2}
-	done := 0
-	err = cl.run(ctx, stats, func(c *sched.Ctx) (err error) {
-		pc.e.scaleC(c, C, beta)
-		if alpha != 0 {
-			done, err = pm.wave(ctx, c, pc, stats, opts.TraceID)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, cl.failed(err, done, len(pa.RSegs)*len(pb.CSegs))
-	}
-	pc.finish(cl, stats)
-	return stats, nil
+	return nil
 }

@@ -2,14 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/layout"
 	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/tile"
 )
 
 // TestGEMMPrepackedMatchesRef: a prepacked multiplication must agree
@@ -223,10 +226,22 @@ func TestPrepackValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	C := matrix.New(400, 70)
-	if _, err := GEMMPrepacked(context.Background(), pool, opts, 1, pw, ps, 0, C); err == nil {
-		t.Error("non-conforming plans not rejected")
+	// Every refusal below is a caller's mistake: ErrDimension, and the
+	// three geometry ones are conformPlans' own.
+	refused := func(what, says string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrDimension) || !strings.Contains(err.Error(), says) {
+			t.Errorf("%s: err = %v, want ErrDimension saying %q", what, err, says)
+		}
 	}
+	C := matrix.New(400, 70)
+	_, err = GEMMPrepacked(context.Background(), pool, opts, 1, pw, ps, 0, C)
+	refused("plans on other depths", "do not conform on the inner dimension", err)
+	// Plans on one geometry that cut the inner dimension differently.
+	hdr := Tiled{Curve: layout.ZMorton, D: 1, TR: 8, TC: 8}
+	whole, halves := []tile.Seg{{Len: 16}}, []tile.Seg{{Len: 8}, {Off: 8, Len: 8}}
+	_, err = GEMMPrepacked(context.Background(), pool, opts, 1, newPlan(hdr, whole, whole), newPlan(hdr, halves, whole), 0, matrix.New(16, 16))
+	refused("plans cut differently", "split the inner dimension differently", err)
 
 	// Curve mismatch.
 	ph, err := Prepack(context.Background(), pool, Options{Curve: layout.Hilbert}, squat, false)
@@ -234,9 +249,8 @@ func TestPrepackValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	C2 := matrix.New(70, 70)
-	if _, err := GEMMPrepacked(context.Background(), pool, opts, 1, ps, ph, 0, C2); err == nil {
-		t.Error("curve mismatch not rejected")
-	}
+	_, err = GEMMPrepacked(context.Background(), pool, opts, 1, ps, ph, 0, C2)
+	refused("curve mismatch", "disagree on layout", err)
 
 	// Wrong C shape.
 	pa, _ := Prepack(context.Background(), pool, opts, squat, false)
@@ -262,16 +276,13 @@ func TestPrepackValidation(t *testing.T) {
 
 	// Released plan.
 	pa.Release()
-	if _, err := GEMMPrepacked(context.Background(), pool, opts, 1, pa, ps, 0, C2); err == nil {
-		t.Error("released plan not rejected")
-	}
-	if _, err := pa.Transposed(context.Background(), pool); err == nil {
-		t.Error("Transposed of released plan not rejected")
-	}
+	_, err = GEMMPrepacked(context.Background(), pool, opts, 1, pa, ps, 0, C2)
+	refused("GEMMPrepacked with a released plan", "released plan", err)
+	_, err = pa.Transposed(context.Background(), pool)
+	refused("Transposed of a released plan", "released plan", err)
 	pw.Release()
-	if _, err := PrepackConforming(context.Background(), pool, opts, matrix.Random(70, 10, rng), false, pw); err == nil {
-		t.Error("PrepackConforming against released plan not rejected")
-	}
+	_, err = PrepackConforming(context.Background(), pool, opts, matrix.Random(70, 10, rng), false, pw)
+	refused("PrepackConforming against a released plan", "released plan", err)
 	ps.Release()
 	ph.Release()
 }

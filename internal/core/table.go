@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // This file defines the coefficient-table representation of bilinear
 // ⟨m,k,n⟩ fast multiplication algorithms (Benson–Ballard, "A Framework
@@ -19,7 +16,7 @@ import (
 // code; Section 5's space-conserving variant is Strassen's table run
 // depth-first, the engine's serial shape, not a table of its own. The engine
 // runs the quadrant partition alone: every layout's grid is 2^d tiles a
-// side and splits in quadrants, so register refuses any other ⟨M,K,N⟩.
+// side and splits in quadrants, so a Table states no other ⟨M,K,N⟩.
 //
 // Correctness of a table is equivalent to the Brent equations — the
 // triple-product identity
@@ -33,7 +30,7 @@ import (
 // results).
 
 // tableTerm is one nonzero coefficient of a U/V/W row. For U rows idx
-// addresses A block (i,j) as i*K+j, for V rows B block (j,l) as j*N+l,
+// addresses A block (i,j) as i*2+j, for V rows B block (j,l) as j*2+l,
 // for W rows it is the product index r. The engine requires c ∈ {-1,+1}
 // (register rejects anything else); every known practical table uses
 // unit coefficients, and the restriction keeps the element-wise passes
@@ -47,20 +44,20 @@ type tableTerm struct {
 // (internal/trace evaluates the tables on dependency sets).
 func (t tableTerm) Index() int { return t.idx }
 
-// Table is one bilinear ⟨M,K,N⟩ rank-R algorithm.
+// Table is one bilinear ⟨2,2,2⟩ rank-R algorithm: A, B and C each split
+// in quadrants, blocks 0–3.
 type Table struct {
-	Name    string
-	M, K, N int // base partition: A splits M×K, B splits K×N, C splits M×N
-	R       int // rank: recursive products per level
+	Name string
+	R    int // rank: recursive products per level
 
 	U [][]tableTerm // R rows over A blocks
 	V [][]tableTerm // R rows over B blocks
-	W [][]tableTerm // M·N rows over products
+	W [][]tableTerm // 4 rows, one per C block, over products
 
 	// AuxU/AuxV/AuxW carry an optional evaluation schedule — the common
 	// subexpressions a hand-tuned implementation would name, which the
 	// raw bilinear form expands away. AuxU[j] defines virtual A block
-	// M·K+j as a ±1 combination of base A blocks and strictly earlier
+	// 4+j as a ±1 combination of base A blocks and strictly earlier
 	// aux; U rows may reference both. AuxV is the same over B. AuxW[j]
 	// defines virtual product R+j from products and earlier W aux; W
 	// rows may reference it. A schedule changes the engine's pass count,
@@ -71,7 +68,7 @@ type Table struct {
 	AuxU, AuxV, AuxW [][]tableTerm
 
 	// WT is W transposed — per product r, the destinations it feeds
-	// (C rows, and W-aux accumulators as M·N+j) — precomputed at
+	// (C rows, and W-aux accumulators as 4+j) — precomputed at
 	// registration for the depth-first engine, which scatters each
 	// product as soon as it completes. auxWScatter[j] lists where the
 	// completed W aux j flows: C rows and strictly later aux.
@@ -84,11 +81,11 @@ type Table struct {
 }
 
 // fast reports a table that multiplies with fewer products than the
-// classical M·K·N, and false for no table at all (Standard). Only a fast
+// classical eight, and false for no table at all (Standard). Only a fast
 // algorithm has a cutoff to hand over at (Options.settle), fast levels,
 // a residual probe and a serial Strassen rung on the admission ladder;
 // Standard8, the classical rank-8 table, descends to single tiles.
-func (tb *Table) fast() bool { return tb != nil && tb.R < tb.M*tb.K*tb.N }
+func (tb *Table) fast() bool { return tb != nil && tb.R < 8 }
 
 // needsTemp reports whether a U/V row requires a materialized scratch
 // block; a bare +1 singleton aliases the operand block directly.
@@ -171,13 +168,10 @@ func (tb *Table) depth() (d int) {
 	return d + pre + post
 }
 
-// tableMaxBlocks and tableMaxWAux bound the per-side operand counts
-// (base blocks plus schedule aux) so the depth-first engine can keep
-// its block descriptors in fixed stack buffers; register enforces them.
-const (
-	tableMaxBlocks = 16
-	tableMaxWAux   = 8
-)
+// tableMaxAux bounds each side's schedule aux so the depth-first engine
+// can keep its block descriptors in fixed stack buffers; register
+// enforces it.
+const tableMaxAux = 8
 
 // tableAlgBase is the Alg id of the first table-driven algorithm: the
 // registry holds the three ⟨2,2,2⟩ tables — Standard8, Strassen and
@@ -203,15 +197,12 @@ func tableOf(a Alg) *Table {
 	return nil
 }
 
-// register validates invariants that the engine relies on (the
-// quadrant partition, index ranges, unit coefficients), precomputes WT
+// register validates invariants that the engine relies on (index
+// ranges, unit coefficients, bounded schedules), precomputes WT
 // and the scratch counts, and assigns the next Alg id. Algebraic
 // correctness is Verify's job.
 func register(tb *Table) Alg {
-	if tb.M != 2 || tb.K != 2 || tb.N != 2 {
-		panic(fmt.Sprintf("core: table %s: partition ⟨%d,%d,%d⟩, the engine runs ⟨2,2,2⟩ only", tb.Name, tb.M, tb.K, tb.N))
-	}
-	if len(tb.U) != tb.R || len(tb.V) != tb.R || len(tb.W) != tb.M*tb.N {
+	if len(tb.U) != tb.R || len(tb.V) != tb.R || len(tb.W) != 4 {
 		panic("core: table " + tb.Name + ": U/V/W shape mismatch")
 	}
 	check := func(rows [][]tableTerm, n int) {
@@ -237,15 +228,14 @@ func register(tb *Table) Alg {
 			check([][]tableTerm{row}, base+j)
 		}
 	}
-	checkAux(tb.AuxU, tb.M*tb.K, "AuxU")
-	checkAux(tb.AuxV, tb.K*tb.N, "AuxV")
+	checkAux(tb.AuxU, 4, "AuxU")
+	checkAux(tb.AuxV, 4, "AuxV")
 	checkAux(tb.AuxW, tb.R, "AuxW")
-	if tb.M*tb.K+len(tb.AuxU) > tableMaxBlocks || tb.K*tb.N+len(tb.AuxV) > tableMaxBlocks ||
-		tb.M*tb.N > tableMaxBlocks || len(tb.AuxW) > tableMaxWAux {
-		panic("core: table " + tb.Name + ": operand set exceeds the DFS engine's fixed buffers")
+	if max(len(tb.AuxU), len(tb.AuxV), len(tb.AuxW)) > tableMaxAux {
+		panic("core: table " + tb.Name + ": schedule exceeds the DFS engine's fixed buffers")
 	}
-	check(tb.U, tb.M*tb.K+len(tb.AuxU))
-	check(tb.V, tb.K*tb.N+len(tb.AuxV))
+	check(tb.U, 4+len(tb.AuxU))
+	check(tb.V, 4+len(tb.AuxV))
 	check(tb.W, tb.R+len(tb.AuxW))
 	// One canonical post-addition order: every W and AuxW row lists its
 	// product terms by ascending r, then its aux terms by ascending
@@ -275,7 +265,7 @@ func register(tb *Table) Alg {
 	}
 	for j, row := range tb.AuxW {
 		for _, term := range row {
-			scatter(term, tb.M*tb.N+j)
+			scatter(term, 4+j)
 		}
 	}
 	for r := 0; r < tb.R; r++ {
@@ -306,7 +296,7 @@ func Tables() []*Table {
 // Block ids: A/B/C (i,j) -> i*2+j, so 0=11, 1=12, 2=21, 3=22.
 func strassen222Table() *Table {
 	return &Table{
-		Name: "strassen", M: 2, K: 2, N: 2, R: 7,
+		Name: "strassen", R: 7,
 		U: [][]tableTerm{
 			{{0, 1}, {3, 1}},  // P1: A11+A22
 			{{2, 1}, {3, 1}},  // P2: A21+A22
@@ -347,7 +337,7 @@ func strassen222Table() *Table {
 // Aux products: 7=U2=P1+P4, 8=U3=U2+P5.
 func winograd222Table() *Table {
 	return &Table{
-		Name: "winograd", M: 2, K: 2, N: 2, R: 7,
+		Name: "winograd", R: 7,
 		AuxU: [][]tableTerm{
 			{{2, 1}, {3, 1}},  // S1 = A21+A22
 			{{4, 1}, {0, -1}}, // S2 = S1−A11
@@ -391,21 +381,19 @@ func winograd222Table() *Table {
 	}
 }
 
-// classicalTable is the rank-M·K·N algorithm every product of which is
-// one A block times one B block: product (i·N+l)·K+j is A(i,j)·B(j,l), so
-// C block (i,l) takes its K products in ascending j. ⟨2,2,2⟩ is the
-// paper's Figure 1(a), Standard8: eight quadrant products into
-// temporaries, then the post-additions C_il = A_i1·B_1l + A_i2·B_2l. Its
-// U and V rows are single +1 terms, so the engine aliases the operand
-// blocks and runs no pre-addition.
-func classicalTable(name string, M, K, N int) *Table {
-	tb := &Table{Name: name, M: M, K: K, N: N, R: M * K * N, W: make([][]tableTerm, M*N)}
-	for i := 0; i < M; i++ {
-		for l := 0; l < N; l++ {
-			for j := 0; j < K; j++ {
-				tb.W[i*N+l] = append(tb.W[i*N+l], tableTerm{len(tb.U), 1})
-				tb.U = append(tb.U, []tableTerm{{i*K + j, 1}})
-				tb.V = append(tb.V, []tableTerm{{j*N + l, 1}})
+// standard8Table is the paper's Figure 1(a), Standard8: eight quadrant
+// products into temporaries, product (i·2+l)·2+j being A(i,j)·B(j,l),
+// then the post-additions C_il = A_i1·B_1l + A_i2·B_2l in ascending j.
+// Its U and V rows are single +1 terms, so the engine aliases the
+// operand blocks and runs no pre-addition.
+func standard8Table() *Table {
+	tb := &Table{Name: "standard8", R: 8, W: make([][]tableTerm, 4)}
+	for i := range 2 {
+		for l := range 2 {
+			for j := range 2 {
+				tb.W[i*2+l] = append(tb.W[i*2+l], tableTerm{len(tb.U), 1})
+				tb.U = append(tb.U, []tableTerm{{i*2 + j, 1}})
+				tb.V = append(tb.V, []tableTerm{{j*2 + l, 1}})
 			}
 		}
 	}
@@ -418,7 +406,7 @@ func classicalTable(name string, M, K, N int) *Table {
 // anyone reads it. The three land on the ids Standard8, Strassen and
 // Winograd (tableAlgBase).
 var tableAlgs = []Alg{
-	register(classicalTable("standard8", 2, 2, 2)),
+	register(standard8Table()),
 	register(strassen222Table()),
 	register(winograd222Table()),
 }

@@ -117,21 +117,21 @@ func (e *exec) materializeAux(c *sched.Ctx, aux [][]tableTerm, base int, blocks 
 // per-product rows that reference them; Table.depth is this shape's
 // critical path.
 func (e *exec) tableBFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
-	ab := make([]Mat, tb.M*tb.K+len(tb.AuxU))
-	bb := make([]Mat, tb.K*tb.N+len(tb.AuxV))
-	cb := make([]Mat, tb.M*tb.N)
+	ab := make([]Mat, 4+len(tb.AuxU))
+	bb := make([]Mat, 4+len(tb.AuxV))
+	cb := make([]Mat, 4)
 	splitBlocks(C, A, B, ab, bb, cb)
 
 	st, top := e.ar.mark(c)
 	defer e.ar.release(st, top)
 	for j := range tb.AuxU {
-		ab[tb.M*tb.K+j] = e.newTemp(c, ab[0])
+		ab[4+j] = e.newTemp(c, ab[0])
 	}
 	for j := range tb.AuxV {
-		bb[tb.K*tb.N+j] = e.newTemp(c, bb[0])
+		bb[4+j] = e.newTemp(c, bb[0])
 	}
-	e.materializeAux(c, tb.AuxU, tb.M*tb.K, ab)
-	e.materializeAux(c, tb.AuxV, tb.K*tb.N, bb)
+	e.materializeAux(c, tb.AuxU, 4, ab)
+	e.materializeAux(c, tb.AuxV, 4, bb)
 	if c.Cancelled() {
 		return
 	}
@@ -188,7 +188,7 @@ func (e *exec) tableBFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 		}
 		p = pext
 	}
-	post := make([]func(*sched.Ctx), 0, tb.M*tb.N)
+	post := make([]func(*sched.Ctx), 0, 4)
 	for t := range tb.W {
 		if len(tb.W[t]) == 0 {
 			continue
@@ -217,26 +217,26 @@ func (e *exec) tableBFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 // closure-free so escape analysis keeps the block descriptors on the
 // stack: the serial region allocates nothing.
 func (e *exec) tableDFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
-	var abuf, bbuf, cbuf [tableMaxBlocks]Mat // base blocks + schedule aux; register enforces the bound
-	ab := abuf[:tb.M*tb.K+len(tb.AuxU)]
-	bb := bbuf[:tb.K*tb.N+len(tb.AuxV)]
-	cb := cbuf[:tb.M*tb.N]
+	var abuf, bbuf, cbuf [4 + tableMaxAux]Mat // base blocks + schedule aux; register enforces the bound
+	ab := abuf[:4+len(tb.AuxU)]
+	bb := bbuf[:4+len(tb.AuxV)]
+	cb := cbuf[:4]
 	splitBlocks(C, A, B, ab, bb, cb)
 
 	st, top := e.ar.mark(c)
 	defer e.ar.release(st, top)
 	for j := range tb.AuxU {
-		ab[tb.M*tb.K+j] = e.newTemp(c, ab[0])
+		ab[4+j] = e.newTemp(c, ab[0])
 	}
 	for j := range tb.AuxV {
-		bb[tb.K*tb.N+j] = e.newTemp(c, bb[0])
+		bb[4+j] = e.newTemp(c, bb[0])
 	}
 	// W-aux accumulators collect their product terms as the products
 	// stream past the one P buffer; the first touch overwrites the
 	// dirty arena block (a move, not an accounted add) and later terms
 	// accumulate, so the add count matches the BFS fused passes.
-	var wauxBuf [tableMaxWAux]Mat
-	var touchedBuf [tableMaxWAux]bool
+	var wauxBuf [tableMaxAux]Mat
+	var touchedBuf [tableMaxAux]bool
 	waux := wauxBuf[:len(tb.AuxW)]
 	touched := touchedBuf[:len(tb.AuxW)]
 	for j := range waux {
@@ -253,8 +253,8 @@ func (e *exec) tableDFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 	if c.Cancelled() {
 		return
 	}
-	e.materializeAux(c, tb.AuxU, tb.M*tb.K, ab)
-	e.materializeAux(c, tb.AuxV, tb.K*tb.N, bb)
+	e.materializeAux(c, tb.AuxU, 4, ab)
+	e.materializeAux(c, tb.AuxV, 4, bb)
 	for r := 0; r < tb.R; r++ {
 		if c.Cancelled() {
 			return
@@ -281,7 +281,7 @@ func (e *exec) tableDFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 			if c.Cancelled() {
 				return
 			}
-			e.tableScatter(c, p, term, cb, waux, touched, tb.M*tb.N)
+			e.tableScatter(c, p, term, cb, waux, touched, 4)
 		}
 	}
 	// Resolve the W-aux chains: every aux is complete once all R
@@ -293,7 +293,7 @@ func (e *exec) tableDFS(c *sched.Ctx, tb *Table, C, A, B Mat) {
 			if c.Cancelled() {
 				return
 			}
-			e.tableScatter(c, waux[j], term, cb, waux, touched, tb.M*tb.N)
+			e.tableScatter(c, waux[j], term, cb, waux, touched, 4)
 		}
 	}
 }

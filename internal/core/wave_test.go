@@ -482,6 +482,93 @@ func TestWaveStatsAndTrace(t *testing.T) {
 	}
 }
 
+// TestPackedEntryPointsTrace: GEMMPrepacked and MulTiledCtx run GEMMCtx's
+// body (call.multiply) and draw on the call's lane what they drew before
+// it was theirs: the call's wave-item instant (its TraceID), the wave's
+// compute span, a wave-item span per block when runners share the blocks
+// and the block's own phases when one runner walks them — and, since
+// they pack nothing, no convert-in span of the run's own and no pack.
+func TestPackedEntryPointsTrace(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(166))
+	opts := Options{Curve: layout.ZMorton, Alg: Standard, Tile: testTile, TraceID: 78}
+	traced := func(what string, run func() (*Stats, error)) map[string]int {
+		t.Helper()
+		tr := obs.NewTracer(pool.Workers(), 0)
+		if err := obs.Install(tr); err != nil {
+			t.Fatal(err)
+		}
+		_, err := run()
+		obs.Uninstall(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		var buf bytes.Buffer
+		if err := tr.Export(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := obs.ValidateChromeTrace(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return sum.ByName
+	}
+	plans := func(m, k, n int) (*Prepacked, *Prepacked) {
+		po := opts
+		po.PartnerDim = n
+		pa, err := Prepack(ctx, pool, po, matrix.Random(m, k, rng), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := PrepackConforming(ctx, pool, opts, matrix.Random(k, n, rng), false, pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pa, pb
+	}
+	wa, wb := plans(waveM, waveK, waveN) // five C blocks, shared by two runners
+	defer wa.Release()
+	defer wb.Release()
+	sa, sb := plans(32, 32, 32) // one block, walked by one runner
+	defer sa.Release()
+	defer sb.Release()
+	ta, err := PackTiled(ctx, pool, opts, matrix.Random(32, 32, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := PackTiled(ctx, pool, opts, matrix.Random(32, 32, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTiled(ta.Curve, ta.D, ta.TR, tb.TC, 32, 32)
+	for _, tc := range []struct {
+		what string
+		run  func() (*Stats, error)
+		want map[string]int
+	}{
+		{"GEMMPrepacked, five blocks on two runners", func() (*Stats, error) {
+			return GEMMPrepacked(ctx, pool, opts, 1, wa, wb, 0, matrix.New(waveM, waveN))
+		}, map[string]int{"wave-item": 1 + 5, "convert-in": 0, "compute": 1, "convert-out": 0, "pack": 0}},
+		// The block's own convert-in is its C tile's zero-fill.
+		{"GEMMPrepacked, one block", func() (*Stats, error) {
+			return GEMMPrepacked(ctx, pool, opts, 1, sa, sb, 0, matrix.New(32, 32))
+		}, map[string]int{"wave-item": 1, "convert-in": 1, "compute": 1, "convert-out": 1, "pack": 0}},
+		// A tiled C takes the product in place: no zero-fill, no epilogue.
+		{"MulTiledCtx", func() (*Stats, error) {
+			return MulTiledCtx(ctx, pool, opts, tc, ta, tb)
+		}, map[string]int{"wave-item": 1, "convert-in": 0, "compute": 1, "convert-out": 0, "pack": 0}},
+	} {
+		got := traced(tc.what, tc.run)
+		for name, want := range tc.want {
+			if got[name] != want {
+				t.Errorf("%s: trace has %d %q events, want %d (%v)", tc.what, got[name], name, want, got)
+			}
+		}
+	}
+}
+
 // TestTraceOneTracerPerCall: every span of a call goes to the tracer
 // installed when the call entered. Swapping tracers while a 1-worker
 // 1024³ call multiplies leaves the second tracer without a leaf span of
