@@ -27,12 +27,17 @@ loc:
 # moved into table_test.go; then to 4,799 when GEMMCtx, GEMMPrepacked and
 # MulTiledCtx became one multiply run (call.multiply) with one check of
 # packed operands (conformPlans), and the <2,2,2> partition every table
-# has became constants. The layout package's S functions, Perm and
-# SOriented are what the core's tests check its tables against. Test
-# files are the ones named *_test.go.
+# has became constants. The leaf's went 1,133 → 917 when every
+# register-blocked family came to read every tile in place, strided or
+# contiguous (packedMul is its one body): the packed-panel micro-kernels
+# (pp in Go, AVX2, AVX-512 and NEON), packB and packedRows went, and
+# packA builds only the one zero-padded block of fringe rows. The
+# layout package's S functions, Perm and SOriented are what the core's
+# tests check its tables against. Test files are the ones named
+# *_test.go.
 CORE_LOC_MAX = 4799
 LAYOUT_LOC_MAX = 506
-LEAF_LOC_MAX = 1133
+LEAF_LOC_MAX = 917
 SCHED_LOC_MAX = 908
 BLAS3_LOC_MAX = 460
 SERVE_LOC_MAX = 2580

@@ -93,7 +93,7 @@ func ParseAlg(s string) (Alg, error) {
 // exec carries the per-call execution parameters through the recursion.
 type exec struct {
 	// kernel is the leaf kernel, a registry entry. When it has a
-	// scratch-aware form the leaf call routes its packing buffers through
+	// scratch-aware form the leaf call routes its fringe buffers through
 	// the executing worker's local slot, so steady-state leaves allocate
 	// nothing.
 	kernel leaf.Impl

@@ -380,7 +380,7 @@ func GEMMBatchStrided(ctx context.Context, pool *sched.Pool, opts Options, trans
 	beta float64, cbuf []float64, ldc, strideC int, count int) (*BatchStats, []error, error) {
 
 	if count <= 0 {
-		return nil, nil, fmt.Errorf("core: GEMMBatchStrided of %d items", count)
+		return nil, nil, fmt.Errorf("%w: GEMMBatchStrided of %d items", ErrDimension, count)
 	}
 	if m < 0 || k < 0 || n < 0 {
 		return nil, nil, fmt.Errorf("%w: %dx%dx%d", ErrDimension, m, k, n)

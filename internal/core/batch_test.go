@@ -196,6 +196,12 @@ func TestGEMMBatchStrided(t *testing.T) {
 		m, k, n, 2, a, lda, lda*(k-1)+m-1, b, ldb, sb, 0.5, cbuf, ldc, sc, count); !errors.Is(err, ErrDimension) {
 		t.Fatalf("overlapping A stride: err = %v, want ErrDimension", err)
 	}
+	for _, none := range []int{0, -1} {
+		if _, _, err := GEMMBatchStrided(context.Background(), pool, opts, false, false,
+			m, k, n, 2, a, lda, sa, b, ldb, sb, 0.5, cbuf, ldc, sc, none); !errors.Is(err, ErrDimension) {
+			t.Fatalf("count %d: err = %v, want ErrDimension", none, err)
+		}
+	}
 }
 
 // TestGEMMBatchPerItemIsolation: a member that fails validation or

@@ -333,8 +333,8 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 // rounding class (leaf.TestAVX512MatchesAVX2Bits), so which of them a
 // host registers cannot change a result: a split wide/lean call,
 // square ones whose 25- and 38-row tiles leave every kind of row
-// fringe, a wide/lean one on 10-wide tiles, on curve tiles (the
-// whole-panel path) and canonical storage (the packed-panel path), and
+// fringe, a wide/lean one on 10-wide tiles, on curve tiles and on
+// canonical storage (both read in place by the whole-panel body), and
 // a 48-wide product on a plan built for 64-wide partners (the serving
 // shape: 32×32×6 tiles, a third of each in the padded column block)
 // agree bit for bit under either name.

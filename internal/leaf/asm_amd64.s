@@ -3,8 +3,8 @@
 #include "textflag.h"
 
 // The amd64 micro-kernels: an MR×4 block of C in eight vector
-// accumulators, MR = 8 in YMM (AVX2/FMA) and 16 in ZMM (AVX-512F).
-// Register plan of every body, V = Y or Z:
+// accumulators, MR = 8 in YMM (AVX2/FMA) and 16 in ZMM (AVX-512F), one
+// macro body instantiated in each width. Register plan, V = Y or Z:
 //
 //	V0..V7   the C block: column j upper half in V(2j), lower half in
 //	         V(2j+1). Loaded before the k loop, stored once after — the
@@ -54,44 +54,12 @@
 	VFMADD231PD B3, A0, V6; \
 	VFMADD231PD B3, A1, V7
 
-// PPBODY is a packed-panel micro-kernel,
-//
-//	func(kc int, pa, pb []float64, c []float64, ldc int)
-//
-// A advancing astep bytes (MR doubles) and B 32 bytes per k step.
-#define PPBODY(off, astep, A0, A1, B0, B1, B2, B3, V0, V1, V2, V3, V4, V5, V6, V7) \
-	MOVQ kc+0(FP), CX; \
-	MOVQ pa_base+8(FP), SI; \
-	MOVQ pb_base+32(FP), DX; \
-	MOVQ c_base+56(FP), DI; \
-	MOVQ ldc+80(FP), R8; \
-	SHLQ $3, R8; \
-	LEAQ (R8)(R8*2), R9; \
-	LOADC(DI, off, V0, V1, V2, V3, V4, V5, V6, V7); \
-	TESTQ CX, CX; \
-	JLE   ppdone; \
-pploop: \
-	VMOVUPD      (SI), A0; \
-	VMOVUPD      off(SI), A1; \
-	VBROADCASTSD (DX), B0; \
-	VBROADCASTSD 8(DX), B1; \
-	VBROADCASTSD 16(DX), B2; \
-	VBROADCASTSD 24(DX), B3; \
-	FMA8(A0, A1, B0, B1, B2, B3, V0, V1, V2, V3, V4, V5, V6, V7); \
-	ADDQ         $astep, SI; \
-	ADDQ         $32, DX; \
-	DECQ         CX; \
-	JNZ          pploop; \
-ppdone: \
-	STOREC(DI, off, V0, V1, V2, V3, V4, V5, V6, V7); \
-	VZEROUPPER; \
-	RET
-
-// PANELBODY is a whole-panel direct kernel,
+// PANELBODY is the whole-panel kernel,
 //
 //	func(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
 //
-// C[0:rows,0:n] += A·B on column-major operands read in place, rows a
+// C[0:rows,0:n] += A·B on column-major operands read in place at their
+// leading dimensions (a contiguous tile or a strided view alike), rows a
 // positive multiple of MR, n of 4, k ≥ 1. All three loops run here: the
 // column blocks outermost (the four B columns of a block stay in L1
 // while the row blocks stream past them), the row blocks next, k
@@ -148,14 +116,6 @@ kloop: \
 	JNZ  jloop; \
 	VZEROUPPER; \
 	RET
-
-// func micro8x4ppAVX2(kc int, pa, pb []float64, c []float64, ldc int)
-TEXT ·micro8x4ppAVX2(SB), NOSPLIT, $0-88
-	PPBODY(32, 64, Y8, Y9, Y10, Y11, Y12, Y13, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
-
-// func micro16x4ppAVX512(kc int, pa, pb []float64, c []float64, ldc int)
-TEXT ·micro16x4ppAVX512(SB), NOSPLIT, $0-88
-	PPBODY(64, 128, Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
 
 // func panel8x4AVX2(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
 TEXT ·panel8x4AVX2(SB), NOSPLIT, $0-120

@@ -2,66 +2,20 @@
 
 #include "textflag.h"
 
-// The NEON 4×4 micro-kernels. Register plan (both variants):
+// The NEON 4×4 micro-kernel. Register plan:
 //
 //	V0..V7   the 4×4 C block: column j rows 0-1 in V(2j), rows 2-3 in
 //	         V(2j+1). Loaded before the k loop, stored once after.
 //	V16, V17 the 4 A values of the current k step.
-//	V20..V23 the 4 B values of the current k step, broadcast pairwise.
+//	V20..V23 the 4 B values of the current k step, broadcast.
 //
 // Eight independent FMLA chains cover the FMA latency of every AArch64
 // core with two 128-bit FP pipes.
 
-// func micro4x4ppNEON(kc int, pa, pb []float64, c []float64, ldc int)
-//
-// Packed panels: A and B each advance 4 doubles per k step.
-TEXT ·micro4x4ppNEON(SB), NOSPLIT, $0-88
-	MOVD kc+0(FP), R0
-	MOVD pa_base+8(FP), R1
-	MOVD pb_base+32(FP), R2
-	MOVD c_base+56(FP), R3
-	MOVD ldc+80(FP), R4
-	LSL  $3, R4, R4          // ldc in bytes
-	ADD  R4, R3, R5          // column 1
-	ADD  R4, R5, R6          // column 2
-	ADD  R4, R6, R7          // column 3
-
-	VLD1 (R3), [V0.D2, V1.D2]
-	VLD1 (R5), [V2.D2, V3.D2]
-	VLD1 (R6), [V4.D2, V5.D2]
-	VLD1 (R7), [V6.D2, V7.D2]
-
-	CBZ R0, pp_done
-
-pp_loop:
-	VLD1.P 32(R1), [V16.D2, V17.D2]
-	VLD1.P 32(R2), [V18.D2, V19.D2]
-	VDUP   V18.D[0], V20.D2
-	VDUP   V18.D[1], V21.D2
-	VDUP   V19.D[0], V22.D2
-	VDUP   V19.D[1], V23.D2
-	VFMLA  V20.D2, V16.D2, V0.D2
-	VFMLA  V20.D2, V17.D2, V1.D2
-	VFMLA  V21.D2, V16.D2, V2.D2
-	VFMLA  V21.D2, V17.D2, V3.D2
-	VFMLA  V22.D2, V16.D2, V4.D2
-	VFMLA  V22.D2, V17.D2, V5.D2
-	VFMLA  V23.D2, V16.D2, V6.D2
-	VFMLA  V23.D2, V17.D2, V7.D2
-	SUBS   $1, R0, R0
-	BNE    pp_loop
-
-pp_done:
-	VST1 [V0.D2, V1.D2], (R3)
-	VST1 [V2.D2, V3.D2], (R5)
-	VST1 [V4.D2, V5.D2], (R6)
-	VST1 [V6.D2, V7.D2], (R7)
-	RET
-
 // func micro4x4ddNEON(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []float64, ldc int)
 //
-// Direct contiguous tiles: A advances lda doubles per k step (the 4
-// loaded values are still contiguous), each B column pointer one double.
+// A and B read in place: A advances lda doubles per k step (the 4
+// loaded values are contiguous), each B column pointer one double.
 TEXT ·micro4x4ddNEON(SB), NOSPLIT, $0-168
 	MOVD kc+0(FP), R0
 	MOVD a_base+8(FP), R1

@@ -78,8 +78,9 @@ func fringeFamilies() []simdImpl {
 // TestFringeMatchesScalarOracle pins the padded-block fringe to the
 // scalar loop it replaced: every family, every row count through three
 // 16-row blocks, every column count through three 4-column blocks, k
-// from 0, contiguous tiles (directMul) and strided views (packedRows),
-// one Scratch throughout so that every block meets a dirty one.
+// from 0, contiguous tiles and strided views (pad > 0) through the one
+// in-place body, one Scratch throughout so that every block meets a
+// dirty one.
 func TestFringeMatchesScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, fam := range fringeFamilies() {

@@ -162,10 +162,11 @@ func Blocked4x4(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 
 // Impl is one registered kernel implementation. Kern is always usable
 // through the plain Kernel interface; Scratch, when non-nil, is the same
-// kernel taking caller-provided packing buffers so the recursive driver
-// can hand it per-worker scratch (see ScratchKernel). Balance is the
-// family's constant in the fast-algorithm crossover (FastCutoff), in
-// leaf flops per byte the element-wise passes stream.
+// kernel taking caller-provided buffers for its padded fringe blocks, so
+// the recursion in internal/core can hand it per-worker scratch (see
+// ScratchKernel); a leaf of whole blocks touches none of them. Balance
+// is the family's constant in the fast-algorithm crossover (FastCutoff),
+// in leaf flops per byte the element-wise passes stream.
 type Impl struct {
 	Name    string
 	Kern    Kernel

@@ -1,30 +1,21 @@
 package leaf
 
-// Packing turns the column-major operands of a leaf call into the panel
-// formats the register-blocked micro-kernels consume:
-//
-//   - A (m×k, leading dimension lda) becomes ⌈m/MR⌉ row panels. Panel pi
-//     holds rows [pi·MR, pi·MR+MR) of every column, interleaved so that
-//     the micro-kernel reads MR consecutive elements per k step:
-//     panel[p*MR+r] = A[pi*MR+r, p]. Rows past m are zero padding.
-//   - B (k×n, leading dimension ldb) becomes ⌈n/NR⌉ column panels with
-//     panel[p*NR+c] = B[p, pj*NR+c], columns past n zero padded.
-//
-// After packing, every k step of the micro-kernel touches exactly MR+NR
-// contiguous doubles, independent of the original leading dimensions —
-// this is what turns the memory-bound strided A walk of Unrolled4 into a
-// streaming access pattern. When an operand is already a contiguous
-// recursive-layout tile (lda == m, ldb == k) the packed kernels skip this
-// step entirely; see packedMul.
+// The register-blocked kernels read their operands in place (packedMul);
+// the one thing they copy is the fringe. The rows past a tile's last full
+// block become one zero-padded block of the chain's last family (packA:
+// block[p*MR+r] = A[i0+r, p], rows past m zero), the columns past its
+// last four one zero-padded k×4 block of B, and the C those blocks
+// accumulate into is a zeroed scratch block whose valid part is added to
+// C. A leaf whose shape is whole blocks copies nothing.
 
-// Scratch holds the per-worker packing buffers of the packed kernels.
-// Buffers grow on demand and are retained across calls, so a worker that
-// multiplies same-sized leaves (the steady state of the recursive
-// algorithms) never allocates after its first leaf call. The zero value
-// is ready to use.
+// Scratch holds the per-worker fringe buffers of the register-blocked
+// kernels. Buffers grow on demand and are retained across calls, so a
+// worker that multiplies same-sized leaves (the steady state of the
+// recursive algorithms) never allocates after its first leaf call. The
+// zero value is ready to use.
 type Scratch struct {
-	pa []float64 // A packed into MR row panels
-	pb []float64 // B packed into NR column panels
+	pa []float64 // the fringe rows of A, zero-padded to one MR×k block
+	pb []float64 // the fringe columns of B, zero-padded to one k×4 block
 	pc []float64 // the zeroed block of C a fringe block accumulates into
 }
 
@@ -44,50 +35,13 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// packA packs A (m×k, column-major, leading dimension lda) into MR row
-// panels in dst, zero-padding the last panel past row m. dst must hold
-// ⌈m/mr⌉·mr·k elements.
+// packA copies the m rows of A (m ≤ mr, column-major, leading dimension
+// lda, k columns) into dst as one mr×k block at leading dimension mr,
+// zero past row m. dst must hold mr·k elements.
 func packA(mr, m, k int, a []float64, lda int, dst []float64) {
-	for i0 := 0; i0 < m; i0 += mr {
-		rows := mr
-		if m-i0 < mr {
-			rows = m - i0
-		}
-		panel := dst[(i0/mr)*mr*k:]
-		for p := 0; p < k; p++ {
-			src := a[p*lda+i0 : p*lda+i0+rows]
-			d := panel[p*mr : p*mr+mr]
-			copy(d, src)
-			for r := rows; r < mr; r++ {
-				d[r] = 0
-			}
-		}
-	}
-}
-
-// packB packs B (k×n, column-major, leading dimension ldb) into NR
-// column panels in dst, zero-padding the last panel past column n. dst
-// must hold ⌈n/nr⌉·nr·k elements. The source is read column-by-column
-// (unit stride); the interleaved writes stay within one resident panel.
-func packB(nr, k, n int, b []float64, ldb int, dst []float64) {
-	for j0 := 0; j0 < n; j0 += nr {
-		cols := n - j0
-		if cols > nr {
-			cols = nr
-		}
-		panel := dst[(j0/nr)*nr*k:]
-		for c := 0; c < cols; c++ {
-			src := b[(j0+c)*ldb : (j0+c)*ldb+k]
-			for p := 0; p < k; p++ {
-				panel[p*nr+c] = src[p]
-			}
-		}
-		if cols < nr {
-			for p := 0; p < k; p++ {
-				for c := cols; c < nr; c++ {
-					panel[p*nr+c] = 0
-				}
-			}
-		}
+	for p := 0; p < k; p++ {
+		d := dst[p*mr : p*mr+mr]
+		copy(d, a[p*lda:p*lda+m])
+		clear(d[m:])
 	}
 }

@@ -9,14 +9,14 @@ import (
 	"repro/internal/matrix"
 )
 
-// TestPackedFastPathMatchesPackedPath pins the two code paths of the
-// packed kernels against each other: contiguous operands (lda==m,
-// ldb==k, the recursive-tile fast path that skips packing) must produce
-// exactly what strided operands (the canonical-view path that packs both
-// panels) produce, for shapes on and off the MR/NR grid — for the
-// pure-Go family and every assembly family by name, so the AVX2
-// whole-panel body stays exercised on hosts where Auto picks the
-// wider family.
+// TestPackedFastPathMatchesPackedPath pins the two storages of a leaf to
+// each other: contiguous operands (lda==m, ldb==k, a recursive-layout
+// tile) and strided ones (a view into canonical storage) run through one
+// in-place body and must produce the same bits, for shapes on and off
+// the MR/NR grid — for the pure-Go family and every assembly family by
+// name, so the AVX2 whole-panel body stays exercised on hosts where Auto
+// picks the wider family. A strided tile of whole blocks is read where
+// it lies: the ScratchKernel call leaves no A or B buffer behind.
 func TestPackedFastPathMatchesPackedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
@@ -32,13 +32,13 @@ func TestPackedFastPathMatchesPackedPath(t *testing.T) {
 		}
 		for _, sh := range shapes {
 			m, n, kk := sh[0], sh[1], sh[2]
-			// Contiguous operands: fast path.
+			// Contiguous operands: a recursive-layout tile.
 			A := matrix.Random(m, kk, rng)
 			B := matrix.Random(kk, n, rng)
 			C0 := matrix.Random(m, n, rng)
 			fast := C0.Clone()
 			k(m, n, kk, A.Data, A.Stride, B.Data, B.Stride, fast.Data, fast.Stride)
-			// The same operands embedded in larger matrices: packed path.
+			// The same operands embedded in larger matrices: canonical views.
 			bigA := matrix.Random(m+3, kk+2, rng)
 			bigB := matrix.Random(kk+5, n+1, rng)
 			av, bv := bigA.View(2, 1, m, kk), bigB.View(3, 0, kk, n)
@@ -47,7 +47,7 @@ func TestPackedFastPathMatchesPackedPath(t *testing.T) {
 			slow := C0.Clone()
 			k(m, n, kk, av.Data, av.Stride, bv.Data, bv.Stride, slow.Data, slow.Stride)
 			if !matrix.Equal(fast, slow, 0) {
-				t.Errorf("%s: fast path and packed path disagree at %dx%dx%d (max diff %g)",
+				t.Errorf("%s: contiguous and strided operands disagree at %dx%dx%d (max diff %g)",
 					name, m, n, kk, matrix.MaxAbsDiff(fast, slow))
 			}
 			// And both must match the reference.
@@ -58,6 +58,24 @@ func TestPackedFastPathMatchesPackedPath(t *testing.T) {
 					name, m, n, kk, matrix.MaxAbsDiff(fast, want))
 			}
 		}
+		impl, _ := GetImpl(name)
+		const d = 32 // on the grid of every family
+		A, B, C0 := matrix.Random(d, d, rng), matrix.Random(d, d, rng), matrix.Random(d, d, rng)
+		av, bv := matrix.Random(d+5, d, rng).View(5, 0, d, d), matrix.Random(d+3, d, rng).View(3, 0, d, d)
+		av.CopyFrom(A)
+		bv.CopyFrom(B)
+		fast, slow := C0.Clone(), C0.Clone()
+		var s Scratch
+		impl.Scratch(&s, d, d, d, A.Data, A.Stride, B.Data, B.Stride, fast.Data, fast.Stride)
+		impl.Scratch(&s, d, d, d, av.Data, av.Stride, bv.Data, bv.Stride, slow.Data, slow.Stride)
+		if s.pa != nil || s.pb != nil {
+			t.Errorf("%s: a %d³ strided tile left %d A and %d B elements in its Scratch, want it read in place",
+				name, d, len(s.pa), len(s.pb))
+		}
+		if !matrix.Equal(fast, slow, 0) {
+			t.Errorf("%s: strided %d³ tile disagrees with the contiguous one (max diff %g)",
+				name, d, matrix.MaxAbsDiff(fast, slow))
+		}
 	}
 }
 
@@ -66,7 +84,7 @@ func TestPackedFastPathMatchesPackedPath(t *testing.T) {
 // the pooled plain-Kernel path and the explicit Scratch path.
 func TestPackedKernelsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	n := 48 // off the MR/NR grid on purpose, and strided to force packing
+	n := 48 // strided, as a canonical leaf is
 	big := matrix.Random(80, 80, rng)
 	A, B := big.View(0, 0, n, n), big.View(16, 16, n, n)
 	C := matrix.Random(n, n, rng)

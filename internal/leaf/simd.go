@@ -17,10 +17,10 @@ import (
 //     reported through Features regardless of whether the kernels are
 //     enabled, so benchmark records always describe the hardware.
 //   - archSIMD() — the micro-kernel families the probe unlocked, as
-//     registry entries. A family plugs into the same packedMul driver
-//     as the pure-Go kernels, so it inherits the packed-panel format,
-//     the contiguous-tile fast path, and the padded-block handling of
-//     the m%MR / n%NR edges.
+//     registry entries. A family plugs into the same packedMul body as
+//     the pure-Go kernels, so it inherits the one leaf path — operands
+//     read in place at any leading dimension — and the padded-block
+//     handling of the m%MR / n%NR edges.
 //
 // Other GOARCHes, and any build with `-tags noasm`, compile the stub
 // hooks in simd_noasm.go instead: no features, no kernels, pure Go

@@ -69,8 +69,7 @@ func TestAutoRule(t *testing.T) {
 // chosen to hit every fringe path: m%MR and n%NR remainders, row
 // fringes on either side of half a block, single rows/columns, and k
 // values that leave the micro-loop after 0 or 1 iterations — on both
-// contiguous tiles (the direct path) and strided views (the
-// packed-panel path).
+// contiguous tiles and strided views, each read in place.
 func TestSIMDFringes(t *testing.T) {
 	if len(SIMDNames()) == 0 {
 		t.Skip("no SIMD kernels on this host")
@@ -123,8 +122,7 @@ func TestSIMDFringes(t *testing.T) {
 // with and without the 8-row remainder, the padded block of what is
 // left, tiles shorter than one block — against column counts on and
 // off the 4-column grid and under it, k from 0 up, on
-// contiguous tiles (the whole-panel path) and strided views (the
-// packed-panel path).
+// contiguous tiles and strided views (both the whole-panel body).
 func TestAVX512MatchesAVX2Bits(t *testing.T) {
 	k2, err2 := Get("avx2")
 	k5, err5 := Get("avx512")

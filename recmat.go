@@ -173,8 +173,8 @@ type Kernel = leaf.Kernel
 
 // Kernels returns the names of the built-in leaf kernels in sorted
 // order: "axpy", "blocked" (register-blocked 4×4), "naive", "packed8x4"
-// (a packed-panel register-blocked kernel with a pack-free fast path on
-// contiguous recursive-layout tiles), and "unrolled4" (the paper's
+// (an 8×4 register-blocked FMA kernel that reads contiguous and strided
+// tiles alike in place), and "unrolled4" (the paper's
 // kernel), plus whatever hardware kernels the
 // host CPU unlocked — "avx2" (AVX2/FMA 8×4) and "avx512" (AVX-512F
 // 16×4, bit-identical to "avx2") on amd64, "neon" (NEON 4×4) on arm64;
