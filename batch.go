@@ -47,11 +47,11 @@ type BatchReport = core.BatchStats
 // per-item atomicity matching DGEMMContext: a failed or cancelled
 // member's C holds its β-scaled input plus whole completed C blocks
 // (an item that does not split is one block), never a partial product,
-// and one member's panic or expiry never poisons its wave siblings. The call-level error is
-// non-nil only when the wave itself could not be scheduled — then no
-// item ran and every C is untouched. opts must select a recursive
-// layout (the default does); the canonical layouts have the per-call
-// conversion cost the batch path exists to avoid.
+// and one member's panic or expiry never poisons its wave siblings. The
+// call-level error is non-nil only when the wave itself could not be
+// scheduled — then no item ran and every C is untouched. A wave of one
+// item is exactly a DGEMMContext call: same plan, admission, residual
+// probe, degradation and Report.
 func (e *Engine) GEMMBatch(ctx context.Context, items []GEMMBatchItem, opts *Options) (*BatchReport, []error, error) {
 	co := opts.coreOptions()
 	co.Metrics = e.metrics

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/layout"
+	"repro/internal/leaf"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 )
@@ -53,6 +54,8 @@ func ladder(a Alg) []rung {
 // that admitted the prepack reject the multiplications it was built
 // for.
 type charge struct {
+	// alg is the algorithm the charge prices, whose ladder admit walks.
+	alg Alg
 	// segA and segB are one packed A and one packed B segment of a
 	// transient plan (or of operands the caller brings already tiled);
 	// plan counts them. When all of them do not fit the budget the block
@@ -62,19 +65,18 @@ type charge struct {
 	// deferA and deferB mark an operand packed by the blocks that multiply
 	// it: no plan, a segment riding in perBlock.
 	deferA, deferB bool
-	// perBlock is one in-flight product tile (for a batched wave, one
-	// member's buffers); inflight counts the tiles a parallel rung holds
-	// at once — a serial rung holds one.
+	// perBlock is one in-flight product tile (in a wave of several, one
+	// member's buffers); inflight counts those a parallel rung holds.
 	perBlock int64
 	inflight int
 	// scratch is the per-worker leaf packing scratch, arena the
-	// per-stack reservation for an algorithm's temporaries on a
-	// parallel or a serial rung: exactly the workspace the driver
-	// reserves up front (arenaStackElems, one depth-first path's
-	// geometric series), so a configuration that admits will not
-	// heap-allocate temporaries in steady state.
+	// per-stack reservation for the algorithm's temporaries on each rung
+	// of its ladder: exactly the workspace the driver reserves up front
+	// (arenaStackElems, one depth-first path's geometric series), so a
+	// configuration that admits will not heap-allocate temporaries in
+	// steady state.
 	scratch int
-	arena   func(alg Alg, serial bool) int64
+	arena   [4]int64 // by rung, in ladder order
 	// what names the call in the rejection error.
 	what func() string
 }
@@ -116,16 +118,17 @@ func (ch *charge) fit(room int64) groups {
 	return g
 }
 
-// estimate returns the footprint in bytes of the charge on rung r —
-// one arena stack and one scratch per worker, or one of each when
-// serial — and the groups the plan is walked in: the whole plan, or the
-// largest groups that keep the estimate inside a positive budget.
-func (ch *charge) estimate(r rung, workers int, budget int64) (int64, groups) {
+// estimate returns the footprint in bytes of the charge on rung r,
+// whose arena stacks take arena elements each — one arena stack and one
+// scratch per worker, or one of each when serial — and the groups the
+// plan is walked in: the whole plan, or the largest groups that keep the
+// estimate inside a positive budget.
+func (ch *charge) estimate(r rung, arena int64, workers int, budget int64) (int64, groups) {
 	inf, stacks := int64(ch.inflight), int64(workers)
 	if r.serial {
 		inf, stacks = 1, 1
 	}
-	base := ch.perBlock*inf + (ch.arena(r.alg, r.serial)+int64(ch.scratch))*stacks
+	base := ch.perBlock*inf + (arena+int64(ch.scratch))*stacks
 	g := ch.plan
 	if held := ch.held(g); budget > 0 && held > 0 && 8*(base+held) > budget {
 		g = ch.fit(budget/8 - base)
@@ -145,30 +148,31 @@ func fmtBytes(b int64) string {
 	return fmt.Sprintf("%dB", b)
 }
 
-// admission is admit's verdict: the rung that runs, its estimate, the
-// groups the wave packs the plan in, and a human-readable note per
-// degradation.
+// admission is admit's verdict: the rung that runs, its estimate and
+// per-stack arena, the groups the wave packs the plan in, and a
+// human-readable note per degradation.
 type admission struct {
 	alg    Alg
 	serial bool
 	est    int64
+	arena  int64
 	groups
 	notes []string
 }
 
-// admit applies the memory budget, once per call: it returns the first
-// rung of the requested algorithm's ladder whose estimated footprint
-// fits o.MemBudget (the requested configuration when no budget is
-// set). Walking a transient plan in groups costs no flops, so a rung
-// shrinks its groups before the ladder gives up an algorithm. A batched wave degrades together — mixed
-// algorithms would defeat the shared arena sizing. When no rung fits,
-// the call is rejected with ErrMemBudget before any allocation.
+// admit applies the memory budget, once per run (a wave degrades
+// together): it returns the first rung of the charge's algorithm's
+// ladder whose estimated footprint fits o.MemBudget (the requested
+// configuration when no budget is set). Walking a transient plan in
+// groups costs no flops, so a rung shrinks its groups before the ladder
+// gives up an algorithm. When no rung fits, the run is rejected with
+// ErrMemBudget before any allocation.
 func admit(o Options, workers int, ch charge) (admission, error) {
 	var ad admission
 	var prev rung
 	var prevEst int64
-	for i, r := range ladder(o.Alg) {
-		est, g := ch.estimate(r, workers, o.MemBudget)
+	for i, r := range ladder(ch.alg) {
+		est, g := ch.estimate(r, ch.arena[i], workers, o.MemBudget)
 		if i > 0 {
 			ad.notes = append(ad.notes, fmt.Sprintf("mem-budget: %v%s estimated %s > budget %s; degraded to %v%s (estimated %s)",
 				prev.alg, serialTag(prev.serial), fmtBytes(prevEst), fmtBytes(o.MemBudget),
@@ -179,7 +183,7 @@ func admit(o Options, workers int, ch charge) (admission, error) {
 				ad.notes = append(ad.notes, fmt.Sprintf("mem-budget: the plan's %dx%dx%d packed segments exceed budget %s; walking them %dx%dx%d at a time (estimated %s)",
 					ch.plan.rows, ch.plan.ks, ch.plan.cols, fmtBytes(o.MemBudget), g.rows, g.ks, g.cols, fmtBytes(est)))
 			}
-			ad.alg, ad.serial, ad.est, ad.groups = r.alg, r.serial, est, g
+			ad.alg, ad.serial, ad.est, ad.arena, ad.groups = r.alg, r.serial, est, ch.arena[i], g
 			return ad, nil
 		}
 		prev, prevEst = r, est
@@ -209,7 +213,7 @@ const probeSize = 32
 // behaving like the standard one on this data; Strassen-like error
 // growth shows up as values of 10–100+. Returns 0 (never degrade) when
 // the probe is degenerate (zero operands).
-func probeResidualGrowth(e *exec, alg Alg, transA, transB bool, Av, Bv *matrix.Dense) float64 {
+func probeResidualGrowth(kernel leaf.Impl, alg Alg, transA, transB bool, Av, Bv *matrix.Dense) float64 {
 	// The probe grid: 4×4 tiles covering probeSize, two fast levels.
 	const grid, t = 4, probeSize / 4
 	pm, pk := opShape(Av, transA)
@@ -229,7 +233,7 @@ func probeResidualGrowth(e *exec, alg Alg, transA, transB bool, Av, Bv *matrix.D
 	// Serial execution on an unbound Ctx: the recursion never spawns
 	// (serialCutoff ≥ tiles) so no pool is needed, and the probe runs
 	// with the same leaf kernel the real multiplication will use.
-	pe := &exec{kernel: e.kernel, serialCutoff: noSpawn, fastCutoff: 1}
+	pe := &exec{kernel: kernel, serialCutoff: noSpawn, fastCutoff: 1}
 	pe.mul(&sched.Ctx{}, alg, mk(fast), mk(pa), mk(pb))
 	matrix.RefGEMM(false, false, 1, pa, pb, 0, ref)
 	return matrix.MaxAbsDiff(fast, ref) / scale

@@ -292,6 +292,34 @@ func TestBatchRefusalsAreErrDimension(t *testing.T) {
 	}
 }
 
+// TestBatchAlphaZeroIsNotAdmitted: an α = 0 member is C ← β·C alone, as
+// GEMMCtx's product is: nothing is planned, billed or reserved for it,
+// so a budget no 512³ product fits in refuses neither.
+func TestBatchAlphaZeroIsNotAdmitted(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(90))
+	n := 512
+	A, B, C := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.Random(n, n, rng)
+	opts := Options{Curve: layout.ZMorton, MemBudget: 64 << 10}
+	want := C.Clone()
+	if _, err := GEMMCtx(ctx, pool, opts, false, false, 0, A, B, 0.5, want); err != nil {
+		t.Fatal(err)
+	}
+	got := C.Clone()
+	bs, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{A: A, B: B, Beta: 0.5, C: got}})
+	if err != nil || errs[0] != nil {
+		t.Fatalf("wave: %v, item: %v", err, errs)
+	}
+	if bs.Items != 1 || bs.Completed != 1 {
+		t.Errorf("Items=%d Completed=%d, want 1/1", bs.Items, bs.Completed)
+	}
+	if !matrix.Equal(got, want, 0) {
+		t.Errorf("C differs from GEMMCtx's β·C, max diff %g", matrix.MaxAbsDiff(got, want))
+	}
+}
+
 // expiring is a context that expires after it has been asked a fixed
 // number of times: a member's deadline that fires at a chosen point of
 // its run, whatever the scheduler does.

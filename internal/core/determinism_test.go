@@ -165,7 +165,8 @@ func TestDeterminismCostBusyPool(t *testing.T) {
 // blocks of a per-call wave), one row (B's), a grid of them (both packed
 // up front) — so the per-call wave's in-block packs, its nested run's
 // up-front plan and the resident plans must all agree; canonical
-// storage, which has no plans, runs the per-call side of that alone.
+// storage, which has no resident plans, runs the per-call and batch
+// entry points alone.
 // Three more shapes put most of a tile in the kernels' padded fringe
 // blocks, which accumulate in per-worker scratch: 1024×1024×40 (10-wide
 // tiles), 300³ (38³ tiles; one block, the entry points still agree) and
@@ -244,7 +245,10 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 						for _, pool := range pools {
 							// same checks one entry point's result, and the plan
 							// its stats describe, against the single-worker call.
-							// Only a per-call wave defers a pack.
+							// A one-item batch is a wave of one member, as the
+							// call is: it packs and defers what the call at this
+							// worker count does. Resident plans defer nothing.
+							var direct *Stats
 							same := func(what string, got *matrix.Dense, gs *Stats, ref *result) {
 								t.Helper()
 								if ref.c == nil {
@@ -255,13 +259,22 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 									t.Errorf("%s: %s runs %d blocks of %dx%dx%d tiles at depth %d, per-call %d of %dx%dx%d at depth %d", name, what,
 										gs.Blocks, gs.TileM, gs.TileK, gs.TileN, gs.Depth, st.Blocks, st.TileM, st.TileK, st.TileN, st.Depth)
 								}
-								if what == "GEMMCtx" {
+								switch what {
+								case "GEMMCtx":
+									direct = gs
 									if gs.ConvertBytes != st.ConvertBytes || gs.PackDeferred != 0 && gs.PackDeferred != deferred {
 										t.Errorf("%s: %s at %d workers converts %d bytes, %d segments deferred; at one worker %d and %d",
 											name, what, pool.Workers(), gs.ConvertBytes, gs.PackDeferred, st.ConvertBytes, deferred)
 									}
-								} else if gs.PackDeferred != 0 {
-									t.Errorf("%s: %s defers %d packs", name, what, gs.PackDeferred)
+								case "GEMMBatch", "GEMMBatchStrided":
+									if gs.ConvertBytes != direct.ConvertBytes || gs.PackDeferred != direct.PackDeferred {
+										t.Errorf("%s: %s at %d workers converts %d bytes, %d segments deferred; GEMMCtx %d and %d",
+											name, what, pool.Workers(), gs.ConvertBytes, gs.PackDeferred, direct.ConvertBytes, direct.PackDeferred)
+									}
+								case "GEMMPrepacked":
+									if gs.PackDeferred != 0 {
+										t.Errorf("%s: %s defers %d packs", name, what, gs.PackDeferred)
+									}
 								}
 								if !matrix.Equal(got, want, 0) {
 									t.Errorf("%s: %s bits differ from per-call at %d workers, max diff %g",
@@ -274,9 +287,6 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 								t.Fatalf("%s, %d workers: %v", name, pool.Workers(), err)
 							}
 							same("GEMMCtx", got, gs, percall)
-							if cv == layout.ColMajor {
-								continue // the plan and batch entry points take recursive layouts only
-							}
 
 							got = C.Clone()
 							bs, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{TransA: ta, TransB: tb, Alpha: 0.75, A: A, B: B, Beta: beta, C: got}})
@@ -292,6 +302,9 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 								t.Fatalf("%s, %d workers: GEMMBatchStrided: %v %v", name, pool.Workers(), err, errs)
 							}
 							same("GEMMBatchStrided", got, &bs.Stats, percall)
+							if cv == layout.ColMajor {
+								continue // the plan entry points take recursive layouts only
+							}
 
 							po := opts
 							po.PartnerDim = n
@@ -717,14 +730,14 @@ func TestDeterminismPlanNotRun(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					same("GEMMCtx", st, pool.Workers(), given{})
-					if cv == layout.ColMajor {
-						continue // the plan and batch entry points take recursive layouts only
-					}
 					bs, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{Alpha: 1, A: A, B: B, C: matrix.New(m, n)}})
 					if err != nil || errs[0] != nil {
 						t.Fatalf("%s: GEMMBatch: %v %v", name, err, errs)
 					}
-					same("GEMMBatch", &bs.Stats, 0, given{})
+					same("GEMMBatch", &bs.Stats, pool.Workers(), given{})
+					if cv == layout.ColMajor {
+						continue // the plan entry points take recursive layouts only
+					}
 
 					po := opts
 					po.PartnerDim = n
@@ -744,7 +757,7 @@ func TestDeterminismPlanNotRun(t *testing.T) {
 					if err != nil || errs[0] != nil {
 						t.Fatalf("%s: GEMMPrepackedBatch: %v %v", name, err, errs)
 					}
-					same("GEMMPrepackedBatch", &bs.Stats, 0, given{pa: pa, resident: true})
+					same("GEMMPrepackedBatch", &bs.Stats, pool.Workers(), given{pa: pa, resident: true})
 					pa.Release()
 					pb.Release()
 					if !unsplit {

@@ -92,11 +92,6 @@ type Options struct {
 	// and pool counters) — see the metric* names in obs.go. Updates are
 	// lock-free; the registry may be shared across pools and engines.
 	Metrics *obs.Registry
-	// TraceID, when non-zero, attributes this call to a served request:
-	// the call's lane carries a wave-item event with the id as its arg,
-	// which the exporter links back to the request's lane. Zero (the
-	// default) emits nothing extra.
-	TraceID int64
 }
 
 // withDefaults is the prologue every entry point and ResolveAlg pass
@@ -266,7 +261,7 @@ func GEMM(pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 	A, B *matrix.Dense, beta float64, C *matrix.Dense) (stats *Stats, err error) {
 
-	cl, err := enter(ctx, pool, opts, "GEMM", opts.TraceID)
+	cl, err := enter(ctx, pool, opts, "GEMM")
 	defer func() { cl.end(stats, err) }()
 	defer leave(cl, &stats, &err)
 	if err != nil {
@@ -280,7 +275,7 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 	if err := conform(alpha, beta, m, k, kb, n, C); err != nil {
 		return nil, err
 	}
-	return cl.multiply(ctx, planMul{alpha: alpha, beta: beta, C: C}, given{}, m, k, n, A, B, transA, transB)
+	return cl.one(ctx, &wave{items: []BatchItem{{TransA: transA, TransB: transB, Alpha: alpha, A: A, B: B, Beta: beta, C: C}}})
 }
 
 // multipliable is the one refusal of the row-major layout, which the
@@ -293,100 +288,372 @@ func multipliable(c layout.Curve) error {
 	return nil
 }
 
-// multiply is the one body that runs a product C ← α·op(A)·op(B) + β·C,
-// behind GEMMCtx, GEMMPrepacked and MulTiledCtx once each has validated
-// its arguments: pm brings α, β and C (or a tiled C), gv the operands
-// that arrive packed, A and B the column-major ones. A trivial product
-// (α = 0, or an empty dimension) β-scales C and returns. Any other is
-// planned once, before C is touched, and runs one scheduler run per
-// budget group: β·C before the first product, then the group's packs —
-// only of what gv holds no plan of, UNSCALED (α rides in the fused
-// epilogue), deferred to the consuming blocks (charge.deferA, deferB),
-// walked in the groups admission sized (charge.fit: row panels
-// outermost, the k chain innermost), or folded from A's plan when op(B)
-// is op(A)ᵀ (SYRK's GEMM over one matrix in both slots) — then the block
-// wave. It releases only the plans it packed, once the runs have drained.
-func (cl *call) multiply(ctx context.Context, pm planMul, gv given, m, k, n int,
-	A, B *matrix.Dense, transA, transB bool) (*Stats, error) {
+// wave is one run's products, each planned as its single-call twin and
+// run through the one member body: the product of GEMMCtx, GEMMPrepacked
+// or MulTiledCtx, or the items of a GEMMBatch* wave.
+type wave struct {
+	ctx   context.Context
+	what  string // a lone call's entry point, naming its errors; "" in a batch
+	gv    given  // how the operands all members share arrive
+	tc    *Tiled // MulTiledCtx's tiled C
+	items []BatchItem
+	// plans holds, by item, what its single-call twin plans: nil for an
+	// item refused before it was planned or, once the run is under way,
+	// started; a plan without segments for one that multiplies nothing
+	// (α = 0, or an empty dimension).
+	plans []*plan
+	errs  []error
+	// live counts the items validated, then those planned; wide: they are
+	// the parallelism (asWave), each serial on its runner.
+	live int
+	wide bool
+	// Admission's: the rung, the groups a lone member walks its plan in
+	// (zero in a wave of several: each walks its whole plan), and the
+	// execution parameters and arena — nil when nothing is multiplied.
+	alg    Alg
+	serial bool
+	gr     groups
+	e      *exec
+}
 
-	beta := pm.beta
-	if pm.alpha == 0 || m == 0 || k == 0 || n == 0 {
-		if err := cl.pass(ctx, func(e *exec, c *sched.Ctx) { e.scaleC(c, pm.C, beta) }); err != nil {
-			return nil, err
-		}
-		return &Stats{Layout: cl.o.Curve}, nil
-	}
+// nothing is the plan of a member with α = 0: C ← β·C alone.
+var nothing = new(plan)
+
+// one runs a lone product: a wave of one, whose member's failure is the call's.
+func (cl *call) one(ctx context.Context, w *wave) (*Stats, error) {
+	w.ctx, w.what, w.plans, w.errs, w.live = ctx, cl.what, make([]*plan, 1), make([]error, 1), 1
 	stats := &Stats{}
-	pc, err := planGEMM(cl, stats, gv, m, k, n, transA, transB, A, B)
-	if err != nil {
+	if err := cl.multiply(ctx, stats, w); err != nil {
 		return nil, err
 	}
-	defer releaseArena(pc.ar)
+	if err := w.errs[0]; err != nil {
+		return nil, err
+	}
+	return stats, nil
+}
 
-	g, ch, ms, ks, ns, gr := pc.pl.g, pc.pl.ch, pc.pl.ms, pc.pl.ks, pc.pl.ns, pc.groups
-	fold := gv.pa == nil && cl.o.Curve != layout.ColMajor && sameView(A, B) && transA != transB &&
-		g.tm == g.tn && gr == ch.plan && pc.runners == 0 && !ch.deferA
-	pm.alg, pm.pa, pm.pb = pc.alg, gv.pa, gv.pb
-	var ta, tb *Prepacked // the plans this call packs, and so releases
-	defer func() { ta.Release(); tb.Release() }()
+// multiply is the one run behind every entry point that multiplies: plan
+// and admit the members together (planGEMM), then one scheduler run
+// pulls them through the one member body — a runner per worker when they
+// are the parallelism, one each otherwise. A refusal of the whole run
+// (planning, admission, a run that never began) is its error, every C
+// untouched; a member's own failure lands in its slot of w.errs.
+func (cl *call) multiply(ctx context.Context, stats *Stats, w *wave) error {
+	stats.Layout = cl.o.Curve
+	if err := planGEMM(cl, stats, w); err != nil || w.live == 0 {
+		return err
+	}
+	e := w.e
+	if e == nil {
+		e = cl.exec()
+	}
+	defer releaseArena(e.ar)
+	runners := w.live
+	switch {
+	case w.serial:
+		runners = 1
+	case w.wide:
+		runners = cl.pool.Workers()
+	}
+	rerr := cl.run(ctx, stats, func(c *sched.Ctx) { pullWave(ctx, c, e, runners, len(w.items), stats, w.step) })
+	if !cl.started {
+		return rerr
+	}
+	// A run-level failure (cancellation, a fault injected into a runner's
+	// frame outside any member's recover) is charged only to the members
+	// it kept from starting, whose plans step left in place.
+	for i, pl := range w.plans {
+		if pl != nil && rerr != nil {
+			w.errs[i] = w.errf(i, "not started: %w", rerr)
+		}
+	}
+	if w.e != nil {
+		if e.ar != nil {
+			stats.AllocBytes = 8 * e.ar.fallbackElems.Load()
+		}
+		cl.finishStats(stats)
+	}
+	return nil
+}
+
+// planGEMM settles a run's once-per-call decisions: plan every member,
+// admit their composed charge, and — when MaxResidualGrowth is set — the
+// residual probe, whose failure re-plans the whole wave once with
+// Standard; every decision is recorded in stats.Degraded. It then
+// reserves the arena admission charged (a serial rung stops all
+// spawning, so one depth-first path of temporaries and one worker's
+// kernel scratch are live), which the caller releases once the run has
+// drained, and describes the plan in stats.
+func planGEMM(cl *call, stats *Stats, w *wave) error {
+	o, workers := cl.o, cl.pool.Workers()
+	var notes []string
+	for {
+		w.plan(o, workers)
+		ch, dearest := w.charge(min(w.live, workers))
+		if dearest == nil {
+			return nil
+		}
+		ad, err := admit(o, workers, ch)
+		if err != nil {
+			return err
+		}
+		notes = append(notes, ad.notes...)
+		if note := w.probe(o, ad.alg); note != "" {
+			notes, o.Alg = append(notes, note), Standard
+			continue
+		}
+		w.e, w.alg, w.serial, w.gr = cl.exec(), ad.alg, ad.serial, ad.groups
+		stacks := workers
+		if ad.serial {
+			stacks = 1
+		}
+		if ad.serial || w.wide {
+			w.e.serialCutoff = noSpawn
+		}
+		w.e.ar = acquireArenaElems(ad.arena, stacks)
+		if tr := cl.tr; tr != nil { // one instant per decision, and the arena's bytes
+			for range notes {
+				tr.LaneInstant(cl.lane, obs.KindDegrade, 0)
+			}
+			if w.e.ar != nil {
+				tr.LaneInstant(cl.lane, obs.KindArena, w.e.ar.bytes())
+			}
+		}
+		dearest.describe(ad.alg, stats)
+		stats.Serial, stats.Degraded, stats.EstimatedBytes, stats.ArenaBytes = ad.serial, notes, ad.est, w.e.ar.bytes()
+		return nil
+	}
+}
+
+// plan plans the items not yet refused as their single-call twins are
+// planned: with the pool's workers, so that a member's blocks spread as a
+// direct call's do, unless the members are the parallelism (wide).
+// Worker count sets only plan.runners, so it moves no bits. Consecutive
+// items of one shape share the plan.
+func (w *wave) plan(o Options, workers int) {
+	if w.wide = asWave(w.live, workers); w.wide {
+		workers = 0
+	}
+	var last *plan
+	w.live = 0
+	for i := range w.items {
+		if w.errs[i] != nil {
+			continue
+		}
+		it := &w.items[i]
+		m, k, n := w.shape(it)
+		switch {
+		case it.Alpha == 0:
+			w.plans[i] = nothing
+		case last != nil && last.m == m && last.k == k && last.n == n:
+			w.plans[i] = last
+		default:
+			pl, err := planOf(o, workers, w.gv, m, k, n)
+			if err != nil {
+				w.errs[i] = err
+				continue
+			}
+			w.plans[i], last = pl, pl
+		}
+		w.live++
+	}
+}
+
+// shape is item it's m×k×n: op(A)'s extents or the shared A plan's, and
+// op(B)'s columns or the given B plan's.
+func (w *wave) shape(it *BatchItem) (m, k, n int) {
+	if pa := w.gv.pa; pa != nil {
+		m, k = pa.Rows, pa.Cols
+	} else {
+		m, k = opShape(it.A, it.TransA)
+	}
+	if pb := w.gv.pb; pb != nil {
+		return m, k, pb.Cols
+	}
+	_, n = opShape(it.B, it.TransB)
+	return m, k, n
+}
+
+// charge composes the run's admission charge from its members' plans: a
+// lone member's is its own, unchanged. A wave of several holds, per
+// member in flight, the dearest member's transient plan and product
+// tiles, with the largest kernel scratch and, rung by rung, the largest
+// arena. It runs one algorithm, the fast one if any member keeps a fast
+// level: a member that keeps none (AlgAuto's Standard) needs no arena on
+// any rung and runs it straight into the standard recursion, the bits of
+// its Standard twin. dearest, the member Stats describe, is nil when no
+// member multiplies anything.
+func (w *wave) charge(inflight int) (ch charge, dearest *plan) {
+	members, bill := 0, int64(0)
+	for _, pl := range w.plans {
+		if pl == nil || pl.ns == nil {
+			continue
+		}
+		if members++; dearest == nil || tableOf(pl.alg).fast() {
+			ch.alg = pl.alg
+		}
+		if b := pl.ch.held(pl.ch.plan) + pl.ch.perBlock*int64(pl.ch.inflight); dearest == nil || b > bill {
+			bill, dearest = b, pl
+		}
+		ch.scratch = max(ch.scratch, pl.ch.scratch)
+		for r, a := range pl.ch.arena {
+			ch.arena[r] = max(ch.arena[r], a)
+		}
+	}
+	if members == 1 {
+		return dearest.ch, dearest
+	}
+	ch.perBlock, ch.inflight = bill, inflight
+	ch.what = func() string { return fmt.Sprintf("a wave of %d items", members) }
+	return ch, dearest
+}
+
+// probe runs the residual probe of alg, when o bounds residual growth and
+// the operands are column-major, once per distinct member shape that
+// keeps a fast level, on that member's operands and kernel. It returns
+// the note of the first whose growth exceeds the bound.
+func (w *wave) probe(o Options, alg Alg) string {
+	if o.MaxResidualGrowth <= 0 || w.gv.pa != nil {
+		return ""
+	}
+	var probed *plan
+	for i, pl := range w.plans {
+		if pl == nil || pl == probed || pl.ns == nil || fastLevels(alg, pl.g.side(), pl.cutoff) == 0 {
+			continue
+		}
+		probed = pl
+		it := &w.items[i]
+		if growth := probeResidualGrowth(pl.kernel, alg, it.TransA, it.TransB, it.A, it.B); growth > o.MaxResidualGrowth {
+			return fmt.Sprintf("residual-probe: %v growth %.1f > bound %.1f; degraded to %v",
+				alg, growth, o.MaxResidualGrowth, Standard)
+		}
+	}
+	return ""
+}
+
+// step is the runner loop's body for member i, under the member's own
+// recover: a panic anywhere in its conversions or compute (an aggregated
+// *sched.TaskError from its nested products included) lands in its error
+// slot, and the runner moves on. Members are claimed exactly once, so
+// the writes to its plans and errs slots are race-free.
+func (w *wave) step(c *sched.Ctx, ws *waveWS, i int) error {
+	pl := w.plans[i]
+	if pl == nil { // refused: never scheduled
+		return nil
+	}
+	w.plans[i] = nil // it has started
+	ws.done.Store(0)
+	ws.total = 0
+	defer func() {
+		if r := recover(); r != nil {
+			w.errs[i] = w.errf(i, "failed after %d of %d blocks: %w", ws.done.Load(), ws.total, recoveredError(r))
+		}
+	}()
+	w.errs[i] = w.body(c, ws, i, pl)
+	return nil
+}
+
+// body is the one body of a product, run for each member: β·C, then for each budget group
+// the packs of what gv does not bring — into the runner's reused
+// transient plans (repack), UNSCALED (α rides in the fused epilogue),
+// deferred to the consuming blocks (charge.deferA, deferB), or folded
+// from A's plan when op(B) is op(A)ᵀ (SYRK's GEMM over one matrix in both
+// slots) — then the group's block wave. A lone member walks the groups
+// admission sized (charge.fit: row panels outermost, k chain innermost).
+func (w *wave) body(c *sched.Ctx, ws *waveWS, i int, pl *plan) error {
+	it := &w.items[i]
+	// An expired member is dropped from the wave, not the wave from the
+	// member; nil means it lives exactly as long as the wave context.
+	ctx := it.Ctx
+	if ctx == nil {
+		ctx = w.ctx
+	}
+	if c.Cancelled() {
+		return w.errf(i, "not started: %w", w.cause())
+	}
+	if ctx.Err() != nil {
+		return w.errf(i, "not started: %w", context.Cause(ctx))
+	}
+	ws.e.scaleC(c, it.C, it.Beta) // β up front: the member's atomicity anchor
+	if pl.ns == nil {
+		return nil
+	}
+	gv, g, ch, ms, ks, ns := w.gv, pl.g, &pl.ch, pl.ms, pl.ks, pl.ns
+	gr, runners := w.gr, pl.runners
+	if gr == (groups{}) {
+		gr = ch.plan
+	}
+	if w.serial {
+		runners = 0
+	}
+	ws.total = len(ms) * len(ns) * ((len(ks) + gr.ks - 1) / gr.ks)
+	ws.e.kernel, ws.e.fastCutoff = pl.kernel, pl.cutoff
+	fold := gv.pa == nil && g.curve != layout.ColMajor && sameView(it.A, it.B) && it.TransA != it.TransB &&
+		g.tm == g.tn && gr == ch.plan && runners == 0 && !ch.deferA
+	pm := planMul{alg: w.alg, alpha: it.Alpha, pa: gv.pa, pb: gv.pb, C: it.C, tc: w.tc}
+	if gv.resident { // a resident A, and GEMMPrepacked's resident B
+		pm.reused = 1
+		if gv.pb != nil {
+			pm.reused = 2
+		}
+	}
 	type corner struct{ r, c int } // a packed group, by its first segments
 	heldA, heldB := corner{-1, -1}, corner{-1, -1}
-	total, done := len(ms)*len(ns)*((len(ks)+gr.ks-1)/gr.ks), 0
-	for i := 0; i < len(ms); i += gr.rows {
-		for j := 0; j < len(ns); j += gr.cols {
+	for r := 0; r < len(ms); r += gr.rows {
+		for s := 0; s < len(ns); s += gr.cols {
 			for q := 0; q < len(ks); q += gr.ks {
-				rows, cols, inner := ms[i:min(i+gr.rows, len(ms))], ns[j:min(j+gr.cols, len(ns))], ks[q:min(q+gr.ks, len(ks))]
-				first := !cl.started
-				packA, packB := gv.pa == nil && heldA != (corner{i, q}), gv.pb == nil && heldB != (corner{q, j})
-				err := cl.run(ctx, stats, func(c *sched.Ctx) error {
-					if first {
-						pc.e.scaleC(c, pm.C, beta)
-					}
-					if packA || packB {
-						t0 := time.Now()
-						pc.e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() {
-							if packA {
-								ta.Release()
-								heldA = corner{i, q}
-								ta = newPlan(g.hdrA(), rows, inner)
-								ta.fill(pc.e, c, stats, A, transA, ch.deferA)
-								pm.pa = ta
+				rows, cols, inner := ms[r:min(r+gr.rows, len(ms))], ns[s:min(s+gr.cols, len(ns))], ks[q:min(q+gr.ks, len(ks))]
+				packA, packB := gv.pa == nil && heldA != (corner{r, q}), gv.pb == nil && heldB != (corner{q, s})
+				if packA || packB {
+					t0 := time.Now()
+					ws.e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() {
+						if packA {
+							heldA, pm.pa = corner{r, q}, &ws.pa
+							ws.pa.repack(g.hdrA(), rows, inner).fill(&ws.e, c, &ws.stats, it.A, it.TransA, ch.deferA)
+						}
+						if packB {
+							heldB, pm.pb = corner{q, s}, &ws.pb
+							if fold {
+								ws.stats.PackReused += len(ks) * len(ns)
+								ws.pb.repackTransposed(&ws.pa).fillTransposed(&ws.e, c, &ws.stats, &ws.pa)
+							} else {
+								ws.pb.repack(g.hdrB(), inner, cols).fill(&ws.e, c, &ws.stats, it.B, it.TransB, ch.deferB)
 							}
-							if packB {
-								tb.Release()
-								heldB = corner{q, j}
-								if fold {
-									stats.PackReused += len(ks) * len(ns)
-									tb = ta.transposedPlan()
-									tb.fillTransposed(pc.e, c, stats, ta)
-								} else {
-									tb = newPlan(g.hdrB(), inner, cols)
-									tb.fill(pc.e, c, stats, B, transB, ch.deferB)
-								}
-								pm.pb = tb
-							}
-						})
-						stats.ConvertIn += time.Since(t0)
-					}
-					// Only a block's first k group finds C as β left it.
-					if pm.beta = beta; q > 0 {
-						pm.beta = 1
-					}
-					nd, err := pm.wave(ctx, c, pc, stats, cl.o.TraceID)
-					done += nd
-					return err
-				})
-				if err != nil && cl.started { // "not started" stands; any other says how far the call got
-					err = fmt.Errorf("core: %s failed after %d of %d blocks: %w", cl.what, done, total, err)
+						}
+					})
+					ws.stats.ConvertIn += time.Since(t0)
 				}
-				if err != nil {
-					return nil, err
+				// Only a block's first k group finds C as β left it.
+				if pm.beta = it.Beta; q > 0 {
+					pm.beta = 1
+				}
+				if err := pm.wave(ctx, c, ws, runners, it.TraceID); err != nil {
+					if err == errRunCancelled {
+						err = w.cause()
+					}
+					return w.errf(i, "failed after %d of %d blocks: %w", ws.done.Load(), ws.total, err)
 				}
 			}
 		}
 	}
-	pc.finish(cl, stats)
-	return stats, nil
+	return nil
+}
+
+// errf is an error of member i, named by its index or a lone call's entry point.
+func (w *wave) errf(i int, format string, args ...any) error {
+	name := w.what
+	if name == "" {
+		name = fmt.Sprintf("batch item %d", i)
+	}
+	return fmt.Errorf("core: "+name+" "+format, args...)
+}
+
+// cause names why the run is cancelled: the wave context's cause, or a closing pool.
+func (w *wave) cause() error {
+	if err := context.Cause(w.ctx); err != nil {
+		return err
+	}
+	return sched.ErrPoolClosed
 }
 
 // choose determines the depth and the tile sizes t that cover dims:
@@ -427,39 +694,6 @@ func forcedDepth(t int, dims ...int) (d uint, err error) {
 		d = max(d, need)
 	}
 	return d, nil
-}
-
-// planGEMM settles a product's once-per-call decisions: plan, admit,
-// and — when MaxResidualGrowth is set, both operands are column-major
-// and the admitted algorithm runs a fast level — the residual probe,
-// whose failure re-plans once with Standard. The algorithm that executes
-// may therefore be a cheaper rung than the requested one, with every
-// decision recorded in stats.Degraded.
-func planGEMM(cl *call, stats *Stats, gv given, m, k, n int, transA, transB bool, A, B *matrix.Dense) (*prepared, error) {
-	o := cl.o
-	var notes []string
-	for {
-		pl, err := planOf(o, cl.pool.Workers(), gv, m, k, n)
-		if err != nil {
-			return nil, err
-		}
-		pc, err := admitPlan(cl, pl)
-		if err != nil {
-			return nil, err
-		}
-		notes = append(notes, pc.notes...)
-		if o.MaxResidualGrowth > 0 && gv.pa == nil && gv.pb == nil && fastLevels(pc.alg, pl.g.side(), pl.cutoff) > 0 {
-			if growth := probeResidualGrowth(pc.e, pc.alg, transA, transB, A, B); growth > o.MaxResidualGrowth {
-				notes = append(notes, fmt.Sprintf("residual-probe: %v growth %.1f > bound %.1f; degraded to %v",
-					pc.alg, growth, o.MaxResidualGrowth, Standard))
-				o.Alg = Standard
-				continue
-			}
-		}
-		pc.notes = notes
-		pc.start(cl, stats)
-		return pc, nil
-	}
 }
 
 // sameView reports whether two operand views alias the same storage
@@ -506,7 +740,7 @@ func MulTiled(pool *sched.Pool, opts Options, C, A, B *Tiled) (*Stats, error) {
 // is no private packed copy, so partial quadrant products may already
 // have accumulated into it.
 func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *Tiled) (stats *Stats, err error) {
-	cl, err := enter(ctx, pool, opts, "MulTiled", opts.TraceID)
+	cl, err := enter(ctx, pool, opts, "MulTiled")
 	defer func() { cl.end(stats, err) }()
 	defer leave(cl, &stats, &err)
 	if err != nil {
@@ -523,8 +757,7 @@ func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *T
 			ErrDimension, C.Rows, C.Cols, C.TR, C.TC, C.Curve, C.D, A.Rows, B.Cols, A.TR, B.TC, A.Curve, A.D)
 	}
 	cl.o.Curve = A.Curve
-	return cl.multiply(ctx, planMul{alpha: 1, beta: 1, tc: C}, given{pa: whole(A), pb: whole(B)},
-		A.Rows, A.Cols, B.Cols, nil, nil, false, false)
+	return cl.one(ctx, &wave{gv: given{pa: whole(A), pb: whole(B)}, tc: C, items: []BatchItem{{Alpha: 1, Beta: 1}}})
 }
 
 // WorkSpan computes, without executing anything, the analytic work and

@@ -15,34 +15,30 @@ import (
 	"repro/internal/tile"
 )
 
-// This file is the one execution pipeline behind GEMMCtx, GEMMPrepacked,
-// MulTiledCtx (one body, call.multiply in driver.go) and the members of
-// a GEMMBatch* wave (batch.go): plan → pack once → block wave → fused
-// epilogue, all of it inside one scheduler run.
+// This file is the one execution pipeline behind every entry point that
+// multiplies — GEMMCtx, GEMMPrepacked, MulTiledCtx and the members of a
+// GEMMBatch* wave, a single call being a wave of one member: one
+// scheduler run (call.multiply) of one member body (wave.body), plan →
+// pack once → block wave → fused epilogue. A product is cut by one rule
+// (tile.Config.SplitDims, Figure 3) into squat blocks that share one
+// geometry, kernel, admission decision and arena. Every A and B segment
+// is packed exactly once, into a runner's transient plan or, for a
+// *Prepacked* operand, before the call. Each C block (planMul.block)
+// owns a zero-filled tile, accumulates its products over the k segments
+// in ascending order in the packed domain, and folds α·tile into C in
+// one fused epilogue.
 //
-// A multiplication is cut by one rule (tile.Config.SplitDims, Figure 3)
-// into squat blocks that share one geometry, one kernel, one admission
-// decision and one arena. Every A and B segment is packed exactly once
-// into a plan — a transient one for a per-call GEMM, released when the
-// call returns; a *Prepacked* operand simply arrives with that step
-// done. The C blocks (i, j) then run through one loop (planMul.wave):
-// each block owns a zero-filled tile, accumulates its products over the
-// k segments in ascending order in the packed domain, and folds α·tile
-// into C in one fused epilogue.
-//
-// An entry point is enter → plan and admit → call.run → leave, and
-// everything that touches an operand happens in that run's task tree, as
-// the paper's program is one Cilk computation: below an entry point
-// there is a *sched.Ctx to spawn from and no pool to start a second run
-// on. The nesting rule is GEMMBatch's. A call with at least as many C
-// blocks as workers pulls them with one runner task per worker, each
-// serial inside: the blocks are the parallelism, as Benson–Ballard
-// schedule small independent sub-products breadth-first. A call with
-// fewer — in particular the single block of a squat multiplication — is
-// a wave of one runner whose passes (chunked) and products spawn. Either
-// way the k chain of a block is fixed and blocks own disjoint regions of
-// C, so the result is a pure function of (operands, shape, algorithm,
-// kernel) at any worker count and through either entry point.
+// As the paper's program is one Cilk computation, everything that
+// touches an operand happens in the run's task tree: below an entry
+// point there is a *sched.Ctx to spawn from and no pool to start a
+// second run on. One nesting rule (asWave) covers members and blocks: at
+// least as many pieces as workers are pulled by one runner per worker,
+// each serial inside — the pieces are the parallelism, as Benson–Ballard
+// schedule small independent sub-products — and fewer run a runner each,
+// spawning inside. Either way a block's k chain is fixed and blocks own
+// disjoint regions of C, so the result is a pure function of (operands,
+// shape, algorithm, kernel) at any worker count and through any entry
+// point.
 
 // call is an entry point past the prologue they all share (enter).
 type call struct {
@@ -75,13 +71,10 @@ type call struct {
 // allocated. context.Cause preserves a cause-carrying cancellation (e.g.
 // a server drain) that plain ctx.Err() would flatten to Canceled. The
 // caller defers leave whether or not enter fails.
-func enter(ctx context.Context, pool *sched.Pool, opts Options, what string, traceID int64) (*call, error) {
+func enter(ctx context.Context, pool *sched.Pool, opts Options, what string) (*call, error) {
 	cl := &call{t0: time.Now(), tr: obs.Cur(), o: opts.withDefaults(), what: what, pool: pool}
 	if cl.tr != nil {
 		cl.lane = cl.tr.NewLane()
-		if traceID != 0 {
-			cl.tr.LaneInstant(cl.lane, obs.KindWaveItem, traceID)
-		}
 	}
 	if pool != nil && pool.Closed() {
 		return cl, sched.ErrPoolClosed
@@ -98,26 +91,21 @@ func enter(ctx context.Context, pool *sched.Pool, opts Options, what string, tra
 
 // run is the call's scheduler run, the package's one RunCtx: root is a
 // task of the pool, and every pass and product below it spawns from its
-// frame. Work and span are the run's (a call's budget groups add up). A
-// panic under root comes back as the run's *sched.TaskError, and the
-// run's own error (cancellation, a closing pool) goes before root's. A
-// first run whose root never began — cancelled or closed before a worker
-// took it — says so: nothing was touched.
-func (cl *call) run(ctx context.Context, stats *Stats, root func(c *sched.Ctx) error) error {
-	var rerr error
+// frame. A panic under root comes back as the run's *sched.TaskError,
+// after the run's own error (cancellation, a closing pool). A run whose
+// root never began — cancelled or closed before a worker took it — says
+// so: nothing was touched.
+func (cl *call) run(ctx context.Context, stats *Stats, root func(c *sched.Ctx)) error {
 	work, span, err := cl.pool.RunCtx(ctx, func(c *sched.Ctx) {
 		cl.started = true
-		rerr = root(c)
+		root(c)
 	})
 	stats.Work += work
 	stats.Span += span
-	switch {
-	case !cl.started:
+	if !cl.started {
 		return fmt.Errorf("core: %s not started: %w", cl.what, err)
-	case err != nil:
-		return err
 	}
-	return rerr
+	return err
 }
 
 // exec is the call's execution parameters short of what a plan settles
@@ -128,10 +116,7 @@ func (cl *call) exec() *exec {
 
 // pass is the run of an entry point that converts and does not multiply.
 func (cl *call) pass(ctx context.Context, f func(e *exec, c *sched.Ctx)) error {
-	return cl.run(ctx, &Stats{}, func(c *sched.Ctx) error {
-		f(cl.exec(), c)
-		return nil
-	})
+	return cl.run(ctx, &Stats{}, func(c *sched.Ctx) { f(cl.exec(), c) })
 }
 
 // leave is enter's other half, deferred by the entry point: the
@@ -157,20 +142,6 @@ func (cl *call) end(stats *Stats, err error) {
 	recordCallMetrics(cl.o.Metrics, stats, err, time.Since(cl.t0))
 }
 
-// admitted marks admission's outcome on the call's lane: one instant
-// per degradation decision, plus the arena reservation (arg = bytes).
-func (cl *call) admitted(notes []string, ar *arena) {
-	if cl.tr == nil {
-		return
-	}
-	for range notes {
-		cl.tr.LaneInstant(cl.lane, obs.KindDegrade, 0)
-	}
-	if ar != nil {
-		cl.tr.LaneInstant(cl.lane, obs.KindArena, ar.bytes())
-	}
-}
-
 // geom is the geometry every block of a call shares: a 2^d × 2^d grid
 // of tm×tk×tn tiles, on every layout and for every algorithm.
 type geom struct {
@@ -188,21 +159,18 @@ func (g geom) hdr(tr, tc int) Tiled { return Tiled{Curve: g.curve, D: g.d, TR: t
 func (g geom) hdrA() Tiled { return g.hdr(g.tm, g.tk) }
 func (g geom) hdrB() Tiled { return g.hdr(g.tk, g.tn) }
 
-// charge prices a call of ms×ks×ns segments on this geometry, its blocks
-// pulled by runners tasks (zero: by one that spawns). An operand of a resident plan
-// (resA, resB) stays off the bill. One column of C blocks consumes every
-// A segment exactly once, one row every B segment: in a wave such an
-// operand has no plan either — each block packs the segments it
-// multiplies (Prepacked.mat) — and is billed one segment per product
-// tile in flight.
-func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, runners int) charge {
+// charge prices alg on a call of ms×ks×ns segments on this geometry, its
+// blocks pulled by runners tasks (zero: by one that spawns). An operand
+// of a resident plan (resA, resB) stays off the bill. One column of C
+// blocks consumes every A segment exactly once, one row every B segment:
+// in a wave such an operand has no plan either — each block packs the
+// segments it multiplies (Prepacked.mat) — and is billed one segment per
+// product tile in flight.
+func (g geom) charge(alg Alg, fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, runners int) charge {
 	mp, kp, np := int64(g.side()*g.tm), int64(g.side()*g.tk), int64(g.side()*g.tn)
-	ch := charge{perBlock: mp * np, inflight: max(runners, 1), scratch: g.tm*g.tk + g.tk*g.tn,
+	ch := charge{alg: alg, perBlock: mp * np, inflight: max(runners, 1), scratch: g.tm*g.tk + g.tk*g.tn,
 		plan:   groups{len(ms), len(ks), len(ns)},
 		deferA: runners > 0 && !resA && len(ns) == 1, deferB: runners > 0 && !resB && len(ms) == 1,
-		arena: func(alg Alg, serial bool) int64 {
-			return arenaStackElems(alg, serial, g.side(), g.tm, g.tk, g.tn, fastCutoff)
-		},
 		what: func() string {
 			return fmt.Sprintf("%dx%dx%d", mp*int64(len(ms)), kp*int64(len(ks)), np*int64(len(ns)))
 		}}
@@ -217,6 +185,9 @@ func (g geom) charge(fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, run
 		ch.perBlock += kp * np
 	case !resB:
 		ch.segB = kp * np
+	}
+	for i, r := range ladder(alg) {
+		ch.arena[i] = arenaStackElems(r.alg, r.serial, g.side(), g.tm, g.tk, g.tn, fastCutoff)
 	}
 	return ch
 }
@@ -264,10 +235,9 @@ func chooseGeom(o Options, ms, ks, ns []tile.Seg) (geom, error) {
 	return geom{o.Curve, d, t[0], t[1], tn}, err
 }
 
-// asWave is the nesting rule, GEMMBatch's: n independent pieces of a
-// call are pulled by one task per worker, each serial inside, when there
-// are at least as many as workers; fewer (in particular one) run in
-// turn on one task, each spawning inside.
+// asWave is the nesting rule: n independent pieces (a wave's members, a
+// member's blocks) are pulled by one task per worker, each serial inside,
+// when there are at least as many as workers.
 func asWave(n, workers int) bool { return n > 1 && n >= workers }
 
 // given says how the operands of a product reach it. The zero value: the
@@ -300,8 +270,8 @@ type plan struct {
 	cutoff int
 	// runners is the width of the block wave when the blocks are the
 	// parallelism (asWave): the pool's workers, each runner serial inside.
-	// Zero is the wave of one runner, which walks the blocks in order and
-	// spawns inside them — or, a wave member, runs them on the member's.
+	// Zero: the member's own runner walks the blocks in order, spawning
+	// inside them unless the wave's members are the parallelism.
 	runners int
 	// ch is the admission bill: the operands the call packs, the product
 	// tiles in flight, the arena path.
@@ -325,9 +295,10 @@ func (pl *plan) describe(alg Alg, stats *Stats) {
 // it), the geometry (tile selection, or the given operands' tiles), the
 // leaf kernel for those tiles, and what only the kernel and grid settle —
 // the fast cutoff and AlgAuto. workers is the pool's worker count and
-// decides whether the C blocks run as a wave; zero plans a wave member,
-// serial on its runner. Kernel and cutoff are per shape, not per wave: a
-// heterogeneous wave gives each member what its single-call twin gets.
+// decides whether the C blocks run as a wave; zero plans a member of a
+// wave whose members are the parallelism, serial on its runner. Kernel
+// and cutoff are per shape, not per wave: a heterogeneous wave gives
+// each member what its single-call twin gets.
 func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
 	if err := multipliable(o.Curve); err != nil {
 		return nil, err
@@ -360,7 +331,7 @@ func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
 	if asWave(len(pl.ms)*len(pl.ns), workers) {
 		pl.runners = workers
 	}
-	pl.ch = pl.g.charge(pl.cutoff, pl.ms, pl.ks, pl.ns, gv.resident && gv.pa != nil, gv.resident && gv.pb != nil, pl.runners)
+	pl.ch = pl.g.charge(pl.alg, pl.cutoff, pl.ms, pl.ks, pl.ns, gv.resident && gv.pa != nil, gv.resident && gv.pb != nil, pl.runners)
 	return pl, nil
 }
 
@@ -404,67 +375,8 @@ func ResolveAlg(o Options, m, k, n int) Alg {
 // withDefaults resolves the unset one to.
 func ResolveCurve(o Options) layout.Curve { return o.withDefaults().Curve }
 
-// prepared is a plan past admission: the rung that runs, its execution
-// parameters and (after start) arena.
-type prepared struct {
-	pl *plan
-	admission
-	e  *exec
-	ar *arena
-	// runners is the plan's, or zero when admission chose a serial rung.
-	runners int
-}
-
-// admitPlan runs admission for pl — a call, or a batched wave by its
-// dearest member, priced by the wave's bill — and builds the execution
-// parameters of the rung that runs; serial stops all spawning, so only
-// one depth-first path of temporaries (and one worker's kernel scratch)
-// is live. Nothing is allocated yet: a caller may still reject the
-// verdict and plan another geometry.
-func admitPlan(cl *call, pl *plan) (*prepared, error) {
-	o := cl.o
-	o.Alg = pl.alg
-	pc := &prepared{pl: pl, runners: pl.runners}
-	var err error
-	if pc.admission, err = admit(o, cl.pool.Workers(), pl.ch); err != nil {
-		return nil, err
-	}
-	pc.e = cl.exec()
-	pc.e.kernel, pc.e.fastCutoff = pl.kernel, pl.cutoff
-	if pc.serial {
-		pc.runners, pc.e.serialCutoff = 0, noSpawn
-	}
-	return pc, nil
-}
-
-// start reserves the call's scratch arena — the one up-front allocation
-// the admission estimate already charged; every temporary of the
-// recursion is carved from it — and describes the plan in stats. The
-// caller releases pc.ar once the call's tasks have drained (call.run
-// returns only after that, even on cancellation).
-func (pc *prepared) start(cl *call, stats *Stats) {
-	stacks := cl.pool.Workers()
-	if pc.serial {
-		stacks = 1
-	}
-	pc.ar = acquireArenaElems(pc.pl.ch.arena(pc.alg, pc.serial), stacks)
-	pc.e.ar = pc.ar
-	cl.admitted(pc.notes, pc.ar)
-	pc.pl.describe(pc.alg, stats)
-	stats.Serial, stats.Degraded, stats.EstimatedBytes, stats.ArenaBytes = pc.serial, pc.notes, pc.est, pc.ar.bytes()
-}
-
-// finish closes the call's accounting once its tasks have drained.
-func (pc *prepared) finish(cl *call, stats *Stats) {
-	if pc.ar != nil {
-		stats.AllocBytes = 8 * pc.ar.fallbackElems.Load()
-	}
-	cl.finishStats(stats)
-}
-
-// errRunCancelled reports that the scheduler run a block was executing
-// in was cancelled: the block's product may be partial and is dropped.
-// The run's own error carries the cause.
+// errRunCancelled reports that a block's run was cancelled: its product
+// may be partial and is dropped; the run's own error carries the cause.
 var errRunCancelled = errors.New("core: run cancelled")
 
 // planMul is one plan product C += α·A·B: both operands packed into
@@ -493,8 +405,13 @@ type planMul struct {
 // the runner's rule (exec.spawns, exec.par). On a cancelled run the
 // steps fall through to the check after the product, which drops the
 // tile; the epilogue, once begun, completes (unpackAccumulate's shield).
-func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS) error {
+// On a runner that shares the blocks, or for an item a request traces,
+// the block is a wave-item span carrying the item's trace id.
+func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS, traceID int64) error {
 	pa, pb, e, alg := pm.pa, pm.pb, &ws.e, pm.alg
+	if tr := e.tr; tr != nil && (e.shared || traceID != 0) {
+		defer func(t0 time.Time) { tr.Span(c.WorkerID(), obs.KindWaveItem, t0, time.Since(t0), traceID) }(time.Now())
+	}
 	if ctx.Err() != nil {
 		return context.Cause(ctx)
 	}
@@ -538,54 +455,67 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	return nil
 }
 
-// wave is the one block loop: every C block of the plan product, pulled
-// by pc.runners tasks or walked by one. It returns how many blocks
-// completed; on failure or cancellation the others still hold their
-// β-scaled input.
-func (pm *planMul) wave(ctx context.Context, c *sched.Ctx, pc *prepared, stats *Stats, traceID int64) (int, error) {
+// wave is the one block loop over the plan product's C blocks (or a
+// budget group's): walked in order by the calling runner or, when they
+// are the parallelism (runners > 0, asWave), pulled by runners tasks.
+// ws.done counts the completed; the others hold their β-scaled input.
+func (pm *planMul) wave(ctx context.Context, c *sched.Ctx, ws *waveWS, runners int, traceID int64) error {
 	nn := len(pm.pb.CSegs)
 	nb := len(pm.pa.RSegs) * nn
 	// A group cut to fit the budget may hold too few blocks for a wave.
-	n, e := 1, *pc.e
-	if pc.runners > 0 && asWave(nb, pc.runners) {
-		// The wave saturates the pool by itself; a task's parallelism is
-		// its siblings.
-		n, e.serialCutoff = pc.runners, noSpawn
-	}
-	var done atomic.Int64
-	err := pullWave(ctx, c, &e, n, nb, stats, func(c *sched.Ctx, ws *waveWS, b int) error {
-		t0 := time.Now()
-		err := pm.block(ctx, c, b/nn, b%nn, ws)
-		if ws.e.shared && ws.e.tr != nil {
-			ws.e.tr.Span(c.WorkerID(), obs.KindWaveItem, t0, time.Since(t0), traceID)
+	if runners == 0 || !asWave(nb, runners) {
+		for b := 0; b < nb; b++ {
+			if c.Cancelled() {
+				return errRunCancelled
+			}
+			if err := pm.block(ctx, c, b/nn, b%nn, ws, traceID); err != nil {
+				return err
+			}
+			ws.done.Add(1)
 		}
+		return nil
+	}
+	// Only this branch hands pm and the runner's parameters to other
+	// tasks, so a member whose blocks run in turn allocates nothing.
+	p, e, done := *pm, ws.e, &ws.done
+	e.serialCutoff = noSpawn
+	before := done.Load()
+	err := pullWave(ctx, c, &e, runners, nb, &ws.stats, func(c *sched.Ctx, ws *waveWS, b int) error {
+		err := p.block(ctx, c, b/nn, b%nn, ws, traceID)
 		if err == nil {
 			done.Add(1)
 		}
 		return err
 	})
-	return int(done.Load()), err
+	if err == nil && done.Load()-before < int64(nb) { // the runners saw the run cancelled
+		err = errRunCancelled
+	}
+	return err
 }
 
-// waveWS is one runner's workspace: its private copy of the execution
-// parameters (a batched wave swaps each member's kernel and cutoff in
-// without racing the other runners), the product tile, and — for a
-// batch member — the transient plans its operands are packed into; a
-// deferred operand's segments are packed, one at a time, into the same
-// first blocks (one). Buffers persist across the steps a runner
-// executes: acquired on first use, regrown only for a larger size class,
-// and returned to the pool once, when the runner drains.
+// waveWS is one runner's workspace: its copy of the execution parameters
+// (each member's kernel and cutoff swapped in), the product tile, the
+// transient plans a member's operands are packed into, and the buffers
+// of a deferred operand's segments (one). Buffers persist across the
+// runner's steps, regrown only for a larger size class, and return to
+// the pool once, when the runner drains.
 type waveWS struct {
 	e      exec
 	err    error // the step error that stopped the runner
 	tc     Tiled
 	pa, pb Prepacked
-	one    [2]Tiled // pa's and pb's first block: an unsplit member allocates no headers
+	one    [2]Tiled
 	stats  Stats
+	// done counts the member in hand's completed C blocks (steps of them
+	// when the k chain is cut), here or on the runners it spread to.
+	done  atomic.Int64
+	total int
 }
 
 func (ws *waveWS) release() {
 	releaseTiled(&ws.tc)
+	releaseTiled(&ws.one[0])
+	releaseTiled(&ws.one[1])
 	ws.pa.Release()
 	ws.pb.Release()
 }
@@ -609,7 +539,6 @@ func pullWave(ctx context.Context, c *sched.Ctx, e *exec, n, count int, stats *S
 		ws := &wss[st.runner.Add(1)-1]
 		ws.e = *e
 		ws.e.shared = n > 1
-		ws.pa.blocks, ws.pb.blocks = ws.one[0:0:1], ws.one[1:1:2]
 		clean := false
 		defer func() {
 			ws.release()
@@ -660,7 +589,7 @@ func pullWave(ctx context.Context, c *sched.Ctx, e *exec, n, count int, stats *S
 	return err
 }
 
-// merge folds one runner workspace's counters into the call's stats.
+// merge folds a runner workspace's counters into the call's stats.
 func (s *Stats) merge(ws *Stats) {
 	s.ConvertBytes += ws.ConvertBytes
 	s.Blocks += ws.Blocks

@@ -66,7 +66,7 @@ type Prepacked struct {
 // second operand use PrepackConforming, which adopts the first plan's
 // geometry by construction.
 func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense, trans bool) (p *Prepacked, err error) {
-	cl, err := enter(ctx, pool, opts, "Prepack", 0)
+	cl, err := enter(ctx, pool, opts, "Prepack")
 	defer leave(cl, &p, &err)
 	if err != nil {
 		return nil, err
@@ -103,7 +103,7 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 // operand form MulTiledCtx multiplies, on the depth and tiles a plan of
 // its shape gets.
 func PackTiled(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense) (t *Tiled, err error) {
-	cl, err := enter(ctx, pool, opts, "Pack", 0)
+	cl, err := enter(ctx, pool, opts, "Pack")
 	defer leave(cl, &t, &err)
 	if err != nil {
 		return nil, err
@@ -135,7 +135,7 @@ func PackTiled(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.
 // that product would be refused for — an unknown KernelName — are
 // refused here.
 func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense, trans bool, like *Prepacked) (p *Prepacked, err error) {
-	cl, err := enter(ctx, pool, opts, "PrepackConforming", 0)
+	cl, err := enter(ctx, pool, opts, "PrepackConforming")
 	defer leave(cl, &p, &err)
 	if err != nil {
 		return nil, err
@@ -176,21 +176,14 @@ func conformSegs(o Options, like *Prepacked, c int) (cs []tile.Seg, tc int, err 
 	return cs, tc, err
 }
 
-// recursive is the one refusal of the canonical layouts, by the entry
-// points that keep operands packed beyond one product — a plan, a tiled
-// operand, a wave: canonical storage has no conversion to amortize.
-func (cl *call) recursive() error {
-	if !cl.o.Curve.Recursive() {
-		return fmt.Errorf("core: %s requires a recursive layout, got %v", cl.what, cl.o.Curve)
-	}
-	return nil
-}
-
 // prepackShape validates the preconditions of an entry point that packs
-// one operand and returns the logical op(src) extents.
+// one operand and returns the logical op(src) extents. It is the one
+// refusal of the canonical layouts, by the entry points that keep an
+// operand packed beyond one product — a plan, a tiled operand: canonical
+// storage has no conversion to amortize.
 func (cl *call) prepackShape(src *matrix.Dense, trans bool) (r, c int, err error) {
-	if err := cl.recursive(); err != nil {
-		return 0, 0, err
+	if !cl.o.Curve.Recursive() {
+		return 0, 0, fmt.Errorf("core: %s requires a recursive layout, got %v", cl.what, cl.o.Curve)
 	}
 	if src == nil {
 		return 0, 0, fmt.Errorf("%w: %s of a nil operand", ErrDimension, cl.what)
@@ -213,9 +206,23 @@ func maxSegLen(segs []tile.Seg) (m int) {
 }
 
 // newPlan is the empty plan of hdr's geometry over rs×cs segments.
-func newPlan(hdr Tiled, rs, cs []tile.Seg) *Prepacked {
-	return &Prepacked{Curve: hdr.Curve, D: hdr.D, TR: hdr.TR, TC: hdr.TC, Rows: segsLen(rs), Cols: segsLen(cs),
-		RSegs: rs, CSegs: cs, hdr: hdr}
+func newPlan(hdr Tiled, rs, cs []tile.Seg) *Prepacked { return new(Prepacked).repack(hdr, rs, cs) }
+
+// repack empties p into the plan of hdr's geometry over rs×cs segments,
+// for fill or fillTransposed to fill. A runner's transient plan keeps the
+// block headers and buffers of the members before it, regrown only for
+// more segments or a larger size class, so a steady-state wave allocates
+// nothing per member.
+func (p *Prepacked) repack(hdr Tiled, rs, cs []tile.Seg) *Prepacked {
+	*p = Prepacked{Curve: hdr.Curve, D: hdr.D, TR: hdr.TR, TC: hdr.TC, Rows: segsLen(rs), Cols: segsLen(cs),
+		RSegs: rs, CSegs: cs, hdr: hdr, blocks: p.blocks}
+	return p
+}
+
+// repackTransposed empties q into the plan of pᵀ: mirrored tiles and
+// segments.
+func (q *Prepacked) repackTransposed(p *Prepacked) *Prepacked {
+	return q.repack(Tiled{Curve: p.Curve, D: p.D, TR: p.TC, TC: p.TR}, p.CSegs, p.RSegs)
 }
 
 // resident is the run of an entry point that returns a plan, p, which
@@ -241,16 +248,8 @@ func (p *Prepacked) fill(e *exec, c *sched.Ctx, stats *Stats, src *matrix.Dense,
 		p.src, p.trans = src, trans
 		return
 	}
-	// A runner's transient plan (repack) brings the headers, and the
-	// buffers, of the members before it.
-	nc, n := len(p.CSegs), len(p.RSegs)*len(p.CSegs)
-	if p.blocks = p.blocks[:cap(p.blocks)]; n > len(p.blocks) {
-		p.blocks = append(p.blocks, make([]Tiled, n-len(p.blocks))...)
-	}
-	p.blocks = p.blocks[:n]
-	for b := range p.blocks {
-		p.blocks[b].refit(stats, p.hdr, p.RSegs[b/nc].Len, p.CSegs[b%nc].Len)
-	}
+	p.fit(stats)
+	nc := len(p.CSegs)
 	if e.serialCutoff < noSpawn && asWave(len(p.blocks), c.Workers()) {
 		se := *e
 		se.serialCutoff = noSpawn
@@ -266,6 +265,18 @@ func (p *Prepacked) fill(e *exec, c *sched.Ctx, stats *Stats, src *matrix.Dense,
 	}
 	if stats != nil {
 		stats.ConvertBytes += p.Bytes()
+	}
+}
+
+// fit sizes p's blocks to its segments on its header.
+func (p *Prepacked) fit(stats *Stats) {
+	nc, n := len(p.CSegs), len(p.RSegs)*len(p.CSegs)
+	if p.blocks = p.blocks[:cap(p.blocks)]; n > len(p.blocks) {
+		p.blocks = append(p.blocks, make([]Tiled, n-len(p.blocks))...)
+	}
+	p.blocks = p.blocks[:n]
+	for b := range p.blocks {
+		p.blocks[b].refit(stats, p.hdr, p.RSegs[b/nc].Len, p.CSegs[b%nc].Len)
 	}
 }
 
@@ -340,17 +351,6 @@ func (p *Prepacked) Release() {
 	}
 }
 
-// repack refills a wave runner's transient plan with op(src) cut into
-// rs×cs segments on hdr's geometry. The block headers grow when a member
-// has more segments than any before it and keep their buffers across
-// members, so a steady-state wave allocates nothing per member.
-func (p *Prepacked) repack(e *exec, c *sched.Ctx, stats *Stats, hdr Tiled, rs, cs []tile.Seg, src *matrix.Dense, trans bool) {
-	blocks := p.blocks
-	*p = *newPlan(hdr, rs, cs)
-	p.blocks = blocks
-	p.fill(e, c, stats, src, trans, false)
-}
-
 // Transposed derives the plan of op(src)ᵀ entirely inside the recursive
 // layout: block (i, j) of the result is the in-layout transpose of
 // block (j, i), built with packTransposeOf — the column-major source is
@@ -358,7 +358,7 @@ func (p *Prepacked) repack(e *exec, c *sched.Ctx, stats *Stats, hdr Tiled, rs, c
 // product (SYRK's α·A·Aᵀ) serves both operand slots from a single
 // conversion pass.
 func (p *Prepacked) Transposed(ctx context.Context, pool *sched.Pool) (q *Prepacked, err error) {
-	cl, err := enter(ctx, pool, Options{}, "Transposed", 0)
+	cl, err := enter(ctx, pool, Options{}, "Transposed")
 	defer leave(cl, &q, &err)
 	if err != nil {
 		return nil, err
@@ -366,56 +366,42 @@ func (p *Prepacked) Transposed(ctx context.Context, pool *sched.Pool) (q *Prepac
 	if p.released {
 		return nil, fmt.Errorf("%w: Transposed of a released plan", ErrDimension)
 	}
-	q = p.transposedPlan()
+	q = new(Prepacked).repackTransposed(p)
 	return cl.resident(ctx, q, func(e *exec, c *sched.Ctx) { q.fillTransposed(e, c, nil, p) })
 }
 
-// transposedPlan is the empty plan of pᵀ: mirrored tiles and segments.
-func (p *Prepacked) transposedPlan() *Prepacked {
-	return newPlan(Tiled{Curve: p.Curve, D: p.D, TR: p.TC, TC: p.TR}, p.CSegs, p.RSegs)
-}
-
 // fillTransposed is fill from p, whose transpose q is, in place of a
-// column-major source; stats, when non-nil, is the per-call driver's (it
-// derives a transient B plan from A's this way).
+// column-major source; stats, when non-nil, is the member's (it derives
+// a transient B plan from A's this way).
 func (q *Prepacked) fillTransposed(e *exec, c *sched.Ctx, stats *Stats, p *Prepacked) {
-	q.blocks = make([]Tiled, len(p.blocks))
-	for i, sr := range q.RSegs {
-		for j, sc := range q.CSegs {
-			t := q.Block(i, j)
-			t.refit(stats, q.hdr, sr.Len, sc.Len)
-			t.packTransposeOf(e, c, p.Block(j, i))
+	q.fit(stats)
+	for i := range q.RSegs {
+		for j := range q.CSegs {
+			q.Block(i, j).packTransposeOf(e, c, p.Block(j, i))
 		}
 	}
 }
 
 // GEMMPrepacked computes C ← α·A·B + β·C where A and B are prepacked
-// plans (any transposition was folded at Prepack time). It is GEMMCtx's
-// run (call.multiply) with the pack step already done: per block, the
-// driver zero-fills a pooled tiled C, accumulates the plan blocks'
-// products into it, and folds α plus the accumulate into the unpack — so
-// a steady-state call reports Stats.ConvertIn ≈ 0 (only the C
-// zero-fill), ConvertBytes counting only the C epilogue, and PackReused
-// counting every operand the plans served. α = 0 β-scales C and plans,
-// admits and packs nothing, as GEMMCtx does.
+// plans (any transposition was folded at Prepack time): GEMMCtx's member
+// body with the pack step done, so a steady-state call reports
+// ConvertIn ≈ 0 (the C zero-fill), ConvertBytes counting only the C
+// epilogue, and PackReused every operand the plans served. α = 0 β-scales
+// C and plans, admits and packs nothing, as GEMMCtx does; the failure
+// contract is GEMMCtx's.
 //
 // The plans must conform (conformPlans; ErrDimension otherwise): same
-// curve and depth, pa's column tiling and segments equal to pb's row
-// tiling and segments. Plans created by one Prepack call and its
-// Transposed always conform; independently prepacked operands conform
-// when tile selection lands on the same depth for the shared dimension
-// (the default configuration's preferred tile size makes this the common
-// case), and the call validates before touching C. Options select
-// algorithm, kernel, and cutoffs; layout and tile options are ignored in
-// favor of the plans' geometry, and MaxResidualGrowth is not applied
-// (the probe needs column-major operands).
-//
-// The failure contract matches GEMMCtx: on error or cancellation C
-// holds the β-scaled input plus fully completed block products only.
+// curve and depth, pa's column tiling and segments pb's row ones. Plans
+// of one Prepack call and its Transposed always conform; independently
+// prepacked ones do when tile selection lands on the same depth for the
+// shared dimension (the default configuration's common case). Options
+// select algorithm, kernel and cutoffs; layout and tile options yield to
+// the plans' geometry, and MaxResidualGrowth is not applied (the probe
+// needs column-major operands).
 func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha float64,
 	pa, pb *Prepacked, beta float64, C *matrix.Dense) (stats *Stats, err error) {
 
-	cl, err := enter(ctx, pool, opts, "GEMMPrepacked", opts.TraceID)
+	cl, err := enter(ctx, pool, opts, "GEMMPrepacked")
 	defer func() { cl.end(stats, err) }()
 	defer leave(cl, &stats, &err)
 	if err != nil {
@@ -434,8 +420,7 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 	// allocated once, outside this call, and are charged to the plan —
 	// only the in-flight C tiles and the arena count against the budget.
 	cl.o.Curve = pa.Curve
-	return cl.multiply(ctx, planMul{alpha: alpha, beta: beta, C: C, reused: 2}, given{pa: pa, pb: pb, resident: true},
-		pa.Rows, pa.Cols, pb.Cols, nil, nil, false, false)
+	return cl.one(ctx, &wave{gv: given{pa: pa, pb: pb, resident: true}, items: []BatchItem{{Alpha: alpha, Beta: beta, C: C}}})
 }
 
 // conformPlans is the one check that packed operands multiply as A·B —

@@ -160,6 +160,27 @@ func TestResidualProbeDegradesToStandard(t *testing.T) {
 	}
 }
 
+// TestResidualProbeDegradesBatchOfOne: a one-item batch is its GEMMCtx
+// twin, so it probes residual growth and degrades to Standard as the
+// call does, with the same note and the same bits.
+func TestResidualProbeDegradesBatchOfOne(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(9))
+	n := 64
+	A, B := matrix.Random(n, n, rng), matrix.Random(n, n, rng)
+	opts := Options{Curve: layout.ZMorton, Alg: Strassen, ForceTile: 16, MaxResidualGrowth: 1e-9}
+	C := matrix.New(n, n)
+	st, err := GEMM(pool, opts, false, false, 1, A, B, 0, C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := batchOfOne(t, "probe", pool, opts, 1, A, B, 0, matrix.New(n, n), C, st)
+	if bs.Alg != Standard || len(bs.Degraded) == 0 {
+		t.Fatalf("one-item GEMMBatch: alg = %v, notes %q; want Standard after probe degradation", bs.Alg, bs.Degraded)
+	}
+}
+
 func TestResidualProbeAllowsFastAlgorithm(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()

@@ -172,7 +172,7 @@ func (t *Tiled) packTiles(src *matrix.Dense, trans bool, alpha float64, a tileAd
 // discarding padding: the fused epilogue's walk storing 0 + 1·t (a −0
 // lands as +0). An entry point; pool may be nil.
 func (t *Tiled) Unpack(ctx context.Context, pool *sched.Pool) (dst *matrix.Dense, err error) {
-	cl, err := enter(ctx, pool, Options{}, "Unpack", 0)
+	cl, err := enter(ctx, pool, Options{}, "Unpack")
 	defer leave(cl, &dst, &err)
 	if err != nil {
 		return nil, err

@@ -53,6 +53,34 @@ func blocksScaledOrComplete(t *testing.T, what string, cfg tile.Config, k int, C
 	return complete
 }
 
+// batchOfOne runs a product as a one-item GEMMBatch on a copy of C0 and
+// holds it to its GEMMCtx twin, which left want and reported st: a wave
+// of one member is the call, so the bits and what Stats say was planned,
+// admitted and packed are the twin's.
+func batchOfOne(t *testing.T, what string, pool *sched.Pool, opts Options, alpha float64, A, B *matrix.Dense, beta float64,
+	C0, want *matrix.Dense, st *Stats) *BatchStats {
+	t.Helper()
+	got := C0.Clone()
+	bs, errs, err := GEMMBatch(context.Background(), pool, opts, []BatchItem{{Alpha: alpha, A: A, B: B, Beta: beta, C: got}})
+	if err == nil {
+		err = errs[0]
+	}
+	if err != nil {
+		t.Fatalf("%s: one-item GEMMBatch: %v", what, err)
+	}
+	b := &bs.Stats
+	if b.Alg != st.Alg || fmt.Sprint(b.Degraded) != fmt.Sprint(st.Degraded) || b.EstimatedBytes != st.EstimatedBytes ||
+		b.Blocks != st.Blocks || b.PackDeferred != st.PackDeferred || b.ConvertBytes != st.ConvertBytes {
+		t.Errorf("%s: one-item GEMMBatch ran %v %q, est %d, %d blocks, %d deferred, %d converted; GEMMCtx %v %q, est %d, %d blocks, %d deferred, %d converted",
+			what, b.Alg, b.Degraded, b.EstimatedBytes, b.Blocks, b.PackDeferred, b.ConvertBytes,
+			st.Alg, st.Degraded, st.EstimatedBytes, st.Blocks, st.PackDeferred, st.ConvertBytes)
+	}
+	if !matrix.Equal(got, want, 0) {
+		t.Errorf("%s: one-item GEMMBatch bits differ from GEMMCtx's, max diff %g", what, matrix.MaxAbsDiff(got, want))
+	}
+	return bs
+}
+
 // TestWaveMemBudgetGroups: the transient plan is charged once per call;
 // a budget it exceeds makes the wave walk the plan in groups that fit.
 // Grouping the larger operand's panels — A's rows for a tall A, B's
@@ -61,7 +89,8 @@ func blocksScaledOrComplete(t *testing.T, what string, cfg tile.Config, k int, C
 // least a call can run in: one panel of each operand, and — the lean
 // 20×300 · 300×300, whose B is packed by its blocks and has no plan to
 // cut — one k segment of A at a time. Only a budget below that rejects
-// the call, before C is touched.
+// the call, before C is touched. Beside every call runs its one-item
+// batch, which walks, degrades and is refused exactly as the call is.
 func TestWaveMemBudgetGroups(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -98,6 +127,7 @@ func TestWaveMemBudgetGroups(t *testing.T) {
 			if len(full.Degraded) != 0 || full.Blocks != tc.blocks {
 				t.Fatalf("%s: unbudgeted run: blocks=%d notes=%v", what, full.Blocks, full.Degraded)
 			}
+			batchOfOne(t, what+", unbudgeted", pool, opts, 1.5, A, B, beta, C, want, full)
 			ms, ks, ns := opts.Tile.SplitDims(tc.m, tc.k, tc.n)
 			segA, segB := 8*int64(full.PaddedM*full.PaddedK), 8*int64(full.PaddedK*full.PaddedN)
 			// An operand one row or column of C blocks consumes has no plan.
@@ -134,6 +164,7 @@ func TestWaveMemBudgetGroups(t *testing.T) {
 			if len(st.Degraded) != 1 || !strings.Contains(st.Degraded[0], tc.walk) {
 				t.Errorf("%s: Degraded = %q, want one note %q", what, st.Degraded, tc.walk)
 			}
+			batchOfOne(t, what+", budgeted", pool, opts, 1.5, A, B, beta, C, got, st)
 			if tc.minimal {
 				// A cut k chain lands in several epilogues: same product,
 				// another association.
@@ -156,6 +187,12 @@ func TestWaveMemBudgetGroups(t *testing.T) {
 			}
 			if !matrix.Equal(untouched, C, 0) {
 				t.Errorf("%s: admission rejected the call after touching C", what)
+			}
+			if _, _, err := GEMMBatch(context.Background(), pool, opts, []BatchItem{{Alpha: 1.5, A: A, B: B, Beta: beta, C: untouched}}); !errors.Is(err, ErrMemBudget) {
+				t.Errorf("%s: one-item GEMMBatch: err = %v, want ErrMemBudget", what, err)
+			}
+			if !matrix.Equal(untouched, C, 0) {
+				t.Errorf("%s: admission rejected the one-item batch after touching C", what)
 			}
 		}
 	}
@@ -417,24 +454,44 @@ func TestStressWaveFaultInjection(t *testing.T) {
 
 // TestWaveStatsAndTrace: Stats of a split call describe the shared plan
 // and the wave's single scheduler run, and the trace shows pack → wave
-// with one wave-item span per C block instead of per-block phases.
+// with one wave-item span per C block instead of per-block phases. The
+// same product as a one-item batch traced for a request draws the same
+// spans, each block's carrying the item's trace id, which links it to
+// the request's lane.
 func TestWaveStatsAndTrace(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(165))
 	A, B := matrix.Random(waveM, waveK, rng), matrix.Random(waveK, waveN, rng)
 	C := matrix.New(waveM, waveN)
-	opts := Options{Curve: layout.ZMorton, Alg: Standard, Tile: testTile, TraceID: 77}
+	opts := Options{Curve: layout.ZMorton, Alg: Standard, Tile: testTile}
 
-	tr := obs.NewTracer(pool.Workers(), 0)
-	if err := obs.Install(tr); err != nil {
-		t.Fatal(err)
+	traced := func(run func() error) obs.TraceSummary {
+		t.Helper()
+		tr := obs.NewTracer(pool.Workers(), 0)
+		if err := obs.Install(tr); err != nil {
+			t.Fatal(err)
+		}
+		err := run()
+		obs.Uninstall(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.Export(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := obs.ValidateChromeTrace(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
 	}
-	st, err := GEMM(pool, opts, false, false, 1, A, B, 0, C)
-	obs.Uninstall(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var st *Stats
+	sum := traced(func() (err error) {
+		st, err = GEMM(pool, opts, false, false, 1, A, B, 0, C)
+		return err
+	})
 	// 5 row segments of 60 on a depth-2 grid of 15×5×5 tiles.
 	if st.Blocks != 5 || st.Depth != 2 || st.TileM != 15 || st.TileK != 5 || st.TileN != 5 || st.PaddedM != 60 {
 		t.Errorf("plan geometry: blocks=%d depth=%d tiles %dx%dx%d padded m %d", st.Blocks, st.Depth, st.TileM, st.TileK, st.TileN, st.PaddedM)
@@ -463,37 +520,51 @@ func TestWaveStatsAndTrace(t *testing.T) {
 	if st.Total() <= 0 || st.ConvertIn <= 0 || st.Compute <= 0 || st.ConvertOut <= 0 {
 		t.Errorf("phase timers: in=%v compute=%v out=%v", st.ConvertIn, st.Compute, st.ConvertOut)
 	}
-
-	var buf bytes.Buffer
-	if err := tr.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := obs.ValidateChromeTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The call's own wave-item instant (its TraceID) plus one span per
-	// block; a packed segment is a span — B's one up front (too small to
-	// chunk), A's five in the wave.
-	for name, want := range map[string]int{"wave-item": 6, "convert-in": 1, "compute": 1, "convert-out": 0, "pack": 1 + 5} {
+	// One span per block; a packed segment is a span — B's one up front
+	// (too small to chunk), A's five in the wave.
+	spans := map[string]int{"wave-item": 5, "convert-in": 1, "compute": 1, "convert-out": 0, "pack": 1 + 5}
+	for name, want := range spans {
 		if sum.ByName[name] != want {
 			t.Errorf("trace has %d %q events, want %d (%v)", sum.ByName[name], name, want, sum.ByName)
 		}
 	}
+
+	const id = 77
+	sum = traced(func() error {
+		tr := obs.Cur()
+		t0 := time.Now()
+		_, errs, err := GEMMBatch(context.Background(), pool, opts, []BatchItem{{Alpha: 1, A: A, B: B, C: C, TraceID: id}})
+		tr.LaneSpan(tr.NewLane(), obs.KindRequest, t0, time.Since(t0), id)
+		if err != nil {
+			return err
+		}
+		return errs[0]
+	})
+	spans["request"] = 1
+	for name, want := range spans {
+		if sum.ByName[name] != want {
+			t.Errorf("one-item batch: trace has %d %q events, want %d (%v)", sum.ByName[name], name, want, sum.ByName)
+		}
+	}
+	// One flow from the request to each of the five blocks: every block
+	// span carries the item's id.
+	if sum.FlowLinks != 1 || sum.Flows != 1+5 {
+		t.Errorf("one-item batch: %d flow links, %d flow events; want 1 and 1+5", sum.FlowLinks, sum.Flows)
+	}
 }
 
 // TestPackedEntryPointsTrace: GEMMPrepacked and MulTiledCtx run GEMMCtx's
-// body (call.multiply) and draw on the call's lane what they drew before
-// it was theirs: the call's wave-item instant (its TraceID), the wave's
-// compute span, a wave-item span per block when runners share the blocks
-// and the block's own phases when one runner walks them — and, since
-// they pack nothing, no convert-in span of the run's own and no pack.
+// member body (wave.body) and draw on the call's lane what it draws:
+// the wave's compute span, a wave-item span per block when runners share
+// the blocks and the block's own phases when one runner walks them —
+// and, since they pack nothing, no convert-in span of the run's own and
+// no pack.
 func TestPackedEntryPointsTrace(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(166))
-	opts := Options{Curve: layout.ZMorton, Alg: Standard, Tile: testTile, TraceID: 78}
+	opts := Options{Curve: layout.ZMorton, Alg: Standard, Tile: testTile}
 	traced := func(what string, run func() (*Stats, error)) map[string]int {
 		t.Helper()
 		tr := obs.NewTracer(pool.Workers(), 0)
@@ -550,15 +621,15 @@ func TestPackedEntryPointsTrace(t *testing.T) {
 	}{
 		{"GEMMPrepacked, five blocks on two runners", func() (*Stats, error) {
 			return GEMMPrepacked(ctx, pool, opts, 1, wa, wb, 0, matrix.New(waveM, waveN))
-		}, map[string]int{"wave-item": 1 + 5, "convert-in": 0, "compute": 1, "convert-out": 0, "pack": 0}},
+		}, map[string]int{"wave-item": 5, "convert-in": 0, "compute": 1, "convert-out": 0, "pack": 0}},
 		// The block's own convert-in is its C tile's zero-fill.
 		{"GEMMPrepacked, one block", func() (*Stats, error) {
 			return GEMMPrepacked(ctx, pool, opts, 1, sa, sb, 0, matrix.New(32, 32))
-		}, map[string]int{"wave-item": 1, "convert-in": 1, "compute": 1, "convert-out": 1, "pack": 0}},
+		}, map[string]int{"wave-item": 0, "convert-in": 1, "compute": 1, "convert-out": 1, "pack": 0}},
 		// A tiled C takes the product in place: no zero-fill, no epilogue.
 		{"MulTiledCtx", func() (*Stats, error) {
 			return MulTiledCtx(ctx, pool, opts, tc, ta, tb)
-		}, map[string]int{"wave-item": 1, "convert-in": 0, "compute": 1, "convert-out": 0, "pack": 0}},
+		}, map[string]int{"wave-item": 0, "convert-in": 0, "compute": 1, "convert-out": 0, "pack": 0}},
 	} {
 		got := traced(tc.what, tc.run)
 		for name, want := range tc.want {

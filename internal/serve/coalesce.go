@@ -19,7 +19,7 @@ import (
 // its slot join it — the batching window is the admission queue itself,
 // so an idle server, whose leader's acquire returns at once, groups
 // nothing and pays nothing. A request without a key is a group of one.
-// What the group's size picks is the engine call and nothing else: the
+// Every group makes one batch call, a group of one included: the
 // member's context, its operands, its ledger and its response are made
 // in one place each.
 //
@@ -263,29 +263,25 @@ func (co *coalescer) run(members []*member, queued time.Duration) {
 	}
 
 	// One engine call, one MemBudget: the most constrained member's, so
-	// no member's quota is overrun by the group it happened to join. The
-	// engine stamps TraceID on a single call's trace lane, joining the
-	// request lane to the driver spans it produced; a wave's items carry
-	// their own.
+	// no member's quota is overrun by the group it happened to join.
 	m0 := live[0]
-	opts := &recmat.Options{Layout: m0.lay, Algorithm: m0.alg, MemBudget: m0.budget, TraceID: m0.rs.trace}
+	opts := &recmat.Options{Layout: m0.lay, Algorithm: m0.alg, MemBudget: m0.budget}
 	for _, m := range live[1:] {
 		opts.MemBudget = min(opts.MemBudget, m.budget)
 	}
 
-	// The engine call is read off the group: a wave against the shared
-	// plan, one product against it, or one product that packs its own A
-	// — a group of one pays none of the batch bookkeeping. rep is the
-	// report of the call that produced every live member's C; pack is
-	// the conversion done for it outside that report, building the plan
-	// on a miss and packing a single product's B; per is how many
-	// members the report's times are spread over on the wire.
+	// The engine call is one batch call whatever the group's size: a wave
+	// against the shared plan when the group is keyed, else one item that
+	// packs its own A. The wave's lifetime is detached from any one member
+	// (a leader whose client disconnects must not abort its siblings) and
+	// ends only with drain; each member brings its own context and trace
+	// serial. pack is the conversion done outside the call's report,
+	// building the plan on a miss.
 	var (
 		ent  *planEntry
-		rep  *recmat.Report
+		bs   *recmat.BatchReport
 		pack time.Duration
-		per  = int64(1)
-		errs []error // by live member, of a wave
+		errs []error // by live member
 		err  error   // of the call as a whole
 	)
 	call := time.Now()
@@ -296,38 +292,30 @@ func (co *coalescer) run(members []*member, queued time.Duration) {
 		}
 		defer s.plans.release(ent)
 		pack = time.Since(call)
-	}
-	switch {
-	case len(live) > 1:
 		items := make([]recmat.PrepackedGEMMBatchItem, len(live))
 		for i, m := range live {
 			items[i] = recmat.PrepackedGEMMBatchItem{
 				Alpha: m.req.alpha(), Beta: m.req.Beta, B: m.B, C: m.C, Ctx: m.ctx, TraceID: m.rs.trace,
 			}
 		}
-		// The wave's own lifetime is detached from any one member (a
-		// leader whose client disconnects must not abort its siblings)
-		// and ends only with drain.
-		var bs *recmat.BatchReport
-		if bs, errs, err = s.eng.GEMMPrepackedBatch(s.drainCtx, ent.Plan(), items, opts); err == nil {
-			rep, per = &bs.Stats, int64(max(bs.Completed, 1))
+		bs, errs, err = s.eng.GEMMPrepackedBatch(s.drainCtx, ent.Plan(), items, opts)
+	} else {
+		items := make([]recmat.GEMMBatchItem, len(live))
+		for i, m := range live {
+			items[i] = recmat.GEMMBatchItem{
+				Alpha: m.req.alpha(), A: m.A, B: m.B, Beta: m.req.Beta, C: m.C, Ctx: m.ctx, TraceID: m.rs.trace,
+			}
 		}
-	case keyed:
-		var pb *recmat.Plan
-		pb, err = s.eng.PrepackConforming(m0.B, false, opts, ent.Plan())
-		pack = time.Since(call)
-		if err == nil {
-			rep, err = s.eng.GEMMPrepackedOpts(m0.ctx, opts, m0.req.alpha(), ent.Plan(), pb, m0.req.Beta, m0.C)
-			pb.Release()
-		}
-	default:
-		rep, err = s.eng.DGEMMContext(m0.ctx, false, false, m0.req.alpha(), m0.A, m0.B, m0.req.Beta, m0.C, opts)
+		bs, errs, err = s.eng.GEMMBatch(s.drainCtx, items, opts)
 	}
 	wall := time.Since(call)
 	if err != nil {
 		co.fail(live, err)
 		return
 	}
+	// rep produced every live member's C; per is how many members its
+	// times are spread over on the wire.
+	rep, per := &bs.Stats, int64(max(bs.Completed, 1))
 
 	// One place stamps a ledger and settles a member. Pack, compute and
 	// unpack are the call's walls — a wave's are shared by its members,
@@ -336,7 +324,7 @@ func (co *coalescer) run(members []*member, queued time.Duration) {
 	// meaningful — and the lane span covers the whole call, so a trace
 	// shows where the request's wall went even when conversion is free.
 	for i, m := range live {
-		if errs != nil && errs[i] != nil {
+		if errs[i] != nil {
 			co.settle(m, nil, errs[i])
 			continue
 		}

@@ -362,21 +362,35 @@ func TestDrainDuringCoalesce(t *testing.T) {
 	}
 }
 
-// TestOneSpecEveryGroup: what group a request rode in picks the engine
-// call and nothing a client can see in C. One spec — unnamed on the
-// library's layout, named alone, named on a server that coalesces nothing,
-// and named in a held-slot wave of four — is right by brute force every
-// time, one set of bits whenever it is named, and reports the
-// plan_cached / coalesced / batch_size its group had.
+// TestOneSpecEveryGroup: what group a request rode in picks nothing a
+// client can see in C, and every group makes one engine call — one batch
+// call, counted once as a gemm call too. One spec — unnamed on the
+// library's layout and on column-major storage, named alone, named on a
+// server that coalesces nothing, and named in a held-slot wave of four —
+// is right by brute force every time, one set of bits whenever it is
+// named, and reports the plan_cached / coalesced / batch_size its group
+// had.
 func TestOneSpecEveryGroup(t *testing.T) {
 	alpha := 1.5
 	spec := Request{
 		Tenant: "acme", M: 96, K: 96, N: 24, ASeed: 5, BSeed: 6, CSeed: 7,
 		Alpha: &alpha, Beta: 0.5, DeadlineMS: 5000, ReturnData: true,
 	}
-	named := spec
+	named, col := spec, spec
 	named.AName, named.Layout = "w", "z"
+	col.Layout = "col"
 	want, _ := refGEMM(&spec)
+
+	// oneCall holds a group to one engine call: run it and count.
+	oneCall := func(row string, s *Server, group func()) {
+		t.Helper()
+		batch, gemm := s.Metrics().Counter("gemm_batch_calls"), s.Metrics().Counter("gemm_calls")
+		b0, g0 := batch.Value(), gemm.Value()
+		group()
+		if b, g := batch.Value()-b0, gemm.Value()-g0; b != 1 || g != 1 {
+			t.Errorf("%s: the group made %d batch calls and %d gemm calls, want one of each", row, b, g)
+		}
+	}
 
 	var bits []float64 // of the first named answer
 	check := func(row string, resp *Response, err error, cached, coalesced bool, size int) {
@@ -405,14 +419,23 @@ func TestOneSpecEveryGroup(t *testing.T) {
 	}
 
 	s, c := newTestServer(t, Config{Workers: 2, MaxInflight: 1, QueueDepth: 64, MaxQueueWait: 5 * time.Second})
-	resp, err := c.Do(context.Background(), &spec)
-	check("unnamed", resp, err, false, false, 0)
-	resp, err = c.Do(context.Background(), &named)
-	check("named alone", resp, err, true, false, 1)
+	for _, r := range []struct {
+		row    string
+		req    *Request
+		cached bool
+		size   int
+	}{{"unnamed", &spec, false, 0}, {"unnamed, column-major", &col, false, 0}, {"named alone", &named, true, 1}} {
+		oneCall(r.row, s, func() {
+			resp, err := c.Do(context.Background(), r.req)
+			check(r.row, resp, err, r.cached, false, r.size)
+		})
+	}
 
-	_, off := newTestServer(t, Config{Workers: 2, MaxBatch: -1})
-	resp, err = off.Do(context.Background(), &named)
-	check("named, coalescing off", resp, err, true, false, 1)
+	soff, off := newTestServer(t, Config{Workers: 2, MaxBatch: -1})
+	oneCall("named, coalescing off", soff, func() {
+		resp, err := off.Do(context.Background(), &named)
+		check("named, coalescing off", resp, err, true, false, 1)
+	})
 
 	release, _, err := s.adm.acquire(context.Background())
 	if err != nil {
@@ -420,17 +443,19 @@ func TestOneSpecEveryGroup(t *testing.T) {
 	}
 	const n = 4
 	resps, errs := make([]*Response, n), make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i], errs[i] = c.Do(context.Background(), &named)
-		}(i)
-	}
-	waitGroup(t, s, &named, n)
-	release()
-	wg.Wait()
+	oneCall("named, wave of four", s, func() {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resps[i], errs[i] = c.Do(context.Background(), &named)
+			}(i)
+		}
+		waitGroup(t, s, &named, n)
+		release()
+		wg.Wait()
+	})
 	for i := 0; i < n; i++ {
 		check(fmt.Sprintf("named, wave member %d", i), resps[i], errs[i], true, true, n)
 	}

@@ -275,11 +275,6 @@ type Options struct {
 	// scale; useful bounds are typically 8–100. Zero disables the
 	// check.
 	MaxResidualGrowth float64
-	// TraceID, when non-zero, attributes this call to a served request
-	// in the active trace: the call's lane carries the id, and the
-	// Chrome-trace exporter links it back to the matching request lane.
-	// Serving layers set it per request; library callers leave it zero.
-	TraceID int64
 }
 
 func (o *Options) coreOptions() core.Options {
@@ -298,7 +293,6 @@ func (o *Options) coreOptions() core.Options {
 		PartnerDim:        o.PartnerDim,
 		MemBudget:         o.MemBudget,
 		MaxResidualGrowth: o.MaxResidualGrowth,
-		TraceID:           o.TraceID,
 	}
 }
 

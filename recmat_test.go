@@ -97,7 +97,7 @@ func TestNilOptionsDefaults(t *testing.T) {
 // included, which the parent refused as "ColMajor" — with the
 // reference's result. Naming a canonical layout is still refused by the
 // entry points that keep operands packed, in an error naming the one
-// that refused.
+// that refused; a batch runs ColMajor as DGEMM does.
 func TestNilOptionsEverywhere(t *testing.T) {
 	eng := NewEngine(2)
 	defer eng.Close()
@@ -177,15 +177,23 @@ func TestNilOptionsEverywhere(t *testing.T) {
 		for what, err := range map[string]error{
 			"Pack":    func() error { _, err := eng.Pack(A, o); return err }(),
 			"Prepack": func() error { _, err := eng.Prepack(A, false, o); return err }(),
-			"GEMMBatch": func() error {
-				_, _, err := eng.GEMMBatch(ctx, []GEMMBatchItem{{Alpha: 1, A: A, B: B, C: C}}, o)
-				return err
-			}(),
 		} {
 			if msg := what + " requires a recursive layout, got " + lo.String(); err == nil || !strings.Contains(err.Error(), msg) {
 				t.Errorf("%s(%v) = %v, want %q", what, lo, err, msg)
 			}
 		}
+	}
+	// A batch item runs on canonical storage as DGEMM does, and is refused
+	// row-major storage as DGEMM is.
+	C = NewMatrix(48, 56)
+	bs, errs, err = eng.GEMMBatch(ctx, []GEMMBatchItem{{Alpha: 1, A: A, B: B, C: C}}, &Options{Layout: ColMajor})
+	if err == nil {
+		err = errs[0]
+	}
+	ran("GEMMBatch", &bs.Stats, err, C, ColMajor)
+	_, _, err = eng.GEMMBatch(ctx, []GEMMBatchItem{{Alpha: 1, A: A, B: B, C: C}}, &Options{Layout: RowMajor})
+	if _, want := DGEMM(false, false, 1, A, B, 0, C, &Options{Layout: RowMajor}); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("GEMMBatch(RowMajor) = %v, want DGEMM's refusal %v", err, want)
 	}
 }
 
