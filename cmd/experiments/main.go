@@ -34,6 +34,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -64,7 +65,7 @@ const paperCutoff = 1
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to reproduce (1, 2, 4, 5, 6, 7); 0 = all")
-	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|quadtree|sched|dilation, or a gate: autoparity|streamparity|fringe|factor")
+	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|quadtree|sched|dilation|budget, or a gate: autoparity|streamparity|fringe|factor")
 	flag.Parse()
 	switch *exp {
 	case "autoparity":
@@ -103,6 +104,79 @@ func main() {
 	run(-1, "quadtree", quadtreeBaseline)
 	run(-1, "sched", schedStats)
 	run(-1, "dilation", dilation)
+	run(-1, "budget", budget)
+}
+
+// budget prints the MemBudget grid: each shape unbudgeted, then at 8 MiB
+// down to 64 KiB — the rung admission took, whether the bits equal the
+// unbudgeted call's, the bytes converted, the best of -reps wall times
+// and the tail of the last degradation note (how the packed segments were
+// fitted). Standard on the library's default kernel; a shape no rung fits
+// prints the refusal.
+func budget() {
+	eng := recmat.NewEngine(*workers)
+	defer eng.Close()
+	fmt.Printf("MemBudget grid: Standard, the library's default kernel, %d workers, best of %d\n", eng.Workers(), *reps)
+	fmt.Printf("%-14s %-9s %8s %-19s %-6s %10s %8s  %s\n", "shape", "layout", "budget", "ran", "bits", "converted", "best ms", "last note")
+	rng := rand.New(rand.NewSource(*seed))
+	lean, big := recmat.Random(48, 2048, rng), recmat.Random(2048, 2048, rng)
+	for _, c := range []struct {
+		name   string
+		A, B   *recmat.Matrix
+		transB bool
+		tile   recmat.TileConfig
+	}{
+		{"48x2048x2048", lean, big, false, recmat.TileConfig{}},
+		{"2048x2048x48T", big, lean, true, recmat.TileConfig{}},
+		{"20x300x300", recmat.Random(20, 300, rng), recmat.Random(300, 300, rng), false,
+			recmat.TileConfig{TMin: 4, TMax: 16, TSweet: 8, PadSlack: 0.05}},
+	} {
+		n := c.B.Cols
+		if c.transB {
+			n = c.B.Rows
+		}
+		for _, lo := range []recmat.Layout{recmat.ZMorton, recmat.ColMajor} {
+			var want *recmat.Matrix
+			for _, b := range []int64{0, 8 << 20, 4 << 20, 2 << 20, 1 << 20, 512 << 10, 256 << 10, 128 << 10, 64 << 10} {
+				opts := &recmat.Options{Layout: lo, Algorithm: recmat.Standard, Tile: c.tile, MemBudget: b}
+				C := recmat.NewMatrix(c.A.Rows, n)
+				var best time.Duration
+				var rep *recmat.Report
+				var err error
+				for r := 0; r < *reps && err == nil; r++ {
+					t0 := time.Now()
+					rep, err = eng.DGEMM(false, c.transB, 1, c.A, c.B, 0, C, opts)
+					if el := time.Since(t0); r == 0 || el < best {
+						best = el
+					}
+				}
+				budget := "none"
+				if b > 0 {
+					budget = fmt.Sprintf("%dK", b>>10)
+				}
+				if err != nil {
+					fmt.Printf("%-14s %-9v %8s refused: %v\n", c.name, lo, budget, err)
+					continue
+				}
+				bits := "exact"
+				if want == nil {
+					want = C
+				} else if !recmat.Equal(C, want, 0) {
+					bits = fmt.Sprintf("%.0e", recmat.MaxAbsDiff(C, want))
+				}
+				ran, note := rep.Alg.String(), ""
+				if rep.Serial {
+					ran += " serial"
+				}
+				if len(rep.Degraded) > 0 {
+					note = rep.Degraded[len(rep.Degraded)-1]
+					note = note[strings.LastIndex(note, "; ")+2:]
+				}
+				fmt.Printf("%-14s %-9v %8s %-19s %-6s %10d %8.1f  %s\n", c.name, lo, budget, ran, bits, rep.ConvertBytes,
+					float64(best.Microseconds())/1000, note)
+			}
+		}
+	}
 }
 
 // timeMul measures the best-of-reps end-to-end time of one configuration.

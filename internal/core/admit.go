@@ -48,20 +48,19 @@ func ladder(a Alg) []rung {
 // charge is what a call holds live, in elements — the terms of the
 // admission estimate. A buffer recycled from the pool is exactly as
 // resident as a fresh one, so pool hits are charged at full size. Only
-// operands owned by a *Prepacked* plan are exempt (segA and segB zero):
-// the plan allocated them once, outside the call, and they stay live
-// whatever admission decides — charging them again would make a budget
-// that admitted the prepack reject the multiplications it was built
-// for.
+// operands owned by a *Prepacked* plan are exempt: the plan allocated
+// them once, outside the call, and they stay live whatever admission
+// decides — charging them again would make a budget that admitted the
+// prepack reject the multiplications it was built for.
 type charge struct {
 	// alg is the algorithm the charge prices, whose ladder admit walks.
 	alg Alg
-	// segA and segB are one packed A and one packed B segment of a
-	// transient plan (or of operands the caller brings already tiled);
-	// plan counts them. When all of them do not fit the budget the block
-	// wave walks them in groups that do.
-	segA, segB int64
-	plan       groups
+	// held is the packed segments the call holds at once: its transient
+	// plans and operands the caller brings already tiled. own is the part
+	// the call packs itself; moved to its consumers (Prepacked.mat), it
+	// costs consume per product tile in flight instead — one A and one B
+	// segment.
+	held, own, consume int64
 	// deferA and deferB mark an operand packed by the blocks that multiply
 	// it: no plan, a segment riding in perBlock.
 	deferA, deferB bool
@@ -81,59 +80,20 @@ type charge struct {
 	what func() string
 }
 
-// groups is how many row panels, k segments and column panels of a
-// transient plan are packed — and so live — at once: rows×ks segments
-// of A, ks×cols of B.
-type groups struct{ rows, ks, cols int }
-
-// held is the packed footprint of one group, in elements.
-func (ch *charge) held(g groups) int64 {
-	return int64(g.ks) * (ch.segA*int64(g.rows) + ch.segB*int64(g.cols))
-}
-
-// fit shrinks the plan's groups, each dimension to no less than one,
-// until a group's packed segments fit room elements. The free dimension
-// of the larger operand goes first: its panels then stream past the
-// smaller operand, which stays packed whole, and no segment is packed
-// twice. The other free dimension is next (its operand is re-packed for
-// every group of the first), the k chain last: cutting it lands a C
-// block's product in several epilogues instead of one.
-func (ch *charge) fit(room int64) groups {
-	g := ch.plan
-	most := func(n int, per, room int64) int {
-		if per == 0 { // no plan to cut: resident, or packed by its consumer
-			return n
-		}
-		return int(max(1, min(int64(n), room/per)))
-	}
-	a, b := int64(g.ks)*ch.segA, int64(g.ks)*ch.segB // one row panel, one column panel
-	if a*int64(g.rows) >= b*int64(g.cols) {
-		g.rows = most(g.rows, a, room-b*int64(g.cols))
-		g.cols = most(g.cols, b, room-a*int64(g.rows))
-	} else {
-		g.cols = most(g.cols, b, room-a*int64(g.rows))
-		g.rows = most(g.rows, a, room-b*int64(g.cols))
-	}
-	g.ks = most(g.ks, ch.held(groups{g.rows, 1, g.cols}), room)
-	return g
-}
-
 // estimate returns the footprint in bytes of the charge on rung r,
 // whose arena stacks take arena elements each — one arena stack and one
-// scratch per worker, or one of each when serial — and the groups the
-// plan is walked in: the whole plan, or the largest groups that keep the
-// estimate inside a positive budget.
-func (ch *charge) estimate(r rung, arena int64, workers int, budget int64) (int64, groups) {
+// scratch per worker, or one of each when serial — with the segments the
+// call packs held in its plans or, consumed, packed by their consumers.
+func (ch *charge) estimate(r rung, arena int64, workers int, consumed bool) int64 {
 	inf, stacks := int64(ch.inflight), int64(workers)
 	if r.serial {
 		inf, stacks = 1, 1
 	}
-	base := ch.perBlock*inf + (arena+int64(ch.scratch))*stacks
-	g := ch.plan
-	if held := ch.held(g); budget > 0 && held > 0 && 8*(base+held) > budget {
-		g = ch.fit(budget/8 - base)
+	per, held := ch.perBlock, ch.held
+	if consumed {
+		per, held = per+ch.consume, held-ch.own
 	}
-	return 8 * (base + ch.held(g)), g
+	return 8 * (per*inf + held + (arena+int64(ch.scratch))*stacks)
 }
 
 func fmtBytes(b int64) string {
@@ -149,22 +109,21 @@ func fmtBytes(b int64) string {
 }
 
 // admission is admit's verdict: the rung that runs, its estimate and
-// per-stack arena, the groups the wave packs the plan in, and a
-// human-readable note per degradation.
+// per-stack arena, whether the blocks pack the segments the call packs
+// (consumed), and a human-readable note per degradation.
 type admission struct {
-	alg    Alg
-	serial bool
-	est    int64
-	arena  int64
-	groups
-	notes []string
+	alg              Alg
+	serial, consumed bool
+	est, arena       int64
+	notes            []string
 }
 
 // admit applies the memory budget, once per run (a wave degrades
 // together): it returns the first rung of the charge's algorithm's
 // ladder whose estimated footprint fits o.MemBudget (the requested
-// configuration when no budget is set). Walking a transient plan in
-// groups costs no flops, so a rung shrinks its groups before the ladder
+// configuration when no budget is set). A rung whose transient plans do
+// not fit is priced once more with their segments packed by the blocks
+// that multiply them — the same flops, the same bits — before the ladder
 // gives up an algorithm. When no rung fits, the run is rejected with
 // ErrMemBudget before any allocation.
 func admit(o Options, workers int, ch charge) (admission, error) {
@@ -172,18 +131,22 @@ func admit(o Options, workers int, ch charge) (admission, error) {
 	var prev rung
 	var prevEst int64
 	for i, r := range ladder(ch.alg) {
-		est, g := ch.estimate(r, ch.arena[i], workers, o.MemBudget)
+		est := ch.estimate(r, ch.arena[i], workers, false)
 		if i > 0 {
 			ad.notes = append(ad.notes, fmt.Sprintf("mem-budget: %v%s estimated %s > budget %s; degraded to %v%s (estimated %s)",
 				prev.alg, serialTag(prev.serial), fmtBytes(prevEst), fmtBytes(o.MemBudget),
 				r.alg, serialTag(r.serial), fmtBytes(est)))
 		}
+		whole, consumed := est, o.MemBudget > 0 && est > o.MemBudget && ch.own > 0
+		if consumed {
+			est = ch.estimate(r, ch.arena[i], workers, true)
+		}
 		if o.MemBudget <= 0 || est <= o.MemBudget {
-			if g != ch.plan {
-				ad.notes = append(ad.notes, fmt.Sprintf("mem-budget: the plan's %dx%dx%d packed segments exceed budget %s; walking them %dx%dx%d at a time (estimated %s)",
-					ch.plan.rows, ch.plan.ks, ch.plan.cols, fmtBytes(o.MemBudget), g.rows, g.ks, g.cols, fmtBytes(est)))
+			if consumed {
+				ad.notes = append(ad.notes, fmt.Sprintf("mem-budget: %v%s with its packed segments estimated %s > budget %s; its blocks pack them (estimated %s)",
+					r.alg, serialTag(r.serial), fmtBytes(whole), fmtBytes(o.MemBudget), fmtBytes(est)))
 			}
-			ad.alg, ad.serial, ad.est, ad.arena, ad.groups = r.alg, r.serial, est, ch.arena[i], g
+			ad.alg, ad.serial, ad.consumed, ad.est, ad.arena = r.alg, r.serial, consumed, est, ch.arena[i]
 			return ad, nil
 		}
 		prev, prevEst = r, est

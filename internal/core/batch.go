@@ -201,7 +201,9 @@ func GEMMBatchStrided(ctx context.Context, pool *sched.Pool, opts Options, trans
 
 // checkStrided validates one strided-batch operand buffer: the leading
 // dimension must cover the rows, the stride must separate items by at
-// least one full matrix, and the last item must fit the buffer.
+// least one full matrix, and the last item must fit the buffer. Each
+// bound is divided, not multiplied, against what the buffer holds, so no
+// extent can overflow.
 func checkStrided(name string, buf []float64, rows, cols, ld, stride, count int) error {
 	if rows == 0 || cols == 0 {
 		return nil
@@ -209,13 +211,17 @@ func checkStrided(name string, buf []float64, rows, cols, ld, stride, count int)
 	if ld < rows {
 		return fmt.Errorf("%w: %s leading dimension %d < rows %d", ErrDimension, name, ld, rows)
 	}
+	if n := len(buf); n < rows || (n-rows)/ld < cols-1 {
+		return fmt.Errorf("%w: %s buffer holds %d elements, less than one %dx%d item at leading dimension %d",
+			ErrDimension, name, n, rows, cols, ld)
+	}
 	foot := ld*(cols-1) + rows
 	if stride < foot {
 		return fmt.Errorf("%w: %s stride %d < item footprint %d", ErrDimension, name, stride, foot)
 	}
-	if need := (count-1)*stride + foot; need > len(buf) {
-		return fmt.Errorf("%w: %s buffer holds %d elements, %d items at stride %d need %d",
-			ErrDimension, name, len(buf), count, stride, need)
+	if (len(buf)-foot)/stride < count-1 {
+		return fmt.Errorf("%w: %s buffer holds %d elements, too few for %d items at stride %d",
+			ErrDimension, name, len(buf), count, stride)
 	}
 	return nil
 }

@@ -202,6 +202,21 @@ func TestGEMMBatchStrided(t *testing.T) {
 			t.Fatalf("count %d: err = %v, want ErrDimension", none, err)
 		}
 	}
+	// Bounds that overflow int when multiplied out: three 4×4 A items at a
+	// stride of 2^62, and at a leading dimension of 2^62, in 16 elements.
+	small, roomy := make([]float64, 16), make([]float64, 48)
+	for _, tc := range []struct {
+		what       string
+		ld, stride int
+	}{
+		{"stride 2^62", 4, 1 << 62},
+		{"leading dimension 2^62", 1 << 62, 16},
+	} {
+		if _, _, err := GEMMBatchStrided(context.Background(), pool, opts, false, false,
+			4, 4, 4, 1, small, tc.ld, tc.stride, roomy, 4, 16, 0, roomy, 4, 16, 3); !errors.Is(err, ErrDimension) {
+			t.Fatalf("A at %s: err = %v, want ErrDimension", tc.what, err)
+		}
+	}
 }
 
 // TestGEMMBatchPerItemIsolation: a member that fails validation or

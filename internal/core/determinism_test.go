@@ -785,3 +785,139 @@ func TestDeterminismPlanNotRun(t *testing.T) {
 		t.Error("AlgAuto never kept a fast level: the grid has no case on that side of the cutoff")
 	}
 }
+
+// TestDeterminismMemBudget: a budget changes what a call holds at once,
+// never its bits. Each shape runs unbudgeted, then under budgets from its
+// estimate down to the least admission takes (found on admit alone):
+// every admitted call, through GEMMCtx and a one-item GEMMBatch — or, for
+// a resident A, a one-item GEMMPrepackedBatch — returns the unbudgeted
+// bits with no member error, and a byte less is refused.
+func TestDeterminismMemBudget(t *testing.T) {
+	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
+	defer pool.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(371))
+	lean, big := matrix.Random(48, 2048, rng), matrix.Random(2048, 2048, rng)
+	// least is the smallest budget admit takes for a lone call of this
+	// plan, found by bisection on admit alone: nothing runs.
+	least := func(o Options, gv given, m, k, n int, est int64) int64 {
+		o = o.withDefaults()
+		if gv.pa != nil {
+			o.Curve = gv.pa.Curve
+		}
+		pl, err := planOf(o, pool.Workers(), gv, m, k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := int64(0), est // refused above 0 up to lo, admitted at hi
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			o.MemBudget = mid
+			if _, err := admit(o, pool.Workers(), pl.ch); err != nil {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		return hi
+	}
+	budgets := func(est, floor int64) []int64 {
+		var bs []int64
+		for b := est; b > floor; b = b * 3 / 4 {
+			bs = append(bs, b)
+		}
+		return append(bs, floor)
+	}
+	for _, tc := range []struct {
+		name     string
+		A, B     *matrix.Dense
+		transB   bool
+		opts     Options
+		resident bool
+	}{
+		{name: "48x2048x2048", A: lean, B: big},
+		{name: "2048x2048x48ᵀ", A: big, B: lean, transB: true},
+		{name: "20x300x300", A: matrix.Random(20, 300, rng), B: matrix.Random(300, 300, rng), opts: Options{Tile: testTile}},
+		{name: "resident 300x300x120", A: matrix.Random(300, 300, rng), B: matrix.Random(300, 120, rng),
+			opts: Options{Tile: testTile, PartnerDim: 120}, resident: true},
+	} {
+		m, k := tc.A.Rows, tc.A.Cols
+		_, n := opShape(tc.B, tc.transB)
+		C0 := matrix.Random(m, n, rng)
+		for _, cv := range []layout.Curve{layout.ZMorton, layout.ColMajor} {
+			if tc.resident && cv != layout.ZMorton {
+				continue
+			}
+			name := fmt.Sprintf("%s %v", tc.name, cv)
+			opts := tc.opts
+			opts.Curve, opts.Alg = cv, Standard
+			var gv given
+			// call runs the shape's entry points under opts, each on a copy of C0.
+			call := func(opts Options) (outs []*matrix.Dense, ests []int64, err error) {
+				if tc.resident {
+					C := C0.Clone()
+					bs, errs, err := GEMMPrepackedBatch(ctx, pool, opts, gv.pa, []PrepackedBatchItem{{Alpha: 1.5, B: tc.B, Beta: 0.5, C: C}})
+					if err == nil && errs[0] != nil {
+						t.Fatalf("%s, budget %d: GEMMPrepackedBatch member: %v", name, opts.MemBudget, errs[0])
+					}
+					if err != nil {
+						return nil, nil, err
+					}
+					return []*matrix.Dense{C}, []int64{bs.EstimatedBytes}, nil
+				}
+				C, Cb := C0.Clone(), C0.Clone()
+				st, err := GEMMCtx(ctx, pool, opts, false, tc.transB, 1.5, tc.A, tc.B, 0.5, C)
+				if err != nil {
+					return nil, nil, err
+				}
+				bs, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{TransB: tc.transB, Alpha: 1.5, A: tc.A, B: tc.B, Beta: 0.5, C: Cb}})
+				if err == nil {
+					err = errs[0]
+				}
+				if err != nil {
+					t.Fatalf("%s, budget %d: GEMMCtx admitted, one-item GEMMBatch: %v", name, opts.MemBudget, err)
+				}
+				return []*matrix.Dense{C, Cb}, []int64{st.EstimatedBytes, bs.EstimatedBytes}, nil
+			}
+			if tc.resident {
+				pa, err := Prepack(ctx, pool, opts, tc.A, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pa.Release()
+				gv = given{pa: pa, resident: true}
+			}
+			want, ests, err := call(opts)
+			if err != nil {
+				t.Fatalf("%s: unbudgeted: %v", name, err)
+			}
+			for _, got := range want[1:] {
+				if !matrix.Equal(got, want[0], 0) {
+					t.Fatalf("%s: unbudgeted entry points disagree", name)
+				}
+			}
+			floor := least(opts, gv, m, k, n, ests[0])
+			for _, b := range budgets(ests[0], floor) {
+				opts.MemBudget = b
+				outs, ests, err := call(opts)
+				if err != nil {
+					t.Errorf("%s: budget %s (least %s): %v", name, fmtBytes(b), fmtBytes(floor), err)
+					continue
+				}
+				for i, got := range outs {
+					if ests[i] > b {
+						t.Errorf("%s: budget %d admitted an estimate of %d", name, b, ests[i])
+					}
+					if !matrix.Equal(got, want[0], 0) {
+						t.Errorf("%s: budget %s, entry point %d: bits differ from the unbudgeted call's, max diff %g",
+							name, fmtBytes(b), i, matrix.MaxAbsDiff(got, want[0]))
+					}
+				}
+			}
+			opts.MemBudget = floor - 1
+			if _, _, err := call(opts); !errors.Is(err, ErrMemBudget) {
+				t.Errorf("%s: budget %d, a byte under the least: err = %v, want ErrMemBudget", name, floor-1, err)
+			}
+		}
+	}
+}

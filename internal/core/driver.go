@@ -68,14 +68,14 @@ type Options struct {
 	// the estimated footprint of the call (packed operand segments +
 	// in-flight product tiles + algorithm temporaries + per-worker
 	// kernel scratch). When the requested configuration exceeds it, the
-	// driver first walks a split call's packed segments in groups that
-	// fit (the larger operand's panels, then both, then the k chain),
-	// then degrades along a ladder — Strassen/Winograd → Strassen
-	// (serial: every level depth-first, the paper's space-conserving
-	// variant) → Standard → Standard (serial) — and records each
-	// decision in Stats.Degraded; if even the smallest rung exceeds the
-	// budget the call fails with ErrMemBudget before allocating
-	// anything.
+	// driver first has the blocks pack the segments the call would hold
+	// as transient plans, each block its own A and B segment (the same
+	// bits, more conversion), then degrades along a ladder —
+	// Strassen/Winograd → Strassen (serial: every level depth-first, the
+	// paper's space-conserving variant) → Standard → Standard (serial) —
+	// and records each decision in Stats.Degraded; if even the smallest
+	// rung exceeds the budget the call fails with ErrMemBudget before
+	// allocating anything.
 	MemBudget int64
 	// MaxResidualGrowth, when positive, bounds the numerical error
 	// growth tolerated from a fast (Strassen-like) algorithm, in units
@@ -187,9 +187,11 @@ type Stats struct {
 	// second operands derived in-layout from the first (the transposed
 	// pack a symmetric α·A·Aᵀ product folds).
 	PackReused int
-	// PackDeferred counts operand segments packed, each still once and
-	// counted in ConvertBytes, by the one C block of a wave that
-	// multiplies them, into its runner's buffer and not into a plan.
+	// PackDeferred counts operand segments packed by the C block that
+	// multiplies them, into its runner's buffer and not into a plan: once
+	// when a wave's one row or column of blocks consumes them, once per
+	// consumer when MemBudget moved a transient plan to its blocks. Each
+	// pack is counted in ConvertBytes.
 	PackDeferred int
 	// PoolHits and PoolMisses count tiled-buffer recycling-pool
 	// outcomes for the buffers this call acquired; in steady state
@@ -254,10 +256,7 @@ func GEMM(pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 // products of any *completed* blocks — never a partially-written block
 // product, since results are unpacked into C only after a block's
 // compute finishes, by a pass no cancellation interrupts. The error
-// reports how many blocks had completed. (Only under a MemBudget too
-// small for a block's whole k chain does a C block take its product in
-// several such steps, one per group of k segments, each of them all or
-// nothing.)
+// reports how many blocks had completed.
 func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 	A, B *matrix.Dense, beta float64, C *matrix.Dense) (stats *Stats, err error) {
 
@@ -269,6 +268,9 @@ func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB
 	}
 	if err := multipliable(cl.o.Curve); err != nil {
 		return nil, err
+	}
+	if A == nil || B == nil {
+		return nil, fmt.Errorf("%w: GEMM with a nil operand", ErrDimension)
 	}
 	m, k := opShape(A, transA)
 	kb, n := opShape(B, transB)
@@ -307,13 +309,12 @@ type wave struct {
 	// the parallelism (asWave), each serial on its runner.
 	live int
 	wide bool
-	// Admission's: the rung, the groups a lone member walks its plan in
-	// (zero in a wave of several: each walks its whole plan), and the
-	// execution parameters and arena — nil when nothing is multiplied.
-	alg    Alg
-	serial bool
-	gr     groups
-	e      *exec
+	// Admission's: the rung, whether the blocks pack what the members
+	// would hold as transient plans, and the execution parameters and
+	// arena — nil when nothing is multiplied.
+	alg              Alg
+	serial, consumed bool
+	e                *exec
 }
 
 // nothing is the plan of a member with α = 0: C ← β·C alone.
@@ -402,7 +403,7 @@ func planGEMM(cl *call, stats *Stats, w *wave) error {
 			notes, o.Alg = append(notes, note), Standard
 			continue
 		}
-		w.e, w.alg, w.serial, w.gr = cl.exec(), ad.alg, ad.serial, ad.groups
+		w.e, w.alg, w.serial, w.consumed = cl.exec(), ad.alg, ad.serial, ad.consumed
 		stacks := workers
 		if ad.serial {
 			stacks = 1
@@ -492,7 +493,7 @@ func (w *wave) charge(inflight int) (ch charge, dearest *plan) {
 		if members++; dearest == nil || tableOf(pl.alg).fast() {
 			ch.alg = pl.alg
 		}
-		if b := pl.ch.held(pl.ch.plan) + pl.ch.perBlock*int64(pl.ch.inflight); dearest == nil || b > bill {
+		if b := pl.ch.held + pl.ch.perBlock*int64(pl.ch.inflight); dearest == nil || b > bill {
 			bill, dearest = b, pl
 		}
 		ch.scratch = max(ch.scratch, pl.ch.scratch)
@@ -553,13 +554,13 @@ func (w *wave) step(c *sched.Ctx, ws *waveWS, i int) error {
 	return nil
 }
 
-// body is the one body of a product, run for each member: β·C, then for each budget group
-// the packs of what gv does not bring — into the runner's reused
-// transient plans (repack), UNSCALED (α rides in the fused epilogue),
-// deferred to the consuming blocks (charge.deferA, deferB), or folded
-// from A's plan when op(B) is op(A)ᵀ (SYRK's GEMM over one matrix in both
-// slots) — then the group's block wave. A lone member walks the groups
-// admission sized (charge.fit: row panels outermost, k chain innermost).
+// body is the one body of a product, run for each member: β·C, then the
+// packs of what gv does not bring — into the runner's reused transient
+// plans (repack), UNSCALED (α rides in the fused epilogue), deferred to
+// the consuming blocks (charge.deferA, deferB, or every segment when
+// admission moved the plans there), or folded from A's plan when op(B)
+// is op(A)ᵀ (SYRK's GEMM over one matrix in both slots) — then the
+// block wave.
 func (w *wave) body(c *sched.Ctx, ws *waveWS, i int, pl *plan) error {
 	it := &w.items[i]
 	// An expired member is dropped from the wave, not the wave from the
@@ -579,62 +580,45 @@ func (w *wave) body(c *sched.Ctx, ws *waveWS, i int, pl *plan) error {
 		return nil
 	}
 	gv, g, ch, ms, ks, ns := w.gv, pl.g, &pl.ch, pl.ms, pl.ks, pl.ns
-	gr, runners := w.gr, pl.runners
-	if gr == (groups{}) {
-		gr = ch.plan
-	}
+	runners, deferA, deferB := pl.runners, ch.deferA || w.consumed, ch.deferB || w.consumed
 	if w.serial {
 		runners = 0
 	}
-	ws.total = len(ms) * len(ns) * ((len(ks) + gr.ks - 1) / gr.ks)
+	ws.total = len(ms) * len(ns)
 	ws.e.kernel, ws.e.fastCutoff = pl.kernel, pl.cutoff
 	fold := gv.pa == nil && g.curve != layout.ColMajor && sameView(it.A, it.B) && it.TransA != it.TransB &&
-		g.tm == g.tn && gr == ch.plan && runners == 0 && !ch.deferA
-	pm := planMul{alg: w.alg, alpha: it.Alpha, pa: gv.pa, pb: gv.pb, C: it.C, tc: w.tc}
+		g.tm == g.tn && runners == 0 && !deferA
+	pm := planMul{alg: w.alg, alpha: it.Alpha, beta: it.Beta, pa: gv.pa, pb: gv.pb, C: it.C, tc: w.tc}
 	if gv.resident { // a resident A, and GEMMPrepacked's resident B
 		pm.reused = 1
 		if gv.pb != nil {
 			pm.reused = 2
 		}
 	}
-	type corner struct{ r, c int } // a packed group, by its first segments
-	heldA, heldB := corner{-1, -1}, corner{-1, -1}
-	for r := 0; r < len(ms); r += gr.rows {
-		for s := 0; s < len(ns); s += gr.cols {
-			for q := 0; q < len(ks); q += gr.ks {
-				rows, cols, inner := ms[r:min(r+gr.rows, len(ms))], ns[s:min(s+gr.cols, len(ns))], ks[q:min(q+gr.ks, len(ks))]
-				packA, packB := gv.pa == nil && heldA != (corner{r, q}), gv.pb == nil && heldB != (corner{q, s})
-				if packA || packB {
-					t0 := time.Now()
-					ws.e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() {
-						if packA {
-							heldA, pm.pa = corner{r, q}, &ws.pa
-							ws.pa.repack(g.hdrA(), rows, inner).fill(&ws.e, c, &ws.stats, it.A, it.TransA, ch.deferA)
-						}
-						if packB {
-							heldB, pm.pb = corner{q, s}, &ws.pb
-							if fold {
-								ws.stats.PackReused += len(ks) * len(ns)
-								ws.pb.repackTransposed(&ws.pa).fillTransposed(&ws.e, c, &ws.stats, &ws.pa)
-							} else {
-								ws.pb.repack(g.hdrB(), inner, cols).fill(&ws.e, c, &ws.stats, it.B, it.TransB, ch.deferB)
-							}
-						}
-					})
-					ws.stats.ConvertIn += time.Since(t0)
-				}
-				// Only a block's first k group finds C as β left it.
-				if pm.beta = it.Beta; q > 0 {
-					pm.beta = 1
-				}
-				if err := pm.wave(ctx, c, ws, runners, it.TraceID); err != nil {
-					if err == errRunCancelled {
-						err = w.cause()
-					}
-					return w.errf(i, "failed after %d of %d blocks: %w", ws.done.Load(), ws.total, err)
+	if gv.pa == nil || gv.pb == nil {
+		t0 := time.Now()
+		ws.e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() {
+			if gv.pa == nil {
+				pm.pa = &ws.pa
+				ws.pa.repack(g.hdrA(), ms, ks).fill(&ws.e, c, &ws.stats, it.A, it.TransA, deferA)
+			}
+			if gv.pb == nil {
+				pm.pb = &ws.pb
+				if fold {
+					ws.stats.PackReused += len(ks) * len(ns)
+					ws.pb.repackTransposed(&ws.pa).fillTransposed(&ws.e, c, &ws.stats, &ws.pa)
+				} else {
+					ws.pb.repack(g.hdrB(), ks, ns).fill(&ws.e, c, &ws.stats, it.B, it.TransB, deferB)
 				}
 			}
+		})
+		ws.stats.ConvertIn += time.Since(t0)
+	}
+	if err := pm.wave(ctx, c, ws, runners, it.TraceID); err != nil {
+		if err == errRunCancelled {
+			err = w.cause()
 		}
+		return w.errf(i, "failed after %d of %d blocks: %w", ws.done.Load(), ws.total, err)
 	}
 	return nil
 }

@@ -33,6 +33,9 @@ var (
 // run before C is touched: α and β finite, op(A) m×k against op(B)
 // kb×n, and C the product's m×n.
 func conform(alpha, beta float64, m, k, kb, n int, C *matrix.Dense) error {
+	if C == nil {
+		return fmt.Errorf("%w: nil C", ErrDimension)
+	}
 	if !isFinite(alpha) || !isFinite(beta) {
 		return fmt.Errorf("%w: alpha=%v, beta=%v", ErrNonFinite, alpha, beta)
 	}

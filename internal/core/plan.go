@@ -22,11 +22,12 @@ import (
 // pack once → block wave → fused epilogue. A product is cut by one rule
 // (tile.Config.SplitDims, Figure 3) into squat blocks that share one
 // geometry, kernel, admission decision and arena. Every A and B segment
-// is packed exactly once, into a runner's transient plan or, for a
-// *Prepacked* operand, before the call. Each C block (planMul.block)
-// owns a zero-filled tile, accumulates its products over the k segments
-// in ascending order in the packed domain, and folds α·tile into C in
-// one fused epilogue.
+// is packed once — into a runner's transient plan, by its one consuming
+// block, or, for a *Prepacked* operand, before the call — unless a plan
+// would exceed MemBudget: then each block packs the segments it
+// multiplies. Each C block (planMul.block) owns a zero-filled tile,
+// accumulates its products over the k segments in ascending order in
+// the packed domain, and folds α·tile into C in one fused epilogue.
 //
 // As the paper's program is one Cilk computation, everything that
 // touches an operand happens in the run's task tree: below an entry
@@ -160,32 +161,33 @@ func (g geom) hdrA() Tiled { return g.hdr(g.tm, g.tk) }
 func (g geom) hdrB() Tiled { return g.hdr(g.tk, g.tn) }
 
 // charge prices alg on a call of ms×ks×ns segments on this geometry, its
-// blocks pulled by runners tasks (zero: by one that spawns). An operand
-// of a resident plan (resA, resB) stays off the bill. One column of C
-// blocks consumes every A segment exactly once, one row every B segment:
-// in a wave such an operand has no plan either — each block packs the
-// segments it multiplies (Prepacked.mat) — and is billed one segment per
-// product tile in flight.
-func (g geom) charge(alg Alg, fastCutoff int, ms, ks, ns []tile.Seg, resA, resB bool, runners int) charge {
+// blocks pulled by runners tasks (zero: by one that spawns), its operands
+// arriving as gv says. An operand of a resident plan stays off the bill;
+// one the caller tiled is held. One column of C blocks consumes every A
+// segment once, one row every B segment: in a wave such an operand has no
+// plan — each block packs the segments it multiplies (Prepacked.mat) —
+// and is billed one segment per product tile in flight. Any other operand
+// the call packs is held as a transient plan, which admission may move to
+// its consumers the same way.
+func (g geom) charge(alg Alg, fastCutoff int, ms, ks, ns []tile.Seg, gv given, runners int) charge {
 	mp, kp, np := int64(g.side()*g.tm), int64(g.side()*g.tk), int64(g.side()*g.tn)
 	ch := charge{alg: alg, perBlock: mp * np, inflight: max(runners, 1), scratch: g.tm*g.tk + g.tk*g.tn,
-		plan:   groups{len(ms), len(ks), len(ns)},
-		deferA: runners > 0 && !resA && len(ns) == 1, deferB: runners > 0 && !resB && len(ms) == 1,
+		deferA: runners > 0 && gv.pa == nil && len(ns) == 1, deferB: runners > 0 && gv.pb == nil && len(ms) == 1,
 		what: func() string {
 			return fmt.Sprintf("%dx%dx%d", mp*int64(len(ms)), kp*int64(len(ks)), np*int64(len(ns)))
 		}}
-	switch {
-	case ch.deferA:
-		ch.perBlock += mp * kp
-	case !resA:
-		ch.segA = mp * kp
+	bill := func(tiled *Prepacked, deferred bool, seg int64, segs int) {
+		switch {
+		case deferred:
+			ch.perBlock += seg
+		case tiled == nil:
+			ch.held, ch.own, ch.consume = ch.held+seg*int64(segs), ch.own+seg*int64(segs), ch.consume+seg
+		case !gv.resident:
+			ch.held += seg * int64(segs)
+		}
 	}
-	switch {
-	case ch.deferB:
-		ch.perBlock += kp * np
-	case !resB:
-		ch.segB = kp * np
-	}
+	bill(gv.pa, ch.deferA, mp*kp, len(ms)*len(ks))
+	bill(gv.pb, ch.deferB, kp*np, len(ks)*len(ns))
 	for i, r := range ladder(alg) {
 		ch.arena[i] = arenaStackElems(r.alg, r.serial, g.side(), g.tm, g.tk, g.tn, fastCutoff)
 	}
@@ -331,7 +333,7 @@ func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
 	if asWave(len(pl.ms)*len(pl.ns), workers) {
 		pl.runners = workers
 	}
-	pl.ch = pl.g.charge(pl.alg, pl.cutoff, pl.ms, pl.ks, pl.ns, gv.resident && gv.pa != nil, gv.resident && gv.pb != nil, pl.runners)
+	pl.ch = pl.g.charge(pl.alg, pl.cutoff, pl.ms, pl.ks, pl.ns, gv, pl.runners)
 	return pl, nil
 }
 
@@ -427,8 +429,8 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	}
 	t1 := time.Now()
 
-	// A deferred operand's segment is packed here, by its one consumer,
-	// into the runner's buffer; mat bills that to ConvertIn.
+	// A deferred operand's segment is packed here, by its consumer, into
+	// the runner's buffer; mat bills that to ConvertIn.
 	cm, in0 := tc.Mat(), ws.stats.ConvertIn
 	for kk := range pa.CSegs {
 		am, bm := pa.mat(c, ws, &ws.one[0], i, kk), pb.mat(c, ws, &ws.one[1], kk, j)
@@ -455,15 +457,14 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	return nil
 }
 
-// wave is the one block loop over the plan product's C blocks (or a
-// budget group's): walked in order by the calling runner or, when they
-// are the parallelism (runners > 0, asWave), pulled by runners tasks.
+// wave is the one block loop over the plan product's C blocks: walked in
+// order by the calling runner or, when they are the parallelism (runners
+// > 0, asWave), pulled by runners tasks.
 // ws.done counts the completed; the others hold their β-scaled input.
 func (pm *planMul) wave(ctx context.Context, c *sched.Ctx, ws *waveWS, runners int, traceID int64) error {
 	nn := len(pm.pb.CSegs)
 	nb := len(pm.pa.RSegs) * nn
-	// A group cut to fit the budget may hold too few blocks for a wave.
-	if runners == 0 || !asWave(nb, runners) {
+	if runners == 0 {
 		for b := 0; b < nb; b++ {
 			if c.Cancelled() {
 				return errRunCancelled
@@ -506,8 +507,8 @@ type waveWS struct {
 	pa, pb Prepacked
 	one    [2]Tiled
 	stats  Stats
-	// done counts the member in hand's completed C blocks (steps of them
-	// when the k chain is cut), here or on the runners it spread to.
+	// done counts the member in hand's completed C blocks, here or on the
+	// runners it spread to.
 	done  atomic.Int64
 	total int
 }

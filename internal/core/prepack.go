@@ -48,8 +48,8 @@ type Prepacked struct {
 	// hdr is the blocks' full header.
 	hdr Tiled
 	// src, when non-nil, marks a deferred plan: it holds no blocks, and
-	// segment (i, j) of op(src) is packed at first touch by the one C
-	// block that multiplies it (mat).
+	// segment (i, j) of op(src) is packed by each C block that multiplies
+	// it, when it does (mat).
 	src   *matrix.Dense
 	trans bool
 }
@@ -235,14 +235,14 @@ func (cl *call) resident(ctx context.Context, p *Prepacked, fill func(e *exec, c
 	return p, nil
 }
 
-// fill packs op(src) into a new plan: every segment pair exactly once,
-// unscaled, into a pooled buffer — up front, here, or (deferred: every
-// segment has a single consuming C block) by that block when it runs, so
-// nothing is packed yet. The nesting rule is the block wave's (asWave):
-// enough segments pack as one task each, serial inside; fewer pack in
-// turn, each spread over its tiles. stats, when non-nil, is charged the
-// conversion (a transient per-call plan). A cancelled run leaves the
-// plan partly filled; its holder releases it either way.
+// fill packs op(src), unscaled, into a new plan: every segment pair
+// once, into a pooled buffer, here — or, deferred, nothing yet: each
+// block that multiplies a segment packs it when it runs. The nesting
+// rule is the block wave's (asWave): enough segments pack as one task
+// each, serial inside; fewer pack in turn, each spread over its tiles.
+// stats, when non-nil, is charged the conversion (a transient per-call
+// plan). A cancelled run leaves the plan partly filled; its holder
+// releases it either way.
 func (p *Prepacked) fill(e *exec, c *sched.Ctx, stats *Stats, src *matrix.Dense, trans, deferred bool) {
 	if deferred {
 		p.src, p.trans = src, trans

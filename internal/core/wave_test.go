@@ -81,17 +81,16 @@ func batchOfOne(t *testing.T, what string, pool *sched.Pool, opts Options, alpha
 	return bs
 }
 
-// TestWaveMemBudgetGroups: the transient plan is charged once per call;
-// a budget it exceeds makes the wave walk the plan in groups that fit.
-// Grouping the larger operand's panels — A's rows for a tall A, B's
-// columns for a wide B — keeps the blocks, the bits and the one pack per
-// segment. A budget of a single block multiplication's buffers is the
-// least a call can run in: one panel of each operand, and — the lean
-// 20×300 · 300×300, whose B is packed by its blocks and has no plan to
-// cut — one k segment of A at a time. Only a budget below that rejects
-// the call, before C is touched. Beside every call runs its one-item
-// batch, which walks, degrades and is refused exactly as the call is.
-func TestWaveMemBudgetGroups(t *testing.T) {
+// TestWaveMemBudgetConsumerPacks: the transient plan is charged once per
+// call; a budget it exceeds moves its segments to the blocks that
+// multiply them — each block packs an A and a B segment for every step of
+// its k chain — and the blocks, the bits and the one epilogue per C block
+// stay. The least a call can run in is one block multiplication's
+// buffers on the serial rung: a product tile, one segment of each operand
+// and one kernel scratch; a byte less rejects the call before C is
+// touched. Beside every call runs its one-item batch, which degrades and
+// is refused exactly as the call is.
+func TestWaveMemBudgetConsumerPacks(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(161))
@@ -99,23 +98,21 @@ func TestWaveMemBudgetGroups(t *testing.T) {
 		m, k, n int
 		blocks  int
 		// budget is the cut taken off the whole-plan estimate, in A and
-		// B segments; minimal instead leaves one segment of each.
+		// B segments; minimal instead is the least the call runs in.
 		lessA, lessB int
 		minimal      bool
-		walk         string
 	}{
-		{m: 300, k: 20, n: 120, blocks: 10, lessA: 2, walk: "walking them 3x1x2 at a time"},
-		{m: 120, k: 20, n: 300, blocks: 10, lessB: 2, walk: "walking them 2x1x3 at a time"},
-		{m: 300, k: 20, n: 120, blocks: 10, minimal: true, walk: "walking them 1x1x1 at a time"},
-		{m: 20, k: 300, n: 300, blocks: 25, minimal: true, walk: "walking them 1x1x5 at a time"},
+		{m: 300, k: 20, n: 120, blocks: 10, lessA: 2},
+		{m: 120, k: 20, n: 300, blocks: 10, lessB: 2},
+		{m: 300, k: 20, n: 120, blocks: 10, minimal: true},
+		{m: 20, k: 300, n: 300, blocks: 25, minimal: true},
 	} {
 		for _, cv := range []layout.Curve{layout.ZMorton, layout.ColMajor} {
 			what := fmt.Sprintf("%dx%dx%d %v", tc.m, tc.k, tc.n, cv)
 			A, B := matrix.Random(tc.m, tc.k, rng), matrix.Random(tc.k, tc.n, rng)
 			C := matrix.Random(tc.m, tc.n, rng)
 			opts := Options{Curve: cv, Alg: Standard, Tile: testTile}
-			// A cut k chain under β = 0: only the first group may store.
-			beta := 0.5
+			beta := 0.5 // the accumulating epilogue; the minimal rows store
 			if tc.minimal {
 				beta = 0
 			}
@@ -129,58 +126,53 @@ func TestWaveMemBudgetGroups(t *testing.T) {
 			}
 			batchOfOne(t, what+", unbudgeted", pool, opts, 1.5, A, B, beta, C, want, full)
 			ms, ks, ns := opts.Tile.SplitDims(tc.m, tc.k, tc.n)
+			tile := 8 * int64(full.PaddedM*full.PaddedN)
 			segA, segB := 8*int64(full.PaddedM*full.PaddedK), 8*int64(full.PaddedK*full.PaddedN)
+			least := tile + segA + segB + 8*int64(full.TileM*full.TileK+full.TileK*full.TileN)
 			// An operand one row or column of C blocks consumes has no plan.
-			// (The shortest dimension is never cut, so a k chain of several
-			// segments always comes with such an operand.)
-			deferred := 0
+			heldA, heldB, deferred := segA, segB, 0
 			if len(ns) == 1 {
-				segA, deferred = 0, len(ms)*len(ks)
+				heldA, deferred = 0, len(ms)*len(ks)
 			}
 			if len(ms) == 1 {
-				segB, deferred = 0, len(ks)*len(ns)
+				heldB, deferred = 0, len(ks)*len(ns)
 			}
-			plan := int64(len(ks)) * (int64(len(ms))*segA + int64(len(ns))*segB)
+			plan := int64(len(ks)) * (int64(len(ms))*heldA + int64(len(ns))*heldB)
 			if full.PackDeferred != deferred {
 				t.Fatalf("%s: PackDeferred = %d, want %d", what, full.PackDeferred, deferred)
 			}
 			// The whole plan, and at least one product tile per worker.
-			if lo := plan + 8*int64(2*full.PaddedM*full.PaddedN); full.EstimatedBytes < lo {
+			if lo := plan + 2*tile; full.EstimatedBytes < lo {
 				t.Fatalf("%s: EstimatedBytes = %d, want at least the plan's %d", what, full.EstimatedBytes, lo)
 			}
 
-			opts.MemBudget = full.EstimatedBytes - int64(tc.lessA)*segA - int64(tc.lessB)*segB
+			opts.MemBudget = full.EstimatedBytes - int64(tc.lessA)*heldA - int64(tc.lessB)*heldB
 			if tc.minimal {
-				opts.MemBudget = full.EstimatedBytes - plan + segA + segB
+				opts.MemBudget = least
 			}
 			got := C.Clone()
 			st, err := GEMM(pool, opts, false, false, 1.5, A, B, beta, got)
 			if err != nil {
 				t.Fatalf("%s: budgeted run: %v", what, err)
 			}
-			if st.Alg != Standard || st.Serial || st.Blocks != tc.blocks || st.EstimatedBytes > opts.MemBudget {
+			if st.Alg != Standard || st.Serial != tc.minimal || st.Blocks != tc.blocks || st.EstimatedBytes > opts.MemBudget {
 				t.Errorf("%s: alg=%v serial=%v blocks=%d est=%d budget=%d", what, st.Alg, st.Serial, st.Blocks, st.EstimatedBytes, opts.MemBudget)
 			}
-			if len(st.Degraded) != 1 || !strings.Contains(st.Degraded[0], tc.walk) {
-				t.Errorf("%s: Degraded = %q, want one note %q", what, st.Degraded, tc.walk)
+			if n := len(st.Degraded); n == 0 || !strings.Contains(st.Degraded[n-1], "its blocks pack them") {
+				t.Errorf("%s: Degraded = %q, want a last note that its blocks pack them", what, st.Degraded)
 			}
 			batchOfOne(t, what+", budgeted", pool, opts, 1.5, A, B, beta, C, got, st)
-			if tc.minimal {
-				// A cut k chain lands in several epilogues: same product,
-				// another association.
-				if !matrix.Equal(got, want, tol(tc.m, tc.k, tc.n)) {
-					t.Errorf("%s: cut k chain is wrong, max diff %g", what, matrix.MaxAbsDiff(got, want))
-				}
-			} else {
-				if !matrix.Equal(got, want, 0) {
-					t.Errorf("%s: grouped panels changed the bits, max diff %g", what, matrix.MaxAbsDiff(got, want))
-				}
-				if st.ConvertBytes != full.ConvertBytes {
-					t.Errorf("%s: ConvertBytes = %d grouped, %d whole: a segment was packed twice", what, st.ConvertBytes, full.ConvertBytes)
-				}
+			if !matrix.Equal(got, want, 0) {
+				t.Errorf("%s: consumer packs changed the bits, max diff %g", what, matrix.MaxAbsDiff(got, want))
+			}
+			// Every block × k step packs its A and its B segment.
+			packs := int64(st.Blocks) * (segA + segB)
+			if st.PackDeferred != 2*st.Blocks || st.ConvertBytes != int64(len(ms)*len(ns))*tile+packs {
+				t.Errorf("%s: %d segments packed by their consumers, %d bytes converted; want %d and %d",
+					what, st.PackDeferred, st.ConvertBytes, 2*st.Blocks, int64(len(ms)*len(ns))*tile+packs)
 			}
 
-			opts.MemBudget = (segA + segB) / 2
+			opts.MemBudget = least - 1
 			untouched := C.Clone()
 			if _, err := GEMM(pool, opts, false, false, 1.5, A, B, beta, untouched); !errors.Is(err, ErrMemBudget) {
 				t.Fatalf("%s: err = %v, want ErrMemBudget", what, err)

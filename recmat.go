@@ -257,8 +257,9 @@ type Options struct {
 	// workspace a multiplication may allocate (packed operands plus
 	// algorithm temporaries plus kernel scratch). Before allocating
 	// anything the engine estimates the footprint of the requested
-	// configuration and, if it exceeds the budget, first walks a
-	// wide/lean call's packed segments in groups that fit, then degrades
+	// configuration and, if it exceeds the budget, first has each block
+	// pack the operand segments it multiplies instead of holding the
+	// call's packed operands (the same result), then degrades
 	// along a fixed ladder — fast parallel algorithm → low-memory serial
 	// Strassen → standard parallel → standard serial — taking the first
 	// rung that fits. Each degradation step is recorded in

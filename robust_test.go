@@ -299,7 +299,8 @@ func TestPackFaultIsTaskError(t *testing.T) {
 // TestPackedAndPlanWrappersNeverPanic: the Packed and Plan wrappers hand
 // nil and empty operands, and pre-tiled operands whose logical shapes do
 // not multiply, to core's checks — every case is ErrDimension, none a
-// nil dereference or a tile-selection panic in the wrapper.
+// nil dereference or a tile-selection panic in the wrapper; so is a nil
+// operand or C to DGEMM, Mul and GEMMPrepacked.
 func TestPackedAndPlanWrappersNeverPanic(t *testing.T) {
 	eng := NewEngine(2)
 	defer eng.Close()
@@ -329,6 +330,23 @@ func TestPackedAndPlanWrappersNeverPanic(t *testing.T) {
 		{"Pack of a 0x0 matrix", func() error { _, err := eng.Pack(NewMatrix(0, 0), z16); return err }},
 		{"Pack of a 0xn matrix", func() error { _, err := eng.Pack(NewMatrix(0, 5), &Options{Layout: ZMorton}); return err }},
 		{"Pack of nil", func() error { _, err := eng.Pack(nil, z16); return err }},
+		{"DGEMM with a nil A", func() error {
+			_, err := eng.DGEMM(false, false, 1, nil, Identity(8), 0, NewMatrix(8, 8), nil)
+			return err
+		}},
+		{"DGEMM with a nil B", func() error {
+			_, err := eng.DGEMM(false, false, 1, Identity(8), nil, 0, NewMatrix(8, 8), nil)
+			return err
+		}},
+		{"DGEMM with a nil C", func() error {
+			_, err := eng.DGEMM(false, false, 1, Identity(8), Identity(8), 0, nil, nil)
+			return err
+		}},
+		{"Mul(nil, A, A, nil)", func() error { _, err := Mul(nil, Identity(8), Identity(8), nil); return err }},
+		{"GEMMPrepacked with a nil C", func() error {
+			_, err := eng.GEMMPrepacked(ctx, 1, plan, plan, 0, nil)
+			return err
+		}},
 		{"Pack under a ForceTile that cannot cover", func() error {
 			_, err := eng.Pack(NewMatrix(8, 8), &Options{Layout: ZMorton, ForceTile: 1 << 62})
 			return err
