@@ -31,8 +31,10 @@ loc:
 # call became one member body (wave.body) in one run, a single call
 # being a wave of one; then to 4,656 when a transient plan over the
 # MemBudget came to be packed by the blocks that multiply it and the
-# budget group walk went. The serve package's went 2,580 → 2,568 when
-# every request group came to make one batch call. The leaf's went 1,133 → 917 when every
+# budget group walk went; then to 4,655 when a deferred segment came to
+# be read in place, paid for by the residual probe's sample becoming a
+# view copy. The serve package's went 2,580 → 2,568 when every request
+# group came to make one batch call. The leaf's went 1,133 → 917 when every
 # register-blocked family came to read every tile in place, strided or
 # contiguous (packedMul is its one body): the packed-panel micro-kernels
 # (pp in Go, AVX2, AVX-512 and NEON), packB and packedRows went, and
@@ -40,7 +42,7 @@ loc:
 # layout package's S functions, Perm and SOriented are what the core's
 # tests check its tables against. Test files are the ones named
 # *_test.go.
-CORE_LOC_MAX = 4656
+CORE_LOC_MAX = 4655
 LAYOUT_LOC_MAX = 506
 LEAF_LOC_MAX = 917
 SCHED_LOC_MAX = 908
@@ -96,18 +98,19 @@ parity:
 	$(GO) run ./cmd/experiments -exp autoparity
 
 # The stream gate, two-sided: on the serving shape (1024×1024 · 1024×48,
-# library defaults, min(nproc, 4) workers) a per-call DGEMM — A's 64
-# segments packed by the blocks that multiply them — must take between
-# 1.00 and 1.45 times as long as PrepackConforming + GEMMPrepacked on
-# the same operands, which read a plan of A packed once. Above 1.45 the
-# pack has become dear (written out as a plan and read back it would
-# read 1.8–2.0; in the wave it reads 1.24–1.37 on the 2-CPU builder
-# host, more when the host's memory is slow); below 1.00 the resident
-# plan is slower than packing 8 MB per call, which is what a scheduler
-# that starts the wave's second runner late looks like (0.95–1.02 when
-# idle workers polled on a timer). Interleaved pairs, median of the
-# paired time ratios, ~20 s; a timing comparison like parity, and not a
-# tier-1 test.
+# library defaults, min(nproc, 4) workers) a per-call DGEMM — whose
+# blocks read each of A's 64 segments in place, at the caller's leading
+# dimension — must take between 0.90 and 1.15 times as long as
+# PrepackConforming + GEMMPrepacked on the same operands, which read a
+# plan of A packed once: both sides read 8 MB of A and convert only B
+# and C, and the gate fails when the per-call converts more than that
+# (A was copied). Above 1.15 the per-call path has grown a cost of its
+# own (while its blocks packed A the ratio read 1.24–1.37 on a 2-CPU
+# AVX-512 host, under a ceiling of 1.45; reading A in place, 1.00–1.01);
+# below 0.90 the resident plan's wave is being starved, which is what a
+# scheduler that starts the wave's second runner late looks like.
+# Interleaved pairs, median of the paired time ratios, ~20 s; a timing
+# comparison like parity, and not a tier-1 test.
 streamparity:
 	$(GO) run ./cmd/experiments -exp streamparity
 

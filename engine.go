@@ -70,7 +70,9 @@ func (e *Engine) MulContext(ctx context.Context, C, A, B *Matrix, opts *Options)
 	return e.DGEMMContext(ctx, false, false, 1, A, B, 0, C, opts)
 }
 
-// DGEMM computes C ← α·op(A)·op(B) + β·C on the engine's workers.
+// DGEMM computes C ← α·op(A)·op(B) + β·C on the engine's workers. As
+// in dgemm, C must not share storage with A or B: an operand may be
+// read in place while the product is stored into C.
 func (e *Engine) DGEMM(transA, transB bool, alpha float64, A, B *Matrix, beta float64, C *Matrix, opts *Options) (*Report, error) {
 	return e.DGEMMContext(context.Background(), transA, transB, alpha, A, B, beta, C, opts)
 }

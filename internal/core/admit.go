@@ -213,24 +213,10 @@ func opShape(x *matrix.Dense, trans bool) (rows, cols int) {
 // zero-padded probeSize×probeSize matrix and returns it with the
 // sample's max absolute value.
 func sampleProbe(src *matrix.Dense, trans bool, rows, cols int) (*matrix.Dense, float64) {
-	dst := matrix.New(probeSize, probeSize)
-	var amax float64
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			var v float64
-			if trans {
-				v = src.Data[i*src.Stride+j]
-			} else {
-				v = src.Data[j*src.Stride+i]
-			}
-			dst.Data[j*dst.Stride+i] = v
-			if v < 0 {
-				v = -v
-			}
-			if v > amax {
-				amax = v
-			}
-		}
+	if trans {
+		src = src.View(0, 0, cols, rows).Transpose()
 	}
-	return dst, amax
+	dst := matrix.New(probeSize, probeSize)
+	dst.View(0, 0, rows, cols).CopyFrom(src.View(0, 0, rows, cols))
+	return dst, dst.MaxAbs()
 }

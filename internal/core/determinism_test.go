@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	osexec "os/exec"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -223,11 +224,29 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							t.Errorf("%s: max diff %g against the reference", name, matrix.MaxAbsDiff(want, ref))
 						}
 						// One worker runs any split as a wave: the deferred side
-						// of the rule, when the shape has one.
+						// of the rule, when the shape has one. Its blocks read in
+						// place the deferred segments that are untransposed and
+						// unpadded when they run the standard recursion (Standard,
+						// or Winograd with no fast level), and pack the others;
+						// every other segment and C tile is converted once.
 						ms, ks, ns := opts.withDefaults().Tile.SplitDims(m, k, n)
 						deferred := map[byte]int{'A': len(ms) * len(ks), 'B': len(ks) * len(ns)}[sh.deferred]
 						if st.PackDeferred != deferred {
 							t.Fatalf("%s: PackDeferred = %d, want %d", name, st.PackDeferred, deferred)
+						}
+						pm, pk, pn := st.PaddedM, st.PaddedK, st.PaddedN
+						segA, segB := 8*int64(len(ms)*len(ks)*pm*pk), 8*int64(len(ks)*len(ns)*pk*pn)
+						packed := 8*int64(len(ms)*len(ns)*pm*pn) + segA + segB
+						var inPlace int64
+						switch {
+						case st.FastLevels != 0:
+						case sh.deferred == 'A':
+							inPlace = segA - consumerCopies(ms, ks, pm, pk, 1, ta)
+						case sh.deferred == 'B':
+							inPlace = segB - consumerCopies(ks, ns, pk, pn, 1, tb)
+						}
+						if st.ConvertBytes != packed-inPlace {
+							t.Fatalf("%s: ConvertBytes = %d, want %d: %d packed less %d read in place", name, st.ConvertBytes, packed-inPlace, packed, inPlace)
 						}
 
 						// A plan built for this n cuts the per-call blocks; one built
@@ -261,10 +280,15 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 								}
 								switch what {
 								case "GEMMCtx":
+									// A nested run packs every segment up front.
 									direct = gs
-									if gs.ConvertBytes != st.ConvertBytes || gs.PackDeferred != 0 && gs.PackDeferred != deferred {
-										t.Errorf("%s: %s at %d workers converts %d bytes, %d segments deferred; at one worker %d and %d",
-											name, what, pool.Workers(), gs.ConvertBytes, gs.PackDeferred, st.ConvertBytes, deferred)
+									converts := packed
+									if gs.PackDeferred != 0 {
+										converts -= inPlace
+									}
+									if gs.ConvertBytes != converts || gs.PackDeferred != 0 && gs.PackDeferred != deferred {
+										t.Errorf("%s: %s at %d workers converts %d bytes, %d segments deferred; want %d and 0 or %d",
+											name, what, pool.Workers(), gs.ConvertBytes, gs.PackDeferred, converts, deferred)
 									}
 								case "GEMMBatch", "GEMMBatchStrided":
 									if gs.ConvertBytes != direct.ConvertBytes || gs.PackDeferred != direct.PackDeferred {
@@ -786,6 +810,32 @@ func TestDeterminismPlanNotRun(t *testing.T) {
 	}
 }
 
+// leastBudget is the smallest budget admit takes for a lone call of the
+// plan of an m×k×n product on pool, found by bisection below est on admit
+// alone: nothing runs.
+func leastBudget(t *testing.T, pool *sched.Pool, o Options, gv given, m, k, n int, est int64) int64 {
+	t.Helper()
+	o = o.withDefaults()
+	if gv.pa != nil {
+		o.Curve = gv.pa.Curve
+	}
+	pl, err := planOf(o, pool.Workers(), gv, m, k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := int64(0), est // refused above 0 up to lo, admitted at hi
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		o.MemBudget = mid
+		if _, err := admit(o, pool.Workers(), pl.ch); err != nil {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
 // TestDeterminismMemBudget: a budget changes what a call holds at once,
 // never its bits. Each shape runs unbudgeted, then under budgets from its
 // estimate down to the least admission takes (found on admit alone):
@@ -798,29 +848,6 @@ func TestDeterminismMemBudget(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(371))
 	lean, big := matrix.Random(48, 2048, rng), matrix.Random(2048, 2048, rng)
-	// least is the smallest budget admit takes for a lone call of this
-	// plan, found by bisection on admit alone: nothing runs.
-	least := func(o Options, gv given, m, k, n int, est int64) int64 {
-		o = o.withDefaults()
-		if gv.pa != nil {
-			o.Curve = gv.pa.Curve
-		}
-		pl, err := planOf(o, pool.Workers(), gv, m, k, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, hi := int64(0), est // refused above 0 up to lo, admitted at hi
-		for hi-lo > 1 {
-			mid := lo + (hi-lo)/2
-			o.MemBudget = mid
-			if _, err := admit(o, pool.Workers(), pl.ch); err != nil {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return hi
-	}
 	budgets := func(est, floor int64) []int64 {
 		var bs []int64
 		for b := est; b > floor; b = b * 3 / 4 {
@@ -896,7 +923,7 @@ func TestDeterminismMemBudget(t *testing.T) {
 					t.Fatalf("%s: unbudgeted entry points disagree", name)
 				}
 			}
-			floor := least(opts, gv, m, k, n, ests[0])
+			floor := leastBudget(t, pool, opts, gv, m, k, n, ests[0])
 			for _, b := range budgets(ests[0], floor) {
 				opts.MemBudget = b
 				outs, ests, err := call(opts)
@@ -918,6 +945,133 @@ func TestDeterminismMemBudget(t *testing.T) {
 			if _, _, err := call(opts); !errors.Is(err, ErrMemBudget) {
 				t.Errorf("%s: budget %d, a byte under the least: err = %v, want ErrMemBudget", name, floor-1, err)
 			}
+		}
+	}
+}
+
+// TestDeterminismInPlaceSegments: a deferred segment that needs neither
+// padding nor transposition is read where it lies, at the caller's
+// leading dimension, by the block that consumes it on the standard
+// recursion (Prepacked.mat) — a change of cost, never of bits. A
+// 1024×1024·1024×48 call defers A and 48×1024·1024×1024 defers B; both
+// operands are strided views. On Z-Morton, ColMajor and Hilbert, at 1,
+// 2 and 4 workers, for β = 0 and 0.5, through GEMMCtx and a one-item
+// GEMMBatch, unbudgeted and under the least MemBudget admission takes
+// (every transient segment then goes to its consumers), each call
+// returns the bits of its twin: the same product with the deferred
+// operand stored transposed, whose segments its consumers pack. Both
+// bring the same segments (PackDeferred); only the twin converts the
+// deferred operand's bytes (ConvertBytes). A one-worker call allocates
+// no more than its twin. A fast algorithm reads in place only with no
+// fast level to run.
+func TestDeterminismInPlaceSegments(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(381))
+	// strided draws an r×c view whose stride exceeds its rows.
+	strided := func(r, c int) *matrix.Dense { return matrix.Random(r+5, c, rng).View(3, 0, r, c) }
+	type operands struct {
+		ta, tb bool
+		A, B   *matrix.Dense
+	}
+	shapes := [][3]int{{1024, 1024, 48}, {48, 1024, 1024}}
+	if testing.Short() || raceEnabled {
+		shapes = [][3]int{{256, 256, 12}, {12, 256, 256}}
+	}
+	for _, sh := range shapes {
+		m, k, n := sh[0], sh[1], sh[2]
+		deferA := n < m
+		in := operands{A: strided(m, k), B: strided(k, n)}
+		twin, moved := in, int64(8*k*n)
+		if deferA {
+			twin.ta, twin.A, moved = true, in.A.Transpose(), int64(8*m*k)
+		} else {
+			twin.tb, twin.B = true, in.B.Transpose()
+		}
+		C0 := matrix.Random(m, n, rng)
+		for _, workers := range []int{1, 2, 4} {
+			pool := sched.NewPool(workers)
+			for _, cv := range []layout.Curve{layout.ZMorton, layout.ColMajor, layout.Hilbert} {
+				for _, beta := range []float64{0, 0.5} {
+					opts := Options{Curve: cv, Alg: Standard}
+					name := fmt.Sprintf("%dx%dx%d %v beta=%g, %d workers", m, k, n, cv, beta, workers)
+					call := func(opts Options, op operands, batch bool) (*matrix.Dense, *Stats) {
+						t.Helper()
+						C := C0.Clone()
+						if !batch {
+							st, err := GEMMCtx(ctx, pool, opts, op.ta, op.tb, 1.5, op.A, op.B, beta, C)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							return C, st
+						}
+						bs, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{TransA: op.ta, TransB: op.tb, Alpha: 1.5, A: op.A, B: op.B, Beta: beta, C: C}})
+						if err == nil {
+							err = errs[0]
+						}
+						if err != nil {
+							t.Fatalf("%s: GEMMBatch: %v", name, err)
+						}
+						return C, &bs.Stats
+					}
+					_, full := call(opts, in, false)
+					least := leastBudget(t, pool, opts, given{}, m, k, n, full.EstimatedBytes)
+					var ref *matrix.Dense
+					for _, budget := range []int64{0, least} {
+						opts.MemBudget = budget
+						for _, batch := range []bool{false, true} {
+							what := fmt.Sprintf("%s, budget %d, batch %v", name, budget, batch)
+							got, st := call(opts, in, batch)
+							want, ts := call(opts, twin, batch)
+							if ref == nil {
+								ref = want
+							}
+							if !matrix.Equal(got, want, 0) || !matrix.Equal(want, ref, 0) {
+								t.Errorf("%s: in place %g and packed %g from the first call's bits", what,
+									matrix.MaxAbsDiff(got, ref), matrix.MaxAbsDiff(want, ref))
+							}
+							if budget != 0 && (!strings.Contains(strings.Join(st.Degraded, ";"), "its blocks pack them") || st.EstimatedBytes > budget) {
+								t.Errorf("%s: est %d, notes %q, want the consumed path", what, st.EstimatedBytes, st.Degraded)
+							}
+							if st.PackDeferred == 0 || st.PackDeferred != ts.PackDeferred || ts.ConvertBytes-st.ConvertBytes != moved {
+								t.Errorf("%s: %d segments deferred converting %d bytes, packed twin %d converting %d; want %d bytes apart",
+									what, st.PackDeferred, st.ConvertBytes, ts.PackDeferred, ts.ConvertBytes, moved)
+							}
+						}
+					}
+					if workers == 1 && beta == 0 && !raceEnabled {
+						// Warm, with no collection to empty the buffer pool.
+						opts.MemBudget = 0
+						restore := debug.SetGCPercent(-1)
+						allocs := func(op operands) float64 {
+							return testing.AllocsPerRun(10, func() { call(opts, op, false) })
+						}
+						allocs(in)
+						allocs(twin)
+						a, b := allocs(in), allocs(twin)
+						debug.SetGCPercent(restore)
+						if a > b {
+							t.Errorf("%s: %.0f allocations a call in place, %.0f packing", name, a, b)
+						}
+					}
+					// Winograd with no fast level (a cutoff above the grid, or
+					// a grid of one tile) runs the standard recursion from the
+					// root and reads in place, for Standard's bits; with one,
+					// its additions need packed operands.
+					if workers == 2 && beta == 0 {
+						for _, cut := range []int{1 << 20, 1} {
+							opts := Options{Curve: cv, Alg: Winograd, FastCutoff: cut}
+							got, st := call(opts, in, false)
+							want, ts := call(opts, twin, false)
+							copied, std := ts.ConvertBytes-st.ConvertBytes, st.FastLevels == 0
+							if !matrix.Equal(got, want, 0) || std && (copied != moved || !matrix.Equal(got, ref, 0)) || !std && copied != 0 {
+								t.Errorf("%s: Winograd, cutoff %d, %d fast levels: %d bytes more converted by the packed twin, diff %g from it, %g from Standard",
+									name, cut, st.FastLevels, copied, matrix.MaxAbsDiff(got, want), matrix.MaxAbsDiff(got, ref))
+							}
+						}
+					}
+				}
+			}
+			pool.Close()
 		}
 	}
 }

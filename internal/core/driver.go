@@ -178,20 +178,22 @@ type Stats struct {
 	AllocBytes int64
 	// ConvertBytes counts the packed bytes the call actually converted:
 	// operand buffers filled from (or, for the fused epilogue,
-	// accumulated back into) column-major storage. Prepacked operands
-	// contribute nothing, so a plan-reusing call reports ≈ 0 here —
-	// Section 4's conversion accounting, in bytes rather than seconds.
+	// accumulated back into) column-major storage. Prepacked operands and
+	// segments read in place contribute nothing, so a plan-reusing call
+	// reports ≈ 0 here — Section 4's conversion accounting, in bytes
+	// rather than seconds.
 	ConvertBytes int64
 	// PackReused counts operand packs satisfied without reading the
 	// column-major source: blocks served by a *Prepacked* plan, and
 	// second operands derived in-layout from the first (the transposed
 	// pack a symmetric α·A·Aᵀ product folds).
 	PackReused int
-	// PackDeferred counts operand segments packed by the C block that
-	// multiplies them, into its runner's buffer and not into a plan: once
-	// when a wave's one row or column of blocks consumes them, once per
-	// consumer when MemBudget moved a transient plan to its blocks. Each
-	// pack is counted in ConvertBytes.
+	// PackDeferred counts operand segments brought by the C block that
+	// multiplies them, not by a plan: once when a wave's one row or column
+	// of blocks consumes them, once per consumer when MemBudget moved a
+	// transient plan to its blocks. On the standard recursion an
+	// untransposed segment that needs no padding is read in place; any
+	// other is packed into the runner's buffer and counted in ConvertBytes.
 	PackDeferred int
 	// PoolHits and PoolMisses count tiled-buffer recycling-pool
 	// outcomes for the buffers this call acquired; in steady state
@@ -246,7 +248,9 @@ func GEMM(pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 // are recovered, aggregated with worker-side stacks, and returned as a
 // *sched.TaskError), it validates scalars and tilings before touching
 // C, and it honors ctx — a cancelled context makes the call return an
-// error wrapping ctx's cause within a bounded latency.
+// error wrapping ctx's cause within a bounded latency. As in dgemm, C
+// must not share storage with A or B: a block may read an operand in
+// place while another stores into C.
 //
 // Failure atomicity: until validation and admission have passed and the
 // call's scheduler run has begun, C is untouched (a cancellation that

@@ -429,11 +429,14 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	}
 	t1 := time.Now()
 
-	// A deferred operand's segment is packed here, by its consumer, into
-	// the runner's buffer; mat bills that to ConvertIn.
+	// A deferred operand's segment is brought here, by its consumer: read
+	// in place when the product is the standard recursion from the root
+	// (tableMul hands it a grid at the cutoff), which reads any storage,
+	// or packed into the runner's buffer, which mat bills to ConvertIn.
 	cm, in0 := tc.Mat(), ws.stats.ConvertIn
+	std := alg == Standard || cm.tiles <= max(e.fastCutoff, 1)
 	for kk := range pa.CSegs {
-		am, bm := pa.mat(c, ws, &ws.one[0], i, kk), pb.mat(c, ws, &ws.one[1], kk, j)
+		am, bm := pa.mat(c, ws, &ws.one[0], i, kk, std), pb.mat(c, ws, &ws.one[1], kk, j, std)
 		e.phase(ctx, obs.KindCompute, "recmat.compute", func() { e.mul(c, alg, cm, am, bm) })
 		if c.Cancelled() {
 			return errRunCancelled

@@ -310,19 +310,25 @@ func (p *Prepacked) packSeg(e *exec, c *sched.Ctx, t *Tiled, src *matrix.Dense, 
 }
 
 // mat returns segment (i, j) as the recursion reads it: the resident
-// block, or — a deferred plan — op(src)'s segment packed now into buf,
-// the consuming runner's reused workspace, so the recursion finds it in
-// that worker's cache. ws is billed the conversion.
-func (p *Prepacked) mat(c *sched.Ctx, ws *waveWS, buf *Tiled, i, j int) Mat {
+// block or, on a deferred plan, op(src)'s segment brought by the block
+// consuming it — read where it lies, at the caller's leading dimension,
+// when the block runs the standard recursion (std) and the segment is
+// untransposed and fills its padded extent (a copy pays only if reused);
+// else packed now into buf, the runner's reused workspace, billed to ws.
+func (p *Prepacked) mat(c *sched.Ctx, ws *waveWS, buf *Tiled, i, j int, std bool) Mat {
 	if p.src == nil {
 		return p.Block(i, j).Mat()
+	}
+	ws.stats.PackDeferred++
+	if r, cs := p.RSegs[i], p.CSegs[j]; std && !p.trans && r.Len == p.TR<<p.D && cs.Len == p.TC<<p.D {
+		s := p.src
+		return Mat{data: s.Data[cs.Off*s.Stride+r.Off:], tiles: 1 << p.D, tr: p.TR, tc: p.TC, ld: s.Stride, curve: p.Curve}
 	}
 	t0 := time.Now()
 	buf.refit(&ws.stats, p.hdr, p.RSegs[i].Len, p.CSegs[j].Len)
 	p.packSeg(&ws.e, c, buf, p.src, p.trans, i, j)
 	ws.stats.ConvertIn += time.Since(t0)
 	ws.stats.ConvertBytes += 8 * int64(len(buf.Data))
-	ws.stats.PackDeferred++
 	return buf.Mat()
 }
 

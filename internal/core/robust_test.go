@@ -175,7 +175,7 @@ func TestResidualProbeDegradesBatchOfOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := batchOfOne(t, "probe", pool, opts, 1, A, B, 0, matrix.New(n, n), C, st)
+	bs := batchOfOne(t, "probe", pool, opts, BatchItem{Alpha: 1, A: A, B: B}, matrix.New(n, n), C, st)
 	if bs.Alg != Standard || len(bs.Degraded) == 0 {
 		t.Fatalf("one-item GEMMBatch: alg = %v, notes %q; want Standard after probe degradation", bs.Alg, bs.Degraded)
 	}

@@ -53,15 +53,15 @@ func blocksScaledOrComplete(t *testing.T, what string, cfg tile.Config, k int, C
 	return complete
 }
 
-// batchOfOne runs a product as a one-item GEMMBatch on a copy of C0 and
+// batchOfOne runs product it as a one-item GEMMBatch on a copy of C0 and
 // holds it to its GEMMCtx twin, which left want and reported st: a wave
 // of one member is the call, so the bits and what Stats say was planned,
 // admitted and packed are the twin's.
-func batchOfOne(t *testing.T, what string, pool *sched.Pool, opts Options, alpha float64, A, B *matrix.Dense, beta float64,
-	C0, want *matrix.Dense, st *Stats) *BatchStats {
+func batchOfOne(t *testing.T, what string, pool *sched.Pool, opts Options, it BatchItem, C0, want *matrix.Dense, st *Stats) *BatchStats {
 	t.Helper()
 	got := C0.Clone()
-	bs, errs, err := GEMMBatch(context.Background(), pool, opts, []BatchItem{{Alpha: alpha, A: A, B: B, Beta: beta, C: got}})
+	it.C = got
+	bs, errs, err := GEMMBatch(context.Background(), pool, opts, []BatchItem{it})
 	if err == nil {
 		err = errs[0]
 	}
@@ -81,14 +81,32 @@ func batchOfOne(t *testing.T, what string, pool *sched.Pool, opts Options, alpha
 	return bs
 }
 
+// consumerCopies is the bytes the blocks of a standard-recursion wave
+// pack of an operand cut into rs×cs segments on a padded pr×pc, each
+// segment brought by uses blocks: every segment of an operand stored
+// transposed, else those short of their padded extent — the others are
+// read in place (Prepacked.mat).
+func consumerCopies(rs, cs []tile.Seg, pr, pc, uses int, trans bool) int64 {
+	n := 0
+	for _, r := range rs {
+		for _, c := range cs {
+			if trans || r.Len != pr || c.Len != pc {
+				n++
+			}
+		}
+	}
+	return 8 * int64(n*uses*pr*pc)
+}
+
 // TestWaveMemBudgetConsumerPacks: the transient plan is charged once per
 // call; a budget it exceeds moves its segments to the blocks that
-// multiply them — each block packs an A and a B segment for every step of
-// its k chain — and the blocks, the bits and the one epilogue per C block
-// stay. The least a call can run in is one block multiplication's
-// buffers on the serial rung: a product tile, one segment of each operand
-// and one kernel scratch; a byte less rejects the call before C is
-// touched. Beside every call runs its one-item batch, which degrades and
+// multiply them — each block brings an A and a B segment for every step
+// of its k chain, read in place or packed (consumerCopies; one row has A
+// stored transposed, so its blocks pack it) — and the blocks, the bits
+// and the one epilogue per C block stay. The least a call can run in is
+// one block multiplication's buffers on the serial rung: a product tile,
+// one segment of each operand and one kernel scratch; a byte less
+// rejects the call before C is touched. Beside every call runs its one-item batch, which degrades and
 // is refused exactly as the call is.
 func TestWaveMemBudgetConsumerPacks(t *testing.T) {
 	pool := sched.NewPool(2)
@@ -101,15 +119,16 @@ func TestWaveMemBudgetConsumerPacks(t *testing.T) {
 		// B segments; minimal instead is the least the call runs in.
 		lessA, lessB int
 		minimal      bool
+		ta           bool // A stored transposed
 	}{
 		{m: 300, k: 20, n: 120, blocks: 10, lessA: 2},
 		{m: 120, k: 20, n: 300, blocks: 10, lessB: 2},
-		{m: 300, k: 20, n: 120, blocks: 10, minimal: true},
+		{m: 300, k: 20, n: 120, blocks: 10, minimal: true, ta: true},
 		{m: 20, k: 300, n: 300, blocks: 25, minimal: true},
 	} {
 		for _, cv := range []layout.Curve{layout.ZMorton, layout.ColMajor} {
-			what := fmt.Sprintf("%dx%dx%d %v", tc.m, tc.k, tc.n, cv)
-			A, B := matrix.Random(tc.m, tc.k, rng), matrix.Random(tc.k, tc.n, rng)
+			what := fmt.Sprintf("%dx%dx%d %v ta=%v", tc.m, tc.k, tc.n, cv, tc.ta)
+			A, B := opMat(tc.m, tc.k, tc.ta, rng), matrix.Random(tc.k, tc.n, rng)
 			C := matrix.Random(tc.m, tc.n, rng)
 			opts := Options{Curve: cv, Alg: Standard, Tile: testTile}
 			beta := 0.5 // the accumulating epilogue; the minimal rows store
@@ -117,14 +136,15 @@ func TestWaveMemBudgetConsumerPacks(t *testing.T) {
 				beta = 0
 			}
 			want := C.Clone()
-			full, err := GEMM(pool, opts, false, false, 1.5, A, B, beta, want)
+			full, err := GEMM(pool, opts, tc.ta, false, 1.5, A, B, beta, want)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(full.Degraded) != 0 || full.Blocks != tc.blocks {
 				t.Fatalf("%s: unbudgeted run: blocks=%d notes=%v", what, full.Blocks, full.Degraded)
 			}
-			batchOfOne(t, what+", unbudgeted", pool, opts, 1.5, A, B, beta, C, want, full)
+			item := BatchItem{TransA: tc.ta, Alpha: 1.5, A: A, B: B, Beta: beta}
+			batchOfOne(t, what+", unbudgeted", pool, opts, item, C, want, full)
 			ms, ks, ns := opts.Tile.SplitDims(tc.m, tc.k, tc.n)
 			tile := 8 * int64(full.PaddedM*full.PaddedN)
 			segA, segB := 8*int64(full.PaddedM*full.PaddedK), 8*int64(full.PaddedK*full.PaddedN)
@@ -151,7 +171,7 @@ func TestWaveMemBudgetConsumerPacks(t *testing.T) {
 				opts.MemBudget = least
 			}
 			got := C.Clone()
-			st, err := GEMM(pool, opts, false, false, 1.5, A, B, beta, got)
+			st, err := GEMM(pool, opts, tc.ta, false, 1.5, A, B, beta, got)
 			if err != nil {
 				t.Fatalf("%s: budgeted run: %v", what, err)
 			}
@@ -161,26 +181,29 @@ func TestWaveMemBudgetConsumerPacks(t *testing.T) {
 			if n := len(st.Degraded); n == 0 || !strings.Contains(st.Degraded[n-1], "its blocks pack them") {
 				t.Errorf("%s: Degraded = %q, want a last note that its blocks pack them", what, st.Degraded)
 			}
-			batchOfOne(t, what+", budgeted", pool, opts, 1.5, A, B, beta, C, got, st)
+			batchOfOne(t, what+", budgeted", pool, opts, item, C, got, st)
 			if !matrix.Equal(got, want, 0) {
 				t.Errorf("%s: consumer packs changed the bits, max diff %g", what, matrix.MaxAbsDiff(got, want))
 			}
-			// Every block × k step packs its A and its B segment.
-			packs := int64(st.Blocks) * (segA + segB)
+			// Every block × k step brings its A and its B segment; those
+			// not read in place are packed.
+			pm, pk, pn := full.PaddedM, full.PaddedK, full.PaddedN
+			packs := consumerCopies(ms, ks, pm, pk, len(ns), tc.ta) + consumerCopies(ks, ns, pk, pn, len(ms), false)
 			if st.PackDeferred != 2*st.Blocks || st.ConvertBytes != int64(len(ms)*len(ns))*tile+packs {
-				t.Errorf("%s: %d segments packed by their consumers, %d bytes converted; want %d and %d",
+				t.Errorf("%s: %d segments brought by their consumers, %d bytes converted; want %d and %d",
 					what, st.PackDeferred, st.ConvertBytes, 2*st.Blocks, int64(len(ms)*len(ns))*tile+packs)
 			}
 
 			opts.MemBudget = least - 1
 			untouched := C.Clone()
-			if _, err := GEMM(pool, opts, false, false, 1.5, A, B, beta, untouched); !errors.Is(err, ErrMemBudget) {
+			if _, err := GEMM(pool, opts, tc.ta, false, 1.5, A, B, beta, untouched); !errors.Is(err, ErrMemBudget) {
 				t.Fatalf("%s: err = %v, want ErrMemBudget", what, err)
 			}
 			if !matrix.Equal(untouched, C, 0) {
 				t.Errorf("%s: admission rejected the call after touching C", what)
 			}
-			if _, _, err := GEMMBatch(context.Background(), pool, opts, []BatchItem{{Alpha: 1.5, A: A, B: B, Beta: beta, C: untouched}}); !errors.Is(err, ErrMemBudget) {
+			item.C = untouched
+			if _, _, err := GEMMBatch(context.Background(), pool, opts, []BatchItem{item}); !errors.Is(err, ErrMemBudget) {
 				t.Errorf("%s: one-item GEMMBatch: err = %v, want ErrMemBudget", what, err)
 			}
 			if !matrix.Equal(untouched, C, 0) {
@@ -193,71 +216,101 @@ func TestWaveMemBudgetConsumerPacks(t *testing.T) {
 // TestWaveMemBudgetLeanTimesBig: a lean A against a big B under the
 // default tiling — 48×2048 · 2048×2048, a 32 MiB packed B — runs whole
 // inside tenant-sized budgets: one row of C blocks, so B is never held
-// as a plan, only a segment per runner.
+// as a plan, only billed a segment per runner. The blocks read B in
+// place; stored transposed, it is packed by them, 32 MiB more converted
+// for the same bits. Budgeted or not, a call converts the same bytes.
 func TestWaveMemBudgetLeanTimesBig(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(166))
 	m, k, n := 48, 2048, 2048
 	A, B := matrix.Random(m, k, rng), matrix.Random(k, n, rng)
-	want := matrix.New(m, n)
-	opts := Options{Curve: layout.ZMorton, Alg: Standard}
-	full, err := GEMM(pool, opts, false, false, 1, A, B, 0, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []int64{2 << 20, 8 << 20, 32 << 20} {
-		opts.MemBudget = budget
+	var want *matrix.Dense
+	var inPlace int64
+	for _, tb := range []bool{false, true} {
+		opB := B
+		if tb {
+			opB = B.Transpose()
+		}
+		opts := Options{Curve: layout.ZMorton, Alg: Standard}
 		got := matrix.New(m, n)
-		st, err := GEMM(pool, opts, false, false, 1, A, B, 0, got)
+		full, err := GEMM(pool, opts, false, tb, 1, A, opB, 0, got)
 		if err != nil {
-			t.Fatalf("budget %s: %v", fmtBytes(budget), err)
+			t.Fatal(err)
 		}
-		if st.Alg != Standard || st.EstimatedBytes > budget || len(st.Degraded) != 0 {
-			t.Errorf("budget %s: alg=%v est=%d notes=%q", fmtBytes(budget), st.Alg, st.EstimatedBytes, st.Degraded)
+		if want == nil {
+			want, inPlace = got, full.ConvertBytes
+		} else if full.ConvertBytes-inPlace != 8*int64(k*n) || !matrix.Equal(got, want, 0) {
+			t.Errorf("B stored transposed: %d bytes converted, %d in place; want %d apart and the same bits (max diff %g)",
+				full.ConvertBytes, inPlace, 8*k*n, matrix.MaxAbsDiff(got, want))
 		}
-		if st.PackDeferred == 0 || st.PackDeferred != full.PackDeferred || st.ConvertBytes != full.ConvertBytes {
-			t.Errorf("budget %s: %d segments deferred, %d bytes converted; unbudgeted %d and %d", fmtBytes(budget),
-				st.PackDeferred, st.ConvertBytes, full.PackDeferred, full.ConvertBytes)
-		}
-		if !matrix.Equal(got, want, 0) {
-			t.Errorf("budget %s: max diff %g", fmtBytes(budget), matrix.MaxAbsDiff(got, want))
+		for _, budget := range []int64{2 << 20, 8 << 20, 32 << 20} {
+			opts.MemBudget = budget
+			got := matrix.New(m, n)
+			st, err := GEMM(pool, opts, false, tb, 1, A, opB, 0, got)
+			if err != nil {
+				t.Fatalf("tb=%v budget %s: %v", tb, fmtBytes(budget), err)
+			}
+			if st.Alg != Standard || st.EstimatedBytes > budget || len(st.Degraded) != 0 {
+				t.Errorf("tb=%v budget %s: alg=%v est=%d notes=%q", tb, fmtBytes(budget), st.Alg, st.EstimatedBytes, st.Degraded)
+			}
+			if st.PackDeferred == 0 || st.PackDeferred != full.PackDeferred || st.ConvertBytes != full.ConvertBytes {
+				t.Errorf("tb=%v budget %s: %d segments deferred, %d bytes converted; unbudgeted %d and %d", tb, fmtBytes(budget),
+					st.PackDeferred, st.ConvertBytes, full.PackDeferred, full.ConvertBytes)
+			}
+			if !matrix.Equal(got, want, 0) {
+				t.Errorf("tb=%v budget %s: max diff %g", tb, fmtBytes(budget), matrix.MaxAbsDiff(got, want))
+			}
 		}
 	}
 }
 
 // TestWaveDeferredSerialRung: a budget that admits only the serial rung
 // takes the wave away but not the bill it was admitted on — A's segments
-// are still packed one at a time by the block that multiplies them, now
+// are still brought one at a time by the block that multiplies them, now
 // from the caller's goroutine, and the bits and the converted bytes are
-// the wave's.
+// the wave's: none of A's when its blocks read it in place, all of them
+// when A, stored transposed, is packed by them.
 func TestWaveDeferredSerialRung(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(167))
 	A, B := matrix.Random(waveM, waveK, rng), matrix.Random(waveK, waveN, rng)
 	C := matrix.Random(waveM, waveN, rng)
-	opts := Options{Curve: layout.Hilbert, Alg: Standard, Tile: testTile}
-	want := C.Clone()
-	full, err := GEMM(pool, opts, false, false, 1, A, B, 0.5, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Room for one runner's tile, A segment and scratch beside B, not two.
-	opts.MemBudget = full.EstimatedBytes - 8*60*20
-	got := C.Clone()
-	st, err := GEMM(pool, opts, false, false, 1, A, B, 0.5, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Serial || len(st.Degraded) != 1 || st.EstimatedBytes > opts.MemBudget {
-		t.Fatalf("serial=%v est=%d budget=%d notes=%q, want the serial rung", st.Serial, st.EstimatedBytes, opts.MemBudget, st.Degraded)
-	}
-	if st.PackDeferred != 5 || full.PackDeferred != 5 || st.ConvertBytes != full.ConvertBytes {
-		t.Errorf("PackDeferred = %d serial, %d wave; ConvertBytes %d and %d", st.PackDeferred, full.PackDeferred, st.ConvertBytes, full.ConvertBytes)
-	}
-	if !matrix.Equal(got, want, 0) {
-		t.Errorf("serial rung changed the bits, max diff %g", matrix.MaxAbsDiff(got, want))
+	var want *matrix.Dense
+	var inPlace int64
+	for _, ta := range []bool{false, true} {
+		opA := A
+		if ta {
+			opA = A.Transpose()
+		}
+		opts := Options{Curve: layout.Hilbert, Alg: Standard, Tile: testTile}
+		wave := C.Clone()
+		full, err := GEMM(pool, opts, ta, false, 1, opA, B, 0.5, wave)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want, inPlace = wave, full.ConvertBytes
+		} else if full.ConvertBytes-inPlace != 8*waveM*waveK {
+			t.Errorf("A stored transposed: %d bytes converted, %d in place; want %d apart", full.ConvertBytes, inPlace, 8*waveM*waveK)
+		}
+		// Room for one runner's tile, A segment and scratch beside B, not two.
+		opts.MemBudget = full.EstimatedBytes - 8*60*20
+		got := C.Clone()
+		st, err := GEMM(pool, opts, ta, false, 1, opA, B, 0.5, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Serial || len(st.Degraded) != 1 || st.EstimatedBytes > opts.MemBudget {
+			t.Fatalf("ta=%v: serial=%v est=%d budget=%d notes=%q, want the serial rung", ta, st.Serial, st.EstimatedBytes, opts.MemBudget, st.Degraded)
+		}
+		if st.PackDeferred != 5 || full.PackDeferred != 5 || st.ConvertBytes != full.ConvertBytes {
+			t.Errorf("ta=%v: PackDeferred = %d serial, %d wave; ConvertBytes %d and %d", ta, st.PackDeferred, full.PackDeferred, st.ConvertBytes, full.ConvertBytes)
+		}
+		if !matrix.Equal(got, want, 0) || !matrix.Equal(wave, want, 0) {
+			t.Errorf("ta=%v: serial rung %g, wave %g from the in-place wave's bits", ta, matrix.MaxAbsDiff(got, want), matrix.MaxAbsDiff(wave, want))
+		}
 	}
 }
 
@@ -373,8 +426,10 @@ func TestWaveReturnsPooledBuffers(t *testing.T) {
 // call's error unwraps to the injected fault, and either C is untouched
 // (the call failed before β) or the error names its progress and every
 // C block is β-scaled or complete. One column of C blocks: A's segments
-// are packed inside the wave, and the run goes on until a panic has
-// fired in such a pack.
+// are brought by their blocks inside the wave — read in place by
+// Standard, packed by the fast algorithms and, on every other run, from
+// an A stored transposed, for the same bits — and the run goes on until
+// a panic has fired in such a pack.
 func TestStressWaveFaultInjection(t *testing.T) {
 	defer stressFaults()()
 	pool := sched.NewPool(4)
@@ -382,6 +437,7 @@ func TestStressWaveFaultInjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(164))
 	m, k, n := 600, 24, 40 // 10×1 C blocks... a wave on 4 workers
 	A, B := matrix.Random(m, k, rng), matrix.Random(k, n, rng)
+	At := A.Transpose()
 	C := matrix.Random(m, n, rng)
 	scaled := C.Clone()
 	scaled.Scale(0.5)
@@ -393,11 +449,15 @@ func TestStressWaveFaultInjection(t *testing.T) {
 		runs++
 		opts := Options{Curve: curves[i%len(curves)], Alg: algs[i%len(algs)], Tile: testTile}
 		got := C.Clone()
-		st, err := GEMM(pool, opts, false, false, 1, A, B, 0.5, got)
+		ta, opA := i%2 == 1, A
+		if ta {
+			opA = At
+		}
+		st, err := GEMM(pool, opts, ta, false, 1, opA, B, 0.5, got)
 		key := i % (len(curves) * len(algs))
 		if err == nil {
 			if st.PackDeferred != 10 {
-				t.Fatalf("iter %d: PackDeferred = %d, want A's 10 segments (test premise)", i, st.PackDeferred)
+				t.Fatalf("iter %d: PackDeferred = %d, want A's 10 segments brought by their blocks (test premise)", i, st.PackDeferred)
 			}
 			// The first clean run of a configuration is its reference;
 			// RefGEMM bounds it, later runs must reproduce it bit for bit.
@@ -447,9 +507,10 @@ func TestStressWaveFaultInjection(t *testing.T) {
 // TestWaveStatsAndTrace: Stats of a split call describe the shared plan
 // and the wave's single scheduler run, and the trace shows pack → wave
 // with one wave-item span per C block instead of per-block phases. The
-// same product as a one-item batch traced for a request draws the same
-// spans, each block's carrying the item's trace id, which links it to
-// the request's lane.
+// same product as a one-item batch traced for a request, its A stored
+// transposed, draws the same spans and a pack span per A segment, which
+// its blocks pack; each block's span carries the item's trace id, which
+// links it to the request's lane.
 func TestWaveStatsAndTrace(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -496,14 +557,14 @@ func TestWaveStatsAndTrace(t *testing.T) {
 	if st.Span < 3*block || st.Span > st.Work {
 		t.Errorf("Span = %g, want within [%g, %g]", st.Span, 3*block, st.Work)
 	}
-	if want := int64(8 * (5*60*20 + 20*20 + 5*60*20)); st.ConvertBytes != want {
-		t.Errorf("ConvertBytes = %d, want %d (every segment packed once, five C tiles)", st.ConvertBytes, want)
+	if want := int64(8 * (20*20 + 5*60*20)); st.ConvertBytes != want {
+		t.Errorf("ConvertBytes = %d, want %d (B's segment packed once, five C tiles)", st.ConvertBytes, want)
 	}
-	// A's five segments have one consumer each: packed by the blocks, into
-	// one buffer per runner, and billed that way — B's segment, then a tile
-	// and an A segment per runner, then the kernel scratch per worker.
-	if st.PackReused != 0 || st.PackDeferred != 5 || st.PoolHits+st.PoolMisses < 3 || st.PoolHits+st.PoolMisses > 5 {
-		t.Errorf("PackReused=%d PackDeferred=%d, %d buffers acquired, want 0, 5 and B's segment + a tile and an A buffer per runner",
+	// A's five segments have one consumer each: read in place by the
+	// blocks, and still billed a segment per runner — B's segment and a
+	// tile per runner are all the buffers the call takes.
+	if st.PackReused != 0 || st.PackDeferred != 5 || st.PoolHits+st.PoolMisses < 2 || st.PoolHits+st.PoolMisses > 3 {
+		t.Errorf("PackReused=%d PackDeferred=%d, %d buffers acquired, want 0, 5 and B's segment + a tile per runner",
 			st.PackReused, st.PackDeferred, st.PoolHits+st.PoolMisses)
 	}
 	if want := int64(8 * (20*20 + 2*(60*20+60*20) + 2*(15*5+5*5))); st.EstimatedBytes != want {
@@ -513,8 +574,8 @@ func TestWaveStatsAndTrace(t *testing.T) {
 		t.Errorf("phase timers: in=%v compute=%v out=%v", st.ConvertIn, st.Compute, st.ConvertOut)
 	}
 	// One span per block; a packed segment is a span — B's one up front
-	// (too small to chunk), A's five in the wave.
-	spans := map[string]int{"wave-item": 5, "convert-in": 1, "compute": 1, "convert-out": 0, "pack": 1 + 5}
+	// (too small to chunk), and none of A's.
+	spans := map[string]int{"wave-item": 5, "convert-in": 1, "compute": 1, "convert-out": 0, "pack": 1}
 	for name, want := range spans {
 		if sum.ByName[name] != want {
 			t.Errorf("trace has %d %q events, want %d (%v)", sum.ByName[name], name, want, sum.ByName)
@@ -525,14 +586,14 @@ func TestWaveStatsAndTrace(t *testing.T) {
 	sum = traced(func() error {
 		tr := obs.Cur()
 		t0 := time.Now()
-		_, errs, err := GEMMBatch(context.Background(), pool, opts, []BatchItem{{Alpha: 1, A: A, B: B, C: C, TraceID: id}})
+		_, errs, err := GEMMBatch(context.Background(), pool, opts, []BatchItem{{TransA: true, Alpha: 1, A: A.Transpose(), B: B, C: C, TraceID: id}})
 		tr.LaneSpan(tr.NewLane(), obs.KindRequest, t0, time.Since(t0), id)
 		if err != nil {
 			return err
 		}
 		return errs[0]
 	})
-	spans["request"] = 1
+	spans["request"], spans["pack"] = 1, 1+5
 	for name, want := range spans {
 		if sum.ByName[name] != want {
 			t.Errorf("one-item batch: trace has %d %q events, want %d (%v)", sum.ByName[name], name, want, sum.ByName)
