@@ -16,7 +16,7 @@ loc:
 # and of internal/layout, may not exceed what the last change to shrink
 # each landed at (ROADMAP.md's targets: 4,800 for the core, 4,000 for
 # serve + obs). A change that shrinks a package lowers its figure; none
-# raises it, with one recorded exception: the core's went 5,036 → 5,075
+# raises it, with two recorded exceptions: the core's went 5,036 → 5,075
 # when the standard recursion's serial base became a loop over memoized
 # tile-position tables (exec.base, posFor, tileAddr), net of the
 # quadrant descent and leafMul it replaced. It came down to 4,914 when
@@ -33,7 +33,10 @@ loc:
 # MemBudget came to be packed by the blocks that multiply it and the
 # budget group walk went; then to 4,655 when a deferred segment came to
 # be read in place, paid for by the residual probe's sample becoming a
-# view copy. The serve package's went 2,580 → 2,568 when every request
+# view copy; and the second exception, 4,655 → 4,695, when a product of
+# one block of at most 8 tiles a side came to be multiplied where it lies
+# (its operands read in place, a β = 0, α = 1 product accumulated into C
+# in place, C zeroed again if its block fails). The serve package's went 2,580 → 2,568 when every request
 # group came to make one batch call. The leaf's went 1,133 → 917 when every
 # register-blocked family came to read every tile in place, strided or
 # contiguous (packedMul is its one body): the packed-panel micro-kernels
@@ -42,7 +45,7 @@ loc:
 # layout package's S functions, Perm and SOriented are what the core's
 # tests check its tables against. Test files are the ones named
 # *_test.go.
-CORE_LOC_MAX = 4655
+CORE_LOC_MAX = 4695
 LAYOUT_LOC_MAX = 506
 LEAF_LOC_MAX = 917
 SCHED_LOC_MAX = 908

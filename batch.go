@@ -19,10 +19,11 @@ import (
 // call's.
 
 // GEMMBatchItem is one member of an Engine.GEMMBatch wave. Items may
-// differ in shape, scalars, and transposition; the C matrices of
-// distinct items must not alias (they are written concurrently). A
-// non-nil Ctx cancels that member alone — an expired member is dropped
-// from the wave, not the wave from the member.
+// differ in shape, scalars, and transposition; no item's C may overlap
+// another item's C, or any item's A or B: the Cs are written
+// concurrently, while members read their operands — a small one in
+// place. A non-nil Ctx cancels that member alone — an expired member is
+// dropped from the wave, not the wave from the member.
 type GEMMBatchItem = core.BatchItem
 
 // PrepackedGEMMBatchItem is one member of an Engine.GEMMPrepackedBatch
@@ -41,7 +42,7 @@ type BatchReport = core.BatchStats
 // the largest member, per-item packing fused into the wave tasks, and
 // min(items, workers) runner tasks pulling items off a shared counter.
 // A steady-state wave of repeated shapes performs zero allocations per
-// item.
+// item. No item's C may overlap another item's C, A or B.
 //
 // The returned slice has one error slot per item (nil = success) with
 // per-item atomicity matching DGEMMContext: a failed or cancelled

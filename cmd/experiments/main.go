@@ -65,7 +65,7 @@ const paperCutoff = 1
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to reproduce (1, 2, 4, 5, 6, 7); 0 = all")
-	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|quadtree|sched|dilation|budget, or a gate: autoparity|streamparity|fringe|factor")
+	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|quadtree|sched|dilation|budget|inplace, or a gate: autoparity|streamparity|fringe|factor")
 	flag.Parse()
 	switch *exp {
 	case "autoparity":
@@ -105,6 +105,94 @@ func main() {
 	run(-1, "sched", schedStats)
 	run(-1, "dilation", dilation)
 	run(-1, "budget", budget)
+	run(-1, "inplace", inplace)
+}
+
+// inplace is the sweep behind the in-place rule's bound: a product of one
+// block on at most 8 tiles a side, on the standard recursion, is
+// multiplied where it lies — A and B read at the caller's leading
+// dimension, a β = 0, α = 1 product accumulated straight into C. Per
+// square, on library defaults (nil options) at 1 and 2 workers, it times
+// DGEMM against two copy paths on the same operands, interleaved, and
+// prints the grid side, whether DGEMM converted nothing, the medians and
+// copy time ÷ DGEMM time: "packing", the same DGEMM with A and B stored
+// transposed, so that they pack, and β = 1, so that the product is
+// unpacked into C — the conversions every call made before the rule,
+// through the same call; and "Pack", Pack ×2 + MulPacked + Unpack,
+// which adds four entry points and fresh buffers. Past the bound DGEMM
+// packs too; the ForceTile rows put 512³ and 1024³ on 8 tiles a side,
+// read in place at 4 KB and 8 KB leading dimensions. Last, a 1000-item
+// 64³ GEMMBatch against the same wave packing.
+func inplace() {
+	rng := rand.New(rand.NewSource(*seed))
+	fmt.Println("One-block products multiplied in place: Standard, library defaults, interleaved medians; ratio = copy time / DGEMM time")
+	fmt.Printf("%-2s %-9s %5s %8s %10s %10s %6s %10s %6s\n", "W", "n/tile", "side", "in place", "DGEMM ms", "packing", "ratio", "Pack ms", "ratio")
+	for _, w := range []int{1, 2} {
+		eng := recmat.NewEngine(w)
+		type row struct{ n, force int }
+		for _, r := range []row{{32, 0}, {64, 0}, {96, 0}, {100, 0}, {128, 0}, {192, 0}, {200, 0}, {256, 0}, {384, 0}, {512, 0}, {1024, 0}, {512, 64}, {1024, 128}} {
+			A, B, C := recmat.Random(r.n, r.n, rng), recmat.Random(r.n, r.n, rng), recmat.NewMatrix(r.n, r.n)
+			At, Bt := A.Transpose(), B.Transpose()
+			var opts *recmat.Options
+			if r.force > 0 {
+				opts = &recmat.Options{ForceTile: r.force}
+			}
+			var rep *recmat.Report
+			call := func() {
+				var err error
+				rep, err = eng.DGEMM(false, false, 1, A, B, 0, C, opts)
+				check(err)
+			}
+			packing := func() {
+				_, err := eng.DGEMM(true, true, 1, At, Bt, 1, C, opts)
+				check(err)
+			}
+			packed := func() {
+				pa, err := eng.Pack(A, opts)
+				check(err)
+				pb, err := eng.Pack(B, opts)
+				check(err)
+				pc, err := eng.NewPackedResult(pa, pb)
+				check(err)
+				_, err = eng.MulPacked(pc, pa, pb, opts)
+				check(err)
+				_, err = pc.Unpack(eng)
+				check(err)
+			}
+			call()
+			side, inPlace := 1<<rep.Depth, rep.ConvertBytes == 0
+			t := interleaved(call, packing, packed)
+			name := fmt.Sprint(r.n)
+			if r.force > 0 {
+				name = fmt.Sprintf("%d/%d", r.n, r.force)
+			}
+			fmt.Printf("%-2d %-9s %5d %8v %10.3f %10.3f %6.2f %10.3f %6.2f\n", w, name, side, inPlace,
+				1e3*medianOf(t[0]), 1e3*medianOf(t[1]), pairedRatio(t[1], t[0]), 1e3*medianOf(t[2]), pairedRatio(t[2], t[0]))
+		}
+		const count, n = 1000, 64
+		items, copies := make([]recmat.GEMMBatchItem, count), make([]recmat.GEMMBatchItem, count)
+		for i := range items {
+			A, B := recmat.Random(n, n, rng), recmat.Random(n, n, rng)
+			items[i] = recmat.GEMMBatchItem{Alpha: 1, A: A, B: B, C: recmat.NewMatrix(n, n)}
+			copies[i] = recmat.GEMMBatchItem{TransA: true, TransB: true, Alpha: 1, A: A.Transpose(), B: B.Transpose(), Beta: 1, C: recmat.NewMatrix(n, n)}
+		}
+		var rep *recmat.BatchReport
+		wave := func(items []recmat.GEMMBatchItem) func() {
+			return func() {
+				var err error
+				rep, _, err = eng.GEMMBatch(context.Background(), items, nil)
+				check(err)
+			}
+		}
+		wave(copies)()
+		copyBytes := rep.ConvertBytes
+		wave(items)()
+		side, inPlace := 1<<rep.Depth, rep.ConvertBytes == 0
+		t := interleaved(wave(items), wave(copies))
+		fmt.Printf("%-2d %-9s %5d %8v %10.3f %10.3f %6.2f  (GEMMBatch of %d; the packing wave converts %d bytes)\n", w, "64 batch", side,
+			inPlace, 1e3*medianOf(t[0]), 1e3*medianOf(t[1]), pairedRatio(t[1], t[0]), count, copyBytes)
+		eng.Close()
+	}
 }
 
 // budget prints the MemBudget grid: each shape unbudgeted, then at 8 MiB

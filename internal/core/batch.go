@@ -19,8 +19,8 @@ import (
 // failure never poisons its siblings.
 
 // BatchItem is one member of a GEMMBatch wave. Items may differ in
-// shape, scalars, and transposition; the Cs of distinct items must not
-// alias each other (they are written concurrently).
+// shape, scalars, and transposition; no item's C may overlap another's C
+// or any item's A or B: Cs are written while operands are read in place.
 type BatchItem struct {
 	TransA, TransB bool
 	Alpha          float64
@@ -74,6 +74,7 @@ type BatchStats struct {
 // Standard, as the budget ladder does. A wave of at least as many items
 // as workers runs each serially on its runner (allocation-free per item
 // in steady state); a smaller one spreads each item across the pool.
+// No item's C may overlap another item's C, A or B (BatchItem).
 //
 // errs has one slot per item (nil = success); err is non-nil only when
 // the wave itself could not be scheduled (bad arguments, closed pool,

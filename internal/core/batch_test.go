@@ -563,10 +563,14 @@ func TestStressBatchFaultInjection(t *testing.T) {
 
 // TestGEMMBatchPhaseAccounting: a wave's wall time is apportioned to
 // the three phase timers by the share of task time each phase took —
-// the paper's Section 4 accounting: at 64³ about half a member is pack
-// and unpack — so the conversions are not reported as zero and the
-// timers sum to the call. Wall time is judged best of three: under
-// `go test ./...` other packages' tests compete for the CPUs.
+// the paper's Section 4 accounting — so the conversions are not
+// reported as zero and the timers sum to the call. A 64³ member is one
+// small block, multiplied where it lies when it can be: here the even
+// members store A and B transposed, so they pack, and put a β = 0,
+// α = 1 product into C in place; the odd ones read A and B in place and
+// fold α = 1.5 into C through the epilogue. Wall time is judged best of
+// three: under `go test ./...` other packages' tests compete for the
+// CPUs.
 func TestGEMMBatchPhaseAccounting(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -574,6 +578,11 @@ func TestGEMMBatchPhaseAccounting(t *testing.T) {
 	items := make([]BatchItem, 400)
 	for i := range items {
 		items[i] = BatchItem{Alpha: 1, A: matrix.Random(64, 64, rng), B: matrix.Random(64, 64, rng), C: matrix.New(64, 64)}
+		if i%2 == 0 {
+			items[i].TransA, items[i].TransB = true, true
+		} else {
+			items[i].Alpha = 1.5
+		}
 	}
 	opts := Options{Curve: layout.ZMorton, Alg: Standard}
 	var off float64

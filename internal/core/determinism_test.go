@@ -1075,3 +1075,192 @@ func TestDeterminismInPlaceSegments(t *testing.T) {
 		}
 	}
 }
+
+// TestDeterminismInPlaceProduct: a product of one block of at most
+// inPlaceSide tiles a side on the standard recursion is multiplied where
+// it lies — an untransposed operand that needs no padding is read at the
+// caller's leading dimension, and a β = 0, α = 1 product goes straight
+// into C — a change of cost, never of bits. On Z-Morton, ColMajor and
+// Hilbert, for α ∈ {1, 1.5} and β ∈ {0, 0.5}, at 1, 2 and 4 workers,
+// through GEMMCtx, GEMMBatch, GEMMBatchStrided and a one-item
+// GEMMPrepackedBatch (A resident; not on ColMajor, which has no plans),
+// every call returns the bits of its twins: the same product with A, or
+// B, stored transposed, which packs it; and, for β = 0, α = 1, Pack +
+// MulTiledCtx into a zeroed tiled C + Unpack, whose C never goes in
+// place (on Z-Morton for ColMajor: the standard recursion's bits are one
+// set over the layouts). The shapes read 32-, 24- and 25-wide tiles (the
+// last with a fringe in the leaf) on grids of 2 to 8 tiles a side; a
+// padded one-block shape and 384³, 16 tiles a side, keep packing. An
+// untransposed α = 1, β = 0 member converts nothing, and at one worker
+// allocates no more than its packing twin.
+func TestDeterminismInPlaceProduct(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(393))
+	// strided draws an r×c view whose stride exceeds its rows.
+	strided := func(r, c int) *matrix.Dense { return matrix.Random(r+3, c, rng).View(2, 0, r, c) }
+	type shape struct {
+		m, k, n int
+		inPlace bool
+	}
+	shapes := []shape{{64, 64, 64, true}, {96, 96, 96, true}, {100, 100, 100, true}, {256, 256, 256, true},
+		{97, 97, 97, false}, {384, 384, 384, false}}
+	if testing.Short() || raceEnabled {
+		shapes = []shape{{64, 64, 64, true}, {100, 100, 100, true}, {97, 97, 97, false}, {384, 384, 384, false}}
+	}
+	pools := map[int]*sched.Pool{}
+	for _, w := range []int{1, 2, 4} {
+		pools[w] = sched.NewPool(w)
+		defer pools[w].Close()
+	}
+	type operands struct {
+		ta, tb bool
+		A, B   *matrix.Dense
+	}
+	for _, sh := range shapes {
+		m, k, n := sh.m, sh.k, sh.n
+		in := operands{A: strided(m, k), B: strided(k, n)}
+		twinA, twinB := operands{ta: true, A: in.A.Transpose(), B: in.B}, operands{tb: true, A: in.A, B: in.B.Transpose()}
+		C0 := strided(m, n)
+		for _, cv := range []layout.Curve{layout.ZMorton, layout.ColMajor, layout.Hilbert} {
+			opts := Options{Curve: cv, Alg: Standard}
+			for _, ab := range [][2]float64{{1, 0}, {1, 0.5}, {1.5, 0}, {1.5, 0.5}} {
+				alpha, beta := ab[0], ab[1]
+				name := fmt.Sprintf("%dx%dx%d %v alpha=%g beta=%g", m, k, n, cv, alpha, beta)
+				// run multiplies op through entry point e on pool.
+				run := func(e string, pool *sched.Pool, op operands) (*matrix.Dense, *Stats) {
+					t.Helper()
+					C := matrix.Random(m+1, n, rng).View(1, 0, m, n)
+					C.CopyFrom(C0)
+					var st *Stats
+					var errs []error
+					var err error
+					var bs *BatchStats
+					switch e {
+					case "GEMMCtx":
+						st, err = GEMMCtx(ctx, pool, opts, op.ta, op.tb, alpha, op.A, op.B, beta, C)
+					case "GEMMBatch":
+						bs, errs, err = GEMMBatch(ctx, pool, opts, []BatchItem{{TransA: op.ta, TransB: op.tb, Alpha: alpha, A: op.A, B: op.B, Beta: beta, C: C}})
+					case "GEMMBatchStrided":
+						bs, errs, err = GEMMBatchStrided(ctx, pool, opts, op.ta, op.tb, m, k, n, alpha,
+							op.A.Data, op.A.Stride, len(op.A.Data), op.B.Data, op.B.Stride, len(op.B.Data), beta, C.Data, C.Stride, len(C.Data), 1)
+					case "GEMMPrepackedBatch":
+						var pa *Prepacked
+						if pa, err = Prepack(ctx, pool, opts, op.A, op.ta); err == nil {
+							bs, errs, err = GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{TransB: op.tb, Alpha: alpha, B: op.B, Beta: beta, C: C}})
+							pa.Release()
+						}
+					}
+					if err == nil && errs != nil {
+						err = errs[0]
+					}
+					if err != nil {
+						t.Fatalf("%s, %d workers, %s: %v", name, pool.Workers(), e, err)
+					}
+					if bs != nil {
+						st = &bs.Stats
+					}
+					return C, st
+				}
+				// refs holds the first call's bits per geometry: a plan and a
+				// tiled operand tile a padded shape as its partners do not.
+				refs := map[[4]int]*matrix.Dense{}
+				geomOf := func(d uint, tm, tk, tn int) [4]int { return [4]int{int(d), tm, tk, tn} }
+				for _, workers := range []int{1, 2, 4} {
+					pool := pools[workers]
+					for _, e := range []string{"GEMMCtx", "GEMMBatch", "GEMMBatchStrided", "GEMMPrepackedBatch"} {
+						prepacked := e == "GEMMPrepackedBatch"
+						if prepacked && cv == layout.ColMajor {
+							continue
+						}
+						what := fmt.Sprintf("%s, %d workers, %s", name, workers, e)
+						got, st := run(e, pool, in)
+						ref := refs[geomOf(st.Depth, st.TileM, st.TileK, st.TileN)]
+						if ref == nil {
+							ref = got
+							refs[geomOf(st.Depth, st.TileM, st.TileK, st.TileN)] = got
+						}
+						fits := st.PaddedM == m && st.PaddedK == k && st.PaddedN == n && 1<<st.Depth <= inPlaceSide
+						if st.Blocks != 1 || fits != sh.inPlace {
+							t.Fatalf("%s: %d blocks, %dx%dx%d padded on %d tiles a side (test premise)",
+								what, st.Blocks, st.PaddedM, st.PaddedK, st.PaddedN, 1<<st.Depth)
+						}
+						if !matrix.Equal(got, ref, 0) {
+							t.Errorf("%s: %g from the first call's bits", what, matrix.MaxAbsDiff(got, ref))
+						}
+						// Each twin packs its transposed operand: its bytes more,
+						// and one segment fewer read where it lies.
+						for _, tw := range []struct {
+							op    operands
+							bytes int64
+						}{{twinA, int64(8 * m * k)}, {twinB, int64(8 * k * n)}} {
+							if prepacked && tw.op.ta {
+								continue
+							}
+							want, ts := run(e, pool, tw.op)
+							if !matrix.Equal(want, got, 0) {
+								t.Errorf("%s, transposed twin (A %v, B %v): %g from its bits", what, tw.op.ta, tw.op.tb, matrix.MaxAbsDiff(got, want))
+							}
+							if sh.inPlace && (ts.ConvertBytes-st.ConvertBytes != tw.bytes || st.PackDeferred-ts.PackDeferred != 1) {
+								t.Errorf("%s, transposed twin (A %v, B %v): %d bytes converted, %d segments brought; twin %d, %d",
+									what, tw.op.ta, tw.op.tb, st.ConvertBytes, st.PackDeferred, ts.ConvertBytes, ts.PackDeferred)
+							}
+						}
+						direct := alpha == 1 && beta == 0
+						switch {
+						case !sh.inPlace && (st.PackDeferred != 0 || st.ConvertBytes == 0):
+							t.Errorf("%s: %d segments brought, %d bytes converted; want a packing call", what, st.PackDeferred, st.ConvertBytes)
+						case sh.inPlace && direct && (st.ConvertBytes != 0 || st.ConvertOut != 0):
+							t.Errorf("%s: %d bytes converted, convert-out %v; want none", what, st.ConvertBytes, st.ConvertOut)
+						case sh.inPlace && !direct && st.ConvertOut == 0:
+							t.Errorf("%s: no convert-out; want C's epilogue", what)
+						}
+						if workers == 1 && direct && sh.inPlace && !prepacked && !raceEnabled {
+							// Warm, with no collection to empty the buffer pool.
+							restore := debug.SetGCPercent(-1)
+							allocs := func(op operands) float64 { return testing.AllocsPerRun(10, func() { run(e, pool, op) }) }
+							allocs(in)
+							allocs(twinA)
+							a, b := allocs(in), allocs(twinA)
+							debug.SetGCPercent(restore)
+							if a > b {
+								t.Errorf("%s: %.0f allocations a call in place, %.0f packing A", what, a, b)
+							}
+						}
+					}
+				}
+				if alpha != 1 || beta != 0 {
+					continue
+				}
+				// C's twin: the product accumulated into a zeroed tiled C,
+				// never C itself.
+				to := opts
+				if cv == layout.ColMajor {
+					to.Curve = layout.ZMorton
+				}
+				ta, err := PackTiled(ctx, pools[2], to, in.A)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tb, err := PackTiled(ctx, pools[2], to, in.B)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc := NewTiled(ta.Curve, ta.D, ta.TR, tb.TC, m, n)
+				if _, err := MulTiledCtx(ctx, pools[2], to, tc, ta, tb); err != nil {
+					t.Fatal(err)
+				}
+				want, err := tc.Unpack(ctx, pools[2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := refs[geomOf(ta.D, ta.TR, ta.TC, tb.TC)]
+				if ref == nil && sh.inPlace {
+					t.Fatalf("%s: Pack tiles %d×%d×%d at depth %d, no call did (test premise)", name, ta.TR, ta.TC, tb.TC, ta.D)
+				}
+				if ref != nil && !matrix.Equal(want, ref, 0) {
+					t.Errorf("%s: %g from the bits of Pack + MulTiledCtx + Unpack", name, matrix.MaxAbsDiff(want, ref))
+				}
+			}
+		}
+	}
+}

@@ -122,6 +122,8 @@ func (o *Options) withDefaults() Options {
 // (the honest cost accounting the paper calls for), the accounted
 // work/span of the computation DAG, and the tiling actually used.
 type Stats struct {
+	// ConvertIn times packing and zero-filling, Compute the recursion and
+	// ConvertOut the fused epilogue, 0 when every product went into C in place.
 	ConvertIn  time.Duration
 	Compute    time.Duration
 	ConvertOut time.Duration
@@ -178,10 +180,10 @@ type Stats struct {
 	AllocBytes int64
 	// ConvertBytes counts the packed bytes the call actually converted:
 	// operand buffers filled from (or, for the fused epilogue,
-	// accumulated back into) column-major storage. Prepacked operands and
-	// segments read in place contribute nothing, so a plan-reusing call
-	// reports ≈ 0 here — Section 4's conversion accounting, in bytes
-	// rather than seconds.
+	// accumulated back into) column-major storage. Prepacked operands,
+	// segments read in place and a C the product goes into in place count
+	// nothing: a plan-reusing call reports ≈ 0, an untransposed α = 1,
+	// β = 0 product of one small block 0 — Section 4's accounting in bytes.
 	ConvertBytes int64
 	// PackReused counts operand packs satisfied without reading the
 	// column-major source: blocks served by a *Prepacked* plan, and
@@ -190,7 +192,8 @@ type Stats struct {
 	PackReused int
 	// PackDeferred counts operand segments brought by the C block that
 	// multiplies them, not by a plan: once when a wave's one row or column
-	// of blocks consumes them, once per consumer when MemBudget moved a
+	// of blocks consumes them or a product of one block of at most 8 tiles
+	// a side reads them in place, once per consumer when MemBudget moved a
 	// transient plan to its blocks. On the standard recursion an
 	// untransposed segment that needs no padding is read in place; any
 	// other is packed into the runner's buffer and counted in ConvertBytes.
@@ -256,10 +259,10 @@ func GEMM(pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 // call's scheduler run has begun, C is untouched (a cancellation that
 // lands first says "not started"). The run scales C by beta before
 // anything else; if the call then fails or is cancelled, C holds the
-// β-scaled inputs (for beta == 0, zeros) plus the fully-unpacked
-// products of any *completed* blocks — never a partially-written block
-// product, since results are unpacked into C only after a block's
-// compute finishes, by a pass no cancellation interrupts. The error
+// β-scaled inputs (for beta == 0, zeros) plus the products of any
+// *completed* blocks — never a partial one: a block unpacks into C only
+// after its compute finishes, by a pass no cancellation interrupts, and
+// one that went into C in place is zeroed again if it fails. The error
 // reports how many blocks had completed.
 func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 	A, B *matrix.Dense, beta float64, C *matrix.Dense) (stats *Stats, err error) {
@@ -320,6 +323,10 @@ type wave struct {
 	serial, consumed bool
 	e                *exec
 }
+
+// inPlaceSide is the largest grid side, in tiles, of a one-block product
+// multiplied where it lies (wave.body): past it, copying repays (-exp inplace).
+const inPlaceSide = 8
 
 // nothing is the plan of a member with α = 0: C ← β·C alone.
 var nothing = new(plan)
@@ -592,7 +599,20 @@ func (w *wave) body(c *sched.Ctx, ws *waveWS, i int, pl *plan) error {
 	ws.e.kernel, ws.e.fastCutoff = pl.kernel, pl.cutoff
 	fold := gv.pa == nil && g.curve != layout.ColMajor && sameView(it.A, it.B) && it.TransA != it.TransB &&
 		g.tm == g.tn && runners == 0 && !deferA
-	pm := planMul{alg: w.alg, alpha: it.Alpha, beta: it.Beta, pa: gv.pa, pb: gv.pb, C: it.C, tc: w.tc}
+	// A product of one small block on the standard recursion is multiplied
+	// where it lies: an operand that needs no copy is read as a deferred one
+	// (the fold keeps A packed), and an unpadded β = 0, α = 1 C takes it in.
+	std := w.alg == Standard || g.side() <= max(pl.cutoff, 1)
+	place := std && len(ms)*len(ks)*len(ns) == 1 && g.side() <= inPlaceSide
+	deferA = deferA || place && !fold && lies(g.hdrA(), it.TransA, ms[0], ks[0])
+	deferB = deferB || place && lies(g.hdrB(), it.TransB, ks[0], ns[0])
+	pm := planMul{alg: w.alg, alpha: it.Alpha, beta: it.Beta, pa: gv.pa, pb: gv.pb, C: it.C, tc: w.tc, std: std,
+		direct: place && w.tc == nil && it.Beta == 0 && it.Alpha == 1 && lies(g.hdr(g.tm, g.tn), false, ms[0], ns[0])}
+	defer func() { // a direct block that did not complete has joined every task under it
+		if pm.direct && ws.done.Load() == 0 {
+			it.C.Zero() // its β = 0 input again
+		}
+	}()
 	if gv.resident { // a resident A, and GEMMPrepacked's resident B
 		pm.reused = 1
 		if gv.pb != nil {

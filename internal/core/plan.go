@@ -27,7 +27,8 @@ import (
 // would exceed MemBudget: then each block packs the segments it
 // multiplies. Each C block (planMul.block) owns a zero-filled tile,
 // accumulates its products over the k segments in ascending order in
-// the packed domain, and folds α·tile into C in one fused epilogue.
+// the packed domain, and folds α·tile into C in one fused epilogue. A
+// product of one small block is multiplied where it lies (wave.body).
 //
 // As the paper's program is one Cilk computation, everything that
 // touches an operand happens in the run's task tree: below an entry
@@ -392,8 +393,12 @@ type planMul struct {
 	pa, pb *Prepacked
 	C      *matrix.Dense
 	// tc, when non-nil, is a C the caller holds tiled (MulTiledCtx): the
-	// one block accumulates straight into it — no zero-fill, no epilogue.
-	tc *Tiled
+	// one block accumulates straight into it — no zero-fill, no epilogue —
+	// as it does into C itself, at C's leading dimension, when direct. std:
+	// the blocks run the standard recursion from the root (tableMul hands
+	// it a grid at the cutoff), which reads any storage.
+	tc          *Tiled
+	std, direct bool
 	// reused counts the operand packs a resident plan serves per
 	// product (Stats.PackReused).
 	reused int
@@ -418,11 +423,10 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 		return context.Cause(ctx)
 	}
 	sm, sn := pa.RSegs[i], pb.CSegs[j]
-	tc, t0 := pm.tc, time.Now()
-	if tc == nil {
+	tc, t0, hdr := pm.tc, time.Now(), pa.hdr
+	hdr.TC = pb.TC
+	if tc == nil && !pm.direct {
 		tc = &ws.tc
-		hdr := pa.hdr
-		hdr.TC = pb.TC
 		tc.refit(&ws.stats, hdr, sm.Len, sn.Len)
 		e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() { e.zero(c, tc.Data) })
 		ws.stats.ConvertIn += time.Since(t0)
@@ -430,13 +434,17 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	t1 := time.Now()
 
 	// A deferred operand's segment is brought here, by its consumer: read
-	// in place when the product is the standard recursion from the root
-	// (tableMul hands it a grid at the cutoff), which reads any storage,
-	// or packed into the runner's buffer, which mat bills to ConvertIn.
-	cm, in0 := tc.Mat(), ws.stats.ConvertIn
-	std := alg == Standard || cm.tiles <= max(e.fastCutoff, 1)
+	// in place on the standard recursion, or packed into the runner's
+	// buffer, which mat bills to ConvertIn.
+	var cm Mat
+	if pm.direct {
+		cm = inPlace(hdr, pm.C, sm, sn)
+	} else {
+		cm = tc.Mat()
+	}
+	in0 := ws.stats.ConvertIn
 	for kk := range pa.CSegs {
-		am, bm := pa.mat(c, ws, &ws.one[0], i, kk, std), pb.mat(c, ws, &ws.one[1], kk, j, std)
+		am, bm := pa.mat(c, ws, &ws.one[0], i, kk, pm.std), pb.mat(c, ws, &ws.one[1], kk, j, pm.std)
 		e.phase(ctx, obs.KindCompute, "recmat.compute", func() { e.mul(c, alg, cm, am, bm) })
 		if c.Cancelled() {
 			return errRunCancelled
@@ -446,7 +454,7 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	}
 	t2 := time.Now()
 	ws.stats.Compute += t2.Sub(t1) - (ws.stats.ConvertIn - in0)
-	if pm.tc != nil {
+	if pm.tc != nil || pm.direct {
 		return nil
 	}
 

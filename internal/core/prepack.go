@@ -312,17 +312,16 @@ func (p *Prepacked) packSeg(e *exec, c *sched.Ctx, t *Tiled, src *matrix.Dense, 
 // mat returns segment (i, j) as the recursion reads it: the resident
 // block or, on a deferred plan, op(src)'s segment brought by the block
 // consuming it — read where it lies, at the caller's leading dimension,
-// when the block runs the standard recursion (std) and the segment is
-// untransposed and fills its padded extent (a copy pays only if reused);
-// else packed now into buf, the runner's reused workspace, billed to ws.
+// when the block runs the standard recursion (std) and the segment lies
+// (a copy pays only if reused: wave.body defers one small block's
+// operands here too); else packed now into buf, billed to ws.
 func (p *Prepacked) mat(c *sched.Ctx, ws *waveWS, buf *Tiled, i, j int, std bool) Mat {
 	if p.src == nil {
 		return p.Block(i, j).Mat()
 	}
 	ws.stats.PackDeferred++
-	if r, cs := p.RSegs[i], p.CSegs[j]; std && !p.trans && r.Len == p.TR<<p.D && cs.Len == p.TC<<p.D {
-		s := p.src
-		return Mat{data: s.Data[cs.Off*s.Stride+r.Off:], tiles: 1 << p.D, tr: p.TR, tc: p.TC, ld: s.Stride, curve: p.Curve}
+	if r, cs := p.RSegs[i], p.CSegs[j]; std && lies(p.hdr, p.trans, r, cs) {
+		return inPlace(p.hdr, p.src, r, cs)
 	}
 	t0 := time.Now()
 	buf.refit(&ws.stats, p.hdr, p.RSegs[i].Len, p.CSegs[j].Len)
@@ -330,6 +329,18 @@ func (p *Prepacked) mat(c *sched.Ctx, ws *waveWS, buf *Tiled, i, j int, std bool
 	ws.stats.ConvertIn += time.Since(t0)
 	ws.stats.ConvertBytes += 8 * int64(len(buf.Data))
 	return buf.Mat()
+}
+
+// lies reports whether segment (r, c) of op(src), tiled as hdr, can be
+// read where it lies: untransposed, and filling its padded extent.
+func lies(hdr Tiled, trans bool, r, c tile.Seg) bool {
+	return !trans && r.Len == hdr.TR<<hdr.D && c.Len == hdr.TC<<hdr.D
+}
+
+// inPlace is the canonical Mat of hdr's grid over segment (r, c) of s,
+// at s's leading dimension: no copy.
+func inPlace(hdr Tiled, s *matrix.Dense, r, c tile.Seg) Mat {
+	return Mat{data: s.Data[c.Off*s.Stride+r.Off:], tiles: 1 << hdr.D, tr: hdr.TR, tc: hdr.TC, ld: s.Stride, curve: hdr.Curve}
 }
 
 // Bytes returns the total packed storage the plan holds.

@@ -88,26 +88,33 @@ func TestGEMMPrepackedServingShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream %d: %v", stream, err)
 		}
-		want := matrix.New(n, b)
-		matrix.RefGEMM(false, false, 1, A, B, 0, want)
-		got := matrix.New(n, b)
-		stats, err := GEMMPrepacked(context.Background(), pool, opts, 1, pa, pb, 0, got)
-		pb.Release()
-		if err != nil {
-			t.Fatalf("stream %d: %v", stream, err)
-		}
-		if !matrix.Equal(got, want, tol(n, n, b)) {
-			t.Errorf("stream %d: max diff %g", stream, matrix.MaxAbsDiff(got, want))
-		}
 		// The conversion the plans absorbed must not be charged to the
-		// call: ConvertBytes counts only the C epilogue.
-		if wantBytes := 8 * int64((pa.TR<<pa.D)*(pb.TC<<pb.D)); stats.ConvertBytes != wantBytes {
-			t.Errorf("stream %d: ConvertBytes = %d, want %d (C epilogue only)",
-				stream, stats.ConvertBytes, wantBytes)
+		// call: ConvertBytes counts only the C epilogue — none when the
+		// β = 0, α = 1 product of this one small block goes into C in place.
+		C0 := matrix.Random(n, b, rng)
+		for _, beta := range []float64{0, 0.5} {
+			want, got := C0.Clone(), C0.Clone()
+			matrix.RefGEMM(false, false, 1, A, B, beta, want)
+			stats, err := GEMMPrepacked(context.Background(), pool, opts, 1, pa, pb, beta, got)
+			if err != nil {
+				t.Fatalf("stream %d: %v", stream, err)
+			}
+			if !matrix.Equal(got, want, tol(n, n, b)) {
+				t.Errorf("stream %d, beta %g: max diff %g", stream, beta, matrix.MaxAbsDiff(got, want))
+			}
+			wantBytes := 8 * int64((pa.TR<<pa.D)*(pb.TC<<pb.D))
+			if beta == 0 {
+				wantBytes = 0
+			}
+			if stats.ConvertBytes != wantBytes {
+				t.Errorf("stream %d, beta %g: ConvertBytes = %d, want %d (C epilogue only)",
+					stream, beta, stats.ConvertBytes, wantBytes)
+			}
+			if stats.PackReused != 2 {
+				t.Errorf("stream %d, beta %g: PackReused = %d, want 2", stream, beta, stats.PackReused)
+			}
 		}
-		if stats.PackReused != 2 {
-			t.Errorf("stream %d: PackReused = %d, want 2", stream, stats.PackReused)
-		}
+		pb.Release()
 	}
 }
 
@@ -376,11 +383,13 @@ func TestGEMMSteadyStatePoolHits(t *testing.T) {
 	C := matrix.New(n, n)
 	opts := Options{Curve: layout.Hilbert, Alg: Standard, KernelName: "packed8x4"}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Three buffers a call (A, B, the C tile), all of one size class.
+	// Two buffers a call, of one size class: A and B, stored transposed so
+	// that they pack (a 128³ product is one small block, which reads an
+	// untransposed operand in place and takes a β = 0 product into C).
 	slack := poolSlack(1)
 	var hits, misses int
 	for i := 0; i < 3+4*(slack+1); i++ {
-		stats, err := GEMM(pool, opts, false, false, 1, A, B, 0, C)
+		stats, err := GEMM(pool, opts, true, true, 1, A, B, 0, C)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -371,6 +372,107 @@ func TestWaveCancelLeavesBlocksScaledOrComplete(t *testing.T) {
 	}
 }
 
+// TestInPlaceProductFailureContract: a 64³ β = 0, α = 1 member is one
+// small block multiplied where it lies — it reads A and B in place and
+// its product accumulates straight into C, which scaleC zeroed — so a
+// member that fails, panics or is cancelled after its block wrote C must
+// zero C again, once every task under the block has joined (wave.body):
+// β-scaled-or-complete, for β = 0. A failed member's C is bitwise +0
+// (no -0), unless it never started, when it is its untouched input; a
+// completed member's C is its twin's bits — the same product with A
+// stored transposed, which packs. Under injected panics at every leaf
+// and task, and under cancellations spread over a wave's wall time.
+func TestInPlaceProductFailureContract(t *testing.T) {
+	const n, count = 64, 48
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(391))
+	opts := Options{Curve: layout.ZMorton, Alg: Standard}
+	A, B, C0, want := make([]*matrix.Dense, count), make([]*matrix.Dense, count), make([]*matrix.Dense, count), make([]*matrix.Dense, count)
+	twins := make([]BatchItem, count)
+	for i := range A {
+		A[i], B[i], C0[i] = matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.Random(n, n, rng)
+		want[i] = C0[i].Clone()
+		twins[i] = BatchItem{TransA: true, Alpha: 1, A: A[i].Transpose(), B: B[i], C: want[i]}
+	}
+	if _, errs, err := GEMMBatch(ctx, pool, opts, twins); err != nil || errors.Join(errs...) != nil {
+		t.Fatalf("twins: %v %v", err, errors.Join(errs...))
+	}
+	wave := func() []BatchItem {
+		items := make([]BatchItem, count)
+		for i := range items {
+			items[i] = BatchItem{Alpha: 1, A: A[i], B: B[i], C: C0[i].Clone()}
+		}
+		return items
+	}
+	// check holds every member to the contract and counts the members that
+	// failed after they started.
+	check := func(what string, items []BatchItem, errs []error, err error) (started int) {
+		t.Helper()
+		for i, it := range items {
+			switch {
+			case err == nil && errs[i] == nil:
+				if !matrix.Equal(it.C, want[i], 0) {
+					t.Fatalf("%s: item %d completed %g from its twin's bits", what, i, matrix.MaxAbsDiff(it.C, want[i]))
+				}
+			case err != nil || strings.Contains(errs[i].Error(), "not started"):
+				if !matrix.Equal(it.C, C0[i], 0) {
+					t.Fatalf("%s: item %d never started (%v), yet its C was touched", what, i, errors.Join(err, errs[i]))
+				}
+			default:
+				started++
+				for j := 0; j < n; j++ {
+					for r, v := range it.C.Data[j*it.C.Stride : j*it.C.Stride+n] {
+						if math.Float64bits(v) != 0 {
+							t.Fatalf("%s: item %d failed (%v) with %g at (%d,%d) of its C, want +0", what, i, errs[i], v, r, j)
+						}
+					}
+				}
+			}
+		}
+		return started
+	}
+	items := wave()
+	bs, errs, err := GEMMBatch(ctx, pool, opts, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if check("no fault", items, errs, err); bs.ConvertBytes != 0 || bs.PackDeferred != 2*count {
+		t.Fatalf("%d bytes converted, %d segments in place; want 0 and %d (test premise)", bs.ConvertBytes, bs.PackDeferred, 2*count)
+	}
+
+	faultinject.Configure(faultinject.Config{PanicProb: 0.04, Seed: 392})
+	faulted := 0
+	for iter := 0; iter < 20; iter++ {
+		items := wave()
+		_, errs, err := GEMMBatch(ctx, pool, opts, items)
+		faulted += check(fmt.Sprintf("faults, wave %d", iter), items, errs, err)
+	}
+	faultinject.Disable()
+
+	var wall time.Duration
+	for i := 0; i < 3; i++ {
+		t0 := time.Now()
+		GEMMBatch(ctx, pool, opts, wave())
+		wall = time.Since(t0)
+	}
+	cancelled := 0
+	for i := 0; i < 24; i++ {
+		items := wave()
+		cctx, cancel := context.WithCancel(ctx)
+		timer := time.AfterFunc(wall*time.Duration(i)/20, cancel)
+		_, errs, err := GEMMBatch(cctx, pool, opts, items)
+		timer.Stop()
+		cancel()
+		cancelled += check(fmt.Sprintf("cancelled at %d/20 of %v", i, wall), items, errs, err)
+	}
+	t.Logf("%d members failed under faults and %d under cancellation after they started", faulted, cancelled)
+	if faulted == 0 {
+		t.Error("no member failed under faults after it started (test premise)")
+	}
+}
+
 // TestWaveReturnsPooledBuffers: a wave that fails mid-run returns every
 // buffer it took — after twenty of them, warm calls of the same shape
 // miss the recycling pool no more than any warm calls may (poolSlack).
@@ -676,9 +778,13 @@ func TestPackedEntryPointsTrace(t *testing.T) {
 			return GEMMPrepacked(ctx, pool, opts, 1, wa, wb, 0, matrix.New(waveM, waveN))
 		}, map[string]int{"wave-item": 5, "convert-in": 0, "compute": 1, "convert-out": 0, "pack": 0}},
 		// The block's own convert-in is its C tile's zero-fill.
-		{"GEMMPrepacked, one block", func() (*Stats, error) {
-			return GEMMPrepacked(ctx, pool, opts, 1, sa, sb, 0, matrix.New(32, 32))
+		{"GEMMPrepacked, one block, beta 0.5", func() (*Stats, error) {
+			return GEMMPrepacked(ctx, pool, opts, 1, sa, sb, 0.5, matrix.New(32, 32))
 		}, map[string]int{"wave-item": 0, "convert-in": 1, "compute": 1, "convert-out": 1, "pack": 0}},
+		// A β = 0, α = 1 product of one small block goes into C in place.
+		{"GEMMPrepacked, one block, beta 0", func() (*Stats, error) {
+			return GEMMPrepacked(ctx, pool, opts, 1, sa, sb, 0, matrix.New(32, 32))
+		}, map[string]int{"wave-item": 0, "convert-in": 0, "compute": 1, "convert-out": 0, "pack": 0}},
 		// A tiled C takes the product in place: no zero-fill, no epilogue.
 		{"MulTiledCtx", func() (*Stats, error) {
 			return MulTiledCtx(ctx, pool, opts, tc, ta, tb)

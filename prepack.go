@@ -102,8 +102,10 @@ func (p *Plan) Transposed(e *Engine) (*Plan, error) {
 // prepacked Plans (transposition was folded at Prepack time, so there
 // are no trans flags). The per-call conversion is reduced to zeroing
 // and unpacking the C tile: a steady-state call reports
-// Report.ConvertIn ≈ 0 and a ConvertBytes covering only the C epilogue,
-// with PackReused counting the operand packs the plans served.
+// Report.ConvertIn ≈ 0 and a ConvertBytes covering only the C epilogue
+// (none for a β = 0, α = 1 product of one block of at most 8 tiles a
+// side, which goes into C in place), with PackReused counting the
+// operand packs the plans served.
 //
 // opts selects algorithm, kernel, and cutoffs; layout and tile options
 // are ignored in favor of the plans' packed geometry, and
