@@ -16,7 +16,8 @@ loc:
 # and of internal/layout, may not exceed what the last change to shrink
 # each landed at (ROADMAP.md's targets: 4,800 for the core, 4,000 for
 # serve + obs). A change that shrinks a package lowers its figure; none
-# raises it, with two recorded exceptions: the core's went 5,036 → 5,075
+# raises it, with four recorded exceptions, three of the core's and one
+# of the leaf's: the core's went 5,036 → 5,075
 # when the standard recursion's serial base became a loop over memoized
 # tile-position tables (exec.base, posFor, tileAddr), net of the
 # quadrant descent and leafMul it replaced. It came down to 4,914 when
@@ -36,18 +37,26 @@ loc:
 # view copy; and the second exception, 4,655 → 4,695, when a product of
 # one block of at most 8 tiles a side came to be multiplied where it lies
 # (its operands read in place, a β = 0, α = 1 product accumulated into C
-# in place, C zeroed again if its block fails). The serve package's went 2,580 → 2,568 when every request
+# in place, C zeroed again if its block fails); and the third,
+# 4,695 → 4,706, when the standard recursion's first product came to
+# store into each C tile (the first flag through mul, std and base, no
+# tile zero-fill ahead of it, and a β = 0 C whose blocks one runner walks
+# stored by them and zeroed again where they failed). The serve
+# package's went 2,580 → 2,568 when every request
 # group came to make one batch call. The leaf's went 1,133 → 917 when every
 # register-blocked family came to read every tile in place, strided or
 # contiguous (packedMul is its one body): the packed-panel micro-kernels
 # (pp in Go, AVX2, AVX-512 and NEON), packB and packedRows went, and
-# packA builds only the one zero-padded block of fringe rows. The
+# packA builds only the one zero-padded block of fringe rows; its one
+# exception, 917 → 940, is the store entries: every registered kernel's
+# store form (leaf.Impl.Store, plain's clear + Kern, packedMul's store
+# flag into the amd64 panels). The
 # layout package's S functions, Perm and SOriented are what the core's
 # tests check its tables against. Test files are the ones named
 # *_test.go.
-CORE_LOC_MAX = 4695
+CORE_LOC_MAX = 4706
 LAYOUT_LOC_MAX = 506
-LEAF_LOC_MAX = 917
+LEAF_LOC_MAX = 940
 SCHED_LOC_MAX = 908
 BLAS3_LOC_MAX = 460
 SERVE_LOC_MAX = 2568

@@ -111,7 +111,7 @@ func main() {
 // inplace is the sweep behind the in-place rule's bound: a product of one
 // block on at most 8 tiles a side, on the standard recursion, is
 // multiplied where it lies — A and B read at the caller's leading
-// dimension, a β = 0, α = 1 product accumulated straight into C. Per
+// dimension, a β = 0, α = 1 product stored straight into C. Per
 // square, on library defaults (nil options) at 1 and 2 workers, it times
 // DGEMM against two copy paths on the same operands, interleaved, and
 // prints the grid side, whether DGEMM converted nothing, the medians and

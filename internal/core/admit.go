@@ -197,7 +197,7 @@ func probeResidualGrowth(kernel leaf.Impl, alg Alg, transA, transB bool, Av, Bv 
 	// (serialCutoff ≥ tiles) so no pool is needed, and the probe runs
 	// with the same leaf kernel the real multiplication will use.
 	pe := &exec{kernel: kernel, serialCutoff: noSpawn, fastCutoff: 1}
-	pe.mul(&sched.Ctx{}, alg, mk(fast), mk(pa), mk(pb))
+	pe.mul(&sched.Ctx{}, alg, mk(fast), mk(pa), mk(pb), false)
 	matrix.RefGEMM(false, false, 1, pa, pb, 0, ref)
 	return matrix.MaxAbsDiff(fast, ref) / scale
 }

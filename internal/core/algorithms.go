@@ -193,10 +193,12 @@ func accountAdd(c *sched.Ctx, m Mat) {
 	c.Account(float64(m.elems()))
 }
 
-// mul dispatches C += A·B: the in-place recursion, or alg's table.
-func (e *exec) mul(c *sched.Ctx, alg Alg, C, A, B Mat) {
-	if alg == Standard {
-		e.std(c, C, A, B)
+// mul dispatches C += A·B: the in-place recursion, or alg's table. first:
+// C holds nothing yet, and the block runs the standard recursion from its
+// root whatever alg names (planMul.std); each tile's first product stores.
+func (e *exec) mul(c *sched.Ctx, alg Alg, C, A, B Mat, first bool) {
+	if alg == Standard || first {
+		e.std(c, C, A, B, first)
 		return
 	}
 	tb := tableOf(alg)
@@ -225,29 +227,30 @@ func (e *exec) par(tiles int) bool {
 // four independent quadrant products. Within a round the four products
 // write disjoint quadrants of C, so they run in parallel; the rounds are
 // separated by a sync because both rounds write every C quadrant. At or
-// below the serial cutoff the quadrant is one loop (base).
-func (e *exec) std(c *sched.Ctx, C, A, B Mat) {
+// below the serial cutoff the quadrant is one loop (base). first: the
+// first round stores, the second accumulates onto it.
+func (e *exec) std(c *sched.Ctx, C, A, B Mat, first bool) {
 	if c.Cancelled() {
 		return
 	}
 	if !e.par(C.tiles) {
-		e.base(c, C, A, B)
+		e.base(c, C, A, B, first)
 		return
 	}
 	c11, c12, c21, c22 := C.quad(layout.QuadNW), C.quad(layout.QuadNE), C.quad(layout.QuadSW), C.quad(layout.QuadSE)
 	a11, a12, a21, a22 := A.quad(layout.QuadNW), A.quad(layout.QuadNE), A.quad(layout.QuadSW), A.quad(layout.QuadSE)
 	b11, b12, b21, b22 := B.quad(layout.QuadNW), B.quad(layout.QuadNE), B.quad(layout.QuadSW), B.quad(layout.QuadSE)
 	c.Parallel(
-		func(c *sched.Ctx) { e.std(c, c11, a11, b11) },
-		func(c *sched.Ctx) { e.std(c, c12, a11, b12) },
-		func(c *sched.Ctx) { e.std(c, c21, a21, b11) },
-		func(c *sched.Ctx) { e.std(c, c22, a21, b12) },
+		func(c *sched.Ctx) { e.std(c, c11, a11, b11, first) },
+		func(c *sched.Ctx) { e.std(c, c12, a11, b12, first) },
+		func(c *sched.Ctx) { e.std(c, c21, a21, b11, first) },
+		func(c *sched.Ctx) { e.std(c, c22, a21, b12, first) },
 	)
 	c.Parallel(
-		func(c *sched.Ctx) { e.std(c, c11, a12, b21) },
-		func(c *sched.Ctx) { e.std(c, c12, a12, b22) },
-		func(c *sched.Ctx) { e.std(c, c21, a22, b21) },
-		func(c *sched.Ctx) { e.std(c, c22, a22, b22) },
+		func(c *sched.Ctx) { e.std(c, c11, a12, b21, false) },
+		func(c *sched.Ctx) { e.std(c, c12, a12, b22, false) },
+		func(c *sched.Ctx) { e.std(c, c21, a22, b21, false) },
+		func(c *sched.Ctx) { e.std(c, c22, a22, b22, false) },
 	)
 }
 
@@ -259,17 +262,13 @@ func (e *exec) std(c *sched.Ctx, C, A, B Mat) {
 // finds its tiles through its own storage (tileAddr), with no quadrant
 // descent. The kernel, its scratch and the tracer are resolved once and
 // the work is accounted once; the fault point and the cancellation poll
-// stay per leaf.
-func (e *exec) base(c *sched.Ctx, C, A, B Mat) {
+// stay per leaf. first: the kk = 0 leaves store (leaf.Impl.Store).
+func (e *exec) base(c *sched.Ctx, C, A, B Mat, first bool) {
 	d := log2tiles(C.tiles)
 	ac, aa, ab := addrOf(C, d), addrOf(A, d), addrOf(B, d)
 	m, n, k := C.tr, C.tc, A.tc
 	ldc, lda, ldb := C.leafLD(), A.leafLD(), B.leafLD()
-	kern, skern := e.kernel.Kern, e.kernel.Scratch
-	var sc *leaf.Scratch
-	if skern != nil {
-		sc = leaf.ScratchAt(c.WorkerSlot())
-	}
+	acc, store, sc := e.kernel.Scratch, e.kernel.Store, leaf.ScratchAt(c.WorkerSlot())
 	tr, wid, flops := e.tr, c.WorkerID(), 2*int64(m)*int64(n)*int64(k)
 	t := 0
 	for ; t < 1<<(3*d) && !c.Cancelled(); t++ {
@@ -284,11 +283,11 @@ func (e *exec) base(c *sched.Ctx, C, A, B Mat) {
 		if tr != nil {
 			t0 = time.Now()
 		}
-		if sc != nil {
-			skern(sc, m, n, k, ad, lda, bd, ldb, cd, ldc)
-		} else {
-			kern(m, n, k, ad, lda, bd, ldb, cd, ldc)
+		kern := acc
+		if first && kk == 0 {
+			kern = store
 		}
+		kern(sc, m, n, k, ad, lda, bd, ldb, cd, ldc)
 		if tr != nil {
 			tr.Span(wid, obs.KindLeaf, t0, time.Since(t0), flops)
 		}

@@ -95,7 +95,7 @@ func TestArenaZeroSteadyStateAllocs(t *testing.T) {
 			c := &sched.Ctx{} // reused: worker-slot scratch persists across runs
 			cm, am, bm := tc.Mat(), ta.Mat(), tb.Mat()
 			allocs := testing.AllocsPerRun(2, func() {
-				e.mul(c, alg, cm, am, bm)
+				e.mul(c, alg, cm, am, bm, false)
 			})
 			if fb := ar.fallbackAllocs.Load(); fb != 0 {
 				t.Errorf("%v/%v: %d arena fallbacks, want 0", alg, cv, fb)
@@ -123,12 +123,12 @@ func TestArenaFallbackHeapAndCorrect(t *testing.T) {
 	for _, alg := range []Alg{Standard8, Strassen, Winograd} {
 		want := NewTiled(layout.ZMorton, d, ts, ts, n, n)
 		e1 := serialExec(t, "unrolled4", nil)
-		e1.mul(&sched.Ctx{}, alg, want.Mat(), ta.Mat(), tb.Mat())
+		e1.mul(&sched.Ctx{}, alg, want.Mat(), ta.Mat(), tb.Mat(), false)
 
 		got := NewTiled(layout.ZMorton, d, ts, ts, n, n)
 		tiny := &arena{buf: make([]float64, 16), stacks: []arenaStack{{top: 0, limit: 16}}}
 		e2 := serialExec(t, "unrolled4", tiny)
-		e2.mul(&sched.Ctx{}, alg, got.Mat(), ta.Mat(), tb.Mat())
+		e2.mul(&sched.Ctx{}, alg, got.Mat(), ta.Mat(), tb.Mat(), false)
 
 		if tiny.fallbackAllocs.Load() == 0 || tiny.fallbackElems.Load() == 0 {
 			t.Fatalf("%v: starved arena recorded no fallbacks", alg)
@@ -233,7 +233,7 @@ func TestEWParallelStreamsMatchSerial(t *testing.T) {
 
 			want := NewTiled(cv, d, ts, ts, n, n)
 			es := serialExec(t, "unrolled4", nil)
-			es.mul(&sched.Ctx{}, alg, want.Mat(), ta.Mat(), tb.Mat())
+			es.mul(&sched.Ctx{}, alg, want.Mat(), ta.Mat(), tb.Mat(), false)
 
 			got := NewTiled(cv, d, ts, ts, n, n)
 			ar := acquireArena(alg, false, 1<<d, ts, ts, ts, 1, pool.Workers())
@@ -243,7 +243,7 @@ func TestEWParallelStreamsMatchSerial(t *testing.T) {
 			}
 			ep := &exec{kernel: impl, serialCutoff: 1, fastCutoff: 1, ar: ar, ewMin: 1}
 			cm, am, bm := got.Mat(), ta.Mat(), tb.Mat()
-			if _, _, err := pool.Run(func(c *sched.Ctx) { ep.mul(c, alg, cm, am, bm) }); err != nil {
+			if _, _, err := pool.Run(func(c *sched.Ctx) { ep.mul(c, alg, cm, am, bm, false) }); err != nil {
 				t.Fatalf("%v/%v: %v", alg, cv, err)
 			}
 			releaseArena(ar)

@@ -122,8 +122,9 @@ func (o *Options) withDefaults() Options {
 // (the honest cost accounting the paper calls for), the accounted
 // work/span of the computation DAG, and the tiling actually used.
 type Stats struct {
-	// ConvertIn times packing and zero-filling, Compute the recursion and
-	// ConvertOut the fused epilogue, 0 when every product went into C in place.
+	// ConvertIn times packing and a fast level's zero-fill (the standard
+	// recursion stores its tiles), Compute the recursion and ConvertOut
+	// the fused epilogue, 0 when every product went into C in place.
 	ConvertIn  time.Duration
 	Compute    time.Duration
 	ConvertOut time.Duration
@@ -179,11 +180,11 @@ type Stats struct {
 	// under work stealing, or a declined reservation.
 	AllocBytes int64
 	// ConvertBytes counts the packed bytes the call actually converted:
-	// operand buffers filled from (or, for the fused epilogue,
+	// operand buffers filled from (or, for the fused epilogue, stored or
 	// accumulated back into) column-major storage. Prepacked operands,
-	// segments read in place and a C the product goes into in place count
-	// nothing: a plan-reusing call reports ≈ 0, an untransposed α = 1,
-	// β = 0 product of one small block 0 — Section 4's accounting in bytes.
+	// segments read in place, zero-fills and a C the product goes into in
+	// place count nothing: a plan-reusing call reports ≈ 0, an untransposed
+	// α = 1, β = 0 product of one small block 0 — Section 4's accounting in bytes.
 	ConvertBytes int64
 	// PackReused counts operand packs satisfied without reading the
 	// column-major source: blocks served by a *Prepacked* plan, and
@@ -258,12 +259,12 @@ func GEMM(pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 // Failure atomicity: until validation and admission have passed and the
 // call's scheduler run has begun, C is untouched (a cancellation that
 // lands first says "not started"). The run scales C by beta before
-// anything else; if the call then fails or is cancelled, C holds the
-// β-scaled inputs (for beta == 0, zeros) plus the products of any
-// *completed* blocks — never a partial one: a block unpacks into C only
-// after its compute finishes, by a pass no cancellation interrupts, and
-// one that went into C in place is zeroed again if it fails. The error
-// reports how many blocks had completed.
+// anything else, or at beta == 0 with one runner walking the blocks, their
+// first touch stores C unread; if the call then fails or is cancelled, C
+// holds the β-scaled inputs (for beta == 0, zeros: a block that did not
+// complete is zeroed) plus the products of any *completed* blocks — never
+// a partial one: a block unpacks into C only after its compute finishes,
+// by a pass no cancellation interrupts. The error says how many completed.
 func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 	A, B *matrix.Dense, beta float64, C *matrix.Dense) (stats *Stats, err error) {
 
@@ -586,33 +587,41 @@ func (w *wave) body(c *sched.Ctx, ws *waveWS, i int, pl *plan) error {
 	if ctx.Err() != nil {
 		return w.errf(i, "not started: %w", context.Cause(ctx))
 	}
-	ws.e.scaleC(c, it.C, it.Beta) // β up front: the member's atomicity anchor
+	runners := pl.runners
+	if w.serial {
+		runners = 0
+	}
+	// β up front: the member's atomicity anchor — but blocks that complete in
+	// order store a β = 0 C, and a failure zeroes each from the first not
+	// complete, which has joined every task under it.
+	stored := it.Beta == 0 && runners == 0 && pl.ns != nil
+	if !stored {
+		ws.e.scaleC(c, it.C, it.Beta)
+	}
 	if pl.ns == nil {
 		return nil
 	}
 	gv, g, ch, ms, ks, ns := w.gv, pl.g, &pl.ch, pl.ms, pl.ks, pl.ns
-	runners, deferA, deferB := pl.runners, ch.deferA || w.consumed, ch.deferB || w.consumed
-	if w.serial {
-		runners = 0
-	}
+	deferA, deferB := ch.deferA || w.consumed, ch.deferB || w.consumed
 	ws.total = len(ms) * len(ns)
+	defer func() {
+		for b := int(ws.done.Load()); stored && b < ws.total; b++ {
+			sm, sn := ms[b/len(ns)], ns[b%len(ns)]
+			it.C.View(sm.Off, sn.Off, sm.Len, sn.Len).Zero()
+		}
+	}()
 	ws.e.kernel, ws.e.fastCutoff = pl.kernel, pl.cutoff
 	fold := gv.pa == nil && g.curve != layout.ColMajor && sameView(it.A, it.B) && it.TransA != it.TransB &&
 		g.tm == g.tn && runners == 0 && !deferA
 	// A product of one small block on the standard recursion is multiplied
 	// where it lies: an operand that needs no copy is read as a deferred one
-	// (the fold keeps A packed), and an unpadded β = 0, α = 1 C takes it in.
+	// (the fold keeps A packed), and an unpadded β = 0, α = 1 C is stored.
 	std := w.alg == Standard || g.side() <= max(pl.cutoff, 1)
 	place := std && len(ms)*len(ks)*len(ns) == 1 && g.side() <= inPlaceSide
 	deferA = deferA || place && !fold && lies(g.hdrA(), it.TransA, ms[0], ks[0])
 	deferB = deferB || place && lies(g.hdrB(), it.TransB, ks[0], ns[0])
 	pm := planMul{alg: w.alg, alpha: it.Alpha, beta: it.Beta, pa: gv.pa, pb: gv.pb, C: it.C, tc: w.tc, std: std,
 		direct: place && w.tc == nil && it.Beta == 0 && it.Alpha == 1 && lies(g.hdr(g.tm, g.tn), false, ms[0], ns[0])}
-	defer func() { // a direct block that did not complete has joined every task under it
-		if pm.direct && ws.done.Load() == 0 {
-			it.C.Zero() // its β = 0 input again
-		}
-	}()
 	if gv.resident { // a resident A, and GEMMPrepacked's resident B
 		pm.reused = 1
 		if gv.pb != nil {

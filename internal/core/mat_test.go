@@ -265,7 +265,7 @@ func TestTileScheduleIsRecursionOrder(t *testing.T) {
 	var C, A, B Mat
 	var got, want []trio
 	off := func(m Mat, sub []float64) int { return cap(m.data) - cap(sub) }
-	e := &exec{kernel: leaf.Impl{Kern: func(_, _, _ int, a []float64, _ int, b []float64, _ int, c []float64, _ int) {
+	e := &exec{kernel: leaf.Impl{Scratch: func(_ *leaf.Scratch, _, _, _ int, a []float64, _ int, b []float64, _ int, c []float64, _ int) {
 		got = append(got, trio{off(C, c), off(A, a), off(B, b)})
 	}}}
 	// std's two rounds: (C, A, B) quadrants of each product in turn.
@@ -299,7 +299,7 @@ func TestTileScheduleIsRecursionOrder(t *testing.T) {
 				C, A, B = mk(2, 3), mk(2, 5), mk(5, 3)
 				got, want = got[:0], want[:0]
 				walk(C, A, B)
-				e.base(&sched.Ctx{}, C, A, B)
+				e.base(&sched.Ctx{}, C, A, B, false)
 				if len(got) != len(want) {
 					t.Fatalf("%v orientation %d depth %d: %d leaves, recursion visits %d", cv, o, d, len(got), len(want))
 				}

@@ -25,8 +25,8 @@ import (
 // is packed once — into a runner's transient plan, by its one consuming
 // block, or, for a *Prepacked* operand, before the call — unless a plan
 // would exceed MemBudget: then each block packs the segments it
-// multiplies. Each C block (planMul.block) owns a zero-filled tile,
-// accumulates its products over the k segments in ascending order in
+// multiplies. Each C block (planMul.block) owns a tile its first product
+// stores, accumulates the rest over the k segments in ascending order in
 // the packed domain, and folds α·tile into C in one fused epilogue. A
 // product of one small block is multiplied where it lies (wave.body).
 //
@@ -383,12 +383,12 @@ func ResolveCurve(o Options) layout.Curve { return o.withDefaults().Curve }
 var errRunCancelled = errors.New("core: run cancelled")
 
 // planMul is one plan product C += α·A·B: both operands packed into
-// conforming plans, C β-scaled already.
+// conforming plans, C β-scaled already or, at β = 0, stored by the blocks.
 type planMul struct {
 	alg   Alg
 	alpha float64
 	// beta is what C was scaled by before this product; the epilogue
-	// stores into a C that β = 0 left all zeros and accumulates otherwise.
+	// stores into C when β = 0, without reading it, and accumulates otherwise.
 	beta   float64
 	pa, pb *Prepacked
 	C      *matrix.Dense
@@ -405,10 +405,11 @@ type planMul struct {
 }
 
 // block computes C block (i, j) on its runner: the products over the k
-// segments accumulate, in ascending order, into a zero-filled pooled
-// tile in the packed domain, and one fused epilogue folds α·tile into
-// the block's region of C — which therefore holds its β-scaled input
-// until the whole chain has succeeded. Each step spawns or streams by
+// segments accumulate, in ascending order, into a pooled tile in the
+// packed domain — stored by its first product on the standard recursion,
+// zero-filled ahead of a fast level — and one fused epilogue folds α·tile
+// into the block's region of C, which therefore receives nothing until
+// the whole chain has succeeded. Each step spawns or streams by
 // the runner's rule (exec.spawns, exec.par). On a cancelled run the
 // steps fall through to the check after the product, which drops the
 // tile; the epilogue, once begun, completes (unpackAccumulate's shield).
@@ -428,7 +429,9 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	if tc == nil && !pm.direct {
 		tc = &ws.tc
 		tc.refit(&ws.stats, hdr, sm.Len, sn.Len)
-		e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() { e.zero(c, tc.Data) })
+		if !pm.std {
+			e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() { e.zero(c, tc.Data) })
+		}
 		ws.stats.ConvertIn += time.Since(t0)
 	}
 	t1 := time.Now()
@@ -445,7 +448,7 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	in0 := ws.stats.ConvertIn
 	for kk := range pa.CSegs {
 		am, bm := pa.mat(c, ws, &ws.one[0], i, kk, pm.std), pb.mat(c, ws, &ws.one[1], kk, j, pm.std)
-		e.phase(ctx, obs.KindCompute, "recmat.compute", func() { e.mul(c, alg, cm, am, bm) })
+		e.phase(ctx, obs.KindCompute, "recmat.compute", func() { e.mul(c, alg, cm, am, bm, kk == 0 && pm.std && pm.tc == nil) })
 		if c.Cancelled() {
 			return errRunCancelled
 		}
@@ -471,7 +474,7 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 // wave is the one block loop over the plan product's C blocks: walked in
 // order by the calling runner or, when they are the parallelism (runners
 // > 0, asWave), pulled by runners tasks.
-// ws.done counts the completed; the others hold their β-scaled input.
+// ws.done counts the completed; the others hold their β-scaled input (+0).
 func (pm *planMul) wave(ctx context.Context, c *sched.Ctx, ws *waveWS, runners int, traceID int64) error {
 	nn := len(pm.pb.CSegs)
 	nb := len(pm.pa.RSegs) * nn

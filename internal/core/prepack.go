@@ -402,7 +402,7 @@ func (q *Prepacked) fillTransposed(e *exec, c *sched.Ctx, stats *Stats, p *Prepa
 // GEMMPrepacked computes C ← α·A·B + β·C where A and B are prepacked
 // plans (any transposition was folded at Prepack time): GEMMCtx's member
 // body with the pack step done, so a steady-state call reports
-// ConvertIn ≈ 0 (the C zero-fill), ConvertBytes counting only the C
+// ConvertIn ≈ 0 (a fast level's zero-fill), ConvertBytes counting only the C
 // epilogue, and PackReused every operand the plans served. α = 0 β-scales
 // C and plans, admits and packs nothing, as GEMMCtx does; the failure
 // contract is GEMMCtx's.

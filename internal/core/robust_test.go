@@ -230,7 +230,12 @@ func TestCancelMidRunLeavesCScaledOrComplete(t *testing.T) {
 	// 4 workers the 512³ call is one block of 16×16 tiles, whose β pass,
 	// zero-fill, pack and epilogue are all chunked over the pool and the
 	// first and last of them shielded; 960×40·40×40 is a wave of eight
-	// blocks on four runners, serial inside.
+	// blocks on four runners, serial inside. On the β = 0 rows C starts
+	// as a sentinel that no β pass clears: the standard recursion stores
+	// each block — one 512³ block that spawns, three blocks one runner
+	// walks in turn — and a cancelled run zeroes the blocks it did not
+	// complete, so each ends bitwise +0 or the uncancelled run's, and a
+	// refused run keeps the sentinel.
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(11))
@@ -238,19 +243,25 @@ func TestCancelMidRunLeavesCScaledOrComplete(t *testing.T) {
 		m, k, n int
 		opts    Options
 		blocks  int
+		beta    float64
 	}{
-		{512, 512, 512, Options{Curve: layout.Hilbert, Alg: Winograd, ForceTile: 32}, 1},
-		{960, 40, 40, Options{Curve: layout.Hilbert, Alg: Winograd, Tile: testTile}, 8},
+		{512, 512, 512, Options{Curve: layout.Hilbert, Alg: Winograd, ForceTile: 32}, 1, 0.5},
+		{960, 40, 40, Options{Curve: layout.Hilbert, Alg: Winograd, Tile: testTile}, 8, 0.5},
+		{512, 512, 512, Options{Curve: layout.ZMorton, Alg: Standard, ForceTile: 32}, 1, 0},
+		{360, 40, 40, Options{Curve: layout.Hilbert, Alg: Standard, Tile: testTile}, 3, 0},
 	} {
 		A, B := matrix.Random(tc.m, tc.k, rng), matrix.Random(tc.k, tc.n, rng)
 		C := matrix.Random(tc.m, tc.n, rng)
+		if tc.beta == 0 {
+			C.Fill(7.25)
+		}
 		want, scaled := C.Clone(), C.Clone()
-		scaled.Scale(0.5)
+		scaled.Scale(tc.beta)
 		var wall time.Duration
 		for i := 0; i < 3; i++ {
 			want = C.Clone()
 			t0 := time.Now()
-			st, err := GEMM(pool, tc.opts, false, false, 1, A, B, 0.5, want)
+			st, err := GEMM(pool, tc.opts, false, false, 1, A, B, tc.beta, want)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,7 +286,7 @@ func TestCancelMidRunLeavesCScaledOrComplete(t *testing.T) {
 			got := C.Clone()
 			ctx, cancel := context.WithCancel(context.Background())
 			timer := time.AfterFunc(delay, cancel)
-			_, err := GEMMCtx(ctx, pool, tc.opts, false, false, 1, A, B, 0.5, got)
+			_, err := GEMMCtx(ctx, pool, tc.opts, false, false, 1, A, B, tc.beta, got)
 			timer.Stop()
 			cancel()
 			switch {
@@ -299,8 +310,8 @@ func TestCancelMidRunLeavesCScaledOrComplete(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%dx%dx%d (wall %v): %d delays, %d refused untouched, %d cancelled mid-run, %d completed",
-			tc.m, tc.k, tc.n, wall, len(delays), untouched, partial, complete)
+		t.Logf("%dx%dx%d β %v (wall %v): %d delays, %d refused untouched, %d cancelled mid-run, %d completed",
+			tc.m, tc.k, tc.n, tc.beta, wall, len(delays), untouched, partial, complete)
 	}
 }
 

@@ -42,7 +42,7 @@ func (e *exec) tableMul(c *sched.Ctx, tb *Table, C, A, B Mat) {
 		return
 	}
 	if C.tiles == 1 || C.tiles <= e.fastCutoff {
-		e.std(c, C, A, B)
+		e.std(c, C, A, B, false)
 		return
 	}
 	if e.par(C.tiles) {

@@ -186,7 +186,7 @@ func (t *Tiled) Unpack(ctx context.Context, pool *sched.Pool) (dst *matrix.Dense
 
 // unpackAccumulate folds the C epilogue of a block multiplication into
 // the conversion walk: dst += alpha · (logical region of t), discarding
-// padding. With the product accumulated into a zero-filled tiled buffer,
+// padding. With the product in a tiled buffer (no C pack, no zero-fill),
 // this replaces the old pack-C / compute / unpack-C round-trip — C is
 // read and written exactly once, alpha is applied for free during the
 // stream, and dst stays untouched (β-scaled) until the block's compute

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/layout"
+	"repro/internal/leaf"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -34,8 +35,9 @@ import (
 const waveM, waveK, waveN = 300, 20, 20
 
 // blocksScaledOrComplete checks the per-block atomicity contract:
-// every C block of the m×n result holds exactly its β-scaled input or
-// exactly the finished product. It returns how many were complete.
+// every C block of the m×n result holds, bit for bit, its β-scaled input
+// (+0 after β = 0) or the finished product. It returns how many were
+// complete.
 func blocksScaledOrComplete(t *testing.T, what string, cfg tile.Config, k int, C, scaled, want *matrix.Dense) int {
 	t.Helper()
 	ms, _, ns := cfg.SplitDims(C.Rows, k, C.Cols)
@@ -44,14 +46,29 @@ func blocksScaledOrComplete(t *testing.T, what string, cfg tile.Config, k int, C
 		for _, sn := range ns {
 			got := C.View(sm.Off, sn.Off, sm.Len, sn.Len)
 			switch {
-			case matrix.Equal(got, want.View(sm.Off, sn.Off, sm.Len, sn.Len), 0):
+			case sameBits(got, want.View(sm.Off, sn.Off, sm.Len, sn.Len)):
 				complete++
-			case !matrix.Equal(got, scaled.View(sm.Off, sn.Off, sm.Len, sn.Len), 0):
+			case !sameBits(got, scaled.View(sm.Off, sn.Off, sm.Len, sn.Len)):
 				t.Fatalf("%s: C block at (%d,%d) is neither β-scaled nor complete", what, sm.Off, sn.Off)
 			}
 		}
 	}
 	return complete
+}
+
+// sameBits reports whether a and b hold the same bit patterns.
+func sameBits(a, b *matrix.Dense) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for j := 0; j < a.Cols; j++ {
+		for i := 0; i < a.Rows; i++ {
+			if math.Float64bits(a.At(i, j)) != math.Float64bits(b.At(i, j)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // batchOfOne runs product it as a one-item GEMMBatch on a copy of C0 and
@@ -381,18 +398,29 @@ func TestWaveCancelLeavesBlocksScaledOrComplete(t *testing.T) {
 // (no -0), unless it never started, when it is its untouched input; a
 // completed member's C is its twin's bits — the same product with A
 // stored transposed, which packs. Under injected panics at every leaf
-// and task, and under cancellations spread over a wave's wall time.
+// and task, and under cancellations spread over a wave's wall time. The
+// faulted and cancelled waves carry one more member, 256×16·16×32: four
+// blocks its runner walks in turn, each packed and stored by its first
+// product into a β = 0 C that no β pass zeroed, so a failure leaves each
+// block its twin's bits or bitwise +0, zeroed again once every task under
+// it has joined.
 func TestInPlaceProductFailureContract(t *testing.T) {
-	const n, count = 64, 48
+	const n, count, multi = 64, 48, 4
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(391))
 	opts := Options{Curve: layout.ZMorton, Alg: Standard}
-	A, B, C0, want := make([]*matrix.Dense, count), make([]*matrix.Dense, count), make([]*matrix.Dense, count), make([]*matrix.Dense, count)
-	twins := make([]BatchItem, count)
+	split := tile.DefaultConfig // the tiles of opts, which cut the last member
+	split.MicroM, split.MicroN = leaf.MicroM, leaf.MicroN
+	A, B, C0, want := make([]*matrix.Dense, count+1), make([]*matrix.Dense, count+1), make([]*matrix.Dense, count+1), make([]*matrix.Dense, count+1)
+	twins := make([]BatchItem, count+1)
 	for i := range A {
-		A[i], B[i], C0[i] = matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.Random(n, n, rng)
+		m, k, nn := n, n, n
+		if i == count {
+			m, k, nn = 256, 16, 32
+		}
+		A[i], B[i], C0[i] = matrix.Random(m, k, rng), matrix.Random(k, nn, rng), matrix.Random(m, nn, rng)
 		want[i] = C0[i].Clone()
 		twins[i] = BatchItem{TransA: true, Alpha: 1, A: A[i].Transpose(), B: B[i], C: want[i]}
 	}
@@ -400,14 +428,16 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 		t.Fatalf("twins: %v %v", err, errors.Join(errs...))
 	}
 	wave := func() []BatchItem {
-		items := make([]BatchItem, count)
+		items := make([]BatchItem, count+1)
 		for i := range items {
 			items[i] = BatchItem{Alpha: 1, A: A[i], B: B[i], C: C0[i].Clone()}
 		}
 		return items
 	}
 	// check holds every member to the contract and counts the members that
-	// failed after they started.
+	// failed after they started, and the multi-block member's failures that
+	// left some of its blocks complete and some +0.
+	partial := 0
 	check := func(what string, items []BatchItem, errs []error, err error) (started int) {
 		t.Helper()
 		for i, it := range items {
@@ -419,6 +449,11 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 			case err != nil || strings.Contains(errs[i].Error(), "not started"):
 				if !matrix.Equal(it.C, C0[i], 0) {
 					t.Fatalf("%s: item %d never started (%v), yet its C was touched", what, i, errors.Join(err, errs[i]))
+				}
+			case i == count:
+				started++
+				if done := blocksScaledOrComplete(t, fmt.Sprintf("%s: item %d (%v)", what, i, errs[i]), split, 16, it.C, matrix.New(256, 32), want[i]); done > 0 {
+					partial++
 				}
 			default:
 				started++
@@ -433,13 +468,16 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 		}
 		return started
 	}
-	items := wave()
+	items := wave()[:count]
 	bs, errs, err := GEMMBatch(ctx, pool, opts, items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if check("no fault", items, errs, err); bs.ConvertBytes != 0 || bs.PackDeferred != 2*count {
 		t.Fatalf("%d bytes converted, %d segments in place; want 0 and %d (test premise)", bs.ConvertBytes, bs.PackDeferred, 2*count)
+	}
+	if ms, _, ns := split.SplitDims(256, 16, 32); len(ms)*len(ns) != multi {
+		t.Fatalf("the last member cuts into %d blocks, want %d (test premise)", len(ms)*len(ns), multi)
 	}
 
 	faultinject.Configure(faultinject.Config{PanicProb: 0.04, Seed: 392})
@@ -467,7 +505,8 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 		cancel()
 		cancelled += check(fmt.Sprintf("cancelled at %d/20 of %v", i, wall), items, errs, err)
 	}
-	t.Logf("%d members failed under faults and %d under cancellation after they started", faulted, cancelled)
+	t.Logf("%d members failed under faults and %d under cancellation after they started; the %d-block member failed %d times with blocks complete",
+		faulted, cancelled, multi, partial)
 	if faulted == 0 {
 		t.Error("no member failed under faults after it started (test premise)")
 	}
@@ -713,7 +752,8 @@ func TestWaveStatsAndTrace(t *testing.T) {
 // the wave's compute span, a wave-item span per block when runners share
 // the blocks and the block's own phases when one runner walks them —
 // and, since they pack nothing, no convert-in span of the run's own and
-// no pack.
+// no pack. A block's own convert-in is its tile's zero-fill, which only a
+// fast level needs: the standard recursion's first touch stores the tile.
 func TestPackedEntryPointsTrace(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -769,6 +809,18 @@ func TestPackedEntryPointsTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := NewTiled(ta.Curve, ta.D, ta.TR, tb.TC, 32, 32)
+	// 16³ in 8³ tiles: a 2 × 2-tile grid, one Winograd level above the standard recursion.
+	wopts := Options{Curve: layout.ZMorton, Alg: Winograd, FastCutoff: 1, ForceTile: 8}
+	fa, err := Prepack(ctx, pool, wopts, matrix.Random(16, 16, rng), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fa.Release()
+	fb, err := PrepackConforming(ctx, pool, wopts, matrix.Random(16, 16, rng), false, fa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Release()
 	for _, tc := range []struct {
 		what string
 		run  func() (*Stats, error)
@@ -777,9 +829,20 @@ func TestPackedEntryPointsTrace(t *testing.T) {
 		{"GEMMPrepacked, five blocks on two runners", func() (*Stats, error) {
 			return GEMMPrepacked(ctx, pool, opts, 1, wa, wb, 0, matrix.New(waveM, waveN))
 		}, map[string]int{"wave-item": 5, "convert-in": 0, "compute": 1, "convert-out": 0, "pack": 0}},
-		// The block's own convert-in is its C tile's zero-fill.
+		// The standard recursion's first product into each tile of the
+		// block's C stores it: the tile is not zero-filled, and the block
+		// converts nothing in.
 		{"GEMMPrepacked, one block, beta 0.5", func() (*Stats, error) {
 			return GEMMPrepacked(ctx, pool, opts, 1, sa, sb, 0.5, matrix.New(32, 32))
+		}, map[string]int{"wave-item": 0, "convert-in": 0, "compute": 1, "convert-out": 1, "pack": 0}},
+		// A fast level accumulates into its tile: the block's own convert-in
+		// is that tile's zero-fill.
+		{"GEMMPrepacked, one block, Winograd, beta 0.5", func() (*Stats, error) {
+			st, err := GEMMPrepacked(ctx, pool, wopts, 1, fa, fb, 0.5, matrix.New(16, 16))
+			if err == nil && (st.Alg != Winograd || st.FastLevels != 1 || st.Depth != 1) {
+				err = fmt.Errorf("ran %v with %d fast levels at depth %d, want winograd, 1 and 1", st.Alg, st.FastLevels, st.Depth)
+			}
+			return st, err
 		}, map[string]int{"wave-item": 0, "convert-in": 1, "compute": 1, "convert-out": 1, "pack": 0}},
 		// A β = 0, α = 1 product of one small block goes into C in place.
 		{"GEMMPrepacked, one block, beta 0", func() (*Stats, error) {

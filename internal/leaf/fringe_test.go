@@ -93,7 +93,7 @@ func TestFringeMatchesScalarOracle(t *testing.T) {
 						B := matrix.Random(k+pad, n, rng).View(pad, 0, k, n)
 						got := matrix.Random(m+pad, n, rng).View(0, 0, m, n)
 						want := got.Clone()
-						packedMul(&s, fam.mk, m, n, k, A.Data, A.Stride, B.Data, B.Stride, got.Data, got.Stride)
+						packedMul(&s, fam.mk, false, m, n, k, A.Data, A.Stride, B.Data, B.Stride, got.Data, got.Stride)
 						fringeOracle(fam.mk, m, n, k, A.Data, A.Stride, B.Data, B.Stride, want.Data, want.Stride)
 						for j := 0; j < n; j++ {
 							for i := 0; i < m; i++ {

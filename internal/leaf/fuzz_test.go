@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzKernelsVsNaive differentially checks every registered kernel
-// against Naive on arbitrary shapes, contiguous and strided. The seed
+// FuzzKernelsVsNaive differentially checks every registered kernel, and
+// its store form on a C of NaN, against Naive on arbitrary shapes,
+// contiguous and strided. The seed
 // corpus pins the cases that have bitten register-blocked kernels
 // before: zero dimensions, single elements, shapes off the 8×4 and 4×4
 // micro-tile grids, and extreme aspect ratios. `go test` runs the seeds;
@@ -43,6 +44,8 @@ func FuzzKernelsVsNaive(f *testing.F) {
 		a, b, c0 := fill(lda*k), fill(ldb*n), fill(ldc*n)
 		want := append([]float64(nil), c0...)
 		Naive(m, n, k, a, lda, b, ldb, want, ldc)
+		store := make([]float64, len(c0))
+		Naive(m, n, k, a, lda, b, ldb, store, ldc)
 		tol := 1e-12 * float64(k+1)
 		// Registry-driven: every registered kernel is checked against the
 		// reference, with exactly one exception — the reference itself.
@@ -64,6 +67,19 @@ func FuzzKernelsVsNaive(f *testing.F) {
 				if d := math.Abs(got[i] - want[i]); d > tol {
 					t.Fatalf("%s disagrees with naive at %dx%dx%d (lda=%d ldb=%d ldc=%d): elem %d off by %g",
 						name, m, n, k, lda, ldb, ldc, i, d)
+				}
+			}
+			// The store form, C ← A·B, on a C of NaN: naive from +0 inside
+			// the m×n region, the NaN left alone outside it.
+			impl, _ := GetImpl(name)
+			for i := range got {
+				got[i] = math.NaN()
+			}
+			impl.Store(new(Scratch), m, n, k, a, lda, b, ldb, got, ldc)
+			for i := range got {
+				if in := i%max(ldc, 1) < m; in != !math.IsNaN(got[i]) || in && math.Abs(got[i]-store[i]) > tol {
+					t.Fatalf("%s's store form disagrees with naive from zero at %dx%dx%d (lda=%d ldb=%d ldc=%d): elem %d is %v, want %v",
+						name, m, n, k, lda, ldb, ldc, i, got[i], store[i])
 				}
 			}
 			checked++

@@ -161,17 +161,33 @@ func Blocked4x4(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 }
 
 // Impl is one registered kernel implementation. Kern is always usable
-// through the plain Kernel interface; Scratch, when non-nil, is the same
-// kernel taking caller-provided buffers for its padded fringe blocks, so
-// the recursion in internal/core can hand it per-worker scratch (see
-// ScratchKernel); a leaf of whole blocks touches none of them. Balance
-// is the family's constant in the fast-algorithm crossover (FastCutoff),
-// in leaf flops per byte the element-wise passes stream.
+// through the plain Kernel interface; Scratch is the same kernel taking
+// caller-provided buffers for its padded fringe blocks, so the recursion
+// in internal/core can hand it per-worker scratch (see ScratchKernel); a
+// leaf of whole blocks touches none of them. Store is Scratch's store
+// form, C ← A·B: it never reads C, and its bits are Scratch's on a C of
+// +0. Balance is the family's constant in the fast-algorithm crossover
+// (FastCutoff), in leaf flops per byte the element-wise passes stream.
 type Impl struct {
-	Name    string
-	Kern    Kernel
-	Scratch ScratchKernel
-	Balance float64
+	Name           string
+	Kern           Kernel
+	Scratch, Store ScratchKernel
+	Balance        float64
+}
+
+// plain is the entry of a kernel that is not register-blocked: it needs
+// no scratch, and its store form clears C and accumulates.
+func plain(name string, kern Kernel, balance float64) Impl {
+	return Impl{Name: name, Kern: kern, Balance: balance,
+		Scratch: func(_ *Scratch, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+			kern(m, n, k, a, lda, b, ldb, c, ldc)
+		},
+		Store: func(_ *Scratch, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+			for j := range n {
+				clear(c[j*ldc : j*ldc+m])
+			}
+			kern(m, n, k, a, lda, b, ldb, c, ldc)
+		}}
 }
 
 // kernels is the registry of named kernels used by the command-line
@@ -180,11 +196,11 @@ type Impl struct {
 // kernels ("avx2", "avx512" on amd64, "neon" on arm64) are added at init by
 // simd.go when the CPU supports them and RECMAT_NOSIMD is unset.
 var kernels = map[string]Impl{
-	"naive":     {Name: "naive", Kern: Naive, Balance: 0.125},
-	"unrolled4": {Name: "unrolled4", Kern: Unrolled4, Balance: 0.25},
-	"axpy":      {Name: "axpy", Kern: Axpy, Balance: 0.25},
-	"blocked":   {Name: "blocked", Kern: Blocked4x4, Balance: 0.4},
-	"packed8x4": {Name: "packed8x4", Kern: Packed8x4, Scratch: PackedScratch8x4, Balance: 0.45},
+	"naive":     plain("naive", Naive, 0.125),
+	"unrolled4": plain("unrolled4", Unrolled4, 0.25),
+	"axpy":      plain("axpy", Axpy, 0.25),
+	"blocked":   plain("blocked", Blocked4x4, 0.4),
+	"packed8x4": family("packed8x4", microGo8, 0.45),
 }
 
 // Names returns the registered kernel names in deterministic (sorted)

@@ -36,9 +36,9 @@ type microImpl struct {
 	// first row with column stride lda, b0..b3 the four B columns. panel
 	// does every full block of a tile in one call: C[0:rows,0:n] += A·B
 	// with rows a multiple of mr, n of 4, and the loops over blocks
-	// inside it.
+	// inside it — or, with store, C ← A·B from accumulators at +0.
 	dd    func(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []float64, ldc int)
-	panel func(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
+	panel func(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
 	// rem, when non-nil, is the shorter family that takes the rows left
 	// after the last full mr-row block; it has a panel entry when this
 	// family has.
@@ -62,14 +62,30 @@ var microGo8 = &microImpl{mr: 8, dd: micro8x4dd}
 // body on zero-padded operands into a zeroed scratch block of C, whose
 // valid part is then added to C: a zero accumulator, the products fused
 // in ascending k, one add into C — per element what a scalar loop does.
-func packedMul(s *Scratch, mk *microImpl, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+//
+// store is the form C ← A·B, which never reads C: a panel entry stores
+// its full blocks, and what it does not store — the fringe, or all of C
+// for a family with only a dd entry — is cleared first and accumulated.
+func packedMul(s *Scratch, mk *microImpl, store bool, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	const nr = MicroN
-	if m <= 0 || n <= 0 || k <= 0 {
+	if m <= 0 || n <= 0 {
 		return
 	}
 	last, i0 := mk, 0 // the chain's shortest family; rows in full blocks
 	for fam := mk; fam != nil; fam = fam.rem {
 		last, i0 = fam, i0+(m-i0)/fam.mr*fam.mr
+	}
+	nf := n - n%nr // columns in full blocks
+	panelStore := store && mk.panel != nil && k > 0
+	for j := 0; store && j < n; j++ {
+		lo := 0
+		if panelStore && j < nf {
+			lo = i0
+		}
+		clear(c[j*ldc+lo : j*ldc+m])
+	}
+	if k <= 0 {
+		return
 	}
 	mp := m // rows with the fringe padded to a block
 	if i0 < m {
@@ -77,12 +93,11 @@ func packedMul(s *Scratch, mk *microImpl, m, n, k int, a []float64, lda int, b [
 		s.pa = grow(s.pa, last.mr*k)
 		packA(last.mr, m-i0, k, a[i0:], lda, s.pa)
 	}
-	nf := n - n%nr // columns in full blocks
 	if nf > 0 {
-		mk.fullBlocks(m, nf, k, a, lda, b, ldb, c, ldc)
+		mk.fullBlocks(panelStore, m, nf, k, a, lda, b, ldb, c, ldc)
 		if i0 < m {
 			sc := s.zeroC(last.mr * nf)
-			last.blocks(last.mr, nf, k, s.pa, last.mr, b, ldb, sc, last.mr)
+			last.blocks(false, last.mr, nf, k, s.pa, last.mr, b, ldb, sc, last.mr)
 			addBlock(m-i0, nf, sc, last.mr, c[i0:], ldc)
 		}
 	}
@@ -93,9 +108,9 @@ func packedMul(s *Scratch, mk *microImpl, m, n, k int, a []float64, lda int, b [
 		}
 		clear(s.pb[(n-nf)*k:])
 		sc := s.zeroC(mp * nr)
-		mk.fullBlocks(m, nr, k, a, lda, s.pb, k, sc, mp)
+		mk.fullBlocks(false, m, nr, k, a, lda, s.pb, k, sc, mp)
 		if i0 < m {
-			last.blocks(last.mr, nr, k, s.pa, last.mr, s.pb, k, sc[i0:], mp)
+			last.blocks(false, last.mr, nr, k, s.pa, last.mr, s.pb, k, sc[i0:], mp)
 		}
 		addBlock(m, n-nf, sc, mp, c[nf*ldc:], ldc)
 	}
@@ -104,20 +119,20 @@ func packedMul(s *Scratch, mk *microImpl, m, n, k int, a []float64, lda int, b [
 // fullBlocks is C[0:i0,0:n] += A·B for the i0 rows of m that fill whole
 // blocks of mk's chain, each family taking what the one before left; n
 // is a multiple of 4.
-func (mk *microImpl) fullBlocks(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+func (mk *microImpl) fullBlocks(store bool, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	for i0 := 0; mk != nil; mk = mk.rem {
 		if rows := (m - i0) / mk.mr * mk.mr; rows > 0 {
-			mk.blocks(rows, n, k, a[i0:], lda, b, ldb, c[i0:], ldc)
+			mk.blocks(store, rows, n, k, a[i0:], lda, b, ldb, c[i0:], ldc)
 			i0 += rows
 		}
 	}
 }
 
 // blocks is the family's in-place entry: C[0:rows,0:n] += A·B, rows a
-// positive multiple of mr, n of 4.
-func (mk *microImpl) blocks(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+// positive multiple of mr, n of 4; store, for a panel entry only, stores.
+func (mk *microImpl) blocks(store bool, rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if mk.panel != nil {
-		mk.panel(rows, n, k, a, lda, b, ldb, c, ldc)
+		mk.panel(rows, n, k, a, lda, b, ldb, c, ldc, store)
 		return
 	}
 	for j0 := 0; j0 < n; j0 += MicroN {
@@ -144,31 +159,22 @@ func addBlock(rows, cols int, sc []float64, ldsc int, c []float64, ldc int) {
 // driver bypasses this pool entirely via the ScratchKernel form.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// kernelPair builds the plain-Kernel (pooled scratch) and ScratchKernel
-// forms of packedMul over one micro-kernel family.
-func kernelPair(mk *microImpl) (Kernel, ScratchKernel) {
-	kern := func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-		s := scratchPool.Get().(*Scratch)
-		packedMul(s, mk, m, n, k, a, lda, b, ldb, c, ldc)
-		scratchPool.Put(s)
-	}
-	skern := func(s *Scratch, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-		packedMul(s, mk, m, n, k, a, lda, b, ldb, c, ldc)
-	}
-	return kern, skern
-}
-
-// PackedScratch8x4 is Packed8x4 in ScratchKernel form.
-func PackedScratch8x4(s *Scratch, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	packedMul(s, microGo8, m, n, k, a, lda, b, ldb, c, ldc)
-}
-
-// Packed8x4 is the pure-Go kernel with an 8×4 register block,
-// self-managing its fringe scratch through a pool.
-func Packed8x4(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	s := scratchPool.Get().(*Scratch)
-	packedMul(s, microGo8, m, n, k, a, lda, b, ldb, c, ldc)
-	scratchPool.Put(s)
+// family is the registry entry of packedMul over one micro-kernel
+// family: the plain Kernel (pooled scratch), the ScratchKernel and its
+// store form.
+func family(name string, mk *microImpl, balance float64) Impl {
+	return Impl{Name: name, Balance: balance,
+		Kern: func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+			s := scratchPool.Get().(*Scratch)
+			packedMul(s, mk, false, m, n, k, a, lda, b, ldb, c, ldc)
+			scratchPool.Put(s)
+		},
+		Scratch: func(s *Scratch, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+			packedMul(s, mk, false, m, n, k, a, lda, b, ldb, c, ldc)
+		},
+		Store: func(s *Scratch, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+			packedMul(s, mk, true, m, n, k, a, lda, b, ldb, c, ldc)
+		}}
 }
 
 // ScratchAt returns the Scratch stored in slot, installing a fresh one on

@@ -2,6 +2,7 @@ package leaf
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -115,6 +116,61 @@ func TestPackedKernelsAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("packed8x4 (scratch): %.1f allocs/op in steady state, want 0", avg)
+	}
+}
+
+// TestStoreMatchesZeroAccumulate pins every registered kernel's store
+// form to its accumulate form: Store on a C of NaN must give, bit for
+// bit, what Scratch gives on a C of +0 — contiguous and strided, on and
+// off every family's grid (m % 16, m % 8 and n % 4 not zero), at k = 1,
+// and on a product of −0, which lands as +0 — and must leave C's storage
+// outside the m×n region alone.
+func TestStoreMatchesZeroAccumulate(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	shapes := [][3]int{
+		{16, 8, 7}, {32, 12, 1}, {8, 4, 1}, {1, 1, 1}, {44, 12, 5}, {24, 9, 3},
+		{13, 6, 1}, {7, 3, 9}, {12, 11, 10}, {33, 29, 31}, {64, 64, 64},
+	}
+	nan := math.NaN()
+	for _, name := range Names() {
+		impl, _ := GetImpl(name)
+		var s Scratch
+		for _, sh := range shapes {
+			m, n, k := sh[0], sh[1], sh[2]
+			for _, pad := range []int{0, 3} { // pad > 0: strided views
+				for _, negZero := range []bool{false, true} {
+					A := matrix.Random(m+pad, k+pad, rng).View(pad, 0, m, k)
+					B := matrix.Random(k+pad, n, rng).View(pad, 0, k, n)
+					if negZero { // every product −1·(+0): a sum of −0
+						A.Fill(-1)
+						B.Zero()
+					}
+					want := matrix.New(m+pad, n).View(0, 0, m, n)
+					got := matrix.New(m+pad, n)
+					for i := range got.Data {
+						got.Data[i] = nan
+					}
+					gv := got.View(0, 0, m, n)
+					impl.Scratch(&s, m, n, k, A.Data, A.Stride, B.Data, B.Stride, want.Data, want.Stride)
+					impl.Store(&s, m, n, k, A.Data, A.Stride, B.Data, B.Stride, gv.Data, gv.Stride)
+					for j := 0; j < n; j++ {
+						for i := 0; i < m+pad; i++ {
+							g := got.At(i, j)
+							if i >= m {
+								if !math.IsNaN(g) {
+									t.Fatalf("%s %dx%dx%d pad %d: Store wrote %v below the region at (%d,%d)", name, m, n, k, pad, g, i, j)
+								}
+								continue
+							}
+							if w := want.At(i, j); math.Float64bits(g) != math.Float64bits(w) || negZero && math.Signbit(g) {
+								t.Fatalf("%s %dx%dx%d pad %d negZero %v: Store gives C(%d,%d) = %v, Scratch on +0 gives %v",
+									name, m, n, k, pad, negZero, i, j, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

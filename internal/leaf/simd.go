@@ -55,8 +55,7 @@ func init() {
 		return
 	}
 	for _, si := range archSIMD() {
-		kern, skern := kernelPair(si.mk)
-		wide = Impl{Name: si.name, Kern: kern, Scratch: skern, Balance: si.balance}
+		wide = family(si.name, si.mk, si.balance)
 		kernels[si.name] = wide
 		simdNames = append(simdNames, si.name)
 	}

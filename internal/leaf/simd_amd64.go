@@ -5,11 +5,12 @@ package leaf
 // The amd64 micro-kernel families: an MR×4 block of C held in eight
 // vector accumulators (two per column) while streaming through k with
 // VFMADD231PD — 8 rows in YMM for AVX2/FMA, 16 in ZMM for AVX-512F.
-// Every body loads the C block up front, accumulates into registers,
-// and stores once at the end — one rounding reordering versus the
-// pure-Go kernels (C joins the sum first instead of last), well inside
-// the differential-fuzz tolerance, and the same one in both widths: the
-// two families are one rounding class, bit for bit.
+// Every body loads the C block up front (the store form starts it at
+// +0), accumulates into registers, and stores once at the end — one
+// rounding reordering versus the pure-Go kernels (C joins the sum first
+// instead of last), well inside the differential-fuzz tolerance, and the
+// same one in both widths: the two families are one rounding class, bit
+// for bit.
 //
 // Every tile, contiguous or strided, goes through the whole-panel entry,
 // one call for all the full blocks of a tile; the 16-row family hands an
@@ -26,14 +27,15 @@ var (
 
 // panel8x4AVX2 is the whole-panel entry in AVX2/FMA assembly:
 // C[0:rows,0:n] += A·B on column-major operands read in place at their
-// leading dimensions, every 8×4 block of it in registers in turn. rows
-// must be a positive multiple of 8, n of 4, and k ≥ 1.
+// leading dimensions, every 8×4 block of it in registers in turn — or,
+// with store, C ← A·B without reading C. rows must be a positive multiple
+// of 8, n of 4, and k ≥ 1.
 //
 //go:noescape
-func panel8x4AVX2(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
+func panel8x4AVX2(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
 
 // panel16x4AVX512 is the whole-panel entry in 16×4 ZMM blocks; rows
 // must be a positive multiple of 16.
 //
 //go:noescape
-func panel16x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
+func panel16x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)

@@ -100,8 +100,8 @@ func (p *Plan) Transposed(e *Engine) (*Plan, error) {
 
 // GEMMPrepacked computes C ← α·A·B + β·C where both operands are
 // prepacked Plans (transposition was folded at Prepack time, so there
-// are no trans flags). The per-call conversion is reduced to zeroing
-// and unpacking the C tile: a steady-state call reports
+// are no trans flags). The per-call conversion is reduced to unpacking
+// the C tile (zero-filled first only under a fast level): a steady-state call reports
 // Report.ConvertIn ≈ 0 and a ConvertBytes covering only the C epilogue
 // (none for a β = 0, α = 1 product of one block of at most 8 tiles a
 // side, which goes into C in place), with PackReused counting the

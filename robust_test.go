@@ -71,6 +71,82 @@ func TestBetaZeroClearsNonFinite(t *testing.T) {
 	}
 }
 
+// TestBetaZeroNeverReadsC: with β = 0 no β pass zeroes C ahead of a
+// product whose blocks one runner walks in turn — the standard
+// recursion's first touch stores each tile — so a NaN or ±Inf in the
+// incoming C must leave no trace, through DGEMM, GEMMBatch and
+// GEMMPrepacked, on a product of one block multiplied where it lies, on
+// three blocks one runner walks (four workers), and on two blocks that
+// two runners share (where C is still zeroed up front). Each result is
+// the same call's on a C of +0, bit for bit.
+func TestBetaZeroNeverReadsC(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for _, tc := range []struct {
+		what             string
+		workers, m, k, n int
+		blocks           int
+	}{
+		{"one block in place", 2, 64, 64, 64, 1},
+		{"three blocks walked in order", 4, 384, 32, 32, 3},
+		{"two blocks on two runners", 2, 256, 32, 32, 2},
+	} {
+		eng := NewEngine(tc.workers)
+		A, B := Random(tc.m, tc.k, rng), Random(tc.k, tc.n, rng)
+		opts := &Options{Layout: ZMorton, Algorithm: Standard, PartnerDim: tc.n}
+		dirty := func() *Matrix {
+			C := NewMatrix(tc.m, tc.n)
+			for i := range C.Data {
+				C.Data[i] = [3]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3]
+			}
+			return C
+		}
+		pa, err := eng.Prepack(A, false, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := eng.PrepackConforming(B, false, opts, pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alpha := range []float64{1, 1.5} {
+			runs := map[string]func(C *Matrix) (*Report, error){
+				"DGEMM": func(C *Matrix) (*Report, error) { return eng.DGEMM(false, false, alpha, A, B, 0, C, opts) },
+				"GEMMBatch": func(C *Matrix) (*Report, error) {
+					r, errs, err := eng.GEMMBatch(context.Background(), []GEMMBatchItem{{Alpha: alpha, A: A, B: B, C: C}}, opts)
+					if err == nil {
+						err = errs[0]
+					}
+					return &r.Stats, err
+				},
+				"GEMMPrepacked": func(C *Matrix) (*Report, error) {
+					return eng.GEMMPrepacked(context.Background(), alpha, pa, pb, 0, C)
+				},
+			}
+			for name, run := range runs {
+				want, got := NewMatrix(tc.m, tc.n), dirty()
+				if _, err := run(want); err != nil {
+					t.Fatalf("%s α=%v %s: %v", tc.what, alpha, name, err)
+				}
+				r, err := run(got)
+				if err != nil {
+					t.Fatalf("%s α=%v %s: %v", tc.what, alpha, name, err)
+				}
+				if r.Blocks != tc.blocks {
+					t.Fatalf("%s α=%v %s: %d blocks, want %d (test premise)", tc.what, alpha, name, r.Blocks, tc.blocks)
+				}
+				for i := range got.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("%s α=%v %s: C[%d] = %v on a C of NaN and ±Inf, %v on a C of +0", tc.what, alpha, name, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+		pa.Release()
+		pb.Release()
+		eng.Close()
+	}
+}
+
 func TestOptionsMemBudgetPassthrough(t *testing.T) {
 	eng := NewEngine(2)
 	defer eng.Close()
