@@ -611,10 +611,13 @@ func TestGEMMBatchPhaseAccounting(t *testing.T) {
 // after. The absolute count is wave-level bookkeeping (slices, stats,
 // runner closures) whose number does not depend on the item count; it
 // plateaus by a handful of items (tiny waves land in smaller slice size
-// classes), so the comparison is run past the plateau. The split wave
-// runs on one worker: AllocsPerRun pins GOMAXPROCS to 1, and whether a
-// second runner gets the CPU — and grows headers of its own — before a
-// wave of millisecond members has drained depends on the wave's length.
+// classes), so the comparison is run past the plateau. The square wave
+// runs on two workers under AllocsPerRun's GOMAXPROCS of 1, where whether
+// the second runner gets the CPU before the wave has drained is up to the
+// scheduler: every runner slot runs a member of its own first and the
+// slots give their buffers back together (pullWave), so each grows its
+// headers and takes its buffers once whatever the interleaving. The split
+// wave runs on one worker.
 func TestBatchZeroAllocPerItem(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

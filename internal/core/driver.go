@@ -329,6 +329,26 @@ type wave struct {
 // multiplied where it lies (wave.body): past it, copying repays (-exp inplace).
 const inPlaceSide = 8
 
+// aheadMin and aheadMax bound the A+B, in elements, of a member its
+// runner prefetches, claimed one ahead (pullWave): 32³ and under lost on
+// waves in L3, past 128³ lost or held (EXPERIMENTS.md, "Members prefetched one ahead").
+const aheadMin, aheadMax = 2 * 32 * 32, 2 * 128 * 128
+
+// prefetch asks the cache for member i's source views no shared plan
+// brings, while its runner multiplies the member in hand.
+func (w *wave) prefetch(i int) {
+	it, pl := &w.items[i], w.plans[i]
+	if pl == nil || pl.ns == nil || pl.k*(pl.m+pl.n) <= aheadMin || pl.k*(pl.m+pl.n) > aheadMax {
+		return
+	}
+	if w.gv.pa == nil {
+		leaf.Prefetch(it.A.Data, it.A.Rows, it.A.Cols, it.A.Stride)
+	}
+	if w.gv.pb == nil {
+		leaf.Prefetch(it.B.Data, it.B.Rows, it.B.Cols, it.B.Stride)
+	}
+}
+
 // nothing is the plan of a member with α = 0: C ← β·C alone.
 var nothing = new(plan)
 
@@ -368,7 +388,7 @@ func (cl *call) multiply(ctx context.Context, stats *Stats, w *wave) error {
 	case w.wide:
 		runners = cl.pool.Workers()
 	}
-	rerr := cl.run(ctx, stats, func(c *sched.Ctx) { pullWave(ctx, c, e, runners, len(w.items), stats, w.step) })
+	rerr := cl.run(ctx, stats, func(c *sched.Ctx) { pullWave(ctx, c, e, runners, len(w.items), stats, w.step, w.prefetch) })
 	if !cl.started {
 		return rerr
 	}

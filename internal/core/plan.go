@@ -501,7 +501,7 @@ func (pm *planMul) wave(ctx context.Context, c *sched.Ctx, ws *waveWS, runners i
 			done.Add(1)
 		}
 		return err
-	})
+	}, nil)
 	if err == nil && done.Load()-before < int64(nb) { // the runners saw the run cancelled
 		err = errRunCancelled
 	}
@@ -513,7 +513,7 @@ func (pm *planMul) wave(ctx context.Context, c *sched.Ctx, ws *waveWS, runners i
 // transient plans a member's operands are packed into, and the buffers
 // of a deferred operand's segments (one). Buffers persist across the
 // runner's steps, regrown only for a larger size class, and return to
-// the pool once, when the runner drains.
+// the pool once, when the wave drains.
 type waveWS struct {
 	e      exec
 	err    error // the step error that stopped the runner
@@ -535,40 +535,50 @@ func (ws *waveWS) release() {
 	ws.pb.Release()
 }
 
-// pullWave is the one runner loop: the indices below count are pulled
-// off a shared counter by n runner tasks spawned from c — one runs on
-// c's own frame — each with its own workspace and copy of e. A step that
-// returns an error or panics stops every runner, and the first error by
-// runner is returned. The runners' counters are merged into stats, and
+// pullWave is the one runner loop: the indices below count run on n
+// runner tasks spawned from c — one on c's own frame — each with its own
+// workspace (given back when the wave drains) and copy of e. Slot r runs
+// index r first, then pulls them off a shared counter; a member wave's
+// runner claims its next before running the one in hand, and ahead
+// prefetches it, while more are unclaimed than there are runners. A step
+// that returns an error or panics stops every runner, and the first error
+// by runner is returned. The runners' counters are merged into stats, and
 // the wave's wall time is apportioned to the three phase timers by the
 // share of task time each phase took.
 func pullWave(ctx context.Context, c *sched.Ctx, e *exec, n, count int, stats *Stats,
-	step func(c *sched.Ctx, ws *waveWS, i int) error) error {
+	step func(c *sched.Ctx, ws *waveWS, i int) error, ahead func(i int)) error {
 
 	wss := make([]waveWS, n)
+	defer func() {
+		for r := range wss {
+			wss[r].release()
+		}
+	}()
 	var st struct {
 		runner, next atomic.Int64
 		stop         atomic.Bool
 	}
+	st.next.Store(int64(n))
 	runner := func(c *sched.Ctx) {
-		ws := &wss[st.runner.Add(1)-1]
+		r := int(st.runner.Add(1)) - 1
+		ws := &wss[r]
 		ws.e = *e
 		ws.e.shared = n > 1
 		clean := false
-		defer func() {
-			ws.release()
-			if !clean {
-				st.stop.Store(true)
-			}
-		}()
-		for !st.stop.Load() && !c.Cancelled() {
-			i := int(st.next.Add(1)) - 1
-			if i >= count {
-				break
+		defer func() { st.stop.CompareAndSwap(false, !clean) }() // a panic stops every runner
+		// i is the index in hand; j the next, claimed before i runs or after.
+		for i, j := r, count; i < count && !st.stop.Load() && !c.Cancelled(); i = j {
+			if j = count; ahead != nil && count-int(st.next.Load()) > n {
+				if j = int(st.next.Add(1)) - 1; j < count {
+					ahead(j)
+				}
 			}
 			if err := step(c, ws, i); err != nil {
 				ws.err = err
 				return
+			}
+			if j >= count {
+				j = int(st.next.Add(1)) - 1
 			}
 		}
 		clean = true

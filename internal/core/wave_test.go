@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -403,7 +405,11 @@ func TestWaveCancelLeavesBlocksScaledOrComplete(t *testing.T) {
 // blocks its runner walks in turn, each packed and stored by its first
 // product into a β = 0 C that no β pass zeroed, so a failure leaves each
 // block its twin's bits or bitwise +0, zeroed again once every task under
-// it has joined.
+// it has joined. A runner claims a member before it runs — its slot's
+// first, or one ahead of the member in hand (pullWave) — so a cancelled
+// or faulted wave can leave a member unstarted below one that started:
+// the waves run until each kind of failure has shown such a hole, and a
+// hole is held to the not-started contract like any other.
 func TestInPlaceProductFailureContract(t *testing.T) {
 	const n, count, multi = 64, 48, 4
 	pool := sched.NewPool(2)
@@ -438,9 +444,14 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 	// failed after they started, and the multi-block member's failures that
 	// left some of its blocks complete and some +0.
 	partial := 0
-	check := func(what string, items []BatchItem, errs []error, err error) (started int) {
+	check := func(what string, items []BatchItem, errs []error, err error) (started, holes int) {
 		t.Helper()
+		var unstarted []int
+		last := -1 // the last member that started
 		for i, it := range items {
+			if err == nil && (errs[i] == nil || !strings.Contains(errs[i].Error(), "not started")) {
+				last = i
+			}
 			switch {
 			case err == nil && errs[i] == nil:
 				if !matrix.Equal(it.C, want[i], 0) {
@@ -450,6 +461,7 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 				if !matrix.Equal(it.C, C0[i], 0) {
 					t.Fatalf("%s: item %d never started (%v), yet its C was touched", what, i, errors.Join(err, errs[i]))
 				}
+				unstarted = append(unstarted, i)
 			case i == count:
 				started++
 				if done := blocksScaledOrComplete(t, fmt.Sprintf("%s: item %d (%v)", what, i, errs[i]), split, 16, it.C, matrix.New(256, 32), want[i]); done > 0 {
@@ -466,7 +478,12 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 				}
 			}
 		}
-		return started
+		for _, i := range unstarted {
+			if i < last {
+				holes++
+			}
+		}
+		return started, holes
 	}
 	items := wave()[:count]
 	bs, errs, err := GEMMBatch(ctx, pool, opts, items)
@@ -481,11 +498,12 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 	}
 
 	faultinject.Configure(faultinject.Config{PanicProb: 0.04, Seed: 392})
-	faulted := 0
-	for iter := 0; iter < 20; iter++ {
+	faulted, faultHoles := 0, 0
+	for iter := 0; iter < 20 || faultHoles == 0 && iter < 1000; iter++ {
 		items := wave()
 		_, errs, err := GEMMBatch(ctx, pool, opts, items)
-		faulted += check(fmt.Sprintf("faults, wave %d", iter), items, errs, err)
+		started, holes := check(fmt.Sprintf("faults, wave %d", iter), items, errs, err)
+		faulted, faultHoles = faulted+started, faultHoles+holes
 	}
 	faultinject.Disable()
 
@@ -495,20 +513,25 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 		GEMMBatch(ctx, pool, opts, wave())
 		wall = time.Since(t0)
 	}
-	cancelled := 0
-	for i := 0; i < 24; i++ {
+	cancelled, cancelHoles := 0, 0
+	for i := 0; i < 24 || cancelHoles == 0 && i < 1000; i++ {
 		items := wave()
 		cctx, cancel := context.WithCancel(ctx)
-		timer := time.AfterFunc(wall*time.Duration(i)/20, cancel)
+		timer := time.AfterFunc(wall*time.Duration(i%24)/20, cancel)
 		_, errs, err := GEMMBatch(cctx, pool, opts, items)
 		timer.Stop()
 		cancel()
-		cancelled += check(fmt.Sprintf("cancelled at %d/20 of %v", i, wall), items, errs, err)
+		started, holes := check(fmt.Sprintf("cancelled at %d/20 of %v", i%24, wall), items, errs, err)
+		cancelled, cancelHoles = cancelled+started, cancelHoles+holes
 	}
-	t.Logf("%d members failed under faults and %d under cancellation after they started; the %d-block member failed %d times with blocks complete",
-		faulted, cancelled, multi, partial)
+	t.Logf("%d members failed under faults and %d under cancellation after they started; the %d-block member failed %d times with blocks complete; %d and %d members claimed and never started below one that started",
+		faulted, cancelled, multi, partial, faultHoles, cancelHoles)
 	if faulted == 0 {
 		t.Error("no member failed under faults after it started (test premise)")
+	}
+	if faultHoles == 0 || cancelHoles == 0 {
+		t.Errorf("%d faulted and %d cancelled waves left a member claimed and never started below one that started, want both (test premise)",
+			faultHoles, cancelHoles)
 	}
 }
 
@@ -570,7 +593,13 @@ func TestWaveReturnsPooledBuffers(t *testing.T) {
 // are brought by their blocks inside the wave — read in place by
 // Standard, packed by the fast algorithms and, on every other run, from
 // an A stored transposed, for the same bits — and the run goes on until
-// a panic has fired in such a pack.
+// a panic has fired in such a pack. Then a GEMMBatch wave of 64³ members
+// (β = 0, multiplied in place), whose runners claim a member before they
+// run it — their slot's first, or one ahead of the member in hand — runs
+// until a fault has left a member claimed and never started below one
+// that started: such a member is reported not started with its C
+// untouched, a member that failed after it started holds bitwise +0, and
+// a completed one its first clean run's bits.
 func TestStressWaveFaultInjection(t *testing.T) {
 	defer stressFaults()()
 	pool := sched.NewPool(4)
@@ -643,6 +672,55 @@ func TestStressWaveFaultInjection(t *testing.T) {
 		t.Errorf("no panic fired inside an in-wave pack in %d runs", runs)
 	}
 	t.Logf("wave fault stress: %d/%d runs failed (injected), %d inside an in-wave pack", failures, runs, inWavePack)
+
+	const members, mn = 24, 64
+	As, Bs, C0s, refs := make([]*matrix.Dense, members), make([]*matrix.Dense, members), make([]*matrix.Dense, members), make([]*matrix.Dense, members)
+	for i := range As {
+		As[i], Bs[i], C0s[i] = matrix.Random(mn, mn, rng), matrix.Random(mn, mn, rng), matrix.Random(mn, mn, rng)
+	}
+	holes, waves := 0, 0
+	for ; waves < 40 || holes == 0 && waves < 4000; waves++ {
+		items := make([]BatchItem, members)
+		for i := range items {
+			items[i] = BatchItem{Alpha: 1, A: As[i], B: Bs[i], C: C0s[i].Clone()}
+		}
+		_, errs, err := GEMMBatch(context.Background(), pool, Options{Curve: layout.ZMorton, Alg: Standard}, items)
+		var unstarted []int
+		last := -1
+		for i, it := range items {
+			switch {
+			case err != nil || errs[i] != nil && strings.Contains(errs[i].Error(), "not started"):
+				if !sameBits(it.C, C0s[i]) {
+					t.Fatalf("wave %d: member %d never started (%v), yet its C was touched", waves, i, errors.Join(err, errs[i]))
+				}
+				unstarted = append(unstarted, i)
+				continue
+			case errs[i] == nil && refs[i] == nil:
+				ref := C0s[i].Clone()
+				matrix.RefGEMM(false, false, 1, As[i], Bs[i], 0, ref)
+				if !matrix.Equal(it.C, ref, tol(mn, mn, mn)) {
+					t.Fatalf("wave %d: member %d is wrong (max diff %g)", waves, i, matrix.MaxAbsDiff(it.C, ref))
+				}
+				refs[i] = it.C
+			case errs[i] == nil:
+				if !sameBits(it.C, refs[i]) {
+					t.Fatalf("wave %d: member %d's bits differ from its first clean run's", waves, i)
+				}
+			case !sameBits(it.C, matrix.New(mn, mn)):
+				t.Fatalf("wave %d: member %d failed (%v), and its C is not bitwise +0", waves, i, errs[i])
+			}
+			last = i
+		}
+		for _, i := range unstarted {
+			if i < last {
+				holes++
+			}
+		}
+	}
+	if holes == 0 {
+		t.Errorf("no member claimed and never started below one that started in %d faulted waves", waves)
+	}
+	t.Logf("member wave fault stress: %d members claimed and never started below one that started, in %d waves", holes, waves)
 }
 
 // TestWaveStatsAndTrace: Stats of a split call describe the shared plan
@@ -916,5 +994,203 @@ func TestTraceOneTracerPerCall(t *testing.T) {
 	}
 	if leaves(first) == 0 {
 		t.Error("no leaf span in the call's own tracer")
+	}
+}
+
+// TestPullWaveEverySlotRuns: runner slot r runs index r first, so every
+// slot sizes its workspace whatever the scheduling. Here the pool's other
+// worker is held by another run for the whole wave: the second runner
+// starts only when the first has pulled every other index and joins, and
+// it still runs index 1.
+func TestPullWaveEverySlotRuns(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	hold, held := make(chan struct{}), make(chan struct{})
+	go pool.Run(func(*sched.Ctx) { close(held); <-hold })
+	<-held
+	defer close(hold)
+	const n, count = 2, 8
+	var mu sync.Mutex
+	var first []int
+	ran := map[*waveWS]bool{}
+	if _, _, err := pool.Run(func(c *sched.Ctx) {
+		pullWave(context.Background(), c, &exec{}, n, count, &Stats{}, func(c *sched.Ctx, ws *waveWS, i int) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if !ran[ws] {
+				ran[ws], first = true, append(first, i)
+			}
+			return nil
+		}, nil)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(first) != "[0 1]" {
+		t.Errorf("the runner slots ran %v first, want [0 1]: a slot that starts late must still run its own index", first)
+	}
+}
+
+// TestPullWaveLookahead: with a lookahead, a runner claims its next index
+// before it runs the one in hand and hands it to ahead, while more are
+// unclaimed than there are runners; every index runs exactly once and is
+// prefetched at most once, before it runs. One runner prefetches
+// 1 … count-2 in order, each just before the one ahead of it runs: the
+// last claim leaves one index and one runner. A wave of as many indices
+// as runners claims nothing ahead.
+func TestPullWaveLookahead(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for _, n := range []int{1, 2} {
+		for _, count := range []int{n, 8} {
+			var mu sync.Mutex
+			var log []string
+			note := func(format string, i int) {
+				mu.Lock()
+				log = append(log, fmt.Sprintf(format, i))
+				mu.Unlock()
+			}
+			if _, _, err := pool.Run(func(c *sched.Ctx) {
+				pullWave(context.Background(), c, &exec{}, n, count, &Stats{}, func(c *sched.Ctx, ws *waveWS, i int) error {
+					note("run %d", i)
+					return nil
+				}, func(i int) { note("ahead %d", i) })
+			}); err != nil {
+				t.Fatal(err)
+			}
+			got := strings.Join(log, ", ")
+			seen := map[string]int{}
+			for _, e := range log {
+				if seen[e]++; strings.HasPrefix(e, "ahead") && seen["run"+strings.TrimPrefix(e, "ahead")] > 0 {
+					t.Errorf("%d runners, %d indices: %s; %s after it ran", n, count, got, e)
+				}
+			}
+			for i := 0; i < count; i++ {
+				if seen[fmt.Sprint("run ", i)] != 1 || seen[fmt.Sprint("ahead ", i)] > 1 {
+					t.Errorf("%d runners, %d indices: %s; want index %d run once and prefetched at most once", n, count, got, i)
+				}
+			}
+			switch {
+			case count == n && strings.Contains(got, "ahead"):
+				t.Errorf("%d runners, %d indices: %s; want nothing claimed ahead", n, count, got)
+			case n == 1 && count > n:
+				want := "ahead 1, run 0, ahead 2, run 1, ahead 3, run 2, ahead 4, run 3, ahead 5, run 4, ahead 6, run 5, run 6, run 7"
+				if got != want {
+					t.Errorf("one runner: %s, want %s", got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWaveOfWorkersOneMemberPerRunner: a wave of exactly as many members
+// as workers, each in the prefetch window (A+B ≤ 2·128²), runs one member
+// per runner — the lookahead claims ahead only while more members are
+// unclaimed than there are runners — so its wave-item spans lie one on
+// each worker's track. Every fault point sleeps through the traced wave,
+// so a runner holds its member long enough for the second runner to be
+// stolen on any host.
+func TestWaveOfWorkersOneMemberPerRunner(t *testing.T) {
+	const workers, m, k, n = 2, 128, 128, 128
+	pool := sched.NewPool(workers)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(411))
+	items := make([]BatchItem, workers)
+	for i := range items {
+		items[i] = BatchItem{Alpha: 1, A: matrix.Random(m, k, rng), B: matrix.Random(k, n, rng), C: matrix.New(m, n)}
+	}
+	opts := Options{Curve: layout.ZMorton, Alg: Standard}
+	if bs, _, err := GEMMBatch(context.Background(), pool, opts, items); err != nil || bs.Blocks != workers {
+		t.Fatalf("%v, %+v: want one block a member (test premise)", err, bs)
+	}
+	tr := obs.NewTracer(pool.Workers(), 0)
+	if err := obs.Install(tr); err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Configure(faultinject.Config{DelayProb: 1, Delay: 200 * time.Microsecond})
+	_, errs, err := GEMMBatch(context.Background(), pool, opts, items)
+	faultinject.Disable()
+	obs.Uninstall(tr)
+	if err = errors.Join(append(errs, err)...); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Tid      int64
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	tracks := map[int64]int{}
+	for _, e := range doc.TraceEvents {
+		if e.Name == "wave-item" && e.Ph == "X" {
+			tracks[e.Tid]++
+		}
+	}
+	if len(tracks) != workers {
+		t.Errorf("wave-item spans by worker track: %v, want one on each of %d tracks", tracks, workers)
+	}
+}
+
+// TestWavePrefetchedMembersMatchSingleCalls: a wave whose runners
+// prefetch the member they claim one ahead — members in the window (A+B
+// in (2·32², 2·128²]), with A or B stored transposed, views at a leading
+// dimension past their rows, views whose last column ends at the last
+// element of their backing array, and members outside the window on
+// either side — gives every member its single call's bits and the
+// wave's Stats their sum, at one and two workers.
+func TestWavePrefetchedMembersMatchSingleCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(417))
+	shapes := [][3]int{{64, 64, 64}, {96, 40, 80}, {128, 128, 128}, {24, 24, 24}, {200, 160, 150}, {48, 100, 33}}
+	opts := Options{Curve: layout.ZMorton, Alg: Standard}
+	var items []BatchItem
+	var C0 []*matrix.Dense
+	for i := 0; i < 24; i++ {
+		s := shapes[i%len(shapes)]
+		m, k, n := s[0], s[1], s[2]
+		ta, tb := i%4 == 1 || i%4 == 3, i%4 >= 2
+		A, B := opMat(m, k, ta, rng), opMat(k, n, tb, rng)
+		if i%3 == 0 { // a view at ld > rows, ending where its backing array ends
+			big := matrix.Random(A.Rows+5, A.Cols+2, rng)
+			A = big.View(5, 2, A.Rows, A.Cols)
+		}
+		C := matrix.Random(m, n, rng)
+		C0 = append(C0, C)
+		items = append(items, BatchItem{TransA: ta, TransB: tb, Alpha: 1.5, A: A, B: B, Beta: float64(i % 2), C: C.Clone()})
+	}
+	for _, workers := range []int{1, 2} {
+		pool := sched.NewPool(workers)
+		var blocks int
+		var converted int64
+		want := make([]*matrix.Dense, len(items))
+		for i, it := range items {
+			want[i] = C0[i].Clone()
+			st, err := GEMMCtx(context.Background(), pool, opts, it.TransA, it.TransB, it.Alpha, it.A, it.B, it.Beta, want[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks, converted = blocks+st.Blocks, converted+st.ConvertBytes
+			items[i].C = C0[i].Clone()
+		}
+		bs, errs, err := GEMMBatch(context.Background(), pool, opts, items)
+		pool.Close()
+		if err = errors.Join(append(errs, err)...); err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range items {
+			if !sameBits(it.C, want[i]) {
+				t.Errorf("%d workers: member %d (A %v, B %v) differs from its single call by %g",
+					workers, i, it.TransA, it.TransB, matrix.MaxAbsDiff(it.C, want[i]))
+			}
+		}
+		if bs.Blocks != blocks || bs.ConvertBytes != converted {
+			t.Errorf("%d workers: the wave ran %d blocks converting %d bytes, its single calls %d and %d",
+				workers, bs.Blocks, bs.ConvertBytes, blocks, converted)
+		}
 	}
 }

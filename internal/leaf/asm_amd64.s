@@ -147,3 +147,28 @@ TEXT ·panel8x4AVX2(SB), NOSPLIT, $0-121
 // func panel16x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
 TEXT ·panel16x4AVX512(SB), NOSPLIT, $0-121
 	PANELBODY(VPXORQ, 64, 128, Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+
+// func prefetchCols(a []float64, rows, cols, lda int)
+//
+// Each column's lines run from the one holding its first element to the
+// one holding its last.
+TEXT ·prefetchCols(SB), NOSPLIT, $0-48
+	MOVQ a_base+0(FP), SI
+	MOVQ rows+24(FP), CX
+	MOVQ cols+32(FP), BX
+	MOVQ lda+40(FP), DX
+	SHLQ $3, CX              // column bytes
+	SHLQ $3, DX              // column stride in bytes
+pcol:
+	LEAQ (SI)(CX*1), DI      // the column's end
+	MOVQ SI, AX
+	ANDQ $-64, AX            // the line of its first element
+pline:
+	PREFETCHT0 (AX)
+	ADDQ $64, AX
+	CMPQ AX, DI
+	JCS  pline
+	ADDQ DX, SI
+	DECQ BX
+	JNZ  pcol
+	RET

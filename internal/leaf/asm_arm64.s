@@ -71,3 +71,27 @@ dd_done:
 	VST1 [V4.D2, V5.D2], (R6)
 	VST1 [V6.D2, V7.D2], (R7)
 	RET
+
+// func prefetchCols(a []float64, rows, cols, lda int)
+//
+// Each column's lines run from the one holding its first element to the
+// one holding its last.
+TEXT ·prefetchCols(SB), NOSPLIT, $0-48
+	MOVD a_base+0(FP), R0
+	MOVD rows+24(FP), R1
+	MOVD cols+32(FP), R2
+	MOVD lda+40(FP), R3
+	LSL  $3, R1, R1          // column bytes
+	LSL  $3, R3, R3          // column stride in bytes
+pcol:
+	ADD  R1, R0, R4          // the column's end
+	AND  $~63, R0, R5        // the line of its first element
+pline:
+	PRFM (R5), PLDL1KEEP
+	ADD  $64, R5, R5
+	CMP  R4, R5
+	BLO  pline
+	ADD  R3, R0, R0
+	SUBS $1, R2, R2
+	BNE  pcol
+	RET

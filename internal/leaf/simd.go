@@ -139,3 +139,13 @@ func Features() []string {
 func SIMDNames() []string {
 	return append([]string(nil), simdNames...)
 }
+
+// Prefetch asks the cache for the rows×cols column-major view at a's
+// start, leading dimension lda: every cache line of each column, with
+// PREFETCHT0 on amd64, PRFM PLDL1KEEP on arm64, nothing under noasm. It
+// moves no data and never faults; a view that does not fit a is ignored.
+func Prefetch(a []float64, rows, cols, lda int) {
+	if rows > 0 && cols > 0 && lda >= rows && (cols-1)*lda+rows <= len(a) {
+		prefetchCols(a, rows, cols, lda)
+	}
+}

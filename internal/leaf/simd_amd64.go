@@ -39,3 +39,8 @@ func panel8x4AVX2(rows, n, k int, a []float64, lda int, b []float64, ldb int, c 
 //
 //go:noescape
 func panel16x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
+
+// prefetchCols is Prefetch's PREFETCHT0 loop; rows, cols ≥ 1.
+//
+//go:noescape
+func prefetchCols(a []float64, rows, cols, lda int)

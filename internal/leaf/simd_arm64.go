@@ -16,3 +16,8 @@ var microNEON = &microImpl{mr: 4, dd: micro4x4ddNEON}
 //
 //go:noescape
 func micro4x4ddNEON(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []float64, ldc int)
+
+// prefetchCols is Prefetch's PRFM PLDL1KEEP loop; rows, cols ≥ 1.
+//
+//go:noescape
+func prefetchCols(a []float64, rows, cols, lda int)

@@ -10,3 +10,5 @@ package leaf
 func archFeatures() []string { return nil }
 
 func archSIMD() []simdImpl { return nil }
+
+func prefetchCols(a []float64, rows, cols, lda int) {}

@@ -2,6 +2,7 @@ package leaf
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -271,5 +272,37 @@ func BenchmarkKernels512(b *testing.B) {
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
+	}
+}
+
+// TestPrefetchEdgeViews: the prefetch entry over edge views — empty,
+// 1×1, a column or a view whose last element is its slice's last,
+// misaligned starts, a leading dimension past the rows — and over views
+// that do not fit their slice or have ld < rows (ignored) returns
+// without faulting and leaves every element's bits as they were. Under
+// -tags noasm it is the no-op entry.
+func TestPrefetchEdgeViews(t *testing.T) {
+	data := make([]float64, 97)
+	for i := range data {
+		data[i] = float64(i) + 0.5
+	}
+	want := append([]float64(nil), data...)
+	for _, v := range []struct{ off, rows, cols, lda int }{
+		{0, 0, 0, 1}, {0, 0, 5, 1}, {0, 5, 0, 5}, {0, 5, -1, 5}, {0, -1, 3, 1}, // empty
+		{0, 1, 1, 1}, {96, 1, 1, 1}, {96, 1, 1, 40}, // 1×1, the last one at the slice's end
+		{0, 97, 1, 97}, {0, 97, 1, 200}, // the whole slice as one column
+		{7, 10, 9, 10}, // contiguous, ending at the last element from a misaligned start
+		{1, 3, 4, 31},  // ld > rows, ending at the last element
+		{3, 9, 11, 9},  // one element past the slice: ignored
+		{0, 10, 2, 9},  // ld < rows: ignored
+		{90, 8, 1, 8},  // past the end: ignored
+	} {
+		Prefetch(data[v.off:], v.rows, v.cols, v.lda)
+	}
+	Prefetch(nil, 1, 1, 1)
+	for i := range data {
+		if math.Float64bits(data[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("element %d: %v, want %v", i, data[i], want[i])
+		}
 	}
 }
