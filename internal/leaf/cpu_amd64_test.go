@@ -10,7 +10,10 @@ import (
 // TestSIMDLevel pins the gate of each assembly family: the CPU must
 // report the instructions and XCR0 must show the OS saving the
 // registers they use. An AVX-512 CPU under an OS that saves only
-// XMM/YMM state must get the AVX2 family and no more.
+// XMM/YMM state, or that leaves out any one of the opmask, ZMM_Hi256
+// (the upper halves of Z0–Z15) and Hi16_ZMM (Z16–Z31, which the 32-row
+// body holds its A and B values in) components, must get the AVX2 family
+// and no more.
 func TestSIMDLevel(t *testing.T) {
 	const (
 		ecxAll  = 1<<12 | 1<<27 | 1<<28 // FMA, OSXSAVE, AVX
@@ -29,6 +32,8 @@ func TestSIMDLevel(t *testing.T) {
 		{"avx2, no FMA", ecxAll &^ (1 << 12), avx2, 0x06, false, false},
 		{"avx512f, OS saves no ZMM", ecxAll, avx2 | avx512f, 0x06, true, false},
 		{"avx512f, OS saves no opmask", ecxAll, avx2 | avx512f, 0xc6, true, false},
+		{"avx512f, OS saves no ZMM16-31", ecxAll, avx2 | avx512f, 0x66, true, false},
+		{"avx512f, OS saves no ZMM upper halves", ecxAll, avx2 | avx512f, 0xa6, true, false},
 		{"ZMM state without avx512f", ecxAll, avx2, 0xe6, true, false},
 		{"avx512f", ecxAll, avx2 | avx512f, 0xe6, true, true},
 		{"avx512f without avx2", ecxAll, avx512f, 0xe6, false, false},

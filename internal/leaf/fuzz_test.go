@@ -11,7 +11,8 @@ import (
 // contiguous and strided. The seed
 // corpus pins the cases that have bitten register-blocked kernels
 // before: zero dimensions, single elements, shapes off the 8×4 and 4×4
-// micro-tile grids, and extreme aspect ratios. `go test` runs the seeds;
+// micro-tile grids, rows past each link of the 32→16→8 block chain, and
+// extreme aspect ratios. `go test` runs the seeds;
 // `go test -fuzz FuzzKernelsVsNaive` explores further.
 func FuzzKernelsVsNaive(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0), false)
@@ -27,8 +28,14 @@ func FuzzKernelsVsNaive(f *testing.F) {
 	// Regression: k=0 with m%4 != 0 made Blocked4x4 slice an empty A at
 	// a nonzero offset (found by this fuzzer).
 	f.Add(int64(11), uint8(21), uint8(16), uint8(0), false)
+	// Rows that end each link of the avx512 chain (32, then 16, then 8
+	// rows) and run past it into the padded block.
+	for i, m := range []uint8{40, 48, 56, 96, 100} {
+		f.Add(int64(12+i), m, uint8(9+i), uint8(5+i), false)
+		f.Add(int64(17+i), m, uint8(4+i), uint8(3+2*i), true)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, mu, nu, ku uint8, strided bool) {
-		m, n, k := int(mu%48), int(nu%48), int(ku%48)
+		m, n, k := int(mu%112), int(nu%48), int(ku%48)
 		lda, ldb, ldc := m, k, m
 		if strided {
 			lda, ldb, ldc = m+3, k+5, m+2

@@ -3,16 +3,16 @@ package leaf
 import "sync"
 
 // The register-blocked kernels fix NR = 4 B columns per micro-tile; MR
-// is 4, 8 or 16 A rows depending on the family. Tile sizes that are
+// is 4, 8, 16 or 32 A rows depending on the family. Tile sizes that are
 // multiples of these run no padded fringe block (tile.Config can be told
 // to prefer such sizes; see Config.MicroM/MicroN).
 const (
 	// MicroM is the A-row count tile selection aligns to. It is not the
-	// largest block height any more: the 16-row AVX-512 family runs the
-	// 8-row remainder of a tile through the 8-row body, so a multiple of
-	// 8 still keeps every lane of every block on a real row, and the
-	// tiles picked — and so the results — are the same whichever family
-	// runs them.
+	// largest block height: the 32-row AVX-512 family runs the 16- and
+	// 8-row remainders of a tile through its 16-row body and the 8-row
+	// one, so a multiple of 8 still keeps every lane of every block on a
+	// real row, and the tiles picked — and so the results — are the same
+	// whichever family runs them.
 	MicroM = 8
 	// MicroN is the B-column count of the register-blocked micro-kernels.
 	MicroN = 4
@@ -25,7 +25,9 @@ const (
 type ScratchKernel func(s *Scratch, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
 
 // microImpl describes one register-blocked micro-kernel family: the
-// MR-row block height plus the in-place inner loops packedMul dispatches
+// MR-row block height, a power of two (packedMul masks a tile's rows to
+// whole blocks: a division per link of a rem chain costs an 8³ tile a
+// tenth of its time), plus the in-place inner loops packedMul dispatches
 // to. The pure-Go family (microGo8) and the architecture-specific
 // assembly families (simd_*.go) all plug into the same packedMul body,
 // so every kernel shares one leaf path and one fringe policy.
@@ -73,7 +75,7 @@ func packedMul(s *Scratch, mk *microImpl, store bool, m, n, k int, a []float64, 
 	}
 	last, i0 := mk, 0 // the chain's shortest family; rows in full blocks
 	for fam := mk; fam != nil; fam = fam.rem {
-		last, i0 = fam, i0+(m-i0)/fam.mr*fam.mr
+		last, i0 = fam, i0+(m-i0)&^(fam.mr-1)
 	}
 	nf := n - n%nr // columns in full blocks
 	panelStore := store && mk.panel != nil && k > 0
@@ -121,7 +123,7 @@ func packedMul(s *Scratch, mk *microImpl, store bool, m, n, k int, a []float64, 
 // is a multiple of 4.
 func (mk *microImpl) fullBlocks(store bool, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	for i0 := 0; mk != nil; mk = mk.rem {
-		if rows := (m - i0) / mk.mr * mk.mr; rows > 0 {
+		if rows := (m - i0) &^ (mk.mr - 1); rows > 0 {
 			mk.blocks(store, rows, n, k, a[i0:], lda, b, ldb, c[i0:], ldc)
 			i0 += rows
 		}

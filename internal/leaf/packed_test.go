@@ -122,7 +122,9 @@ func TestPackedKernelsAllocFree(t *testing.T) {
 // TestStoreMatchesZeroAccumulate pins every registered kernel's store
 // form to its accumulate form: Store on a C of NaN must give, bit for
 // bit, what Scratch gives on a C of +0 — contiguous and strided, on and
-// off every family's grid (m % 16, m % 8 and n % 4 not zero), at k = 1,
+// off every family's grid (m % 32, m % 16, m % 8 and n % 4 not zero;
+// 40, 48, 56, 96 and 100 rows end each link of the 32→16→8 chain), at
+// k = 1,
 // and on a product of −0, which lands as +0 — and must leave C's storage
 // outside the m×n region alone.
 func TestStoreMatchesZeroAccumulate(t *testing.T) {
@@ -130,6 +132,7 @@ func TestStoreMatchesZeroAccumulate(t *testing.T) {
 	shapes := [][3]int{
 		{16, 8, 7}, {32, 12, 1}, {8, 4, 1}, {1, 1, 1}, {44, 12, 5}, {24, 9, 3},
 		{13, 6, 1}, {7, 3, 9}, {12, 11, 10}, {33, 29, 31}, {64, 64, 64},
+		{40, 8, 5}, {48, 12, 3}, {56, 7, 9}, {96, 8, 4}, {100, 13, 6},
 	}
 	nan := math.NaN()
 	for _, name := range Names() {
@@ -169,6 +172,22 @@ func TestStoreMatchesZeroAccumulate(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestBlockHeightsArePowersOfTwo pins what packedMul's masks assume:
+// every family's block height, down every rem chain, is a power of two.
+func TestBlockHeightsArePowersOfTwo(t *testing.T) {
+	heads := []*microImpl{microGo8}
+	for _, si := range archSIMD() {
+		heads = append(heads, si.mk)
+	}
+	for _, mk := range heads {
+		for fam := mk; fam != nil; fam = fam.rem {
+			if fam.mr <= 0 || fam.mr&(fam.mr-1) != 0 {
+				t.Errorf("block height %d is not a power of two", fam.mr)
 			}
 		}
 	}
@@ -215,7 +234,9 @@ func benchLeaf(b *testing.B, kern Kernel, m, n, k int, strided bool) float64 {
 // tile sizes, at 8³ on the small side of Auto's rule, and at the
 // off-grid tiles padding hands the leaf (25³ and 38³: 200³'s and 300³'s
 // tiles; 32×6×32 as m×n×k: a 48-wide request against a 64-wide plan),
-// whose rate beside 32³'s is what the fringe costs — on contiguous leaves (the
+// whose rate beside 32³'s is what the fringe costs, and at the leaves of
+// the repository benchmark's stream workloads (32×12×32) and of its
+// daemon workload (32×4×32) — on contiguous leaves (the
 // recursive-layout case, lda == m) and strided leaves (the canonical
 // case, lda >> m). This is where kernels are timed against each other
 // now that the default is a rule and not a race: after each size it
@@ -223,7 +244,8 @@ func benchLeaf(b *testing.B, kern Kernel, m, n, k int, strided bool) float64 {
 // measured more than 10% behind the fastest.
 func BenchmarkKernelTile(b *testing.B) {
 	logPeaks()
-	for _, sh := range [][3]int{{8, 8, 8}, {32, 32, 32}, {64, 64, 64}, {25, 25, 25}, {38, 38, 38}, {32, 6, 32}} {
+	for _, sh := range [][3]int{{8, 8, 8}, {32, 32, 32}, {64, 64, 64}, {25, 25, 25}, {38, 38, 38}, {32, 6, 32},
+		{32, 12, 32}, {32, 4, 32}} {
 		m, n, k := sh[0], sh[1], sh[2]
 		contig := map[string]float64{} // the last, longest run of each
 		for _, name := range Names() {

@@ -119,32 +119,42 @@ func TestSIMDFringes(t *testing.T) {
 // TestAVX512MatchesAVX2Bits pins that the two amd64 families are one
 // rounding class: every C element sees the same fused operations in the
 // same order whichever runs, so which of them a host registers
-// cannot change a result. Every row count from 1 to 72 — 16-row blocks
-// with and without the 8-row remainder, the padded block of what is
-// left, tiles shorter than one block — against column counts on and
-// off the 4-column grid and under it, k from 0 up, on
-// contiguous tiles and strided views (both the whole-panel body).
+// cannot change a result, not even the sign of a zero. Every row count
+// from 1 to 104 — each link of the avx512 chain, 32-row blocks then a
+// 16-row and an 8-row remainder, at least twice, the padded block of
+// what is left, tiles shorter than one block — against column counts on
+// and off the 4-column grid and under it, k from 0 up, on contiguous
+// tiles and strided views (both the whole-panel body), through the
+// accumulate form (Kern) and the store form (Store) alike.
 func TestAVX512MatchesAVX2Bits(t *testing.T) {
-	k2, err2 := Get("avx2")
-	k5, err5 := Get("avx512")
+	i2, err2 := GetImpl("avx2")
+	i5, err5 := GetImpl("avx512")
 	if err2 != nil || err5 != nil {
 		t.Skip("needs both the avx2 and the avx512 kernel")
 	}
 	rng := rand.New(rand.NewSource(17))
-	for m := 1; m <= 72; m++ {
+	var s Scratch
+	for m := 1; m <= 104; m++ {
 		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 11, 32, 72} {
 			for _, k := range []int{0, 1, 7, 32, 72} {
 				for _, pad := range []int{0, 3} { // pad > 0: strided views
 					A := matrix.Random(m+pad, k+pad, rng).View(pad, 0, m, k)
 					B := matrix.Random(k+pad, n, rng).View(pad, 0, k, n)
 					C := matrix.Random(m, n, rng)
-					c2, c5 := C.Clone(), C.Clone()
-					k2(m, n, k, A.Data, A.Stride, B.Data, B.Stride, c2.Data, c2.Stride)
-					k5(m, n, k, A.Data, A.Stride, B.Data, B.Stride, c5.Data, c5.Stride)
-					for i := range c2.Data {
-						if c2.Data[i] != c5.Data[i] {
-							t.Fatalf("%dx%dx%d pad %d: element %d is %v under avx2, %v under avx512",
-								m, n, k, pad, i, c2.Data[i], c5.Data[i])
+					for _, store := range []bool{false, true} {
+						c2, c5 := C.Clone(), C.Clone()
+						if store {
+							i2.Store(&s, m, n, k, A.Data, A.Stride, B.Data, B.Stride, c2.Data, c2.Stride)
+							i5.Store(&s, m, n, k, A.Data, A.Stride, B.Data, B.Stride, c5.Data, c5.Stride)
+						} else {
+							i2.Kern(m, n, k, A.Data, A.Stride, B.Data, B.Stride, c2.Data, c2.Stride)
+							i5.Kern(m, n, k, A.Data, A.Stride, B.Data, B.Stride, c5.Data, c5.Stride)
+						}
+						for i := range c2.Data {
+							if math.Float64bits(c2.Data[i]) != math.Float64bits(c5.Data[i]) {
+								t.Fatalf("%dx%dx%d pad %d store %v: element %d is %v under avx2, %v under avx512",
+									m, n, k, pad, store, i, c2.Data[i], c5.Data[i])
+							}
 						}
 					}
 				}
