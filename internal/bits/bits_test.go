@@ -100,7 +100,7 @@ func TestGray64Inverse(t *testing.T) {
 }
 
 func TestGray64MatchesGray32OnSmallValues(t *testing.T) {
-	for i := uint32(0); i < 1 << 16; i++ {
+	for i := uint32(0); i < 1<<16; i++ {
 		if uint64(Gray(i)) != Gray64(uint64(i)) {
 			t.Fatalf("Gray mismatch at %d", i)
 		}

@@ -45,10 +45,10 @@ func ZNextI(s uint64) uint64 {
 
 // ZAddJ adds dj columns to a Z-Morton key. dj must be non-negative.
 func ZAddJ(s uint64, dj uint32) uint64 {
-	return ((s | MaskOdd) + Spread(dj)) & MaskEven | s&MaskOdd
+	return ((s|MaskOdd)+Spread(dj))&MaskEven | s&MaskOdd
 }
 
 // ZAddI adds di rows to a Z-Morton key. di must be non-negative.
 func ZAddI(s uint64, di uint32) uint64 {
-	return ((s | MaskEven) + Spread(di)<<1) & MaskOdd | s&MaskEven
+	return ((s|MaskEven)+Spread(di)<<1)&MaskOdd | s&MaskEven
 }

@@ -45,8 +45,8 @@ type Proc struct {
 // has touched since it last (re-)acquired the block, so that an
 // invalidation can be classified as true or false sharing.
 type sharer struct {
-	present uint64            // bitmap of processors holding the block
-	words   map[int]uint64    // proc -> bitmap of words touched
+	present uint64         // bitmap of processors holding the block
+	words   map[int]uint64 // proc -> bitmap of words touched
 }
 
 // System is a bus of processors with private caches kept coherent by a

@@ -214,14 +214,16 @@ func (e *exec) par(tiles int) bool {
 }
 
 // The recursive algorithms poll c.Cancelled() at every level and the
-// serial base at every leaf (one atomic load), so a cancelled run
-// abandons its subtree within roughly one leaf multiplication, inside
-// the serial-cutoff region too, where the scheduler's between-task and
-// spawn-point checks never fire. The multi-pass addition stages poll
-// between passes for the same reason: near the root a single quadrant
-// pass touches O(n²) elements. What a cancelled run leaves partially
-// accumulated is never unpacked into the caller's C (GEMMCtx), or C is
-// documented as corrupt (MulTiled).
+// serial base at every leaf call (one atomic load), so a cancelled run
+// abandons its subtree within one leaf call, inside the serial-cutoff
+// region too, where the scheduler's between-task and spawn-point checks
+// never fire. A leaf call is one tile or, merged (base), up to mergeSide
+// elements a side within a base quadrant: SerialCutoff tiles a side in a
+// lone call, a wave member's grid (≤ inPlaceSide in place). The
+// multi-pass addition stages poll between passes for the same reason:
+// near the root a single quadrant pass touches O(n²) elements. What a
+// cancelled run leaves partially accumulated is never unpacked into the
+// caller's C (GEMMCtx), or C is documented as corrupt (MulTiled).
 
 // std is the accumulate form of the standard algorithm: two rounds of
 // four independent quadrant products. Within a round the four products
@@ -254,6 +256,10 @@ func (e *exec) std(c *sched.Ctx, C, A, B Mat, first bool) {
 	)
 }
 
+// mergeSide bounds a merged leaf's side in elements (base): past it the A
+// the panel body re-reads per four C columns outgrows L2 (512: 1.8× slower).
+const mergeSide = 256
+
 // base is the serial base of the standard recursion: the s³ leaf
 // products of an s×s-tile quadrant, in the recursion's order. Leaf t
 // holds one (k, i, j) bit triple per level, k most significant — a
@@ -263,8 +269,19 @@ func (e *exec) std(c *sched.Ctx, C, A, B Mat, first bool) {
 // descent. The kernel, its scratch and the tracer are resolved once and
 // the work is accounted once; the fault point and the cancellation poll
 // stay per leaf. first: the kk = 0 leaves store (leaf.Impl.Store).
+// Canonical operands on whole register blocks and a chained kernel
+// (leaf.Impl.Chained) merge: a leaf is the largest square of 2^l × 2^l
+// tiles, one strided view, at most mergeSide elements a side, and each C
+// element still sees its value (or +0), then ascending k: the same bits.
 func (e *exec) base(c *sched.Ctx, C, A, B Mat, first bool) {
 	d := log2tiles(C.tiles)
+	if e.kernel.Chained && C.ld != 0 && A.ld != 0 && B.ld != 0 && C.tr%leaf.MicroM == 0 && C.tc%leaf.MicroN == 0 {
+		l := uint(0)
+		for l < d && max(C.tr, C.tc, A.tc)<<(l+1) <= mergeSide {
+			l++
+		}
+		C.tr, C.tc, A.tr, A.tc, B.tr, B.tc, d = C.tr<<l, C.tc<<l, A.tr<<l, A.tc<<l, B.tr<<l, B.tc<<l, d-l
+	}
 	ac, aa, ab := addrOf(C, d), addrOf(A, d), addrOf(B, d)
 	m, n, k := C.tr, C.tc, A.tc
 	ldc, lda, ldb := C.leafLD(), A.leafLD(), B.leafLD()

@@ -1264,3 +1264,63 @@ func TestDeterminismInPlaceProduct(t *testing.T) {
 		}
 	}
 }
+
+// TestDeterminismMergedBase: a serial base whose operands are all
+// canonical — a ColMajor call, or a one-block product read and stored in
+// place — makes one leaf call per square of tiles up to mergeSide
+// elements a side when the tiles are whole register blocks and the
+// kernel is chained (exec.base), a change of cost and never of bits. On
+// aligned shapes from 64³ (one 2×2-tile block) to 320³ (40-wide tiles)
+// and the stream's 1024×1024·1024×48, ColMajor and Z-Morton give one set
+// of bits through GEMMCtx and through a GEMMBatch of two in-place β = 0
+// members and a β = 0.5 member, at 1 and 2 workers; Z-Morton's β = 0.5
+// product keeps its tiled C and so the tile loop.
+func TestDeterminismMergedBase(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(441))
+	shapes := [][3]int{{64, 64, 64}, {96, 96, 96}, {192, 192, 192}, {256, 256, 256}, {320, 320, 320}, {1024, 1024, 48}}
+	if testing.Short() || raceEnabled {
+		shapes = [][3]int{{64, 64, 64}, {96, 96, 96}, {1024, 1024, 48}}
+	}
+	pools := map[int]*sched.Pool{}
+	for _, w := range []int{1, 2} {
+		pools[w] = sched.NewPool(w)
+		defer pools[w].Close()
+	}
+	betas := []float64{0, 0, 0.5}
+	for _, sh := range shapes {
+		m, k, n := sh[0], sh[1], sh[2]
+		A, B, C0 := matrix.Random(m, k, rng), matrix.Random(k, n, rng), matrix.Random(m, n, rng)
+		want := map[float64]*matrix.Dense{}
+		for _, workers := range []int{1, 2} {
+			for _, cv := range []layout.Curve{layout.ZMorton, layout.ColMajor} {
+				opts := Options{Curve: cv, Alg: Standard}
+				what := fmt.Sprintf("%dx%dx%d %v, %d workers", m, k, n, cv, workers)
+				items := make([]BatchItem, len(betas))
+				for i, beta := range betas {
+					items[i] = BatchItem{Alpha: 1, A: A, B: B, Beta: beta, C: C0.Clone()}
+					if i > 0 && beta == betas[i-1] {
+						continue
+					}
+					C := C0.Clone()
+					if _, err := GEMMCtx(ctx, pools[workers], opts, false, false, 1, A, B, beta, C); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if want[beta] == nil {
+						want[beta] = C
+					} else if !sameBits(C, want[beta]) {
+						t.Errorf("%s, GEMMCtx β %g: %g from Z-Morton's bits at 1 worker", what, beta, matrix.MaxAbsDiff(C, want[beta]))
+					}
+				}
+				if _, errs, err := GEMMBatch(ctx, pools[workers], opts, items); err != nil || errors.Join(errs...) != nil {
+					t.Fatalf("%s: GEMMBatch: %v %v", what, err, errors.Join(errs...))
+				}
+				for i, it := range items {
+					if !sameBits(it.C, want[it.Beta]) {
+						t.Errorf("%s, GEMMBatch member %d (β %g): %g from Z-Morton's bits at 1 worker", what, i, it.Beta, matrix.MaxAbsDiff(it.C, want[it.Beta]))
+					}
+				}
+			}
+		}
+	}
+}

@@ -235,21 +235,29 @@ func TestCancelMidRunLeavesCScaledOrComplete(t *testing.T) {
 	// each block — one 512³ block that spawns, three blocks one runner
 	// walks in turn — and a cancelled run zeroes the blocks it did not
 	// complete, so each ends bitwise +0 or the uncancelled run's, and a
-	// refused run keeps the sentinel.
-	pool := sched.NewPool(4)
-	defer pool.Close()
+	// refused run keeps the sentinel. The last row is a lone 256³ on 2
+	// workers multiplied in place: eight serial bases of 4×4 tiles, each
+	// one leaf call (exec.base), so a cancellation lands between bases.
+	pools := map[int]*sched.Pool{2: sched.NewPool(2), 4: sched.NewPool(4)}
+	for _, p := range pools {
+		defer p.Close()
+	}
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range []struct {
 		m, k, n int
 		opts    Options
 		blocks  int
 		beta    float64
+		workers int
+		inPlace bool
 	}{
-		{512, 512, 512, Options{Curve: layout.Hilbert, Alg: Winograd, ForceTile: 32}, 1, 0.5},
-		{960, 40, 40, Options{Curve: layout.Hilbert, Alg: Winograd, Tile: testTile}, 8, 0.5},
-		{512, 512, 512, Options{Curve: layout.ZMorton, Alg: Standard, ForceTile: 32}, 1, 0},
-		{360, 40, 40, Options{Curve: layout.Hilbert, Alg: Standard, Tile: testTile}, 3, 0},
+		{512, 512, 512, Options{Curve: layout.Hilbert, Alg: Winograd, ForceTile: 32}, 1, 0.5, 4, false},
+		{960, 40, 40, Options{Curve: layout.Hilbert, Alg: Winograd, Tile: testTile}, 8, 0.5, 4, false},
+		{512, 512, 512, Options{Curve: layout.ZMorton, Alg: Standard, ForceTile: 32}, 1, 0, 4, false},
+		{360, 40, 40, Options{Curve: layout.Hilbert, Alg: Standard, Tile: testTile}, 3, 0, 4, false},
+		{256, 256, 256, Options{Curve: layout.ZMorton, Alg: Standard}, 1, 0, 2, true},
 	} {
+		pool := pools[tc.workers]
 		A, B := matrix.Random(tc.m, tc.k, rng), matrix.Random(tc.k, tc.n, rng)
 		C := matrix.Random(tc.m, tc.n, rng)
 		if tc.beta == 0 {
@@ -265,8 +273,9 @@ func TestCancelMidRunLeavesCScaledOrComplete(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := len(st.Degraded); got != 0 || st.Blocks != tc.blocks {
-				t.Fatalf("%dx%dx%d: %d blocks, notes %v; want %d blocks (test premise)", tc.m, tc.k, tc.n, st.Blocks, st.Degraded, tc.blocks)
+			if got := len(st.Degraded); got != 0 || st.Blocks != tc.blocks || tc.inPlace != (st.ConvertBytes == 0) {
+				t.Fatalf("%dx%dx%d: %d blocks, notes %v, %d bytes converted; want %d blocks, in place %v (test premise)",
+					tc.m, tc.k, tc.n, st.Blocks, st.Degraded, st.ConvertBytes, tc.blocks, tc.inPlace)
 			}
 			wall = time.Since(t0)
 		}

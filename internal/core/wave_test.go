@@ -409,7 +409,11 @@ func TestWaveCancelLeavesBlocksScaledOrComplete(t *testing.T) {
 // first, or one ahead of the member in hand (pullWave) — so a cancelled
 // or faulted wave can leave a member unstarted below one that started:
 // the waves run until each kind of failure has shown such a hole, and a
-// hole is held to the not-started contract like any other.
+// hole is held to the not-started contract like any other. Beside each
+// wave runs a lone in-place 256³ call, β = 0 on a sentinel C: eight
+// serial bases of 4×4 tiles, each one leaf call (exec.base), so a fault
+// or a cancellation lands between bases; it ends with its clean run's
+// bits, its sentinel and "not started", or bitwise +0.
 func TestInPlaceProductFailureContract(t *testing.T) {
 	const n, count, multi = 64, 48, 4
 	pool := sched.NewPool(2)
@@ -485,6 +489,34 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 		}
 		return started, holes
 	}
+	const ln = 256
+	LA, LB, lone0 := matrix.Random(ln, ln, rng), matrix.Random(ln, ln, rng), matrix.New(ln, ln)
+	lone0.Fill(7.25)
+	loneWant := lone0.Clone()
+	if st, err := GEMM(pool, opts, false, false, 1, LA, LB, 0, loneWant); err != nil || st.ConvertBytes != 0 || st.Blocks != 1 {
+		t.Fatalf("lone %d³: %v; want one block in place (test premise)", ln, err)
+	}
+	// lone runs the lone call under ctx and reports whether it failed after it started.
+	lone := func(what string, ctx context.Context) int {
+		t.Helper()
+		C := lone0.Clone()
+		_, err := GEMMCtx(ctx, pool, opts, false, false, 1, LA, LB, 0, C)
+		switch {
+		case err == nil:
+			if !sameBits(C, loneWant) {
+				t.Fatalf("%s: lone %d³ completed %g from its clean run's bits", what, ln, matrix.MaxAbsDiff(C, loneWant))
+			}
+		case sameBits(C, lone0):
+			if !strings.Contains(err.Error(), "not started") {
+				t.Fatalf("%s: lone %d³ left C untouched, yet the error is %q", what, ln, err)
+			}
+		case !sameBits(C, matrix.New(ln, ln)):
+			t.Fatalf("%s: lone %d³ failed (%v) with C neither its sentinel nor bitwise +0", what, ln, err)
+		default:
+			return 1
+		}
+		return 0
+	}
 	items := wave()[:count]
 	bs, errs, err := GEMMBatch(ctx, pool, opts, items)
 	if err != nil {
@@ -498,22 +530,28 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 	}
 
 	faultinject.Configure(faultinject.Config{PanicProb: 0.04, Seed: 392})
-	faulted, faultHoles := 0, 0
+	faulted, faultHoles, loneFaulted := 0, 0, 0
 	for iter := 0; iter < 20 || faultHoles == 0 && iter < 1000; iter++ {
 		items := wave()
 		_, errs, err := GEMMBatch(ctx, pool, opts, items)
 		started, holes := check(fmt.Sprintf("faults, wave %d", iter), items, errs, err)
 		faulted, faultHoles = faulted+started, faultHoles+holes
+		loneFaulted += lone(fmt.Sprintf("faults, call %d", iter), ctx)
 	}
 	faultinject.Disable()
 
-	var wall time.Duration
-	for i := 0; i < 3; i++ {
-		t0 := time.Now()
-		GEMMBatch(ctx, pool, opts, wave())
-		wall = time.Since(t0)
+	// wallOf is the last of three clean runs' wall time.
+	wallOf := func(run func()) (wall time.Duration) {
+		for i := 0; i < 3; i++ {
+			t0 := time.Now()
+			run()
+			wall = time.Since(t0)
+		}
+		return wall
 	}
-	cancelled, cancelHoles := 0, 0
+	wall := wallOf(func() { GEMMBatch(ctx, pool, opts, wave()) })
+	loneWall := wallOf(func() { GEMM(pool, opts, false, false, 1, LA, LB, 0, lone0.Clone()) })
+	cancelled, cancelHoles, loneCancelled := 0, 0, 0
 	for i := 0; i < 24 || cancelHoles == 0 && i < 1000; i++ {
 		items := wave()
 		cctx, cancel := context.WithCancel(ctx)
@@ -523,11 +561,16 @@ func TestInPlaceProductFailureContract(t *testing.T) {
 		cancel()
 		started, holes := check(fmt.Sprintf("cancelled at %d/20 of %v", i%24, wall), items, errs, err)
 		cancelled, cancelHoles = cancelled+started, cancelHoles+holes
+		cctx, cancel = context.WithCancel(ctx)
+		timer = time.AfterFunc(loneWall*time.Duration(i%24)/20, cancel)
+		loneCancelled += lone(fmt.Sprintf("cancelled at %d/20 of %v", i%24, loneWall), cctx)
+		timer.Stop()
+		cancel()
 	}
-	t.Logf("%d members failed under faults and %d under cancellation after they started; the %d-block member failed %d times with blocks complete; %d and %d members claimed and never started below one that started",
-		faulted, cancelled, multi, partial, faultHoles, cancelHoles)
-	if faulted == 0 {
-		t.Error("no member failed under faults after it started (test premise)")
+	t.Logf("%d members failed under faults and %d under cancellation after they started; the %d-block member failed %d times with blocks complete; %d and %d members claimed and never started below one that started; the lone %d³ failed after it started %d times under faults and %d under cancellation",
+		faulted, cancelled, multi, partial, faultHoles, cancelHoles, ln, loneFaulted, loneCancelled)
+	if faulted == 0 || loneFaulted == 0 {
+		t.Errorf("%d members and %d lone calls failed under faults after they started, want both (test premise)", faulted, loneFaulted)
 	}
 	if faultHoles == 0 || cancelHoles == 0 {
 		t.Errorf("%d faulted and %d cancelled waves left a member claimed and never started below one that started, want both (test premise)",
@@ -994,6 +1037,73 @@ func TestTraceOneTracerPerCall(t *testing.T) {
 	}
 	if leaves(first) == 0 {
 		t.Error("no leaf span in the call's own tracer")
+	}
+}
+
+// TestMergedBaseLeafSpans: a serial base over canonical tiles of whole
+// register blocks, on a chained kernel, makes one leaf call, and so one
+// leaf span carrying its flops, per square of tiles up to mergeSide
+// elements a side. A traced in-place 64³ call, one 2×2-tile quadrant of
+// 32³ tiles, records one span of 2·64³ flops; a serial ColMajor 512³,
+// one base over 16×16 tiles, eight of 2·256³ (on a host whose default
+// kernel is not chained, one a tile). 100³, on 25-wide tiles off the
+// 8×4 grid, keeps its 4³ tile calls.
+func TestMergedBaseLeafSpans(t *testing.T) {
+	pool := sched.NewPool(1)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(442))
+	for _, tc := range []struct {
+		n, spans, tiles int
+		flops           int64
+		opts            Options
+	}{
+		{64, 1, 8, 2 * 64 * 64 * 64, Options{Curve: layout.ZMorton, Alg: Standard}},
+		{512, 8, 4096, 2 * 256 * 256 * 256, Options{Curve: layout.ColMajor, Alg: Standard, SerialCutoff: 16}},
+		{100, 64, 64, 2 * 25 * 25 * 25, Options{Curve: layout.ZMorton, Alg: Standard}},
+	} {
+		A, B, C := matrix.Random(tc.n, tc.n, rng), matrix.Random(tc.n, tc.n, rng), matrix.New(tc.n, tc.n)
+		tr := obs.NewTracer(pool.Workers(), 1<<13)
+		if err := obs.Install(tr); err != nil {
+			t.Fatal(err)
+		}
+		st, err := GEMM(pool, tc.opts, false, false, 1, A, B, 0, C)
+		obs.Uninstall(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in := tc.opts.Curve != layout.ColMajor; st.Blocks != 1 || in != (st.ConvertBytes == 0) {
+			t.Fatalf("%d³: %d blocks, %d bytes converted; want one block, in place %v (test premise)", tc.n, st.Blocks, st.ConvertBytes, in)
+		}
+		if impl, _ := leaf.GetImpl(st.Kernel); !impl.Chained {
+			tc.flops = tc.flops * int64(tc.spans) / int64(tc.tiles)
+			tc.spans = tc.tiles
+		}
+		var buf bytes.Buffer
+		if err := tr.Export(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string
+				Args struct{ V json.RawMessage }
+			}
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		spans := 0
+		for _, e := range doc.TraceEvents {
+			if e.Name != "leaf" {
+				continue
+			}
+			var flops int64
+			if spans++; json.Unmarshal(e.Args.V, &flops) != nil || flops != tc.flops {
+				t.Errorf("%d³ on %s: a leaf span of %s flops, want %d", tc.n, st.Kernel, e.Args.V, tc.flops)
+			}
+		}
+		if spans != tc.spans {
+			t.Errorf("%d³ on %s: %d leaf spans, want %d", tc.n, st.Kernel, spans, tc.spans)
+		}
 	}
 }
 

@@ -45,6 +45,8 @@ type microImpl struct {
 	// after the last full mr-row block; it has a panel entry when this
 	// family has.
 	rem *microImpl
+	// chained is Impl.Chained: every block, down rem, loads C (store: +0).
+	chained bool
 }
 
 // microGo8 is the pure-Go micro-kernel family behind packed8x4.
@@ -165,7 +167,7 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // family: the plain Kernel (pooled scratch), the ScratchKernel and its
 // store form.
 func family(name string, mk *microImpl, balance float64) Impl {
-	return Impl{Name: name, Balance: balance,
+	return Impl{Name: name, Balance: balance, Chained: mk.chained,
 		Kern: func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 			s := scratchPool.Get().(*Scratch)
 			packedMul(s, mk, false, m, n, k, a, lda, b, ldb, c, ldc)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/matrix"
 )
@@ -177,6 +178,86 @@ func TestStoreMatchesZeroAccumulate(t *testing.T) {
 	}
 }
 
+// TestChainedSplitKMatchesOneCall pins the premise of Impl.Chained, on
+// which the core's serial base makes one leaf call of a canonical
+// quadrant instead of one per tile: for every registered kernel that
+// declares it, a product split along k into 2 and 3 consecutive calls —
+// the first storing, the rest accumulating — equals one store call bit
+// for bit, and so does the accumulate form split or whole; on every
+// aligned m from 8 to 104 and n from 4 to 64, contiguous and strided.
+// avx2, avx512 and neon declare it; packed8x4, whose blocks sum from +0
+// and add into C once, does not, and splits to other bits.
+func TestChainedSplitKMatchesOneCall(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	const k = 29
+	splits := [][]int{{0, 13, k}, {0, 5, 17, k}}
+	for _, name := range Names() {
+		impl, _ := GetImpl(name)
+		if want := name == "avx2" || name == "avx512" || name == "neon"; impl.Chained != want {
+			t.Errorf("%s declares Chained %v, want %v", name, impl.Chained, want)
+		}
+		if !impl.Chained && name != "packed8x4" {
+			continue
+		}
+		var s Scratch
+		differ := 0
+		for m := MicroM; m <= 104; m += MicroM {
+			for n := MicroN; n <= 64; n += MicroN {
+				for _, pad := range []int{0, 3} { // pad > 0: strided views
+					A := matrix.Random(m+pad, k, rng).View(pad, 0, m, k)
+					B := matrix.Random(k+pad, n, rng).View(pad, 0, k, n)
+					C0 := matrix.Random(m, n, rng)
+					fresh := func() *matrix.Dense {
+						c := matrix.New(m+pad, n).View(pad, 0, m, n)
+						c.CopyFrom(C0)
+						return c
+					}
+					for _, store := range []bool{false, true} {
+						one := fresh()
+						first := impl.Scratch
+						if store {
+							first = impl.Store
+						}
+						first(&s, m, n, k, A.Data, A.Stride, B.Data, B.Stride, one.Data, one.Stride)
+						for _, cuts := range splits {
+							got := fresh()
+							for c := 0; c+1 < len(cuts); c++ {
+								kern, lo, kc := impl.Scratch, cuts[c], cuts[c+1]-cuts[c]
+								if c == 0 {
+									kern = first
+								}
+								kern(&s, m, n, kc, A.Data[lo*A.Stride:], A.Stride, B.Data[lo:], B.Stride, got.Data, got.Stride)
+							}
+							if sameBits(got, one) {
+								continue
+							}
+							if differ++; impl.Chained {
+								t.Fatalf("%s %dx%dx%d pad %d store %v: %d calls split at %v differ from one call",
+									name, m, n, k, pad, store, len(cuts)-1, cuts)
+							}
+						}
+					}
+				}
+			}
+		}
+		if !impl.Chained && differ == 0 {
+			t.Errorf("%s: every split gave one call's bits; it could declare Chained", name)
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same bit patterns.
+func sameBits(a, b *matrix.Dense) bool {
+	for j := 0; j < a.Cols; j++ {
+		for i := 0; i < a.Rows; i++ {
+			if math.Float64bits(a.At(i, j)) != math.Float64bits(b.At(i, j)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestBlockHeightsArePowersOfTwo pins what packedMul's masks assume:
 // every family's block height, down every rem chain, is a power of two.
 func TestBlockHeightsArePowersOfTwo(t *testing.T) {
@@ -258,6 +339,62 @@ func BenchmarkKernelTile(b *testing.B) {
 		}
 		logAutoPick(m, n, k, contig)
 	}
+}
+
+// BenchmarkKernelMergedBase is the leaf-level A/B behind the core's
+// merged serial base: the default kernel on a 64³ product at ld 64 as one
+// store call, against the eight 32³ tile calls the base made of it — in
+// the base's (k, i, j) order, storing when kk = 0 — interleaved in
+// alternating order. It reports each side's GFLOPS and the median over
+// iterations of the batch time ratio, eight calls over one (above 1: the
+// one call is faster). A chained kernel gives both the same bits
+// (TestChainedSplitKMatchesOneCall); an unchained one is skipped, as the
+// core merges no base for it.
+func BenchmarkKernelMergedBase(b *testing.B) {
+	const n, t = 64, 32
+	impl := Auto(t, t, t)
+	if !impl.Chained {
+		b.Skip(impl.Name + " is not chained")
+	}
+	rng := rand.New(rand.NewSource(1))
+	A, B, C := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
+	var s Scratch
+	sides := [2]func(){
+		func() { impl.Store(&s, n, n, n, A.Data, n, B.Data, n, C.Data, n) },
+		func() {
+			for l := 0; l < 8; l++ {
+				i, j, kk := l>>1&1, l&1, l>>2&1
+				kern := impl.Scratch
+				if kk == 0 {
+					kern = impl.Store
+				}
+				kern(&s, t, t, t, A.Data[kk*t*n+i*t:], n, B.Data[j*t*n+kk*t:], n, C.Data[j*t*n+i*t:], n)
+			}
+		},
+	}
+	const reps = 16 // 8 MFLOP a batch
+	var total [2]time.Duration
+	ratios := make([]float64, 0, b.N)
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		var d [2]time.Duration
+		for o := range sides {
+			side := (it + o) % 2
+			start := time.Now()
+			for r := 0; r < reps; r++ {
+				sides[side]()
+			}
+			d[side] = time.Since(start)
+		}
+		total[0] += d[0]
+		total[1] += d[1]
+		ratios = append(ratios, float64(d[1])/float64(d[0]))
+	}
+	flops := 2 * float64(n*n*n) * float64(reps*b.N)
+	sort.Float64s(ratios)
+	b.ReportMetric(flops/total[0].Seconds()/1e9, "GFLOPS-one")
+	b.ReportMetric(flops/total[1].Seconds()/1e9, "GFLOPS-eight")
+	b.ReportMetric(ratios[len(ratios)/2], "eight/one")
 }
 
 // logAutoPick prints kernels by measured GFLOPS on m×n×k tiles, fastest

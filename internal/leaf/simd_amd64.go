@@ -21,8 +21,8 @@ package leaf
 // through either body padded to four (packedMul): the fringe needs no
 // assembly body of its own and no scalar loop.
 var (
-	microAVX2   = &microImpl{mr: 8, panel: panel8x4AVX2}
-	microAVX512 = &microImpl{mr: 32, panel: panel32x4AVX512,
+	microAVX2   = &microImpl{mr: 8, panel: panel8x4AVX2, chained: true}
+	microAVX512 = &microImpl{mr: 32, panel: panel32x4AVX512, chained: true,
 		rem: &microImpl{mr: 16, panel: panel16x4AVX512, rem: microAVX2}}
 )
 
