@@ -45,11 +45,12 @@ loc:
 # 4,706 → 4,736, when a member wave's runner came to prefetch the member
 # it claims one ahead (wave.prefetch, its size window, the claim in
 # pullWave) and every runner slot to run its own index first and give
-# its buffers back when the wave drains; and the fifth, 4,736 → 4,753,
-# when a serial base over canonical tiles of whole register blocks came
-# to make one leaf call per square of up to 256 elements a side on a
-# chained kernel (exec.base, mergeSide) and the cancellation note above
-# std to bound a run by that call. The serve
+# its buffers back when the wave drains; and the fifth, 4,736 → 4,760,
+# when a serial base over canonical tiles came to make one leaf call per
+# square of up to 256 elements a side through a chained kernel's grid
+# entry (exec.base, mergeSide), a one-block product on off-grid tiles to
+# copy what it copies into canonical panels (wave.body), and the note
+# above std to bound a run by that call. The serve
 # package's went 2,580 → 2,568 when every request
 # group came to make one batch call. The leaf's went 1,133 → 917 when every
 # register-blocked family came to read every tile in place, strided or
@@ -63,14 +64,17 @@ loc:
 # 962 → 968, the 32-row AVX-512 body's Go declaration, its place at the
 # head of the avx512 chain (32 → 16 → 8) and the note that a family's
 # block height is a power of two, which packedMul masks by; its fourth,
-# 968 → 973, leaf.Impl.Chained and the microImpl flag each family
-# declares it by. The
+# 968 → 1,071, leaf.Impl.Chained — the grid entry of a chained family,
+# declared by a microImpl flag: gridMul, one chain-mode packedMul over a
+# region of tiles with each tile's fringe rows and columns summed per k
+# tile, as the tile loop rounds them — and packedMul's chain mode
+# (fringeC, addBlock's copy) and split. The
 # layout package's S functions, Perm and SOriented are what the core's
 # tests check its tables against. Test files are the ones named
 # *_test.go.
-CORE_LOC_MAX = 4753
+CORE_LOC_MAX = 4760
 LAYOUT_LOC_MAX = 506
-LEAF_LOC_MAX = 973
+LEAF_LOC_MAX = 1071
 SCHED_LOC_MAX = 908
 BLAS3_LOC_MAX = 460
 SERVE_LOC_MAX = 2568

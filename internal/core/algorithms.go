@@ -269,19 +269,17 @@ const mergeSide = 256
 // descent. The kernel, its scratch and the tracer are resolved once and
 // the work is accounted once; the fault point and the cancellation poll
 // stay per leaf. first: the kk = 0 leaves store (leaf.Impl.Store).
-// Canonical operands on whole register blocks and a chained kernel
-// (leaf.Impl.Chained) merge: a leaf is the largest square of 2^l × 2^l
-// tiles, one strided view, at most mergeSide elements a side, and each C
-// element still sees its value (or +0), then ascending k: the same bits.
+// Canonical operands and a chained kernel merge: a leaf is the largest
+// square of 2^l × 2^l tiles, one strided view, at most mergeSide
+// elements a side, run through the kernel's grid entry
+// (leaf.Impl.Chained) with the tile loop's bits.
 func (e *exec) base(c *sched.Ctx, C, A, B Mat, first bool) {
-	d := log2tiles(C.tiles)
-	if e.kernel.Chained && C.ld != 0 && A.ld != 0 && B.ld != 0 && C.tr%leaf.MicroM == 0 && C.tc%leaf.MicroN == 0 {
-		l := uint(0)
-		for l < d && max(C.tr, C.tc, A.tc)<<(l+1) <= mergeSide {
-			l++
-		}
-		C.tr, C.tc, A.tr, A.tc, B.tr, B.tc, d = C.tr<<l, C.tc<<l, A.tr<<l, A.tc<<l, B.tr<<l, B.tc<<l, d-l
+	d, l, grid := log2tiles(C.tiles), uint(0), e.kernel.Chained
+	tm, tn, tk := C.tr, C.tc, A.tc
+	for grid != nil && C.ld != 0 && A.ld != 0 && B.ld != 0 && l < d && max(tm, tn, tk)<<(l+1) <= mergeSide {
+		l++
 	}
+	C.tr, C.tc, A.tr, A.tc, B.tr, B.tc, d = tm<<l, tn<<l, tm<<l, tk<<l, tk<<l, tn<<l, d-l
 	ac, aa, ab := addrOf(C, d), addrOf(A, d), addrOf(B, d)
 	m, n, k := C.tr, C.tc, A.tc
 	ldc, lda, ldb := C.leafLD(), A.leafLD(), B.leafLD()
@@ -300,11 +298,14 @@ func (e *exec) base(c *sched.Ctx, C, A, B Mat, first bool) {
 		if tr != nil {
 			t0 = time.Now()
 		}
-		kern := acc
-		if first && kk == 0 {
-			kern = store
+		switch {
+		case l > 0:
+			grid(sc, first && kk == 0, tm, tn, tk, m, n, k, ad, lda, bd, ldb, cd, ldc)
+		case first && kk == 0:
+			store(sc, m, n, k, ad, lda, bd, ldb, cd, ldc)
+		default:
+			acc(sc, m, n, k, ad, lda, bd, ldb, cd, ldc)
 		}
-		kern(sc, m, n, k, ad, lda, bd, ldb, cd, ldc)
 		if tr != nil {
 			tr.Span(wid, obs.KindLeaf, t0, time.Since(t0), flops)
 		}

@@ -638,6 +638,12 @@ func (w *wave) body(c *sched.Ctx, ws *waveWS, i int, pl *plan) error {
 	// (the fold keeps A packed), and an unpadded β = 0, α = 1 C is stored.
 	std := w.alg == Standard || g.side() <= max(pl.cutoff, 1)
 	place := std && len(ms)*len(ks)*len(ns) == 1 && g.side() <= inPlaceSide
+	// Off the register grid its copies go to canonical panels, whose base
+	// merges (exec.base); whole-block tiles stay contiguous curve tiles.
+	if place && !fold && gv.pa == nil && gv.pb == nil && w.tc == nil && pl.kernel.Chained != nil &&
+		(g.tm%leaf.MicroM != 0 || g.tn%leaf.MicroN != 0) {
+		g.curve = layout.ColMajor
+	}
 	deferA = deferA || place && !fold && lies(g.hdrA(), it.TransA, ms[0], ks[0])
 	deferB = deferB || place && lies(g.hdrB(), it.TransB, ks[0], ns[0])
 	pm := planMul{alg: w.alg, alpha: it.Alpha, beta: it.Beta, pa: gv.pa, pb: gv.pb, C: it.C, tc: w.tc, std: std,

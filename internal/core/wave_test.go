@@ -1040,14 +1040,15 @@ func TestTraceOneTracerPerCall(t *testing.T) {
 	}
 }
 
-// TestMergedBaseLeafSpans: a serial base over canonical tiles of whole
-// register blocks, on a chained kernel, makes one leaf call, and so one
-// leaf span carrying its flops, per square of tiles up to mergeSide
-// elements a side. A traced in-place 64³ call, one 2×2-tile quadrant of
-// 32³ tiles, records one span of 2·64³ flops; a serial ColMajor 512³,
-// one base over 16×16 tiles, eight of 2·256³ (on a host whose default
-// kernel is not chained, one a tile). 100³, on 25-wide tiles off the
-// 8×4 grid, keeps its 4³ tile calls.
+// TestMergedBaseLeafSpans: a serial base over canonical tiles, on a
+// chained kernel, makes one leaf call, and so one leaf span carrying its
+// flops, per square of tiles up to mergeSide elements a side. A traced
+// in-place 64³ call, one 2×2-tile quadrant of 32³ tiles, records one
+// span of 2·64³ flops, and so does 100³ on 25-wide tiles off the 8×4
+// grid; a serial ColMajor 512³, one base over 16×16 tiles, eight of
+// 2·256³; the same on Z-Morton, packed to tiles (past inPlaceSide),
+// keeps its 16³ tile calls (on a host whose default kernel is not
+// chained, one a tile throughout).
 func TestMergedBaseLeafSpans(t *testing.T) {
 	pool := sched.NewPool(1)
 	defer pool.Close()
@@ -1059,7 +1060,8 @@ func TestMergedBaseLeafSpans(t *testing.T) {
 	}{
 		{64, 1, 8, 2 * 64 * 64 * 64, Options{Curve: layout.ZMorton, Alg: Standard}},
 		{512, 8, 4096, 2 * 256 * 256 * 256, Options{Curve: layout.ColMajor, Alg: Standard, SerialCutoff: 16}},
-		{100, 64, 64, 2 * 25 * 25 * 25, Options{Curve: layout.ZMorton, Alg: Standard}},
+		{100, 1, 64, 2 * 100 * 100 * 100, Options{Curve: layout.ZMorton, Alg: Standard}},
+		{512, 4096, 4096, 2 * 32 * 32 * 32, Options{Curve: layout.ZMorton, Alg: Standard, SerialCutoff: 16}},
 	} {
 		A, B, C := matrix.Random(tc.n, tc.n, rng), matrix.Random(tc.n, tc.n, rng), matrix.New(tc.n, tc.n)
 		tr := obs.NewTracer(pool.Workers(), 1<<13)
@@ -1071,10 +1073,10 @@ func TestMergedBaseLeafSpans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if in := tc.opts.Curve != layout.ColMajor; st.Blocks != 1 || in != (st.ConvertBytes == 0) {
+		if in := tc.opts.Curve != layout.ColMajor && tc.n < 512; st.Blocks != 1 || in != (st.ConvertBytes == 0) {
 			t.Fatalf("%d³: %d blocks, %d bytes converted; want one block, in place %v (test premise)", tc.n, st.Blocks, st.ConvertBytes, in)
 		}
-		if impl, _ := leaf.GetImpl(st.Kernel); !impl.Chained {
+		if impl, _ := leaf.GetImpl(st.Kernel); impl.Chained == nil {
 			tc.flops = tc.flops * int64(tc.spans) / int64(tc.tiles)
 			tc.spans = tc.tiles
 		}

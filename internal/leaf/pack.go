@@ -6,7 +6,8 @@ package leaf
 // block[p*MR+r] = A[i0+r, p], rows past m zero), the columns past its
 // last four one zero-padded k×4 block of B, and the C those blocks
 // accumulate into is a zeroed scratch block whose valid part is added to
-// C. A leaf whose shape is whole blocks copies nothing.
+// C (chain mode: a copy of C's, copied back). A leaf whose shape is whole
+// blocks copies nothing.
 
 // Scratch holds the per-worker fringe buffers of the register-blocked
 // kernels. Buffers grow on demand and are retained across calls, so a
@@ -16,13 +17,20 @@ package leaf
 type Scratch struct {
 	pa []float64 // the fringe rows of A, zero-padded to one MR×k block
 	pb []float64 // the fringe columns of B, zero-padded to one k×4 block
-	pc []float64 // the zeroed block of C a fringe block accumulates into
+	pc []float64 // the block of C a fringe block accumulates into
+	// gridMul's: the tiles' fringe rows of A and columns of B, of C
+	// (fr, fc), and one k tile's sum for either.
+	ga, gb, fr, fc, gp []float64
 }
 
-// zeroC returns n zeroed elements of s.pc.
-func (s *Scratch) zeroC(n int) []float64 {
-	s.pc = grow(s.pc, n)
+// fringeC returns s.pc as an ld×w block that a fringe block accumulates
+// into: zero, or with chain its leading rows×cols C's values.
+func (s *Scratch) fringeC(chain bool, ld, w, rows, cols int, c []float64, ldc int) []float64 {
+	s.pc = grow(s.pc, ld*w)
 	clear(s.pc)
+	for j := 0; chain && j < cols; j++ {
+		copy(s.pc[j*ld:j*ld+rows], c[j*ldc:j*ldc+rows])
+	}
 	return s.pc
 }
 

@@ -193,10 +193,11 @@ func TestChainedSplitKMatchesOneCall(t *testing.T) {
 	splits := [][]int{{0, 13, k}, {0, 5, 17, k}}
 	for _, name := range Names() {
 		impl, _ := GetImpl(name)
-		if want := name == "avx2" || name == "avx512" || name == "neon"; impl.Chained != want {
-			t.Errorf("%s declares Chained %v, want %v", name, impl.Chained, want)
+		chained := impl.Chained != nil
+		if want := name == "avx2" || name == "avx512" || name == "neon"; chained != want {
+			t.Errorf("%s declares Chained %v, want %v", name, chained, want)
 		}
-		if !impl.Chained && name != "packed8x4" {
+		if !chained && name != "packed8x4" {
 			continue
 		}
 		var s Scratch
@@ -231,7 +232,7 @@ func TestChainedSplitKMatchesOneCall(t *testing.T) {
 							if sameBits(got, one) {
 								continue
 							}
-							if differ++; impl.Chained {
+							if differ++; chained {
 								t.Fatalf("%s %dx%dx%d pad %d store %v: %d calls split at %v differ from one call",
 									name, m, n, k, pad, store, len(cuts)-1, cuts)
 							}
@@ -240,8 +241,68 @@ func TestChainedSplitKMatchesOneCall(t *testing.T) {
 				}
 			}
 		}
-		if !impl.Chained && differ == 0 {
+		if !chained && differ == 0 {
 			t.Errorf("%s: every split gave one call's bits; it could declare Chained", name)
+		}
+	}
+}
+
+// TestGridMatchesTileLoop pins a chained kernel's grid entry to the
+// tile loop it replaces in the core's serial base: over s×s×s tiles (s
+// 2 and 4) of whole blocks and off the 8×4 grid — fringe rows, columns
+// or both, a grid whose side is itself off the grid — one Chained call
+// equals one Scratch call per tile, each C tile's k tiles in ascending
+// order, the first through Store when storing, bit for bit; contiguous
+// and strided, on a C holding -0s, and storing over a C of NaN.
+func TestGridMatchesTileLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, name := range Names() {
+		impl, _ := GetImpl(name)
+		if impl.Chained == nil {
+			continue
+		}
+		var s Scratch
+		for _, sz := range [][3]int{{8, 4, 8}, {24, 24, 24}, {25, 25, 25}, {38, 38, 38}, {25, 7, 3}, {5, 6, 9}, {12, 2, 25}, {33, 13, 1}, {40, 5, 16}} {
+			tm, tn, tk := sz[0], sz[1], sz[2]
+			for _, g := range []int{2, 4} {
+				m, n, k := g*tm, g*tn, g*tk
+				for _, pad := range []int{0, 3} { // pad > 0: strided views
+					A := matrix.Random(m+pad, k, rng).View(pad, 0, m, k)
+					B := matrix.Random(k+pad, n, rng).View(pad, 0, k, n)
+					C0 := matrix.Random(m, n, rng)
+					for i := 0; i < m*n; i += 7 {
+						C0.Set(i%m, i/m, math.Copysign(0, -1))
+					}
+					for _, store := range []bool{false, true} {
+						fresh := func() *matrix.Dense {
+							c := matrix.New(m+pad, n).View(pad, 0, m, n)
+							c.CopyFrom(C0)
+							if store {
+								c.Fill(math.NaN())
+							}
+							return c
+						}
+						want, got := fresh(), fresh()
+						for kk := 0; kk < g; kk++ {
+							for j := 0; j < g; j++ {
+								for i := 0; i < g; i++ {
+									kern := impl.Scratch
+									if store && kk == 0 {
+										kern = impl.Store
+									}
+									kern(&s, tm, tn, tk, A.Data[kk*tk*A.Stride+i*tm:], A.Stride, B.Data[j*tn*B.Stride+kk*tk:], B.Stride,
+										want.Data[j*tn*want.Stride+i*tm:], want.Stride)
+								}
+							}
+						}
+						impl.Chained(&s, store, tm, tn, tk, m, n, k, A.Data, A.Stride, B.Data, B.Stride, got.Data, got.Stride)
+						if !sameBits(got, want) {
+							t.Fatalf("%s %d×%d×%d tiles, grid %d, pad %d, store %v: one grid call differs from the tile loop",
+								name, tm, tn, tk, g, pad, store)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -353,7 +414,7 @@ func BenchmarkKernelTile(b *testing.B) {
 func BenchmarkKernelMergedBase(b *testing.B) {
 	const n, t = 64, 32
 	impl := Auto(t, t, t)
-	if !impl.Chained {
+	if impl.Chained == nil {
 		b.Skip(impl.Name + " is not chained")
 	}
 	rng := rand.New(rand.NewSource(1))
