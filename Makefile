@@ -47,10 +47,11 @@ loc:
 # pullWave) and every runner slot to run its own index first and give
 # its buffers back when the wave drains; and the fifth, 4,736 → 4,760,
 # when a serial base over canonical tiles came to make one leaf call per
-# square of up to 256 elements a side through a chained kernel's grid
-# entry (exec.base, mergeSide), a one-block product on off-grid tiles to
-# copy what it copies into canonical panels (wave.body), and the note
-# above std to bound a run by that call. The serve
+# square of up to 256 elements a side (exec.base, mergeSide), a
+# one-block product on off-grid tiles to copy what it copies into
+# canonical panels (wave.body), and the note above std to bound a run by
+# that call. It came down to 4,759 when that call became the plain store
+# or accumulate call, a chained kernel's fringe chaining from C. The serve
 # package's went 2,580 → 2,568 when every request
 # group came to make one batch call. The leaf's went 1,133 → 917 when every
 # register-blocked family came to read every tile in place, strided or
@@ -64,17 +65,18 @@ loc:
 # 962 → 968, the 32-row AVX-512 body's Go declaration, its place at the
 # head of the avx512 chain (32 → 16 → 8) and the note that a family's
 # block height is a power of two, which packedMul masks by; its fourth,
-# 968 → 1,071, leaf.Impl.Chained — the grid entry of a chained family,
-# declared by a microImpl flag: gridMul, one chain-mode packedMul over a
-# region of tiles with each tile's fringe rows and columns summed per k
-# tile, as the tile loop rounds them — and packedMul's chain mode
-# (fringeC, addBlock's copy) and split. The
+# 968 → 1,071, leaf.Impl.Chained and packedMul's chain mode (fringeC,
+# addBlock's copy) and split, with a grid entry (gridMul) that summed
+# each tile's fringe per k tile as the tile loop then rounded it. The
+# grid entry went, 1,071 → 997, when a chained family's fringe came to
+# chain from C like its full blocks: Impl.Chained is a bool, and one
+# call over a region of tiles has the tile loop's bits on any tile. The
 # layout package's S functions, Perm and SOriented are what the core's
 # tests check its tables against. Test files are the ones named
 # *_test.go.
-CORE_LOC_MAX = 4760
+CORE_LOC_MAX = 4759
 LAYOUT_LOC_MAX = 506
-LEAF_LOC_MAX = 1071
+LEAF_LOC_MAX = 997
 SCHED_LOC_MAX = 908
 BLAS3_LOC_MAX = 460
 SERVE_LOC_MAX = 2568
@@ -108,6 +110,10 @@ loc-gate:
 # returns what naming Z-Morton and naming ColMajor return, through GEMM,
 # GEMMBatch, Pack + MulPacked, Prepack + GEMMPrepacked, Cholesky and LU at
 # 1, 2 and 4 workers (the root package's TestDeterminismDefaultLayout).
+# On a chained kernel (avx2, avx512, neon) the tile size is not in the
+# bits either: a Standard product is one set of bits over every
+# ForceTile from 8 to 64, three layouts and three entry points
+# (TestDeterminismTileInvariant).
 determinism:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Determinism|BatchMatches' ./internal/core ./internal/blas3 .
 
@@ -150,7 +156,9 @@ streamparity:
 # tiles are whole register blocks (interleaved pairs, median of the
 # paired rate ratios, ~40 s). The rows and columns past a tile's last
 # full block run through the kernel's block body on zero-padded
-# operands and read 0.54–0.77; as one scalar FMA chain per element they
+# operands and read 0.53–0.70 on the plan rows and 0.62–0.81 on the n³
+# ones (0.47–0.59 while a chained kernel's merged base recomputed each
+# tile's fringe per k tile); as one scalar FMA chain per element they
 # read 0.10–0.30 on the width sweep. 0.45 and not more, because a padded
 # block computes lanes nobody reads: 68 columns padded to 80 in 5-wide
 # tiles, each doing an 8-wide one's work, reach 0.53 at best. A timing

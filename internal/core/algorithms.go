@@ -217,9 +217,10 @@ func (e *exec) par(tiles int) bool {
 // serial base at every leaf call (one atomic load), so a cancelled run
 // abandons its subtree within one leaf call, inside the serial-cutoff
 // region too, where the scheduler's between-task and spawn-point checks
-// never fire. A leaf call is one tile or, merged (base), up to mergeSide
-// elements a side within a base quadrant: SerialCutoff tiles a side in a
-// lone call, a wave member's grid (≤ inPlaceSide in place). The
+// never fire. A leaf call is one tile or, merged (base: one kernel call
+// on a canonical square of tiles), up to mergeSide elements a side
+// within a base quadrant: SerialCutoff tiles a side in a lone call, a
+// wave member's grid (≤ inPlaceSide in place). The
 // multi-pass addition stages poll between passes for the same reason:
 // near the root a single quadrant pass touches O(n²) elements. What a
 // cancelled run leaves partially accumulated is never unpacked into the
@@ -271,12 +272,12 @@ const mergeSide = 256
 // stay per leaf. first: the kk = 0 leaves store (leaf.Impl.Store).
 // Canonical operands and a chained kernel merge: a leaf is the largest
 // square of 2^l × 2^l tiles, one strided view, at most mergeSide
-// elements a side, run through the kernel's grid entry
-// (leaf.Impl.Chained) with the tile loop's bits.
+// elements a side, and one store or accumulate call on it has the tile
+// loop's bits, on any tile shape (leaf.Impl.Chained).
 func (e *exec) base(c *sched.Ctx, C, A, B Mat, first bool) {
-	d, l, grid := log2tiles(C.tiles), uint(0), e.kernel.Chained
+	d, l := log2tiles(C.tiles), uint(0)
 	tm, tn, tk := C.tr, C.tc, A.tc
-	for grid != nil && C.ld != 0 && A.ld != 0 && B.ld != 0 && l < d && max(tm, tn, tk)<<(l+1) <= mergeSide {
+	for e.kernel.Chained && C.ld != 0 && A.ld != 0 && B.ld != 0 && l < d && max(tm, tn, tk)<<(l+1) <= mergeSide {
 		l++
 	}
 	C.tr, C.tc, A.tr, A.tc, B.tr, B.tc, d = tm<<l, tn<<l, tm<<l, tk<<l, tk<<l, tn<<l, d-l
@@ -298,12 +299,9 @@ func (e *exec) base(c *sched.Ctx, C, A, B Mat, first bool) {
 		if tr != nil {
 			t0 = time.Now()
 		}
-		switch {
-		case l > 0:
-			grid(sc, first && kk == 0, tm, tn, tk, m, n, k, ad, lda, bd, ldb, cd, ldc)
-		case first && kk == 0:
+		if first && kk == 0 {
 			store(sc, m, n, k, ad, lda, bd, ldb, cd, ldc)
-		default:
+		} else {
 			acc(sc, m, n, k, ad, lda, bd, ldb, cd, ldc)
 		}
 		if tr != nil {

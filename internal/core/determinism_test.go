@@ -442,6 +442,88 @@ func TestDeterminismSIMDFamilies(t *testing.T) {
 	}
 }
 
+// TestDeterminismTileInvariant: on a chained kernel (leaf.Impl.Chained)
+// every element of a Standard product is its C, then ascending-k FMAs,
+// fringe included, so the tile size the paper's §4 picks changes speed
+// and not bits. Off-grid, on-grid and sub-block tiles (ForceTile 0, the
+// default, through 64), three layouts, α = 1.5 with B stored transposed,
+// β 0 and 0.5, and three entry points — GEMMCtx, a two-member GEMMBatch,
+// and on the recursive layouts Prepack + GEMMPrepacked — give one set of
+// bits per shape and β.
+func TestDeterminismTileInvariant(t *testing.T) {
+	var kernels []string
+	for _, name := range leaf.Names() {
+		if impl, _ := leaf.GetImpl(name); impl.Chained {
+			kernels = append(kernels, name)
+		}
+	}
+	if len(kernels) == 0 {
+		t.Skip("no chained kernel registered")
+	}
+	shapes := [][3]int{{100, 100, 100}, {150, 150, 150}, {96, 96, 96}, {200, 136, 72}, {300, 300, 48}} // m, k, n
+	if testing.Short() || raceEnabled {
+		shapes = [][3]int{{100, 100, 100}, {200, 136, 72}}
+	}
+	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(451))
+	ctx := context.Background()
+	const alpha = 1.5
+	for _, sh := range shapes {
+		m, k, n := sh[0], sh[1], sh[2]
+		A, B, C := matrix.Random(m, k, rng), matrix.Random(n, k, rng), matrix.Random(m, n, rng)
+		for _, beta := range []float64{0, 0.5} {
+			var want *matrix.Dense
+			var first string
+			same := func(got *matrix.Dense, what string) {
+				if want == nil {
+					want, first = got, what
+				} else if !matrix.Equal(got, want, 0) {
+					t.Errorf("%dx%dx%d β %g: %s differs from %s, max diff %g", m, k, n, beta, what, first, matrix.MaxAbsDiff(got, want))
+				}
+			}
+			for _, name := range kernels {
+				for _, cv := range []layout.Curve{layout.ZMorton, layout.ColMajor, layout.Hilbert} {
+					for _, ft := range []int{0, 8, 13, 25, 32, 38, 50, 64} {
+						opts := Options{Curve: cv, Alg: Standard, KernelName: name, ForceTile: ft}
+						what := fmt.Sprintf("%s %v tile %d", name, cv, ft)
+						got := C.Clone()
+						if _, err := GEMMCtx(ctx, pool, opts, false, true, alpha, A, B, beta, got); err != nil {
+							t.Fatalf("%s GEMMCtx: %v", what, err)
+						}
+						same(got, what+" GEMMCtx")
+						items := []BatchItem{{TransB: true, Alpha: alpha, A: A, B: B, Beta: beta, C: C.Clone()},
+							{TransB: true, Alpha: alpha, A: A, B: B, Beta: beta, C: C.Clone()}}
+						if _, _, err := GEMMBatch(ctx, pool, opts, items); err != nil {
+							t.Fatalf("%s GEMMBatch: %v", what, err)
+						}
+						same(items[0].C, what+" GEMMBatch[0]")
+						same(items[1].C, what+" GEMMBatch[1]")
+						if cv == layout.ColMajor {
+							continue // a plan is recursive storage
+						}
+						pa, err := Prepack(ctx, pool, opts, A, false)
+						if err != nil {
+							t.Fatalf("%s Prepack: %v", what, err)
+						}
+						pb, err := PrepackConforming(ctx, pool, opts, B, true, pa)
+						if err != nil {
+							t.Fatalf("%s PrepackConforming: %v", what, err)
+						}
+						got = C.Clone()
+						if _, err := GEMMPrepacked(ctx, pool, opts, alpha, pa, pb, beta, got); err != nil {
+							t.Fatalf("%s GEMMPrepacked: %v", what, err)
+						}
+						pa.Release()
+						pb.Release()
+						same(got, what+" GEMMPrepacked")
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDeterminismAutoEntryPoints: AlgAuto and the default cutoff are
 // resolved once, from the geometry a call runs on, so every entry point
 // that runs a geometry agrees on the algorithm and the cutoff — and so

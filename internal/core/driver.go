@@ -639,8 +639,9 @@ func (w *wave) body(c *sched.Ctx, ws *waveWS, i int, pl *plan) error {
 	std := w.alg == Standard || g.side() <= max(pl.cutoff, 1)
 	place := std && len(ms)*len(ks)*len(ns) == 1 && g.side() <= inPlaceSide
 	// Off the register grid its copies go to canonical panels, whose base
-	// merges (exec.base); whole-block tiles stay contiguous curve tiles.
-	if place && !fold && gv.pa == nil && gv.pb == nil && w.tc == nil && pl.kernel.Chained != nil &&
+	// is one kernel call with the tile loop's bits (exec.base); whole-block
+	// tiles stay contiguous curve tiles.
+	if place && !fold && gv.pa == nil && gv.pb == nil && w.tc == nil && pl.kernel.Chained &&
 		(g.tm%leaf.MicroM != 0 || g.tn%leaf.MicroN != 0) {
 		g.curve = layout.ColMajor
 	}

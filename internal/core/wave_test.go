@@ -1076,7 +1076,7 @@ func TestMergedBaseLeafSpans(t *testing.T) {
 		if in := tc.opts.Curve != layout.ColMajor && tc.n < 512; st.Blocks != 1 || in != (st.ConvertBytes == 0) {
 			t.Fatalf("%d³: %d blocks, %d bytes converted; want one block, in place %v (test premise)", tc.n, st.Blocks, st.ConvertBytes, in)
 		}
-		if impl, _ := leaf.GetImpl(st.Kernel); impl.Chained == nil {
+		if impl, _ := leaf.GetImpl(st.Kernel); !impl.Chained {
 			tc.flops = tc.flops * int64(tc.spans) / int64(tc.tiles)
 			tc.spans = tc.tiles
 		}

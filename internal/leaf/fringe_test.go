@@ -29,22 +29,18 @@ func microEdge(mr, nr, kc int, a []float64, as int, b []float64, bs, be int, c [
 	}
 }
 
-// fringeOracle is what packedMul over mk must produce, bit for bit: the
-// fringe rows and columns by microEdge, and the full blocks by the
-// order the family's bodies fuse in — an assembly body starts its chain
-// from the C element (cFirst), the pure-Go one from zero.
+// fringeOracle is what packedMul over mk must produce, bit for bit. A
+// chained (assembly) family starts every element's chain from its C
+// element, fringe included, and fuses the products in ascending k.
+// packed8x4 is microEdge on every block: full ones, the fringe rows and
+// the fringe columns.
 func fringeOracle(mk *microImpl, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if k == 0 {
 		return
 	}
-	last := mk
-	for last.rem != nil {
-		last = last.rem
-	}
-	i0, nf := m-m%last.mr, n-n%MicroN
-	if cFirst := mk != microGo8; cFirst {
-		for j := 0; j < nf; j++ {
-			for i := 0; i < i0; i++ {
+	if mk.chained {
+		for j := 0; j < n; j++ {
+			for i := 0; i < m; i++ {
 				acc := c[j*ldc+i]
 				for p := 0; p < k; p++ {
 					acc = math.FMA(a[p*lda+i], b[j*ldb+p], acc)
@@ -52,9 +48,10 @@ func fringeOracle(mk *microImpl, m, n, k int, a []float64, lda int, b []float64,
 				c[j*ldc+i] = acc
 			}
 		}
-	} else {
-		microEdge(i0, nf, k, a, lda, b, 1, ldb, c, ldc)
+		return
 	}
+	i0, nf := m-m%mk.mr, n-n%MicroN
+	microEdge(i0, nf, k, a, lda, b, 1, ldb, c, ldc)
 	if i0 < m {
 		microEdge(m-i0, nf, k, a[i0:], lda, b, 1, ldb, c[i0:], ldc)
 	}
@@ -75,8 +72,8 @@ func fringeFamilies() []simdImpl {
 	return fams
 }
 
-// TestFringeMatchesScalarOracle pins the padded-block fringe to the
-// scalar loop it replaced: every family, every row count through three
+// TestFringeMatchesScalarOracle pins the padded-block fringe to a
+// scalar loop (fringeOracle) for every family: every row count through three
 // 16-row blocks, every column count through three 4-column blocks, k
 // from 0, contiguous tiles and strided views (pad > 0) through the one
 // in-place body, one Scratch throughout so that every block meets a
@@ -93,12 +90,12 @@ func TestFringeMatchesScalarOracle(t *testing.T) {
 						B := matrix.Random(k+pad, n, rng).View(pad, 0, k, n)
 						got := matrix.Random(m+pad, n, rng).View(0, 0, m, n)
 						want := got.Clone()
-						packedMul(&s, fam.mk, false, false, m, n, k, A.Data, A.Stride, B.Data, B.Stride, got.Data, got.Stride)
+						packedMul(&s, fam.mk, false, m, n, k, A.Data, A.Stride, B.Data, B.Stride, got.Data, got.Stride)
 						fringeOracle(fam.mk, m, n, k, A.Data, A.Stride, B.Data, B.Stride, want.Data, want.Stride)
 						for j := 0; j < n; j++ {
 							for i := 0; i < m; i++ {
 								if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
-									t.Fatalf("%s %dx%dx%d pad %d: C(%d,%d) is %v, the scalar loop gives %v",
+									t.Fatalf("%s %dx%dx%d pad %d: C(%d,%d) is %v, the scalar oracle gives %v",
 										fam.name, m, n, k, pad, i, j, g, w)
 								}
 							}

@@ -168,18 +168,16 @@ func Blocked4x4(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 // form, C ← A·B: it never reads C, and its bits are Scratch's on a C of
 // +0. Balance is the family's constant in the fast-algorithm crossover
 // (FastCutoff), in leaf flops per byte the element-wise passes stream.
-// Chained, non-nil on a chained family — each element of a full block is
-// its C (or +0), then ascending-k FMAs, so a k run split over calls on
-// whole blocks has one call's bits — is its grid entry: C[0:m,0:n] +=
-// A·B (store: C ← A·B) over a region of tm×tn×tk tiles with the bits of
-// one Scratch call per tile, each C tile's k tiles in ascending order,
-// the first through Store when storing.
+// Chained marks a family each of whose product elements, fringe
+// included, is its C (+0 for Store), then ascending-k FMAs: a product
+// split along k over calls, or a region of tiles multiplied in one call,
+// has the bits of the tile loop, whatever the blocking.
 type Impl struct {
 	Name           string
 	Kern           Kernel
 	Scratch, Store ScratchKernel
 	Balance        float64
-	Chained        func(s *Scratch, store bool, tm, tn, tk, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
+	Chained        bool
 }
 
 // plain is the entry of a kernel that is not register-blocked: it needs

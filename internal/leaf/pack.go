@@ -5,9 +5,9 @@ package leaf
 // block become one zero-padded block of the chain's last family (packA:
 // block[p*MR+r] = A[i0+r, p], rows past m zero), the columns past its
 // last four one zero-padded k×4 block of B, and the C those blocks
-// accumulate into is a zeroed scratch block whose valid part is added to
-// C (chain mode: a copy of C's, copied back). A leaf whose shape is whole
-// blocks copies nothing.
+// accumulate into is a scratch block: for a chained family a copy of
+// C's, copied back, for packed8x4 a zeroed one whose valid part is added
+// to C. A leaf whose shape is whole blocks copies nothing.
 
 // Scratch holds the per-worker fringe buffers of the register-blocked
 // kernels. Buffers grow on demand and are retained across calls, so a
@@ -18,9 +18,6 @@ type Scratch struct {
 	pa []float64 // the fringe rows of A, zero-padded to one MR×k block
 	pb []float64 // the fringe columns of B, zero-padded to one k×4 block
 	pc []float64 // the block of C a fringe block accumulates into
-	// gridMul's: the tiles' fringe rows of A and columns of B, of C
-	// (fr, fc), and one k tile's sum for either.
-	ga, gb, fr, fc, gp []float64
 }
 
 // fringeC returns s.pc as an ld×w block that a fringe block accumulates

@@ -45,7 +45,8 @@ type microImpl struct {
 	// after the last full mr-row block; it has a panel entry when this
 	// family has.
 	rem *microImpl
-	// chained is Impl.Chained: every block, down rem, loads C (store: +0).
+	// chained is Impl.Chained: every block, down rem, loads C (store:
+	// +0), and so does the fringe's scratch block (packedMul).
 	chained bool
 }
 
@@ -63,17 +64,20 @@ var microGo8 = &microImpl{mr: 8, dd: micro8x4dd}
 //
 // The fringe — rows past the last full block, columns past the last
 // four — has no loop of its own. It runs through the family's block
-// body on zero-padded operands into a zeroed scratch block of C, whose
-// valid part is then added to C: a zero accumulator, the products fused
-// in ascending k, one add into C — per element what a scalar loop does.
-// chain instead starts the scratch block at C and copies it back, so a
-// chained family's fringe has its full blocks' bits (gridMul).
+// body on zero-padded operands into a scratch block of C, rounded as
+// the family rounds its full blocks. A chained family's scratch block
+// starts at C's values and is copied back, so each element of its
+// product is its C (+0 when storing), then ascending-k FMAs, wherever
+// the blocks fall: one call over a region of tiles has the tile loop's
+// bits. packed8x4's starts at zero and its valid part is added to C: a
+// zero accumulator, the products fused in ascending k, one add into C.
 //
 // store is the form C ← A·B, which never reads C: a panel entry stores
 // its full blocks, and what it does not store — the fringe, or all of C
 // for a family with only a dd entry — is cleared first and accumulated.
-func packedMul(s *Scratch, mk *microImpl, store, chain bool, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+func packedMul(s *Scratch, mk *microImpl, store bool, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	const nr = MicroN
+	chain := mk.chained
 	if m <= 0 || n <= 0 {
 		return
 	}
@@ -128,73 +132,6 @@ func (mk *microImpl) split(m int) (last *microImpl, i0 int) {
 	return last, i0
 }
 
-// gridMul is a chained family's grid entry (Impl.Chained). An element in
-// its tile's full blocks is its C (or +0), then ascending-k FMAs however
-// k is cut, so one chain-mode call over the region gives it (one call a
-// row of tiles over its full rows timed the same on 38-wide tiles). A
-// fringe element is its C plus one sum from zero per k tile, in
-// ascending k: over A's fringe rows and B's fringe columns, gathered and
-// zero-padded to whole blocks (s.ga, s.gb), one k tile at a time (a
-// store call into s.gp), added to C's gathered fringe (s.fr, s.fc),
-// which then replaces what the region's call left there.
-func gridMul(s *Scratch, mk *microImpl, store bool, tm, tn, tk, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	last, full := mk.split(tm)
-	fr, fc := tm-full, tn%MicroN // a tile's fringe rows and columns
-	R, Q := m/tm*fr, n/tn*fc
-	rp, qp := (R+last.mr-1)&^(last.mr-1), (Q+MicroN-1)&^(MicroN-1) // padded
-	// rows moves x's fringe rows into g (leading dimension ldg), or with
-	// out back; col is fringe column q's index.
-	rows := func(g []float64, ldg int, x []float64, ldx, cols int, out bool) {
-		for j := 0; j < cols && R > 0; j++ {
-			for r, i := j*ldg, j*ldx+full; r < j*ldg+R; r, i = r+fr, i+tm {
-				src, dst := x[i:i+fr], g[r:r+fr]
-				if out {
-					src, dst = dst, src
-				}
-				for e, v := range src {
-					dst[e] = v
-				}
-			}
-		}
-	}
-	col := func(q int) int { return (q/fc+1)*tn - fc + q%fc }
-	s.ga, s.gb = grow(s.ga, rp*k), grow(s.gb, k*qp)
-	s.fr, s.fc, s.gp = grow(s.fr, rp*n), grow(s.fc, m*Q), grow(s.gp, max(rp*n, m*qp))
-	clear(s.ga)
-	rows(s.ga, rp, a, lda, k, false)
-	if clear(s.fr); !store {
-		rows(s.fr, rp, c, ldc, n, false)
-	}
-	clear(s.gb[Q*k:])
-	for q := range Q {
-		copy(s.gb[q*k:q*k+k], b[col(q)*ldb:])
-		if f := s.fc[q*m : q*m+m]; store {
-			clear(f)
-		} else {
-			copy(f, c[col(q)*ldc:])
-		}
-	}
-	for p := 0; p < k && R+Q > 0; p += tk {
-		if R > 0 {
-			packedMul(s, mk, true, true, rp, n, tk, s.ga[p*rp:], rp, b[p:], ldb, s.gp, rp)
-			for i, v := range s.gp[:rp*n] {
-				s.fr[i] += v
-			}
-		}
-		if Q > 0 {
-			packedMul(s, mk, true, true, m, qp, tk, a[p*lda:], lda, s.gb[p:], k, s.gp, m)
-			for i, v := range s.gp[:m*Q] {
-				s.fc[i] += v
-			}
-		}
-	}
-	packedMul(s, mk, store, true, m, n, k, a, lda, b, ldb, c, ldc)
-	rows(s.fr, rp, c, ldc, n, true)
-	for q := range Q {
-		copy(c[col(q)*ldc:col(q)*ldc+m], s.fc[q*m:])
-	}
-}
-
 // fullBlocks is C[0:i0,0:n] += A·B for the i0 rows of m that fill whole
 // blocks of mk's chain, each family taking what the one before left; n
 // is a multiple of 4.
@@ -247,24 +184,18 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // family: the plain Kernel (pooled scratch), the ScratchKernel and its
 // store form.
 func family(name string, mk *microImpl, balance float64) Impl {
-	impl := Impl{Name: name, Balance: balance,
+	return Impl{Name: name, Balance: balance, Chained: mk.chained,
 		Kern: func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 			s := scratchPool.Get().(*Scratch)
-			packedMul(s, mk, false, false, m, n, k, a, lda, b, ldb, c, ldc)
+			packedMul(s, mk, false, m, n, k, a, lda, b, ldb, c, ldc)
 			scratchPool.Put(s)
 		},
 		Scratch: func(s *Scratch, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-			packedMul(s, mk, false, false, m, n, k, a, lda, b, ldb, c, ldc)
+			packedMul(s, mk, false, m, n, k, a, lda, b, ldb, c, ldc)
 		},
 		Store: func(s *Scratch, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-			packedMul(s, mk, true, false, m, n, k, a, lda, b, ldb, c, ldc)
+			packedMul(s, mk, true, m, n, k, a, lda, b, ldb, c, ldc)
 		}}
-	if mk.chained {
-		impl.Chained = func(s *Scratch, store bool, tm, tn, tk, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-			gridMul(s, mk, store, tm, tn, tk, m, n, k, a, lda, b, ldb, c, ldc)
-		}
-	}
-	return impl
 }
 
 // ScratchAt returns the Scratch stored in slot, installing a fresh one on

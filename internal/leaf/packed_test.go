@@ -178,140 +178,121 @@ func TestStoreMatchesZeroAccumulate(t *testing.T) {
 	}
 }
 
-// TestChainedSplitKMatchesOneCall pins the premise of Impl.Chained, on
+// TestChainedSplitMatchesOneCall pins what Impl.Chained declares, on
 // which the core's serial base makes one leaf call of a canonical
-// quadrant instead of one per tile: for every registered kernel that
-// declares it, a product split along k into 2 and 3 consecutive calls —
-// the first storing, the rest accumulating — equals one store call bit
-// for bit, and so does the accumulate form split or whole; on every
-// aligned m from 8 to 104 and n from 4 to 64, contiguous and strided.
-// avx2, avx512 and neon declare it; packed8x4, whose blocks sum from +0
-// and add into C once, does not, and splits to other bits.
-func TestChainedSplitKMatchesOneCall(t *testing.T) {
+// quadrant instead of one per tile. For every registered kernel that
+// declares it, one call, store or accumulate, equals bit for bit the
+// same product split along k into 2 and 3 consecutive calls, on every m
+// from 1 to 104 and n from 1 to 64; and the s×s×s tile loop over a
+// region (s 2 and 4) of whole-block, off-grid and sub-block tiles. A
+// split runs each C block's k blocks in ascending order, the first
+// through Store when storing. Contiguous and strided operands, a C
+// holding -0s, and storing over a C of NaN. avx2, avx512 and neon
+// declare it; packed8x4, whose blocks sum from +0 and add into C once,
+// does not, and splits to other bits.
+func TestChainedSplitMatchesOneCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	const k = 29
-	splits := [][]int{{0, 13, k}, {0, 5, 17, k}}
+	const pad = 3 // strided views start pad rows into their storage
+	bigA, bigB, bigC := matrix.Random(160+pad, 160, rng), matrix.Random(160+pad, 160, rng), matrix.Random(160, 160, rng)
+	for i := 0; i < 160*160; i += 7 {
+		bigC.Set(i%160, i/160, math.Copysign(0, -1))
+	}
 	for _, name := range Names() {
 		impl, _ := GetImpl(name)
-		chained := impl.Chained != nil
-		if want := name == "avx2" || name == "avx512" || name == "neon"; chained != want {
-			t.Errorf("%s declares Chained %v, want %v", name, chained, want)
+		if want := name == "avx2" || name == "avx512" || name == "neon"; impl.Chained != want {
+			t.Errorf("%s declares Chained %v, want %v", name, impl.Chained, want)
 		}
-		if !chained && name != "packed8x4" {
+		if !impl.Chained && name != "packed8x4" {
 			continue
 		}
 		var s Scratch
+		// run is C (+)= A·B as one call per block of the row, column
+		// and k cuts.
+		run := func(store bool, rows, cols, ks []int, A, B, C *matrix.Dense) {
+			for x := 0; x+1 < len(ks); x++ {
+				for y := 0; y+1 < len(cols); y++ {
+					for z := 0; z+1 < len(rows); z++ {
+						kern := impl.Scratch
+						if store && x == 0 {
+							kern = impl.Store
+						}
+						i, j, p := rows[z], cols[y], ks[x]
+						kern(&s, rows[z+1]-i, cols[y+1]-j, ks[x+1]-p, A.Data[p*A.Stride+i:], A.Stride,
+							B.Data[j*B.Stride+p:], B.Stride, C.Data[j*C.Stride+i:], C.Stride)
+					}
+				}
+			}
+		}
 		differ := 0
-		for m := MicroM; m <= 104; m += MicroM {
-			for n := MicroN; n <= 64; n += MicroN {
-				for _, pad := range []int{0, 3} { // pad > 0: strided views
-					A := matrix.Random(m+pad, k, rng).View(pad, 0, m, k)
-					B := matrix.Random(k+pad, n, rng).View(pad, 0, k, n)
-					C0 := matrix.Random(m, n, rng)
-					fresh := func() *matrix.Dense {
-						c := matrix.New(m+pad, n).View(pad, 0, m, n)
-						c.CopyFrom(C0)
+		var bufs [2][(160 + pad) * 160]float64 // one call's C and a split's
+		// check holds one call over m×n×k to each split (row, column and
+		// k cuts).
+		check := func(m, n, k int, splits ...[3][]int) {
+			for _, strided := range []bool{false, true} {
+				A, B := bigA.View(pad, 0, m, k), bigB.View(pad, 0, k, n)
+				if !strided {
+					A, B = A.Clone(), B.Clone()
+				}
+				for _, store := range []bool{false, true} {
+					fresh := func(buf []float64) *matrix.Dense {
+						c := matrix.FromSlice(buf, m, n, m)
+						if strided {
+							c = matrix.FromSlice(buf, m+pad, n, m+pad).View(pad, 0, m, n)
+						}
+						c.CopyFrom(bigC.View(0, 0, m, n))
+						if store {
+							c.Fill(math.NaN())
+						}
 						return c
 					}
-					for _, store := range []bool{false, true} {
-						one := fresh()
-						first := impl.Scratch
-						if store {
-							first = impl.Store
+					one := fresh(bufs[0][:])
+					run(store, []int{0, m}, []int{0, n}, []int{0, k}, A, B, one)
+					for _, sp := range splits {
+						got := fresh(bufs[1][:])
+						run(store, sp[0], sp[1], sp[2], A, B, got)
+						if sameBits(got, one) {
+							continue
 						}
-						first(&s, m, n, k, A.Data, A.Stride, B.Data, B.Stride, one.Data, one.Stride)
-						for _, cuts := range splits {
-							got := fresh()
-							for c := 0; c+1 < len(cuts); c++ {
-								kern, lo, kc := impl.Scratch, cuts[c], cuts[c+1]-cuts[c]
-								if c == 0 {
-									kern = first
-								}
-								kern(&s, m, n, kc, A.Data[lo*A.Stride:], A.Stride, B.Data[lo:], B.Stride, got.Data, got.Stride)
-							}
-							if sameBits(got, one) {
-								continue
-							}
-							if differ++; chained {
-								t.Fatalf("%s %dx%dx%d pad %d store %v: %d calls split at %v differ from one call",
-									name, m, n, k, pad, store, len(cuts)-1, cuts)
-							}
+						if differ++; impl.Chained {
+							t.Fatalf("%s %dx%dx%d strided %v store %v: split at rows %v, columns %v, k %v differs from one call",
+								name, m, n, k, strided, store, sp[0], sp[1], sp[2])
 						}
 					}
 				}
 			}
 		}
-		if !chained && differ == 0 {
+		const k = 29
+		for m := 1; m <= 104 && (impl.Chained || differ == 0); m++ {
+			for n := 1; n <= 64; n++ {
+				check(m, n, k, [3][]int{{0, m}, {0, n}, {0, 13, k}}, [3][]int{{0, m}, {0, n}, {0, 5, 17, k}})
+			}
+		}
+		// tiles cuts g tiles of the given side.
+		tiles := func(side, g int) []int {
+			cuts := make([]int, g+1)
+			for i := range cuts {
+				cuts[i] = i * side
+			}
+			return cuts
+		}
+		for _, sz := range [][3]int{{8, 4, 8}, {24, 24, 24}, {25, 25, 25}, {38, 38, 38}, {25, 7, 3}, {5, 6, 9}, {12, 2, 25}, {3, 3, 5}, {33, 13, 1}, {40, 5, 16}} {
+			for _, g := range []int{2, 4} {
+				check(g*sz[0], g*sz[1], g*sz[2], [3][]int{tiles(sz[0], g), tiles(sz[1], g), tiles(sz[2], g)})
+			}
+		}
+		if !impl.Chained && differ == 0 {
 			t.Errorf("%s: every split gave one call's bits; it could declare Chained", name)
 		}
 	}
 }
 
-// TestGridMatchesTileLoop pins a chained kernel's grid entry to the
-// tile loop it replaces in the core's serial base: over s×s×s tiles (s
-// 2 and 4) of whole blocks and off the 8×4 grid — fringe rows, columns
-// or both, a grid whose side is itself off the grid — one Chained call
-// equals one Scratch call per tile, each C tile's k tiles in ascending
-// order, the first through Store when storing, bit for bit; contiguous
-// and strided, on a C holding -0s, and storing over a C of NaN.
-func TestGridMatchesTileLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for _, name := range Names() {
-		impl, _ := GetImpl(name)
-		if impl.Chained == nil {
-			continue
-		}
-		var s Scratch
-		for _, sz := range [][3]int{{8, 4, 8}, {24, 24, 24}, {25, 25, 25}, {38, 38, 38}, {25, 7, 3}, {5, 6, 9}, {12, 2, 25}, {33, 13, 1}, {40, 5, 16}} {
-			tm, tn, tk := sz[0], sz[1], sz[2]
-			for _, g := range []int{2, 4} {
-				m, n, k := g*tm, g*tn, g*tk
-				for _, pad := range []int{0, 3} { // pad > 0: strided views
-					A := matrix.Random(m+pad, k, rng).View(pad, 0, m, k)
-					B := matrix.Random(k+pad, n, rng).View(pad, 0, k, n)
-					C0 := matrix.Random(m, n, rng)
-					for i := 0; i < m*n; i += 7 {
-						C0.Set(i%m, i/m, math.Copysign(0, -1))
-					}
-					for _, store := range []bool{false, true} {
-						fresh := func() *matrix.Dense {
-							c := matrix.New(m+pad, n).View(pad, 0, m, n)
-							c.CopyFrom(C0)
-							if store {
-								c.Fill(math.NaN())
-							}
-							return c
-						}
-						want, got := fresh(), fresh()
-						for kk := 0; kk < g; kk++ {
-							for j := 0; j < g; j++ {
-								for i := 0; i < g; i++ {
-									kern := impl.Scratch
-									if store && kk == 0 {
-										kern = impl.Store
-									}
-									kern(&s, tm, tn, tk, A.Data[kk*tk*A.Stride+i*tm:], A.Stride, B.Data[j*tn*B.Stride+kk*tk:], B.Stride,
-										want.Data[j*tn*want.Stride+i*tm:], want.Stride)
-								}
-							}
-						}
-						impl.Chained(&s, store, tm, tn, tk, m, n, k, A.Data, A.Stride, B.Data, B.Stride, got.Data, got.Stride)
-						if !sameBits(got, want) {
-							t.Fatalf("%s %d×%d×%d tiles, grid %d, pad %d, store %v: one grid call differs from the tile loop",
-								name, tm, tn, tk, g, pad, store)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// sameBits reports whether a and b hold the same bit patterns.
+// sameBits reports whether a and b hold the same bit patterns. Equal
+// nonzero numbers have equal bits, so only zeros, NaNs and unequal
+// numbers are compared as bits (which keeps -race runs short).
 func sameBits(a, b *matrix.Dense) bool {
 	for j := 0; j < a.Cols; j++ {
 		for i := 0; i < a.Rows; i++ {
-			if math.Float64bits(a.At(i, j)) != math.Float64bits(b.At(i, j)) {
+			if x, y := a.At(i, j), b.At(i, j); (x != y || x == 0) && math.Float64bits(x) != math.Float64bits(y) {
 				return false
 			}
 		}
@@ -409,12 +390,12 @@ func BenchmarkKernelTile(b *testing.B) {
 // alternating order. It reports each side's GFLOPS and the median over
 // iterations of the batch time ratio, eight calls over one (above 1: the
 // one call is faster). A chained kernel gives both the same bits
-// (TestChainedSplitKMatchesOneCall); an unchained one is skipped, as the
+// (TestChainedSplitMatchesOneCall); an unchained one is skipped, as the
 // core merges no base for it.
 func BenchmarkKernelMergedBase(b *testing.B) {
 	const n, t = 64, 32
 	impl := Auto(t, t, t)
-	if impl.Chained == nil {
+	if !impl.Chained {
 		b.Skip(impl.Name + " is not chained")
 	}
 	rng := rand.New(rand.NewSource(1))

@@ -40,7 +40,7 @@ func BenchmarkKernelAVX512Rows(b *testing.B) {
 					c := (i + j) % 2
 					start := time.Now()
 					for r := 0; r < reps; r++ {
-						packedMul(&s, chains[c], false, false, n, n, n, A.Data, n, B.Data, n, C.Data, n)
+						packedMul(&s, chains[c], false, n, n, n, A.Data, n, B.Data, n, C.Data, n)
 					}
 					t[c] = time.Since(start)
 				}
