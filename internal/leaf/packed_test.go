@@ -178,25 +178,99 @@ func TestStoreMatchesZeroAccumulate(t *testing.T) {
 	}
 }
 
-// TestChainedSplitMatchesOneCall pins what Impl.Chained declares, on
+// splitPad is how many rows into their storage a splitCheck's strided
+// views start.
+const splitPad = 3
+
+// splitCheck holds one call of a kernel over m×n×k to splits of the same
+// product along rows, columns and k: one call per block, each C block's
+// k blocks in ascending order, the first through Store when storing.
+// Contiguous and strided operands, accumulating into a C holding -0s and
+// storing over a C of NaN. It counts the splits that differ; on a
+// chained kernel the first is fatal.
+type splitCheck struct {
+	name    string
+	impl    Impl
+	s       Scratch
+	a, b, c *matrix.Dense
+	bufs    [2][(160 + splitPad) * 160]float64 // one call's C and a split's
+	differ  int
+}
+
+func newSplitCheck(name string, impl Impl, seed int64) *splitCheck {
+	rng := rand.New(rand.NewSource(seed))
+	sc := &splitCheck{name: name, impl: impl,
+		a: matrix.Random(160+splitPad, 160, rng), b: matrix.Random(160+splitPad, 160, rng), c: matrix.Random(160, 160, rng)}
+	for i := 0; i < 160*160; i += 7 {
+		sc.c.Set(i%160, i/160, math.Copysign(0, -1))
+	}
+	return sc
+}
+
+// run is C (+)= A·B as one call per block of the row, column and k cuts.
+func (sc *splitCheck) run(store bool, rows, cols, ks []int, A, B, C *matrix.Dense) {
+	for x := 0; x+1 < len(ks); x++ {
+		for y := 0; y+1 < len(cols); y++ {
+			for z := 0; z+1 < len(rows); z++ {
+				kern := sc.impl.Scratch
+				if store && x == 0 {
+					kern = sc.impl.Store
+				}
+				i, j, p := rows[z], cols[y], ks[x]
+				kern(&sc.s, rows[z+1]-i, cols[y+1]-j, ks[x+1]-p, A.Data[p*A.Stride+i:], A.Stride,
+					B.Data[j*B.Stride+p:], B.Stride, C.Data[j*C.Stride+i:], C.Stride)
+			}
+		}
+	}
+}
+
+// check holds one call over m×n×k to each split (row, column and k
+// cuts).
+func (sc *splitCheck) check(t *testing.T, m, n, k int, splits ...[3][]int) {
+	t.Helper()
+	for _, strided := range []bool{false, true} {
+		A, B := sc.a.View(splitPad, 0, m, k), sc.b.View(splitPad, 0, k, n)
+		if !strided {
+			A, B = A.Clone(), B.Clone()
+		}
+		for _, store := range []bool{false, true} {
+			fresh := func(buf []float64) *matrix.Dense {
+				c := matrix.FromSlice(buf, m, n, m)
+				if strided {
+					c = matrix.FromSlice(buf, m+splitPad, n, m+splitPad).View(splitPad, 0, m, n)
+				}
+				c.CopyFrom(sc.c.View(0, 0, m, n))
+				if store {
+					c.Fill(math.NaN())
+				}
+				return c
+			}
+			one := fresh(sc.bufs[0][:])
+			sc.run(store, []int{0, m}, []int{0, n}, []int{0, k}, A, B, one)
+			for _, sp := range splits {
+				got := fresh(sc.bufs[1][:])
+				sc.run(store, sp[0], sp[1], sp[2], A, B, got)
+				if sameBits(got, one) {
+					continue
+				}
+				if sc.differ++; sc.impl.Chained {
+					t.Fatalf("%s %dx%dx%d strided %v store %v: split at rows %v, columns %v, k %v differs from one call",
+						sc.name, m, n, k, strided, store, sp[0], sp[1], sp[2])
+				}
+			}
+		}
+	}
+}
+
+// TestChainedSplitKMatchesOneCall pins what Impl.Chained declares, on
 // which the core's serial base makes one leaf call of a canonical
-// quadrant instead of one per tile. For every registered kernel that
+// quadrant instead of one per tile: for every registered kernel that
 // declares it, one call, store or accumulate, equals bit for bit the
 // same product split along k into 2 and 3 consecutive calls, on every m
-// from 1 to 104 and n from 1 to 64; and the s×s×s tile loop over a
-// region (s 2 and 4) of whole-block, off-grid and sub-block tiles. A
-// split runs each C block's k blocks in ascending order, the first
-// through Store when storing. Contiguous and strided operands, a C
-// holding -0s, and storing over a C of NaN. avx2, avx512 and neon
+// from 1 to 104 and n from 1 to 64 (a splitCheck). avx2, avx512 and neon
 // declare it; packed8x4, whose blocks sum from +0 and add into C once,
 // does not, and splits to other bits.
-func TestChainedSplitMatchesOneCall(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	const pad = 3 // strided views start pad rows into their storage
-	bigA, bigB, bigC := matrix.Random(160+pad, 160, rng), matrix.Random(160+pad, 160, rng), matrix.Random(160, 160, rng)
-	for i := 0; i < 160*160; i += 7 {
-		bigC.Set(i%160, i/160, math.Copysign(0, -1))
-	}
+func TestChainedSplitKMatchesOneCall(t *testing.T) {
 	for _, name := range Names() {
 		impl, _ := GetImpl(name)
 		if want := name == "avx2" || name == "avx512" || name == "neon"; impl.Chained != want {
@@ -205,83 +279,43 @@ func TestChainedSplitMatchesOneCall(t *testing.T) {
 		if !impl.Chained && name != "packed8x4" {
 			continue
 		}
-		var s Scratch
-		// run is C (+)= A·B as one call per block of the row, column
-		// and k cuts.
-		run := func(store bool, rows, cols, ks []int, A, B, C *matrix.Dense) {
-			for x := 0; x+1 < len(ks); x++ {
-				for y := 0; y+1 < len(cols); y++ {
-					for z := 0; z+1 < len(rows); z++ {
-						kern := impl.Scratch
-						if store && x == 0 {
-							kern = impl.Store
-						}
-						i, j, p := rows[z], cols[y], ks[x]
-						kern(&s, rows[z+1]-i, cols[y+1]-j, ks[x+1]-p, A.Data[p*A.Stride+i:], A.Stride,
-							B.Data[j*B.Stride+p:], B.Stride, C.Data[j*C.Stride+i:], C.Stride)
-					}
-				}
-			}
-		}
-		differ := 0
-		var bufs [2][(160 + pad) * 160]float64 // one call's C and a split's
-		// check holds one call over m×n×k to each split (row, column and
-		// k cuts).
-		check := func(m, n, k int, splits ...[3][]int) {
-			for _, strided := range []bool{false, true} {
-				A, B := bigA.View(pad, 0, m, k), bigB.View(pad, 0, k, n)
-				if !strided {
-					A, B = A.Clone(), B.Clone()
-				}
-				for _, store := range []bool{false, true} {
-					fresh := func(buf []float64) *matrix.Dense {
-						c := matrix.FromSlice(buf, m, n, m)
-						if strided {
-							c = matrix.FromSlice(buf, m+pad, n, m+pad).View(pad, 0, m, n)
-						}
-						c.CopyFrom(bigC.View(0, 0, m, n))
-						if store {
-							c.Fill(math.NaN())
-						}
-						return c
-					}
-					one := fresh(bufs[0][:])
-					run(store, []int{0, m}, []int{0, n}, []int{0, k}, A, B, one)
-					for _, sp := range splits {
-						got := fresh(bufs[1][:])
-						run(store, sp[0], sp[1], sp[2], A, B, got)
-						if sameBits(got, one) {
-							continue
-						}
-						if differ++; impl.Chained {
-							t.Fatalf("%s %dx%dx%d strided %v store %v: split at rows %v, columns %v, k %v differs from one call",
-								name, m, n, k, strided, store, sp[0], sp[1], sp[2])
-						}
-					}
-				}
-			}
-		}
+		sc := newSplitCheck(name, impl, 44)
 		const k = 29
-		for m := 1; m <= 104 && (impl.Chained || differ == 0); m++ {
+		for m := 1; m <= 104 && (impl.Chained || sc.differ == 0); m++ {
 			for n := 1; n <= 64; n++ {
-				check(m, n, k, [3][]int{{0, m}, {0, n}, {0, 13, k}}, [3][]int{{0, m}, {0, n}, {0, 5, 17, k}})
+				sc.check(t, m, n, k, [3][]int{{0, m}, {0, n}, {0, 13, k}}, [3][]int{{0, m}, {0, n}, {0, 5, 17, k}})
 			}
 		}
-		// tiles cuts g tiles of the given side.
-		tiles := func(side, g int) []int {
-			cuts := make([]int, g+1)
-			for i := range cuts {
-				cuts[i] = i * side
-			}
-			return cuts
+		if !impl.Chained && sc.differ == 0 {
+			t.Errorf("%s: every split gave one call's bits; it could declare Chained", name)
 		}
+	}
+}
+
+// TestGridMatchesTileLoop pins one call of a chained kernel over a
+// region of tiles to the s×s×s tile loop (s 2 and 4) it replaces in the
+// core's serial base (a splitCheck), over whole-block tiles and tiles
+// off the 8×4 grid: fringe rows, columns or both, a grid whose side is
+// itself off the grid, and tiles smaller than a block.
+func TestGridMatchesTileLoop(t *testing.T) {
+	// tiles cuts g tiles of the given side.
+	tiles := func(side, g int) []int {
+		cuts := make([]int, g+1)
+		for i := range cuts {
+			cuts[i] = i * side
+		}
+		return cuts
+	}
+	for _, name := range Names() {
+		impl, _ := GetImpl(name)
+		if !impl.Chained {
+			continue
+		}
+		sc := newSplitCheck(name, impl, 45)
 		for _, sz := range [][3]int{{8, 4, 8}, {24, 24, 24}, {25, 25, 25}, {38, 38, 38}, {25, 7, 3}, {5, 6, 9}, {12, 2, 25}, {3, 3, 5}, {33, 13, 1}, {40, 5, 16}} {
 			for _, g := range []int{2, 4} {
-				check(g*sz[0], g*sz[1], g*sz[2], [3][]int{tiles(sz[0], g), tiles(sz[1], g), tiles(sz[2], g)})
+				sc.check(t, g*sz[0], g*sz[1], g*sz[2], [3][]int{tiles(sz[0], g), tiles(sz[1], g), tiles(sz[2], g)})
 			}
-		}
-		if !impl.Chained && differ == 0 {
-			t.Errorf("%s: every split gave one call's bits; it could declare Chained", name)
 		}
 	}
 }
@@ -390,7 +424,7 @@ func BenchmarkKernelTile(b *testing.B) {
 // alternating order. It reports each side's GFLOPS and the median over
 // iterations of the batch time ratio, eight calls over one (above 1: the
 // one call is faster). A chained kernel gives both the same bits
-// (TestChainedSplitMatchesOneCall); an unchained one is skipped, as the
+// (TestChainedSplitKMatchesOneCall); an unchained one is skipped, as the
 // core merges no base for it.
 func BenchmarkKernelMergedBase(b *testing.B) {
 	const n, t = 64, 32
