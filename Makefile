@@ -51,9 +51,15 @@ loc:
 # one-block product on off-grid tiles to copy what it copies into
 # canonical panels (wave.body), and the note above std to bound a run by
 # that call. It came down to 4,759 when that call became the plain store
-# or accumulate call, a chained kernel's fringe chaining from C. The serve
-# package's went 2,580 → 2,568 when every request
-# group came to make one batch call. The leaf's went 1,133 → 917 when every
+# or accumulate call, a chained kernel's fringe chaining from C; and the
+# sixth, 4,759 → 4,784, when a plan came to serve partners of any width
+# by descending into its own quadrants (descent, Prepacked.quads and cut,
+# conformPlans reading the descent off the depths, planMul carrying the
+# plan's segments), PartnerDim and conformSegs going — together with the
+# serve package's fall below, the two grew by 10 lines. The serve
+# package's went 2,580 → 2,568 when every request group came to make one
+# batch call, and to 2,553 when one plan came to serve every width
+# (partnerBucket and the width in the plan key went). The leaf's went 1,133 → 917 when every
 # register-blocked family came to read every tile in place, strided or
 # contiguous (packedMul is its one body): the packed-panel micro-kernels
 # (pp in Go, AVX2, AVX-512 and NEON), packB and packedRows went, and
@@ -74,12 +80,12 @@ loc:
 # layout package's S functions, Perm and SOriented are what the core's
 # tests check its tables against. Test files are the ones named
 # *_test.go.
-CORE_LOC_MAX = 4759
+CORE_LOC_MAX = 4784
 LAYOUT_LOC_MAX = 506
 LEAF_LOC_MAX = 997
 SCHED_LOC_MAX = 908
 BLAS3_LOC_MAX = 460
-SERVE_LOC_MAX = 2568
+SERVE_LOC_MAX = 2553
 OBS_LOC_MAX = 1700
 TRACE_LOC_MAX = 187
 loc-gate:
@@ -151,18 +157,19 @@ streamparity:
 	$(GO) run ./cmd/experiments -exp streamparity
 
 # The fringe gate: a shape whose tiles are off the micro-kernel grid —
-# 512×512×n through a plan for n = 6…72, n³ per call for n = 100…500 —
+# 512×512×n through one plan for n = 6…72, n³ per call for n = 100…500 —
 # must run at no less than 0.45 of the rate of the nearest shape whose
 # tiles are whole register blocks (interleaved pairs, median of the
 # paired rate ratios, ~40 s). The rows and columns past a tile's last
 # full block run through the kernel's block body on zero-padded
-# operands and read 0.53–0.70 on the plan rows and 0.62–0.81 on the n³
-# ones (0.47–0.59 while a chained kernel's merged base recomputed each
-# tile's fringe per k tile); as one scalar FMA chain per element they
-# read 0.10–0.30 on the width sweep. 0.45 and not more, because a padded
-# block computes lanes nobody reads: 68 columns padded to 80 in 5-wide
-# tiles, each doing an 8-wide one's work, reach 0.53 at best. A timing
-# comparison like parity, and not a tier-1 test.
+# operands and read 0.59–0.85 on the plan rows (0.53–0.70 while plans
+# were cut per partner width, 68 columns then padded to 80 in 5-wide
+# tiles, each doing an 8-wide one's work, 0.53 at best) and 0.62–0.81 on
+# the n³ ones (0.47–0.59 while a chained kernel's merged base recomputed
+# each tile's fringe per k tile); as one scalar FMA chain per element
+# they read 0.10–0.30 on the width sweep. 0.45 and not more, because a
+# padded block computes lanes nobody reads. A timing comparison like
+# parity, and not a tier-1 test.
 fringe:
 	$(GO) run ./cmd/experiments -exp fringe
 

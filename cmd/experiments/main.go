@@ -65,7 +65,7 @@ const paperCutoff = 1
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to reproduce (1, 2, 4, 5, 6, 7); 0 = all")
-	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|quadtree|sched|dilation|budget|inplace, or a gate: autoparity|streamparity|fringe|factor")
+	exp := flag.String("exp", "", "text experiment: slowdown|parallelism|conversion|ld|falseshare|tlb|lowmem|quadtree|sched|dilation|budget|inplace|descent, or a gate: autoparity|streamparity|fringe|factor")
 	flag.Parse()
 	switch *exp {
 	case "autoparity":
@@ -106,6 +106,49 @@ func main() {
 	run(-1, "dilation", dilation)
 	run(-1, "budget", budget)
 	run(-1, "inplace", inplace)
+	run(-1, "descent", descent)
+}
+
+// descent asks whether a DGEMM's own wide/lean split (Figure 3) is the
+// descent of a one-block pack: per shape, the products, depth, tiles and
+// padded volume (products × padded m·k·n, over m·k·n) of a per-call
+// DGEMM beside the same product through a plan of A packed as one block
+// (DisableSplit), which its partner reads through quadrants
+// (PrepackConforming + GEMMPrepacked), and the ratio of the two padded
+// volumes. Standard, Z-Morton, the library's tiles (m×k×n); the shapes
+// are the thin partners, the layout table's and one whose split is not
+// a power-of-two fraction of the operand.
+func descent() {
+	eng := recmat.NewEngine(*workers)
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(*seed))
+	z := &recmat.Options{Layout: recmat.ZMorton, Algorithm: recmat.Standard}
+	one := &recmat.Options{Layout: recmat.ZMorton, Algorithm: recmat.Standard, DisableSplit: true}
+	show := func(r *recmat.Report, vol float64) (string, float64) {
+		pad := float64(r.Blocks) * float64(r.PaddedM) * float64(r.PaddedK) * float64(r.PaddedN) / vol
+		return fmt.Sprintf("%4d  %d  %2dx%2dx%-2d  %6.3f", r.Blocks, r.Depth, r.TileM, r.TileK, r.TileN, pad), pad
+	}
+	fmt.Printf("A DGEMM's split against the descent of a one-block pack: Standard, Z-Morton, %d workers\n", eng.Workers())
+	fmt.Printf("%-14s %-28s %-28s %6s\n", "m×k×n", "DGEMM: products d tiles pad", "descent: products d tiles pad", "ratio")
+	for _, sh := range [][3]int{{1024, 1024, 1}, {1024, 1024, 6}, {1024, 1024, 48}, {512, 512, 16}, {300, 300, 48},
+		{64, 64, 64}, {256, 256, 256}, {1024, 1024, 1024}, {2048, 2048, 2048}, {512, 512, 48}, {1000, 900, 40}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		A, B, C := recmat.Random(m, k, rng), recmat.Random(k, n, rng), recmat.NewMatrix(m, n)
+		rd, err := eng.DGEMM(false, false, 1, A, B, 0, C, z)
+		check(err)
+		pa, err := eng.Prepack(A, false, one)
+		check(err)
+		pb, err := eng.PrepackConforming(B, false, z, pa)
+		check(err)
+		rp, err := eng.GEMMPrepackedOpts(context.Background(), z, 1, pa, pb, 0, C)
+		check(err)
+		pa.Release()
+		pb.Release()
+		vol := float64(m) * float64(k) * float64(n)
+		ds, dp := show(rd, vol)
+		qs, qp := show(rp, vol)
+		fmt.Printf("%-14s %-28s %-28s %6.3f\n", fmt.Sprintf("%dx%dx%d", m, k, n), ds, qs, qp/dp)
+	}
 }
 
 // inplace is the sweep behind the in-place rule's bound: a product of one
@@ -680,10 +723,8 @@ func newStream(workers int) *stream {
 	rng := rand.New(rand.NewSource(*seed))
 	s := &stream{eng: recmat.NewEngine(workers), opts: &recmat.Options{Layout: recmat.ZMorton, Algorithm: recmat.Standard},
 		A: recmat.Random(streamM, streamM, rng), B: recmat.Random(streamM, streamN, rng), C: recmat.NewMatrix(streamM, streamN)}
-	po := *s.opts
-	po.PartnerDim = streamN
 	var err error
-	s.plan, err = s.eng.Prepack(s.A, false, &po)
+	s.plan, err = s.eng.Prepack(s.A, false, s.opts)
 	check(err)
 	s.perCall() // warm-up: buffer pools
 	s.prepacked()
@@ -816,13 +857,13 @@ func (c *fringeCase) time() float64 {
 // whole blocks and hold no padding (0.10–0.30 of it on the width sweep
 // when the fringe was a scalar loop). No more than that, because a
 // padded block computes lanes nobody reads: a 5-wide tile does the work
-// of an 8-wide one, and 68 columns padded to 80 in 5-wide tiles can
-// reach 0.53 at best and read 0.54–0.58. Two sweeps on the
-// library's defaults, Z-Morton: a 512×512 operand planned for its
-// partners' width bucket (a power of two, as the daemon buckets them)
-// against widths on and off the grid, one PrepackConforming +
-// GEMMPrepacked per call; and n³ per call. A tile under one block runs
-// the "blocked" kernel (leaf.Auto) and is timed but not gated. Pairs
+// of an 8-wide one, and 68 columns padded to 80 in 5-wide tiles (a plan
+// cut for 128-wide partners) reached 0.53 at best. Two sweeps on the
+// library's defaults, Z-Morton: one plan of a 512×512 operand, as the
+// daemon holds one, against widths on and off the grid, one
+// PrepackConforming + GEMMPrepacked per call, each width on its direct
+// GEMM's tiles; and n³ per call. A tile under one block runs the
+// "blocked" kernel (leaf.Auto) and is timed but not gated. Pairs
 // are interleaved, the order alternating, and compared by the median of
 // the paired rate ratios (see autoparity).
 func fringe() {
@@ -834,27 +875,12 @@ func fringe() {
 	ctx := context.Background()
 
 	const m = 512
-	A := recmat.Random(m, m, rng)
-	plans := map[int]*recmat.Plan{} // by width bucket
-	defer func() {
-		for _, plan := range plans {
-			plan.Release()
-		}
-	}()
+	plan, err := eng.Prepack(recmat.Random(m, m, rng), false, z)
+	check(err)
+	defer plan.Release()
 	planned := func(n int) *fringeCase {
-		bucket := 16
-		for bucket < n {
-			bucket <<= 1
-		}
-		if plans[bucket] == nil {
-			po := *z
-			po.PartnerDim = bucket
-			plan, err := eng.Prepack(A, false, &po)
-			check(err)
-			plans[bucket] = plan
-		}
-		plan, B, C := plans[bucket], recmat.Random(m, n, rng), recmat.NewMatrix(m, n)
-		return &fringeCase{name: fmt.Sprintf("%dx%dx%d plan/%d", m, m, n, bucket), flops: 2 * m * m * float64(n),
+		B, C := recmat.Random(m, n, rng), recmat.NewMatrix(m, n)
+		return &fringeCase{name: fmt.Sprintf("%dx%dx%d plan", m, m, n), flops: 2 * m * m * float64(n),
 			run: func() *recmat.Report {
 				pb, err := eng.PrepackConforming(B, false, z, plan)
 				check(err)
@@ -1214,11 +1240,11 @@ func serialBase() {
 		el, leaves := medianOf(t), rep.Blocks<<(3*rep.Depth)/items
 		fmt.Printf("%-18s %9.3f ms %10.1f %8d %7.0f ns\n", name, 1e3*el, flops/el/1e9, leaves, 1e9*el/float64(leaves))
 	}
-	A := recmat.Random(512, 512, rng)
+	o := &recmat.Options{Layout: recmat.ZMorton}
+	pa, err := eng.Prepack(recmat.Random(512, 512, rng), false, o)
+	check(err)
+	defer pa.Release()
 	for _, n := range []int{16, 32, 48, 64} {
-		o := &recmat.Options{Layout: recmat.ZMorton, PartnerDim: n}
-		pa, err := eng.Prepack(A, false, o)
-		check(err)
 		pb, err := eng.PrepackConforming(recmat.Random(512, n, rng), false, o, pa)
 		check(err)
 		C := recmat.NewMatrix(512, n)
@@ -1227,7 +1253,6 @@ func serialBase() {
 			check(err)
 			return rep, 1
 		})
-		pa.Release()
 		pb.Release()
 	}
 	items := make([]recmat.GEMMBatchItem, 100)

@@ -56,7 +56,7 @@ func ExampleEngine_Prepack() {
 	rng := rand.New(rand.NewSource(4))
 	n, b := 128, 16
 	W := recmat.Random(n, n, rng)
-	opts := &recmat.Options{Layout: recmat.Hilbert, PartnerDim: b}
+	opts := &recmat.Options{Layout: recmat.Hilbert}
 	pw, err := eng.Prepack(W, false, opts)
 	if err != nil {
 		panic(err)

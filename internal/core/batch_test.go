@@ -88,7 +88,7 @@ func TestGEMMPrepackedBatchMatchesLooped(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	n := 96
 	A := matrix.Random(n, n, rng)
-	opts := Options{Curve: layout.Hilbert, Alg: Standard, PartnerDim: 32}
+	opts := Options{Curve: layout.Hilbert, Alg: Standard}
 	pa, err := Prepack(context.Background(), pool, opts, A, false)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"os"
 	osexec "os/exec"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,11 +162,13 @@ func TestDeterminismCostBusyPool(t *testing.T) {
 
 // TestDeterminismSplitEntryPoints: on wide/lean shapes every entry point
 // — a per-call GEMM, the same operands as a GEMMBatch item, as a
-// GEMMBatchStrided item, through Prepack(PartnerDim: n) +
-// PrepackConforming + GEMMPrepacked, and as a GEMMPrepackedBatch item
-// against that plan — cuts the same blocks on the same tiles and chains
-// each block's products in the same order: bit for bit, at 1, 2, 4 and
-// (blocks running nested) 16 workers. The shapes sit on each side of the
+// GEMMBatchStrided item, through Prepack + PrepackConforming +
+// GEMMPrepacked, and as a GEMMPrepackedBatch item against that plan —
+// cuts the same blocks on the same tiles and chains each block's
+// products in the same order: bit for bit, at 1, 2, 4 and (blocks
+// running nested) 16 workers. The plan is packed for no partner in
+// particular; the partner reads the quadrants of its blocks that the
+// per-call cut tiles (descent). The shapes sit on each side of the
 // deferral rule — one column of C blocks (A's segments packed by the
 // blocks of a per-call wave), one row (B's), a grid of them (both packed
 // up front) — so the per-call wave's in-block packs, its nested run's
@@ -175,24 +178,35 @@ func TestDeterminismCostBusyPool(t *testing.T) {
 // Three more shapes put most of a tile in the kernels' padded fringe
 // blocks, which accumulate in per-worker scratch: 1024×1024×40 (10-wide
 // tiles), 300³ (38³ tiles; one block, the entry points still agree) and
-// 512×512×48 against a plan built for 64-wide partners — the serving
-// shape: 32×32×6 tiles, not the per-call cut, so the plan entry points
-// agree with each other there and not with the per-call one.
+// 512×512×48. The thin rows — 1024²·1024×{1, 6, 48}, 512²·512×16 and
+// 300²·300×48 — run on Z-Morton and on Hilbert, whose descended
+// quadrants are in other orientations than their blocks.
+// Where a plan's quadrants cannot be the per-call cut (own: 1000×900×40
+// and 250×225×10, whose per-call segments are not a power-of-two
+// fraction of one block, and 300²·300×48, whose 38-wide plan tiles are
+// not the per-call 25), the plan entry points agree with each other, and
+// on Standard — whose bits the blocking does not move on a chained
+// kernel (TestDeterminismTileInvariant) — with the per-call one too.
+// Last, one plan's GEMMPrepackedBatch wave of partners 16 to 64 wide
+// gives each member the bits of its own per-call GEMM.
 func TestDeterminismSplitEntryPoints(t *testing.T) {
 	type shape struct {
 		m, k, n  int
 		deferred byte // the operand a per-call wave's blocks pack: 'A', 'B' or neither
 		whole    bool // one block: nothing to split
-		partner  int  // the plan's PartnerDim when it is not n
+		own      bool // the plan's quadrants are not the per-call cut
+		thin     bool // a thin partner: Z-Morton and Hilbert, no ColMajor
 	}
-	shapes := []shape{{m: 1024, k: 1024, n: 48, deferred: 'A'}, {m: 1000, k: 900, n: 40, deferred: 'A'},
+	shapes := []shape{{m: 1024, k: 1024, n: 48, deferred: 'A', thin: true}, {m: 1000, k: 900, n: 40, deferred: 'A', own: true},
 		{m: 48, k: 900, n: 1000, deferred: 'B'}, {m: 600, k: 40, n: 600},
 		{m: 1024, k: 1024, n: 40, deferred: 'A'}, {m: 300, k: 300, n: 300, whole: true},
-		{m: 512, k: 512, n: 48, deferred: 'A', partner: 64}}
+		{m: 512, k: 512, n: 48, deferred: 'A'}, {m: 1024, k: 1024, n: 1, deferred: 'A', thin: true},
+		{m: 1024, k: 1024, n: 6, deferred: 'A', thin: true}, {m: 512, k: 512, n: 16, deferred: 'A', thin: true},
+		{m: 300, k: 300, n: 48, deferred: 'A', own: true, thin: true}}
 	if testing.Short() || raceEnabled {
 		// The same cuts at a quarter of the size.
-		shapes = []shape{{m: 250, k: 225, n: 10, deferred: 'A'}, {m: 12, k: 225, n: 250, deferred: 'B'}, {m: 150, k: 10, n: 150},
-			{m: 75, k: 75, n: 75, whole: true}, {m: 128, k: 128, n: 12, deferred: 'A', partner: 16}}
+		shapes = []shape{{m: 250, k: 225, n: 10, deferred: 'A', own: true}, {m: 12, k: 225, n: 250, deferred: 'B'}, {m: 150, k: 10, n: 150},
+			{m: 75, k: 75, n: 75, whole: true}, {m: 128, k: 128, n: 12, deferred: 'A', thin: true}}
 	}
 	var pools []*sched.Pool
 	for _, w := range []int{1, 2, 4, 16} {
@@ -208,7 +222,11 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 		for _, ta := range []bool{false, true} {
 			for _, tb := range []bool{false, true} {
 				for bi, beta := range []float64{0, 1, 0.5} {
-					for _, cv := range []layout.Curve{layout.RecursiveCurves[(si+bi)%len(layout.RecursiveCurves)], layout.ColMajor} {
+					curves := []layout.Curve{layout.RecursiveCurves[(si+bi)%len(layout.RecursiveCurves)], layout.ColMajor}
+					if sh.thin {
+						curves = []layout.Curve{layout.ZMorton, layout.Hilbert}
+					}
+					for _, cv := range curves {
 						A, B := opMat(m, k, ta, rng), opMat(k, n, tb, rng)
 						C := matrix.Random(m, n, rng)
 						opts := Options{Curve: cv, Alg: algs[bi%len(algs)]}
@@ -253,17 +271,21 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							t.Fatalf("%s: ConvertBytes = %d, want %d: %d packed less %d read in place", name, st.ConvertBytes, packed-inPlace, packed, inPlace)
 						}
 
-						// A plan built for this n cuts the per-call blocks; one built
-						// for a wider partner has its own, and its first run is
-						// what its later ones must repeat.
+						// A plan whose quadrants are the per-call cut runs the
+						// per-call blocks; one whose are not runs its own, and its
+						// first run is what its later ones must repeat — in bits
+						// too, unless the algorithm is Standard.
 						type result struct {
 							c  *matrix.Dense
 							st *Stats
 						}
 						percall := &result{want, st}
-						plan := percall
-						if sh.partner != 0 {
+						plan, planBits := percall, percall
+						if sh.own {
 							plan = new(result)
+							if opts.Alg != Standard {
+								planBits = plan
+							}
 						}
 						for _, pool := range pools {
 							// same checks one entry point's result, and the plan
@@ -272,12 +294,12 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							// call is: it packs and defers what the call at this
 							// worker count does. Resident plans defer nothing.
 							var direct *Stats
-							same := func(what string, got *matrix.Dense, gs *Stats, ref *result) {
+							same := func(what string, got *matrix.Dense, gs *Stats, ref, bits *result) {
 								t.Helper()
 								if ref.c == nil {
 									ref.c, ref.st = got, gs
 								}
-								want, st := ref.c, ref.st
+								want, st := bits.c, ref.st
 								if gs.Blocks != st.Blocks || gs.Depth != st.Depth || gs.TileM != st.TileM || gs.TileK != st.TileK || gs.TileN != st.TileN {
 									t.Errorf("%s: %s runs %d blocks of %dx%dx%d tiles at depth %d, per-call %d of %dx%dx%d at depth %d", name, what,
 										gs.Blocks, gs.TileM, gs.TileK, gs.TileN, gs.Depth, st.Blocks, st.TileM, st.TileK, st.TileN, st.Depth)
@@ -314,14 +336,14 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s, %d workers: %v", name, pool.Workers(), err)
 							}
-							same("GEMMCtx", got, gs, percall)
+							same("GEMMCtx", got, gs, percall, percall)
 
 							got = C.Clone()
 							bs, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{TransA: ta, TransB: tb, Alpha: 0.75, A: A, B: B, Beta: beta, C: got}})
 							if err != nil || errs[0] != nil {
 								t.Fatalf("%s, %d workers: GEMMBatch: %v %v", name, pool.Workers(), err, errs)
 							}
-							same("GEMMBatch", got, &bs.Stats, percall)
+							same("GEMMBatch", got, &bs.Stats, percall, percall)
 
 							got = C.Clone()
 							bs, errs, err = GEMMBatchStrided(ctx, pool, opts, ta, tb, m, k, n, 0.75, A.Data, A.Stride, len(A.Data),
@@ -329,17 +351,12 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil || errs[0] != nil {
 								t.Fatalf("%s, %d workers: GEMMBatchStrided: %v %v", name, pool.Workers(), err, errs)
 							}
-							same("GEMMBatchStrided", got, &bs.Stats, percall)
+							same("GEMMBatchStrided", got, &bs.Stats, percall, percall)
 							if cv == layout.ColMajor {
 								continue // the plan entry points take recursive layouts only
 							}
 
-							po := opts
-							po.PartnerDim = n
-							if sh.partner != 0 {
-								po.PartnerDim = sh.partner
-							}
-							pa, err := Prepack(ctx, pool, po, A, ta)
+							pa, err := Prepack(ctx, pool, opts, A, ta)
 							if err != nil {
 								t.Fatalf("%s: Prepack: %v", name, err)
 							}
@@ -347,13 +364,17 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: PrepackConforming: %v", name, err)
 							}
+							if qs, _, _ := pa.quads(pa.D - pb.D); sh.own == (slices.Equal(qs, ms) && slices.Equal(pb.RSegs, ks) && slices.Equal(pb.CSegs, ns)) {
+								t.Fatalf("%s: the plan's quadrants cut %v×%v×%v at descent %d, per-call %v×%v×%v; own = %v",
+									name, qs, pb.RSegs, pb.CSegs, pa.D-pb.D, ms, ks, ns, sh.own)
+							}
 							got = C.Clone()
 							pst, err := GEMMPrepacked(ctx, pool, opts, 0.75, pa, pb, beta, got)
 							pb.Release()
 							if err != nil {
 								t.Fatalf("%s, %d workers: GEMMPrepacked: %v", name, pool.Workers(), err)
 							}
-							same("GEMMPrepacked", got, pst, plan)
+							same("GEMMPrepacked", got, pst, plan, planBits)
 
 							got = C.Clone()
 							bs, errs, err = GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{TransB: tb, Alpha: 0.75, B: B, Beta: beta, C: got}})
@@ -361,8 +382,51 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil || errs[0] != nil {
 								t.Fatalf("%s, %d workers: GEMMPrepackedBatch: %v %v", name, pool.Workers(), err, errs)
 							}
-							same("GEMMPrepackedBatch", got, &bs.Stats, plan)
+							same("GEMMPrepackedBatch", got, &bs.Stats, plan, planBits)
 						}
+					}
+				}
+			}
+		}
+	}
+
+	// One plan serves a wave of partners of several widths — the wave the
+	// daemon's coalescer builds from requests on one named operand — and
+	// each member has the bits of its own per-call GEMM. Every width splits
+	// A (under 256² a 64-wide partner would not: a one-block product picks
+	// its depth over all three dimensions, which a plan cannot follow).
+	wm := 1024
+	if testing.Short() || raceEnabled {
+		wm = 512
+	}
+	A := matrix.Random(wm, wm, rng)
+	for _, cv := range []layout.Curve{layout.ZMorton, layout.Hilbert} {
+		for _, alg := range algs {
+			opts := Options{Curve: cv, Alg: alg}
+			for _, pool := range pools {
+				pa, err := Prepack(ctx, pool, opts, A, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var items []PrepackedBatchItem
+				var wants []*matrix.Dense
+				for _, n := range []int{16, 32, 48, 64} {
+					B, C := matrix.Random(wm, n, rng), matrix.Random(wm, n, rng)
+					want := C.Clone()
+					if _, err := GEMMCtx(ctx, pool, opts, false, false, 0.75, A, B, 0.5, want); err != nil {
+						t.Fatal(err)
+					}
+					items, wants = append(items, PrepackedBatchItem{Alpha: 0.75, B: B, Beta: 0.5, C: C}), append(wants, want)
+				}
+				_, errs, err := GEMMPrepackedBatch(ctx, pool, opts, pa, items)
+				pa.Release()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, it := range items {
+					if errs[i] != nil || !matrix.Equal(it.C, wants[i], 0) {
+						t.Errorf("%d² %v %v, %d workers: the %d-wide member of a mixed wave: err %v, max diff %g from its per-call GEMM",
+							wm, cv, alg, pool.Workers(), it.C.Cols, errs[i], matrix.MaxAbsDiff(it.C, wants[i]))
 					}
 				}
 			}
@@ -386,10 +450,10 @@ func TestDeterminismSIMDFamilies(t *testing.T) {
 		}
 	}
 	shapes := [][3]int{{1024, 1024, 48}, {200, 200, 200}, {300, 300, 300}, {1024, 1024, 40}}
-	planned := [4]int{512, 512, 48, 64} // m, k, n, the plan's PartnerDim
+	planned := [3]int{512, 512, 40} // 32×32×10 tiles on the plan's quadrants
 	if testing.Short() || raceEnabled {
 		shapes = [][3]int{{256, 256, 12}, {200, 200, 200}, {256, 256, 10}}
-		planned = [4]int{128, 128, 12, 16}
+		planned = [3]int{128, 128, 10}
 	}
 	pool := sched.NewPool(0) // one worker per GOMAXPROCS: -cpu varies it
 	defer pool.Close()
@@ -397,7 +461,7 @@ func TestDeterminismSIMDFamilies(t *testing.T) {
 	ctx := context.Background()
 	m, k, n := planned[0], planned[1], planned[2]
 	A, B, C := matrix.Random(m, k, rng), matrix.Random(k, n, rng), matrix.Random(m, n, rng)
-	pa, err := Prepack(ctx, pool, Options{Curve: layout.ZMorton, PartnerDim: planned[3]}, A, false)
+	pa, err := Prepack(ctx, pool, Options{Curve: layout.ZMorton}, A, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,8 +475,8 @@ func TestDeterminismSIMDFamilies(t *testing.T) {
 	for name, got := range map[string]*matrix.Dense{"avx2": c2, "avx512": c5} {
 		st, err := GEMMPrepacked(ctx, pool, Options{KernelName: name}, 0.75, pa, pb, 0.5, got)
 		if err != nil || st.Kernel != name || st.TileN%leaf.MicroN == 0 {
-			t.Fatalf("%dx%dx%d on a plan for %d-wide partners, %s: ran %s on %d-wide tiles, want a column fringe: %v",
-				m, k, n, planned[3], name, st.Kernel, st.TileN, err)
+			t.Fatalf("%dx%dx%d on a plan, %s: ran %s on %d-wide tiles, want a column fringe: %v",
+				m, k, n, name, st.Kernel, st.TileN, err)
 		}
 	}
 	if !matrix.Equal(c5, c2, 0) {
@@ -578,9 +642,7 @@ func TestDeterminismAutoEntryPoints(t *testing.T) {
 				t.Errorf("%s: auto ran %v on %d blocks of 2^%d tiles a side, want %v", name, st.Alg, st.Blocks, st.Depth, wantAlg)
 			}
 
-			po := opts
-			po.PartnerDim = n
-			pa, err := Prepack(ctx, pool, po, A, false)
+			pa, err := Prepack(ctx, pool, opts, A, false)
 			if err != nil {
 				t.Fatalf("%s: Prepack: %v", name, err)
 			}
@@ -849,9 +911,7 @@ func TestDeterminismPlanNotRun(t *testing.T) {
 						continue // the plan entry points take recursive layouts only
 					}
 
-					po := opts
-					po.PartnerDim = n
-					pa, err := Prepack(ctx, pool, po, A, false)
+					pa, err := Prepack(ctx, pool, opts, A, false)
 					if err != nil {
 						t.Fatalf("%s: Prepack: %v", name, err)
 					}
@@ -952,7 +1012,7 @@ func TestDeterminismMemBudget(t *testing.T) {
 		{name: "2048x2048x48ᵀ", A: big, B: lean, transB: true},
 		{name: "20x300x300", A: matrix.Random(20, 300, rng), B: matrix.Random(300, 300, rng), opts: Options{Tile: testTile}},
 		{name: "resident 300x300x120", A: matrix.Random(300, 300, rng), B: matrix.Random(300, 120, rng),
-			opts: Options{Tile: testTile, PartnerDim: 120}, resident: true},
+			opts: Options{Tile: testTile}, resident: true},
 	} {
 		m, k := tc.A.Rows, tc.A.Cols
 		_, n := opShape(tc.B, tc.transB)

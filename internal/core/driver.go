@@ -54,16 +54,6 @@ type Options struct {
 	// DisableSplit turns off the wide/lean submatrix decomposition of
 	// Figure 3, forcing a single (possibly heavily padded) tiling.
 	DisableSplit bool
-	// PartnerDim, when positive, tells Prepack the expected free
-	// dimension of future multiplication partners (e.g. the width b of
-	// the streamed right-hand sides a plan will serve). It enters the
-	// wide/lean split exactly as the third dimension does in a direct
-	// GEMM, so a square operand prepacked for skinny partners splits
-	// into the same squat blocks a direct call would use — without it, a
-	// plan assumes partners its own size, and its deep monolithic grid
-	// forces heavy padding on a skinny partner's free dimension.
-	// Ignored outside Prepack.
-	PartnerDim int
 	// MemBudget, when positive, is an admission-control cap in bytes on
 	// the estimated footprint of the call (packed operand segments +
 	// in-flight product tiles + algorithm temporaries + per-worker

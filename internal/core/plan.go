@@ -220,7 +220,7 @@ func conformTile(cfg tile.Config, n int, d uint) int {
 // the longest covers them all. A single block tiles by the
 // three-dimensional Pick (choose). A split call takes the plan geometry:
 // Pick over A's segment shape, the free dimension's tile derived from
-// that depth. That is what Prepack(PartnerDim: n) and PrepackConforming
+// that depth. That is what Prepack and PrepackConforming (descent)
 // arrive at in two steps, so the same operands run the same tiles per
 // call and through resident plans.
 func chooseGeom(o Options, ms, ks, ns []tile.Seg) (geom, error) {
@@ -312,15 +312,12 @@ func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
 	}
 	var err error
 	switch pa, pb := gv.pa, gv.pb; {
-	case pb != nil:
-		pl.ms, pl.ks, pl.ns = pa.RSegs, pa.CSegs, pb.CSegs
-		pl.g = geom{pa.Curve, pa.D, pa.TR, pa.TC, pb.TC}
-		_, _, _, err = paddedDims(pa.D, pa.TR, pa.TC, pb.TC)
+	case pb != nil: // conformed (conformPlans): pb's depth is the descent's
+		pl.ms, pl.ks, _ = pa.quads(pa.D - pb.D)
+		pl.ns, pl.g = pb.CSegs, geom{pa.Curve, pb.D, pa.TR, pa.TC, pb.TC}
+		_, _, _, err = paddedDims(pb.D, pa.TR, pa.TC, pb.TC)
 	case pa != nil:
-		var tn int
-		pl.ms, pl.ks = pa.RSegs, pa.CSegs
-		pl.ns, tn, err = conformSegs(o, pa, n)
-		pl.g = geom{pa.Curve, pa.D, pa.TR, pa.TC, tn}
+		pl.ms, pl.ks, pl.ns, pl.g, err = descent(o, pa, n)
 	default:
 		pl.ms, pl.ks, pl.ns = splitSegs(o, m, k, n)
 		pl.g, err = chooseGeom(o, pl.ms, pl.ks, pl.ns)
@@ -336,6 +333,26 @@ func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
 	}
 	pl.ch = pl.g.charge(pl.alg, pl.cutoff, pl.ms, pl.ks, pl.ns, gv, pl.runners)
 	return pl, nil
+}
+
+// descent plans a width-n partner of the resident plan pa on its level-l
+// quadrants (quads): l is pa.D less the depth a split direct GEMM tiles
+// at (0 for one block, or deeper), less while a quadrant would lie wholly
+// in padding; n is cut as that call cuts it, tiled at depth pa.D − l.
+func descent(o Options, pa *Prepacked, n int) (ms, ks, ns []tile.Seg, g geom, err error) {
+	dms, dks, ns := splitSegs(o, pa.Rows, pa.Cols, n)
+	var l uint
+	if dg, err := chooseGeom(o, dms, dks, ns); err == nil && dg.d < pa.D && len(dms)*len(dks)*len(ns) > 1 {
+		l = pa.D - dg.d
+	}
+	ms, ks, ok := pa.quads(l)
+	for ; !ok; ms, ks, ok = pa.quads(l) {
+		l--
+	}
+	d := pa.D - l
+	g = geom{pa.Curve, d, pa.TR, pa.TC, conformTile(o.Tile, maxSegLen(ns), d)}
+	_, _, _, err = paddedDims(d, g.tm, g.tk, g.tn)
+	return ms, ks, ns, g, err
 }
 
 // resolveGeom settles what only the geometry can: the registry entry
@@ -423,9 +440,11 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	if ctx.Err() != nil {
 		return context.Cause(ctx)
 	}
-	sm, sn := pa.RSegs[i], pb.CSegs[j]
+	// The product runs at pb's depth, which pa is read at (conformPlans).
+	ms, ks, _ := pa.quads(pa.D - pb.D)
+	sm, sn := ms[i], pb.CSegs[j]
 	tc, t0, hdr := pm.tc, time.Now(), pa.hdr
-	hdr.TC = pb.TC
+	hdr.D, hdr.TC = pb.D, pb.TC
 	if tc == nil && !pm.direct {
 		tc = &ws.tc
 		tc.refit(&ws.stats, hdr, sm.Len, sn.Len)
@@ -446,8 +465,8 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 		cm = tc.Mat()
 	}
 	in0 := ws.stats.ConvertIn
-	for kk := range pa.CSegs {
-		am, bm := pa.mat(c, ws, &ws.one[0], i, kk, pm.std), pb.mat(c, ws, &ws.one[1], kk, j, pm.std)
+	for kk := range ks {
+		am, bm := pa.mat(c, ws, &ws.one[0], i, kk, hdr.D, pm.std), pb.mat(c, ws, &ws.one[1], kk, j, hdr.D, pm.std)
 		e.phase(ctx, obs.KindCompute, "recmat.compute", func() { e.mul(c, alg, cm, am, bm, kk == 0 && pm.std && pm.tc == nil) })
 		if c.Cancelled() {
 			return errRunCancelled
@@ -474,10 +493,9 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 // wave is the one block loop over the plan product's C blocks: walked in
 // order by the calling runner or, when they are the parallelism (runners
 // > 0, asWave), pulled by runners tasks.
-// ws.done counts the completed; the others hold their β-scaled input (+0).
+// Of its ws.total, ws.done counts the completed; the rest hold β·C (+0).
 func (pm *planMul) wave(ctx context.Context, c *sched.Ctx, ws *waveWS, runners int, traceID int64) error {
-	nn := len(pm.pb.CSegs)
-	nb := len(pm.pa.RSegs) * nn
+	nn, nb := len(pm.pb.CSegs), ws.total
 	if runners == 0 {
 		for b := 0; b < nb; b++ {
 			if c.Cancelled() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/layout"
@@ -52,6 +53,8 @@ type Prepacked struct {
 	// it, when it does (mat).
 	src   *matrix.Dense
 	trans bool
+	// cuts[l] is quads(l), cut once for every product that reads it.
+	cuts [maxPosDepth + 1]atomic.Pointer[[2][]tile.Seg]
 }
 
 // Prepack converts op(src) into a recursive-layout plan: segments from
@@ -76,21 +79,9 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 	if err != nil {
 		return nil, err
 	}
-	rs := []tile.Seg{{Off: 0, Len: r}}
-	cs := []tile.Seg{{Off: 0, Len: c}}
-	if !o.DisableSplit && o.ForceTile == 0 {
-		// The same split a direct GEMM of this operand against its
-		// partners would make: serving plans name the partners' free
-		// dimension (PartnerDim); without it the unknown third dimension
-		// is taken as the row extent (a squat peer). Conformance with the
-		// partner plan is validated at multiply time. The pick stays
-		// two-dimensional: a plan does not know its partner's tiles.
-		partner := o.PartnerDim
-		if partner <= 0 {
-			partner = r
-		}
-		rs, cs, _ = o.Tile.SplitDims(r, c, partner)
-	}
+	// The split a direct GEMM against a square partner would make; a
+	// thinner partner reads the blocks' quadrants (descent).
+	rs, cs, _ := splitSegs(o, r, c, r)
 	d, t, err := choose(o, maxSegLen(rs), maxSegLen(cs))
 	if err != nil {
 		return nil, err
@@ -125,15 +116,15 @@ func PackTiled(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.
 }
 
 // PrepackConforming packs op(src) as the right-hand operand of a plan
-// that already fixed the inner dimension's geometry: depth, row tiling,
-// and row segments are taken from like (like's columns are the shared
-// k dimension), so GEMMPrepacked(…, like, result, …) conforms by
-// construction. This is the entry point for the serving pattern — the
-// big fixed operand is Prepacked once, each streaming right-hand side
-// is PrepackConforming'd against it. The segments and tiles are the
-// planner's for like's operand against this one (planOf), so options
-// that product would be refused for — an unknown KernelName — are
-// refused here.
+// that already fixed the inner dimension's geometry: row tiling and
+// segments are those of the quadrants of like's blocks (descent) a
+// direct GEMM would tile, so GEMMPrepacked(…, like, result, …) conforms
+// by construction, at any width. This is the entry point for the
+// serving pattern — the big fixed operand is Prepacked once, each
+// streaming right-hand side is PrepackConforming'd against it. The
+// segments and tiles are the planner's for like's operand against this
+// one (planOf), so options that product would be refused for — an
+// unknown KernelName — are refused here.
 func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense, trans bool, like *Prepacked) (p *Prepacked, err error) {
 	cl, err := enter(ctx, pool, opts, "PrepackConforming")
 	defer leave(cl, &p, &err)
@@ -160,20 +151,6 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 	}
 	p = newPlan(pl.g.hdrB(), pl.ks, pl.ns)
 	return cl.resident(ctx, p, func(e *exec, c *sched.Ctx) { p.fill(e, c, nil, src, trans, false) })
-}
-
-// conformSegs cuts the free dimension, of extent c, of a right-hand
-// side for like — exactly as a direct GEMM of like's operand against it
-// would split it; the inner dimension's segments are like's, whatever
-// partners it was cut for — and picks the tile width on like's depth.
-func conformSegs(o Options, like *Prepacked, c int) (cs []tile.Seg, tc int, err error) {
-	cs = []tile.Seg{{Off: 0, Len: c}}
-	if !o.DisableSplit && o.ForceTile == 0 {
-		_, _, cs = o.Tile.SplitDims(like.Rows, like.Cols, c)
-	}
-	tc = conformTile(o.Tile, maxSegLen(cs), like.D)
-	_, _, _, err = paddedDims(like.D, like.TR, like.TC, tc)
-	return cs, tc, err
 }
 
 // prepackShape validates the preconditions of an entry point that packs
@@ -309,15 +286,21 @@ func (p *Prepacked) packSeg(e *exec, c *sched.Ctx, t *Tiled, src *matrix.Dense, 
 	}
 }
 
-// mat returns segment (i, j) as the recursion reads it: the resident
-// block or, on a deferred plan, op(src)'s segment brought by the block
-// consuming it — read where it lies, at the caller's leading dimension,
-// when the block runs the standard recursion (std) and the segment lies
-// (a copy pays only if reused: wave.body defers one small block's
-// operands here too); else packed now into buf, billed to ws.
-func (p *Prepacked) mat(c *sched.Ctx, ws *waveWS, buf *Tiled, i, j int, std bool) Mat {
-	if p.src == nil {
-		return p.Block(i, j).Mat()
+// mat returns segment (i, j) of a product on a depth-d grid as the
+// recursion reads it: a resident block's quadrant (quads) — its Mat
+// descended, orientation and all, a view and never a copy — or, on a
+// deferred plan, op(src)'s segment brought by the block consuming it,
+// read where it lies, at the caller's leading dimension, when the block
+// runs the standard recursion (std) and the segment lies (a copy pays
+// only if reused: wave.body defers one small block's operands here
+// too); else packed now into buf, billed to ws.
+func (p *Prepacked) mat(c *sched.Ctx, ws *waveWS, buf *Tiled, i, j int, d uint, std bool) Mat {
+	if l := p.D - d; p.src == nil {
+		m := p.Block(i>>l, j>>l).Mat()
+		for b := int(l) - 1; b >= 0; b-- {
+			m = m.quad(i>>b&1<<1 | j>>b&1)
+		}
+		return m
 	}
 	ws.stats.PackDeferred++
 	if r, cs := p.RSegs[i], p.CSegs[j]; std && lies(p.hdr, p.trans, r, cs) {
@@ -329,6 +312,38 @@ func (p *Prepacked) mat(c *sched.Ctx, ws *waveWS, buf *Tiled, i, j int, std bool
 	ws.stats.ConvertIn += time.Since(t0)
 	ws.stats.ConvertBytes += 8 * int64(len(buf.Data))
 	return buf.Mat()
+}
+
+// quads cuts p's row and column segments at its blocks' level-l quadrant
+// edges, each into 2^l in order; ok is false when one would be empty (a
+// quadrant wholly in padding) or l is past p's depth or maxPosDepth.
+func (p *Prepacked) quads(l uint) (rs, cs []tile.Seg, ok bool) {
+	if l == 0 || l > p.D || l > maxPosDepth {
+		return p.RSegs, p.CSegs, l == 0
+	}
+	if q := p.cuts[l].Load(); q != nil {
+		return q[0], q[1], true
+	}
+	if rs, ok = cut(p.RSegs, p.TR<<(p.D-l), l); ok {
+		if cs, ok = cut(p.CSegs, p.TC<<(p.D-l), l); ok {
+			p.cuts[l].Store(&[2][]tile.Seg{rs, cs})
+		}
+	}
+	return rs, cs, ok
+}
+
+// cut splits each segment into 2^l of extent ext, the last one clipped.
+func cut(segs []tile.Seg, ext int, l uint) ([]tile.Seg, bool) {
+	qs := make([]tile.Seg, 0, len(segs)<<l)
+	for _, s := range segs {
+		for off := 0; off < ext<<l; off += ext {
+			if off >= s.Len {
+				return nil, false
+			}
+			qs = append(qs, tile.Seg{Off: s.Off + off, Len: min(ext, s.Len-off)})
+		}
+	}
+	return qs, true
 }
 
 // lies reports whether segment (r, c) of op(src), tiled as hdr, can be
@@ -407,11 +422,11 @@ func (q *Prepacked) fillTransposed(e *exec, c *sched.Ctx, stats *Stats, p *Prepa
 // C and plans, admits and packs nothing, as GEMMCtx does; the failure
 // contract is GEMMCtx's.
 //
-// The plans must conform (conformPlans; ErrDimension otherwise): same
-// curve and depth, pa's column tiling and segments pb's row ones. Plans
-// of one Prepack call and its Transposed always conform; independently
-// prepacked ones do when tile selection lands on the same depth for the
-// shared dimension (the default configuration's common case). Options
+// The plans must conform (conformPlans; ErrDimension otherwise). Plans
+// of one Prepack call and its Transposed, or PrepackConforming, always
+// do; independently prepacked ones do when tile selection lands on the
+// same depth for the shared dimension (the default configuration's
+// common case). Options
 // select algorithm, kernel and cutoffs; layout and tile options yield to
 // the plans' geometry, and MaxResidualGrowth is not applied (the probe
 // needs column-major operands).
@@ -440,22 +455,24 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 	return cl.one(ctx, &wave{gv: given{pa: pa, pb: pb, resident: true}, items: []BatchItem{{Alpha: alpha, Beta: beta, C: C}}})
 }
 
-// conformPlans is the one check that packed operands multiply as A·B —
-// plans, or tiled operands as plans of one block (ConformTiled): one
-// curve, one depth, and pa's column tiles and segments pb's row ones.
+// conformPlans is the one check that packed operands (plans, or tiled
+// ones as one-block plans: ConformTiled) multiply as A·B: one curve, pa's
+// column tiles pb's row ones, pa's quadrants at pb's depth cutting k as pb.
 func conformPlans(pa, pb *Prepacked) error {
+	_, ks, ok := pa.quads(pa.D - pb.D)
 	switch {
 	case pa.Curve != pb.Curve:
 		return fmt.Errorf("%w: packed operands disagree on layout: %v vs %v", ErrDimension, pa.Curve, pb.Curve)
-	case pa.D != pb.D || pa.TC != pb.TR:
+	case !ok || pa.TC != pb.TR:
 		return fmt.Errorf("%w: packed operands do not conform on the inner dimension: "+
-			"A packs k with %d-wide tiles at depth %d, B with %d-tall tiles at depth %d "+
-			"(prepack the lean operand with DisableSplit, or derive one plan from the other with Transposed)",
+			"A packs k with %d-wide tiles at depth %d, B with %d-tall tiles at depth %d, "+
+			"which no descent into A's quadrants reaches "+
+			"(pack B with PrepackConforming against A, or derive one plan from the other with Transposed)",
 			ErrDimension, pa.TC, pa.D, pb.TR, pb.D)
-	case !slices.Equal(pa.CSegs, pb.RSegs):
-		return fmt.Errorf("%w: packed operands split the inner dimension differently, %v against %v; "+
-			"prepack the lean operand with DisableSplit so the shared dimension stays in one segment",
-			ErrDimension, pa.CSegs, pb.RSegs)
+	case !slices.Equal(ks, pb.RSegs):
+		return fmt.Errorf("%w: packed operands split the inner dimension differently: "+
+			"A's quadrants at descent %d cut it %v, B %v; pack B with PrepackConforming against A",
+			ErrDimension, pa.D-pb.D, ks, pb.RSegs)
 	}
 	return nil
 }

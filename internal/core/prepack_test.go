@@ -89,8 +89,10 @@ func TestGEMMPrepackedServingShape(t *testing.T) {
 			t.Fatalf("stream %d: %v", stream, err)
 		}
 		// The conversion the plans absorbed must not be charged to the
-		// call: ConvertBytes counts only the C epilogue — none when the
-		// β = 0, α = 1 product of this one small block goes into C in place.
+		// call: ConvertBytes counts only the C epilogue. The partner reads
+		// the one-block plan's four quadrants, the 2×2×1 blocks of a direct
+		// GEMM of these shapes, so it is not a product of one block, which
+		// would go into C in place at β = 0, α = 1.
 		C0 := matrix.Random(n, b, rng)
 		for _, beta := range []float64{0, 0.5} {
 			want, got := C0.Clone(), C0.Clone()
@@ -103,25 +105,26 @@ func TestGEMMPrepackedServingShape(t *testing.T) {
 				t.Errorf("stream %d, beta %g: max diff %g", stream, beta, matrix.MaxAbsDiff(got, want))
 			}
 			wantBytes := 8 * int64((pa.TR<<pa.D)*(pb.TC<<pb.D))
-			if beta == 0 {
-				wantBytes = 0
+			if stats.Blocks != 4 || stats.Depth != pa.D-1 {
+				t.Errorf("stream %d, beta %g: %d products at depth %d, want 4 at %d", stream, beta, stats.Blocks, stats.Depth, pa.D-1)
 			}
 			if stats.ConvertBytes != wantBytes {
 				t.Errorf("stream %d, beta %g: ConvertBytes = %d, want %d (C epilogue only)",
 					stream, beta, stats.ConvertBytes, wantBytes)
 			}
-			if stats.PackReused != 2 {
-				t.Errorf("stream %d, beta %g: PackReused = %d, want 2", stream, beta, stats.PackReused)
+			if stats.PackReused != 2*stats.Blocks {
+				t.Errorf("stream %d, beta %g: PackReused = %d, want %d", stream, beta, stats.PackReused, 2*stats.Blocks)
 			}
 		}
 		pb.Release()
 	}
 }
 
-// TestPrepackPartnerDim: a plan prepacked with the PartnerDim hint
-// splits into squat blocks sized for its future skinny partners, so a
-// conforming stream pads its free dimension not at all — the geometry
-// the serving benchmark depends on.
+// TestPrepackPartnerDim: a plan prepacked with no word of its partners
+// serves a skinny one through the quadrants of its blocks — the 256²
+// plan is one depth-3 block, its 32-wide partner reads it at depth 2 —
+// so a conforming stream pads its free dimension not at all, and runs
+// the tiles and blocks a direct GEMM of the two operands runs.
 func TestPrepackPartnerDim(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -129,15 +132,13 @@ func TestPrepackPartnerDim(t *testing.T) {
 	n, b := 256, 32
 	A := matrix.Random(n, n, rng)
 	opts := Options{Curve: layout.ZMorton, Alg: Standard}
-	paOpts := opts
-	paOpts.PartnerDim = b
-	pa, err := Prepack(context.Background(), pool, paOpts, A, false)
+	pa, err := Prepack(context.Background(), pool, opts, A, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pa.Release()
-	if len(pa.RSegs) < 2 {
-		t.Fatalf("PartnerDim=%d plan did not split %dx%d (segments: %d)", b, n, n, len(pa.RSegs))
+	if len(pa.RSegs) != 1 || len(pa.CSegs) != 1 {
+		t.Fatalf("a %dx%d plan cut into %dx%d blocks, want one", n, n, len(pa.RSegs), len(pa.CSegs))
 	}
 	B := matrix.Random(n, b, rng)
 	pb, err := PrepackConforming(context.Background(), pool, opts, B, false, pa)
@@ -149,13 +150,45 @@ func TestPrepackPartnerDim(t *testing.T) {
 		t.Errorf("conforming stream pads its free dimension to %d, want %d (no padding)", padded, b)
 	}
 	want := matrix.New(n, b)
-	matrix.RefGEMM(false, false, 1, A, B, 0, want)
-	got := matrix.New(n, b)
-	if _, err := GEMMPrepacked(context.Background(), pool, opts, 1, pa, pb, 0, got); err != nil {
+	direct, err := GEMMCtx(context.Background(), pool, opts, false, false, 1, A, B, 0, want)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.Equal(got, want, tol(n, n, b)) {
-		t.Errorf("max diff %g", matrix.MaxAbsDiff(got, want))
+	got := matrix.New(n, b)
+	st, err := GEMMPrepacked(context.Background(), pool, opts, 1, pa, pb, 0, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Blocks != direct.Blocks || st.Depth != direct.Depth || st.TileM != direct.TileM || st.TileK != direct.TileK || st.TileN != direct.TileN {
+		t.Errorf("plan runs %d blocks of %dx%dx%d tiles at depth %d, a direct GEMM %d of %dx%dx%d at depth %d",
+			st.Blocks, st.TileM, st.TileK, st.TileN, st.Depth, direct.Blocks, direct.TileM, direct.TileK, direct.TileN, direct.Depth)
+	}
+	if !matrix.Equal(got, want, 0) {
+		t.Errorf("max diff %g from the direct GEMM", matrix.MaxAbsDiff(got, want))
+	}
+
+	// A 240² plan on forced 4-wide tiles is 256 padded at depth 6; its
+	// 1-wide partner's direct depth, 1, would make level-5 quadrants of 8
+	// whose last two lie in the padding, so it descends 3 levels, not 5.
+	A = matrix.Random(240, 240, rng)
+	pf, err := Prepack(context.Background(), pool, Options{Curve: layout.ZMorton, ForceTile: 4}, A, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Release()
+	B = matrix.Random(240, 1, rng)
+	pt, err := PrepackConforming(context.Background(), pool, opts, B, false, pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pt.Release()
+	want, got = matrix.New(240, 1), matrix.New(240, 1)
+	matrix.RefGEMM(false, false, 1, A, B, 0, want)
+	if _, err := GEMMPrepacked(context.Background(), pool, opts, 1, pf, pt, 0, got); err != nil || pf.D-pt.D != 3 {
+		t.Fatalf("descent %d from depth %d: %v", pf.D-pt.D, pf.D, err)
+	}
+	if !matrix.Equal(got, want, tol(240, 240, 1)) {
+		t.Errorf("clamped descent: max diff %g", matrix.MaxAbsDiff(got, want))
 	}
 }
 

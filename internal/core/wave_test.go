@@ -903,9 +903,7 @@ func TestPackedEntryPointsTrace(t *testing.T) {
 		return sum.ByName
 	}
 	plans := func(m, k, n int) (*Prepacked, *Prepacked) {
-		po := opts
-		po.PartnerDim = n
-		pa, err := Prepack(ctx, pool, po, matrix.Random(m, k, rng), false)
+		pa, err := Prepack(ctx, pool, opts, matrix.Random(m, k, rng), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,11 +14,11 @@ import (
 // This file is the request path past admission control: every request
 // is a member of a group, and a group is one admission slot and one
 // engine call. Requests that parse to the same plan-cache key (same
-// tenant, named operand, shape, seed, layout, partner bucket and
-// resolved algorithm) and arrive while a group under that key waits for
-// its slot join it — the batching window is the admission queue itself,
-// so an idle server, whose leader's acquire returns at once, groups
-// nothing and pays nothing. A request without a key is a group of one.
+// tenant, named operand, shape, seed, layout and resolved algorithm, at
+// any width: one plan serves them all) and arrive while a group under
+// that key waits for its slot join it — the batching window is the
+// admission queue itself, so an idle server, whose leader's acquire
+// returns at once, groups nothing and pays nothing. A request without a key is a group of one.
 // Every group makes one batch call, a group of one included: the
 // member's context, its operands, its ledger and its response are made
 // in one place each.

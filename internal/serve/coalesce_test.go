@@ -76,7 +76,7 @@ func waitGroup(t *testing.T, s *Server, req *Request, n int) {
 }
 
 // batchReq builds one coalescable request: named operand, recursive
-// layout, width inside one partner bucket.
+// layout, skinny widths that share its plan.
 func batchReq(i int) *Request {
 	return &Request{
 		Tenant: "acme", M: 96, K: 96, N: 17 + i%8,

@@ -40,10 +40,9 @@ type LoadGen struct {
 	// Workload selects the request mix: "" or "mixed" is the broad
 	// log-uniform multi-tenant mix; "batch" is the coalescing workload —
 	// every request names one of a few fixed small operands in a
-	// recursive layout with a skinny right-hand side in a single partner
-	// bucket, so concurrent requests hash to the same plan-cache entries
-	// and the daemon's request coalescer can merge them into batched
-	// engine calls.
+	// recursive layout with a skinny right-hand side, so concurrent
+	// requests hash to the same plan-cache entries and the daemon's
+	// request coalescer can merge them into batched engine calls.
 	Workload string
 	// OnResult, when non-nil, observes every completed attempt
 	// (concurrently; must be goroutine-safe).
@@ -327,10 +326,10 @@ func (g *LoadGen) genRequest(rng *rand.Rand, tenant string, maxDim int, namedFra
 // names one of two fixed square operands in the Z-Morton layout — 256×256,
 // scaled down to the largest power of two within MaxDim (floor 32, so the
 // skinny widths below always fit a daemon's accept limit) — with a
-// right-hand side whose width stays inside one partner bucket
-// (17..32 → bucket 32). Concurrent workers on the same tenant therefore
-// hash to only two plan-cache keys, the shape the daemon's request
-// coalescer merges into batched engine calls under queueing.
+// skinny right-hand side 17..32 wide. Concurrent workers on the same
+// tenant therefore hash to only two plan-cache keys, whatever their
+// widths, the shape the daemon's request coalescer merges into batched
+// engine calls under queueing.
 func (g *LoadGen) genBatchRequest(rng *rand.Rand, tenant string, maxDim int, deadlineMS int64) *Request {
 	dim := 256
 	for dim > 32 && dim > maxDim {
@@ -341,7 +340,7 @@ func (g *LoadGen) genBatchRequest(rng *rand.Rand, tenant string, maxDim int, dea
 		Tenant:     tenant,
 		M:          dim,
 		K:          dim,
-		N:          17 + rng.Intn(16), // one partner bucket: [17, 32]
+		N:          17 + rng.Intn(16), // [17, 32]
 		AName:      fmt.Sprintf("bw%d", id),
 		ASeed:      int64(id + 1),
 		BSeed:      int64(rng.Intn(1 << 20)),

@@ -605,14 +605,12 @@ func (s *Server) deadline(req *Request) time.Duration {
 }
 
 // acquirePlan returns the plan-cache entry under a keyed member's key,
-// seeding its named A and prepacking it — split for the request's
-// partner-width bucket — on a miss. The caller releases the entry.
+// seeding its named A and prepacking it on a miss — one plan for every
+// width. The caller releases the entry.
 func (s *Server) acquirePlan(m *member, opts *recmat.Options) (*planEntry, error) {
 	return s.plans.acquire(m.key, func() (*recmat.Plan, error) {
 		pa := seededMat(m.req.M, m.req.K, m.req.ASeed)
-		popts := *opts
-		popts.PartnerDim = partnerBucket(m.req.N)
-		p, err := s.eng.Prepack(pa, false, &popts)
+		p, err := s.eng.Prepack(pa, false, opts)
 		if err == nil {
 			freeMat(pa) // the plan holds its own packed copy
 		}
@@ -645,31 +643,19 @@ func (s *Server) respond(req *Request, rep *recmat.Report, C *recmat.Matrix) *Re
 }
 
 // planKey is the operand-identity key of the plan cache: tenant, name,
-// shape, seed, layout, the partner-width bucket the plan was split for,
-// and the RESOLVED algorithm (never the "auto" sentinel — two requests
-// whose auto choices differ must not share a plan, and two spellings of
-// the same choice must). Everything that changes the packed bytes or
-// the recursion that consumes them is in the key; what may differ between
-// the members of one group (n within the partner bucket, the B and C
-// seeds, the scalars, the deadline) stays out of it.
+// shape, seed, layout and the RESOLVED algorithm (never the "auto"
+// sentinel — two requests whose auto choices differ must not share a
+// plan, and two spellings of the same choice must). Everything that
+// changes the packed bytes or the recursion that consumes them is in the
+// key; what may differ between the members of one group (the width n,
+// which one plan serves at any value, the B and C seeds, the scalars,
+// the deadline) stays out of it.
 func planKey(req *Request, lay recmat.Layout, alg recmat.Algorithm) string {
 	return req.Tenant + "/" + req.AName +
 		"/" + strconv.Itoa(req.M) + "x" + strconv.Itoa(req.K) +
 		"/s" + strconv.FormatInt(req.ASeed, 10) +
 		"/" + lay.String() +
-		"/p" + strconv.Itoa(partnerBucket(req.N)) +
 		"/a=" + alg.String()
-}
-
-// partnerBucket rounds the streamed right-hand width up to a power of
-// two (min 16) so plans are shared across nearby widths instead of one
-// plan per exact n.
-func partnerBucket(n int) int {
-	b := 16
-	for b < n {
-		b <<= 1
-	}
-	return b
 }
 
 // norm1 is the entrywise 1-norm of a column-major matrix. Four

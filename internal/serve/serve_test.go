@@ -279,6 +279,39 @@ func TestOnePlanPerSpelling(t *testing.T) {
 	}
 }
 
+// TestOnePlanEveryWidth: one named operand requested at widths 16 to 128
+// is one plan-cache entry, built — and its A seeded — once: every width
+// reads the quadrants of the one plan its direct GEMM would tile. Each
+// response's c_norm is the one a DGEMM of the same seeds gives.
+func TestOnePlanEveryWidth(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 2})
+	eng := recmat.NewEngine(2)
+	defer eng.Close()
+	opts := &recmat.Options{Layout: recmat.ZMorton, Algorithm: recmat.Standard}
+	A := recmat.RandomSeeded(256, 256, 7)
+	for _, n := range []int{16, 32, 48, 64, 128} {
+		req := &Request{Tenant: "acme", M: 256, K: 256, N: n, AName: "w", ASeed: 7, BSeed: int64(n), Layout: "z", Alg: "standard"}
+		resp, err := c.Do(context.Background(), req)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		C := recmat.NewMatrix(256, n)
+		if _, err := eng.DGEMM(false, false, 1, A, recmat.RandomSeeded(256, n, int64(n)), 0, C, opts); err != nil {
+			t.Fatal(err)
+		}
+		if !resp.PlanCached || resp.CNorm != norm1(C) {
+			t.Errorf("n=%d: plan_cached %v, c_norm %v; DGEMM's is %v", n, resp.PlanCached, resp.CNorm, norm1(C))
+		}
+	}
+	s.plans.mu.Lock()
+	entries := len(s.plans.entries)
+	s.plans.mu.Unlock()
+	if ctr := s.Metrics().Snapshot().Counters; entries != 1 || ctr["plan_cache_misses"] != 1 || ctr["plan_cache_hits"] != 4 {
+		t.Errorf("%d plan-cache entries, %d misses, %d hits; want one entry, A seeded once, four hits",
+			entries, ctr["plan_cache_misses"], ctr["plan_cache_hits"])
+	}
+}
+
 func TestTenantQuota(t *testing.T) {
 	// Quota fits one 64×64×64 request (3·64²·8 ≈ 98 KiB) but not much
 	// more: a request that cannot ever fit is too_large, and the tenant

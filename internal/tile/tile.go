@@ -251,10 +251,11 @@ func SplitDim(length, maxLen int) []Seg {
 // of TSweet, so every block tiles at the sweet size on a power-of-two
 // grid: a block of 171 cuts into 22- or 43-element tiles, of whose
 // padded register blocks up to a quarter of the lanes are wasted, a
-// block of 128 into 32s. It is the one split rule of the tree — a direct GEMM, a
-// plan prepacked for partners of width n, and the operand packed to
-// conform with it all call it with the same (m, k, n) and so agree on
-// the blocks.
+// block of 128 into 32s. It is the one split rule of the tree: a direct
+// GEMM and the operand packed to conform with a plan call it with the
+// same (m, k, n) and so agree on the blocks; a plan, packed for a square
+// partner, is read through the quadrants of its blocks at that split's
+// depth.
 func (c Config) SplitDims(m, k, n int) (ms, ks, ns []Seg) {
 	short := m
 	if k < short {

@@ -246,12 +246,12 @@ type Options struct {
 	FastCutoff int
 	// DisableSplit turns off wide/lean submatrix decomposition.
 	DisableSplit bool
-	// PartnerDim, when positive, tells Engine.Prepack the expected free
-	// dimension of the partners the plan will multiply against (for a
-	// serving workload, the width b of the streamed right-hand sides).
-	// The plan then splits into the same squat blocks a direct GEMM of
-	// that shape would use, so conforming partners pad their skinny
-	// dimension minimally. Ignored outside Prepack.
+	// PartnerDim is ignored.
+	//
+	// Deprecated: a Plan serves partners of any width — each one reads
+	// the quadrants of the plan's blocks that a direct GEMM of its shape
+	// would tile — so there is nothing to predict. The field stays only
+	// until the benchmark harness stops setting it.
 	PartnerDim int
 	// MemBudget, when positive, is an upper bound in bytes on the
 	// workspace a multiplication may allocate (packed operands plus
@@ -291,7 +291,6 @@ func (o *Options) coreOptions() core.Options {
 		SerialCutoff:      o.SerialCutoff,
 		FastCutoff:        o.FastCutoff,
 		DisableSplit:      o.DisableSplit,
-		PartnerDim:        o.PartnerDim,
 		MemBudget:         o.MemBudget,
 		MaxResidualGrowth: o.MaxResidualGrowth,
 	}

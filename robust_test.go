@@ -92,7 +92,7 @@ func TestBetaZeroNeverReadsC(t *testing.T) {
 	} {
 		eng := NewEngine(tc.workers)
 		A, B := Random(tc.m, tc.k, rng), Random(tc.k, tc.n, rng)
-		opts := &Options{Layout: ZMorton, Algorithm: Standard, PartnerDim: tc.n}
+		opts := &Options{Layout: ZMorton, Algorithm: Standard}
 		dirty := func() *Matrix {
 			C := NewMatrix(tc.m, tc.n)
 			for i := range C.Data {
