@@ -52,11 +52,13 @@ loc:
 # canonical panels (wave.body), and the note above std to bound a run by
 # that call. It came down to 4,759 when that call became the plain store
 # or accumulate call, a chained kernel's fringe chaining from C; and the
-# sixth, 4,759 → 4,784, when a plan came to serve partners of any width
-# by descending into its own quadrants (descent, Prepacked.quads and cut,
-# conformPlans reading the descent off the depths, planMul carrying the
-# plan's segments), PartnerDim and conformSegs going — together with the
-# serve package's fall below, the two grew by 10 lines. The serve
+# sixth, 4,759 → 4,779, when a plan came to serve partners of any width
+# by descending into its own quadrants (split, planA, Prepacked.quads and
+# cut, conformPlans reading the descent off the depths, planMul carrying
+# the plan's segments) and a direct call to read A through the same
+# quadrants where they tile as well as its split, PartnerDim,
+# conformSegs and chooseGeom going — together with the serve package's
+# fall below, the two grew by 5 lines. The serve
 # package's went 2,580 → 2,568 when every request group came to make one
 # batch call, and to 2,553 when one plan came to serve every width
 # (partnerBucket and the width in the plan key went). The leaf's went 1,133 → 917 when every
@@ -80,7 +82,7 @@ loc:
 # layout package's S functions, Perm and SOriented are what the core's
 # tests check its tables against. Test files are the ones named
 # *_test.go.
-CORE_LOC_MAX = 4784
+CORE_LOC_MAX = 4779
 LAYOUT_LOC_MAX = 506
 LEAF_LOC_MAX = 997
 SCHED_LOC_MAX = 908

@@ -116,8 +116,9 @@ func main() {
 // (DisableSplit), which its partner reads through quadrants
 // (PrepackConforming + GEMMPrepacked), and the ratio of the two padded
 // volumes. Standard, Z-Morton, the library's tiles (m×k×n); the shapes
-// are the thin partners, the layout table's and one whose split is not
-// a power-of-two fraction of the operand.
+// are the thin partners, the layout table's, ones whose split is not a
+// power-of-two fraction of the operand, and two where a DGEMM keeps its
+// near-equal split because the plan's tiles are smaller.
 func descent() {
 	eng := recmat.NewEngine(*workers)
 	defer eng.Close()
@@ -131,7 +132,8 @@ func descent() {
 	fmt.Printf("A DGEMM's split against the descent of a one-block pack: Standard, Z-Morton, %d workers\n", eng.Workers())
 	fmt.Printf("%-14s %-28s %-28s %6s\n", "m×k×n", "DGEMM: products d tiles pad", "descent: products d tiles pad", "ratio")
 	for _, sh := range [][3]int{{1024, 1024, 1}, {1024, 1024, 6}, {1024, 1024, 48}, {512, 512, 16}, {300, 300, 48},
-		{64, 64, 64}, {256, 256, 256}, {1024, 1024, 1024}, {2048, 2048, 2048}, {512, 512, 48}, {1000, 900, 40}} {
+		{64, 64, 64}, {256, 256, 256}, {1024, 1024, 1024}, {2048, 2048, 2048}, {512, 512, 48}, {1000, 900, 40},
+		{600, 600, 40}, {1500, 1500, 48}, {700, 700, 100}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		A, B, C := recmat.Random(m, k, rng), recmat.Random(k, n, rng), recmat.NewMatrix(m, n)
 		rd, err := eng.DGEMM(false, false, 1, A, B, 0, C, z)

@@ -8,7 +8,6 @@ import (
 	"os"
 	osexec "os/exec"
 	"runtime/debug"
-	"slices"
 	"strings"
 	"testing"
 
@@ -180,13 +179,10 @@ func TestDeterminismCostBusyPool(t *testing.T) {
 // tiles), 300³ (38³ tiles; one block, the entry points still agree) and
 // 512×512×48. The thin rows — 1024²·1024×{1, 6, 48}, 512²·512×16 and
 // 300²·300×48 — run on Z-Morton and on Hilbert, whose descended
-// quadrants are in other orientations than their blocks.
-// Where a plan's quadrants cannot be the per-call cut (own: 1000×900×40
-// and 250×225×10, whose per-call segments are not a power-of-two
-// fraction of one block, and 300²·300×48, whose 38-wide plan tiles are
-// not the per-call 25), the plan entry points agree with each other, and
-// on Standard — whose bits the blocking does not move on a chained
-// kernel (TestDeterminismTileInvariant) — with the per-call one too.
+// quadrants are in other orientations than their blocks. A per-call
+// split is itself the descent into the plan Prepack makes of A (split),
+// so 1000×900×40 and 300²·300×48, whose near-equal wide/lean segments
+// are no power-of-two fraction of one block, agree too.
 // Last, one plan's GEMMPrepackedBatch wave of partners 16 to 64 wide
 // gives each member the bits of its own per-call GEMM.
 func TestDeterminismSplitEntryPoints(t *testing.T) {
@@ -194,18 +190,17 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 		m, k, n  int
 		deferred byte // the operand a per-call wave's blocks pack: 'A', 'B' or neither
 		whole    bool // one block: nothing to split
-		own      bool // the plan's quadrants are not the per-call cut
 		thin     bool // a thin partner: Z-Morton and Hilbert, no ColMajor
 	}
-	shapes := []shape{{m: 1024, k: 1024, n: 48, deferred: 'A', thin: true}, {m: 1000, k: 900, n: 40, deferred: 'A', own: true},
+	shapes := []shape{{m: 1024, k: 1024, n: 48, deferred: 'A', thin: true}, {m: 1000, k: 900, n: 40, deferred: 'A'},
 		{m: 48, k: 900, n: 1000, deferred: 'B'}, {m: 600, k: 40, n: 600},
 		{m: 1024, k: 1024, n: 40, deferred: 'A'}, {m: 300, k: 300, n: 300, whole: true},
 		{m: 512, k: 512, n: 48, deferred: 'A'}, {m: 1024, k: 1024, n: 1, deferred: 'A', thin: true},
 		{m: 1024, k: 1024, n: 6, deferred: 'A', thin: true}, {m: 512, k: 512, n: 16, deferred: 'A', thin: true},
-		{m: 300, k: 300, n: 48, deferred: 'A', own: true, thin: true}}
+		{m: 300, k: 300, n: 48, deferred: 'A', thin: true}}
 	if testing.Short() || raceEnabled {
 		// The same cuts at a quarter of the size.
-		shapes = []shape{{m: 250, k: 225, n: 10, deferred: 'A', own: true}, {m: 12, k: 225, n: 250, deferred: 'B'}, {m: 150, k: 10, n: 150},
+		shapes = []shape{{m: 250, k: 225, n: 10, deferred: 'A'}, {m: 12, k: 225, n: 250, deferred: 'B'}, {m: 150, k: 10, n: 150},
 			{m: 75, k: 75, n: 75, whole: true}, {m: 128, k: 128, n: 12, deferred: 'A', thin: true}}
 	}
 	var pools []*sched.Pool
@@ -251,7 +246,10 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 						// unpadded when they run the standard recursion (Standard,
 						// or Winograd with no fast level), and pack the others;
 						// every other segment and C tile is converted once.
-						ms, ks, ns := opts.withDefaults().Tile.SplitDims(m, k, n)
+						ms, ks, ns, _, err := split(opts.withDefaults(), nil, m, k, n)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
 						deferred := map[byte]int{'A': len(ms) * len(ks), 'B': len(ks) * len(ns)}[sh.deferred]
 						if st.PackDeferred != deferred {
 							t.Fatalf("%s: PackDeferred = %d, want %d", name, st.PackDeferred, deferred)
@@ -271,22 +269,13 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							t.Fatalf("%s: ConvertBytes = %d, want %d: %d packed less %d read in place", name, st.ConvertBytes, packed-inPlace, packed, inPlace)
 						}
 
-						// A plan whose quadrants are the per-call cut runs the
-						// per-call blocks; one whose are not runs its own, and its
-						// first run is what its later ones must repeat — in bits
-						// too, unless the algorithm is Standard.
+						// A plan of A, read through the quadrants of its blocks,
+						// runs the per-call blocks.
 						type result struct {
 							c  *matrix.Dense
 							st *Stats
 						}
 						percall := &result{want, st}
-						plan, planBits := percall, percall
-						if sh.own {
-							plan = new(result)
-							if opts.Alg != Standard {
-								planBits = plan
-							}
-						}
 						for _, pool := range pools {
 							// same checks one entry point's result, and the plan
 							// its stats describe, against the single-worker call.
@@ -294,12 +283,9 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							// call is: it packs and defers what the call at this
 							// worker count does. Resident plans defer nothing.
 							var direct *Stats
-							same := func(what string, got *matrix.Dense, gs *Stats, ref, bits *result) {
+							same := func(what string, got *matrix.Dense, gs *Stats, ref *result) {
 								t.Helper()
-								if ref.c == nil {
-									ref.c, ref.st = got, gs
-								}
-								want, st := bits.c, ref.st
+								want, st := ref.c, ref.st
 								if gs.Blocks != st.Blocks || gs.Depth != st.Depth || gs.TileM != st.TileM || gs.TileK != st.TileK || gs.TileN != st.TileN {
 									t.Errorf("%s: %s runs %d blocks of %dx%dx%d tiles at depth %d, per-call %d of %dx%dx%d at depth %d", name, what,
 										gs.Blocks, gs.TileM, gs.TileK, gs.TileN, gs.Depth, st.Blocks, st.TileM, st.TileK, st.TileN, st.Depth)
@@ -336,14 +322,14 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s, %d workers: %v", name, pool.Workers(), err)
 							}
-							same("GEMMCtx", got, gs, percall, percall)
+							same("GEMMCtx", got, gs, percall)
 
 							got = C.Clone()
 							bs, errs, err := GEMMBatch(ctx, pool, opts, []BatchItem{{TransA: ta, TransB: tb, Alpha: 0.75, A: A, B: B, Beta: beta, C: got}})
 							if err != nil || errs[0] != nil {
 								t.Fatalf("%s, %d workers: GEMMBatch: %v %v", name, pool.Workers(), err, errs)
 							}
-							same("GEMMBatch", got, &bs.Stats, percall, percall)
+							same("GEMMBatch", got, &bs.Stats, percall)
 
 							got = C.Clone()
 							bs, errs, err = GEMMBatchStrided(ctx, pool, opts, ta, tb, m, k, n, 0.75, A.Data, A.Stride, len(A.Data),
@@ -351,7 +337,7 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil || errs[0] != nil {
 								t.Fatalf("%s, %d workers: GEMMBatchStrided: %v %v", name, pool.Workers(), err, errs)
 							}
-							same("GEMMBatchStrided", got, &bs.Stats, percall, percall)
+							same("GEMMBatchStrided", got, &bs.Stats, percall)
 							if cv == layout.ColMajor {
 								continue // the plan entry points take recursive layouts only
 							}
@@ -364,17 +350,13 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: PrepackConforming: %v", name, err)
 							}
-							if qs, _, _ := pa.quads(pa.D - pb.D); sh.own == (slices.Equal(qs, ms) && slices.Equal(pb.RSegs, ks) && slices.Equal(pb.CSegs, ns)) {
-								t.Fatalf("%s: the plan's quadrants cut %v×%v×%v at descent %d, per-call %v×%v×%v; own = %v",
-									name, qs, pb.RSegs, pb.CSegs, pa.D-pb.D, ms, ks, ns, sh.own)
-							}
 							got = C.Clone()
 							pst, err := GEMMPrepacked(ctx, pool, opts, 0.75, pa, pb, beta, got)
 							pb.Release()
 							if err != nil {
 								t.Fatalf("%s, %d workers: GEMMPrepacked: %v", name, pool.Workers(), err)
 							}
-							same("GEMMPrepacked", got, pst, plan, planBits)
+							same("GEMMPrepacked", got, pst, percall)
 
 							got = C.Clone()
 							bs, errs, err = GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{TransB: tb, Alpha: 0.75, B: B, Beta: beta, C: got}})
@@ -382,7 +364,7 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 							if err != nil || errs[0] != nil {
 								t.Fatalf("%s, %d workers: GEMMPrepackedBatch: %v %v", name, pool.Workers(), err, errs)
 							}
-							same("GEMMPrepackedBatch", got, &bs.Stats, plan, planBits)
+							same("GEMMPrepackedBatch", got, &bs.Stats, percall)
 						}
 					}
 				}

@@ -637,7 +637,7 @@ func (w *wave) body(c *sched.Ctx, ws *waveWS, i int, pl *plan) error {
 	}
 	deferA = deferA || place && !fold && lies(g.hdrA(), it.TransA, ms[0], ks[0])
 	deferB = deferB || place && lies(g.hdrB(), it.TransB, ks[0], ns[0])
-	pm := planMul{alg: w.alg, alpha: it.Alpha, beta: it.Beta, pa: gv.pa, pb: gv.pb, C: it.C, tc: w.tc, std: std,
+	pm := planMul{alg: w.alg, alpha: it.Alpha, beta: it.Beta, pa: gv.pa, pb: gv.pb, ms: ms, ks: ks, C: it.C, tc: w.tc, std: std,
 		direct: place && w.tc == nil && it.Beta == 0 && it.Alpha == 1 && lies(g.hdr(g.tm, g.tn), false, ms[0], ns[0])}
 	if gv.resident { // a resident A, and GEMMPrepacked's resident B
 		pm.reused = 1
@@ -746,6 +746,10 @@ func sameView(a, b *matrix.Dense) bool {
 func ConformTiled(A, B *Tiled) error {
 	if A == nil || B == nil {
 		return fmt.Errorf("%w: nil tiled operand", ErrDimension)
+	}
+	if A.D != B.D || A.Cols != B.Rows {
+		return fmt.Errorf("%w: tiled operands do not conform: A is %dx%d at depth %d, B %dx%d at depth %d",
+			ErrDimension, A.Rows, A.Cols, A.D, B.Rows, B.Cols, B.D)
 	}
 	return conformPlans(whole(A), whole(B))
 }

@@ -215,29 +215,6 @@ func conformTile(cfg tile.Config, n int, d uint) int {
 	return tn
 }
 
-// chooseGeom picks the geometry of a call cut into ms×ks×ns segments;
-// the segments of a dimension differ by at most one element, so tiling
-// the longest covers them all. A single block tiles by the
-// three-dimensional Pick (choose). A split call takes the plan geometry:
-// Pick over A's segment shape, the free dimension's tile derived from
-// that depth. That is what Prepack and PrepackConforming (descent)
-// arrive at in two steps, so the same operands run the same tiles per
-// call and through resident plans.
-func chooseGeom(o Options, ms, ks, ns []tile.Seg) (geom, error) {
-	m, k, n := maxSegLen(ms), maxSegLen(ks), maxSegLen(ns)
-	if len(ms)*len(ks)*len(ns) == 1 {
-		d, t, err := choose(o, m, k, n)
-		return geom{o.Curve, d, t[0], t[1], t[2]}, err
-	}
-	d, t, err := choose(o, m, k)
-	if err != nil {
-		return geom{}, err
-	}
-	tn := conformTile(o.Tile, n, d)
-	_, _, _, err = paddedDims(d, t[0], t[1], tn)
-	return geom{o.Curve, d, t[0], t[1], tn}, err
-}
-
 // asWave is the nesting rule: n independent pieces (a wave's members, a
 // member's blocks) are pulled by one task per worker, each serial inside,
 // when there are at least as many as workers.
@@ -293,9 +270,9 @@ func (pl *plan) describe(alg Alg, stats *Stats) {
 	stats.FastCutoff, stats.FastLevels = pl.cutoff, fastLevels(alg, g.side(), pl.cutoff)
 }
 
-// planOf plans an m×k×n product: the split (GEMM's own, or the one a
-// given plan fixes, its free dimension cut as a direct call would cut
-// it), the geometry (tile selection, or the given operands' tiles), the
+// planOf plans an m×k×n product: the split and geometry (split: GEMM's
+// own, or the quadrants of a given plan of A, its free dimension cut as a
+// direct call would cut it; or the given operands' tiles), the
 // leaf kernel for those tiles, and what only the kernel and grid settle —
 // the fast cutoff and AlgAuto. workers is the pool's worker count and
 // decides whether the C blocks run as a wave; zero plans a member of a
@@ -311,16 +288,12 @@ func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
 		return pl, nil
 	}
 	var err error
-	switch pa, pb := gv.pa, gv.pb; {
-	case pb != nil: // conformed (conformPlans): pb's depth is the descent's
+	if pa, pb := gv.pa, gv.pb; pb != nil { // conformed (conformPlans): pb's depth is the descent's
 		pl.ms, pl.ks, _ = pa.quads(pa.D - pb.D)
 		pl.ns, pl.g = pb.CSegs, geom{pa.Curve, pb.D, pa.TR, pa.TC, pb.TC}
 		_, _, _, err = paddedDims(pb.D, pa.TR, pa.TC, pb.TC)
-	case pa != nil:
-		pl.ms, pl.ks, pl.ns, pl.g, err = descent(o, pa, n)
-	default:
-		pl.ms, pl.ks, pl.ns = splitSegs(o, m, k, n)
-		pl.g, err = chooseGeom(o, pl.ms, pl.ks, pl.ns)
+	} else {
+		pl.ms, pl.ks, pl.ns, pl.g, err = split(o, pa, m, k, n)
 	}
 	if err == nil {
 		err = pl.resolveGeom(o)
@@ -335,23 +308,41 @@ func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
 	return pl, nil
 }
 
-// descent plans a width-n partner of the resident plan pa on its level-l
-// quadrants (quads): l is pa.D less the depth a split direct GEMM tiles
-// at (0 for one block, or deeper), less while a quadrant would lie wholly
-// in padding; n is cut as that call cuts it, tiled at depth pa.D − l.
-func descent(o Options, pa *Prepacked, n int) (ms, ks, ns []tile.Seg, g geom, err error) {
-	dms, dks, ns := splitSegs(o, pa.Rows, pa.Cols, n)
-	var l uint
-	if dg, err := chooseGeom(o, dms, dks, ns); err == nil && dg.d < pa.D && len(dms)*len(dks)*len(ns) > 1 {
-		l = pa.D - dg.d
+// split cuts an m×k×n product into the blocks it multiplies and picks
+// their geometry. The wide/lean split (splitSegs) says how finely, and a
+// Pick over its segments the depth d; a direct call of one block is tiled
+// over all three dimensions instead. A resident plan of A, pa, is read
+// through the quadrants of its blocks at depth d — level l = pa.D − d,
+// less while a quadrant would lie wholly in padding — on its own tiles, n
+// cut as the split cuts it. A direct call reads A as the plan Prepack
+// would make of it (planA) would be read, and so has a plan's blocks and
+// bits, when those quadrants run at depth d on tiles no smaller and no
+// less register-aligned than the split's own; otherwise it keeps the
+// split, which a plan of A cannot follow.
+func split(o Options, pa *Prepacked, m, k, n int) (ms, ks, ns []tile.Seg, g geom, err error) {
+	ms, ks, ns = splitSegs(o, m, k, n)
+	if pa == nil && len(ms)*len(ks)*len(ns) == 1 {
+		d, t, err := choose(o, m, k, n)
+		return ms, ks, ns, geom{o.Curve, d, t[0], t[1], t[2]}, err
 	}
-	ms, ks, ok := pa.quads(l)
-	for ; !ok; ms, ks, ok = pa.quads(l) {
+	d, t, err := choose(o, maxSegLen(ms), maxSegLen(ks))
+	g = geom{o.Curve, d, t[0], t[1], conformTile(o.Tile, maxSegLen(ns), d)}
+	direct := pa == nil
+	if err == nil && direct {
+		pa, err = planA(o, m, k)
+	}
+	if err != nil {
+		return nil, nil, nil, geom{}, err
+	}
+	l := pa.D - min(d, pa.D)
+	qm, qk, ok := pa.quads(l)
+	for ; !ok; qm, qk, ok = pa.quads(l) {
 		l--
 	}
-	d := pa.D - l
-	g = geom{pa.Curve, d, pa.TR, pa.TC, conformTile(o.Tile, maxSegLen(ns), d)}
-	_, _, _, err = paddedDims(d, g.tm, g.tk, g.tn)
+	if !direct || pa.D-l == d && pa.TR >= t[0] && pa.TC >= t[1] && (pa.TR%leaf.MicroM == 0 || t[0]%leaf.MicroM != 0) {
+		ms, ks, g = qm, qk, geom{pa.Curve, pa.D - l, pa.TR, pa.TC, conformTile(o.Tile, maxSegLen(ns), pa.D-l)}
+	}
+	_, _, _, err = paddedDims(g.d, g.tm, g.tk, g.tn)
 	return ms, ks, ns, g, err
 }
 
@@ -408,6 +399,8 @@ type planMul struct {
 	// stores into C when β = 0, without reading it, and accumulates otherwise.
 	beta   float64
 	pa, pb *Prepacked
+	// ms and ks are the plan's segments: pa's quadrants at pb's depth.
+	ms, ks []tile.Seg
 	C      *matrix.Dense
 	// tc, when non-nil, is a C the caller holds tiled (MulTiledCtx): the
 	// one block accumulates straight into it — no zero-fill, no epilogue —
@@ -441,8 +434,7 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 		return context.Cause(ctx)
 	}
 	// The product runs at pb's depth, which pa is read at (conformPlans).
-	ms, ks, _ := pa.quads(pa.D - pb.D)
-	sm, sn := ms[i], pb.CSegs[j]
+	sm, sn := pm.ms[i], pb.CSegs[j]
 	tc, t0, hdr := pm.tc, time.Now(), pa.hdr
 	hdr.D, hdr.TC = pb.D, pb.TC
 	if tc == nil && !pm.direct {
@@ -465,7 +457,7 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 		cm = tc.Mat()
 	}
 	in0 := ws.stats.ConvertIn
-	for kk := range ks {
+	for kk := range pm.ks {
 		am, bm := pa.mat(c, ws, &ws.one[0], i, kk, hdr.D, pm.std), pb.mat(c, ws, &ws.one[1], kk, j, hdr.D, pm.std)
 		e.phase(ctx, obs.KindCompute, "recmat.compute", func() { e.mul(c, alg, cm, am, bm, kk == 0 && pm.std && pm.tc == nil) })
 		if c.Cancelled() {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/layout"
@@ -53,8 +52,6 @@ type Prepacked struct {
 	// it, when it does (mat).
 	src   *matrix.Dense
 	trans bool
-	// cuts[l] is quads(l), cut once for every product that reads it.
-	cuts [maxPosDepth + 1]atomic.Pointer[[2][]tile.Seg]
 }
 
 // Prepack converts op(src) into a recursive-layout plan: segments from
@@ -74,20 +71,27 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 	if err != nil {
 		return nil, err
 	}
-	o := cl.o
 	r, c, err := cl.prepackShape(src, trans)
 	if err != nil {
 		return nil, err
 	}
-	// The split a direct GEMM against a square partner would make; a
-	// thinner partner reads the blocks' quadrants (descent).
+	if p, err = planA(cl.o, r, c); err != nil {
+		return nil, err
+	}
+	return cl.resident(ctx, p, func(e *exec, c *sched.Ctx) { p.fill(e, c, nil, src, trans, false) })
+}
+
+// planA is the plan of an r×c left operand: the split a direct GEMM
+// against a square partner would make, every block tiled by one Pick
+// over the longest segments. A thinner partner, resident or per call,
+// reads the quadrants of its blocks (split).
+func planA(o Options, r, c int) (*Prepacked, error) {
 	rs, cs, _ := splitSegs(o, r, c, r)
 	d, t, err := choose(o, maxSegLen(rs), maxSegLen(cs))
 	if err != nil {
 		return nil, err
 	}
-	p = newPlan(Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs)
-	return cl.resident(ctx, p, func(e *exec, c *sched.Ctx) { p.fill(e, c, nil, src, trans, false) })
+	return newPlan(Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs), nil
 }
 
 // PackTiled converts src into one tiled matrix on opts.Curve, the
@@ -117,8 +121,8 @@ func PackTiled(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.
 
 // PrepackConforming packs op(src) as the right-hand operand of a plan
 // that already fixed the inner dimension's geometry: row tiling and
-// segments are those of the quadrants of like's blocks (descent) a
-// direct GEMM would tile, so GEMMPrepacked(…, like, result, …) conforms
+// segments are those of the quadrants of like's blocks (split) at the
+// depth a direct GEMM would tile, so GEMMPrepacked(…, like, result, …) conforms
 // by construction, at any width. This is the entry point for the
 // serving pattern — the big fixed operand is Prepacked once, each
 // streaming right-hand side is PrepackConforming'd against it. The
@@ -321,13 +325,8 @@ func (p *Prepacked) quads(l uint) (rs, cs []tile.Seg, ok bool) {
 	if l == 0 || l > p.D || l > maxPosDepth {
 		return p.RSegs, p.CSegs, l == 0
 	}
-	if q := p.cuts[l].Load(); q != nil {
-		return q[0], q[1], true
-	}
 	if rs, ok = cut(p.RSegs, p.TR<<(p.D-l), l); ok {
-		if cs, ok = cut(p.CSegs, p.TC<<(p.D-l), l); ok {
-			p.cuts[l].Store(&[2][]tile.Seg{rs, cs})
-		}
+		cs, ok = cut(p.CSegs, p.TC<<(p.D-l), l)
 	}
 	return rs, cs, ok
 }
@@ -471,8 +470,8 @@ func conformPlans(pa, pb *Prepacked) error {
 			ErrDimension, pa.TC, pa.D, pb.TR, pb.D)
 	case !slices.Equal(ks, pb.RSegs):
 		return fmt.Errorf("%w: packed operands split the inner dimension differently: "+
-			"A's quadrants at descent %d cut it %v, B %v; pack B with PrepackConforming against A",
-			ErrDimension, pa.D-pb.D, ks, pb.RSegs)
+			"A (depth %d, read at depth %d) cuts it %v, B (depth %d) %v; pack B with PrepackConforming against A",
+			ErrDimension, pa.D, pb.D, ks, pb.D, pb.RSegs)
 	}
 	return nil
 }

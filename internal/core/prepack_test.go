@@ -168,8 +168,9 @@ func TestPrepackPartnerDim(t *testing.T) {
 	}
 
 	// A 240² plan on forced 4-wide tiles is 256 padded at depth 6; its
-	// 1-wide partner's direct depth, 1, would make level-5 quadrants of 8
-	// whose last two lie in the padding, so it descends 3 levels, not 5.
+	// 1-wide partner's split tiles at depth 1, which would make level-5
+	// quadrants of 8 whose last two lie in the padding, so it descends 3
+	// levels, not 5.
 	A = matrix.Random(240, 240, rng)
 	pf, err := Prepack(context.Background(), pool, Options{Curve: layout.ZMorton, ForceTile: 4}, A, false)
 	if err != nil {

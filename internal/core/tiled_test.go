@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -365,8 +367,13 @@ func TestMulTiledValidation(t *testing.T) {
 		{"nil A", c, nil, a},
 		{"nil C", nil, a, a},
 	} {
-		if _, err := MulTiled(pool, Options{}, tc.c, tc.a, tc.b); !errors.Is(err, ErrDimension) {
+		_, err := MulTiled(pool, Options{}, tc.c, tc.a, tc.b)
+		if !errors.Is(err, ErrDimension) {
 			t.Errorf("%s: err = %v, want ErrDimension", tc.what, err)
+		}
+		// Tiled operands have no PrepackConforming to point to.
+		if msg := fmt.Sprint(err); tc.what == "depth mismatch" && (!strings.Contains(msg, "depth 2") || !strings.Contains(msg, "depth 3") || strings.Contains(msg, "PrepackConforming")) {
+			t.Errorf("%s: %q does not name both depths, or advises a plan call", tc.what, msg)
 		}
 	}
 }

@@ -253,9 +253,10 @@ func SplitDim(length, maxLen int) []Seg {
 // padded register blocks up to a quarter of the lanes are wasted, a
 // block of 128 into 32s. It is the one split rule of the tree: a direct
 // GEMM and the operand packed to conform with a plan call it with the
-// same (m, k, n) and so agree on the blocks; a plan, packed for a square
-// partner, is read through the quadrants of its blocks at that split's
-// depth.
+// same (m, k, n), which fixes the free dimension's cut and the depth; a
+// plan, packed for a square partner, is read through the quadrants of
+// its blocks at that depth, and a direct GEMM reads A through those of
+// the plan it would make when they tile as well as these segments.
 func (c Config) SplitDims(m, k, n int) (ms, ks, ns []Seg) {
 	short := m
 	if k < short {
