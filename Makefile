@@ -26,7 +26,8 @@ loc:
 # through them, and the permutation, tile-map and coordinate tables went
 # — and to 4,839 when the table verifier, reached only by its tests,
 # moved into table_test.go; then to 4,799 when GEMMCtx, GEMMPrepacked and
-# MulTiledCtx became one multiply run (call.multiply) with one check of
+# the tiled multiply (MulTiledCtx, since folded into MulPrepacked) became
+# one multiply run (call.multiply) with one check of
 # packed operands (conformPlans), and the <2,2,2> partition every table
 # has became constants; then to 4,699 when a batch member and a single
 # call became one member body (wave.body) in one run, a single call
@@ -58,7 +59,12 @@ loc:
 # the plan's segments) and a direct call to read A through the same
 # quadrants where they tile as well as its split, PartnerDim,
 # conformSegs and chooseGeom going — together with the serve package's
-# fall below, the two grew by 5 lines. The serve
+# fall below, the two grew by 5 lines. It came down to 4,773 when a
+# packed operand became a one-block plan (Pack; NewProduct's zeroed C
+# plan, into whose blocks MulPrepacked accumulates) and PackTiled,
+# MulTiled(Ctx), ConformTiled, whole, the wave's tiled C, given.resident
+# and charge.own went (NewTiled, used by tests alone, moved to them).
+# The serve
 # package's went 2,580 → 2,568 when every request group came to make one
 # batch call, and to 2,553 when one plan came to serve every width
 # (partnerBucket and the width in the plan key went). The leaf's went 1,133 → 917 when every
@@ -82,7 +88,7 @@ loc:
 # layout package's S functions, Perm and SOriented are what the core's
 # tests check its tables against. Test files are the ones named
 # *_test.go.
-CORE_LOC_MAX = 4779
+CORE_LOC_MAX = 4773
 LAYOUT_LOC_MAX = 506
 LEAF_LOC_MAX = 997
 SCHED_LOC_MAX = 908

@@ -56,16 +56,16 @@ type charge struct {
 	// alg is the algorithm the charge prices, whose ladder admit walks.
 	alg Alg
 	// held is the packed segments the call holds at once: its transient
-	// plans and operands the caller brings already tiled. own is the part
-	// the call packs itself; moved to its consumers (Prepacked.mat), it
-	// costs consume per product tile in flight instead — one A and one B
-	// segment.
-	held, own, consume int64
+	// plans, all of which it packs itself; moved to its consumers
+	// (Prepacked.mat), they cost consume per product tile in flight
+	// instead — one A and one B segment.
+	held, consume int64
 	// deferA and deferB mark an operand packed by the blocks that multiply
 	// it: no plan, a segment riding in perBlock.
 	deferA, deferB bool
 	// perBlock is one in-flight product tile (in a wave of several, one
-	// member's buffers); inflight counts those a parallel rung holds.
+	// member's buffers; none when C is a plan); inflight counts those a
+	// parallel rung holds.
 	perBlock int64
 	inflight int
 	// scratch is the per-worker leaf packing scratch, arena the
@@ -91,7 +91,7 @@ func (ch *charge) estimate(r rung, arena int64, workers int, consumed bool) int6
 	}
 	per, held := ch.perBlock, ch.held
 	if consumed {
-		per, held = per+ch.consume, held-ch.own
+		per, held = per+ch.consume, 0
 	}
 	return 8 * (per*inf + held + (arena+int64(ch.scratch))*stacks)
 }
@@ -137,7 +137,7 @@ func admit(o Options, workers int, ch charge) (admission, error) {
 				prev.alg, serialTag(prev.serial), fmtBytes(prevEst), fmtBytes(o.MemBudget),
 				r.alg, serialTag(r.serial), fmtBytes(est)))
 		}
-		whole, consumed := est, o.MemBudget > 0 && est > o.MemBudget && ch.own > 0
+		whole, consumed := est, o.MemBudget > 0 && est > o.MemBudget && ch.held > 0
 		if consumed {
 			est = ch.estimate(r, ch.arena[i], workers, true)
 		}

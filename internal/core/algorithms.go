@@ -224,7 +224,7 @@ func (e *exec) par(tiles int) bool {
 // multi-pass addition stages poll between passes for the same reason:
 // near the root a single quadrant pass touches O(n²) elements. What a
 // cancelled run leaves partially accumulated is never unpacked into the
-// caller's C (GEMMCtx), or C is documented as corrupt (MulTiled).
+// caller's C (GEMMCtx), or C is documented as corrupt (MulPrepacked).
 
 // std is the accumulate form of the standard algorithm: two rounds of
 // four independent quadrant products. Within a round the four products

@@ -95,7 +95,10 @@ func GEMMPrepackedBatch(ctx context.Context, pool *sched.Pool, opts Options, pa 
 	for i, it := range items {
 		members[i] = BatchItem{TransB: it.TransB, Alpha: it.Alpha, B: it.B, Beta: it.Beta, C: it.C, Ctx: it.Ctx, TraceID: it.TraceID}
 	}
-	return runBatch(ctx, pool, opts, "GEMMPrepackedBatch", given{pa: pa, resident: true}, members)
+	if pa == nil {
+		pa = &Prepacked{released: true} // refused, as a released plan is
+	}
+	return runBatch(ctx, pool, opts, "GEMMPrepackedBatch", given{pa: pa}, members)
 }
 
 // runBatch is the body of both wave entry points: validate every member,
@@ -128,8 +131,8 @@ func runBatch(ctx context.Context, pool *sched.Pool, opts Options, name string, 
 		return nil, nil, fmt.Errorf("%w: %s of zero items", ErrDimension, name)
 	}
 	w := &wave{ctx: ctx, gv: gv, items: items, plans: make([]*plan, len(items)), errs: make([]error, len(items))}
-	if pa := gv.pa; gv.resident {
-		if pa == nil || pa.released {
+	if pa := gv.pa; pa != nil {
+		if pa.released {
 			return nil, nil, fmt.Errorf("%w: %s with nil or released plan", ErrDimension, name)
 		}
 		cl.o.Curve = pa.Curve

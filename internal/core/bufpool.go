@@ -18,7 +18,7 @@ import "sync"
 // Memory accounting: a pooled buffer is exactly as resident as a fresh
 // one, so estimateBytes charges acquired buffers at full size whether
 // they hit or miss the pool; only operands owned by a *Prepacked* plan
-// (allocated once, outside the call) are exempt (the resident flag).
+// (allocated once, outside the call) are exempt (given).
 
 // bufMinClass is the smallest pooled class: 1<<12 = 4096 elements
 // (32 KiB). Smaller buffers are cheap to allocate and would crowd the

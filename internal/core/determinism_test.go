@@ -577,8 +577,9 @@ func TestDeterminismTileInvariant(t *testing.T) {
 // AVX2 leaf's, and one in between, where the square call keeps a fast
 // level and the split call's squat blocks keep none. ResolveAlg answers
 // the same before the call. The wide/lean shape splits per call,
-// through plans and as a batch item; pre-tiled operands never split, so
-// MulTiledCtx's twin there is the per-call GEMM with DisableSplit.
+// through plans and as a batch item; one-block plans on the unsplit
+// call's tiles never split, so MulPrepacked's twin there is the per-call
+// GEMM with DisableSplit.
 func TestDeterminismAutoEntryPoints(t *testing.T) {
 	shapes := [][3]int{{512, 512, 512}, {1024, 1024, 48}}
 	if testing.Short() || raceEnabled {
@@ -673,16 +674,16 @@ func TestDeterminismAutoEntryPoints(t *testing.T) {
 			if err := tb.Pack(ctx, pool, B, false, 1); err != nil {
 				t.Fatal(err)
 			}
-			tst, err := MulTiledCtx(ctx, pool, opts, tc, ta, tb)
+			tst, err := MulPrepacked(ctx, pool, opts, asPlan(tc), asPlan(ta), asPlan(tb))
 			if err != nil {
-				t.Fatalf("%s: MulTiledCtx: %v", name, err)
+				t.Fatalf("%s: MulPrepacked: %v", name, err)
 			}
 			got = C.Clone()
 			got.Scale(0.5)
 			if err := tc.UnpackAccumulate(ctx, pool, got, 0.75, 0.5); err != nil {
 				t.Fatal(err)
 			}
-			same("MulTiledCtx", tst, got, wantW, wst)
+			same("MulPrepacked", tst, got, wantW, wst)
 		}
 	}
 }
@@ -840,7 +841,7 @@ func TestDeterminismDefaultKernel(t *testing.T) {
 // describes the same algorithm, layout, kernel, depth, tiles, padded extents,
 // cutoff, fast levels and block count as the Stats of the call that ran,
 // through GEMMCtx, GEMMBatch, GEMMPrepacked, GEMMPrepackedBatch and — on
-// the unsplit call's tiles — MulTiledCtx.
+// the unsplit call's tiles — MulPrepacked.
 func TestDeterminismPlanNotRun(t *testing.T) {
 	useCutoff(t, 8)
 	ctx := context.Background()
@@ -904,18 +905,18 @@ func TestDeterminismPlanNotRun(t *testing.T) {
 					if st, err = GEMMPrepacked(ctx, pool, opts, 1, pa, pb, 0, matrix.New(m, n)); err != nil {
 						t.Fatalf("%s: GEMMPrepacked: %v", name, err)
 					}
-					same("GEMMPrepacked", st, pool.Workers(), given{pa: pa, pb: pb, resident: true})
+					same("GEMMPrepacked", st, pool.Workers(), given{pa: pa, pb: pb})
 					bs, errs, err = GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{Alpha: 1, B: B, C: matrix.New(m, n)}})
 					if err != nil || errs[0] != nil {
 						t.Fatalf("%s: GEMMPrepackedBatch: %v %v", name, err, errs)
 					}
-					same("GEMMPrepackedBatch", &bs.Stats, pool.Workers(), given{pa: pa, resident: true})
+					same("GEMMPrepackedBatch", &bs.Stats, pool.Workers(), given{pa: pa})
 					pa.Release()
 					pb.Release()
 					if !unsplit {
 						continue
 					}
-					// MulTiledCtx's operands, tiled as the unsplit call tiles them.
+					// MulPrepacked's operands, one-block plans tiled as the unsplit call tiles them.
 					pl, err := planOf(o, pool.Workers(), given{}, m, k, n)
 					if err != nil {
 						t.Fatalf("%s: planOf: %v", name, err)
@@ -925,10 +926,10 @@ func TestDeterminismPlanNotRun(t *testing.T) {
 					if err := errors.Join(ta.Pack(ctx, pool, A, false, 1), tb.Pack(ctx, pool, B, false, 1)); err != nil {
 						t.Fatalf("%s: Pack: %v", name, err)
 					}
-					if st, err = MulTiledCtx(ctx, pool, opts, NewTiled(cv, g.d, g.tm, g.tn, m, n), ta, tb); err != nil {
-						t.Fatalf("%s: MulTiledCtx: %v", name, err)
+					if st, err = MulPrepacked(ctx, pool, opts, asPlan(NewTiled(cv, g.d, g.tm, g.tn, m, n)), asPlan(ta), asPlan(tb)); err != nil {
+						t.Fatalf("%s: MulPrepacked: %v", name, err)
 					}
-					same("MulTiledCtx", st, pool.Workers(), given{pa: whole(ta), pb: whole(tb)})
+					same("MulPrepacked", st, pool.Workers(), given{pa: asPlan(ta), pb: asPlan(tb)})
 				}
 			}
 		}
@@ -1040,7 +1041,7 @@ func TestDeterminismMemBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer pa.Release()
-				gv = given{pa: pa, resident: true}
+				gv = given{pa: pa}
 			}
 			want, ests, err := call(opts)
 			if err != nil {
@@ -1214,7 +1215,7 @@ func TestDeterminismInPlaceSegments(t *testing.T) {
 // GEMMPrepackedBatch (A resident; not on ColMajor, which has no plans),
 // every call returns the bits of its twins: the same product with A, or
 // B, stored transposed, which packs it; and, for β = 0, α = 1, Pack +
-// MulTiledCtx into a zeroed tiled C + Unpack, whose C never goes in
+// MulPrepacked into a zeroed C plan + Unpack, whose C never goes in
 // place (on Z-Morton for ColMajor: the standard recursion's bits are one
 // set over the layouts). The shapes read 32-, 24- and 25-wide tiles (the
 // last with a fringe in the leaf) on grids of 2 to 8 tiles a side; a
@@ -1359,34 +1360,40 @@ func TestDeterminismInPlaceProduct(t *testing.T) {
 				if alpha != 1 || beta != 0 {
 					continue
 				}
-				// C's twin: the product accumulated into a zeroed tiled C,
+				// C's twin: the product accumulated into a zeroed C plan,
 				// never C itself.
 				to := opts
 				if cv == layout.ColMajor {
 					to.Curve = layout.ZMorton
 				}
-				ta, err := PackTiled(ctx, pools[2], to, in.A)
+				ta, err := Pack(ctx, pools[2], to, in.A)
 				if err != nil {
 					t.Fatal(err)
 				}
-				tb, err := PackTiled(ctx, pools[2], to, in.B)
+				tb, err := Pack(ctx, pools[2], to, in.B)
 				if err != nil {
 					t.Fatal(err)
 				}
-				tc := NewTiled(ta.Curve, ta.D, ta.TR, tb.TC, m, n)
-				if _, err := MulTiledCtx(ctx, pools[2], to, tc, ta, tb); err != nil {
+				tc, err := NewProduct(ta, tb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := MulPrepacked(ctx, pools[2], to, tc, ta, tb); err != nil {
 					t.Fatal(err)
 				}
 				want, err := tc.Unpack(ctx, pools[2])
 				if err != nil {
 					t.Fatal(err)
 				}
+				ta.Release()
+				tb.Release()
+				tc.Release()
 				ref := refs[geomOf(ta.D, ta.TR, ta.TC, tb.TC)]
 				if ref == nil && sh.inPlace {
 					t.Fatalf("%s: Pack tiles %d×%d×%d at depth %d, no call did (test premise)", name, ta.TR, ta.TC, tb.TC, ta.D)
 				}
 				if ref != nil && !matrix.Equal(want, ref, 0) {
-					t.Errorf("%s: %g from the bits of Pack + MulTiledCtx + Unpack", name, matrix.MaxAbsDiff(want, ref))
+					t.Errorf("%s: %g from the bits of Pack + MulPrepacked + Unpack", name, matrix.MaxAbsDiff(want, ref))
 				}
 			}
 		}

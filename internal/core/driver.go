@@ -157,7 +157,8 @@ type Stats struct {
 	Degraded []string
 	// EstimatedBytes is the admission-control footprint estimate of the
 	// configuration that ran: the packed segments the call holds at once,
-	// in-flight product tiles, arena and kernel scratch.
+	// in-flight product tiles, arena and kernel scratch; plans the call is
+	// given (A, B, and MulPrepacked's C in place of the tiles) count nothing.
 	EstimatedBytes int64
 	// ArenaBytes is the scratch-arena workspace reserved up front, once
 	// per call — the recursion's temporaries are carved from it instead
@@ -177,9 +178,10 @@ type Stats struct {
 	// α = 1, β = 0 product of one small block 0 — Section 4's accounting in bytes.
 	ConvertBytes int64
 	// PackReused counts operand packs satisfied without reading the
-	// column-major source: blocks served by a *Prepacked* plan, and
-	// second operands derived in-layout from the first (the transposed
-	// pack a symmetric α·A·Aᵀ product folds).
+	// column-major source: blocks served by a *Prepacked* plan (two a
+	// product when both operands are plans), and second operands derived
+	// in-layout from the first (the transposed pack a symmetric α·A·Aᵀ
+	// product folds).
 	PackReused int
 	// PackDeferred counts operand segments brought by the C block that
 	// multiplies them, not by a plan: once when a wave's one row or column
@@ -290,12 +292,11 @@ func multipliable(c layout.Curve) error {
 
 // wave is one run's products, each planned as its single-call twin and
 // run through the one member body: the product of GEMMCtx, GEMMPrepacked
-// or MulTiledCtx, or the items of a GEMMBatch* wave.
+// or MulPrepacked, or the items of a GEMMBatch* wave.
 type wave struct {
 	ctx   context.Context
 	what  string // a lone call's entry point, naming its errors; "" in a batch
 	gv    given  // how the operands all members share arrive
-	tc    *Tiled // MulTiledCtx's tiled C
 	items []BatchItem
 	// plans holds, by item, what its single-call twin plans: nil for an
 	// item refused before it was planned or, once the run is under way,
@@ -631,19 +632,19 @@ func (w *wave) body(c *sched.Ctx, ws *waveWS, i int, pl *plan) error {
 	// Off the register grid its copies go to canonical panels, whose base
 	// is one kernel call with the tile loop's bits (exec.base); whole-block
 	// tiles stay contiguous curve tiles.
-	if place && !fold && gv.pa == nil && gv.pb == nil && w.tc == nil && pl.kernel.Chained &&
+	if place && !fold && gv.pa == nil && gv.pb == nil && pl.kernel.Chained &&
 		(g.tm%leaf.MicroM != 0 || g.tn%leaf.MicroN != 0) {
 		g.curve = layout.ColMajor
 	}
 	deferA = deferA || place && !fold && lies(g.hdrA(), it.TransA, ms[0], ks[0])
 	deferB = deferB || place && lies(g.hdrB(), it.TransB, ks[0], ns[0])
-	pm := planMul{alg: w.alg, alpha: it.Alpha, beta: it.Beta, pa: gv.pa, pb: gv.pb, ms: ms, ks: ks, C: it.C, tc: w.tc, std: std,
-		direct: place && w.tc == nil && it.Beta == 0 && it.Alpha == 1 && lies(g.hdr(g.tm, g.tn), false, ms[0], ns[0])}
-	if gv.resident { // a resident A, and GEMMPrepacked's resident B
+	pm := planMul{alg: w.alg, alpha: it.Alpha, beta: it.Beta, pa: gv.pa, pb: gv.pb, pc: gv.pc, ms: ms, ks: ks, C: it.C, std: std,
+		direct: place && it.Beta == 0 && it.Alpha == 1 && lies(g.hdr(g.tm, g.tn), false, ms[0], ns[0])}
+	switch { // the packs resident plans serve: A's, and B's beside it
+	case gv.pb != nil:
+		pm.reused = 2
+	case gv.pa != nil:
 		pm.reused = 1
-		if gv.pb != nil {
-			pm.reused = 2
-		}
 	}
 	if gv.pa == nil || gv.pb == nil {
 		t0 := time.Now()
@@ -737,65 +738,6 @@ func forcedDepth(t int, dims ...int) (d uint, err error) {
 func sameView(a, b *matrix.Dense) bool {
 	return a.Rows == b.Rows && a.Cols == b.Cols && a.Stride == b.Stride &&
 		len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
-}
-
-// ConformTiled checks that pre-tiled operands multiply as A·B: the one
-// check of packed operands (conformPlans) on one-block plans of them.
-// Tiled operands are the one input that never passes conform, which sees
-// column-major shapes only.
-func ConformTiled(A, B *Tiled) error {
-	if A == nil || B == nil {
-		return fmt.Errorf("%w: nil tiled operand", ErrDimension)
-	}
-	if A.D != B.D || A.Cols != B.Rows {
-		return fmt.Errorf("%w: tiled operands do not conform: A is %dx%d at depth %d, B %dx%d at depth %d",
-			ErrDimension, A.Rows, A.Cols, A.D, B.Rows, B.Cols, B.D)
-	}
-	return conformPlans(whole(A), whole(B))
-}
-
-// whole is a tiled operand as a plan of one segment pair, t its block.
-func whole(t *Tiled) *Prepacked {
-	p := newPlan(*t, []tile.Seg{{Len: t.Rows}}, []tile.Seg{{Len: t.Cols}})
-	p.blocks = []Tiled{*t}
-	return p
-}
-
-// MulTiled runs C += A·B directly on pre-converted tiled operands,
-// bypassing conversion — the entry point benchmarks use to time the
-// multiplication alone. The three operands must share curve and depth,
-// with conforming tile shapes and logical extents (ErrDimension
-// otherwise). MulTiled is MulTiledCtx with a background context.
-func MulTiled(pool *sched.Pool, opts Options, C, A, B *Tiled) (*Stats, error) {
-	return MulTiledCtx(context.Background(), pool, opts, C, A, B)
-}
-
-// MulTiledCtx is MulTiled with cooperative cancellation and the same
-// panic-to-error boundary as GEMMCtx: the one multiply run on a product
-// of one block whose operands (plans of one segment pair, charged like a
-// transient plan's) and C the caller holds tiled. On cancellation or
-// failure the tiled C must be considered corrupt: unlike GEMMCtx there
-// is no private packed copy, so partial quadrant products may already
-// have accumulated into it.
-func MulTiledCtx(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *Tiled) (stats *Stats, err error) {
-	cl, err := enter(ctx, pool, opts, "MulTiled")
-	defer func() { cl.end(stats, err) }()
-	defer leave(cl, &stats, &err)
-	if err != nil {
-		return nil, err
-	}
-	if err := ConformTiled(A, B); err != nil {
-		return nil, err
-	}
-	if C == nil {
-		return nil, fmt.Errorf("%w: nil tiled operand", ErrDimension)
-	}
-	if C.Curve != A.Curve || C.D != A.D || C.TR != A.TR || C.TC != B.TC || C.Rows != A.Rows || C.Cols != B.Cols {
-		return nil, fmt.Errorf("%w: tiled C is %dx%d in %dx%d tiles (%v, depth %d), the product is %dx%d in %dx%d tiles (%v, depth %d)",
-			ErrDimension, C.Rows, C.Cols, C.TR, C.TC, C.Curve, C.D, A.Rows, B.Cols, A.TR, B.TC, A.Curve, A.D)
-	}
-	cl.o.Curve = A.Curve
-	return cl.one(ctx, &wave{gv: given{pa: whole(A), pb: whole(B)}, tc: C, items: []BatchItem{{Alpha: 1, Beta: 1}}})
 }
 
 // WorkSpan computes, without executing anything, the analytic work and

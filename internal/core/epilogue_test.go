@@ -47,7 +47,7 @@ func TestUnpackAccumulateDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				scratch, err := tl.Unpack(context.Background(), pool)
+				scratch, err := asPlan(tl).Unpack(context.Background(), pool)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 
+	"repro/internal/layout"
 	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/tile"
 )
 
 // The conversion passes run below an entry point, on a frame of its one
@@ -17,6 +20,30 @@ func onPool(ctx context.Context, pool *sched.Pool, f func(e *exec, c *sched.Ctx)
 	e := &exec{serialCutoff: 4, ewMin: 1}
 	_, _, err := pool.RunCtx(ctx, func(c *sched.Ctx) { f(e, c) })
 	return err
+}
+
+// NewTiled allocates a zeroed tiled matrix covering rows × cols.
+func NewTiled(curve layout.Curve, d uint, tr, tc, rows, cols int) *Tiled {
+	side := 1 << d
+	if tr*side < rows || tc*side < cols {
+		panic(fmt.Sprintf("core: tiled %d×(%dx%d) cannot cover %dx%d", side, tr, tc, rows, cols))
+	}
+	return &Tiled{
+		Curve: curve, D: d, TR: tr, TC: tc, Rows: rows, Cols: cols,
+		Data: make([]float64, side*side*tr*tc),
+	}
+}
+
+// asPlan is t as a plan of one block, whose storage it shares, for the
+// plan entry points (MulPrepacked, Prepacked.Unpack) to read and write;
+// nil is nil. It is never released.
+func asPlan(t *Tiled) *Prepacked {
+	if t == nil {
+		return nil
+	}
+	p := newPlan(*t, []tile.Seg{{Len: t.Rows}}, []tile.Seg{{Len: t.Cols}})
+	p.blocks = []Tiled{*t}
+	return p
 }
 
 func (t *Tiled) Pack(ctx context.Context, pool *sched.Pool, src *matrix.Dense, trans bool, alpha float64) error {

@@ -16,7 +16,7 @@ import (
 )
 
 // This file is the one execution pipeline behind every entry point that
-// multiplies — GEMMCtx, GEMMPrepacked, MulTiledCtx and the members of a
+// multiplies — GEMMCtx, GEMMPrepacked, MulPrepacked and the members of a
 // GEMMBatch* wave, a single call being a wave of one member: one
 // scheduler run (call.multiply) of one member body (wave.body), plan →
 // pack once → block wave → fused epilogue. A product is cut by one rule
@@ -28,7 +28,9 @@ import (
 // multiplies. Each C block (planMul.block) owns a tile its first product
 // stores, accumulates the rest over the k segments in ascending order in
 // the packed domain, and folds α·tile into C in one fused epilogue. A
-// product of one small block is multiplied where it lies (wave.body).
+// product of one small block is multiplied where it lies (wave.body), and
+// one whose C is itself a plan (MulPrepacked) accumulates into C's blocks:
+// a packed operand is a plan, whether split into blocks or one.
 //
 // As the paper's program is one Cilk computation, everything that
 // touches an operand happens in the run's task tree: below an entry
@@ -163,8 +165,8 @@ func (g geom) hdrB() Tiled { return g.hdr(g.tk, g.tn) }
 
 // charge prices alg on a call of ms×ks×ns segments on this geometry, its
 // blocks pulled by runners tasks (zero: by one that spawns), its operands
-// arriving as gv says. An operand of a resident plan stays off the bill;
-// one the caller tiled is held. One column of C blocks consumes every A
+// arriving as gv says. A plan it is given stays off the bill, and a C plan
+// leaves no product tile to bill. One column of C blocks consumes every A
 // segment once, one row every B segment: in a wave such an operand has no
 // plan — each block packs the segments it multiplies (Prepacked.mat) —
 // and is billed one segment per product tile in flight. Any other operand
@@ -177,18 +179,19 @@ func (g geom) charge(alg Alg, fastCutoff int, ms, ks, ns []tile.Seg, gv given, r
 		what: func() string {
 			return fmt.Sprintf("%dx%dx%d", mp*int64(len(ms)), kp*int64(len(ks)), np*int64(len(ns)))
 		}}
-	bill := func(tiled *Prepacked, deferred bool, seg int64, segs int) {
+	bill := func(resident *Prepacked, deferred bool, seg int64, segs int) {
 		switch {
 		case deferred:
 			ch.perBlock += seg
-		case tiled == nil:
-			ch.held, ch.own, ch.consume = ch.held+seg*int64(segs), ch.own+seg*int64(segs), ch.consume+seg
-		case !gv.resident:
-			ch.held += seg * int64(segs)
+		case resident == nil:
+			ch.held, ch.consume = ch.held+seg*int64(segs), ch.consume+seg
 		}
 	}
 	bill(gv.pa, ch.deferA, mp*kp, len(ms)*len(ks))
 	bill(gv.pb, ch.deferB, kp*np, len(ks)*len(ns))
+	if gv.pc != nil { // the blocks accumulate into C's plan: no product tile
+		ch.perBlock = 0
+	}
 	for i, r := range ladder(alg) {
 		ch.arena[i] = arenaStackElems(r.alg, r.serial, g.side(), g.tm, g.tk, g.tn, fastCutoff)
 	}
@@ -221,20 +224,19 @@ func conformTile(cfg tile.Config, n int, d uint) int {
 func asWave(n, workers int) bool { return n > 1 && n >= workers }
 
 // given says how the operands of a product reach it. The zero value: the
-// call packs both out of column-major storage. pa: A is already tiled,
-// on pa's segments and geometry; pb, with it, B on pb's. resident plans
-// were packed and paid for outside the call and stay off its bill;
-// operands the caller tiled for this one product (MulTiledCtx) are
-// charged like a transient plan's.
+// call packs both out of column-major storage. pa: A is a resident plan,
+// read on the segments and geometry of its quadrants; pb, with it, B on
+// pb's; pc, with both, C is the product's plan (MulPrepacked), which the
+// blocks accumulate into. Every given plan was packed and paid for
+// outside the call and stays off its bill.
 type given struct {
-	pa, pb   *Prepacked
-	resident bool
+	pa, pb, pc *Prepacked
 }
 
 // plan is how one m×k×n product runs under a set of options: the one
 // answer to "what will this call do", given before anything is allocated
 // and before C is touched. Every entry point — a per-call GEMM, a
-// product of resident plans, of pre-tiled operands, each member shape of
+// product of resident plans, into C or a plan of it, each member shape of
 // a batched wave, the right-hand side PrepackConforming packs, and
 // ResolveAlg, which builds the plan and does not run it — gets it from
 // planOf, so they agree on it by construction.
@@ -272,7 +274,7 @@ func (pl *plan) describe(alg Alg, stats *Stats) {
 
 // planOf plans an m×k×n product: the split and geometry (split: GEMM's
 // own, or the quadrants of a given plan of A, its free dimension cut as a
-// direct call would cut it; or the given operands' tiles), the
+// direct call would cut it; or the given plans' tiles), the
 // leaf kernel for those tiles, and what only the kernel and grid settle —
 // the fast cutoff and AlgAuto. workers is the pool's worker count and
 // decides whether the C blocks run as a wave; zero plans a member of a
@@ -391,23 +393,21 @@ func ResolveCurve(o Options) layout.Curve { return o.withDefaults().Curve }
 var errRunCancelled = errors.New("core: run cancelled")
 
 // planMul is one plan product C += α·A·B: both operands packed into
-// conforming plans, C β-scaled already or, at β = 0, stored by the blocks.
+// conforming plans, C β-scaled already or, at β = 0, stored by the blocks
+// — or C a plan of the product's geometry (pc) the blocks accumulate into.
 type planMul struct {
 	alg   Alg
 	alpha float64
 	// beta is what C was scaled by before this product; the epilogue
 	// stores into C when β = 0, without reading it, and accumulates otherwise.
-	beta   float64
-	pa, pb *Prepacked
+	beta       float64
+	pa, pb, pc *Prepacked
 	// ms and ks are the plan's segments: pa's quadrants at pb's depth.
 	ms, ks []tile.Seg
 	C      *matrix.Dense
-	// tc, when non-nil, is a C the caller holds tiled (MulTiledCtx): the
-	// one block accumulates straight into it — no zero-fill, no epilogue —
-	// as it does into C itself, at C's leading dimension, when direct. std:
-	// the blocks run the standard recursion from the root (tableMul hands
-	// it a grid at the cutoff), which reads any storage.
-	tc          *Tiled
+	// std: the blocks run the standard recursion from the root (tableMul
+	// hands it a grid at the cutoff), which reads any storage. direct: the
+	// one block's product is stored into C, at C's leading dimension.
 	std, direct bool
 	// reused counts the operand packs a resident plan serves per
 	// product (Stats.PackReused).
@@ -419,7 +419,9 @@ type planMul struct {
 // packed domain — stored by its first product on the standard recursion,
 // zero-filled ahead of a fast level — and one fused epilogue folds α·tile
 // into the block's region of C, which therefore receives nothing until
-// the whole chain has succeeded. Each step spawns or streams by
+// the whole chain has succeeded. A product that goes straight into C's
+// storage — C's plan's block (pc), accumulated into, or C itself, stored
+// (direct) — has no tile and no epilogue. Each step spawns or streams by
 // the runner's rule (exec.spawns, exec.par). On a cancelled run the
 // steps fall through to the check after the product, which drops the
 // tile; the epilogue, once begun, completes (unpackAccumulate's shield).
@@ -435,31 +437,33 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	}
 	// The product runs at pb's depth, which pa is read at (conformPlans).
 	sm, sn := pm.ms[i], pb.CSegs[j]
-	tc, t0, hdr := pm.tc, time.Now(), pa.hdr
+	var tc *Tiled
+	var cm Mat
+	t0, hdr := time.Now(), pa.hdr
 	hdr.D, hdr.TC = pb.D, pb.TC
-	if tc == nil && !pm.direct {
+	switch {
+	case pm.pc != nil:
+		cm = pm.pc.Block(i, j).Mat()
+	case pm.direct:
+		cm = inPlace(hdr, pm.C, sm, sn)
+	default:
 		tc = &ws.tc
 		tc.refit(&ws.stats, hdr, sm.Len, sn.Len)
 		if !pm.std {
 			e.phase(ctx, obs.KindConvertIn, "recmat.convert-in", func() { e.zero(c, tc.Data) })
 		}
 		ws.stats.ConvertIn += time.Since(t0)
+		cm = tc.Mat()
 	}
 	t1 := time.Now()
 
 	// A deferred operand's segment is brought here, by its consumer: read
 	// in place on the standard recursion, or packed into the runner's
 	// buffer, which mat bills to ConvertIn.
-	var cm Mat
-	if pm.direct {
-		cm = inPlace(hdr, pm.C, sm, sn)
-	} else {
-		cm = tc.Mat()
-	}
 	in0 := ws.stats.ConvertIn
 	for kk := range pm.ks {
 		am, bm := pa.mat(c, ws, &ws.one[0], i, kk, hdr.D, pm.std), pb.mat(c, ws, &ws.one[1], kk, j, hdr.D, pm.std)
-		e.phase(ctx, obs.KindCompute, "recmat.compute", func() { e.mul(c, alg, cm, am, bm, kk == 0 && pm.std && pm.tc == nil) })
+		e.phase(ctx, obs.KindCompute, "recmat.compute", func() { e.mul(c, alg, cm, am, bm, kk == 0 && pm.std && pm.pc == nil) })
 		if c.Cancelled() {
 			return errRunCancelled
 		}
@@ -468,7 +472,7 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	}
 	t2 := time.Now()
 	ws.stats.Compute += t2.Sub(t1) - (ws.stats.ConvertIn - in0)
-	if pm.tc != nil || pm.direct {
+	if tc == nil {
 		return nil
 	}
 

@@ -65,8 +65,21 @@ type Prepacked struct {
 // lands on the same inner-dimension geometry for both; for a streaming
 // second operand use PrepackConforming, which adopts the first plan's
 // geometry by construction.
-func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense, trans bool) (p *Prepacked, err error) {
-	cl, err := enter(ctx, pool, opts, "Prepack")
+func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense, trans bool) (*Prepacked, error) {
+	return prepack(ctx, pool, opts, src, trans, "Prepack")
+}
+
+// Pack is Prepack of src, untransposed, as one block (DisableSplit): on
+// the depth and tiles one Pick over its extents gives — the operand
+// Frens and Wise keep in quad-tree form across products (MulPrepacked).
+func Pack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense) (*Prepacked, error) {
+	opts.DisableSplit = true
+	return prepack(ctx, pool, opts, src, false, "Pack")
+}
+
+// prepack is Prepack's body, what naming the entry point in a refusal.
+func prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense, trans bool, what string) (p *Prepacked, err error) {
+	cl, err := enter(ctx, pool, opts, what)
 	defer leave(cl, &p, &err)
 	if err != nil {
 		return nil, err
@@ -92,31 +105,6 @@ func planA(o Options, r, c int) (*Prepacked, error) {
 		return nil, err
 	}
 	return newPlan(Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs), nil
-}
-
-// PackTiled converts src into one tiled matrix on opts.Curve, the
-// operand form MulTiledCtx multiplies, on the depth and tiles a plan of
-// its shape gets.
-func PackTiled(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense) (t *Tiled, err error) {
-	cl, err := enter(ctx, pool, opts, "Pack")
-	defer leave(cl, &t, &err)
-	if err != nil {
-		return nil, err
-	}
-	o := cl.o
-	r, c, err := cl.prepackShape(src, false)
-	if err != nil {
-		return nil, err
-	}
-	d, tiles, err := choose(o, r, c)
-	if err != nil {
-		return nil, err
-	}
-	t = NewTiled(o.Curve, d, tiles[0], tiles[1], r, c)
-	if err := cl.pass(ctx, func(e *exec, c *sched.Ctx) { t.pack(e, c, src, false, 1) }); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // PrepackConforming packs op(src) as the right-hand operand of a plan
@@ -149,7 +137,7 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 	}
 	// The plan of like's operand against this one, of which only B's side
 	// is used: its segments and tiles.
-	pl, err := planOf(o, 0, given{pa: like, resident: true}, like.Rows, like.Cols, c)
+	pl, err := planOf(o, 0, given{pa: like}, like.Rows, like.Cols, c)
 	if err != nil {
 		return nil, err
 	}
@@ -160,8 +148,8 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 // prepackShape validates the preconditions of an entry point that packs
 // one operand and returns the logical op(src) extents. It is the one
 // refusal of the canonical layouts, by the entry points that keep an
-// operand packed beyond one product — a plan, a tiled operand: canonical
-// storage has no conversion to amortize.
+// operand packed beyond one product — a plan: canonical storage has no
+// conversion to amortize.
 func (cl *call) prepackShape(src *matrix.Dense, trans bool) (r, c int, err error) {
 	if !cl.o.Curve.Recursive() {
 		return 0, 0, fmt.Errorf("core: %s requires a recursive layout, got %v", cl.what, cl.o.Curve)
@@ -451,13 +439,16 @@ func GEMMPrepacked(ctx context.Context, pool *sched.Pool, opts Options, alpha fl
 	// allocated once, outside this call, and are charged to the plan —
 	// only the in-flight C tiles and the arena count against the budget.
 	cl.o.Curve = pa.Curve
-	return cl.one(ctx, &wave{gv: given{pa: pa, pb: pb, resident: true}, items: []BatchItem{{Alpha: alpha, Beta: beta, C: C}}})
+	return cl.one(ctx, &wave{gv: given{pa: pa, pb: pb}, items: []BatchItem{{Alpha: alpha, Beta: beta, C: C}}})
 }
 
-// conformPlans is the one check that packed operands (plans, or tiled
-// ones as one-block plans: ConformTiled) multiply as A·B: one curve, pa's
-// column tiles pb's row ones, pa's quadrants at pb's depth cutting k as pb.
+// conformPlans is the one check that packed operands multiply as A·B: two
+// live plans on one curve, pa's column tiles pb's row ones, pa's quadrants
+// at pb's depth cutting k as pb.
 func conformPlans(pa, pb *Prepacked) error {
+	if pa == nil || pb == nil || pa.released || pb.released {
+		return fmt.Errorf("%w: a nil or released plan", ErrDimension)
+	}
 	_, ks, ok := pa.quads(pa.D - pb.D)
 	switch {
 	case pa.Curve != pb.Curve:
@@ -474,4 +465,87 @@ func conformPlans(pa, pb *Prepacked) error {
 			ErrDimension, pa.D, pb.D, ks, pb.D, pb.RSegs)
 	}
 	return nil
+}
+
+// product is the empty plan of pa·pb, which conform (conformPlans): pa.TR
+// × pb.TC tiles at pb's depth, over pa's quadrant row segments there ×
+// pb's column segments — C block (i, j) of the product's wave.
+func product(pa, pb *Prepacked) *Prepacked {
+	ms, _, _ := pa.quads(pa.D - pb.D)
+	return newPlan(Tiled{Curve: pa.Curve, D: pb.D, TR: pa.TR, TC: pb.TC}, ms, pb.CSegs)
+}
+
+// NewProduct returns a zeroed plan of pa·pb's product, the C MulPrepacked
+// accumulates into; plans that do not multiply are ErrDimension.
+func NewProduct(pa, pb *Prepacked) (*Prepacked, error) {
+	if err := conformPlans(pa, pb); err != nil {
+		return nil, err
+	}
+	pc := product(pa, pb)
+	pc.fit(nil)
+	for b := range pc.blocks {
+		clear(pc.blocks[b].Data) // pooled buffers are dirty
+	}
+	return pc, nil
+}
+
+// MulPrepacked computes C += A·B entirely in the recursive layout, with
+// the panic-to-error boundary of GEMMCtx: the one multiply run on
+// resident plans (conformPlans) whose C is a plan of the product's
+// geometry (NewProduct; ErrDimension otherwise). Each C block is
+// accumulated into where it lies — no zero-fill, no epilogue, nothing
+// converted — so on cancellation or failure C must be considered
+// corrupt: partial quadrant products may already be in it.
+func MulPrepacked(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *Prepacked) (stats *Stats, err error) {
+	cl, err := enter(ctx, pool, opts, "MulPrepacked")
+	defer func() { cl.end(stats, err) }()
+	defer leave(cl, &stats, &err)
+	if err != nil {
+		return nil, err
+	}
+	if err := conformPlans(A, B); err != nil {
+		return nil, err
+	}
+	if C == nil || C.released {
+		return nil, fmt.Errorf("%w: MulPrepacked into a nil or released plan", ErrDimension)
+	}
+	if w := product(A, B); C.Curve != w.Curve || C.D != w.D || C.TR != w.TR || C.TC != w.TC ||
+		!slices.Equal(C.RSegs, w.RSegs) || !slices.Equal(C.CSegs, w.CSegs) {
+		return nil, fmt.Errorf("%w: C is %dx%d in %dx%d tiles (%v, depth %d), the product %dx%d in %dx%d tiles (%v, depth %d) cut as NewProduct cuts it",
+			ErrDimension, C.Rows, C.Cols, C.TR, C.TC, C.Curve, C.D, w.Rows, w.Cols, w.TR, w.TC, w.Curve, w.D)
+	}
+	cl.o.Curve = A.Curve
+	return cl.one(ctx, &wave{gv: given{pa: A, pb: B, pc: C}, items: []BatchItem{{Alpha: 1, Beta: 1}}})
+}
+
+// Unpack copies op(src) out of the plan into a fresh column-major
+// matrix, block by block, discarding padding: the fused epilogue's walk
+// storing 0 + 1·t (a −0 lands as +0). An entry point; pool may be nil.
+func (p *Prepacked) Unpack(ctx context.Context, pool *sched.Pool) (dst *matrix.Dense, err error) {
+	cl, err := enter(ctx, pool, Options{}, "Unpack")
+	defer leave(cl, &dst, &err)
+	if err != nil {
+		return nil, err
+	}
+	if p.released {
+		return nil, fmt.Errorf("%w: Unpack of a released plan", ErrDimension)
+	}
+	dst = matrix.New(p.Rows, p.Cols)
+	if err := cl.pass(ctx, func(e *exec, c *sched.Ctx) {
+		for b := range p.blocks {
+			r, cs := p.RSegs[b/len(p.CSegs)], p.CSegs[b%len(p.CSegs)]
+			p.blocks[b].unpackAccumulate(e, c, dst.View(r.Off, cs.Off, r.Len, cs.Len), 1, 0)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// At returns logical element (i, j) of op(src), read through its block's
+// layout function (Tiled.At): a reference for tests, not a hot path.
+func (p *Prepacked) At(i, j int) float64 {
+	in := func(x int) func(tile.Seg) bool { return func(s tile.Seg) bool { return x < s.Off+s.Len } }
+	bi, bj := slices.IndexFunc(p.RSegs, in(i)), slices.IndexFunc(p.CSegs, in(j))
+	return p.Block(bi, bj).At(i-p.RSegs[bi].Off, j-p.CSegs[bj].Off)
 }

@@ -502,8 +502,8 @@ func TestStressMulTiledFaultInjection(t *testing.T) {
 			mustBeInjected(i, "pack B", err)
 			continue
 		}
-		if _, err := MulTiled(pool, Options{Alg: Strassen}, tc, ta, tb); err != nil {
-			mustBeInjected(i, "MulTiled", err)
+		if _, err := MulPrepacked(context.Background(), pool, Options{Alg: Strassen}, asPlan(tc), asPlan(ta), asPlan(tb)); err != nil {
+			mustBeInjected(i, "MulPrepacked", err)
 		}
 	}
 }
@@ -621,8 +621,12 @@ func TestEntryPointsRefuseUpFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pb.Release()
-	ta, tb := pa.Block(0, 0), pb.Block(0, 0)
-	tc := NewTiled(ta.Curve, ta.D, ta.TR, tb.TC, 24, 20)
+	pc, err := NewProduct(pa, pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Release()
+	ta, tb, tc := pa.Block(0, 0), pb.Block(0, 0), pc.Block(0, 0)
 	for i := range tc.Data {
 		tc.Data[i] = 3
 	}
@@ -638,7 +642,6 @@ func TestEntryPointsRefuseUpFront(t *testing.T) {
 		p.Release()
 		return p != nil, err
 	}
-	packed := func(t *Tiled, err error) (bool, error) { return t != nil, err }
 	unpacked := func(d *matrix.Dense, err error) (bool, error) { return d != nil, err }
 	wave := func(bs *BatchStats, errs []error, err error) (bool, error) { return bs != nil || errs != nil, err }
 	run := func(st *Stats, err error) (bool, error) { return st != nil, err }
@@ -652,8 +655,8 @@ func TestEntryPointsRefuseUpFront(t *testing.T) {
 		{"GEMMPrepacked", func(ctx context.Context, pool *sched.Pool) (bool, error) {
 			return run(GEMMPrepacked(ctx, pool, opts, 1, pa, pb, 0.5, C))
 		}},
-		{"MulTiled", func(ctx context.Context, pool *sched.Pool) (bool, error) {
-			return run(MulTiledCtx(ctx, pool, opts, tc, ta, tb))
+		{"MulPrepacked", func(ctx context.Context, pool *sched.Pool) (bool, error) {
+			return run(MulPrepacked(ctx, pool, opts, pc, pa, pb))
 		}},
 		{"GEMMBatch", func(ctx context.Context, pool *sched.Pool) (bool, error) {
 			return wave(GEMMBatch(ctx, pool, opts, []BatchItem{{Alpha: 1, A: A, B: B, Beta: 0.5, C: C}}))
@@ -675,10 +678,10 @@ func TestEntryPointsRefuseUpFront(t *testing.T) {
 			return plan(pa.Transposed(ctx, pool))
 		}},
 		{"Pack", func(ctx context.Context, pool *sched.Pool) (bool, error) {
-			return packed(PackTiled(ctx, pool, opts, A))
+			return plan(Pack(ctx, pool, opts, A))
 		}},
 		{"Unpack", func(ctx context.Context, pool *sched.Pool) (bool, error) {
-			return unpacked(tc.Unpack(ctx, pool))
+			return unpacked(pc.Unpack(ctx, pool))
 		}},
 	} {
 		for _, rc := range []struct {

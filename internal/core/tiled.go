@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -32,18 +31,6 @@ type Tiled struct {
 // serves both storages.
 func (t *Tiled) canon() bool { return t.Curve == layout.ColMajor }
 
-// NewTiled allocates a zeroed tiled matrix covering rows × cols.
-func NewTiled(curve layout.Curve, d uint, tr, tc, rows, cols int) *Tiled {
-	side := 1 << d
-	if tr*side < rows || tc*side < cols {
-		panic(fmt.Sprintf("core: tiled %d×(%dx%d) cannot cover %dx%d", side, tr, tc, rows, cols))
-	}
-	return &Tiled{
-		Curve: curve, D: d, TR: tr, TC: tc, Rows: rows, Cols: cols,
-		Data: make([]float64, side*side*tr*tc),
-	}
-}
-
 // tiles and elems return the tile count and the padded element count.
 func (t *Tiled) tiles() int { return 1 << (2 * t.D) }
 func (t *Tiled) elems() int { return t.tiles() * t.TR * t.TC }
@@ -65,8 +52,8 @@ func (t *Tiled) Mat() Mat {
 // equation (3): tile coordinates through the curve's S function, tile
 // offset through the canonical column-major layout — or, on canonical
 // storage, the padded panel's column-major offset. It is the reference
-// the conversion walks are tested against, not a hot path: the engine
-// never calls it.
+// the conversion walks are tested against, and a plan's At, not a hot
+// path: the engine never calls it.
 func (t *Tiled) At(i, j int) float64 {
 	if t.canon() {
 		return t.Data[j*t.PaddedRows()+i]
@@ -166,22 +153,6 @@ func (t *Tiled) packTiles(src *matrix.Dense, trans bool, alpha float64, a tileAd
 			}
 		}
 	}
-}
-
-// Unpack copies the logical region out to a fresh column-major matrix,
-// discarding padding: the fused epilogue's walk storing 0 + 1·t (a −0
-// lands as +0). An entry point; pool may be nil.
-func (t *Tiled) Unpack(ctx context.Context, pool *sched.Pool) (dst *matrix.Dense, err error) {
-	cl, err := enter(ctx, pool, Options{}, "Unpack")
-	defer leave(cl, &dst, &err)
-	if err != nil {
-		return nil, err
-	}
-	dst = matrix.New(t.Rows, t.Cols)
-	if err := cl.pass(ctx, func(e *exec, c *sched.Ctx) { t.unpackAccumulate(e, c, dst, 1, 0) }); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // unpackAccumulate folds the C epilogue of a block multiplication into

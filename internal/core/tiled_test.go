@@ -35,7 +35,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			src := matrix.Random(rows, cols, rng)
 			tl := NewTiled(cv, d, tr, tc, rows, cols)
 			tl.Pack(context.Background(), pool, src, false, 1)
-			dst, err := tl.Unpack(context.Background(), pool)
+			dst, err := asPlan(tl).Unpack(context.Background(), pool)
 			if err != nil || !matrix.Equal(dst, src, 0) {
 				t.Errorf("%v %v: pack/unpack round trip failed", cv, dims)
 			}
@@ -333,22 +333,23 @@ func TestMulTiledMatchesGEMM(t *testing.T) {
 		tb := NewTiled(cv, 3, 4, 4, n, n)
 		tb.Pack(context.Background(), pool, B, false, 1)
 		tc := NewTiled(cv, 3, 4, 4, n, n)
-		if _, err := MulTiled(pool, Options{Alg: Winograd}, tc, ta, tb); err != nil {
+		if _, err := MulPrepacked(context.Background(), pool, Options{Alg: Winograd}, asPlan(tc), asPlan(ta), asPlan(tb)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := tc.Unpack(context.Background(), pool)
+		got, err := asPlan(tc).Unpack(context.Background(), pool)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !matrix.Equal(got, want, 1e-11) {
-			t.Errorf("%v: MulTiled wrong (max diff %g)", cv, matrix.MaxAbsDiff(got, want))
+			t.Errorf("%v: MulPrepacked wrong (max diff %g)", cv, matrix.MaxAbsDiff(got, want))
 		}
 	}
 }
 
-// TestMulTiledValidation: pre-tiled operands never pass conform, so
-// MulTiled checks them itself — layout, depth, tile shapes and the
-// logical extents under the padding — and answers ErrDimension.
+// TestMulTiledValidation: plans never pass conform, so MulPrepacked
+// checks them itself — layout, depth, tile shapes and the logical
+// extents under the padding, of one-block plans here — and answers
+// ErrDimension.
 func TestMulTiledValidation(t *testing.T) {
 	pool := sched.NewPool(1)
 	defer pool.Close()
@@ -367,13 +368,13 @@ func TestMulTiledValidation(t *testing.T) {
 		{"nil A", c, nil, a},
 		{"nil C", nil, a, a},
 	} {
-		_, err := MulTiled(pool, Options{}, tc.c, tc.a, tc.b)
+		_, err := MulPrepacked(context.Background(), pool, Options{}, asPlan(tc.c), asPlan(tc.a), asPlan(tc.b))
 		if !errors.Is(err, ErrDimension) {
 			t.Errorf("%s: err = %v, want ErrDimension", tc.what, err)
 		}
-		// Tiled operands have no PrepackConforming to point to.
-		if msg := fmt.Sprint(err); tc.what == "depth mismatch" && (!strings.Contains(msg, "depth 2") || !strings.Contains(msg, "depth 3") || strings.Contains(msg, "PrepackConforming")) {
-			t.Errorf("%s: %q does not name both depths, or advises a plan call", tc.what, msg)
+		// Packed operands are plans: PrepackConforming is the remedy.
+		if msg := fmt.Sprint(err); tc.what == "depth mismatch" && (!strings.Contains(msg, "depth 2") || !strings.Contains(msg, "depth 3") || !strings.Contains(msg, "PrepackConforming")) {
+			t.Errorf("%s: %q does not name both depths and the plan call that conforms", tc.what, msg)
 		}
 	}
 }

@@ -868,7 +868,7 @@ func TestWaveStatsAndTrace(t *testing.T) {
 	}
 }
 
-// TestPackedEntryPointsTrace: GEMMPrepacked and MulTiledCtx run GEMMCtx's
+// TestPackedEntryPointsTrace: GEMMPrepacked and MulPrepacked run GEMMCtx's
 // member body (wave.body) and draw on the call's lane what it draws:
 // the wave's compute span, a wave-item span per block when runners share
 // the blocks and the block's own phases when one runner walks them —
@@ -919,15 +919,21 @@ func TestPackedEntryPointsTrace(t *testing.T) {
 	sa, sb := plans(32, 32, 32) // one block, walked by one runner
 	defer sa.Release()
 	defer sb.Release()
-	ta, err := PackTiled(ctx, pool, opts, matrix.Random(32, 32, rng))
+	ta, err := Pack(ctx, pool, opts, matrix.Random(32, 32, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := PackTiled(ctx, pool, opts, matrix.Random(32, 32, rng))
+	defer ta.Release()
+	tb, err := Pack(ctx, pool, opts, matrix.Random(32, 32, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := NewTiled(ta.Curve, ta.D, ta.TR, tb.TC, 32, 32)
+	defer tb.Release()
+	tc, err := NewProduct(ta, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Release()
 	// 16³ in 8³ tiles: a 2 × 2-tile grid, one Winograd level above the standard recursion.
 	wopts := Options{Curve: layout.ZMorton, Alg: Winograd, FastCutoff: 1, ForceTile: 8}
 	fa, err := Prepack(ctx, pool, wopts, matrix.Random(16, 16, rng), false)
@@ -968,8 +974,8 @@ func TestPackedEntryPointsTrace(t *testing.T) {
 			return GEMMPrepacked(ctx, pool, opts, 1, sa, sb, 0, matrix.New(32, 32))
 		}, map[string]int{"wave-item": 0, "convert-in": 0, "compute": 1, "convert-out": 0, "pack": 0}},
 		// A tiled C takes the product in place: no zero-fill, no epilogue.
-		{"MulTiledCtx", func() (*Stats, error) {
-			return MulTiledCtx(ctx, pool, opts, tc, ta, tb)
+		{"MulPrepacked", func() (*Stats, error) {
+			return MulPrepacked(ctx, pool, opts, tc, ta, tb)
 		}, map[string]int{"wave-item": 0, "convert-in": 0, "compute": 1, "convert-out": 0, "pack": 0}},
 	} {
 		got := traced(tc.what, tc.run)

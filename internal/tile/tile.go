@@ -117,102 +117,71 @@ func (c Config) Pick(dims ...int) Choice {
 }
 
 // pick searches depths 0..maxDepth. When strict, a tile size below TMin
-// is rejected unless d == 0 (whole matrix as one tile).
+// is rejected unless d == 0 (whole matrix as one tile). A first pass
+// finds the smallest padded volume, a second the choice among depths
+// within PadSlack of it; only the chosen depth's tiles are stored.
 func (c Config) pick(dims []int, strict bool) Choice {
-	type cand struct {
-		d     uint
-		tiles []int
-		vol   float64
-		maxT  int
-	}
-	var cands []cand
-	for d := uint(0); d <= maxDepth; d++ {
+	// at is depth d's padded volume and largest tile; ok is false when a
+	// tile is out of range.
+	at := func(d uint) (vol float64, maxT int, ok bool) {
 		side := 1 << d
-		tiles := make([]int, len(dims))
-		vol := 1.0
-		maxT := 0
-		ok := true
-		for i, dim := range dims {
+		vol = 1
+		for _, dim := range dims {
 			t := bits.CeilDiv(dim, side)
 			if t > c.TMax || (strict && d > 0 && t < c.TMin) {
-				ok = false
-				break
+				return 0, 0, false
 			}
-			tiles[i] = t
 			vol *= float64(t * side)
-			if t > maxT {
-				maxT = t
-			}
+			maxT = max(maxT, t)
 		}
-		if ok {
-			cands = append(cands, cand{d, tiles, vol, maxT})
+		return vol, maxT, true
+	}
+	// Once every dimension yields a single-element tile there is no point
+	// searching deeper.
+	last, longest := uint(maxDepth), 0
+	for _, dim := range dims {
+		longest = max(longest, dim)
+	}
+	minVol, found := 0.0, false
+	for d := uint(0); d <= last; d++ {
+		if vol, _, ok := at(d); ok && (!found || vol < minVol) {
+			minVol, found = vol, true
 		}
-		// Once every dimension yields a single-element tile there is no
-		// point searching deeper.
-		if side >= dims[0] {
-			all := true
-			for _, dim := range dims {
-				if side < dim {
-					all = false
-				}
-			}
-			if all && d > 0 {
-				break
-			}
+		if d > 0 && 1<<d >= longest {
+			last = d
 		}
 	}
-	if len(cands) == 0 {
+	if !found {
 		return Choice{D: maxDepth + 1}
-	}
-	minVol := cands[0].vol
-	for _, cd := range cands[1:] {
-		if cd.vol < minVol {
-			minVol = cd.vol
-		}
 	}
 	// The first Pick dimension is the kernel's m (rows of C), the last
 	// its n (columns of C); a candidate is micro-aligned when both are
 	// multiples of the configured micro-tile shape.
-	aligned := func(tiles []int) bool {
-		if c.MicroM > 0 && tiles[0]%c.MicroM != 0 {
-			return false
-		}
-		if c.MicroN > 0 && tiles[len(tiles)-1]%c.MicroN != 0 {
-			return false
-		}
-		return true
+	aligned := func(d uint) bool {
+		side := 1 << d
+		return (c.MicroM <= 0 || bits.CeilDiv(dims[0], side)%c.MicroM == 0) &&
+			(c.MicroN <= 0 || bits.CeilDiv(dims[len(dims)-1], side)%c.MicroN == 0)
 	}
-	bestIdx := -1
-	bestDist := 1 << 30
-	bestAligned := false
-	for i, cd := range cands {
-		if cd.vol > minVol*(1+c.PadSlack) {
+	best, bestDist, bestAligned := -1, 0, false
+	for d := uint(0); d <= last; d++ {
+		vol, maxT, ok := at(d)
+		if !ok || vol > minVol*(1+c.PadSlack) {
 			continue
 		}
-		al := aligned(cd.tiles)
-		dist := cd.maxT - c.TSweet
+		al, dist := aligned(d), maxT-c.TSweet
 		if dist < 0 {
 			dist = -dist
 		}
-		var better bool
-		switch {
-		case bestIdx < 0:
-			better = true
-		case al != bestAligned:
-			better = al
-		default:
-			better = dist < bestDist
-		}
-		if better {
-			bestIdx, bestDist, bestAligned = i, dist, al
+		if best < 0 || al != bestAligned && al || al == bestAligned && dist < bestDist {
+			best, bestDist, bestAligned = int(d), dist, al
 		}
 	}
-	ch := cands[bestIdx]
-	padded := make([]int, len(dims))
-	for i, t := range ch.tiles {
-		padded[i] = t << ch.d
+	ch := Choice{D: uint(best), Tiles: make([]int, len(dims)), Padded: make([]int, len(dims))}
+	for i, dim := range dims {
+		ch.Tiles[i] = bits.CeilDiv(dim, 1<<best)
+		ch.Padded[i] = ch.Tiles[i] << best
 	}
-	return Choice{D: ch.d, Tiles: ch.tiles, Padded: padded}
+	return ch
 }
 
 // Seg is one segment of a split dimension.

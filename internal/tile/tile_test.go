@@ -243,3 +243,16 @@ func TestPickMicroAlignmentTieBreak(t *testing.T) {
 		t.Errorf("pick for 176 with no aligned candidate = %v, want 22", ch.Tiles)
 	}
 }
+
+// TestPickAllocatesOnlyItsChoice: a Pick allocates the chosen Tiles and
+// Padded and nothing per candidate depth, on strict and relaxed inputs
+// alike (5×3000 admits no strict tiling).
+func TestPickAllocatesOnlyItsChoice(t *testing.T) {
+	c := DefaultConfig
+	c.MicroM, c.MicroN = 8, 4
+	for _, dims := range [][]int{{1024, 1024}, {1024, 1024, 48}, {439, 1062}, {5, 3000}} {
+		if n := testing.AllocsPerRun(20, func() { c.Pick(dims...) }); n != 2 {
+			t.Errorf("Pick(%v): %v allocations, want 2 (Tiles and Padded)", dims, n)
+		}
+	}
+}

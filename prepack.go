@@ -13,10 +13,12 @@ import (
 // right-hand sides) the fixed operand's conversion would otherwise
 // dominate every call.
 //
-// A Plan is created by Engine.Prepack, stays valid across any number of
-// Engine.GEMMPrepacked calls (and across engines — it holds no pool
-// reference), and returns its buffers to the internal recycling pool
-// when Released. It is immutable and safe for concurrent reads.
+// A Plan is created by Engine.Prepack (or PrepackConforming, Transposed,
+// and as a Packed by Pack and NewPackedResult), stays valid across any
+// number of Engine.GEMMPrepacked and MulPacked calls (and across engines
+// — it holds no pool reference), and returns its buffers to the internal
+// recycling pool when Released. It is immutable and safe for concurrent
+// reads, but for the C a MulPacked accumulates into.
 type Plan struct {
 	p *core.Prepacked
 	// trans records whether the source was packed transposed, for
@@ -51,6 +53,17 @@ func (p *Plan) Bytes() int64 { return p.p.Bytes() }
 // must not be used afterwards. Release must not race with
 // multiplications that use the plan.
 func (p *Plan) Release() { p.p.Release() }
+
+// Unpack converts the plan back to a column-major op(A). It fails
+// (rather than panicking) when the engine has been closed, before
+// anything is allocated.
+func (p *Plan) Unpack(e *Engine) (*Matrix, error) {
+	return p.p.Unpack(context.Background(), e.pool)
+}
+
+// At reads element (i, j) of op(A) through the layout function (slow;
+// for spot checks, not inner loops).
+func (p *Plan) At(i, j int) float64 { return p.p.At(i, j) }
 
 // Prepack converts op(A) into a reusable Plan in the layout selected by
 // opts (one of the five recursive layouts, Z-Morton when unset; ColMajor
