@@ -84,13 +84,15 @@ loc:
 # each tile's fringe per k tile as the tile loop then rounded it. The
 # grid entry went, 1,071 → 997, when a chained family's fringe came to
 # chain from C like its full blocks: Impl.Chained is a bool, and one
-# call over a region of tiles has the tile loop's bits on any tile. The
+# call over a region of tiles has the tile loop's bits on any tile. It
+# came down to 943 when the CPUID probe moved to internal/cpu, which the
+# seeded fill in internal/matrix reads too. The
 # layout package's S functions, Perm and SOriented are what the core's
 # tests check its tables against. Test files are the ones named
 # *_test.go.
 CORE_LOC_MAX = 4773
 LAYOUT_LOC_MAX = 506
-LEAF_LOC_MAX = 997
+LEAF_LOC_MAX = 943
 SCHED_LOC_MAX = 908
 BLAS3_LOC_MAX = 460
 SERVE_LOC_MAX = 2553
@@ -204,16 +206,20 @@ algtable-check:
 # The assembly hygiene gate. vet's asmdecl checker cross-validates every
 # .s frame layout against its Go declaration, on both architectures —
 # on amd64 the three instances of the one panel body (panel8x4AVX2,
-# panel16x4AVX512, panel32x4AVX512), whose frames are one signature;
-# the noasm build and test prove the pure-Go fallback stands alone (it
-# is what non-amd64/arm64 hosts and `-tags noasm` users run); the
-# cross-compiles assemble both architectures' kernels so an edit to one
-# .s file cannot silently break the other GOARCH.
+# panel16x4AVX512, panel32x4AVX512), whose frames are one signature,
+# the CPUID probe (internal/cpu) and the AVX-512 seeded fill
+# (internal/matrix's seedFillAVX512);
+# the noasm build and tests prove the pure-Go fallback stands alone (it
+# is what non-amd64/arm64 hosts and `-tags noasm` users run), and the
+# RECMAT_NOSIMD run that the scalar fill still gives the golden stream;
+# the cross-compiles assemble both architectures' kernels so an edit to
+# one .s file cannot silently break the other GOARCH.
 asm-check:
-	$(GO) vet ./internal/leaf
-	GOARCH=arm64 $(GO) vet ./internal/leaf
+	$(GO) vet ./internal/leaf ./internal/cpu ./internal/matrix
+	GOARCH=arm64 $(GO) vet ./internal/leaf ./internal/cpu ./internal/matrix
 	$(GO) build -tags noasm ./...
-	$(GO) test -tags noasm ./internal/leaf
+	$(GO) test -tags noasm ./internal/leaf ./internal/matrix
+	RECMAT_NOSIMD=1 $(GO) test -count=1 -run SeedFill ./internal/matrix
 	GOARCH=amd64 $(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
 
@@ -314,8 +320,12 @@ bench:
 # still right on this host. On amd64, BenchmarkKernelAVX512Rows
 # interleaves the avx512 family's 32-row block with its 16-row
 # remainder body on 32³ and 64³ tiles and reports the time ratio.
+# BenchmarkSeedFill times the seeded-operand fill in GB/s at the daemon's
+# operand sizes (512×16, 512×64, 256²) and the benchmark probe's 1 Mi
+# elements, on whichever body the host runs (RECMAT_NOSIMD=1: the loop).
 bench-kernel:
 	$(GO) test -bench 'Kernel' -benchmem ./internal/leaf
+	$(GO) test -run '^$$' -bench 'SeedFill' ./internal/matrix
 
 fuzz:
 	$(GO) test -fuzz FuzzKernelsVsNaive -fuzztime 30s ./internal/leaf

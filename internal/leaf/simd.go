@@ -1,8 +1,9 @@
 package leaf
 
 import (
-	"os"
 	"sort"
+
+	"repro/internal/cpu"
 )
 
 // Runtime CPU dispatch for the hardware micro-kernels.
@@ -51,7 +52,7 @@ var simdNames []string
 var wide = kernels["packed8x4"]
 
 func init() {
-	if os.Getenv("RECMAT_NOSIMD") != "" {
+	if cpu.NoSIMD {
 		return
 	}
 	for _, si := range archSIMD() {

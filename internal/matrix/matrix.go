@@ -227,14 +227,24 @@ func RandomSeeded(m, n int, seed int64) *Dense {
 	return a
 }
 
+// seedFill8 is SeedFill's vector body on whole groups of eight, if any.
+var seedFill8 func(dst []float64, seed uint64)
+
 // SeedFill fills dst with the splitmix64 stream over seed — the same
 // values RandomSeeded produces for a contiguous matrix, exposed so
 // callers recycling buffers (the serving layer's operand pool) share
-// one definition of the seed→values contract.
+// one definition of the seed→values contract. Where the host runs
+// AVX-512F and DQ, and RECMAT_NOSIMD is unset, the whole groups of eight
+// run in assembly with the loop's bits, and the rest in the loop.
 func SeedFill(dst []float64, seed int64) {
+	const phi = 0x9e3779b97f4a7c15
 	s := uint64(seed)
+	if n8 := len(dst) &^ 7; n8 > 0 && seedFill8 != nil {
+		seedFill8(dst[:n8], s)
+		dst, s = dst[n8:], s+uint64(n8)*phi
+	}
 	for k := range dst {
-		s += 0x9e3779b97f4a7c15
+		s += phi
 		z := s
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb

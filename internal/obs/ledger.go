@@ -33,7 +33,7 @@ const (
 	PhasePack
 	PhaseCompute
 	PhaseUnpack
-	// PhaseSerialize is response encoding.
+	// PhaseSerialize is response encoding: headers, timing and body.
 	PhaseSerialize
 	// PhaseDecode (read, decode, validate, parse), PhaseSeed (operand
 	// materialisation) and PhaseRespond (the result's norm and echo)

@@ -142,9 +142,10 @@ func (rs *reqState) serverTiming() string {
 	return b.String()
 }
 
-// okReq writes a success response: correlation headers, Server-Timing,
-// the timing object, one measured encode, and the ledger close.
+// okReq writes a success response (correlation headers, Server-Timing,
+// the timing object and the body: one measured encode), closing the ledger.
 func (s *Server) okReq(w http.ResponseWriter, rs *reqState, resp *Response) {
+	ts := time.Now()
 	s.reqOK.Inc()
 	resp.RequestID = rs.id
 	resp.Timing = rs.timing()
@@ -156,7 +157,6 @@ func (s *Server) okReq(w http.ResponseWriter, rs *reqState, resp *Response) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Request-Id", rs.id)
 	w.Header().Set("Server-Timing", rs.serverTiming())
-	ts := time.Now()
 	buf, err := json.Marshal(resp)
 	if err != nil {
 		// Should be unreachable (the response is plain data); fail typed

@@ -193,8 +193,9 @@ func SIMDKernels() []string { return leaf.SIMDNames() }
 
 // CPUFeatures reports the SIMD capabilities detected on the host CPU in
 // sorted order (e.g. "avx2", "fma", and "avx512f" where the OS saves
-// ZMM state, on a modern amd64; "asimd" on arm64). It describes the hardware and is unaffected by RECMAT_NOSIMD;
-// use SIMDKernels to see what is actually runnable.
+// ZMM state, on a modern amd64, and "avx512dq" where SeedFill can run its
+// AVX-512 body; "asimd" on arm64). It describes the hardware and is
+// unaffected by RECMAT_NOSIMD; use SIMDKernels to see what is runnable.
 func CPUFeatures() []string { return leaf.Features() }
 
 // Options configures a multiplication. The zero value (and nil options)
