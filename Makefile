@@ -63,7 +63,8 @@ loc:
 # packed operand became a one-block plan (Pack; NewProduct's zeroed C
 # plan, into whose blocks MulPrepacked accumulates) and PackTiled,
 # MulTiled(Ctx), ConformTiled, whole, the wave's tiled C, given.resident
-# and charge.own went (NewTiled, used by tests alone, moved to them).
+# and charge.own went (NewTiled, used by tests alone, moved to them),
+# and to 4,772 when the β = 0 epilogue came to store α·t.
 # The serve
 # package's went 2,580 → 2,568 when every request group came to make one
 # batch call, and to 2,553 when one plan came to serve every width
@@ -86,13 +87,16 @@ loc:
 # chain from C like its full blocks: Impl.Chained is a bool, and one
 # call over a region of tiles has the tile loop's bits on any tile. It
 # came down to 943 when the CPUID probe moved to internal/cpu, which the
-# seeded fill in internal/matrix reads too. The
+# seeded fill in internal/matrix reads too, and to 896 when every
+# register-blocked family came to chain from C: microImpl.chained, the
+# chain flags of fringeC and addBlock, addBlock's add loop and Auto's
+# branch to blocked for tiles under one block went. The
 # layout package's S functions, Perm and SOriented are what the core's
 # tests check its tables against. Test files are the ones named
 # *_test.go.
-CORE_LOC_MAX = 4773
+CORE_LOC_MAX = 4772
 LAYOUT_LOC_MAX = 506
-LEAF_LOC_MAX = 943
+LEAF_LOC_MAX = 896
 SCHED_LOC_MAX = 908
 BLAS3_LOC_MAX = 460
 SERVE_LOC_MAX = 2553
@@ -114,7 +118,7 @@ loc-gate:
 # GOMAXPROCS; the two amd64 assembly families, avx2 and avx512, are one
 # rounding class (TestDeterminismSIMDFamilies); and a call that names no
 # kernel is the call that names the one it reports, because the default
-# kernel is a rule over CPU features and tile shape, not a measurement
+# kernel is a rule over CPU features, not a measurement
 # (TestDeterminismDefaultKernel); and so is the default fast cutoff, over
 # (kernel family, tile shape, the table's passes): nine cold processes at
 # GOMAXPROCS 1, 2 and 4 plan Auto, Strassen and Winograd byte for byte
@@ -126,10 +130,14 @@ loc-gate:
 # returns what naming Z-Morton and naming ColMajor return, through GEMM,
 # GEMMBatch, Pack + MulPacked, Prepack + GEMMPrepacked, Cholesky and LU at
 # 1, 2 and 4 workers (the root package's TestDeterminismDefaultLayout).
-# On a chained kernel (avx2, avx512, neon) the tile size is not in the
-# bits either: a Standard product is one set of bits over every
-# ForceTile from 8 to 64, three layouts and three entry points
-# (TestDeterminismTileInvariant).
+# On a chained kernel (every register-blocked family: packed8x4, avx2,
+# avx512, neon) the tile size is not in the bits either: a Standard
+# product is one set of bits over every ForceTile from 8 to 64, three
+# layouts and three entry points (TestDeterminismTileInvariant). And on
+# the default kernel Standard has a closed form: every entry point, the
+# daemon's handler included, equals a scalar loop — the ascending-k FMA
+# chain from +0, then fl(α·t) at β = 0 and fl(β·c) + fl(α·t) otherwise —
+# bit for bit, on thin tiles too (TestDeterminismStandardOracle).
 determinism:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Determinism|BatchMatches' ./internal/core ./internal/blas3 .
 
@@ -210,7 +218,9 @@ algtable-check:
 # the CPUID probe (internal/cpu) and the AVX-512 seeded fill
 # (internal/matrix's seedFillAVX512);
 # the noasm build and tests prove the pure-Go fallback stands alone (it
-# is what non-amd64/arm64 hosts and `-tags noasm` users run), and the
+# is what non-amd64/arm64 hosts and `-tags noasm` users run), Standard's
+# bitwise specification holds on its default kernel, packed8x4, under
+# noasm and under RECMAT_NOSIMD (TestDeterminismStandardOracle), and the
 # RECMAT_NOSIMD run that the scalar fill still gives the golden stream;
 # the cross-compiles assemble both architectures' kernels so an edit to
 # one .s file cannot silently break the other GOARCH.
@@ -219,6 +229,8 @@ asm-check:
 	GOARCH=arm64 $(GO) vet ./internal/leaf ./internal/cpu ./internal/matrix
 	$(GO) build -tags noasm ./...
 	$(GO) test -tags noasm ./internal/leaf ./internal/matrix
+	$(GO) test -tags noasm -count=1 -run StandardOracle ./internal/core
+	RECMAT_NOSIMD=1 $(GO) test -count=1 -run StandardOracle ./internal/core
 	RECMAT_NOSIMD=1 $(GO) test -count=1 -run SeedFill ./internal/matrix
 	GOARCH=amd64 $(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...

@@ -54,8 +54,8 @@ var (
 	seed    = flag.Int64("seed", 1, "random seed")
 	// The paper's experiments fix the four-way-unrolled C kernel, so that
 	// is the default here — NOT the library's default. Pass -kernel=auto
-	// for that: the widest kernel family the CPU has, per tile shape.
-	kernel = flag.String("kernel", "unrolled4", "leaf kernel for all experiments (auto = the library's default for this CPU and the tile shape)")
+	// for that: the widest kernel family the CPU has, on every tile.
+	kernel = flag.String("kernel", "unrolled4", "leaf kernel for all experiments (auto = the library's default for this CPU)")
 )
 
 // paperCutoff is the other half of paper fidelity: Section 5 recurses
@@ -864,8 +864,8 @@ func (c *fringeCase) time() float64 {
 // library's defaults, Z-Morton: one plan of a 512×512 operand, as the
 // daemon holds one, against widths on and off the grid, one
 // PrepackConforming + GEMMPrepacked per call, each width on its direct
-// GEMM's tiles; and n³ per call. A tile under one block runs the
-// "blocked" kernel (leaf.Auto) and is timed but not gated. Pairs
+// GEMM's tiles; and n³ per call. A tile under one block runs as one
+// padded block of the default family and is timed but not gated. Pairs
 // are interleaved, the order alternating, and compared by the median of
 // the paired rate ratios (see autoparity).
 func fringe() {

@@ -34,7 +34,7 @@ func main() {
 	layoutName := flag.String("layout", "", "layout: c|u|x|z|g|h; empty = the library's (Z-Morton)")
 	workers := flag.Int("workers", 0, "worker count (0 = one per CPU)")
 	kernelName := flag.String("kernel", "auto",
-		"leaf kernel: auto|"+strings.Join(recmat.Kernels(), "|")+" (auto = the default: the widest family this CPU has, by tile shape)")
+		"leaf kernel: auto|"+strings.Join(recmat.Kernels(), "|")+" (auto = the default: the widest family this CPU has)")
 	forceTile := flag.Int("tile", 0, "force exact tile size (0 = auto-select)")
 	verify := flag.Bool("verify", false, "check against the naive reference (slow for large n)")
 	alpha := flag.Float64("alpha", 1, "alpha scalar")

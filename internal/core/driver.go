@@ -25,8 +25,8 @@ type Options struct {
 	// Alg is the multiplication algorithm.
 	Alg Alg
 	// KernelName selects a registered kernel by name (leaf.Names). The
-	// empty string selects the default: leaf.Auto's pick for the call's
-	// tile shape on this CPU, the same in every call and process.
+	// empty string selects the default: leaf.Auto's pick for this CPU,
+	// one family at every tile shape, the same in every call and process.
 	KernelName string
 	// Tile is the tile-size configuration; the zero value selects
 	// tile.DefaultConfig.
@@ -129,9 +129,9 @@ type Stats struct {
 	TileM, TileK, TileN       int
 	PaddedM, PaddedK, PaddedN int
 	// Kernel names the leaf kernel that ran: Options.KernelName, or the
-	// default for the host's CPU features and the tile shape (leaf.Auto).
-	// "avx2" and "avx512" round identically; any other pair may differ
-	// in the last bits.
+	// default for the host's CPU features (leaf.Auto). The
+	// register-blocked kernels ("packed8x4", "avx2", "avx512", "neon")
+	// round identically; a plain kernel may differ in the last bits.
 	Kernel string
 	// Blocks counts the sub-multiplications (one per C block and k
 	// segment) after wide/lean splitting.

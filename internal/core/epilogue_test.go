@@ -67,12 +67,13 @@ func TestUnpackAccumulateDifferential(t *testing.T) {
 }
 
 // TestUnpackAccumulateBetaZeroStores: told that dst was scaled by
-// β = 0, the epilogue stores 0 + α·t without reading dst. That must be
-// the value the accumulate form leaves in a zeroed dst — across fringes,
+// β = 0, the epilogue stores α·t without reading dst. That must be
+// fl(α·t) bit for bit, Standard's β = 0 specification — across fringes,
 // for the α values the walk specializes, and where the product is
-// exactly zero, which α = −1 turns into the −0 the explicit sum folds
-// back to +0 — and it must not read dst: whatever non-finite garbage a
-// β = 0 caller left there is gone, as BLAS specifies.
+// exactly zero, which α = −1 turns into a −0 that lands as −0, as a
+// product a one-block call stores into C in place does — and it must not
+// read dst: whatever non-finite garbage a β = 0 caller left there is
+// gone, as BLAS specifies.
 func TestUnpackAccumulateBetaZeroStores(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -91,8 +92,10 @@ func TestUnpackAccumulateBetaZeroStores(t *testing.T) {
 		}
 		for _, alpha := range []float64{1, -1, 0.5} {
 			want := matrix.New(rows, cols)
-			if err := tl.UnpackAccumulate(context.Background(), pool, want, alpha, 1); err != nil {
-				t.Fatal(err)
+			for j := 0; j < cols; j++ {
+				for i := 0; i < rows; i++ {
+					want.Set(i, j, alpha*tl.At(i, j))
+				}
 			}
 			got := matrix.Random(rows, cols, rng)
 			got.Set(3, 3, math.NaN())
@@ -102,7 +105,7 @@ func TestUnpackAccumulateBetaZeroStores(t *testing.T) {
 			for j := 0; j < cols; j++ {
 				for i := 0; i < rows; i++ {
 					if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("%v alpha=%g: (%d,%d) stored %v (%#x), accumulated into zeros %v (%#x)",
+						t.Fatalf("%v alpha=%g: (%d,%d) stored %v (%#x), fl(α·t) is %v (%#x)",
 							cv, alpha, i, j, g, math.Float64bits(g), w, math.Float64bits(w))
 					}
 				}

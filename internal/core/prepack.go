@@ -520,7 +520,7 @@ func MulPrepacked(ctx context.Context, pool *sched.Pool, opts Options, C, A, B *
 
 // Unpack copies op(src) out of the plan into a fresh column-major
 // matrix, block by block, discarding padding: the fused epilogue's walk
-// storing 0 + 1·t (a −0 lands as +0). An entry point; pool may be nil.
+// storing 1·t. An entry point; pool may be nil.
 func (p *Prepacked) Unpack(ctx context.Context, pool *sched.Pool) (dst *matrix.Dense, err error) {
 	cl, err := enter(ctx, pool, Options{}, "Unpack")
 	defer leave(cl, &dst, &err)

@@ -163,9 +163,9 @@ func (t *Tiled) packTiles(src *matrix.Dense, trans bool, alpha float64, a tileAd
 // stream, and dst stays untouched (β-scaled) until the block's compute
 // has fully succeeded. beta is what dst was scaled by: after β = 0 it
 // holds nothing the result may depend on (BLAS reads no C then), and the
-// walk stores 0 + alpha·t without reading it. Spread over the pool like
-// pack, but under a shield: once the epilogue starts, a cancellation
-// must not leave the block half-applied.
+// walk stores alpha·t without reading it, a −0 as −0. Spread over the
+// pool like pack, but under a shield: once the epilogue starts, a
+// cancellation must not leave the block half-applied.
 func (t *Tiled) unpackAccumulate(e *exec, c *sched.Ctx, dst *matrix.Dense, alpha, beta float64) {
 	if dst.Rows != t.Rows || dst.Cols != t.Cols {
 		panic(fmt.Sprintf("core: unpack tiled %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols))
@@ -204,18 +204,17 @@ func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha, beta float64, a 
 			scol := t.Data[base+jj*ld : base+jj*ld+vr]
 			switch {
 			case beta == 0:
-				// The sum the accumulate form makes with a zero, so a
-				// product of -0 still lands as +0.
 				for ii := range dcol {
-					dcol[ii] = 0 + alpha*scol[ii]
+					dcol[ii] = alpha * scol[ii]
 				}
 			case alpha == 1:
 				for ii := range dcol {
 					dcol[ii] += scol[ii]
 				}
 			default:
+				// float64() rounds α·t first: never fused (arm64, ppc64, s390x).
 				for ii := range dcol {
-					dcol[ii] += alpha * scol[ii]
+					dcol[ii] += float64(alpha * scol[ii])
 				}
 			}
 		}

@@ -132,7 +132,7 @@ func TestTileWalksMatchLayoutFunction(t *testing.T) {
 				run(func(e *exec, c *sched.Ctx) { tl.unpackAccumulate(e, c, dst, alpha, beta) })
 				for i := 0; i < rows; i++ {
 					for j := 0; j < cols; j++ {
-						want := 0 + alpha*tl.At(i, j)
+						want := alpha * tl.At(i, j)
 						if beta == 1 {
 							want = prior.At(i, j) + alpha*tl.At(i, j)
 						}

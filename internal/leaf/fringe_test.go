@@ -8,55 +8,18 @@ import (
 	"repro/internal/matrix"
 )
 
-// microEdge is the scalar fringe loop the register-blocked families ran
-// until their fringe went through the block bodies on padded operands;
-// it stays here as the bit oracle of that path. It computes the mr×nr
-// block C += A·B with explicit strides: A(r,p) = a[p*as+r], B(p,c) =
-// b[p*bs+c*be], C(r,c) = c[c*ldc+r] — a zero accumulator, the products
-// fused in ascending k, one add into C.
-func microEdge(mr, nr, kc int, a []float64, as int, b []float64, bs, be int, c []float64, ldc int) {
-	for cj := 0; cj < nr; cj++ {
-		for ri := 0; ri < mr; ri++ {
-			var sum float64
-			ao, bo := ri, cj*be
-			for p := 0; p < kc; p++ {
-				sum = math.FMA(a[ao], b[bo], sum)
-				ao += as
-				bo += bs
+// fringeOracle is what packedMul must produce, bit for bit, on every
+// family: each element's chain starts from its C element, fringe
+// included, and fuses the products in ascending k.
+func fringeOracle(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	for j := 0; j < n; j++ {
+		for i := 0; i < m; i++ {
+			acc := c[j*ldc+i]
+			for p := 0; p < k; p++ {
+				acc = math.FMA(a[p*lda+i], b[j*ldb+p], acc)
 			}
-			c[cj*ldc+ri] += sum
+			c[j*ldc+i] = acc
 		}
-	}
-}
-
-// fringeOracle is what packedMul over mk must produce, bit for bit. A
-// chained (assembly) family starts every element's chain from its C
-// element, fringe included, and fuses the products in ascending k.
-// packed8x4 is microEdge on every block: full ones, the fringe rows and
-// the fringe columns.
-func fringeOracle(mk *microImpl, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if k == 0 {
-		return
-	}
-	if mk.chained {
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				acc := c[j*ldc+i]
-				for p := 0; p < k; p++ {
-					acc = math.FMA(a[p*lda+i], b[j*ldb+p], acc)
-				}
-				c[j*ldc+i] = acc
-			}
-		}
-		return
-	}
-	i0, nf := m-m%mk.mr, n-n%MicroN
-	microEdge(i0, nf, k, a, lda, b, 1, ldb, c, ldc)
-	if i0 < m {
-		microEdge(m-i0, nf, k, a[i0:], lda, b, 1, ldb, c[i0:], ldc)
-	}
-	if nf < n {
-		microEdge(m, n-nf, k, a, lda, b[nf*ldb:], 1, ldb, c[nf*ldc:], ldc)
 	}
 }
 
@@ -91,7 +54,7 @@ func TestFringeMatchesScalarOracle(t *testing.T) {
 						got := matrix.Random(m+pad, n, rng).View(0, 0, m, n)
 						want := got.Clone()
 						packedMul(&s, fam.mk, false, m, n, k, A.Data, A.Stride, B.Data, B.Stride, got.Data, got.Stride)
-						fringeOracle(fam.mk, m, n, k, A.Data, A.Stride, B.Data, B.Stride, want.Data, want.Stride)
+						fringeOracle(m, n, k, A.Data, A.Stride, B.Data, B.Stride, want.Data, want.Stride)
 						for j := 0; j < n; j++ {
 							for i := 0; i < m; i++ {
 								if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {

@@ -168,10 +168,12 @@ func Blocked4x4(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 // form, C ← A·B: it never reads C, and its bits are Scratch's on a C of
 // +0. Balance is the family's constant in the fast-algorithm crossover
 // (FastCutoff), in leaf flops per byte the element-wise passes stream.
-// Chained marks a family each of whose product elements, fringe
+// Chained marks a kernel each of whose product elements, fringe
 // included, is its C (+0 for Store), then ascending-k FMAs: a product
 // split along k over calls, or a region of tiles multiplied in one call,
-// has the bits of the tile loop, whatever the blocking.
+// has the bits of the tile loop, whatever the blocking. Every
+// register-blocked family declares it; the plain kernels, which sum
+// apart from C and add, do not.
 type Impl struct {
 	Name           string
 	Kern           Kernel
@@ -239,6 +241,6 @@ func GetImpl(name string) (Impl, error) {
 
 // Default is the kernel the paper's experiments use unless overridden:
 // the four-way-unrolled routine. The driver's default is Auto's pick
-// for the host and tile shape; Default remains the fixed-kernel
+// for the host; Default remains the fixed-kernel
 // baseline.
 var Default Kernel = Unrolled4

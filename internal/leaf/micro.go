@@ -17,15 +17,18 @@ import "math"
 
 // micro8x4dd: C[0:8,0:4] += A·B on column-major operands read in place:
 // a is positioned at the block's first row with column stride lda,
-// b0..b3 are the four B columns (length ≥ kc). Thirty-two live
-// accumulators exceed the register file on amd64, so this block trades
-// spills for halved loop overhead per FMA; on the hosts measured
-// (`make bench-kernel`) that trade won over a 4×4 block.
+// b0..b3 are the four B columns (length ≥ kc). Like the assembly bodies
+// it chains from C: each accumulator starts at its C element and takes
+// the products fused in ascending k, and is stored once at the end.
+// Thirty-two live accumulators exceed the register file on amd64, so
+// this block trades spills for halved loop overhead per FMA; on the
+// hosts measured (`make bench-kernel`) that trade won over a 4×4 block.
 func micro8x4dd(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []float64, ldc int) {
-	var c00, c10, c20, c30, c40, c50, c60, c70 float64
-	var c01, c11, c21, c31, c41, c51, c61, c71 float64
-	var c02, c12, c22, c32, c42, c52, c62, c72 float64
-	var c03, c13, c23, c33, c43, c53, c63, c73 float64
+	c0, c1, c2, c3 := (*[8]float64)(c[0*ldc:]), (*[8]float64)(c[1*ldc:]), (*[8]float64)(c[2*ldc:]), (*[8]float64)(c[3*ldc:])
+	c00, c10, c20, c30, c40, c50, c60, c70 := c0[0], c0[1], c0[2], c0[3], c0[4], c0[5], c0[6], c0[7]
+	c01, c11, c21, c31, c41, c51, c61, c71 := c1[0], c1[1], c1[2], c1[3], c1[4], c1[5], c1[6], c1[7]
+	c02, c12, c22, c32, c42, c52, c62, c72 := c2[0], c2[1], c2[2], c2[3], c2[4], c2[5], c2[6], c2[7]
+	c03, c13, c23, c33, c43, c53, c63, c73 := c3[0], c3[1], c3[2], c3[3], c3[4], c3[5], c3[6], c3[7]
 	b0, b1, b2, b3 = b0[:kc], b1[:kc], b2[:kc], b3[:kc]
 	ao := 0
 	for p := 0; p < kc; p++ {
@@ -73,40 +76,8 @@ func micro8x4dd(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []floa
 		c73 = math.FMA(av, v3, c73)
 		ao += lda
 	}
-	cc := (*[8]float64)(c[0*ldc:])
-	cc[0] += c00
-	cc[1] += c10
-	cc[2] += c20
-	cc[3] += c30
-	cc[4] += c40
-	cc[5] += c50
-	cc[6] += c60
-	cc[7] += c70
-	cc = (*[8]float64)(c[1*ldc:])
-	cc[0] += c01
-	cc[1] += c11
-	cc[2] += c21
-	cc[3] += c31
-	cc[4] += c41
-	cc[5] += c51
-	cc[6] += c61
-	cc[7] += c71
-	cc = (*[8]float64)(c[2*ldc:])
-	cc[0] += c02
-	cc[1] += c12
-	cc[2] += c22
-	cc[3] += c32
-	cc[4] += c42
-	cc[5] += c52
-	cc[6] += c62
-	cc[7] += c72
-	cc = (*[8]float64)(c[3*ldc:])
-	cc[0] += c03
-	cc[1] += c13
-	cc[2] += c23
-	cc[3] += c33
-	cc[4] += c43
-	cc[5] += c53
-	cc[6] += c63
-	cc[7] += c73
+	c0[0], c0[1], c0[2], c0[3], c0[4], c0[5], c0[6], c0[7] = c00, c10, c20, c30, c40, c50, c60, c70
+	c1[0], c1[1], c1[2], c1[3], c1[4], c1[5], c1[6], c1[7] = c01, c11, c21, c31, c41, c51, c61, c71
+	c2[0], c2[1], c2[2], c2[3], c2[4], c2[5], c2[6], c2[7] = c02, c12, c22, c32, c42, c52, c62, c72
+	c3[0], c3[1], c3[2], c3[3], c3[4], c3[5], c3[6], c3[7] = c03, c13, c23, c33, c43, c53, c63, c73
 }

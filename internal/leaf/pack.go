@@ -5,9 +5,8 @@ package leaf
 // block become one zero-padded block of the chain's last family (packA:
 // block[p*MR+r] = A[i0+r, p], rows past m zero), the columns past its
 // last four one zero-padded k×4 block of B, and the C those blocks
-// accumulate into is a scratch block: for a chained family a copy of
-// C's, copied back, for packed8x4 a zeroed one whose valid part is added
-// to C. A leaf whose shape is whole blocks copies nothing.
+// accumulate into is a scratch block, a copy of C's, copied back. A leaf
+// whose shape is whole blocks copies nothing.
 
 // Scratch holds the per-worker fringe buffers of the register-blocked
 // kernels. Buffers grow on demand and are retained across calls, so a
@@ -21,11 +20,11 @@ type Scratch struct {
 }
 
 // fringeC returns s.pc as an ld×w block that a fringe block accumulates
-// into: zero, or with chain its leading rows×cols C's values.
-func (s *Scratch) fringeC(chain bool, ld, w, rows, cols int, c []float64, ldc int) []float64 {
+// into: its leading rows×cols C's values, zero elsewhere.
+func (s *Scratch) fringeC(ld, w, rows, cols int, c []float64, ldc int) []float64 {
 	s.pc = grow(s.pc, ld*w)
 	clear(s.pc)
-	for j := 0; chain && j < cols; j++ {
+	for j := 0; j < cols; j++ {
 		copy(s.pc[j*ld:j*ld+rows], c[j*ldc:j*ldc+rows])
 	}
 	return s.pc

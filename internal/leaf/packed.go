@@ -45,9 +45,6 @@ type microImpl struct {
 	// after the last full mr-row block; it has a panel entry when this
 	// family has.
 	rem *microImpl
-	// chained is Impl.Chained: every block, down rem, loads C (store:
-	// +0), and so does the fringe's scratch block (packedMul).
-	chained bool
 }
 
 // microGo8 is the pure-Go micro-kernel family behind packed8x4.
@@ -62,22 +59,21 @@ var microGo8 = &microImpl{mr: 8, dd: micro8x4dd}
 // it (s.pa); the n%4 columns left as one zero-padded k×4 block of B
 // (s.pb) against every row.
 //
-// The fringe — rows past the last full block, columns past the last
-// four — has no loop of its own. It runs through the family's block
-// body on zero-padded operands into a scratch block of C, rounded as
-// the family rounds its full blocks. A chained family's scratch block
-// starts at C's values and is copied back, so each element of its
-// product is its C (+0 when storing), then ascending-k FMAs, wherever
-// the blocks fall: one call over a region of tiles has the tile loop's
-// bits. packed8x4's starts at zero and its valid part is added to C: a
-// zero accumulator, the products fused in ascending k, one add into C.
+// Every block, down the rem chain, chains from C: it loads its C block
+// (+0 when storing), fuses the products in ascending k and stores. The
+// fringe — rows past the last full block, columns past the last four —
+// has no loop of its own. It runs through the family's block body on
+// zero-padded operands into a scratch block that starts at C's values
+// and is copied back, so each element of the product is its C, then
+// ascending-k FMAs, wherever the blocks fall: one call over a region of
+// tiles, or a product split along k over calls, has the tile loop's
+// bits (Impl.Chained).
 //
 // store is the form C ← A·B, which never reads C: a panel entry stores
 // its full blocks, and what it does not store — the fringe, or all of C
 // for a family with only a dd entry — is cleared first and accumulated.
 func packedMul(s *Scratch, mk *microImpl, store bool, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	const nr = MicroN
-	chain := mk.chained
 	if m <= 0 || n <= 0 {
 		return
 	}
@@ -103,9 +99,9 @@ func packedMul(s *Scratch, mk *microImpl, store bool, m, n, k int, a []float64, 
 	if nf > 0 {
 		mk.fullBlocks(panelStore, m, nf, k, a, lda, b, ldb, c, ldc)
 		if i0 < m {
-			sc := s.fringeC(chain, last.mr, nf, m-i0, nf, c[i0:], ldc)
+			sc := s.fringeC(last.mr, nf, m-i0, nf, c[i0:], ldc)
 			last.blocks(false, last.mr, nf, k, s.pa, last.mr, b, ldb, sc, last.mr)
-			addBlock(chain, m-i0, nf, sc, last.mr, c[i0:], ldc)
+			copyBlock(m-i0, nf, sc, last.mr, c[i0:], ldc)
 		}
 	}
 	if nf < n {
@@ -114,12 +110,12 @@ func packedMul(s *Scratch, mk *microImpl, store bool, m, n, k int, a []float64, 
 			copy(s.pb[(j-nf)*k:], b[j*ldb:j*ldb+k])
 		}
 		clear(s.pb[(n-nf)*k:])
-		sc := s.fringeC(chain, mp, nr, m, n-nf, c[nf*ldc:], ldc)
+		sc := s.fringeC(mp, nr, m, n-nf, c[nf*ldc:], ldc)
 		mk.fullBlocks(false, m, nr, k, a, lda, s.pb, k, sc, mp)
 		if i0 < m {
 			last.blocks(false, last.mr, nr, k, s.pa, last.mr, s.pb, k, sc[i0:], mp)
 		}
-		addBlock(chain, m, n-nf, sc, mp, c[nf*ldc:], ldc)
+		copyBlock(m, n-nf, sc, mp, c[nf*ldc:], ldc)
 	}
 }
 
@@ -159,18 +155,11 @@ func (mk *microImpl) blocks(store bool, rows, n, k int, a []float64, lda int, b 
 	}
 }
 
-// addBlock adds the leading rows×cols of the scratch block sc to C, or
-// with chain copies them: the block started at C's values (fringeC).
-func addBlock(chain bool, rows, cols int, sc []float64, ldsc int, c []float64, ldc int) {
+// copyBlock copies the leading rows×cols of the scratch block sc back
+// to C: the block started at C's values (fringeC).
+func copyBlock(rows, cols int, sc []float64, ldsc int, c []float64, ldc int) {
 	for j := 0; j < cols; j++ {
-		dst := c[j*ldc : j*ldc+rows]
-		if chain {
-			copy(dst, sc[j*ldsc:])
-			continue
-		}
-		for i, v := range sc[j*ldsc : j*ldsc+rows] {
-			dst[i] += v
-		}
+		copy(c[j*ldc:j*ldc+rows], sc[j*ldsc:])
 	}
 }
 
@@ -184,7 +173,7 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // family: the plain Kernel (pooled scratch), the ScratchKernel and its
 // store form.
 func family(name string, mk *microImpl, balance float64) Impl {
-	return Impl{Name: name, Balance: balance, Chained: mk.chained,
+	return Impl{Name: name, Balance: balance, Chained: true,
 		Kern: func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 			s := scratchPool.Get().(*Scratch)
 			packedMul(s, mk, false, m, n, k, a, lda, b, ldb, c, ldc)

@@ -186,15 +186,13 @@ const splitPad = 3
 // product along rows, columns and k: one call per block, each C block's
 // k blocks in ascending order, the first through Store when storing.
 // Contiguous and strided operands, accumulating into a C holding -0s and
-// storing over a C of NaN. It counts the splits that differ; on a
-// chained kernel the first is fatal.
+// storing over a C of NaN. The first split that differs is fatal.
 type splitCheck struct {
 	name    string
 	impl    Impl
 	s       Scratch
 	a, b, c *matrix.Dense
 	bufs    [2][(160 + splitPad) * 160]float64 // one call's C and a split's
-	differ  int
 }
 
 func newSplitCheck(name string, impl Impl, seed int64) *splitCheck {
@@ -250,10 +248,7 @@ func (sc *splitCheck) check(t *testing.T, m, n, k int, splits ...[3][]int) {
 			for _, sp := range splits {
 				got := fresh(sc.bufs[1][:])
 				sc.run(store, sp[0], sp[1], sp[2], A, B, got)
-				if sameBits(got, one) {
-					continue
-				}
-				if sc.differ++; sc.impl.Chained {
+				if !sameBits(got, one) {
 					t.Fatalf("%s %dx%dx%d strided %v store %v: split at rows %v, columns %v, k %v differs from one call",
 						sc.name, m, n, k, strided, store, sp[0], sp[1], sp[2])
 				}
@@ -267,27 +262,24 @@ func (sc *splitCheck) check(t *testing.T, m, n, k int, splits ...[3][]int) {
 // quadrant instead of one per tile: for every registered kernel that
 // declares it, one call, store or accumulate, equals bit for bit the
 // same product split along k into 2 and 3 consecutive calls, on every m
-// from 1 to 104 and n from 1 to 64 (a splitCheck). avx2, avx512 and neon
-// declare it; packed8x4, whose blocks sum from +0 and add into C once,
-// does not, and splits to other bits.
+// from 1 to 104 and n from 1 to 64 (a splitCheck). Every
+// register-blocked family declares it — packed8x4, avx2, avx512, neon:
+// each block chains from C — and no plain kernel does.
 func TestChainedSplitKMatchesOneCall(t *testing.T) {
 	for _, name := range Names() {
 		impl, _ := GetImpl(name)
-		if want := name == "avx2" || name == "avx512" || name == "neon"; impl.Chained != want {
+		if want := name == "packed8x4" || name == "avx2" || name == "avx512" || name == "neon"; impl.Chained != want {
 			t.Errorf("%s declares Chained %v, want %v", name, impl.Chained, want)
 		}
-		if !impl.Chained && name != "packed8x4" {
+		if !impl.Chained {
 			continue
 		}
 		sc := newSplitCheck(name, impl, 44)
 		const k = 29
-		for m := 1; m <= 104 && (impl.Chained || sc.differ == 0); m++ {
+		for m := 1; m <= 104; m++ {
 			for n := 1; n <= 64; n++ {
 				sc.check(t, m, n, k, [3][]int{{0, m}, {0, n}, {0, 13, k}}, [3][]int{{0, m}, {0, n}, {0, 5, 17, k}})
 			}
-		}
-		if !impl.Chained && sc.differ == 0 {
-			t.Errorf("%s: every split gave one call's bits; it could declare Chained", name)
 		}
 	}
 }
@@ -423,15 +415,11 @@ func BenchmarkKernelTile(b *testing.B) {
 // the base's (k, i, j) order, storing when kk = 0 — interleaved in
 // alternating order. It reports each side's GFLOPS and the median over
 // iterations of the batch time ratio, eight calls over one (above 1: the
-// one call is faster). A chained kernel gives both the same bits
-// (TestChainedSplitKMatchesOneCall); an unchained one is skipped, as the
-// core merges no base for it.
+// one call is faster). The default kernel, chained, gives both the same
+// bits (TestChainedSplitKMatchesOneCall).
 func BenchmarkKernelMergedBase(b *testing.B) {
 	const n, t = 64, 32
 	impl := Auto(t, t, t)
-	if !impl.Chained {
-		b.Skip(impl.Name + " is not chained")
-	}
 	rng := rand.New(rand.NewSource(1))
 	A, B, C := matrix.Random(n, n, rng), matrix.Random(n, n, rng), matrix.New(n, n)
 	var s Scratch

@@ -46,9 +46,9 @@ type simdImpl struct {
 // GOARCHes, or with RECMAT_NOSIMD set.
 var simdNames []string
 
-// wide is the default kernel of a tile that holds a full micro-block:
-// the widest assembly family registered ("avx512" over "avx2"; "neon"),
-// the pure-Go "packed8x4" when there is none.
+// wide is the default kernel: the widest assembly family registered
+// ("avx512" over "avx2"; "neon"), the pure-Go "packed8x4" when there is
+// none.
 var wide = kernels["packed8x4"]
 
 func init() {
@@ -63,22 +63,15 @@ func init() {
 	sort.Strings(simdNames)
 }
 
-// Auto returns the default implementation for an m×n×k leaf shape: a
-// function of the tile shape and of what the CPU probe registered, and
-// of nothing else — no clock, no memo — so the same request runs the
-// same kernel in every call, process and restart on a host. The paper
-// ran one fixed leaf kernel; this is one fixed kernel per host and
-// shape class. A tile that holds a full MicroM×MicroN block takes the
-// widest register-blocked family; a smaller one would be all fringe —
-// one block padded out from under a block's worth of rows or columns —
-// and takes "blocked".
-// `make bench-kernel` times the rule's picks against every other kernel.
-func Auto(m, n, k int) Impl {
-	if m >= MicroM && n >= MicroN {
-		return wide
-	}
-	return kernels["blocked"]
-}
+// Auto returns the default implementation for an m×n×k leaf: a function
+// of what the CPU probe registered and of nothing else — not the shape,
+// no clock, no memo — so the same request runs the same kernel in every
+// call, process and restart on a host. The paper ran one fixed leaf
+// kernel; so does this, one per host: the widest register-blocked
+// family, on every tile — one under a MicroM×MicroN block runs as one
+// padded block, rounded as every other tile (Impl.Chained).
+// `make bench-kernel` times the rule's pick against every other kernel.
+func Auto(m, n, k int) Impl { return wide }
 
 // Calibrate returns the name of the default kernel for an m×n×k leaf.
 // It measures nothing; the name is the one the repository benchmark's

@@ -7,10 +7,9 @@ package leaf
 // YMM for AVX2/FMA (eight accumulators), 32 in ZMM for AVX-512F (sixteen,
 // with its 16- and 8-row remainders). Every body loads the C block up
 // front (the store form starts it at +0), accumulates into registers,
-// and stores once at the end — one rounding reordering versus the
-// pure-Go kernels (C joins the sum first instead of last), well inside
-// the differential-fuzz tolerance, and the same one in every width: the
-// two families are one rounding class, bit for bit.
+// and stores once at the end: each element is its C, then the products
+// fused in ascending k, as in packed8x4's pure-Go body, so the two
+// families and packed8x4 are one rounding class, bit for bit.
 //
 // Every tile, contiguous or strided, goes through the whole-panel entry,
 // one call for all the full blocks of a tile; the 32-row body hands what
@@ -21,8 +20,8 @@ package leaf
 // through either body padded to four (packedMul): the fringe needs no
 // assembly body of its own and no scalar loop.
 var (
-	microAVX2   = &microImpl{mr: 8, panel: panel8x4AVX2, chained: true}
-	microAVX512 = &microImpl{mr: 32, panel: panel32x4AVX512, chained: true,
+	microAVX2   = &microImpl{mr: 8, panel: panel8x4AVX2}
+	microAVX512 = &microImpl{mr: 32, panel: panel32x4AVX512,
 		rem: &microImpl{mr: 16, panel: panel16x4AVX512, rem: microAVX2}}
 )
 

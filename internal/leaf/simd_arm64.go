@@ -9,7 +9,7 @@ package leaf
 // AArch64 FMLA operates on 128-bit vectors, so a 4×4 block already
 // yields eight independent accumulator chains — the same chain count
 // the 8×4 AVX2 kernel needs 256-bit registers for.
-var microNEON = &microImpl{mr: 4, dd: micro4x4ddNEON, chained: true}
+var microNEON = &microImpl{mr: 4, dd: micro4x4ddNEON}
 
 // micro4x4ddNEON is micro4x4dd in NEON assembly: A and B read in place,
 // A advancing by lda doubles per k step and the four B columns by one.

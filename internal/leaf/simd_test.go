@@ -35,11 +35,10 @@ func TestSIMDRegistration(t *testing.T) {
 }
 
 // TestAutoRule pins the default kernel as a function of the registered
-// assembly families and the tile shape, and of nothing else: the widest
-// family SIMDNames lists (packed8x4 without one — `-tags noasm`,
-// RECMAT_NOSIMD) when the tile holds a full MicroM×MicroN block,
-// "blocked" otherwise; one answer however often it is asked; never the
-// reference kernel.
+// assembly families, and of nothing else: the widest family SIMDNames
+// lists (packed8x4 without one — `-tags noasm`, RECMAT_NOSIMD) at every
+// tile shape, those under one MicroM×MicroN block included; one answer
+// however often it is asked; a chained kernel.
 func TestAutoRule(t *testing.T) {
 	wideName := "packed8x4"
 	for _, fam := range []string{"neon", "avx2", "avx512"} { // widest last
@@ -52,15 +51,11 @@ func TestAutoRule(t *testing.T) {
 	for _, sh := range [][3]int{{1, 1, 1}, {3, 3, 3}, {4, 4, 4}, {7, 7, 7}, {8, 4, 8}, {8, 8, 8},
 		{16, 16, 16}, {32, 6, 32}, {32, 2, 32}, {4, 32, 32}, {64, 64, 64}, {1 << 20, 1 << 20, 1 << 20}} {
 		m, n, k := sh[0], sh[1], sh[2]
-		want := "blocked"
-		if m >= MicroM && n >= MicroN {
-			want = wideName
-		}
 		for i := 0; i < 1000; i++ {
 			got := Auto(m, n, k)
-			if got.Name != want || got.Name == "naive" || got.Kern == nil || Calibrate(m, n, k) != want {
+			if got.Name != wideName || !got.Chained || got.Kern == nil || Calibrate(m, n, k) != wideName {
 				t.Fatalf("call %d: Auto(%d, %d, %d) = %q (Calibrate %q), want %q with SIMD kernels %v",
-					i, m, n, k, got.Name, Calibrate(m, n, k), want, SIMDNames())
+					i, m, n, k, got.Name, Calibrate(m, n, k), wideName, SIMDNames())
 			}
 		}
 	}

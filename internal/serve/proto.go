@@ -73,8 +73,8 @@ type Response struct {
 	FastCutoff int `json:"fast_cutoff,omitempty"`
 	FastLevels int `json:"fast_levels,omitempty"`
 	// Kernel is the leaf kernel that ran: a function of this host's CPU
-	// features and the call's tile shape, so it cannot differ between two
-	// requests of one shape, or between two starts of the daemon on one
+	// features alone, so it cannot differ between two requests, or
+	// between two starts of the daemon on one
 	// host — which is why no plan-cache or coalesce key carries it.
 	Kernel string `json:"kernel"`
 	// Degraded lists the admission-ladder decisions taken for the call

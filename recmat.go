@@ -177,8 +177,10 @@ type Kernel = leaf.Kernel
 // tiles alike in place), and "unrolled4" (the paper's
 // kernel), plus whatever hardware kernels the
 // host CPU unlocked — "avx2" (AVX2/FMA 8×4) and "avx512" (AVX-512F
-// 16×4, bit-identical to "avx2") on amd64, "neon" (NEON 4×4) on arm64;
-// see SIMDKernels. See DESIGN.md for the hierarchy.
+// 32×4, with 16×4 and 8×4 remainders) on amd64, "neon" (NEON 4×4) on
+// arm64; see SIMDKernels. The register-blocked ones — "packed8x4" and
+// the hardware kernels — are one rounding class, bit for bit. See
+// DESIGN.md for the hierarchy.
 func Kernels() []string { return leaf.Names() }
 
 // KernelByName resolves a built-in kernel.
@@ -221,10 +223,9 @@ type Options struct {
 	// (ForceTile=1 reproduces element-level quadtree layouts).
 	ForceTile int
 	// KernelName selects a built-in leaf kernel by name (see Kernels).
-	// Unset, the engine runs the default for the host and the call's tile
-	// shape: the widest assembly family the CPU probe registered
-	// (SIMDKernels; "packed8x4" without one) on tiles of at least 8×4,
-	// "blocked" on smaller ones — a fixed rule, so the same call runs the
+	// Unset, the engine runs the default for the host: the widest
+	// assembly family the CPU probe registered (SIMDKernels; "packed8x4"
+	// without one) on every tile — a fixed rule, so the same call runs the
 	// same kernel in every process on a host; Report.Kernel names it.
 	// Note this departs from the paper, whose experiments fix the
 	// four-way-unrolled kernel; set KernelName to "unrolled4" to
