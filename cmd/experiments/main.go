@@ -109,16 +109,18 @@ func main() {
 	run(-1, "descent", descent)
 }
 
-// descent asks whether a DGEMM's own wide/lean split (Figure 3) is the
-// descent of a one-block pack: per shape, the products, depth, tiles and
-// padded volume (products × padded m·k·n, over m·k·n) of a per-call
-// DGEMM beside the same product through a plan of A packed as one block
-// (DisableSplit), which its partner reads through quadrants
-// (PrepackConforming + GEMMPrepacked), and the ratio of the two padded
-// volumes. Standard, Z-Morton, the library's tiles (m×k×n); the shapes
-// are the thin partners, the layout table's, ones whose split is not a
-// power-of-two fraction of the operand, and two where a DGEMM keeps its
-// near-equal split because the plan's tiles are smaller.
+// descent asks how a DGEMM's cut (the quadrants of the plan Prepack
+// would make of A, at the depth the wide/lean split of Figure 3 tiles)
+// compares with the descent of a one-block pack: per shape, the
+// products, depth, tiles and padded volume (products × padded m·k·n, over
+// m·k·n) of a per-call DGEMM beside the same product through a plan of A
+// packed as one block (DisableSplit), which its partner reads through
+// quadrants (PrepackConforming + GEMMPrepacked), and the ratio of the two
+// padded volumes. Standard, Z-Morton, the library's tiles (m×k×n); the
+// shapes are the thin partners, the layout table's, ones whose split is
+// not a power-of-two fraction of the operand, the tall operands and the
+// squares whose plan tiles are rounded to whole register blocks (1500³)
+// or taken a level shallower (384³).
 func descent() {
 	eng := recmat.NewEngine(*workers)
 	defer eng.Close()
@@ -133,7 +135,8 @@ func descent() {
 	fmt.Printf("%-14s %-28s %-28s %6s\n", "m×k×n", "DGEMM: products d tiles pad", "descent: products d tiles pad", "ratio")
 	for _, sh := range [][3]int{{1024, 1024, 1}, {1024, 1024, 6}, {1024, 1024, 48}, {512, 512, 16}, {300, 300, 48},
 		{64, 64, 64}, {256, 256, 256}, {1024, 1024, 1024}, {2048, 2048, 2048}, {512, 512, 48}, {1000, 900, 40},
-		{600, 600, 40}, {1500, 1500, 48}, {700, 700, 100}} {
+		{600, 600, 40}, {1500, 1500, 48}, {700, 700, 100}, {2000, 64, 16}, {10000, 64, 16}, {3000, 200, 8},
+		{1500, 1500, 1500}, {384, 384, 384}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		A, B, C := recmat.Random(m, k, rng), recmat.Random(k, n, rng), recmat.NewMatrix(m, n)
 		rd, err := eng.DGEMM(false, false, 1, A, B, 0, C, z)

@@ -8,6 +8,7 @@ import (
 	"os"
 	osexec "os/exec"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -372,11 +373,80 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 		}
 	}
 
+	// The fast algorithms' bits follow their blocks, so the rows on which a
+	// direct call once kept a cut of its own, which a plan could not follow
+	// (1500²·1500×48, 2000×64·64×16, 10000×64·64×16, 3000×200·200×8,
+	// 700²·700×100), and a whole 64×64×16, must give one set of bits per
+	// algorithm through GEMMCtx, GEMMPrepacked and GEMMPrepackedBatch: for
+	// Winograd and Strassen, recursed to single tiles and at the crossover
+	// rule's cutoff, one layout a row.
+	forks := [][3]int{{1500, 1500, 48}, {2000, 64, 16}, {10000, 64, 16}, {3000, 200, 8}, {700, 700, 100}, {64, 64, 16}}
+	if testing.Short() || raceEnabled {
+		forks = [][3]int{{2000, 64, 16}, {64, 64, 16}}
+	}
+	for _, rule := range []string{"cutoff 1", "the crossover rule"} {
+		t.Run(rule, func(t *testing.T) {
+			if rule != "cutoff 1" {
+				useRule(t, leaf.FastCutoff)
+			}
+			pool := pools[1]
+			for si, sh := range forks {
+				m, k, n := sh[0], sh[1], sh[2]
+				A, B, C := matrix.Random(m, k, rng), matrix.Random(k, n, rng), matrix.Random(m, n, rng)
+				cv := layout.RecursiveCurves[si%len(layout.RecursiveCurves)]
+				for _, alg := range []Alg{Winograd, Strassen} {
+					opts := Options{Curve: cv, Alg: alg}
+					name := fmt.Sprintf("%dx%dx%d %v/%v, %s", m, k, n, alg, cv, rule)
+					want := C.Clone()
+					st, err := GEMMCtx(ctx, pool, opts, false, false, 0.75, A, B, 0.5, want)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					pa, err := Prepack(ctx, pool, opts, A, false)
+					if err != nil {
+						t.Fatalf("%s: Prepack: %v", name, err)
+					}
+					pb, err := PrepackConforming(ctx, pool, opts, B, false, pa)
+					if err != nil {
+						t.Fatalf("%s: PrepackConforming: %v", name, err)
+					}
+					got := C.Clone()
+					ps, err := GEMMPrepacked(ctx, pool, opts, 0.75, pa, pb, 0.5, got)
+					pb.Release()
+					if err != nil {
+						t.Fatalf("%s: GEMMPrepacked: %v", name, err)
+					}
+					batched := C.Clone()
+					bs, errs, err := GEMMPrepackedBatch(ctx, pool, opts, pa, []PrepackedBatchItem{{Alpha: 0.75, B: B, Beta: 0.5, C: batched}})
+					pa.Release()
+					if err == nil {
+						err = errs[0]
+					}
+					if err != nil {
+						t.Fatalf("%s: GEMMPrepackedBatch: %v", name, err)
+					}
+					for _, r := range []struct {
+						what string
+						c    *matrix.Dense
+						st   *Stats
+					}{{"GEMMPrepacked", got, ps}, {"GEMMPrepackedBatch", batched, &bs.Stats}} {
+						if r.st.Blocks != st.Blocks || r.st.Depth != st.Depth || r.st.TileM != st.TileM || r.st.TileK != st.TileK ||
+							r.st.TileN != st.TileN || r.st.FastLevels != st.FastLevels || !matrix.Equal(r.c, want, 0) {
+							t.Errorf("%s: %s runs %d blocks at depth %d on %dx%dx%d tiles, %d fast levels, %g from GEMMCtx's bits; GEMMCtx %d at %d on %dx%dx%d, %d",
+								name, r.what, r.st.Blocks, r.st.Depth, r.st.TileM, r.st.TileK, r.st.TileN, r.st.FastLevels, matrix.MaxAbsDiff(r.c, want),
+								st.Blocks, st.Depth, st.TileM, st.TileK, st.TileN, st.FastLevels)
+						}
+					}
+				}
+			}
+		})
+	}
+
 	// One plan serves a wave of partners of several widths — the wave the
 	// daemon's coalescer builds from requests on one named operand — and
-	// each member has the bits of its own per-call GEMM. Every width splits
-	// A (under 256² a 64-wide partner would not: a one-block product picks
-	// its depth over all three dimensions, which a plan cannot follow).
+	// each member has the bits of its own per-call GEMM, the descent of
+	// the plan Prepack made: a direct call reads A through that plan's
+	// quadrants too.
 	wm := 1024
 	if testing.Short() || raceEnabled {
 		wm = 512
@@ -412,6 +482,67 @@ func TestDeterminismSplitEntryPoints(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDeterminismOneCut: a product is cut one way whatever its entry
+// point. Over a grid of shapes — m and k of 16 to 10,000, n of 1 to
+// 10,000, m·k·n up to 4·10¹⁰ — planOf for a direct call gives the same
+// blocks (segments of m, k and n), depth and tiles as planOf for the same
+// product through the plan Prepack makes of A (planA), and through that
+// plan and the one PrepackConforming makes of B against it: on the
+// library's tiles, on a named kernel's (no register-block rounding) and
+// on forced square tiles.
+func TestDeterminismOneCut(t *testing.T) {
+	grid := []int{1, 3, 8, 16, 24, 32, 40, 48, 64, 96, 100, 128, 150, 192, 200, 250, 256, 300, 384, 500,
+		512, 600, 700, 900, 1000, 1024, 1500, 2000, 3000, 10000}
+	sameCut := func(a, b *plan) bool {
+		return a.g == b.g && slices.Equal(a.ms, b.ms) && slices.Equal(a.ks, b.ks) && slices.Equal(a.ns, b.ns)
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{{"default", Options{}}, {"blocked", Options{KernelName: "blocked"}}, {"forced 16", Options{ForceTile: 16}}} {
+		o := tc.opts.withDefaults()
+		shapes, forks := 0, 0
+		for _, m := range grid[3:] {
+			for _, k := range grid[3:] {
+				pa, err := planA(o, m, k)
+				if err != nil {
+					t.Fatalf("%dx%d: planA: %v", m, k, err)
+				}
+				for _, n := range grid {
+					if float64(m)*float64(k)*float64(n) > 4e10 {
+						continue
+					}
+					shapes++
+					direct, err := planOf(o, 0, given{}, m, k, n)
+					if err != nil {
+						t.Fatalf("%dx%dx%d: %v", m, k, n, err)
+					}
+					viaA, err := planOf(o, 0, given{pa: &pa}, m, k, n)
+					if err != nil {
+						t.Fatalf("%dx%dx%d through A's plan: %v", m, k, n, err)
+					}
+					pb := newPlan(viaA.g.hdrB(), viaA.ks, viaA.ns) // PrepackConforming's
+					viaAB, err := planOf(o, 0, given{pa: &pa, pb: pb}, m, k, n)
+					if err != nil {
+						t.Fatalf("%dx%dx%d through both plans: %v", m, k, n, err)
+					}
+					if !sameCut(direct, viaA) || !sameCut(direct, viaAB) {
+						if forks++; forks <= 5 {
+							t.Errorf("%s %dx%dx%d: direct %d×%d×%d blocks at depth %d on %dx%dx%d tiles; through A's plan %d×%d×%d at %d on %dx%dx%d; through both %d×%d×%d at %d on %dx%dx%d",
+								tc.name, m, k, n, len(direct.ms), len(direct.ks), len(direct.ns), direct.g.d, direct.g.tm, direct.g.tk, direct.g.tn,
+								len(viaA.ms), len(viaA.ks), len(viaA.ns), viaA.g.d, viaA.g.tm, viaA.g.tk, viaA.g.tn,
+								len(viaAB.ms), len(viaAB.ks), len(viaAB.ns), viaAB.g.d, viaAB.g.tm, viaAB.g.tk, viaAB.g.tn)
+						}
+					}
+				}
+			}
+		}
+		if forks > 0 {
+			t.Errorf("%s: %d of %d shapes cut two ways", tc.name, forks, shapes)
 		}
 	}
 }
@@ -1215,9 +1346,10 @@ func TestDeterminismInPlaceSegments(t *testing.T) {
 // B, stored transposed, which packs it; and, for β = 0, α = 1, Pack +
 // MulPrepacked into a zeroed C plan + Unpack, whose C never goes in
 // place (on Z-Morton for ColMajor: the standard recursion's bits are one
-// set over the layouts). The shapes read 32-, 24- and 25-wide tiles (the
-// last with a fringe in the leaf) on grids of 2 to 8 tiles a side; a
-// padded one-block shape and 384³, 16 tiles a side, keep packing. An
+// set over the layouts). The shapes read 32-, 24-, 25- and 48-wide tiles
+// (the 25 with a fringe in the leaf) on grids of 2 to 8 tiles a side —
+// 384³ on 48-wide tiles, 8 a side; a padded one-block shape and 512³, 16
+// tiles a side, keep packing. An
 // untransposed α = 1, β = 0 member converts nothing, and at one worker
 // allocates no more than its packing twin.
 func TestDeterminismInPlaceProduct(t *testing.T) {
@@ -1230,9 +1362,9 @@ func TestDeterminismInPlaceProduct(t *testing.T) {
 		inPlace bool
 	}
 	shapes := []shape{{64, 64, 64, true}, {96, 96, 96, true}, {100, 100, 100, true}, {192, 192, 192, true},
-		{256, 256, 256, true}, {320, 320, 320, true}, {97, 97, 97, false}, {384, 384, 384, false}}
+		{256, 256, 256, true}, {320, 320, 320, true}, {384, 384, 384, true}, {97, 97, 97, false}, {512, 512, 512, false}}
 	if testing.Short() || raceEnabled {
-		shapes = []shape{{64, 64, 64, true}, {100, 100, 100, true}, {97, 97, 97, false}, {384, 384, 384, false}}
+		shapes = []shape{{64, 64, 64, true}, {100, 100, 100, true}, {97, 97, 97, false}, {512, 512, 512, false}}
 	}
 	pools := map[int]*sched.Pool{}
 	for _, w := range []int{1, 2, 4} {

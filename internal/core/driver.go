@@ -691,11 +691,11 @@ func (w *wave) cause() error {
 	return sched.ErrPoolClosed
 }
 
-// choose determines the depth and the tile sizes t that cover dims:
-// (m, k, n) for one block multiplication, or the (rows, columns) of an
-// operand — a plan's maximum segment lengths, so that one Pick gives
-// every block the same geometry and two independently prepacked operands
-// can conform; t[2] then repeats t[1]. The padded extents are validated
+// choose determines the depth and the tile sizes t that cover dims: a
+// plan's longest rows, columns and rows again (planA), so that one Pick
+// gives every block the same geometry as for a square partner, or a
+// product's longest m and k segments, whose depth the partner descends to
+// (split); t[2] then repeats t[1]. The padded extents are validated
 // (an absurd ForceTile or tile range yields ErrDimension instead of
 // garbage allocation sizes).
 func choose(o Options, dims ...int) (d uint, t [3]int, err error) {

@@ -20,17 +20,17 @@ import (
 // GEMMBatch* wave, a single call being a wave of one member: one
 // scheduler run (call.multiply) of one member body (wave.body), plan →
 // pack once → block wave → fused epilogue. A product is cut by one rule
-// (tile.Config.SplitDims, Figure 3) into squat blocks that share one
-// geometry, kernel, admission decision and arena. Every A and B segment
-// is packed once — into a runner's transient plan, by its one consuming
-// block, or, for a *Prepacked* operand, before the call — unless a plan
-// would exceed MemBudget: then each block packs the segments it
-// multiplies. Each C block (planMul.block) owns a tile its first product
-// stores, accumulates the rest over the k segments in ascending order in
-// the packed domain, and folds α·tile into C in one fused epilogue. A
-// product of one small block is multiplied where it lies (wave.body), and
-// one whose C is itself a plan (MulPrepacked) accumulates into C's blocks:
-// a packed operand is a plan, whether split into blocks or one.
+// (split: the quadrants of A's plan, Figure 3) into squat blocks that
+// share one geometry, kernel, admission decision and arena. Every A and
+// B segment is packed once — into a runner's transient plan, by its one
+// consuming block, or, for a *Prepacked* operand, before the call —
+// unless a plan would exceed MemBudget: then each block packs the
+// segments it multiplies. Each C block (planMul.block) owns a tile its
+// first product stores, accumulates the rest over the k segments in
+// ascending order in the packed domain, and folds α·tile into C in one
+// fused epilogue. A product of one small block is multiplied where it
+// lies (wave.body), and one whose C is a plan (MulPrepacked) accumulates
+// into C's blocks: a packed operand is a plan, split into blocks or one.
 //
 // As the paper's program is one Cilk computation, everything that
 // touches an operand happens in the run's task tree: below an entry
@@ -198,24 +198,22 @@ func (g geom) charge(alg Alg, fastCutoff int, ms, ks, ns []tile.Seg, gv given, r
 	return ch
 }
 
-// conformTile is the tile width of a free dimension of extent n on an
-// inherited depth-d grid: ceil division by the grid side. The inherited
-// depth can leave a skinny dimension with tiles too narrow for the
-// register-blocked kernels; rounding up to the micro-kernel's column
-// block trades zero padding in the operand for the zero lanes the
-// kernel would otherwise pad the tile's last block with (both run at
-// vector speed; the rounded tile spares the leaf its copies and adds) —
-// but only when the extra padding stays within the configured slack,
-// since a deep grid multiplies the rounding by 2^d and would swamp
-// that with padded flops.
-func conformTile(cfg tile.Config, n int, d uint) int {
-	tn := (n + 1<<d - 1) >> d
-	if mu := cfg.MicroN; mu > 0 && tn%mu != 0 {
-		if rounded := tn + mu - tn%mu; float64(rounded<<d) <= float64(n)*(1+cfg.PadSlack) {
-			tn = rounded
+// conformTile is the tile of a dimension cut into segs on a depth-d
+// grid: the longest segment over the grid side, rounded up to a multiple
+// of mu, the kernel's register block along it (0: none), within the
+// padding slack. An off-grid tile pads its last block with zero lanes the
+// kernel computes anyway; rounding moves them into the operand, sparing
+// the leaf its copies — but a deep grid multiplies it by 2^d, and a whole
+// dimension that fills its grid exactly is read where it lies.
+func conformTile(cfg tile.Config, segs []tile.Seg, d uint, mu int) int {
+	n := maxSegLen(segs)
+	t := (n + 1<<d - 1) >> d
+	if mu > 0 && t%mu != 0 && (len(segs) > 1 || t<<d != n) {
+		if rounded := t + mu - t%mu; float64(rounded<<d) <= float64(n)*(1+cfg.PadSlack) {
+			t = rounded
 		}
 	}
-	return tn
+	return t
 }
 
 // asWave is the nesting rule: n independent pieces (a wave's members, a
@@ -272,15 +270,13 @@ func (pl *plan) describe(alg Alg, stats *Stats) {
 	stats.FastCutoff, stats.FastLevels = pl.cutoff, fastLevels(alg, g.side(), pl.cutoff)
 }
 
-// planOf plans an m×k×n product: the split and geometry (split: GEMM's
-// own, or the quadrants of a given plan of A, its free dimension cut as a
-// direct call would cut it; or the given plans' tiles), the
-// leaf kernel for those tiles, and what only the kernel and grid settle —
-// the fast cutoff and AlgAuto. workers is the pool's worker count and
-// decides whether the C blocks run as a wave; zero plans a member of a
-// wave whose members are the parallelism, serial on its runner. Kernel
-// and cutoff are per shape, not per wave: a heterogeneous wave gives
-// each member what its single-call twin gets.
+// planOf plans an m×k×n product: the split and geometry (split, or the
+// given plans' tiles), the leaf kernel for those tiles, and what only the
+// kernel and grid settle — the fast cutoff and AlgAuto. workers is the
+// pool's worker count and decides whether the C blocks run as a wave;
+// zero plans a member of a wave whose members are the parallelism, serial
+// on its runner. Kernel and cutoff are per shape, not per wave: a
+// heterogeneous wave gives each member what its single-call twin gets.
 func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
 	if err := multipliable(o.Curve); err != nil {
 		return nil, err
@@ -311,38 +307,30 @@ func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
 }
 
 // split cuts an m×k×n product into the blocks it multiplies and picks
-// their geometry. The wide/lean split (splitSegs) says how finely, and a
-// Pick over its segments the depth d; a direct call of one block is tiled
-// over all three dimensions instead. A resident plan of A, pa, is read
-// through the quadrants of its blocks at depth d — level l = pa.D − d,
-// less while a quadrant would lie wholly in padding — on its own tiles, n
-// cut as the split cuts it. A direct call reads A as the plan Prepack
-// would make of it (planA) would be read, and so has a plan's blocks and
-// bits, when those quadrants run at depth d on tiles no smaller and no
-// less register-aligned than the split's own; otherwise it keeps the
-// split, which a plan of A cannot follow.
+// their geometry, one rule for every entry point: A is read through the
+// quadrants of its plan — pa, or for a direct call the plan Prepack would
+// make (planA) — at the depth d a Pick over the wide/lean split's
+// segments gives: level l = pa.D − d, less while a quadrant would lie
+// wholly in padding, on pa's tiles; n is cut as the split cuts it (by
+// forced tiles, to their grid). So every entry point has one set of bits.
 func split(o Options, pa *Prepacked, m, k, n int) (ms, ks, ns []tile.Seg, g geom, err error) {
 	ms, ks, ns = splitSegs(o, m, k, n)
-	if pa == nil && len(ms)*len(ks)*len(ns) == 1 {
-		d, t, err := choose(o, m, k, n)
-		return ms, ks, ns, geom{o.Curve, d, t[0], t[1], t[2]}, err
-	}
-	d, t, err := choose(o, maxSegLen(ms), maxSegLen(ks))
-	g = geom{o.Curve, d, t[0], t[1], conformTile(o.Tile, maxSegLen(ns), d)}
-	direct := pa == nil
-	if err == nil && direct {
-		pa, err = planA(o, m, k)
+	d, _, err := choose(o, maxSegLen(ms), maxSegLen(ks))
+	if err == nil && pa == nil {
+		pa = new(Prepacked)
+		*pa, err = planA(o, m, k)
 	}
 	if err != nil {
 		return nil, nil, nil, geom{}, err
 	}
 	l := pa.D - min(d, pa.D)
-	qm, qk, ok := pa.quads(l)
-	for ; !ok; qm, qk, ok = pa.quads(l) {
+	ms, ks, ok := pa.quads(l)
+	for ; !ok; ms, ks, ok = pa.quads(l) {
 		l--
 	}
-	if !direct || pa.D-l == d && pa.TR >= t[0] && pa.TC >= t[1] && (pa.TR%leaf.MicroM == 0 || t[0]%leaf.MicroM != 0) {
-		ms, ks, g = qm, qk, geom{pa.Curve, pa.D - l, pa.TR, pa.TC, conformTile(o.Tile, maxSegLen(ns), pa.D-l)}
+	g = geom{pa.Curve, pa.D - l, pa.TR, pa.TC, conformTile(o.Tile, ns, pa.D-l, o.Tile.MicroN)}
+	if f := o.ForceTile; f > 0 {
+		ns, g.tn = tile.SplitDim(n, f<<g.d), f
 	}
 	_, _, _, err = paddedDims(g.d, g.tm, g.tk, g.tn)
 	return ms, ks, ns, g, err

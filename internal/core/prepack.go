@@ -54,9 +54,10 @@ type Prepacked struct {
 	trans bool
 }
 
-// Prepack converts op(src) into a recursive-layout plan: segments from
-// the same wide/lean decomposition GEMM would apply, one packed Tiled
-// per segment pair, the requested transposition folded into the pack.
+// Prepack converts op(src) into a recursive-layout plan (planA): the
+// plan every product with this A is cut by — a direct GEMM reads its A
+// through the same quadrants — one packed Tiled per segment pair, the
+// requested transposition folded into the pack.
 // Options select the curve, tile configuration, and splitting behavior;
 // algorithm and kernel choices are deferred to GEMMPrepacked. The
 // canonical layouts are rejected — they have no conversion to amortize.
@@ -69,9 +70,9 @@ func Prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 	return prepack(ctx, pool, opts, src, trans, "Prepack")
 }
 
-// Pack is Prepack of src, untransposed, as one block (DisableSplit): on
-// the depth and tiles one Pick over its extents gives — the operand
-// Frens and Wise keep in quad-tree form across products (MulPrepacked).
+// Pack is Prepack of src, untransposed, as one block (DisableSplit) on
+// planA's tiles: the operand Frens and Wise keep in quad-tree form
+// across products (MulPrepacked).
 func Pack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.Dense) (*Prepacked, error) {
 	opts.DisableSplit = true
 	return prepack(ctx, pool, opts, src, false, "Pack")
@@ -88,23 +89,34 @@ func prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 	if err != nil {
 		return nil, err
 	}
-	if p, err = planA(cl.o, r, c); err != nil {
+	p = new(Prepacked)
+	if *p, err = planA(cl.o, r, c); err != nil {
 		return nil, err
 	}
 	return cl.resident(ctx, p, func(e *exec, c *sched.Ctx) { p.fill(e, c, nil, src, trans, false) })
 }
 
-// planA is the plan of an r×c left operand: the split a direct GEMM
-// against a square partner would make, every block tiled by one Pick
-// over the longest segments. A thinner partner, resident or per call,
-// reads the quadrants of its blocks (split).
-func planA(o Options, r, c int) (*Prepacked, error) {
+// planA is the plan of an r×c left operand, the one cut of every product
+// with that A (split): the wide/lean split against a square partner, its
+// blocks tiled by one Pick over the longest segments as for that partner
+// (rows, columns, rows), a level shallower when a tile is under TSweet on
+// a grid past inPlaceSide a side (a smaller one is read in place and
+// merges its tiles) and the shallower tiles fit, and both tiles rounded
+// to whole register blocks (conformTile). Forced tiles stay exact.
+func planA(o Options, r, c int) (p Prepacked, err error) {
 	rs, cs, _ := splitSegs(o, r, c, r)
-	d, t, err := choose(o, maxSegLen(rs), maxSegLen(cs))
+	mr, mc := maxSegLen(rs), maxSegLen(cs)
+	d, t, err := choose(o, mr, mc, mr)
 	if err != nil {
-		return nil, err
+		return p, err
 	}
-	return newPlan(Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs), nil
+	if cfg := o.Tile; o.ForceTile == 0 {
+		if 1<<d > inPlaceSide && min(t[0], t[1]) < cfg.TSweet && max(mr, mc) <= cfg.TMax<<(d-1) {
+			d--
+		}
+		t[0], t[1] = conformTile(cfg, rs, d, cfg.MicroM), conformTile(cfg, cs, d, cfg.MicroM)
+	}
+	return *p.repack(Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs), nil
 }
 
 // PrepackConforming packs op(src) as the right-hand operand of a plan

@@ -337,6 +337,25 @@ func TestPrepackValidation(t *testing.T) {
 // calls as the slack allows misses.
 func poolSlack(classes int) int { return (runtime.GOMAXPROCS(0) - 1) * classes }
 
+// TestPlanOfAllocations: planning a direct call reads A through the plan
+// Prepack would make of it, built as a value, and costs no more
+// allocations than the two cuts it replaced did: 8 for an in-place 64³,
+// 16 for the split 1024²·1024×48.
+func TestPlanOfAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun counts race-runtime bookkeeping allocations")
+	}
+	o := (&Options{}).withDefaults()
+	for _, tc := range []struct {
+		m, k, n int
+		most    float64
+	}{{64, 64, 64, 8}, {1024, 1024, 48, 16}} {
+		if a := testing.AllocsPerRun(100, func() { planOf(o, 2, given{}, tc.m, tc.k, tc.n) }); a > tc.most {
+			t.Errorf("planOf %dx%dx%d: %.0f allocations, want at most %.0f", tc.m, tc.k, tc.n, a, tc.most)
+		}
+	}
+}
+
 // TestPrepackedSteadyStateAllocBytes pins the recycling acceptance
 // criterion: once warm, a repeated prepacked multiplication allocates a
 // negligible, bounded number of bytes per call — the packed buffers,

@@ -176,7 +176,8 @@ func (c Config) pick(dims []int, strict bool) Choice {
 			best, bestDist, bestAligned = int(d), dist, al
 		}
 	}
-	ch := Choice{D: uint(best), Tiles: make([]int, len(dims)), Padded: make([]int, len(dims))}
+	buf := make([]int, 2*len(dims)) // one allocation for both
+	ch := Choice{D: uint(best), Tiles: buf[:len(dims):len(dims)], Padded: buf[len(dims):]}
 	for i, dim := range dims {
 		ch.Tiles[i] = bits.CeilDiv(dim, 1<<best)
 		ch.Padded[i] = ch.Tiles[i] << best
@@ -192,13 +193,13 @@ type Seg struct {
 // SplitDim cuts a dimension of the given length into the fewest
 // near-equal segments of length at most maxLen.
 func SplitDim(length, maxLen int) []Seg {
-	if length <= maxLen {
-		return []Seg{{0, length}}
-	}
-	parts := bits.CeilDiv(length, maxLen)
-	segs := make([]Seg, 0, parts)
-	off := 0
-	for p := 0; p < parts; p++ {
+	return splitInto(nil, length, maxLen)
+}
+
+// splitInto appends SplitDim's segments to segs.
+func splitInto(segs []Seg, length, maxLen int) []Seg {
+	parts := max(bits.CeilDiv(length, maxLen), 1)
+	for p, off := 0, 0; p < parts; p++ {
 		// Distribute the remainder so segments differ by at most 1.
 		l := length / parts
 		if p < length%parts {
@@ -220,29 +221,20 @@ func SplitDim(length, maxLen int) []Seg {
 // of TSweet, so every block tiles at the sweet size on a power-of-two
 // grid: a block of 171 cuts into 22- or 43-element tiles, of whose
 // padded register blocks up to a quarter of the lanes are wasted, a
-// block of 128 into 32s. It is the one split rule of the tree: a direct
-// GEMM and the operand packed to conform with a plan call it with the
-// same (m, k, n), which fixes the free dimension's cut and the depth; a
-// plan, packed for a square partner, is read through the quadrants of
-// its blocks at that depth, and a direct GEMM reads A through those of
-// the plan it would make when they tile as well as these segments.
+// block of 128 into 32s. It is the one split rule of the tree: the plan
+// of an A operand calls it for a square partner, and a product with that
+// A calls it with its own (m, k, n), which fixes the free dimension's cut
+// and the depth at which every entry point, a direct GEMM included, reads
+// the quadrants of the plan's blocks.
 func (c Config) SplitDims(m, k, n int) (ms, ks, ns []Seg) {
-	short := m
-	if k < short {
-		short = k
-	}
-	if n < short {
-		short = n
-	}
-	if short < c.TMin {
-		short = c.TMin
-	}
-	maxLen := int(float64(short) * c.Alpha())
+	maxLen := int(float64(max(min(m, k, n), c.TMin)) * c.Alpha())
 	if g := c.TSweet; g > 0 && maxLen >= g {
 		for g*2 <= maxLen {
 			g *= 2
 		}
 		maxLen = g
 	}
-	return SplitDim(m, maxLen), SplitDim(k, maxLen), SplitDim(n, maxLen)
+	pm, pk := max(bits.CeilDiv(m, maxLen), 1), max(bits.CeilDiv(k, maxLen), 1)
+	segs := splitInto(splitInto(splitInto(make([]Seg, 0, pm+pk+max(bits.CeilDiv(n, maxLen), 1)), m, maxLen), k, maxLen), n, maxLen)
+	return segs[:pm:pm], segs[pm : pm+pk : pm+pk], segs[pm+pk:]
 }

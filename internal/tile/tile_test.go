@@ -245,14 +245,14 @@ func TestPickMicroAlignmentTieBreak(t *testing.T) {
 }
 
 // TestPickAllocatesOnlyItsChoice: a Pick allocates the chosen Tiles and
-// Padded and nothing per candidate depth, on strict and relaxed inputs
-// alike (5×3000 admits no strict tiling).
+// Padded, one array for both, and nothing per candidate depth, on strict
+// and relaxed inputs alike (5×3000 admits no strict tiling).
 func TestPickAllocatesOnlyItsChoice(t *testing.T) {
 	c := DefaultConfig
 	c.MicroM, c.MicroN = 8, 4
 	for _, dims := range [][]int{{1024, 1024}, {1024, 1024, 48}, {439, 1062}, {5, 3000}} {
-		if n := testing.AllocsPerRun(20, func() { c.Pick(dims...) }); n != 2 {
-			t.Errorf("Pick(%v): %v allocations, want 2 (Tiles and Padded)", dims, n)
+		if n := testing.AllocsPerRun(20, func() { c.Pick(dims...) }); n != 1 {
+			t.Errorf("Pick(%v): %v allocations, want 1 (Tiles and Padded)", dims, n)
 		}
 	}
 }
