@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -200,18 +201,15 @@ func (g geom) charge(alg Alg, fastCutoff int, ms, ks, ns []tile.Seg, gv given, r
 
 // conformTile is the tile of a dimension cut into segs on a depth-d
 // grid: the longest segment over the grid side, rounded up to a multiple
-// of mu, the kernel's register block along it (0: none), within the
-// padding slack. An off-grid tile pads its last block with zero lanes the
-// kernel computes anyway; rounding moves them into the operand, sparing
-// the leaf its copies — but a deep grid multiplies it by 2^d, and a whole
-// dimension that fills its grid exactly is read where it lies.
-func conformTile(cfg tile.Config, segs []tile.Seg, d uint, mu int) int {
-	n := maxSegLen(segs)
-	t := (n + 1<<d - 1) >> d
-	if mu > 0 && t%mu != 0 && (len(segs) > 1 || t<<d != n) {
-		if rounded := t + mu - t%mu; float64(rounded<<d) <= float64(n)*(1+cfg.PadSlack) {
-			t = rounded
-		}
+// of mu, the kernel's register block (0: none), if at most most — the
+// kernel pads a short block with zero lanes anyway, and a rounded tile
+// spares every leaf call the pack and copy of that fringe — unless every
+// segment fills the grid exactly, to be read where it lies.
+func conformTile(segs []tile.Seg, d uint, mu, most int) int {
+	t := (maxSegLen(segs) + 1<<d - 1) >> d
+	fill := !slices.ContainsFunc(segs, func(s tile.Seg) bool { return s.Len != t<<d })
+	if mu > 0 && t%mu != 0 && !fill && t+mu-t%mu <= most {
+		t += mu - t%mu
 	}
 	return t
 }
@@ -310,9 +308,10 @@ func planOf(o Options, workers int, gv given, m, k, n int) (*plan, error) {
 // their geometry, one rule for every entry point: A is read through the
 // quadrants of its plan — pa, or for a direct call the plan Prepack would
 // make (planA) — at the depth d a Pick over the wide/lean split's
-// segments gives: level l = pa.D − d, less while a quadrant would lie
-// wholly in padding, on pa's tiles; n is cut as the split cuts it (by
-// forced tiles, to their grid). So every entry point has one set of bits.
+// segments gives: level l = pa.D − d, on pa's tiles, a quadrant wholly in
+// padding left out; n is cut as the split cuts it (by forced tiles, to
+// their grid), its tile rounded only within the slack: tiles merged in
+// place compute every column. So every entry point has one set of bits.
 func split(o Options, pa *Prepacked, m, k, n int) (ms, ks, ns []tile.Seg, g geom, err error) {
 	ms, ks, ns = splitSegs(o, m, k, n)
 	d, _, err := choose(o, maxSegLen(ms), maxSegLen(ks))
@@ -323,12 +322,9 @@ func split(o Options, pa *Prepacked, m, k, n int) (ms, ks, ns []tile.Seg, g geom
 	if err != nil {
 		return nil, nil, nil, geom{}, err
 	}
-	l := pa.D - min(d, pa.D)
-	ms, ks, ok := pa.quads(l)
-	for ; !ok; ms, ks, ok = pa.quads(l) {
-		l--
-	}
-	g = geom{pa.Curve, pa.D - l, pa.TR, pa.TC, conformTile(o.Tile, ns, pa.D-l, o.Tile.MicroN)}
+	d = max(min(d, pa.D), pa.D-min(pa.D, maxPosDepth))
+	ms, ks, _ = pa.quads(pa.D - d)
+	g = geom{pa.Curve, d, pa.TR, pa.TC, conformTile(ns, d, o.Tile.MicroN, int(float64(maxSegLen(ns))*(1+o.Tile.PadSlack))>>d)}
 	if f := o.ForceTile; f > 0 {
 		ns, g.tn = tile.SplitDim(n, f<<g.d), f
 	}
@@ -450,7 +446,7 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	// buffer, which mat bills to ConvertIn.
 	in0 := ws.stats.ConvertIn
 	for kk := range pm.ks {
-		am, bm := pa.mat(c, ws, &ws.one[0], i, kk, hdr.D, pm.std), pb.mat(c, ws, &ws.one[1], kk, j, hdr.D, pm.std)
+		am, bm := pa.mat(c, ws, &ws.one[0], sm, pm.ks[kk], hdr.D, pm.std), pb.mat(c, ws, &ws.one[1], pm.ks[kk], sn, hdr.D, pm.std)
 		e.phase(ctx, obs.KindCompute, "recmat.compute", func() { e.mul(c, alg, cm, am, bm, kk == 0 && pm.std && pm.pc == nil) })
 		if c.Cancelled() {
 			return errRunCancelled

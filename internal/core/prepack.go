@@ -101,8 +101,10 @@ func prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 // blocks tiled by one Pick over the longest segments as for that partner
 // (rows, columns, rows), a level shallower when a tile is under TSweet on
 // a grid past inPlaceSide a side (a smaller one is read in place and
-// merges its tiles) and the shallower tiles fit, and both tiles rounded
-// to whole register blocks (conformTile). Forced tiles stay exact.
+// merges its tiles) and the shallower tiles fit; its row tile rounded up
+// to whole register blocks (conformTile), its column tile, a product's k,
+// only on an unsplit plan (Pack), so that two packed squares conform.
+// Forced tiles stay exact.
 func planA(o Options, r, c int) (p Prepacked, err error) {
 	rs, cs, _ := splitSegs(o, r, c, r)
 	mr, mc := maxSegLen(rs), maxSegLen(cs)
@@ -114,7 +116,10 @@ func planA(o Options, r, c int) (p Prepacked, err error) {
 		if 1<<d > inPlaceSide && min(t[0], t[1]) < cfg.TSweet && max(mr, mc) <= cfg.TMax<<(d-1) {
 			d--
 		}
-		t[0], t[1] = conformTile(cfg, rs, d, cfg.MicroM), conformTile(cfg, cs, d, cfg.MicroM)
+		t[0], t[1] = conformTile(rs, d, cfg.MicroM, cfg.TMax), conformTile(cs, d, cfg.MicroM, cfg.TMax)
+		if !o.DisableSplit {
+			t[1] = conformTile(cs, d, 0, 0)
+		}
 	}
 	return *p.repack(Tiled{Curve: o.Curve, D: d, TR: t[0], TC: t[1]}, rs, cs), nil
 }
@@ -290,7 +295,7 @@ func (p *Prepacked) packSeg(e *exec, c *sched.Ctx, t *Tiled, src *matrix.Dense, 
 	}
 }
 
-// mat returns segment (i, j) of a product on a depth-d grid as the
+// mat returns segment (r, cs) of a product on a depth-d grid as the
 // recursion reads it: a resident block's quadrant (quads) — its Mat
 // descended, orientation and all, a view and never a copy — or, on a
 // deferred plan, op(src)'s segment brought by the block consuming it,
@@ -298,51 +303,51 @@ func (p *Prepacked) packSeg(e *exec, c *sched.Ctx, t *Tiled, src *matrix.Dense, 
 // runs the standard recursion (std) and the segment lies (a copy pays
 // only if reused: wave.body defers one small block's operands here
 // too); else packed now into buf, billed to ws.
-func (p *Prepacked) mat(c *sched.Ctx, ws *waveWS, buf *Tiled, i, j int, d uint, std bool) Mat {
+func (p *Prepacked) mat(c *sched.Ctx, ws *waveWS, buf *Tiled, r, cs tile.Seg, d uint, std bool) Mat {
+	i, j := locate(p.RSegs, r.Off), locate(p.CSegs, cs.Off)
 	if l := p.D - d; p.src == nil {
-		m := p.Block(i>>l, j>>l).Mat()
+		m, qi, qj := p.Block(i, j).Mat(), (r.Off-p.RSegs[i].Off)/(p.TR<<d), (cs.Off-p.CSegs[j].Off)/(p.TC<<d)
 		for b := int(l) - 1; b >= 0; b-- {
-			m = m.quad(i>>b&1<<1 | j>>b&1)
+			m = m.quad(qi>>b&1<<1 | qj>>b&1)
 		}
 		return m
 	}
 	ws.stats.PackDeferred++
-	if r, cs := p.RSegs[i], p.CSegs[j]; std && lies(p.hdr, p.trans, r, cs) {
+	if std && lies(p.hdr, p.trans, r, cs) {
 		return inPlace(p.hdr, p.src, r, cs)
 	}
 	t0 := time.Now()
-	buf.refit(&ws.stats, p.hdr, p.RSegs[i].Len, p.CSegs[j].Len)
+	buf.refit(&ws.stats, p.hdr, r.Len, cs.Len)
 	p.packSeg(&ws.e, c, buf, p.src, p.trans, i, j)
 	ws.stats.ConvertIn += time.Since(t0)
 	ws.stats.ConvertBytes += 8 * int64(len(buf.Data))
 	return buf.Mat()
 }
 
+// locate is the index of the segment of segs that holds offset x.
+func locate(segs []tile.Seg, x int) int {
+	return slices.IndexFunc(segs, func(s tile.Seg) bool { return x < s.Off+s.Len })
+}
+
 // quads cuts p's row and column segments at its blocks' level-l quadrant
-// edges, each into 2^l in order; ok is false when one would be empty (a
-// quadrant wholly in padding) or l is past p's depth or maxPosDepth.
+// edges, in order: up to 2^l a segment, a quadrant wholly in padding
+// left out; ok is false when l is past p's depth or maxPosDepth.
 func (p *Prepacked) quads(l uint) (rs, cs []tile.Seg, ok bool) {
 	if l == 0 || l > p.D || l > maxPosDepth {
 		return p.RSegs, p.CSegs, l == 0
 	}
-	if rs, ok = cut(p.RSegs, p.TR<<(p.D-l), l); ok {
-		cs, ok = cut(p.CSegs, p.TC<<(p.D-l), l)
-	}
-	return rs, cs, ok
+	return cut(p.RSegs, p.TR<<(p.D-l), l), cut(p.CSegs, p.TC<<(p.D-l), l), true
 }
 
-// cut splits each segment into 2^l of extent ext, the last one clipped.
-func cut(segs []tile.Seg, ext int, l uint) ([]tile.Seg, bool) {
+// cut splits each segment at multiples of ext, the last piece clipped.
+func cut(segs []tile.Seg, ext int, l uint) []tile.Seg {
 	qs := make([]tile.Seg, 0, len(segs)<<l)
 	for _, s := range segs {
-		for off := 0; off < ext<<l; off += ext {
-			if off >= s.Len {
-				return nil, false
-			}
+		for off := 0; off < s.Len; off += ext {
 			qs = append(qs, tile.Seg{Off: s.Off + off, Len: min(ext, s.Len-off)})
 		}
 	}
-	return qs, true
+	return qs
 }
 
 // lies reports whether segment (r, c) of op(src), tiled as hdr, can be
@@ -557,7 +562,6 @@ func (p *Prepacked) Unpack(ctx context.Context, pool *sched.Pool) (dst *matrix.D
 // At returns logical element (i, j) of op(src), read through its block's
 // layout function (Tiled.At): a reference for tests, not a hot path.
 func (p *Prepacked) At(i, j int) float64 {
-	in := func(x int) func(tile.Seg) bool { return func(s tile.Seg) bool { return x < s.Off+s.Len } }
-	bi, bj := slices.IndexFunc(p.RSegs, in(i)), slices.IndexFunc(p.CSegs, in(j))
+	bi, bj := locate(p.RSegs, i), locate(p.CSegs, j)
 	return p.Block(bi, bj).At(i-p.RSegs[bi].Off, j-p.CSegs[bj].Off)
 }

@@ -168,9 +168,9 @@ func TestPrepackPartnerDim(t *testing.T) {
 	}
 
 	// A 240² plan on forced 4-wide tiles is 256 padded at depth 6; its
-	// 1-wide partner's split tiles at depth 1, which would make level-5
-	// quadrants of 8 whose last two lie in the padding, so it descends 3
-	// levels, not 5.
+	// 1-wide partner's split tiles at depth 1: level-5 quadrants of 8, of
+	// which the last two a side lie wholly in the padding and are left
+	// out, so it descends all 5 levels to 30 quadrants a side.
 	A = matrix.Random(240, 240, rng)
 	pf, err := Prepack(context.Background(), pool, Options{Curve: layout.ZMorton, ForceTile: 4}, A, false)
 	if err != nil {
@@ -185,11 +185,11 @@ func TestPrepackPartnerDim(t *testing.T) {
 	defer pt.Release()
 	want, got = matrix.New(240, 1), matrix.New(240, 1)
 	matrix.RefGEMM(false, false, 1, A, B, 0, want)
-	if _, err := GEMMPrepacked(context.Background(), pool, opts, 1, pf, pt, 0, got); err != nil || pf.D-pt.D != 3 {
-		t.Fatalf("descent %d from depth %d: %v", pf.D-pt.D, pf.D, err)
+	if _, err := GEMMPrepacked(context.Background(), pool, opts, 1, pf, pt, 0, got); err != nil || pf.D-pt.D != 5 || len(pt.RSegs) != 30 {
+		t.Fatalf("descent %d from depth %d to %d quadrants: %v", pf.D-pt.D, pf.D, len(pt.RSegs), err)
 	}
 	if !matrix.Equal(got, want, tol(240, 240, 1)) {
-		t.Errorf("clamped descent: max diff %g", matrix.MaxAbsDiff(got, want))
+		t.Errorf("descent past the padding: max diff %g", matrix.MaxAbsDiff(got, want))
 	}
 }
 

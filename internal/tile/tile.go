@@ -127,7 +127,7 @@ func (c Config) pick(dims []int, strict bool) Choice {
 		side := 1 << d
 		vol = 1
 		for _, dim := range dims {
-			t := bits.CeilDiv(dim, side)
+			t := (dim + side - 1) >> d // the side is a power of two
 			if t > c.TMax || (strict && d > 0 && t < c.TMin) {
 				return 0, 0, false
 			}
@@ -136,15 +136,17 @@ func (c Config) pick(dims []int, strict bool) Choice {
 		}
 		return vol, maxT, true
 	}
-	// Once every dimension yields a single-element tile there is no point
-	// searching deeper.
+	// Tiles shrink with depth, so the valid depths are one run: the search
+	// ends past it, or once every dimension yields a single-element tile.
 	last, longest := uint(maxDepth), 0
 	for _, dim := range dims {
 		longest = max(longest, dim)
 	}
 	minVol, found := 0.0, false
 	for d := uint(0); d <= last; d++ {
-		if vol, _, ok := at(d); ok && (!found || vol < minVol) {
+		if vol, _, ok := at(d); !ok && found {
+			last = d - 1
+		} else if ok && (!found || vol < minVol) {
 			minVol, found = vol, true
 		}
 		if d > 0 && 1<<d >= longest {
@@ -159,8 +161,8 @@ func (c Config) pick(dims []int, strict bool) Choice {
 	// multiples of the configured micro-tile shape.
 	aligned := func(d uint) bool {
 		side := 1 << d
-		return (c.MicroM <= 0 || bits.CeilDiv(dims[0], side)%c.MicroM == 0) &&
-			(c.MicroN <= 0 || bits.CeilDiv(dims[len(dims)-1], side)%c.MicroN == 0)
+		return (c.MicroM <= 0 || (dims[0]+side-1)>>d%c.MicroM == 0) &&
+			(c.MicroN <= 0 || (dims[len(dims)-1]+side-1)>>d%c.MicroN == 0)
 	}
 	best, bestDist, bestAligned := -1, 0, false
 	for d := uint(0); d <= last; d++ {
@@ -179,7 +181,7 @@ func (c Config) pick(dims []int, strict bool) Choice {
 	buf := make([]int, 2*len(dims)) // one allocation for both
 	ch := Choice{D: uint(best), Tiles: buf[:len(dims):len(dims)], Padded: buf[len(dims):]}
 	for i, dim := range dims {
-		ch.Tiles[i] = bits.CeilDiv(dim, 1<<best)
+		ch.Tiles[i] = (dim + 1<<best - 1) >> best
 		ch.Padded[i] = ch.Tiles[i] << best
 	}
 	return ch
@@ -199,7 +201,8 @@ func SplitDim(length, maxLen int) []Seg {
 // splitInto appends SplitDim's segments to segs.
 func splitInto(segs []Seg, length, maxLen int) []Seg {
 	parts := max(bits.CeilDiv(length, maxLen), 1)
-	for p, off := 0, 0; p < parts; p++ {
+	off := 0
+	for p := 0; p < parts; p++ {
 		// Distribute the remainder so segments differ by at most 1.
 		l := length / parts
 		if p < length%parts {
@@ -225,16 +228,21 @@ func splitInto(segs []Seg, length, maxLen int) []Seg {
 // of an A operand calls it for a square partner, and a product with that
 // A calls it with its own (m, k, n), which fixes the free dimension's cut
 // and the depth at which every entry point, a direct GEMM included, reads
-// the quadrants of the plan's blocks.
+// the quadrants of the plan's blocks. The three cuts share one array.
 func (c Config) SplitDims(m, k, n int) (ms, ks, ns []Seg) {
-	maxLen := int(float64(max(min(m, k, n), c.TMin)) * c.Alpha())
+	short := max(min(m, k, n), c.TMin)
+	maxLen := int(float64(short) * c.Alpha())
 	if g := c.TSweet; g > 0 && maxLen >= g {
 		for g*2 <= maxLen {
 			g *= 2
 		}
 		maxLen = g
 	}
-	pm, pk := max(bits.CeilDiv(m, maxLen), 1), max(bits.CeilDiv(k, maxLen), 1)
-	segs := splitInto(splitInto(splitInto(make([]Seg, 0, pm+pk+max(bits.CeilDiv(n, maxLen), 1)), m, maxLen), k, maxLen), n, maxLen)
-	return segs[:pm:pm], segs[pm : pm+pk : pm+pk], segs[pm+pk:]
+	segs := make([]Seg, 0, (m+k+n)/maxLen+3)
+	segs = splitInto(segs, m, maxLen)
+	ms = segs[:len(segs):len(segs)]
+	segs = splitInto(segs, k, maxLen)
+	ks = segs[len(ms):len(segs):len(segs)]
+	ns = splitInto(segs, n, maxLen)[len(segs):]
+	return ms, ks, ns
 }
