@@ -64,7 +64,13 @@ loc:
 # plan, into whose blocks MulPrepacked accumulates) and PackTiled,
 # MulTiled(Ctx), ConformTiled, whole, the wave's tiled C, given.resident
 # and charge.own went (NewTiled, used by tests alone, moved to them),
-# and to 4,772 when the β = 0 epilogue came to store α·t.
+# and to 4,772 when the β = 0 epilogue came to store α·t; and the
+# seventh, 4,772 → 4,812, when a partner narrower than A's tiles came to
+# be stored as column-major panels, B and the product tile (geom.hdrB,
+# planMul.block), and the serial base to make one call per row tile and
+# k run over such a panel's whole width (exec.base's one loop over the
+# tile, square and panel forms), with the in-layout transpose reading
+# either storage, net of planA taking the split's own segments.
 # The serve
 # package's went 2,580 → 2,568 when every request group came to make one
 # batch call, and to 2,553 when one plan came to serve every width
@@ -94,7 +100,7 @@ loc:
 # layout package's S functions, Perm and SOriented are what the core's
 # tests check its tables against. Test files are the ones named
 # *_test.go.
-CORE_LOC_MAX = 4772
+CORE_LOC_MAX = 4812
 LAYOUT_LOC_MAX = 506
 LEAF_LOC_MAX = 896
 SCHED_LOC_MAX = 908
@@ -166,9 +172,13 @@ parity:
 # and C, and the gate fails when the per-call converts more than that
 # (A was copied). Above 1.15 the per-call path has grown a cost of its
 # own (while its blocks packed A the ratio read 1.24–1.37 on a 2-CPU
-# AVX-512 host, under a ceiling of 1.45; reading A in place, 1.00–1.01);
-# below 0.90 the resident plan's wave is being starved, which is what a
-# scheduler that starts the wave's second runner late looks like.
+# AVX-512 host, under a ceiling of 1.45; reading A in place, 1.00–1.01,
+# then 1.06–1.08); below 0.90 the resident plan's wave is being starved,
+# which is what a scheduler that starts the wave's second runner late
+# looks like. Since a thin partner's leaves became panels (a row tile by
+# two k tiles over the block's width) the ratio reads 1.16–1.17 on that
+# host and the gate fails: the plan's contiguous A tiles gained 7–10%
+# and the per-call's A, read in place at ld 1024, did not (ROADMAP item 12).
 # Interleaved pairs, median of the paired time ratios, ~20 s; a timing
 # comparison like parity, and not a tier-1 test.
 streamparity:
@@ -325,8 +335,9 @@ bench:
 # kernel and print, first, the analytic one-core peaks to read them
 # against: lanes × 2 FMA pipes × 2 × the nominal GHz of /proc/cpuinfo for
 # AVX2 and AVX-512 ("unknown" without one). BenchmarkKernelTile prints,
-# after each tile shape (8³, 32³, 64³, the off-grid ones and the stream
-# and daemon workloads' 32×12×32 and 32×4×32 leaves), the measured
+# after each tile shape (8³, 32³, 64³, the off-grid ones, the stream
+# and daemon workloads' 32×12×32 and 32×4×32 tiles and the panel leaves
+# that replace them, 32×48×64, 32×16×64 and 32×40×64), the measured
 # ranking with the default rule's pick (leaf.Auto), flagged BEHIND when
 # it is more than 10% under the fastest — the check that the rule is
 # still right on this host. On amd64, BenchmarkKernelAVX512Rows

@@ -257,42 +257,66 @@ func (e *exec) std(c *sched.Ctx, C, A, B Mat, first bool) {
 	)
 }
 
-// mergeSide bounds a merged leaf's side in elements (base): past it the A
-// the panel body re-reads per four C columns outgrows L2 (512: 1.8× slower).
+// mergeSide bounds a merged square leaf's side in elements (base): past
+// it the A the kernel re-reads per four C columns outgrows L2 (512: 1.8×
+// slower).
 const mergeSide = 256
 
 // base is the serial base of the standard recursion: the s³ leaf
-// products of an s×s-tile quadrant, in the recursion's order. Leaf t
-// holds one (k, i, j) bit triple per level, k most significant — a
-// level's two rounds of four — so every C tile receives its products in
-// ascending k: the bits of the recursion to single tiles. Each operand
-// finds its tiles through its own storage (tileAddr), with no quadrant
-// descent. The kernel, its scratch and the tracer are resolved once and
-// the work is accounted once; the fault point and the cancellation poll
-// stay per leaf. first: the kk = 0 leaves store (leaf.Impl.Store).
-// Canonical operands and a chained kernel merge: a leaf is the largest
-// square of 2^l × 2^l tiles, one strided view, at most mergeSide
-// elements a side, and one store or accumulate call on it has the tile
-// loop's bits, on any tile shape (leaf.Impl.Chained).
+// products of an s×s-tile quadrant. Every C tile receives its products
+// in ascending k, chained from C (first: the kk = 0 products store,
+// leaf.Impl.Store), so on a chained kernel (leaf.Impl.Chained) a leaf
+// call may merge tiles along each dimension whose operands are
+// contiguous across them and keep the bits of the recursion to single
+// tiles, on any tile shape. Each operand finds its tiles through its own
+// storage (tileAddr), with no quadrant descent. Three forms:
+//
+//   - a partner narrower than A's tiles (tn < tm) whose B and C are
+//     column-major panels (geom.hdrB): one call per row tile and k run
+//     over the quadrant's whole width, the run two A tiles where they lie
+//     back to back (Z-Morton's lowest level, or a canonical A), else one
+//     — unless A is canonical too and its row tile is not whole 16-row
+//     blocks: the square below pays the remainder (a fringe, or AVX-512's
+//     8-row body at half rate) once per 2^l tiles, the panel per row tile;
+//   - otherwise, all three canonical: one call per square of 2^l × 2^l
+//     tiles, one strided view, at most mergeSide elements a side;
+//   - otherwise one call per tile.
+//
+// Squares and tiles run in the recursion's order: call t holds one
+// (k, i, j) bit triple per level, k most significant — a level's two
+// rounds of four; panels run row by row. The kernel, its scratch and the
+// tracer are resolved once and the work is accounted once; the fault
+// point and the cancellation poll stay per leaf call.
 func (e *exec) base(c *sched.Ctx, C, A, B Mat, first bool) {
 	d, l := log2tiles(C.tiles), uint(0)
 	tm, tn, tk := C.tr, C.tc, A.tc
-	for e.kernel.Chained && C.ld != 0 && A.ld != 0 && B.ld != 0 && l < d && max(tm, tn, tk)<<(l+1) <= mergeSide {
+	canon := e.kernel.Chained && C.ld != 0 && B.ld != 0
+	panel := canon && tn < tm && (A.ld == 0 || tm%16 == 0)
+	for canon && !panel && A.ld != 0 && l < d && max(tm, tn, tk)<<(l+1) <= mergeSide {
 		l++
 	}
 	C.tr, C.tc, A.tr, A.tc, B.tr, B.tc, d = tm<<l, tn<<l, tm<<l, tk<<l, tk<<l, tn<<l, d-l
 	ac, aa, ab := addrOf(C, d), addrOf(A, d), addrOf(B, d)
-	m, n, k := C.tr, C.tc, A.tc
 	ldc, lda, ldb := C.leafLD(), A.leafLD(), B.leafLD()
 	acc, store, sc := e.kernel.Scratch, e.kernel.Store, leaf.ScratchAt(c.WorkerSlot())
-	tr, wid, flops := e.tr, c.WorkerID(), 2*int64(m)*int64(n)*int64(k)
-	t := 0
-	for ; t < 1<<(3*d) && !c.Cancelled(); t++ {
+	tr, wid, flops, calls := e.tr, c.WorkerID(), 0.0, 1<<(3*d)
+	if panel { // t walks the (i, kk) tiles row by row, a run's second skipped
+		calls = 1 << (2 * d)
+	}
+	for t := 0; t < calls && !c.Cancelled(); t++ {
 		faultinject.Point("core.leaf")
+		m, n, k := C.tr, C.tc, A.tc
 		var i, j, kk int
-		for l := range d {
-			x := t >> (3 * l)
-			i, j, kk = i|x>>1&1<<l, j|x&1<<l, kk|x>>2&1<<l
+		if panel {
+			i, kk, n = t>>d, t&(1<<d-1), C.cols()
+			if kk+1 < 1<<d && aa.at(i, kk+1) == aa.at(i, kk)+tk*lda {
+				k, t = 2*tk, t+1
+			}
+		} else {
+			for l := range d {
+				x := t >> (3 * l)
+				i, j, kk = i|x>>1&1<<l, j|x&1<<l, kk|x>>2&1<<l
+			}
 		}
 		cd, ad, bd := C.data[ac.at(i, j):], A.data[aa.at(i, kk):], B.data[ab.at(kk, j):]
 		var t0 time.Time
@@ -305,8 +329,9 @@ func (e *exec) base(c *sched.Ctx, C, A, B Mat, first bool) {
 			acc(sc, m, n, k, ad, lda, bd, ldb, cd, ldc)
 		}
 		if tr != nil {
-			tr.Span(wid, obs.KindLeaf, t0, time.Since(t0), flops)
+			tr.Span(wid, obs.KindLeaf, t0, time.Since(t0), 2*int64(m)*int64(n)*int64(k))
 		}
+		flops += 2 * float64(m) * float64(n) * float64(k)
 	}
-	c.Account(float64(t) * float64(flops))
+	c.Account(flops)
 }

@@ -508,7 +508,8 @@ func TestDeterminismOneCut(t *testing.T) {
 		shapes, forks := 0, 0
 		for _, m := range grid[3:] {
 			for _, k := range grid[3:] {
-				pa, err := planA(o, m, k)
+				rs, cs, _ := splitSegs(o, m, k, m)
+				pa, err := planA(o, rs, cs)
 				if err != nil {
 					t.Fatalf("%dx%d: planA: %v", m, k, err)
 				}
@@ -1348,8 +1349,8 @@ func TestDeterminismInPlaceSegments(t *testing.T) {
 // place (on Z-Morton for ColMajor: the standard recursion's bits are one
 // set over the layouts). The shapes read 32-, 24-, 25- and 48-wide tiles
 // (the 25 with a fringe in the leaf) on grids of 2 to 8 tiles a side —
-// 384³ on 48-wide tiles, 8 a side; a padded one-block shape and 512³, 16
-// tiles a side, keep packing. An
+// 384³ on 48-wide tiles, 8 a side; a padded one-block shape and 128³ on
+// forced 8-wide tiles, 16 a side, keep packing. An
 // untransposed α = 1, β = 0 member converts nothing, and at one worker
 // allocates no more than its packing twin.
 func TestDeterminismInPlaceProduct(t *testing.T) {
@@ -1360,11 +1361,12 @@ func TestDeterminismInPlaceProduct(t *testing.T) {
 	type shape struct {
 		m, k, n int
 		inPlace bool
+		force   int // Options.ForceTile
 	}
-	shapes := []shape{{64, 64, 64, true}, {96, 96, 96, true}, {100, 100, 100, true}, {192, 192, 192, true},
-		{256, 256, 256, true}, {320, 320, 320, true}, {384, 384, 384, true}, {97, 97, 97, false}, {512, 512, 512, false}}
+	shapes := []shape{{64, 64, 64, true, 0}, {96, 96, 96, true, 0}, {100, 100, 100, true, 0}, {192, 192, 192, true, 0},
+		{256, 256, 256, true, 0}, {320, 320, 320, true, 0}, {384, 384, 384, true, 0}, {97, 97, 97, false, 0}, {128, 128, 128, false, 8}}
 	if testing.Short() || raceEnabled {
-		shapes = []shape{{64, 64, 64, true}, {100, 100, 100, true}, {97, 97, 97, false}, {512, 512, 512, false}}
+		shapes = []shape{{64, 64, 64, true, 0}, {100, 100, 100, true, 0}, {97, 97, 97, false, 0}, {128, 128, 128, false, 8}}
 	}
 	pools := map[int]*sched.Pool{}
 	for _, w := range []int{1, 2, 4} {
@@ -1381,7 +1383,7 @@ func TestDeterminismInPlaceProduct(t *testing.T) {
 		twinA, twinB := operands{ta: true, A: in.A.Transpose(), B: in.B}, operands{tb: true, A: in.A, B: in.B.Transpose()}
 		C0 := strided(m, n)
 		for _, cv := range []layout.Curve{layout.ZMorton, layout.ColMajor, layout.Hilbert} {
-			opts := Options{Curve: cv, Alg: Standard}
+			opts := Options{Curve: cv, Alg: Standard, ForceTile: sh.force}
 			for _, ab := range [][2]float64{{1, 0}, {1, 0.5}, {1.5, 0}, {1.5, 0.5}} {
 				alpha, beta := ab[0], ab[1]
 				name := fmt.Sprintf("%dx%dx%d %v alpha=%g beta=%g", m, k, n, cv, alpha, beta)

@@ -239,6 +239,39 @@ func TestDeterminismStandardOracle(t *testing.T) {
 	}
 }
 
+// TestDeterminismStandardOracleThinPartners holds a partner narrower
+// than A's tiles — B and the product tile stored as column-major panels,
+// each leaf call a row tile and k run over the block's whole width
+// (exec.base) — to Standard's specification at every entry point, on
+// the six layouts at 1, 2 and 4 workers: 1024²·1024×48 and 512²·512×16
+// on 32-row tiles against 12- and 8-wide ones, 512²·512×150 and
+// 1000²·1000×40 (10-wide tiles, off the register grid), B transposed or
+// not, β ∈ {0, 0.5}. make asm-check runs it on the portable kernels too.
+func TestDeterminismStandardOracleThinPartners(t *testing.T) {
+	ctx := context.Background()
+	var pools []*sched.Pool
+	for _, w := range []int{1, 2, 4} {
+		p := sched.NewPool(w)
+		defer p.Close()
+		pools = append(pools, p)
+	}
+	shapes := [][3]int{{1024, 1024, 48}, {512, 512, 16}, {512, 512, 150}, {1000, 1000, 40}}
+	if testing.Short() || raceEnabled {
+		shapes = [][3]int{{256, 256, 12}, {300, 300, 40}}
+	}
+	rng := rand.New(rand.NewSource(53))
+	for si, sh := range shapes {
+		for _, beta := range []float64{0, 0.5} {
+			r := newOracleRun(sh[0], sh[1], sh[2], false, si%2 == 1, []float64{1, 1.5}[si/2%2], beta, false, rng)
+			for ci, cv := range mulCurves {
+				for _, pool := range pools {
+					r.check(t, ctx, pool, Options{Curve: cv, Alg: Standard}, ci%2 == 1, rng)
+				}
+			}
+		}
+	}
+}
+
 // TestDeterminismStandardOracleMulPacked holds MulPrepacked, C += A·B
 // into a plan, to the C-first chain: after two products into a zeroed C
 // plan each element is the chain of the second from the first's. Square

@@ -162,7 +162,18 @@ func (g geom) side() int { return 1 << g.d }
 func (g geom) hdr(tr, tc int) Tiled { return Tiled{Curve: g.curve, D: g.d, TR: tr, TC: tc} }
 
 func (g geom) hdrA() Tiled { return g.hdr(g.tm, g.tk) }
-func (g geom) hdrB() Tiled { return g.hdr(g.tk, g.tn) }
+
+// hdrB is the header of the B the call packs, and of the product tile
+// beside it (planMul.block): a partner narrower than A's tiles is stored
+// as one padded column-major panel per block, which exec.base multiplies
+// a row tile and k run at a time over its whole width.
+func (g geom) hdrB() Tiled {
+	h := g.hdr(g.tk, g.tn)
+	if g.tn < g.tm {
+		h.Curve = layout.ColMajor
+	}
+	return h
+}
 
 // charge prices alg on a call of ms×ks×ns segments on this geometry, its
 // blocks pulled by runners tasks (zero: by one that spawns), its operands
@@ -316,8 +327,12 @@ func split(o Options, pa *Prepacked, m, k, n int) (ms, ks, ns []tile.Seg, g geom
 	ms, ks, ns = splitSegs(o, m, k, n)
 	d, _, err := choose(o, maxSegLen(ms), maxSegLen(ks))
 	if err == nil && pa == nil {
+		rs, cs := ms, ks // at n ≥ min(m, k) the split cuts m and k as against a square partner
+		if n < min(m, k) {
+			rs, cs, _ = splitSegs(o, m, k, m)
+		}
 		pa = new(Prepacked)
-		*pa, err = planA(o, m, k)
+		*pa, err = planA(o, rs, cs)
 	}
 	if err != nil {
 		return nil, nil, nil, geom{}, err
@@ -424,7 +439,7 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 	var tc *Tiled
 	var cm Mat
 	t0, hdr := time.Now(), pa.hdr
-	hdr.D, hdr.TC = pb.D, pb.TC
+	hdr.Curve, hdr.D, hdr.TC = pb.hdr.Curve, pb.D, pb.TC
 	switch {
 	case pm.pc != nil:
 		cm = pm.pc.Block(i, j).Mat()

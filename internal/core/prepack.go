@@ -89,24 +89,24 @@ func prepack(ctx context.Context, pool *sched.Pool, opts Options, src *matrix.De
 	if err != nil {
 		return nil, err
 	}
+	rs, cs, _ := splitSegs(cl.o, r, c, r)
 	p = new(Prepacked)
-	if *p, err = planA(cl.o, r, c); err != nil {
+	if *p, err = planA(cl.o, rs, cs); err != nil {
 		return nil, err
 	}
 	return cl.resident(ctx, p, func(e *exec, c *sched.Ctx) { p.fill(e, c, nil, src, trans, false) })
 }
 
-// planA is the plan of an r×c left operand, the one cut of every product
-// with that A (split): the wide/lean split against a square partner, its
-// blocks tiled by one Pick over the longest segments as for that partner
-// (rows, columns, rows), a level shallower when a tile is under TSweet on
-// a grid past inPlaceSide a side (a smaller one is read in place and
-// merges its tiles) and the shallower tiles fit; its row tile rounded up
-// to whole register blocks (conformTile), its column tile, a product's k,
-// only on an unsplit plan (Pack), so that two packed squares conform.
-// Forced tiles stay exact.
-func planA(o Options, r, c int) (p Prepacked, err error) {
-	rs, cs, _ := splitSegs(o, r, c, r)
+// planA is the plan of a left operand cut into rs×cs segments (the
+// wide/lean split against a square partner): the one cut of every
+// product with that A (split). Its blocks are tiled by one Pick over the
+// longest segments as for that partner (rows, columns, rows), a level
+// shallower when a tile is under TSweet on a grid past inPlaceSide a
+// side (a smaller one is read in place and merges its tiles) and the
+// shallower tiles fit; its row tile rounded up to whole register blocks
+// (conformTile), its column tile, a product's k, only on an unsplit plan
+// (Pack), so that two packed squares conform. Forced tiles stay exact.
+func planA(o Options, rs, cs []tile.Seg) (p Prepacked, err error) {
 	mr, mc := maxSegLen(rs), maxSegLen(cs)
 	d, t, err := choose(o, mr, mc, mr)
 	if err != nil {
@@ -159,6 +159,7 @@ func PrepackConforming(ctx context.Context, pool *sched.Pool, opts Options, src 
 		return nil, err
 	}
 	p = newPlan(pl.g.hdrB(), pl.ks, pl.ns)
+	p.Curve = like.Curve // its blocks' storage may be a panel (hdrB)
 	return cl.resident(ctx, p, func(e *exec, c *sched.Ctx) { p.fill(e, c, nil, src, trans, false) })
 }
 

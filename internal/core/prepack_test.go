@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -116,6 +117,20 @@ func TestGEMMPrepackedServingShape(t *testing.T) {
 				t.Errorf("stream %d, beta %g: PackReused = %d, want %d", stream, beta, stats.PackReused, 2*stats.Blocks)
 			}
 		}
+		// The partner, narrower than the plan's tiles, is stored as
+		// column-major panels under the plan's curve, and reads, unpacks
+		// and transposes as a curve plan does.
+		if pb.hdr.Curve != layout.ColMajor || pb.Curve != layout.Hilbert {
+			t.Fatalf("stream %d: partner stored as %v under %v, want panels under Hilbert (test premise)", stream, pb.hdr.Curve, pb.Curve)
+		}
+		pbt, err := pb.Transposed(context.Background(), pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bt, err := pbt.Unpack(context.Background(), pool); err != nil || !matrix.Equal(bt, B.Transpose(), 0) || pb.At(n-1, b-1) != B.At(n-1, b-1) {
+			t.Errorf("stream %d: a panel plan's At, Unpack or Transposed is not B's (%v)", stream, err)
+		}
+		pbt.Release()
 		pb.Release()
 	}
 }
@@ -338,9 +353,10 @@ func TestPrepackValidation(t *testing.T) {
 func poolSlack(classes int) int { return (runtime.GOMAXPROCS(0) - 1) * classes }
 
 // TestPlanOfAllocations: planning a direct call reads A through the plan
-// Prepack would make of it, built as a value, and costs no more
-// allocations than the two cuts it replaced did: 8 for an in-place 64³,
-// 16 for the split 1024²·1024×48.
+// Prepack would make of it, built as a value on the split's own segments
+// where its partner is at least as wide as A's shorter side: 6
+// allocations for an in-place 64³, 9 for the split 1024²·1024×48, whose
+// thin partner has A's segments cut again.
 func TestPlanOfAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun counts race-runtime bookkeeping allocations")
@@ -349,10 +365,23 @@ func TestPlanOfAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		m, k, n int
 		most    float64
-	}{{64, 64, 64, 8}, {1024, 1024, 48, 16}} {
+	}{{64, 64, 64, 6}, {1024, 1024, 48, 9}} {
 		if a := testing.AllocsPerRun(100, func() { planOf(o, 2, given{}, tc.m, tc.k, tc.n) }); a > tc.most {
 			t.Errorf("planOf %dx%dx%d: %.0f allocations, want at most %.0f", tc.m, tc.k, tc.n, a, tc.most)
 		}
+	}
+}
+
+// BenchmarkPlanOf times the planner of a direct call: the split, the plan
+// of its A and the geometry.
+func BenchmarkPlanOf(b *testing.B) {
+	o := (&Options{}).withDefaults()
+	for _, sh := range [][3]int{{32, 32, 32}, {64, 64, 64}, {1024, 1024, 48}, {1024, 1024, 8}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", sh[0], sh[1], sh[2]), func(b *testing.B) {
+			for range b.N {
+				planOf(o, 2, given{}, sh[0], sh[1], sh[2])
+			}
+		})
 	}
 }
 

@@ -223,15 +223,16 @@ func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha, beta float64, a 
 
 // packTransposeOf fills t with the transpose of an already-packed tiled
 // matrix, entirely within the recursive layout: destination tile (i, j)
-// is the element-wise transpose of source tile (j, i), located through
-// the curve's position table. This is how one packed operand serves
-// both slots of a symmetric product (SYRK's α·A·Aᵀ): the second pack
-// never re-reads the strided column-major source. Both matrices must
-// share curve, depth, and mirrored tile shapes (t is TC×TR tiles where
-// src is TR×TC).
+// is the element-wise transpose of source tile (j, i), each located
+// through its own grid's position table. This is how one packed operand
+// serves both slots of a symmetric product (SYRK's α·A·Aᵀ): the second
+// pack never re-reads the strided column-major source. Both matrices
+// must share depth and mirrored tile shapes (t is TC×TR tiles where src
+// is TR×TC), and t its curve with src, or src be a partner's panel
+// (geom.hdrB).
 func (t *Tiled) packTransposeOf(e *exec, c *sched.Ctx, src *Tiled) {
 	switch {
-	case t.Curve != src.Curve || t.D != src.D:
+	case t.Curve != src.Curve && !src.canon() || t.D != src.D:
 		panic(fmt.Sprintf("core: transpose pack across grids (curve %v/%v, depth %d/%d)", t.Curve, src.Curve, t.D, src.D))
 	case t.TR != src.TC || t.TC != src.TR || t.Rows != src.Cols || t.Cols != src.Rows:
 		panic(fmt.Sprintf("core: transpose pack %dx%d (%dx%d tiles) from %dx%d (%dx%d tiles)",
@@ -239,29 +240,27 @@ func (t *Tiled) packTransposeOf(e *exec, c *sched.Ctx, src *Tiled) {
 	case t.canon():
 		panic("core: transpose pack on canonical storage")
 	}
-	a := addrOf(t.Mat(), t.D)
+	a, sa := addrOf(t.Mat(), t.D), addrOf(src.Mat(), src.D)
 	if !e.spawns(c, t.elems()) {
-		t.transposeTiles(src, a, 0, t.tiles())
+		t.transposeTiles(src, a, sa, 0, t.tiles())
 		return
 	}
-	e.chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.transposeTiles(src, a, lo, hi) })
+	e.chunked(c, obs.KindPack, t.tiles(), func(lo, hi int) { t.transposeTiles(src, a, sa, lo, hi) })
 }
 
 // transposeTiles fills grid tiles [lo, hi), column by column, from their
-// mirror tiles of src: packTransposeOf's ranged body. One address serves
-// both grids: they share curve and depth, and their tiles hold as many
-// elements.
-func (t *Tiled) transposeTiles(src *Tiled, a tileAddr, lo, hi int) {
-	sts := src.TR * src.TC
+// mirror tiles of src, found through sa: packTransposeOf's ranged body.
+func (t *Tiled) transposeTiles(src *Tiled, a, sa tileAddr, lo, hi int) {
+	sld := src.Mat().leafLD()
 	for g := lo; g < hi; g++ {
 		ti, tj := g&(1<<t.D-1), g>>t.D
-		dst, sbase := t.Data[a.at(ti, tj):][:sts], a.at(tj, ti)
+		dst, sbase := t.Data[a.at(ti, tj):][:t.TR*t.TC], sa.at(tj, ti)
 		// dst tile is TR×TC column-major; its (r, c) element is the
-		// source tile's (c, r) element, src leading dimension src.TR.
+		// source tile's (c, r) element, at src's leading dimension.
 		for c := 0; c < t.TC; c++ {
-			scol := src.Data[sbase+c : sbase+sts]
+			scol := src.Data[sbase+c:]
 			for r := 0; r < t.TR; r++ {
-				dst[c*t.TR+r] = scol[r*src.TR]
+				dst[c*t.TR+r] = scol[r*sld]
 			}
 		}
 	}

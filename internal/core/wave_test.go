@@ -1084,31 +1084,104 @@ func TestMergedBaseLeafSpans(t *testing.T) {
 			tc.flops = tc.flops * int64(tc.spans) / int64(tc.tiles)
 			tc.spans = tc.tiles
 		}
-		var buf bytes.Buffer
-		if err := tr.Export(&buf); err != nil {
+		spans := leafSpans(t, tr)
+		for _, flops := range spans {
+			if flops != tc.flops {
+				t.Errorf("%d³ on %s: a leaf span of %d flops, want %d", tc.n, st.Kernel, flops, tc.flops)
+			}
+		}
+		if len(spans) != tc.spans {
+			t.Errorf("%d³ on %s: %d leaf spans, want %d", tc.n, st.Kernel, len(spans), tc.spans)
+		}
+	}
+}
+
+// leafSpans is the flops of every leaf span tr recorded.
+func leafSpans(t *testing.T, tr *obs.Tracer) (flops []int64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Args struct{ V json.RawMessage }
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range doc.TraceEvents {
+		if e.Name != "leaf" {
+			continue
+		}
+		var f int64
+		if err := json.Unmarshal(e.Args.V, &f); err != nil {
 			t.Fatal(err)
 		}
-		var doc struct {
-			TraceEvents []struct {
-				Name string
-				Args struct{ V json.RawMessage }
-			}
-		}
-		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		flops = append(flops, f)
+	}
+	return flops
+}
+
+// TestPanelLeafSpans counts the leaf calls of a partner narrower than A's
+// tiles (exec.base's panel form): stream-prepacked's 1024²·1024×48,
+// through Prepack + PrepackConforming + GEMMPrepacked, runs 8 C blocks of
+// 8 k products on 4×4 grids of 32×12×32 tiles. Each product makes one
+// call per row tile and pair of k tiles, over the block's whole width —
+// 512 calls of 2·32·48·64 flops where the tile loop made 4,096 — on
+// Z-Morton, whose lowest level lays the pair back to back, and through
+// GEMMCtx, whose A is read in place. Hilbert lays only some k pairs of a
+// tile row back to back, checked pair by pair: between 512 and 1,024.
+func TestPanelLeafSpans(t *testing.T) {
+	ctx := context.Background()
+	pool := sched.NewPool(1)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(53))
+	A, B, C := matrix.Random(1024, 1024, rng), matrix.Random(1024, 48, rng), matrix.New(1024, 48)
+	for _, tc := range []struct {
+		curve   layout.Curve
+		planned bool
+		lo, hi  int // leaf spans
+	}{{layout.ZMorton, true, 512, 512}, {layout.ZMorton, false, 512, 512}, {layout.Hilbert, true, 513, 1023}} {
+		opts := Options{Curve: tc.curve, Alg: Standard}
+		tr := obs.NewTracer(pool.Workers(), 1<<13)
+		if err := obs.Install(tr); err != nil {
 			t.Fatal(err)
 		}
-		spans := 0
-		for _, e := range doc.TraceEvents {
-			if e.Name != "leaf" {
-				continue
+		var st *Stats
+		var err error
+		if tc.planned {
+			var pa, pb *Prepacked
+			if pa, err = Prepack(ctx, pool, opts, A, false); err == nil {
+				if pb, err = PrepackConforming(ctx, pool, opts, B, false, pa); err == nil {
+					st, err = GEMMPrepacked(ctx, pool, opts, 1, pa, pb, 0, C)
+					pb.Release()
+				}
+				pa.Release()
 			}
-			var flops int64
-			if spans++; json.Unmarshal(e.Args.V, &flops) != nil || flops != tc.flops {
-				t.Errorf("%d³ on %s: a leaf span of %s flops, want %d", tc.n, st.Kernel, e.Args.V, tc.flops)
-			}
+		} else {
+			st, err = GEMMCtx(ctx, pool, opts, false, false, 1, A, B, 0, C)
 		}
-		if spans != tc.spans {
-			t.Errorf("%d³ on %s: %d leaf spans, want %d", tc.n, st.Kernel, spans, tc.spans)
+		obs.Uninstall(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%v planned=%v", tc.curve, tc.planned)
+		if st.Blocks != 64 || st.TileM != 32 || st.TileN != 12 || st.TileK != 32 || st.Depth != 2 {
+			t.Fatalf("%s: %d blocks of %dx%dx%d tiles at depth %d; want 64 of 32x12x32 at depth 2 (test premise)",
+				name, st.Blocks, st.TileM, st.TileN, st.TileK, st.Depth)
+		}
+		if impl, _ := leaf.GetImpl(st.Kernel); !impl.Chained {
+			t.Skipf("%s does not chain", st.Kernel)
+		}
+		spans, flops := leafSpans(t, tr), int64(0)
+		for _, f := range spans {
+			flops += f
+		}
+		if n := len(spans); n < tc.lo || n > tc.hi || flops != 2*1024*1024*48 {
+			t.Errorf("%s: %d leaf spans of %d flops in all, want %d to %d of %d", name, n, flops, tc.lo, tc.hi, 2*1024*1024*48)
 		}
 	}
 }

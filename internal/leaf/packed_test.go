@@ -385,7 +385,9 @@ func benchLeaf(b *testing.B, kern Kernel, m, n, k int, strided bool) float64 {
 // tiles; 32×6×32 as m×n×k: a 48-wide request against a 64-wide plan),
 // whose rate beside 32³'s is what the fringe costs, and at the leaves of
 // the repository benchmark's stream workloads (32×12×32) and of its
-// daemon workload (32×4×32) — on contiguous leaves (the
+// daemon workload (32×4×32), and at the panel leaves a thin partner's
+// serial base calls in their place (a 32-row tile over the block's whole
+// width and two k tiles: 32×48×64, 32×16×64, 32×40×64) — on contiguous leaves (the
 // recursive-layout case, lda == m) and strided leaves (the canonical
 // case, lda >> m). This is where kernels are timed against each other
 // now that the default is a rule and not a race: after each size it
@@ -394,7 +396,7 @@ func benchLeaf(b *testing.B, kern Kernel, m, n, k int, strided bool) float64 {
 func BenchmarkKernelTile(b *testing.B) {
 	logPeaks()
 	for _, sh := range [][3]int{{8, 8, 8}, {32, 32, 32}, {64, 64, 64}, {25, 25, 25}, {38, 38, 38}, {32, 6, 32},
-		{32, 12, 32}, {32, 4, 32}} {
+		{32, 12, 32}, {32, 4, 32}, {32, 48, 64}, {32, 16, 64}, {32, 40, 64}} {
 		m, n, k := sh[0], sh[1], sh[2]
 		contig := map[string]float64{} // the last, longest run of each
 		for _, name := range Names() {
