@@ -808,8 +808,7 @@ func TestDeterminismAutoEntryPoints(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: MulPrepacked: %v", name, err)
 			}
-			got = C.Clone()
-			got.Scale(0.5)
+			got = C.Clone() // the epilogue applies β
 			if err := tc.UnpackAccumulate(ctx, pool, got, 0.75, 0.5); err != nil {
 				t.Fatal(err)
 			}

@@ -250,13 +250,13 @@ func GEMM(pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 //
 // Failure atomicity: until validation and admission have passed and the
 // call's scheduler run has begun, C is untouched (a cancellation that
-// lands first says "not started"). The run scales C by beta before
-// anything else, or at beta == 0 with one runner walking the blocks, their
-// first touch stores C unread; if the call then fails or is cancelled, C
-// holds the β-scaled inputs (for beta == 0, zeros: a block that did not
-// complete is zeroed) plus the products of any *completed* blocks — never
-// a partial one: a block unpacks into C only after its compute finishes,
-// by a pass no cancellation interrupts. The error says how many completed.
+// lands first says "not started"). Each C block is then written once, by
+// an epilogue that applies beta as it folds in the block's product
+// (beta == 0 stores C unread), after the block's compute and under no
+// cancellation; if the call fails, each block that did not complete is
+// β-scaled once every task under it has joined. So C holds the β-scaled
+// inputs plus the products of any *completed* blocks — never a partial
+// one. The error says how many completed.
 func GEMMCtx(ctx context.Context, pool *sched.Pool, opts Options, transA, transB bool, alpha float64,
 	A, B *matrix.Dense, beta float64, C *matrix.Dense) (stats *Stats, err error) {
 
@@ -566,20 +566,19 @@ func (w *wave) step(c *sched.Ctx, ws *waveWS, i int) error {
 		return nil
 	}
 	w.plans[i] = nil // it has started
-	ws.done.Store(0)
-	ws.total = 0
+	ws.fin = ws.fin[:0]
 	defer func() {
 		if r := recover(); r != nil {
-			w.errs[i] = w.errf(i, "failed after %d of %d blocks: %w", ws.done.Load(), ws.total, recoveredError(r))
+			w.errs[i] = w.errf(i, "failed after %d of %d blocks: %w", ws.completed(), len(ws.fin), recoveredError(r))
 		}
 	}()
 	w.errs[i] = w.body(c, ws, i, pl)
 	return nil
 }
 
-// body is the one body of a product, run for each member: β·C, then the
-// packs of what gv does not bring — into the runner's reused transient
-// plans (repack), UNSCALED (α rides in the fused epilogue), deferred to
+// body is the one body of a product, run for each member: the packs of
+// what gv does not bring — into the runner's reused transient plans
+// (repack), UNSCALED (α and β ride in the fused epilogue), deferred to
 // the consuming blocks (charge.deferA, deferB, or every segment when
 // admission moved the plans there), or folded from A's plan when op(B)
 // is op(A)ᵀ (SYRK's GEMM over one matrix in both slots) — then the
@@ -598,27 +597,25 @@ func (w *wave) body(c *sched.Ctx, ws *waveWS, i int, pl *plan) error {
 	if ctx.Err() != nil {
 		return w.errf(i, "not started: %w", context.Cause(ctx))
 	}
+	if pl.ns == nil {
+		it.C.Scale(it.Beta)
+		return nil
+	}
 	runners := pl.runners
 	if w.serial {
 		runners = 0
 	}
-	// β up front: the member's atomicity anchor — but blocks that complete in
-	// order store a β = 0 C, and a failure zeroes each from the first not
-	// complete, which has joined every task under it.
-	stored := it.Beta == 0 && runners == 0 && pl.ns != nil
-	if !stored {
-		ws.e.scaleC(c, it.C, it.Beta)
-	}
-	if pl.ns == nil {
-		return nil
-	}
 	gv, g, ch, ms, ks, ns := w.gv, pl.g, &pl.ch, pl.ms, pl.ks, pl.ns
 	deferA, deferB := ch.deferA || w.consumed, ch.deferB || w.consumed
-	ws.total = len(ms) * len(ns)
+	// β rides in each block's epilogue, so a member that fails β-scales
+	// the blocks that did not complete once every task under them has
+	// joined (β = 1, MulPrepacked's, whose C is a plan, applies nothing).
+	ws.fin = append(ws.fin[:0], make([]bool, len(ms)*len(ns))...)
 	defer func() {
-		for b := int(ws.done.Load()); stored && b < ws.total; b++ {
-			sm, sn := ms[b/len(ns)], ns[b%len(ns)]
-			it.C.View(sm.Off, sn.Off, sm.Len, sn.Len).Zero()
+		for b, done := range ws.fin {
+			if sm, sn := ms[b/len(ns)], ns[b%len(ns)]; !done && it.Beta != 1 {
+				it.C.View(sm.Off, sn.Off, sm.Len, sn.Len).Scale(it.Beta)
+			}
 		}
 	}()
 	ws.e.kernel, ws.e.fastCutoff = pl.kernel, pl.cutoff
@@ -669,7 +666,7 @@ func (w *wave) body(c *sched.Ctx, ws *waveWS, i int, pl *plan) error {
 		if err == errRunCancelled {
 			err = w.cause()
 		}
-		return w.errf(i, "failed after %d of %d blocks: %w", ws.done.Load(), ws.total, err)
+		return w.errf(i, "failed after %d of %d blocks: %w", ws.completed(), len(ws.fin), err)
 	}
 	return nil
 }

@@ -250,38 +250,49 @@ func TestGEMMSymmetricFoldsSecondPack(t *testing.T) {
 	}
 }
 
-// TestScaleColsMatchesScale: the parallel β pass must agree exactly
-// with the serial Scale, including on strided views; and β = 0 stores
-// zeros over whatever the view held, a NaN or an Inf too (which Equal
-// never passes), and nothing outside it.
-func TestScaleColsMatchesScale(t *testing.T) {
+// TestEpilogueBetaMatchesScale: the fused epilogue, chunked over the
+// pool into a strided view, must equal serial Scale by β followed by the
+// α·t accumulate, bit for bit, for the β values it specializes; β = 0
+// stores over whatever the view held, a NaN or an Inf too (which Equal
+// never passes), without reading it; and nothing outside the view moves.
+func TestEpilogueBetaMatchesScale(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(25))
-	for _, beta := range []float64{0.375, 0} {
-		base := matrix.Random(40, 40, rng)
-		if beta == 0 {
-			base.Set(4, 6, math.NaN())
-			base.Set(5, 6, math.Inf(-1))
-		}
-		ref := base.Clone()
-		va, vb := base.View(3, 5, 30, 20), ref.View(3, 5, 30, 20)
-		if err := onPool(context.Background(), pool, func(e *exec, c *sched.Ctx) { e.scaleC(c, va, beta) }); err != nil {
-			t.Fatal(err)
-		}
-		vb.Scale(beta)
-		if !matrix.Equal(base, ref, 0) {
-			t.Errorf("β=%v: the chunked β pass diverges from serial Scale", beta)
-		}
-		if beta == 0 && (matrix.MaxAbsDiff(va, matrix.New(30, 20)) != 0 || base.At(2, 5) == 0) {
-			t.Error("β=0 did not leave exactly the view zero")
+	src := matrix.Random(30, 20, rng)
+	tl := NewTiled(layout.Hilbert, 2, 8, 5, 30, 20)
+	if err := tl.Pack(context.Background(), pool, src, false, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, beta := range []float64{0.375, 0, 1, -2} {
+		for _, alpha := range []float64{1, 0.75} {
+			base := matrix.Random(40, 40, rng)
+			if beta == 0 {
+				base.Set(4, 6, math.NaN())
+				base.Set(5, 6, math.Inf(-1))
+			}
+			ref := base.Clone()
+			va, vb := base.View(3, 5, 30, 20), ref.View(3, 5, 30, 20)
+			if err := onPool(context.Background(), pool, func(e *exec, c *sched.Ctx) { tl.unpackAccumulate(e, c, va, alpha, beta) }); err != nil {
+				t.Fatal(err)
+			}
+			vb.Scale(beta)
+			for j := 0; j < 20; j++ {
+				for i := 0; i < 30; i++ {
+					vb.Set(i, j, vb.At(i, j)+float64(alpha*src.At(i, j)))
+				}
+			}
+			if !sameBits(base, ref) {
+				t.Errorf("β=%v α=%v: the chunked epilogue diverges from serial Scale and accumulate (max diff %g)",
+					beta, alpha, matrix.MaxAbsDiff(base, ref))
+			}
 		}
 	}
 }
 
-// TestShieldedPassesCompleteOnCancelledRun: the two passes of the failure
-// contract that may not be left half-applied — the β-scale and the fused
-// epilogue — run to completion when they begin on a run that is already
+// TestShieldedPassesCompleteOnCancelledRun: the pass of the failure
+// contract that may not be left half-applied — the fused epilogue, which
+// applies β — runs to completion when it begins on a run that is already
 // cancelled, chunked over the pool as on a live one; a pass that carries
 // no such promise (the zero-fill) spawns nothing there.
 func TestShieldedPassesCompleteOnCancelledRun(t *testing.T) {
@@ -294,7 +305,7 @@ func TestShieldedPassesCompleteOnCancelledRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	C0 := matrix.Random(64, 48, rng)
-	scaled, epilogue := C0.Clone(), C0.Clone()
+	epilogue := C0.Clone()
 	dirty := make([]float64, 4096)
 	for i := range dirty {
 		dirty[i] = 1
@@ -305,21 +316,15 @@ func TestShieldedPassesCompleteOnCancelledRun(t *testing.T) {
 		if !c.Cancelled() {
 			t.Error("the run does not see its cancellation")
 		}
-		e.scaleC(c, scaled, 0.5)
-		tl.unpackAccumulate(e, c, epilogue, 2, 1)
+		tl.unpackAccumulate(e, c, epilogue, 2, 0.5)
 		e.zero(c, dirty)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	want := C0.Clone()
-	want.Scale(0.5)
-	if !matrix.Equal(scaled, want, 0) {
-		t.Error("the β pass was cut short by the run's cancellation")
-	}
 	for j := 0; j < 48; j++ {
 		for i := 0; i < 64; i++ {
-			if got, want := epilogue.At(i, j), C0.At(i, j)+2*src.At(i, j); got != want {
+			if got, want := epilogue.At(i, j), 0.5*C0.At(i, j)+2*src.At(i, j); got != want {
 				t.Fatalf("epilogue at (%d,%d) = %g, want %g: cut short by the run's cancellation", i, j, got, want)
 			}
 		}

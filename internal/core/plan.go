@@ -391,14 +391,14 @@ func ResolveCurve(o Options) layout.Curve { return o.withDefaults().Curve }
 // may be partial and is dropped; the run's own error carries the cause.
 var errRunCancelled = errors.New("core: run cancelled")
 
-// planMul is one plan product C += α·A·B: both operands packed into
-// conforming plans, C β-scaled already or, at β = 0, stored by the blocks
-// — or C a plan of the product's geometry (pc) the blocks accumulate into.
+// planMul is one plan product C ← β·C + α·A·B: both operands packed into
+// conforming plans, β applied by each block's epilogue — or C a plan of
+// the product's geometry (pc) the blocks accumulate into.
 type planMul struct {
 	alg   Alg
 	alpha float64
-	// beta is what C was scaled by before this product; the epilogue
-	// stores into C when β = 0, without reading it, and accumulates otherwise.
+	// beta rides in the epilogue: at β = 0 it stores into C without
+	// reading it, at β = 1 it accumulates, otherwise it does both.
 	beta       float64
 	pa, pb, pc *Prepacked
 	// ms and ks are the plan's segments: pa's quadrants at pb's depth.
@@ -487,35 +487,32 @@ func (pm *planMul) block(ctx context.Context, c *sched.Ctx, i, j int, ws *waveWS
 
 // wave is the one block loop over the plan product's C blocks: walked in
 // order by the calling runner or, when they are the parallelism (runners
-// > 0, asWave), pulled by runners tasks.
-// Of its ws.total, ws.done counts the completed; the rest hold β·C (+0).
+// > 0, asWave), pulled by runners tasks. Each block completed is marked
+// in ws.fin.
 func (pm *planMul) wave(ctx context.Context, c *sched.Ctx, ws *waveWS, runners int, traceID int64) error {
-	nn, nb := len(pm.pb.CSegs), ws.total
+	nn, fin := len(pm.pb.CSegs), ws.fin
 	if runners == 0 {
-		for b := 0; b < nb; b++ {
+		for b := range fin {
 			if c.Cancelled() {
 				return errRunCancelled
 			}
 			if err := pm.block(ctx, c, b/nn, b%nn, ws, traceID); err != nil {
 				return err
 			}
-			ws.done.Add(1)
+			fin[b] = true
 		}
 		return nil
 	}
 	// Only this branch hands pm and the runner's parameters to other
 	// tasks, so a member whose blocks run in turn allocates nothing.
-	p, e, done := *pm, ws.e, &ws.done
+	p, e := *pm, ws.e
 	e.serialCutoff = noSpawn
-	before := done.Load()
-	err := pullWave(ctx, c, &e, runners, nb, &ws.stats, func(c *sched.Ctx, ws *waveWS, b int) error {
+	err := pullWave(ctx, c, &e, runners, len(fin), &ws.stats, func(c *sched.Ctx, ws *waveWS, b int) error {
 		err := p.block(ctx, c, b/nn, b%nn, ws, traceID)
-		if err == nil {
-			done.Add(1)
-		}
+		fin[b] = err == nil
 		return err
 	}, nil)
-	if err == nil && done.Load()-before < int64(nb) { // the runners saw the run cancelled
+	if err == nil && slices.Contains(fin, false) { // the runners saw the run cancelled
 		err = errRunCancelled
 	}
 	return err
@@ -534,10 +531,19 @@ type waveWS struct {
 	pa, pb Prepacked
 	one    [2]Tiled
 	stats  Stats
-	// done counts the member in hand's completed C blocks, here or on the
-	// runners it spread to.
-	done  atomic.Int64
-	total int
+	// fin records, by C block, which of the member in hand's blocks have
+	// completed, here or on the runners it spread to.
+	fin []bool
+}
+
+// completed counts the member in hand's completed C blocks.
+func (ws *waveWS) completed() (n int) {
+	for _, f := range ws.fin {
+		if f {
+			n++
+		}
+	}
+	return n
 }
 
 func (ws *waveWS) release() {

@@ -227,15 +227,16 @@ func TestCancelMidRunLeavesCScaledOrComplete(t *testing.T) {
 	// uncancelled wall time of a call — and crowded into its last tenth,
 	// where the epilogue is — leave every C block exactly its input (the
 	// run never began), its β-scaled input, or the complete product. On
-	// 4 workers the 512³ call is one block of 16×16 tiles, whose β pass,
+	// 4 workers the 512³ call is one block of 16×16 tiles, whose
 	// zero-fill, pack and epilogue are all chunked over the pool and the
-	// first and last of them shielded; 960×40·40×40 is a wave of eight
-	// blocks on four runners, serial inside. On the β = 0 rows C starts
-	// as a sentinel that no β pass clears: the standard recursion stores
-	// each block — one 512³ block that spawns, three blocks one runner
-	// walks in turn — and a cancelled run zeroes the blocks it did not
-	// complete, so each ends bitwise +0 or the uncancelled run's, and a
-	// refused run keeps the sentinel. The last row is a lone 256³ on 2
+	// epilogue, which applies β, shielded; 960×40·40×40 is a wave of eight
+	// blocks on four runners, serial inside, which complete in no known
+	// order. On the β = 0 rows C starts as a sentinel that no pass clears
+	// ahead of the blocks: each block's epilogue stores it — one 512³
+	// block that spawns, eight blocks on four runners, three blocks one
+	// runner walks in turn — and a cancelled run zeroes the blocks it did
+	// not complete, so each ends bitwise +0 or the uncancelled run's, and
+	// a refused run keeps the sentinel. The last row is a lone 256³ on 2
 	// workers multiplied in place: eight serial bases of 4×4 tiles, each
 	// one leaf call (exec.base), so a cancellation lands between bases.
 	pools := map[int]*sched.Pool{2: sched.NewPool(2), 4: sched.NewPool(4)}
@@ -254,6 +255,7 @@ func TestCancelMidRunLeavesCScaledOrComplete(t *testing.T) {
 		{512, 512, 512, Options{Curve: layout.Hilbert, Alg: Winograd, ForceTile: 32}, 1, 0.5, 4, false},
 		{960, 40, 40, Options{Curve: layout.Hilbert, Alg: Winograd, Tile: testTile}, 8, 0.5, 4, false},
 		{512, 512, 512, Options{Curve: layout.ZMorton, Alg: Standard, ForceTile: 32}, 1, 0, 4, false},
+		{960, 40, 40, Options{Curve: layout.Hilbert, Alg: Winograd, Tile: testTile}, 8, 0, 4, false},
 		{360, 40, 40, Options{Curve: layout.Hilbert, Alg: Standard, Tile: testTile}, 3, 0, 4, false},
 		{256, 256, 256, Options{Curve: layout.ZMorton, Alg: Standard}, 1, 0, 2, true},
 	} {

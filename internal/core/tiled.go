@@ -156,15 +156,14 @@ func (t *Tiled) packTiles(src *matrix.Dense, trans bool, alpha float64, a tileAd
 }
 
 // unpackAccumulate folds the C epilogue of a block multiplication into
-// the conversion walk: dst += alpha · (logical region of t), discarding
+// the conversion walk: dst ← β·dst + α·(logical region of t), discarding
 // padding. With the product in a tiled buffer (no C pack, no zero-fill),
-// this replaces the old pack-C / compute / unpack-C round-trip — C is
-// read and written exactly once, alpha is applied for free during the
-// stream, and dst stays untouched (β-scaled) until the block's compute
-// has fully succeeded. beta is what dst was scaled by: after β = 0 it
-// holds nothing the result may depend on (BLAS reads no C then), and the
-// walk stores alpha·t without reading it, a −0 as −0. Spread over the
-// pool like pack, but under a shield: once the epilogue starts, a
+// C is read and written exactly once, β and α applied during the stream,
+// and dst stays untouched until the block's compute has fully succeeded.
+// At β = 0 the walk stores α·t without reading dst (BLAS reads no C
+// then), a −0 as −0; at β = 1 it accumulates; otherwise it stores
+// fl(β·c) + fl(α·t), the bits of scaling C first. Spread over the pool
+// like pack, but under a shield: once the epilogue starts, a
 // cancellation must not leave the block half-applied.
 func (t *Tiled) unpackAccumulate(e *exec, c *sched.Ctx, dst *matrix.Dense, alpha, beta float64) {
 	if dst.Rows != t.Rows || dst.Cols != t.Cols {
@@ -181,8 +180,8 @@ func (t *Tiled) unpackAccumulate(e *exec, c *sched.Ctx, dst *matrix.Dense, alpha
 	})
 }
 
-// unpackAccumulateTiles accumulates grid tiles [lo, hi), column by
-// column, into dst: unpackAccumulate's ranged body.
+// unpackAccumulateTiles folds grid tiles [lo, hi), column by column,
+// into dst: unpackAccumulate's ranged body.
 func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha, beta float64, a tileAddr, lo, hi int) {
 	ld := t.Mat().leafLD()
 	for g := lo; g < hi; g++ {
@@ -202,17 +201,21 @@ func (t *Tiled) unpackAccumulateTiles(dst *matrix.Dense, alpha, beta float64, a 
 		for jj := 0; jj < vc; jj++ {
 			dcol := dst.Data[(j0+jj)*dst.Stride+i0 : (j0+jj)*dst.Stride+i0+vr]
 			scol := t.Data[base+jj*ld : base+jj*ld+vr]
+			// float64() rounds each product first: never fused (arm64, ppc64, s390x).
 			switch {
 			case beta == 0:
 				for ii := range dcol {
 					dcol[ii] = alpha * scol[ii]
+				}
+			case beta != 1:
+				for ii := range dcol {
+					dcol[ii] = float64(beta*dcol[ii]) + float64(alpha*scol[ii])
 				}
 			case alpha == 1:
 				for ii := range dcol {
 					dcol[ii] += scol[ii]
 				}
 			default:
-				// float64() rounds α·t first: never fused (arm64, ppc64, s390x).
 				for ii := range dcol {
 					dcol[ii] += float64(alpha * scol[ii])
 				}
@@ -275,22 +278,4 @@ func (e *exec) zero(c *sched.Ctx, data []float64) {
 		return
 	}
 	e.chunked(c, obs.KindZero, len(data), func(lo, hi int) { vZero(data[lo:hi]) })
-}
-
-// scaleC applies β to the logical C, once, before the call's first
-// product: the atomicity anchor of the failure contract ("C holds the
-// β-scaled inputs"). A large C is scaled in column chunks under a shield,
-// so a cancellation cannot leave it half-applied; the pass is one bounded
-// memory sweep, within the documented abort latency.
-func (e *exec) scaleC(c *sched.Ctx, C *matrix.Dense, beta float64) {
-	if beta == 1 {
-		return
-	}
-	if !e.spawns(c, C.Rows*C.Cols) {
-		C.Scale(beta)
-		return
-	}
-	c.Shield(func(c *sched.Ctx) {
-		e.chunked(c, obs.KindScale, C.Cols, func(lo, hi int) { C.ScaleCols(beta, lo, hi) })
-	})
 }

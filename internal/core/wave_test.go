@@ -393,7 +393,7 @@ func TestWaveCancelLeavesBlocksScaledOrComplete(t *testing.T) {
 
 // TestInPlaceProductFailureContract: a 64³ β = 0, α = 1 member is one
 // small block multiplied where it lies — it reads A and B in place and
-// its product accumulates straight into C, which scaleC zeroed — so a
+// its product is stored straight into C, unread — so a
 // member that fails, panics or is cancelled after its block wrote C must
 // zero C again, once every task under the block has joined (wave.body):
 // β-scaled-or-complete, for β = 0. A failed member's C is bitwise +0
@@ -402,11 +402,12 @@ func TestWaveCancelLeavesBlocksScaledOrComplete(t *testing.T) {
 // stored transposed, which packs. Under injected panics at every leaf
 // and task, and under cancellations spread over a wave's wall time. The
 // faulted and cancelled waves carry one more member, 256×16·16×32: four
-// blocks its runner walks in turn, each packed and stored by its first
-// product into a β = 0 C that no β pass zeroed, so a failure leaves each
-// block its twin's bits or bitwise +0, zeroed again once every task under
-// it has joined. A runner claims a member before it runs — its slot's
-// first, or one ahead of the member in hand (pullWave) — so a cancelled
+// blocks its runner walks in turn, each packed, its tile stored by its
+// first product and its region of a β = 0 C by its epilogue, which no
+// pass zeroed ahead of them, so a failure leaves each block its twin's
+// bits or bitwise +0, zeroed again once every task under it has joined.
+// A runner claims a member before it runs — its slot's first, or one
+// ahead of the member in hand (pullWave) — so a cancelled
 // or faulted wave can leave a member unstarted below one that started:
 // the waves run until each kind of failure has shown such a hole, and a
 // hole is held to the not-started contract like any other. Beside each
@@ -631,8 +632,11 @@ func TestWaveReturnsPooledBuffers(t *testing.T) {
 // TestStressWaveFaultInjection: under injected panics, allocation
 // failures and delays a block wave never lets a panic escape; a failed
 // call's error unwraps to the injected fault, and either C is untouched
-// (the call failed before β) or the error names its progress and every
-// C block is β-scaled or complete. One column of C blocks: A's segments
+// (the call failed before its member began) or the error names its
+// progress and every C block is bitwise β-scaled or complete — at
+// β = 0.5 and, every other pair of runs, at β = 0 on a sentinel C, whose
+// blocks complete out of order on the runners and which no pass clears
+// ahead of them. One column of C blocks: A's segments
 // are brought by their blocks inside the wave — read in place by
 // Standard, packed by the fast algorithms and, on every other run, from
 // an A stored transposed, for the same bits — and the run goes on until
@@ -651,7 +655,8 @@ func TestStressWaveFaultInjection(t *testing.T) {
 	m, k, n := 600, 24, 40 // 10×1 C blocks... a wave on 4 workers
 	A, B := matrix.Random(m, k, rng), matrix.Random(k, n, rng)
 	At := A.Transpose()
-	C := matrix.Random(m, n, rng)
+	C, sentinel := matrix.Random(m, n, rng), matrix.New(m, n)
+	sentinel.Fill(7.25)
 	scaled := C.Clone()
 	scaled.Scale(0.5)
 	algs := []Alg{Standard, Strassen, Winograd}
@@ -661,13 +666,17 @@ func TestStressWaveFaultInjection(t *testing.T) {
 	for i := 0; i < 40 || (inWavePack == 0 && i < 4000); i++ {
 		runs++
 		opts := Options{Curve: curves[i%len(curves)], Alg: algs[i%len(algs)], Tile: testTile}
-		got := C.Clone()
+		beta, in, out := 0.5, C, scaled
+		if i/2%2 == 1 {
+			beta, in, out = 0, sentinel, matrix.New(m, n)
+		}
+		got := in.Clone()
 		ta, opA := i%2 == 1, A
 		if ta {
 			opA = At
 		}
-		st, err := GEMM(pool, opts, ta, false, 1, opA, B, 0.5, got)
-		key := i % (len(curves) * len(algs))
+		st, err := GEMM(pool, opts, ta, false, 1, opA, B, beta, got)
+		key := i%(len(curves)*len(algs))*2 + i/2%2
 		if err == nil {
 			if st.PackDeferred != 10 {
 				t.Fatalf("iter %d: PackDeferred = %d, want A's 10 segments brought by their blocks (test premise)", i, st.PackDeferred)
@@ -675,8 +684,8 @@ func TestStressWaveFaultInjection(t *testing.T) {
 			// The first clean run of a configuration is its reference;
 			// RefGEMM bounds it, later runs must reproduce it bit for bit.
 			if want[key] == nil {
-				ref := C.Clone()
-				matrix.RefGEMM(false, false, 1, A, B, 0.5, ref)
+				ref := in.Clone()
+				matrix.RefGEMM(false, false, 1, A, B, beta, ref)
 				if !matrix.Equal(got, ref, tol(m, k, n)) {
 					t.Fatalf("iter %d: successful run under faults is wrong (max diff %g)", i, matrix.MaxAbsDiff(got, ref))
 				}
@@ -697,7 +706,7 @@ func TestStressWaveFaultInjection(t *testing.T) {
 		if !strings.Contains(err.Error(), "blocks") {
 			// Only a failure before the wave — the arena reservation is
 			// a fault point — carries no progress: C is untouched then.
-			if !matrix.Equal(got, C, 0) {
+			if !sameBits(got, in) {
 				t.Fatalf("iter %d: error %q does not name its progress, yet C was touched", i, err)
 			}
 			continue
@@ -708,7 +717,7 @@ func TestStressWaveFaultInjection(t *testing.T) {
 			inWavePack++
 		}
 		if w := want[key]; w != nil {
-			blocksScaledOrComplete(t, err.Error(), opts.Tile, k, got, scaled, w)
+			blocksScaledOrComplete(t, err.Error(), opts.Tile, k, got, out, w)
 		}
 	}
 	if panics > 0 && inWavePack == 0 {

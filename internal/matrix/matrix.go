@@ -110,22 +110,14 @@ func (a *Dense) Fill(v float64) {
 	}
 }
 
-// Scale multiplies every element of a by alpha.
+// Scale multiplies every element of a by alpha. alpha = 0 stores zeros
+// and multiplies nothing, as the reference BLAS does for β = 0: a NaN or
+// Inf in a does not survive it.
 func (a *Dense) Scale(alpha float64) {
 	if alpha == 1 {
 		return
 	}
-	a.ScaleCols(alpha, 0, a.Cols)
-}
-
-// ScaleCols multiplies columns [lo, hi) of a by alpha — the ranged core
-// of Scale, exposed so callers with a worker pool can split the pass
-// into parallel column chunks (a full-matrix β·C scale is a memory-bound
-// sweep worth parallelizing above a size threshold). alpha = 0 stores
-// zeros and multiplies nothing, as the reference BLAS does for β = 0: a
-// NaN or Inf in a does not survive it.
-func (a *Dense) ScaleCols(alpha float64, lo, hi int) {
-	for j := lo; j < hi; j++ {
+	for j := 0; j < a.Cols; j++ {
 		col := a.Data[j*a.Stride : j*a.Stride+a.Rows]
 		if alpha == 0 {
 			clear(col)

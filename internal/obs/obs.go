@@ -61,8 +61,6 @@ const (
 	KindUnpack
 	// KindZero is one zero-fill chunk (the C-tile scrub).
 	KindZero
-	// KindScale is one β-scaling chunk over C's columns.
-	KindScale
 	// KindConvertIn is a driver call's whole convert-in phase.
 	KindConvertIn
 	// KindCompute is a driver call's whole compute phase.
@@ -112,7 +110,6 @@ var kindNames = [numKinds]string{
 	KindPack:          "pack",
 	KindUnpack:        "unpack",
 	KindZero:          "zero-fill",
-	KindScale:         "beta-scale",
 	KindConvertIn:     "convert-in",
 	KindCompute:       "compute",
 	KindConvertOut:    "convert-out",

@@ -814,7 +814,7 @@ func (c *Ctx) Serial(fn func(*Ctx)) {
 // reach: the frame gets a cancellation state of its own, so the tasks
 // fn spawns are executed, not retired, after the run's context fires.
 // It is for a pass that must not be left half-applied (a driver's
-// β-scale and epilogue): entered, it completes. Closing the pool still
+// epilogue): entered, it completes. Closing the pool still
 // ends it — a closed pool runs nothing. Work and span fold into c as
 // Serial's do.
 func (c *Ctx) Shield(fn func(*Ctx)) {

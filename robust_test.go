@@ -39,7 +39,7 @@ func TestDGEMMRejectsNonFinite(t *testing.T) {
 
 // TestBetaZeroClearsNonFinite: β = 0 stores and does not multiply, so a
 // NaN or Inf in the incoming C is gone afterwards as under reference
-// BLAS — also when α = 0 and the call is the β pass alone, per call
+// BLAS — also when α = 0 and the call is C.Scale(β) alone, per call
 // and as a batch item.
 func TestBetaZeroClearsNonFinite(t *testing.T) {
 	eng := NewEngine(2)
@@ -71,14 +71,13 @@ func TestBetaZeroClearsNonFinite(t *testing.T) {
 	}
 }
 
-// TestBetaZeroNeverReadsC: with β = 0 no β pass zeroes C ahead of a
-// product whose blocks one runner walks in turn — the standard
-// recursion's first touch stores each tile — so a NaN or ±Inf in the
-// incoming C must leave no trace, through DGEMM, GEMMBatch and
-// GEMMPrepacked, on a product of one block multiplied where it lies, on
-// three blocks one runner walks (four workers), and on two blocks that
-// two runners share (where C is still zeroed up front). Each result is
-// the same call's on a C of +0, bit for bit.
+// TestBetaZeroNeverReadsC: with β = 0 no pass zeroes C ahead of a
+// product — each block's epilogue, or a block multiplied where it lies,
+// stores its region unread — so a NaN or ±Inf in the incoming C must
+// leave no trace, through DGEMM, GEMMBatch and GEMMPrepacked, on a
+// product of one block multiplied where it lies, on three blocks one
+// runner walks (four workers), and on two blocks that two runners share.
+// Each result is the same call's on a C of +0, bit for bit.
 func TestBetaZeroNeverReadsC(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	for _, tc := range []struct {
