@@ -17,11 +17,11 @@
 // parity`, `make streamparity`, `make fringe`, `make factor`): they run
 // only when named, and exit non-zero when Algorithm Auto is more than 5%
 // slower than Standard or nil options than the same call naming
-// Z-Morton, a per-call DGEMM on the serving shape is faster
-// than the same product through a prepacked plan or more than 45%
-// slower, a shape whose tiles are off the micro-kernel grid runs under
-// 0.45 of the rate of its nearest neighbour on the grid, or a 2048² LU
-// runs under half the rate of a Cholesky.
+// Z-Morton, a per-call DGEMM on the serving shape takes under 0.90 or
+// over 1.15 times as long as the same product through a prepacked plan,
+// a shape whose tiles are off the micro-kernel grid runs under 0.45 of
+// the rate of its nearest neighbour on the grid, or a 2048² LU runs
+// under half the rate of a Cholesky.
 package main
 
 import (
@@ -781,15 +781,19 @@ func medianOf(v []float64) float64 {
 // needs no padding), the plan form reads a plan of A built once — so
 // the two sides differ by no conversion, and the premise is checked: the
 // gate fails when the per-call converts more than the plan form's B plan
-// and C epilogue, that is, when A was copied. Above 1.15 the per-call
-// path has grown a cost of its own; while it packed A in its wave it
-// read 1.24–1.37 on a 2-CPU AVX-512 host (and passed a ceiling of
-// 1.45). Below 0.90 the resident plan's wave is being starved — what a
-// scheduler that starts the wave's second runner late looks like (the
-// per-call side read 0.95–1.02 of it while packing when idle workers
-// polled on a timer). Pairs are interleaved, the order alternating, for
-// about ten seconds a side, and compared by the median of the paired
-// time ratios (see autoparity).
+// and C epilogue, that is, when A was copied. (The leaf packs each
+// strided A run into its worker's scratch as the run's first column
+// block reads it; that is a kernel's buffer, not a conversion.) Above
+// 1.15 the per-call path has grown a cost of its own; while it packed A
+// in its wave it read 1.24–1.37 on a 2-CPU AVX-512 host (and passed a
+// ceiling of 1.45), and while the leaf's later column blocks re-read A
+// in place at ld 1024 it read 1.14–1.17 (1.03–1.05 since they read the
+// leaf's packed run). Below 0.90 the resident plan's wave is being
+// starved — what a scheduler that starts the wave's second runner late
+// looks like (the per-call side read 0.95–1.02 of it while packing when
+// idle workers polled on a timer). Pairs are interleaved, the order
+// alternating, for about ten seconds a side, and compared by the median
+// of the paired time ratios (see autoparity).
 func streamparity() {
 	const lo, hi = 0.90, 1.15
 	w := *workers
@@ -830,7 +834,7 @@ func streamparity() {
 		fmt.Printf("FAIL: the prepacked product is more than %.0f%% slower than the per-call one — the resident plan's wave is being starved\n", (1/lo-1)*100)
 		os.Exit(1)
 	}
-	fmt.Printf("ok: a per-call DGEMM reading A in place takes %.2f–%.2f of a resident plan's time\n", lo, hi)
+	fmt.Printf("ok: a per-call DGEMM, its A not converted, takes %.2f–%.2f of a resident plan's time\n", lo, hi)
 }
 
 // fringeCase is one shape of the fringe gate: a call, its flops, and
@@ -1051,6 +1055,71 @@ func leadingDim() {
 	fmt.Println(" and keep missing. This size sensitivity is what makes the standard")
 	fmt.Println(" algorithm under ColMajor fluctuate in Figure 5, while the fast")
 	fmt.Println(" algorithms, whose temporaries halve ld at every level, stay flat.)")
+	leafLD()
+}
+
+// leafLD measures §5.1 on the real kernel: the leaf of a thin partner's
+// per-call DGEMM, 32×48×64 (a row tile by two k tiles over the block's
+// whole width), called 512 times in the serial base's order (row tile by
+// row tile, k pairs inner) over a 1024² A, against a 1024×48 B and C at
+// ld 1024. A lies three ways: on contiguous 32×64 tiles, as a recursive
+// layout holds it, and in place at ld 1024 and 1032. Each is called two
+// ways: one call a leaf, the library's path, whose panels pack a strided
+// A as their first column block reads it; and one call a 4-column block,
+// where no block reuses A and each reads it where it lies. Times are
+// interleaved medians, ratios paired against the contiguous tiles called
+// the same way.
+func leafLD() {
+	const m, n, k, ld, calls = 32, 48, 64, 1024, 512
+	impl := leaf.Auto(m, n, k)
+	var sc leaf.Scratch
+	rng := rand.New(rand.NewSource(*seed))
+	random := func(size int) []float64 {
+		v := make([]float64, size)
+		for i := range v {
+			v[i] = 2*rng.Float64() - 1
+		}
+		return v
+	}
+	b, c := random(ld*n), random(ld*n)
+	type operand struct {
+		name string
+		a    []float64
+		lda  int
+		at   func(i, p int) int // where the tile at row i, column p starts
+	}
+	ops := []operand{
+		{"contiguous tiles", random(ld * ld), m, func(i, p int) int { return (p/k*(ld/m) + i/m) * m * k }},
+		{"ld 1024", random(ld * ld), ld, func(i, p int) int { return p*ld + i }},
+		{"ld 1032", random((ld + 8) * ld), ld + 8, func(i, p int) int { return p*(ld+8) + i }},
+	}
+	sweep := func(o operand, w int) func() {
+		return func() {
+			for t := 0; t < calls; t++ {
+				i, p := t/(ld/k)*m, t%(ld/k)*k
+				for j := 0; j < n; j += w {
+					impl.Scratch(&sc, m, w, k, o.a[o.at(i, p):], o.lda, b[j*ld+p:], ld, c[j*ld+i:], ld)
+				}
+			}
+		}
+	}
+	var fs []func()
+	for _, o := range ops {
+		fs = append(fs, sweep(o, n), sweep(o, leaf.MicroN))
+	}
+	t := interleaved(fs...)
+	fmt.Printf("\nthe %dx%dx%d leaf (kernel %s), %d calls over a %d² A, interleaved medians of %d rounds\n",
+		m, n, k, impl.Name, calls, ld, len(t[0]))
+	fmt.Printf("%-18s %22s %8s %26s %8s\n", "A", "one call a leaf (ms)", "ratio", "one call a 4-col block (ms)", "ratio")
+	for x, o := range ops {
+		one, four := t[2*x], t[2*x+1]
+		fmt.Printf("%-18s %22.3f %8.3f %26.3f %8.3f\n", o.name, 1e3*medianOf(one), pairedRatio(one, t[0]),
+			1e3*medianOf(four), pairedRatio(four, t[1]))
+	}
+	fmt.Println("(a 4-column call reads A in place, so each of the 12 column blocks re-reads")
+	fmt.Println(" a 32x64 run whose 64 columns, at ld 1024, fall into the same four L1 sets;")
+	fmt.Println(" one call packs a strided A in its first column block, and the other 11")
+	fmt.Println(" read the packed run, contiguous like a recursive layout's tile.)")
 }
 
 // falseShare reproduces the false-sharing claim of Section 3 with the

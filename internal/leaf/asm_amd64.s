@@ -16,6 +16,12 @@
 //	             Z16..Z19 the 32 A values of the current k step.
 //	             Z20..Z23 the 4 B values of the current k step, broadcast.
 //
+// With a pack destination, the first column block also stores each k
+// step's A vectors, already in registers, into a contiguous rows×k run
+// at ld rows: BX carries the pack pointer at this k step and DI the
+// run's column stride (rows·8 bytes) during that block, and every later
+// column block reads the run in place of A (PANELBODY).
+//
 // The C block is loaded before the k loop and stored once after — the
 // accumulate (C += A·B) contract with no separate epilogue add — or, in
 // the store form (C ← A·B), started at +0 and never read.
@@ -91,7 +97,8 @@
 
 // The block operations of each width, C at R12 and A's k step at R14:
 // BLKLOADn/BLKZEROn/BLKSTOREn bring the C block in, start it at +0 and
-// write it out; BLKSTEPn is one k step.
+// write it out; BLKSTEPn is one k step, and BLKPACKn stores the A
+// vectors that step loaded at the pack pointer BX.
 #define BLKLOAD8 LOADC(R12, 0, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 #define BLKZERO8 ZEROC(VXORPD, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 #define BLKSTORE8 STOREC(R12, 0, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
@@ -101,6 +108,10 @@
 	LOADB(Y10, Y11, Y12, Y13); \
 	FMA8(Y8, Y9, Y10, Y11, Y12, Y13, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 
+#define BLKPACK8 \
+	VMOVUPD Y8, (BX); \
+	VMOVUPD Y9, 32(BX)
+
 #define BLKLOAD16 LOADC(R12, 0, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
 #define BLKZERO16 ZEROC(VPXORQ, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
 #define BLKSTORE16 STOREC(R12, 0, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
@@ -109,6 +120,10 @@
 	VMOVUPD 64(R14), Z9; \
 	LOADB(Z10, Z11, Z12, Z13); \
 	FMA8(Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+
+#define BLKPACK16 \
+	VMOVUPD Z8, (BX); \
+	VMOVUPD Z9, 64(BX)
 
 #define BLKLOAD32 \
 	LOADC(R12, 0, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7); \
@@ -127,10 +142,15 @@
 	LOADB(Z20, Z21, Z22, Z23); \
 	FMA8(Z16, Z17, Z20, Z21, Z22, Z23, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7); \
 	FMA8(Z18, Z19, Z20, Z21, Z22, Z23, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+#define BLKPACK32 \
+	VMOVUPD Z16, (BX); \
+	VMOVUPD Z17, 64(BX); \
+	VMOVUPD Z18, 128(BX); \
+	VMOVUPD Z19, 192(BX)
 
 // PANELBODY is the whole-panel kernel,
 //
-//	func(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
+//	func(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool, pack []float64)
 //
 // C[0:rows,0:n] += A·B on column-major operands read in place at their
 // leading dimensions (a contiguous tile or a strided view alike), rows a
@@ -143,13 +163,26 @@
 // the index registers ldb (R10) and 3·ldb (R11), so a k step advances
 // two pointers, not five.
 //
-//	AX   lda in bytes        BX   column blocks left
-//	DX   B at this column block, DI C at this column block
+// A strided A whose columns share cache sets (ld a power of two) leaves
+// L1 between column blocks, and each block re-reads it. With pack not
+// nil (rows·k elements), the first column block runs its own row loop
+// whose k steps also store the A vectors they loaded (BLKPACK) into pack
+// as one rows×k run at ld rows, and the later blocks read that run:
+// two or four stores a k step, of data already in registers, and no
+// pass of its own. Every C element sees the same operands in the same order
+// either way, so the bits do not depend on pack.
+//
+//	AX   lda in bytes (rows·8 once A is the pack)
+//	BX   column blocks left  DX   B at this column block
+//	DI   C at this column block
 //	R12  C at this block     R13  row blocks left     SI A at this row block
 //	R14  A at this k step    R15  B at this k step    CX k steps left
-#define PANELBODY(rstep, BLKLOAD, BLKZERO, BLKSTEP, BLKSTORE) \
-	MOVQ n+8(FP), BX; \
-	SHRQ $2, BX; \
+//	BX, DI during the packing block: the pack at this k step, rows·8
+//
+// SI walks down the rows of each column block and is wound back after
+// it, to A's top or, after the packing block, the pack's.
+#define PANELBODY(rstep, BLKLOAD, BLKZERO, BLKSTEP, BLKPACK, BLKSTORE) \
+	MOVQ a_base+24(FP), SI; \
 	MOVQ lda+48(FP), AX; \
 	SHLQ $3, AX; \
 	MOVQ b_base+56(FP), DX; \
@@ -160,8 +193,48 @@
 	MOVQ ldc+112(FP), R8; \
 	SHLQ $3, R8; \
 	LEAQ (R8)(R8*2), R9; \
+	MOVQ n+8(FP), BX; \
+	SHRQ $2, BX; \
+	CMPQ pack_base+128(FP), $0; \
+	JEQ  jloop; \
+	MOVQ DI, R12; \
+	MOVQ rows+0(FP), R13; \
+	MOVQ R13, DI; \
+	SHLQ $3, DI; \
+piloop: \
+	CMPB store+120(FP), $0; \
+	JNE  pzeroc; \
+	BLKLOAD; \
+	JMP  pkstart; \
+pzeroc: \
+	BLKZERO; \
+pkstart: \
+	MOVQ SI, R14; \
+	MOVQ DX, R15; \
+	MOVQ k+16(FP), CX; \
+	MOVQ SI, BX; \
+	SUBQ a_base+24(FP), BX; \
+	ADDQ pack_base+128(FP), BX; \
+pkloop: \
+	BLKSTEP; \
+	BLKPACK; \
+	ADDQ AX, R14; \
+	ADDQ $8, R15; \
+	ADDQ DI, BX; \
+	DECQ CX; \
+	JNZ  pkloop; \
+	BLKSTORE; \
+	ADDQ $rstep, SI; \
+	ADDQ $rstep, R12; \
+	SUBQ $(rstep/8), R13; \
+	JNZ  piloop; \
+	MOVQ pack_base+128(FP), SI; \
+	MOVQ DI, AX; \
+	MOVQ c_base+88(FP), DI; \
+	MOVQ n+8(FP), BX; \
+	SHRQ $2, BX; \
+	JMP  jnext; \
 jloop: \
-	MOVQ a_base+24(FP), SI; \
 	MOVQ DI, R12; \
 	MOVQ rows+0(FP), R13; \
 iloop: \
@@ -186,6 +259,10 @@ kloop: \
 	ADDQ $rstep, R12; \
 	SUBQ $(rstep/8), R13; \
 	JNZ  iloop; \
+	MOVQ rows+0(FP), R14; \
+	SHLQ $3, R14; \
+	SUBQ R14, SI; \
+jnext: \
 	LEAQ (DX)(R10*4), DX; \
 	LEAQ (DI)(R8*4), DI; \
 	DECQ BX; \
@@ -193,17 +270,17 @@ kloop: \
 	VZEROUPPER; \
 	RET
 
-// func panel8x4AVX2(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
-TEXT ·panel8x4AVX2(SB), NOSPLIT, $0-121
-	PANELBODY(64, BLKLOAD8, BLKZERO8, BLKSTEP8, BLKSTORE8)
+// func panel8x4AVX2(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool, pack []float64)
+TEXT ·panel8x4AVX2(SB), NOSPLIT, $0-152
+	PANELBODY(64, BLKLOAD8, BLKZERO8, BLKSTEP8, BLKPACK8, BLKSTORE8)
 
-// func panel16x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
-TEXT ·panel16x4AVX512(SB), NOSPLIT, $0-121
-	PANELBODY(128, BLKLOAD16, BLKZERO16, BLKSTEP16, BLKSTORE16)
+// func panel16x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool, pack []float64)
+TEXT ·panel16x4AVX512(SB), NOSPLIT, $0-152
+	PANELBODY(128, BLKLOAD16, BLKZERO16, BLKSTEP16, BLKPACK16, BLKSTORE16)
 
-// func panel32x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
-TEXT ·panel32x4AVX512(SB), NOSPLIT, $0-121
-	PANELBODY(256, BLKLOAD32, BLKZERO32, BLKSTEP32, BLKSTORE32)
+// func panel32x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool, pack []float64)
+TEXT ·panel32x4AVX512(SB), NOSPLIT, $0-152
+	PANELBODY(256, BLKLOAD32, BLKZERO32, BLKSTEP32, BLKPACK32, BLKSTORE32)
 
 // func prefetchCols(a []float64, rows, cols, lda int)
 //

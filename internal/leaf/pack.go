@@ -1,12 +1,12 @@
 package leaf
 
 // The register-blocked kernels read their operands in place (packedMul);
-// the one thing they copy is the fringe. The rows past a tile's last full
-// block become one zero-padded block of the chain's last family (packA:
-// block[p*MR+r] = A[i0+r, p], rows past m zero), the columns past its
-// last four one zero-padded k×4 block of B, and the C those blocks
-// accumulate into is a scratch block, a copy of C's, copied back. A leaf
-// whose shape is whole blocks copies nothing.
+// what they copy is the fringe (and a strided A, s.pk). The rows past a
+// tile's last full block become one zero-padded block of the chain's
+// last family (packA: block[p*MR+r] = A[i0+r, p], rows past m zero), the
+// columns past its last four one zero-padded k×4 block of B, and the C
+// those blocks accumulate into is a scratch block, a copy of C's, copied
+// back. A leaf whose shape is whole blocks copies nothing.
 
 // Scratch holds the per-worker fringe buffers of the register-blocked
 // kernels. Buffers grow on demand and are retained across calls, so a
@@ -17,6 +17,7 @@ type Scratch struct {
 	pa []float64 // the fringe rows of A, zero-padded to one MR×k block
 	pb []float64 // the fringe columns of B, zero-padded to one k×4 block
 	pc []float64 // the block of C a fringe block accumulates into
+	pk []float64 // a strided A's full-block rows, packed by the panels
 }
 
 // fringeC returns s.pc as an ld×w block that a fringe block accumulates

@@ -38,9 +38,10 @@ type microImpl struct {
 	// first row with column stride lda, b0..b3 the four B columns. panel
 	// does every full block of a tile in one call: C[0:rows,0:n] += A·B
 	// with rows a multiple of mr, n of 4, and the loops over blocks
-	// inside it — or, with store, C ← A·B from accumulators at +0.
+	// inside it — or, with store, C ← A·B from accumulators at +0; a pack
+	// not nil gets A as a rows×k run, which the later column blocks read.
 	dd    func(kc int, a []float64, lda int, b0, b1, b2, b3 []float64, c []float64, ldc int)
-	panel func(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
+	panel func(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool, pack []float64)
 	// rem, when non-nil, is the shorter family that takes the rows left
 	// after the last full mr-row block; it has a panel entry when this
 	// family has.
@@ -72,7 +73,15 @@ var microGo8 = &microImpl{mr: 8, dd: micro8x4dd}
 // store is the form C ← A·B, which never reads C: a panel entry stores
 // its full blocks, and what it does not store — the fringe, or all of C
 // for a family with only a dd entry — is cleared first and accumulated.
+// A strided A that several column blocks read is packed by the first,
+// as it goes (mulBlocks): at a power-of-two lda it would leave L1.
 func packedMul(s *Scratch, mk *microImpl, store bool, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	mulBlocks(s, mk, store, lda > m && n > MicroN, m, n, k, a, lda, b, ldb, c, ldc)
+}
+
+// mulBlocks is packedMul with the choice made: with pack, the panels fill
+// s.pk with A's full-block rows, which the column fringe also reads.
+func mulBlocks(s *Scratch, mk *microImpl, store, pack bool, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	const nr = MicroN
 	if m <= 0 || n <= 0 {
 		return
@@ -96,11 +105,16 @@ func packedMul(s *Scratch, mk *microImpl, store bool, m, n, k int, a []float64, 
 		s.pa = grow(s.pa, last.mr*k)
 		packA(last.mr, m-i0, k, a[i0:], lda, s.pa)
 	}
+	var pk []float64
+	if pack && mk.panel != nil && i0 > 0 && nf > 0 {
+		s.pk = grow(s.pk, i0*k)
+		pk = s.pk
+	}
 	if nf > 0 {
-		mk.fullBlocks(panelStore, m, nf, k, a, lda, b, ldb, c, ldc)
+		mk.fullBlocks(panelStore, m, nf, k, a, lda, b, ldb, c, ldc, pk, true)
 		if i0 < m {
 			sc := s.fringeC(last.mr, nf, m-i0, nf, c[i0:], ldc)
-			last.blocks(false, last.mr, nf, k, s.pa, last.mr, b, ldb, sc, last.mr)
+			last.blocks(false, last.mr, nf, k, s.pa, last.mr, b, ldb, sc, last.mr, nil)
 			copyBlock(m-i0, nf, sc, last.mr, c[i0:], ldc)
 		}
 	}
@@ -111,9 +125,9 @@ func packedMul(s *Scratch, mk *microImpl, store bool, m, n, k int, a []float64, 
 		}
 		clear(s.pb[(n-nf)*k:])
 		sc := s.fringeC(mp, nr, m, n-nf, c[nf*ldc:], ldc)
-		mk.fullBlocks(false, m, nr, k, a, lda, s.pb, k, sc, mp)
+		mk.fullBlocks(false, m, nr, k, a, lda, s.pb, k, sc, mp, pk, false)
 		if i0 < m {
-			last.blocks(false, last.mr, nr, k, s.pa, last.mr, s.pb, k, sc[i0:], mp)
+			last.blocks(false, last.mr, nr, k, s.pa, last.mr, s.pb, k, sc[i0:], mp, nil)
 		}
 		copyBlock(m, n-nf, sc, mp, c[nf*ldc:], ldc)
 	}
@@ -130,21 +144,28 @@ func (mk *microImpl) split(m int) (last *microImpl, i0 int) {
 
 // fullBlocks is C[0:i0,0:n] += A·B for the i0 rows of m that fill whole
 // blocks of mk's chain, each family taking what the one before left; n
-// is a multiple of 4.
-func (mk *microImpl) fullBlocks(store bool, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+// is a multiple of 4. pk not nil holds each family's rows of A as a
+// rows×k run from pk[r·k:], r its first row: filled, or read as A.
+func (mk *microImpl) fullBlocks(store bool, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, pk []float64, fill bool) {
 	for i0 := 0; mk != nil; mk = mk.rem {
 		if rows := (m - i0) &^ (mk.mr - 1); rows > 0 {
-			mk.blocks(store, rows, n, k, a[i0:], lda, b, ldb, c[i0:], ldc)
+			fa, flda, run := a[i0:], lda, []float64(nil)
+			if pk != nil && fill {
+				run = pk[i0*k : (i0+rows)*k]
+			} else if pk != nil {
+				fa, flda = pk[i0*k:], rows
+			}
+			mk.blocks(store, rows, n, k, fa, flda, b, ldb, c[i0:], ldc, run)
 			i0 += rows
 		}
 	}
 }
 
 // blocks is the family's in-place entry: C[0:rows,0:n] += A·B, rows a
-// positive multiple of mr, n of 4; store, for a panel entry only, stores.
-func (mk *microImpl) blocks(store bool, rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+// positive multiple of mr, n of 4; store and pack are a panel entry's.
+func (mk *microImpl) blocks(store bool, rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, pack []float64) {
 	if mk.panel != nil {
-		mk.panel(rows, n, k, a, lda, b, ldb, c, ldc, store)
+		mk.panel(rows, n, k, a, lda, b, ldb, c, ldc, store, pack)
 		return
 	}
 	for j0 := 0; j0 < n; j0 += MicroN {

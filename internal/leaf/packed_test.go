@@ -178,6 +178,86 @@ func TestStoreMatchesZeroAccumulate(t *testing.T) {
 	}
 }
 
+// TestPanelPackMatchesInPlace pins the panels' pack destination to the
+// in-place panel: for the avx512 and avx2 families, A packed by the
+// first column block and read from the pack by the later blocks and the
+// column fringe must give the bits of every block reading A where it
+// lies, the sign of zero included — rows on every link of the 32 → 16 →
+// 8 chain, one column block and many, with and without a column fringe,
+// k from 1, leading dimensions from m to past a power of two, the
+// accumulate form and the store form, one Scratch reused as k grows and
+// shrinks. A is left as it was, and nothing outside C's m×n is written.
+func TestPanelPackMatchesInPlace(t *testing.T) {
+	var fams []simdImpl
+	for _, si := range archSIMD() {
+		if _, err := Get(si.name); err == nil && (si.name == "avx512" || si.name == "avx2") {
+			fams = append(fams, si)
+		}
+	}
+	if len(fams) == 0 {
+		t.Skip("no avx512 or avx2 kernel in this build")
+	}
+	rng := rand.New(rand.NewSource(29))
+	signed := func(v []float64) { // some +0 and −0 among the values
+		for i := range v {
+			switch rng.Intn(16) {
+			case 0:
+				v[i] = 0
+			case 1:
+				v[i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	for _, fam := range fams {
+		var s Scratch
+		for _, m := range []int{16, 32, 48, 64, 256} {
+			for _, n := range []int{4, 8, 44, 48, 50} {
+				for _, k := range []int{1, 64, 3, 129} {
+					for _, lda := range []int{m, m + 8, 1024, 1032} {
+						a := make([]float64, (k-1)*lda+m)
+						for i := range a {
+							a[i] = rng.NormFloat64()
+						}
+						signed(a)
+						a0 := append([]float64(nil), a...)
+						const ldb = 131
+						b := make([]float64, (n-1)*ldb+k)
+						for i := range b {
+							b[i] = rng.NormFloat64()
+						}
+						signed(b)
+						ldc := m + 5
+						c := make([]float64, n*ldc)
+						for i := range c {
+							c[i] = rng.NormFloat64()
+						}
+						signed(c)
+						for _, store := range []bool{false, true} {
+							want, got := append([]float64(nil), c...), append([]float64(nil), c...)
+							mulBlocks(&s, fam.mk, store, false, m, n, k, a, lda, b, ldb, want, ldc)
+							mulBlocks(&s, fam.mk, store, true, m, n, k, a, lda, b, ldb, got, ldc)
+							for i := range a {
+								if math.Float64bits(a[i]) != math.Float64bits(a0[i]) {
+									t.Fatalf("%s %dx%dx%d lda %d store %v: A[%d] changed", fam.name, m, n, k, lda, store, i)
+								}
+							}
+							for i := range got {
+								if r, j := i%ldc, i/ldc; r >= m && math.Float64bits(got[i]) != math.Float64bits(c[i]) {
+									t.Fatalf("%s %dx%dx%d lda %d store %v: wrote C(%d,%d) outside the region", fam.name, m, n, k, lda, store, r, j)
+								}
+								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+									t.Fatalf("%s %dx%dx%d lda %d store %v: C(%d,%d) is %v packed, %v in place",
+										fam.name, m, n, k, lda, store, i%ldc, i/ldc, got[i], want[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // splitPad is how many rows into their storage a splitCheck's strided
 // views start.
 const splitPad = 3
@@ -354,16 +434,17 @@ func TestScratchAt(t *testing.T) {
 	}
 }
 
-// benchLeaf times kern on m×n×k leaves — contiguous, the exact call the
-// recursive algorithms make on recursive-layout tiles, or strided — and
-// returns the GFLOPS it reports.
-func benchLeaf(b *testing.B, kern Kernel, m, n, k int, strided bool) float64 {
+// benchLeaf times kern on m×n×k leaves — contiguous (ld 0), the exact
+// call the recursive algorithms make on recursive-layout tiles, or views
+// at leading dimension ld ≥ 3·max(m, n, k) — and returns the GFLOPS it
+// reports.
+func benchLeaf(b *testing.B, kern Kernel, m, n, k, ld int) float64 {
 	rng := rand.New(rand.NewSource(1))
 	var A, B, C *matrix.Dense
-	if strided {
+	if ld > 0 {
 		// Leaves of a canonical-layout run: views into a larger array.
 		d := max(m, n, k)
-		big := matrix.Random(4*d, 4*d, rng)
+		big := matrix.Random(ld, 4*d, rng)
 		A, B, C = big.View(0, 0, m, k), big.View(d, d, k, n), big.View(2*d, 2*d, m, n)
 	} else {
 		A, B, C = matrix.Random(m, k, rng), matrix.Random(k, n, rng), matrix.New(m, n)
@@ -389,7 +470,9 @@ func benchLeaf(b *testing.B, kern Kernel, m, n, k int, strided bool) float64 {
 // serial base calls in their place (a 32-row tile over the block's whole
 // width and two k tiles: 32×48×64, 32×16×64, 32×40×64) — on contiguous leaves (the
 // recursive-layout case, lda == m) and strided leaves (the canonical
-// case, lda >> m). This is where kernels are timed against each other
+// case, lda >> m: ld 4·max(m, n, k), and for 32³ and 32×48×64 also
+// ld 1024, where A's columns share four L1 sets and the panels pack A in
+// their first column block). This is where kernels are timed against each other
 // now that the default is a rule and not a race: after each size it
 // prints the contiguous ranking with Auto's pick, flagged when the pick
 // measured more than 10% behind the fastest.
@@ -404,8 +487,11 @@ func BenchmarkKernelTile(b *testing.B) {
 				continue
 			}
 			kern, _ := Get(name)
-			b.Run(benchName(name, m, n, k, "contig"), func(b *testing.B) { contig[name] = benchLeaf(b, kern, m, n, k, false) })
-			b.Run(benchName(name, m, n, k, "strided"), func(b *testing.B) { benchLeaf(b, kern, m, n, k, true) })
+			b.Run(benchName(name, m, n, k, "contig"), func(b *testing.B) { contig[name] = benchLeaf(b, kern, m, n, k, 0) })
+			b.Run(benchName(name, m, n, k, "strided"), func(b *testing.B) { benchLeaf(b, kern, m, n, k, 4*max(m, n, k)) })
+			if sh == [3]int{32, 32, 32} || sh == [3]int{32, 48, 64} {
+				b.Run(benchName(name, m, n, k, "ld1024"), func(b *testing.B) { benchLeaf(b, kern, m, n, k, 1024) })
+			}
 		}
 		logAutoPick(m, n, k, contig)
 	}

@@ -29,19 +29,20 @@ var (
 // C[0:rows,0:n] += A·B on column-major operands read in place at their
 // leading dimensions, every 8×4 block of it in registers in turn — or,
 // with store, C ← A·B without reading C. rows must be a positive multiple
-// of 8, n of 4, and k ≥ 1.
+// of 8, n of 4, and k ≥ 1. A pack not nil (rows·k) gets A at ld rows
+// from the first column block, and the later blocks read it there.
 //
 //go:noescape
-func panel8x4AVX2(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
+func panel8x4AVX2(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool, pack []float64)
 
 // panel16x4AVX512 and panel32x4AVX512 are the whole-panel entries in
 // 16×4 and 32×4 ZMM blocks; rows must be a positive multiple of 16 or 32.
 //
 //go:noescape
-func panel16x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
+func panel16x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool, pack []float64)
 
 //go:noescape
-func panel32x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool)
+func panel32x4AVX512(rows, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, store bool, pack []float64)
 
 // prefetchCols is Prefetch's PREFETCHT0 loop; rows, cols ≥ 1.
 //
